@@ -37,9 +37,9 @@ from repro.hardware import (
     A100_CLUSTER,
     A100_SERVER,
     ClusterPlatform,
+    EventTimeline,
     MultiGPUPlatform,
     NetworkTopology,
-    TimeBreakdown,
 )
 from repro.partition import two_level_partition
 
@@ -132,7 +132,7 @@ def measure_halo_bytes(partition, platform, dim=HIDDEN):
     comm = DedupCommunicator(plan, platform, 4)
     host = np.zeros((partition.graph.num_vertices, dim))
     grads = np.zeros_like(host)
-    clock = TimeBreakdown()
+    clock = EventTimeline(barrier_all=True)
     comm.start_sweep(dim)
     for j in range(plan.num_batches):
         outputs = comm.load_batch_forward(j, host, clock)

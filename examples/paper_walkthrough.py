@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.comm import DedupCommunicator, build_comm_plan, measure_volumes
 from repro.graph import toy_graph
-from repro.hardware import A100_SERVER, MultiGPUPlatform, TimeBreakdown
+from repro.hardware import A100_SERVER, EventTimeline, MultiGPUPlatform
 from repro.partition import two_level_partition
 
 
@@ -68,7 +68,7 @@ def main() -> None:
     # Execute the plan on real vertex data and verify exactness.
     platform = MultiGPUPlatform(A100_SERVER)
     comm = DedupCommunicator(plan, platform)
-    clock = TimeBreakdown()
+    clock = EventTimeline(barrier_all=True)
     host = np.arange(8, dtype=np.float64).reshape(8, 1) * 10.0
     comm.start_sweep(1)
     exact = True

@@ -3,8 +3,8 @@
 :class:`DedupCommunicator` performs the *actual* data movement of HongTu's
 communication framework on numpy buffers — real values flow through real
 transition buffers with the in-place position indices computed by the
-planner — while charging simulated seconds to a clock and registering
-buffer memory with the simulated GPUs' pools.
+planner — while charging simulated seconds to an event timeline and
+registering buffer memory with the simulated GPUs' pools.
 
 Forward (Algorithm 2): per batch, each GPU
 
@@ -23,17 +23,17 @@ Backward (Algorithm 3): per batch, each GPU
    ``cpu`` for the host-side accumulation into ∇h), keeping reused
    vertices' gradients on the GPU to accumulate across batches.
 
-The clock may be a plain :class:`~repro.hardware.clock.TimeBreakdown`
-(legacy barrier accounting: each phase charges its per-device max) or an
-:class:`~repro.hardware.clock.EventTimeline`. With a timeline, every
-transfer becomes a task on the owning device's channel, wired with the
-dependencies that a pipelined CUDA-stream implementation would need:
+There is one clock: an :class:`~repro.hardware.clock.EventTimeline`.
+Every transfer becomes a task on the owning device's channel, wired with
+the dependencies that a pipelined CUDA-stream implementation would need:
 host loads of batch j+1 only wait for the staging buffer to drain (its
 consumers two batches back under double buffering), *not* for batch j's
 kernels — which is what lets the ``pipeline`` overlap policy hide PCIe
-time under compute. After each batch call, :attr:`last_tasks` holds the
-submitted task-id arrays so the trainer can hang its compute/writeback
-tasks off them.
+time under compute. The paper's barrier-synchronized accounting (each
+phase charges its per-device max, phases serialize) is the same
+emission on ``EventTimeline(barrier_all=True)``. After each batch call,
+:attr:`last_tasks` holds the submitted task-id arrays so the trainer can
+hang its compute/writeback tasks off them.
 
 Emission is *batched*: which rows each GPU loads, reuses, fetches and
 flushes — and how the traffic splits across node pairs — is fixed by the
@@ -83,8 +83,8 @@ from the platform's ``node_of`` — an explicit GPU→node placement array,
 so an arbitrary partition→node assignment routes correctly with no
 changes here.
 
-The framework is numerically exact regardless of clock type: data moves
-eagerly in program order, so summing atomic pushes and host accumulation
+The framework is numerically exact regardless of the timeline's overlap
+policy: data moves eagerly in program order, so summing atomic pushes and host accumulation
 reproduces the monolithic scatter-add gradient bit-for-bit (up to float
 addition order).
 """
@@ -216,8 +216,7 @@ class DedupCommunicator:
         #: measured side of the halo analyses in ``partition/nodes.py``
         #: (tested to match ``halo_volumes`` exactly).
         self.net_bytes_by_flow: Dict[str, Dict[Tuple[int, int], int]] = {}
-        #: task-id arrays submitted by the most recent batch call
-        #: (timeline clocks only): forward fills "load"/"reuse"/
+        #: task-id arrays submitted by the most recent batch call: forward fills "load"/"reuse"/
         #: "assemble", backward fills "scatter"/"flush"/"cpu"
         self.last_tasks: Dict[str, np.ndarray] = {}
         # Per-sweep dependency history (previous batches' task ids).
@@ -254,7 +253,6 @@ class DedupCommunicator:
         # Per-gpu input task ids of the latest forward batch (net tasks
         # have link device ids, so a device filter cannot recover them).
         self._last_inputs_by_gpu: List[np.ndarray] = []
-        self._last_timeline: Optional[EventTimeline] = None
         # Per-batch static emission structure (row counts, segment
         # classes, halo coalescing) — plan and placement are fixed for
         # the communicator's lifetime, so this is computed once per
@@ -479,7 +477,7 @@ class DedupCommunicator:
         for (src, dst, _rail), count in zip(halo.keys, nbytes.tolist()):
             detail[(src, dst)] = detail.get((src, dst), 0) + count
 
-    def _submit_halo_batch(self, timeline: Optional[EventTimeline], clock,
+    def _submit_halo_batch(self, timeline: EventTimeline,
                            halo: _HaloSplit, row_bytes: int,
                            deps: Optional[np.ndarray] = None,
                            producers_by_key: Optional[Sequence] = None,
@@ -504,9 +502,6 @@ class DedupCommunicator:
         self.bytes_moved["net"] += int(nbytes.sum())
         if flow:
             self._charge_flow(flow, halo, nbytes)
-        if timeline is None:
-            clock.add_parallel_phase("net", seconds.tolist())
-            return _NO_IDS
         shared = None
         holds = self.platform.spine_hold_seconds(nbytes)
         if np.any(np.asarray(holds) > 0):
@@ -578,7 +573,7 @@ class DedupCommunicator:
         static = self._batch_static(batch)
         halo = static.load_halo if kind == "load" else static.fetch_halo
         ids = self._submit_halo_batch(
-            timeline, timeline, halo, row_bytes, deps=deps,
+            timeline, halo, row_bytes, deps=deps,
             flow=f"halo_{kind}", label=label,
         )
         return ids, self._ids_by_reader(halo, ids, self.plan.num_gpus)
@@ -590,6 +585,13 @@ class DedupCommunicator:
         if 0 <= batch < len(self._history):
             return self._history[batch].get(key, _NO_IDS)
         return _NO_IDS
+
+    def _record_batch(self, batch: int, tasks: Dict[str, np.ndarray]) -> None:
+        """File ``batch``'s task ids in the sweep history and last_tasks."""
+        while len(self._history) <= batch:
+            self._history.append({})
+        self._history[batch] = tasks
+        self.last_tasks = dict(tasks)
 
     def _staging_conflicts(self, batch: int) -> np.ndarray:
         """Tasks that must drain before batch ``batch`` overwrites its buffer.
@@ -614,7 +616,8 @@ class DedupCommunicator:
     # forward: Algorithm 2
     # ------------------------------------------------------------------
     def load_batch_forward(self, batch: int, host_values: np.ndarray,
-                           clock, extra_deps=()) -> List[np.ndarray]:
+                           timeline: EventTimeline,
+                           extra_deps=()) -> List[np.ndarray]:
         """Assemble h_{N_ij} for every GPU of ``batch`` from host memory.
 
         Returns one (len(needed_i), dim) array per GPU, ordered like each
@@ -625,7 +628,6 @@ class DedupCommunicator:
         plans = self.plan.plans[batch]
         m = len(plans)
         row_bytes = self._dim * self.bytes_per_scalar
-        timeline = clock if isinstance(clock, EventTimeline) else None
         static = self._batch_static(batch)
         extra_ids = _entry_ids(extra_deps)
         if extra_ids is None:
@@ -648,41 +650,35 @@ class DedupCommunicator:
         reuse_seconds = self.platform.reuse_seconds(
             reused_bytes, devices=self._gpu_ids[:m])
 
-        load_ids = _NO_IDS
-        reuse_ids = _NO_IDS
         halo_load_ids = self._submit_halo_batch(
-            timeline, clock, static.load_halo, row_bytes, deps=extra_ids,
+            timeline, static.load_halo, row_bytes, deps=extra_ids,
             flow="halo_load", label=f"halo_load[b{batch}]",
         )
-        if timeline is not None:
-            conflicts = self._staging_conflicts(batch)
-            halo_deps = None
-            if len(halo_load_ids):
-                halo_deps = self._ids_by_reader(
-                    static.load_halo, halo_load_ids, m
-                )
-            load_ids = timeline.submit_batch(
-                "h2d", h2d_seconds,
-                deps=np.concatenate([extra_ids, conflicts]),
-                deps_by_device=halo_deps, label=f"load[b{batch}]",
+        conflicts = self._staging_conflicts(batch)
+        halo_deps = None
+        if len(halo_load_ids):
+            halo_deps = self._ids_by_reader(
+                static.load_halo, halo_load_ids, m
             )
-            previous_load = self._batch_tasks(batch - 1, "load")
-            previous_reuse = self._batch_tasks(batch - 1, "reuse")
-            previous_sources = [
-                np.concatenate([previous_load[i:i + 1],
-                                previous_reuse[i:i + 1]])
-                for i in range(m)
-            ]
-            # Reuse copies write this batch's staging slots too, so they
-            # carry the same buffer-drain conflicts as the loads.
-            reuse_ids = timeline.submit_batch(
-                "gpu", reuse_seconds, deps=conflicts,
-                deps_by_device=previous_sources,
-                label=f"reuse[b{batch}]",
-            )
-        else:
-            clock.add_parallel_phase("h2d", h2d_seconds.tolist())
-            clock.add_parallel_phase("gpu", reuse_seconds.tolist())
+        load_ids = timeline.submit_batch(
+            "h2d", h2d_seconds,
+            deps=np.concatenate([extra_ids, conflicts]),
+            deps_by_device=halo_deps, label=f"load[b{batch}]",
+        )
+        previous_load = self._batch_tasks(batch - 1, "load")
+        previous_reuse = self._batch_tasks(batch - 1, "reuse")
+        previous_sources = [
+            np.concatenate([previous_load[i:i + 1],
+                            previous_reuse[i:i + 1]])
+            for i in range(m)
+        ]
+        # Reuse copies write this batch's staging slots too, so they
+        # carry the same buffer-drain conflicts as the loads.
+        reuse_ids = timeline.submit_batch(
+            "gpu", reuse_seconds, deps=conflicts,
+            deps_by_device=previous_sources,
+            label=f"reuse[b{batch}]",
+        )
 
         # Phase 2: assemble local inputs from (possibly remote) buffers.
         # Same-node remote reads ride NVLink (d2d); reads from a buffer
@@ -702,47 +698,37 @@ class DedupCommunicator:
         self.bytes_moved["d2d"] += int(static.d2d_rows.sum()) * row_bytes
         self.bytes_moved["ru"] += int(static.local_rows.sum()) * row_bytes
 
-        if timeline is not None:
-            staged = np.concatenate([load_ids, reuse_ids])
-            remote_ids = timeline.submit_batch(
-                "d2d", d2d_seconds, deps=staged, label=f"fetch[b{batch}]",
-            )
-            halo_fetch_ids = self._submit_halo_batch(
-                timeline, clock, static.fetch_halo, row_bytes, deps=staged,
-                flow="halo_fetch", label=f"halo_fetch[b{batch}]",
-            )
-            net_by_reader = self._ids_by_reader(
-                static.fetch_halo, halo_fetch_ids, m
-            )
-            local_sources = [
-                np.concatenate([load_ids[i:i + 1], reuse_ids[i:i + 1]])
-                for i in range(m)
-            ]
-            local_ids = timeline.submit_batch(
-                "gpu", local_seconds, deps_by_device=local_sources,
-                label=f"gather[b{batch}]",
-            )
-            assemble_ids = np.concatenate(
-                [remote_ids, halo_fetch_ids, local_ids]
-            )
-            self._last_inputs_by_gpu = [
-                np.concatenate([remote_ids[i:i + 1], local_ids[i:i + 1],
-                                net_by_reader[i]])
-                for i in range(m)
-            ]
-            self._last_timeline = timeline
-            while len(self._history) <= batch:
-                self._history.append({})
-            self._history[batch] = {
-                "load": load_ids, "reuse": reuse_ids,
-                "assemble": assemble_ids,
-            }
-            self.last_tasks = dict(self._history[batch])
-        else:
-            self._submit_halo_batch(timeline, clock, static.fetch_halo,
-                                    row_bytes, flow="halo_fetch")
-            clock.add_parallel_phase("d2d", d2d_seconds.tolist())
-            clock.add_parallel_phase("gpu", local_seconds.tolist())
+        staged = np.concatenate([load_ids, reuse_ids])
+        remote_ids = timeline.submit_batch(
+            "d2d", d2d_seconds, deps=staged, label=f"fetch[b{batch}]",
+        )
+        halo_fetch_ids = self._submit_halo_batch(
+            timeline, static.fetch_halo, row_bytes, deps=staged,
+            flow="halo_fetch", label=f"halo_fetch[b{batch}]",
+        )
+        net_by_reader = self._ids_by_reader(
+            static.fetch_halo, halo_fetch_ids, m
+        )
+        local_sources = [
+            np.concatenate([load_ids[i:i + 1], reuse_ids[i:i + 1]])
+            for i in range(m)
+        ]
+        local_ids = timeline.submit_batch(
+            "gpu", local_seconds, deps_by_device=local_sources,
+            label=f"gather[b{batch}]",
+        )
+        assemble_ids = np.concatenate(
+            [remote_ids, halo_fetch_ids, local_ids]
+        )
+        self._last_inputs_by_gpu = [
+            np.concatenate([remote_ids[i:i + 1], local_ids[i:i + 1],
+                            net_by_reader[i]])
+            for i in range(m)
+        ]
+        self._record_batch(batch, {
+            "load": load_ids, "reuse": reuse_ids,
+            "assemble": assemble_ids,
+        })
         return outputs
 
     def batch_input_dep_ids(self) -> List[np.ndarray]:
@@ -758,21 +744,13 @@ class DedupCommunicator:
         assemble = self.last_tasks.get("assemble", _NO_IDS)
         return [assemble for _ in range(self.plan.num_gpus)]
 
-    def batch_input_tasks(self, gpu: int) -> list:
-        """Materialized Tasks of :meth:`batch_input_dep_ids` (compat)."""
-        if self._last_timeline is None:
-            return []
-        scheduler = self._last_timeline.scheduler
-        return [scheduler.tasks[int(i)]
-                for i in self.batch_input_dep_ids()[gpu]]
-
     # ------------------------------------------------------------------
     # backward: Algorithm 3
     # ------------------------------------------------------------------
     def accumulate_batch_backward(self, batch: int,
                                   neighbor_grads: List[np.ndarray],
                                   host_grads: np.ndarray,
-                                  clock,
+                                  timeline: EventTimeline,
                                   deps_by_device=None) -> None:
         """Push per-GPU neighbor gradients back toward the host ∇h buffer.
 
@@ -787,7 +765,6 @@ class DedupCommunicator:
         plans = self.plan.plans[batch]
         m = len(plans)
         row_bytes = self._dim * self.bytes_per_scalar
-        timeline = clock if isinstance(clock, EventTimeline) else None
         static = self._batch_static(batch)
         producer_ids = _per_device_ids(deps_by_device, m)
 
@@ -816,43 +793,36 @@ class DedupCommunicator:
         self.bytes_moved["d2d"] += int(static.d2d_rows.sum()) * row_bytes
         self.bytes_moved["ru"] += int(static.local_rows.sum()) * row_bytes
 
-        scatter_ids = _NO_IDS
-        if timeline is not None:
-            # Buffers must be drained by the previous batch's flush before
-            # this batch's atomic adds land on the same slots.
-            prior = self._batch_tasks(batch - 1, "flush")
-            scatter_ids = timeline.submit_batch(
-                "d2d", d2d_seconds, deps=prior,
-                deps_by_device=producer_ids, label=f"scatter[b{batch}]",
+        # Buffers must be drained by the previous batch's flush before
+        # this batch's atomic adds land on the same slots.
+        prior = self._batch_tasks(batch - 1, "flush")
+        scatter_ids = timeline.submit_batch(
+            "d2d", d2d_seconds, deps=prior,
+            deps_by_device=producer_ids, label=f"scatter[b{batch}]",
+        )
+        if static.push_halo:
+            # A halo push leaves once the kernels of every pushing GPU
+            # on the source node have produced their gradients.
+            producers_by_key = None
+            if producer_ids is not None:
+                producers_by_key = [
+                    np.concatenate([
+                        producer_ids[gpu] for gpu in gpus
+                        if producer_ids[gpu] is not None
+                    ] or [_NO_IDS])
+                    for gpus in static.push_halo.key_gpus
+                ]
+            halo_push_ids = self._submit_halo_batch(
+                timeline, static.push_halo, row_bytes,
+                deps=prior, producers_by_key=producers_by_key,
+                flow="halo_push", label=f"halo_push[b{batch}]",
             )
-            if static.push_halo:
-                # A halo push leaves once the kernels of every pushing GPU
-                # on the source node have produced their gradients.
-                producers_by_key = None
-                if producer_ids is not None:
-                    producers_by_key = [
-                        np.concatenate([
-                            producer_ids[gpu] for gpu in gpus
-                            if producer_ids[gpu] is not None
-                        ] or [_NO_IDS])
-                        for gpus in static.push_halo.key_gpus
-                    ]
-                halo_push_ids = self._submit_halo_batch(
-                    timeline, clock, static.push_halo, row_bytes,
-                    deps=prior, producers_by_key=producers_by_key,
-                    flow="halo_push", label=f"halo_push[b{batch}]",
-                )
-                scatter_ids = np.concatenate([scatter_ids, halo_push_ids])
-            push_local_ids = timeline.submit_batch(
-                "gpu", local_seconds, deps=prior,
-                deps_by_device=producer_ids, label=f"push[b{batch}]",
-            )
-            scatter_ids = np.concatenate([scatter_ids, push_local_ids])
-        else:
-            self._submit_halo_batch(timeline, clock, static.push_halo,
-                                    row_bytes, flow="halo_push")
-            clock.add_parallel_phase("d2d", d2d_seconds.tolist())
-            clock.add_parallel_phase("gpu", local_seconds.tolist())
+            scatter_ids = np.concatenate([scatter_ids, halo_push_ids])
+        push_local_ids = timeline.submit_batch(
+            "gpu", local_seconds, deps=prior,
+            deps_by_device=producer_ids, label=f"push[b{batch}]",
+        )
+        scatter_ids = np.concatenate([scatter_ids, push_local_ids])
 
         # Phase 2: flush gradients not reused by the next batch. Gradients
         # of remotely-owned vertices must additionally cross the network to
@@ -869,46 +839,36 @@ class DedupCommunicator:
         cpu_seconds = self.platform.cpu_accumulate_seconds(
             flush_bytes, node=self._gpu_nodes[:m])
 
-        if timeline is not None:
-            flush_ids = timeline.submit_batch(
-                "d2h", d2h_seconds, deps=scatter_ids,
-                label=f"flush[b{batch}]",
+        flush_ids = timeline.submit_batch(
+            "d2h", d2h_seconds, deps=scatter_ids,
+            label=f"flush[b{batch}]",
+        )
+        # Remote-owned gradients ship after leaving the GPU; the
+        # accumulate below then also waits for their delivery, so the
+        # host ∇h is complete when the batch's cpu tasks end.
+        halo_flush_ids = self._submit_halo_batch(
+            timeline, static.flush_halo, row_bytes,
+            producers_by_key=[
+                flush_ids[gpus]
+                for gpus in static.flush_halo.key_gpus
+            ],
+            flow="halo_flush", label=f"halo_flush[b{batch}]",
+        )
+        if len(halo_flush_ids):
+            net_by_gpu = self._ids_by_reader(
+                static.flush_halo, halo_flush_ids, m
             )
-            # Remote-owned gradients ship after leaving the GPU; the
-            # accumulate below then also waits for their delivery, so the
-            # host ∇h is complete when the batch's cpu tasks end.
-            halo_flush_ids = self._submit_halo_batch(
-                timeline, clock, static.flush_halo, row_bytes,
-                producers_by_key=[
-                    flush_ids[gpus]
-                    for gpus in static.flush_halo.key_gpus
-                ],
-                flow="halo_flush", label=f"halo_flush[b{batch}]",
-            )
-            if len(halo_flush_ids):
-                net_by_gpu = self._ids_by_reader(
-                    static.flush_halo, halo_flush_ids, m
-                )
-                cpu_deps = [
-                    np.concatenate([flush_ids[i:i + 1], net_by_gpu[i]])
-                    for i in range(m)
-                ]
-            else:
-                cpu_deps = [flush_ids[i:i + 1] for i in range(m)]
-            cpu_ids = timeline.submit_batch(
-                "cpu", cpu_seconds, deps_by_device=cpu_deps,
-                label=f"accumulate[b{batch}]",
-            )
-            self._last_timeline = timeline
-            while len(self._history) <= batch:
-                self._history.append({})
-            self._history[batch] = {
-                "scatter": scatter_ids, "flush": flush_ids,
-                "cpu": cpu_ids,
-            }
-            self.last_tasks = dict(self._history[batch])
+            cpu_deps = [
+                np.concatenate([flush_ids[i:i + 1], net_by_gpu[i]])
+                for i in range(m)
+            ]
         else:
-            self._submit_halo_batch(timeline, clock, static.flush_halo,
-                                    row_bytes, flow="halo_flush")
-            clock.add_parallel_phase("d2h", d2h_seconds.tolist())
-            clock.add_parallel_phase("cpu", cpu_seconds.tolist())
+            cpu_deps = [flush_ids[i:i + 1] for i in range(m)]
+        cpu_ids = timeline.submit_batch(
+            "cpu", cpu_seconds, deps_by_device=cpu_deps,
+            label=f"accumulate[b{batch}]",
+        )
+        self._record_batch(batch, {
+            "scatter": scatter_ids, "flush": flush_ids,
+            "cpu": cpu_ids,
+        })

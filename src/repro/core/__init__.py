@@ -1,4 +1,5 @@
-"""HongTu core: configuration, trainer (Algorithm 1), memory model."""
+"""HongTu core: configuration, planner, trainer (Algorithm 1), elastic
+controller, memory model."""
 
 from repro.core.config import (
     HongTuConfig,
@@ -21,7 +22,6 @@ from repro.core.serialization import (
     save_training_state,
     load_training_state,
 )
-from repro.core.profiler import EpochProfiler, ProfileSummary
 
 __all__ = [
     "HongTuConfig", "ALLREDUCE_ALGORITHMS", "COMM_MODES",
@@ -30,5 +30,4 @@ __all__ = [
     "partition_host_bytes", "placement_host_bytes", "admits_placement",
     "HongTuTrainer", "EpochResult",
     "save_training_state", "load_training_state",
-    "EpochProfiler", "ProfileSummary",
 ]

@@ -223,6 +223,18 @@ class EventScheduler:
         return (self._free_neg[ch], self._last_neg[ch],
                 self._busy_neg[ch], index)
 
+    def _check_dep_ids(self, ids: np.ndarray) -> None:
+        """Dependency ids must name already-submitted tasks.
+
+        One reduction checks both bounds: viewed as unsigned, a negative
+        id is larger than any task count.
+        """
+        if len(ids) and ids.view(np.uint64).max() >= self._n:
+            raise SchedulerError(
+                f"dependency references an unsubmitted task: ids must lie "
+                f"in [0, {self._n}), got [{ids.min()}, {ids.max()}]"
+            )
+
     def _submit_one(self, ch: int, device: int, seconds: float,
                     common: Optional[np.ndarray],
                     extras: Optional[np.ndarray],
@@ -300,13 +312,15 @@ class EventScheduler:
         spine core is held only for the excess transit time). A zero hold
         never advances the resource and so never delays anyone. Must be
         called in a topological order of the dependency DAG (program
-        order suffices). ``deps`` may be Tasks or task ids.
+        order suffices). ``deps`` may be Tasks or task ids; an id outside
+        ``[0, num_tasks)`` raises :class:`~repro.errors.SchedulerError`.
         """
         if channel not in CHANNELS:
             raise SchedulerError(f"unknown channel {channel!r}")
         if seconds < 0:
             raise SchedulerError(f"negative task duration: {seconds}")
         common = task_ids(deps)
+        self._check_dep_ids(common)
         phase = len(self._phases)
         self._phases.append((category, group, label,
                              common if len(common) else None))
@@ -328,8 +342,9 @@ class EventScheduler:
         ``devices[t]``/``seconds[t]`` describe task ``t``; ``common_deps``
         (an id array) gate every task of the wave, ``extra_deps[t]`` (an
         id array or None) additionally gate task ``t``. Dependency ids
-        must reference previously submitted tasks — a wave's tasks are
-        mutually independent. ``shared_by_task[t]`` lists ``(resource,
+        must reference previously submitted tasks (checked on both the
+        vectorized and the scalar branch) — a wave's tasks are mutually
+        independent. ``shared_by_task[t]`` lists ``(resource,
         hold)`` pairs task ``t`` occupies.
 
         The wave is computed vectorized when its tasks are order-free:
@@ -357,20 +372,22 @@ class EventScheduler:
         common = None
         if common_deps is not None:
             common = np.asarray(common_deps, dtype=np.int64)
+            self._check_dep_ids(common)
             if len(common) == 0:
                 common = None
-            elif common.max() >= self._n:
-                raise SchedulerError(
-                    "batch dependency references an unsubmitted task"
-                )
         extras: Optional[List[Optional[np.ndarray]]] = None
+        flat = None
         if extra_deps is not None:
             extras = [
                 None if e is None or len(e) == 0
                 else np.asarray(e, dtype=np.int64)
                 for e in extra_deps
             ]
-            if not any(e is not None for e in extras):
+            present = [e for e in extras if e is not None]
+            if present:
+                flat = np.concatenate(present)
+                self._check_dep_ids(flat)
+            else:
                 extras = None
         phase = len(self._phases)
         self._phases.append((category, group, label, common))
@@ -437,11 +454,6 @@ class EventScheduler:
                 (0 if e is None else len(e) for e in extras),
                 dtype=np.int64, count=k,
             )
-            flat = np.concatenate([e for e in extras if e is not None])
-            if flat.max() >= n0:
-                raise SchedulerError(
-                    "batch dependency references an unsubmitted task"
-                )
             offsets = np.zeros(k + 1, dtype=np.int64)
             np.cumsum(lens, out=offsets[1:])
             nz = lens > 0
@@ -462,7 +474,6 @@ class EventScheduler:
             dep_max[beats] = e_max[beats]
             dep_id[beats] = e_id[beats]
         else:
-            flat = None
             lens = None
         gated = dep_max > starts
         starts[gated] = dep_max[gated]

@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.comm.executor import DedupCommunicator
+from repro.core.planner import new_communicator
 from repro.errors import ConfigurationError, ServingError
 from repro.hardware.clock import EventTimeline
 from repro.runtime.task import HOST_DEVICE
@@ -113,19 +113,11 @@ class ServingEngine:
                 f"embedding cache"
             )
         self.trainer = trainer
-        self.plan = trainer.plan
-        self.partition = trainer.partition
         self.platform = trainer.platform
         self.model = trainer.model
         self.config = trainer.config
-        #: dedicated communicator: serving traffic charges its own byte
-        #: ledger, never the trainer's training counters
-        self.communicator = DedupCommunicator(
-            self.plan, self.platform, self.config.bytes_per_scalar
-        )
         self._costs: Dict[Tuple[int, int], _ColumnLayerCosts] = {}
-        self._rates_version = getattr(self.platform, "rates_version", 0)
-        self._gpu_ids = np.arange(self.plan.num_gpus, dtype=np.int64)
+        self._gpu_ids = np.arange(trainer.plan.num_gpus, dtype=np.int64)
         #: warm (layer, column) pairs in LRU order — data movement is
         #: free for these; the value is the pair's host footprint
         self._cache: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
@@ -133,7 +125,12 @@ class ServingEngine:
         self.cache_budget_bytes = cache_budget_bytes
         #: warm pairs dropped to fit the budget over this engine's life
         self.evictions = 0
-        self.warm_from_checkpoints()
+        #: the trainer's plan/partition, a dedicated communicator
+        #: (serving traffic charges its own byte ledger, never the
+        #: trainer's training counters) and the checkpoint-warmed cache
+        #: are all installed by the first platform sync
+        self.plan = None
+        self._sync_platform()
 
     # ------------------------------------------------------------------
     # embedding cache
@@ -327,11 +324,12 @@ class ServingEngine:
         platform bumps ``rates_version`` whenever per-device rates may
         have changed; on a mismatch the profiles are dropped and the
         communicator rebuilt (its node routing snapshots the placement
-        at construction). A re-balance under the joint policy also swaps
-        the trainer's plan/partition — then the embedding cache is
-        cleared too, since its (layer, column) footprints no longer
-        describe the new chunks. Fault-free engines never miss:
-        ``rates_version`` is stable, so this is one integer compare.
+        at construction). A re-balance that changed the partition also
+        swaps the trainer's plan — then the embedding cache is cleared
+        and re-warmed too, since its (layer, column) footprints no
+        longer describe the new chunks. Construction is the first such
+        swap. Fault-free engines never miss again: ``rates_version`` is
+        stable, so this is one integer compare.
         """
         plan_changed = self.plan is not self.trainer.plan
         version = getattr(self.platform, "rates_version", 0)
@@ -343,9 +341,8 @@ class ServingEngine:
             self.clear_cache()
             self.warm_from_checkpoints()
         self._costs.clear()
-        self.communicator = DedupCommunicator(
-            self.plan, self.platform, self.config.bytes_per_scalar
-        )
+        self.communicator = new_communicator(self.plan, self.platform,
+                                             self.config)
         self._rates_version = version
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.comm import (
 )
 from repro.errors import CommunicationPlanError, ConfigurationError
 from repro.graph import load_dataset
-from repro.hardware import A100_SERVER, MultiGPUPlatform, TimeBreakdown
+from repro.hardware import A100_SERVER, EventTimeline, MultiGPUPlatform
 from repro.partition import two_level_partition
 
 MODES = [
@@ -166,7 +166,7 @@ class TestVolumes:
                                    dedup_intra=intra)
             platform = MultiGPUPlatform(A100_SERVER)
             comm = DedupCommunicator(plan, platform)
-            clock = TimeBreakdown()
+            clock = EventTimeline(barrier_all=True)
             comm.start_sweep(dim)
             for j in range(plan.num_batches):
                 comm.load_batch_forward(j, host, clock)
@@ -179,7 +179,7 @@ class TestExecutor:
         plan = build_comm_plan(partitioned)
         platform = MultiGPUPlatform(A100_SERVER)
         comm = DedupCommunicator(plan, platform)
-        clock = TimeBreakdown()
+        clock = EventTimeline(barrier_all=True)
         rng = np.random.default_rng(0)
         host = rng.standard_normal((partitioned.graph.num_vertices, 6))
         comm.start_sweep(6)
@@ -198,7 +198,7 @@ class TestExecutor:
                                dedup_intra=intra)
         platform = MultiGPUPlatform(A100_SERVER)
         comm = DedupCommunicator(plan, platform)
-        clock = TimeBreakdown()
+        clock = EventTimeline(barrier_all=True)
         rng = np.random.default_rng(1)
         n = partitioned.graph.num_vertices
         host_grads = np.zeros((n, 3))
@@ -219,7 +219,7 @@ class TestExecutor:
         plan = build_comm_plan(partitioned)
         platform = MultiGPUPlatform(A100_SERVER)
         comm = DedupCommunicator(plan, platform)
-        clock = TimeBreakdown()
+        clock = EventTimeline(barrier_all=True)
         host = np.zeros((partitioned.graph.num_vertices, 4))
         comm.start_sweep(4)
         comm.load_batch_forward(0, host, clock)
@@ -241,7 +241,7 @@ class TestExecutor:
         comm = DedupCommunicator(plan, platform)
         with pytest.raises(CommunicationPlanError):
             comm.load_batch_forward(0, np.zeros((10, 4)),
-                                    TimeBreakdown())
+                                    EventTimeline(barrier_all=True))
         comm.start_sweep(4)
         with pytest.raises(CommunicationPlanError):
             comm.start_sweep(4)
@@ -256,7 +256,7 @@ class TestExecutor:
         with pytest.raises(CommunicationPlanError):
             comm.accumulate_batch_backward(
                 0, grads, np.zeros((partitioned.graph.num_vertices, 4)),
-                TimeBreakdown(),
+                EventTimeline(barrier_all=True),
             )
         comm.end_sweep()
 

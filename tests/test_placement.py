@@ -26,9 +26,9 @@ from repro.hardware import (
     A100_CLUSTER,
     A100_SERVER,
     ClusterPlatform,
+    EventTimeline,
     MultiGPUPlatform,
     NetworkTopology,
-    TimeBreakdown,
 )
 from repro.partition import (
     PLACEMENT_POLICIES,
@@ -295,7 +295,7 @@ def _sweep(partition, platform, dedup_inter, dim=16):
     comm = DedupCommunicator(plan, platform, 4)
     host = np.zeros((partition.graph.num_vertices, dim))
     grads = np.zeros_like(host)
-    clock = TimeBreakdown()
+    clock = EventTimeline(barrier_all=True)
     comm.start_sweep(dim)
     for j in range(plan.num_batches):
         outputs = comm.load_batch_forward(j, host, clock)

@@ -14,7 +14,7 @@ from repro.comm import DedupCommunicator, build_comm_plan, measure_volumes
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.gnn import build_model
 from repro.graph import Graph
-from repro.hardware import A100_SERVER, MultiGPUPlatform, TimeBreakdown
+from repro.hardware import A100_SERVER, EventTimeline, MultiGPUPlatform
 
 
 @st.composite
@@ -97,7 +97,7 @@ class TestCommPlanProperties:
 
         platform = MultiGPUPlatform(A100_SERVER, num_gpus=max(m, 1))
         comm = DedupCommunicator(plan, platform)
-        clock = TimeBreakdown()
+        clock = EventTimeline(barrier_all=True)
         rng = np.random.default_rng(1)
         host = rng.standard_normal((graph.num_vertices, 3))
         grads_expected = np.zeros_like(host)
@@ -135,7 +135,7 @@ class TestCommPlanProperties:
         plan = build_comm_plan(partition)
         platform = MultiGPUPlatform(A100_SERVER, num_gpus=max(m, 1))
         comm = DedupCommunicator(plan, platform)
-        clock = TimeBreakdown()
+        clock = EventTimeline(barrier_all=True)
         host = np.zeros((graph.num_vertices, 2))
         comm.start_sweep(2)
         for j in range(plan.num_batches):

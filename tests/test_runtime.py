@@ -70,6 +70,30 @@ class TestEventScheduler:
         with pytest.raises(SchedulerError):
             EventScheduler().submit("gpu", 0, -1.0)
 
+    @pytest.mark.parametrize("submit", [
+        # reads zero-initialised capacity: used to schedule at t=0
+        lambda s: s.submit("gpu", 0, 1.0, deps=[5]),
+        # wraps to the array tail
+        lambda s: s.submit("gpu", 0, 1.0, deps=[-1]),
+        # past the allocated capacity: used to be a bare IndexError
+        lambda s: s.submit("gpu", 0, 1.0, deps=[10_000]),
+        # duplicate devices force submit_batch onto its scalar branch
+        lambda s: s.submit_batch("gpu", [0, 0], [1.0, 1.0],
+                                 extra_deps=[np.array([3]), None]),
+        lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                 common_deps=np.array([-1])),
+    ], ids=["unsubmitted", "negative", "beyond_capacity",
+            "batch_scalar_branch", "batch_vectorized_branch"])
+    def test_out_of_range_dependency_rejected(self, submit):
+        scheduler = EventScheduler()
+        scheduler.submit("gpu", 0, 1.0)
+        with pytest.raises(SchedulerError, match="unsubmitted"):
+            submit(scheduler)
+        # The rejected submission left no trace: the scheduler still
+        # validates and holds exactly the one good task.
+        scheduler.validate()
+        assert scheduler.num_tasks == 1
+
     def test_busy_accounting(self):
         scheduler = EventScheduler()
         scheduler.submit("gpu", 0, 1.0)

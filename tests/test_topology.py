@@ -36,7 +36,6 @@ from repro.hardware import (
     EventTimeline,
     MultiGPUPlatform,
     NetworkTopology,
-    TimeBreakdown,
 )
 from repro.partition import (
     halo_load_volumes,
@@ -309,7 +308,7 @@ class TestHaloCrossCheck:
         dim = 16
         host = np.random.default_rng(0).standard_normal(
             (graph.num_vertices, dim))
-        clock = TimeBreakdown()
+        clock = EventTimeline(barrier_all=True)
         comm.start_sweep(dim)
         outputs = []
         for j in range(plan.num_batches):
@@ -354,6 +353,58 @@ class TestHaloCrossCheck:
                     int(expected[s, d]) * row_bytes
         flush = comm.net_bytes_by_flow["halo_flush"]
         assert sum(flush.values()) == sum(measured.values())
+
+
+class TestSingleClockExecutor:
+    """The executor's one clock is an ``EventTimeline``; the per-category
+    seconds of a ``barrier_all`` sweep are those the removed bare
+    ``TimeBreakdown`` path charged (hex floats pinned from the last
+    commit that had it)."""
+
+    PINNED = {
+        ("flat", True): {
+            "gpu": "0x1.3333333333333p-27", "h2d": "0x1.2762762762762p-24",
+            "d2h": "0x1.2762762762762p-24", "d2d": "0x1.2c16c16c16c16p-23",
+            "cpu": "0x1.8000000000000p-24", "net": "0x1.5979f6c7c0311p-15",
+        },
+        ("spine", False): {
+            "gpu": "0x1.c7ae147ae147cp-25", "h2d": "0x1.589d89d89d89ep-21",
+            "d2h": "0x1.5762762762762p-21", "d2d": "0x0.0p+0",
+            "cpu": "0x1.be66666666667p-21", "net": "0x1.2b913c99348e3p-15",
+        },
+    }
+
+    @pytest.mark.parametrize("kind,dedup_inter", sorted(PINNED))
+    def test_category_seconds_match_removed_breakdown_path(
+            self, kind, dedup_inter):
+        graph = load_dataset("reddit_sim", scale=0.1, seed=0)
+        partition = two_level_partition(graph, 8, 3, seed=0)
+        platform = cluster_platform(
+            kind, oversubscription=4.0 if kind == "spine" else 1.0)
+        plan = build_comm_plan(partition, dedup_inter=dedup_inter,
+                               dedup_intra=True)
+        comm = DedupCommunicator(plan, platform, 4)
+        host = np.random.default_rng(0).standard_normal(
+            (graph.num_vertices, 16))
+        grads = np.zeros_like(host)
+        timeline = EventTimeline(barrier_all=True)
+        comm.start_sweep(16)
+        for j in range(plan.num_batches):
+            outputs = comm.load_batch_forward(j, host, timeline)
+            comm.accumulate_batch_backward(
+                j, [out.copy() for out in outputs], grads, timeline)
+        comm.end_sweep()
+        assert {category: float(seconds).hex()
+                for category, seconds in timeline.seconds.items()} \
+            == self.PINNED[(kind, dedup_inter)]
+        # barrier_all serializes phases: on flat the makespan is the
+        # category total; spine holds additionally serialize messages
+        # *inside* a phase, which only the timeline can see.
+        if kind == "flat":
+            assert timeline.makespan == pytest.approx(timeline.total)
+        else:
+            assert timeline.makespan > timeline.total
+        timeline.validate()
 
 
 class TestNetAwareReorganization:
