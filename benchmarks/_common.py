@@ -64,7 +64,7 @@ def fleet_scenario(**overrides):
 
 
 def emit_json(name: str, metrics: dict, step: str = None,
-              config=None) -> None:
+              config=None, fleet: dict = None) -> None:
     """Archive simulated metrics as results/<name>.json for CI.
 
     ``metrics`` maps metric name → number. Metrics are *simulated*
@@ -82,7 +82,9 @@ def emit_json(name: str, metrics: dict, step: str = None,
     :class:`~repro.core.HongTuConfig` (or any object with ``to_dict``,
     or a plain dict) is archived under ``"config"`` so a regressed
     number can be re-run from the artifact alone via
-    ``HongTuConfig.from_dict``.
+    ``HongTuConfig.from_dict``. The fleet's shape is the platform's to
+    state, not the config's, so ``fleet`` archives the scenario's
+    ``nodes`` / ``topology`` / ``oversubscription`` beside it.
     """
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{name}.json")
@@ -94,6 +96,8 @@ def emit_json(name: str, metrics: dict, step: str = None,
     if config is not None:
         payload["config"] = (config.to_dict()
                              if hasattr(config, "to_dict") else dict(config))
+    if fleet is not None:
+        payload["fleet"] = dict(fleet)
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

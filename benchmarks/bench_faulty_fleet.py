@@ -149,6 +149,7 @@ def bench_faulty_fleet_smoke(benchmark):
         title=f"Fault-injected fleet smoke ({DATASET}, {NODES} nodes x "
               f"{GPUS_PER_NODE} GPUs)",
     ))
+    fleet = _scenario()
     emit_json("faulty_fleet_smoke", {
         "elastic_steady_seconds": runs["elastic"][1][-1].epoch_seconds,
         "static_steady_seconds": runs["static"][1][-1].epoch_seconds,
@@ -156,7 +157,9 @@ def bench_faulty_fleet_smoke(benchmark):
         "migration_bytes": sum(event.migration_bytes
                                for event in runs["elastic"][0].rebalances),
         "sim_wall_seconds": wall,
-    }, step=STEP, config=runs["elastic"][2])
+    }, step=STEP, config=runs["elastic"][2],
+        fleet={"nodes": fleet.nodes, "topology": fleet.topology,
+               "oversubscription": fleet.oversubscription})
     check_fleet(runs)
 
 

@@ -105,7 +105,7 @@ def run_nodes(dataset="papers_sim", arch="gcn"):
             trainer = HongTuTrainer(
                 graph, model, platform,
                 HongTuConfig(num_chunks=NUM_CHUNKS[dataset], seed=0,
-                             overlap=overlap, nodes=nodes),
+                             overlap=overlap),
             )
             result = trainer.train_epoch()
             results[(nodes, overlap)] = (

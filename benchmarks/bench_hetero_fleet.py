@@ -78,7 +78,7 @@ def run_fleet(scale=SCALE):
     row_bytes = max(dims) * 4
 
     config = HongTuConfig(num_chunks=NUM_CHUNKS, overlap="pipeline",
-                          nodes=NODES, placement="block", seed=0)
+                          placement="block", seed=0)
     blind_platform = ClusterPlatform(cluster)
     blind = search_placement(
         partition, NODES,
@@ -94,7 +94,7 @@ def run_fleet(scale=SCALE):
 
     aware_platform = ClusterPlatform(cluster)
     aware_config = HongTuConfig(num_chunks=NUM_CHUNKS, overlap="pipeline",
-                                nodes=NODES, placement="search", seed=0)
+                                placement="search", seed=0)
     aware_trainer = HongTuTrainer(
         graph, build_model("gcn", dims, np.random.default_rng(7)),
         aware_platform, aware_config, partition=partition,

@@ -67,8 +67,6 @@ def train_epoch(graph, partition, policy, max_imbalance=0):
     trainer = HongTuTrainer(
         graph, model, platform,
         HongTuConfig(num_chunks=NUM_CHUNKS, overlap="pipeline",
-                     nodes=NODES, topology="spine",
-                     oversubscription=OVERSUBSCRIPTION,
                      placement=policy, max_imbalance=max_imbalance,
                      seed=0),
         optimizer=SGD(model.parameters(), lr=0.02),

@@ -96,8 +96,6 @@ def epoch_makespan(graph, partition, placement_policy):
     trainer = HongTuTrainer(
         graph, model, platform,
         HongTuConfig(num_chunks=NUM_CHUNKS, overlap="pipeline",
-                     nodes=NODES, topology="spine",
-                     oversubscription=OVERSUBSCRIPTION,
                      placement=placement_policy, seed=0),
         optimizer=SGD(model.parameters(), lr=0.02),
         partition=partition,

@@ -53,7 +53,7 @@ def build_serving_trainer(scale=BENCH_SCALE):
     return HongTuTrainer(
         graph, model, platform,
         HongTuConfig(num_chunks=NUM_CHUNKS, overlap="pipeline",
-                     nodes=NODES, seed=0),
+                     seed=0),
     )
 
 

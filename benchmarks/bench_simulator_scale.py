@@ -60,7 +60,7 @@ def run_scale_epoch(nodes, gpus_per_node, scale, hidden=HIDDEN,
     started = time.perf_counter()
     trainer = HongTuTrainer(
         graph, model, platform,
-        HongTuConfig(num_chunks=num_chunks, overlap=overlap, nodes=nodes,
+        HongTuConfig(num_chunks=num_chunks, overlap=overlap,
                      seed=seed),
         optimizer=SGD(model.parameters(), lr=0.02),
     )

@@ -126,7 +126,7 @@ def run_scaleout(dataset="papers_sim", layers=2):
         trainer = HongTuTrainer(
             graph, model, platform,
             HongTuConfig(num_chunks=NUM_CHUNKS[dataset], seed=0,
-                         overlap=overlap, nodes=2),
+                         overlap=overlap),
         )
         rows[f"hongtu_2x4_{overlap}"] = trainer.train_epoch()
     return rows

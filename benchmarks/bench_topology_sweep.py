@@ -75,8 +75,6 @@ def run_sweep(scale=BENCH_SCALE, node_counts=NODE_COUNTS):
                 trainer = HongTuTrainer(
                     graph, model, platform,
                     HongTuConfig(num_chunks=NUM_CHUNKS, overlap=overlap,
-                                 nodes=nodes, topology=topology.kind,
-                                 oversubscription=topology.oversubscription,
                                  seed=0),
                     optimizer=SGD(model.parameters(), lr=0.02),
                 )

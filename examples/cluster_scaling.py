@@ -84,7 +84,7 @@ def main() -> None:
                     else ClusterPlatform(A100_CLUSTER))
         trainer = HongTuTrainer(
             graph, model, platform,
-            HongTuConfig(num_chunks=8, seed=0, overlap=overlap, nodes=nodes),
+            HongTuConfig(num_chunks=8, seed=0, overlap=overlap),
         )
         result = trainer.train_epoch()
         rows.append([

@@ -161,7 +161,7 @@ def render_node_utilization(timeline, platform,
     from repro.runtime.task import NET_DEVICE_BASE, net_link_nodes
 
     num_nodes = platform.num_nodes
-    num_rails = getattr(platform, "num_rails", 1)
+    num_rails = platform.num_rails
     columns = ("gpu", "h2d", "d2h", "d2d", "cpu", "net")
     busy = [{column: 0.0 for column in columns} for _ in range(num_nodes)]
     devices = [{column: set() for column in columns}
@@ -183,7 +183,7 @@ def render_node_utilization(timeline, platform,
     # On a mixed-generation fleet, name each node's capability profile —
     # the busy-seconds skew is unreadable without knowing which rows are
     # the slow nodes.
-    hetero = getattr(platform, "heterogeneous", False)
+    hetero = platform.heterogeneous
     node_specs = getattr(platform, "node_specs", None)
     flagged = False
     rows = []

@@ -163,16 +163,18 @@ def cmd_train(args) -> int:
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed + 42)
     dims = scenario.model_dims(graph)
     model = scenario.build_model(graph)
+    from repro.autograd import Adam
+
     try:
         config = scenario.build_config(intermediate_policy=args.policy,
                                        overlap=args.overlap)
+        # The trainer checks the fault schedule against the fleet.
+        trainer = HongTuTrainer(
+            graph, model, platform, config,
+            optimizer=Adam(model.parameters(), lr=args.lr))
     except (ConfigurationError, FaultError) as error:
         print(f"bad scenario: {error}", file=sys.stderr)
         return 2
-    from repro.autograd import Adam
-
-    trainer = HongTuTrainer(graph, model, platform, config,
-                            optimizer=Adam(model.parameters(), lr=args.lr))
     wiring = "" if args.nodes == 1 else f", {args.topology} network"
     print(f"training {args.arch} {dims} on {graph} "
           f"({args.nodes} node(s) x {args.gpus} GPUs x {args.chunks} "
@@ -256,10 +258,11 @@ def cmd_serve(args) -> int:
     try:
         config = scenario.build_config(intermediate_policy="hybrid",
                                        overlap="pipeline")
+        # The trainer checks the fault schedule against the fleet.
+        trainer = HongTuTrainer(graph, model, platform, config)
     except (ConfigurationError, FaultError) as error:
         print(f"bad scenario: {error}", file=sys.stderr)
         return 2
-    trainer = HongTuTrainer(graph, model, platform, config)
     for _ in range(args.train_epochs):
         trainer.train_epoch()
     budget = None if args.cache_budget is None else int(args.cache_budget)

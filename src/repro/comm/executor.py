@@ -222,7 +222,7 @@ class DedupCommunicator:
         # Per-sweep dependency history (previous batches' task ids).
         self._history: List[Dict[str, np.ndarray]] = []
         # ---- cluster topology (degenerate on a single node) --------------
-        self._num_nodes: int = getattr(platform, "num_nodes", 1)
+        self._num_nodes: int = platform.num_nodes
         self._node_of_gpu: List[int] = [
             platform.node_of(i) for i in range(plan.num_gpus)
         ]
@@ -236,9 +236,8 @@ class DedupCommunicator:
         # (1 for flat/spine); a GPU's traffic rides the rail of its local
         # rank within its node — placement-aware, so moving a partition
         # to another node re-rails it with its new local rank.
-        topology = getattr(platform, "topology", None)
-        self._rail_topology = topology is not None and topology.kind == "rail"
-        self._num_rails: int = getattr(platform, "num_rails", 1)
+        self._rail_topology = platform.topology.kind == "rail"
+        self._num_rails: int = platform.num_rails
         self._local_rank: List[int] = [
             platform.local_rank(i) for i in range(plan.num_gpus)
         ]

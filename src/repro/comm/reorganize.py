@@ -40,11 +40,8 @@ import numpy as np
 
 from repro.comm.analysis import measure_volumes
 from repro.comm.cost_model import ClusterCostModel, CommCostModel
-from repro.partition.nodes import (
-    halo_load_volumes,
-    halo_volumes,
-    partition_nodes,
-)
+from repro.partition.nodes import partition_nodes
+from repro.partition.placement import placement_net_rows
 from repro.partition.subgraph import SubgraphChunk
 from repro.partition.two_level import TwoLevelPartition
 
@@ -175,8 +172,8 @@ def reorganize_partition(partition: TwoLevelPartition,
             (reorganized, grid, order),
             (aware, aware_grid, aware_order),
         ]
-        rows = [_net_rows(candidate, num_nodes, placement=placement,
-                          dead_nodes=dead_nodes)
+        rows = [placement_net_rows(candidate, num_nodes, placement,
+                                   dead_nodes=dead_nodes)
                 for candidate, _g, _o in candidates]
         costs = [
             _guarded_cost(candidate, candidate_rows, cost_model,
@@ -325,34 +322,17 @@ def _reuse_chain_grid(partition: TwoLevelPartition,
     return grid
 
 
-def _net_rows(partition: TwoLevelPartition, num_nodes: int,
-              placement: Optional[np.ndarray] = None,
-              dead_nodes=frozenset()) -> int:
-    """Cross-node halo rows per epoch-layer: fetches + loads + flushes.
-
-    Forward fetches (:func:`halo_volumes`) plus staging loads
-    (:func:`halo_load_volumes`) counted twice — the backward gradient
-    flush retires exactly the rows the forward load staged (same
-    consecutive-batch differences, time-reversed), so its row total
-    equals the load total. ``placement`` selects the partition→node map
-    the rows are counted against.
-    """
-    fetch = int(halo_volumes(partition, num_nodes, placement,
-                             dead_nodes=dead_nodes).sum())
-    load = int(halo_load_volumes(partition, num_nodes, placement,
-                                 dead_nodes=dead_nodes).sum())
-    return fetch + 2 * load
-
-
 def _guarded_cost(partition: TwoLevelPartition, net_rows: int,
                   cost_model: Optional[CommCostModel],
                   cluster_model: ClusterCostModel,
                   row_bytes: int) -> float:
     """Combined guard objective: Eq. 4 (when priceable) + the net term.
 
-    ``net_rows`` is the precomputed :func:`_net_rows` of ``partition``
-    (the caller reuses it for the result's before/after reporting, so
-    the O(partitions × chunks) halo sweeps run once per candidate).
+    ``net_rows`` is the precomputed
+    :func:`~repro.partition.placement.placement_net_rows` of
+    ``partition`` (the caller reuses it for the result's before/after
+    reporting, so the O(partitions × chunks) halo sweeps run once per
+    candidate).
     """
     cost = cluster_model.halo_volume_seconds(net_rows * row_bytes)
     if cost_model is not None:

@@ -10,13 +10,11 @@ import numpy as np
 from repro.comm.cost_model import ALLREDUCE_ALGORITHMS
 from repro.errors import ConfigurationError
 from repro.faults.schedule import FaultSchedule
-from repro.hardware.spec import TOPOLOGY_KINDS
 from repro.partition.placement import PLACEMENT_POLICIES
 from repro.runtime import OVERLAP_POLICIES
 
 __all__ = ["HongTuConfig", "COMM_MODES", "INTERMEDIATE_POLICIES",
-           "OVERLAP_POLICIES", "ALLREDUCE_ALGORITHMS", "TOPOLOGY_KINDS",
-           "PLACEMENT_POLICIES"]
+           "OVERLAP_POLICIES", "ALLREDUCE_ALGORITHMS", "PLACEMENT_POLICIES"]
 
 #: communication ladder of the paper's evaluation (Fig. 9):
 #: ``baseline`` transfers each chunk's neighbor set individually; ``p2p``
@@ -33,6 +31,11 @@ INTERMEDIATE_POLICIES = ("hybrid", "recompute")
 @dataclass
 class HongTuConfig:
     """Knobs of the memory-efficient training framework.
+
+    The fleet's *shape* — node count, network topology, spine
+    oversubscription — is not configured here: it is a property of the
+    platform handed to the trainer (and, on the command line, of
+    :class:`~repro.scenario.ClusterArgs`, which builds that platform).
 
     Attributes
     ----------
@@ -52,25 +55,10 @@ class HongTuConfig:
         buffers and prefetches batch j+1's host loads under batch j's
         compute, so the epoch time becomes the event-timeline makespan.
         Numerics are bit-identical under both policies.
-    nodes:
-        Expected node count of the simulated cluster; must match the
-        platform handed to the trainer (1 for a plain
-        :class:`~repro.hardware.platform.MultiGPUPlatform`). With
-        ``nodes == 1`` every timing is float-identical to the
-        pre-cluster single-server path.
     allreduce:
         Inter-node gradient all-reduce schedule, one of
         :data:`ALLREDUCE_ALGORITHMS` (``ring`` is bandwidth-optimal,
         ``tree`` latency-optimal). Ignored on one node.
-    topology:
-        Cluster network topology, one of :data:`TOPOLOGY_KINDS`
-        (``flat`` is the ideal non-blocking network and float-identical
-        to the pre-topology path; ``spine`` adds an oversubscribed core;
-        ``rail`` splits each node pair over per-GPU rails). Must match
-        the platform's wiring; single-node platforms are ``flat``.
-    oversubscription:
-        Spine core oversubscription factor (>= 1; 1 degenerates to
-        ``flat`` exactly). Ignored by the other topologies.
     placement:
         Partition→node assignment policy, one of
         :data:`PLACEMENT_POLICIES`. ``"block"`` keeps the contiguous
@@ -95,8 +83,9 @@ class HongTuConfig:
         fleet over simulated time (stragglers, link degradations, node
         deaths). ``None`` (the default) — and likewise an *empty*
         schedule — keeps every simulated second float-identical to the
-        fault-free path. Requires ``nodes > 1`` (a one-node fleet has
-        nothing to re-balance onto).
+        fault-free path. A non-empty schedule needs a multi-node
+        platform (a one-node fleet has nothing to re-balance onto) —
+        checked at trainer construction, where the platform is known.
     elastic:
         Whether the trainer responds to detected faults by re-running
         the placement search against the degraded capability/bandwidth
@@ -123,10 +112,7 @@ class HongTuConfig:
     reorganize: bool = True
     intermediate_policy: str = "hybrid"
     overlap: str = "barrier"
-    nodes: int = 1
     allreduce: str = "ring"
-    topology: str = "flat"
-    oversubscription: float = 1.0
     placement: str = "block"
     max_imbalance: int = 0
     faults: Optional[FaultSchedule] = None
@@ -155,23 +141,10 @@ class HongTuConfig:
                 f"overlap must be one of {OVERLAP_POLICIES}, "
                 f"got {self.overlap!r}"
             )
-        if self.nodes < 1:
-            raise ConfigurationError(
-                f"nodes must be >= 1, got {self.nodes}"
-            )
         if self.allreduce not in ALLREDUCE_ALGORITHMS:
             raise ConfigurationError(
                 f"allreduce must be one of {ALLREDUCE_ALGORITHMS}, "
                 f"got {self.allreduce!r}"
-            )
-        if self.topology not in TOPOLOGY_KINDS:
-            raise ConfigurationError(
-                f"topology must be one of {TOPOLOGY_KINDS}, "
-                f"got {self.topology!r}"
-            )
-        if self.oversubscription < 1.0:
-            raise ConfigurationError(
-                f"oversubscription must be >= 1, got {self.oversubscription}"
             )
         if self.placement not in PLACEMENT_POLICIES:
             raise ConfigurationError(
@@ -192,31 +165,14 @@ class HongTuConfig:
                 "max_imbalance > 0 relaxes the placement search's balance; "
                 "it requires placement 'search' or 'joint'"
             )
-        if self.nodes == 1 and self.topology != "flat":
-            raise ConfigurationError(
-                f"topology {self.topology!r} needs nodes > 1 (a single "
-                "server has no cluster network)"
-            )
         if self.bytes_per_scalar <= 0:
             raise ConfigurationError("bytes_per_scalar must be positive")
-        if self.faults is not None:
-            if not isinstance(self.faults, FaultSchedule):
-                raise ConfigurationError(
-                    f"faults must be a FaultSchedule (or None), got "
-                    f"{type(self.faults).__name__}"
-                )
-            if self.faults and self.nodes == 1:
-                raise ConfigurationError(
-                    "a fault schedule needs nodes > 1: a one-node fleet "
-                    "has no survivors to re-balance onto"
-                )
-            try:
-                self.faults.validate_for(self.nodes)
-            except Exception as error:
-                raise ConfigurationError(
-                    f"fault schedule invalid for {self.nodes} node(s): "
-                    f"{error}"
-                ) from error
+        if self.faults is not None \
+                and not isinstance(self.faults, FaultSchedule):
+            raise ConfigurationError(
+                f"faults must be a FaultSchedule (or None), got "
+                f"{type(self.faults).__name__}"
+            )
         if self.rebalance_trigger <= 1.0:
             raise ConfigurationError(
                 f"rebalance_trigger must be > 1 (an epoch must run "

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.comm.cost_model import ClusterCostModel
-from repro.core.planner import chunk_topology_bytes, plan_fleet
+from repro.core.planner import plan_fleet
 from repro.errors import (
     ConfigurationError,
     DeviceOutOfMemoryError,
@@ -163,16 +163,11 @@ class ElasticController:
         only live within one epoch).
         """
         trainer = self.trainer
-        partition = trainer.partition
-        sizes = np.bincount(partition.assignment,
+        sizes = np.bincount(trainer.partition.assignment,
                             minlength=trainer.platform.num_gpus)
         rows = 2 * sizes.astype(np.int64) * sum(trainer.model.dims) \
             * trainer.config.bytes_per_scalar
-        topology = np.zeros(len(sizes), dtype=np.int64)
-        for row in partition.chunks:
-            for chunk in row:
-                topology[chunk.partition_id] += chunk_topology_bytes(chunk)
-        return rows + topology
+        return rows + trainer.fleet.shapes.topology_bytes().sum(axis=1)
 
     def _rebalance(self, timeline: EventTimeline,
                    trigger: str) -> RebalanceEvent:

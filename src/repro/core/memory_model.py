@@ -10,10 +10,11 @@ Full-graph GNN training must hold three data classes:
   output and the pre-activation per layer, for GAT additionally the O(|E|)
   per-edge attention tensors.
 
-The intermediate estimate reuses each layer's
-:meth:`~repro.gnn.layers.GNNLayer.forward_workspace_scalars`, so the same
-formula prices both the paper-scale Table 1 numbers and the per-chunk
-footprints the runtime memory pools enforce.
+The intermediate estimate is :func:`repro.core.costs.intermediate_scalars`
+— the per-chunk workspace formula of :mod:`repro.core.costs` at
+full-graph shape — so the same formula prices both the paper-scale
+Table 1 numbers and the per-chunk footprints the runtime memory pools
+enforce.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.costs import intermediate_scalars
 from repro.errors import ConfigurationError
 
 from repro.gnn.models import GNNModel, build_model
@@ -79,10 +81,8 @@ def estimate_for_model(num_vertices: int, num_edges: int, model: GNNModel,
     vertex = 2 * num_vertices * dims_sum * bytes_per_scalar
 
     # Intermediate data: per-layer forward workspace over the full graph.
-    intermediate = sum(
-        layer.forward_workspace_scalars(num_vertices, num_vertices, num_edges)
-        for layer in model.layers
-    ) * bytes_per_scalar
+    intermediate = intermediate_scalars(model, num_vertices, num_edges) \
+        * bytes_per_scalar
 
     return MemoryEstimate(
         topology_bytes=int(topology),

@@ -23,7 +23,9 @@ that pipeline, and the only place it is written down:
    link routing, rail selection and host-pool affinity all follow it.
 5. **reorganize** — Algorithm 4 under the installed placement (the joint
    policy already iterated it in stage 4).
-6. **build plan** — the deduplicated :class:`~repro.comm.plan.CommPlan`.
+6. **build plan** — the deduplicated :class:`~repro.comm.plan.CommPlan`
+   and the :class:`~repro.core.costs.ChunkShapes` every per-chunk cost
+   formula reads.
 7. **install + reserve** — the value/gradient communicator pair and the
    run-long reservations: vertex-data shards on the node hosts, chunk
    topology on the GPUs.
@@ -32,10 +34,10 @@ Trainer construction runs every stage. An elastic re-balance passes the
 ``previous`` :class:`FleetPlan` and re-runs place → install → reserve
 against the faulted platform: reservations are released first (so budgets
 see true headroom), the schedule is not reorganized again outside the
-joint loop, and the plan is rebuilt only when the partition changed. The
-two callers differ in nothing but the values they pass: the seed
-placement, the dead-node set, whether the capability matrix carries the
-wire term, and whether admission budgets always apply.
+joint loop, and the plan and shapes are rebuilt only when the partition
+changed. The two callers differ in nothing but the values they pass: the
+seed placement, the dead-node set, whether the capability matrix carries
+the wire term, and whether admission budgets always apply.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from repro.comm.joint import joint_placement
 from repro.comm.plan import CommPlan, build_comm_plan
 from repro.comm.reorganize import ReorganizationResult, reorganize_partition
 from repro.core.config import HongTuConfig
+from repro.core.costs import ChunkShapes, checkpoint_dims
 from repro.core.memory_model import node_host_budgets, partition_host_bytes
 from repro.errors import ConfigurationError
 from repro.gnn.models import GNNModel
@@ -60,14 +63,12 @@ from repro.hardware.platform import MultiGPUPlatform
 from repro.partition.nodes import partition_nodes
 from repro.partition.placement import (
     PlacementResult,
-    partition_halo_matrix,
-    partition_load_matrix,
+    partition_net_weights,
     search_placement,
 )
 from repro.partition.two_level import TwoLevelPartition, two_level_partition
 
-__all__ = ["FleetPlan", "plan_fleet", "new_communicator",
-           "chunk_topology_bytes"]
+__all__ = ["FleetPlan", "plan_fleet", "new_communicator"]
 
 
 @dataclass
@@ -87,6 +88,9 @@ class FleetPlan:
     partition_host_bytes: Optional[np.ndarray]
     #: the capability matrix the search ran with (None: rows-only)
     compute_rows: Optional[np.ndarray]
+    #: per-chunk row/edge counts every cost formula reads (rebuilt, like
+    #: ``comm_plan``, only when the partition object changes)
+    shapes: ChunkShapes
     comm_plan: CommPlan
     # Two buffer families: one stages representations (forward + reload),
     # one accumulates gradients (backward) — §6's transition data buffer
@@ -106,11 +110,6 @@ class FleetPlan:
             allocation.free()
         self.host_allocations = []
         self.topology_allocations = []
-
-
-def chunk_topology_bytes(chunk) -> int:
-    """GPU-resident bytes of one chunk's topology (CSR indices + offsets)."""
-    return chunk.num_edges * 12 + (chunk.num_dst + 1) * 8
 
 
 def new_communicator(comm_plan: CommPlan, platform: MultiGPUPlatform,
@@ -150,17 +149,14 @@ def _admission_inputs(partition: TwoLevelPartition, model: GNNModel,
     """
     budgets = node_host_budgets(platform, vertex_bytes)
     sizes = np.bincount(partition.assignment, minlength=platform.num_gpus)
-    aggregate_dims = []
-    if config.intermediate_policy == "hybrid":
-        aggregate_dims = [layer.aggregate_dim() for layer in model.layers
-                          if layer.cacheable_aggregate]
-    per_partition = partition_host_bytes(sizes, aggregate_dims,
-                                         config.bytes_per_scalar)
+    per_partition = partition_host_bytes(
+        sizes, checkpoint_dims(model, config.intermediate_policy),
+        config.bytes_per_scalar)
     return budgets, per_partition
 
 
-def _capability_matrix(partition: TwoLevelPartition, model: GNNModel,
-                       platform: MultiGPUPlatform,
+def _capability_matrix(partition: TwoLevelPartition, shapes: ChunkShapes,
+                       model: GNNModel, platform: MultiGPUPlatform,
                        cluster_model: ClusterCostModel, row_bytes: int,
                        wire_term: bool) -> np.ndarray:
     """``(m, num_nodes)`` row-equivalent placement-cost matrix.
@@ -183,12 +179,7 @@ def _capability_matrix(partition: TwoLevelPartition, model: GNNModel,
     capability hook supports. On uniform effective NICs the wire term is
     identically zero.
     """
-    flops = np.array([
-        sum(layer.forward_flops(chunk.block.num_src, chunk.block.num_dst,
-                                chunk.block.num_edges)
-            for chunk in row for layer in model.layers)
-        for row in partition.chunks
-    ], dtype=np.float64)
+    flops = shapes.partition_flops(model).astype(np.float64)
     # Per-node *effective* rates: the platform folds any active fault
     # state's compute factors in, so an elastic re-balance weighs a
     # straggling node exactly as slow as its kernels now run.
@@ -199,8 +190,7 @@ def _capability_matrix(partition: TwoLevelPartition, model: GNNModel,
         return rows
     nic = platform.node_nic_rates()
     if nic.max() > nic.min():
-        weights = (partition_halo_matrix(partition)
-                   + 2 * partition_load_matrix(partition))
+        weights = partition_net_weights(partition)
         total_rows = weights.sum(axis=1) + weights.sum(axis=0)
         excess = row_bytes / nic - row_bytes / nic.max()
         rows = rows + np.rint(
@@ -228,7 +218,7 @@ def _place(partition: TwoLevelPartition, platform: MultiGPUPlatform,
     return partition, placed, None
 
 
-def _reserve(vertex_bytes: int, partition: TwoLevelPartition,
+def _reserve(vertex_bytes: int, shapes: ChunkShapes,
              platform: MultiGPUPlatform):
     """Reserve vertex-data host shards and per-chunk GPU topology.
 
@@ -239,9 +229,9 @@ def _reserve(vertex_bytes: int, partition: TwoLevelPartition,
     host = [pool.alloc("vertex_data", share)
             for pool, share in platform.split_host_bytes(vertex_bytes)]
     topology = [
-        platform.gpus[chunk.partition_id].memory.alloc(
-            "topology", chunk_topology_bytes(chunk))
-        for row in partition.chunks for chunk in row
+        platform.gpus[i].memory.alloc("topology", nbytes)
+        for i, row in enumerate(shapes.topology_bytes().tolist())
+        for nbytes in row
     ]
     return host, topology
 
@@ -261,7 +251,7 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
     placements. A re-plan hands in ``previous`` (released here, its
     partition carried over) and the faulted fleet's values.
     """
-    nodes = getattr(platform, "num_nodes", 1)
+    nodes = platform.num_nodes
     row_bytes = max(model.dims) * config.bytes_per_scalar
     vertex_bytes = _vertex_host_bytes(graph, model, config)
     cluster_model = (ClusterCostModel.from_platform(platform)
@@ -288,14 +278,16 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
         if seed_placement is None:
             seed_placement = partition_nodes(platform.num_gpus, nodes)
 
-    hetero = getattr(platform, "heterogeneous", False)
+    hetero = platform.heterogeneous
     node_budgets = per_partition_bytes = compute_rows = None
     if nodes > 1 and (admit_always or hetero or config.max_imbalance > 0):
         node_budgets, per_partition_bytes = _admission_inputs(
             partition, model, platform, config, vertex_bytes)
     if nodes > 1 and (wire_term or hetero):
         compute_rows = _capability_matrix(
-            partition, model, platform, cluster_model, row_bytes, wire_term)
+            partition,
+            previous.shapes if previous else ChunkShapes.of(partition),
+            model, platform, cluster_model, row_bytes, wire_term)
 
     placement, placement_result = seed_placement, None
     reorganization = None if previous is None else previous.reorganization
@@ -330,21 +322,22 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
         seconds += reorganization.preprocessing_seconds
 
     if previous is not None and partition is previous.partition:
-        comm_plan = previous.comm_plan
+        comm_plan, shapes = previous.comm_plan, previous.shapes
     else:
         dedup_inter, dedup_intra = config.dedup_flags
         comm_plan = build_comm_plan(partition, dedup_inter=dedup_inter,
                                     dedup_intra=dedup_intra)
+        shapes = ChunkShapes.of(partition)
     comm_values, comm_grads = (
         new_communicator(comm_plan, platform, config) for _ in range(2))
     host_allocations, topology_allocations = _reserve(
-        vertex_bytes, partition, platform)
+        vertex_bytes, shapes, platform)
     return FleetPlan(
         partition=partition, placement=placement,
         placement_result=placement_result, reorganization=reorganization,
         node_budgets=node_budgets,
         partition_host_bytes=per_partition_bytes,
-        compute_rows=compute_rows, comm_plan=comm_plan,
+        compute_rows=compute_rows, shapes=shapes, comm_plan=comm_plan,
         comm_values=comm_values, comm_grads=comm_grads,
         host_allocations=host_allocations,
         topology_allocations=topology_allocations,

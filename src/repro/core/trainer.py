@@ -42,9 +42,9 @@ On a :class:`~repro.hardware.platform.ClusterPlatform` the same epoch
 spans N nodes: cross-node neighbor traffic becomes halo-exchange ``net``
 tasks (emitted by the communicator), and the epoch ends with an
 inter-node gradient all-reduce (ring or tree, ``config.allreduce``)
-chained after each node's intra-node reduce. ``config.nodes`` must match
-the platform; with one node, the code path and every simulated second
-are identical to the single-server trainer.
+chained after each node's intra-node reduce. The fleet's shape (nodes,
+topology) is the platform's alone; with one node, the code path and
+every simulated second are identical to the single-server trainer.
 
 What the epoch runs *on* — partition, placement, communication plan,
 communicator pair, resident reservations — is decided by
@@ -69,7 +69,7 @@ from repro.comm.cost_model import ClusterCostModel
 from repro.core.config import HongTuConfig
 from repro.core.elastic import ElasticController
 from repro.core.planner import FleetPlan, plan_fleet
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FaultError
 from repro.faults.schedule import RebalanceEvent
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
@@ -156,27 +156,21 @@ class HongTuTrainer:
                 f"model input dim {model.dims[0]} != feature dim "
                 f"{graph.feature_dim}"
             )
-        platform_nodes = getattr(platform, "num_nodes", 1)
-        if config.nodes != platform_nodes:
-            raise ConfigurationError(
-                f"config.nodes={config.nodes} but the platform has "
-                f"{platform_nodes} node(s); build a ClusterPlatform with a "
-                f"matching node count"
-            )
-        topology = platform.topology
-        if config.topology != topology.kind:
-            raise ConfigurationError(
-                f"config.topology={config.topology!r} but the platform is "
-                f"wired as {topology.kind!r}; build the ClusterSpec with a "
-                f"matching NetworkTopology"
-            )
-        if (topology.kind == "spine"
-                and config.oversubscription != topology.oversubscription):
-            raise ConfigurationError(
-                f"config.oversubscription={config.oversubscription} but the "
-                f"platform's spine is oversubscribed "
-                f"{topology.oversubscription}x"
-            )
+        if config.faults is not None:
+            # The fleet-level fault rules live here, where the platform
+            # (and so the fleet's shape) is known.
+            nodes = platform.num_nodes
+            if config.faults and nodes == 1:
+                raise ConfigurationError(
+                    "a fault schedule needs more than one node: a one-node "
+                    "fleet has no survivors to re-balance onto"
+                )
+            try:
+                config.faults.validate_for(nodes)
+            except FaultError as error:
+                raise ConfigurationError(
+                    f"fault schedule invalid for {nodes} node(s): {error}"
+                ) from error
         self.graph = graph
         self.model = model
         self.platform = platform
@@ -185,6 +179,9 @@ class HongTuTrainer:
         self._epoch = 0
         self._pipelined = config.overlap == "pipeline"
         self._allreduce_net_bytes = 0  # per-epoch, reset by train_epoch
+        #: wave arrays are in GPU order; ``devices=_gpu_ids`` prices each
+        #: element at its owning node's rates
+        self._gpu_ids = np.arange(platform.num_gpus, dtype=np.int64)
         self._elastic = ElasticController(self)
 
         #: measured wall seconds of placement search + reorganization,
@@ -362,6 +359,7 @@ class HongTuTrainer:
     def _forward(self, timeline: EventTimeline, training: bool = True) -> None:
         hybrid = self.config.intermediate_policy == "hybrid"
         bps = self.config.bytes_per_scalar
+        platform = self.platform
 
         # repro-lint: allow-loop — wave granularity: one batched emission per (layer, batch)
         for l, layer in enumerate(self.model.layers):
@@ -375,48 +373,36 @@ class HongTuTrainer:
                     j, self._h[l], timeline
                 )
                 input_deps = self._comm_values.batch_input_dep_ids()
-                compute_seconds = []
-                d2h_seconds = []
-                # repro-lint: allow-loop — per-GPU cost assembly over python chunk objects; emission below is batched
+                costs = self.fleet.shapes.forward(layer, j, bps)
+                workspace = costs.workspace_bytes.tolist()
+                # repro-lint: allow-loop — per-GPU numerics + workspace reservation over python chunk objects; emission below is batched
                 for i in range(self.plan.num_gpus):
                     chunk = self.partition.chunks[i][j]
                     block = chunk.block
-                    workspace_bytes = bps * (
-                        block.num_src * layer.in_dim
-                        + layer.forward_workspace_scalars(
-                            block.num_src, block.num_dst, block.num_edges
-                        )
-                    )
-                    gpu = self.platform.gpus[i]
-                    with gpu.memory.scoped("forward_workspace", workspace_bytes):
+                    with platform.gpus[i].memory.scoped("forward_workspace",
+                                                        workspace[i]):
                         with no_grad():
                             h_in = Tensor(inputs[i])
                             agg = layer.aggregate(block, h_in)
                             h_dst = (Tensor(inputs[i][block.dst_pos])
                                      if layer.update_uses_self else h_in)
                             out = layer.update(block, agg, h_dst)
-                        out_bytes = block.num_dst * layer.out_dim * bps
-                        d2h = out_bytes
                         if cache_layer:
                             self._store_checkpoint(l, i, j, agg.data)
-                            d2h += block.num_dst * layer.aggregate_dim() * bps
                         self._h[l + 1][chunk.dst_global] = out.data
-                        d2h_seconds.append(
-                            self.platform.h2d_seconds(d2h, devices=i)
-                        )
-                        self._comm_values.bytes_moved["d2h"] += d2h
-                        flops = layer.forward_flops(
-                            block.num_src, block.num_dst, block.num_edges
-                        )
-                        compute_seconds.append(
-                            self.platform.gpu_compute_seconds(flops, devices=i)
-                        )
+                d2h = costs.writeback_bytes
+                if cache_layer:
+                    d2h = d2h + costs.checkpoint_bytes
+                self._comm_values.bytes_moved["d2h"] += int(d2h.sum())
                 compute_ids = timeline.submit_batch(
-                    "gpu", compute_seconds, deps_by_device=input_deps,
-                    label=f"compute[l{l}b{j}]",
+                    "gpu",
+                    platform.gpu_compute_seconds(costs.flops,
+                                                 devices=self._gpu_ids),
+                    deps_by_device=input_deps, label=f"compute[l{l}b{j}]",
                 )
                 timeline.submit_batch(
-                    "d2h", d2h_seconds, deps_by_device=compute_ids,
+                    "d2h", platform.h2d_seconds(d2h, devices=self._gpu_ids),
+                    deps_by_device=compute_ids,
                     label=f"writeback[l{l}b{j}]",
                 )
             self._comm_values.end_sweep()
@@ -464,135 +450,69 @@ class HongTuTrainer:
                                               double_buffer=self._pipelined)
             # repro-lint: allow-loop — wave granularity: one batched emission per (layer, batch)
             for j in range(self.plan.num_batches):
-                if use_cache:
-                    self._backward_batch_cached(l, j, timeline)
-                else:
-                    self._backward_batch_recompute(l, j, timeline)
+                self._backward_batch(l, j, timeline, use_cache)
             if not use_cache:
                 self._comm_values.end_sweep()
             self._comm_grads.end_sweep()
             # Layer l-1's backward reads the ∇h^l rows accumulated above.
             timeline.barrier()
 
-    def _backward_batch_cached(self, l: int, j: int,
-                               timeline: EventTimeline) -> None:
-        """Hybrid path: recompute UPDATE from the cached aggregate."""
-        layer = self.model.layers[l]
-        bps = self.config.bytes_per_scalar
-        neighbor_grads: List[np.ndarray] = []
-        h2d_seconds, compute_seconds = [], []
+    def _backward_batch(self, l: int, j: int, timeline: EventTimeline,
+                        use_cache: bool) -> None:
+        """One backward batch: gradient load → kernels → accumulate.
 
-        # repro-lint: allow-loop — per-GPU cost assembly over python chunk objects; emission below is batched
-        for i in range(self.plan.num_gpus):
-            chunk = self.partition.chunks[i][j]
-            block = chunk.block
-            gpu = self.platform.gpus[i]
-
-            agg_data = self._take_checkpoint(l, i, j)
-            grad_out = self._grad_h[l + 1][chunk.dst_global]
-            loaded = (block.num_dst
-                      * (layer.aggregate_dim() + layer.out_dim) * bps)
-            if layer.update_uses_self:
-                h_dst_data = self._h[l][chunk.dst_global]
-                loaded += block.num_dst * layer.in_dim * bps
-            else:
-                h_dst_data = np.zeros((block.num_dst, layer.in_dim),
-                                      dtype=self.config.dtype)
-            h2d_seconds.append(self.platform.h2d_seconds(loaded, devices=i))
-            self._comm_grads.bytes_moved["h2d"] += loaded
-
-            workspace_bytes = bps * 3 * block.num_dst * (
-                layer.aggregate_dim() + layer.out_dim + layer.in_dim
-            )
-            with gpu.memory.scoped("backward_workspace", workspace_bytes):
-                agg_t = Tensor(agg_data, requires_grad=True)
-                h_dst_t = Tensor(h_dst_data, requires_grad=True)
-                out = layer.update(block, agg_t, h_dst_t)
-                out.backward(grad_out.astype(self.config.dtype))
-                grad_agg = agg_t.grad if agg_t.grad is not None else \
-                    np.zeros_like(agg_data)
-                grads = layer.aggregate_backward(block, grad_agg)
-                if layer.update_uses_self and h_dst_t.grad is not None:
-                    np.add.at(grads, block.dst_pos, h_dst_t.grad)
-                neighbor_grads.append(grads)
-
-            flops = (3 * layer.update_flops(block.num_dst)
-                     + layer.aggregate_flops(block.num_src, block.num_dst,
-                                             block.num_edges))
-            compute_seconds.append(
-                self.platform.gpu_compute_seconds(flops, devices=i)
-            )
-
-        self._emit_backward_batch(l, j, timeline, h2d_seconds,
-                                  compute_seconds, neighbor_grads)
-
-    def _backward_batch_recompute(self, l: int, j: int,
-                                  timeline: EventTimeline) -> None:
-        """Recompute path: re-gather inputs, recompute the full layer."""
-        layer = self.model.layers[l]
-        bps = self.config.bytes_per_scalar
-        inputs = self._comm_values.load_batch_forward(j, self._h[l], timeline)
-        input_deps = self._comm_values.batch_input_dep_ids()
-        neighbor_grads: List[np.ndarray] = []
-        h2d_seconds, compute_seconds = [], []
-
-        # repro-lint: allow-loop — per-GPU cost assembly over python chunk objects; emission below is batched
-        for i in range(self.plan.num_gpus):
-            chunk = self.partition.chunks[i][j]
-            block = chunk.block
-            gpu = self.platform.gpus[i]
-
-            grad_out = self._grad_h[l + 1][chunk.dst_global]
-            loaded = block.num_dst * layer.out_dim * bps
-            h2d_seconds.append(self.platform.h2d_seconds(loaded, devices=i))
-            self._comm_grads.bytes_moved["h2d"] += loaded
-
-            workspace_bytes = bps * (
-                block.num_src * layer.in_dim
-                + 3 * layer.forward_workspace_scalars(
-                    block.num_src, block.num_dst, block.num_edges
-                )
-            )
-            with gpu.memory.scoped("backward_workspace", workspace_bytes):
-                h_t = Tensor(inputs[i], requires_grad=True)
-                out = layer.forward(block, h_t)
-                out.backward(grad_out.astype(self.config.dtype))
-                grads = h_t.grad if h_t.grad is not None else \
-                    np.zeros_like(inputs[i])
-                neighbor_grads.append(grads)
-
-            flops = 3 * layer.forward_flops(
-                block.num_src, block.num_dst, block.num_edges
-            )
-            compute_seconds.append(
-                self.platform.gpu_compute_seconds(flops, devices=i)
-            )
-
-        self._emit_backward_batch(l, j, timeline, h2d_seconds,
-                                  compute_seconds, neighbor_grads,
-                                  input_deps=input_deps)
-
-    def _emit_backward_batch(self, l: int, j: int, timeline: EventTimeline,
-                             h2d_seconds: List[float],
-                             compute_seconds: List[float],
-                             neighbor_grads: List[np.ndarray],
-                             input_deps=None) -> None:
-        """Emit one backward batch: gradient load → kernels → accumulate.
-
-        Each GPU's kernel waits for its own ∇h^{l+1} load and, on the
-        recompute path, for the ``input_deps`` that re-gathered its
-        inputs; the neighbor gradients then return to the host through
-        the deduplicated backward communication.
+        The hybrid path (``use_cache``) recomputes only UPDATE from the
+        cached aggregate; the recompute path re-gathers the layer's
+        inputs and recomputes it whole. Each GPU's kernel waits for its
+        own ∇h^{l+1} load and, on the recompute path, for the tasks that
+        re-gathered its inputs; the neighbor gradients then return to
+        the host through the deduplicated backward communication.
         """
+        layer = self.model.layers[l]
+        shapes, bps = self.fleet.shapes, self.config.bytes_per_scalar
+        inputs = input_deps = None
+        if use_cache:
+            costs = shapes.backward_cached(layer, j, bps)
+        else:
+            costs = shapes.backward_recompute(layer, j, bps)
+            inputs = self._comm_values.load_batch_forward(j, self._h[l],
+                                                          timeline)
+            input_deps = self._comm_values.batch_input_dep_ids()
+        workspace = costs.workspace_bytes.tolist()
+        neighbor_grads: List[np.ndarray] = []
+
+        # repro-lint: allow-loop — per-GPU numerics + workspace reservation over python chunk objects; emission below is batched
+        for i in range(self.plan.num_gpus):
+            chunk = self.partition.chunks[i][j]
+            grad_out = self._grad_h[l + 1][chunk.dst_global] \
+                .astype(self.config.dtype)
+            with self.platform.gpus[i].memory.scoped("backward_workspace",
+                                                     workspace[i]):
+                if use_cache:
+                    grads = self._cached_chunk_grads(l, i, j, grad_out)
+                else:
+                    h_t = Tensor(inputs[i], requires_grad=True)
+                    layer.forward(chunk.block, h_t).backward(grad_out)
+                    grads = h_t.grad if h_t.grad is not None else \
+                        np.zeros_like(inputs[i])
+                neighbor_grads.append(grads)
+
+        self._comm_grads.bytes_moved["h2d"] += int(costs.load_bytes.sum())
         load_ids = timeline.submit_batch(
-            "h2d", h2d_seconds, label=f"grad_load[l{l}b{j}]",
+            "h2d",
+            self.platform.h2d_seconds(costs.load_bytes,
+                                      devices=self._gpu_ids),
+            label=f"grad_load[l{l}b{j}]",
         )
         compute_deps = load_ids if input_deps is None else [
             np.concatenate([deps, load_ids[i:i + 1]])
             for i, deps in enumerate(input_deps)
         ]
         compute_ids = timeline.submit_batch(
-            "gpu", compute_seconds, deps_by_device=compute_deps,
+            "gpu",
+            self.platform.gpu_compute_seconds(costs.flops,
+                                              devices=self._gpu_ids),
+            deps_by_device=compute_deps,
             label=f"grad_compute[l{l}b{j}]",
         )
         self._comm_grads.accumulate_batch_backward(
@@ -600,12 +520,36 @@ class HongTuTrainer:
             deps_by_device=compute_ids,
         )
 
+    def _cached_chunk_grads(self, l: int, i: int, j: int,
+                            grad_out: np.ndarray) -> np.ndarray:
+        """Neighbor gradients of chunk (i, j) from its cached aggregate:
+        UPDATE re-runs under a fresh tape, AGGREGATE's adjoint is closed
+        form."""
+        layer = self.model.layers[l]
+        chunk = self.partition.chunks[i][j]
+        block = chunk.block
+        agg_data = self._take_checkpoint(l, i, j)
+        if layer.update_uses_self:
+            h_dst_data = self._h[l][chunk.dst_global]
+        else:
+            h_dst_data = np.zeros((block.num_dst, layer.in_dim),
+                                  dtype=self.config.dtype)
+        agg_t = Tensor(agg_data, requires_grad=True)
+        h_dst_t = Tensor(h_dst_data, requires_grad=True)
+        layer.update(block, agg_t, h_dst_t).backward(grad_out)
+        grad_agg = agg_t.grad if agg_t.grad is not None else \
+            np.zeros_like(agg_data)
+        grads = layer.aggregate_backward(block, grad_agg)
+        if layer.update_uses_self and h_dst_t.grad is not None:
+            np.add.at(grads, block.dst_pos, h_dst_t.grad)
+        return grads
+
     # ------------------------------------------------------------------
     # parameter update (Algorithm 1, lines 20-21)
     # ------------------------------------------------------------------
     def _all_reduce_and_step(self, timeline: EventTimeline) -> None:
         param_bytes = self.model.parameter_nbytes()
-        nodes = getattr(self.platform, "num_nodes", 1)
+        nodes = self.platform.num_nodes
         if nodes == 1:
             m = self.plan.num_gpus
             if m > 1:

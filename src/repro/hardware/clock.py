@@ -37,7 +37,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchedulerError
 
 from repro.runtime.scheduler import EventScheduler, task_ids
 from repro.runtime.task import HOST_DEVICE, Task
@@ -142,35 +142,18 @@ class EventTimeline:
         (a Task or an iterable of Tasks) additionally gates device k's task.
         ``shared_by_device[k]`` is a sequence of ``(resource, hold)``
         pairs device k's task occupies (topology contention — e.g. the
-        spine core). Returns the submitted tasks in device order.
+        spine core). Returns the submitted tasks in device order: this is
+        :meth:`submit_batch` with the returned ids materialized as
+        :class:`~repro.runtime.task.Task` objects, for callers that
+        chain phases through Tasks (the baselines) rather than id arrays.
         """
-        values = list(per_device_seconds)
-        if not values:
-            return []
-        channel = channel or category
-        group = self._group
-        self._group += 1
-        tasks: List[Task] = []
-        for index, seconds in enumerate(values):
-            device = devices[index] if devices is not None else index
-            task_deps = list(deps)
-            if deps_by_device is not None:
-                extra = deps_by_device[index]
-                if isinstance(extra, Task):
-                    task_deps.append(extra)
-                elif extra is not None:
-                    task_deps.extend(extra)
-            shared = () if shared_by_device is None \
-                else shared_by_device[index]
-            tasks.append(self.scheduler.submit(
-                channel, device, seconds, deps=task_deps,
-                category=category, group=group, label=label,
-                shared=shared,
-            ))
-        self.breakdown.add(category, max(values))
-        if self.barrier_all:
-            self.scheduler.barrier()
-        return tasks
+        ids = self.submit_batch(
+            category, list(per_device_seconds), channel=channel,
+            devices=devices, deps=deps, deps_by_device=deps_by_device,
+            shared_by_device=shared_by_device, label=label,
+        )
+        tasks = self.scheduler.tasks
+        return [tasks[task_id] for task_id in ids.tolist()]
 
     def submit_batch(self, category: str,
                      per_device_seconds: Sequence[Seconds], *,
@@ -180,11 +163,11 @@ class EventTimeline:
                      deps_by_device: Optional[Sequence] = None,
                      shared_by_device: Optional[Sequence] = None,
                      label: str = "") -> np.ndarray:
-        """Vectorized :meth:`submit_phase`: one wave, returns task ids.
+        """Submit one parallel wave — one task per device — as task ids.
 
-        Semantics match ``submit_phase`` exactly (same dep ordering, same
-        breakdown charge, same barrier behavior) but the whole wave is
-        scheduled in one array step and dependencies are task-id arrays,
+        The whole wave is scheduled in one array step, charged to the
+        breakdown at its bottleneck device's seconds, and followed by a
+        barrier under ``barrier_all``; dependencies are task-id arrays,
         so no ``Task`` objects are materialized on the hot path. ``deps``
         and each ``deps_by_device[k]`` entry may be id arrays, Tasks, or
         iterables of either (``None`` entries are fine).
@@ -200,6 +183,11 @@ class EventTimeline:
         common = deps if isinstance(deps, np.ndarray) else task_ids(deps)
         extras = None
         if deps_by_device is not None:
+            if len(deps_by_device) != len(seconds):
+                raise SchedulerError(
+                    f"deps_by_device must list one entry per device: "
+                    f"{len(deps_by_device)} vs {len(seconds)}"
+                )
             # An (m,) id array is one producer per device (e.g. the
             # compute wave gating the writeback wave).
             extras = ([deps_by_device[i:i + 1]
@@ -219,11 +207,6 @@ class EventTimeline:
         if self.barrier_all:
             self.scheduler.barrier()
         return ids
-
-    def add_parallel_phase(self, category: str,
-                           per_device_seconds: Iterable[Seconds]) -> None:
-        """Legacy phase API (device index == position, channel == category)."""
-        self.submit_phase(category, list(per_device_seconds))
 
     def add(self, category: str, seconds: Seconds, *,
             device: int = HOST_DEVICE, channel: Optional[str] = None,

@@ -15,14 +15,15 @@ from repro.partition.replication import (
 from repro.partition.nodes import (
     partition_nodes,
     node_of_partition,
+    partition_halo_matrix,
+    partition_load_matrix,
     halo_volumes,
     halo_load_volumes,
 )
 from repro.partition.placement import (
     PLACEMENT_POLICIES,
     PlacementResult,
-    partition_halo_matrix,
-    partition_load_matrix,
+    partition_net_weights,
     permute_partitions,
     placement_net_rows,
     search_placement,
@@ -37,6 +38,7 @@ __all__ = [
     "partition_nodes", "node_of_partition", "halo_volumes",
     "halo_load_volumes",
     "PLACEMENT_POLICIES", "PlacementResult", "partition_halo_matrix",
-    "partition_load_matrix", "permute_partitions", "placement_net_rows",
+    "partition_load_matrix", "partition_net_weights", "permute_partitions",
+    "placement_net_rows",
     "search_placement",
 ]

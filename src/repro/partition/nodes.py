@@ -14,6 +14,13 @@ rows per epoch-layer, batch by batch, exactly matching the network tasks
 the executor emits (same dedup semantics: each staged row crosses once per
 batch it is fetched in).
 
+Every chunk's neighbour set is swept exactly twice, at partition
+granularity: :func:`partition_halo_matrix` (fetch rows) and
+:func:`partition_load_matrix` (freshly staged rows). The node-level
+:func:`halo_volumes` / :func:`halo_load_volumes` are those matrices
+aggregated under a partition→node map, so the placement search's
+objective and the node analyses cannot count different rows.
+
 The contiguous-block map is only the *default*: every analysis here takes
 an optional explicit ``placement`` array (partition p → node
 ``placement[p]``), the representation the placement search in
@@ -23,15 +30,15 @@ reproduces the block map bit for bit.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import PartitionError
 from repro.partition.two_level import TwoLevelPartition
 
-__all__ = ["partition_nodes", "node_of_partition", "halo_volumes",
-           "halo_load_volumes"]
+__all__ = ["partition_nodes", "node_of_partition", "partition_halo_matrix",
+           "partition_load_matrix", "halo_volumes", "halo_load_volumes"]
 
 
 def node_of_partition(partition_id: int, gpus_per_node: int) -> int:
@@ -175,6 +182,91 @@ def partition_nodes(num_partitions: int, num_nodes: int,
     return placement.copy()
 
 
+# ----------------------------------------------------------------------
+# the two sweeps (partition granularity)
+# ----------------------------------------------------------------------
+def partition_halo_matrix(partition: TwoLevelPartition) -> np.ndarray:
+    """Per-epoch-layer fetch rows between partition pairs.
+
+    Returns an ``(m, m)`` int matrix F where ``F[k, i]`` counts the
+    vertex rows owned by partition k that partition i's chunks read from
+    k's transition buffer over one layer sweep (zero diagonal: a chunk's
+    reads of its own partition's rows never leave the GPU). Summing the
+    entries whose endpoints a placement puts on different nodes gives
+    :func:`halo_volumes` under that placement — the node view is this
+    matrix aggregated — and it is invariant under chunk reordering.
+    """
+    return _pair_counts(partition, [
+        [chunk.neighbor_global for chunk in row] for row in partition.chunks
+    ])
+
+
+def partition_load_matrix(partition: TwoLevelPartition) -> np.ndarray:
+    """Per-epoch-layer *freshly loaded* rows between partition pairs.
+
+    The partition-granularity source of :func:`halo_load_volumes`:
+    ``L[k, i]`` counts the rows owned by partition k that partition i
+    loads into its own staging buffer per sweep after batch-to-batch
+    reuse (self-staging modes), so the entries crossing a placement's
+    node boundary are the ``halo_load`` network rows — and,
+    time-reversed, the ``halo_flush`` rows. Unlike the fetch matrix this
+    depends on the chunk schedule.
+    """
+    fresh_rows = []
+    for row in partition.chunks:
+        previous = np.empty(0, dtype=np.int64)
+        fresh = []
+        for chunk in row:
+            needed = chunk.neighbor_global
+            fresh.append(needed[~np.isin(needed, previous,
+                                         assume_unique=True)])
+            previous = needed
+        fresh_rows.append(fresh)
+    return _pair_counts(partition, fresh_rows)
+
+
+def _pair_counts(partition: TwoLevelPartition,
+                 rows_by_reader: List[List[np.ndarray]]) -> np.ndarray:
+    """(owner, reader) row counts via one flat bincount, zero diagonal.
+
+    ``rows_by_reader[i]`` lists the vertex-id arrays reader partition i
+    counts (one per chunk); each row is attributed to its owner
+    partition.
+    """
+    m = partition.num_partitions
+    lengths = [sum(len(rows) for rows in chunks) for chunks in rows_by_reader]
+    matrix = np.zeros((m, m), dtype=np.int64)
+    if sum(lengths):
+        owners = partition.assignment[np.concatenate(
+            [rows for chunks in rows_by_reader for rows in chunks])]
+        readers = np.repeat(np.arange(m, dtype=np.int64), lengths)
+        matrix = np.bincount(owners * m + readers, minlength=m * m
+                             ).reshape(m, m).astype(np.int64)
+        np.fill_diagonal(matrix, 0)
+    return matrix
+
+
+# ----------------------------------------------------------------------
+# node views of the two sweeps
+# ----------------------------------------------------------------------
+def _node_view(matrix: np.ndarray, partition: TwoLevelPartition,
+               num_nodes: int, placement, dead_nodes) -> np.ndarray:
+    """Aggregate an ``(m, m)`` partition-pair matrix to node pairs.
+
+    ``V[s, d] = Σ matrix[k, i]`` over partitions k on node s, i on node
+    d, under any map the analysis contract of :func:`partition_nodes`
+    admits; the diagonal is zeroed — pairs sharing a node ride NVLink,
+    not the network. Integer-exact (one-hot matmuls).
+    """
+    node_map = partition_nodes(partition.num_partitions, num_nodes,
+                               placement, max_imbalance=None,
+                               dead_nodes=dead_nodes)
+    onehot = np.eye(num_nodes, dtype=np.int64)[node_map]
+    volumes = onehot.T @ matrix @ onehot
+    np.fill_diagonal(volumes, 0)
+    return volumes
+
+
 def halo_volumes(partition: TwoLevelPartition, num_nodes: int,
                  placement: Optional[np.ndarray] = None,
                  dead_nodes=frozenset()) -> np.ndarray:
@@ -186,7 +278,8 @@ def halo_volumes(partition: TwoLevelPartition, num_nodes: int,
     executor's forward fetch under full deduplication: each batch-union
     vertex is staged once on its owner GPU, and every remote reader GPU
     that needs it pulls its own copy over the s→d link). The diagonal is
-    zero — intra-node fetches ride NVLink, not the network.
+    zero — intra-node fetches ride NVLink, not the network. It is the
+    node aggregate of :func:`partition_halo_matrix`.
 
     A zero matrix means the partition has no halo (every chunk's neighbors
     are node-local) and a cluster run emits no fetch-phase network tasks.
@@ -196,20 +289,8 @@ def halo_volumes(partition: TwoLevelPartition, num_nodes: int,
     the placement search proposes — balanced, uneven, or (with
     ``dead_nodes``) evacuating.
     """
-    node_map = partition_nodes(partition.num_partitions, num_nodes,
-                               placement, max_imbalance=None,
-                               dead_nodes=dead_nodes)
-    assignment = partition.assignment
-    m = partition.num_partitions
-    owner_chunks = []
-    reader_nodes = []
-    for j in range(partition.num_chunks):
-        for i in range(m):
-            needed = partition.chunks[i][j].neighbor_global
-            if len(needed):
-                owner_chunks.append(node_map[assignment[needed]])
-                reader_nodes.append(int(node_map[i]))
-    return _node_pair_counts(owner_chunks, reader_nodes, num_nodes)
+    return _node_view(partition_halo_matrix(partition), partition,
+                      num_nodes, placement, dead_nodes)
 
 
 def halo_load_volumes(partition: TwoLevelPartition, num_nodes: int,
@@ -228,7 +309,8 @@ def halo_load_volumes(partition: TwoLevelPartition, num_nodes: int,
     ``halo_load`` split of ``plan.load_vertices`` (the gradient
     ``halo_flush`` is the time-reversed mirror: the same counting with
     consecutive batches swapped, so its total matches this one's on the
-    reversed schedule).
+    reversed schedule). It is the node aggregate of
+    :func:`partition_load_matrix`.
 
     Unlike :func:`halo_volumes` (which is invariant under chunk
     reordering — each chunk's neighbor set crosses the network no matter
@@ -242,45 +324,5 @@ def halo_load_volumes(partition: TwoLevelPartition, num_nodes: int,
     exactly as in :func:`halo_volumes` (uneven and evacuating
     placements included).
     """
-    node_map = partition_nodes(partition.num_partitions, num_nodes,
-                               placement, max_imbalance=None,
-                               dead_nodes=dead_nodes)
-    assignment = partition.assignment
-    owner_chunks = []
-    reader_nodes = []
-    for i in range(partition.num_partitions):
-        previous = np.empty(0, dtype=np.int64)
-        for j in range(partition.num_chunks):
-            needed = partition.chunks[i][j].neighbor_global
-            if len(needed):
-                loaded = needed[~np.isin(needed, previous,
-                                         assume_unique=True)]
-                if len(loaded):
-                    owner_chunks.append(node_map[assignment[loaded]])
-                    reader_nodes.append(int(node_map[i]))
-            previous = needed
-    return _node_pair_counts(owner_chunks, reader_nodes, num_nodes)
-
-
-def _node_pair_counts(owner_chunks, reader_nodes, num_nodes: int
-                      ) -> np.ndarray:
-    """(owner_node, reader_node) counts via one flat bincount.
-
-    ``owner_chunks[c]`` holds the owner node of every row of contribution
-    c, all read by node ``reader_nodes[c]``. Counting the full pair grid
-    and zeroing the diagonal equals the old remote-only accumulation —
-    local rows only ever land on the diagonal.
-    """
-    volumes = np.zeros((num_nodes, num_nodes), dtype=np.int64)
-    if not owner_chunks:
-        return volumes
-    owners = np.concatenate(owner_chunks)
-    readers = np.repeat(
-        np.array(reader_nodes, dtype=np.int64),
-        np.array([len(chunk) for chunk in owner_chunks], dtype=np.int64),
-    )
-    volumes = np.bincount(
-        owners * num_nodes + readers, minlength=num_nodes * num_nodes,
-    ).reshape(num_nodes, num_nodes).astype(np.int64)
-    np.fill_diagonal(volumes, 0)
-    return volumes
+    return _node_view(partition_load_matrix(partition), partition,
+                      num_nodes, placement, dead_nodes)

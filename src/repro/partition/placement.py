@@ -74,12 +74,16 @@ from repro.errors import PartitionError
 
 if TYPE_CHECKING:  # import would cycle: repro.comm pulls this package in
     from repro.comm.cost_model import ClusterCostModel
-from repro.partition.nodes import partition_nodes
+from repro.partition.nodes import (
+    partition_halo_matrix,
+    partition_load_matrix,
+    partition_nodes,
+)
 from repro.partition.subgraph import SubgraphChunk
 from repro.partition.two_level import TwoLevelPartition
 
-__all__ = ["PlacementResult", "search_placement", "partition_halo_matrix",
-           "partition_load_matrix", "placement_net_rows",
+__all__ = ["PlacementResult", "search_placement", "partition_net_weights",
+           "placement_net_rows",
            "permute_partitions", "PLACEMENT_POLICIES"]
 
 #: how partitions map to cluster nodes: the contiguous-``block`` default,
@@ -92,80 +96,19 @@ _SENTINEL = np.iinfo(np.int64).min
 
 
 # ----------------------------------------------------------------------
-# partition-granularity halo analyses
+# the objective's weights
 # ----------------------------------------------------------------------
-def partition_halo_matrix(partition: TwoLevelPartition) -> np.ndarray:
-    """Per-epoch-layer fetch rows between partition pairs.
+def partition_net_weights(partition: TwoLevelPartition) -> np.ndarray:
+    """``W = F + 2·L``: the rows each partition pair puts on the wire.
 
-    Returns an ``(m, m)`` int matrix F where ``F[k, i]`` counts the
-    vertex rows owned by partition k that partition i's chunks read from
-    k's transition buffer over one layer sweep (zero diagonal: a chunk's
-    reads of its own partition's rows never leave the GPU). Summing the
-    entries whose endpoints a placement puts on different nodes
-    reproduces :func:`~repro.partition.nodes.halo_volumes` under that
-    placement exactly — this is the owner-partition refinement of the
-    same counting, and it is invariant under chunk reordering.
+    Fetch rows plus staging loads counted twice — the backward gradient
+    flush retires exactly the rows the forward load staged (same
+    consecutive-batch differences, time-reversed), so its row total
+    equals the load total. The entries a placement splits across nodes
+    are its cross-node halo rows per epoch-layer.
     """
-    m = partition.num_partitions
-    assignment = partition.assignment
-    owner_chunks: List[np.ndarray] = []
-    reader_lengths = np.zeros(m, dtype=np.int64)
-    for i in range(m):
-        for j in range(partition.num_chunks):
-            needed = partition.chunks[i][j].neighbor_global
-            if len(needed):
-                owner_chunks.append(assignment[needed])
-                reader_lengths[i] += len(needed)
-    return _pair_counts(owner_chunks, reader_lengths, m)
-
-
-def partition_load_matrix(partition: TwoLevelPartition) -> np.ndarray:
-    """Per-epoch-layer *freshly loaded* rows between partition pairs.
-
-    The owner-partition refinement of
-    :func:`~repro.partition.nodes.halo_load_volumes`: ``L[k, i]`` counts
-    the rows owned by partition k that partition i loads into its own
-    staging buffer per sweep after batch-to-batch reuse (self-staging
-    modes), so the entries crossing a placement's node boundary are the
-    ``halo_load`` network rows — and, time-reversed, the ``halo_flush``
-    rows. Unlike the fetch matrix this depends on the chunk schedule.
-    """
-    m = partition.num_partitions
-    assignment = partition.assignment
-    owner_chunks: List[np.ndarray] = []
-    reader_lengths = np.zeros(m, dtype=np.int64)
-    for i in range(m):
-        previous = np.empty(0, dtype=np.int64)
-        for j in range(partition.num_chunks):
-            needed = partition.chunks[i][j].neighbor_global
-            if len(needed):
-                loaded = needed[~np.isin(needed, previous,
-                                         assume_unique=True)]
-                if len(loaded):
-                    owner_chunks.append(assignment[loaded])
-                    reader_lengths[i] += len(loaded)
-            previous = needed
-    return _pair_counts(owner_chunks, reader_lengths, m)
-
-
-def _pair_counts(owner_chunks: List[np.ndarray],
-                 reader_lengths: np.ndarray, m: int) -> np.ndarray:
-    """(owner, reader) row counts via one flat bincount, zero diagonal.
-
-    ``owner_chunks`` hold the owner partition of every counted row in
-    reader order (all of reader 0's rows first, then reader 1's, ...);
-    ``reader_lengths[i]`` is reader i's total. One bincount over the
-    flattened pair index replaces the per-(reader, chunk) bincounts —
-    the O(m²)-allocations term of the old loop.
-    """
-    if not owner_chunks:
-        return np.zeros((m, m), dtype=np.int64)
-    owners = np.concatenate(owner_chunks)
-    readers = np.repeat(np.arange(m, dtype=np.int64), reader_lengths)
-    matrix = np.bincount(owners * m + readers,
-                         minlength=m * m).reshape(m, m).astype(np.int64)
-    np.fill_diagonal(matrix, 0)
-    return matrix
+    return (partition_halo_matrix(partition)
+            + 2 * partition_load_matrix(partition))
 
 
 def _cross_rows(weights: np.ndarray, placement: np.ndarray) -> int:
@@ -179,18 +122,16 @@ def placement_net_rows(partition: TwoLevelPartition, num_nodes: int,
                        dead_nodes=frozenset()) -> int:
     """Cross-node halo rows per epoch-layer under ``placement``.
 
-    Fetch rows plus staging loads counted twice (load + mirrored
-    gradient flush) — the same total as the net-aware reorganization's
-    ``_net_rows`` objective, for an arbitrary partition→node map
+    The entries of :func:`partition_net_weights` whose endpoints an
+    arbitrary partition→node map puts on different nodes — the net
+    term of the reorganization guard and the placement objective
     (``dead_nodes`` admits evacuating placements that leave the named
     nodes empty).
     """
     node_map = partition_nodes(partition.num_partitions, num_nodes,
                                placement, max_imbalance=None,
                                dead_nodes=dead_nodes)
-    weights = (partition_halo_matrix(partition)
-               + 2 * partition_load_matrix(partition))
-    return _cross_rows(weights, node_map)
+    return _cross_rows(partition_net_weights(partition), node_map)
 
 
 # ----------------------------------------------------------------------
@@ -527,8 +468,7 @@ def search_placement(partition: TwoLevelPartition, num_nodes: int,
                 f"compute_rows must be (num_partitions, num_nodes) = "
                 f"({m}, {num_nodes}), got shape {compute.shape}"
             )
-    weights = (partition_halo_matrix(partition)
-               + 2 * partition_load_matrix(partition))
+    weights = partition_net_weights(partition)
     weights_sym = weights + weights.T
     rows_block = _cross_rows(weights, block)
 

@@ -63,7 +63,8 @@ __all__ = ["EventScheduler", "task_ids"]
 
 _CHANNEL_INDEX = {channel: index for index, channel in enumerate(CHANNELS)}
 
-_NEG_INF = float("-inf")
+_INF = float("inf")
+_NEG_INF = -_INF
 
 
 def task_ids(entries) -> np.ndarray:
@@ -317,8 +318,10 @@ class EventScheduler:
         """
         if channel not in CHANNELS:
             raise SchedulerError(f"unknown channel {channel!r}")
-        if seconds < 0:
-            raise SchedulerError(f"negative task duration: {seconds}")
+        if not 0 <= seconds < _INF:  # also False for NaN
+            raise SchedulerError(
+                f"task duration must be finite and >= 0, got {seconds}"
+            )
         common = task_ids(deps)
         self._check_dep_ids(common)
         phase = len(self._phases)
@@ -365,10 +368,22 @@ class EventScheduler:
             )
         if k == 0:
             return np.empty(0, dtype=np.int64)
-        if np.any(seconds < 0):
+        # min/max propagate NaN and NaN fails both comparisons, so the
+        # sign check's two reductions also catch non-finite durations —
+        # a NaN would otherwise poison every dependant's end time and
+        # then be *ignored* by the running makespan.
+        if not (seconds.min() >= 0 and seconds.max() < _INF):
             raise SchedulerError(
-                f"negative task duration: {seconds.min()}"
+                f"task durations must be finite and >= 0, got a wave "
+                f"spanning [{seconds.min()}, {seconds.max()}]"
             )
+        for name, per_task in (("extra_deps", extra_deps),
+                               ("shared_by_task", shared_by_task)):
+            if per_task is not None and len(per_task) != k:
+                raise SchedulerError(
+                    f"{name} must list one entry per task: "
+                    f"{len(per_task)} vs {k}"
+                )
         common = None
         if common_deps is not None:
             common = np.asarray(common_deps, dtype=np.int64)

@@ -245,8 +245,8 @@ class ClusterArgs:
         """The parsed :class:`FaultSchedule`, or None without ``--fault``.
 
         Raises :class:`~repro.errors.FaultError` on a malformed spec;
-        fleet-level validation (node indices vs ``nodes``) happens in
-        :class:`~repro.core.HongTuConfig`.
+        fleet-level validation (node indices vs the platform's node
+        count) happens at trainer construction.
         """
         if not self.fault:
             return None
@@ -297,16 +297,15 @@ class ClusterArgs:
 
         ``overrides`` set command-private knobs (``intermediate_policy``,
         ``overlap``, ...) on top of the shared vocabulary; a key present
-        in both wins from ``overrides``. Validation — including the
-        fault schedule against the fleet size — is the config's own.
+        in both wins from ``overrides``. The fleet's shape (``nodes``,
+        ``topology``, ``oversubscription``) goes to
+        :meth:`build_platform` only; the trainer checks the fault
+        schedule against that platform's node count.
         """
         kwargs = dict(
             num_chunks=self.chunks,
             comm_mode=self.comm_mode,
-            nodes=self.nodes,
             allreduce=self.allreduce,
-            topology=self.topology,
-            oversubscription=self.oversubscription,
             placement=self.placement,
             max_imbalance=self.max_imbalance,
             faults=self.fault_schedule(),

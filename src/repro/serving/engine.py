@@ -125,7 +125,7 @@ class ServingEngine:
         self.cache_budget_bytes = cache_budget_bytes
         #: warm pairs dropped to fit the budget over this engine's life
         self.evictions = 0
-        #: the trainer's plan/partition, a dedicated communicator
+        #: the trainer's plan and chunk shapes, a dedicated communicator
         #: (serving traffic charges its own byte ledger, never the
         #: trainer's training counters) and the checkpoint-warmed cache
         #: are all installed by the first platform sync
@@ -171,13 +171,9 @@ class ServingEngine:
         for layer ``l`` — the same sizing the trainer's checkpoint store
         allocates, summed over the column.
         """
-        layer = self.model.layers[l]
-        bps = self.config.bytes_per_scalar
-        dim = layer.aggregate_dim()
-        return sum(
-            self.partition.chunks[i][j].block.num_dst * dim * bps
-            for i in range(self.plan.num_gpus)
-        )
+        return int(self.shapes.forward(
+            self.model.layers[l], j, self.config.bytes_per_scalar
+        ).checkpoint_bytes.sum())
 
     def _cache_insert(self, l: int, j: int) -> None:
         """Warm ``(l, j)``, evicting LRU pairs past the byte budget."""
@@ -205,35 +201,25 @@ class ServingEngine:
         cached = self._costs.get((l, j))
         if cached is not None:
             return cached
-        layer = self.model.layers[l]
         bps = self.config.bytes_per_scalar
         row_bytes = self.model.dims[l] * bps
         comm = self.communicator
-        load_rows = comm.transition_rows(j)
+        platform = self.platform
         d2d_seconds, gather_seconds = comm.assemble_seconds(j, row_bytes)
-        compute_seconds = []
-        writeback_seconds = []
-        for i in range(self.plan.num_gpus):
-            block = self.partition.chunks[i][j].block
-            flops = layer.forward_flops(
-                block.num_src, block.num_dst, block.num_edges
-            )
-            compute_seconds.append(
-                self.platform.gpu_compute_seconds(flops, devices=i)
-            )
-            out_bytes = block.num_dst * layer.out_dim * bps
-            writeback_seconds.append(
-                self.platform.h2d_seconds(out_bytes, devices=i)
-            )
+        # The trainer's forward wave for (l, j), priced from the same
+        # table (a serve never checkpoints, so the writeback is h^{l+1}
+        # alone).
+        forward = self.shapes.forward(self.model.layers[l], j, bps)
         costs = _ColumnLayerCosts(
             row_bytes=row_bytes,
-            load_seconds=self.platform.h2d_seconds(load_rows * row_bytes,
-                                                   devices=self._gpu_ids),
+            load_seconds=platform.h2d_seconds(
+                comm.transition_rows(j) * row_bytes, devices=self._gpu_ids),
             d2d_seconds=d2d_seconds,
             gather_seconds=gather_seconds,
-            compute_seconds=np.asarray(compute_seconds, dtype=np.float64),
-            writeback_seconds=np.asarray(writeback_seconds,
-                                         dtype=np.float64),
+            compute_seconds=platform.gpu_compute_seconds(
+                forward.flops, devices=self._gpu_ids),
+            writeback_seconds=platform.h2d_seconds(
+                forward.writeback_bytes, devices=self._gpu_ids),
         )
         self._costs[(l, j)] = costs
         return costs
@@ -332,12 +318,12 @@ class ServingEngine:
         stable, so this is one integer compare.
         """
         plan_changed = self.plan is not self.trainer.plan
-        version = getattr(self.platform, "rates_version", 0)
+        version = self.platform.rates_version
         if not plan_changed and version == self._rates_version:
             return
         if plan_changed:
             self.plan = self.trainer.plan
-            self.partition = self.trainer.partition
+            self.shapes = self.trainer.fleet.shapes
             self.clear_cache()
             self.warm_from_checkpoints()
         self._costs.clear()

@@ -188,14 +188,14 @@ def graph():
     return load_dataset("reddit_sim", scale=0.12, seed=3)
 
 
-def make_trainer(graph, platform, nodes, overlap, comm_mode="hongtu",
+def make_trainer(graph, platform, overlap, comm_mode="hongtu",
                  allreduce="ring"):
     model = build_model("gcn", [graph.feature_dim, 12, graph.num_classes],
                         np.random.default_rng(11))
     return HongTuTrainer(
         graph, model, platform,
         HongTuConfig(num_chunks=4, comm_mode=comm_mode, overlap=overlap,
-                     nodes=nodes, allreduce=allreduce, seed=2),
+                     allreduce=allreduce, seed=2),
         optimizer=SGD(model.parameters(), lr=0.02),
     )
 
@@ -252,10 +252,10 @@ class TestClusterTrainer:
     def test_nodes1_bit_equal_to_single_node(self, graph, overlap):
         """The acceptance contract: a 1-node cluster reproduces the
         single-node epoch seconds to float precision (both policies)."""
-        single = make_trainer(graph, MultiGPUPlatform(A100_SERVER), 1,
+        single = make_trainer(graph, MultiGPUPlatform(A100_SERVER),
                               overlap)
         cluster = make_trainer(
-            graph, ClusterPlatform(A100_CLUSTER.with_num_nodes(1)), 1,
+            graph, ClusterPlatform(A100_CLUSTER.with_num_nodes(1)),
             overlap)
         for _ in range(2):
             a = single.train_epoch()
@@ -265,14 +265,23 @@ class TestClusterTrainer:
             assert a.net_bytes == 0 and b.net_bytes == 0
             assert a.clock.as_dict() == b.clock.as_dict()
 
-    def test_nodes_mismatch_rejected(self, graph):
-        with pytest.raises(ConfigurationError):
-            make_trainer(graph, MultiGPUPlatform(A100_SERVER), 2, "barrier")
-        with pytest.raises(ConfigurationError):
-            make_trainer(graph, ClusterPlatform(A100_CLUSTER), 1, "barrier")
+    def test_fleet_shape_comes_from_the_platform(self, graph):
+        """One config runs on any fleet: the node count is the
+        platform's, not a second declaration that could disagree."""
+        config = HongTuConfig(num_chunks=4, seed=2)
+        results = []
+        for platform in (MultiGPUPlatform(A100_SERVER),
+                         ClusterPlatform(A100_CLUSTER)):
+            model = build_model(
+                "gcn", [graph.feature_dim, 12, graph.num_classes],
+                np.random.default_rng(11))
+            results.append(HongTuTrainer(graph, model, platform,
+                                         config).train_epoch())
+        assert results[0].net_bytes == 0 < results[1].net_bytes
+        assert np.isclose(results[0].loss, results[1].loss, atol=1e-9)
 
     def test_multi_node_emits_network_traffic(self, graph):
-        trainer = make_trainer(graph, ClusterPlatform(A100_CLUSTER), 2,
+        trainer = make_trainer(graph, ClusterPlatform(A100_CLUSTER),
                                "barrier")
         result = trainer.train_epoch()
         result.timeline.validate()
@@ -287,9 +296,9 @@ class TestClusterTrainer:
     def test_multi_node_pipeline_hides_halo_traffic(self, graph):
         """Acceptance: pipeline strictly beats barrier on a multi-node,
         transfer-bound workload by overlapping halo traffic with compute."""
-        barrier = make_trainer(graph, ClusterPlatform(A100_CLUSTER), 2,
+        barrier = make_trainer(graph, ClusterPlatform(A100_CLUSTER),
                                "barrier").train_epoch()
-        pipeline = make_trainer(graph, ClusterPlatform(A100_CLUSTER), 2,
+        pipeline = make_trainer(graph, ClusterPlatform(A100_CLUSTER),
                                 "pipeline").train_epoch()
         assert pipeline.epoch_seconds < barrier.epoch_seconds
         assert pipeline.net_bytes == barrier.net_bytes
@@ -297,9 +306,9 @@ class TestClusterTrainer:
     def test_multi_node_numerics_match_single_node_reference(self, graph):
         """Sharding across nodes must not change what the model computes
         beyond float addition order."""
-        single = make_trainer(graph, MultiGPUPlatform(A100_SERVER), 1,
+        single = make_trainer(graph, MultiGPUPlatform(A100_SERVER),
                               "barrier")
-        cluster = make_trainer(graph, ClusterPlatform(A100_CLUSTER), 2,
+        cluster = make_trainer(graph, ClusterPlatform(A100_CLUSTER),
                                "pipeline")
         for _ in range(2):
             a = single.train_epoch()
@@ -312,7 +321,7 @@ class TestClusterTrainer:
 
     @pytest.mark.parametrize("allreduce", ["ring", "tree"])
     def test_allreduce_schedules_run(self, graph, allreduce):
-        trainer = make_trainer(graph, ClusterPlatform(A100_CLUSTER), 2,
+        trainer = make_trainer(graph, ClusterPlatform(A100_CLUSTER),
                                "barrier", allreduce=allreduce)
         result = trainer.train_epoch()
         labels = {task.label for task in result.timeline.scheduler.tasks}
@@ -324,7 +333,7 @@ class TestClusterTrainer:
         and validates."""
         platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(2),
                                    gpus_per_node=1)
-        trainer = make_trainer(graph, platform, 2, "barrier")
+        trainer = make_trainer(graph, platform, "barrier")
         result = trainer.train_epoch()
         result.timeline.validate()
         labels = [task.label for task in result.timeline.scheduler.tasks]
@@ -336,7 +345,7 @@ class TestClusterTrainer:
         """Without inter-GPU dedup, staged rows include remotely-owned
         vertices: host loads and gradient flushes must cross the network
         too (halo_load / halo_flush tasks exist)."""
-        trainer = make_trainer(graph, ClusterPlatform(A100_CLUSTER), 2,
+        trainer = make_trainer(graph, ClusterPlatform(A100_CLUSTER),
                                "barrier", comm_mode="baseline")
         result = trainer.train_epoch()
         result.timeline.validate()

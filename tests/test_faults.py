@@ -28,7 +28,12 @@ from repro.faults import (
 )
 from repro.gnn import build_model
 from repro.graph import load_dataset
-from repro.hardware import A100_CLUSTER, ClusterPlatform
+from repro.hardware import (
+    A100_CLUSTER,
+    A100_SERVER,
+    ClusterPlatform,
+    MultiGPUPlatform,
+)
 from repro.runtime import EventScheduler
 
 
@@ -46,7 +51,7 @@ def make_trainer(graph, nodes=3, faults=None, elastic=True,
         "gcn", [graph.feature_dim, epochs_hidden, graph.num_classes],
         np.random.default_rng(0))
     config = HongTuConfig(
-        num_chunks=2, overlap="pipeline", nodes=nodes, faults=faults,
+        num_chunks=2, overlap="pipeline", faults=faults,
         elastic=elastic, placement=placement,
         max_imbalance=max_imbalance, rebalance_trigger=rebalance_trigger,
         seed=0)
@@ -161,18 +166,26 @@ class TestFaultSchedule:
 # config integration
 # ----------------------------------------------------------------------
 class TestConfigFaults:
-    def test_rejects_faults_on_one_node(self):
-        with pytest.raises(ConfigurationError, match="nodes > 1"):
-            HongTuConfig(faults=FaultSchedule((NodeDeath(0, at=1.0),)))
+    def test_rejects_faults_on_one_node(self, graph):
+        """The fleet-level rules fire where the platform is known: at
+        trainer construction (an *empty* schedule stays admissible)."""
+        model = build_model("gcn", [graph.feature_dim, 8, graph.num_classes],
+                            np.random.default_rng(0))
+        platform = MultiGPUPlatform(A100_SERVER, num_gpus=2)
+        config = HongTuConfig(faults=FaultSchedule((NodeDeath(0, at=1.0),)))
+        with pytest.raises(ConfigurationError, match="more than one node"):
+            HongTuTrainer(graph, model, platform, config)
+        HongTuTrainer(graph, model, platform,
+                      HongTuConfig(faults=FaultSchedule(())))
 
-    def test_rejects_schedule_beyond_fleet(self):
+    def test_rejects_schedule_beyond_fleet(self, graph):
         with pytest.raises(ConfigurationError, match="invalid for 2"):
-            HongTuConfig(nodes=2,
+            make_trainer(graph, nodes=2,
                          faults=FaultSchedule((NodeDeath(5, at=1.0),)))
 
     def test_rejects_non_schedule_faults(self):
         with pytest.raises(ConfigurationError, match="FaultSchedule"):
-            HongTuConfig(nodes=2, faults=["death:node=0,at=1"])
+            HongTuConfig(faults=["death:node=0,at=1"])
 
     def test_rejects_trivial_trigger(self):
         with pytest.raises(ConfigurationError, match="rebalance_trigger"):
@@ -180,7 +193,7 @@ class TestConfigFaults:
 
     def test_dict_round_trip_with_schedule(self):
         config = HongTuConfig(
-            nodes=3, placement="search", max_imbalance=1,
+            placement="search", max_imbalance=1,
             faults=FaultSchedule((Straggler(2, compute_factor=0.5),
                                   NodeDeath(1, at=4.0))))
         clone = HongTuConfig.from_dict(config.to_dict())

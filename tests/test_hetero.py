@@ -56,7 +56,7 @@ def make_trainer(cluster, overlap="pipeline", placement="search",
     dims = [graph.feature_dim, 16, graph.num_classes]
     model = build_model("gcn", dims, np.random.default_rng(seed))
     platform = ClusterPlatform(cluster, gpus_per_node=GPUS_PER_NODE)
-    config = HongTuConfig(num_chunks=2, nodes=NODES, overlap=overlap,
+    config = HongTuConfig(num_chunks=2, overlap=overlap,
                           placement=placement, seed=0)
     return HongTuTrainer(graph, model, platform, config)
 

@@ -150,6 +150,109 @@ class TestUnevenHaloAggregation:
             assert placement_net_rows(skewed, NODES, placement) == expected
 
 
+class TestNodeViewsOfTheTwoSweeps:
+    """The node-level halo analyses are *views* of the two partition-
+    level sweeps (one count, two granularities). The oracle here counts
+    rows straight off the chunks' neighbour sets — the sweep the node
+    views used to run themselves — on balanced, uneven and evacuating
+    placements, and the executor's measured per-flow bytes still match."""
+
+    FLEET = 4  # nodes of the 4x2 fleet the evacuating cases run on
+
+    @staticmethod
+    def _direct(partition, node_map, num_nodes, fresh_only):
+        volumes = np.zeros((num_nodes, num_nodes), dtype=np.int64)
+        for i, row in enumerate(partition.chunks):
+            previous = np.empty(0, dtype=np.int64)
+            for chunk in row:
+                needed = chunk.neighbor_global
+                rows = (needed[~np.isin(needed, previous)] if fresh_only
+                        else needed)
+                np.add.at(volumes,
+                          (node_map[partition.assignment[rows]],
+                           node_map[i]), 1)
+                previous = needed
+        np.fill_diagonal(volumes, 0)
+        return volumes
+
+    def _check(self, partition, num_nodes, placement, dead=frozenset()):
+        node_map = partition_nodes(M, num_nodes, placement,
+                                   max_imbalance=None, dead_nodes=dead)
+        onehot = np.eye(num_nodes, dtype=np.int64)[node_map]
+        for view, matrix, fresh_only in (
+                (halo_volumes, partition_halo_matrix, False),
+                (halo_load_volumes, partition_load_matrix, True)):
+            measured = view(partition, num_nodes, placement,
+                            dead_nodes=dead)
+            aggregate = onehot.T @ matrix(partition) @ onehot
+            np.fill_diagonal(aggregate, 0)
+            assert measured.dtype == np.int64
+            assert np.array_equal(measured, aggregate)
+            assert np.array_equal(
+                measured,
+                self._direct(partition, node_map, num_nodes, fresh_only))
+
+    def test_block_and_random_balanced_placements(self, skewed):
+        rng = np.random.default_rng(3)
+        self._check(skewed, NODES, None)
+        for _ in range(4):
+            self._check(skewed, NODES,
+                        rng.permutation(partition_nodes(M, NODES)))
+            self._check(skewed, self.FLEET,
+                        rng.permutation(partition_nodes(M, self.FLEET)))
+
+    def test_random_uneven_placements(self, skewed):
+        rng = np.random.default_rng(5)
+        for placement in _random_uneven_placements(rng, 6):
+            self._check(skewed, NODES, placement)
+
+    def test_evacuating_placements(self, skewed):
+        rng = np.random.default_rng(9)
+        dead = frozenset({1})
+        survivors = np.array([0, 2, 3])
+        checked = 0
+        while checked < 4:
+            placement = survivors[rng.integers(0, 3, size=M)]
+            if len(np.unique(placement)) == 3:
+                self._check(skewed, self.FLEET, placement, dead)
+                assert placement_net_rows(
+                    skewed, self.FLEET, placement, dead_nodes=dead
+                ) == int((halo_volumes(skewed, self.FLEET, placement,
+                                       dead_nodes=dead)
+                          + 2 * halo_load_volumes(
+                              skewed, self.FLEET, placement,
+                              dead_nodes=dead)).sum())
+                checked += 1
+
+    @pytest.mark.parametrize("dedup_inter, flow, view", [
+        (True, "halo_fetch", halo_volumes),
+        (False, "halo_load", halo_load_volumes),
+    ])
+    def test_executor_flows_match_under_uneven_placement(
+            self, skewed, dedup_inter, flow, view):
+        from repro.comm import DedupCommunicator, build_comm_plan
+        from repro.hardware import EventTimeline
+
+        placement = np.array([0, 1, 0, 0, 0, 1, 0, 0])  # counts 6/2
+        platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(NODES),
+                                   placement=placement, max_imbalance=2)
+        plan = build_comm_plan(skewed, dedup_inter=dedup_inter,
+                               dedup_intra=True)
+        comm = DedupCommunicator(plan, platform, 4)
+        dim = 16
+        host = np.zeros((skewed.graph.num_vertices, dim))
+        clock = EventTimeline(barrier_all=True)
+        comm.start_sweep(dim)
+        for j in range(plan.num_batches):
+            comm.load_batch_forward(j, host, clock)
+        comm.end_sweep()
+        expected = view(skewed, NODES, placement)
+        measured = comm.net_bytes_by_flow[flow]
+        for s in range(NODES):
+            for d in range(NODES):
+                assert measured.get((s, d), 0) == expected[s, d] * dim * 4
+
+
 class TestMemoryModelAdmission:
     def test_partition_host_bytes_formula(self):
         sizes = [100, 50, 25]
@@ -344,8 +447,7 @@ class TestJointPlacement:
 def _trainer(graph, platform, partition=None, **config_kwargs):
     model = build_model("gcn", [graph.feature_dim, 12, graph.num_classes],
                         np.random.default_rng(11))
-    defaults = dict(num_chunks=4, overlap="pipeline",
-                    nodes=platform.num_nodes, seed=2)
+    defaults = dict(num_chunks=4, overlap="pipeline", seed=2)
     defaults.update(config_kwargs)
     return HongTuTrainer(
         graph, model, platform, HongTuConfig(**defaults),
@@ -509,6 +611,7 @@ class TestNodeUtilizationClampMarker:
     class _Platform:
         num_nodes = 2
         num_rails = 1
+        heterogeneous = False
 
         def node_of(self, device):
             return 0 if device < 4 else 1

@@ -368,14 +368,11 @@ class TestExecutorPlacementContract:
 
 
 def _make_trainer(graph, platform, placement_policy, overlap="pipeline"):
-    topology = platform.topology
     model = build_model("gcn", [graph.feature_dim, 12, graph.num_classes],
                         np.random.default_rng(11))
     return HongTuTrainer(
         graph, model, platform,
         HongTuConfig(num_chunks=4, overlap=overlap,
-                     nodes=platform.num_nodes, topology=topology.kind,
-                     oversubscription=topology.oversubscription,
                      placement=placement_policy, seed=2),
         optimizer=SGD(model.parameters(), lr=0.02),
     )
@@ -418,7 +415,7 @@ class TestTrainerPlacement:
                 np.random.default_rng(11))
             trainer = HongTuTrainer(
                 graph, model, ClusterPlatform(A100_CLUSTER),
-                HongTuConfig(num_chunks=4, nodes=NODES, placement=policy,
+                HongTuConfig(num_chunks=4, placement=policy,
                              reorganize=False, seed=2),
                 optimizer=SGD(model.parameters(), lr=0.02))
             trainer.train_epoch()

@@ -66,9 +66,40 @@ class TestEventScheduler:
         with pytest.raises(SchedulerError):
             EventScheduler().submit("warp_drive", 0, 1.0)
 
-    def test_negative_duration_rejected(self):
-        with pytest.raises(SchedulerError):
-            EventScheduler().submit("gpu", 0, -1.0)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0],
+                             ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("submit", [
+        lambda s, bad: s.submit("gpu", 0, bad),
+        lambda s, bad: s.submit_batch("gpu", [0, 1], [bad, 2.0]),
+        lambda s, bad: s.submit_batch("gpu", [0, 1], [2.0, bad]),
+        # duplicate devices: the scalar branch of submit_batch
+        lambda s, bad: s.submit_batch("gpu", [1, 1], [2.0, bad]),
+    ], ids=["submit", "batch_first", "batch_last", "batch_scalar_branch"])
+    def test_non_finite_or_negative_duration_rejected(self, submit, bad):
+        """A NaN used to be accepted, poison every dependant's end time
+        and then be *ignored* by the makespan — a silently wrong number."""
+        scheduler = EventScheduler()
+        scheduler.submit("gpu", 0, 1.0)
+        with pytest.raises(SchedulerError, match="finite"):
+            submit(scheduler, bad)
+        scheduler.validate()
+        assert scheduler.num_tasks == 1
+        assert scheduler.makespan == 1.0
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(extra_deps=[np.array([0])]),
+        dict(extra_deps=[np.array([0]), None, None]),
+        dict(shared_by_task=[(("core", 1.0),)]),
+        dict(shared_by_task=[(), (), ()]),
+    ], ids=["extra_short", "extra_long", "shared_short", "shared_long"])
+    def test_mis_sized_per_task_lists_rejected(self, kwargs):
+        """Used to escape as a bare ValueError / IndexError."""
+        scheduler = EventScheduler()
+        scheduler.submit("gpu", 0, 1.0)
+        with pytest.raises(SchedulerError, match="one entry per task"):
+            scheduler.submit_batch("h2d", [0, 1], [1.0, 1.0], **kwargs)
+        scheduler.validate()
+        assert scheduler.num_tasks == 1
 
     @pytest.mark.parametrize("submit", [
         # reads zero-initialised capacity: used to schedule at t=0
@@ -310,12 +341,16 @@ class TestEventTimeline:
         assert kernels[1].start == 4.0
         timeline.validate()
 
-    def test_legacy_add_parallel_phase(self):
-        timeline = EventTimeline(barrier_all=True)
-        timeline.add_parallel_phase("gpu", [1.0, 2.0])
-        timeline.add_parallel_phase("gpu", [])
-        assert timeline.seconds["gpu"] == 2.0
-        assert timeline.makespan == 2.0
+    @pytest.mark.parametrize("deps", [np.array([0]), [None, None, None]],
+                             ids=["short_id_array", "long_list"])
+    def test_mis_sized_deps_by_device_rejected(self, deps):
+        """A short id array used to leave the trailing devices silently
+        ungated."""
+        timeline = EventTimeline()
+        timeline.submit_batch("h2d", [1.0, 4.0])
+        with pytest.raises(SchedulerError, match="one entry per device"):
+            timeline.submit_batch("gpu", [1.0, 1.0], deps_by_device=deps)
+        assert timeline.scheduler.num_tasks == 2
 
     def test_busy_view_sums_devices(self):
         timeline = EventTimeline()
@@ -498,7 +533,7 @@ class TestBatchedEmissionEquivalence:
             np.random.default_rng(5))
         trainer = HongTuTrainer(
             graph, model, platform,
-            HongTuConfig(num_chunks=2, overlap=overlap, nodes=nodes,
+            HongTuConfig(num_chunks=2, overlap=overlap,
                          seed=0),
             optimizer=SGD(model.parameters(), lr=0.02),
         )

@@ -47,12 +47,10 @@ def make_trainer(num_gpus=2, num_chunks=2, nodes=1, scale=0.12,
     if nodes > 1:
         cluster = A100_CLUSTER.with_num_nodes(nodes)
         platform = ClusterPlatform(cluster, gpus_per_node=num_gpus)
-        config = HongTuConfig(num_chunks=num_chunks, nodes=nodes,
-                              intermediate_policy=policy, seed=0)
     else:
         platform = MultiGPUPlatform(A100_SERVER, num_gpus=num_gpus)
-        config = HongTuConfig(num_chunks=num_chunks,
-                              intermediate_policy=policy, seed=0)
+    config = HongTuConfig(num_chunks=num_chunks,
+                          intermediate_policy=policy, seed=0)
     return HongTuTrainer(graph, model, platform, config)
 
 

@@ -10,6 +10,7 @@ objective, and the channel-utilization rendering regression (no row can
 render above 100%).
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -43,6 +44,7 @@ from repro.partition import (
     two_level_partition,
 )
 from repro.runtime import NET_DEVICE_BASE, SPINE_RESOURCE, net_link_parts
+from repro.scenario import ClusterArgs
 
 
 def cluster_platform(kind="flat", oversubscription=1.0, num_rails=0,
@@ -59,14 +61,12 @@ def graph():
 
 
 def make_trainer(graph, platform, overlap="pipeline", comm_mode="hongtu"):
-    topology = platform.topology
     model = build_model("gcn", [graph.feature_dim, 12, graph.num_classes],
                         np.random.default_rng(11))
     return HongTuTrainer(
         graph, model, platform,
         HongTuConfig(num_chunks=4, comm_mode=comm_mode, overlap=overlap,
-                     nodes=platform.num_nodes, topology=topology.kind,
-                     oversubscription=topology.oversubscription, seed=2),
+                     seed=2),
         optimizer=SGD(model.parameters(), lr=0.02),
     )
 
@@ -256,26 +256,24 @@ class TestTopologyTrainer:
                                     "pipeline").train_epoch().loss)
         assert len(losses) == 1
 
-    def test_topology_mismatch_rejected(self, graph):
-        platform = cluster_platform("spine", oversubscription=2.0)
-        model = build_model("gcn",
-                            [graph.feature_dim, 12, graph.num_classes],
-                            np.random.default_rng(11))
-        with pytest.raises(ConfigurationError):
-            HongTuTrainer(graph, model, platform,
-                          HongTuConfig(nodes=2, topology="flat"))
-        with pytest.raises(ConfigurationError):
-            HongTuTrainer(graph, model, platform,
-                          HongTuConfig(nodes=2, topology="spine",
-                                       oversubscription=8.0))
+    def test_fleet_shape_is_not_a_config_field(self):
+        """The platform alone states nodes/topology/oversubscription: the
+        config neither accepts nor round-trips them."""
+        assert len(dataclasses.fields(HongTuConfig)) == 14
+        for key, value in (("nodes", 2), ("topology", "spine"),
+                           ("oversubscription", 2.0)):
+            with pytest.raises(ConfigurationError, match="unknown config"):
+                HongTuConfig.from_dict({key: value})
+            with pytest.raises(TypeError):
+                HongTuConfig(**{key: value})
 
-    def test_config_validation(self):
+    def test_topology_validation(self):
         with pytest.raises(ConfigurationError):
-            HongTuConfig(topology="hypercube", nodes=2)
+            NetworkTopology(kind="hypercube")
         with pytest.raises(ConfigurationError):
-            HongTuConfig(topology="spine", oversubscription=0.5, nodes=2)
-        with pytest.raises(ConfigurationError):
-            HongTuConfig(topology="spine", nodes=1)
+            NetworkTopology(kind="spine", oversubscription=0.5)
+        assert "needs --nodes > 1" in \
+            ClusterArgs(topology="spine").usage_error()
 
     def test_spine_net_tasks_hold_the_shared_core(self, graph):
         """Disjoint directed pairs serialize on the spine: some net task
