@@ -8,7 +8,7 @@ This walkthrough runs that comparison — and the scale-out axis beyond it —
 on the shared event-timeline runtime:
 
 1. price the inter-node collectives (ring vs tree all-reduce, halo
-   exchange) with the ClusterCostModel;
+   exchange) with the ClusterCostModel, a view of the platform's rates;
 2. inspect the halo a 2-node partition must exchange per layer sweep;
 3. run DistGNN on 1 and 16 CPU nodes as a per-layer BSP task DAG;
 4. run HongTu on one 4-GPU server and on a 2x4-GPU cluster, barrier vs
@@ -29,10 +29,8 @@ from repro.core import HongTuConfig, HongTuTrainer
 from repro.graph import load_dataset
 from repro.hardware import (
     A100_CLUSTER,
-    A100_SERVER,
     CPU_NODE,
     ClusterPlatform,
-    MultiGPUPlatform,
 )
 from repro.partition import halo_volumes, two_level_partition
 
@@ -42,6 +40,8 @@ def main() -> None:
     print(f"graph: {graph}")
 
     # --- 1. collective cost models ------------------------------------
+    # The model is a live view of a platform's network (it stores no
+    # rate of its own); from_cluster builds a fresh fault-free platform.
     cost = ClusterCostModel.from_cluster(A100_CLUSTER)
     payload = 4 * 1024 * 1024  # a 4 MB gradient payload
     print("\ninter-node collectives on "
@@ -80,8 +80,9 @@ def main() -> None:
     last = None
     for nodes, overlap in ((1, "barrier"), (2, "barrier"), (2, "pipeline")):
         model = bench_model("gcn", graph, 2, 128, seed=1)
-        platform = (MultiGPUPlatform(A100_SERVER) if nodes == 1
-                    else ClusterPlatform(A100_CLUSTER))
+        # One platform class: a server is a one-node cluster, priced
+        # bit-identically to MultiGPUPlatform(A100_SERVER).
+        platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(nodes))
         trainer = HongTuTrainer(
             graph, model, platform,
             HongTuConfig(num_chunks=8, seed=0, overlap=overlap),

@@ -184,13 +184,12 @@ def render_node_utilization(timeline, platform,
     # the busy-seconds skew is unreadable without knowing which rows are
     # the slow nodes.
     hetero = platform.heterogeneous
-    node_specs = getattr(platform, "node_specs", None)
     flagged = False
     rows = []
     for node in range(num_nodes):
         cells = [f"node{node}"]
-        if hetero and node_specs is not None:
-            cells.append(node_specs[node].name)
+        if hetero:
+            cells.append(platform.node_specs[node].name)
         for column in columns:
             capacity = makespan * max(len(devices[node][column]), 1)
             overflow = busy[node][column] > capacity * (1.0 + 1e-9)
@@ -198,8 +197,7 @@ def render_node_utilization(timeline, platform,
             cells.append(format_seconds(busy[node][column])
                          + ("!" if overflow else ""))
         rows.append(cells)
-    header = ["node"] + (["spec"] if hetero and node_specs is not None
-                         else []) + list(columns)
+    header = ["node"] + (["spec"] if hetero else []) + list(columns)
     table = render_table(header, rows, title=title)
     if flagged:
         table += ("\n! = busy exceeds makespan x devices for that "

@@ -13,20 +13,25 @@ reorganization heuristic minimizes C by maximizing the two dedup volumes.
 collectives on top (the paper stops at one server; §7.1's DistGNN cluster
 is the reference point): ring/tree all-reduce for the epoch-end gradient
 synchronization and point-to-point halo exchange for cross-node neighbor
-rows. All sizes in bytes, all results in seconds; the executor turns these
-into dependency-wired ``net`` tasks on the event timeline.
+rows. It is a *view* of a platform's network — it stores no rate, so the
+predicted prices here and the simulated ``net_seconds`` read the same
+rate table and cannot drift. All sizes in bytes, all results in seconds;
+the executor turns these into dependency-wired ``net`` tasks on the
+event timeline.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
+
+import numpy as np
 
 from repro.comm.analysis import DedupVolumes, measure_volumes
 from repro.errors import ConfigurationError
-from repro.hardware.platform import MultiGPUPlatform
-from repro.hardware.spec import FLAT_TOPOLOGY, ClusterSpec, NetworkTopology
+from repro.hardware.platform import ClusterPlatform, MultiGPUPlatform
+from repro.hardware.spec import ClusterSpec, NetworkTopology
 from repro.partition.two_level import TwoLevelPartition
 from repro.units import ByteRate, Bytes, BytesLike, Seconds
 
@@ -69,17 +74,22 @@ class CommCostModel:
 
 @dataclass(frozen=True)
 class ClusterCostModel:
-    """Inter-node collective costs on a full-duplex cluster network.
+    """Inter-node collective costs: a live view of a platform's network.
 
-    ``bandwidth`` is the achieved per-link, per-direction byte rate and
-    ``latency`` the fixed per-message setup cost — the parameters of a
-    :class:`~repro.hardware.spec.ClusterSpec`. Every cost is the *per-node
-    busy time* of the collective: with non-blocking links and equal
-    payloads, each node's NIC is busy that long and the collective's wall
-    time equals it, so the executor can submit one ``net`` task per
-    participating link with these seconds.
+    The model holds the platform and stores no rate of its own — NIC
+    rates, link factors, the surviving node set, latency and topology
+    are read from the platform's rate table at pricing time, so a model
+    obtained before a fault state or placement change prices exactly
+    like one obtained after, and predicted costs cannot drift from the
+    simulated ``net_seconds`` (both read
+    :meth:`~repro.hardware.platform.MultiGPUPlatform.link_rate`).
 
-    ``topology`` adjusts the prices for non-flat fabrics. A collective
+    Every cost is the *per-node busy time* of the collective: with
+    non-blocking links and equal payloads, each node's NIC is busy that
+    long and the collective's wall time equals it, so the executor can
+    submit one ``net`` task per participating link with these seconds.
+
+    The topology adjusts the prices for non-flat fabrics. A collective
     keeps every node's uplink busy simultaneously, so on a ``spine``
     fabric the oversubscribed core caps each flow at
     ``bandwidth / oversubscription`` — the bandwidth terms scale by the
@@ -90,155 +100,57 @@ class ClusterCostModel:
     float-identical to the pre-topology model.
     """
 
-    num_nodes: int
-    bandwidth: ByteRate
-    latency: Seconds
-    topology: NetworkTopology = FLAT_TOPOLOGY
-    #: per-node NIC byte rates of a heterogeneous fleet; ``None`` keeps
-    #: the homogeneous single-``bandwidth`` pricing bit-for-bit
-    node_bandwidths: Optional[Tuple[float, ...]] = None
-    #: (N, N) directed-link rate factors of a degraded fabric (fault
-    #: injection); ``None`` — no degradation — prices bit-identically
-    link_factors: Optional[Tuple[Tuple[float, ...], ...]] = None
-    #: surviving node ids after fault-injected deaths; ``None`` means
-    #: every node participates (the reliable-fleet pricing, bit-for-bit)
-    alive: Optional[Tuple[int, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.num_nodes < 1:
-            raise ConfigurationError(
-                f"num_nodes must be >= 1, got {self.num_nodes}"
-            )
-        if self.bandwidth <= 0:
-            raise ConfigurationError("bandwidth must be positive")
-        if self.latency < 0:
-            raise ConfigurationError("latency must be >= 0")
-        if self.link_factors is not None:
-            factors = tuple(tuple(row) for row in self.link_factors)
-            object.__setattr__(self, "link_factors", factors)
-            if len(factors) != self.num_nodes or any(
-                    len(row) != self.num_nodes for row in factors):
-                raise ConfigurationError(
-                    f"link_factors must be ({self.num_nodes}, "
-                    f"{self.num_nodes}) - one factor per directed link"
-                )
-            for row in factors:
-                for factor in row:
-                    if not 0.0 < factor <= 1.0:
-                        raise ConfigurationError(
-                            f"link factors must be in (0, 1], got {factor!r}"
-                        )
-        if self.alive is not None:
-            alive = tuple(sorted(set(self.alive)))
-            object.__setattr__(self, "alive", alive)
-            if not alive:
-                raise ConfigurationError(
-                    "alive must name at least one surviving node"
-                )
-            if alive[0] < 0 or alive[-1] >= self.num_nodes:
-                raise ConfigurationError(
-                    f"alive names nodes outside [0, {self.num_nodes})"
-                )
-        if self.node_bandwidths is None:
-            return
-        rates = tuple(self.node_bandwidths)
-        object.__setattr__(self, "node_bandwidths", rates)
-        if len(rates) != self.num_nodes:
-            raise ConfigurationError(
-                f"node_bandwidths lists {len(rates)} rate(s) for "
-                f"{self.num_nodes} node(s) - provide one NIC rate per "
-                f"node, or None for a homogeneous fabric"
-            )
-        for node, rate in enumerate(rates):
-            if rate <= 0:
-                raise ConfigurationError(
-                    f"node_bandwidths[{node}] must be positive, got "
-                    f"{rate!r} - a zero-rate NIC would stall every "
-                    f"collective forever"
-                )
+    platform: MultiGPUPlatform
 
     @staticmethod
     def from_cluster(cluster: ClusterSpec) -> "ClusterCostModel":
-        node_bandwidths = None
-        if cluster.heterogeneous:
-            node_bandwidths = tuple(
-                spec.nic_bandwidth if spec.nic_bandwidth is not None
-                else cluster.network_bandwidth
-                for spec in cluster.resolved_node_specs
-            )
-        return ClusterCostModel(
-            num_nodes=cluster.num_nodes,
-            bandwidth=cluster.network_bandwidth,
-            latency=cluster.network_latency,
-            topology=cluster.topology,
-            node_bandwidths=node_bandwidths,
-        )
+        """The model of a fresh, fault-free platform built from ``cluster``."""
+        return ClusterCostModel(ClusterPlatform(cluster))
 
     @staticmethod
     def from_platform(platform: MultiGPUPlatform) -> "ClusterCostModel":
-        """The model matching a cluster platform's *current* rates.
+        """The view over ``platform``'s current — and future — rates."""
+        return ClusterCostModel(platform)
 
-        With no active fault state this returns exactly
-        :meth:`from_cluster` of the platform's spec — the faultless
-        model, bit-for-bit. Under faults the model carries the degraded
-        per-node NIC rates, the directed-link factors, and the surviving
-        node set, so collectives pace on the slowest *alive* member and
-        ring sizes follow the shrunken fleet.
-        """
-        cluster = platform.cluster
-        base = ClusterCostModel.from_cluster(cluster)
-        if platform.fault_state is None and not platform.dead_nodes:
-            return base
-        factors = platform.link_factors()
-        return ClusterCostModel(
-            num_nodes=cluster.num_nodes,
-            bandwidth=cluster.network_bandwidth,
-            latency=cluster.network_latency,
-            topology=cluster.topology,
-            node_bandwidths=tuple(platform.node_nic_rates().tolist()),
-            link_factors=None if factors is None
-            else tuple(tuple(row) for row in factors.tolist()),
-            alive=tuple(platform.alive_nodes)
-            if platform.dead_nodes else None,
-        )
+    @property
+    def latency(self) -> Seconds:
+        """Fixed per-message setup cost."""
+        return self.platform.cluster.network_latency
+
+    @property
+    def topology(self) -> NetworkTopology:
+        return self.platform.topology
 
     @property
     def num_alive(self) -> int:
         """Nodes participating in collectives (all of them, or survivors)."""
-        return self.num_nodes if self.alive is None else len(self.alive)
+        return len(self.platform.alive_nodes)
 
-    def _members(self) -> Tuple[int, ...]:
-        return self.alive if self.alive is not None \
-            else tuple(range(self.num_nodes))
-
-    def link_bandwidth(self, src: int, dst: int) -> ByteRate:
+    def link_bandwidth(self, src: Optional[int] = None,
+                       dst: Optional[int] = None) -> ByteRate:
         """Byte rate of the ``src → dst`` link: the slower endpoint's NIC
-        (times the link's degradation factor, when the fabric is faulted).
+        times the link's degradation factor (the cluster-wide reference
+        rate without endpoints) — the platform's one link formula.
         """
-        rate = (self.bandwidth if self.node_bandwidths is None
-                else min(self.node_bandwidths[src], self.node_bandwidths[dst]))
-        if self.link_factors is not None:
-            rate *= self.link_factors[src][dst]
-        return rate
+        return float(self.platform.link_rate(src, dst))
 
     @property
     def collective_bandwidth(self) -> ByteRate:
         """Per-flow byte rate when every node's uplink is busy at once.
 
-        On a heterogeneous fleet a synchronous collective is paced by
-        its *slowest member's* NIC — every ring/tree step waits for the
-        slow node's leg — so the per-flow rate is the fleet minimum
-        (identical profiles reduce to the homogeneous rate exactly).
-        Dead nodes no longer participate, so only surviving members are
-        considered; a degraded link between two survivors paces the
-        whole collective the same way a slow NIC does.
+        A synchronous collective is paced by its *slowest member's* NIC —
+        every ring/tree step waits for the slow node's leg — so the
+        per-flow rate is the fleet minimum (identical profiles reduce to
+        the homogeneous rate exactly). Dead nodes no longer participate,
+        so only surviving members are considered; a degraded link
+        between two survivors paces the whole collective the same way a
+        slow NIC does (factors are <= 1 with a unit diagonal, so the
+        members' sub-matrix minimum is the worst surviving link).
         """
-        members = self._members()
-        bandwidth = (self.bandwidth if self.node_bandwidths is None
-                     else min(self.node_bandwidths[n] for n in members))
-        if self.link_factors is not None and len(members) > 1:
-            bandwidth *= min(self.link_factors[s][d]
-                             for s in members for d in members if s != d)
+        members = self.platform.alive_nodes
+        bandwidth = float(
+            self.platform.node_nic_rates()[members].min()
+            * self.platform.link_factors()[np.ix_(members, members)].min())
         if self.topology.kind == "spine":
             return bandwidth / self.topology.oversubscription
         return bandwidth
@@ -296,9 +208,7 @@ class ClusterCostModel:
         ``src``/``dst`` node ids the message is priced at that link's
         rate (the slower endpoint's NIC on a heterogeneous fleet).
         """
-        if src is not None and dst is not None:
-            return self.latency + nbytes / self.link_bandwidth(src, dst)
-        return self.latency + nbytes / self.bandwidth
+        return self.latency + nbytes / self.link_bandwidth(src, dst)
 
     def halo_volume_seconds(self, nbytes: BytesLike) -> Seconds:
         """Bulk halo traffic: per-message latency amortized away.

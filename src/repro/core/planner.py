@@ -60,7 +60,6 @@ from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
 from repro.hardware.memory import Allocation
 from repro.hardware.platform import MultiGPUPlatform
-from repro.partition.nodes import partition_nodes
 from repro.partition.placement import (
     PlacementResult,
     partition_net_weights,
@@ -274,9 +273,7 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
             f"platform exposes {platform.num_gpus} GPUs"
         )
     if seed_placement is None:
-        seed_placement = getattr(platform, "placement", None)
-        if seed_placement is None:
-            seed_placement = partition_nodes(platform.num_gpus, nodes)
+        seed_placement = platform.placement
 
     hetero = platform.heterogeneous
     node_budgets = per_partition_bytes = compute_rows = None

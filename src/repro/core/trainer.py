@@ -182,6 +182,8 @@ class HongTuTrainer:
         #: wave arrays are in GPU order; ``devices=_gpu_ids`` prices each
         #: element at its owning node's rates
         self._gpu_ids = np.arange(platform.num_gpus, dtype=np.int64)
+        #: a live view of the platform's network — never stale
+        self._cluster_cost = ClusterCostModel.from_platform(platform)
         self._elastic = ElasticController(self)
 
         #: measured wall seconds of placement search + reorganization,
@@ -550,76 +552,65 @@ class HongTuTrainer:
     def _all_reduce_and_step(self, timeline: EventTimeline) -> None:
         param_bytes = self.model.parameter_nbytes()
         nodes = self.platform.num_nodes
-        if nodes == 1:
-            m = self.plan.num_gpus
-            if m > 1:
-                # Ring all-reduce volume: 2 (m-1)/m of the parameter payload.
-                volume = 2 * param_bytes * (m - 1) / m
-                timeline.add("d2d", self.platform.d2d_seconds(volume),
-                             device=0, label="all_reduce")
-        else:
-            # Hierarchical all-reduce: each node ring-reduces over its own
-            # GPUs on NVLink, then the nodes run the configured inter-node
-            # collective over the network; every participating link gets
-            # one task of the collective's per-node busy time so pipeline
-            # scheduling sees the real dependency structure. Under an
-            # uneven placement each node's ring spans however many GPUs
-            # the placement put there (a single-GPU node has no intra
-            # leg); balanced placements price every node identically,
-            # float-identical to the pre-uneven code.
-            intra_legs = []
-            for node in range(nodes):
-                members = self.platform.node_gpus(node)
-                if len(members) > 1:
-                    volume = 2 * param_bytes * (len(members) - 1) \
-                        / len(members)
-                    intra_legs.append((members[0], volume))
-            intra_ids = np.empty(0, dtype=np.int64)
-            if intra_legs:
-                leg_devices = np.array([device for device, _ in intra_legs],
-                                       dtype=np.int64)
-                intra_ids = timeline.submit_batch(
-                    "d2d",
-                    self.platform.d2d_seconds(
-                        np.array([volume for _, volume in intra_legs]),
-                        devices=leg_devices,
-                    ),
+        # Hierarchical all-reduce: each node ring-reduces over its own
+        # GPUs on NVLink (ring volume 2 (g-1)/g of the parameter payload),
+        # then the nodes run the configured inter-node collective over
+        # the network; every participating link gets one task of the
+        # collective's per-node busy time so pipeline scheduling sees the
+        # real dependency structure. Under an uneven placement each
+        # node's ring spans however many GPUs the placement put there (a
+        # single-GPU node has no intra leg). A standalone server is the
+        # one-node case: one intra leg on device 0, no network wave.
+        intra_legs = []
+        for node in range(nodes):
+            members = self.platform.node_gpus(node)
+            if len(members) > 1:
+                volume = 2 * param_bytes * (len(members) - 1) \
+                    / len(members)
+                intra_legs.append((members[0], volume))
+        intra_ids = np.empty(0, dtype=np.int64)
+        if intra_legs:
+            leg_devices = np.array([device for device, _ in intra_legs],
+                                   dtype=np.int64)
+            intra_ids = timeline.submit_batch(
+                "d2d",
+                self.platform.d2d_seconds(
+                    np.array([volume for _, volume in intra_legs]),
                     devices=leg_devices,
-                    label="all_reduce_intra",
-                )
-            # The collective spans the *alive* fleet: on a fault-free
-            # cluster that is every node and the emission below is
-            # float-identical to the pre-fault code (from_platform
-            # returns the from_cluster model verbatim, and the alive
-            # ring's successor map is (node + 1) % nodes exactly); after
-            # a death the ring closes over the survivors.
-            alive = self.platform.alive_nodes
-            cost = ClusterCostModel.from_platform(self.platform)
-            if len(alive) > 1:
-                seconds = cost.allreduce_seconds(
-                    param_bytes, algorithm=self.config.allreduce
-                )
-                # Encode ring links with the platform's rail fan-out so
-                # the ids share the halo tasks' device space (on a rail
-                # fabric the collective's per-pair leg rides rail 0;
-                # spine pricing already folds the core contention into
-                # ``seconds``).
-                num_rails = self.platform.num_rails
-                timeline.submit_batch(
-                    "net", np.full(len(alive), seconds),
-                    devices=np.array(
-                        [net_link(node, alive[(k + 1) % len(alive)],
-                                  nodes, 0, num_rails)
-                         for k, node in enumerate(alive)],
-                        dtype=np.int64,
-                    ),
-                    deps=intra_ids,
-                    label=f"all_reduce_{self.config.allreduce}",
-                )
-                # Total wire volume of an all-reduce (ring and tree
-                # alike): 2 (N-1) payloads cross the network.
-                self._allreduce_net_bytes += \
-                    2 * param_bytes * (len(alive) - 1)
+                ),
+                devices=leg_devices,
+                label="all_reduce_intra",
+            )
+        # The collective spans the *alive* fleet: every node on a
+        # fault-free cluster (the alive ring's successor map is
+        # (node + 1) % nodes exactly); after a death the ring closes
+        # over the survivors.
+        alive = self.platform.alive_nodes
+        if len(alive) > 1:
+            seconds = self._cluster_cost.allreduce_seconds(
+                param_bytes, algorithm=self.config.allreduce
+            )
+            # Encode ring links with the platform's rail fan-out so
+            # the ids share the halo tasks' device space (on a rail
+            # fabric the collective's per-pair leg rides rail 0;
+            # spine pricing already folds the core contention into
+            # ``seconds``).
+            num_rails = self.platform.num_rails
+            timeline.submit_batch(
+                "net", np.full(len(alive), seconds),
+                devices=np.array(
+                    [net_link(node, alive[(k + 1) % len(alive)],
+                              nodes, 0, num_rails)
+                     for k, node in enumerate(alive)],
+                    dtype=np.int64,
+                ),
+                deps=intra_ids,
+                label=f"all_reduce_{self.config.allreduce}",
+            )
+            # Total wire volume of an all-reduce (ring and tree
+            # alike): 2 (N-1) payloads cross the network.
+            self._allreduce_net_bytes += \
+                2 * param_bytes * (len(alive) - 1)
         self.optimizer.step()
 
     # ------------------------------------------------------------------

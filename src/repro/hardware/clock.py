@@ -32,6 +32,7 @@ Two concurrency models coexist:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -60,8 +61,9 @@ class TimeBreakdown:
         """Charge ``seconds`` of serialized time to ``category``."""
         if category not in self.seconds:
             raise ConfigurationError(f"unknown time category {category!r}")
-        if seconds < 0:
-            raise ConfigurationError(f"negative time: {seconds}")
+        if not 0 <= seconds < math.inf:  # also False for NaN
+            raise ConfigurationError(
+                f"time must be finite and >= 0, got {seconds}")
         self.seconds[category] += seconds
 
     def add_parallel_phase(self, category: str,

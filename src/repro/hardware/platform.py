@@ -1,45 +1,60 @@
-"""The simulated multi-GPU platform.
+"""The simulated platform: one class, one rate table.
 
-A :class:`MultiGPUPlatform` bundles per-GPU memory pools, a host pool, and
-the transfer/compute cost functions derived from a
-:class:`~repro.hardware.spec.PlatformSpec`. Trainers ask it two kinds of
+A platform bundles per-GPU memory pools, per-node host pools, and the
+transfer/compute cost functions derived from a
+:class:`~repro.hardware.spec.ClusterSpec`. Trainers ask it two kinds of
 questions:
 
 * *capacity* — allocate/free device buffers (possibly raising OOM);
 * *cost* — how many seconds a transfer of B bytes or a kernel of F flops
   takes on this hardware.
 
+There is one class body: N multi-GPU servers joined by a network, with
+*global* GPU ids, one host pool per node, and ``net_seconds`` pricing
+inter-node messages. ``MultiGPUPlatform(server)`` builds the paper's
+standalone server as a one-node cluster whose network is never priced;
+``ClusterPlatform(cluster)`` is the same class constructed from a
+:class:`~repro.hardware.spec.ClusterSpec`.
+
+Every price reads one *rate table*: per-GPU arrays (each GPU's owning
+node's rates under the active placement) and per-node arrays (CPU, NIC,
+directed-link factors), rebuilt whenever the placement or the fault state
+changes — exactly where ``rates_version`` is bumped. A cost method is
+``amount / rate[devices]``; without ``devices`` it prices at the
+reference node profile (``cluster.node``, fault-free). Identical profiles
+divide by the same float, so a homogeneous fleet, a one-node cluster and
+a standalone server price bit-identically (``tests/test_cluster.py``,
+``tests/test_costs.py``).
+
 The NUMA model follows §7.6: with NUMA-aware vertex-data placement (possible
 when each socket's GPUs only read their socket's DRAM) H2D runs at full PCIe
 bandwidth; when the working set spans sockets (the paper hit this with ≤ 2
 GPUs), a fraction of traffic crosses QPI at ``qpi_factor`` of PCIe speed.
-
-:class:`ClusterPlatform` extends the same contract to N such servers joined
-by a network (:class:`~repro.hardware.spec.ClusterSpec`): GPUs get *global*
-device ids (node k owns ids ``[k·g, (k+1)·g)``), each node has its own host
-memory pool, and a ``net_seconds`` cost function prices inter-node
-messages. A one-node cluster is cost- and capacity-identical to the plain
-:class:`MultiGPUPlatform` (tested in ``tests/test_cluster.py``), which is
-what lets the trainer share one code path.
+The blend is the ``"h2d"`` entry of the rate table (``_profile_rates``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import math
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, PartitionError
+from repro.errors import ConfigurationError, FaultError, PartitionError
+from repro.faults.schedule import FaultState
 from repro.hardware.memory import MemoryPool
 from repro.hardware.spec import (
-    FLAT_TOPOLOGY,
     ClusterSpec,
     NetworkTopology,
     PlatformSpec,
+    validate_node_spec,
 )
-from repro.units import Bytes, BytesLike, FlopsLike, SecondsLike
+from repro.units import ByteRate, Bytes, BytesLike, FlopsLike, SecondsLike
 
 __all__ = ["SimulatedGPU", "MultiGPUPlatform", "ClusterPlatform"]
+
+#: rate-table entries gathered per GPU (by owning node) vs kept per node
+_GPU_RATES = ("h2d", "d2d", "ru", "compute")
 
 
 class SimulatedGPU:
@@ -55,200 +70,10 @@ class SimulatedGPU:
 
 
 class MultiGPUPlatform:
-    """Cost + capacity model of a single-node multi-GPU server."""
+    """Cost + capacity model of N multi-GPU servers on a cluster network.
 
-    def __init__(self, spec: PlatformSpec, num_gpus: Optional[int] = None,
-                 numa_aware: Optional[bool] = None):
-        self.spec = spec
-        self.num_gpus = num_gpus if num_gpus is not None else spec.num_gpus
-        if not 1 <= self.num_gpus <= spec.num_gpus:
-            raise ConfigurationError(
-                f"platform exposes {spec.num_gpus} GPUs, requested {self.num_gpus}"
-            )
-        gpus_per_socket = max(spec.num_gpus // spec.num_sockets, 1)
-        self.gpus: List[SimulatedGPU] = [
-            SimulatedGPU(i, i // gpus_per_socket, spec.gpu.memory_bytes)
-            for i in range(self.num_gpus)
-        ]
-        self.host = MemoryPool(spec.host_memory_bytes, name="host")
-        # NUMA-aware placement needs all sockets' DRAM dedicated to their own
-        # GPUs; the paper could only enable it when using > 2 GPUs (§7.6).
-        if numa_aware is None:
-            numa_aware = self.num_gpus > spec.num_sockets
-        self.numa_aware = numa_aware
-        self._hetero = False
-        #: bumped whenever per-device rates may have changed (fault state
-        #: applied, placement re-installed); cost caches key on it.
-        self.rates_version = 0
-
-    @property
-    def heterogeneous(self) -> bool:
-        """True when nodes carry distinct capability profiles."""
-        return self._hetero
-
-    # -- fault state (trivial on a single reliable node) --------------------
-    @property
-    def fault_state(self):
-        """The active :class:`repro.faults.FaultState`, or ``None``."""
-        return None
-
-    @property
-    def dead_nodes(self) -> frozenset:
-        """Nodes whose death time has passed (empty when reliable)."""
-        return frozenset()
-
-    @property
-    def alive_nodes(self) -> List[int]:
-        """Node ids still serving compute/memory/traffic, ascending."""
-        return [0]
-
-    def apply_fault_state(self, state) -> None:
-        """Install a fault state; a single node only accepts inactive ones."""
-        if state is not None and not state.inactive:
-            raise ConfigurationError(
-                "fault injection requires a multi-node ClusterPlatform; "
-                "a single-node platform has no fleet to degrade"
-            )
-
-    # -- transfer costs (seconds) -----------------------------------------
-    # Every cost function takes an optional ``devices`` (global GPU id,
-    # scalar or array, aligned elementwise with ``nbytes``/``flops``).
-    # On a homogeneous platform the argument is ignored and the original
-    # single-spec expression runs unchanged — the float-identity
-    # guarantee for existing configs. A heterogeneous ClusterPlatform
-    # prices each element with the owning node's rates.
-    def h2d_seconds(self, nbytes: BytesLike, devices=None) -> SecondsLike:
-        """Host→GPU (or GPU→host) transfer over PCIe, NUMA-adjusted."""
-        if self._hetero and devices is not None:
-            return nbytes / self._h2d_rate[devices]
-        bandwidth = self.spec.pcie_bandwidth
-        if not self.numa_aware:
-            # Half the vertex data lives on the remote socket and crosses QPI.
-            remote_fraction = 1.0 - 1.0 / self.spec.num_sockets
-            effective = (
-                (1.0 - remote_fraction) * bandwidth
-                + remote_fraction * bandwidth * self.spec.qpi_factor
-            )
-            bandwidth = effective
-        return nbytes / bandwidth
-
-    def d2d_seconds(self, nbytes: BytesLike, devices=None) -> SecondsLike:
-        """GPU→GPU transfer over NVLink / P2P (rates of the reading GPU)."""
-        if self._hetero and devices is not None:
-            return nbytes / self._d2d_rate[devices]
-        return nbytes / self.spec.nvlink_bandwidth
-
-    def reuse_seconds(self, nbytes: BytesLike, devices=None) -> SecondsLike:
-        """Intra-GPU in-place data reuse (HBM-bandwidth bookkeeping)."""
-        if self._hetero and devices is not None:
-            return nbytes / self._ru_rate[devices]
-        return nbytes / self.spec.gpu.memory_bandwidth
-
-    def gpu_compute_seconds(self, flops: FlopsLike, devices=None) -> SecondsLike:
-        """Kernel time for ``flops`` floating-point operations on one GPU."""
-        if self._hetero and devices is not None:
-            return flops / self._compute_rate[devices]
-        return flops / self.spec.gpu.compute_flops
-
-    def cpu_accumulate_seconds(self, nbytes: BytesLike, node=None) -> SecondsLike:
-        """Host-side gradient accumulation of ``nbytes`` of gradient data."""
-        if self._hetero and node is not None:
-            return nbytes / self._cpu_rate[node]
-        return nbytes / self.spec.cpu_accumulate_bandwidth
-
-    # -- node topology (single node here; ClusterPlatform overrides) -------
-    @property
-    def num_nodes(self) -> int:
-        """Server count; a plain platform is always one node."""
-        return 1
-
-    @property
-    def gpus_per_node(self) -> int:
-        return self.num_gpus
-
-    def node_of(self, device: int) -> int:
-        """Node hosting ``device`` (GPU id); host/net pseudo-devices → 0."""
-        return 0
-
-    def local_rank(self, device: int) -> int:
-        """Rank of ``device`` among its node's GPUs (its own id here)."""
-        return device
-
-    def node_gpus(self, node: int) -> List[int]:
-        """Global GPU ids hosted on ``node``, ascending."""
-        if node != 0:
-            raise ConfigurationError(
-                f"single-node platform has no node {node}"
-            )
-        return list(range(self.num_gpus))
-
-    @property
-    def topology(self) -> NetworkTopology:
-        """Network topology; a single node has the trivial flat wiring."""
-        return FLAT_TOPOLOGY
-
-    @property
-    def num_rails(self) -> int:
-        """Parallel network rails per node pair (1 for flat/spine)."""
-        return 1
-
-    def net_seconds(self, nbytes: BytesLike, src=None, dst=None) -> SecondsLike:
-        """Inter-node message cost; meaningless on one node."""
-        raise ConfigurationError(
-            f"{self.spec.name} is a single node; no network to price"
-        )
-
-    def spine_hold_seconds(self, nbytes: BytesLike) -> SecondsLike:
-        """Shared-spine occupancy of one message (0 off-spine)."""
-        return 0.0
-
-    # -- host memory, node-aware -------------------------------------------
-    def host_pool(self, node: int = 0) -> MemoryPool:
-        """The host memory pool of ``node``."""
-        if node != 0:
-            raise ConfigurationError(
-                f"single-node platform has no node {node}"
-            )
-        return self.host
-
-    def split_host_bytes(self, nbytes: Bytes) -> List[Tuple[MemoryPool, Bytes]]:
-        """(pool, bytes) shares for data sharded across node hosts.
-
-        On one node the full allocation lands in the single host pool; a
-        cluster shards it evenly (vertex data lives on the owner node).
-        """
-        return [(self.host, nbytes)]
-
-    def host_in_use(self) -> Bytes:
-        """Bytes currently allocated across all node host pools."""
-        return self.host.in_use
-
-    # -- throughput triple for the Eq. 4 cost model --------------------------
-    def throughputs(self) -> tuple:
-        """(T_hd, T_dd, T_ru) in bytes/second, NUMA-adjusted."""
-        t_hd = 1.0 / self.h2d_seconds(1.0)
-        return (t_hd, self.spec.nvlink_bandwidth, self.spec.gpu.memory_bandwidth)
-
-    # -- memory management -----------------------------------------------
-    def reset_memory(self) -> None:
-        """Drop all allocations (between experiment runs)."""
-        for gpu in self.gpus:
-            gpu.memory = MemoryPool(self.spec.gpu.memory_bytes, name=f"gpu{gpu.device_id}")
-        self.host = MemoryPool(self.spec.host_memory_bytes, name="host")
-
-    def peak_gpu_memory(self) -> Bytes:
-        """Max peak usage across devices."""
-        return max(gpu.memory.peak for gpu in self.gpus)
-
-    def __repr__(self) -> str:
-        return (
-            f"MultiGPUPlatform(spec={self.spec.name!r}, gpus={self.num_gpus}, "
-            f"numa_aware={self.numa_aware})"
-        )
-
-
-class ClusterPlatform(MultiGPUPlatform):
-    """Cost + capacity model of N multi-GPU servers on a flat network.
+    Constructed from a :class:`PlatformSpec` it is the paper's standalone
+    server: one node, flat topology, a network nothing ever crosses.
 
     By default GPU ``p`` (global id) lives on node ``p // gpus_per_node``
     as local device ``p % gpus_per_node`` — the contiguous-block
@@ -261,51 +86,69 @@ class ClusterPlatform(MultiGPUPlatform):
     placement search (:func:`repro.partition.search_placement`) moves
     whole partitions between nodes. Partition p keeps global GPU id p
     everywhere, only :meth:`node_of` answers change, and with them the
-    executor's link routing, rail selection and host-pool affinity.
-    Per-node transfer/compute rates are those of the node spec; only
-    ``net_seconds`` is new. With ``num_nodes == 1`` every cost and
-    capacity answer is identical to ``MultiGPUPlatform(cluster.node)``.
+    rate-table rows, the executor's link routing, rail selection and
+    host-pool affinity.
     """
 
-    def __init__(self, cluster: ClusterSpec,
-                 gpus_per_node: Optional[int] = None,
-                 numa_aware: Optional[bool] = None,
-                 placement=None, max_imbalance: int = 0):
+    def __init__(self, spec: PlatformSpec, num_gpus: Optional[int] = None,
+                 numa_aware: Optional[bool] = None):
+        # No network to price: infinitely fast, zero latency, never read
+        # (every collective returns 0.0 for one participant).
+        self._build(ClusterSpec(spec.name, 1, spec, math.inf, 0.0),
+                    num_gpus, numa_aware)
+
+    def _build(self, cluster: ClusterSpec, gpus_per_node: Optional[int],
+               numa_aware: Optional[bool], placement=None,
+               max_imbalance: int = 0) -> None:
         node_spec = cluster.node
-        per_node = gpus_per_node if gpus_per_node is not None \
-            else node_spec.num_gpus
+        per_node = node_spec.num_gpus if gpus_per_node is None \
+            else gpus_per_node
         if not 1 <= per_node <= node_spec.num_gpus:
             raise ConfigurationError(
                 f"node exposes {node_spec.num_gpus} GPUs, requested {per_node}"
             )
         self.cluster = cluster
+        #: the reference node profile: what ``devices=None`` prices at
         self.spec = node_spec
         #: one capability profile per node (N copies of ``cluster.node``
         #: unless the spec names per-node profiles)
         self.node_specs = cluster.resolved_node_specs
-        self._base_hetero = cluster.heterogeneous
-        self._hetero = self._base_hetero
-        self._fault_state = None
-        self._link_factor = None
-        self._dead: frozenset = frozenset()
+        self._fault_state = FaultState()
+        #: bumped whenever per-device rates may have changed (fault state
+        #: applied, placement re-installed); cost caches key on it.
         self.rates_version = 0
         self._gpus_per_node = per_node
         self.num_gpus = cluster.num_nodes * per_node
-        self.gpus = [
+        self.gpus: List[SimulatedGPU] = [
             SimulatedGPU(device, 0, node_spec.gpu.memory_bytes)
             for device in range(self.num_gpus)
         ]
-        self.hosts: List[MemoryPool] = [
-            MemoryPool(spec.host_memory_bytes, name=f"host{node}")
-            for node, spec in enumerate(self.node_specs)
-        ]
-        self.host = self.hosts[0]
-        # NUMA placement is decided per node by its local GPU count (§7.6).
+        # NUMA-aware placement needs all sockets' DRAM dedicated to their own
+        # GPUs — decided by a node's local GPU count; the paper could only
+        # enable it when using > 2 GPUs (§7.6).
         if numa_aware is None:
             numa_aware = per_node > node_spec.num_sockets
         self.numa_aware = numa_aware
         self.max_imbalance = max_imbalance
+        # ClusterSpec validated ``node_specs``; the base profile — every
+        # node of a homogeneous fleet, a wrapped standalone server, and
+        # the reference rates — is validated here, once.
+        validate_node_spec("node", node_spec)
+        self._reference: Dict[str, float] = self._profile_rates(node_spec)
+        profiles = [self._profile_rates(spec) for spec in self.node_specs]
+        #: fault-free per-node rates, one ``(num_nodes,)`` array per kind
+        self._base: Dict[str, np.ndarray] = {
+            kind: np.array([profile[kind] for profile in profiles])
+            for kind in self._reference
+        }
         self.set_placement(placement)
+        self.reset_memory()
+
+    @property
+    def heterogeneous(self) -> bool:
+        """True when nodes price differently: distinct capability
+        profiles, or an active fault state."""
+        return self.cluster.heterogeneous or self.fault_state is not None
 
     def set_placement(self, placement=None,
                       max_imbalance: Optional[int] = None) -> None:
@@ -329,11 +172,11 @@ class ClusterPlatform(MultiGPUPlatform):
 
         if max_imbalance is not None:
             self.max_imbalance = max_imbalance
-        nodes = self.cluster.num_nodes
+        nodes = self.num_nodes
         try:
             resolved = partition_nodes(self.num_gpus, nodes, placement,
                                        max_imbalance=self.max_imbalance,
-                                       dead_nodes=self._dead)
+                                       dead_nodes=self.dead_nodes)
         except PartitionError as error:
             raise ConfigurationError(str(error)) from error
         self._placement = resolved
@@ -352,28 +195,26 @@ class ClusterPlatform(MultiGPUPlatform):
                 # node spec does not have.
                 self.gpus[device].socket = min(rank // gpus_per_socket,
                                                last_socket)
-        if self._hetero:
-            self._rebuild_rates()
-        self.rates_version += 1
+        self._rebuild_rates()
 
     # -- fault state --------------------------------------------------------
     @property
-    def fault_state(self):
+    def fault_state(self) -> Optional[FaultState]:
         """The active :class:`repro.faults.FaultState`, or ``None``."""
-        return self._fault_state
+        return None if self._fault_state.inactive else self._fault_state
 
     @property
     def dead_nodes(self) -> frozenset:
         """Nodes whose death time has passed under the active fault state."""
-        return self._dead
+        return self._fault_state.dead
 
     @property
     def alive_nodes(self) -> List[int]:
         """Node ids still serving compute/memory/traffic, ascending."""
         return [node for node in range(self.num_nodes)
-                if node not in self._dead]
+                if node not in self.dead_nodes]
 
-    def apply_fault_state(self, state) -> None:
+    def apply_fault_state(self, state: Optional[FaultState]) -> None:
         """Install the perturbations of one :class:`repro.faults.FaultState`.
 
         Straggler compute factors degrade the per-GPU kernel rate of
@@ -383,18 +224,15 @@ class ClusterPlatform(MultiGPUPlatform):
         dead nodes stop holding host-data shares and are reported via
         :attr:`dead_nodes` / :attr:`alive_nodes` (evacuating their
         partitions is the trainer's elastic re-balance, not the
-        platform's job). Applying an *inactive* state restores the exact
-        pre-fault code path — on a homogeneous cluster the scalar
-        single-spec cost expressions run unchanged, which is the
-        float-identity contract ``tests/test_faults.py`` locks.
+        platform's job). Faults only rewrite rate-table entries, so
+        applying an *inactive* state (or ``None``) restores the
+        fault-free table exactly — the float-identity contract
+        ``tests/test_faults.py`` locks.
 
         Nodes already holding a placement keep it; callers re-place
         after a death (``set_placement`` refuses placements that use
         dead nodes).
         """
-        from repro.errors import FaultError
-        from repro.faults.schedule import FaultState
-
         if state is None:
             state = FaultState()
         if not isinstance(state, FaultState):
@@ -408,64 +246,66 @@ class ClusterPlatform(MultiGPUPlatform):
             raise FaultError(
                 f"fault state kills all {self.num_nodes} nodes; at least "
                 f"one must survive")
-        if not state.dead >= self._dead:
+        if not state.dead >= self.dead_nodes:
             raise FaultError(
                 "node deaths are permanent: new fault state resurrects "
-                f"{sorted(self._dead - state.dead)}")
-        self._fault_state = None if state.inactive else state
-        self._dead = frozenset(state.dead)
-        if state.links:
-            matrix = np.ones((self.num_nodes, self.num_nodes))
-            for src, dst, factor in state.links:
-                matrix[src, dst] = factor
-            self._link_factor = matrix
-        else:
-            self._link_factor = None
-        self._hetero = self._base_hetero or not state.inactive
-        if self._hetero:
-            self._rebuild_rates()
-        self.rates_version += 1
+                f"{sorted(self.dead_nodes - state.dead)}")
+        self._fault_state = state
+        self._rebuild_rates()
 
-    def _effective_h2d_rate(self, spec: PlatformSpec) -> float:
-        """One node's NUMA-adjusted H2D byte rate (same blend as
-        :meth:`MultiGPUPlatform.h2d_seconds`, so identical profiles price
-        identically to the homogeneous path)."""
-        bandwidth = spec.pcie_bandwidth
+    # -- the rate table -----------------------------------------------------
+    def _profile_rates(self, spec: PlatformSpec) -> Dict[str, float]:
+        """One node profile's byte/flop rate per priced resource."""
+        h2d = spec.pcie_bandwidth
         if not self.numa_aware:
+            # Half the vertex data lives on the remote socket and crosses
+            # QPI (§7.6).
             remote_fraction = 1.0 - 1.0 / spec.num_sockets
-            bandwidth = (
-                (1.0 - remote_fraction) * bandwidth
-                + remote_fraction * bandwidth * spec.qpi_factor
-            )
-        return bandwidth
+            h2d = ((1.0 - remote_fraction) * h2d
+                   + remote_fraction * h2d * spec.qpi_factor)
+        nic = spec.nic_bandwidth if spec.nic_bandwidth is not None \
+            else self.cluster.network_bandwidth
+        return {
+            "h2d": float(h2d),
+            "d2d": float(spec.nvlink_bandwidth),
+            "ru": float(spec.gpu.memory_bandwidth),
+            "compute": float(spec.gpu.compute_flops),
+            "cpu": float(spec.cpu_accumulate_bandwidth),
+            "nic": float(nic),
+        }
+
+    def _faulted(self, kind: str, factors) -> np.ndarray:
+        """Per-node ``kind`` rates with ``(node, factor)`` pairs applied."""
+        rates = self._base[kind].copy()
+        for node, factor in factors:
+            rates[node] *= factor
+        return rates
 
     def _rebuild_rates(self) -> None:
-        """Per-GPU/per-node rate arrays following the active placement.
+        """Rebuild the rate table for the active placement + fault state.
 
-        ``_h2d_rate[p]`` etc. are the rates of the node the placement
-        assigns global GPU ``p`` to, so re-placing a partition onto a
-        different hardware generation reprices its kernels and
-        transfers. GPU memory capacities follow too — only before any
+        ``_rates[kind][p]`` (kind in ``_GPU_RATES``) is the rate of the
+        node the placement assigns global GPU ``p`` to, so re-placing a
+        partition onto a different hardware generation reprices its
+        kernels and transfers; ``"cpu"`` / ``"nic"`` stay per node. GPU
+        memory capacities follow the placement too — only before any
         allocations exist (placements are installed before trainers
         build their working sets).
         """
-        specs = self.node_specs
-        by_node = {
-            "h2d": np.array([self._effective_h2d_rate(s) for s in specs]),
-            "d2d": np.array([s.nvlink_bandwidth for s in specs]),
-            "ru": np.array([s.gpu.memory_bandwidth for s in specs]),
-            "compute": self.node_compute_rates(),
-        }
+        state = self._fault_state
+        self._by_node: Dict[str, np.ndarray] = dict(
+            self._base, compute=self._faulted("compute", state.compute),
+            nic=self._faulted("nic", state.nic))
         owner = self._placement
-        self._h2d_rate = by_node["h2d"][owner]
-        self._d2d_rate = by_node["d2d"][owner]
-        self._ru_rate = by_node["ru"][owner]
-        self._compute_rate = by_node["compute"][owner]
-        self._cpu_rate = np.array(
-            [s.cpu_accumulate_bandwidth for s in specs])
-        self._nic_rate = self.node_nic_rates()
+        self._rates: Dict[str, np.ndarray] = {
+            kind: rates[owner] if kind in _GPU_RATES else rates
+            for kind, rates in self._by_node.items()
+        }
+        self._link_factor = np.ones((self.num_nodes, self.num_nodes))
+        for src, dst, factor in state.links:
+            self._link_factor[src, dst] = factor
         for device in range(self.num_gpus):
-            capacity = specs[owner[device]].gpu.memory_bytes
+            capacity = self.node_specs[owner[device]].gpu.memory_bytes
             pool = self.gpus[device].memory
             if pool.capacity == capacity:
                 continue
@@ -479,32 +319,94 @@ class ClusterPlatform(MultiGPUPlatform):
                 )
             self.gpus[device].memory = MemoryPool(capacity,
                                                   name=f"gpu{device}")
+        self.rates_version += 1
+
+    def _rate(self, kind: str, devices):
+        """``kind``'s rate per element of ``devices`` (global GPU ids —
+        node ids for ``"cpu"``), or the reference profile's for ``None``."""
+        return (self._reference[kind] if devices is None
+                else self._rates[kind][devices])
 
     def node_compute_rates(self) -> np.ndarray:
         """Per-node effective GPU flop rates (fault factors applied)."""
-        rates = np.array([float(spec.gpu.compute_flops)
-                          for spec in self.node_specs])
-        if self._fault_state is not None:
-            for node, factor in self._fault_state.compute:
-                rates[node] *= factor
-        return rates
+        return self._by_node["compute"].copy()
 
     def node_nic_rates(self) -> np.ndarray:
         """Per-node effective NIC byte rates (fault factors applied)."""
-        rates = np.array([
-            float(spec.nic_bandwidth) if spec.nic_bandwidth is not None
-            else float(self.cluster.network_bandwidth)
-            for spec in self.node_specs
-        ])
-        if self._fault_state is not None:
-            for node, factor in self._fault_state.nic:
-                rates[node] *= factor
-        return rates
+        return self._by_node["nic"].copy()
 
-    def link_factors(self) -> Optional[np.ndarray]:
-        """(N, N) directed-link rate factors, or ``None`` when undegraded."""
-        return None if self._link_factor is None else self._link_factor.copy()
+    def link_factors(self) -> np.ndarray:
+        """(N, N) directed-link rate factors (all 1.0 when undegraded)."""
+        return self._link_factor.copy()
 
+    # -- transfer costs (seconds) -----------------------------------------
+    # ``devices``: global GPU id(s), scalar or array, aligned elementwise
+    # with ``nbytes``/``flops``; each element prices at its node's rates.
+    def h2d_seconds(self, nbytes: BytesLike, devices=None) -> SecondsLike:
+        """Host→GPU (or GPU→host) transfer over PCIe, NUMA-adjusted."""
+        return nbytes / self._rate("h2d", devices)
+
+    def d2d_seconds(self, nbytes: BytesLike, devices=None) -> SecondsLike:
+        """GPU→GPU transfer over NVLink / P2P (rates of the reading GPU)."""
+        return nbytes / self._rate("d2d", devices)
+
+    def reuse_seconds(self, nbytes: BytesLike, devices=None) -> SecondsLike:
+        """Intra-GPU in-place data reuse (HBM-bandwidth bookkeeping)."""
+        return nbytes / self._rate("ru", devices)
+
+    def gpu_compute_seconds(self, flops: FlopsLike, devices=None) -> SecondsLike:
+        """Kernel time for ``flops`` floating-point operations on one GPU."""
+        return flops / self._rate("compute", devices)
+
+    def cpu_accumulate_seconds(self, nbytes: BytesLike, node=None) -> SecondsLike:
+        """Host-side gradient accumulation of ``nbytes`` of gradient data."""
+        return nbytes / self._rate("cpu", node)
+
+    def link_rate(self, src=None, dst=None) -> ByteRate:
+        """Byte rate of the directed ``src → dst`` link (node ids, scalar
+        or array): the *slower endpoint's* NIC — traffic touching a slow
+        node pays its wire speed in both directions — times the link's
+        degradation factor; the cluster-wide rate without endpoints. The
+        one link formula: simulated (:meth:`net_seconds`) and predicted
+        (``ClusterCostModel``) prices both read it.
+        """
+        if src is None or dst is None:
+            return self.cluster.network_bandwidth
+        nic = self._by_node["nic"]
+        return np.minimum(nic[src], nic[dst]) * self._link_factor[src, dst]
+
+    def net_seconds(self, nbytes: BytesLike, src=None, dst=None) -> SecondsLike:
+        """One inter-node message: fixed latency + bytes over one link.
+
+        On a rail topology a message rides one of ``num_rails`` parallel
+        rails at ``link_rate / num_rails`` each; flat and spine messages
+        ride a full-rate per-pair link (spine contention is modeled as a
+        shared-resource hold, :meth:`spine_hold_seconds`, not as a slower
+        link). ``src``/``dst`` are node ids, elementwise with ``nbytes``.
+        """
+        if self.num_nodes == 1:
+            raise ConfigurationError(
+                f"{self.spec.name} is a single node; no network to price"
+            )
+        return (self.cluster.network_latency
+                + nbytes / (self.link_rate(src, dst) / self.num_rails))
+
+    def spine_hold_seconds(self, nbytes: BytesLike) -> SecondsLike:
+        """Serialized spine-core occupancy of one ``nbytes`` message.
+
+        An oversubscribed core has capacity ``N * bandwidth / F``; the
+        hold charges the *excess* transit time over a non-blocking core,
+        ``(F - 1) * nbytes / (N * bandwidth)``, serially across all
+        messages. ``F == 1`` (or a non-spine topology) holds nothing, so
+        those schedules are float-identical to the flat network.
+        """
+        topology = self.topology
+        if topology.kind != "spine" or topology.oversubscription == 1.0:
+            return 0.0
+        return ((topology.oversubscription - 1.0) * nbytes
+                / (self.num_nodes * self.cluster.network_bandwidth))
+
+    # -- node topology ------------------------------------------------------
     @property
     def placement(self) -> np.ndarray:
         """The active GPU→node assignment (copy; length ``num_gpus``)."""
@@ -512,6 +414,7 @@ class ClusterPlatform(MultiGPUPlatform):
 
     @property
     def num_nodes(self) -> int:
+        """Server count (1 for a standalone server)."""
         return self.cluster.num_nodes
 
     @property
@@ -528,9 +431,15 @@ class ClusterPlatform(MultiGPUPlatform):
         """Rank of ``device`` among its node's GPUs (placement-aware)."""
         return int(self._local_rank[device])
 
+    def _check_node(self, node: int) -> int:
+        if not 0 <= node < self.num_nodes:
+            raise ConfigurationError(
+                f"no node {node} on a {self.num_nodes}-node platform")
+        return node
+
     def node_gpus(self, node: int) -> List[int]:
         """Global GPU ids hosted on ``node``, ascending."""
-        return list(self._node_gpus[node])
+        return list(self._node_gpus[self._check_node(node)])
 
     @property
     def topology(self) -> NetworkTopology:
@@ -540,89 +449,48 @@ class ClusterPlatform(MultiGPUPlatform):
     @property
     def num_rails(self) -> int:
         """Parallel rails per directed node pair (1 unless rail-wired)."""
-        return self.cluster.topology.resolved_rails(self._gpus_per_node)
-
-    def net_seconds(self, nbytes: BytesLike, src=None, dst=None) -> SecondsLike:
-        """One inter-node message: fixed latency + bytes over one link.
-
-        On a rail topology a message rides one of ``num_rails`` parallel
-        rails at ``bandwidth / num_rails`` each; flat and spine messages
-        ride a full-rate per-pair link (spine contention is modeled as a
-        shared-resource hold, :meth:`spine_hold_seconds`, not as a slower
-        link). On a heterogeneous fleet a link runs at the *slower
-        endpoint's* NIC rate — ``min(nic[src], nic[dst])`` — so traffic
-        touching a previous-generation node pays that node's wire speed
-        in both directions (``src``/``dst`` are node ids, scalar or
-        array, elementwise with ``nbytes``).
-        """
-        if self._hetero and src is not None and dst is not None:
-            link = np.minimum(self._nic_rate[src], self._nic_rate[dst])
-            if self._link_factor is not None:
-                link = link * self._link_factor[src, dst]
-            return (self.cluster.network_latency
-                    + nbytes / (link / self.num_rails))
-        bandwidth = self.cluster.network_bandwidth / self.num_rails
-        return self.cluster.network_latency + nbytes / bandwidth
-
-    def spine_hold_seconds(self, nbytes: BytesLike) -> SecondsLike:
-        """Serialized spine-core occupancy of one ``nbytes`` message.
-
-        An oversubscribed core has capacity ``N * bandwidth / F``; the
-        hold charges the *excess* transit time over a non-blocking core,
-        ``(F - 1) * nbytes / (N * bandwidth)``, serially across all
-        messages. ``F == 1`` (or a non-spine topology) holds nothing, so
-        those schedules are float-identical to the flat network.
-        """
-        topology = self.cluster.topology
-        if topology.kind != "spine" or topology.oversubscription == 1.0:
-            return 0.0
-        return ((topology.oversubscription - 1.0) * nbytes
-                / (self.num_nodes * self.cluster.network_bandwidth))
+        return self.topology.resolved_rails(self._gpus_per_node)
 
     # -- host memory, node-aware -------------------------------------------
+    @property
+    def host(self) -> MemoryPool:
+        """Node 0's host pool (*the* host pool of a standalone server)."""
+        return self.hosts[0]
+
     def host_pool(self, node: int = 0) -> MemoryPool:
-        return self.hosts[node]
+        """The host memory pool of ``node``."""
+        return self.hosts[self._check_node(node)]
 
     def split_host_bytes(self, nbytes: Bytes) -> List[Tuple[MemoryPool, Bytes]]:
         """(pool, bytes) shares of data sharded across node hosts.
 
-        Homogeneous fleets shard evenly (remainder on node 0). A
-        heterogeneous fleet shards *proportionally to host capacity*, so
-        a small-DRAM node holds a small slice of the vertex data; with
-        equal capacities the proportional floor equals the even split
-        exactly, keeping identical-profile clusters bit-identical. Dead
-        nodes hold nothing: their capacity is treated as zero and the
-        data re-shards across the survivors (the remainder lands on the
-        first alive node).
+        Shares are *proportional to host capacity*, so a small-DRAM node
+        holds a small slice of the vertex data; equal capacities floor to
+        the even split exactly (``n·c // (N·c) == n // N``) and one node
+        holds everything. Dead nodes hold nothing: their capacity counts
+        as zero and the data re-shards across the survivors. The
+        remainder lands on the first alive node.
         """
-        if self._dead:
-            capacities = [
-                0 if node in self._dead else spec.host_memory_bytes
-                for node, spec in enumerate(self.node_specs)
-            ]
-            if not self._hetero:
-                capacities = [0 if c == 0 else 1 for c in capacities]
-            total = sum(capacities)
-            shares = [nbytes * capacity // total for capacity in capacities]
-            first_alive = min(self.alive_nodes)
-            shares[first_alive] += nbytes - sum(shares)
-            return list(zip(self.hosts, shares))
-        if self._hetero:
-            capacities = [spec.host_memory_bytes
-                          for spec in self.node_specs]
-            total = sum(capacities)
-            shares = [nbytes * capacity // total
-                      for capacity in capacities]
-            shares[0] += nbytes - sum(shares)
-            return list(zip(self.hosts, shares))
-        share = nbytes // self.num_nodes
-        shares = [share] * self.num_nodes
-        shares[0] += nbytes - share * self.num_nodes
+        capacities = [
+            0 if node in self.dead_nodes else spec.host_memory_bytes
+            for node, spec in enumerate(self.node_specs)
+        ]
+        total = sum(capacities)
+        shares = [int(nbytes) * capacity // total for capacity in capacities]
+        shares[self.alive_nodes[0]] += nbytes - sum(shares)
         return list(zip(self.hosts, shares))
 
     def host_in_use(self) -> Bytes:
+        """Bytes currently allocated across all node host pools."""
         return sum(pool.in_use for pool in self.hosts)
 
+    # -- throughput triple for the Eq. 4 cost model --------------------------
+    def throughputs(self) -> tuple:
+        """(T_hd, T_dd, T_ru) in bytes/second, NUMA-adjusted."""
+        t_hd = 1.0 / self.h2d_seconds(1.0)
+        return (t_hd, self.spec.nvlink_bandwidth, self.spec.gpu.memory_bandwidth)
+
+    # -- memory management -----------------------------------------------
     def reset_memory(self) -> None:
         """Drop all allocations (between experiment runs).
 
@@ -634,15 +502,29 @@ class ClusterPlatform(MultiGPUPlatform):
             spec = self.node_specs[self.node_of(gpu.device_id)]
             gpu.memory = MemoryPool(spec.gpu.memory_bytes,
                                     name=f"gpu{gpu.device_id}")
-        self.hosts = [
+        self.hosts: List[MemoryPool] = [
             MemoryPool(spec.host_memory_bytes, name=f"host{node}")
             for node, spec in enumerate(self.node_specs)
         ]
-        self.host = self.hosts[0]
+
+    def peak_gpu_memory(self) -> Bytes:
+        """Max peak usage across devices."""
+        return max(gpu.memory.peak for gpu in self.gpus)
 
     def __repr__(self) -> str:
-        return (
-            f"ClusterPlatform(cluster={self.cluster.name!r}, "
-            f"nodes={self.num_nodes}, gpus_per_node={self._gpus_per_node}, "
-            f"numa_aware={self.numa_aware})"
-        )
+        return (f"{type(self).__name__}(cluster={self.cluster.name!r}, "
+                f"nodes={self.num_nodes}, gpus_per_node="
+                f"{self._gpus_per_node}, numa_aware={self.numa_aware})")
+
+
+class ClusterPlatform(MultiGPUPlatform):
+    """:class:`MultiGPUPlatform` constructed from a :class:`ClusterSpec` —
+    a constructor only. With ``num_nodes == 1`` every cost and capacity
+    answer is identical to ``MultiGPUPlatform(cluster.node)``."""
+
+    def __init__(self, cluster: ClusterSpec,
+                 gpus_per_node: Optional[int] = None,
+                 numa_aware: Optional[bool] = None,
+                 placement=None, max_imbalance: int = 0):
+        self._build(cluster, gpus_per_node, numa_aware, placement,
+                    max_imbalance)

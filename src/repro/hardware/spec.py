@@ -31,6 +31,7 @@ from repro.units import ByteRate, Bytes, FlopRate, Seconds
 
 __all__ = ["GPUSpec", "PlatformSpec", "CPUClusterSpec", "ClusterSpec",
            "NetworkTopology", "TOPOLOGY_KINDS", "FLAT_TOPOLOGY",
+           "validate_node_spec",
            "A100_SERVER", "PCIE_ONLY_SERVER", "CPU_NODE", "ECS_CLUSTER",
            "A100_CLUSTER", "V100_SERVER", "NODE_SPECS", "GB",
            "scaled_platform"]
@@ -174,9 +175,15 @@ _RATE_FIELDS = ("pcie_bandwidth", "nvlink_bandwidth",
                 "cpu_accumulate_bandwidth")
 
 
-def _validate_node_spec(index: int, spec: PlatformSpec) -> None:
-    """Reject a capability profile with non-positive capacities/rates."""
-    label = f"node_specs[{index}] ({spec.name!r})"
+def validate_node_spec(where: str, spec: PlatformSpec) -> None:
+    """Reject a capability profile with non-positive capacities/rates.
+
+    ``where`` names the profile in the message (``"node_specs[2]"``,
+    ``"node"``). :class:`ClusterSpec` runs it over ``node_specs``; the
+    platform runs it over the base ``node`` profile where it builds its
+    rate table, so no price ever divides by a zero or negative rate.
+    """
+    label = f"{where} ({spec.name!r})"
     for field in _RATE_FIELDS:
         if getattr(spec, field) <= 0:
             raise ConfigurationError(
@@ -270,7 +277,7 @@ class ClusterSpec:
                     f"profiles vary rates and memory, not GPU count; "
                     f"use .with_num_gpus({self.node.num_gpus})"
                 )
-            _validate_node_spec(index, spec)
+            validate_node_spec(f"node_specs[{index}]", spec)
 
     @property
     def heterogeneous(self) -> bool:

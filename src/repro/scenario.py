@@ -43,10 +43,8 @@ from repro.core import HongTuConfig
 from repro.faults import FaultSchedule
 from repro.hardware import (
     A100_CLUSTER,
-    A100_SERVER,
     NODE_SPECS,
     ClusterPlatform,
-    MultiGPUPlatform,
     NetworkTopology,
 )
 
@@ -236,6 +234,10 @@ class ClusterArgs:
         if self.nodes == 1 and self.topology != "flat":
             return (f"--topology {self.topology} needs --nodes > 1 "
                     "(a single server has no cluster network)")
+        if self.oversubscription != 1.0 and self.topology != "spine":
+            return (f"--oversubscription {self.oversubscription:g} needs "
+                    "--topology spine (flat and rail fabrics have no "
+                    "shared core to oversubscribe)")
         if self.fault and self.nodes == 1:
             return ("--fault needs --nodes > 1 (a one-node fleet has "
                     "no survivors to re-balance onto)")
@@ -270,27 +272,18 @@ class ClusterArgs:
     def build_platform(self):
         """The simulated platform every command and bench shares.
 
-        ``nodes > 1`` builds a :class:`ClusterPlatform` (A100 nodes by
+        A :class:`ClusterPlatform` of ``nodes`` servers (A100 nodes by
         default, ``node_spec`` profiles otherwise) wired with the
-        scenario's topology; one node builds the plain
-        :class:`MultiGPUPlatform` of the pre-cluster path.
+        scenario's topology; ``nodes == 1`` is the paper's standalone
+        server, priced bit-identically to ``MultiGPUPlatform``.
         """
-        if self.nodes > 1:
-            topology = NetworkTopology(
-                kind=self.topology,
-                oversubscription=self.oversubscription,
-            )
-            cluster = A100_CLUSTER.with_num_nodes(self.nodes) \
-                .with_topology(topology)
-            if self.node_spec:
-                specs = resolve_node_specs(self.node_spec, self.nodes,
-                                           self.gpus)
-                cluster = cluster.with_node_specs(specs)
-            return ClusterPlatform(cluster, gpus_per_node=self.gpus)
+        cluster = A100_CLUSTER.with_num_nodes(self.nodes).with_topology(
+            NetworkTopology(kind=self.topology,
+                            oversubscription=self.oversubscription))
         if self.node_spec:
-            specs = resolve_node_specs(self.node_spec, 1, self.gpus)
-            return MultiGPUPlatform(specs[0], num_gpus=self.gpus)
-        return MultiGPUPlatform(A100_SERVER, num_gpus=self.gpus)
+            cluster = cluster.with_node_specs(resolve_node_specs(
+                self.node_spec, self.nodes, self.gpus))
+        return ClusterPlatform(cluster, gpus_per_node=self.gpus)
 
     def build_config(self, **overrides) -> HongTuConfig:
         """The :class:`HongTuConfig` this scenario describes.

@@ -143,10 +143,8 @@ class ServingEngine:
         checkpointed column would still need the staging front for the
         missing chunks). Returns the number of warm pairs.
         """
-        columns = getattr(self.trainer, "checkpointed_columns", None)
-        if columns is not None:
-            for pair in sorted(columns()):
-                self._cache_insert(*pair)
+        for pair in sorted(self.trainer.checkpointed_columns()):
+            self._cache_insert(*pair)
         return len(self._cache)
 
     @property

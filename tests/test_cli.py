@@ -239,6 +239,17 @@ class TestCommands:
         assert main(["serve", "--topology", "rail"]) == 2
         assert "needs --nodes > 1" in capsys.readouterr().err
 
+    def test_oversubscription_requires_spine(self, capsys):
+        """--oversubscription only acts on a spine core; off-spine it
+        used to be silently ignored (flat-core numbers printed)."""
+        assert ClusterArgs(nodes=2, topology="rail",
+                           oversubscription=4.0).usage_error() is not None
+        assert ClusterArgs(nodes=2, topology="spine",
+                           oversubscription=4.0).usage_error() is None
+        assert main(["train", "--nodes", "2", "--topology", "rail",
+                     "--oversubscription", "4"]) == 2
+        assert "needs --topology spine" in capsys.readouterr().err
+
     def test_fault_requires_nodes(self, capsys):
         assert main(["train", "--fault", "death:node=0,at=1"]) == 2
         assert "needs --nodes > 1" in capsys.readouterr().err

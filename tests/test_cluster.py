@@ -8,6 +8,8 @@ float precision under both overlap policies, and multi-node pipeline
 overlap hides halo traffic under compute.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.autograd import SGD
 from repro.comm import ClusterCostModel
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.errors import ConfigurationError, PartitionError
+from repro.faults import FaultState
 from repro.gnn import build_model
 from repro.graph import load_dataset
 from repro.hardware import (
@@ -39,8 +42,8 @@ from repro.runtime import (
 
 class TestClusterCostModel:
     def make(self, nodes, bandwidth=1e9, latency=1e-6):
-        return ClusterCostModel(num_nodes=nodes, bandwidth=bandwidth,
-                                latency=latency)
+        return ClusterCostModel.from_cluster(
+            ClusterSpec("toy", nodes, A100_SERVER, bandwidth, latency))
 
     def test_single_node_collectives_are_free(self):
         """nodes=1: nothing to synchronize, every collective costs 0."""
@@ -97,8 +100,9 @@ class TestClusterCostModel:
 
     def test_from_cluster(self):
         model = ClusterCostModel.from_cluster(A100_CLUSTER)
-        assert model.num_nodes == A100_CLUSTER.num_nodes
-        assert model.bandwidth == A100_CLUSTER.network_bandwidth
+        assert model.num_alive == A100_CLUSTER.num_nodes
+        assert model.link_bandwidth() == A100_CLUSTER.network_bandwidth
+        assert model.link_bandwidth(0, 1) == A100_CLUSTER.network_bandwidth
         assert model.latency == A100_CLUSTER.network_latency
 
 
@@ -232,10 +236,41 @@ class TestClusterPlatform:
         with pytest.raises(ConfigurationError):
             MultiGPUPlatform(A100_SERVER).net_seconds(1024)
 
-    def test_host_shards_even_split(self):
-        platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(2))
+    @pytest.mark.parametrize("mixed", [False, True],
+                             ids=["equal", "mixed"])
+    @pytest.mark.parametrize("nodes, dead", [
+        (1, ()), (2, ()), (3, ()), (3, (0,)), (4, (1, 3)), (5, (0, 1, 2)),
+    ])
+    def test_host_shards_even_split(self, nodes, dead, mixed):
+        """One share formula: capacity-proportional, dead nodes hold 0,
+        remainder on the first alive node; equal capacities reproduce
+        the even split ``nbytes // alive`` exactly."""
+        cluster = A100_CLUSTER.with_num_nodes(nodes)
+        if mixed:
+            cluster = cluster.with_node_specs(tuple(
+                replace(A100_SERVER, host_memory_bytes=(3 + n % 3) << 30)
+                for n in range(nodes)))
+        platform = ClusterPlatform(cluster)
+        if dead:
+            platform.apply_fault_state(FaultState(dead=frozenset(dead)))
+        alive = [n for n in range(nodes) if n not in dead]
+        for nbytes in (0, 1, 101, (1 << 40) + 7):
+            shares = platform.split_host_bytes(nbytes)
+            assert [pool for pool, _ in shares] == platform.hosts
+            sizes = [share for _, share in shares]
+            assert sum(sizes) == nbytes
+            assert all(sizes[n] == 0 for n in dead)
+            if mixed:
+                capacity = [platform.node_specs[n].host_memory_bytes
+                            for n in alive]
+                floors = [nbytes * c // sum(capacity) for c in capacity]
+            else:
+                floors = [nbytes // len(alive)] * len(alive)
+            floors[0] += nbytes - sum(floors)
+            assert [sizes[n] for n in alive] == floors
         shares = platform.split_host_bytes(101)
-        assert [share for _, share in shares] == [51, 50]
+        if (nodes, dead, mixed) == (2, (), False):
+            assert [share for _, share in shares] == [51, 50]
         for pool, share in shares:
             pool.alloc("x", share)
         assert platform.host_in_use() == 101

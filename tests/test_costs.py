@@ -15,6 +15,12 @@ from repro.core import HongTuTrainer, estimate_for_model
 from repro.core.costs import BackwardCosts, ChunkShapes, checkpoint_dims
 from repro.gnn import MODEL_REGISTRY
 from repro.graph import load_dataset
+from repro.hardware import (
+    A100_CLUSTER,
+    NODE_SPECS,
+    ClusterPlatform,
+    MultiGPUPlatform,
+)
 from repro.scenario import ClusterArgs
 
 FLEETS = {
@@ -162,6 +168,52 @@ class TestTableAgainstScalarFormulas:
         # the communicators' own traffic
         assert trainer._comm_values.bytes_moved["d2h"] == moved_d2h
         assert result.h2d_bytes >= moved_h2d
+
+
+@pytest.mark.parametrize("nodes", [1, 3])
+@pytest.mark.parametrize("numa_aware", [True, False])
+@pytest.mark.parametrize("profile", sorted(NODE_SPECS))
+def test_rate_table_is_the_closed_form_spec_expression(profile, numa_aware,
+                                                       nodes):
+    """One rate table: every cost method with ``devices=`` equals the
+    ``devices=None`` answer and the spec's closed-form expression, bit
+    for bit — as a homogeneous fleet, as N identical per-node profiles,
+    and (one node) as the wrapped standalone server."""
+    spec = NODE_SPECS[profile]
+    cluster = A100_CLUSTER.with_node(spec).with_num_nodes(nodes)
+    platforms = [
+        ClusterPlatform(cluster, numa_aware=numa_aware),
+        ClusterPlatform(cluster.with_node_specs((spec,) * nodes),
+                        numa_aware=numa_aware),
+    ]
+    if nodes == 1:
+        platforms.append(MultiGPUPlatform(spec, numa_aware=numa_aware))
+    h2d = spec.pcie_bandwidth
+    if not numa_aware:
+        remote = 1.0 - 1.0 / spec.num_sockets
+        h2d = (1.0 - remote) * h2d + remote * h2d * spec.qpi_factor
+    for platform in platforms:
+        m = platform.num_gpus
+        gpu_ids = np.arange(m, dtype=np.int64)
+        amounts = (gpu_ids * 7919 + 1) * 4099
+        for method, rate, ids in (
+                (platform.h2d_seconds, h2d, gpu_ids),
+                (platform.d2d_seconds, spec.nvlink_bandwidth, gpu_ids),
+                (platform.reuse_seconds, spec.gpu.memory_bandwidth, gpu_ids),
+                (platform.gpu_compute_seconds, spec.gpu.compute_flops,
+                 gpu_ids),
+                (platform.cpu_accumulate_seconds,
+                 spec.cpu_accumulate_bandwidth,
+                 np.array([platform.node_of(i) for i in range(m)]))):
+            closed_form = [a / rate for a in amounts.tolist()]
+            assert method(amounts, ids).tolist() == closed_form
+            assert method(amounts).tolist() == closed_form
+            assert [method(a, int(i)) for a, i
+                    in zip(amounts.tolist(), ids)] == closed_form
+            assert [method(a) for a in amounts.tolist()] == closed_form
+        assert platform.throughputs() == (
+            1.0 / (1.0 / h2d), spec.nvlink_bandwidth,
+            spec.gpu.memory_bandwidth)
 
 
 @pytest.mark.parametrize("fleet", sorted(FLEETS))

@@ -277,18 +277,60 @@ class TestCostModelFaults:
     def test_faultless_platform_prices_identically(self):
         cluster = A100_CLUSTER.with_num_nodes(3)
         platform = ClusterPlatform(cluster, gpus_per_node=2)
-        assert (ClusterCostModel.from_platform(platform)
-                == ClusterCostModel.from_cluster(cluster))
+        platform.apply_fault_state(FaultState(nic=((1, 0.25),)))
+        platform.apply_fault_state(FaultState())
+        restored = ClusterCostModel.from_platform(platform)
+        fresh = ClusterCostModel.from_cluster(cluster)
+        assert restored.collective_bandwidth == fresh.collective_bandwidth
+        assert restored.link_bandwidth(0, 1) == fresh.link_bandwidth(0, 1)
+        assert (restored.allreduce_seconds(1 << 20)
+                == fresh.allreduce_seconds(1 << 20))
 
     def test_degraded_nic_slows_collectives(self):
         platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(3),
                                    gpus_per_node=2)
-        healthy = ClusterCostModel.from_platform(platform)
-        platform.apply_fault_state(FaultState(nic=((1, 0.25),)))
-        degraded = ClusterCostModel.from_platform(platform)
+        model = ClusterCostModel.from_platform(platform)
         nbytes = 1 << 20
-        assert (degraded.allreduce_seconds(nbytes)
-                > healthy.allreduce_seconds(nbytes))
+        healthy = model.allreduce_seconds(nbytes)
+        platform.apply_fault_state(FaultState(nic=((1, 0.25),)))
+        assert model.allreduce_seconds(nbytes) > healthy
+
+    def test_model_is_a_live_view_never_a_stale_copy(self):
+        """A model obtained *before* a fault state prices exactly like
+        one obtained after — and again once an inactive state restores
+        the faultless rates (it used to be a frozen copy)."""
+        platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(4),
+                                   gpus_per_node=2)
+
+        def prices(model):
+            return ([model.link_bandwidth(s, d)
+                     for s in range(4) for d in range(4) if s != d],
+                    model.collective_bandwidth, model.num_alive,
+                    model.allreduce_seconds(1 << 20, "ring"),
+                    model.allreduce_seconds(1 << 20, "tree"))
+
+        before = ClusterCostModel.from_platform(platform)
+        healthy = prices(before)
+        platform.apply_fault_state(FaultState(
+            nic=((1, 0.25),), links=((0, 2, 0.5),), dead=frozenset({3})))
+        after = ClusterCostModel.from_platform(platform)
+        assert prices(before) == prices(after) != healthy
+        assert before.num_alive == 3
+        assert before.link_bandwidth(0, 2) == \
+            A100_CLUSTER.network_bandwidth * 0.5
+        assert before.link_bandwidth(0, 1) == \
+            A100_CLUSTER.network_bandwidth * 0.25
+
+        # deaths are permanent, so the way back is shown on a second
+        # fleet that only degrades
+        platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(4),
+                                   gpus_per_node=2)
+        model = ClusterCostModel.from_platform(platform)
+        platform.apply_fault_state(FaultState(
+            nic=((1, 0.25),), links=((0, 2, 0.5),)))
+        assert prices(model) != healthy
+        platform.apply_fault_state(FaultState())
+        assert prices(model) == healthy
 
     def test_dead_nodes_leave_the_ring(self):
         platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(4),

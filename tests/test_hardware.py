@@ -130,9 +130,14 @@ class TestTimeBreakdown:
         with pytest.raises(ConfigurationError):
             TimeBreakdown().add("alien", 1.0)
 
-    def test_negative_time(self):
-        with pytest.raises(ValueError):
-            TimeBreakdown().add("gpu", -1.0)
+    @pytest.mark.parametrize("seconds", [-1.0, float("nan"), float("inf")])
+    def test_negative_time(self, seconds):
+        """The scheduler's rule, 0 <= seconds < inf: NaN used to slip
+        through (``nan < 0`` is False) and poison ``total``."""
+        clock = TimeBreakdown()
+        with pytest.raises(ConfigurationError):
+            clock.add("gpu", seconds)
+        assert clock.total == 0.0
 
     def test_parallel_phase_takes_max(self):
         clock = TimeBreakdown()

@@ -34,6 +34,7 @@ from repro.hardware import (
     NODE_SPECS,
     V100_SERVER,
     ClusterPlatform,
+    MultiGPUPlatform,
 )
 from repro.runtime.scheduler import EventScheduler
 from repro.serving import ImmediatePolicy, PoissonArrivals
@@ -105,11 +106,11 @@ class TestIdenticalProfilesDegeneracy:
         node = A100_SERVER.with_num_gpus(GPUS_PER_NODE)
         base = ClusterCostModel.from_cluster(make_cluster())
         same = ClusterCostModel.from_cluster(make_cluster((node,) * NODES))
-        assert same.node_bandwidths is not None
+        assert same.platform.heterogeneous
         assert same.collective_bandwidth == base.collective_bandwidth
         for src in range(NODES):
             for dst in range(NODES):
-                assert same.link_bandwidth(src, dst) == base.bandwidth
+                assert same.link_bandwidth(src, dst) == base.link_bandwidth()
         assert same.halo_exchange_seconds(1 << 20, src=0, dst=2) == \
             base.halo_exchange_seconds(1 << 20)
 
@@ -153,6 +154,31 @@ class TestFleetValidation:
                            match="nic_bandwidth must be positive"):
             make_cluster((broken, A100_SERVER, A100_SERVER))
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("pcie_bandwidth", 0, "pcie_bandwidth must be positive"),
+        ("cpu_accumulate_bandwidth", -1.0, "must be positive"),
+        ("gpu.compute_flops", -1.0, "GPU rates must be positive"),
+        ("gpu.memory_bandwidth", 0.0, "GPU rates must be positive"),
+        ("host_memory_bytes", 0, "memory capacities must be positive"),
+    ])
+    def test_base_profile_validated_where_rates_are_built(self, field,
+                                                          value, match):
+        """The base ``node`` profile — every node of a homogeneous fleet
+        and a wrapped standalone server — used to skip validation: a
+        zero PCIe rate died with ZeroDivisionError (server) or priced
+        waves at inf (cluster), a negative flop rate gave negative
+        kernel seconds."""
+        import dataclasses
+        if field.startswith("gpu."):
+            broken = dataclasses.replace(A100_SERVER, gpu=dataclasses.replace(
+                A100_SERVER.gpu, **{field[4:]: value}))
+        else:
+            broken = dataclasses.replace(A100_SERVER, **{field: value})
+        with pytest.raises(ConfigurationError, match=match):
+            MultiGPUPlatform(broken)
+        with pytest.raises(ConfigurationError, match=match):
+            ClusterPlatform(A100_CLUSTER.with_node(broken))
+
     def test_gpu_count_mismatch_rejected(self):
         """Profiles exposing different GPU counts cannot share one
         placement grid."""
@@ -162,15 +188,6 @@ class TestFleetValidation:
                 A100_SERVER.with_num_gpus(4),
                 A100_SERVER.with_num_gpus(2),
             ))
-
-    def test_bad_cost_model_node_bandwidths(self):
-        with pytest.raises(ConfigurationError,
-                           match="must be positive"):
-            ClusterCostModel(num_nodes=2, bandwidth=1e9, latency=1e-6,
-                             node_bandwidths=(1e9, 0.0))
-        with pytest.raises(ConfigurationError, match=r"lists 3 rate\(s\)"):
-            ClusterCostModel(num_nodes=2, bandwidth=1e9, latency=1e-6,
-                             node_bandwidths=(1e9, 1e9, 1e9))
 
     def test_bad_cache_budget_rejected(self):
         trainer = make_trainer(make_cluster(), scale=0.1)
@@ -208,13 +225,11 @@ class TestMixedFleet:
 
     def test_collectives_run_at_slowest_member(self):
         model = ClusterCostModel.from_cluster(self.make_mixed())
-        assert model.node_bandwidths is not None
-        assert model.collective_bandwidth == \
-            pytest.approx(min(model.node_bandwidths))
+        nic = model.platform.node_nic_rates()
+        assert model.collective_bandwidth == pytest.approx(nic.min())
         # per-link: an A100<->V100 exchange prices at the V100's NIC
         assert model.link_bandwidth(0, 2) == \
-            pytest.approx(min(model.node_bandwidths[0],
-                              model.node_bandwidths[2]))
+            pytest.approx(min(nic[0], nic[2]))
         assert model.link_bandwidth(0, 1) >= model.link_bandwidth(0, 2)
 
     def test_mixed_epoch_slower_than_all_fast(self):

@@ -33,6 +33,7 @@ from repro.hardware import (
     A100_CLUSTER,
     A100_SERVER,
     ClusterPlatform,
+    ClusterSpec,
     MultiGPUPlatform,
 )
 from repro.partition import (
@@ -580,7 +581,8 @@ class TestBugfixRegressions:
                    for gpu in platform.gpus)
 
     def test_single_node_placement_pricing_is_zero(self):
-        model = ClusterCostModel(num_nodes=1, bandwidth=100.0, latency=0.0)
+        model = ClusterCostModel.from_cluster(
+            ClusterSpec("toy", 1, A100_SERVER, 100.0, 0.0))
         assert model.halo_volume_seconds(1 << 20) == 0.0
         assert model.placement_seconds(12345, 512,
                                        allreduce_bytes=1 << 20) == 0.0

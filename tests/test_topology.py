@@ -34,6 +34,7 @@ from repro.hardware import (
     A100_SERVER,
     FLAT_TOPOLOGY,
     ClusterPlatform,
+    ClusterSpec,
     EventTimeline,
     MultiGPUPlatform,
     NetworkTopology,
@@ -134,12 +135,14 @@ class TestTopologyPlatform:
 
 
 class TestClusterCostModelTopology:
+    @staticmethod
+    def make(latency, topology=FLAT_TOPOLOGY):
+        return ClusterCostModel.from_cluster(ClusterSpec(
+            "toy", 4, A100_SERVER, 100.0, latency, topology=topology))
+
     def test_spine_scales_collective_bandwidth(self):
-        flat = ClusterCostModel(num_nodes=4, bandwidth=100.0, latency=0.0)
-        spine = ClusterCostModel(
-            num_nodes=4, bandwidth=100.0, latency=0.0,
-            topology=NetworkTopology("spine", oversubscription=2.0),
-        )
+        flat = self.make(0.0)
+        spine = self.make(0.0, NetworkTopology("spine", oversubscription=2.0))
         assert spine.collective_bandwidth == 50.0
         assert spine.ring_allreduce_seconds(400.0) == \
             pytest.approx(2 * flat.ring_allreduce_seconds(400.0))
@@ -149,11 +152,8 @@ class TestClusterCostModelTopology:
     def test_rail_prices_like_flat(self):
         """Rails shard the payload over parallel links at 1/rails rate
         each — the aggregate reproduces the flat collective exactly."""
-        flat = ClusterCostModel(num_nodes=4, bandwidth=100.0, latency=1e-3)
-        rail = ClusterCostModel(
-            num_nodes=4, bandwidth=100.0, latency=1e-3,
-            topology=NetworkTopology("rail"),
-        )
+        flat = self.make(1e-3)
+        rail = self.make(1e-3, NetworkTopology("rail"))
         assert rail.ring_allreduce_seconds(4000.0) == \
             flat.ring_allreduce_seconds(4000.0)
 
