@@ -1,16 +1,16 @@
 """Simulator scale — wall-clock cost of simulating thousand-GPU epochs.
 
 Every other benchmark reports *simulated* seconds; this one reports how
-long the simulator itself takes to produce them. The vectorized core
-(array-backed scheduler + batched task emission) is what makes placement
+long the simulator itself takes to produce them. The array-backed
+scheduler and batched task emission are what make placement
 and topology sweeps over O(1000) GPUs routine, and this benchmark is the
 demonstration and the regression gate for that property:
 
-* ``bench_simulator_scale_smoke`` runs a small multi-node pipelined epoch
-  twice — once through the vectorized ``submit_batch`` path and once with
-  the scheduler's scalar core forced — asserts the makespans and
-  cross-node byte flows are bit-identical, and archives the wall-clock
-  (``sim_wall_seconds``) for the CI gate.
+* ``bench_simulator_scale_smoke`` runs a small multi-node pipelined
+  epoch, validates its timeline, and archives the wall-clock
+  (``sim_wall_seconds``) for the CI gate. (That the scheduler's array
+  step assigns the times of one-task-at-a-time scheduling is a tier-1
+  test against ``tests/scheduler_oracle.py``, not a bench.)
 * ``python benchmarks/bench_simulator_scale.py --nodes 128 --gpus 8``
   simulates a full 1024-GPU pipelined epoch end-to-end and prints the
   phase-by-phase wall clock (partition, plan build, epoch); ``--profile``
@@ -33,7 +33,6 @@ from repro.core import HongTuConfig, HongTuTrainer
 from repro.gnn import build_model
 from repro.graph import load_dataset
 from repro.hardware import A100_CLUSTER, A100_SERVER, ClusterPlatform
-from repro.runtime import EventScheduler
 
 from benchmarks._common import emit, emit_json
 
@@ -97,38 +96,21 @@ def build_table(measurements):
 
 
 # ----------------------------------------------------------------------
-# CI smoke: small cluster + batched-vs-scalar bit-identity
+# CI smoke: small cluster, wall clock + a valid timeline
 # ----------------------------------------------------------------------
 def run_smoke():
-    kwargs = dict(nodes=2, gpus_per_node=2, scale=0.5)
-    batched = run_scale_epoch(**kwargs)
-    try:
-        EventScheduler.vectorized = False
-        scalar = run_scale_epoch(**kwargs)
-    finally:
-        EventScheduler.vectorized = True
-    return batched, scalar
-
-
-def check_smoke(batched, scalar):
-    # The vectorized wave scheduler must be bit-identical to the scalar
-    # submit loop — same makespan, same per-flow network bytes, same
-    # task count (the acceptance contract of the SoA core).
-    assert batched["makespan_seconds"] == scalar["makespan_seconds"]
-    assert batched["num_tasks"] == scalar["num_tasks"]
-    assert batched["net_bytes"] == scalar["net_bytes"]
-    batched["result"].timeline.validate()
+    return run_scale_epoch(nodes=2, gpus_per_node=2, scale=0.5)
 
 
 def bench_simulator_scale_smoke(benchmark):
-    batched, scalar = benchmark.pedantic(run_smoke, rounds=1, iterations=1)
-    emit("simulator_scale_smoke", build_table([batched]))
+    smoke = benchmark.pedantic(run_smoke, rounds=1, iterations=1)
+    emit("simulator_scale_smoke", build_table([smoke]))
     emit_json("simulator_scale_smoke", {
-        "makespan_seconds": batched["makespan_seconds"],
-        "num_tasks": batched["num_tasks"],
-        "sim_wall_seconds": batched["sim_wall_seconds"],
-    }, step="Benchmark smoke (simulator scale, batched vs scalar identity)")
-    check_smoke(batched, scalar)
+        "makespan_seconds": smoke["makespan_seconds"],
+        "num_tasks": smoke["num_tasks"],
+        "sim_wall_seconds": smoke["sim_wall_seconds"],
+    }, step="Benchmark smoke (simulator scale, wall clock + validity)")
+    smoke["result"].timeline.validate()
 
 
 # ----------------------------------------------------------------------

@@ -74,9 +74,9 @@ Routing is topology-aware (the platform's
 rides its own per-pair link (the original behavior, float-identical); on
 ``spine`` messages additionally hold the shared
 :data:`~repro.runtime.task.SPINE_RESOURCE` for their excess core-transit
-time, so disjoint node pairs contend on the oversubscribed core (spine
-waves therefore schedule through the scheduler's scalar core — the
-batched-emission contract); on ``rail`` each pair's traffic splits by the
+time, so disjoint node pairs contend on the oversubscribed core (the
+scheduler runs that one frontier as a recurrence inside the same array
+step every wave takes); on ``rail`` each pair's traffic splits by the
 *owning GPU's* rail (``local_rank % num_rails``, placement-aware) into
 per-rail messages at per-rail bandwidth. Node membership itself comes
 from the platform's ``node_of`` — an explicit GPU→node placement array,
@@ -452,8 +452,8 @@ class DedupCommunicator:
         """Per-GPU (d2d, local) assemble seconds, summed in segment order.
 
         ``np.add.at`` accumulates in array order — the same per-GPU float
-        addition order as the original per-segment loop, so the sums are
-        bit-identical to the scalar path.
+        addition order as a per-segment loop, so the sums are
+        bit-identical to one.
         """
         m = self.plan.num_gpus
         d2d_seconds = np.zeros(m)
@@ -489,9 +489,8 @@ class DedupCommunicator:
         ``producers_by_key[k]`` (an id array) adds per-link producers.
         Spine messages additionally hold the shared
         :data:`~repro.runtime.task.SPINE_RESOURCE` for their excess
-        core-transit time — those waves schedule through the scalar core
-        (stateful contention), every other topology vectorizes. Charges
-        :attr:`bytes_moved` and the per-flow detail.
+        core-transit time. Charges :attr:`bytes_moved` and the per-flow
+        detail.
         """
         if not halo:
             return _NO_IDS

@@ -15,7 +15,6 @@ from repro.graph.datasets import (
     toy_graph,
     PAPER_PROFILES,
 )
-from repro.graph.io import save_graph, load_graph
 from repro.graph.analysis import (
     DegreeStats,
     degree_stats,
@@ -30,7 +29,6 @@ __all__ = [
     "rmat", "locality_web_graph", "planted_partition",
     "gaussian_features", "random_split_masks",
     "load_dataset", "available_datasets", "toy_graph", "PAPER_PROFILES",
-    "save_graph", "load_graph",
     "DegreeStats", "degree_stats", "locality_fraction", "label_homophily",
     "structural_report",
 ]

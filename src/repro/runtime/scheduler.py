@@ -29,24 +29,27 @@ exactly the same rules.
 
 Storage is structure-of-arrays: start/end/seconds/device/channel live in
 growable numpy arrays, resource frontiers in dense per-channel arrays
-(split at the device-id sign boundary so GPU/host devices and encoded
-network links index without hashing), and dependency lists in a factored
-form — one shared *common* array per submitted phase plus flattened
-per-task extras — so a phase whose every task waits on the same producers
-stores those ids once, not once per task. :class:`~repro.runtime.task.Task`
-objects are materialized lazily (``tasks``, ``critical_path()``,
-reporting); the hot submission paths never build one.
+indexed by one zig-zag slot per device id (GPUs, the host pseudo-device
+and encoded network links interleave, so none of them hashes), and
+dependency lists in a factored form — one shared *common* array per
+submitted phase plus flattened per-task extras — so a phase whose every
+task waits on the same producers stores those ids once, not once per
+task. :class:`~repro.runtime.task.Task` objects are materialized lazily
+(``tasks``, ``critical_path()``, reporting); submission never builds one
+beyond the single ``Task`` :meth:`EventScheduler.submit` returns.
 
-Two submission paths share the same per-task semantics:
-
-* :meth:`EventScheduler.submit` — the scalar reference path, one task per
-  call, unchanged contract (returns the ``Task``).
-* :meth:`EventScheduler.submit_batch` — a whole parallel wave in one
-  vectorized step. Falls back to the scalar core per task when the wave is
-  order-dependent: duplicate ``(device, channel)`` resources inside the
-  wave, or shared-resource holds (spine contention serializes through a
-  stateful frontier). The two paths are bit-identical — tested on
-  randomized DAGs in ``tests/test_runtime.py``.
+There is one scheduling core: :meth:`EventScheduler.submit_batch` hands a
+whole parallel wave to the array step, :meth:`EventScheduler.submit` a
+wave of one. Across distinct devices everything is order-free — queue
+frontier, dependency maximum, ``end = start + seconds``, busy
+accumulators, makespan argmax — except the frontier of a *shared*
+resource, ``F <- max(start, F) + hold``, a recurrence over the wave in
+submission order. Only waves that carry a hold run it, as one short loop
+over Python floats; a wave that repeats a device is scheduled as
+consecutive duplicate-free runs. Either way ``start``, ``end`` and
+``blocked_by`` are exactly what one-task-at-a-time submission assigns —
+that rule lives in ``tests/scheduler_oracle.py``, which the identity
+tests compare this core against on randomized DAGs and whole epochs.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SchedulerError
-from repro.runtime.task import CHANNELS, NET_DEVICE_BASE, Task
+from repro.runtime.task import CHANNELS, Task
 from repro.units import Seconds
 
 __all__ = ["EventScheduler", "task_ids"]
@@ -90,6 +93,25 @@ def _grown(array: np.ndarray, need: int, fill=0) -> np.ndarray:
     return out
 
 
+def _slot(device):
+    """Frontier index of a device id (int or int64 array), zig-zag: GPU
+    ``g`` is slot ``2g``; the host and the network links take the odd
+    slots, so one dense array per channel serves them all."""
+    return (device << 1) ^ (device >> 63)
+
+
+def _run_bounds(devices: np.ndarray) -> Optional[List[int]]:
+    """``None`` when a wave's devices are all distinct (every wave the
+    library itself submits), else ``[0, ..., k]`` cutting the wave before
+    each repeated occurrence — no run between two cuts repeats a device."""
+    ordered = np.sort(devices)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return None
+    repeated = np.ones(len(devices), dtype=bool)
+    repeated[np.unique(devices, return_index=True)[1]] = False
+    return [0, *np.flatnonzero(repeated).tolist(), len(devices)]
+
+
 class EventScheduler:
     """Assigns times to submitted tasks; answers makespan/busy queries.
 
@@ -100,13 +122,7 @@ class EventScheduler:
     ``(device, channel)`` queue a task may occupy extra *shared resources*
     (e.g. an oversubscribed spine core) for part of its duration — the
     topology-contention substrate.
-
-    ``vectorized`` (class default True) selects the array path of
-    :meth:`submit_batch`; tests flip it to force the scalar core and
-    assert bit identity.
     """
-
-    vectorized = True
 
     def __init__(self) -> None:
         self._n = 0
@@ -125,17 +141,13 @@ class EventScheduler:
         self._extra_flat = np.zeros(cap, dtype=np.int64)
         self._extra_off = np.zeros(cap + 1, dtype=np.int64)
         self._extra_len = 0
-        # Resource frontiers: per channel, dense arrays split at the
-        # device-id sign boundary. Devices >= HOST_DEVICE index at
-        # device+1; network links (<= NET_DEVICE_BASE) at BASE-device.
-        self._free_pos = [np.zeros(0) for _ in CHANNELS]
-        self._free_neg = [np.zeros(0) for _ in CHANNELS]
-        self._last_pos = [np.full(0, -1, dtype=np.int64) for _ in CHANNELS]
-        self._last_neg = [np.full(0, -1, dtype=np.int64) for _ in CHANNELS]
+        # Resource frontiers: per channel, dense arrays indexed by
+        # _slot(device) — when the queue frees and which task freed it.
+        self._free = [np.zeros(0) for _ in CHANNELS]
+        self._last = [np.full(0, -1, dtype=np.int64) for _ in CHANNELS]
         # Busy-seconds accumulators, maintained at submit time so the
         # busy queries are O(1) reads instead of full-list scans.
-        self._busy_pos = [np.zeros(0) for _ in CHANNELS]
-        self._busy_neg = [np.zeros(0) for _ in CHANNELS]
+        self._busy = [np.zeros(0) for _ in CHANNELS]
         self._busy_channel = np.zeros(len(CHANNELS))
         # Shared resources (spine core) stay dict-keyed: few keys, and
         # their frontier updates are inherently order-dependent.
@@ -207,23 +219,6 @@ class EventScheduler:
         self._phase_of = _grown(self._phase_of, need)
         self._extra_off = _grown(self._extra_off, need + 1)
 
-    def _frontier_slot(self, ch: int, device: int
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """(free, last, busy) arrays + index for one resource, grown."""
-        if device >= -1:
-            index = device + 1
-            self._free_pos[ch] = _grown(self._free_pos[ch], index + 1, 0.0)
-            self._last_pos[ch] = _grown(self._last_pos[ch], index + 1, -1)
-            self._busy_pos[ch] = _grown(self._busy_pos[ch], index + 1, 0.0)
-            return (self._free_pos[ch], self._last_pos[ch],
-                    self._busy_pos[ch], index)
-        index = NET_DEVICE_BASE - device
-        self._free_neg[ch] = _grown(self._free_neg[ch], index + 1, 0.0)
-        self._last_neg[ch] = _grown(self._last_neg[ch], index + 1, -1)
-        self._busy_neg[ch] = _grown(self._busy_neg[ch], index + 1, 0.0)
-        return (self._free_neg[ch], self._last_neg[ch],
-                self._busy_neg[ch], index)
-
     def _check_dep_ids(self, ids: np.ndarray) -> None:
         """Dependency ids must name already-submitted tasks.
 
@@ -235,67 +230,6 @@ class EventScheduler:
                 f"dependency references an unsubmitted task: ids must lie "
                 f"in [0, {self._n}), got [{ids.min()}, {ids.max()}]"
             )
-
-    def _submit_one(self, ch: int, device: int, seconds: float,
-                    common: Optional[np.ndarray],
-                    extras: Optional[np.ndarray],
-                    shared: Sequence[Tuple[Hashable, float]],
-                    phase: int) -> int:
-        """Scalar core: schedule one task against the array state."""
-        free_arr, last_arr, busy_arr, index = self._frontier_slot(ch, device)
-        start = self._barrier_time
-        blocked = -1
-        resource_free = free_arr[index]
-        if resource_free > start:
-            start = resource_free
-            blocked = last_arr[index]
-        for key, _hold in shared:
-            shared_free = self._free_shared.get(key, 0.0)
-            if shared_free > start:
-                start = shared_free
-                blocked = self._last_shared.get(key, -1)
-        for dep_list in (common, extras):
-            if dep_list is None:
-                continue
-            for dep in dep_list:
-                dep_end = self._end[dep]
-                if dep_end > start:
-                    start = dep_end
-                    blocked = dep
-        task_id = self._n
-        self._reserve(task_id + 1)
-        end = start + seconds
-        self._start[task_id] = start
-        self._end[task_id] = end
-        self._seconds[task_id] = seconds
-        self._device[task_id] = device
-        self._channel_idx[task_id] = ch
-        self._blocked[task_id] = blocked
-        self._phase_of[task_id] = phase
-        extra_len = 0 if extras is None else len(extras)
-        if extra_len:
-            self._extra_flat = _grown(self._extra_flat,
-                                      self._extra_len + extra_len)
-            self._extra_flat[self._extra_len:self._extra_len + extra_len] = \
-                extras
-            self._extra_len += extra_len
-        self._extra_off[task_id + 1] = self._extra_len
-        free_arr[index] = end
-        last_arr[index] = task_id
-        busy_arr[index] += seconds
-        self._busy_channel[ch] += seconds
-        for key, hold in shared:
-            if hold <= 0:
-                continue  # zero holds never occupy the resource
-            hold_end = start + hold
-            if hold_end > self._free_shared.get(key, 0.0):
-                self._free_shared[key] = hold_end
-                self._last_shared[key] = task_id
-        if self._max_id < 0 or end > self._max_end:
-            self._max_end = end
-            self._max_id = task_id
-        self._n = task_id + 1
-        return task_id
 
     def submit(self, channel: str, device: int, seconds: Seconds,
                deps: Iterable[Task] = (), category: str = "",
@@ -316,22 +250,9 @@ class EventScheduler:
         order suffices). ``deps`` may be Tasks or task ids; an id outside
         ``[0, num_tasks)`` raises :class:`~repro.errors.SchedulerError`.
         """
-        if channel not in CHANNELS:
-            raise SchedulerError(f"unknown channel {channel!r}")
-        if not 0 <= seconds < _INF:  # also False for NaN
-            raise SchedulerError(
-                f"task duration must be finite and >= 0, got {seconds}"
-            )
-        common = task_ids(deps)
-        self._check_dep_ids(common)
-        phase = len(self._phases)
-        self._phases.append((category, group, label,
-                             common if len(common) else None))
-        task_id = self._submit_one(
-            _CHANNEL_INDEX[channel], device, float(seconds),
-            common if len(common) else None, None, shared, phase,
-        )
-        return self._task(task_id)
+        ids = self._wave(channel, [device], [seconds], task_ids(deps), None,
+                         category, group, label, [shared])  # a wave of one
+        return self._task(int(ids[0]))
 
     def submit_batch(self, channel: str, devices: np.ndarray,
                      seconds: np.ndarray,
@@ -345,21 +266,23 @@ class EventScheduler:
         ``devices[t]``/``seconds[t]`` describe task ``t``; ``common_deps``
         (an id array) gate every task of the wave, ``extra_deps[t]`` (an
         id array or None) additionally gate task ``t``. Dependency ids
-        must reference previously submitted tasks (checked on both the
-        vectorized and the scalar branch) — a wave's tasks are mutually
-        independent. ``shared_by_task[t]`` lists ``(resource,
-        hold)`` pairs task ``t`` occupies.
-
-        The wave is computed vectorized when its tasks are order-free:
-        distinct devices and no shared holds. Duplicate devices or any
-        shared hold serialize through stateful frontiers, so those waves
-        run the scalar core per task — in either case the assigned times
-        are identical to submitting the tasks one by one.
+        must reference previously submitted tasks — a wave's tasks are
+        mutually independent. ``shared_by_task[t]`` lists ``(resource,
+        hold)`` pairs task ``t`` occupies. The assigned times are
+        identical to submitting the tasks one by one, repeated devices
+        included.
         """
+        return self._wave(channel, devices, seconds, common_deps, extra_deps,
+                          category, group, label, shared_by_task)
+
+    def _wave(self, channel: str, devices, seconds, common_deps, extra_deps,
+              category: str, group: int, label: str,
+              shared_by_task: Optional[Sequence]) -> np.ndarray:
+        """Validate and normalise one wave, record its phase, schedule it.
+        Whatever is rejected is rejected before any state is touched."""
         if channel not in CHANNELS:
             raise SchedulerError(f"unknown channel {channel!r}")
-        ch = _CHANNEL_INDEX[channel]
-        devices = np.asarray(devices, dtype=np.int64)
+        devices = np.asarray(devices)
         seconds = np.asarray(seconds, dtype=np.float64)
         k = len(seconds)
         if len(devices) != k:
@@ -368,6 +291,11 @@ class EventScheduler:
             )
         if k == 0:
             return np.empty(0, dtype=np.int64)
+        if devices.dtype.kind not in "iu":  # a float would be truncated
+            raise SchedulerError(
+                f"device ids must be integers, got dtype {devices.dtype}"
+            )
+        devices = devices.astype(np.int64, copy=False)
         # min/max propagate NaN and NaN fails both comparisons, so the
         # sign check's two reductions also catch non-finite durations —
         # a NaN would otherwise poison every dependant's end time and
@@ -384,101 +312,91 @@ class EventScheduler:
                     f"{name} must list one entry per task: "
                     f"{len(per_task)} vs {k}"
                 )
+        holds = None
+        if shared_by_task is not None and any(map(len, shared_by_task)):
+            holds = shared_by_task
+            # An infinite hold would park every later holder at inf.
+            if not all(0 <= hold < _INF  # also False for NaN
+                       for task_holds in holds for _key, hold in task_holds):
+                raise SchedulerError("shared holds must be finite and >= 0")
         common = None
-        if common_deps is not None:
+        if common_deps is not None and len(common_deps):
             common = np.asarray(common_deps, dtype=np.int64)
             self._check_dep_ids(common)
-            if len(common) == 0:
-                common = None
-        extras: Optional[List[Optional[np.ndarray]]] = None
-        flat = None
+        lens = flat = None
         if extra_deps is not None:
-            extras = [
-                None if e is None or len(e) == 0
-                else np.asarray(e, dtype=np.int64)
-                for e in extra_deps
-            ]
-            present = [e for e in extras if e is not None]
+            present = [np.asarray(e, dtype=np.int64)
+                       for e in extra_deps if e is not None and len(e)]
             if present:
                 flat = np.concatenate(present)
                 self._check_dep_ids(flat)
-            else:
-                extras = None
-        phase = len(self._phases)
-        self._phases.append((category, group, label, common))
-
-        has_shared = shared_by_task is not None and any(
-            len(s) > 0 for s in shared_by_task
-        )
-        order_free = (not has_shared
-                      and len(np.unique(devices)) == k
-                      and self.vectorized)
-        if not order_free:
-            ids = np.empty(k, dtype=np.int64)
-            # repro-lint: allow-loop — scalar reference core: order-dependent wave (shared holds / duplicate devices)
-            for t in range(k):
-                shared = () if shared_by_task is None else shared_by_task[t]
-                ids[t] = self._submit_one(
-                    ch, int(devices[t]), float(seconds[t]), common,
-                    None if extras is None else extras[t], shared, phase,
+                lens = np.fromiter(
+                    (0 if e is None else len(e) for e in extra_deps),
+                    dtype=np.int64, count=k,
                 )
-            return ids
+        self._phases.append((category, group, label, common))
+        first = self._n
+        self._schedule(_CHANNEL_INDEX[channel], devices, seconds, common,
+                       lens, flat, holds, len(self._phases) - 1)
+        return np.arange(first, first + k, dtype=np.int64)
 
-        # ---- vectorized wave ----------------------------------------
+    def _schedule(self, ch: int, devices: np.ndarray, seconds: np.ndarray,
+                  common: Optional[np.ndarray], lens: Optional[np.ndarray],
+                  flat: Optional[np.ndarray], holds: Optional[Sequence],
+                  phase: int) -> None:
+        """The one place a start time is computed: the array step.
+
+        Task ``t``'s ``lens[t]`` extra dependency ids lie consecutively
+        in ``flat`` (both None when no task has any); ``holds[t]`` are its
+        ``(key, hold)`` pairs (None when the wave holds nothing).
+        """
+        k = len(seconds)
+        bounds = _run_bounds(devices) if k > 1 else None
+        if bounds is not None:
+            # A repeated device queues behind its own earlier task, so
+            # the wave takes this step run by run, in order.
+            off = None if flat is None else [0, *np.cumsum(lens).tolist()]
+            for lo, hi in zip(bounds, bounds[1:]):
+                self._schedule(
+                    ch, devices[lo:hi], seconds[lo:hi], common,
+                    None if flat is None else lens[lo:hi],
+                    None if flat is None else flat[off[lo]:off[hi]],
+                    None if holds is None else holds[lo:hi], phase,
+                )
+            return
         n0 = self._n
-        starts = np.full(k, self._barrier_time)
-        blocked = np.full(k, -1, dtype=np.int64)
+        slot = _slot(devices)
+        need = int(slot.max()) + 1
+        if need > len(self._free[ch]):
+            self._free[ch] = _grown(self._free[ch], need, 0.0)
+            self._last[ch] = _grown(self._last[ch], need, -1)
+            self._busy[ch] = _grown(self._busy[ch], need, 0.0)
+        free_arr, last_arr = self._free[ch], self._last[ch]
 
-        pos = devices >= -1
-        neg = ~pos
-        idx_pos = devices[pos] + 1
-        idx_neg = NET_DEVICE_BASE - devices[neg]
-        if idx_pos.size:
-            need = int(idx_pos.max()) + 1
-            self._free_pos[ch] = _grown(self._free_pos[ch], need, 0.0)
-            self._last_pos[ch] = _grown(self._last_pos[ch], need, -1)
-            self._busy_pos[ch] = _grown(self._busy_pos[ch], need, 0.0)
-        if idx_neg.size:
-            need = int(idx_neg.max()) + 1
-            self._free_neg[ch] = _grown(self._free_neg[ch], need, 0.0)
-            self._last_neg[ch] = _grown(self._last_neg[ch], need, -1)
-            self._busy_neg[ch] = _grown(self._busy_neg[ch], need, 0.0)
-        free = np.empty(k)
-        last = np.empty(k, dtype=np.int64)
-        free[pos] = self._free_pos[ch][idx_pos]
-        free[neg] = self._free_neg[ch][idx_neg]
-        last[pos] = self._last_pos[ch][idx_pos]
-        last[neg] = self._last_neg[ch][idx_neg]
-        hit = free > starts
-        starts[hit] = free[hit]
-        blocked[hit] = last[hit]
+        # Own queue: start at the barrier unless the queue frees later.
+        free = free_arr[slot]
+        queued = free > self._barrier_time
+        starts = np.where(queued, free, self._barrier_time)
+        blocked = np.where(queued, last_arr[slot], -1)
 
         # Dependencies: the binding dep is the *first* dep (common before
-        # extras, in list order) whose end equals the running maximum and
-        # strictly exceeds the resource-constrained start — exactly the
-        # scalar loop's strictly-greater update rule.
-        dep_max = np.full(k, _NEG_INF)
-        dep_id = np.full(k, -1, dtype=np.int64)
+        # extras, in list order) whose end equals the running maximum —
+        # what a strictly-greater update per dep, in that order, leaves.
+        dep_max, dep_id = _NEG_INF, -1
         if common is not None:
             common_ends = self._end[common]
-            c_arg = int(np.argmax(common_ends))  # first max
-            dep_max[:] = common_ends[c_arg]
-            dep_id[:] = common[c_arg]
-        if extras is not None:
-            lens = np.fromiter(
-                (0 if e is None else len(e) for e in extras),
-                dtype=np.int64, count=k,
-            )
-            offsets = np.zeros(k + 1, dtype=np.int64)
-            np.cumsum(lens, out=offsets[1:])
+            c_arg = common_ends.argmax()  # first max
+            dep_max, dep_id = float(common_ends[c_arg]), int(common[c_arg])
+        if flat is not None:
             nz = lens > 0
-            seg_starts = offsets[:-1][nz]
+            seg_ends = np.cumsum(lens)
+            seg_starts = (seg_ends - lens)[nz]
             flat_ends = self._end[flat]
             seg_max = np.maximum.reduceat(flat_ends, seg_starts)
             # First index achieving each segment's max (tie → earliest).
-            seg_max_rep = np.repeat(seg_max, lens[nz])
             candidate = np.where(
-                flat_ends == seg_max_rep, np.arange(len(flat)), len(flat)
+                flat_ends == np.repeat(seg_max, lens[nz]),
+                np.arange(len(flat)), len(flat),
             )
             seg_first = np.minimum.reduceat(candidate, seg_starts)
             e_max = np.full(k, _NEG_INF)
@@ -486,14 +404,41 @@ class EventScheduler:
             e_max[nz] = seg_max
             e_id[nz] = flat[seg_first]
             beats = e_max > dep_max  # ties keep the earlier common dep
-            dep_max[beats] = e_max[beats]
-            dep_id[beats] = e_id[beats]
-        else:
-            lens = None
-        gated = dep_max > starts
-        starts[gated] = dep_max[gated]
-        blocked[gated] = dep_id[gated]
+            dep_max = np.where(beats, e_max, dep_max)
+            dep_id = np.where(beats, e_id, dep_id)
 
+        if holds is None:
+            gated = dep_max > starts
+            starts = np.where(gated, dep_max, starts)
+            blocked = np.where(gated, dep_id, blocked)
+        else:
+            # The shared frontier F <- max(start, F) + hold is the rule's
+            # one recurrence. Python floats are IEEE doubles, so these are
+            # the array comparisons and additions, in the defining order:
+            # own queue (above), each hold in list order, then the
+            # dependencies — any other order flips blocked_by on ties.
+            # A zero hold never occupies its resource.
+            free_shared, last_shared = self._free_shared, self._last_shared
+            start_of, blocker_of = starts.tolist(), blocked.tolist()
+            if flat is not None:
+                dep_end_of, dep_id_of = dep_max.tolist(), dep_id.tolist()
+            else:
+                dep_end_of, dep_id_of = [dep_max] * k, [dep_id] * k
+            # repro-lint: allow-loop — the shared-frontier recurrence: each holder's start depends on the previous holder's
+            for t in range(k):
+                start, blocker = start_of[t], blocker_of[t]
+                for key, _hold in holds[t]:
+                    if free_shared.get(key, 0.0) > start:
+                        start, blocker = free_shared[key], last_shared[key]
+                if dep_end_of[t] > start:
+                    start, blocker = dep_end_of[t], dep_id_of[t]
+                start_of[t], blocker_of[t] = start, blocker
+                for key, hold in holds[t]:
+                    if hold > 0 and start + hold > free_shared.get(key, 0.0):
+                        free_shared[key] = start + hold
+                        last_shared[key] = n0 + t
+            starts = np.array(start_of)
+            blocked = np.array(blocker_of, dtype=np.int64)
         ends = starts + seconds
 
         # ---- store ---------------------------------------------------
@@ -511,25 +456,19 @@ class EventScheduler:
                                       self._extra_len + len(flat))
             self._extra_flat[self._extra_len:self._extra_len + len(flat)] = \
                 flat
-            np.cumsum(lens, out=self._extra_off[n0 + 1:n0 + k + 1])
-            self._extra_off[n0 + 1:n0 + k + 1] += self._extra_len
+            self._extra_off[n0 + 1:n0 + k + 1] = self._extra_len + seg_ends
             self._extra_len += len(flat)
         else:
             self._extra_off[n0 + 1:n0 + k + 1] = self._extra_len
-        ids = np.arange(n0, n0 + k, dtype=np.int64)
-        self._free_pos[ch][idx_pos] = ends[pos]
-        self._free_neg[ch][idx_neg] = ends[neg]
-        self._last_pos[ch][idx_pos] = ids[pos]
-        self._last_neg[ch][idx_neg] = ids[neg]
-        self._busy_pos[ch][idx_pos] += seconds[pos]
-        self._busy_neg[ch][idx_neg] += seconds[neg]
+        free_arr[slot] = ends
+        last_arr[slot] = np.arange(n0, n0 + k, dtype=np.int64)
+        self._busy[ch][slot] += seconds
         self._busy_channel[ch] += seconds.sum()
-        b_arg = int(np.argmax(ends))  # first max within the wave
+        b_arg = int(ends.argmax())  # first max within the wave
         if self._max_id < 0 or ends[b_arg] > self._max_end:
             self._max_end = float(ends[b_arg])
             self._max_id = n0 + b_arg
         self._n = n0 + k
-        return ids
 
     def ends_of(self, ids: np.ndarray) -> np.ndarray:
         """End times of the given task ids (reporting/test helper)."""
@@ -573,15 +512,10 @@ class EventScheduler:
         if device is None:
             return float(sum(self._busy_channel[ch] for ch in channels))
         total = 0.0
+        index = _slot(device)
         for ch in channels:
-            if device >= -1:
-                index = device + 1
-                busy = self._busy_pos[ch]
-            else:
-                index = NET_DEVICE_BASE - device
-                busy = self._busy_neg[ch]
-            if index < len(busy):
-                total += float(busy[index])
+            if index < len(self._busy[ch]):
+                total += float(self._busy[ch][index])
         return total
 
     def busy_by_channel(self) -> Dict[str, float]:
@@ -621,8 +555,8 @@ class EventScheduler:
     def validate(self, eps: float = 1e-9) -> None:
         """Check channel exclusivity and dependency ordering; raise on bugs.
 
-        Runs vectorized over the array state: resource exclusivity via a
-        single lexsort over (resource, start, end), per-task extra deps
+        Runs as array expressions over the state: resource exclusivity via
+        a single lexsort over (resource, start, end), per-task extra deps
         via one flattened comparison, and per-phase common deps as
         ``min(member starts) >= max(dep ends) - eps`` (equivalent to the
         per-task check, since common deps gate every member).

@@ -41,9 +41,9 @@ percentile/goodput views live on :class:`~repro.serving.result.ServeResult`.
 
 Determinism: every second charged is a pure function of (plan, platform,
 config) and every random draw comes from seeded generators, so identical
-``(seed, config)`` reproduce bit-identical latencies — including under
-``EventScheduler.vectorized = False``, since both scheduler paths assign
-identical times (the batched-emission contract).
+``(seed, config)`` reproduce bit-identical latencies — the same ones the
+one-task-at-a-time scheduler oracle of ``tests/scheduler_oracle.py``
+assigns (``tests/test_serving.py``).
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graph.datasets import load_dataset, toy_graph
+from scheduler_oracle import install_scheduler_oracle  # noqa: F401 (fixture)
 
 
 @pytest.fixture

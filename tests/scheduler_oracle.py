@@ -1,0 +1,104 @@
+"""The scheduling rule, one task at a time — the oracle for the array step.
+
+:class:`~repro.runtime.scheduler.EventScheduler` computes a whole wave's
+start times in one array step. This module keeps the rule in the form
+it is *defined* in: a task starts at the latest of the barrier, its own
+``(device, channel)`` queue, every shared resource it holds (in list
+order) and every dependency (common before extras, in list order), each
+applied as a strictly-greater update so ``blocked_by`` names the first
+constraint that reached the maximum. :class:`OracleScheduler` overrides
+only how a wave's times are assigned; validation, the structure-of-arrays
+storage, ``validate()`` and every query are the production ones, so a
+test that builds the same task stream on both compares the two rules and
+nothing else.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.runtime.scheduler import EventScheduler, _grown, _slot
+
+__all__ = ["OracleScheduler", "install_scheduler_oracle"]
+
+
+class OracleScheduler(EventScheduler):
+    """Schedules every wave — repeated devices included — task by task."""
+
+    def _schedule(self, ch, devices, seconds, common, lens, flat, holds,
+                  phase):
+        off = None if flat is None else np.concatenate(([0], np.cumsum(lens)))
+        for t in range(len(seconds)):
+            self._schedule_one(
+                ch, int(devices[t]), float(seconds[t]), common,
+                None if flat is None else flat[off[t]:off[t + 1]],
+                () if holds is None else holds[t], phase,
+            )
+
+    def _schedule_one(self, ch, device, seconds, common, extras, shared,
+                      phase):
+        index = _slot(device)
+        self._free[ch] = _grown(self._free[ch], index + 1, 0.0)
+        self._last[ch] = _grown(self._last[ch], index + 1, -1)
+        self._busy[ch] = _grown(self._busy[ch], index + 1, 0.0)
+        start = self._barrier_time
+        blocked = -1
+        if self._free[ch][index] > start:
+            start = self._free[ch][index]
+            blocked = self._last[ch][index]
+        for key, _hold in shared:
+            shared_free = self._free_shared.get(key, 0.0)
+            if shared_free > start:
+                start = shared_free
+                blocked = self._last_shared.get(key, -1)
+        for dep_list in (common, extras):
+            if dep_list is None:
+                continue
+            for dep in dep_list:
+                if self._end[dep] > start:
+                    start = self._end[dep]
+                    blocked = dep
+        task_id = self._n
+        self._reserve(task_id + 1)
+        end = start + seconds
+        self._start[task_id] = start
+        self._end[task_id] = end
+        self._seconds[task_id] = seconds
+        self._device[task_id] = device
+        self._channel_idx[task_id] = ch
+        self._blocked[task_id] = blocked
+        self._phase_of[task_id] = phase
+        if extras is not None and len(extras):
+            grown = self._extra_len + len(extras)
+            self._extra_flat = _grown(self._extra_flat, grown)
+            self._extra_flat[self._extra_len:grown] = extras
+            self._extra_len = grown
+        self._extra_off[task_id + 1] = self._extra_len
+        self._free[ch][index] = end
+        self._last[ch][index] = task_id
+        self._busy[ch][index] += seconds
+        self._busy_channel[ch] += seconds
+        for key, hold in shared:
+            if hold <= 0:
+                continue  # zero holds never occupy the resource
+            hold_end = start + hold
+            if hold_end > self._free_shared.get(key, 0.0):
+                self._free_shared[key] = hold_end
+                self._last_shared[key] = task_id
+        if self._max_id < 0 or end > self._max_end:
+            self._max_end = end
+            self._max_id = task_id
+        self._n = task_id + 1
+
+
+@pytest.fixture
+def install_scheduler_oracle(monkeypatch):
+    """Returns ``install()``: after the call, every ``EventTimeline``
+    built during the test schedules through :class:`OracleScheduler`
+    (trainers, baselines and the serving engine all get their scheduler
+    from the timeline). Undone at teardown."""
+    def install():
+        monkeypatch.setattr("repro.hardware.clock.EventScheduler",
+                            OracleScheduler)
+    return install

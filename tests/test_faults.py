@@ -34,7 +34,6 @@ from repro.hardware import (
     ClusterPlatform,
     MultiGPUPlatform,
 )
-from repro.runtime import EventScheduler
 
 
 @pytest.fixture(scope="module")
@@ -341,7 +340,7 @@ class TestCostModelFaults:
 
 
 # ----------------------------------------------------------------------
-# empty-schedule float identity, on both scheduler cores
+# empty-schedule float identity, under the array step and the oracle
 # ----------------------------------------------------------------------
 class TestEmptyScheduleIdentity:
     def _epoch(self, graph, faults):
@@ -354,15 +353,14 @@ class TestEmptyScheduleIdentity:
         }
         return result, flows
 
-    @pytest.mark.parametrize("vectorized", [True, False],
+    @pytest.mark.parametrize("oracle", [False, True],
                              ids=["batched-core", "scalar-core"])
-    def test_empty_schedule_is_float_identical(self, graph, vectorized):
-        try:
-            EventScheduler.vectorized = vectorized
-            plain, plain_flows = self._epoch(graph, None)
-            empty, empty_flows = self._epoch(graph, FaultSchedule.empty())
-        finally:
-            EventScheduler.vectorized = True
+    def test_empty_schedule_is_float_identical(self, graph, oracle,
+                                               install_scheduler_oracle):
+        if oracle:
+            install_scheduler_oracle()
+        plain, plain_flows = self._epoch(graph, None)
+        empty, empty_flows = self._epoch(graph, FaultSchedule.empty())
         assert empty.epoch_seconds == plain.epoch_seconds
         assert empty.loss == plain.loss
         assert empty.net_bytes == plain.net_bytes

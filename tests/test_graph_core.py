@@ -1,6 +1,4 @@
-"""Tests for the Graph property container, generators, datasets and IO."""
-
-import os
+"""Tests for the Graph property container, generators and datasets."""
 
 import numpy as np
 import pytest
@@ -11,12 +9,10 @@ from repro.graph import (
     available_datasets,
     gaussian_features,
     load_dataset,
-    load_graph,
     locality_web_graph,
     planted_partition,
     random_split_masks,
     rmat,
-    save_graph,
     toy_graph,
     PAPER_PROFILES,
 )
@@ -213,28 +209,3 @@ class TestDatasets:
         np.testing.assert_array_equal(g.in_csr.row(3), [2, 5, 6])
         np.testing.assert_array_equal(g.in_csr.row(7), [2, 3, 6])
 
-
-class TestIO:
-    def test_roundtrip(self, tmp_path):
-        g = load_dataset("products_sim", scale=0.05)
-        path = os.path.join(tmp_path, "graph.npz")
-        save_graph(g, path)
-        loaded = load_graph(path)
-        assert loaded.num_vertices == g.num_vertices
-        assert loaded.in_csr == g.in_csr
-        np.testing.assert_array_equal(loaded.features, g.features)
-        np.testing.assert_array_equal(loaded.labels, g.labels)
-        np.testing.assert_array_equal(loaded.train_mask, g.train_mask)
-        assert loaded.name == g.name
-
-    def test_roundtrip_without_properties(self, tmp_path):
-        g = Graph(np.array([0, 1]), np.array([1, 0]), 2, name="bare")
-        path = os.path.join(tmp_path, "bare.npz")
-        save_graph(g, path)
-        loaded = load_graph(path)
-        assert loaded.features is None
-        assert loaded.labels is None
-
-    def test_missing_file(self):
-        with pytest.raises(GraphFormatError):
-            load_graph("/nonexistent/path.npz")

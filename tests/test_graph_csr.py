@@ -230,11 +230,11 @@ class TestVectorizedSorting:
 
     def test_sorted_rows_matches_reference(self):
         sorted_csr, shuffled = self._build_unsorted()
-        vectorized = shuffled._sorted_rows()
+        lexsorted = shuffled._sorted_rows()
         reference = _sorted_rows_reference(shuffled)
-        np.testing.assert_array_equal(vectorized.indices, reference.indices)
-        np.testing.assert_allclose(vectorized.values, reference.values)
-        np.testing.assert_array_equal(vectorized.indices, sorted_csr.indices)
+        np.testing.assert_array_equal(lexsorted.indices, reference.indices)
+        np.testing.assert_allclose(lexsorted.values, reference.values)
+        np.testing.assert_array_equal(lexsorted.indices, sorted_csr.indices)
 
     def test_transpose_round_trip_weighted(self):
         _, shuffled = self._build_unsorted(seed=1)
@@ -259,9 +259,9 @@ class TestVectorizedSorting:
                 samples.append(time.perf_counter() - start)
             return min(samples)
 
-        vectorized = best_of(shuffled._sorted_rows)
+        lexsorted = best_of(shuffled._sorted_rows)
         loop = best_of(lambda: _sorted_rows_reference(shuffled))
-        assert vectorized < loop, (
-            f"vectorized _sorted_rows ({vectorized:.4f}s) slower than "
+        assert lexsorted < loop, (
+            f"vectorized _sorted_rows ({lexsorted:.4f}s) slower than "
             f"the row loop ({loop:.4f}s)"
         )

@@ -6,8 +6,8 @@ Three contracts guard the refactor:
   same profile exercises the heterogeneous code path (per-node rate
   arrays, per-link pricing, compute-aware placement, per-node host
   budgets) yet must reproduce the homogeneous cluster bit for bit:
-  epoch makespan, per-flow network bytes and the critical path, on both
-  the vectorized and the scalar scheduler cores.
+  epoch makespan, per-flow network bytes and the critical path, under
+  both the scheduler's array step and the one-task-at-a-time oracle.
 * **Validation** — malformed fleet configurations (empty profile lists,
   count mismatches, non-positive rates, GPU-count mismatches, bogus
   cache budgets) raise :class:`ConfigurationError` with actionable
@@ -36,7 +36,6 @@ from repro.hardware import (
     ClusterPlatform,
     MultiGPUPlatform,
 )
-from repro.runtime.scheduler import EventScheduler
 from repro.serving import ImmediatePolicy, PoissonArrivals
 
 
@@ -80,23 +79,23 @@ def epoch_fingerprint(cluster, overlap):
 # ---------------------------------------------------------------------------
 class TestIdenticalProfilesDegeneracy:
     @pytest.mark.parametrize("overlap", ["barrier", "pipeline"])
-    @pytest.mark.parametrize("vectorized", [True, False],
+    @pytest.mark.parametrize("oracle", [False, True],
                              ids=["batched", "scalar"])
-    def test_identical_specs_bit_identical(self, overlap, vectorized):
+    def test_identical_specs_bit_identical(self, overlap, oracle,
+                                           install_scheduler_oracle):
         """node_specs=(A100,)*N runs the hetero path (rate arrays,
         compute-aware search, per-node budgets) yet must be float-exact
-        against the spec-free homogeneous cluster on both cores."""
+        against the spec-free homogeneous cluster, under the array step
+        and under the scalar oracle."""
         node = A100_SERVER.with_num_gpus(GPUS_PER_NODE)
         homo = make_cluster()
         hetero = make_cluster((node,) * NODES)
         assert not homo.heterogeneous
         assert hetero.heterogeneous
-        try:
-            EventScheduler.vectorized = vectorized
-            base, base_flows, base_path = epoch_fingerprint(homo, overlap)
-            same, same_flows, same_path = epoch_fingerprint(hetero, overlap)
-        finally:
-            EventScheduler.vectorized = True
+        if oracle:
+            install_scheduler_oracle()
+        base, base_flows, base_path = epoch_fingerprint(homo, overlap)
+        same, same_flows, same_path = epoch_fingerprint(hetero, overlap)
         assert same.epoch_seconds == base.epoch_seconds
         assert same.loss == base.loss
         assert same_flows == base_flows

@@ -22,8 +22,10 @@ from repro.hardware import (
     ClusterPlatform,
     EventTimeline,
     MultiGPUPlatform,
+    NetworkTopology,
 )
 from repro.runtime import CHANNELS, EventScheduler, TransitionBuffers
+from scheduler_oracle import OracleScheduler
 
 
 class TestEventScheduler:
@@ -72,12 +74,19 @@ class TestEventScheduler:
         lambda s, bad: s.submit("gpu", 0, bad),
         lambda s, bad: s.submit_batch("gpu", [0, 1], [bad, 2.0]),
         lambda s, bad: s.submit_batch("gpu", [0, 1], [2.0, bad]),
-        # duplicate devices: the scalar branch of submit_batch
         lambda s, bad: s.submit_batch("gpu", [1, 1], [2.0, bad]),
-    ], ids=["submit", "batch_first", "batch_last", "batch_scalar_branch"])
+        # holds: an inf one used to park the next holder at inf, a NaN
+        # was dropped and a negative one ignored, all without a word
+        lambda s, bad: s.submit("net", -2, 1.0, shared=[("k", bad)]),
+        lambda s, bad: s.submit_batch(
+            "net", [-2, -3], [1.0, 1.0],
+            shared_by_task=[[("k", 0.5)], [("j", 0.0), ("k", bad)]]),
+    ], ids=["submit", "batch_first", "batch_last", "batch_repeated_device",
+            "submit_hold", "batch_hold"])
     def test_non_finite_or_negative_duration_rejected(self, submit, bad):
         """A NaN used to be accepted, poison every dependant's end time
-        and then be *ignored* by the makespan — a silently wrong number."""
+        and then be *ignored* by the makespan — a silently wrong number.
+        Shared-resource holds are durations too."""
         scheduler = EventScheduler()
         scheduler.submit("gpu", 0, 1.0)
         with pytest.raises(SchedulerError, match="finite"):
@@ -102,19 +111,33 @@ class TestEventScheduler:
         assert scheduler.num_tasks == 1
 
     @pytest.mark.parametrize("submit", [
+        # used to truncate onto devices 0 and 1
+        lambda s: s.submit_batch("gpu", [0.5, 1.5], [1.0, 1.0]),
+        # used to escape as a bare IndexError
+        lambda s: s.submit("gpu", 1.5, 1.0),
+    ], ids=["batch", "submit"])
+    def test_non_integral_device_rejected(self, submit):
+        scheduler = EventScheduler()
+        scheduler.submit("gpu", 0, 1.0)
+        with pytest.raises(SchedulerError, match="integers"):
+            submit(scheduler)
+        scheduler.validate()
+        assert scheduler.num_tasks == 1
+        assert scheduler.busy_seconds() == 1.0
+
+    @pytest.mark.parametrize("submit", [
         # reads zero-initialised capacity: used to schedule at t=0
         lambda s: s.submit("gpu", 0, 1.0, deps=[5]),
         # wraps to the array tail
         lambda s: s.submit("gpu", 0, 1.0, deps=[-1]),
         # past the allocated capacity: used to be a bare IndexError
         lambda s: s.submit("gpu", 0, 1.0, deps=[10_000]),
-        # duplicate devices force submit_batch onto its scalar branch
         lambda s: s.submit_batch("gpu", [0, 0], [1.0, 1.0],
                                  extra_deps=[np.array([3]), None]),
         lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
                                  common_deps=np.array([-1])),
     ], ids=["unsubmitted", "negative", "beyond_capacity",
-            "batch_scalar_branch", "batch_vectorized_branch"])
+            "batch_repeated_device", "batch_common"])
     def test_out_of_range_dependency_rejected(self, submit):
         scheduler = EventScheduler()
         scheduler.submit("gpu", 0, 1.0)
@@ -219,19 +242,21 @@ class TestEventScheduler:
 
 
 class TestVectorizedScheduler:
-    """The SoA core's acceptance contract: ``submit_batch`` assigns the
-    exact times the scalar submit loop would, wave by wave, on randomized
-    dependency DAGs — bit-identical starts/ends, makespans, busy
-    accounting, and critical paths."""
+    """The array step's acceptance contract: ``submit_batch`` assigns the
+    exact times the one-task-at-a-time rule of ``scheduler_oracle`` would,
+    wave by wave, on randomized dependency DAGs — bit-identical
+    starts/ends/blockers, makespans, busy accounting, and critical
+    paths."""
 
     CHANNEL_NAMES = tuple(CHANNELS)
+    SHARED_KEYS = (("net", "spine"), "second-core")
 
     def _random_wave(self, rng, num_submitted):
         channel = self.CHANNEL_NAMES[rng.integers(len(self.CHANNEL_NAMES))]
         k = int(rng.integers(1, 7))
-        # Duplicate devices (the 0.15 branch): both cores serialize the
-        # wave through the scalar path — still one submit_batch call.
-        devices = (rng.integers(0, 3, size=k) if rng.random() < 0.15
+        # Repeated devices (the 0.2 branch): the wave is scheduled as
+        # its duplicate-free runs — still one submit_batch call.
+        devices = (rng.integers(0, 3, size=k) if rng.random() < 0.2
                    else rng.choice(16, size=k, replace=False))
         devices = devices.astype(np.int64)
         if channel == "net":
@@ -252,18 +277,24 @@ class TestVectorizedScheduler:
                                     replace=False).astype(np.int64)
                 extras.append(picked if len(picked) else None)
         shared = None
-        if rng.random() < 0.1:
-            # Shared-resource holds (the spine contract) force the
-            # scalar core; times must still match exactly.
-            shared = [[(("net", "spine"), float(seconds[t]) / 2.0)]
-                      for t in range(k)]
+        if rng.random() < 0.3:
+            # Shared-resource holds (the spine contract): 0-2 per task
+            # over two keys, in either order, zero holds included —
+            # drawn independently of the repeated-device branch, so
+            # some waves carry both.
+            shared = []
+            for _ in range(k):
+                keys = rng.permutation(2)[:int(rng.integers(0, 3))]
+                shared.append([
+                    (self.SHARED_KEYS[key], float(rng.integers(0, 5)) / 8.0)
+                    for key in keys
+                ])
         return channel, devices, seconds, common, extras, shared
 
     def _build_pair(self, seed, waves=40):
         rng = np.random.default_rng(seed)
         fast = EventScheduler()
-        slow = EventScheduler()
-        slow.vectorized = False  # force the scalar core per task
+        slow = OracleScheduler()
         for _ in range(waves):
             if rng.random() < 0.1:
                 fast.barrier()
@@ -279,35 +310,95 @@ class TestVectorizedScheduler:
             assert (ids_fast == ids_slow).all()
         return fast, slow
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", range(32))
     def test_batch_times_match_scalar_on_random_dags(self, seed):
         fast, slow = self._build_pair(seed)
         assert fast.num_tasks == slow.num_tasks
         for batched, scalar in zip(fast.tasks, slow.tasks):
             assert batched.start == scalar.start      # bit-identical
             assert batched.end == scalar.end
+            assert batched.blocked_by == scalar.blocked_by
+            assert batched.deps == scalar.deps
             assert batched.channel == scalar.channel
             assert batched.device == scalar.device
         assert fast.makespan == slow.makespan
 
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(32))
     def test_busy_accounting_matches_scalar(self, seed):
         fast, slow = self._build_pair(seed)
         assert fast.busy_by_channel() == slow.busy_by_channel()
         for channel in self.CHANNEL_NAMES:
             assert fast.busy_seconds(channel=channel) == \
                 slow.busy_seconds(channel=channel)
+            for device in fast.devices():
+                assert fast.busy_seconds(channel, device) == \
+                    slow.busy_seconds(channel, device)
 
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(32))
     def test_critical_path_matches_scalar(self, seed):
         fast, slow = self._build_pair(seed)
         assert [task.task_id for task in fast.critical_path()] == \
             [task.task_id for task in slow.critical_path()]
 
+    def test_random_dags_cover_the_hard_waves(self):
+        """The draws above do reach holds on repeated devices, two-key
+        holds and zero holds (or the identity test proves less than it
+        says)."""
+        rng = np.random.default_rng(0)
+        seen = set()
+        for _ in range(400):
+            _ch, devices, _s, _c, _e, shared = self._random_wave(rng, 5)
+            if shared is None:
+                continue
+            if len(np.unique(devices)) < len(devices):
+                seen.add("repeated+holds")
+            if any(len(holds) == 2 for holds in shared):
+                seen.add("two keys")
+            if any(hold == 0.0 for holds in shared for _k, hold in holds):
+                seen.add("zero hold")
+            if any(len(holds) == 0 for holds in shared):
+                seen.add("no hold")
+        assert seen == {"repeated+holds", "two keys", "zero hold", "no hold"}
+
     @pytest.mark.parametrize("seed", range(4))
     def test_validate_passes_on_array_backed_state(self, seed):
-        fast, _slow = self._build_pair(seed)
+        fast, slow = self._build_pair(seed)
         fast.validate()
+        slow.validate()
+
+    def test_repeated_devices_equal_single_submits(self):
+        """A wave [d0, d1, d0, d2, d1] is scheduled as duplicate-free
+        runs ([d0 d1] [d0 d2] [d1]): same times as five single submits,
+        contiguous ids, one phase record."""
+        batched, single = EventScheduler(), EventScheduler()
+        for scheduler in (batched, single):
+            scheduler.submit("h2d", 0, 3.0)       # task 0
+            scheduler.submit("h2d", 1, 1.0)       # task 1
+            scheduler.submit("gpu", 1, 0.5)       # task 2: d1 is busy
+        devices = [0, 1, 0, 2, 1]
+        seconds = [1.0, 2.0, 0.25, 4.0, 0.5]
+        common = np.array([1])
+        extras = [np.array([0]), None, None, np.array([0, 2]), np.array([2])]
+        phases_before = len(batched._phases)
+        ids = batched.submit_batch("gpu", devices, seconds,
+                                   common_deps=common, extra_deps=extras,
+                                   label="wave")
+        assert ids.tolist() == [3, 4, 5, 6, 7]
+        assert len(batched._phases) == phases_before + 1
+        for device, duration, extra in zip(devices, seconds, extras):
+            deps = common.tolist() + ([] if extra is None else extra.tolist())
+            single.submit("gpu", device, duration, deps=deps, label="wave")
+        for wave_task, lone_task in zip(batched.tasks, single.tasks):
+            assert wave_task.start == lone_task.start
+            assert wave_task.end == lone_task.end
+            assert wave_task.blocked_by == lone_task.blocked_by
+            assert wave_task.deps == lone_task.deps
+            assert wave_task.label == lone_task.label
+        # The second d0 task queued behind the first, inside the wave.
+        assert batched.tasks[5].blocked_by == 3
+        assert batched.tasks[5].start == batched.tasks[3].end
+        assert batched.makespan == single.makespan
+        batched.validate()
 
 
 class TestEventTimeline:
@@ -522,12 +613,14 @@ class TestBatchedEmissionEquivalence:
     """End-to-end acceptance of the batched-emission pipeline: a full
     cluster epoch produced through ``submit_batch`` waves must be
     bit-identical — makespan, losses, and per-flow network byte detail —
-    to the same epoch replayed through the scalar submit core."""
+    to the same epoch replayed through the one-task-at-a-time oracle of
+    ``tests/scheduler_oracle.py``."""
 
-    def _cluster_epoch(self, graph, overlap):
-        nodes = 2
-        platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(nodes),
-                                   gpus_per_node=2)
+    def _cluster_epoch(self, graph, overlap, topology):
+        # Three nodes: every halo wave has six links contending for an
+        # oversubscribed spine core, so the spine variant carries holds.
+        spec = A100_CLUSTER.with_num_nodes(3).with_topology(topology)
+        platform = ClusterPlatform(spec, gpus_per_node=2)
         model = build_model(
             "gcn", [graph.feature_dim, 12, graph.num_classes],
             np.random.default_rng(5))
@@ -545,19 +638,29 @@ class TestBatchedEmissionEquivalence:
         return result, flows
 
     @pytest.mark.parametrize("overlap", ["barrier", "pipeline"])
-    def test_cluster_epoch_bit_identical_to_scalar_core(self, graph,
-                                                        overlap):
-        batched, batched_flows = self._cluster_epoch(graph, overlap)
-        try:
-            EventScheduler.vectorized = False
-            scalar, scalar_flows = self._cluster_epoch(graph, overlap)
-        finally:
-            EventScheduler.vectorized = True
+    @pytest.mark.parametrize("topology", [
+        NetworkTopology("flat"),
+        NetworkTopology("spine", oversubscription=3.0),
+    ], ids=["flat", "spine"])
+    def test_cluster_epoch_bit_identical_to_scalar_core(
+            self, graph, overlap, topology, install_scheduler_oracle):
+        batched, batched_flows = self._cluster_epoch(graph, overlap,
+                                                     topology)
+        install_scheduler_oracle()
+        scalar, scalar_flows = self._cluster_epoch(graph, overlap, topology)
+        assert isinstance(scalar.timeline.scheduler, OracleScheduler)
+        assert type(batched.timeline.scheduler) is EventScheduler
         assert batched.epoch_seconds == scalar.epoch_seconds
         assert batched.loss == scalar.loss
         assert batched.net_bytes == scalar.net_bytes
         assert batched_flows == scalar_flows
         assert batched.timeline.scheduler.num_tasks == \
             scalar.timeline.scheduler.num_tasks
+        assert [(task.start, task.end, task.blocked_by)
+                for task in batched.timeline.scheduler.tasks] == \
+            [(task.start, task.end, task.blocked_by)
+             for task in scalar.timeline.scheduler.tasks]
+        assert bool(batched.timeline.scheduler._free_shared) == \
+            (topology.kind == "spine")
         batched.timeline.validate()
         scalar.timeline.validate()

@@ -2,7 +2,7 @@
 
 Covers the serving contracts end to end: arrival-process determinism,
 admission-policy invariants on randomized traces, bit-identical serving
-timelines across runs and across the vectorized/scalar scheduler paths
+timelines across runs and against the scalar scheduler oracle
 (the ``TestBatchedEmissionEquivalence`` contract extended to serving),
 the analytic single-request latency identity on one GPU, and the
 NaN-free percentile edge cases.
@@ -276,14 +276,13 @@ class TestServingDeterminism:
         assert first.net_bytes == second.net_bytes
         first.timeline.validate()
 
-    def test_scalar_scheduler_agrees_exactly(self, cluster_trainer):
+    def test_scalar_scheduler_agrees_exactly(self, cluster_trainer,
+                                             install_scheduler_oracle):
         batched = self._serve(cluster_trainer)
-        assert EventScheduler.vectorized
-        EventScheduler.vectorized = False
-        try:
-            scalar = self._serve(cluster_trainer)
-        finally:
-            EventScheduler.vectorized = True
+        install_scheduler_oracle()
+        scalar = self._serve(cluster_trainer)
+        assert type(batched.timeline.scheduler) is EventScheduler
+        assert type(scalar.timeline.scheduler) is not EventScheduler
         assert np.array_equal(batched.latencies, scalar.latencies)
         assert batched.p50 == scalar.p50
         assert batched.p99 == scalar.p99

@@ -2,10 +2,10 @@
 
 The simulator's two headline guarantees — identical results for an
 identical ``(config, seed)`` pair on every machine, and bit-identity
-between the vectorized and scalar scheduler cores — both collapse the
-moment nondeterminism leaks into an emission or search path. Three
-statically detectable leaks are flagged in every module under
-``src/repro/``:
+between the scheduler's array step and its scalar test oracle — both
+collapse the moment nondeterminism leaks into an emission or search
+path. Three statically detectable leaks are flagged in every module
+under ``src/repro/``:
 
 * ``RPL101`` — wall-clock reads (``time.time``, ``time.perf_counter``,
   ``datetime.now``, ...). Simulated seconds come from cost models, never

@@ -1,4 +1,4 @@
-"""RPL401 — hot-path loop lint for the vectorized simulator core.
+"""RPL401 — hot-path loop lint for the array-backed simulator core.
 
 The vectorization pass (PR 6) rebuilt the scheduler on
 structure-of-arrays state and turned per-(layer, batch, gpu) task
@@ -12,9 +12,10 @@ This checker flags statement-level ``for`` loops inside the files the
 vectorization pass owns (trainer emission, executor emission, scheduler
 core) whose iterable ranges over a per-(layer, batch, gpu) structure —
 ``range(num_gpus)``, ``plan.num_batches``, ``model.layers``, the
-per-GPU ``plans`` list, and the scalar cores' ``range(m)``/``range(k)``
-waves. Deliberate scalar paths (the reference scalar core, setup code
-that runs once per epoch) stay expressible through the dedicated
+per-GPU ``plans`` list, and per-task ``range(m)``/``range(k)`` sweeps
+of a wave. Deliberate scalar paths (the scheduler's shared-frontier
+recurrence — the one sequential part of its array step — and setup
+code that runs once per epoch) stay expressible through the dedicated
 ``# repro-lint: allow-loop`` escape hatch on the ``for`` line or the
 line directly above it. Comprehensions are never flagged: they build
 the static per-plan structures the vectorized waves consume.
