@@ -34,8 +34,9 @@ class GatedMeanLayer(GNNLayer):
         self.value = Linear(2 * in_dim, out_dim, rng, dtype=dtype)
 
     def aggregate(self, block, h):
-        messages = ops.gather_rows(h, block.edge_src)
-        total = ops.scatter_add_rows(messages, block.edge_dst, block.num_dst)
+        # One sparse product over the block's cached operator (the neighbor
+        # sum), then the 1/deg scale.
+        total = ops.spmm(block.operator(h.dtype, weighted=False), h)
         inv_deg = 1.0 / np.maximum(block.in_degrees(), 1)
         return ops.mul(total, Tensor(inv_deg.reshape(-1, 1)))
 
@@ -45,12 +46,10 @@ class GatedMeanLayer(GNNLayer):
                        ops.tanh(self.value(combined)))
 
     def aggregate_backward(self, block, grad_agg):
+        # The adjoint is the product with the transposed operator.
         inv_deg = 1.0 / np.maximum(block.in_degrees(), 1)
-        grad_messages = (grad_agg * inv_deg.reshape(-1, 1))[block.edge_dst]
-        grad_h = np.zeros((block.num_src, grad_agg.shape[1]),
-                          dtype=grad_agg.dtype)
-        np.add.at(grad_h, block.edge_src, grad_messages)
-        return grad_h
+        operator = block.operator(grad_agg.dtype, weighted=False)
+        return operator.T @ (grad_agg * inv_deg.reshape(-1, 1))
 
     def aggregate_flops(self, num_src, num_dst, num_edges):
         return 2 * num_edges * self.in_dim + num_dst * self.in_dim

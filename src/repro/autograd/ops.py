@@ -5,9 +5,10 @@ product (VJP) closure on the output tensor. The op set covers the needs of
 GNN training:
 
 * dense ops — ``matmul``, elementwise arithmetic, activations, reductions;
-* irregular ops — ``gather_rows`` (neighbor lookup), ``scatter_add_rows``
-  (gradient accumulation along out-edges), ``segment_sum`` and
-  ``segment_softmax`` (per-destination edge reductions used by GAT);
+* irregular ops — ``spmm`` (a linear AGGREGATE as one sparse product),
+  ``gather_rows`` (neighbor lookup), ``scatter_add_rows`` (gradient
+  accumulation along out-edges), ``segment_sum`` and ``segment_softmax``
+  (per-destination edge reductions used by GAT);
 * utility ops — ``concat``, ``dropout``, ``reshape``, ``transpose``.
 
 Broadcasting follows numpy semantics; :func:`_unbroadcast` reduces an output
@@ -16,9 +17,11 @@ adjoint back to an input's shape.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from repro.autograd.tensor import Tensor
 from repro.errors import AutogradError
@@ -27,7 +30,8 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "pow_", "matmul",
     "relu", "leaky_relu", "sigmoid", "tanh", "exp", "log",
     "sum_", "mean", "reshape", "transpose", "concat",
-    "gather_rows", "scatter_add_rows", "segment_sum", "segment_softmax",
+    "spmm", "gather_rows", "scatter_add_rows", "segment_sum",
+    "segment_softmax",
     "dropout", "slice_rows", "softmax", "log_softmax", "elu",
 ]
 
@@ -324,6 +328,58 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 # irregular (graph) ops
 # ----------------------------------------------------------------------
 
+def spmm(matrix: sparse.spmatrix, h: Tensor) -> Tensor:
+    """Sparse-dense product ``matrix @ h`` with a constant sparse operand.
+
+    A linear AGGREGATE is this one product over the block's operator
+    (:meth:`repro.gnn.block.Block.operator`); the VJP is the product with
+    the transpose, which for a CSR matrix is the CSC view of the same
+    arrays. No per-edge message tensor exists in either direction.
+    """
+    h = Tensor.as_tensor(h)
+    if h.ndim != 2 or matrix.shape[1] != h.shape[0]:
+        raise AutogradError(
+            f"spmm expects {matrix.shape} @ (n, dim), got {h.shape}"
+        )
+    out_data = matrix @ h.data
+
+    def backward(grad: np.ndarray) -> None:
+        h.accumulate_grad(matrix.T @ grad)
+
+    return Tensor.from_op(out_data, (h,), backward, name="spmm")
+
+
+def _checked_index(index: np.ndarray, num_rows: int) -> np.ndarray:
+    """``index`` as int64, every entry in ``[0, num_rows)``."""
+    index = np.asarray(index, dtype=np.int64)
+    if len(index) and (index.min() < 0 or index.max() >= num_rows):
+        raise AutogradError(f"row index out of range for {num_rows} rows")
+    return index
+
+
+def _scatter_add(index: np.ndarray, values: np.ndarray,
+                 num_rows: int) -> np.ndarray:
+    """``out[index[i]] += values[i]`` into zeros, adding in index order.
+
+    Rows go through the CSC incidence matrix of ``index`` (one column per
+    value, built in O(len) without a sort), 1-D values through
+    ``np.bincount``; both add in array order like a scalar loop would.
+    ``index`` must come from :func:`_checked_index`: the sparse kernel
+    does not bounds-check.
+    """
+    if values.ndim == 1:
+        return np.bincount(index, weights=values, minlength=num_rows) \
+            .astype(values.dtype, copy=False)
+    count = len(index)
+    incidence = sparse.csc_matrix(
+        (np.ones(count, dtype=values.dtype), index, np.arange(count + 1)),
+        shape=(num_rows, count),
+    )
+    trailing = values.shape[1:]
+    out = incidence @ values.reshape(count, math.prod(trailing))
+    return out.reshape((num_rows,) + trailing)
+
+
 def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     """Row lookup ``a[index]`` — the edge-source gather of GNN aggregation.
 
@@ -332,13 +388,11 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     Section 4.1 of the paper relies on being associative).
     """
     a = Tensor.as_tensor(a)
-    index = np.asarray(index, dtype=np.int64)
+    index = _checked_index(index, len(a.data))
     out_data = a.data[index]
 
     def backward(grad: np.ndarray) -> None:
-        full = np.zeros_like(a.data)
-        np.add.at(full, index, grad)
-        a.accumulate_grad(full)
+        a.accumulate_grad(_scatter_add(index, grad, len(a.data)))
 
     return Tensor.from_op(out_data, (a,), backward, name="gather_rows")
 
@@ -350,10 +404,8 @@ def scatter_add_rows(a: Tensor, index: np.ndarray, num_rows: int) -> Tensor:
     message passing; the VJP is a plain gather.
     """
     a = Tensor.as_tensor(a)
-    index = np.asarray(index, dtype=np.int64)
-    out_shape = (num_rows,) + a.shape[1:]
-    out_data = np.zeros(out_shape, dtype=a.dtype)
-    np.add.at(out_data, index, a.data)
+    index = _checked_index(index, num_rows)
+    out_data = _scatter_add(index, a.data, num_rows)
 
     def backward(grad: np.ndarray) -> None:
         a.accumulate_grad(grad[index])
@@ -373,39 +425,32 @@ def segment_softmax(scores: Tensor, segments: np.ndarray, num_segments: int) -> 
     taken over all edges sharing a destination. This is GAT's
     neighbor-oriented softmax (Eq. 3 in the paper) and is the reason HongTu's
     chunking must keep *all* in-edges of a destination in one chunk.
+    ``segments`` must be sorted (edges are destination-major in a block).
     """
     scores = Tensor.as_tensor(scores)
-    segments = np.asarray(segments, dtype=np.int64)
+    segments = _checked_index(segments, num_segments)
     if scores.ndim not in (1, 2):
         raise AutogradError(
             f"segment_softmax expects 1-D or 2-D scores, got {scores.shape}"
         )
+    if (segments[1:] < segments[:-1]).any():
+        raise AutogradError("segment_softmax expects sorted segments")
 
     data = scores.data
-    # Per-segment max for stability.
-    if data.ndim == 1:
-        seg_max = np.full(num_segments, -np.inf, dtype=data.dtype)
-        np.maximum.at(seg_max, segments, data)
-        shifted = data - seg_max[segments]
-        e = np.exp(shifted)
-        seg_sum = np.zeros(num_segments, dtype=data.dtype)
-        np.add.at(seg_sum, segments, e)
-        out_data = e / seg_sum[segments]
-    else:
-        seg_max = np.full((num_segments,) + data.shape[1:], -np.inf, dtype=data.dtype)
-        np.maximum.at(seg_max, segments, data)
-        shifted = data - seg_max[segments]
-        e = np.exp(shifted)
-        seg_sum = np.zeros((num_segments,) + data.shape[1:], dtype=data.dtype)
-        np.add.at(seg_sum, segments, e)
-        out_data = e / seg_sum[segments]
+    # Per-segment max for stability: one reduceat over the non-empty
+    # segments' start offsets (reduceat misreads an empty slice).
+    counts = np.bincount(segments, minlength=num_segments)
+    occupied = counts > 0
+    seg_max = np.full((num_segments,) + data.shape[1:], -np.inf,
+                      dtype=data.dtype)
+    seg_max[occupied] = np.maximum.reduceat(
+        data, (np.cumsum(counts) - counts)[occupied])
+    e = np.exp(data - seg_max[segments])
+    out_data = e / _scatter_add(segments, e, num_segments)[segments]
 
     def backward(grad: np.ndarray) -> None:
         # d softmax: s * (g - sum_j s_j g_j) within each segment.
-        weighted = grad * out_data
-        shape = (num_segments,) if weighted.ndim == 1 else (num_segments,) + weighted.shape[1:]
-        seg_dot = np.zeros(shape, dtype=weighted.dtype)
-        np.add.at(seg_dot, segments, weighted)
+        seg_dot = _scatter_add(segments, grad * out_data, num_segments)
         scores.accumulate_grad(out_data * (grad - seg_dot[segments]))
 
     return Tensor.from_op(out_data, (scores,), backward, name="segment_softmax")

@@ -781,12 +781,12 @@ class DedupCommunicator:
                     f"gradient shape {grads.shape} does not match needed set "
                     f"({len(plan.needed)}, {self._dim})"
                 )
+            # One segment never names a buffer slot twice (build_comm_plan
+            # checks), so the indexed += accumulates every row; so does the
+            # flush below over its distinct vertices.
             for segment in plan.fetch_segments:
-                np.add.at(
-                    buffers[segment.source_gpu],
-                    segment.source_positions,
-                    grads[segment.local_rows],
-                )
+                buffers[segment.source_gpu][segment.source_positions] += \
+                    grads[segment.local_rows]
         d2d_seconds, local_seconds = self._segment_seconds(static, row_bytes)
         self.bytes_moved["d2d"] += int(static.d2d_rows.sum()) * row_bytes
         self.bytes_moved["ru"] += int(static.local_rows.sum()) * row_bytes
@@ -829,7 +829,7 @@ class DedupCommunicator:
         # repro-lint: allow-loop — per-GPU numpy flush-add (numerics, not timing); body is array-wide
         for plan, vertices, positions in zip(
                 plans, static.flush_vertices, static.flush_positions):
-            np.add.at(host_grads, vertices, buffers[plan.gpu][positions])
+            host_grads[vertices] += buffers[plan.gpu][positions]
         flush_bytes = static.flush_rows * row_bytes
         self.bytes_moved["d2h"] += int(flush_bytes.sum())
         d2h_seconds = self.platform.h2d_seconds(flush_bytes,

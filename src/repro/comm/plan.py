@@ -171,13 +171,15 @@ def build_comm_plan(partition: TwoLevelPartition,
                 transition, reuse_mask, position_of[i], free_slots[i],
                 next_slot, i,
             )
-            batch_plans.append(BatchGpuPlan(
+            plan = BatchGpuPlan(
                 gpu=i, batch=j,
                 needed=needed_sets[i],
                 transition=transition,
                 positions=positions,
                 reuse_mask=reuse_mask,
-            ))
+            )
+            _require_distinct(plan)
+            batch_plans.append(plan)
             previous_transition[i] = transition
 
         # Fetch segments: for each reader GPU, split its needed set by the
@@ -225,6 +227,30 @@ def build_comm_plan(partition: TwoLevelPartition,
 
     buffer_rows = list(next_slot)
     return CommPlan(partition, plans, buffer_rows, dedup_inter, dedup_intra)
+
+
+def _require_distinct(plan: BatchGpuPlan) -> None:
+    """Refuse a plan whose index sets could repeat an entry.
+
+    The executor's backward accumulates with ``buf[idx] += rows``, which
+    drops all but one of a repeated index. Its index sets are gathers of
+    these three arrays at distinct offsets (a fetch segment's
+    ``source_positions``, the flush ``vertices`` and ``positions``), so
+    duplicate-free here is duplicate-free there — checked once per plan,
+    never per call.
+    """
+    for what, vertices in (("needed", plan.needed),
+                           ("transition", plan.transition)):
+        if (vertices[1:] <= vertices[:-1]).any():
+            raise CommunicationPlanError(
+                f"{what} vertices are not sorted and duplicate-free "
+                f"(gpu={plan.gpu}, batch={plan.batch})"
+            )
+    if len(plan.positions) and np.bincount(plan.positions).max() > 1:
+        raise CommunicationPlanError(
+            f"duplicate buffer positions (gpu={plan.gpu}, "
+            f"batch={plan.batch})"
+        )
 
 
 def _assign_positions(transition: np.ndarray, reuse_mask: np.ndarray,

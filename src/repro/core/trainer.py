@@ -543,7 +543,7 @@ class HongTuTrainer:
             np.zeros_like(agg_data)
         grads = layer.aggregate_backward(block, grad_agg)
         if layer.update_uses_self and h_dst_t.grad is not None:
-            np.add.at(grads, block.dst_pos, h_dst_t.grad)
+            grads[block.dst_pos] += h_dst_t.grad  # dst_pos is duplicate-free
         return grads
 
     # ------------------------------------------------------------------

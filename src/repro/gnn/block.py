@@ -17,10 +17,11 @@ computation engine" (§6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import GraphFormatError
 from repro.graph.graph import Graph
@@ -39,12 +40,15 @@ class Block:
         edge's source.
     edge_dst:
         (E,) local output row (0..num_dst) of each edge's destination. Edges
-        are destination-major sorted.
+        are destination-major sorted (checked: :meth:`operator` reads the
+        arrays as CSR without sorting them).
     num_dst, num_src:
         Output/input row counts.
     dst_pos:
         (num_dst,) for each destination, the input row holding that same
         vertex's representation (for UPDATE terms like GAT's ``W h_v``).
+        Duplicate-free (checked), so ``grads[dst_pos] += g`` accumulates
+        every row.
     edge_weight:
         Optional (E,) constant per-edge weights (GCN normalization). These
         are *globally* computed constants, so chunked execution matches
@@ -62,6 +66,10 @@ class Block:
     edge_weight: Optional[np.ndarray] = None
     src_global: Optional[np.ndarray] = None
     dst_global: Optional[np.ndarray] = None
+    _in_degrees: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False)
+    _operators: Dict[Tuple[np.dtype, bool], sparse.csr_matrix] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.edge_src = np.asarray(self.edge_src, dtype=np.int64)
@@ -69,14 +77,21 @@ class Block:
         self.dst_pos = np.asarray(self.dst_pos, dtype=np.int64)
         if len(self.edge_src) != len(self.edge_dst):
             raise GraphFormatError("edge_src and edge_dst must be parallel")
-        if len(self.edge_src) and self.edge_src.max() >= self.num_src:
-            raise GraphFormatError("edge_src out of range")
-        if len(self.edge_dst) and self.edge_dst.max() >= self.num_dst:
-            raise GraphFormatError("edge_dst out of range")
+        if len(self.edge_src):
+            if self.edge_src.min() < 0 or self.edge_src.max() >= self.num_src:
+                raise GraphFormatError("edge_src out of range")
+            if (self.edge_dst[1:] < self.edge_dst[:-1]).any():
+                raise GraphFormatError("edge_dst must be destination-major "
+                                       "sorted")
+            if self.edge_dst[0] < 0 or self.edge_dst[-1] >= self.num_dst:
+                raise GraphFormatError("edge_dst out of range")
         if len(self.dst_pos) != self.num_dst:
             raise GraphFormatError("dst_pos must have num_dst entries")
-        if self.num_dst and len(self.dst_pos) and self.dst_pos.max() >= self.num_src:
-            raise GraphFormatError("dst_pos out of range")
+        if self.num_dst:
+            if self.dst_pos.min() < 0 or self.dst_pos.max() >= self.num_src:
+                raise GraphFormatError("dst_pos out of range")
+            if np.bincount(self.dst_pos).max() > 1:
+                raise GraphFormatError("dst_pos has duplicate rows")
         if self.edge_weight is not None and len(self.edge_weight) != len(self.edge_src):
             raise GraphFormatError("edge_weight must be parallel to edges")
 
@@ -105,8 +120,40 @@ class Block:
         )
 
     def in_degrees(self) -> np.ndarray:
-        """Per-destination in-degree within this block."""
-        return np.bincount(self.edge_dst, minlength=self.num_dst)
+        """Per-destination in-degree within this block (cached, read-only)."""
+        if self._in_degrees is None:
+            degrees = np.bincount(self.edge_dst, minlength=self.num_dst)
+            degrees.flags.writeable = False
+            self._in_degrees = degrees
+        return self._in_degrees
+
+    def operator(self, dtype, weighted: bool = True) -> sparse.csr_matrix:
+        """The block as a sparse ``(num_dst, num_src)`` matrix ``A``.
+
+        ``A @ h`` is the neighbor sum of a linear AGGREGATE and ``A.T @ g``
+        (the CSC view of the same arrays) its adjoint — the cuSparse SpMM
+        of the paper's computation engine (§6). Row ``v`` holds one entry
+        per in-edge of destination ``v``, in edge order (multi-edges stay
+        separate entries), so both products add in the order a per-edge
+        scatter would. Entries are ``edge_weight`` (ones when the block has
+        none or ``weighted`` is False) in ``dtype``, so the product keeps
+        its operand's dtype. Built once per (dtype, weighted) and cached:
+        chunks cache their block, so an operator lives as long as the plan.
+        """
+        weighted = weighted and self.edge_weight is not None
+        key = (np.dtype(dtype), weighted)
+        matrix = self._operators.get(key)
+        if matrix is None:
+            data = (self.edge_weight.astype(dtype, copy=False) if weighted
+                    else np.ones(self.num_edges, dtype=dtype))
+            indptr = np.zeros(self.num_dst + 1, dtype=np.int64)
+            np.cumsum(self.in_degrees(), out=indptr[1:])
+            matrix = sparse.csr_matrix(
+                (data, self.edge_src, indptr),
+                shape=(self.num_dst, self.num_src),
+            )
+            self._operators[key] = matrix
+        return matrix
 
     def __repr__(self) -> str:
         return (

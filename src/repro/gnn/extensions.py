@@ -48,12 +48,7 @@ class GGNNLayer(GNNLayer):
 
     def aggregate(self, block: Block, h: Tensor) -> Tensor:
         projected = self.message(h)  # parameterized message per source row
-        messages = ops.gather_rows(projected, block.edge_src)
-        if block.edge_weight is not None:
-            messages = ops.mul(
-                messages, Tensor(block.edge_weight.reshape(-1, 1))
-            )
-        return ops.scatter_add_rows(messages, block.edge_dst, block.num_dst)
+        return ops.spmm(block.operator(projected.dtype), projected)
 
     def update(self, block: Block, agg: Tensor, h_dst: Tensor) -> Tensor:
         state = self.project(h_dst) if self.project is not None else h_dst

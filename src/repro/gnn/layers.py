@@ -99,30 +99,32 @@ class GNNLayer(Module):
                                   num_edges: int) -> int:
         """Transient scalars resident during one chunk-layer forward.
 
-        This models the paper's CUDA implementation (cuSparse SpMM does not
-        materialize per-edge messages for linear aggregates), not the numpy
-        execution path — the simulated memory pools charge these analytic
-        sizes.
+        This models the paper's CUDA implementation: cuSparse SpMM does not
+        materialize per-edge messages for linear aggregates, and neither
+        does the numpy path (:func:`repro.autograd.ops.spmm` over the
+        block's operator). Layers with a per-edge path (GAT, GGNN) override
+        it. The simulated memory pools charge these analytic sizes.
         """
         return num_dst * (self.aggregate_dim() + self.out_dim)
 
 
-def _weighted_messages(block: Block, h: Tensor) -> Tensor:
-    """Per-edge messages h[src] (scaled by edge weights when present)."""
-    messages = ops.gather_rows(h, block.edge_src)
-    if block.edge_weight is not None:
-        weights = Tensor(block.edge_weight.reshape(-1, 1))
-        messages = ops.mul(messages, weights)
-    return messages
+def _inverse_degrees(block: Block, dtype) -> np.ndarray:
+    """(num_dst, 1) column of 1/in-degree (1 for isolated destinations)."""
+    inv_deg = 1.0 / np.maximum(block.in_degrees(), 1)
+    return inv_deg.astype(dtype, copy=False).reshape(-1, 1)
+
+
+def _mean_aggregate(block: Block, h: Tensor) -> Tensor:
+    """Degree-normalized mean: neighbor sum, then scale by 1/deg."""
+    total = ops.spmm(block.operator(h.dtype, weighted=False), h)
+    return ops.mul(total, Tensor(_inverse_degrees(block, h.dtype)))
 
 
 def _mean_aggregate_backward(block: Block, grad_agg: np.ndarray) -> np.ndarray:
     """Shared adjoint for degree-normalized mean aggregation."""
-    inv_deg = 1.0 / np.maximum(block.in_degrees(), 1)
-    grad_messages = (grad_agg * inv_deg.reshape(-1, 1))[block.edge_dst]
-    grad_h = np.zeros((block.num_src, grad_agg.shape[1]), dtype=grad_agg.dtype)
-    np.add.at(grad_h, block.edge_src, grad_messages)
-    return grad_h
+    dtype = grad_agg.dtype
+    scaled = grad_agg * _inverse_degrees(block, dtype)
+    return block.operator(dtype, weighted=False).T @ scaled
 
 
 class GCNLayer(GNNLayer):
@@ -143,8 +145,7 @@ class GCNLayer(GNNLayer):
         self.activation = activation
 
     def aggregate(self, block: Block, h: Tensor) -> Tensor:
-        messages = _weighted_messages(block, h)
-        return ops.scatter_add_rows(messages, block.edge_dst, block.num_dst)
+        return ops.spmm(block.operator(h.dtype), h)
 
     def update(self, block: Block, agg: Tensor, h_dst: Tensor) -> Tensor:
         out = self.linear(agg)
@@ -153,12 +154,7 @@ class GCNLayer(GNNLayer):
         return out
 
     def aggregate_backward(self, block: Block, grad_agg: np.ndarray) -> np.ndarray:
-        grad_messages = grad_agg[block.edge_dst]
-        if block.edge_weight is not None:
-            grad_messages = grad_messages * block.edge_weight.reshape(-1, 1)
-        grad_h = np.zeros((block.num_src, grad_agg.shape[1]), dtype=grad_agg.dtype)
-        np.add.at(grad_h, block.edge_src, grad_messages)
-        return grad_h
+        return block.operator(grad_agg.dtype).T @ grad_agg
 
     def aggregate_flops(self, num_src: int, num_dst: int, num_edges: int) -> int:
         return 2 * num_edges * self.in_dim
@@ -180,10 +176,7 @@ class GraphSAGELayer(GNNLayer):
         self.activation = activation
 
     def aggregate(self, block: Block, h: Tensor) -> Tensor:
-        messages = ops.gather_rows(h, block.edge_src)
-        total = ops.scatter_add_rows(messages, block.edge_dst, block.num_dst)
-        inv_deg = 1.0 / np.maximum(block.in_degrees(), 1)
-        return ops.mul(total, Tensor(inv_deg.reshape(-1, 1)))
+        return _mean_aggregate(block, h)
 
     def update(self, block: Block, agg: Tensor, h_dst: Tensor) -> Tensor:
         out = self.linear(ops.concat([h_dst, agg], axis=1))
@@ -219,8 +212,7 @@ class GINLayer(GNNLayer):
         self._hidden = hidden
 
     def aggregate(self, block: Block, h: Tensor) -> Tensor:
-        messages = ops.gather_rows(h, block.edge_src)
-        return ops.scatter_add_rows(messages, block.edge_dst, block.num_dst)
+        return ops.spmm(block.operator(h.dtype, weighted=False), h)
 
     def update(self, block: Block, agg: Tensor, h_dst: Tensor) -> Tensor:
         one_plus_eps = ops.add(self.epsilon, Tensor(np.ones(1)))
@@ -231,9 +223,7 @@ class GINLayer(GNNLayer):
         return out
 
     def aggregate_backward(self, block: Block, grad_agg: np.ndarray) -> np.ndarray:
-        grad_h = np.zeros((block.num_src, grad_agg.shape[1]), dtype=grad_agg.dtype)
-        np.add.at(grad_h, block.edge_src, grad_agg[block.edge_dst])
-        return grad_h
+        return block.operator(grad_agg.dtype, weighted=False).T @ grad_agg
 
     def aggregate_flops(self, num_src: int, num_dst: int, num_edges: int) -> int:
         return 2 * num_edges * self.in_dim
@@ -257,10 +247,7 @@ class CommNetLayer(GNNLayer):
         self.activation = activation
 
     def aggregate(self, block: Block, h: Tensor) -> Tensor:
-        messages = ops.gather_rows(h, block.edge_src)
-        total = ops.scatter_add_rows(messages, block.edge_dst, block.num_dst)
-        inv_deg = 1.0 / np.maximum(block.in_degrees(), 1)
-        return ops.mul(total, Tensor(inv_deg.reshape(-1, 1)))
+        return _mean_aggregate(block, h)
 
     def update(self, block: Block, agg: Tensor, h_dst: Tensor) -> Tensor:
         out = ops.add(self.self_linear(h_dst), self.comm_linear(agg))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.autograd import Tensor, ops
 from repro.errors import AutogradError
@@ -233,6 +234,58 @@ class TestGraphOps:
         with pytest.raises(AutogradError):
             ops.segment_softmax(Tensor(np.ones((2, 2, 2))),
                                 np.array([0, 1]), 2)
+
+    def test_segment_softmax_rejects_unsorted_segments(self):
+        with pytest.raises(AutogradError):
+            ops.segment_softmax(Tensor(np.ones(3)), np.array([1, 0, 1]), 2)
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 3)])
+    def test_segment_softmax_matches_per_segment_softmax(self, shape):
+        # Segments 1 and 4 are empty; 3 holds a single score.
+        segments = np.array([0, 0, 2, 2, 2, 3, 5])
+        scores = RNG.standard_normal(shape)
+        out = ops.segment_softmax(Tensor(scores), segments, 6).data
+        for segment in np.unique(segments):
+            rows = segments == segment
+            np.testing.assert_allclose(
+                out[rows], ops.softmax(Tensor(scores[rows]), axis=0).data,
+                atol=1e-15)
+
+    def test_segment_softmax_of_no_edges(self):
+        out = ops.segment_softmax(Tensor(np.empty((0, 2))),
+                                  np.empty(0, dtype=np.int64), 3)
+        assert out.shape == (0, 2)
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 4), (6, 2, 3), (0, 4)])
+    def test_scatter_sums_in_index_order(self, shape):
+        """The incidence-matrix scatter is ``np.add.at``, bit for bit."""
+        index = np.array([3, 0, 3, 3, 1, 0])[:shape[0]]
+        values = RNG.standard_normal(shape)
+        expected = np.zeros((5,) + shape[1:])
+        np.add.at(expected, index, values)
+        out = ops.scatter_add_rows(Tensor(values), index, 5)
+        np.testing.assert_array_equal(out.data, expected)
+
+        source = Tensor(np.zeros((5,) + shape[1:]), requires_grad=True)
+        ops.gather_rows(source, index).backward(values)
+        np.testing.assert_array_equal(source.grad, expected)
+
+    @pytest.mark.parametrize("index", [[-1, 0], [0, 2]])
+    def test_row_index_out_of_range(self, index):
+        index = np.array(index)
+        with pytest.raises(AutogradError):
+            ops.gather_rows(Tensor(np.ones((2, 3))), index)
+        with pytest.raises(AutogradError):
+            ops.scatter_add_rows(Tensor(np.ones((2, 3))), index, 2)
+        with pytest.raises(AutogradError):
+            ops.segment_softmax(Tensor(np.ones(2)), index, 2)
+
+    def test_spmm_rejects_mismatched_operand(self):
+        matrix = sparse.csr_matrix(np.ones((2, 3)))
+        with pytest.raises(AutogradError):
+            ops.spmm(matrix, Tensor(np.ones((2, 4))))
+        with pytest.raises(AutogradError):
+            ops.spmm(matrix, Tensor(np.ones(3)))
 
 
 class TestDropout:

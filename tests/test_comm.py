@@ -62,6 +62,21 @@ class TestPlanInvariants:
                 transition = plan.plans[j][i].transition
                 assert np.all(assignment[transition] == i)
 
+    @pytest.mark.parametrize("label,inter,intra", MODES)
+    def test_repeated_needed_vertex_rejected(self, partitioned, monkeypatch,
+                                             label, inter, intra):
+        """The backward's ``buf[idx] += rows`` needs duplicate-free index
+        sets; a plan that cannot promise them is refused at build time."""
+        chunk = partitioned.chunks[1][2]
+        monkeypatch.setattr(
+            chunk, "neighbor_global",
+            np.sort(np.append(chunk.neighbor_global,
+                              chunk.neighbor_global[:1])))
+        with pytest.raises(CommunicationPlanError,
+                           match="duplicate-free"):
+            build_comm_plan(partitioned, dedup_inter=inter,
+                            dedup_intra=intra)
+
     def test_no_reuse_in_first_batch(self, partitioned):
         plan = build_comm_plan(partitioned)
         for gpu_plan in plan.plans[0]:

@@ -109,6 +109,30 @@ def test_intermediate_policies_do_not_change_numerics(graph, policy, arch):
     assert max_param_diff(reference_model, hongtu_model) < 1e-9
 
 
+#: Losses of three chunked epochs recorded with the per-edge scatter
+#: aggregate (message tensor + ``np.add.at``), before the layers moved to
+#: one SpMM per aggregate. The reference and the candidate above share
+#: their layers, so only a pinned value can show that both moved together.
+SCATTER_ERA_LOSSES = {
+    "gcn": [3.1341192059529677, 2.762598748442835, 2.6372526529363367],
+    "graphsage": [14.562579978580878, 5.938945083808823, 2.645834528380697],
+}
+
+
+@pytest.mark.parametrize("policy", ["hybrid", "recompute"])
+@pytest.mark.parametrize("arch", sorted(SCATTER_ERA_LOSSES))
+def test_chunked_losses_equal_the_scatter_era(graph, policy, arch):
+    _, model = fresh_pair(graph, arch)
+    trainer = HongTuTrainer(
+        graph, model, MultiGPUPlatform(A100_SERVER),
+        HongTuConfig(num_chunks=3, intermediate_policy=policy, seed=7),
+        optimizer=SGD(model.parameters(), lr=0.02),
+    )
+    losses = [trainer.train_epoch().loss for _ in range(3)]
+    np.testing.assert_allclose(losses, SCATTER_ERA_LOSSES[arch],
+                               rtol=0.0, atol=1e-9)
+
+
 @pytest.mark.parametrize("num_chunks", [1, 2, 5, 9])
 def test_chunk_count_does_not_change_numerics(graph, num_chunks):
     reference_model, hongtu_model = fresh_pair(graph, "gcn")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, ops
 from repro.errors import ConfigurationError, GraphFormatError
 from repro.gnn import (
     Block,
@@ -19,6 +19,12 @@ from repro.gnn import (
 )
 from repro.graph import toy_graph
 
+from scatter_reference import (
+    REFERENCE_AGGREGATES,
+    block_zoo,
+    reference_aggregate,
+    reference_aggregate_backward,
+)
 from tests.conftest import numeric_gradient
 
 ALL_LAYERS = [GCNLayer, GraphSAGELayer, GINLayer, CommNetLayer, GATLayer,
@@ -65,6 +71,43 @@ class TestBlock:
             Block(edge_src=np.array([0]), edge_dst=np.array([0]),
                   num_dst=1, num_src=1, dst_pos=np.array([0]),
                   edge_weight=np.ones(3))
+
+    @pytest.mark.parametrize("field, value", [
+        ("edge_src", [-1, 0, 1]),     # would wrap in fancy indexing
+        ("edge_dst", [-1, 0, 1]),
+        ("edge_dst", [1, 0, 1]),      # not destination-major
+        ("dst_pos", [-1, 0]),
+        ("dst_pos", [1, 1]),          # two destinations share an input row
+    ])
+    def test_malformed_ids_rejected(self, field, value):
+        arrays = dict(edge_src=[0, 1, 2], edge_dst=[0, 0, 1],
+                      dst_pos=[0, 1])
+        arrays[field] = value
+        with pytest.raises(GraphFormatError):
+            Block(num_dst=2, num_src=3, **arrays)
+
+    def test_operator_is_the_block_as_a_matrix(self):
+        block = toy_block()
+        for weighted in (True, False):
+            dense = np.zeros((block.num_dst, block.num_src))
+            np.add.at(dense, (block.edge_dst, block.edge_src),
+                      block.edge_weight if weighted else 1.0)
+            matrix = block.operator(np.float64, weighted=weighted)
+            np.testing.assert_array_equal(matrix.toarray(), dense)
+
+    def test_operator_and_degrees_are_built_once(self):
+        block = toy_block()
+        assert block.operator(np.float64) is block.operator("float64")
+        assert block.operator(np.float64) is not block.operator(np.float32)
+        assert block.operator(np.float32).dtype == np.float32
+        assert block.in_degrees() is block.in_degrees()
+        with pytest.raises(ValueError):
+            block.in_degrees()[0] = 99
+
+    def test_unweighted_block_has_one_operator(self):
+        block = Block.from_graph(toy_graph(), gcn_weights=False)
+        assert block.operator(np.float64) is \
+            block.operator(np.float64, weighted=False)
 
 
 @pytest.mark.parametrize("layer_cls", ALL_LAYERS)
@@ -168,6 +211,79 @@ class TestCacheableAggregates:
         np.testing.assert_allclose(
             agg(a) + agg(b), agg(a + b), atol=1e-10
         )
+
+
+@pytest.fixture(scope="module")
+def zoo():
+    return block_zoo(toy_graph())
+
+
+ZOO_NAMES = ["from_graph", "from_graph_unweighted", "chunk_weighted",
+             "chunk_unweighted", "multi_edge", "zero_edges"]
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+@pytest.mark.parametrize("layer_cls", CACHEABLE_LAYERS)
+class TestAggregateMatchesScatterReference:
+    """The SpMM path against the per-edge ``np.add.at`` definition
+    (``tests/scatter_reference.py``), bit for bit in float64."""
+
+    def test_forward_adjoint_and_tape(self, layer_cls, name, zoo, rng):
+        block = zoo[name]
+        weighted, mean = REFERENCE_AGGREGATES[layer_cls.__name__]
+        layer = layer_cls(5, 5, rng)
+        h = rng.standard_normal((block.num_src, 5))
+        grad_agg = rng.standard_normal((block.num_dst, 5))
+
+        h_t = Tensor(h, requires_grad=True)
+        agg = layer.aggregate(block, h_t)
+        np.testing.assert_array_equal(
+            agg.data, reference_aggregate(block, h, weighted, mean))
+
+        expected = reference_aggregate_backward(block, grad_agg, weighted,
+                                                mean)
+        np.testing.assert_array_equal(
+            layer.aggregate_backward(block, grad_agg), expected)
+        agg.backward(grad_agg)
+        np.testing.assert_array_equal(h_t.grad, expected)
+
+    def test_float32_in_float32_out(self, layer_cls, name, zoo, rng):
+        block = zoo[name]
+        weighted, mean = REFERENCE_AGGREGATES[layer_cls.__name__]
+        layer = layer_cls(5, 5, rng, dtype=np.float32)
+        h = rng.standard_normal((block.num_src, 5)).astype(np.float32)
+        grad_agg = rng.standard_normal((block.num_dst, 5)).astype(np.float32)
+
+        h_t = Tensor(h, requires_grad=True)
+        agg = layer.aggregate(block, h_t)
+        closed_form = layer.aggregate_backward(block, grad_agg)
+        agg.backward(grad_agg)
+        assert agg.dtype == closed_form.dtype == h_t.grad.dtype == np.float32
+        np.testing.assert_allclose(
+            agg.data, reference_aggregate(block, h, weighted, mean),
+            rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(
+            closed_form,
+            reference_aggregate_backward(block, grad_agg, weighted, mean),
+            rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_spmm_gradcheck(name, weighted, zoo, rng):
+    """``ops.spmm``'s VJP against central differences."""
+    block = zoo[name]
+    matrix = block.operator(np.float64, weighted=weighted)
+    h = rng.standard_normal((block.num_src, 3))
+    seed = rng.standard_normal((block.num_dst, 3))
+    h_t = Tensor(h, requires_grad=True)
+    ops.spmm(matrix, h_t).backward(seed)
+
+    def scalar():
+        return float((ops.spmm(matrix, Tensor(h)).data * seed).sum())
+
+    np.testing.assert_allclose(h_t.grad, numeric_gradient(scalar, h),
+                               atol=1e-6)
 
 
 class TestGAT:

@@ -37,6 +37,7 @@ VIOLATIONS = {
     "rpl201_violation": ("RPL201", "src/repro/fixture_mod.py"),
     "rpl301_violation": ("RPL301", "src/repro/cost_mod.py"),
     "rpl401_violation": ("RPL401", "src/repro/core/trainer.py"),
+    "rpl402_violation": ("RPL402", "src/repro/gnn/layers.py"),
 }
 
 CLEAN = {
@@ -46,6 +47,7 @@ CLEAN = {
     "rpl201_clean": "src/repro/fixture_mod.py",
     "rpl301_clean": "src/repro/cost_mod.py",
     "rpl401_clean": "src/repro/core/trainer.py",
+    "rpl402_clean": "src/repro/gnn/layers.py",
 }
 
 
@@ -93,6 +95,24 @@ class TestCleanFixtures:
     def test_silent(self, stem):
         path = FIXTURES / f"{stem}.py"
         assert lint_file(path, CLEAN[stem], checkers()) == []
+
+
+class TestScatterScope:
+    """RPL402 covers the training-step numerics and nothing else."""
+
+    @pytest.mark.parametrize("display, fires", [
+        ("src/repro/gnn/extensions.py", True),
+        ("src/repro/autograd/ops.py", True),
+        ("src/repro/core/trainer.py", True),
+        # simulated seconds summed in segment order: bit-identity contract
+        ("src/repro/comm/executor.py", False),
+        ("src/repro/partition/metis.py", False),
+        ("benchmarks/perf/probes.py", False),
+    ])
+    def test_scope(self, display, fires):
+        path = FIXTURES / "rpl402_violation.py"
+        codes = [d.code for d in lint_file(path, display, checkers())]
+        assert codes == (["RPL402", "RPL402"] if fires else [])
 
 
 class TestSuppression:

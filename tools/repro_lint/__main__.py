@@ -16,7 +16,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description=(
             "AST-based invariant checkers: determinism (RPL1xx), error "
             "taxonomy (RPL201), cost dimensions (RPL301), hot-path "
-            "loops (RPL401). Suppress per line with "
+            "loops (RPL401) and ufunc.at scatters (RPL402). Suppress "
+            "per line with "
             "`# repro-lint: ignore[CODE]`."
         ),
     )

@@ -1,4 +1,4 @@
-"""RPL401 — hot-path loop lint for the array-backed simulator core.
+"""RPL401/RPL402 — hot-path lints for the array-backed simulator core.
 
 The vectorization pass (PR 6) rebuilt the scheduler on
 structure-of-arrays state and turned per-(layer, batch, gpu) task
@@ -19,17 +19,27 @@ code that runs once per epoch) stay expressible through the dedicated
 ``# repro-lint: allow-loop`` escape hatch on the ``for`` line or the
 line directly above it. Comprehensions are never flagged: they build
 the static per-plan structures the vectorized waves consume.
+
+``RPL402`` guards the numerics the same way. A linear AGGREGATE and its
+adjoint are one sparse product over the block's cached operator
+(``Block.operator`` / ``ops.spmm``) and the autograd scatters go through
+one incidence-matrix helper; ``ufunc.at`` (``np.add.at``,
+``np.maximum.at``, ...) is an interpreter-speed loop over rows that was
+56 % of a single-node training step before it left. Any ``np.<ufunc>.at``
+call under ``src/repro/gnn/``, ``src/repro/autograd/`` or in
+``src/repro/core/trainer.py`` is flagged; there is no escape hatch
+beyond the generic ``ignore[RPL402]``.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import List
+from typing import List, Optional
 
 from tools.repro_lint.base import Checker, Diagnostic, SourceFile
 
-__all__ = ["HotLoopChecker", "HOT_FILES"]
+__all__ = ["HotLoopChecker", "ScatterChecker", "HOT_FILES", "SCATTER_FREE"]
 
 #: the files PR 6 vectorized: emission + scheduler core. Planning and
 #: fault response (core/planner.py, core/elastic.py) run once per plan,
@@ -38,6 +48,13 @@ HOT_FILES = (
     "src/repro/core/trainer.py",
     "src/repro/comm/executor.py",
     "src/repro/runtime/scheduler.py",
+)
+
+#: where the per-step numerics live: no ``ufunc.at`` scatter loops here
+SCATTER_FREE = (
+    "src/repro/gnn/",
+    "src/repro/autograd/",
+    "src/repro/core/trainer.py",
 )
 
 #: iterable shapes that indicate a per-(layer, batch, gpu) loop
@@ -70,4 +87,45 @@ class HotLoopChecker(Checker):
                 f"mark a deliberate scalar fallback with "
                 f"`# repro-lint: allow-loop`",
             ))
+        return diagnostics
+
+
+def _ufunc_at(node: ast.AST) -> Optional[str]:
+    """``"np.add.at"`` for a ``np.<ufunc>.at(...)`` call, else None."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    if (
+        isinstance(func, ast.Attribute)
+        and func.attr == "at"
+        and isinstance(func.value, ast.Attribute)
+        and isinstance(func.value.value, ast.Name)
+        and func.value.value.id in ("np", "numpy")
+    ):
+        return ast.unparse(func)
+    return None
+
+
+class ScatterChecker(Checker):
+    codes = ("RPL402",)
+
+    def applies_to(self, source: SourceFile) -> bool:
+        return any(scope in source.normalized for scope in SCATTER_FREE)
+
+    def check(self, source: SourceFile) -> List[Diagnostic]:
+        diagnostics: List[Diagnostic] = []
+        for node in ast.walk(source.tree):
+            name = _ufunc_at(node)
+            if name is None:
+                continue
+            diagnostics.append(
+                self.diagnostic(
+                    source,
+                    node,
+                    "RPL402",
+                    f"`{name}` is an interpreter-speed per-row scatter in the training "
+                    f"step; use the block's sparse operator (ops.spmm) or an indexed "
+                    f"`+=` over duplicate-free rows",
+                )
+            )
         return diagnostics
