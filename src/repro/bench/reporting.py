@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import numpy as np
+
+from repro.runtime.task import CHANNELS, NET_DEVICE_BASE, net_link_nodes
+
 __all__ = ["render_table", "render_timeline", "render_node_utilization",
            "render_latency_report", "format_seconds", "format_bytes",
            "banner"]
@@ -110,14 +114,12 @@ def render_timeline(timeline, title: Optional[str] = None,
     """
     makespan = timeline.makespan
     serialized = timeline.breakdown.total
-    devices_by_channel: dict = {}
-    for task in timeline.scheduler.tasks:
-        devices_by_channel.setdefault(task.channel, set()).add(task.device)
+    used = dict(zip(CHANNELS, timeline.scheduler.columns().used))
     rows = []
     for channel, busy in timeline.busy_view().items():
         if busy == 0.0:
             continue
-        num_devices = max(len(devices_by_channel.get(channel, ())), 1)
+        num_devices = max(len(used.get(channel, ())), 1)
         capacity = makespan * num_devices
         utilization = busy / capacity if capacity > 0 else 0.0
         overflow = utilization > 1.0
@@ -158,27 +160,28 @@ def render_node_utilization(timeline, platform,
     channel view under 100% is *visible* here instead of silently
     swallowed.
     """
-    from repro.runtime.task import NET_DEVICE_BASE, net_link_nodes
-
     num_nodes = platform.num_nodes
-    num_rails = platform.num_rails
-    columns = ("gpu", "h2d", "d2h", "d2d", "cpu", "net")
-    busy = [{column: 0.0 for column in columns} for _ in range(num_nodes)]
-    devices = [{column: set() for column in columns}
-               for _ in range(num_nodes)]
-    for task in timeline.scheduler.tasks:
-        if task.channel == "net":
-            if task.device <= NET_DEVICE_BASE:
-                src, _dst = net_link_nodes(task.device, num_nodes,
-                                           num_rails)
-            else:
-                src = 0
-            busy[src]["net"] += task.seconds
-            devices[src]["net"].add(task.device)
-        elif task.channel in columns and task.device >= 0:
-            node = platform.node_of(task.device)
-            busy[node][task.channel] += task.seconds
-            devices[node][task.channel].add(task.device)
+    device, channel, seconds, used = timeline.scheduler.columns()
+    busy = {}
+    devices = {}
+    for index, column in enumerate(CHANNELS):
+        ran = used[index]  # ascending ids of the channel's devices
+        if column == "net":
+            node = [net_link_nodes(link, num_nodes, platform.num_rails)[0]
+                    if link <= NET_DEVICE_BASE else 0
+                    for link in ran.tolist()]
+        else:  # host work (device < 0) books to no node
+            node = [platform.node_of(gpu) if gpu >= 0 else -1
+                    for gpu in ran.tolist()]
+        node = np.array(node, dtype=np.int64)
+        tasks = np.flatnonzero(channel == index)
+        task_node = node[np.searchsorted(ran, device[tasks])]
+        tasks, task_node = tasks[task_node >= 0], task_node[task_node >= 0]
+        # bincount adds the weights in task order — the float additions
+        # of a loop over the tasks — so no rendered digit can differ.
+        busy[column] = np.bincount(task_node, weights=seconds[tasks],
+                                   minlength=num_nodes)
+        devices[column] = np.bincount(node[node >= 0], minlength=num_nodes)
     makespan = timeline.makespan
     # On a mixed-generation fleet, name each node's capability profile —
     # the busy-seconds skew is unreadable without knowing which rows are
@@ -190,14 +193,14 @@ def render_node_utilization(timeline, platform,
         cells = [f"node{node}"]
         if hetero:
             cells.append(platform.node_specs[node].name)
-        for column in columns:
-            capacity = makespan * max(len(devices[node][column]), 1)
-            overflow = busy[node][column] > capacity * (1.0 + 1e-9)
+        for column in CHANNELS:
+            capacity = makespan * max(int(devices[column][node]), 1)
+            overflow = busy[column][node] > capacity * (1.0 + 1e-9)
             flagged = flagged or overflow
-            cells.append(format_seconds(busy[node][column])
+            cells.append(format_seconds(busy[column][node])
                          + ("!" if overflow else ""))
         rows.append(cells)
-    header = ["node"] + (["spec"] if hetero else []) + list(columns)
+    header = ["node"] + (["spec"] if hetero else []) + list(CHANNELS)
     table = render_table(header, rows, title=title)
     if flagged:
         table += ("\n! = busy exceeds makespan x devices for that "

@@ -469,19 +469,24 @@ class DedupCommunicator:
                           devices=static.local_gpu))
         return d2d_seconds, local_seconds
 
-    def _charge_flow(self, flow: str, halo: _HaloSplit,
-                     nbytes: np.ndarray) -> None:
-        """Accumulate per-pair byte detail for ``flow`` (rails merged)."""
+    def _charge_halo(self, halo: _HaloSplit, row_bytes: int,
+                     flow: str) -> None:
+        """The ledger half of a halo phase: :attr:`bytes_moved` and the
+        per-pair byte detail of ``flow`` (rails merged)."""
+        if not halo:
+            return
+        nbytes = halo.rows * row_bytes
+        self.bytes_moved["net"] += int(nbytes.sum())
         detail = self.net_bytes_by_flow.setdefault(flow, {})
         for (src, dst, _rail), count in zip(halo.keys, nbytes.tolist()):
             detail[(src, dst)] = detail.get((src, dst), 0) + count
 
-    def _submit_halo_batch(self, timeline: EventTimeline,
-                           halo: _HaloSplit, row_bytes: int,
-                           deps: Optional[np.ndarray] = None,
-                           producers_by_key: Optional[Sequence] = None,
-                           flow: str = "", label: str = "") -> np.ndarray:
-        """One coalesced ``net`` task per directed link with traffic.
+    def _emit_halo(self, timeline: EventTimeline, halo: _HaloSplit,
+                   row_bytes: int, deps: Optional[np.ndarray] = None,
+                   producers_by_key: Optional[Sequence] = None,
+                   label: str = "") -> np.ndarray:
+        """The emission half: one coalesced ``net`` task per directed
+        link with traffic.
 
         Returns the submitted task ids aligned with ``halo.keys`` (empty
         when there is no cross-node traffic, so single-node runs never
@@ -489,17 +494,15 @@ class DedupCommunicator:
         ``producers_by_key[k]`` (an id array) adds per-link producers.
         Spine messages additionally hold the shared
         :data:`~repro.runtime.task.SPINE_RESOURCE` for their excess
-        core-transit time. Charges :attr:`bytes_moved` and the per-flow
-        detail.
+        core-transit time. ``timeline`` is anything with
+        :meth:`~repro.hardware.clock.EventTimeline.submit_batch` — the
+        serving engine passes a wave recorder.
         """
         if not halo:
             return _NO_IDS
         nbytes = halo.rows * row_bytes
         seconds = self.platform.net_seconds(nbytes, src=halo.src_nodes,
                                             dst=halo.dst_nodes)
-        self.bytes_moved["net"] += int(nbytes.sum())
-        if flow:
-            self._charge_flow(flow, halo, nbytes)
         shared = None
         holds = self.platform.spine_hold_seconds(nbytes)
         if np.any(np.asarray(holds) > 0):
@@ -512,6 +515,16 @@ class DedupCommunicator:
             deps_by_device=producers_by_key, shared_by_device=shared,
             label=label,
         )
+
+    def _submit_halo_batch(self, timeline: EventTimeline,
+                           halo: _HaloSplit, row_bytes: int,
+                           deps: Optional[np.ndarray] = None,
+                           producers_by_key: Optional[Sequence] = None,
+                           *, flow: str, label: str = "") -> np.ndarray:
+        """An epoch's halo phase: charge the ledger, emit the tasks."""
+        self._charge_halo(halo, row_bytes, flow)
+        return self._emit_halo(timeline, halo, row_bytes, deps,
+                               producers_by_key, label)
 
     @staticmethod
     def _ids_by_reader(halo: _HaloSplit, ids: np.ndarray,
@@ -548,6 +561,15 @@ class DedupCommunicator:
         """
         return self._segment_seconds(self._batch_static(batch), row_bytes)
 
+    def _serving_halo(self, batch: int, kind: str) -> _HaloSplit:
+        if kind not in ("load", "fetch"):
+            raise CommunicationPlanError(
+                f"unknown serving halo kind {kind!r}; "
+                f"expected 'load' or 'fetch'"
+            )
+        static = self._batch_static(batch)
+        return static.load_halo if kind == "load" else static.fetch_halo
+
     def submit_serving_halo(self, timeline: EventTimeline, batch: int,
                             row_bytes: int, kind: str = "fetch",
                             deps: Optional[np.ndarray] = None,
@@ -560,21 +582,24 @@ class DedupCommunicator:
         the forward halo exchange — reads of transition buffers staged
         on another node. Returns ``(task ids, per-reader-GPU dependency
         arrays)`` — the same contract the epoch path wires compute waves
-        with — and charges the shared per-flow byte ledger. Single-node
-        platforms return empty ids and never touch the scheduler.
+        with. Emission only: the serving engine records these tasks once
+        per column shape and replays them, so the bytes are charged
+        separately, per served request, by :meth:`charge_serving_halo`.
+        Single-node platforms return empty ids and never touch
+        ``timeline``.
         """
-        if kind not in ("load", "fetch"):
-            raise CommunicationPlanError(
-                f"unknown serving halo kind {kind!r}; "
-                f"expected 'load' or 'fetch'"
-            )
-        static = self._batch_static(batch)
-        halo = static.load_halo if kind == "load" else static.fetch_halo
-        ids = self._submit_halo_batch(
-            timeline, halo, row_bytes, deps=deps,
-            flow=f"halo_{kind}", label=label,
-        )
+        halo = self._serving_halo(batch, kind)
+        ids = self._emit_halo(timeline, halo, row_bytes, deps=deps,
+                              label=label)
         return ids, self._ids_by_reader(halo, ids, self.plan.num_gpus)
+
+    def charge_serving_halo(self, batch: int, row_bytes: int,
+                            kind: str = "fetch") -> None:
+        """Charge the shared per-flow byte ledger (``halo_load`` /
+        ``halo_fetch``) for one execution of the tasks
+        :meth:`submit_serving_halo` emits."""
+        self._charge_halo(self._serving_halo(batch, kind), row_bytes,
+                          f"halo_{kind}")
 
     # ------------------------------------------------------------------
     # dependency bookkeeping helpers

@@ -38,9 +38,9 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SchedulerError
+from repro.errors import ConfigurationError
 
-from repro.runtime.scheduler import EventScheduler, task_ids
+from repro.runtime.scheduler import EventScheduler, WaveProgram, phase_wave
 from repro.runtime.task import HOST_DEVICE, Task
 from repro.units import Seconds
 
@@ -172,42 +172,42 @@ class EventTimeline:
         barrier under ``barrier_all``; dependencies are task-id arrays,
         so no ``Task`` objects are materialized on the hot path. ``deps``
         and each ``deps_by_device[k]`` entry may be id arrays, Tasks, or
-        iterables of either (``None`` entries are fine).
+        iterables of either (``None`` entries are fine); an ``(m,)`` id
+        array as ``deps_by_device`` is one producer per device. A wave
+        the scheduler rejects raises before this timeline changes too:
+        no group id is spent, nothing is charged.
         """
-        seconds = np.asarray(per_device_seconds, dtype=np.float64)
-        if seconds.size == 0:
-            return np.empty(0, dtype=np.int64)
-        channel = channel or category
-        if devices is None:
-            devices = np.arange(len(seconds), dtype=np.int64)
-        group = self._group
-        self._group += 1
-        common = deps if isinstance(deps, np.ndarray) else task_ids(deps)
-        extras = None
-        if deps_by_device is not None:
-            if len(deps_by_device) != len(seconds):
-                raise SchedulerError(
-                    f"deps_by_device must list one entry per device: "
-                    f"{len(deps_by_device)} vs {len(seconds)}"
-                )
-            # An (m,) id array is one producer per device (e.g. the
-            # compute wave gating the writeback wave).
-            extras = ([deps_by_device[i:i + 1]
-                       for i in range(len(seconds))]
-                      if isinstance(deps_by_device, np.ndarray)
-                      else [
-                          entry if entry is None or isinstance(entry, np.ndarray)
-                          else task_ids(entry)
-                          for entry in deps_by_device
-                      ])
+        channel, devices, seconds = phase_wave(
+            category, per_device_seconds, channel, devices, deps_by_device)
         ids = self.scheduler.submit_batch(
-            channel, devices, seconds, common_deps=common,
-            extra_deps=extras, category=category, group=group,
+            channel, devices, seconds, common_deps=deps,
+            extra_deps=deps_by_device, category=category, group=self._group,
             label=label, shared_by_task=shared_by_device,
         )
-        self.breakdown.add(category, float(seconds.max()))
-        if self.barrier_all:
-            self.scheduler.barrier()
+        if len(ids):  # an empty wave is no phase (a rejected one raised)
+            self._group += 1
+            self.breakdown.add(category, float(seconds.max()))
+            if self.barrier_all:
+                self.scheduler.barrier()
+        return ids
+
+    def submit_program(self, program: WaveProgram,
+                       external_ids=()) -> np.ndarray:
+        """Replay a recorded program; returns its task ids.
+
+        What :meth:`submit_batch` would leave had the program's waves
+        been submitted one by one with ``external_ids`` in place of the
+        recorder's external placeholders: the same tasks, one group id
+        and one bottleneck-seconds breakdown charge per wave, a barrier
+        after each under ``barrier_all``. See
+        :meth:`~repro.runtime.scheduler.EventScheduler.submit_program`.
+        """
+        ids = self.scheduler.submit_program(
+            program, external_ids, group=self._group,
+            barrier_each=self.barrier_all)
+        self._group += len(program.waves)
+        for category, seconds in program.charges:
+            self.breakdown.add(category, seconds)
         return ids
 
     def add(self, category: str, seconds: Seconds, *,

@@ -11,7 +11,10 @@ of phase maxima.
 
 The :class:`~repro.hardware.clock.EventTimeline` in ``hardware/clock.py``
 is the trainer-facing wrapper that combines a scheduler with the legacy
-:class:`~repro.hardware.clock.TimeBreakdown` category view.
+:class:`~repro.hardware.clock.TimeBreakdown` category view. A DAG that is
+emitted over and over is recorded once into a
+:class:`~repro.runtime.scheduler.WaveProgram` and replayed
+(``submit_program``) — validation and normalisation paid at record time.
 """
 
 from repro.runtime.task import (
@@ -25,12 +28,13 @@ from repro.runtime.task import (
     net_link_nodes,
     net_link_parts,
 )
-from repro.runtime.scheduler import EventScheduler
+from repro.runtime.scheduler import EventScheduler, WaveProgram, WaveRecorder
 from repro.runtime.buffers import TransitionBuffers
 
 __all__ = [
     "CHANNELS", "HOST_DEVICE", "NET_DEVICE_BASE", "SPINE_RESOURCE",
     "OVERLAP_POLICIES",
-    "Task", "EventScheduler", "TransitionBuffers",
+    "Task", "EventScheduler", "WaveProgram", "WaveRecorder",
+    "TransitionBuffers",
     "net_link", "net_link_nodes", "net_link_parts",
 ]

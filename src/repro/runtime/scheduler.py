@@ -50,11 +50,37 @@ consecutive duplicate-free runs. Either way ``start``, ``end`` and
 ``blocked_by`` are exactly what one-task-at-a-time submission assigns —
 that rule lives in ``tests/scheduler_oracle.py``, which the identity
 tests compare this core against on randomized DAGs and whole epochs.
+
+A wave has a static half — channel, devices, durations, holds, how many
+dependencies each task lists — and a dynamic one: which tasks those
+dependencies are. :class:`_Wave` holds the first, validated, normalised
+and with everything the array step derives from it alone worked out;
+the dependency ids travel beside it. A DAG that is emitted again and
+again (a serving column's forward pass, once per request) is recorded
+once through a :class:`WaveRecorder` into a :class:`WaveProgram` — its
+waves' static halves plus every dependency as a *reference*, either to
+an earlier task of the program or to a numbered *external slot* — and
+:meth:`EventScheduler.submit_program` replays it: bind the slots to
+task ids, resolve all references in one indexed read, and run the same
+array step per recorded wave. Nothing about a replayed wave is
+re-validated or re-derived except the external ids; the schedule it
+leaves is the one ``submit_batch`` would have, bit for bit
+(``tests/test_runtime.py::TestWavePrograms``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -62,26 +88,51 @@ from repro.errors import SchedulerError
 from repro.runtime.task import CHANNELS, Task
 from repro.units import Seconds
 
-__all__ = ["EventScheduler", "task_ids"]
+__all__ = ["EventScheduler", "TaskColumns", "WaveProgram", "WaveRecorder",
+           "phase_wave", "task_ids"]
 
 _CHANNEL_INDEX = {channel: index for index, channel in enumerate(CHANNELS)}
 
 _INF = float("inf")
 _NEG_INF = -_INF
+_NO_IDS = np.empty(0, dtype=np.int64)
+
+
+class TaskColumns(NamedTuple):
+    """Per-task columns of a scheduler, submission order (read-only
+    views — the answer to :meth:`EventScheduler.columns`)."""
+
+    #: device id of each task
+    device: np.ndarray
+    #: index into :data:`~repro.runtime.task.CHANNELS` of each task
+    channel: np.ndarray
+    #: duration of each task, simulated seconds
+    seconds: np.ndarray
+    #: per channel, ``CHANNELS`` order: ascending ids of the devices that
+    #: ran at least one task on it
+    used: Tuple[np.ndarray, ...]
 
 
 def task_ids(entries) -> np.ndarray:
-    """Normalize None | ndarray | iterable of (Task | int) to an id array."""
+    """Normalize None | ndarray | Task | iterable of (Task | int) to a 1-D
+    int64 id array. A float id is rejected, never truncated onto a
+    neighbouring task; a 2-D array is rejected, never flattened."""
     if entries is None:
-        return np.empty(0, dtype=np.int64)
-    if isinstance(entries, np.ndarray):
-        return entries.astype(np.int64, copy=False)
+        return _NO_IDS
     if isinstance(entries, Task):
         return np.array([entries.task_id], dtype=np.int64)
-    return np.array(
-        [e.task_id if isinstance(e, Task) else int(e) for e in entries],
-        dtype=np.int64,
-    )
+    if not isinstance(entries, np.ndarray):
+        entries = np.asarray(
+            [e.task_id if isinstance(e, Task) else e for e in entries])
+    if entries.ndim != 1:
+        raise SchedulerError(
+            f"task ids must form a 1-D array, got shape {entries.shape}")
+    if entries.dtype.kind not in "iu":
+        if entries.size == 0:  # np.asarray([]) is float64
+            return _NO_IDS
+        raise SchedulerError(
+            f"task ids must be integers, got dtype {entries.dtype}")
+    return entries.astype(np.int64, copy=False)
 
 
 def _grown(array: np.ndarray, need: int, fill=0) -> np.ndarray:
@@ -110,6 +161,258 @@ def _run_bounds(devices: np.ndarray) -> Optional[List[int]]:
     repeated = np.ones(len(devices), dtype=bool)
     repeated[np.unique(devices, return_index=True)[1]] = False
     return [0, *np.flatnonzero(repeated).tolist(), len(devices)]
+
+
+class _Wave:
+    """The static half of one wave, in the form the array step reads it.
+
+    Channel, devices, durations, holds and the *shape* of the per-task
+    dependency lists (``lens[t]`` extra ids for task ``t``, None when no
+    task has any) — plus everything that derives from those alone: the
+    frontier slots, the duplicate-free runs of a wave that repeats a
+    device, the segment bookkeeping of the per-task dependency maximum
+    and the wave's busy total. The dependency *ids* are the dynamic
+    half and travel beside it. A wave submitted once builds this on the
+    way in; a :class:`WaveProgram` builds it when the wave is recorded
+    and never again.
+    """
+
+    __slots__ = ("ch", "devices", "seconds", "k", "lens", "holds", "runs",
+                 "slot", "need", "total", "nz", "seg_starts", "seg_ends",
+                 "seg_of", "positions")
+
+    def __init__(self, ch: int, devices: np.ndarray, seconds: np.ndarray,
+                 lens: Optional[np.ndarray], holds: Optional[Sequence]):
+        if lens is not None and not lens.any():
+            lens = None
+        k = len(seconds)
+        self.ch, self.devices, self.seconds, self.k = ch, devices, seconds, k
+        self.lens, self.holds = lens, holds
+        self.runs: Optional[List[tuple]] = None
+        bounds = _run_bounds(devices) if k > 1 else None
+        if bounds is not None:
+            # A repeated device queues behind its own earlier task, so
+            # the wave takes the array step run by run, in order: each
+            # run with the slice of the flattened extra ids it owns.
+            off = ([0] * (k + 1) if lens is None
+                   else [0, *np.cumsum(lens).tolist()])
+            self.runs = [
+                (_Wave(ch, devices[lo:hi], seconds[lo:hi],
+                       None if lens is None else lens[lo:hi],
+                       None if holds is None else holds[lo:hi]),
+                 off[lo], off[hi])
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            return
+        self.slot = _slot(devices)
+        self.need = int(self.slot.max()) + 1
+        self.total = seconds.sum()
+        if lens is not None:
+            self.nz = lens > 0
+            self.seg_ends = np.cumsum(lens)
+            self.seg_starts = (self.seg_ends - lens)[self.nz]
+            # flat position -> index of the (non-empty) segment it is in
+            self.seg_of = np.repeat(np.arange(len(self.seg_starts)),
+                                    lens[self.nz])
+            self.positions = np.arange(len(self.seg_of))
+
+
+def _prepare(channel: str, devices, seconds, common_deps, extra_deps,
+             shared_by_task: Optional[Sequence]):
+    """Validate and normalise one wave: ``(static half, common ids, flat
+    extra ids)``, or None for an empty wave.
+
+    Everything about a wave that can be judged without a scheduler is
+    judged here, and raises :class:`~repro.errors.SchedulerError` before
+    any state is touched; what is left to the caller is the *range* of
+    the returned ids (a scheduler's tasks, or a program's own).
+    ``extra_deps`` is a ``(k,)`` id array (one producer per task) or a
+    sequence of per-task entries — each None or anything
+    :func:`task_ids` accepts.
+    """
+    if channel not in CHANNELS:
+        raise SchedulerError(f"unknown channel {channel!r}")
+    devices = np.asarray(devices)
+    seconds = np.asarray(seconds, dtype=np.float64)
+    if devices.ndim != 1 or seconds.ndim != 1:
+        raise SchedulerError(
+            f"a wave's devices and seconds are 1-D, one entry per task: "
+            f"got shapes {devices.shape} and {seconds.shape}"
+        )
+    k = len(seconds)
+    if len(devices) != k:
+        raise SchedulerError(
+            f"devices/seconds length mismatch: {len(devices)} vs {k}"
+        )
+    if k == 0:
+        return None
+    if devices.dtype.kind not in "iu":  # a float would be truncated
+        raise SchedulerError(
+            f"device ids must be integers, got dtype {devices.dtype}"
+        )
+    devices = devices.astype(np.int64, copy=False)
+    # min/max propagate NaN and NaN fails both comparisons, so the
+    # sign check's two reductions also catch non-finite durations —
+    # a NaN would otherwise poison every dependant's end time and
+    # then be *ignored* by the running makespan.
+    if not (seconds.min() >= 0 and seconds.max() < _INF):
+        raise SchedulerError(
+            f"task durations must be finite and >= 0, got a wave "
+            f"spanning [{seconds.min()}, {seconds.max()}]"
+        )
+    for name, per_task in (("extra_deps", extra_deps),
+                           ("shared_by_task", shared_by_task)):
+        if per_task is not None and len(per_task) != k:
+            raise SchedulerError(
+                f"{name} must list one entry per task: "
+                f"{len(per_task)} vs {k}"
+            )
+    holds = None
+    if shared_by_task is not None and any(map(len, shared_by_task)):
+        holds = shared_by_task
+        # An infinite hold would park every later holder at inf.
+        if not all(0 <= hold < _INF  # also False for NaN
+                   for task_holds in holds for _key, hold in task_holds):
+            raise SchedulerError("shared holds must be finite and >= 0")
+    common = task_ids(common_deps)
+    lens = flat = None
+    if isinstance(extra_deps, np.ndarray):
+        flat = task_ids(extra_deps)
+        lens = np.ones(k, dtype=np.int64)
+    elif extra_deps is not None:
+        entries = [None if e is None else task_ids(e) for e in extra_deps]
+        present = [e for e in entries if e is not None and len(e)]
+        if present:
+            flat = np.concatenate(present)
+            lens = np.fromiter(
+                (0 if e is None else len(e) for e in entries),
+                dtype=np.int64, count=k,
+            )
+    return (_Wave(_CHANNEL_INDEX[channel], devices, seconds, lens, holds),
+            common if len(common) else None, flat)
+
+
+def phase_wave(category: str, per_device_seconds, channel: Optional[str],
+               devices, deps_by_device: Optional[Sequence]):
+    """The ``(channel, devices, seconds)`` of one timeline phase: the
+    part of :meth:`~repro.hardware.clock.EventTimeline.submit_batch`'s
+    keyword surface that :class:`WaveRecorder` shares. The channel
+    defaults to the category, the devices to ``0 .. k-1``."""
+    seconds = np.asarray(per_device_seconds, dtype=np.float64)
+    if seconds.ndim != 1:
+        raise SchedulerError(
+            f"a phase's seconds are 1-D, one entry per device: got shape "
+            f"{seconds.shape}")
+    if devices is None:
+        devices = np.arange(len(seconds), dtype=np.int64)
+    if deps_by_device is not None and len(deps_by_device) != len(seconds):
+        raise SchedulerError(
+            f"deps_by_device must list one entry per device: "
+            f"{len(deps_by_device)} vs {len(seconds)}"
+        )
+    return channel or category, devices, seconds
+
+
+@dataclass(frozen=True, repr=False, eq=False)  # compared by identity
+class WaveProgram:
+    """A recorded sequence of waves, replayed by
+    :meth:`EventScheduler.submit_program`.
+
+    Built only by :class:`WaveRecorder`. ``waves[i]`` is ``(static half,
+    category, label, lo, mid, hi)``: the wave's common dependencies are
+    ``refs[lo:mid]`` and its flattened per-task extras ``refs[mid:hi]``.
+    ``refs`` holds every dependency reference of the program in one
+    array, as indices into the replay's lookup table — ``s`` for
+    external slot ``s``, ``num_external + t`` for the program's own
+    task ``t`` — so a replay resolves them all in one indexed read.
+    ``charges[i]`` is ``(category, bottleneck seconds)`` of wave ``i``,
+    what :class:`~repro.hardware.clock.EventTimeline` books to its
+    breakdown. Immutable: replays only read it.
+    """
+
+    num_external: int
+    num_tasks: int
+    waves: tuple
+    refs: np.ndarray
+    charges: tuple
+
+    def __repr__(self) -> str:
+        return (f"WaveProgram(waves={len(self.waves)}, "
+                f"tasks={self.num_tasks}, external={self.num_external})")
+
+
+class WaveRecorder:
+    """Records waves into a :class:`WaveProgram`.
+
+    Stands in for an :class:`~repro.hardware.clock.EventTimeline` in
+    front of an emitter: :meth:`submit_batch` takes the timeline's
+    keyword surface, runs the scheduler's validation and normalisation
+    — once, here, instead of on every replay — and returns
+    *program-relative* task ids (``0 .. tasks recorded - 1``) for the
+    emitter to wire later waves with. Tasks outside the program are
+    named through :attr:`external`: placeholder ids, one per numbered
+    slot, that the replay binds to real task ids. A dependency must be
+    one of the two; anything else raises
+    :class:`~repro.errors.SchedulerError`, as it would on a scheduler.
+    """
+
+    def __init__(self, num_external: int = 0):
+        if num_external < 0:
+            raise SchedulerError(
+                f"num_external must be >= 0, got {num_external}")
+        #: placeholder ids of the external slots, slot order
+        self.external = np.arange(-num_external, 0, dtype=np.int64)
+        self._num_tasks = 0
+        self._waves: List[tuple] = []
+        self._refs: List[np.ndarray] = []
+        self._num_refs = 0
+        self._charges: List[Tuple[str, float]] = []
+
+    def _check_ids(self, ids: Optional[np.ndarray]) -> None:
+        if ids is not None and not (ids.min() >= -len(self.external)
+                                    and ids.max() < self._num_tasks):
+            raise SchedulerError(
+                f"dependency references an unsubmitted task: a recorded "
+                f"wave may name external slots and the "
+                f"{self._num_tasks} task(s) recorded before it, ids in "
+                f"[{-len(self.external)}, {self._num_tasks}); got "
+                f"[{ids.min()}, {ids.max()}]"
+            )
+
+    def submit_batch(self, category: str, per_device_seconds, *,
+                     channel: Optional[str] = None, devices=None,
+                     deps=None, deps_by_device: Optional[Sequence] = None,
+                     shared_by_device: Optional[Sequence] = None,
+                     label: str = "") -> np.ndarray:
+        """Record one wave; returns its program-relative task ids."""
+        channel, devices, seconds = phase_wave(
+            category, per_device_seconds, channel, devices, deps_by_device)
+        # The program outlives the call: keep nothing the caller owns.
+        if shared_by_device is not None:
+            shared_by_device = tuple(map(tuple, shared_by_device))
+        prepared = _prepare(channel, np.array(devices), seconds.copy(),
+                            deps, deps_by_device, shared_by_device)
+        if prepared is None:
+            return _NO_IDS
+        wave, common, flat = prepared
+        self._check_ids(common)
+        self._check_ids(flat)
+        lo = self._num_refs
+        mid = lo + (0 if common is None else len(common))
+        hi = self._num_refs = mid + (0 if flat is None else len(flat))
+        self._refs += [ids + len(self.external) for ids in (common, flat)
+                       if ids is not None]
+        self._waves.append((wave, category, label, lo, mid, hi))
+        self._charges.append((category, float(seconds.max())))
+        first = self._num_tasks
+        self._num_tasks += wave.k
+        return np.arange(first, self._num_tasks, dtype=np.int64)
+
+    def finish(self) -> WaveProgram:
+        """The program recorded so far."""
+        refs = np.concatenate(self._refs) if self._refs else _NO_IDS
+        return WaveProgram(len(self.external), self._num_tasks,
+                           tuple(self._waves), refs, tuple(self._charges))
 
 
 class EventScheduler:
@@ -210,6 +513,11 @@ class EventScheduler:
     # submission
     # ------------------------------------------------------------------
     def _reserve(self, need: int) -> None:
+        if need <= len(self._start):
+            return
+        # The task arrays grow together, so the one compare above
+        # answers for all of them (offsets carry one slot more).
+        need = max(need, 2 * len(self._start))
         self._start = _grown(self._start, need, 0.0)
         self._end = _grown(self._end, need, 0.0)
         self._seconds = _grown(self._seconds, need, 0.0)
@@ -219,15 +527,17 @@ class EventScheduler:
         self._phase_of = _grown(self._phase_of, need)
         self._extra_off = _grown(self._extra_off, need + 1)
 
-    def _check_dep_ids(self, ids: np.ndarray) -> None:
-        """Dependency ids must name already-submitted tasks.
+    def _check_ids(self, ids: Optional[np.ndarray],
+                   what: str = "dependency") -> None:
+        """Task ids must name already-submitted tasks.
 
         One reduction checks both bounds: viewed as unsigned, a negative
         id is larger than any task count.
         """
-        if len(ids) and ids.view(np.uint64).max() >= self._n:
+        if ids is not None and len(ids) \
+                and ids.view(np.uint64).max() >= self._n:
             raise SchedulerError(
-                f"dependency references an unsubmitted task: ids must lie "
+                f"{what} references an unsubmitted task: ids must lie "
                 f"in [0, {self._n}), got [{ids.min()}, {ids.max()}]"
             )
 
@@ -250,7 +560,7 @@ class EventScheduler:
         order suffices). ``deps`` may be Tasks or task ids; an id outside
         ``[0, num_tasks)`` raises :class:`~repro.errors.SchedulerError`.
         """
-        ids = self._wave(channel, [device], [seconds], task_ids(deps), None,
+        ids = self._wave(channel, [device], [seconds], deps, None,
                          category, group, label, [shared])  # a wave of one
         return self._task(int(ids[0]))
 
@@ -264,13 +574,18 @@ class EventScheduler:
         """Schedule one parallel wave of tasks; returns their id array.
 
         ``devices[t]``/``seconds[t]`` describe task ``t``; ``common_deps``
-        (an id array) gate every task of the wave, ``extra_deps[t]`` (an
-        id array or None) additionally gate task ``t``. Dependency ids
-        must reference previously submitted tasks — a wave's tasks are
-        mutually independent. ``shared_by_task[t]`` lists ``(resource,
-        hold)`` pairs task ``t`` occupies. The assigned times are
-        identical to submitting the tasks one by one, repeated devices
-        included.
+        gate every task of the wave, ``extra_deps[t]`` additionally gate
+        task ``t`` — each anything :func:`task_ids` accepts (None for no
+        dependency), or ``extra_deps`` as one ``(k,)`` id array, a single
+        producer per task. Dependency ids must reference previously
+        submitted tasks — a wave's tasks are mutually independent.
+        ``shared_by_task[t]`` lists ``(resource, hold)`` pairs task ``t``
+        occupies. The assigned times are identical to submitting the
+        tasks one by one, repeated devices included. Malformed input —
+        an unknown channel, 2-D or mis-sized arrays, non-integral
+        devices or ids, non-finite durations or holds, an id out of
+        range — raises :class:`~repro.errors.SchedulerError` before any
+        state is touched.
         """
         return self._wave(channel, devices, seconds, common_deps, extra_deps,
                           category, group, label, shared_by_task)
@@ -280,97 +595,83 @@ class EventScheduler:
               shared_by_task: Optional[Sequence]) -> np.ndarray:
         """Validate and normalise one wave, record its phase, schedule it.
         Whatever is rejected is rejected before any state is touched."""
-        if channel not in CHANNELS:
-            raise SchedulerError(f"unknown channel {channel!r}")
-        devices = np.asarray(devices)
-        seconds = np.asarray(seconds, dtype=np.float64)
-        k = len(seconds)
-        if len(devices) != k:
-            raise SchedulerError(
-                f"devices/seconds length mismatch: {len(devices)} vs {k}"
-            )
-        if k == 0:
-            return np.empty(0, dtype=np.int64)
-        if devices.dtype.kind not in "iu":  # a float would be truncated
-            raise SchedulerError(
-                f"device ids must be integers, got dtype {devices.dtype}"
-            )
-        devices = devices.astype(np.int64, copy=False)
-        # min/max propagate NaN and NaN fails both comparisons, so the
-        # sign check's two reductions also catch non-finite durations —
-        # a NaN would otherwise poison every dependant's end time and
-        # then be *ignored* by the running makespan.
-        if not (seconds.min() >= 0 and seconds.max() < _INF):
-            raise SchedulerError(
-                f"task durations must be finite and >= 0, got a wave "
-                f"spanning [{seconds.min()}, {seconds.max()}]"
-            )
-        for name, per_task in (("extra_deps", extra_deps),
-                               ("shared_by_task", shared_by_task)):
-            if per_task is not None and len(per_task) != k:
-                raise SchedulerError(
-                    f"{name} must list one entry per task: "
-                    f"{len(per_task)} vs {k}"
-                )
-        holds = None
-        if shared_by_task is not None and any(map(len, shared_by_task)):
-            holds = shared_by_task
-            # An infinite hold would park every later holder at inf.
-            if not all(0 <= hold < _INF  # also False for NaN
-                       for task_holds in holds for _key, hold in task_holds):
-                raise SchedulerError("shared holds must be finite and >= 0")
-        common = None
-        if common_deps is not None and len(common_deps):
-            common = np.asarray(common_deps, dtype=np.int64)
-            self._check_dep_ids(common)
-        lens = flat = None
-        if extra_deps is not None:
-            present = [np.asarray(e, dtype=np.int64)
-                       for e in extra_deps if e is not None and len(e)]
-            if present:
-                flat = np.concatenate(present)
-                self._check_dep_ids(flat)
-                lens = np.fromiter(
-                    (0 if e is None else len(e) for e in extra_deps),
-                    dtype=np.int64, count=k,
-                )
+        prepared = _prepare(channel, devices, seconds, common_deps,
+                            extra_deps, shared_by_task)
+        if prepared is None:
+            return _NO_IDS
+        wave, common, flat = prepared
+        self._check_ids(common)
+        self._check_ids(flat)
         self._phases.append((category, group, label, common))
         first = self._n
-        self._schedule(_CHANNEL_INDEX[channel], devices, seconds, common,
-                       lens, flat, holds, len(self._phases) - 1)
-        return np.arange(first, first + k, dtype=np.int64)
+        self._schedule(wave, common, flat, len(self._phases) - 1)
+        return np.arange(first, first + wave.k, dtype=np.int64)
 
-    def _schedule(self, ch: int, devices: np.ndarray, seconds: np.ndarray,
-                  common: Optional[np.ndarray], lens: Optional[np.ndarray],
-                  flat: Optional[np.ndarray], holds: Optional[Sequence],
-                  phase: int) -> None:
+    def submit_program(self, program: WaveProgram, external_ids=(),
+                       group: int = -1, barrier_each: bool = False
+                       ) -> np.ndarray:
+        """Replay a recorded :class:`WaveProgram`; returns its task ids.
+
+        ``external_ids[s]`` is the task the program's external slot ``s``
+        stands for; they are the only input left to check (integers, in
+        range, one per slot) — everything else was validated when the
+        waves were recorded. Every dependency reference of the program,
+        program-relative or external, resolves in one indexed read;
+        then each recorded wave appends its phase record (``group``,
+        when given, counts up from the first wave's) and takes the same
+        array step as a wave submitted on its own, followed by a barrier
+        under ``barrier_each``. The result — every task field, phase
+        record and frontier — is what submitting the recorded waves one
+        ``submit_batch`` at a time would have left.
+        """
+        external = task_ids(external_ids)
+        if len(external) != program.num_external:
+            raise SchedulerError(
+                f"program has {program.num_external} external slot(s), "
+                f"got {len(external)} id(s)"
+            )
+        self._check_ids(external, "external id")
+        first = self._n
+        table = np.concatenate((
+            external,
+            np.arange(first, first + program.num_tasks, dtype=np.int64),
+        ))
+        resolved = table[program.refs]
+        self._reserve(first + program.num_tasks)
+        phases = self._phases
+        for wave, category, label, lo, mid, hi in program.waves:
+            common = resolved[lo:mid] if mid > lo else None
+            phases.append((category, group, label, common))
+            self._schedule(wave, common,
+                           resolved[mid:hi] if hi > mid else None,
+                           len(phases) - 1)
+            if group >= 0:
+                group += 1
+            if barrier_each:
+                self.barrier()
+        return table[program.num_external:]
+
+    def _schedule(self, wave: _Wave, common: Optional[np.ndarray],
+                  flat: Optional[np.ndarray], phase: int) -> None:
         """The one place a start time is computed: the array step.
 
-        Task ``t``'s ``lens[t]`` extra dependency ids lie consecutively
-        in ``flat`` (both None when no task has any); ``holds[t]`` are its
-        ``(key, hold)`` pairs (None when the wave holds nothing).
+        ``wave`` is the static half (:class:`_Wave`); ``common`` gates
+        every task, and task ``t``'s ``wave.lens[t]`` extra dependency
+        ids lie consecutively in ``flat`` (None when no task has any).
         """
-        k = len(seconds)
-        bounds = _run_bounds(devices) if k > 1 else None
-        if bounds is not None:
-            # A repeated device queues behind its own earlier task, so
-            # the wave takes this step run by run, in order.
-            off = None if flat is None else [0, *np.cumsum(lens).tolist()]
-            for lo, hi in zip(bounds, bounds[1:]):
-                self._schedule(
-                    ch, devices[lo:hi], seconds[lo:hi], common,
-                    None if flat is None else lens[lo:hi],
-                    None if flat is None else flat[off[lo]:off[hi]],
-                    None if holds is None else holds[lo:hi], phase,
-                )
+        if wave.runs is not None:
+            for run, lo, hi in wave.runs:
+                self._schedule(run, common,
+                               None if run.lens is None else flat[lo:hi],
+                               phase)
             return
+        k, ch, slot, seconds = wave.k, wave.ch, wave.slot, wave.seconds
+        holds = wave.holds
         n0 = self._n
-        slot = _slot(devices)
-        need = int(slot.max()) + 1
-        if need > len(self._free[ch]):
-            self._free[ch] = _grown(self._free[ch], need, 0.0)
-            self._last[ch] = _grown(self._last[ch], need, -1)
-            self._busy[ch] = _grown(self._busy[ch], need, 0.0)
+        if wave.need > len(self._free[ch]):
+            self._free[ch] = _grown(self._free[ch], wave.need, 0.0)
+            self._last[ch] = _grown(self._last[ch], wave.need, -1)
+            self._busy[ch] = _grown(self._busy[ch], wave.need, 0.0)
         free_arr, last_arr = self._free[ch], self._last[ch]
 
         # Own queue: start at the barrier unless the queue frees later.
@@ -388,16 +689,12 @@ class EventScheduler:
             c_arg = common_ends.argmax()  # first max
             dep_max, dep_id = float(common_ends[c_arg]), int(common[c_arg])
         if flat is not None:
-            nz = lens > 0
-            seg_ends = np.cumsum(lens)
-            seg_starts = (seg_ends - lens)[nz]
+            nz, seg_starts = wave.nz, wave.seg_starts
             flat_ends = self._end[flat]
             seg_max = np.maximum.reduceat(flat_ends, seg_starts)
             # First index achieving each segment's max (tie → earliest).
-            candidate = np.where(
-                flat_ends == np.repeat(seg_max, lens[nz]),
-                np.arange(len(flat)), len(flat),
-            )
+            candidate = np.where(flat_ends == seg_max[wave.seg_of],
+                                 wave.positions, len(flat))
             seg_first = np.minimum.reduceat(candidate, seg_starts)
             e_max = np.full(k, _NEG_INF)
             e_id = np.full(k, -1, dtype=np.int64)
@@ -447,7 +744,7 @@ class EventScheduler:
         self._start[sl] = starts
         self._end[sl] = ends
         self._seconds[sl] = seconds
-        self._device[sl] = devices
+        self._device[sl] = wave.devices
         self._channel_idx[sl] = ch
         self._blocked[sl] = blocked
         self._phase_of[sl] = phase
@@ -456,23 +753,26 @@ class EventScheduler:
                                       self._extra_len + len(flat))
             self._extra_flat[self._extra_len:self._extra_len + len(flat)] = \
                 flat
-            self._extra_off[n0 + 1:n0 + k + 1] = self._extra_len + seg_ends
+            self._extra_off[n0 + 1:n0 + k + 1] = \
+                self._extra_len + wave.seg_ends
             self._extra_len += len(flat)
         else:
             self._extra_off[n0 + 1:n0 + k + 1] = self._extra_len
         free_arr[slot] = ends
         last_arr[slot] = np.arange(n0, n0 + k, dtype=np.int64)
         self._busy[ch][slot] += seconds
-        self._busy_channel[ch] += seconds.sum()
+        self._busy_channel[ch] += wave.total
         b_arg = int(ends.argmax())  # first max within the wave
         if self._max_id < 0 or ends[b_arg] > self._max_end:
             self._max_end = float(ends[b_arg])
             self._max_id = n0 + b_arg
         self._n = n0 + k
 
-    def ends_of(self, ids: np.ndarray) -> np.ndarray:
-        """End times of the given task ids (reporting/test helper)."""
-        return self._end[np.asarray(ids, dtype=np.int64)].copy()
+    def ends_of(self, ids) -> np.ndarray:
+        """End times of the given submitted task ids."""
+        ids = task_ids(ids)
+        self._check_ids(ids, "ends_of")
+        return self._end[ids]
 
     def barrier(self) -> Seconds:
         """Global synchronization: later tasks start at/after the makespan.
@@ -526,6 +826,21 @@ class EventScheduler:
     def devices(self) -> List[int]:
         """Sorted ids of every device that received at least one task."""
         return np.unique(self._device[:self._n]).tolist()
+
+    def columns(self) -> TaskColumns:
+        """What the reports aggregate, straight off the arrays: no
+        :class:`~repro.runtime.task.Task` is materialized. A device used
+        a channel when its queue frontier there names a task."""
+        columns = []
+        for array in (self._device, self._channel_idx, self._seconds):
+            view = array[:self._n]
+            view.flags.writeable = False
+            columns.append(view)
+        used = []
+        for last in self._last:
+            slot = np.flatnonzero(last >= 0)
+            used.append(np.sort((slot >> 1) ^ -(slot & 1)))  # _slot's inverse
+        return TaskColumns(*columns, tuple(used))
 
     def critical_path(self) -> List[Task]:
         """Chain of tasks ending at the makespan, following start-time blockers.

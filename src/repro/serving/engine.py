@@ -15,13 +15,20 @@ partitioned graph. The contract, end to end:
    dispatch instant, so no forward-pass task can start before its batch
    was admitted (the scheduler enforces it as an ordinary dependency).
 3. **Forward pass** — per admitted batch, per *unique* column, one
-   layer-by-layer task DAG goes through
-   :meth:`~repro.hardware.clock.EventTimeline.submit_batch`, shaped
-   exactly like the trainer's forward sweep: host→GPU staging loads,
-   same-node P2P fetches, cross-node halo-fetch ``net`` tasks (emitted
-   through the executor's coalescing machinery, charged to the same
-   per-flow byte ledger), intra-GPU gathers, compute kernels, and
-   host writebacks.
+   layer-by-layer task DAG shaped exactly like the trainer's forward
+   sweep: host→GPU staging loads, same-node P2P fetches, cross-node
+   halo-fetch ``net`` tasks (emitted through the executor's coalescing
+   machinery, charged to the same per-flow byte ledger), intra-GPU
+   gathers, compute kernels, and host writebacks. The DAG of a column
+   depends only on which of its layers are warm, so the one emitter
+   (:meth:`ServingEngine._emit_column`) runs against a
+   :class:`~repro.runtime.scheduler.WaveRecorder` once per ``(column,
+   warm bits)`` and every request *replays* the recorded
+   :class:`~repro.runtime.scheduler.WaveProgram`
+   (:meth:`~repro.hardware.clock.EventTimeline.submit_program`) behind
+   its batch's admission task; per request the engine only does the
+   cache bookkeeping and charges the halo bytes. HongTu pays for its
+   schedule once, in preprocessing (§4.1, §5.3); so does this.
 4. **Embedding cache** — serving charges cache *hits* against
    checkpointed activations: a ``(layer, column)`` pair whose aggregate
    checkpoints are host-resident (taken during hybrid-policy training,
@@ -43,7 +50,9 @@ Determinism: every second charged is a pure function of (plan, platform,
 config) and every random draw comes from seeded generators, so identical
 ``(seed, config)`` reproduce bit-identical latencies — the same ones the
 one-task-at-a-time scheduler oracle of ``tests/scheduler_oracle.py``
-assigns (``tests/test_serving.py``).
+assigns, and the same timeline, task for task, that running the emitter
+straight onto the ``EventTimeline`` for every request leaves
+(``tests/test_serving.py``).
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ import numpy as np
 from repro.core.planner import new_communicator
 from repro.errors import ConfigurationError, ServingError
 from repro.hardware.clock import EventTimeline
+from repro.runtime.scheduler import WaveProgram, WaveRecorder
 from repro.runtime.task import HOST_DEVICE
 from repro.serving.arrivals import ArrivalProcess
 from repro.serving.policies import AdmissionPolicy
@@ -64,8 +74,6 @@ from repro.serving.result import ServeResult
 from repro.units import Bytes, Seconds
 
 __all__ = ["ServingEngine"]
-
-_NO_IDS = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -84,6 +92,10 @@ class _ColumnLayerCosts:
     compute_seconds: np.ndarray
     #: h^{l+1} writeback to the host
     writeback_seconds: np.ndarray
+    #: host footprint of the pair once warm: the aggregate rows every
+    #: GPU's chunk of the column checkpoints for the layer — the sizing
+    #: the trainer's checkpoint store allocates, summed over the column
+    checkpoint_bytes: Bytes
 
 
 class ServingEngine:
@@ -117,6 +129,10 @@ class ServingEngine:
         self.model = trainer.model
         self.config = trainer.config
         self._costs: Dict[Tuple[int, int], _ColumnLayerCosts] = {}
+        #: (column, warm bits) -> (recorded forward DAG, program-relative
+        #: ids of its final writebacks); lives and dies with ``_costs``
+        self._programs: Dict[Tuple[int, Tuple[bool, ...]],
+                             Tuple[WaveProgram, np.ndarray]] = {}
         self._gpu_ids = np.arange(trainer.plan.num_gpus, dtype=np.int64)
         #: warm (layer, column) pairs in LRU order — data movement is
         #: free for these; the value is the pair's host footprint
@@ -163,15 +179,8 @@ class ServingEngine:
         self._cache_bytes = 0
 
     def _pair_bytes(self, l: int, j: int) -> Bytes:
-        """Host footprint of one warm (layer, column) pair.
-
-        The aggregate rows every GPU's chunk of column ``j`` checkpoints
-        for layer ``l`` — the same sizing the trainer's checkpoint store
-        allocates, summed over the column.
-        """
-        return int(self.shapes.forward(
-            self.model.layers[l], j, self.config.bytes_per_scalar
-        ).checkpoint_bytes.sum())
+        """Host footprint of one warm (layer, column) pair."""
+        return self._layer_costs(l, j).checkpoint_bytes
 
     def _cache_insert(self, l: int, j: int) -> None:
         """Warm ``(l, j)``, evicting LRU pairs past the byte budget."""
@@ -218,6 +227,7 @@ class ServingEngine:
                 forward.flops, devices=self._gpu_ids),
             writeback_seconds=platform.h2d_seconds(
                 forward.writeback_bytes, devices=self._gpu_ids),
+            checkpoint_bytes=int(forward.checkpoint_bytes.sum()),
         )
         self._costs[(l, j)] = costs
         return costs
@@ -225,32 +235,61 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # emission
     # ------------------------------------------------------------------
-    def _emit_column(self, timeline: EventTimeline, j: int,
-                     admit_ids: np.ndarray) -> Tuple[np.ndarray, int, int]:
-        """Emit one column's forward-pass DAG; returns (final ids, hits,
-        misses).
+    def _touch_column(self, j: int) -> Tuple[bool, ...]:
+        """One request's cache and ledger bookkeeping for column ``j``;
+        returns its warm/cold bits, one per layer.
+
+        Layer by layer, in the order the forward pass runs: a warm pair
+        is a hit and moves to the recent end of the LRU order; a cold
+        pair charges its two halo flows to the byte ledger and becomes
+        warm — the cold pass materializes its activations on the host,
+        so the next serve of the column is a hit, budget permitting. An
+        insert past the budget evicts LRU pairs, possibly a deeper layer
+        of this very column, which is why the bits are read one layer at
+        a time and not up front.
+        """
+        warm = []
+        comm = self.communicator
+        for l in range(len(self.model.layers)):
+            hit = (l, j) in self._cache
+            if hit:
+                self._cache.move_to_end((l, j))
+            else:
+                row_bytes = self._layer_costs(l, j).row_bytes
+                comm.charge_serving_halo(j, row_bytes, kind="load")
+                comm.charge_serving_halo(j, row_bytes, kind="fetch")
+                self._cache_insert(l, j)
+            warm.append(hit)
+        return tuple(warm)
+
+    def _emit_column(self, timeline, j: int, warm: Tuple[bool, ...],
+                     admit_ids: np.ndarray) -> np.ndarray:
+        """Emit column ``j``'s forward-pass DAG; returns the ids of its
+        final writebacks.
+
+        The one emitter. ``timeline`` is a
+        :class:`~repro.runtime.scheduler.WaveRecorder` whenever the
+        engine itself calls — once per ``(column, warm bits)`` — and the
+        recorded program is what every request replays; on an
+        :class:`~repro.hardware.clock.EventTimeline` the same calls
+        schedule the DAG directly (the tests' reference).
 
         Layer ``l``'s tasks chain after layer ``l-1``'s writebacks (its
         input rows are the previous layer's host output) and after the
-        admission task. Cold layers run the full staging front; warm
-        layers jump straight to compute.
+        admission task. Cold layers (``warm[l]`` false) run the full
+        staging front; warm layers jump straight to compute.
         """
         m = self.plan.num_gpus
         comm = self.communicator
         prev = admit_ids
-        hits = 0
-        misses = 0
-        for l in range(len(self.model.layers)):
+        for l, is_warm in enumerate(warm):
             costs = self._layer_costs(l, j)
-            if (l, j) in self._cache:
-                hits += 1
-                self._cache.move_to_end((l, j))
+            if is_warm:
                 compute_ids = timeline.submit_batch(
                     "gpu", costs.compute_seconds, deps=prev,
                     label=f"serve_compute[l{l}c{j}]",
                 )
             else:
-                misses += 1
                 halo_load_ids, load_by_reader = comm.submit_serving_halo(
                     timeline, j, costs.row_bytes, kind="load", deps=prev,
                     label=f"serve_halo_load[l{l}c{j}]",
@@ -265,7 +304,7 @@ class ServingEngine:
                     "d2d", costs.d2d_seconds, deps=load_ids,
                     label=f"serve_fetch[l{l}c{j}]",
                 )
-                halo_fetch_ids, net_by_reader = comm.submit_serving_halo(
+                _halo_fetch_ids, net_by_reader = comm.submit_serving_halo(
                     timeline, j, costs.row_bytes, kind="fetch",
                     deps=load_ids, label=f"serve_halo_fetch[l{l}c{j}]",
                 )
@@ -284,17 +323,31 @@ class ServingEngine:
                     deps_by_device=compute_deps,
                     label=f"serve_compute[l{l}c{j}]",
                 )
-                # The cold pass materialized this pair's activations on
-                # the host — the next serve of the column is a warm hit,
-                # budget permitting (over-budget inserts evict LRU pairs).
-                self._cache_insert(l, j)
-            writeback_ids = timeline.submit_batch(
+            prev = timeline.submit_batch(
                 "d2h", costs.writeback_seconds,
                 deps_by_device=compute_ids,
                 label=f"serve_writeback[l{l}c{j}]",
             )
-            prev = writeback_ids
-        return prev, hits, misses
+        return prev
+
+    def _replay_column(self, timeline: EventTimeline, j: int,
+                       warm: Tuple[bool, ...],
+                       admit_ids: np.ndarray) -> np.ndarray:
+        """Schedule column ``j``'s DAG by replaying its recorded program
+        — :meth:`_emit_column`'s contract, met without re-emitting.
+
+        The DAG's shape depends on ``(j, warm)`` and nothing else until
+        the platform's rates or the plan change (:meth:`_sync_platform`
+        drops the programs then), so it is recorded on first use, with
+        one external slot: the request batch's admission task.
+        """
+        recorded = self._programs.get((j, warm))
+        if recorded is None:
+            recorder = WaveRecorder(num_external=1)
+            final = self._emit_column(recorder, j, warm, recorder.external)
+            recorded = self._programs[(j, warm)] = recorder.finish(), final
+        program, final = recorded
+        return timeline.submit_program(program, admit_ids)[final]
 
     # ------------------------------------------------------------------
     # platform sync (fault-injected fleets)
@@ -311,23 +364,27 @@ class ServingEngine:
         at construction). A re-balance that changed the partition also
         swaps the trainer's plan — then the embedding cache is cleared
         and re-warmed too, since its (layer, column) footprints no
-        longer describe the new chunks. Construction is the first such
-        swap. Fault-free engines never miss again: ``rates_version`` is
-        stable, so this is one integer compare.
+        longer describe the new chunks. The recorded column programs
+        carry the profiles' seconds (and the communicator's links), so
+        they are dropped exactly where the profiles are. Construction
+        is the first such swap. Fault-free engines never miss again:
+        ``rates_version`` is stable, so this is one integer compare.
         """
         plan_changed = self.plan is not self.trainer.plan
         version = self.platform.rates_version
         if not plan_changed and version == self._rates_version:
             return
+        self._costs.clear()
+        self._programs.clear()  # recorded seconds are the profiles'
         if plan_changed:
             self.plan = self.trainer.plan
             self.shapes = self.trainer.fleet.shapes
-            self.clear_cache()
-            self.warm_from_checkpoints()
-        self._costs.clear()
         self.communicator = new_communicator(self.plan, self.platform,
                                              self.config)
         self._rates_version = version
+        if plan_changed:  # footprints are priced off the new profiles
+            self.clear_cache()
+            self.warm_from_checkpoints()
 
     # ------------------------------------------------------------------
     # the serving loop
@@ -362,30 +419,29 @@ class ServingEngine:
         hits = 0
         misses = 0
         admit_clock = 0.0
-        previous_admit = None
+        admit_ids = None
+        host = np.array([HOST_DEVICE], dtype=np.int64)
         for b, batch in enumerate(batches):
             # Advance the host admission clock to the dispatch instant:
             # chained zero-gap-safe tasks on the host cpu queue, so the
             # admit task of batch b *ends* exactly at its dispatch time.
             dt = max(0.0, batch.dispatch_time - admit_clock)
             admit_clock = max(admit_clock, batch.dispatch_time)
-            admit = scheduler.submit(
-                "cpu", HOST_DEVICE, dt,
-                deps=() if previous_admit is None else (previous_admit,),
+            admit_ids = scheduler.submit_batch(
+                "cpu", host, [dt], common_deps=admit_ids,
                 category="cpu", label=f"admit[{b}]",
             )
-            previous_admit = admit
-            admit_ids = np.array([admit.task_id], dtype=np.int64)
             by_column: Dict[int, List[int]] = {}
             for request in batch.requests:
                 by_column.setdefault(int(columns[request]),
                                      []).append(request)
             for j in sorted(by_column):
-                final_ids, h, miss = self._emit_column(
-                    timeline, j, admit_ids
-                )
-                hits += h
-                misses += miss
+                # Per request: the LRU and byte-ledger bookkeeping, then
+                # a replay of the column's recorded DAG.
+                warm = self._touch_column(j)
+                hits += warm.count(True)
+                misses += warm.count(False)
+                final_ids = self._replay_column(timeline, j, warm, admit_ids)
                 done = float(scheduler.ends_of(final_ids).max())
                 for request in by_column[j]:
                     completions[request] = done

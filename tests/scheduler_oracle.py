@@ -7,10 +7,12 @@ it is *defined* in: a task starts at the latest of the barrier, its own
 order) and every dependency (common before extras, in list order), each
 applied as a strictly-greater update so ``blocked_by`` names the first
 constraint that reached the maximum. :class:`OracleScheduler` overrides
-only how a wave's times are assigned; validation, the structure-of-arrays
-storage, ``validate()`` and every query are the production ones, so a
-test that builds the same task stream on both compares the two rules and
-nothing else.
+only how a wave's times are assigned — the one method every submission
+goes through, ``submit``, ``submit_batch`` and each wave of a replayed
+``submit_program`` alike; validation, the structure-of-arrays storage,
+``validate()`` and every query are the production ones, so a test that
+builds the same task stream on both compares the two rules and nothing
+else.
 """
 
 from __future__ import annotations
@@ -20,20 +22,44 @@ import pytest
 
 from repro.runtime.scheduler import EventScheduler, _grown, _slot
 
-__all__ = ["OracleScheduler", "install_scheduler_oracle"]
+__all__ = ["OracleScheduler", "install_scheduler_oracle", "timeline_state"]
+
+
+def timeline_state(timeline) -> dict:
+    """Everything a timeline recorded, in comparable form: two timelines
+    are the same schedule exactly when these dicts are equal."""
+    scheduler = timeline.scheduler
+    n = scheduler.num_tasks
+    state = {name: getattr(scheduler, name)[:n].tolist()
+             for name in ("_start", "_end", "_blocked", "_seconds",
+                          "_device", "_channel_idx", "_phase_of")}
+    state["extra_off"] = scheduler._extra_off[:n + 1].tolist()
+    state["extra_flat"] = scheduler._extra_flat[:scheduler._extra_len].tolist()
+    state["phases"] = [
+        (category, group, label, None if ids is None else ids.tolist())
+        for category, group, label, ids in scheduler._phases]
+    state["shared"] = (scheduler._free_shared, scheduler._last_shared)
+    state["busy"] = scheduler.busy_by_channel()
+    state["breakdown"] = dict(timeline.breakdown.seconds)
+    state["group"] = timeline._group
+    state["makespan"] = timeline.makespan
+    return state
 
 
 class OracleScheduler(EventScheduler):
     """Schedules every wave — repeated devices included — task by task."""
 
-    def _schedule(self, ch, devices, seconds, common, lens, flat, holds,
-                  phase):
-        off = None if flat is None else np.concatenate(([0], np.cumsum(lens)))
-        for t in range(len(seconds)):
+    def _schedule(self, wave, common, flat, phase):
+        # Reads only what the caller passed in — devices, seconds, holds
+        # and the per-task list lengths — none of the derived fields the
+        # array step keeps on the wave.
+        off = (None if flat is None
+               else np.concatenate(([0], np.cumsum(wave.lens))))
+        for t in range(wave.k):
             self._schedule_one(
-                ch, int(devices[t]), float(seconds[t]), common,
+                wave.ch, int(wave.devices[t]), float(wave.seconds[t]), common,
                 None if flat is None else flat[off[t]:off[t + 1]],
-                () if holds is None else holds[t], phase,
+                () if wave.holds is None else wave.holds[t], phase,
             )
 
     def _schedule_one(self, ch, device, seconds, common, extras, shared,

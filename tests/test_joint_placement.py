@@ -47,6 +47,7 @@ from repro.partition import (
     search_placement,
     two_level_partition,
 )
+from repro.runtime import EventScheduler
 
 NODES = 2
 GPUS = 4
@@ -598,16 +599,13 @@ class TestBugfixRegressions:
 
 
 class TestNodeUtilizationClampMarker:
-    class _Task:
-        def __init__(self, channel, device, seconds, label=""):
-            self.channel = channel
-            self.device = device
-            self.seconds = seconds
-            self.label = label
-
     class _Timeline:
+        """Real tasks under a makespan the test dictates."""
+
         def __init__(self, tasks, makespan):
-            self.scheduler = type("S", (), {"tasks": tasks})()
+            self.scheduler = EventScheduler()
+            for channel, device, seconds in tasks:
+                self.scheduler.submit(channel, device, seconds)
             self.makespan = makespan
 
     class _Platform:
@@ -623,7 +621,7 @@ class TestNodeUtilizationClampMarker:
 
         # device 0's gpu queue reports 3s of work in a 1s makespan —
         # impossible, must be flagged
-        tasks = [self._Task("gpu", 0, 3.0), self._Task("gpu", 4, 0.5)]
+        tasks = [("gpu", 0, 3.0), ("gpu", 4, 0.5)]
         out = render_node_utilization(self._Timeline(tasks, 1.0),
                                       self._Platform())
         assert "3.00s!" in out
@@ -634,7 +632,7 @@ class TestNodeUtilizationClampMarker:
     def test_healthy_table_has_no_footnote(self):
         from repro.bench.reporting import render_node_utilization
 
-        tasks = [self._Task("gpu", 0, 0.8), self._Task("gpu", 4, 0.5)]
+        tasks = [("gpu", 0, 0.8), ("gpu", 4, 0.5)]
         out = render_node_utilization(self._Timeline(tasks, 1.0),
                                       self._Platform())
         assert "!" not in out

@@ -25,7 +25,15 @@ from repro.hardware import (
     NetworkTopology,
 )
 from repro.runtime import CHANNELS, EventScheduler, TransitionBuffers
-from scheduler_oracle import OracleScheduler
+from repro.runtime.scheduler import WaveRecorder
+from scheduler_oracle import OracleScheduler, timeline_state
+
+
+def recorded(num_tasks=1, num_external=0):
+    """A recorder that already holds ``num_tasks`` gpu tasks."""
+    recorder = WaveRecorder(num_external)
+    recorder.submit_batch("gpu", [1.0] * num_tasks)
+    return recorder
 
 
 class TestEventScheduler:
@@ -81,8 +89,13 @@ class TestEventScheduler:
         lambda s, bad: s.submit_batch(
             "net", [-2, -3], [1.0, 1.0],
             shared_by_task=[[("k", 0.5)], [("j", 0.0), ("k", bad)]]),
+        # a recorded wave is judged when it is recorded
+        lambda s, bad: WaveRecorder().submit_batch("gpu", [2.0, bad]),
+        lambda s, bad: WaveRecorder().submit_batch(
+            "net", [1.0, 1.0], devices=[-2, -3],
+            shared_by_device=[[("k", 0.5)], [("j", 0.0), ("k", bad)]]),
     ], ids=["submit", "batch_first", "batch_last", "batch_repeated_device",
-            "submit_hold", "batch_hold"])
+            "submit_hold", "batch_hold", "program", "program_hold"])
     def test_non_finite_or_negative_duration_rejected(self, submit, bad):
         """A NaN used to be accepted, poison every dependant's end time
         and then be *ignored* by the makespan — a silently wrong number.
@@ -115,7 +128,9 @@ class TestEventScheduler:
         lambda s: s.submit_batch("gpu", [0.5, 1.5], [1.0, 1.0]),
         # used to escape as a bare IndexError
         lambda s: s.submit("gpu", 1.5, 1.0),
-    ], ids=["batch", "submit"])
+        lambda s: WaveRecorder().submit_batch("gpu", [1.0, 1.0],
+                                              devices=[0.5, 1.5]),
+    ], ids=["batch", "submit", "program"])
     def test_non_integral_device_rejected(self, submit):
         scheduler = EventScheduler()
         scheduler.submit("gpu", 0, 1.0)
@@ -136,8 +151,23 @@ class TestEventScheduler:
                                  extra_deps=[np.array([3]), None]),
         lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
                                  common_deps=np.array([-1])),
+        # a recorded wave may name the program's earlier tasks and its
+        # external slots, nothing else
+        lambda s: recorded(1).submit_batch("gpu", [1.0], deps=[1]),
+        lambda s: recorded(1).submit_batch("gpu", [1.0], deps=[-1]),
+        lambda s: recorded(2, num_external=1).submit_batch(
+            "gpu", [1.0, 1.0], deps_by_device=np.array([0, -2])),
+        # a replay: the external ids are the one input left to check
+        lambda s: s.submit_program(recorded(1, 1).finish(), [1]),
+        lambda s: s.submit_program(recorded(1, 1).finish(), [-1]),
+        # ends_of used to answer 0.0 from unwritten (or wrapped) capacity
+        lambda s: s.ends_of([1]),
+        lambda s: s.ends_of([-1]),
     ], ids=["unsubmitted", "negative", "beyond_capacity",
-            "batch_repeated_device", "batch_common"])
+            "batch_repeated_device", "batch_common", "program_unrecorded",
+            "program_no_such_slot", "program_per_device",
+            "replay_unsubmitted", "replay_negative", "ends_of_unsubmitted",
+            "ends_of_negative"])
     def test_out_of_range_dependency_rejected(self, submit):
         scheduler = EventScheduler()
         scheduler.submit("gpu", 0, 1.0)
@@ -147,6 +177,87 @@ class TestEventScheduler:
         # validates and holds exactly the one good task.
         scheduler.validate()
         assert scheduler.num_tasks == 1
+        assert len(scheduler._phases) == 1
+
+    @pytest.mark.parametrize("submit", [
+        # used to truncate to task 1 (1.9) / task 0 (0.5) and gate on it
+        lambda s: s.submit("gpu", 0, 1.0, deps=[1.9]),
+        lambda s: s.submit("gpu", 0, 1.0, deps=np.array([1.9])),
+        lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                 common_deps=np.array([1.9])),
+        lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                 extra_deps=[None, np.array([0.5])]),
+        lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                 extra_deps=np.array([0.5, 1.0])),
+        lambda s: recorded(2).submit_batch("gpu", [1.0],
+                                           deps=np.array([1.9])),
+        lambda s: recorded(2).submit_batch("gpu", [1.0],
+                                           deps_by_device=[[0.5]]),
+        lambda s: s.submit_program(recorded(1, 1).finish(), [0.5]),
+        lambda s: s.ends_of(np.array([0.5])),
+    ], ids=["submit_list", "submit_array", "batch_common", "batch_extra",
+            "batch_extra_array", "program_common", "program_per_device",
+            "replay_external", "ends_of"])
+    def test_non_integral_dependency_rejected(self, submit):
+        scheduler = EventScheduler()
+        scheduler.submit("gpu", 0, 1.0)
+        scheduler.submit("gpu", 1, 5.0)
+        with pytest.raises(SchedulerError, match="integers"):
+            submit(scheduler)
+        scheduler.validate()
+        assert scheduler.num_tasks == 2
+        assert len(scheduler._phases) == 2
+
+    @pytest.mark.parametrize("submit", [
+        # each used to raise a bare ValueError from inside the store
+        # step, after a phantom phase record had been appended
+        lambda s: s.submit("gpu", 0, np.array([1.0, 2.0])),
+        lambda s: s.submit("gpu", np.array([0, 1]), 1.0),
+        lambda s: s.submit_batch("gpu", [0, 1], [[1.0, 2.0], [3.0, 4.0]]),
+        lambda s: s.submit_batch("gpu", [[0, 1], [2, 3]], [1.0, 2.0]),
+        lambda s: s.submit_batch("gpu", [0, 1], [1.0, 2.0],
+                                 extra_deps=np.array([[0, 0], [0, 0]])),
+        lambda s: s.submit_batch("gpu", [0, 1], [1.0, 2.0],
+                                 extra_deps=[None, np.array([[0, 0]])]),
+        lambda s: s.submit_batch("gpu", [0, 1], [1.0, 2.0],
+                                 common_deps=np.array([[0]])),
+        lambda s: WaveRecorder().submit_batch("gpu", [[1.0, 2.0]]),
+        lambda s: WaveRecorder().submit_batch("gpu", [1.0, 2.0],
+                                              devices=[[0, 1], [2, 3]]),
+        lambda s: recorded(1).submit_batch(
+            "gpu", [1.0, 2.0], deps_by_device=np.array([[0, 0], [0, 0]])),
+        lambda s: s.submit_program(recorded(1, 1).finish(), [[0]]),
+    ], ids=["submit_seconds", "submit_device", "batch_seconds",
+            "batch_devices", "batch_extra_array", "batch_extra_entry",
+            "batch_common", "program_seconds", "program_devices",
+            "program_per_device", "replay_external"])
+    def test_two_dimensional_input_rejected(self, submit):
+        scheduler = EventScheduler()
+        scheduler.submit("gpu", 0, 1.0)
+        with pytest.raises(SchedulerError, match="1-D"):
+            submit(scheduler)
+        scheduler.validate()
+        assert scheduler.num_tasks == 1
+        assert len(scheduler._phases) == 1
+
+    def test_replay_with_the_wrong_number_of_external_ids_rejected(self):
+        scheduler = EventScheduler()
+        scheduler.submit("gpu", 0, 1.0)
+        program = recorded(1, num_external=2).finish()
+        with pytest.raises(SchedulerError, match="external slot"):
+            scheduler.submit_program(program, [0])
+        assert scheduler.num_tasks == 1
+        assert len(scheduler._phases) == 1
+
+    def test_rejected_recording_leaves_the_program_as_it_was(self):
+        recorder = recorded(2)
+        with pytest.raises(SchedulerError):
+            recorder.submit_batch("gpu", [1.0], deps=[2])
+        with pytest.raises(SchedulerError):
+            recorder.submit_batch("warp_drive", [1.0])
+        program = recorder.finish()
+        assert (program.num_tasks, len(program.waves)) == (2, 1)
+        assert len(program.refs) == 0
 
     def test_busy_accounting(self):
         scheduler = EventScheduler()
@@ -401,6 +512,168 @@ class TestVectorizedScheduler:
         batched.validate()
 
 
+class TestWavePrograms:
+    """Replay ≡ fresh emission: a recorded program replayed onto a
+    non-empty timeline leaves exactly what submitting the same waves
+    through ``submit_batch`` leaves — every task field, phase record,
+    group id, breakdown charge, frontier and query — under the array
+    step and under the one-task-at-a-time oracle alike."""
+
+    random_wave = TestVectorizedScheduler._random_wave
+    CHANNEL_NAMES = TestVectorizedScheduler.CHANNEL_NAMES
+    SHARED_KEYS = TestVectorizedScheduler.SHARED_KEYS
+
+    def _program_waves(self, rng, num_external):
+        """Keyword sets for 2-6 waves whose dependency ids are
+        program-relative (>= 0) or external placeholders (< 0)."""
+        waves, recorded_tasks = [], 0
+        for index in range(int(rng.integers(2, 7))):
+            channel, devices, seconds, common, extras, shared = \
+                self.random_wave(rng, recorded_tasks + num_external)
+            # random_wave drew ids in [0, recorded + external): shift
+            # them so the low ones land on the external slots
+            common = None if common is None else common - num_external
+            if extras is not None:
+                extras = [None if e is None else e - num_external
+                          for e in extras]
+                if rng.random() < 0.3:  # the (k,) one-producer-each form
+                    pool = recorded_tasks + num_external
+                    extras = rng.integers(pool, size=len(seconds)) \
+                        - num_external
+            waves.append(dict(
+                category=channel, per_device_seconds=seconds,
+                devices=devices, deps=common, deps_by_device=extras,
+                shared_by_device=shared, label=f"w{index}"))
+            recorded_tasks += len(seconds)
+        return waves
+
+    @staticmethod
+    def _bind(ids, external, first):
+        """Placeholder/program-relative ids -> the replay's task ids."""
+        if ids is None:
+            return None
+        bound = first + ids
+        bound[ids < 0] = external[ids[ids < 0]]  # slot s is id s - E
+        return bound
+
+    def _build_pair(self, seed, scheduler_cls):
+        rng = np.random.default_rng(seed)
+        barrier_all = bool(rng.random() < 0.25)
+        replayed, fresh = EventTimeline(barrier_all), EventTimeline(barrier_all)
+        for timeline in (replayed, fresh):
+            timeline.scheduler = scheduler_cls()
+            timeline.submit_batch("h2d", [0.5, 1.5, 0.25],
+                                  shared_by_device=[[("second-core", 0.5)],
+                                                    [], []])
+            timeline.add("cpu", 0.75)
+        num_external = int(rng.integers(0, 3))
+        waves = self._program_waves(rng, num_external)
+        recorder = WaveRecorder(num_external)
+        relative = [recorder.submit_batch(**wave) for wave in waves]
+        program = recorder.finish()
+        assert program.num_tasks == sum(map(len, relative))
+        for _ in range(int(rng.integers(1, 4))):
+            n = fresh.scheduler.num_tasks
+            external = rng.integers(n, size=num_external)
+            if rng.random() < 0.3:
+                replayed.barrier()
+                fresh.barrier()
+            ids = replayed.submit_program(program, external)
+            assert ids.tolist() == list(range(n, n + program.num_tasks))
+            for wave in waves:
+                per_device = wave["deps_by_device"]
+                if isinstance(per_device, list):
+                    per_device = [self._bind(e, external, n)
+                                  for e in per_device]
+                else:  # None, or one producer per device
+                    per_device = self._bind(per_device, external, n)
+                fresh.submit_batch(**{
+                    **wave, "deps": self._bind(wave["deps"], external, n),
+                    "deps_by_device": per_device})
+            # something unrelated lands between two replays
+            for timeline in (replayed, fresh):
+                timeline.submit_batch("d2h", [0.125], devices=[1])
+        return replayed, fresh
+
+    @pytest.mark.parametrize("scheduler_cls",
+                             [EventScheduler, OracleScheduler])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_replay_equals_fresh_emission(self, seed, scheduler_cls):
+        replayed, fresh = self._build_pair(seed, scheduler_cls)
+        ours, theirs = timeline_state(replayed), timeline_state(fresh)
+        for key in ours:
+            assert ours[key] == theirs[key], key
+        a, b = replayed.scheduler, fresh.scheduler
+        assert [task.deps for task in a.tasks] == \
+            [task.deps for task in b.tasks]
+        for channel in CHANNELS:
+            for device in a.devices():
+                assert a.busy_seconds(channel, device) == \
+                    b.busy_seconds(channel, device)
+        assert [task.task_id for task in a.critical_path()] == \
+            [task.task_id for task in b.critical_path()]
+        replayed.validate()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_array_step_replay_equals_oracle_replay(self, seed):
+        fast, _ = self._build_pair(seed, EventScheduler)
+        slow, _ = self._build_pair(seed, OracleScheduler)
+        n = fast.scheduler.num_tasks
+        for name in ("_start", "_end", "_blocked"):
+            np.testing.assert_array_equal(
+                getattr(fast.scheduler, name)[:n],
+                getattr(slow.scheduler, name)[:n], err_msg=name)
+
+    def test_random_programs_cover_the_hard_shapes(self):
+        """The draws reach external slots, repeated devices, holds, the
+        one-producer-each form and ragged per-task lists."""
+        seen = set()
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            rng.random()
+            num_external = int(rng.integers(0, 3))
+            seen.add(f"external={num_external}")
+            for wave in self._program_waves(rng, num_external):
+                devices = wave["devices"]
+                if len(np.unique(devices)) < len(devices):
+                    seen.add("repeated")
+                if wave["shared_by_device"] is not None:
+                    seen.add("holds")
+                if isinstance(wave["deps_by_device"], np.ndarray):
+                    seen.add("one each")
+                elif wave["deps_by_device"] is not None:
+                    seen.add("ragged")
+                for ids in (wave["deps"], wave["deps_by_device"]):
+                    if isinstance(ids, np.ndarray) and (ids < 0).any():
+                        seen.add("names a slot")
+        assert seen == {"external=0", "external=1", "external=2",
+                        "repeated", "holds", "one each", "ragged",
+                        "names a slot"}
+
+    def test_program_is_reusable_across_timelines(self):
+        """A program holds no scheduler state: one recording replays
+        onto any number of timelines, and an empty one is a no-op."""
+        recorder = WaveRecorder(num_external=1)
+        loads = recorder.submit_batch("h2d", [1.0, 2.0],
+                                      deps=recorder.external)
+        assert loads.tolist() == [0, 1]
+        kernels = recorder.submit_batch("gpu", [3.0, 1.0],
+                                        deps_by_device=loads)
+        assert kernels.tolist() == [2, 3]
+        assert recorder.submit_batch("net", []).size == 0  # records nothing
+        program = recorder.finish()
+        for _ in range(2):
+            timeline = EventTimeline()
+            gate = timeline.add("cpu", 0.5)
+            ids = timeline.submit_program(program, [gate.task_id])
+            assert timeline.scheduler.ends_of(ids).tolist() == \
+                [1.5, 2.5, 4.5, 3.5]
+            assert timeline.breakdown.seconds["gpu"] == 3.0
+            timeline.validate()
+        empty = WaveRecorder().finish()
+        assert EventTimeline().submit_program(empty).size == 0
+
+
 class TestEventTimeline:
     def test_barrier_all_makespan_equals_serialized_sum(self):
         timeline = EventTimeline(barrier_all=True)
@@ -442,6 +715,35 @@ class TestEventTimeline:
         with pytest.raises(SchedulerError, match="one entry per device"):
             timeline.submit_batch("gpu", [1.0, 1.0], deps_by_device=deps)
         assert timeline.scheduler.num_tasks == 2
+        with pytest.raises(SchedulerError, match="one entry per device"):
+            recorded(2).submit_batch("gpu", [1.0, 1.0], deps_by_device=deps)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(deps=np.array([1.9])),
+        dict(deps_by_device=[None, [0.5]]),
+        dict(deps_by_device=np.array([[0, 0], [0, 0]])),
+        dict(deps=[7]),
+        dict(devices=[0.5, 1.5]),
+        dict(channel="warp_drive"),
+        dict(shared_by_device=[[("k", float("inf"))], []]),
+    ], ids=["float_deps", "float_per_device", "2d_per_device",
+            "unsubmitted", "float_devices", "channel", "inf_hold"])
+    def test_rejected_wave_leaves_no_trace_on_the_timeline(self, kwargs):
+        """A wave the scheduler rejects used to burn a group id: the
+        next accepted phase then skipped a number."""
+        timeline = EventTimeline(barrier_all=True)
+        timeline.submit_batch("h2d", [1.0, 4.0])
+        with pytest.raises(SchedulerError):
+            timeline.submit_batch("gpu", [1.0, 1.0], **kwargs)
+        with pytest.raises(SchedulerError, match="1-D"):
+            timeline.submit_batch("gpu", [[1.0, 1.0]])
+        program = recorded(1, num_external=1).finish()
+        with pytest.raises(SchedulerError):
+            timeline.submit_program(program, [2])
+        assert timeline.scheduler.num_tasks == 2
+        assert timeline.breakdown.seconds["gpu"] == 0.0
+        ids = timeline.submit_batch("gpu", [1.0, 1.0])
+        assert [timeline.scheduler.tasks[i].group for i in ids] == [1, 1]
 
     def test_busy_view_sums_devices(self):
         timeline = EventTimeline()

@@ -24,6 +24,8 @@ from repro.hardware import (
     MultiGPUPlatform,
 )
 from repro.runtime.scheduler import EventScheduler
+from repro.scenario import ClusterArgs
+from scheduler_oracle import timeline_state
 from repro.serving import (
     ArrivalProcess,
     BurstyArrivals,
@@ -302,6 +304,168 @@ class TestServingDeterminism:
         poisson = self._serve(cluster_trainer, kind="poisson")
         bursty = self._serve(cluster_trainer, kind="bursty")
         assert bursty.p99 > poisson.p99
+
+
+# ---------------------------------------------------------------------------
+# wave programs: replayed serving == the emitter straight on the timeline
+# ---------------------------------------------------------------------------
+class DirectEngine(ServingEngine):
+    """The reference: no program, no recorder — every request runs the
+    emitter directly against the horizon's ``EventTimeline``."""
+
+    _replay_column = ServingEngine._emit_column
+
+
+def assert_same_horizon(result, reference, skip=()):
+    assert np.array_equal(result.latencies, reference.latencies)
+    assert np.array_equal(result.completions, reference.completions)
+    for field in ("net_bytes", "cache_hits", "cache_misses",
+                  "cache_evictions", "makespan"):
+        assert getattr(result, field) == getattr(reference, field), field
+    ours, theirs = (timeline_state(r.timeline) for r in (result, reference))
+    for key in ours:
+        assert key in skip or ours[key] == theirs[key], key
+
+
+SCENARIOS = {
+    "flat": dict(),
+    "spine_x2": dict(topology="spine", oversubscription=2.0),
+    "rail": dict(topology="rail"),
+    "hetero": dict(node_spec=["a100", "v100"]),
+    "fault_window": dict(
+        fault=["straggler:node=1,start=0,compute=0.5,nic=0.25"]),
+    "evicting_budget": dict(),
+}
+
+
+class TestWaveProgramServing:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return load_dataset("reddit_sim", scale=0.12, seed=3)
+
+    def make_trainer(self, graph, **scenario):
+        args = ClusterArgs(hidden_dim=16, chunks=3, gpus=2, nodes=2,
+                           **scenario)
+        trainer = HongTuTrainer(
+            graph, args.build_model(graph), args.build_platform(),
+            args.build_config(intermediate_policy="hybrid",
+                              overlap="pipeline"))
+        trainer.train_epoch()  # checkpoints; applies any fault state
+        return trainer
+
+    @staticmethod
+    def horizon(engine, seed=7, rate=600.0):
+        return engine.serve(build_arrivals("bursty", rate, 0.1, seed=seed),
+                            build_policy("deadline", batch_timeout=0.002))
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_replay_equals_direct_emission(self, graph, name):
+        trainer = self.make_trainer(graph, **SCENARIOS[name])
+        warm_bytes = ServingEngine(trainer).cache_bytes
+        assert warm_bytes > 0
+        budget = warm_bytes * 2 // 3 if name == "evicting_budget" else None
+        engines = [cls(trainer, cache_budget_bytes=budget)
+                   for cls in (ServingEngine, DirectEngine)]
+        for engine in engines:
+            # half the pairs start cold: the day mixes cold, warm and
+            # half-warm columns whatever the budget
+            for pair in list(engine._cache)[::2]:
+                engine._cache_bytes -= engine._cache.pop(pair)
+        replayed, direct = (self.horizon(engine) for engine in engines)
+        assert replayed.num_requests > 20
+        assert replayed.cache_hits > 0 and replayed.cache_misses > 0
+        assert replayed.net_bytes > 0
+        assert_same_horizon(replayed, direct)
+        assert engines[0].communicator.net_bytes_by_flow == \
+            engines[1].communicator.net_bytes_by_flow
+        assert engines[0].communicator.bytes_moved == \
+            engines[1].communicator.bytes_moved
+        assert list(engines[0]._cache.items()) == \
+            list(engines[1]._cache.items())
+        replayed.timeline.validate()
+        # far fewer recordings than requests, and none on the reference
+        programs = engines[0]._programs
+        assert 0 < len(programs) < replayed.cache_hits + replayed.cache_misses
+        assert len({warm for _j, warm in programs}) > 1
+        assert not engines[1]._programs
+        if name == "evicting_budget":
+            assert replayed.cache_evictions > 0
+        if name == "spine_x2":  # the halo waves carried their holds
+            assert replayed.timeline.scheduler._free_shared
+        if name == "fault_window":
+            assert trainer.platform.fault_state is not None
+
+    def test_oracle_scheduler_replays_identically(
+            self, graph, install_scheduler_oracle):
+        trainer = self.make_trainer(graph, topology="spine",
+                                    oversubscription=2.0)
+        engine = ServingEngine(trainer)
+        engine.clear_cache()
+        batched = self.horizon(engine)
+        install_scheduler_oracle()
+        engine = ServingEngine(trainer)
+        engine.clear_cache()
+        scalar = self.horizon(engine)
+        assert type(scalar.timeline.scheduler) is not EventScheduler
+        # the oracle adds a channel's busy seconds task by task, the
+        # array step wave by wave: equal to rounding, not to the bit
+        assert_same_horizon(batched, scalar, skip=("busy",))
+        assert scalar.timeline.busy_view() == \
+            pytest.approx(batched.timeline.busy_view(), rel=1e-12)
+
+    def test_rates_version_bump_drops_the_programs(self, graph):
+        """A fault applied between two horizons re-prices every second:
+        the second horizon must equal a fresh engine's, not replay the
+        first one's durations."""
+        from repro.faults import FaultSchedule, Straggler
+
+        trainer = self.make_trainer(graph)
+        engine = ServingEngine(trainer)
+        engine.clear_cache()
+        healthy = self.horizon(engine)
+        recorded_before = [program for program, _ in engine._programs.values()]
+        assert recorded_before
+        trainer.platform.apply_fault_state(FaultSchedule((
+            Straggler(1, compute_factor=0.25, nic_factor=0.5),)).state_at(0.0))
+        engine.clear_cache()
+        degraded = self.horizon(engine)
+        assert all(program not in recorded_before
+                   for program, _ in engine._programs.values())
+        assert degraded.makespan > healthy.makespan
+        for cls in (ServingEngine, DirectEngine):
+            fresh = cls(trainer)
+            fresh.clear_cache()
+            assert_same_horizon(degraded, self.horizon(fresh))
+
+    def test_plan_swap_drops_the_programs(self, graph):
+        """An elastic re-balance whose joint search re-cuts the
+        partition swaps the trainer's plan (``free_checkpoints`` →
+        ``plan_fleet`` → ``adopt``, the controller's steps): programs —
+        and the cache — recorded against the old chunks must not
+        survive it."""
+        from repro.core.planner import plan_fleet
+        from repro.partition import two_level_partition
+
+        trainer = self.make_trainer(graph)
+        engine = ServingEngine(trainer)
+        self.horizon(engine)
+        recorded_before = [program for program, _ in engine._programs.values()]
+        assert recorded_before
+        trainer.free_checkpoints()
+        trainer.fleet.release()
+        trainer.adopt(plan_fleet(
+            graph, trainer.model, trainer.platform, trainer.config,
+            partition=two_level_partition(
+                graph, trainer.platform.num_gpus, trainer.config.num_chunks,
+                seed=99)))
+        assert trainer.plan is not engine.plan
+        trainer.train_epoch()
+        after = self.horizon(engine)
+        assert engine.plan is trainer.plan
+        assert all(program not in recorded_before
+                   for program, _ in engine._programs.values())
+        for cls in (ServingEngine, DirectEngine):
+            assert_same_horizon(after, self.horizon(cls(trainer)))
 
 
 # ---------------------------------------------------------------------------

@@ -38,14 +38,25 @@ from repro.hardware import (
     EventTimeline,
     MultiGPUPlatform,
     NetworkTopology,
+    V100_SERVER,
 )
 from repro.partition import (
     halo_load_volumes,
     halo_volumes,
     two_level_partition,
 )
-from repro.runtime import NET_DEVICE_BASE, SPINE_RESOURCE, net_link_parts
+from repro.runtime import (
+    CHANNELS,
+    NET_DEVICE_BASE,
+    SPINE_RESOURCE,
+    EventScheduler,
+    net_link_parts,
+)
 from repro.scenario import ClusterArgs
+from report_reference import (
+    reference_render_node_utilization,
+    reference_render_timeline,
+)
 
 
 def cluster_platform(kind="flat", oversubscription=1.0, num_rails=0,
@@ -505,9 +516,7 @@ class TestUtilizationRendering:
         the row clamps to 100% and carries a '!' flag instead of lying."""
 
         class Broken:
-            class scheduler:  # noqa: N801 - minimal stub
-                tasks = ()
-
+            scheduler = EventScheduler()  # no task: no device on any channel
             makespan = 1.0
 
             class breakdown:  # noqa: N801
@@ -520,6 +529,56 @@ class TestUtilizationRendering:
         text = render_timeline(Broken())
         assert "100%!" in text
         assert "250%" not in text
+
+    @staticmethod
+    def report_platform(kind):
+        if kind == "hetero":
+            cluster = A100_CLUSTER.with_num_nodes(3).with_node_specs(
+                (A100_SERVER, V100_SERVER, A100_SERVER))
+            return ClusterPlatform(cluster, gpus_per_node=2)
+        if kind == "single":
+            return MultiGPUPlatform(A100_SERVER, num_gpus=2)
+        return cluster_platform(
+            kind, nodes=3, gpus_per_node=2,
+            oversubscription=2.0 if kind == "spine" else 1.0)
+
+    @pytest.mark.parametrize("kind", ["single", "flat", "spine", "rail",
+                                      "hetero"])
+    def test_array_reports_equal_the_per_task_loops(self, graph, kind):
+        """The tables aggregate the scheduler's columns; the per-``Task``
+        loops they replaced (``report_reference``) must render the same
+        bytes — and the array path must materialize no ``Task``."""
+        platform = self.report_platform(kind)
+        timeline = make_trainer(graph, platform).train_epoch().timeline
+        # host work and an off-link device on the net channel: the two
+        # corners of the node attribution
+        timeline.add("cpu", 0.25)
+        timeline.add("net", 0.5, device=1, channel="net")
+        timeline.scheduler._task_cache.clear()
+        timeline.scheduler._tasks_view.clear()
+        rendered = (render_timeline(timeline, title="channels", width=24),
+                    render_node_utilization(timeline, platform, title="n"))
+        assert len(timeline.scheduler._task_cache) == 0
+        assert rendered == (
+            reference_render_timeline(timeline, title="channels", width=24),
+            reference_render_node_utilization(timeline, platform, title="n"))
+        assert len(timeline.scheduler._task_cache) == \
+            timeline.scheduler.num_tasks  # the reference did materialize
+
+    def test_columns_are_read_only_views(self):
+        timeline = EventTimeline()
+        timeline.submit_batch("gpu", [1.0, 2.0], devices=[3, 0])
+        timeline.add("net", 0.5, device=-4, channel="net")
+        device, channel, seconds, used = timeline.scheduler.columns()
+        assert device.tolist() == [3, 0, -4]
+        assert [CHANNELS[c] for c in channel] == ["gpu", "gpu", "net"]
+        assert seconds.tolist() == [1.0, 2.0, 0.5]
+        assert [ids.tolist() for ids in used] == \
+            [[0, 3], [], [], [], [], [-4]]
+        with pytest.raises(ValueError):
+            seconds[0] = 9.0
+        timeline.add("gpu", 1.0, device=3)  # the scheduler still writes
+        assert timeline.scheduler.columns().seconds.tolist()[-1] == 1.0
 
     def test_node_utilization_decodes_rail_links(self, graph):
         platform = cluster_platform("rail")

@@ -1,6 +1,6 @@
 """repro-lint: AST-based invariant checkers for the HongTu reproduction.
 
-Five checkers statically enforce contracts the test suite can only probe
+Six checkers statically enforce contracts the test suite can only probe
 dynamically (see ``docs/ARCHITECTURE.md`` — "Static invariants &
 enforcement" — for the mapping to the runtime contracts):
 
@@ -10,8 +10,9 @@ enforcement" — for the mapping to the runtime contracts):
   (:mod:`tools.repro_lint.taxonomy`);
 * ``RPL301`` — seconds-vs-bytes cost dimensions
   (:mod:`tools.repro_lint.dimensions`);
-* ``RPL401``/``RPL402`` — hot-path python loops in the vectorized core
-  and ``ufunc.at`` scatters in the training-step numerics
+* ``RPL401``/``RPL402``/``RPL403`` — hot-path python loops in the
+  vectorized core, ``ufunc.at`` scatters in the training-step numerics,
+  and whole-timeline ``Task`` materialization through ``scheduler.tasks``
   (:mod:`tools.repro_lint.hotloop`).
 
 Run ``python -m tools.repro_lint src/ benchmarks/ tools/`` from the repo
@@ -33,7 +34,11 @@ from tools.repro_lint.base import (
 )
 from tools.repro_lint.determinism import DeterminismChecker
 from tools.repro_lint.dimensions import DimensionChecker
-from tools.repro_lint.hotloop import HotLoopChecker, ScatterChecker
+from tools.repro_lint.hotloop import (
+    HotLoopChecker,
+    ScatterChecker,
+    TaskMaterializationChecker,
+)
 from tools.repro_lint.taxonomy import TaxonomyChecker
 
 __all__ = ["Diagnostic", "SourceFile", "Checker", "build_checkers",
@@ -41,7 +46,7 @@ __all__ = ["Diagnostic", "SourceFile", "Checker", "build_checkers",
 
 #: every diagnostic code the suite can emit
 ALL_CODES = ("RPL101", "RPL102", "RPL103", "RPL201", "RPL301", "RPL401",
-             "RPL402")
+             "RPL402", "RPL403")
 
 
 def build_checkers(root: Optional[Path] = None) -> List[Checker]:
@@ -54,6 +59,7 @@ def build_checkers(root: Optional[Path] = None) -> List[Checker]:
         DimensionChecker(),
         HotLoopChecker(),
         ScatterChecker(),
+        TaskMaterializationChecker(),
     ]
 
 
