@@ -38,13 +38,28 @@ hang its compute/writeback tasks off them.
 Emission is *batched*: which rows each GPU loads, reuses, fetches and
 flushes — and how the traffic splits across node pairs — is fixed by the
 plan and the installed placement, so the per-batch row counts, segment
-classifications and halo coalescing are precomputed once
-(:meth:`DedupCommunicator._batch_static`) and every (layer, batch) call
-reduces to numpy cost expressions over all GPUs at once plus one
-``submit_batch`` wave per phase. Only the real numpy data movement still
-iterates per GPU (those fancy-indexed reads/scatter-adds *are* the
-numerics). All dependency plumbing is task-id arrays; no
+classifications and halo coalescing are precomputed once, with array ops
+(:class:`PlanStatic`, one per plan + placement, shared by every
+communicator built over the pair), and every (layer, batch) call reduces
+to numpy cost expressions over all GPUs at once plus one ``submit_batch``
+wave per phase. All dependency plumbing is task-id arrays; no
 :class:`~repro.runtime.task.Task` objects are materialized on this path.
+
+Value movement is *one address space*: the m transition buffers are row
+ranges of one stacked array (:class:`~repro.runtime.buffers.TransitionBuffers`)
+and the plan stores, per (batch, GPU), the stacked-buffer slot of every
+needed and every loaded row. So — as in §6's engine, where a GPU assembles
+h_{N_ij} with one gather over its own and its peers' buffers at positions
+fixed in preprocessing — each phase is one indexed op per GPU, in GPU
+order: ``stacked[load_slots] = host[load_vertices]``,
+``inputs = stacked[source_slots]``, ``stacked[source_slots] += grads``,
+then the flush. Nothing walks ``plan.fetch_segments`` per call; the
+segments remain the plan's readable description and the input of the
+per-segment seconds classification. The ops stay per GPU rather than one
+flat op over all GPUs on purpose: a flat gather materializes one block the
+size of every GPU's input together, which raised the process's peak RSS by
+a quarter on the 256-GPU workload, while m blocks of one GPU's input each
+are freed and reused as the trainer consumes them.
 
 On a :class:`~repro.hardware.platform.ClusterPlatform` the same plan spans
 several nodes and three kinds of traffic additionally cross the network,
@@ -86,7 +101,12 @@ changes here.
 The framework is numerically exact regardless of the timeline's overlap
 policy: data moves eagerly in program order, so summing atomic pushes and host accumulation
 reproduces the monolithic scatter-add gradient bit-for-bit (up to float
-addition order).
+addition order). That order is fixed too: within one GPU the needed rows
+name distinct slots, so its indexed ``+=`` adds each gradient row exactly
+once, and a slot shared by several readers accumulates them in reader-GPU
+order — the order of the per-segment walk this replaced
+(``tests/executor_reference.py`` keeps that walk as the oracle, compared
+with ``np.array_equal``).
 """
 
 from __future__ import annotations
@@ -104,7 +124,7 @@ from repro.runtime.buffers import TransitionBuffers
 from repro.runtime.scheduler import task_ids
 from repro.runtime.task import SPINE_RESOURCE, net_link
 
-__all__ = ["DedupCommunicator"]
+__all__ = ["DedupCommunicator", "PlanStatic"]
 
 _NO_IDS = np.empty(0, dtype=np.int64)
 
@@ -152,8 +172,8 @@ class _HaloSplit:
     key_gpus: List[List[int]]
     #: per key, the link endpoints (node ids) — heterogeneous fleets
     #: price each message at the slower endpoint's NIC rate
-    src_nodes: np.ndarray = None
-    dst_nodes: np.ndarray = None
+    src_nodes: np.ndarray
+    dst_nodes: np.ndarray
 
     def __bool__(self) -> bool:
         return bool(self.keys)
@@ -165,6 +185,11 @@ class _BatchStatic:
 
     loaded_rows: np.ndarray
     reused_rows: np.ndarray
+    #: per GPU, ``len(needed)`` — the row count of its input and gradient
+    needed_rows: np.ndarray
+    #: stacked-buffer slots newly staged this batch, all GPUs (their
+    #: gradient starts at zero)
+    zero_slots: np.ndarray
     load_halo: _HaloSplit
     #: flattened fetch segments, (plan, segment) order, split by class
     local_gpu: np.ndarray
@@ -174,9 +199,214 @@ class _BatchStatic:
     fetch_halo: _HaloSplit
     push_halo: _HaloSplit
     flush_rows: np.ndarray
-    flush_vertices: List[np.ndarray] = field(default_factory=list)
-    flush_positions: List[np.ndarray] = field(default_factory=list)
-    flush_halo: _HaloSplit = None
+    #: per GPU, the flushed vertices and their stacked-buffer slots
+    flush_vertices: List[np.ndarray]
+    flush_slots: List[np.ndarray]
+    flush_halo: _HaloSplit
+
+
+def _grouped(values: np.ndarray, groups: np.ndarray,
+             num_groups: int) -> List[List[int]]:
+    """``values`` as one list per group id; ``groups`` is ascending."""
+    bounds = np.searchsorted(groups, np.arange(num_groups + 1)).tolist()
+    flat = values.tolist()
+    return [flat[start:end] for start, end in zip(bounds, bounds[1:])]
+
+
+class PlanStatic:
+    """What a communicator reads of a (plan, placement) pair, built once.
+
+    Two things, both fixed until the plan or the placement changes: the
+    routing snapshot (node, rail and owner-node arrays — node membership
+    is the platform's ``placement`` at construction) and, lazily per
+    batch, the :class:`_BatchStatic` emission constants derived from it.
+    None of it depends on rates, row width or buffer contents, so every
+    communicator over the same pair — the trainer's value and gradient
+    communicators — shares one instance; whoever re-plans or re-places
+    builds a new one (:func:`repro.core.planner.plan_fleet`).
+    """
+
+    def __init__(self, plan: CommPlan, platform: MultiGPUPlatform):
+        if platform.num_gpus < plan.num_gpus:
+            raise CommunicationPlanError(
+                f"plan needs {plan.num_gpus} GPUs, platform has "
+                f"{platform.num_gpus}"
+            )
+        self.plan = plan
+        self.platform = platform
+        m = plan.num_gpus
+        self.num_nodes: int = platform.num_nodes
+        # Wave arrays are in GPU order, so ``devices=gpu_ids`` prices each
+        # element with its owning node's rates.
+        self.gpu_ids = np.arange(m, dtype=np.int64)
+        self.gpu_nodes = platform.placement[:m]
+        # Rail count resolves the per-pair link fan-out (1 for
+        # flat/spine); a GPU's cross-node traffic rides the rail of its
+        # local rank within its node — placement-aware, so moving a
+        # partition to another node re-rails it with its new local rank.
+        self.num_rails: int = platform.num_rails
+        if platform.topology.kind == "rail":
+            self.gpu_rails = np.array(
+                [platform.local_rank(i) for i in range(m)], dtype=np.int64,
+            ) % self.num_rails
+        else:
+            self.gpu_rails = np.zeros(m, dtype=np.int64)
+        #: owner node of every vertex (its owner partition's node); only
+        #: the halo splits read it, so one node skips the array
+        self.vertex_node: Optional[np.ndarray] = (
+            self.gpu_nodes[plan.partition.assignment]
+            if self.num_nodes > 1 else None)
+        self._batches: Dict[int, _BatchStatic] = {}
+
+    # ------------------------------------------------------------------
+    # cluster halo coalescing
+    # ------------------------------------------------------------------
+    def _build_halo(self, src: np.ndarray, dst: np.ndarray, gpu: np.ndarray,
+                    rows: np.ndarray) -> _HaloSplit:
+        """Coalesce per-GPU cross-node row counts into one entry per link.
+
+        Contribution ``c`` is ``rows[c]`` rows GPU ``gpu[c]`` exchanges
+        over the directed node pair ``src[c] → dst[c]``, on that GPU's
+        rail. The composite link code orders like the ``(src, dst, rail)``
+        tuple, so ``np.unique`` yields the keys sorted.
+        """
+        m = self.plan.num_gpus
+        code = (src * self.num_nodes + dst) * self.num_rails \
+            + self.gpu_rails[gpu]
+        codes, key_of = np.unique(code, return_inverse=True)
+        key_rows = np.zeros(len(codes), dtype=np.int64)
+        np.add.at(key_rows, key_of, rows)
+        # Each (key, gpu) pair once, at its first contribution.
+        _, first = np.unique(key_of * m + gpu, return_index=True)
+        first.sort()
+        pair_key, pair_gpu = key_of[first], gpu[first]
+        by_key = np.argsort(pair_key, kind="stable")
+        by_gpu = np.lexsort((pair_key, pair_gpu))
+        pair, rail = np.divmod(codes, self.num_rails)
+        src_nodes, dst_nodes = np.divmod(pair, self.num_nodes)
+        keys = list(zip(src_nodes.tolist(), dst_nodes.tolist(),
+                        rail.tolist()))
+        return _HaloSplit(
+            keys=keys,
+            rows=key_rows,
+            devices=np.array(
+                [net_link(src, dst, self.num_nodes, rail, self.num_rails)
+                 for src, dst, rail in keys],
+                dtype=np.int64,
+            ),
+            by_reader=_grouped(pair_key[by_gpu], pair_gpu[by_gpu], m),
+            key_gpus=_grouped(pair_gpu[by_key], pair_key[by_key],
+                              len(codes)),
+            src_nodes=src_nodes,
+            dst_nodes=dst_nodes,
+        )
+
+    def _vertex_halo(self, vertex_lists: Sequence[np.ndarray],
+                     toward_owner: bool) -> _HaloSplit:
+        """Split per-GPU vertex sets by owner node into link traffic.
+
+        Rows owned by a different node add to the link between the two
+        nodes (on the GPU's rail). The link direction is owner→gpu for
+        inbound traffic (loads), or gpu→owner with ``toward_owner`` for
+        outbound traffic (gradient flushes).
+        """
+        if self.vertex_node is None:
+            return self._build_halo(_NO_IDS, _NO_IDS, _NO_IDS, _NO_IDS)
+        gpu = np.repeat(self.gpu_ids, [len(v) for v in vertex_lists])
+        owner = self.vertex_node[np.concatenate(vertex_lists)]
+        remote = owner != self.gpu_nodes[gpu]
+        pairs, rows = np.unique(
+            gpu[remote] * self.num_nodes + owner[remote], return_counts=True)
+        gpu, owner = np.divmod(pairs, self.num_nodes)
+        home = self.gpu_nodes[gpu]
+        src, dst = (home, owner) if toward_owner else (owner, home)
+        return self._build_halo(src, dst, gpu, rows)
+
+    # ------------------------------------------------------------------
+    # per-batch static emission structure
+    # ------------------------------------------------------------------
+    def batch(self, batch: int) -> _BatchStatic:
+        """The emission constants of ``batch`` (built on first use)."""
+        if not (isinstance(batch, (int, np.integer))
+                and 0 <= batch < self.plan.num_batches):
+            raise CommunicationPlanError(
+                f"batch must index one of the plan's "
+                f"{self.plan.num_batches} batches, got {batch!r}"
+            )
+        cached = self._batches.get(batch)
+        if cached is None:
+            cached = self._batches[batch] = self._build_batch(batch)
+        return cached
+
+    def _build_batch(self, batch: int) -> _BatchStatic:
+        plans = self.plan.plans[batch]
+        m = len(plans)
+        offsets = self.plan.buffer_offsets
+        needed_rows = np.array([len(plan.needed) for plan in plans],
+                               dtype=np.int64)
+        # Fetch segments, from the slot arrays: a segment is the rows one
+        # reader takes from one source GPU, and (plan, segment) order is
+        # reader order, then the interleave step from the reader's own
+        # buffer onward (Algorithm 2 line 6) — the sort order of the
+        # composite code below. Classes: intra-GPU reads, same-node P2P,
+        # and cross-node halo (forward fetch owner→reader; the backward
+        # push mirrors it reader→owner).
+        reader = np.repeat(self.gpu_ids, needed_rows)
+        source = np.searchsorted(
+            offsets, np.concatenate([plan.source_slots for plan in plans]),
+            side="right") - 1
+        segments, rows = np.unique(reader * m + (source - reader) % m,
+                                   return_counts=True)
+        reader, step = np.divmod(segments, m)
+        source = (reader + step) % m
+        reader_node = self.gpu_nodes[reader]
+        owner_node = self.gpu_nodes[source]
+        local = source == reader
+        halo = owner_node != reader_node
+        d2d = ~(local | halo)
+        # Flush split: gradients of rows not reused by the next batch
+        # (everything on the last batch) leave the GPU; remotely-owned
+        # rows additionally cross the network toward their owner node. A
+        # reused row keeps its slot, so "kept" is a slot membership test.
+        staged_rows = np.array([len(plan.transition) for plan in plans],
+                               dtype=np.int64)
+        staged_gpu = np.repeat(self.gpu_ids, staged_rows)
+        slots = offsets[staged_gpu] \
+            + np.concatenate([plan.positions for plan in plans])
+        if batch == self.plan.num_batches - 1:
+            flush = np.ones(len(slots), dtype=bool)
+        else:
+            following = self.plan.plans[batch + 1]
+            kept = np.concatenate(
+                [offsets[plan.gpu] + plan.positions[plan.reuse_mask]
+                 for plan in following])
+            flush = ~np.isin(slots, kept, assume_unique=True)
+        flush_rows = np.bincount(staged_gpu[flush], minlength=m)
+        cuts = np.cumsum(flush_rows)[:-1]
+        flush_vertices = np.split(
+            np.concatenate([plan.transition for plan in plans])[flush], cuts)
+        return _BatchStatic(
+            loaded_rows=np.array([plan.num_loaded for plan in plans],
+                                 dtype=np.int64),
+            reused_rows=np.array([plan.num_reused for plan in plans],
+                                 dtype=np.int64),
+            needed_rows=needed_rows,
+            zero_slots=np.concatenate([plan.load_slots for plan in plans]),
+            load_halo=self._vertex_halo(
+                [plan.load_vertices for plan in plans], toward_owner=False),
+            local_gpu=reader[local],
+            local_rows=rows[local],
+            d2d_gpu=reader[d2d],
+            d2d_rows=rows[d2d],
+            fetch_halo=self._build_halo(owner_node[halo], reader_node[halo],
+                                        reader[halo], rows[halo]),
+            push_halo=self._build_halo(reader_node[halo], owner_node[halo],
+                                       reader[halo], rows[halo]),
+            flush_rows=flush_rows,
+            flush_vertices=flush_vertices,
+            flush_slots=np.split(slots[flush], cuts),
+            flush_halo=self._vertex_halo(flush_vertices, toward_owner=True),
+        )
 
 
 class DedupCommunicator:
@@ -192,18 +422,28 @@ class DedupCommunicator:
     bytes_per_scalar:
         Logical element size for volume/memory accounting (4 = float32 on
         the real hardware; the numpy payloads may be wider).
+    static:
+        The :class:`PlanStatic` of ``(plan, platform placement)`` to share
+        with other communicators over the same pair; built here when
+        omitted.
     """
 
     def __init__(self, plan: CommPlan, platform: MultiGPUPlatform,
-                 bytes_per_scalar: int = 4):
-        if platform.num_gpus < plan.num_gpus:
+                 bytes_per_scalar: int = 4,
+                 static: Optional[PlanStatic] = None):
+        if static is None:
+            static = PlanStatic(plan, platform)
+        elif static.plan is not plan or static.platform is not platform:
             raise CommunicationPlanError(
-                f"plan needs {plan.num_gpus} GPUs, platform has "
-                f"{platform.num_gpus}"
-            )
+                "static was built for a different plan or platform")
         self.plan = plan
         self.platform = platform
         self.bytes_per_scalar = bytes_per_scalar
+        #: routing snapshot + per-batch emission constants (row counts,
+        #: segment classes, halo coalescing) — plan and placement are
+        #: fixed for the communicator's lifetime, so each batch's are
+        #: computed once and reused by every layer sweep and epoch
+        self.static = static
         self._buffers: Optional[TransitionBuffers] = None
         self._dim = 0
         #: bytes moved per category since construction (for reports)
@@ -221,42 +461,9 @@ class DedupCommunicator:
         self.last_tasks: Dict[str, np.ndarray] = {}
         # Per-sweep dependency history (previous batches' task ids).
         self._history: List[Dict[str, np.ndarray]] = []
-        # ---- cluster topology (degenerate on a single node) --------------
-        self._num_nodes: int = platform.num_nodes
-        self._node_of_gpu: List[int] = [
-            platform.node_of(i) for i in range(plan.num_gpus)
-        ]
-        # Per-GPU/per-node index arrays for heterogeneous cost pricing:
-        # wave arrays are in GPU order, so ``devices=_gpu_ids`` prices
-        # each element with its owning node's rates (ignored on
-        # homogeneous platforms).
-        self._gpu_ids = np.arange(plan.num_gpus, dtype=np.int64)
-        self._gpu_nodes = np.asarray(self._node_of_gpu, dtype=np.int64)
-        # Network wiring: rail count resolves the per-pair link fan-out
-        # (1 for flat/spine); a GPU's traffic rides the rail of its local
-        # rank within its node — placement-aware, so moving a partition
-        # to another node re-rails it with its new local rank.
-        self._rail_topology = platform.topology.kind == "rail"
-        self._num_rails: int = platform.num_rails
-        self._local_rank: List[int] = [
-            platform.local_rank(i) for i in range(plan.num_gpus)
-        ]
-        # Owner node of every vertex (owner partition's node); only needed
-        # for the halo splits, so skip the array on one node.
-        if self._num_nodes > 1:
-            node_map = np.asarray(self._node_of_gpu, dtype=np.int64)
-            self._vertex_node: Optional[np.ndarray] = \
-                node_map[plan.partition.assignment]
-        else:
-            self._vertex_node = None
         # Per-gpu input task ids of the latest forward batch (net tasks
         # have link device ids, so a device filter cannot recover them).
         self._last_inputs_by_gpu: List[np.ndarray] = []
-        # Per-batch static emission structure (row counts, segment
-        # classes, halo coalescing) — plan and placement are fixed for
-        # the communicator's lifetime, so this is computed once per
-        # batch and reused by every layer sweep and epoch.
-        self._static: Dict[int, _BatchStatic] = {}
 
     # ------------------------------------------------------------------
     # sweep lifecycle
@@ -293,159 +500,14 @@ class DedupCommunicator:
             raise CommunicationPlanError("no active sweep; call start_sweep()")
         return self._buffers
 
-    # ------------------------------------------------------------------
-    # cluster halo helpers
-    # ------------------------------------------------------------------
-    def _rail_of(self, gpu: int) -> int:
-        """Rail carrying GPU ``gpu``'s cross-node traffic (0 off-rail)."""
-        if not self._rail_topology:
-            return 0
-        return self._local_rank[gpu] % self._num_rails
-
-    def _link_key(self, src_node: int, dst_node: int,
-                  gpu: int) -> Tuple[int, int, int]:
-        """Halo-accumulation key: directed node pair + the GPU's rail."""
-        return (src_node, dst_node, self._rail_of(gpu))
-
-    def _build_halo(self, contributions) -> _HaloSplit:
-        """Coalesce ``(key, gpu, rows)`` contributions into a split."""
-        rows: Dict[Tuple[int, int, int], int] = {}
-        gpus: Dict[Tuple[int, int, int], List[int]] = {}
-        for key, gpu, count in contributions:
-            rows[key] = rows.get(key, 0) + count
-            gpus.setdefault(key, []).append(gpu)
-        keys = sorted(rows)
-        by_reader: List[List[int]] = [[] for _ in range(self.plan.num_gpus)]
-        key_gpus: List[List[int]] = []
-        for index, key in enumerate(keys):
-            deduped = list(dict.fromkeys(gpus[key]))
-            key_gpus.append(deduped)
-            for gpu in deduped:
-                by_reader[gpu].append(index)
-        devices = np.array(
-            [net_link(src, dst, self._num_nodes, rail, self._num_rails)
-             for src, dst, rail in keys],
-            dtype=np.int64,
-        )
-        return _HaloSplit(
-            keys=keys,
-            rows=np.array([rows[key] for key in keys], dtype=np.int64),
-            devices=devices,
-            by_reader=by_reader,
-            key_gpus=key_gpus,
-            src_nodes=np.array([key[0] for key in keys], dtype=np.int64),
-            dst_nodes=np.array([key[1] for key in keys], dtype=np.int64),
-        )
-
-    def _vertex_halo(self, vertex_lists, toward_owner: bool) -> _HaloSplit:
-        """Split per-GPU vertex sets by owner node into link traffic.
-
-        Rows owned by a different node add to the link between the two
-        nodes (on the GPU's rail). The link direction is owner→gpu for
-        inbound traffic (loads), or gpu→owner with ``toward_owner`` for
-        outbound traffic (gradient flushes).
-        """
-        contributions = []
-        if self._vertex_node is not None:
-            for gpu, vertices in enumerate(vertex_lists):
-                if len(vertices) == 0:
-                    continue
-                gpu_node = self._node_of_gpu[gpu]
-                owner_nodes = self._vertex_node[vertices]
-                remote = owner_nodes != gpu_node
-                if not remote.any():
-                    continue
-                counts = np.bincount(owner_nodes[remote],
-                                     minlength=self._num_nodes)
-                for owner_node in np.flatnonzero(counts):
-                    key = self._link_key(gpu_node, int(owner_node), gpu) \
-                        if toward_owner \
-                        else self._link_key(int(owner_node), gpu_node, gpu)
-                    contributions.append(
-                        (key, gpu, int(counts[owner_node]))
-                    )
-        return self._build_halo(contributions)
-
-    # ------------------------------------------------------------------
-    # per-batch static emission structure
-    # ------------------------------------------------------------------
-    def _batch_static(self, batch: int) -> _BatchStatic:
-        cached = self._static.get(batch)
-        if cached is not None:
-            return cached
-        plans = self.plan.plans[batch]
-        loaded_rows = np.array([plan.num_loaded for plan in plans],
-                               dtype=np.int64)
-        reused_rows = np.array([plan.num_reused for plan in plans],
-                               dtype=np.int64)
-        load_halo = self._vertex_halo(
-            [plan.load_vertices for plan in plans], toward_owner=False,
-        )
-        # Classify fetch segments in (plan, segment) order: intra-GPU
-        # reads, same-node P2P, and cross-node halo (forward fetch key
-        # owner→reader; the backward push mirrors it reader→owner).
-        local_gpu: List[int] = []
-        local_rows: List[int] = []
-        d2d_gpu: List[int] = []
-        d2d_rows: List[int] = []
-        fetch_contrib = []
-        push_contrib = []
-        # repro-lint: allow-loop — static per-(plan, batch) segment classification, cached in _BatchStatic
-        for plan in plans:
-            reader_node = self._node_of_gpu[plan.gpu]
-            for segment in plan.fetch_segments:
-                count = segment.num_vertices
-                if segment.source_gpu == plan.gpu:
-                    local_gpu.append(plan.gpu)
-                    local_rows.append(count)
-                elif self._node_of_gpu[segment.source_gpu] != reader_node:
-                    owner_node = self._node_of_gpu[segment.source_gpu]
-                    fetch_contrib.append((
-                        self._link_key(owner_node, reader_node, plan.gpu),
-                        plan.gpu, count,
-                    ))
-                    push_contrib.append((
-                        self._link_key(reader_node, owner_node, plan.gpu),
-                        plan.gpu, count,
-                    ))
-                else:
-                    d2d_gpu.append(plan.gpu)
-                    d2d_rows.append(count)
-        # Flush split: gradients of rows not reused by the next batch
-        # (everything on the last batch) leave the GPU; remotely-owned
-        # rows additionally cross the network toward their owner node.
-        flush_vertices: List[np.ndarray] = []
-        flush_positions: List[np.ndarray] = []
-        is_last = batch == self.plan.num_batches - 1
-        # repro-lint: allow-loop — static per-(plan, batch) flush split, cached in _BatchStatic
-        for plan in plans:
-            if is_last:
-                flush_mask = np.ones(len(plan.transition), dtype=bool)
-            else:
-                next_plan = self.plan.plans[batch + 1][plan.gpu]
-                kept = next_plan.transition[next_plan.reuse_mask]
-                flush_mask = ~np.isin(plan.transition, kept,
-                                      assume_unique=True)
-            flush_vertices.append(plan.transition[flush_mask])
-            flush_positions.append(plan.positions[flush_mask])
-        static = _BatchStatic(
-            loaded_rows=loaded_rows,
-            reused_rows=reused_rows,
-            load_halo=load_halo,
-            local_gpu=np.array(local_gpu, dtype=np.int64),
-            local_rows=np.array(local_rows, dtype=np.int64),
-            d2d_gpu=np.array(d2d_gpu, dtype=np.int64),
-            d2d_rows=np.array(d2d_rows, dtype=np.int64),
-            fetch_halo=self._build_halo(fetch_contrib),
-            push_halo=self._build_halo(push_contrib),
-            flush_rows=np.array([len(v) for v in flush_vertices],
-                                dtype=np.int64),
-            flush_vertices=flush_vertices,
-            flush_positions=flush_positions,
-            flush_halo=self._vertex_halo(flush_vertices, toward_owner=True),
-        )
-        self._static[batch] = static
-        return static
+    def _require_host(self, name: str, array: np.ndarray) -> None:
+        """``array`` must be the host's per-vertex buffer of this sweep."""
+        expected = (len(self.plan.partition.assignment), self._dim)
+        if np.shape(array) != expected:
+            raise CommunicationPlanError(
+                f"{name} must be the host's {expected} per-vertex array of "
+                f"this sweep, got shape {np.shape(array)}"
+            )
 
     def _segment_seconds(self, static: _BatchStatic, row_bytes: int
                          ) -> Tuple[np.ndarray, np.ndarray]:
@@ -546,7 +608,7 @@ class DedupCommunicator:
         path's reuse rows are loaded too. Used by the serving engine to
         price the cold-miss h2d wave.
         """
-        static = self._batch_static(batch)
+        static = self.static.batch(batch)
         return static.loaded_rows + static.reused_rows
 
     def assemble_seconds(self, batch: int, row_bytes: int
@@ -559,7 +621,7 @@ class DedupCommunicator:
         segments are excluded — they are the halo fetch, emitted
         separately by :meth:`submit_serving_halo`.
         """
-        return self._segment_seconds(self._batch_static(batch), row_bytes)
+        return self._segment_seconds(self.static.batch(batch), row_bytes)
 
     def _serving_halo(self, batch: int, kind: str) -> _HaloSplit:
         if kind not in ("load", "fetch"):
@@ -567,7 +629,7 @@ class DedupCommunicator:
                 f"unknown serving halo kind {kind!r}; "
                 f"expected 'load' or 'fetch'"
             )
-        static = self._batch_static(batch)
+        static = self.static.batch(batch)
         return static.load_halo if kind == "load" else static.fetch_halo
 
     def submit_serving_halo(self, timeline: EventTimeline, batch: int,
@@ -644,14 +706,22 @@ class DedupCommunicator:
         """Assemble h_{N_ij} for every GPU of ``batch`` from host memory.
 
         Returns one (len(needed_i), dim) array per GPU, ordered like each
-        plan's ``needed`` set. ``extra_deps`` gate the batch's host loads
+        plan's ``needed`` set, in the *sweep's* dtype (the rows are read
+        out of the transition buffers; a ``host_values`` of another dtype
+        is cast on its way in). ``extra_deps`` gate the batch's host loads
         (e.g. on the previous layer's writebacks) — Tasks or an id array.
+        A ``batch`` outside the plan or a ``host_values`` that is not this
+        sweep's ``(num_vertices, dim)`` array raises
+        :class:`~repro.errors.CommunicationPlanError` before anything
+        moves or is emitted.
         """
         buffers = self._require_sweep()
+        static = self.static.batch(batch)
+        self._require_host("host_values", host_values)
         plans = self.plan.plans[batch]
         m = len(plans)
         row_bytes = self._dim * self.bytes_per_scalar
-        static = self._batch_static(batch)
+        gpu_ids = self.static.gpu_ids
         extra_ids = _entry_ids(extra_deps)
         if extra_ids is None:
             extra_ids = _NO_IDS
@@ -660,18 +730,18 @@ class DedupCommunicator:
         # owned by a remote node's partitions must cross the network before
         # they can cross this node's PCIe (empty under dedup_inter: every
         # staged row is owner-local).
-        # repro-lint: allow-loop — per-GPU numpy value movement (numerics, not timing); body is array-wide
+        stacked = buffers.stacked
+        # repro-lint: allow-loop — per-GPU numpy value movement (numerics, not timing); one indexed op per GPU
         for plan in plans:
-            buffers[plan.gpu][plan.load_positions] = \
-                host_values[plan.load_vertices]
+            stacked[plan.load_slots] = host_values[plan.load_vertices]
         loaded_bytes = static.loaded_rows * row_bytes
         reused_bytes = static.reused_rows * row_bytes
         self.bytes_moved["h2d"] += int(loaded_bytes.sum())
         self.bytes_moved["ru"] += int(reused_bytes.sum())
         h2d_seconds = self.platform.h2d_seconds(loaded_bytes,
-                                                devices=self._gpu_ids[:m])
+                                                devices=gpu_ids)
         reuse_seconds = self.platform.reuse_seconds(
-            reused_bytes, devices=self._gpu_ids[:m])
+            reused_bytes, devices=gpu_ids)
 
         halo_load_ids = self._submit_halo_batch(
             timeline, static.load_halo, row_bytes, deps=extra_ids,
@@ -706,17 +776,9 @@ class DedupCommunicator:
         # Phase 2: assemble local inputs from (possibly remote) buffers.
         # Same-node remote reads ride NVLink (d2d); reads from a buffer
         # staged on another node are the halo exchange and ride a network
-        # link instead.
-        outputs: List[np.ndarray] = []
-        # repro-lint: allow-loop — per-GPU numpy gather (numerics, not timing); body is array-wide
-        for plan in plans:
-            local = np.empty((len(plan.needed), self._dim),
-                             dtype=host_values.dtype)
-            for segment in plan.fetch_segments:
-                local[segment.local_rows] = (
-                    buffers[segment.source_gpu][segment.source_positions]
-                )
-            outputs.append(local)
+        # link instead. Whatever carries a row, it is one slot of the
+        # stacked buffer: one gather per GPU assembles its whole input.
+        outputs = [stacked[plan.source_slots] for plan in plans]
         d2d_seconds, local_seconds = self._segment_seconds(static, row_bytes)
         self.bytes_moved["d2d"] += int(static.d2d_rows.sum()) * row_bytes
         self.bytes_moved["ru"] += int(static.local_rows.sum()) * row_bytes
@@ -782,36 +844,49 @@ class DedupCommunicator:
         batches; rows not reused by the next batch are flushed to
         ``host_grads`` (modified in place). ``deps_by_device`` names the
         tasks that produced each GPU's gradients (the backward kernels) —
-        an ``(m,)`` id array or per-GPU entries.
+        an ``(m,)`` id array or per-GPU entries. A ``batch`` outside the
+        plan, a ``host_grads`` that is not this sweep's
+        ``(num_vertices, dim)`` array, or ``neighbor_grads`` that is not
+        one ``(len(needed_i), dim)`` array per GPU raises
+        :class:`~repro.errors.CommunicationPlanError` before anything
+        moves or is emitted.
         """
         buffers = self._require_sweep()
+        static = self.static.batch(batch)
+        self._require_host("host_grads", host_grads)
         plans = self.plan.plans[batch]
         m = len(plans)
+        if len(neighbor_grads) != m:
+            raise CommunicationPlanError(
+                f"neighbor_grads must hold one gradient array per GPU "
+                f"({m}), got {len(neighbor_grads)}"
+            )
+        shapes = [np.shape(grads) for grads in neighbor_grads]
+        expected = [(rows, self._dim) for rows in static.needed_rows.tolist()]
+        if shapes != expected:
+            gpu = next(i for i in range(m) if shapes[i] != expected[i])
+            raise CommunicationPlanError(
+                f"neighbor_grads[{gpu}] has shape {shapes[gpu]}, which does "
+                f"not match GPU {gpu}'s needed set {expected[gpu]}"
+            )
         row_bytes = self._dim * self.bytes_per_scalar
-        static = self._batch_static(batch)
+        gpu_ids = self.static.gpu_ids
         producer_ids = _per_device_ids(deps_by_device, m)
 
         # Zero the slots newly staged this batch (their gradient starts now).
-        # repro-lint: allow-loop — per-GPU numpy zeroing (numerics, not timing); body is array-wide
-        for plan in plans:
-            buffers[plan.gpu][plan.load_positions] = 0.0
+        stacked = buffers.stacked
+        stacked[static.zero_slots] = 0.0
 
         # Phase 1: scatter gradients into owners' buffers (atomicAdd_system).
         # Pushes into a buffer staged on another node cross the network
-        # (the backward direction of the halo exchange).
-        # repro-lint: allow-loop — per-GPU numpy scatter (numerics, not timing); body is array-wide
+        # (the backward direction of the halo exchange). One GPU's needed
+        # rows never name a buffer slot twice (build_comm_plan checks), so
+        # its indexed += accumulates every row, and GPU order is the
+        # addition order of a slot several readers share; so does the
+        # flush below over each GPU's distinct vertices.
+        # repro-lint: allow-loop — per-GPU numpy scatter (numerics, not timing); one indexed op per GPU
         for plan, grads in zip(plans, neighbor_grads):
-            if grads.shape != (len(plan.needed), self._dim):
-                raise CommunicationPlanError(
-                    f"gradient shape {grads.shape} does not match needed set "
-                    f"({len(plan.needed)}, {self._dim})"
-                )
-            # One segment never names a buffer slot twice (build_comm_plan
-            # checks), so the indexed += accumulates every row; so does the
-            # flush below over its distinct vertices.
-            for segment in plan.fetch_segments:
-                buffers[segment.source_gpu][segment.source_positions] += \
-                    grads[segment.local_rows]
+            stacked[plan.source_slots] += grads
         d2d_seconds, local_seconds = self._segment_seconds(static, row_bytes)
         self.bytes_moved["d2d"] += int(static.d2d_rows.sum()) * row_bytes
         self.bytes_moved["ru"] += int(static.local_rows.sum()) * row_bytes
@@ -851,16 +926,16 @@ class DedupCommunicator:
         # of remotely-owned vertices must additionally cross the network to
         # reach the owner node's ∇h buffer (empty under dedup_inter, where
         # every staged vertex is owner-local).
-        # repro-lint: allow-loop — per-GPU numpy flush-add (numerics, not timing); body is array-wide
-        for plan, vertices, positions in zip(
-                plans, static.flush_vertices, static.flush_positions):
-            host_grads[vertices] += buffers[plan.gpu][positions]
+        # repro-lint: allow-loop — per-GPU numpy flush-add (numerics, not timing); one indexed op per GPU
+        for vertices, slots in zip(static.flush_vertices,
+                                   static.flush_slots):
+            host_grads[vertices] += stacked[slots]
         flush_bytes = static.flush_rows * row_bytes
         self.bytes_moved["d2h"] += int(flush_bytes.sum())
         d2h_seconds = self.platform.h2d_seconds(flush_bytes,
-                                                devices=self._gpu_ids[:m])
+                                                devices=gpu_ids)
         cpu_seconds = self.platform.cpu_accumulate_seconds(
-            flush_bytes, node=self._gpu_nodes[:m])
+            flush_bytes, node=self.static.gpu_nodes)
 
         flush_ids = timeline.submit_batch(
             "d2h", d2h_seconds, deps=scatter_ids,

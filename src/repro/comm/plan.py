@@ -14,7 +14,17 @@ computes, per GPU ``i``:
   slot ("in-place transition data management", §6);
 * ``fetch segments`` — for assembling h_{N_ij}: which rows to read from
   which GPU's transition buffer (local reads are intra-GPU, remote reads are
-  P2P).
+  P2P);
+* ``slots``       — the same routing as flat addresses. The m transition
+  buffers are one address space (GPU i's buffer is the row range
+  ``[buffer_offsets[i], buffer_offsets[i+1])`` of the stacked buffer), and
+  every plan stores the stacked-buffer slot of each needed row
+  (``source_slots``) and of each loaded row (``load_slots``). The fetch
+  segments stay the readable description; the slot arrays are what the
+  executor indexes with, one gather/scatter per GPU. Both come out of one
+  per-batch vertex→slot lookup in a second pass over the plans, once the
+  buffer sizes are final (:meth:`CommPlan.validate` checks the two
+  against each other).
 
 Disabling inter-GPU dedup (``dedup_inter=False``) degenerates the transition
 set to the GPU's own needed set (every GPU loads everything it needs — the
@@ -68,23 +78,28 @@ class BatchGpuPlan:
     reuse_mask: np.ndarray
     #: fetch instructions to assemble the local input h_{N_ij}
     fetch_segments: List[FetchSegment] = field(default_factory=list)
+    # Derived once — a plan is immutable after ``build_comm_plan``.
+    #: 𝒩^cpu_ij — global ids loaded from the host this batch
+    load_vertices: np.ndarray = field(init=False, repr=False)
+    #: positions of ``load_vertices`` inside this GPU's transition buffer
+    load_positions: np.ndarray = field(init=False, repr=False)
+    num_loaded: int = field(init=False)
+    num_reused: int = field(init=False)
+    #: stacked-buffer slot of every ``load_vertices`` row
+    #: (``buffer_offsets[gpu] + load_positions``)
+    load_slots: np.ndarray = field(init=False, repr=False, default=None)
+    #: stacked-buffer slot of every ``needed`` row, in ``needed`` order
+    #: (``buffer_offsets[source_gpu] + source_position``) — duplicate-free,
+    #: so one indexed gather assembles h_{N_ij} and one indexed ``+=``
+    #: pushes its gradient
+    source_slots: np.ndarray = field(init=False, repr=False, default=None)
 
-    @property
-    def load_vertices(self) -> np.ndarray:
-        """𝒩^cpu_ij — global ids loaded from the host this batch."""
-        return self.transition[~self.reuse_mask]
-
-    @property
-    def load_positions(self) -> np.ndarray:
-        return self.positions[~self.reuse_mask]
-
-    @property
-    def num_loaded(self) -> int:
-        return int((~self.reuse_mask).sum())
-
-    @property
-    def num_reused(self) -> int:
-        return int(self.reuse_mask.sum())
+    def __post_init__(self) -> None:
+        loaded = ~self.reuse_mask
+        self.load_vertices = self.transition[loaded]
+        self.load_positions = self.positions[loaded]
+        self.num_loaded = len(self.load_vertices)
+        self.num_reused = len(self.transition) - self.num_loaded
 
 
 @dataclass
@@ -98,6 +113,13 @@ class CommPlan:
     buffer_rows: List[int]
     dedup_inter: bool
     dedup_intra: bool
+    #: ``(m + 1,)`` row offsets of the per-GPU buffers inside the stacked
+    #: transition buffer — the address space of every plan's slot arrays
+    buffer_offsets: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.buffer_offsets = np.concatenate(
+            [[0], np.cumsum(self.buffer_rows, dtype=np.int64)])
 
     @property
     def num_batches(self) -> int:
@@ -132,6 +154,34 @@ class CommPlan:
                         f"fetch segments do not cover needed set exactly "
                         f"(gpu={plan.gpu}, batch={plan.batch})"
                     )
+                self._validate_slots(plan)
+
+    def _validate_slots(self, plan: BatchGpuPlan) -> None:
+        """The slot arrays must say what the readable plan says."""
+        offsets = self.buffer_offsets
+        where = f"(gpu={plan.gpu}, batch={plan.batch})"
+        loaded = ~plan.reuse_mask
+        if not (np.array_equal(plan.load_vertices, plan.transition[loaded])
+                and np.array_equal(plan.load_positions,
+                                   plan.positions[loaded])
+                and plan.num_loaded == int(loaded.sum())
+                and plan.num_reused == int(plan.reuse_mask.sum())):
+            raise CommunicationPlanError(
+                f"stored load split disagrees with the reuse mask {where}")
+        if not np.array_equal(plan.load_slots,
+                              offsets[plan.gpu] + plan.load_positions):
+            raise CommunicationPlanError(
+                f"load slots disagree with load positions {where}")
+        from_segments = np.full(len(plan.needed), -1, dtype=np.int64)
+        for segment in plan.fetch_segments:
+            from_segments[segment.local_rows] = (
+                offsets[segment.source_gpu] + segment.source_positions)
+        if not np.array_equal(plan.source_slots, from_segments):
+            raise CommunicationPlanError(
+                f"source slots disagree with the fetch segments {where}")
+        if len(np.unique(from_segments)) != len(from_segments):
+            raise CommunicationPlanError(
+                f"needed rows share a buffer slot {where}")
 
 
 def build_comm_plan(partition: TwoLevelPartition,
@@ -182,51 +232,77 @@ def build_comm_plan(partition: TwoLevelPartition,
             batch_plans.append(plan)
             previous_transition[i] = transition
 
-        # Fetch segments: for each reader GPU, split its needed set by the
-        # owner GPU staging each vertex this batch. Rather than probing
-        # all m candidate owners per reader (quadratic in m), group the
-        # needed set by owner with one stable sort; transition sets are
-        # sorted, so per-segment buffer positions resolve by binary
-        # search instead of dict lookups.
-        for i in range(m):
-            plan = batch_plans[i]
-            needed = plan.needed
+        plans.append(batch_plans)
+
+    comm_plan = CommPlan(partition, plans, list(next_slot), dedup_inter,
+                         dedup_intra)
+    _route(comm_plan)
+    return comm_plan
+
+
+def _route(comm_plan: CommPlan) -> None:
+    """Second pass: every plan's routing, as slot arrays and as segments.
+
+    Runs once ``buffer_rows`` — hence ``buffer_offsets`` — is final. Per
+    batch, one vertex→slot lookup covers every staged row (under inter-GPU
+    dedup each vertex of the batch union is staged exactly once, on its
+    owner), so a reader's ``source_slots`` is one gather of the lookup at
+    its needed set; without inter-GPU dedup every GPU stages its own needed
+    set and reads nothing else. The fetch segments are the same rows
+    grouped by the GPU staging them: rather than probing all m candidate
+    owners per reader (quadratic in m), one stable sort groups the needed
+    set by owner, and a segment is a slice of the sorted slots.
+    """
+    offsets = comm_plan.buffer_offsets
+    m = comm_plan.num_gpus
+    assignment = comm_plan.partition.assignment
+    dedup_inter = comm_plan.dedup_inter
+    if dedup_inter:
+        slot_of = np.empty(len(assignment), dtype=np.int64)
+        staged_in = np.full(len(assignment), -1, dtype=np.int64)
+    for j, batch_plans in enumerate(comm_plan.plans):
+        if dedup_inter:
+            staged = np.concatenate([plan.transition for plan in batch_plans])
+            slot_of[staged] = (
+                np.concatenate([plan.positions for plan in batch_plans])
+                + np.repeat(offsets[:-1],
+                            [len(plan.transition) for plan in batch_plans]))
+            staged_in[staged] = j
+        for plan in batch_plans:
+            i, needed = plan.gpu, plan.needed
+            plan.load_slots = offsets[i] + plan.load_positions
+            if dedup_inter:
+                owner = assignment[needed]
+                unstaged = staged_in[needed] != j
+                if unstaged.any():
+                    first = int(np.flatnonzero(unstaged)[0])
+                    raise CommunicationPlanError(
+                        f"vertex {int(needed[first])} needed by GPU {i} is "
+                        f"not staged on GPU {int(owner[first]) % m} in "
+                        f"batch {j}"
+                    )
+                plan.source_slots = slot_of[needed]
+            else:  # transition is the needed set
+                owner = np.full(len(needed), i, dtype=np.int64)
+                plan.source_slots = offsets[i] + plan.positions
             if len(needed) == 0:
                 continue
-            owner_of_needed = (assignment[needed] if dedup_inter
-                               else np.full(len(needed), i, dtype=np.int64))
             # Interleaved order (Algorithm 2 line 6): start from i, wrap.
-            step_of = (owner_of_needed - i) % m
+            step_of = (owner - i) % m
             order = np.argsort(step_of, kind="stable")
             sorted_steps = step_of[order]
+            sorted_slots = plan.source_slots[order]
             boundaries = np.flatnonzero(np.diff(sorted_steps)) + 1
             starts = np.concatenate([[0], boundaries])
             ends = np.concatenate([boundaries, [len(order)]])
-            for start, end in zip(starts.tolist(), ends.tolist()):
-                rows = order[start:end]
-                k = int((sorted_steps[start] + i) % m)
-                vertices = needed[rows]
-                staged = batch_plans[k].transition
-                idx = np.searchsorted(staged, vertices)
-                found = idx < len(staged)
-                if len(staged):
-                    found &= staged[np.minimum(idx, len(staged) - 1)] \
-                        == vertices
-                if not found.all():
-                    missing = int(vertices[~found][0])
-                    raise CommunicationPlanError(
-                        f"vertex {missing} needed by GPU {i} is not staged "
-                        f"on GPU {k} in batch {j}"
-                    )
+            sources = (sorted_steps[starts] + i) % m
+            for k, start, end in zip(sources.tolist(), starts.tolist(),
+                                     ends.tolist()):
                 plan.fetch_segments.append(FetchSegment(
                     source_gpu=k,
-                    source_positions=batch_plans[k].positions[idx],
-                    local_rows=rows,
+                    source_positions=sorted_slots[start:end] - offsets[k],
+                    local_rows=order[start:end],
                 ))
-        plans.append(batch_plans)
-
-    buffer_rows = list(next_slot)
-    return CommPlan(partition, plans, buffer_rows, dedup_inter, dedup_intra)
 
 
 def _require_distinct(plan: BatchGpuPlan) -> None:

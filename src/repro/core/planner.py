@@ -26,9 +26,11 @@ that pipeline, and the only place it is written down:
 6. **build plan** — the deduplicated :class:`~repro.comm.plan.CommPlan`
    and the :class:`~repro.core.costs.ChunkShapes` every per-chunk cost
    formula reads.
-7. **install + reserve** — the value/gradient communicator pair and the
-   run-long reservations: vertex-data shards on the node hosts, chunk
-   topology on the GPUs.
+7. **install + reserve** — the value/gradient communicator pair, built
+   over *one* :class:`~repro.comm.executor.PlanStatic` (the routing
+   snapshot and per-batch emission constants of this plan under this
+   placement), and the run-long reservations: vertex-data shards on the
+   node hosts, chunk topology on the GPUs.
 
 Trainer construction runs every stage. An elastic re-balance passes the
 ``previous`` :class:`FleetPlan` and re-runs place → install → reserve
@@ -48,7 +50,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.comm.cost_model import ClusterCostModel, CommCostModel
-from repro.comm.executor import DedupCommunicator
+from repro.comm.executor import DedupCommunicator, PlanStatic
 from repro.comm.joint import joint_placement
 from repro.comm.plan import CommPlan, build_comm_plan
 from repro.comm.reorganize import ReorganizationResult, reorganize_partition
@@ -93,7 +95,9 @@ class FleetPlan:
     comm_plan: CommPlan
     # Two buffer families: one stages representations (forward + reload),
     # one accumulates gradients (backward) — §6's transition data buffer
-    # and gradient buffer.
+    # and gradient buffer. Both route by the same plan and placement, so
+    # they hold the same ``static``; a re-plan builds a new pair and with
+    # it a new static.
     comm_values: DedupCommunicator
     comm_grads: DedupCommunicator
     #: run-long reservations, kept so a re-plan can release them
@@ -325,8 +329,13 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
         comm_plan = build_comm_plan(partition, dedup_inter=dedup_inter,
                                     dedup_intra=dedup_intra)
         shapes = ChunkShapes.of(partition)
+    # One static for the pair: routing snapshot and per-batch emission
+    # constants depend on (plan, placement) only, both final here.
+    static = PlanStatic(comm_plan, platform)
     comm_values, comm_grads = (
-        new_communicator(comm_plan, platform, config) for _ in range(2))
+        DedupCommunicator(comm_plan, platform, config.bytes_per_scalar,
+                          static=static)
+        for _ in range(2))
     host_allocations, topology_allocations = _reserve(
         vertex_bytes, shapes, platform)
     return FleetPlan(

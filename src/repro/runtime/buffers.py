@@ -9,15 +9,23 @@ double-buffering scheme — and pays for both in device memory.
 
 The simulator executes the actual numpy data movement eagerly in program
 order (that is what keeps the numerics bit-identical across overlap
-policies), so a single backing array per GPU is always sufficient for
-*values*; double buffering manifests as (a) a doubled ``transition_buffer``
-memory charge against the simulated GPU pools and (b) relaxed dependencies
-in the timing DAG, both handled by the callers.
+policies), so one copy of every GPU's rows is always sufficient for
+*values* — and the m copies live in **one** backing array, one address
+space: GPU i's buffer is the row range ``[offsets[i], offsets[i+1])`` of
+:attr:`TransitionBuffers.stacked`. A peer read in §6's engine is a load
+from another GPU's buffer at a position fixed in preprocessing; here it is
+a row of the same array at ``offsets[peer] + position``, which is what lets
+the executor assemble a chunk's whole input with one gather over the plan's
+precomputed slot array instead of one read per (reader, source) pair. The
+*simulated* memory is still per GPU: each GPU's pool is charged its own
+``transition_buffer`` allocation, and double buffering manifests as (a) a
+doubled charge against those pools and (b) relaxed dependencies in the
+timing DAG, both handled by the callers.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +43,11 @@ class TransitionBuffers:
     ``dim`` the row width in scalars, and ``bytes_per_scalar`` the logical
     element size charged to the simulated GPU pools (4 = float32 on the
     real hardware, independent of the numpy payload dtype).
+
+    :attr:`stacked` is the one ``(sum(buffer_rows), dim)`` backing array,
+    :attr:`offsets` the ``(m + 1,)`` row offsets of the per-GPU ranges
+    (equal to the plan's ``buffer_offsets``); ``buffers[i]`` is a *view* of
+    GPU i's range, so a write through either is seen by both.
     """
 
     def __init__(self, platform, buffer_rows: Sequence[int], dim: int,
@@ -42,16 +55,20 @@ class TransitionBuffers:
         self.double_buffer = double_buffer
         self.dim = dim
         copies = 2 if double_buffer else 1
-        self.arrays: List[np.ndarray] = []
-        self._allocations: List = []  # hardware.memory.Allocation handles
-        for gpu_index, rows in enumerate(buffer_rows):
-            nbytes = copies * rows * dim * bytes_per_scalar
-            self._allocations.append(
-                platform.gpus[gpu_index].memory.alloc(
-                    "transition_buffer", nbytes
-                )
-            )
-            self.arrays.append(np.zeros((rows, dim), dtype=dtype))
+        self._allocations: List = [  # hardware.memory.Allocation handles
+            platform.gpus[gpu_index].memory.alloc(
+                "transition_buffer", copies * rows * dim * bytes_per_scalar)
+            for gpu_index, rows in enumerate(buffer_rows)
+        ]
+        self.offsets = np.concatenate(
+            [[0], np.cumsum(buffer_rows, dtype=np.int64)])
+        self.stacked: Optional[np.ndarray] = np.zeros(
+            (int(self.offsets[-1]), dim), dtype=dtype)
+        self.arrays: List[np.ndarray] = [
+            self.stacked[start:end]
+            for start, end in zip(self.offsets[:-1].tolist(),
+                                  self.offsets[1:].tolist())
+        ]
 
     def parity(self, batch: int) -> int:
         """Which buffer copy batch ``batch`` stages into (0 when single).
@@ -63,11 +80,13 @@ class TransitionBuffers:
         return batch % 2 if self.double_buffer else 0
 
     def free(self) -> None:
-        """Release the simulated allocations (end of a layer sweep)."""
+        """Release the simulated allocations and drop the backing array
+        (end of a layer sweep)."""
         for allocation in self._allocations:
             allocation.free()
         self._allocations = []
         self.arrays = []
+        self.stacked = None
 
     def __len__(self) -> int:
         return len(self.arrays)

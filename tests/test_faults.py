@@ -423,6 +423,38 @@ class TestElasticRebalance:
         assert 1 not in set(trainer.placement.tolist())
         assert all(math.isfinite(loss) for loss in losses)
 
+    def test_rebalance_builds_one_new_static_for_the_pair(self, graph):
+        """The value and gradient communicators share one static per
+        (plan, placement); a death-triggered re-balance keeps the plan
+        object, replaces the pair, and the new pair's one static routes
+        by the evacuated placement."""
+        epoch0 = self._epoch0(graph)
+        faults = FaultSchedule((NodeDeath(1, at=1.5 * epoch0),))
+        trainer = make_trainer(graph, faults=faults)
+        before = trainer.fleet
+        assert before.comm_values.static is before.comm_grads.static
+        assert before.comm_values.static.gpu_nodes.tolist() == \
+            trainer.placement.tolist()
+        trainer.train_epoch()
+        assert trainer.fleet is before  # nothing re-planned yet
+        for _ in range(4):
+            trainer.train_epoch()
+        assert [e.trigger for e in trainer.rebalances] == ["death"]
+        after = trainer.fleet
+        assert after.comm_plan is before.comm_plan
+        assert after.comm_values is not before.comm_values
+        static = after.comm_values.static
+        assert static is after.comm_grads.static
+        assert static is not before.comm_values.static
+        assert static.gpu_nodes.tolist() == trainer.placement.tolist()
+        assert 1 not in static.gpu_nodes
+        assert np.array_equal(
+            static.vertex_node,
+            trainer.placement[trainer.partition.assignment])
+        # the old static still describes the old placement: nothing was
+        # patched in place
+        assert 1 in before.comm_values.static.gpu_nodes
+
     def test_death_is_placement_invariant_numerically(self, graph):
         epoch0 = self._epoch0(graph)
         faults = FaultSchedule((NodeDeath(1, at=1.5 * epoch0),))

@@ -768,6 +768,42 @@ class TestTransitionBuffers:
         double.free()
         assert all(gpu.memory.in_use == 0 for gpu in double_platform.gpus)
 
+    def test_per_gpu_buffers_are_views_of_one_backing_array(self):
+        platform = MultiGPUPlatform(A100_SERVER, num_gpus=3)
+        rows = [3, 0, 5]
+        buffers = TransitionBuffers(platform, rows, 4, np.float32, 4)
+        assert buffers.offsets.tolist() == [0, 3, 3, 8]
+        assert buffers.stacked.shape == (8, 4)
+        assert buffers.stacked.dtype == np.float32
+        assert len(buffers) == 3
+        for gpu, count in enumerate(rows):
+            assert buffers[gpu].shape == (count, 4)
+            assert buffers[gpu].base is buffers.stacked
+        # a write through either side is seen by the other
+        buffers[2][1] = 7.0
+        assert buffers.stacked[buffers.offsets[2] + 1].tolist() == [7.0] * 4
+        buffers.stacked[0] = -1.0
+        assert buffers[0][0].tolist() == [-1.0] * 4
+        buffers.free()
+        assert buffers.stacked is None and len(buffers) == 0
+
+    @pytest.mark.parametrize("double_buffer", [False, True])
+    def test_simulated_memory_is_still_charged_per_gpu(self, double_buffer):
+        """One numpy array, m simulated allocations: each GPU's pool is
+        charged its own rows (twice under double buffering), so the
+        simulated peak is the largest single buffer, not the stack."""
+        platform = MultiGPUPlatform(A100_SERVER, num_gpus=3)
+        rows, dim, bps = [3, 0, 5], 4, 4
+        buffers = TransitionBuffers(platform, rows, dim, np.float64, bps,
+                                    double_buffer=double_buffer)
+        copies = 2 if double_buffer else 1
+        assert [gpu.memory.in_use for gpu in platform.gpus] == \
+            [copies * count * dim * bps for count in rows]
+        assert platform.peak_gpu_memory() == copies * 5 * dim * bps
+        buffers.free()
+        assert all(gpu.memory.in_use == 0 for gpu in platform.gpus)
+        assert platform.peak_gpu_memory() == copies * 5 * dim * bps
+
 
 @pytest.fixture(scope="module")
 def graph():
