@@ -94,11 +94,24 @@ def two_level_partition(graph: Graph, num_partitions: int, num_chunks: int,
     if assignment is None:
         assignment = metis_partition(graph, num_partitions, seed=seed)
     else:
-        assignment = np.asarray(assignment, dtype=np.int64)
+        assignment = np.asarray(assignment)
         if assignment.shape != (graph.num_vertices,):
             raise PartitionError("assignment must have one entry per vertex")
-        if len(assignment) and assignment.max() >= num_partitions:
-            raise PartitionError("assignment ids exceed num_partitions")
+        # A vertex outside [0, num_partitions) lands in no chunk, and a
+        # cast would turn 0.9 into 0 and NaN into -2**63.
+        kind = assignment.dtype.kind
+        if kind not in "iu" and not (
+                kind == "f"
+                and np.array_equal(assignment, np.floor(assignment))):
+            raise PartitionError(
+                f"assignment must hold integer partition ids, "
+                f"got dtype {assignment.dtype}")
+        if len(assignment) and not (0 <= assignment.min()
+                                    and assignment.max() < num_partitions):
+            raise PartitionError(
+                f"assignment ids must lie in [0, {num_partitions}), got "
+                f"{assignment.min()}..{assignment.max()}")
+        assignment = assignment.astype(np.int64, copy=False)
 
     weights = graph.gcn_edge_weights() if gcn_weights else None
     in_csr = graph.in_csr

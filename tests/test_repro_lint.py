@@ -100,7 +100,8 @@ class TestCleanFixtures:
 
 
 class TestScatterScope:
-    """RPL402 covers the training-step numerics and nothing else."""
+    """RPL402 covers the training-step numerics and the partitioner,
+    and nothing else."""
 
     @pytest.mark.parametrize("display, fires", [
         ("src/repro/gnn/extensions.py", True),
@@ -108,7 +109,7 @@ class TestScatterScope:
         ("src/repro/core/trainer.py", True),
         # simulated seconds summed in segment order: bit-identity contract
         ("src/repro/comm/executor.py", False),
-        ("src/repro/partition/metis.py", False),
+        ("src/repro/partition/metis.py", True),
         ("benchmarks/perf/probes.py", False),
     ])
     def test_scope(self, display, fires):

@@ -27,8 +27,11 @@ adjoint are one sparse product over the block's cached operator
 (``Block.operator`` / ``ops.spmm``) and the autograd scatters go through
 one incidence-matrix helper; ``ufunc.at`` (``np.add.at``,
 ``np.maximum.at``, ...) is an interpreter-speed loop over rows that was
-56 % of a single-node training step before it left. Any ``np.<ufunc>.at``
-call under ``src/repro/gnn/``, ``src/repro/autograd/`` or in
+56 % of a single-node training step before it left. The partitioner is
+held to the same rule: its weights are sums of ones, so a ``bincount`` or
+a sparse product gives the exact sums its three ``np.add.at`` merges used
+to. Any ``np.<ufunc>.at`` call under ``src/repro/gnn/``,
+``src/repro/autograd/``, ``src/repro/partition/`` or in
 ``src/repro/core/trainer.py`` is flagged; there is no escape hatch
 beyond the generic ``ignore[RPL402]``.
 
@@ -67,11 +70,12 @@ HOT_FILES = (
     "src/repro/runtime/scheduler.py",
 )
 
-#: where the per-step numerics live: no ``ufunc.at`` scatter loops here
+#: the per-step numerics and the partitioner: no ``ufunc.at`` scatter loops
 SCATTER_FREE = (
     "src/repro/gnn/",
     "src/repro/autograd/",
     "src/repro/core/trainer.py",
+    "src/repro/partition/",
 )
 
 #: iterable shapes that indicate a per-(layer, batch, gpu) loop — or a
