@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
-__all__ = ["emit", "emit_json", "timed_call", "fleet_scenario",
-           "RESULTS_DIR", "BENCH_SCALE"]
+__all__ = ["emit", "emit_json", "fleet_scenario", "RESULTS_DIR",
+           "BENCH_SCALE"]
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -35,18 +34,6 @@ def emit(name: str, text: str) -> None:
     path = os.path.join(RESULTS_DIR, f"{name}.txt")
     with open(path, "w") as handle:
         handle.write(text + "\n")
-
-
-def timed_call(fn, *args, **kwargs):
-    """Run ``fn(*args, **kwargs)`` and return ``(result, wall_seconds)``.
-
-    The wall clock feeds the ``sim_wall_seconds`` metric each smoke
-    archives next to its simulated metrics — how long the simulator
-    itself took, gated with the looser ``--wall-tolerance`` headroom.
-    """
-    started = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - started
 
 
 def fleet_scenario(**overrides):
@@ -70,9 +57,8 @@ def emit_json(name: str, metrics: dict, step: str = None,
     ``metrics`` maps metric name → number. Metrics are *simulated*
     (deterministic across machines) and lower-is-better — the contract
     ``tools/check_bench_regression.py`` enforces against
-    ``results/baseline.json``. The one exception is metrics ending in
-    ``wall_seconds`` (simulator wall clock), which the checker gates
-    with the separate, looser ``--wall-tolerance``.
+    ``results/baseline.json``. Host wall clock is never archived here:
+    it is gated by the calibrated perf bench (``benchmarks/perf/``).
 
     ``step`` names the CI job step that produced the result; the
     regression checker echoes it next to any failing metric so the

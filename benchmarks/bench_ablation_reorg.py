@@ -34,11 +34,7 @@ def shuffled_partition(dataset):
     partition = two_level_partition(graph, 4, CHUNKS, seed=0)
     rng = np.random.default_rng(13)
     for i, row in enumerate(partition.chunks):
-        order = rng.permutation(len(row))
-        shuffled = [row[k] for k in order]
-        for j, chunk in enumerate(shuffled):
-            chunk.chunk_id = j
-        partition.chunks[i] = shuffled
+        partition.chunks[i] = [row[k] for k in rng.permutation(len(row))]
     return partition
 
 

@@ -37,7 +37,7 @@ from repro.bench import format_bytes, format_seconds, render_table
 from repro.core import HongTuTrainer
 from repro.graph import load_dataset
 
-from benchmarks._common import emit, emit_json, fleet_scenario, timed_call
+from benchmarks._common import emit, emit_json, fleet_scenario
 
 DATASET = "products_sim"
 #: full-scale run; the elastic win is not monotone in scale (the NIC
@@ -141,9 +141,9 @@ def check_fleet(runs):
 
 
 def bench_faulty_fleet_smoke(benchmark):
-    runs, wall = timed_call(
-        benchmark.pedantic, run_faulty_fleet,
-        kwargs={"scale": SMOKE_SCALE}, rounds=1, iterations=1)
+    runs = benchmark.pedantic(run_faulty_fleet,
+                              kwargs={"scale": SMOKE_SCALE},
+                              rounds=1, iterations=1)
     emit("faulty_fleet_smoke", build_table(
         runs,
         title=f"Fault-injected fleet smoke ({DATASET}, {NODES} nodes x "
@@ -156,7 +156,6 @@ def bench_faulty_fleet_smoke(benchmark):
         "death_recovery_seconds": runs["death"][1][-1].epoch_seconds,
         "migration_bytes": sum(event.migration_bytes
                                for event in runs["elastic"][0].rebalances),
-        "sim_wall_seconds": wall,
     }, step=STEP, config=runs["elastic"][2],
         fleet={"nodes": fleet.nodes, "topology": fleet.topology,
                "oversubscription": fleet.oversubscription})

@@ -26,7 +26,7 @@ from repro.core import HongTuConfig, HongTuTrainer
 from repro.graph import load_dataset
 from repro.hardware import A100_SERVER, MultiGPUPlatform
 
-from benchmarks._common import BENCH_SCALE, emit, emit_json, timed_call
+from benchmarks._common import BENCH_SCALE, emit, emit_json
 
 DATASETS = ["it2004_sim", "papers_sim", "friendster_sim"]
 LAYER_COUNTS = [2, 3, 4]
@@ -90,9 +90,8 @@ def _check_shapes(results):
 
 
 def bench_fig9_gcn(benchmark):
-    (table, results), wall = timed_call(
-        benchmark.pedantic, build_tables, args=("gcn",),
-        rounds=1, iterations=1)
+    table, results = benchmark.pedantic(build_tables, args=("gcn",),
+                                        rounds=1, iterations=1)
     emit("fig9_breakdown_gcn", table)
     metrics = {
         f"{dataset}_l{layers}_{label.lstrip('+').lower()}_seconds":
@@ -101,7 +100,6 @@ def bench_fig9_gcn(benchmark):
         for layers in LAYER_COUNTS
         for label, _mode in LADDER
     }
-    metrics["sim_wall_seconds"] = wall
     emit_json("fig9_breakdown_gcn", metrics,
               step="Benchmark smoke (Fig. 9 breakdown + overlap, JSON metrics)")
     _check_shapes(results)
@@ -142,8 +140,8 @@ def build_overlap_table():
 
 
 def bench_fig9_overlap(benchmark):
-    (table, results), wall = timed_call(
-        benchmark.pedantic, build_overlap_table, rounds=1, iterations=1)
+    table, results = benchmark.pedantic(build_overlap_table, rounds=1,
+                                        iterations=1)
     emit("fig9_overlap", table)
     metrics = {
         f"{dataset}_{overlap}_seconds":
@@ -151,7 +149,6 @@ def bench_fig9_overlap(benchmark):
         for dataset in DATASETS
         for overlap in ("barrier", "pipeline")
     }
-    metrics["sim_wall_seconds"] = wall
     emit_json("fig9_overlap", metrics,
               step="Benchmark smoke (Fig. 9 breakdown + overlap, JSON metrics)")
     for dataset in DATASETS:

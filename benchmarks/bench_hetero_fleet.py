@@ -13,8 +13,7 @@ partitions onto the fast nodes and eats a few extra halo rows to do it.
 ``bench_hetero_fleet_smoke`` runs both searches on the same partition of
 the ``friendster_sim`` power-law graph and asserts the capability-aware
 epoch makespan strictly beats the capability-blind one; both makespans
-plus ``sim_wall_seconds`` are archived into the bench-regression
-harness.
+are archived into the bench-regression harness.
 
 ``python benchmarks/bench_hetero_fleet.py`` prints the comparison table
 at full bench scale.
@@ -33,7 +32,7 @@ from repro.hardware import A100_CLUSTER, A100_SERVER, V100_SERVER, \
     ClusterPlatform
 from repro.partition import search_placement, two_level_partition
 
-from benchmarks._common import emit, emit_json, timed_call
+from benchmarks._common import emit, emit_json
 
 DATASET = "friendster_sim"
 #: at larger scales METIS evens out per-partition flops and both
@@ -139,9 +138,8 @@ def check_fleet(results):
 
 
 def bench_hetero_fleet_smoke(benchmark):
-    results, wall = timed_call(
-        benchmark.pedantic, run_fleet, kwargs={"scale": SCALE},
-        rounds=1, iterations=1)
+    results = benchmark.pedantic(run_fleet, kwargs={"scale": SCALE},
+                                 rounds=1, iterations=1)
     emit("hetero_fleet_smoke", build_table(
         results,
         title=f"Heterogeneous fleet smoke ({DATASET}, 2xA100 + 1xV100 "
@@ -150,7 +148,6 @@ def bench_hetero_fleet_smoke(benchmark):
     emit_json("hetero_fleet_smoke", {
         "blind_makespan_seconds": results["blind"][1].epoch_seconds,
         "aware_makespan_seconds": results["aware"][1].epoch_seconds,
-        "sim_wall_seconds": wall,
     }, step=STEP)
     check_fleet(results)
 

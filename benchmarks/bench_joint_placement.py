@@ -41,7 +41,7 @@ from repro.partition import halo_volumes, permute_partitions, \
     two_level_partition
 from repro.bench import render_table
 
-from benchmarks._common import BENCH_SCALE, emit, emit_json, timed_call
+from benchmarks._common import BENCH_SCALE, emit, emit_json
 from benchmarks.bench_placement import measured_fetch_bytes, skew_perm
 
 DATASET = "it2004_sim"
@@ -181,11 +181,9 @@ def bench_joint_placement(benchmark):
 
 
 def bench_joint_placement_smoke(benchmark):
-    measured, wall = timed_call(
-        benchmark.pedantic, run_joint, kwargs={"scale": 0.08},
-        rounds=1, iterations=1)
+    measured = benchmark.pedantic(run_joint, kwargs={"scale": 0.08},
+                                  rounds=1, iterations=1)
     emit("joint_placement_smoke", build_table(measured))
-    emit_json("joint_placement_smoke",
-              {**_json_metrics(measured), "sim_wall_seconds": wall},
+    emit_json("joint_placement_smoke", _json_metrics(measured),
               step="Benchmark smoke (topology sweep + placement search + joint)")
     check_joint(measured)

@@ -50,7 +50,7 @@ from repro.partition import (
 )
 from repro.bench import render_table
 
-from benchmarks._common import BENCH_SCALE, emit, emit_json, timed_call
+from benchmarks._common import BENCH_SCALE, emit, emit_json
 
 DATASET = "it2004_sim"  # crawl-ordered web graph: strong METIS locality
 NODES = 2
@@ -214,11 +214,9 @@ def bench_placement_search(benchmark):
 
 
 def bench_placement_smoke(benchmark):
-    measured, wall = timed_call(
-        benchmark.pedantic, run_placement, kwargs={"scale": 0.08},
-        rounds=1, iterations=1)
+    measured = benchmark.pedantic(run_placement, kwargs={"scale": 0.08},
+                                  rounds=1, iterations=1)
     emit("placement_smoke", build_table(measured))
-    emit_json("placement_smoke",
-              {**_json_metrics(measured), "sim_wall_seconds": wall},
+    emit_json("placement_smoke", _json_metrics(measured),
               step="Benchmark smoke (topology sweep + placement search + joint)")
     check_placement(measured)

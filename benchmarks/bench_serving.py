@@ -12,8 +12,7 @@ same accelerator queues while the memoryless process spreads them out.
 ``bench_serving_smoke`` serves one Poisson and one bursty horizon on a
 2-node cluster (so halo fetches are exercised), asserts the p99
 separation and timeline validity, and archives the simulated p50/p99
-(15% gate) plus ``sim_wall_seconds`` (the looser ``--wall-tolerance``
-gate) into the bench-regression harness.
+(15% gate) into the bench-regression harness.
 
 ``python benchmarks/bench_serving.py`` sweeps rates × arrival kinds and
 prints the throughput-vs-latency table.
@@ -30,7 +29,7 @@ from repro.graph import load_dataset
 from repro.hardware import A100_CLUSTER, A100_SERVER, ClusterPlatform
 from repro.serving import ServingEngine, build_arrivals, build_policy
 
-from benchmarks._common import BENCH_SCALE, emit, emit_json, timed_call
+from benchmarks._common import BENCH_SCALE, emit, emit_json
 
 DATASET = "reddit_sim"
 HIDDEN = 32
@@ -104,8 +103,7 @@ def check_smoke(poisson, bursty):
 
 
 def bench_serving_smoke(benchmark):
-    (poisson, bursty), wall = timed_call(
-        lambda: benchmark.pedantic(run_smoke, rounds=1, iterations=1))
+    poisson, bursty = benchmark.pedantic(run_smoke, rounds=1, iterations=1)
     emit("serving_smoke", build_table(
         [poisson, bursty],
         title=f"Serving smoke ({DATASET}, {NODES}x{GPUS_PER_NODE} GPUs, "
@@ -115,7 +113,6 @@ def bench_serving_smoke(benchmark):
         "poisson_p50_seconds": poisson.p50,
         "poisson_p99_seconds": poisson.p99,
         "bursty_p99_seconds": bursty.p99,
-        "sim_wall_seconds": wall,
     }, step="Benchmark smoke (serving, bursty vs Poisson tail latency)")
     check_smoke(poisson, bursty)
 

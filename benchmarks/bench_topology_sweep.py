@@ -43,7 +43,7 @@ from repro.hardware import (
 )
 from repro.partition import two_level_partition
 
-from benchmarks._common import BENCH_SCALE, emit, emit_json, timed_call
+from benchmarks._common import BENCH_SCALE, emit, emit_json
 
 DATASET = "reddit_sim"
 NODE_COUNTS = [2, 4]
@@ -189,9 +189,8 @@ def bench_topology_reorg_net(benchmark):
 # CI smoke: tiny graph, 2 nodes, all three topologies
 # ----------------------------------------------------------------------
 def bench_topology_smoke(benchmark):
-    results, wall = timed_call(
-        benchmark.pedantic, run_sweep,
-        kwargs={"scale": 0.08, "node_counts": [2]},
+    results = benchmark.pedantic(
+        run_sweep, kwargs={"scale": 0.08, "node_counts": [2]},
         rounds=1, iterations=1)
     emit("topology_smoke", build_sweep_table(results, node_counts=[2]))
     metrics = {
@@ -199,7 +198,6 @@ def bench_topology_smoke(benchmark):
         for (nodes, name, overlap), seconds in results.items()
         if nodes == 2
     }
-    metrics["sim_wall_seconds"] = wall
     emit_json("topology_smoke", metrics,
               step="Benchmark smoke (topology sweep + placement search + joint)")
     check_sweep(results, node_counts=[2])

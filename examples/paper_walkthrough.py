@@ -35,9 +35,9 @@ def main() -> None:
     assignment = np.array([0, 0, 1, 1, 2, 2, 3, 3])
     partition = two_level_partition(graph, 4, 2, assignment=assignment)
     print("\n2-level partition (4 GPUs x 2 chunks):")
-    for row in partition.chunks:
-        for chunk in row:
-            print(f"  GPU {chunk.partition_id} batch {chunk.chunk_id}: "
+    for i, row in enumerate(partition.chunks):
+        for j, chunk in enumerate(row):
+            print(f"  GPU {i} batch {j}: "
                   f"dst={chunk.dst_global.tolist()} "
                   f"needs={chunk.neighbor_global.tolist()}")
 
@@ -53,13 +53,14 @@ def main() -> None:
     print("\ndeduplicated plan:")
     for j in range(plan.num_batches):
         print(f"  batch {j}:")
+        # Who reads how many rows from whose transition buffer.
+        segments = list(zip(*(array.tolist() for array in plan.segments(j))))
         for gpu_plan in plan.plans[j]:
             loads = gpu_plan.load_vertices.tolist()
             reused = gpu_plan.transition[gpu_plan.reuse_mask].tolist()
             fetches = {
-                segment.source_gpu: len(segment.local_rows)
-                for segment in gpu_plan.fetch_segments
-                if segment.source_gpu != gpu_plan.gpu
+                source: rows for reader, source, rows in segments
+                if reader == gpu_plan.gpu and source != reader
             }
             print(f"    GPU {gpu_plan.gpu}: stages {loads} from host"
                   f"{', reuses ' + str(reused) + ' in place' if reused else ''}"

@@ -1,11 +1,6 @@
 """Deduplicated communication framework (the paper's §5 and §6)."""
 
-from repro.comm.plan import (
-    FetchSegment,
-    BatchGpuPlan,
-    CommPlan,
-    build_comm_plan,
-)
+from repro.comm.plan import BatchGpuPlan, CommPlan, build_comm_plan
 from repro.comm.analysis import DedupVolumes, measure_volumes
 from repro.comm.cost_model import (
     ALLREDUCE_ALGORITHMS,
@@ -18,7 +13,7 @@ from repro.comm.joint import joint_placement, JointResult, JointIteration
 from repro.comm.executor import DedupCommunicator
 
 __all__ = [
-    "FetchSegment", "BatchGpuPlan", "CommPlan", "build_comm_plan",
+    "BatchGpuPlan", "CommPlan", "build_comm_plan",
     "DedupVolumes", "measure_volumes",
     "CommCostModel", "ClusterCostModel", "communication_cost",
     "ALLREDUCE_ALGORITHMS",

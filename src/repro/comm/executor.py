@@ -53,9 +53,10 @@ h_{N_ij} with one gather over its own and its peers' buffers at positions
 fixed in preprocessing — each phase is one indexed op per GPU, in GPU
 order: ``stacked[load_slots] = host[load_vertices]``,
 ``inputs = stacked[source_slots]``, ``stacked[source_slots] += grads``,
-then the flush. Nothing walks ``plan.fetch_segments`` per call; the
-segments remain the plan's readable description and the input of the
-per-segment seconds classification. The ops stay per GPU rather than one
+then the flush. The slots are the only routing the plan stores; the
+per-segment seconds classification reads the (reader, source, rows)
+triples :meth:`~repro.comm.plan.CommPlan.segments` derives from them, once
+per batch. The ops stay per GPU rather than one
 flat op over all GPUs on purpose: a flat gather materializes one block the
 size of every GPU's input together, which raised the process's peak RSS by
 a quarter on the 256-GPU workload, while m blocks of one GPU's input each
@@ -219,7 +220,8 @@ class PlanStatic:
     Two things, both fixed until the plan or the placement changes: the
     routing snapshot (node, rail and owner-node arrays — node membership
     is the platform's ``placement`` at construction) and, lazily per
-    batch, the :class:`_BatchStatic` emission constants derived from it.
+    batch, the :class:`_BatchStatic` emission constants (and serving's
+    :meth:`staging_halo`) derived from it.
     None of it depends on rates, row width or buffer contents, so every
     communicator over the same pair — the trainer's value and gradient
     communicators — shares one instance; whoever re-plans or re-places
@@ -257,6 +259,7 @@ class PlanStatic:
             self.gpu_nodes[plan.partition.assignment]
             if self.num_nodes > 1 else None)
         self._batches: Dict[int, _BatchStatic] = {}
+        self._staging_halos: Dict[int, _HaloSplit] = {}
 
     # ------------------------------------------------------------------
     # cluster halo coalescing
@@ -325,18 +328,38 @@ class PlanStatic:
     # ------------------------------------------------------------------
     # per-batch static emission structure
     # ------------------------------------------------------------------
-    def batch(self, batch: int) -> _BatchStatic:
-        """The emission constants of ``batch`` (built on first use)."""
+    def _require_batch(self, batch: int) -> None:
         if not (isinstance(batch, (int, np.integer))
                 and 0 <= batch < self.plan.num_batches):
             raise CommunicationPlanError(
                 f"batch must index one of the plan's "
                 f"{self.plan.num_batches} batches, got {batch!r}"
             )
+
+    def batch(self, batch: int) -> _BatchStatic:
+        """The emission constants of ``batch`` (built on first use)."""
+        self._require_batch(batch)
         cached = self._batches.get(batch)
         if cached is None:
             cached = self._batches[batch] = self._build_batch(batch)
         return cached
+
+    def staging_halo(self, batch: int) -> _HaloSplit:
+        """Cross-node traffic of staging ``batch``'s *full* transition
+        sets — loaded and reused rows alike.
+
+        The serving path's load halo: a request finds nothing resident,
+        so every staged row owned by another node crosses the network,
+        not only the epoch path's fresh ``load_halo`` rows. Built on
+        first use; a training epoch never asks.
+        """
+        self._require_batch(batch)
+        halo = self._staging_halos.get(batch)
+        if halo is None:
+            halo = self._staging_halos[batch] = self._vertex_halo(
+                [plan.transition for plan in self.plan.plans[batch]],
+                toward_owner=False)
+        return halo
 
     def _build_batch(self, batch: int) -> _BatchStatic:
         plans = self.plan.plans[batch]
@@ -344,21 +367,10 @@ class PlanStatic:
         offsets = self.plan.buffer_offsets
         needed_rows = np.array([len(plan.needed) for plan in plans],
                                dtype=np.int64)
-        # Fetch segments, from the slot arrays: a segment is the rows one
-        # reader takes from one source GPU, and (plan, segment) order is
-        # reader order, then the interleave step from the reader's own
-        # buffer onward (Algorithm 2 line 6) — the sort order of the
-        # composite code below. Classes: intra-GPU reads, same-node P2P,
-        # and cross-node halo (forward fetch owner→reader; the backward
-        # push mirrors it reader→owner).
-        reader = np.repeat(self.gpu_ids, needed_rows)
-        source = np.searchsorted(
-            offsets, np.concatenate([plan.source_slots for plan in plans]),
-            side="right") - 1
-        segments, rows = np.unique(reader * m + (source - reader) % m,
-                                   return_counts=True)
-        reader, step = np.divmod(segments, m)
-        source = (reader + step) % m
+        # Fetch segment classes: intra-GPU reads, same-node P2P, and
+        # cross-node halo (forward fetch owner→reader; the backward push
+        # mirrors it reader→owner).
+        reader, source, rows = self.plan.segments(batch)
         reader_node = self.gpu_nodes[reader]
         owner_node = self.gpu_nodes[source]
         local = source == reader
@@ -629,8 +641,9 @@ class DedupCommunicator:
                 f"unknown serving halo kind {kind!r}; "
                 f"expected 'load' or 'fetch'"
             )
-        static = self.static.batch(batch)
-        return static.load_halo if kind == "load" else static.fetch_halo
+        if kind == "load":
+            return self.static.staging_halo(batch)
+        return self.static.batch(batch).fetch_halo
 
     def submit_serving_halo(self, timeline: EventTimeline, batch: int,
                             row_bytes: int, kind: str = "fetch",
@@ -639,7 +652,9 @@ class DedupCommunicator:
         """Emit ``batch``'s coalesced cross-node halo tasks for serving.
 
         ``kind`` selects the flow: ``"load"`` ships remotely-owned host
-        rows to the staging node before its PCIe load (empty under full
+        rows to the staging node before its PCIe load — every staged row,
+        the ones an epoch would reuse in place included, as
+        :meth:`transition_rows` prices them (empty under inter-GPU
         dedup, where every staged row is owner-local); ``"fetch"`` is
         the forward halo exchange — reads of transition buffers staged
         on another node. Returns ``(task ids, per-reader-GPU dependency

@@ -12,19 +12,19 @@ computes, per GPU ``i``:
 * ``positions``   — write positions inside a single per-GPU transition
   buffer, assigned so duplicated vertices of adjacent batches keep their
   slot ("in-place transition data management", §6);
-* ``fetch segments`` — for assembling h_{N_ij}: which rows to read from
-  which GPU's transition buffer (local reads are intra-GPU, remote reads are
-  P2P);
-* ``slots``       — the same routing as flat addresses. The m transition
-  buffers are one address space (GPU i's buffer is the row range
-  ``[buffer_offsets[i], buffer_offsets[i+1])`` of the stacked buffer), and
-  every plan stores the stacked-buffer slot of each needed row
-  (``source_slots``) and of each loaded row (``load_slots``). The fetch
-  segments stay the readable description; the slot arrays are what the
-  executor indexes with, one gather/scatter per GPU. Both come out of one
-  per-batch vertex→slot lookup in a second pass over the plans, once the
-  buffer sizes are final (:meth:`CommPlan.validate` checks the two
-  against each other).
+* ``slots``       — the routing for assembling h_{N_ij}, stored once, as
+  flat addresses. The m transition buffers are one address space (GPU i's
+  buffer is the row range ``[buffer_offsets[i], buffer_offsets[i+1])`` of
+  the stacked buffer), and every plan stores the stacked-buffer slot of
+  each needed row (``source_slots``) and of each loaded row
+  (``load_slots``) — what the executor indexes with, one gather/scatter
+  per GPU. They come out of one per-batch vertex→slot lookup in a second
+  pass over the plans, once the buffer sizes are final
+  (:meth:`CommPlan.validate` checks them against the staging);
+* ``fetch segments`` — which rows a GPU reads from which GPU's transition
+  buffer (local reads are intra-GPU, remote reads are P2P) is not stored:
+  a slot's buffer names its source, so :meth:`CommPlan.segments` derives
+  the (reader, source, rows) triples of a batch from the slots.
 
 Disabling inter-GPU dedup (``dedup_inter=False``) degenerates the transition
 set to the GPU's own needed set (every GPU loads everything it needs — the
@@ -36,30 +36,14 @@ the paper's Baseline / +P2P / +RU / full-HongTu ladder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import CommunicationPlanError
 from repro.partition.two_level import TwoLevelPartition
 
-__all__ = ["FetchSegment", "BatchGpuPlan", "CommPlan", "build_comm_plan"]
-
-
-@dataclass
-class FetchSegment:
-    """Rows of one GPU's transition buffer feeding another GPU's input."""
-
-    #: GPU owning the transition buffer being read
-    source_gpu: int
-    #: positions inside the source transition buffer
-    source_positions: np.ndarray
-    #: rows of the reading chunk's local input matrix
-    local_rows: np.ndarray
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.local_rows)
+__all__ = ["BatchGpuPlan", "CommPlan", "build_comm_plan"]
 
 
 @dataclass
@@ -76,8 +60,6 @@ class BatchGpuPlan:
     positions: np.ndarray
     #: boolean mask over ``transition``: True = reused in place (𝒩^gpu_ij)
     reuse_mask: np.ndarray
-    #: fetch instructions to assemble the local input h_{N_ij}
-    fetch_segments: List[FetchSegment] = field(default_factory=list)
     # Derived once — a plan is immutable after ``build_comm_plan``.
     #: 𝒩^cpu_ij — global ids loaded from the host this batch
     load_vertices: np.ndarray = field(init=False, repr=False)
@@ -133,8 +115,32 @@ class CommPlan:
         """The batch sequence executed by one GPU."""
         return [batch[gpu] for batch in self.plans]
 
+    def segments(self, batch: int
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``batch``'s fetch segments as ``(reader, source, rows)`` arrays.
+
+        A segment is the ``rows[s]`` needed rows GPU ``reader[s]`` takes
+        from GPU ``source[s]``'s transition buffer — the buffer a slot
+        lies in names its source. Segments come in reader order, then the
+        interleave step from the reader's own buffer onward (Algorithm 2
+        line 6): the sort order of the composite code below.
+        """
+        plans = self.plans[batch]
+        m = len(plans)
+        reader = np.repeat(np.arange(m, dtype=np.int64),
+                           [len(plan.needed) for plan in plans])
+        source = np.searchsorted(
+            self.buffer_offsets,
+            np.concatenate([plan.source_slots for plan in plans]),
+            side="right") - 1
+        segments, rows = np.unique(reader * m + (source - reader) % m,
+                                   return_counts=True)
+        reader, step = np.divmod(segments, m)
+        return reader, (reader + step) % m, rows
+
     def validate(self) -> None:
         """Internal-consistency checks (used by tests)."""
+        offsets = self.buffer_offsets
         for batch in self.plans:
             for plan in batch:
                 if len(plan.transition) != len(plan.positions):
@@ -143,22 +149,16 @@ class CommPlan:
                     raise CommunicationPlanError("reuse mask not parallel")
                 if len(np.unique(plan.positions)) != len(plan.positions):
                     raise CommunicationPlanError("duplicate buffer positions")
-                covered = np.concatenate(
-                    [segment.local_rows for segment in plan.fetch_segments]
-                ) if plan.fetch_segments else np.empty(0, dtype=np.int64)
-                if len(covered) != len(plan.needed) or (
-                    len(covered) and not np.array_equal(
-                        np.sort(covered), np.arange(len(plan.needed)))
-                ):
-                    raise CommunicationPlanError(
-                        f"fetch segments do not cover needed set exactly "
-                        f"(gpu={plan.gpu}, batch={plan.batch})"
-                    )
-                self._validate_slots(plan)
+            # What each slot of the stacked buffer holds during this batch.
+            resident = np.full(offsets[-1], -1, dtype=np.int64)
+            for plan in batch:
+                resident[offsets[plan.gpu] + plan.positions] = plan.transition
+            for plan in batch:
+                self._validate_slots(plan, resident)
 
-    def _validate_slots(self, plan: BatchGpuPlan) -> None:
-        """The slot arrays must say what the readable plan says."""
-        offsets = self.buffer_offsets
+    def _validate_slots(self, plan: BatchGpuPlan,
+                        resident: np.ndarray) -> None:
+        """The slot arrays must address what the staging put there."""
         where = f"(gpu={plan.gpu}, batch={plan.batch})"
         loaded = ~plan.reuse_mask
         if not (np.array_equal(plan.load_vertices, plan.transition[loaded])
@@ -168,20 +168,20 @@ class CommPlan:
                 and plan.num_reused == int(plan.reuse_mask.sum())):
             raise CommunicationPlanError(
                 f"stored load split disagrees with the reuse mask {where}")
-        if not np.array_equal(plan.load_slots,
-                              offsets[plan.gpu] + plan.load_positions):
+        if not np.array_equal(
+                plan.load_slots,
+                self.buffer_offsets[plan.gpu] + plan.load_positions):
             raise CommunicationPlanError(
                 f"load slots disagree with load positions {where}")
-        from_segments = np.full(len(plan.needed), -1, dtype=np.int64)
-        for segment in plan.fetch_segments:
-            from_segments[segment.local_rows] = (
-                offsets[segment.source_gpu] + segment.source_positions)
-        if not np.array_equal(plan.source_slots, from_segments):
-            raise CommunicationPlanError(
-                f"source slots disagree with the fetch segments {where}")
-        if len(np.unique(from_segments)) != len(from_segments):
+        slots = plan.source_slots
+        if len(np.unique(slots)) != len(slots):
             raise CommunicationPlanError(
                 f"needed rows share a buffer slot {where}")
+        inside = (0 <= slots) & (slots < len(resident))
+        if not (inside.all()
+                and np.array_equal(resident[slots], plan.needed)):
+            raise CommunicationPlanError(
+                f"source slots do not hold the needed vertices {where}")
 
 
 def build_comm_plan(partition: TwoLevelPartition,
@@ -241,17 +241,14 @@ def build_comm_plan(partition: TwoLevelPartition,
 
 
 def _route(comm_plan: CommPlan) -> None:
-    """Second pass: every plan's routing, as slot arrays and as segments.
+    """Second pass: every plan's routing, as slot arrays.
 
     Runs once ``buffer_rows`` — hence ``buffer_offsets`` — is final. Per
     batch, one vertex→slot lookup covers every staged row (under inter-GPU
     dedup each vertex of the batch union is staged exactly once, on its
     owner), so a reader's ``source_slots`` is one gather of the lookup at
     its needed set; without inter-GPU dedup every GPU stages its own needed
-    set and reads nothing else. The fetch segments are the same rows
-    grouped by the GPU staging them: rather than probing all m candidate
-    owners per reader (quadratic in m), one stable sort groups the needed
-    set by owner, and a segment is a slice of the sorted slots.
+    set and reads nothing else.
     """
     offsets = comm_plan.buffer_offsets
     m = comm_plan.num_gpus
@@ -271,38 +268,17 @@ def _route(comm_plan: CommPlan) -> None:
         for plan in batch_plans:
             i, needed = plan.gpu, plan.needed
             plan.load_slots = offsets[i] + plan.load_positions
-            if dedup_inter:
-                owner = assignment[needed]
-                unstaged = staged_in[needed] != j
-                if unstaged.any():
-                    first = int(np.flatnonzero(unstaged)[0])
-                    raise CommunicationPlanError(
-                        f"vertex {int(needed[first])} needed by GPU {i} is "
-                        f"not staged on GPU {int(owner[first]) % m} in "
-                        f"batch {j}"
-                    )
-                plan.source_slots = slot_of[needed]
-            else:  # transition is the needed set
-                owner = np.full(len(needed), i, dtype=np.int64)
+            if not dedup_inter:  # transition is the needed set
                 plan.source_slots = offsets[i] + plan.positions
-            if len(needed) == 0:
                 continue
-            # Interleaved order (Algorithm 2 line 6): start from i, wrap.
-            step_of = (owner - i) % m
-            order = np.argsort(step_of, kind="stable")
-            sorted_steps = step_of[order]
-            sorted_slots = plan.source_slots[order]
-            boundaries = np.flatnonzero(np.diff(sorted_steps)) + 1
-            starts = np.concatenate([[0], boundaries])
-            ends = np.concatenate([boundaries, [len(order)]])
-            sources = (sorted_steps[starts] + i) % m
-            for k, start, end in zip(sources.tolist(), starts.tolist(),
-                                     ends.tolist()):
-                plan.fetch_segments.append(FetchSegment(
-                    source_gpu=k,
-                    source_positions=sorted_slots[start:end] - offsets[k],
-                    local_rows=order[start:end],
-                ))
+            unstaged = staged_in[needed] != j
+            if unstaged.any():
+                vertex = int(needed[np.flatnonzero(unstaged)[0]])
+                raise CommunicationPlanError(
+                    f"vertex {vertex} needed by GPU {i} is not staged on "
+                    f"GPU {int(assignment[vertex]) % m} in batch {j}"
+                )
+            plan.source_slots = slot_of[needed]
 
 
 def _require_distinct(plan: BatchGpuPlan) -> None:
@@ -310,10 +286,9 @@ def _require_distinct(plan: BatchGpuPlan) -> None:
 
     The executor's backward accumulates with ``buf[idx] += rows``, which
     drops all but one of a repeated index. Its index sets are gathers of
-    these three arrays at distinct offsets (a fetch segment's
-    ``source_positions``, the flush ``vertices`` and ``positions``), so
-    duplicate-free here is duplicate-free there — checked once per plan,
-    never per call.
+    these three arrays at distinct offsets (``source_slots``, the flush
+    ``vertices`` and slots), so duplicate-free here is duplicate-free
+    there — checked once per plan, never per call.
     """
     for what, vertices in (("needed", plan.needed),
                            ("transition", plan.transition)):

@@ -26,14 +26,16 @@ whichever layout (original, greedy, net-aware) minimizes the combined
 Eq. 4 + net cost, so the reorganization shrinks network halos, not just
 PCIe traffic.
 
-``reorganize_partition`` returns a new :class:`TwoLevelPartition` (chunk
-arrays shared, ids renumbered) plus the preprocessing wall-time, which
-Table 9 reports as overhead.
+``reorganize_partition`` returns a new :class:`TwoLevelPartition` — an
+ordering of the input's chunk objects, never copies: Algorithm 4 moves a
+chunk to another schedule slot, not its content — plus the preprocessing
+wall-time, which Table 9 reports as overhead.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -42,12 +44,12 @@ from repro.comm.analysis import measure_volumes
 from repro.comm.cost_model import ClusterCostModel, CommCostModel
 from repro.partition.nodes import partition_nodes
 from repro.partition.placement import placement_net_rows
-from repro.partition.subgraph import SubgraphChunk
 from repro.partition.two_level import TwoLevelPartition
 
 __all__ = ["reorganize_partition", "ReorganizationResult"]
 
 
+@dataclass
 class ReorganizationResult:
     """Reorganized partition + provenance.
 
@@ -64,38 +66,27 @@ class ReorganizationResult:
     ``tests/test_topology.py``).
     """
 
-    def __init__(self, partition: TwoLevelPartition,
-                 preprocessing_seconds: float,
-                 phase1_assignments: List[List[int]],
-                 phase2_order: List[int],
-                 cost_before: Optional[float] = None,
-                 cost_after: Optional[float] = None,
-                 kept_original: bool = False,
-                 net_aware: bool = False,
-                 net_rows_before: Optional[int] = None,
-                 net_rows_after: Optional[int] = None,
-                 net_seconds_before: Optional[float] = None,
-                 net_seconds_after: Optional[float] = None):
-        self.partition = partition
-        self.preprocessing_seconds = preprocessing_seconds
-        #: phase1_assignments[i][j] = original chunk id of partition i placed
-        #: in (pre-phase-2) batch j (of the adopted layout)
-        self.phase1_assignments = phase1_assignments
-        #: phase2_order[j] = pre-phase-2 batch id scheduled at slot j
-        self.phase2_order = phase2_order
-        #: guard costs: Eq. 4 alone, plus the net term when net-aware
-        self.cost_before = cost_before
-        self.cost_after = cost_after
-        #: True if every candidate layout was rejected by the cost model
-        self.kept_original = kept_original
-        #: True if the net term participated in objective and guard
-        self.net_aware = net_aware
-        #: predicted cross-node halo rows per epoch-layer (net-aware only)
-        self.net_rows_before = net_rows_before
-        self.net_rows_after = net_rows_after
-        #: the same rows priced at network seconds
-        self.net_seconds_before = net_seconds_before
-        self.net_seconds_after = net_seconds_after
+    partition: TwoLevelPartition
+    preprocessing_seconds: float
+    #: phase1_assignments[i][j] = original chunk id of partition i placed
+    #: in (pre-phase-2) batch j (of the adopted layout)
+    phase1_assignments: List[List[int]]
+    #: phase2_order[j] = pre-phase-2 batch id scheduled at slot j
+    phase2_order: List[int]
+    #: guard costs of the input and the adopted layout: Eq. 4 alone, plus
+    #: the net term when net-aware
+    cost_before: Optional[float] = None
+    cost_after: Optional[float] = None
+    #: True if every candidate layout was rejected by the cost model
+    kept_original: bool = False
+    #: True if the net term participated in objective and guard
+    net_aware: bool = False
+    #: predicted cross-node halo rows per epoch-layer (net-aware only)
+    net_rows_before: Optional[int] = None
+    net_rows_after: Optional[int] = None
+    #: the same rows priced at network seconds
+    net_seconds_before: Optional[float] = None
+    net_seconds_after: Optional[float] = None
 
     @property
     def predicted_net_rows_saved(self) -> Optional[int]:
@@ -147,64 +138,52 @@ def reorganize_partition(partition: TwoLevelPartition,
         for i in range(m)
     ]
 
-    grid, order = _paper_greedy(neighbor_sets)
-    reorganized = _materialize(partition, grid, order)
-
+    # Candidate layouts as (grid, batch order): the input, the paper's
+    # greedy one and, on a cluster, the net-aware one.
     net_aware = cluster_model is not None and num_nodes > 1
-    adopted, adopted_grid, adopted_order = reorganized, grid, order
-    cost_before = cost_after = None
-    net_rows_before = net_rows_after = None
-    net_seconds_before = net_seconds_after = None
-    kept_original = False
-
+    layouts: List[Tuple[List[List[int]], List[int]]] = [
+        ([list(range(n)) for _ in range(m)], list(range(n))),
+        _paper_greedy(neighbor_sets),
+    ]
     if net_aware:
-        aware_grid = _reuse_chain_grid(
+        layouts.append((_reuse_chain_grid(
             partition, neighbor_sets, num_nodes,
             _remote_row_weight(cost_model, cluster_model, row_bytes),
             placement=placement, dead_nodes=dead_nodes,
-        )
-        aware_order = list(range(n))
-        aware = _materialize(partition, aware_grid, aware_order)
+        ), list(range(n))))
+    candidates = [partition] + [_materialize(partition, grid, order)
+                                for grid, order in layouts[1:]]
 
-        candidates: List[Tuple[TwoLevelPartition, List[List[int]],
-                               List[int]]] = [
-            (partition, [list(range(n)) for _ in range(m)], list(range(n))),
-            (reorganized, grid, order),
-            (aware, aware_grid, aware_order),
-        ]
+    # The guard: adopt the cheapest candidate under the net term (when
+    # net-aware) plus Eq. 4 (when priceable); the input wins ties (first
+    # minimum). With nothing to price, the greedy layout is adopted
+    # unguarded.
+    rows = net_seconds = costs = None
+    best = 1
+    if net_aware:
         rows = [placement_net_rows(candidate, num_nodes, placement,
                                    dead_nodes=dead_nodes)
-                for candidate, _g, _o in candidates]
-        costs = [
-            _guarded_cost(candidate, candidate_rows, cost_model,
-                          cluster_model, row_bytes)
-            for (candidate, _g, _o), candidate_rows
-            in zip(candidates, rows)
-        ]
-        best = min(range(len(candidates)), key=lambda k: costs[k])
-        adopted, adopted_grid, adopted_order = candidates[best]
-        kept_original = best == 0
-        cost_before, cost_after = costs[0], costs[best]
-        net_rows_before, net_rows_after = rows[0], rows[best]
-        net_seconds_before = cluster_model.halo_volume_seconds(
-            net_rows_before * row_bytes
-        )
-        net_seconds_after = cluster_model.halo_volume_seconds(
-            net_rows_after * row_bytes
-        )
-    elif cost_model is not None:
-        cost_before = cost_model.cost_seconds(measure_volumes(partition),
-                                              row_bytes)
-        cost_after = cost_model.cost_seconds(measure_volumes(reorganized),
-                                             row_bytes)
-        if cost_after >= cost_before:
-            adopted = partition
-            kept_original = True
+                for candidate in candidates]
+        net_seconds = [cluster_model.halo_volume_seconds(count * row_bytes)
+                       for count in rows]
+    if net_aware or cost_model is not None:
+        costs = list(net_seconds) if net_aware else [0.0] * len(candidates)
+        if cost_model is not None:
+            for k, candidate in enumerate(candidates):
+                costs[k] += cost_model.cost_seconds(
+                    measure_volumes(candidate), row_bytes)
+        best = min(range(len(costs)), key=costs.__getitem__)
 
+    def before_after(values):
+        return (None, None) if values is None else (values[0], values[best])
+
+    cost_before, cost_after = before_after(costs)
+    net_rows_before, net_rows_after = before_after(rows)
+    net_seconds_before, net_seconds_after = before_after(net_seconds)
     elapsed = time.perf_counter() - started  # repro-lint: ignore[RPL101]
     return ReorganizationResult(
-        adopted, elapsed, adopted_grid, adopted_order,
-        cost_before, cost_after, kept_original,
+        candidates[best], elapsed, *layouts[best],
+        cost_before, cost_after, kept_original=best == 0,
         net_aware=net_aware,
         net_rows_before=net_rows_before, net_rows_after=net_rows_after,
         net_seconds_before=net_seconds_before,
@@ -322,45 +301,9 @@ def _reuse_chain_grid(partition: TwoLevelPartition,
     return grid
 
 
-def _guarded_cost(partition: TwoLevelPartition, net_rows: int,
-                  cost_model: Optional[CommCostModel],
-                  cluster_model: ClusterCostModel,
-                  row_bytes: int) -> float:
-    """Combined guard objective: Eq. 4 (when priceable) + the net term.
-
-    ``net_rows`` is the precomputed
-    :func:`~repro.partition.placement.placement_net_rows` of
-    ``partition`` (the caller reuses it for the result's before/after
-    reporting, so the O(partitions × chunks) halo sweeps run once per
-    candidate).
-    """
-    cost = cluster_model.halo_volume_seconds(net_rows * row_bytes)
-    if cost_model is not None:
-        cost += cost_model.cost_seconds(measure_volumes(partition), row_bytes)
-    return cost
-
-
 def _materialize(partition: TwoLevelPartition, grid: List[List[int]],
                  order: List[int]) -> TwoLevelPartition:
-    """Apply a (grid, batch order) layout, renumbering chunk ids."""
-    new_rows: List[List[SubgraphChunk]] = []
-    for i in range(partition.num_partitions):
-        new_row: List[SubgraphChunk] = []
-        for slot, batch in enumerate(order):
-            original = partition.chunks[i][grid[i][batch]]
-            new_row.append(_renumbered(original, i, slot))
-        new_rows.append(new_row)
-    return TwoLevelPartition(partition.graph, new_rows, partition.assignment)
-
-
-def _renumbered(chunk: SubgraphChunk, partition_id: int,
-                chunk_id: int) -> SubgraphChunk:
-    """Copy of ``chunk`` with new grid coordinates (arrays shared)."""
-    return SubgraphChunk(
-        partition_id=partition_id,
-        chunk_id=chunk_id,
-        dst_global=chunk.dst_global,
-        edge_src_global=chunk.edge_src_global,
-        edge_dst_local=chunk.edge_dst_local,
-        edge_weight=chunk.edge_weight,
-    )
+    """Apply a (grid, batch order) layout: the same chunks, reordered."""
+    rows = [[row[cells[batch]] for batch in order]
+            for row, cells in zip(partition.chunks, grid)]
+    return TwoLevelPartition(partition.graph, rows, partition.assignment)

@@ -69,7 +69,7 @@ from repro.partition.placement import (
 )
 from repro.partition.two_level import TwoLevelPartition, two_level_partition
 
-__all__ = ["FleetPlan", "plan_fleet", "new_communicator"]
+__all__ = ["FleetPlan", "plan_fleet"]
 
 
 @dataclass
@@ -113,17 +113,6 @@ class FleetPlan:
             allocation.free()
         self.host_allocations = []
         self.topology_allocations = []
-
-
-def new_communicator(comm_plan: CommPlan, platform: MultiGPUPlatform,
-                     config: HongTuConfig) -> DedupCommunicator:
-    """A communicator executing ``comm_plan`` on ``platform``.
-
-    Its node routing snapshots the platform's placement at construction,
-    so every holder (the trainer's value/gradient pair, a serving
-    engine) rebuilds through here after a re-plan.
-    """
-    return DedupCommunicator(comm_plan, platform, config.bytes_per_scalar)
 
 
 def _vertex_host_bytes(graph: Graph, model: GNNModel,

@@ -17,24 +17,22 @@ and ``d2h`` categories reproduces it. The paper's single-server runs never
 charge ``net``; the DistGNN baseline and the multi-node HongTu extension
 do.)
 
-Two concurrency models coexist:
-
-* :class:`TimeBreakdown` alone is the original barrier-synchronized
-  accounting — a phase's wall time is the max over GPUs
-  (:meth:`TimeBreakdown.add_parallel_phase`) and phases serialize.
-* :class:`EventTimeline` is the event-driven model: every charge becomes a
-  :class:`~repro.runtime.task.Task` on a per-device channel of an
-  :class:`~repro.runtime.scheduler.EventScheduler`, and the epoch time is
-  the critical-path makespan. The timeline still maintains a derived
-  :class:`TimeBreakdown` (per-phase bottleneck-device seconds), so Fig. 9
-  style component reports are identical under every overlap policy.
+There is one concurrency model. :class:`EventTimeline` is event-driven:
+every charge becomes a :class:`~repro.runtime.task.Task` on a per-device
+channel of an :class:`~repro.runtime.scheduler.EventScheduler`, and the
+epoch time is the critical-path makespan. The paper's barrier-synchronized
+accounting — a phase's wall time is the max over GPUs and phases serialize
+— is the same timeline with ``barrier_all=True``. :class:`TimeBreakdown` is
+the per-category ledger the timeline derives as it goes (per-phase
+bottleneck-device seconds), so Fig. 9 style component reports are identical
+under every overlap policy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -66,33 +64,9 @@ class TimeBreakdown:
                 f"time must be finite and >= 0, got {seconds}")
         self.seconds[category] += seconds
 
-    def add_parallel_phase(self, category: str,
-                           per_device_seconds: Iterable[Seconds]) -> None:
-        """Charge a barrier-synchronized phase: wall time = max over devices."""
-        values: List[Seconds] = list(per_device_seconds)
-        if values:
-            self.add(category, max(values))
-
-    def merge(self, other: "TimeBreakdown") -> None:
-        """Accumulate another breakdown into this one (serialized phases)."""
-        for category, seconds in other.seconds.items():
-            self.add(category, seconds)
-
     @property
     def total(self) -> Seconds:
         return sum(self.seconds.values())
-
-    @property
-    def pcie_seconds(self) -> Seconds:
-        """Both PCIe directions together (the paper's combined "H2D" bar)."""
-        return self.seconds["h2d"] + self.seconds["d2h"]
-
-    def scaled(self, factor: float) -> "TimeBreakdown":
-        """A copy with every category multiplied by ``factor``."""
-        out = TimeBreakdown()
-        for category, seconds in self.seconds.items():
-            out.seconds[category] = seconds * factor
-        return out
 
     def as_dict(self) -> Dict[str, Seconds]:
         return dict(self.seconds)

@@ -79,7 +79,6 @@ from repro.partition.nodes import (
     partition_load_matrix,
     partition_nodes,
 )
-from repro.partition.subgraph import SubgraphChunk
 from repro.partition.two_level import TwoLevelPartition
 
 __all__ = ["PlacementResult", "search_placement", "partition_net_weights",
@@ -636,12 +635,13 @@ def permute_partitions(partition: TwoLevelPartition,
                        perm: np.ndarray) -> TwoLevelPartition:
     """Relabel partitions: new partition i is old partition ``perm[i]``.
 
-    Chunk arrays are shared; only grid coordinates and the vertex→
-    partition assignment are rewritten. A round-robin ``perm`` scatters
-    the METIS ordering's contiguous locality across node blocks, which
-    is how benchmarks and tests construct *skewed* orderings where the
-    block placement is provably suboptimal (the placement search then
-    recovers the contiguous grouping).
+    The chunks are shared — row i of the result holds the very chunk
+    objects of old row ``perm[i]`` — and only the vertex→partition
+    assignment is rewritten. A round-robin ``perm`` scatters the METIS
+    ordering's contiguous locality across node blocks, which is how
+    benchmarks and tests construct *skewed* orderings where the block
+    placement is provably suboptimal (the placement search then recovers
+    the contiguous grouping).
     """
     m = partition.num_partitions
     perm = np.asarray(perm, dtype=np.int64)
@@ -651,18 +651,6 @@ def permute_partitions(partition: TwoLevelPartition,
         )
     inverse = np.empty(m, dtype=np.int64)
     inverse[perm] = np.arange(m, dtype=np.int64)
-    rows: List[List[SubgraphChunk]] = []
-    for i in range(m):
-        row = []
-        for j, chunk in enumerate(partition.chunks[perm[i]]):
-            row.append(SubgraphChunk(
-                partition_id=i,
-                chunk_id=j,
-                dst_global=chunk.dst_global,
-                edge_src_global=chunk.edge_src_global,
-                edge_dst_local=chunk.edge_dst_local,
-                edge_weight=chunk.edge_weight,
-            ))
-        rows.append(row)
-    return TwoLevelPartition(partition.graph, rows,
+    return TwoLevelPartition(partition.graph,
+                             [list(partition.chunks[p]) for p in perm],
                              inverse[partition.assignment])

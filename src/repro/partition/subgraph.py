@@ -24,12 +24,13 @@ __all__ = ["SubgraphChunk"]
 class SubgraphChunk:
     """One (partition, chunk) cell of the 2-level partition.
 
+    A chunk does not know its grid coordinates: the owning GPU and the
+    schedule slot are where it sits in ``TwoLevelPartition.chunks[i][j]``,
+    so a re-layout reorders the *same* chunk objects (and with them their
+    cached block and sparse operators). Treat a chunk as immutable.
+
     Attributes
     ----------
-    partition_id, chunk_id:
-        Grid coordinates; ``partition_id`` names the owning GPU, ``chunk_id``
-        the sequential schedule slot (the paper's batch id before
-        reorganization).
     dst_global:
         (num_dst,) global ids of owned destination vertices (disjoint across
         chunks, union = V).
@@ -46,8 +47,6 @@ class SubgraphChunk:
         is the set the communication framework must materialize on a GPU.
     """
 
-    partition_id: int
-    chunk_id: int
     dst_global: np.ndarray
     edge_src_global: np.ndarray
     edge_dst_local: np.ndarray
@@ -104,7 +103,6 @@ class SubgraphChunk:
 
     def __repr__(self) -> str:
         return (
-            f"SubgraphChunk(p={self.partition_id}, c={self.chunk_id}, "
-            f"dst={self.num_dst}, edges={self.num_edges}, "
+            f"SubgraphChunk(dst={self.num_dst}, edges={self.num_edges}, "
             f"neighbors={self.num_neighbors})"
         )

@@ -32,7 +32,9 @@ class TwoLevelPartition:
     def __init__(self, graph: Graph, chunks: List[List[SubgraphChunk]],
                  assignment: np.ndarray):
         self.graph = graph
-        self.chunks = chunks  # chunks[partition_id][chunk_id]
+        #: chunks[i][j] — partition (GPU) i, schedule slot (batch) j; the
+        #: position is the only record of a chunk's coordinates
+        self.chunks = chunks
         self.assignment = assignment
 
     @property
@@ -47,7 +49,7 @@ class TwoLevelPartition:
         return [chunk for row in self.chunks for chunk in row]
 
     def batch(self, j: int) -> List[SubgraphChunk]:
-        """The j-th batch: chunks with chunk_id j across all partitions."""
+        """The j-th batch: every partition's chunk in schedule slot j."""
         return [row[j] for row in self.chunks]
 
     def validate(self) -> None:
@@ -122,7 +124,7 @@ def two_level_partition(graph: Graph, num_partitions: int, num_chunks: int,
         part_vertices = np.flatnonzero(assignment == part)
         chunk_ranges = range_chunks(degrees[part_vertices], num_chunks)
         row: List[SubgraphChunk] = []
-        for chunk_id, (start, stop) in enumerate(chunk_ranges):
+        for start, stop in chunk_ranges:
             dst_global = part_vertices[start:stop]
             # Vectorized gather of each destination's CSR row.
             lo = in_csr.indptr[dst_global]
@@ -134,8 +136,6 @@ def two_level_partition(graph: Graph, num_partitions: int, num_chunks: int,
             )
             edge_weight = None if weights is None else weights[positions]
             row.append(SubgraphChunk(
-                partition_id=part,
-                chunk_id=chunk_id,
                 dst_global=dst_global,
                 edge_src_global=edge_src,
                 edge_dst_local=edge_dst,

@@ -63,7 +63,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.planner import new_communicator
+from repro.comm.executor import DedupCommunicator
 from repro.errors import ConfigurationError, ServingError
 from repro.hardware.clock import EventTimeline
 from repro.runtime.scheduler import WaveProgram, WaveRecorder
@@ -360,15 +360,19 @@ class ServingEngine:
         elastic re-balance) applied since then makes them stale. The
         platform bumps ``rates_version`` whenever per-device rates may
         have changed; on a mismatch the profiles are dropped and the
-        communicator rebuilt (its node routing snapshots the placement
-        at construction). A re-balance that changed the partition also
-        swaps the trainer's plan — then the embedding cache is cleared
-        and re-warmed too, since its (layer, column) footprints no
-        longer describe the new chunks. The recorded column programs
-        carry the profiles' seconds (and the communicator's links), so
-        they are dropped exactly where the profiles are. Construction
-        is the first such swap. Fault-free engines never miss again:
-        ``rates_version`` is stable, so this is one integer compare.
+        communicator rebuilt over the fleet's current
+        :class:`~repro.comm.executor.PlanStatic` — the routing snapshot
+        of the plan under the placement, which a re-plan replaces; the
+        engine shares it rather than re-deriving it, and only the byte
+        ledger is serving's own. A re-balance that changed the
+        partition also swaps the trainer's plan — then the embedding
+        cache is cleared and re-warmed too, since its (layer, column)
+        footprints no longer describe the new chunks. The recorded
+        column programs carry the profiles' seconds (and the
+        communicator's links), so they are dropped exactly where the
+        profiles are. Construction is the first such swap. Fault-free
+        engines never miss again: ``rates_version`` is stable, so this
+        is one integer compare.
         """
         plan_changed = self.plan is not self.trainer.plan
         version = self.platform.rates_version
@@ -379,8 +383,9 @@ class ServingEngine:
         if plan_changed:
             self.plan = self.trainer.plan
             self.shapes = self.trainer.fleet.shapes
-        self.communicator = new_communicator(self.plan, self.platform,
-                                             self.config)
+        self.communicator = DedupCommunicator(
+            self.plan, self.platform, self.config.bytes_per_scalar,
+            static=self.trainer.fleet.comm_values.static)
         self._rates_version = version
         if plan_changed:  # footprints are priced off the new profiles
             self.clear_cache()

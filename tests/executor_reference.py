@@ -5,10 +5,17 @@ one indexed op per GPU over one stacked buffer, at slots the plan fixed in
 preprocessing, and builds its per-batch emission constants
 (``_BatchStatic`` / ``_HaloSplit``) with array ops. This module keeps both
 in the form they were *written* in, verbatim from the commit before that
-change: one ``(rows, dim)`` array per GPU, a Python walk of
-``plan.fetch_segments`` with one fancy-indexed read or ``+=`` per
-(reader GPU, source GPU) pair, and dict-coalesced halo splits built
-contribution by contribution.
+change: one ``(rows, dim)`` array per GPU, a Python walk of each plan's
+fetch segments with one fancy-indexed read or ``+=`` per (reader GPU,
+source GPU) pair, and dict-coalesced halo splits built contribution by
+contribution.
+
+The plan no longer stores fetch segments — its routing is the slot arrays
+— so the per-segment builder lives here too
+(:func:`reference_fetch_segments`, the planner's "Fetch segments" block
+from the same commit). It reads a plan's vertex sets and buffer
+positions and never a slot array: the oracle shares no routing with the
+executor it checks.
 
 Per buffer slot the ``+=`` order is reader-GPU order in both forms, and
 every other op is a copy, so the two agree to the last bit and the tests
@@ -21,15 +28,81 @@ a trainer built on it trains on reference numbers end to end.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.comm.executor import DedupCommunicator
+from repro.errors import CommunicationPlanError
 from repro.runtime.task import net_link
 
-__all__ = ["ReferenceMover", "ReferenceCommunicator", "reference_flush_split",
+__all__ = ["ReferenceMover", "ReferenceCommunicator", "ReferenceSegment",
+           "reference_fetch_segments", "reference_flush_split",
            "reference_batch_static", "HALO_FIELDS"]
+
+
+class ReferenceSegment(NamedTuple):
+    """Rows of one GPU's transition buffer feeding another GPU's input."""
+
+    #: GPU owning the transition buffer being read
+    source_gpu: int
+    #: positions inside the source transition buffer
+    source_positions: np.ndarray
+    #: rows of the reading chunk's local input matrix
+    local_rows: np.ndarray
+
+
+def reference_fetch_segments(comm_plan, batch: int
+                             ) -> List[List[ReferenceSegment]]:
+    """Per reader GPU, the fetch segments assembling its ``batch`` input.
+
+    For each reader GPU, split its needed set by the owner GPU staging
+    each vertex this batch: one stable sort groups the needed set by
+    owner in the interleaved order (Algorithm 2 line 6: start from the
+    reader, wrap); transition sets are sorted, so per-segment buffer
+    positions resolve by binary search.
+    """
+    batch_plans = comm_plan.plans[batch]
+    m = len(batch_plans)
+    assignment = comm_plan.partition.assignment
+    per_gpu: List[List[ReferenceSegment]] = []
+    for i in range(m):
+        plan = batch_plans[i]
+        needed = plan.needed
+        segments: List[ReferenceSegment] = []
+        per_gpu.append(segments)
+        if len(needed) == 0:
+            continue
+        owner_of_needed = (assignment[needed] if comm_plan.dedup_inter
+                           else np.full(len(needed), i, dtype=np.int64))
+        step_of = (owner_of_needed - i) % m
+        order = np.argsort(step_of, kind="stable")
+        sorted_steps = step_of[order]
+        boundaries = np.flatnonzero(np.diff(sorted_steps)) + 1
+        starts = np.concatenate([[0], boundaries])
+        ends = np.concatenate([boundaries, [len(order)]])
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            rows = order[start:end]
+            k = int((sorted_steps[start] + i) % m)
+            vertices = needed[rows]
+            staged = batch_plans[k].transition
+            idx = np.searchsorted(staged, vertices)
+            found = idx < len(staged)
+            if len(staged):
+                found &= staged[np.minimum(idx, len(staged) - 1)] \
+                    == vertices
+            if not found.all():
+                missing = int(vertices[~found][0])
+                raise CommunicationPlanError(
+                    f"vertex {missing} needed by GPU {i} is not staged "
+                    f"on GPU {k} in batch {batch}"
+                )
+            segments.append(ReferenceSegment(
+                source_gpu=k,
+                source_positions=batch_plans[k].positions[idx],
+                local_rows=rows,
+            ))
+    return per_gpu
 
 
 def reference_flush_split(comm_plan, batch: int
@@ -60,6 +133,8 @@ class ReferenceMover:
         self.dim = dim
         self.buffers = [np.zeros((rows, dim), dtype=dtype)
                         for rows in comm_plan.buffer_rows]
+        self._segments = [reference_fetch_segments(comm_plan, batch)
+                         for batch in range(comm_plan.num_batches)]
 
     def load_batch_forward(self, batch: int,
                            host_values: np.ndarray) -> List[np.ndarray]:
@@ -69,10 +144,10 @@ class ReferenceMover:
             buffers[plan.gpu][plan.positions[~plan.reuse_mask]] = \
                 host_values[plan.transition[~plan.reuse_mask]]
         outputs: List[np.ndarray] = []
-        for plan in plans:
+        for plan, segments in zip(plans, self._segments[batch]):
             local = np.empty((len(plan.needed), self.dim),
                              dtype=host_values.dtype)
-            for segment in plan.fetch_segments:
+            for segment in segments:
                 local[segment.local_rows] = (
                     buffers[segment.source_gpu][segment.source_positions]
                 )
@@ -86,8 +161,8 @@ class ReferenceMover:
         plans = self.plan.plans[batch]
         for plan in plans:
             buffers[plan.gpu][plan.positions[~plan.reuse_mask]] = 0.0
-        for plan, grads in zip(plans, neighbor_grads):
-            for segment in plan.fetch_segments:
+        for segments, grads in zip(self._segments[batch], neighbor_grads):
+            for segment in segments:
                 buffers[segment.source_gpu][segment.source_positions] += \
                     grads[segment.local_rows]
         flush_vertices, flush_positions = reference_flush_split(self.plan,
@@ -226,10 +301,11 @@ class _LoopStatic:
         d2d_rows: List[int] = []
         fetch_contrib = []
         push_contrib = []
-        for plan in plans:
+        for plan, segments in zip(
+                plans, reference_fetch_segments(self.plan, batch)):
             reader_node = self._node_of_gpu[plan.gpu]
-            for segment in plan.fetch_segments:
-                count = segment.num_vertices
+            for segment in segments:
+                count = len(segment.local_rows)
                 if segment.source_gpu == plan.gpu:
                     local_gpu.append(plan.gpu)
                     local_rows.append(count)

@@ -59,30 +59,6 @@ class TestCompare:
         assert ratio == pytest.approx(1.2)
         assert allowed == 0.15
 
-    def test_wall_metric_gets_the_looser_tolerance(self, results_dir):
-        """Machine-dependent *wall_seconds metrics pass under the wall
-        tolerance (2x headroom by default) where a simulated metric
-        would fail, and still fail beyond it."""
-        write_result(results_dir, "smoke", {"sim_wall_seconds": 1.8,
-                                            "makespan_seconds": 1.8})
-        baseline = {"smoke": {"sim_wall_seconds": 1.0,
-                              "makespan_seconds": 1.0}}
-        regressions = tool.compare(baseline, tolerance=0.15)
-        assert [r[1] for r in regressions] == ["makespan_seconds"]
-        write_result(results_dir, "smoke", {"sim_wall_seconds": 2.5,
-                                            "makespan_seconds": 1.0})
-        regressions = tool.compare(baseline, tolerance=0.15)
-        assert [r[1] for r in regressions] == ["sim_wall_seconds"]
-        assert regressions[0][5] == tool.DEFAULT_WALL_TOLERANCE
-
-    def test_wall_improvement_never_suggests_refresh(self, results_dir,
-                                                     capsys):
-        """A fast machine must not nag to rebase wall clock downward."""
-        write_result(results_dir, "smoke", {"sim_wall_seconds": 0.2})
-        baseline = {"smoke": {"sim_wall_seconds": 1.0}}
-        assert tool.compare(baseline, tolerance=0.15) == []
-        assert "improved" not in capsys.readouterr().out
-
     def test_improvement_never_fails(self, results_dir, capsys):
         write_result(results_dir, "smoke", {"makespan_seconds": 0.5})
         baseline = {"smoke": {"makespan_seconds": 1.0}}

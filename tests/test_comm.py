@@ -6,6 +6,7 @@ import pytest
 from repro.comm import (
     CommCostModel,
     DedupCommunicator,
+    ReorganizationResult,
     build_comm_plan,
     communication_cost,
     measure_volumes,
@@ -127,23 +128,23 @@ class TestPlanInvariants:
     def test_baseline_fetches_are_local(self, partitioned):
         plan = build_comm_plan(partitioned, dedup_inter=False,
                                dedup_intra=False)
-        for batch in plan.plans:
-            for gpu_plan in batch:
-                assert all(segment.source_gpu == gpu_plan.gpu
-                           for segment in gpu_plan.fetch_segments)
+        for j in range(plan.num_batches):
+            reader, source, rows = plan.segments(j)
+            assert np.array_equal(reader, source)
+            assert rows.tolist() == [len(gpu_plan.needed)
+                                     for gpu_plan in plan.plans[j]]
 
     def test_interleaved_fetch_order(self, partitioned):
         """Fetch segments start at the local GPU and wrap (Algorithm 2)."""
         plan = build_comm_plan(partitioned)
-        for batch in plan.plans:
-            for gpu_plan in batch:
-                sources = [segment.source_gpu
-                           for segment in gpu_plan.fetch_segments]
-                expected = [
-                    (gpu_plan.gpu + step) % plan.num_gpus
-                    for step in range(plan.num_gpus)
-                    if (gpu_plan.gpu + step) % plan.num_gpus in sources
-                ]
+        m = plan.num_gpus
+        for j in range(plan.num_batches):
+            reader, source, _rows = plan.segments(j)
+            assert (np.diff(reader) >= 0).all()  # reader order
+            for gpu in range(m):
+                sources = source[reader == gpu].tolist()
+                expected = [(gpu + step) % m for step in range(m)
+                            if (gpu + step) % m in sources]
                 assert sources == expected
 
 
@@ -314,7 +315,9 @@ class TestReorganization:
         result = reorganize_partition(partitioned)
         for i, row in enumerate(result.partition.chunks):
             for chunk in row:
-                assert chunk.partition_id == i
+                assert any(chunk is original
+                           for original in partitioned.chunks[i])
+                assert (partitioned.assignment[chunk.dst_global] == i).all()
 
     def test_every_chunk_used_once(self, partitioned):
         result = reorganize_partition(partitioned)
@@ -350,6 +353,55 @@ class TestReorganization:
         assert result.cost_before is not None
         assert result.cost_after is not None
 
+    @pytest.mark.parametrize("dataset", ["papers_sim", "it2004_sim"])
+    def test_kept_original_reports_the_kept_layout(self, dataset):
+        """When the Eq. 4 guard keeps the input, the provenance is the
+        input's — the identity layout and its cost — not the rejected
+        greedy candidate's."""
+        graph = load_dataset(dataset, scale=0.15, seed=2)
+        partition = two_level_partition(graph, 4, 8, seed=0)
+        model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
+        result = reorganize_partition(partition, cost_model=model,
+                                      row_bytes=512)
+        assert result.kept_original
+        assert result.partition is partition
+        assert result.phase1_assignments == [list(range(8))] * 4
+        assert result.phase2_order == list(range(8))
+        assert result.cost_after == result.cost_before
+
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_provenance_rebuilds_the_adopted_layout(self, partitioned,
+                                                    guarded):
+        model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
+        result = reorganize_partition(
+            partitioned, cost_model=model if guarded else None)
+        assert (result.cost_after is not None) == guarded
+        for i, row in enumerate(result.partition.chunks):
+            for slot, chunk in enumerate(row):
+                batch = result.phase2_order[slot]
+                assert chunk is partitioned.chunks[i][
+                    result.phase1_assignments[i][batch]]
+
+    def test_result_keeps_its_construction_and_attributes(self, partitioned):
+        """The 12 fields in their historical positional order, the
+        defaults of the optional eight, and the derived saving."""
+        bare = ReorganizationResult(partitioned, 0.5, [[0]], [0])
+        assert (bare.cost_before, bare.cost_after, bare.kept_original,
+                bare.net_aware, bare.net_rows_before, bare.net_rows_after,
+                bare.net_seconds_before, bare.net_seconds_after) == \
+            (None, None, False, False, None, None, None, None)
+        assert bare.predicted_net_rows_saved is None
+        full = ReorganizationResult(partitioned, 0.5, [[0]], [0], 2.0, 1.0,
+                                    True, True, 9, 4, 0.9, 0.4)
+        assert full.partition is partitioned
+        assert (full.preprocessing_seconds, full.phase1_assignments,
+                full.phase2_order) == (0.5, [[0]], [0])
+        assert (full.cost_before, full.cost_after, full.kept_original,
+                full.net_aware, full.net_rows_before, full.net_rows_after,
+                full.net_seconds_before, full.net_seconds_after) == \
+            (2.0, 1.0, True, True, 9, 4, 0.9, 0.4)
+        assert full.predicted_net_rows_saved == 5
+
     def test_reorganization_helps_shuffled_schedule(self):
         """On a randomly shuffled chunk order, Algorithm 4 must recover
         locality and reduce host traffic."""
@@ -358,11 +410,7 @@ class TestReorganization:
         # Shuffle each partition's chunk order to destroy locality.
         rng = np.random.default_rng(3)
         for i, row in enumerate(partition.chunks):
-            order = rng.permutation(len(row))
-            shuffled = [row[k] for k in order]
-            for j, chunk in enumerate(shuffled):
-                chunk.chunk_id = j
-            partition.chunks[i] = shuffled
+            partition.chunks[i] = [row[k] for k in rng.permutation(len(row))]
         before = measure_volumes(partition)
         result = reorganize_partition(partition)
         after = measure_volumes(result.partition)

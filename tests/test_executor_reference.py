@@ -16,6 +16,7 @@ from executor_reference import (
     ReferenceCommunicator,
     ReferenceMover,
     reference_batch_static,
+    reference_fetch_segments,
 )
 from repro.comm import DedupCommunicator, build_comm_plan
 from repro.comm.executor import PlanStatic
@@ -95,11 +96,11 @@ def partitions(graph):
 class TestSlotArrays:
     @pytest.mark.parametrize("inter,intra", sorted(LADDER))
     @pytest.mark.parametrize("which", ["metis", "empty_gpu"])
-    def test_slots_say_what_the_segments_say(self, partitions, which,
+    def test_slots_are_valid_and_stored_once(self, partitions, which,
                                              inter, intra):
         plan = build_comm_plan(partitions[which], dedup_inter=inter,
                                dedup_intra=intra)
-        plan.validate()  # checks slots against fetch_segments
+        plan.validate()  # checks the slots against the staging
         assert plan.buffer_offsets.tolist() == \
             np.concatenate([[0], np.cumsum(plan.buffer_rows)]).tolist()
         for batch in plan.plans:
@@ -120,12 +121,13 @@ class TestSlotArrays:
                                                         which, inter, intra):
         """The routing's meaning, checked against the staging alone:
         fill an id-valued stacked buffer the way the loads would and read
-        it back through the slots and through the segments."""
+        it back through the slots and through the oracle's segments."""
         plan = build_comm_plan(partitions[which], dedup_inter=inter,
                                dedup_intra=intra)
         offsets = plan.buffer_offsets
         staged = np.full(offsets[-1], -1, dtype=np.int64)
-        for batch in plan.plans:
+        for j, batch in enumerate(plan.plans):
+            segments = reference_fetch_segments(plan, j)
             for gpu_plan in batch:  # reused rows are already in place
                 staged[gpu_plan.load_slots] = gpu_plan.load_vertices
             for gpu_plan in batch:
@@ -134,7 +136,7 @@ class TestSlotArrays:
                     gpu_plan.transition)
                 assert np.array_equal(staged[gpu_plan.source_slots],
                                       gpu_plan.needed)
-                for segment in gpu_plan.fetch_segments:
+                for segment in segments[gpu_plan.gpu]:
                     assert np.array_equal(
                         staged[offsets[segment.source_gpu]
                                + segment.source_positions],
@@ -157,12 +159,51 @@ class TestSlotArrays:
         assert plan.buffer_rows[GPUS - 1] == 0
         assert all(len(batch[GPUS - 1].needed) == 0 for batch in plan.plans)
 
-    def test_validate_rejects_a_wrong_slot(self, partitions):
+    @pytest.mark.parametrize("inter,intra", sorted(LADDER))
+    @pytest.mark.parametrize("which", ["metis", "empty_gpu"])
+    def test_segments_equal_the_oracles(self, partitions, which, inter,
+                                        intra):
+        """``CommPlan.segments`` derives from the slots what the oracle
+        builds from the vertex sets: the same (reader, source, rows)
+        triples, in the same order."""
+        plan = build_comm_plan(partitions[which], dedup_inter=inter,
+                               dedup_intra=intra)
+        for j in range(plan.num_batches):
+            derived = list(zip(*(array.tolist()
+                                 for array in plan.segments(j))))
+            assert derived == [
+                (reader, segment.source_gpu, len(segment.local_rows))
+                for reader, segments in enumerate(
+                    reference_fetch_segments(plan, j))
+                for segment in segments]
+            assert all(array.dtype == np.int64
+                       for array in plan.segments(j))
+
+    def test_validate_rejects_swapped_source_slots(self, partitions):
         plan = build_comm_plan(partitions["metis"])
         victim = plan.plans[1][2]
         victim.source_slots = victim.source_slots.copy()
-        victim.source_slots[0] += 1
-        with pytest.raises(CommunicationPlanError, match="source slots"):
+        victim.source_slots[[0, 1]] = victim.source_slots[[1, 0]]
+        with pytest.raises(CommunicationPlanError,
+                           match="source slots do not hold"):
+            plan.validate()
+
+    def test_validate_rejects_a_source_slot_off_the_buffer(self, partitions):
+        plan = build_comm_plan(partitions["metis"])
+        victim = plan.plans[1][2]
+        victim.source_slots = victim.source_slots.copy()
+        victim.source_slots[0] = plan.buffer_offsets[-1]
+        with pytest.raises(CommunicationPlanError,
+                           match="source slots do not hold"):
+            plan.validate()
+
+    def test_validate_rejects_a_duplicated_source_slot(self, partitions):
+        plan = build_comm_plan(partitions["metis"])
+        victim = plan.plans[1][2]
+        victim.source_slots = victim.source_slots.copy()
+        victim.source_slots[0] = victim.source_slots[1]
+        with pytest.raises(CommunicationPlanError,
+                           match="share a buffer slot"):
             plan.validate()
 
     def test_validate_rejects_a_wrong_load_slot(self, partitions):

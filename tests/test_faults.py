@@ -493,6 +493,10 @@ class TestServingAfterFaults:
         arrivals = build_arrivals("poisson", 40.0, 0.2, seed=1)
         policy = build_policy("immediate")
         before = engine.serve(arrivals, policy, slo=0.1)
+        # the engine routes by the fleet's static, not a copy of it
+        stale = trainer.fleet.comm_values.static
+        assert engine.communicator.static is stale
+        assert engine.communicator is not trainer.fleet.comm_values
         # drive the trainer through the death + evacuation, then serve
         # again through the same engine: it must re-sync to the degraded
         # rates and the evacuated placement instead of pricing stale
@@ -502,5 +506,8 @@ class TestServingAfterFaults:
         assert trainer.platform.dead_nodes == frozenset({1})
         after = engine.serve(arrivals, policy, slo=0.1)
         assert engine._rates_version == trainer.platform.rates_version
+        assert engine.communicator.static \
+            is trainer.fleet.comm_values.static
+        assert engine.communicator.static is not stale
         assert after.num_requests == before.num_requests
         after.timeline.validate()

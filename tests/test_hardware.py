@@ -139,33 +139,6 @@ class TestTimeBreakdown:
             clock.add("gpu", seconds)
         assert clock.total == 0.0
 
-    def test_parallel_phase_takes_max(self):
-        clock = TimeBreakdown()
-        clock.add_parallel_phase("d2d", [1.0, 5.0, 2.0])
-        assert clock.seconds["d2d"] == 5.0
-
-    def test_parallel_phase_empty(self):
-        clock = TimeBreakdown()
-        clock.add_parallel_phase("d2d", [])
-        assert clock.total == 0.0
-
-    def test_merge(self):
-        a = TimeBreakdown()
-        a.add("gpu", 1.0)
-        b = TimeBreakdown()
-        b.add("gpu", 2.0)
-        b.add("cpu", 1.0)
-        a.merge(b)
-        assert a.seconds["gpu"] == 3.0
-        assert a.seconds["cpu"] == 1.0
-
-    def test_scaled(self):
-        clock = TimeBreakdown()
-        clock.add("gpu", 2.0)
-        doubled = clock.scaled(2.0)
-        assert doubled.seconds["gpu"] == 4.0
-        assert clock.seconds["gpu"] == 2.0
-
     def test_as_dict_copy(self):
         clock = TimeBreakdown()
         d = clock.as_dict()

@@ -18,6 +18,7 @@ from repro.comm import (
     ClusterCostModel,
     CommCostModel,
     joint_placement,
+    reorganize_partition,
 )
 from repro.core import (
     HongTuConfig,
@@ -552,6 +553,58 @@ class TestTrainerJoint:
         assert len(intra) == 1
         assert trainer.platform.node_of(intra[0].device) == 0
         result.timeline.validate()
+
+
+class TestLayoutsShareChunks:
+    """A layout is an ordering of the input's chunk objects: a chunk's
+    neighbor set, cached block and the block's operators survive a
+    re-layout, a relabeling and a joint trainer build."""
+
+    @staticmethod
+    def _assert_same_chunks(result, source, source_row=lambda i: i):
+        for i, row in enumerate(result.chunks):
+            originals = source.chunks[source_row(i)]
+            assert sorted(map(id, row)) == sorted(map(id, originals))
+            for chunk in row:
+                assert chunk._block is not None  # built on the input
+                assert (result.assignment[chunk.dst_global] == i).all()
+
+    @pytest.fixture()
+    def built(self, skewed):
+        """``skewed`` with every block and one operator built."""
+        for chunk in skewed.all_chunks():
+            chunk.block.operator(np.float64)
+        return skewed
+
+    def test_permute_partitions(self, partition, built):
+        for i, row in enumerate(built.chunks):
+            assert all(chunk is original for chunk, original
+                       in zip(row, partition.chunks[SKEW[i]]))
+        self._assert_same_chunks(built, partition, lambda i: SKEW[i])
+
+    @pytest.mark.parametrize("net_aware", [False, True])
+    def test_reorganize_partition(self, built, net_aware):
+        cluster_model = ClusterCostModel.from_platform(
+            ClusterPlatform(A100_CLUSTER.with_num_nodes(NODES)))
+        blocks = {id(chunk): chunk.block for chunk in built.all_chunks()}
+        result = reorganize_partition(
+            built, cluster_model=cluster_model if net_aware else None,
+            num_nodes=NODES if net_aware else 1)
+        assert result.partition is not built
+        self._assert_same_chunks(result.partition, built)
+        for chunk in result.partition.all_chunks():
+            assert chunk.block is blocks[id(chunk)]
+            assert len(chunk.block._operators) == 1
+
+    def test_joint_trainer_build(self, graph, built):
+        blocks = {id(chunk): chunk.block for chunk in built.all_chunks()}
+        trainer = _trainer(
+            graph, ClusterPlatform(A100_CLUSTER.with_num_nodes(NODES)),
+            partition=built, placement="joint")
+        assert trainer.placement_result.iterations
+        self._assert_same_chunks(trainer.partition, built)
+        for chunk in trainer.partition.all_chunks():
+            assert chunk.block is blocks[id(chunk)]
 
 
 class TestBugfixRegressions:

@@ -120,8 +120,9 @@ class TestTwoLevel:
     def test_batch_accessor(self, medium_graph):
         partition = two_level_partition(medium_graph, 4, 3, seed=0)
         batch = partition.batch(1)
-        assert [chunk.partition_id for chunk in batch] == [0, 1, 2, 3]
-        assert all(chunk.chunk_id == 1 for chunk in batch)
+        assert len(batch) == 4
+        assert all(chunk is partition.chunks[i][1]
+                   for i, chunk in enumerate(batch))
 
     def test_neighbor_set_includes_destinations(self, medium_graph):
         partition = two_level_partition(medium_graph, 2, 2, seed=0)
@@ -185,7 +186,7 @@ class TestTwoLevel:
 
     def test_subgraph_chunk_validation(self):
         with pytest.raises(PartitionError):
-            SubgraphChunk(0, 0, np.array([1]), np.array([0]),
+            SubgraphChunk(np.array([1]), np.array([0]),
                           np.array([5]))  # edge_dst_local out of range
 
 

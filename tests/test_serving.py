@@ -299,6 +299,46 @@ class TestServingDeterminism:
         flows = ServingEngine(cluster_trainer).communicator.net_bytes_by_flow
         assert flows == {}  # fresh engine: serving never mutates others
 
+    @pytest.mark.parametrize("comm_mode",
+                             ["baseline", "p2p", "ru", "hongtu"])
+    def test_cold_serve_ships_every_remotely_owned_staged_row(
+            self, comm_mode):
+        """A cold serve stages the full transition set (nothing is
+        resident), so its load halo covers the rows an epoch would have
+        reused in place too — under ``ru`` it used to ship only the
+        fresh ones."""
+        graph = load_dataset("products_sim", scale=0.12, seed=0)
+        args = ClusterArgs(hidden_dim=16, chunks=4, gpus=2, nodes=2)
+        trainer = HongTuTrainer(
+            graph, args.build_model(graph), args.build_platform(),
+            args.build_config(comm_mode=comm_mode))
+        comm = ServingEngine(trainer).communicator
+        node = trainer.platform.placement
+        owner = node[trainer.partition.assignment]
+        row_bytes = 8
+        shipped_total = reused_remote = 0
+        for j, plans in enumerate(trainer.plan.plans):
+            remote = sum(int((owner[plan.transition] != node[plan.gpu]).sum())
+                         for plan in plans)
+            reused_remote += sum(
+                int((owner[plan.transition[plan.reuse_mask]]
+                     != node[plan.gpu]).sum()) for plan in plans)
+            before = sum(comm.net_bytes_by_flow.get("halo_load",
+                                                    {}).values())
+            comm.charge_serving_halo(j, row_bytes, kind="load")
+            shipped = sum(comm.net_bytes_by_flow.get(
+                "halo_load", {}).values()) - before
+            assert shipped == remote * row_bytes
+            assert int(comm.transition_rows(j).sum()) == sum(
+                len(plan.transition) for plan in plans)
+            shipped_total += shipped
+        if comm_mode in ("p2p", "hongtu"):  # staged rows are owner-local
+            assert shipped_total == 0
+        else:
+            assert shipped_total > 0
+        # the case the fix is for is not vacuous
+        assert (reused_remote > 0) == (comm_mode == "ru")
+
     def test_bursty_tail_dominates_poisson_at_equal_load(
             self, cluster_trainer):
         poisson = self._serve(cluster_trainer, kind="poisson")
@@ -497,13 +537,10 @@ class TestAnalyticLatency:
             expected += platform.h2d_seconds(
                 (plan.num_loaded + plan.num_reused) * row_bytes
             )
-            gather = 0.0
-            for segment in plan.fetch_segments:
-                assert segment.source_gpu == 0  # nothing remote on 1 GPU
-                gather += platform.reuse_seconds(
-                    segment.num_vertices * row_bytes
-                )
-            expected += gather
+            # One GPU: a single segment, read from its own buffer.
+            reader, source, rows = trainer.plan.segments(j)
+            assert (reader.tolist(), source.tolist()) == ([0], [0])
+            expected += platform.reuse_seconds(int(rows[0]) * row_bytes)
             expected += platform.gpu_compute_seconds(layer.forward_flops(
                 block.num_src, block.num_dst, block.num_edges
             ))

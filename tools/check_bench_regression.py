@@ -8,18 +8,15 @@ freshly produced value and fails when a lower-is-better metric grew by
 more than the tolerance (15% by default) — so a placement/scheduling
 "optimization" that silently regresses simulated makespans turns CI red.
 
-Metrics whose name ends in ``wall_seconds`` are *simulator wall clock*
-(how long the simulator itself ran), which is machine-dependent and
-noisy. They are gated with the separate ``--wall-tolerance`` headroom
-(100% by default, i.e. up to 2x the baseline passes) — loose enough for
-runner jitter, tight enough to catch a hot path going quadratic.
+Host wall clock is not gated here: raw seconds are machine-dependent,
+and the calibrated perf bench (``benchmarks/perf/``, root
+``BENCHMARK.json``) is the one gate for them.
 
 Usage::
 
     python tools/check_bench_regression.py            # gate vs baseline
     python tools/check_bench_regression.py --update   # rewrite baseline
     python tools/check_bench_regression.py --tolerance 0.10
-    python tools/check_bench_regression.py --wall-tolerance 1.5
 
 Exit codes: 0 ok, 1 regression (or missing result), 2 bad invocation.
 
@@ -43,17 +40,11 @@ from typing import Any, Optional, Sequence, Tuple
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "results")
 BASELINE_PATH = os.path.join(RESULTS_DIR, "baseline.json")
 DEFAULT_TOLERANCE = 0.15
-DEFAULT_WALL_TOLERANCE = 1.0
 
 #: (bench, metric, base, current, ratio, allowed) — current/ratio/
 #: allowed are None when the metric is missing or the baseline is 0
 Regression = Tuple[str, str, float, Optional[float], Optional[float],
                    Optional[float]]
-
-
-def is_wall_metric(metric: str) -> bool:
-    """True for machine-dependent wall-clock metrics (looser gate)."""
-    return metric.endswith("wall_seconds")
 
 
 def load_result(bench: str) -> dict[str, Any]:
@@ -98,8 +89,7 @@ def discover_results() -> list[str]:
     )
 
 
-def compare(baseline: dict[str, dict[str, float]], tolerance: float,
-            wall_tolerance: float = DEFAULT_WALL_TOLERANCE
+def compare(baseline: dict[str, dict[str, float]], tolerance: float
             ) -> list[Regression]:
     """All (bench, metric, base, current, ratio, allowed) regressions."""
     regressions: list[Regression] = []
@@ -133,8 +123,6 @@ def compare(baseline: dict[str, dict[str, float]], tolerance: float,
                     f"(got {value!r}) - did the benchmark emit valid JSON "
                     f"metrics?"
                 )
-            allowed = wall_tolerance if is_wall_metric(metric) \
-                else tolerance
             if base_value == 0:
                 # No ratio exists against a zero baseline: any growth is
                 # an explicit failure (never a ZeroDivisionError), and
@@ -143,12 +131,11 @@ def compare(baseline: dict[str, dict[str, float]], tolerance: float,
                 ratio = None
             else:
                 ratio = value / base_value
-                grew = ratio > 1.0 + allowed
+                grew = ratio > 1.0 + tolerance
             if grew:
                 regressions.append(
-                    (bench, metric, base_value, value, ratio, allowed))
-            elif ratio is not None and ratio < 1.0 - allowed \
-                    and not is_wall_metric(metric):
+                    (bench, metric, base_value, value, ratio, tolerance))
+            elif ratio is not None and ratio < 1.0 - tolerance:
                 improvements += 1
                 print(
                     f"note: {bench}.{metric} improved "
@@ -207,13 +194,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"(default {DEFAULT_TOLERANCE:.0%})",
     )
     parser.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=DEFAULT_WALL_TOLERANCE,
-        help="allowed relative growth of *wall_seconds metrics "
-        f"(simulator wall clock; default {DEFAULT_WALL_TOLERANCE:.0%})",
-    )
-    parser.add_argument(
         "--baseline",
         default=BASELINE_PATH,
         help="baseline JSON path (default benchmarks/results/baseline.json)",
@@ -226,8 +206,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.tolerance < 0:
         parser.error("tolerance must be >= 0")
-    if args.wall_tolerance < 0:
-        parser.error("wall-tolerance must be >= 0")
 
     if args.update:
         try:
@@ -244,8 +222,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         baseline = json.load(handle)
 
     try:
-        regressions = compare(baseline, args.tolerance,
-                              args.wall_tolerance)
+        regressions = compare(baseline, args.tolerance)
     except (FileNotFoundError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -254,8 +231,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not regressions:
         print(
             f"bench regression gate: {checked} metric(s) across "
-            f"{len(baseline)} benchmark(s) within {args.tolerance:.0%} "
-            f"(wall clock within {args.wall_tolerance:.0%})"
+            f"{len(baseline)} benchmark(s) within {args.tolerance:.0%}"
         )
         return 0
     for bench, metric, base_value, value, ratio, allowed in regressions:

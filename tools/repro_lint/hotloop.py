@@ -12,10 +12,8 @@ This checker flags statement-level ``for`` loops inside the files the
 vectorization pass owns (trainer emission, executor emission, scheduler
 core) whose iterable ranges over a per-(layer, batch, gpu) structure —
 ``range(num_gpus)``, ``plan.num_batches``, ``model.layers``, the
-per-GPU ``plans`` list, a plan's ``fetch_segments`` (a nested
-per-segment walk used to ride under its outer per-GPU loop's escape: it
-was two thirds of a 128-GPU step), and per-task ``range(m)``/``range(k)``
-sweeps of a wave. Deliberate scalar paths (the scheduler's shared-frontier
+per-GPU ``plans`` list, and per-task ``range(m)``/``range(k)`` sweeps of
+a wave. Deliberate scalar paths (the scheduler's shared-frontier
 recurrence — the one sequential part of its array step — and setup
 code that runs once per epoch) stay expressible through the dedicated
 ``# repro-lint: allow-loop`` escape hatch on the ``for`` line or the
@@ -78,12 +76,9 @@ SCATTER_FREE = (
     "src/repro/partition/",
 )
 
-#: iterable shapes that indicate a per-(layer, batch, gpu) loop — or a
-#: per-segment one: ``plan.fetch_segments`` is the plan's readable
-#: routing, ~75 four-row segments per GPU per batch on a cluster; the
-#: step moves rows through the plan's slot arrays instead
+#: iterable shapes that indicate a per-(layer, batch, gpu) loop
 _HOT_ITER = re.compile(
-    r"\b(num_gpus|num_batches|num_layers|plans|fetch_segments)\b"
+    r"\b(num_gpus|num_batches|num_layers|plans)\b"
     r"|\brange\([mk]\)|\.layers\b"
 )
 
