@@ -58,8 +58,6 @@ NIC_FACTOR = 0.1
 DEAD_NODE = 1
 SEED = 0
 
-STEP = "Benchmark smoke (fault-injected fleet, elastic re-balance)"
-
 
 def _scenario(fault=None, no_elastic=False):
     return fleet_scenario(
@@ -156,7 +154,7 @@ def bench_faulty_fleet_smoke(benchmark):
         "death_recovery_seconds": runs["death"][1][-1].epoch_seconds,
         "migration_bytes": sum(event.migration_bytes
                                for event in runs["elastic"][0].rebalances),
-    }, step=STEP, config=runs["elastic"][2],
+    }, config=runs["elastic"][2],
         fleet={"nodes": fleet.nodes, "topology": fleet.topology,
                "oversubscription": fleet.oversubscription})
     check_fleet(runs)

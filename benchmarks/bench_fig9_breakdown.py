@@ -100,8 +100,7 @@ def bench_fig9_gcn(benchmark):
         for layers in LAYER_COUNTS
         for label, _mode in LADDER
     }
-    emit_json("fig9_breakdown_gcn", metrics,
-              step="Benchmark smoke (Fig. 9 breakdown + overlap, JSON metrics)")
+    emit_json("fig9_breakdown_gcn", metrics)
     _check_shapes(results)
 
 
@@ -149,8 +148,7 @@ def bench_fig9_overlap(benchmark):
         for dataset in DATASETS
         for overlap in ("barrier", "pipeline")
     }
-    emit_json("fig9_overlap", metrics,
-              step="Benchmark smoke (Fig. 9 breakdown + overlap, JSON metrics)")
+    emit_json("fig9_overlap", metrics)
     for dataset in DATASETS:
         barrier = results[(dataset, "barrier")]
         pipeline = results[(dataset, "pipeline")]

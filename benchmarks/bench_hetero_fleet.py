@@ -24,7 +24,6 @@ import argparse
 import numpy as np
 
 from repro.bench import format_seconds, render_table
-from repro.comm.cost_model import ClusterCostModel
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.gnn import build_model
 from repro.graph import load_dataset
@@ -44,8 +43,6 @@ NUM_CHUNKS = 2
 NODES = 3
 GPUS_PER_NODE = 2
 SEED = 3
-
-STEP = "Benchmark smoke (heterogeneous fleet, capability-aware placement)"
 
 
 def build_fleet():
@@ -74,16 +71,11 @@ def run_fleet(scale=SCALE):
     num_gpus = NODES * GPUS_PER_NODE
     partition = two_level_partition(graph, num_gpus, NUM_CHUNKS, seed=SEED)
     dims = [graph.feature_dim, HIDDEN, graph.num_classes]
-    row_bytes = max(dims) * 4
 
     config = HongTuConfig(num_chunks=NUM_CHUNKS, overlap="pipeline",
                           placement="block", seed=0)
     blind_platform = ClusterPlatform(cluster)
-    blind = search_placement(
-        partition, NODES,
-        cluster_model=ClusterCostModel.from_cluster(cluster),
-        row_bytes=row_bytes,
-    )
+    blind = search_placement(partition, NODES)
     blind_platform.set_placement(blind.placement)
     blind_trainer = HongTuTrainer(
         graph, build_model("gcn", dims, np.random.default_rng(7)),
@@ -131,7 +123,7 @@ def check_fleet(results):
     aware_trainer, aware_epoch, _ = results["aware"]
     # The aware search saw per-node rates (the trainer built a compute
     # matrix) and its makespan must strictly beat the rows-only search.
-    assert aware_trainer.placement_compute_rows is not None
+    assert aware_trainer.fleet.compute_rows is not None
     assert aware_epoch.epoch_seconds < blind_epoch.epoch_seconds
     blind_epoch.timeline.validate()
     aware_epoch.timeline.validate()
@@ -148,7 +140,7 @@ def bench_hetero_fleet_smoke(benchmark):
     emit_json("hetero_fleet_smoke", {
         "blind_makespan_seconds": results["blind"][1].epoch_seconds,
         "aware_makespan_seconds": results["aware"][1].epoch_seconds,
-    }, step=STEP)
+    })
     check_fleet(results)
 
 

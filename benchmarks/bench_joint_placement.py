@@ -109,8 +109,8 @@ def run_joint(scale=BENCH_SCALE):
     uneven_placed = uneven_trainer.placement_result
     assert admits_placement(
         uneven_placed.placement,
-        uneven_trainer.placement_partition_host_bytes,
-        uneven_trainer.placement_node_budgets,
+        uneven_trainer.fleet.partition_host_bytes,
+        uneven_trainer.fleet.node_budgets,
     )
 
     return {
@@ -184,6 +184,5 @@ def bench_joint_placement_smoke(benchmark):
     measured = benchmark.pedantic(run_joint, kwargs={"scale": 0.08},
                                   rounds=1, iterations=1)
     emit("joint_placement_smoke", build_table(measured))
-    emit_json("joint_placement_smoke", _json_metrics(measured),
-              step="Benchmark smoke (topology sweep + placement search + joint)")
+    emit_json("joint_placement_smoke", _json_metrics(measured))
     check_joint(measured)

@@ -29,7 +29,7 @@ bench-regression harness.
 import numpy as np
 
 from repro.autograd import SGD
-from repro.comm import ClusterCostModel, DedupCommunicator, build_comm_plan
+from repro.comm import DedupCommunicator, build_comm_plan
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.gnn import build_model
 from repro.graph import load_dataset
@@ -111,12 +111,7 @@ def run_placement(scale=BENCH_SCALE):
     partition = two_level_partition(graph, m, NUM_CHUNKS, seed=0)
     skewed = permute_partitions(partition, skew_perm(m, NODES))
 
-    cluster_model = ClusterCostModel.from_cluster(
-        A100_CLUSTER.with_topology(
-            NetworkTopology("spine", oversubscription=OVERSUBSCRIPTION))
-    )
-    searched = search_placement(skewed, NODES, cluster_model=cluster_model,
-                                row_bytes=HIDDEN * 4)
+    searched = search_placement(skewed, NODES)
 
     # Byte-check: the executor must ship exactly what the model predicts,
     # per directed node pair, under both placements.
@@ -217,6 +212,5 @@ def bench_placement_smoke(benchmark):
     measured = benchmark.pedantic(run_placement, kwargs={"scale": 0.08},
                                   rounds=1, iterations=1)
     emit("placement_smoke", build_table(measured))
-    emit_json("placement_smoke", _json_metrics(measured),
-              step="Benchmark smoke (topology sweep + placement search + joint)")
+    emit_json("placement_smoke", _json_metrics(measured))
     check_placement(measured)

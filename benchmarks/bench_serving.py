@@ -113,7 +113,7 @@ def bench_serving_smoke(benchmark):
         "poisson_p50_seconds": poisson.p50,
         "poisson_p99_seconds": poisson.p99,
         "bursty_p99_seconds": bursty.p99,
-    }, step="Benchmark smoke (serving, bursty vs Poisson tail latency)")
+    })
     check_smoke(poisson, bursty)
 
 

@@ -107,7 +107,7 @@ def bench_simulator_scale_smoke(benchmark):
     emit_json("simulator_scale_smoke", {
         "makespan_seconds": smoke["makespan_seconds"],
         "num_tasks": smoke["num_tasks"],
-    }, step="Benchmark smoke (simulator scale, wall clock + validity)")
+    })
     smoke["result"].timeline.validate()
 
 

@@ -198,6 +198,5 @@ def bench_topology_smoke(benchmark):
         for (nodes, name, overlap), seconds in results.items()
         if nodes == 2
     }
-    emit_json("topology_smoke", metrics,
-              step="Benchmark smoke (topology sweep + placement search + joint)")
+    emit_json("topology_smoke", metrics)
     check_sweep(results, node_counts=[2])

@@ -12,6 +12,7 @@ Walks through the paper's §5 pipeline on a social-network stand-in:
 4. train one epoch per communication mode and compare measured traffic.
 """
 
+import time
 
 from repro.bench import bench_model, format_bytes, format_seconds, render_table
 from repro.comm import (
@@ -56,12 +57,14 @@ def main() -> None:
 
     # --- 3. cost-guided reorganization ---------------------------------
     cost_model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
+    started = time.perf_counter()
     outcome = reorganize_partition(partition, cost_model=cost_model,
                                    row_bytes=row_bytes)
+    preprocessing = time.perf_counter() - started
     print(f"\nAlgorithm 4: cost {format_seconds(outcome.cost_before)} -> "
           f"{format_seconds(outcome.cost_after)} "
           f"(kept original: {outcome.kept_original}, "
-          f"preprocessing {outcome.preprocessing_seconds * 1e3:.1f} ms wall)")
+          f"preprocessing {preprocessing * 1e3:.1f} ms wall)")
 
     # --- 4. train one epoch per communication mode ----------------------
     rows = []

@@ -1,10 +1,7 @@
 """Comparison systems: monolithic, in-memory multi-GPU, CPU cluster, mini-batch."""
 
-from repro.baselines.fullgraph import FullGraphTrainer, FullGraphEpochResult
-from repro.baselines.inmemory import (
-    InMemoryMultiGPUTrainer,
-    InMemoryEpochResult,
-)
+from repro.baselines.fullgraph import FullGraphTrainer
+from repro.baselines.inmemory import InMemoryMultiGPUTrainer
 from repro.baselines.distgnn import DistGNNSimulator, DistGNNEpochResult
 from repro.baselines.minibatch import (
     NeighborSampler,
@@ -13,8 +10,8 @@ from repro.baselines.minibatch import (
 )
 
 __all__ = [
-    "FullGraphTrainer", "FullGraphEpochResult",
-    "InMemoryMultiGPUTrainer", "InMemoryEpochResult",
+    "FullGraphTrainer",
+    "InMemoryMultiGPUTrainer",
     "DistGNNSimulator", "DistGNNEpochResult",
     "NeighborSampler", "MiniBatchTrainer", "MiniBatchEpochResult",
 ]

@@ -27,15 +27,16 @@ timeline makespan, comparable task-for-task with the HongTu columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.core.memory_model import estimate_for_model
+from repro.core.trainer import EpochResult
 from repro.errors import ConfigurationError
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
-from repro.hardware.clock import EventTimeline, TimeBreakdown
+from repro.hardware.clock import EventTimeline
 from repro.hardware.memory import MemoryPool
 from repro.hardware.spec import CPUClusterSpec
 from repro.partition.metis import metis_partition
@@ -44,18 +45,10 @@ from repro.runtime.task import Task, net_link
 __all__ = ["DistGNNSimulator", "DistGNNEpochResult"]
 
 
-@dataclass
-class DistGNNEpochResult:
-    epoch: int
-    clock: TimeBreakdown
+@dataclass(kw_only=True)
+class DistGNNEpochResult(EpochResult):
+    #: peak resident bytes over the CPU nodes (the fleet has no GPUs)
     peak_node_bytes: int
-    timeline: Optional[EventTimeline] = None
-
-    @property
-    def epoch_seconds(self) -> float:
-        if self.timeline is not None:
-            return self.timeline.makespan
-        return self.clock.total
 
 
 class DistGNNSimulator:
@@ -155,8 +148,8 @@ class DistGNNSimulator:
 
         self._epoch += 1
         peak = max(pool.peak for pool in self.node_pools)
-        return DistGNNEpochResult(self._epoch, timeline.breakdown, peak,
-                                  timeline=timeline)
+        return DistGNNEpochResult(self._epoch, timeline,
+                                  peak_node_bytes=peak)
 
     def train(self, num_epochs: int) -> list:
         return [self.train_epoch() for _ in range(num_epochs)]

@@ -16,7 +16,6 @@ Table 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -28,29 +27,15 @@ from repro.autograd.functional import (
 )
 from repro.autograd.optim import Adam, Optimizer
 from repro.core.memory_model import estimate_for_model
+from repro.core.trainer import EpochResult
 from repro.errors import ConfigurationError
 from repro.gnn.block import Block
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
-from repro.hardware.clock import EventTimeline, TimeBreakdown
+from repro.hardware.clock import EventTimeline
 from repro.hardware.platform import MultiGPUPlatform
 
-__all__ = ["FullGraphTrainer", "FullGraphEpochResult"]
-
-
-@dataclass
-class FullGraphEpochResult:
-    epoch: int
-    loss: float
-    clock: TimeBreakdown
-    peak_gpu_bytes: int
-    timeline: Optional[EventTimeline] = None
-
-    @property
-    def epoch_seconds(self) -> float:
-        if self.timeline is not None:
-            return self.timeline.makespan
-        return self.clock.total
+__all__ = ["FullGraphTrainer"]
 
 
 class FullGraphTrainer:
@@ -93,7 +78,7 @@ class FullGraphTrainer:
                                           estimate.total_bytes)
 
     # ------------------------------------------------------------------
-    def train_epoch(self) -> FullGraphEpochResult:
+    def train_epoch(self) -> EpochResult:
         timeline = EventTimeline(barrier_all=True)
         self.model.zero_grad()
 
@@ -116,10 +101,10 @@ class FullGraphTrainer:
         self._epoch += 1
         peak = (self.platform.gpus[0].memory.peak
                 if self.platform is not None else 0)
-        return FullGraphEpochResult(self._epoch, loss, timeline.breakdown,
-                                    peak, timeline=timeline)
+        return EpochResult(self._epoch, timeline, loss=loss,
+                           peak_gpu_bytes=peak)
 
-    def train(self, num_epochs: int) -> List[FullGraphEpochResult]:
+    def train(self, num_epochs: int) -> List[EpochResult]:
         return [self.train_epoch() for _ in range(num_epochs)]
 
     def logits(self) -> np.ndarray:

@@ -15,7 +15,6 @@ runs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -27,30 +26,16 @@ from repro.autograd.functional import (
 )
 from repro.autograd.optim import Adam, Optimizer
 from repro.core.memory_model import estimate_for_model
+from repro.core.trainer import EpochResult
 from repro.errors import ConfigurationError
 from repro.gnn.block import Block
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
-from repro.hardware.clock import EventTimeline, TimeBreakdown
+from repro.hardware.clock import EventTimeline
 from repro.hardware.platform import MultiGPUPlatform
 from repro.partition.metis import metis_partition
 
-__all__ = ["InMemoryMultiGPUTrainer", "InMemoryEpochResult"]
-
-
-@dataclass
-class InMemoryEpochResult:
-    epoch: int
-    loss: float
-    clock: TimeBreakdown
-    peak_gpu_bytes: int
-    timeline: Optional[EventTimeline] = None
-
-    @property
-    def epoch_seconds(self) -> float:
-        if self.timeline is not None:
-            return self.timeline.makespan
-        return self.clock.total
+__all__ = ["InMemoryMultiGPUTrainer"]
 
 
 class InMemoryMultiGPUTrainer:
@@ -97,7 +82,7 @@ class InMemoryMultiGPUTrainer:
             platform.gpus[i].memory.alloc("resident_working_set", resident)
 
     # ------------------------------------------------------------------
-    def train_epoch(self) -> InMemoryEpochResult:
+    def train_epoch(self) -> EpochResult:
         timeline = EventTimeline(barrier_all=True)
         self.model.zero_grad()
 
@@ -132,12 +117,12 @@ class InMemoryMultiGPUTrainer:
             d2d_seconds.append(self.platform.d2d_seconds(volume))
         timeline.submit_phase("d2d", d2d_seconds, label="boundary_sync")
 
-        return InMemoryEpochResult(
-            self._epoch, loss, timeline.breakdown,
-            self.platform.peak_gpu_memory(), timeline=timeline,
+        return EpochResult(
+            self._epoch, timeline, loss=loss,
+            peak_gpu_bytes=self.platform.peak_gpu_memory(),
         )
 
-    def train(self, num_epochs: int) -> List[InMemoryEpochResult]:
+    def train(self, num_epochs: int) -> List[EpochResult]:
         return [self.train_epoch() for _ in range(num_epochs)]
 
     def logits(self) -> np.ndarray:

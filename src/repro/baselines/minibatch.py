@@ -26,11 +26,12 @@ from repro.autograd.functional import (
     masked_cross_entropy_value_and_grad,
 )
 from repro.autograd.optim import Adam, Optimizer
+from repro.core.trainer import EpochResult
 from repro.errors import ConfigurationError
 from repro.gnn.block import Block
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
-from repro.hardware.clock import EventTimeline, TimeBreakdown
+from repro.hardware.clock import EventTimeline
 from repro.hardware.platform import MultiGPUPlatform
 
 __all__ = ["NeighborSampler", "MiniBatchTrainer", "MiniBatchEpochResult"]
@@ -103,21 +104,10 @@ class NeighborSampler:
         return list(reversed(blocks_reversed))
 
 
-@dataclass
-class MiniBatchEpochResult:
-    epoch: int
-    loss: float
-    clock: TimeBreakdown
-    peak_gpu_bytes: int
+@dataclass(kw_only=True)
+class MiniBatchEpochResult(EpochResult):
     #: total sampled input-frontier vertices this epoch (explosion metric)
     frontier_vertices: int
-    timeline: Optional[EventTimeline] = None
-
-    @property
-    def epoch_seconds(self) -> float:
-        if self.timeline is not None:
-            return self.timeline.makespan
-        return self.clock.total
 
 
 class MiniBatchTrainer:
@@ -205,9 +195,9 @@ class MiniBatchTrainer:
         self._epoch += 1
         mean_loss = float(np.mean(losses)) if losses else 0.0
         return MiniBatchEpochResult(
-            self._epoch, mean_loss, timeline.breakdown,
-            self.platform.peak_gpu_memory(), frontier_total,
-            timeline=timeline,
+            self._epoch, timeline, loss=mean_loss,
+            peak_gpu_bytes=self.platform.peak_gpu_memory(),
+            frontier_vertices=frontier_total,
         )
 
     def train(self, num_epochs: int) -> List[MiniBatchEpochResult]:

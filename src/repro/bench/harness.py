@@ -23,6 +23,7 @@ class RunOutcome:
     label: str
     epoch_seconds: Optional[float] = None
     clock: Optional[TimeBreakdown] = None
+    #: peak GPU bytes of the last epoch (0 on a CPU cluster)
     peak_bytes: Optional[int] = None
     oom: bool = False
     loss: Optional[float] = None
@@ -38,10 +39,9 @@ def run_or_oom(label: str,
                epochs: int = 2) -> RunOutcome:
     """Construct a trainer and run ``epochs`` epochs, averaging epoch time.
 
-    The trainer object must expose ``train_epoch()`` returning an object
-    with ``epoch_seconds``, ``clock`` and (optionally) ``peak_gpu_bytes`` /
-    ``peak_node_bytes`` and ``loss``. Construction *or* execution may raise
-    :class:`DeviceOutOfMemoryError`, which maps to an OOM cell.
+    The trainer object must expose ``train_epoch()`` returning an
+    :class:`~repro.core.trainer.EpochResult`. Construction *or* execution
+    may raise :class:`DeviceOutOfMemoryError`, which maps to an OOM cell.
     """
     try:
         trainer = factory()
@@ -51,15 +51,12 @@ def run_or_oom(label: str,
 
     last = results[-1]
     mean_seconds = sum(result.epoch_seconds for result in results) / len(results)
-    peak = getattr(last, "peak_gpu_bytes", None)
-    if peak is None:
-        peak = getattr(last, "peak_node_bytes", None)
     return RunOutcome(
         label=label,
         epoch_seconds=mean_seconds,
         clock=last.clock,
-        peak_bytes=peak,
-        loss=getattr(last, "loss", None),
+        peak_bytes=last.peak_gpu_bytes,
+        loss=last.loss,
     )
 
 

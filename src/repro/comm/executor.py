@@ -31,9 +31,9 @@ consumers two batches back under double buffering), *not* for batch j's
 kernels — which is what lets the ``pipeline`` overlap policy hide PCIe
 time under compute. The paper's barrier-synchronized accounting (each
 phase charges its per-device max, phases serialize) is the same
-emission on ``EventTimeline(barrier_all=True)``. After each batch call,
-:attr:`last_tasks` holds the submitted task-id arrays so the trainer can
-hang its compute/writeback tasks off them.
+emission on ``EventTimeline(barrier_all=True)``. After each forward
+batch call, :meth:`DedupCommunicator.batch_input_dep_ids` names the tasks
+the trainer hangs its compute tasks off.
 
 Emission is *batched*: which rows each GPU loads, reuses, fetches and
 flushes — and how the traffic splits across node pairs — is fixed by the
@@ -468,10 +468,9 @@ class DedupCommunicator:
         #: measured side of the halo analyses in ``partition/nodes.py``
         #: (tested to match ``halo_volumes`` exactly).
         self.net_bytes_by_flow: Dict[str, Dict[Tuple[int, int], int]] = {}
-        #: task-id arrays submitted by the most recent batch call: forward fills "load"/"reuse"/
-        #: "assemble", backward fills "scatter"/"flush"/"cpu"
-        self.last_tasks: Dict[str, np.ndarray] = {}
-        # Per-sweep dependency history (previous batches' task ids).
+        # Per-sweep dependency history: batch → the task-id arrays its
+        # call submitted (forward files "load"/"reuse"/"assemble",
+        # backward "scatter"/"flush"/"cpu").
         self._history: List[Dict[str, np.ndarray]] = []
         # Per-gpu input task ids of the latest forward batch (net tasks
         # have link device ids, so a device filter cannot recover them).
@@ -496,7 +495,6 @@ class DedupCommunicator:
             self.bytes_per_scalar, double_buffer=double_buffer,
         )
         self._history = []
-        self.last_tasks = {}
         self._last_inputs_by_gpu = []
 
     def end_sweep(self) -> None:
@@ -687,11 +685,10 @@ class DedupCommunicator:
         return _NO_IDS
 
     def _record_batch(self, batch: int, tasks: Dict[str, np.ndarray]) -> None:
-        """File ``batch``'s task ids in the sweep history and last_tasks."""
+        """File ``batch``'s task ids in the sweep history."""
         while len(self._history) <= batch:
             self._history.append({})
         self._history[batch] = tasks
-        self.last_tasks = dict(tasks)
 
     def _staging_conflicts(self, batch: int) -> np.ndarray:
         """Tasks that must drain before batch ``batch`` overwrites its buffer.
@@ -716,19 +713,16 @@ class DedupCommunicator:
     # forward: Algorithm 2
     # ------------------------------------------------------------------
     def load_batch_forward(self, batch: int, host_values: np.ndarray,
-                           timeline: EventTimeline,
-                           extra_deps=()) -> List[np.ndarray]:
+                           timeline: EventTimeline) -> List[np.ndarray]:
         """Assemble h_{N_ij} for every GPU of ``batch`` from host memory.
 
         Returns one (len(needed_i), dim) array per GPU, ordered like each
         plan's ``needed`` set, in the *sweep's* dtype (the rows are read
         out of the transition buffers; a ``host_values`` of another dtype
-        is cast on its way in). ``extra_deps`` gate the batch's host loads
-        (e.g. on the previous layer's writebacks) — Tasks or an id array.
-        A ``batch`` outside the plan or a ``host_values`` that is not this
-        sweep's ``(num_vertices, dim)`` array raises
-        :class:`~repro.errors.CommunicationPlanError` before anything
-        moves or is emitted.
+        is cast on its way in). A ``batch`` outside the plan or a
+        ``host_values`` that is not this sweep's ``(num_vertices, dim)``
+        array raises :class:`~repro.errors.CommunicationPlanError` before
+        anything moves or is emitted.
         """
         buffers = self._require_sweep()
         static = self.static.batch(batch)
@@ -737,9 +731,6 @@ class DedupCommunicator:
         m = len(plans)
         row_bytes = self._dim * self.bytes_per_scalar
         gpu_ids = self.static.gpu_ids
-        extra_ids = _entry_ids(extra_deps)
-        if extra_ids is None:
-            extra_ids = _NO_IDS
 
         # Phase 1: host -> transition buffers (reuse in place first). Rows
         # owned by a remote node's partitions must cross the network before
@@ -759,7 +750,7 @@ class DedupCommunicator:
             reused_bytes, devices=gpu_ids)
 
         halo_load_ids = self._submit_halo_batch(
-            timeline, static.load_halo, row_bytes, deps=extra_ids,
+            timeline, static.load_halo, row_bytes,
             flow="halo_load", label=f"halo_load[b{batch}]",
         )
         conflicts = self._staging_conflicts(batch)
@@ -769,8 +760,7 @@ class DedupCommunicator:
                 static.load_halo, halo_load_ids, m
             )
         load_ids = timeline.submit_batch(
-            "h2d", h2d_seconds,
-            deps=np.concatenate([extra_ids, conflicts]),
+            "h2d", h2d_seconds, deps=conflicts,
             deps_by_device=halo_deps, label=f"load[b{batch}]",
         )
         previous_load = self._batch_tasks(batch - 1, "load")
@@ -839,10 +829,7 @@ class DedupCommunicator:
         (their device ids name network links, not GPUs). Suitable as a
         ``deps_by_device`` argument directly.
         """
-        if self._last_inputs_by_gpu:
-            return list(self._last_inputs_by_gpu)
-        assemble = self.last_tasks.get("assemble", _NO_IDS)
-        return [assemble for _ in range(self.plan.num_gpus)]
+        return list(self._last_inputs_by_gpu)
 
     # ------------------------------------------------------------------
     # backward: Algorithm 3

@@ -39,14 +39,14 @@ the memory model admits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-from repro.comm.analysis import measure_volumes
+from repro.comm.analysis import DedupVolumes
 from repro.comm.cost_model import ClusterCostModel, CommCostModel
 from repro.comm.reorganize import ReorganizationResult, reorganize_partition
 from repro.partition.placement import PlacementResult, search_placement
@@ -75,10 +75,11 @@ class JointIteration:
     cost: float
 
 
-@dataclass
+@dataclass(kw_only=True)
 class JointPlacementResult(PlacementResult):
     """A :class:`~repro.partition.placement.PlacementResult` that also
-    records the joint loop's per-iteration provenance.
+    prices its endpoints and records the joint loop's per-iteration
+    provenance.
 
     ``rows_block``/``cost_block`` report the *initial* (block-seeded)
     placement on the *initial* schedule; ``rows_search``/``cost_search``
@@ -86,9 +87,13 @@ class JointPlacementResult(PlacementResult):
     loop, and ``iterations`` shows where each row went.
     """
 
-    iterations: List[JointIteration] = field(default_factory=list)
+    #: combined predicted cost (Eq. 4 + net + collective legs) of the
+    #: initial and the adopted (schedule, placement) pair
+    cost_block: float
+    cost_search: float
+    iterations: List[JointIteration]
     #: iterations actually run before the cost stopped improving
-    converged_after: int = 0
+    converged_after: int
 
 
 @dataclass
@@ -98,17 +103,23 @@ class JointResult:
     partition: TwoLevelPartition
     placement_result: JointPlacementResult
     reorganization: ReorganizationResult
-    #: combined predicted cost of the single-pass pipeline (iteration 1)
-    cost_single_pass: float
-    #: combined predicted cost of the adopted pair
-    cost_joint: float
 
     @property
     def iterations(self) -> List[JointIteration]:
         return self.placement_result.iterations
 
+    @property
+    def cost_single_pass(self) -> float:
+        """Combined predicted cost of the single-pass pipeline (round 1)."""
+        return self.iterations[0].cost
 
-def _combined_cost(partition: TwoLevelPartition, net_rows: int,
+    @property
+    def cost_joint(self) -> float:
+        """Combined predicted cost of the adopted pair."""
+        return self.placement_result.cost_search
+
+
+def _combined_cost(volumes: DedupVolumes, net_rows: int,
                    cost_model: CommCostModel,
                    cluster_model: ClusterCostModel, row_bytes: int,
                    allreduce_bytes: float, allreduce_algorithm: str,
@@ -120,8 +131,10 @@ def _combined_cost(partition: TwoLevelPartition, net_rows: int,
     at the same congested rate, so trading halo rows for faster kernels
     moves the convergence criterion the same way it moves the search's
     integer objective. Zero (the homogeneous case) adds nothing.
+    ``volumes`` are the layout's Eq. 4 volumes as the reorganization
+    guard measured them.
     """
-    eq4 = cost_model.cost_seconds(measure_volumes(partition), row_bytes)
+    eq4 = cost_model.cost_seconds(volumes, row_bytes)
     net = cluster_model.placement_seconds(
         net_rows, row_bytes, allreduce_bytes=allreduce_bytes,
         algorithm=allreduce_algorithm,
@@ -188,10 +201,6 @@ def joint_placement(partition: TwoLevelPartition, num_nodes: int,
     total_swaps = 0
     total_moves = 0
     total_refinements = 0
-    total_seconds = 0.0
-    rows_initial: Optional[int] = None
-    cost_initial: Optional[float] = None
-    cost_single_pass: Optional[float] = None
 
     best_cost = np.inf
     best_partition = current
@@ -202,9 +211,7 @@ def joint_placement(partition: TwoLevelPartition, num_nodes: int,
 
     for index in range(1, max_iterations + 1):
         placed = search_placement(
-            current, num_nodes, cluster_model=cluster_model,
-            row_bytes=row_bytes, allreduce_bytes=allreduce_bytes,
-            allreduce_algorithm=allreduce_algorithm,
+            current, num_nodes,
             seed_placement=placement, max_imbalance=max_imbalance,
             node_budgets=node_budgets,
             partition_host_bytes=partition_host_bytes,
@@ -215,14 +222,6 @@ def joint_placement(partition: TwoLevelPartition, num_nodes: int,
         total_swaps += placed.swaps
         total_moves += placed.moves
         total_refinements += placed.refinement_passes
-        total_seconds += placed.seconds
-        if rows_initial is None:
-            rows_initial = placed.rows_block
-            cost_initial = _combined_cost(
-                current, placed.rows_block, cost_model, cluster_model,
-                row_bytes, allreduce_bytes, allreduce_algorithm,
-                compute_rows_placed=placed.compute_rows_block or 0,
-            )
 
         reorganized = reorganize_partition(
             current, cost_model, row_bytes, cluster_model=cluster_model,
@@ -230,12 +229,20 @@ def joint_placement(partition: TwoLevelPartition, num_nodes: int,
             dead_nodes=dead_nodes,
         )
         current = reorganized.partition
-        total_seconds += reorganized.preprocessing_seconds
+        if index == 1:
+            # The caller's layout under the seed placement.
+            rows_initial = placed.rows_block
+            cost_initial = _combined_cost(
+                reorganized.volumes_before, placed.rows_block, cost_model,
+                cluster_model, row_bytes, allreduce_bytes,
+                allreduce_algorithm,
+                compute_rows_placed=placed.compute_rows_block or 0,
+            )
 
         net_rows = reorganized.net_rows_after
         cost = _combined_cost(
-            current, net_rows, cost_model, cluster_model, row_bytes,
-            allreduce_bytes, allreduce_algorithm,
+            reorganized.volumes_after, net_rows, cost_model, cluster_model,
+            row_bytes, allreduce_bytes, allreduce_algorithm,
             compute_rows_placed=placed.compute_rows_search or 0,
         )
         iterations.append(JointIteration(
@@ -245,8 +252,6 @@ def joint_placement(partition: TwoLevelPartition, num_nodes: int,
             reorg_kept_schedule=reorganized.kept_original,
             cost=cost,
         ))
-        if cost_single_pass is None:
-            cost_single_pass = cost
         if cost < best_cost:
             best_cost = cost
             best_partition = current
@@ -263,7 +268,7 @@ def joint_placement(partition: TwoLevelPartition, num_nodes: int,
         rows_block=rows_initial, rows_search=best_rows,
         cost_block=cost_initial, cost_search=best_cost,
         swaps=total_swaps, refinement_passes=total_refinements,
-        seconds=total_seconds, moves=total_moves,
+        moves=total_moves,
         max_imbalance=max_imbalance,
         iterations=iterations, converged_after=converged_after,
     )
@@ -271,6 +276,4 @@ def joint_placement(partition: TwoLevelPartition, num_nodes: int,
         partition=best_partition,
         placement_result=placement_result,
         reorganization=best_reorganization,
-        cost_single_pass=cost_single_pass,
-        cost_joint=best_cost,
     )

@@ -111,10 +111,6 @@ class CommPlan:
     def num_gpus(self) -> int:
         return len(self.plans[0]) if self.plans else 0
 
-    def gpu_schedule(self, gpu: int) -> List[BatchGpuPlan]:
-        """The batch sequence executed by one GPU."""
-        return [batch[gpu] for batch in self.plans]
-
     def segments(self, batch: int
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``batch``'s fetch segments as ``(reader, source, rows)`` arrays.

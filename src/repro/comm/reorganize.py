@@ -28,22 +28,27 @@ PCIe traffic.
 
 ``reorganize_partition`` returns a new :class:`TwoLevelPartition` — an
 ordering of the input's chunk objects, never copies: Algorithm 4 moves a
-chunk to another schedule slot, not its content — plus the preprocessing
-wall-time, which Table 9 reports as overhead.
+chunk to another schedule slot, not its content — plus what the guard
+measured. The result is a pure function of the inputs; Table 9's
+preprocessing overhead is the caller's wall clock around the call
+(``benchmarks/bench_table9_preprocess.py``).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.comm.analysis import measure_volumes
+from repro.comm.analysis import DedupVolumes, measure_volumes
 from repro.comm.cost_model import ClusterCostModel, CommCostModel
-from repro.partition.nodes import partition_nodes
-from repro.partition.placement import placement_net_rows
+from repro.errors import ConfigurationError
+from repro.partition.nodes import (
+    partition_halo_matrix,
+    partition_load_matrix,
+    partition_nodes,
+)
 from repro.partition.two_level import TwoLevelPartition
 
 __all__ = ["reorganize_partition", "ReorganizationResult"]
@@ -67,7 +72,6 @@ class ReorganizationResult:
     """
 
     partition: TwoLevelPartition
-    preprocessing_seconds: float
     #: phase1_assignments[i][j] = original chunk id of partition i placed
     #: in (pre-phase-2) batch j (of the adopted layout)
     phase1_assignments: List[List[int]]
@@ -87,6 +91,10 @@ class ReorganizationResult:
     #: the same rows priced at network seconds
     net_seconds_before: Optional[float] = None
     net_seconds_after: Optional[float] = None
+    #: Eq. 4 volumes of the input and the adopted layout (Table 8's
+    #: triple; ``None`` when no ``cost_model`` priced the guard)
+    volumes_before: Optional[DedupVolumes] = None
+    volumes_after: Optional[DedupVolumes] = None
 
     @property
     def predicted_net_rows_saved(self) -> Optional[int]:
@@ -129,7 +137,11 @@ def reorganize_partition(partition: TwoLevelPartition,
     the executor will route with (``dead_nodes`` admits evacuating
     placements that leave faulted nodes empty).
     """
-    started = time.perf_counter()  # repro-lint: ignore[RPL101] measured search wall time, reported only
+    if not row_bytes > 0:
+        raise ConfigurationError(
+            f"row_bytes must be > 0 (it prices every guard cost), got "
+            f"{row_bytes}"
+        )
     m = partition.num_partitions
     n = partition.num_chunks
 
@@ -146,10 +158,11 @@ def reorganize_partition(partition: TwoLevelPartition,
         _paper_greedy(neighbor_sets),
     ]
     if net_aware:
+        node_map = partition_nodes(m, num_nodes, placement,
+                                   max_imbalance=None, dead_nodes=dead_nodes)
         layouts.append((_reuse_chain_grid(
-            partition, neighbor_sets, num_nodes,
+            partition, neighbor_sets, node_map,
             _remote_row_weight(cost_model, cluster_model, row_bytes),
-            placement=placement, dead_nodes=dead_nodes,
         ), list(range(n))))
     candidates = [partition] + [_materialize(partition, grid, order)
                                 for grid, order in layouts[1:]]
@@ -158,20 +171,28 @@ def reorganize_partition(partition: TwoLevelPartition,
     # net-aware) plus Eq. 4 (when priceable); the input wins ties (first
     # minimum). With nothing to price, the greedy layout is adopted
     # unguarded.
-    rows = net_seconds = costs = None
+    rows = net_seconds = volumes = costs = None
     best = 1
     if net_aware:
-        rows = [placement_net_rows(candidate, num_nodes, placement,
-                                   dead_nodes=dead_nodes)
+        # The net term is the cross-node entries of W = F + 2·L
+        # (``partition_net_weights``). Reordering a partition's chunks
+        # changes what it freshly loads (L), never what it fetches (F) or
+        # where it lives: F and the node map are the guard's, not the
+        # candidate's.
+        cross = node_map[:, None] != node_map[None, :]
+        fetch = partition_halo_matrix(partition)
+        rows = [int((fetch + 2 * partition_load_matrix(candidate))[cross]
+                    .sum())
                 for candidate in candidates]
         net_seconds = [cluster_model.halo_volume_seconds(count * row_bytes)
                        for count in rows]
     if net_aware or cost_model is not None:
         costs = list(net_seconds) if net_aware else [0.0] * len(candidates)
         if cost_model is not None:
-            for k, candidate in enumerate(candidates):
-                costs[k] += cost_model.cost_seconds(
-                    measure_volumes(candidate), row_bytes)
+            volumes = [measure_volumes(candidate)
+                       for candidate in candidates]
+            for k, measured in enumerate(volumes):
+                costs[k] += cost_model.cost_seconds(measured, row_bytes)
         best = min(range(len(costs)), key=costs.__getitem__)
 
     def before_after(values):
@@ -180,14 +201,15 @@ def reorganize_partition(partition: TwoLevelPartition,
     cost_before, cost_after = before_after(costs)
     net_rows_before, net_rows_after = before_after(rows)
     net_seconds_before, net_seconds_after = before_after(net_seconds)
-    elapsed = time.perf_counter() - started  # repro-lint: ignore[RPL101]
+    volumes_before, volumes_after = before_after(volumes)
     return ReorganizationResult(
-        candidates[best], elapsed, *layouts[best],
+        candidates[best], *layouts[best],
         cost_before, cost_after, kept_original=best == 0,
         net_aware=net_aware,
         net_rows_before=net_rows_before, net_rows_after=net_rows_after,
         net_seconds_before=net_seconds_before,
         net_seconds_after=net_seconds_after,
+        volumes_before=volumes_before, volumes_after=volumes_after,
     )
 
 
@@ -256,9 +278,7 @@ def _remote_row_weight(cost_model: Optional[CommCostModel],
 
 def _reuse_chain_grid(partition: TwoLevelPartition,
                       neighbor_sets: Sequence[Sequence[Set[int]]],
-                      num_nodes: int, weight: float,
-                      placement: Optional[np.ndarray] = None,
-                      dead_nodes=frozenset()
+                      node_map: np.ndarray, weight: float
                       ) -> List[List[int]]:
     """Per-partition greedy reuse chains with net-weighted overlap.
 
@@ -272,8 +292,6 @@ def _reuse_chain_grid(partition: TwoLevelPartition,
     """
     m = partition.num_partitions
     n = partition.num_chunks
-    node_map = partition_nodes(m, num_nodes, placement, max_imbalance=None,
-                               dead_nodes=dead_nodes)
     assignment = partition.assignment
 
     grid: List[List[int]] = []

@@ -173,7 +173,7 @@ class HongTuConfig:
                 f"faults must be a FaultSchedule (or None), got "
                 f"{type(self.faults).__name__}"
             )
-        if self.rebalance_trigger <= 1.0:
+        if not self.rebalance_trigger > 1.0:  # NaN never fires
             raise ConfigurationError(
                 f"rebalance_trigger must be > 1 (an epoch must run "
                 f"measurably slower than the faultless baseline to fire), "

@@ -259,7 +259,6 @@ class ElasticController:
             moved_partitions=tuple(int(p) for p in moved),
             migration_bytes=sum(flows.values()),
             migration_seconds=migration_seconds,
-            search_seconds=fleet.placement_result.seconds,
             dead_nodes=frozenset(dead),
         )
         self.rebalances.append(event)

@@ -103,9 +103,6 @@ class FleetPlan:
     #: run-long reservations, kept so a re-plan can release them
     host_allocations: List[Allocation]
     topology_allocations: List[Allocation]
-    #: measured wall seconds this run spent searching and reorganizing
-    #: (preprocessing overhead, Table 9 style)
-    preprocessing_seconds: float
 
     def release(self) -> None:
         """Free the run-long host and GPU reservations."""
@@ -191,25 +188,6 @@ def _capability_matrix(partition: TwoLevelPartition, shapes: ChunkShapes,
     return rows
 
 
-def _place(partition: TwoLevelPartition, platform: MultiGPUPlatform,
-           policy: str, **search_args):
-    """Search the placement from its seed — refined, never regressed.
-
-    Under ``"joint"`` the search alternates with schedule reorganization
-    to a fixed point of the combined predicted cost; iteration 1 is
-    exactly the single-pass ``"search"`` pipeline. Returns ``(partition,
-    placement result, the joint loop's reorganization or None)``.
-    """
-    if policy == "joint":
-        joint = joint_placement(
-            partition, platform.num_nodes,
-            cost_model=CommCostModel.from_platform(platform), **search_args,
-        )
-        return joint.partition, joint.placement_result, joint.reorganization
-    placed = search_placement(partition, platform.num_nodes, **search_args)
-    return partition, placed, None
-
-
 def _reserve(vertex_bytes: int, shapes: ChunkShapes,
              platform: MultiGPUPlatform):
     """Reserve vertex-data host shards and per-chunk GPU topology.
@@ -281,23 +259,33 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
 
     placement, placement_result = seed_placement, None
     reorganization = None if previous is None else previous.reorganization
-    seconds = 0.0
     if policy != "block":
-        partition, placement_result, iterated = _place(
-            partition, platform, policy,
-            cluster_model=cluster_model, row_bytes=row_bytes,
-            allreduce_bytes=model.parameter_nbytes(),
-            allreduce_algorithm=config.allreduce,
+        # Search the placement from its seed — refined, never regressed.
+        # Under "joint" the search alternates with schedule
+        # reorganization to a fixed point of the combined predicted cost;
+        # iteration 1 is exactly the single-pass "search" pipeline.
+        search_args = dict(
             seed_placement=seed_placement,
             max_imbalance=config.max_imbalance,
             node_budgets=node_budgets,
             partition_host_bytes=per_partition_bytes,
             compute_rows=compute_rows, dead_nodes=dead_nodes,
         )
-        if iterated is not None:
-            reorganization = iterated
+        if policy == "joint":
+            joint = joint_placement(
+                partition, nodes,
+                cost_model=CommCostModel.from_platform(platform),
+                cluster_model=cluster_model, row_bytes=row_bytes,
+                allreduce_bytes=model.parameter_nbytes(),
+                allreduce_algorithm=config.allreduce, **search_args,
+            )
+            partition = joint.partition
+            placement_result = joint.placement_result
+            reorganization = joint.reorganization
+        else:
+            placement_result = search_placement(partition, nodes,
+                                                **search_args)
         placement = placement_result.placement
-        seconds += placement_result.seconds
         platform.set_placement(placement, max_imbalance=config.max_imbalance)
     if previous is None and config.reorganize and policy != "joint":
         # On a cluster the objective gains the net term: cross-node halo
@@ -309,7 +297,6 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
             placement=placement,
         )
         partition = reorganization.partition
-        seconds += reorganization.preprocessing_seconds
 
     if previous is not None and partition is previous.partition:
         comm_plan, shapes = previous.comm_plan, previous.shapes
@@ -336,5 +323,4 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
         comm_values=comm_values, comm_grads=comm_grads,
         host_allocations=host_allocations,
         topology_allocations=topology_allocations,
-        preprocessing_seconds=seconds,
     )

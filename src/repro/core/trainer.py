@@ -84,13 +84,22 @@ __all__ = ["HongTuTrainer", "EpochResult"]
 
 @dataclass
 class EpochResult:
-    """Outcome of one training epoch."""
+    """Outcome of one training epoch — of any trainer in the repo.
+
+    The scheduled :class:`~repro.hardware.clock.EventTimeline` *is* the
+    epoch's timing: ``clock`` and ``epoch_seconds`` read through to it.
+    The baselines fill the fields their system has (an all-in-GPU trainer
+    moves no PCIe bytes; the DistGNN cost model computes no loss) and
+    subclass only to add one of their own.
+    """
 
     epoch: int
-    loss: float
-    clock: TimeBreakdown
-    peak_gpu_bytes: int
-    host_bytes: int
+    #: the scheduled event timeline of this epoch
+    timeline: EventTimeline
+    #: training loss (``None``: the trainer is a pure cost model)
+    loss: Optional[float] = None
+    peak_gpu_bytes: int = 0
+    host_bytes: int = 0
     #: host→GPU bytes moved this epoch (forward loads + backward reloads)
     h2d_bytes: int = 0
     #: inter-GPU bytes moved this epoch
@@ -105,15 +114,16 @@ class EpochResult:
     migration_bytes: int = 0
     #: the elastic re-balance that preceded this epoch, if one fired
     rebalance: Optional[RebalanceEvent] = None
-    #: the scheduled event timeline (None for legacy/synthetic results)
-    timeline: Optional[EventTimeline] = None
+
+    @property
+    def clock(self) -> TimeBreakdown:
+        """Per-category busy seconds of the timeline."""
+        return self.timeline.breakdown
 
     @property
     def epoch_seconds(self) -> float:
-        """Simulated wall time: timeline makespan (serialized sum if absent)."""
-        if self.timeline is not None:
-            return self.timeline.makespan
-        return self.clock.total
+        """Simulated wall time: the timeline's makespan."""
+        return self.timeline.makespan
 
     @property
     def pcie_bytes(self) -> int:
@@ -186,9 +196,6 @@ class HongTuTrainer:
         self._cluster_cost = ClusterCostModel.from_platform(platform)
         self._elastic = ElasticController(self)
 
-        #: measured wall seconds of placement search + reorganization,
-        #: accumulated over construction and every re-balance
-        self.preprocessing_seconds = 0.0
         self.adopt(plan_fleet(graph, model, platform, config,
                               partition=partition))
 
@@ -224,12 +231,8 @@ class HongTuTrainer:
         self.placement = fleet.placement
         self.placement_result = fleet.placement_result
         self.reorganization = fleet.reorganization
-        self.placement_node_budgets = fleet.node_budgets
-        self.placement_partition_host_bytes = fleet.partition_host_bytes
-        self.placement_compute_rows = fleet.compute_rows
         self._comm_values = fleet.comm_values
         self._comm_grads = fleet.comm_grads
-        self.preprocessing_seconds += fleet.preprocessing_seconds
 
     @property
     def fleet_seconds(self) -> float:
@@ -284,7 +287,6 @@ class HongTuTrainer:
         result = EpochResult(
             epoch=self._epoch,
             loss=loss,
-            clock=timeline.breakdown,
             peak_gpu_bytes=self.platform.peak_gpu_memory(),
             host_bytes=self.platform.host_in_use(),
             h2d_bytes=moved["h2d"],

@@ -210,9 +210,6 @@ class FaultState:
     def compute_factors(self) -> Dict[int, float]:
         return dict(self.compute)
 
-    def nic_factors(self) -> Dict[int, float]:
-        return dict(self.nic)
-
     def link_factors(self) -> Dict[Tuple[int, int], float]:
         return {(src, dst): factor for src, dst, factor in self.links}
 
@@ -362,7 +359,6 @@ class RebalanceEvent:
     moved_partitions: Tuple[int, ...]
     migration_bytes: int
     migration_seconds: float
-    search_seconds: float
     dead_nodes: FrozenSet[int] = field(default_factory=frozenset)
 
 

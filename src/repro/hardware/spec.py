@@ -297,11 +297,6 @@ class ClusterSpec:
             return self.node_specs[node]
         return self.node
 
-    @property
-    def total_gpus(self) -> int:
-        """GPUs across the whole cluster (``num_nodes × node.num_gpus``)."""
-        return self.num_nodes * self.node.num_gpus
-
     def with_num_nodes(self, num_nodes: int) -> "ClusterSpec":
         """Copy of this spec with a different node count.
 

@@ -23,9 +23,9 @@ A placement's cross-node halo rows are the entries of ``W = F + 2·L``
 whose endpoints land on different nodes — by construction the same
 counting as ``halo_volumes``/``halo_load_volumes`` under that placement,
 so the search's predictions stay byte-checkable against the executor's
-``net_bytes_by_flow``. :class:`~repro.comm.cost_model.ClusterCostModel`
-prices the rows (topology-aware congested rate, plus the placement-
-invariant collective legs) to report seconds.
+``net_bytes_by_flow``. The search is a pure integer search: it counts
+rows and prices nothing (:func:`repro.comm.joint.joint_placement` prices
+the pair it adopts).
 
 The search itself is classic graph partitioning on the symmetrized
 weight matrix ``S = W + Wᵀ``:
@@ -64,16 +64,12 @@ the ``nodes=1`` float-identity contract.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import PartitionError
-
-if TYPE_CHECKING:  # import would cycle: repro.comm pulls this package in
-    from repro.comm.cost_model import ClusterCostModel
 from repro.partition.nodes import (
     partition_halo_matrix,
     partition_load_matrix,
@@ -141,24 +137,18 @@ class PlacementResult:
     """A searched partition→node assignment plus its provenance.
 
     ``rows_*`` are cross-node halo rows per epoch-layer (fetches plus
-    loads and their mirrored flushes); ``cost_*`` price them with the
-    supplied :class:`~repro.comm.cost_model.ClusterCostModel` (``None``
-    when the search ran unpriced). The searched placement is never worse
-    than the block seed: ``rows_search <= rows_block`` always holds.
+    loads and their mirrored flushes). The searched placement is never
+    worse than the block seed: ``rows_search <= rows_block`` always holds.
     """
 
     placement: np.ndarray
     num_nodes: int
     rows_block: int
     rows_search: int
-    cost_block: Optional[float] = None
-    cost_search: Optional[float] = None
     #: improving swaps applied (greedy phase + kept refinement prefixes)
     swaps: int = 0
     #: KL refinement passes run (each ends in a kept or reverted prefix)
     refinement_passes: int = 0
-    #: search wall time (preprocessing overhead, Table 9 style)
-    seconds: float = 0.0
     #: improving single-partition moves applied (uneven placements only)
     moves: int = 0
     #: the balance slack the search ran with (0 = exact m/N)
@@ -366,10 +356,6 @@ class _Admission:
 
 
 def search_placement(partition: TwoLevelPartition, num_nodes: int,
-                     cluster_model: Optional["ClusterCostModel"] = None,
-                     row_bytes: int = 4 * 128,
-                     allreduce_bytes: float = 0.0,
-                     allreduce_algorithm: str = "ring",
                      max_refinements: int = 4,
                      seed_placement: Optional[np.ndarray] = None,
                      max_imbalance: int = 0,
@@ -387,9 +373,9 @@ def search_placement(partition: TwoLevelPartition, num_nodes: int,
     to ``max_refinements`` Kernighan-Lin passes
     (swap-lock-revert-to-best-prefix) to escape local minima; see the
     module docstring for the objective and the gain formulas. The result
-    is never worse than the seed: ``rows_block``/``cost_block`` report
-    the *seed* placement's objective, so ``rows_search <= rows_block``
-    holds for any seed.
+    is never worse than the seed: ``rows_block`` reports the *seed*
+    placement's objective, so ``rows_search <= rows_block`` holds for any
+    seed.
 
     With the default ``max_imbalance=0`` balance stays exact throughout
     (only swaps run — bit-identical to the pre-uneven search). A
@@ -402,12 +388,6 @@ def search_placement(partition: TwoLevelPartition, num_nodes: int,
     :func:`repro.core.memory_model.placement_host_bytes` counting —
     inside its budget, and a seed the memory model cannot admit raises
     :class:`~repro.errors.PartitionError` outright.
-
-    When ``cluster_model`` is given, ``cost_block``/``cost_search``
-    price the rows at its topology-aware rate via
-    :meth:`~repro.comm.cost_model.ClusterCostModel.placement_seconds`
-    (``allreduce_bytes`` adds the placement-invariant collective legs so
-    the cost is a full epoch-layer net prediction).
 
     ``compute_rows`` makes the search *capability-aware* on a
     heterogeneous fleet: an ``(m, num_nodes)`` integer matrix whose
@@ -430,7 +410,6 @@ def search_placement(partition: TwoLevelPartition, num_nodes: int,
     ``m / alive ± max_imbalance`` — the survivors necessarily run
     overloaded, so exact ``m/N`` balance is unreachable by definition.
     """
-    started = time.perf_counter()  # repro-lint: ignore[RPL101] measured search wall time, reported only
     m = partition.num_partitions
     dead_nodes = frozenset(dead_nodes)
     block = partition_nodes(m, num_nodes, seed_placement,
@@ -501,22 +480,10 @@ def search_placement(partition: TwoLevelPartition, num_nodes: int,
         indices = np.arange(m)
         compute_block = int(compute[indices, block].sum())
         compute_search = int(compute[indices, placement].sum())
-    cost_block = cost_search = None
-    if cluster_model is not None:
-        cost_block = cluster_model.placement_seconds(
-            rows_block, row_bytes, allreduce_bytes=allreduce_bytes,
-            algorithm=allreduce_algorithm,
-        )
-        cost_search = cluster_model.placement_seconds(
-            rows_search, row_bytes, allreduce_bytes=allreduce_bytes,
-            algorithm=allreduce_algorithm,
-        )
     return PlacementResult(
         placement=placement, num_nodes=num_nodes,
         rows_block=rows_block, rows_search=rows_search,
-        cost_block=cost_block, cost_search=cost_search,
         swaps=swaps, refinement_passes=refinements,
-        seconds=time.perf_counter() - started,  # repro-lint: ignore[RPL101]
         moves=moves, max_imbalance=max_imbalance,
         compute_rows_block=compute_block,
         compute_rows_search=compute_search,

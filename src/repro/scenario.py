@@ -56,26 +56,30 @@ def add_cluster_args(parser: argparse.ArgumentParser) -> None:
 
     Every flag's ``dest`` matches a :class:`ClusterArgs` field, so
     :meth:`ClusterArgs.from_namespace` round-trips the namespace without
-    any per-command glue. Commands add their own private flags (epochs,
-    arrival processes, ...) on top.
+    any per-command glue — and every flag's default *is* that field's.
+    Commands add their own private flags (epochs, arrival processes, ...)
+    on top.
     """
-    parser.add_argument("--arch", default="gcn",
+    defaults = ClusterArgs()
+    parser.add_argument("--arch", default=defaults.arch,
                         choices=_model_choices(),
                         help="GNN architecture")
-    parser.add_argument("--hidden-dim", type=int, default=64)
-    parser.add_argument("--layers", type=int, default=2)
-    parser.add_argument("--chunks", type=int, default=4,
+    parser.add_argument("--hidden-dim", type=int,
+                        default=defaults.hidden_dim)
+    parser.add_argument("--layers", type=int, default=defaults.layers)
+    parser.add_argument("--chunks", type=int, default=defaults.chunks,
                         help="chunks per GPU (the paper's n)")
-    parser.add_argument("--gpus", type=int, default=4,
+    parser.add_argument("--gpus", type=int, default=defaults.gpus,
                         help="GPUs per node")
-    parser.add_argument("--comm-mode", default="hongtu",
+    parser.add_argument("--comm-mode", default=defaults.comm_mode,
                         choices=["baseline", "p2p", "ru", "hongtu"])
-    parser.add_argument("--nodes", type=int, default=1,
+    parser.add_argument("--nodes", type=int, default=defaults.nodes,
                         help="simulated cluster nodes; > 1 runs --gpus "
                              "GPUs on each node of an A100 cluster with "
                              "halo exchange + gradient all-reduce on the "
                              "network")
-    parser.add_argument("--node-spec", action="append", default=None,
+    parser.add_argument("--node-spec", action="append",
+                        default=defaults.node_spec,
                         metavar="NAME[:COUNT]",
                         help="per-node capability profile, repeatable "
                              f"(names: {', '.join(sorted(NODE_SPECS))}); "
@@ -83,11 +87,11 @@ def add_cluster_args(parser: argparse.ArgumentParser) -> None:
                              "builds a 3-node mixed-generation fleet. "
                              "Counts must sum to --nodes. Default: "
                              "--nodes identical A100 servers")
-    parser.add_argument("--allreduce", default="ring",
+    parser.add_argument("--allreduce", default=defaults.allreduce,
                         choices=["ring", "tree"],
                         help="inter-node gradient all-reduce schedule "
                              "(only with --nodes > 1)")
-    parser.add_argument("--topology", default="flat",
+    parser.add_argument("--topology", default=defaults.topology,
                         choices=["flat", "spine", "rail"],
                         help="cluster network topology (only with "
                              "--nodes > 1): flat = ideal non-blocking "
@@ -96,11 +100,12 @@ def add_cluster_args(parser: argparse.ArgumentParser) -> None:
                              "core shared by all node pairs, rail = one "
                              "rail per local GPU at 1/gpus of the link "
                              "rate each")
-    parser.add_argument("--oversubscription", type=float, default=1.0,
+    parser.add_argument("--oversubscription", type=float,
+                        default=defaults.oversubscription,
                         help="spine core oversubscription factor >= 1 "
                              "(1 = non-blocking, behaves exactly like "
                              "flat; only with --topology spine)")
-    parser.add_argument("--placement", default="block",
+    parser.add_argument("--placement", default=defaults.placement,
                         choices=["block", "search", "joint"],
                         help="partition->node assignment (only with "
                              "--nodes > 1): block = contiguous default "
@@ -111,13 +116,15 @@ def add_cluster_args(parser: argparse.ArgumentParser) -> None:
                              "reorganization until the combined "
                              "predicted cost stops improving (never "
                              "worse than search)")
-    parser.add_argument("--max-imbalance", type=int, default=0,
+    parser.add_argument("--max-imbalance", type=int,
+                        default=defaults.max_imbalance,
                         help="allow per-node partition counts to deviate "
                              "from the exact m/nodes balance by up to "
                              "this many partitions when node host "
                              "memory admits the skew (only with "
                              "--placement search/joint)")
-    parser.add_argument("--fault", action="append", default=None,
+    parser.add_argument("--fault", action="append",
+                        default=defaults.fault,
                         metavar="SPEC",
                         help="inject a fault into the fleet, repeatable "
                              "(only with --nodes > 1). Grammar: "
@@ -127,10 +134,12 @@ def add_cluster_args(parser: argparse.ArgumentParser) -> None:
                              " | death:node=N,at=T — times in simulated "
                              "seconds, factors in (0, 1]")
     parser.add_argument("--no-elastic", action="store_true",
+                        default=defaults.no_elastic,
                         help="ride out stragglers with the static "
                              "placement instead of re-balancing online "
                              "(node deaths then abort the run)")
-    parser.add_argument("--rebalance-trigger", type=float, default=1.05,
+    parser.add_argument("--rebalance-trigger", type=float,
+                        default=defaults.rebalance_trigger,
                         help="straggler sensitivity: re-balance once an "
                              "epoch runs this factor slower than the "
                              "faultless baseline (> 1; deaths always "
@@ -184,10 +193,9 @@ class ClusterArgs:
     """The shared cluster/model vocabulary, as plain data.
 
     Field names match the argparse ``dest`` of the corresponding
-    :func:`add_cluster_args` flag one-for-one. Defaults here and there
-    are asserted identical by the CLI tests, so a scenario built in
-    Python (benchmarks) and one parsed from a command line cannot
-    diverge.
+    :func:`add_cluster_args` flag one-for-one, and the flags take their
+    defaults from these fields, so a scenario built in Python
+    (benchmarks) and one parsed from a command line cannot diverge.
     """
 
     arch: str = "gcn"

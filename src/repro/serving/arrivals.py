@@ -24,6 +24,8 @@ bit-identical latency guarantees tested in ``tests/test_serving.py``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ServingError
@@ -42,10 +44,14 @@ class ArrivalProcess:
     kind = "abstract"
 
     def __init__(self, rate: float, duration: Seconds, seed: int = 0):
-        if rate <= 0:
-            raise ServingError(f"arrival rate must be > 0, got {rate}")
-        if duration < 0:
-            raise ServingError(f"duration must be >= 0, got {duration}")
+        # Written to reject NaN too; an infinite rate or horizon would
+        # never leave ``generate``'s loop.
+        if not 0 < rate < math.inf:
+            raise ServingError(
+                f"arrival rate must be finite and > 0, got {rate}")
+        if not 0 <= duration < math.inf:
+            raise ServingError(
+                f"duration must be finite and >= 0, got {duration}")
         self.rate = float(rate)
         self.duration = float(duration)
         self.seed = int(seed)

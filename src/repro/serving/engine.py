@@ -402,7 +402,7 @@ class ServingEngine:
         ``column_seed`` seeds the request→column assignment (defaults to
         the arrival process's seed, so one seed pins the whole run).
         """
-        if slo <= 0:
+        if not slo > 0:  # NaN included
             raise ServingError(f"slo must be > 0 seconds, got {slo}")
         self._sync_platform()
         times = arrivals.generate()

@@ -134,7 +134,7 @@ class DeadlineBatchingPolicy(AdmissionPolicy):
     name = "deadline"
 
     def __init__(self, timeout: Seconds):
-        if timeout < 0:
+        if not timeout >= 0:  # NaN included
             raise ServingError(f"timeout must be >= 0, got {timeout}")
         self.timeout = float(timeout)
 

@@ -185,9 +185,8 @@ class ReferenceCommunicator(DedupCommunicator):
         super().start_sweep(dim, dtype, double_buffer)
         self._mover = ReferenceMover(self.plan, dim, dtype)
 
-    def load_batch_forward(self, batch, host_values, timeline,
-                           extra_deps=()):
-        super().load_batch_forward(batch, host_values, timeline, extra_deps)
+    def load_batch_forward(self, batch, host_values, timeline):
+        super().load_batch_forward(batch, host_values, timeline)
         return self._mover.load_batch_forward(batch, host_values)
 
     def accumulate_batch_backward(self, batch, neighbor_grads, host_grads,

@@ -335,9 +335,14 @@ class TestReorganization:
         assert sorted(result.phase2_order) == \
             list(range(partitioned.num_chunks))
 
-    def test_preprocessing_time_recorded(self, partitioned):
-        result = reorganize_partition(partitioned)
-        assert result.preprocessing_seconds > 0
+    @pytest.mark.parametrize("row_bytes", [0, -4, float("nan")])
+    def test_rejects_unpriceable_row_bytes(self, partitioned, row_bytes):
+        """0 priced every layout at 0.0 and -4 at negative seconds: the
+        guard then compared nothing, or preferred the worst layout."""
+        model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
+        with pytest.raises(ConfigurationError, match="row_bytes"):
+            reorganize_partition(partitioned, cost_model=model,
+                                 row_bytes=row_bytes)
 
     def test_still_valid_cover(self, partitioned):
         result = reorganize_partition(partitioned)
@@ -383,23 +388,27 @@ class TestReorganization:
                     result.phase1_assignments[i][batch]]
 
     def test_result_keeps_its_construction_and_attributes(self, partitioned):
-        """The 12 fields in their historical positional order, the
-        defaults of the optional eight, and the derived saving."""
-        bare = ReorganizationResult(partitioned, 0.5, [[0]], [0])
+        """The layout triple first, then the guard's facts in their
+        historical positional order (the volumes last), the defaults of
+        the optional ten, and the derived saving."""
+        bare = ReorganizationResult(partitioned, [[0]], [0])
         assert (bare.cost_before, bare.cost_after, bare.kept_original,
                 bare.net_aware, bare.net_rows_before, bare.net_rows_after,
-                bare.net_seconds_before, bare.net_seconds_after) == \
-            (None, None, False, False, None, None, None, None)
+                bare.net_seconds_before, bare.net_seconds_after,
+                bare.volumes_before, bare.volumes_after) == \
+            (None, None, False, False, None, None, None, None, None, None)
         assert bare.predicted_net_rows_saved is None
-        full = ReorganizationResult(partitioned, 0.5, [[0]], [0], 2.0, 1.0,
-                                    True, True, 9, 4, 0.9, 0.4)
+        before, after = measure_volumes(partitioned), object()
+        full = ReorganizationResult(partitioned, [[0]], [0], 2.0, 1.0,
+                                    True, True, 9, 4, 0.9, 0.4,
+                                    before, after)
         assert full.partition is partitioned
-        assert (full.preprocessing_seconds, full.phase1_assignments,
-                full.phase2_order) == (0.5, [[0]], [0])
+        assert (full.phase1_assignments, full.phase2_order) == ([[0]], [0])
         assert (full.cost_before, full.cost_after, full.kept_original,
                 full.net_aware, full.net_rows_before, full.net_rows_after,
                 full.net_seconds_before, full.net_seconds_after) == \
             (2.0, 1.0, True, True, 9, 4, 0.9, 0.4)
+        assert full.volumes_before is before and full.volumes_after is after
         assert full.predicted_net_rows_saved == 5
 
     def test_reorganization_helps_shuffled_schedule(self):

@@ -205,10 +205,6 @@ class TestMemoryBehavior:
         trainer = make_trainer(graph)
         assert trainer.platform.host.in_use > 0
 
-    def test_preprocessing_time_recorded(self, graph):
-        trainer = make_trainer(graph, reorganize=True)
-        assert trainer.preprocessing_seconds >= 0
-
 
 class TestCommunicationBehavior:
     def test_dedup_reduces_h2d(self):

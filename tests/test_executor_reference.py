@@ -465,7 +465,7 @@ def _assert_untouched(comm, timeline):
     assert not comm._buffers.stacked.any()
     assert set(comm.bytes_moved.values()) == {0}
     assert comm.net_bytes_by_flow == {}
-    assert comm.last_tasks == {}
+    assert comm._history == []
     assert timeline.scheduler.num_tasks == 0
 
 

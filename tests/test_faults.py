@@ -186,9 +186,11 @@ class TestConfigFaults:
         with pytest.raises(ConfigurationError, match="FaultSchedule"):
             HongTuConfig(faults=["death:node=0,at=1"])
 
-    def test_rejects_trivial_trigger(self):
+    @pytest.mark.parametrize("trigger", [1.0, 0.5, float("nan")])
+    def test_rejects_trivial_trigger(self, trigger):
+        """NaN included: ``makespan > nan * expected`` never fires."""
         with pytest.raises(ConfigurationError, match="rebalance_trigger"):
-            HongTuConfig(rebalance_trigger=1.0)
+            HongTuConfig(rebalance_trigger=trigger)
 
     def test_dict_round_trip_with_schedule(self):
         config = HongTuConfig(

@@ -242,7 +242,7 @@ class TestMixedFleet:
     def test_capability_aware_search_builds_compute_matrix(self):
         trainer = make_trainer(self.make_mixed(), placement="search")
         trainer.train_epoch()
-        rows = trainer.placement_compute_rows
+        rows = trainer.fleet.compute_rows
         assert rows is not None
         assert rows.shape == (NODES * GPUS_PER_NODE, NODES)
         # V100 column (half the flop rate) costs >= the A100 columns

@@ -508,24 +508,16 @@ class TestTrainerJoint:
         assert (counts > 0).all()
         assert (np.abs(counts - GPUS) <= 2).all()
         # the adopted placement fits the budgets the search ran with
-        assert trainer.placement_node_budgets is not None
+        assert trainer.fleet.node_budgets is not None
         assert admits_placement(placed.placement,
-                                trainer.placement_partition_host_bytes,
-                                trainer.placement_node_budgets)
+                                trainer.fleet.partition_host_bytes,
+                                trainer.fleet.node_budgets)
         # the epoch actually runs — checkpoints fit the skewed hosts
         result = trainer.train_epoch()
         result.timeline.validate()
         for node in range(NODES):
             pool = trainer.platform.host_pool(node)
             assert pool.capacity is None or pool.peak <= pool.capacity
-
-    def test_joint_preprocessing_seconds_charged(self, graph, skewed):
-        cluster = A100_CLUSTER.with_num_nodes(NODES)
-        trainer = _trainer(graph, ClusterPlatform(cluster),
-                           partition=skewed, placement="joint")
-        assert trainer.placement_result.seconds > 0
-        assert trainer.preprocessing_seconds \
-            >= trainer.placement_result.seconds
 
     def test_single_node_joint_is_float_identical(self, graph):
         def epoch(policy):
@@ -641,14 +633,14 @@ class TestBugfixRegressions:
         assert model.placement_seconds(12345, 512,
                                        allreduce_bytes=1 << 20) == 0.0
 
-    def test_single_node_search_charges_zero_placement_time(self, graph):
+    def test_single_node_search_is_skipped(self, graph):
         """With one node the search is skipped entirely: no placement
-        provenance exists and, with Algorithm 4 also off, preprocessing
-        charges exactly zero seconds (no phantom placement payload)."""
+        provenance exists and, with Algorithm 4 also off, no
+        reorganization provenance either (no phantom payload)."""
         trainer = _trainer(graph, MultiGPUPlatform(A100_SERVER),
                            placement="search", reorganize=False)
         assert trainer.placement_result is None
-        assert trainer.preprocessing_seconds == 0.0
+        assert trainer.reorganization is None
 
 
 class TestNodeUtilizationClampMarker:

@@ -112,7 +112,7 @@ class TestRebalanceIsAReplan:
         assert fleet.comm_plan.buffer_rows == trainer.plan.buffer_rows
         assert host_reservations(fleet) == host_reservations(trainer.fleet)
         assert np.array_equal(fleet.compute_rows,
-                              trainer.placement_compute_rows)
+                              trainer.fleet.compute_rows)
         # the partition did not change, so neither did the plan object
         assert fleet.comm_plan is twin.plan
 

@@ -191,7 +191,7 @@ class TestRealTree:
     #: ratchet: pinned exactly, so removing an escape forces the pin
     #: down with it and raising it is a visible edit here — a new
     #: hot-path loop or wall-clock read needs a design, not an escape.
-    SUPPRESSIONS = 14
+    SUPPRESSIONS = 10
 
     def test_suppression_count_only_goes_down(self):
         count = sum(

@@ -118,11 +118,19 @@ class TestArrivals:
         with pytest.raises(ServingError):
             build_arrivals("adversarial", 10, 1.0)
         with pytest.raises(ServingError):
-            PoissonArrivals(0.0, 1.0)
-        with pytest.raises(ServingError):
-            PoissonArrivals(10.0, -1.0)
-        with pytest.raises(ServingError):
             BurstyArrivals(10.0, 1.0, burst_size=0)
+
+    @pytest.mark.parametrize("kind", ["poisson", "bursty"])
+    @pytest.mark.parametrize("rate, duration", [
+        (0.0, 1.0), (10.0, -1.0),
+        # NaN used to pass both checks and serve 0 requests; an infinite
+        # rate or horizon never leaves generate()'s loop
+        (float("nan"), 1.0), (10.0, float("nan")),
+        (float("inf"), 1.0), (10.0, float("inf")),
+    ])
+    def test_rejects_bad_rate_or_duration(self, kind, rate, duration):
+        with pytest.raises(ServingError):
+            build_arrivals(kind, rate, duration)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +207,11 @@ class TestPolicyInvariants:
             build_policy("clairvoyant")
         with pytest.raises(ServingError):
             SizeBatchingPolicy(0)
+
+    @pytest.mark.parametrize("timeout", [-0.1, float("nan")])
+    def test_deadline_rejects_bad_timeout(self, timeout):
         with pytest.raises(ServingError):
-            DeadlineBatchingPolicy(-0.1)
+            build_policy("deadline", batch_timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +613,9 @@ class TestServingEngine:
         assert result.makespan == 0.0
         assert result.throughput == 0.0
 
-    def test_rejects_invalid_slo(self):
+    @pytest.mark.parametrize("slo", [0.0, -1.0, float("nan")])
+    def test_rejects_invalid_slo(self, slo):
         trainer = make_trainer()
         engine = ServingEngine(trainer)
         with pytest.raises(ServingError):
-            engine.serve(FixedArrivals([0.0]), ImmediatePolicy(), slo=0.0)
+            engine.serve(FixedArrivals([0.0]), ImmediatePolicy(), slo=slo)
