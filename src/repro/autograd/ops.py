@@ -328,23 +328,31 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 # irregular (graph) ops
 # ----------------------------------------------------------------------
 
-def spmm(matrix: sparse.spmatrix, h: Tensor) -> Tensor:
+def spmm(matrix: sparse.spmatrix, h: Tensor,
+         adjoint: Optional[sparse.spmatrix] = None) -> Tensor:
     """Sparse-dense product ``matrix @ h`` with a constant sparse operand.
 
     A linear AGGREGATE is this one product over the block's operator
     (:meth:`repro.gnn.block.Block.operator`); the VJP is the product with
     the transpose, which for a CSR matrix is the CSC view of the same
-    arrays. No per-edge message tensor exists in either direction.
+    arrays — ``adjoint`` when the caller holds it already (the block
+    caches one beside the operator), else ``matrix.T`` built at backward.
+    No per-edge message tensor exists in either direction.
     """
     h = Tensor.as_tensor(h)
     if h.ndim != 2 or matrix.shape[1] != h.shape[0]:
         raise AutogradError(
             f"spmm expects {matrix.shape} @ (n, dim), got {h.shape}"
         )
+    if adjoint is not None and adjoint.shape != matrix.shape[::-1]:
+        raise AutogradError(
+            f"spmm adjoint of {matrix.shape} must be {matrix.shape[::-1]}, "
+            f"got {adjoint.shape}"
+        )
     out_data = matrix @ h.data
 
     def backward(grad: np.ndarray) -> None:
-        h.accumulate_grad(matrix.T @ grad)
+        h.accumulate_grad((matrix.T if adjoint is None else adjoint) @ grad)
 
     return Tensor.from_op(out_data, (h,), backward, name="spmm")
 

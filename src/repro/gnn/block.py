@@ -68,7 +68,8 @@ class Block:
     dst_global: Optional[np.ndarray] = None
     _in_degrees: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False)
-    _operators: Dict[Tuple[np.dtype, bool], sparse.csr_matrix] = field(
+    _operators: Dict[Tuple[np.dtype, bool],
+                     Tuple[sparse.csr_matrix, sparse.csc_matrix]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -131,8 +132,8 @@ class Block:
         """The block as a sparse ``(num_dst, num_src)`` matrix ``A``.
 
         ``A @ h`` is the neighbor sum of a linear AGGREGATE and ``A.T @ g``
-        (the CSC view of the same arrays) its adjoint — the cuSparse SpMM
-        of the paper's computation engine (§6). Row ``v`` holds one entry
+        (:meth:`adjoint`) its adjoint — the cuSparse SpMM of the paper's
+        computation engine (§6). Row ``v`` holds one entry
         per in-edge of destination ``v``, in edge order (multi-edges stay
         separate entries), so both products add in the order a per-edge
         scatter would. Entries are ``edge_weight`` (ones when the block has
@@ -140,10 +141,22 @@ class Block:
         its operand's dtype. Built once per (dtype, weighted) and cached:
         chunks cache their block, so an operator lives as long as the plan.
         """
+        return self._operator_pair(dtype, weighted)[0]
+
+    def adjoint(self, dtype, weighted: bool = True) -> sparse.csc_matrix:
+        """``A.T``: the CSC view of :meth:`operator`'s arrays, cached with it.
+
+        ``csr.T`` wraps the same ``data``/``indices``/``indptr`` in a new
+        matrix object and re-validates the format on every call; the
+        backward pass asks once per chunk-layer, so the view is kept.
+        """
+        return self._operator_pair(dtype, weighted)[1]
+
+    def _operator_pair(self, dtype, weighted: bool):
         weighted = weighted and self.edge_weight is not None
         key = (np.dtype(dtype), weighted)
-        matrix = self._operators.get(key)
-        if matrix is None:
+        pair = self._operators.get(key)
+        if pair is None:
             data = (self.edge_weight.astype(dtype, copy=False) if weighted
                     else np.ones(self.num_edges, dtype=dtype))
             indptr = np.zeros(self.num_dst + 1, dtype=np.int64)
@@ -152,8 +165,8 @@ class Block:
                 (data, self.edge_src, indptr),
                 shape=(self.num_dst, self.num_src),
             )
-            self._operators[key] = matrix
-        return matrix
+            pair = self._operators[key] = (matrix, matrix.T)
+        return pair
 
     def __repr__(self) -> str:
         return (

@@ -48,7 +48,8 @@ class GGNNLayer(GNNLayer):
 
     def aggregate(self, block: Block, h: Tensor) -> Tensor:
         projected = self.message(h)  # parameterized message per source row
-        return ops.spmm(block.operator(projected.dtype), projected)
+        return ops.spmm(block.operator(projected.dtype), projected,
+                        block.adjoint(projected.dtype))
 
     def update(self, block: Block, agg: Tensor, h_dst: Tensor) -> Tensor:
         state = self.project(h_dst) if self.project is not None else h_dst

@@ -116,7 +116,8 @@ def _inverse_degrees(block: Block, dtype) -> np.ndarray:
 
 def _mean_aggregate(block: Block, h: Tensor) -> Tensor:
     """Degree-normalized mean: neighbor sum, then scale by 1/deg."""
-    total = ops.spmm(block.operator(h.dtype, weighted=False), h)
+    total = ops.spmm(block.operator(h.dtype, weighted=False), h,
+                     block.adjoint(h.dtype, weighted=False))
     return ops.mul(total, Tensor(_inverse_degrees(block, h.dtype)))
 
 
@@ -124,7 +125,7 @@ def _mean_aggregate_backward(block: Block, grad_agg: np.ndarray) -> np.ndarray:
     """Shared adjoint for degree-normalized mean aggregation."""
     dtype = grad_agg.dtype
     scaled = grad_agg * _inverse_degrees(block, dtype)
-    return block.operator(dtype, weighted=False).T @ scaled
+    return block.adjoint(dtype, weighted=False) @ scaled
 
 
 class GCNLayer(GNNLayer):
@@ -145,7 +146,7 @@ class GCNLayer(GNNLayer):
         self.activation = activation
 
     def aggregate(self, block: Block, h: Tensor) -> Tensor:
-        return ops.spmm(block.operator(h.dtype), h)
+        return ops.spmm(block.operator(h.dtype), h, block.adjoint(h.dtype))
 
     def update(self, block: Block, agg: Tensor, h_dst: Tensor) -> Tensor:
         out = self.linear(agg)
@@ -154,7 +155,7 @@ class GCNLayer(GNNLayer):
         return out
 
     def aggregate_backward(self, block: Block, grad_agg: np.ndarray) -> np.ndarray:
-        return block.operator(grad_agg.dtype).T @ grad_agg
+        return block.adjoint(grad_agg.dtype) @ grad_agg
 
     def aggregate_flops(self, num_src: int, num_dst: int, num_edges: int) -> int:
         return 2 * num_edges * self.in_dim
@@ -212,7 +213,8 @@ class GINLayer(GNNLayer):
         self._hidden = hidden
 
     def aggregate(self, block: Block, h: Tensor) -> Tensor:
-        return ops.spmm(block.operator(h.dtype, weighted=False), h)
+        return ops.spmm(block.operator(h.dtype, weighted=False), h,
+                        block.adjoint(h.dtype, weighted=False))
 
     def update(self, block: Block, agg: Tensor, h_dst: Tensor) -> Tensor:
         one_plus_eps = ops.add(self.epsilon, Tensor(np.ones(1)))
@@ -223,7 +225,7 @@ class GINLayer(GNNLayer):
         return out
 
     def aggregate_backward(self, block: Block, grad_agg: np.ndarray) -> np.ndarray:
-        return block.operator(grad_agg.dtype, weighted=False).T @ grad_agg
+        return block.adjoint(grad_agg.dtype, weighted=False) @ grad_agg
 
     def aggregate_flops(self, num_src: int, num_dst: int, num_edges: int) -> int:
         return 2 * num_edges * self.in_dim

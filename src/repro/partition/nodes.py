@@ -212,15 +212,20 @@ def partition_load_matrix(partition: TwoLevelPartition) -> np.ndarray:
     time-reversed, the ``halo_flush`` rows. Unlike the fetch matrix this
     depends on the chunk schedule.
     """
+    # seen[v] = stamp of the last chunk that needed v. A row's first
+    # chunk compares against a stamp no chunk was given, so everything
+    # it needs is fresh.
+    seen = np.zeros(partition.graph.num_vertices, dtype=np.int64)
+    stamp = 0
     fresh_rows = []
     for row in partition.chunks:
-        previous = np.empty(0, dtype=np.int64)
+        stamp += 1
         fresh = []
         for chunk in row:
             needed = chunk.neighbor_global
-            fresh.append(needed[~np.isin(needed, previous,
-                                         assume_unique=True)])
-            previous = needed
+            fresh.append(needed[seen[needed] != stamp])
+            stamp += 1
+            seen[needed] = stamp
         fresh_rows.append(fresh)
     return _pair_counts(partition, fresh_rows)
 

@@ -44,16 +44,28 @@ weight matrix ``S = W + Wᵀ``:
    and when ``node_budgets`` are given, any step must leave every
    node's placement-pinned host bytes within its budget (the
    ``core/memory_model`` admission rule: a skewed node has to actually
-   fit the checkpoints its extra partitions pin).
+   fit the checkpoints its extra partitions pin). The search carries
+   one state (:class:`_Search`): ``E``, the per-node counts and byte
+   loads, and the m × m table of swap gains with every swap that is
+   not on offer (same node, over budget, locked) already masked out.
+   The best swap is one ``argmax`` over that table. A step between
+   nodes A and B changes two columns of ``E`` and two byte loads, so it
+   recomputes only the table rows and columns of the partitions then
+   on A or B (Fiduccia–Mattheyses: after a move only the neighbours'
+   gains are updated); the full table is built once per search.
 3. **KL/FM-style refinement** — to escape local minima, a
    Kernighan-Lin pass performs the *best available admissible* swap
-   even when its gain is negative, locks both endpoints, and repeats
-   until fewer than two free partitions remain on distinct nodes; the
-   pass then keeps the prefix of swaps with the maximum cumulative gain
-   (reverting the rest) and, if that gain is positive, goes back to
-   step 2. The pass operates on whatever (possibly unequal) per-node
-   rows the greedy phase produced — swaps never change counts, so the
-   imbalance invariant is preserved for free.
+   even when its gain is negative, locks both endpoints (their rows
+   and columns leave the table), and repeats until the table offers
+   nothing — fewer than two free partitions remain on distinct nodes,
+   or no budget admits a swap between them; the pass then keeps the
+   prefix of swaps with the maximum cumulative gain and, if that gain
+   is positive, goes back to step 2. A pass runs on a copy of the
+   greedy phase's state and the kept prefix is replayed on the
+   original, so nothing is rebuilt on either side of it. It operates on
+   whatever (possibly unequal) per-node rows the greedy phase produced
+   — swaps never change counts, so the imbalance invariant is
+   preserved for free.
 
 All weights are integer row counts, so gains are exact and the search is
 deterministic (ties break on the lowest partition ids; equal-gain
@@ -64,12 +76,14 @@ the ``nodes=1`` float-identity contract.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import PartitionError
+from repro.partition.metis import _require_count
 from repro.partition.nodes import (
     partition_halo_matrix,
     partition_load_matrix,
@@ -194,165 +208,175 @@ def _node_exchange(weights_sym: np.ndarray,
     return weights_sym @ onehot
 
 
-def _swap_gains(weights_sym: np.ndarray, placement: np.ndarray,
-                num_nodes: int,
-                exchange: Optional[np.ndarray] = None,
-                compute: Optional[np.ndarray] = None) -> np.ndarray:
-    """Cut reduction of swapping each partition pair's nodes.
+class _Search:
+    """The search's one state: placement, exchange, admission, swap table.
 
-    ``G[a, b] = [E_a(B) − E_a(A)] + [E_b(A) − E_b(B)] − 2·S[a, b]`` for
-    a on node A, b on node B; pairs on the same node get a sentinel so
-    they are never selected. The search loops pass an incrementally
-    maintained ``exchange`` so the m×N matmul is not redone per step.
+    ``table[a, b]`` is what swapping partitions a (on node A) and b (on
+    node B) takes off the objective,
+    ``[E_a(B) − E_a(A)] + [E_b(A) − E_b(B)] − 2·S[a, b]``, or
+    ``_SENTINEL`` when the swap is not on offer: both on one node, an
+    endpoint locked by the running KL pass, or a node pushed over its
+    byte budget (swapping shifts ``bytes[b] − bytes[a]`` onto A and the
+    negation onto B; counts are untouched, so swaps are only
+    byte-constrained). A capability-aware search adds the *linear*
+    compute term: the swap reprices each partition at its new node's
+    throughput, ``(A[a, N_a] + A[b, N_b]) − (A[a, N_b] + A[b, N_a])`` row
+    equivalents — per-partition, and exactly zero when every node runs
+    at the same rate, which leaves the homogeneous decisions untouched.
 
-    A capability-aware search adds the *linear* compute term: swapping a
-    and b also reprices each partition at its new node's throughput,
-    ``(A[a, N_a] + A[b, N_b]) − (A[a, N_b] + A[b, N_a])`` row
-    equivalents. The term is per-partition (no pairwise interaction), so
-    no incremental state is needed — and with identical node rates every
-    column of ``A`` is equal and the term is exactly zero, leaving the
-    homogeneous decisions untouched.
-    """
-    if exchange is None:
-        exchange = _node_exchange(weights_sym, placement, num_nodes)
-    internal = exchange[np.arange(len(placement)), placement]
-    toward = exchange[:, placement]  # toward[a, b] = E_a(node of b)
-    gains = (toward + toward.T - internal[:, None] - internal[None, :]
-             - 2 * weights_sym)
-    if compute is not None:
-        current = compute[np.arange(len(placement)), placement]
-        at = compute[:, placement]  # at[a, b] = A[a, node of b]
-        gains += current[:, None] + current[None, :] - at - at.T
-    gains[placement[:, None] == placement[None, :]] = _SENTINEL
-    return gains
+    A step between nodes A and B changes ``exchange[:, A]``,
+    ``exchange[:, B]`` and those two nodes' byte loads, so the only
+    entries that can change belong to the partitions now sitting on A or
+    B: :meth:`_refresh` recomputes their rows and mirrors them into the
+    columns (gain and admission rule are both symmetric). Every other
+    entry would be recomputed to the same integer, and is not.
 
-
-def _move_gains(weights_sym: np.ndarray, placement: np.ndarray,
-                num_nodes: int,
-                exchange: Optional[np.ndarray] = None,
-                compute: Optional[np.ndarray] = None) -> np.ndarray:
-    """Cut reduction of moving each partition to each other node.
-
-    ``G[p, X] = E_p(X) − E_p(home(p))`` — the rows p exchanges with its
-    destination become intra-node while the rows toward its old home
-    start crossing the network. The home column gets a sentinel. The
-    capability-aware compute term adds ``A[p, home(p)] − A[p, X]``:
-    moving onto a faster node is worth the rows the repricing saves.
-    """
-    if exchange is None:
-        exchange = _node_exchange(weights_sym, placement, num_nodes)
-    internal = exchange[np.arange(len(placement)), placement]
-    gains = exchange - internal[:, None]
-    if compute is not None:
-        current = compute[np.arange(len(placement)), placement]
-        gains += current[:, None] - compute
-    gains[np.arange(len(placement)), placement] = _SENTINEL
-    return gains
-
-
-def _best_swap(gains: np.ndarray,
-               free: Optional[np.ndarray] = None,
-               allowed: Optional[np.ndarray] = None
-               ) -> Tuple[int, int, int]:
-    """Highest-gain admissible (a, b) pair, lowest ids first on ties."""
-    masked = gains
-    if free is not None or allowed is not None:
-        masked = gains.copy()
-        if free is not None:
-            masked[~free, :] = _SENTINEL
-            masked[:, ~free] = _SENTINEL
-        if allowed is not None:
-            masked[~allowed] = _SENTINEL
-    flat = int(np.argmax(masked))
-    a, b = divmod(flat, masked.shape[1])
-    return a, b, int(masked[a, b])
-
-
-class _Admission:
-    """Balance + host-memory admission state for uneven placements.
-
-    Tracks per-node partition counts and placement-pinned host bytes as
-    the search mutates the assignment, and answers which swaps/moves the
-    configured ``max_imbalance`` and per-node byte budgets admit. With
-    no budgets the byte masks are all-true and only the count bounds
-    constrain moves; swaps never change counts, so they are only
-    byte-constrained (partitions pin different amounts).
+    Moves additionally need the count bounds ``m/alive ± max_imbalance``
+    (never emptying a node, never onto a dead one); a move changes two
+    whole *columns* of the (m, N) move table, which is small enough that
+    :meth:`best_move` rebuilds it per call instead.
     """
 
-    def __init__(self, placement: np.ndarray, num_nodes: int,
-                 max_imbalance: int,
+    def __init__(self, weights_sym: np.ndarray, placement: np.ndarray,
+                 num_nodes: int, max_imbalance: int,
                  host_bytes: Optional[np.ndarray],
                  node_budgets: Optional[Sequence[Optional[float]]],
-                 dead_nodes=frozenset()):
+                 compute: Optional[np.ndarray], dead_nodes=frozenset()):
+        m = len(placement)
+        self.weights_sym = weights_sym
+        self.compute = compute
+        self.placement = placement
         self.num_nodes = num_nodes
-        self.dead = frozenset(dead_nodes)
+        self.exchange = _node_exchange(weights_sym, placement, num_nodes)
         # Count bounds are taken over the *alive* fleet: with deaths the
         # survivors necessarily run above m/N, so the slack brackets the
         # alive-relative floor/ceiling instead. No deaths → alive == N
         # and the bounds reduce to the original balanced ± K exactly.
-        alive = num_nodes - len(self.dead)
-        self.balanced = len(placement) // alive
-        self.ceiling = -(-len(placement) // alive)
-        self.max_imbalance = max_imbalance
+        alive = num_nodes - len(dead_nodes)
+        self.low = max(1, m // alive - max_imbalance)
+        self.high = -(-m // alive) + max_imbalance
+        self.dead = sorted(dead_nodes)
         self.counts = np.bincount(placement, minlength=num_nodes)
-        self.host_bytes = host_bytes
-        self.budgets = node_budgets
-        self.loads = None
-        if host_bytes is not None and node_budgets is not None:
-            self.loads = np.bincount(
-                placement, weights=host_bytes, minlength=num_nodes
-            ).astype(np.int64)
+        # Byte admission: per-node budgets (inf = unlimited) beside the
+        # placement-pinned loads; None when the search is unconstrained.
+        self.host_bytes = self.limits = self.loads = None
+        if node_budgets is not None:
+            self.host_bytes = host_bytes
+            self.limits = np.array([np.inf if budget is None else float(budget)
+                                    for budget in node_budgets])
+            self.loads = np.bincount(placement, weights=host_bytes,
+                                     minlength=num_nodes).astype(np.int64)
+        self.free = np.ones(m, dtype=bool)
+        self.table = np.empty((m, m), dtype=np.int64)
+        self._refresh(np.arange(m))
 
-    def _budget_headroom(self) -> Optional[np.ndarray]:
-        """Remaining bytes per node (None when unconstrained)."""
-        if self.loads is None:
-            return None
-        return np.array([
-            np.inf if budget is None else float(budget) - load
-            for budget, load in zip(self.budgets, self.loads.tolist())
-        ])
-
-    def swap_mask(self, placement: np.ndarray) -> Optional[np.ndarray]:
-        """(m, m) bool: swaps that keep every node inside its budget."""
-        headroom = self._budget_headroom()
-        if headroom is None:
-            return None
-        # Swapping a and b shifts bytes[b] − bytes[a] onto a's node (and
-        # the negation onto b's); counts are untouched.
-        delta = self.host_bytes[None, :] - self.host_bytes[:, None]
-        return ((delta <= headroom[placement][:, None])
-                & (-delta <= headroom[placement][None, :]))
-
-    def move_mask(self, placement: np.ndarray) -> np.ndarray:
-        """(m, N) bool: moves inside both count bounds and budgets."""
-        low = max(1, self.balanced - self.max_imbalance)
-        high = self.ceiling + self.max_imbalance
-        receivable = self.counts + 1 <= high          # per target node
-        if self.dead:
-            receivable = receivable.copy()
-            receivable[sorted(self.dead)] = False     # never onto a corpse
-        from_ok = self.counts[placement] - 1 >= low   # per partition
-        mask = receivable[None, :] & from_ok[:, None]
-        headroom = self._budget_headroom()
-        if headroom is not None:
-            mask &= self.host_bytes[:, None] <= headroom[None, :]
-        return mask
-
-    def apply_swap(self, placement: np.ndarray, a: int, b: int) -> None:
+    def _refresh(self, rows: np.ndarray) -> None:
+        """Recompute the table rows (and, mirrored, columns) of ``rows``."""
+        placement, exchange = self.placement, self.exchange
+        everyone = np.arange(len(placement))
+        homes = placement[rows]
+        internal = exchange[everyone, placement]
+        # exchange[rows][:, placement][i, b] = E_a(node of b) for a = rows[i]
+        # and exchange[:, homes].T[i, b] = E_b(node of a).
+        block = (exchange[rows][:, placement] + exchange[:, homes].T
+                 - internal[rows, None] - internal[None, :]
+                 - 2 * self.weights_sym[rows])
+        if self.compute is not None:
+            current = self.compute[everyone, placement]
+            block += (current[rows, None] + current[None, :]
+                      - self.compute[rows][:, placement]
+                      - self.compute[:, homes].T)
+        offered = ((homes[:, None] != placement[None, :])
+                   & self.free[rows, None] & self.free[None, :])
         if self.loads is not None:
-            delta = int(self.host_bytes[b] - self.host_bytes[a])
-            self.loads[placement[a]] += delta
-            self.loads[placement[b]] -= delta
-        placement[a], placement[b] = placement[b], placement[a]
+            headroom = self.limits - self.loads
+            delta = self.host_bytes[None, :] - self.host_bytes[rows, None]
+            offered &= ((delta <= headroom[homes][:, None])
+                        & (-delta <= headroom[placement][None, :]))
+        block[~offered] = _SENTINEL
+        self.table[rows] = block
+        self.table[:, rows] = block.T
 
-    def apply_move(self, placement: np.ndarray, p: int, node: int) -> None:
-        source = placement[p]
+    def _shift(self, p: int, source: int, node: int) -> None:
+        """Re-home p from ``source`` to ``node`` in exchange and loads."""
+        self.exchange[:, source] -= self.weights_sym[:, p]
+        self.exchange[:, node] += self.weights_sym[:, p]
+        if self.loads is not None:
+            self.loads[source] -= self.host_bytes[p]
+            self.loads[node] += self.host_bytes[p]
+        self.placement[p] = node
+
+    def swap(self, a: int, b: int, lock: bool = False) -> None:
+        """Swap a's and b's nodes; ``lock`` takes both off the table."""
+        node_a, node_b = self.placement[a], self.placement[b]
+        self._shift(a, node_a, node_b)
+        self._shift(b, node_b, node_a)
+        if lock:
+            self.free[[a, b]] = False
+        self._refresh(np.flatnonzero((self.placement == node_a)
+                                     | (self.placement == node_b)))
+
+    def move(self, p: int, node: int) -> None:
+        """Move p onto ``node`` (one count down, one up)."""
+        source = self.placement[p]
+        self._shift(p, source, node)
         self.counts[source] -= 1
         self.counts[node] += 1
+        self._refresh(np.flatnonzero((self.placement == source)
+                                     | (self.placement == node)))
+
+    def best_swap(self) -> Tuple[int, int, int]:
+        """Highest-gain offered (a, b, gain), lowest ids first on ties."""
+        a, b = divmod(int(np.argmax(self.table)), len(self.table))
+        return a, b, int(self.table[a, b])
+
+    def best_move(self) -> Tuple[int, int, int]:
+        """Highest-gain admissible (p, node, gain), lowest ids on ties.
+
+        ``gain(p → X) = E_p(X) − E_p(home(p))`` — the rows p exchanges
+        with its destination become intra-node while the rows toward its
+        old home start crossing the network — plus the capability-aware
+        ``A[p, home(p)] − A[p, X]``: moving onto a faster node is worth
+        the rows the repricing saves.
+        """
+        placement = self.placement
+        everyone = np.arange(len(placement))
+        gains = self.exchange - self.exchange[everyone, placement][:, None]
+        if self.compute is not None:
+            gains += (self.compute[everyone, placement][:, None]
+                      - self.compute)
+        receivable = self.counts + 1 <= self.high     # per target node
+        receivable[self.dead] = False                 # never onto a corpse
+        leavable = self.counts[placement] - 1 >= self.low   # per partition
+        allowed = receivable[None, :] & leavable[:, None]
+        allowed[everyone, placement] = False          # home is not a move
         if self.loads is not None:
-            self.loads[source] -= int(self.host_bytes[p])
-            self.loads[node] += int(self.host_bytes[p])
-        placement[p] = node
+            allowed &= (self.host_bytes[:, None]
+                        <= (self.limits - self.loads)[None, :])
+        gains[~allowed] = _SENTINEL
+        p, node = divmod(int(np.argmax(gains)), self.num_nodes)
+        return p, node, int(gains[p, node])
+
+
+def _sizes(name: str, values, shape: Tuple[int, ...]) -> np.ndarray:
+    """``values`` as int64 of ``shape``: finite, integral, >= 0 — or raise.
+
+    A plain ``astype(int64)`` turns NaN into ``INT64_MIN`` and 2.9 into 2
+    with at most a warning, and the search would then admit placements
+    against sizes nobody gave it.
+    """
+    try:
+        checked = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise PartitionError(f"{name} must be numeric") from None
+    if checked.shape != shape:
+        raise PartitionError(
+            f"{name} must have shape {shape}, got {checked.shape}")
+    if not (np.isfinite(checked).all() and (checked >= 0).all()
+            and (checked == np.rint(checked)).all()):
+        raise PartitionError(
+            f"{name} must hold finite whole numbers >= 0")
+    return np.asarray(values, dtype=np.int64)
 
 
 def search_placement(partition: TwoLevelPartition, num_nodes: int,
@@ -411,24 +435,22 @@ def search_placement(partition: TwoLevelPartition, num_nodes: int,
     overloaded, so exact ``m/N`` balance is unreachable by definition.
     """
     m = partition.num_partitions
+    _require_count("num_nodes", num_nodes, 1)
+    _require_count("max_refinements", max_refinements, 0)
+    _require_count("max_imbalance", max_imbalance, 0)
     dead_nodes = frozenset(dead_nodes)
     block = partition_nodes(m, num_nodes, seed_placement,
                             max_imbalance=max_imbalance,
                             dead_nodes=dead_nodes)
-    host_bytes = None
+    host_bytes = np.zeros(m, dtype=np.int64)
+    if partition_host_bytes is not None:
+        host_bytes = _sizes("partition_host_bytes", partition_host_bytes,
+                            (m,))
     if node_budgets is not None:
         if len(node_budgets) != num_nodes:
             raise PartitionError(
                 f"node_budgets must give one budget per node, got "
                 f"{len(node_budgets)} for {num_nodes} nodes"
-            )
-        host_bytes = (np.zeros(m, dtype=np.int64)
-                      if partition_host_bytes is None
-                      else np.asarray(partition_host_bytes, dtype=np.int64))
-        if host_bytes.shape != (m,):
-            raise PartitionError(
-                f"partition_host_bytes must give one size per partition, "
-                f"got shape {host_bytes.shape} for {m} partitions"
             )
         # The memory model is the admission authority: a seed it cannot
         # admit is an error, not a silent starting point. (Deferred
@@ -440,12 +462,7 @@ def search_placement(partition: TwoLevelPartition, num_nodes: int,
             )
     compute = None
     if compute_rows is not None:
-        compute = np.asarray(compute_rows, dtype=np.int64)
-        if compute.shape != (m, num_nodes):
-            raise PartitionError(
-                f"compute_rows must be (num_partitions, num_nodes) = "
-                f"({m}, {num_nodes}), got shape {compute.shape}"
-            )
+        compute = _sizes("compute_rows", compute_rows, (m, num_nodes))
     weights = partition_net_weights(partition)
     weights_sym = weights + weights.T
     rows_block = _cross_rows(weights, block)
@@ -455,22 +472,19 @@ def search_placement(partition: TwoLevelPartition, num_nodes: int,
     moves = 0
     refinements = 0
     if num_nodes > 1 and m > num_nodes:
-        admission = _Admission(placement, num_nodes, max_imbalance,
-                               host_bytes, node_budgets, dead_nodes)
+        state = _Search(weights_sym, placement, num_nodes, max_imbalance,
+                        host_bytes, node_budgets, compute, dead_nodes)
         allow_moves = max_imbalance > 0
-        applied = _greedy_improve(weights_sym, placement, num_nodes,
-                                  admission, allow_moves, compute)
+        applied = _greedy_improve(state, allow_moves)
         swaps += applied[0]
         moves += applied[1]
         for _ in range(max_refinements):
             refinements += 1
-            kept = _refinement_pass(weights_sym, placement, num_nodes,
-                                    admission, compute)
+            kept = _refinement_pass(state)
             if kept == 0:
                 break
             swaps += kept
-            applied = _greedy_improve(weights_sym, placement, num_nodes,
-                                      admission, allow_moves, compute)
+            applied = _greedy_improve(state, allow_moves)
             swaps += applied[0]
             moves += applied[1]
 
@@ -490,108 +504,60 @@ def search_placement(partition: TwoLevelPartition, num_nodes: int,
     )
 
 
-def _greedy_improve(weights_sym: np.ndarray, placement: np.ndarray,
-                    num_nodes: int, admission: _Admission,
-                    allow_moves: bool,
-                    compute: Optional[np.ndarray] = None
-                    ) -> Tuple[int, int]:
+def _greedy_improve(state: _Search, allow_moves: bool) -> Tuple[int, int]:
     """Apply best-improving admissible swaps/moves until none remains.
 
-    Mutates ``placement`` (and the admission state) in place and returns
-    ``(swaps, moves)`` applied. Each step strictly reduces the integer
-    objective (cut plus any compute term), so the loop terminates.
-    Equal-gain swap-vs-move ties prefer the balance-preserving swap.
+    Mutates ``state`` in place and returns ``(swaps, moves)`` applied.
+    Each step strictly reduces the integer objective (cut plus any
+    compute term), so the loop terminates. Equal-gain swap-vs-move ties
+    prefer the balance-preserving swap.
     """
     swaps = 0
     moves = 0
-    exchange = _node_exchange(weights_sym, placement, num_nodes)
     while True:
-        a, b, swap_gain = _best_swap(
-            _swap_gains(weights_sym, placement, num_nodes, exchange,
-                        compute),
-            allowed=admission.swap_mask(placement),
-        )
+        a, b, swap_gain = state.best_swap()
         move_gain = _SENTINEL
         if allow_moves:
-            p, node, move_gain = _best_swap(
-                _move_gains(weights_sym, placement, num_nodes, exchange,
-                            compute),
-                allowed=admission.move_mask(placement),
-            )
+            p, node, move_gain = state.best_move()
         if swap_gain <= 0 and move_gain <= 0:
             break
         if swap_gain >= move_gain:
-            _exchange_swap(exchange, weights_sym, placement, a, b)
-            admission.apply_swap(placement, a, b)
+            state.swap(a, b)
             swaps += 1
         else:
-            _exchange_move(exchange, weights_sym, placement, p, node)
-            admission.apply_move(placement, p, node)
+            state.move(p, node)
             moves += 1
     return swaps, moves
 
 
-def _exchange_swap(exchange: np.ndarray, weights_sym: np.ndarray,
-                   placement: np.ndarray, a: int, b: int) -> None:
-    """Update E in place for the pending swap of a and b (exact ints)."""
-    node_a, node_b = placement[a], placement[b]
-    delta = weights_sym[:, b] - weights_sym[:, a]
-    exchange[:, node_a] += delta
-    exchange[:, node_b] -= delta
-
-
-def _exchange_move(exchange: np.ndarray, weights_sym: np.ndarray,
-                   placement: np.ndarray, p: int, node: int) -> None:
-    """Update E in place for the pending move of p to ``node``."""
-    exchange[:, placement[p]] -= weights_sym[:, p]
-    exchange[:, node] += weights_sym[:, p]
-
-
-def _refinement_pass(weights_sym: np.ndarray, placement: np.ndarray,
-                     num_nodes: int, admission: _Admission,
-                     compute: Optional[np.ndarray] = None) -> int:
+def _refinement_pass(state: _Search) -> int:
     """One KL pass: swap-and-lock greedily, keep the best prefix.
 
-    Mutates ``placement`` to the best prefix's state and returns the
-    number of swaps kept (0 when no prefix beat the starting cut — the
-    pass then leaves the placement exactly as it found it). Swaps never
-    change per-node counts, so the pass preserves whatever (possibly
-    uneven) balance the greedy phase reached; under byte budgets every
-    trail step must itself be admissible, which keeps each prefix — in
-    particular the kept one — admissible too.
+    Runs on a copy of ``state``, then replays the best prefix's swaps on
+    ``state`` itself and returns how many were kept (0 when no prefix
+    beat the starting cut — ``state`` is then exactly as it was). Swaps
+    never change per-node counts, so the pass preserves whatever
+    (possibly uneven) balance the greedy phase reached; under byte
+    budgets every trail step is itself admissible, which keeps each
+    prefix — in particular the kept one — admissible too.
     """
-    working = placement.copy()
-    tracker = _Admission(working, num_nodes, admission.max_imbalance,
-                         admission.host_bytes, admission.budgets,
-                         admission.dead)
-    free = np.ones(len(placement), dtype=bool)
+    trial = copy.deepcopy(state)
     cumulative = 0
     best_gain = 0
     best_prefix = 0
     trail: List[Tuple[int, int]] = []
-    exchange = _node_exchange(weights_sym, working, num_nodes)
     while True:
-        if len(np.unique(working[free])) < 2:
-            break  # no two free partitions left on distinct nodes
-        a, b, gain = _best_swap(
-            _swap_gains(weights_sym, working, num_nodes, exchange,
-                        compute),
-            free, allowed=tracker.swap_mask(working),
-        )
+        a, b, gain = trial.best_swap()
         if gain == _SENTINEL:
-            break
-        _exchange_swap(exchange, weights_sym, working, a, b)
-        tracker.apply_swap(working, a, b)
-        free[a] = free[b] = False
+            break  # no two free partitions on distinct nodes may swap
+        trial.swap(a, b, lock=True)
         trail.append((a, b))
         cumulative += gain
         if cumulative > best_gain:
             best_gain = cumulative
             best_prefix = len(trail)
-    if best_prefix == 0:
-        return 0
     for a, b in trail[:best_prefix]:
-        admission.apply_swap(placement, a, b)
+        state.swap(a, b)
     return best_prefix
 
 

@@ -286,6 +286,8 @@ class TestGraphOps:
             ops.spmm(matrix, Tensor(np.ones((2, 4))))
         with pytest.raises(AutogradError):
             ops.spmm(matrix, Tensor(np.ones(3)))
+        with pytest.raises(AutogradError, match="adjoint"):
+            ops.spmm(matrix, Tensor(np.ones((3, 4))), adjoint=matrix)
 
 
 class TestDropout:

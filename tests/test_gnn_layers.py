@@ -104,6 +104,21 @@ class TestBlock:
         with pytest.raises(ValueError):
             block.in_degrees()[0] = 99
 
+    def test_adjoint_is_the_cached_csc_view_of_the_operator(self):
+        block = toy_block()
+        for weighted in (True, False):
+            matrix = block.operator(np.float64, weighted=weighted)
+            adjoint = block.adjoint(np.float64, weighted=weighted)
+            assert adjoint is block.adjoint("float64", weighted=weighted)
+            assert adjoint.format == "csc"
+            assert adjoint.shape == (block.num_src, block.num_dst)
+            for name in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(adjoint, name),
+                                        getattr(matrix, name))
+            np.testing.assert_array_equal(adjoint.toarray(),
+                                          matrix.toarray().T)
+        assert len(block._operators) == 2  # one entry per (dtype, weighted)
+
     def test_unweighted_block_has_one_operator(self):
         block = Block.from_graph(toy_graph(), gcn_weights=False)
         assert block.operator(np.float64) is \
@@ -284,6 +299,11 @@ def test_spmm_gradcheck(name, weighted, zoo, rng):
 
     np.testing.assert_allclose(h_t.grad, numeric_gradient(scalar, h),
                                atol=1e-6)
+    # handing spmm the block's cached adjoint changes no bit of the VJP
+    cached = Tensor(h, requires_grad=True)
+    ops.spmm(matrix, cached,
+             block.adjoint(np.float64, weighted=weighted)).backward(seed)
+    np.testing.assert_array_equal(cached.grad, h_t.grad)
 
 
 class TestGAT:

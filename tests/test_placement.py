@@ -32,6 +32,8 @@ from repro.hardware import (
 )
 from repro.partition import (
     PLACEMENT_POLICIES,
+    SubgraphChunk,
+    TwoLevelPartition,
     halo_load_volumes,
     halo_volumes,
     partition_halo_matrix,
@@ -42,6 +44,7 @@ from repro.partition import (
     search_placement,
     two_level_partition,
 )
+from repro.partition.nodes import _pair_counts
 
 NODES = 2
 GPUS = 4
@@ -126,6 +129,35 @@ class TestHaloMatrices:
                     aggregated[node_map[k], node_map[i]] += matrix[k, i]
         assert (aggregated == expected).all()
 
+    @pytest.mark.parametrize("layout", ["metis", "relabelled", "one_chunk",
+                                        "empty_chunk"])
+    def test_load_matrix_equals_the_isin_loop(self, graph, partition, skewed,
+                                              layout):
+        """The stamp array against the per-chunk ``np.isin`` it replaced."""
+        if layout == "one_chunk":
+            partition = two_level_partition(graph, M, 1, seed=0)
+        elif layout == "relabelled":
+            partition = skewed
+        elif layout == "empty_chunk":
+            # slot 1 of row 0 needs nothing, so slot 2 reuses nothing
+            nothing = np.empty(0, dtype=np.int64)
+            chunks = [list(row) for row in partition.chunks]
+            chunks[0][1] = SubgraphChunk(nothing, nothing, nothing)
+            partition = TwoLevelPartition(graph, chunks, partition.assignment)
+        fresh_rows = []
+        for row in partition.chunks:
+            previous = np.empty(0, dtype=np.int64)
+            fresh = []
+            for chunk in row:
+                needed = chunk.neighbor_global
+                fresh.append(needed[~np.isin(needed, previous,
+                                             assume_unique=True)])
+                previous = needed
+            fresh_rows.append(fresh)
+        expected = _pair_counts(partition, fresh_rows)
+        assert expected.sum() > 0
+        assert np.array_equal(partition_load_matrix(partition), expected)
+
     def test_net_rows_matches_reorganization_counting(self, partition):
         expected = (int(halo_volumes(partition, NODES).sum())
                     + 2 * int(halo_load_volumes(partition, NODES).sum()))
@@ -209,6 +241,71 @@ class TestSearchPlacement:
             assert model.placement_seconds(
                 rows, 512, allreduce_bytes=1 << 20
             ) == pytest.approx(model.placement_seconds(rows, 512) + legs)
+
+
+class TestSearchArguments:
+    """Malformed arguments fail inside the taxonomy, naming the argument —
+    never a cast that turns NaN into INT64_MIN or 2.9 bytes into 2."""
+
+    BUDGETS = [10.0] * NODES
+
+    @pytest.mark.parametrize("sizes", [
+        [np.nan] * M, [np.inf] * M, [2.9] * M, [-1] * M, [1] * (M - 1),
+        np.ones((M, 1)), ["many"] * M,
+    ])
+    def test_partition_host_bytes(self, partition, sizes):
+        with pytest.raises(PartitionError, match="partition_host_bytes"):
+            search_placement(partition, NODES, max_imbalance=1,
+                             node_budgets=self.BUDGETS,
+                             partition_host_bytes=sizes)
+
+    def test_partition_host_bytes_checked_without_budgets(self, partition):
+        with pytest.raises(PartitionError, match="partition_host_bytes"):
+            search_placement(partition, NODES,
+                             partition_host_bytes=[1] * (M + 1))
+
+    def test_fractional_bytes_are_not_truncated_under_the_budget(
+            self, partition):
+        # four partitions of 2.9 B are 11.6 B: over a 10 B budget, while
+        # the truncated 4 x 2 B would have been admitted
+        with pytest.raises(PartitionError):
+            search_placement(partition, NODES, node_budgets=self.BUDGETS,
+                             partition_host_bytes=[2.9] * M)
+        whole = search_placement(partition, NODES, node_budgets=self.BUDGETS,
+                                 partition_host_bytes=np.full(M, 2.0))
+        assert whole.rows_search <= whole.rows_block
+
+    @pytest.mark.parametrize("fill", [np.nan, -np.inf, 1.5, -1])
+    def test_compute_rows_values(self, partition, fill):
+        with pytest.raises(PartitionError, match="compute_rows"):
+            search_placement(partition, NODES,
+                             compute_rows=np.full((M, NODES), fill))
+
+    def test_compute_rows_shape(self, partition):
+        with pytest.raises(PartitionError, match="compute_rows"):
+            search_placement(partition, NODES,
+                             compute_rows=np.ones((M, NODES + 1)))
+
+    @pytest.mark.parametrize("value", [-1, 2.5, 2.0, None, "4"])
+    def test_max_refinements(self, partition, value):
+        with pytest.raises(PartitionError, match="max_refinements"):
+            search_placement(partition, NODES, max_refinements=value)
+
+    @pytest.mark.parametrize("value", [-1, 0.5, 1.0, None])
+    def test_max_imbalance(self, partition, value):
+        with pytest.raises(PartitionError, match="max_imbalance"):
+            search_placement(partition, NODES, max_imbalance=value)
+
+    @pytest.mark.parametrize("value", [2.0, -2, None, "2"])
+    def test_num_nodes(self, partition, value):
+        with pytest.raises(PartitionError, match="num_nodes"):
+            search_placement(partition, value)
+
+    def test_numpy_integers_are_integers(self, partition):
+        result = search_placement(partition, np.int64(NODES),
+                                  max_refinements=np.int32(1),
+                                  max_imbalance=np.int64(0))
+        assert result.num_nodes == NODES
 
 
 class TestPermutePartitions:
