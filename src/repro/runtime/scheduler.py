@@ -34,22 +34,28 @@ and encoded network links interleave, so none of them hashes), and
 dependency lists in a factored form — one shared *common* array per
 submitted phase plus flattened per-task extras — so a phase whose every
 task waits on the same producers stores those ids once, not once per
-task. :class:`~repro.runtime.task.Task` objects are materialized lazily
+task. Each column is written once, by whoever knows it: the *static*
+ones (seconds, device, channel, phase, dependency lists) by the array
+step's caller — one store per wave, or per replayed program — and
+start/end/``blocked_by`` by the step. Per-device busy seconds and the
+makespan are derived from the columns when somebody asks.
+:class:`~repro.runtime.task.Task` objects are materialized lazily
 (``tasks``, ``critical_path()``, reporting); submission never builds one
 beyond the single ``Task`` :meth:`EventScheduler.submit` returns.
 
 There is one scheduling core: :meth:`EventScheduler.submit_batch` hands a
 whole parallel wave to the array step, :meth:`EventScheduler.submit` a
-wave of one. Across distinct devices everything is order-free — queue
-frontier, dependency maximum, ``end = start + seconds``, busy
-accumulators, makespan argmax — except the frontier of a *shared*
-resource, ``F <- max(start, F) + hold``, a recurrence over the wave in
-submission order. Only waves that carry a hold run it, as one short loop
-over Python floats; a wave that repeats a device is scheduled as
-consecutive duplicate-free runs. Either way ``start``, ``end`` and
-``blocked_by`` are exactly what one-task-at-a-time submission assigns —
-that rule lives in ``tests/scheduler_oracle.py``, which the identity
-tests compare this core against on randomized DAGs and whole epochs.
+wave of one; the step computes times and nothing else. Across distinct
+devices everything is order-free — queue frontier, dependency maximum
+(one producer per task: that producer's end, no reduction), ``end =
+start + seconds`` — except the frontier of a *shared* resource, ``F <-
+max(start, F) + hold``, a recurrence over the wave in submission order.
+Only waves that carry a hold run it, as one short loop over Python
+floats; a wave that repeats a device is scheduled as consecutive
+duplicate-free runs. Either way ``start``, ``end`` and ``blocked_by``
+are exactly what one-task-at-a-time submission assigns — that rule
+lives in ``tests/scheduler_oracle.py``, which the identity tests
+compare this core against on randomized DAGs and whole epochs.
 
 A wave has a static half — channel, devices, durations, holds, how many
 dependencies each task lists — and a dynamic one: which tasks those
@@ -59,12 +65,14 @@ the dependency ids travel beside it. A DAG that is emitted again and
 again (a serving column's forward pass, once per request) is recorded
 once through a :class:`WaveRecorder` into a :class:`WaveProgram` — its
 waves' static halves plus every dependency as a *reference*, either to
-an earlier task of the program or to a numbered *external slot* — and
+an earlier task of the program or to a numbered *external slot*, and
+the static columns of all its tasks end to end — and
 :meth:`EventScheduler.submit_program` replays it: bind the slots to
-task ids, resolve all references in one indexed read, and run the same
-array step per recorded wave. Nothing about a replayed wave is
-re-validated or re-derived except the external ids; the schedule it
-leaves is the one ``submit_batch`` would have, bit for bit
+task ids, resolve all references in one indexed read, write each static
+column with one store, and run the same array step per recorded wave.
+Nothing about a replayed wave is re-validated, re-derived or re-stored
+except the external ids; the schedule it leaves is the one
+``submit_batch`` would have, bit for bit
 (``tests/test_runtime.py::TestWavePrograms``).
 """
 
@@ -151,6 +159,15 @@ def _slot(device):
     return (device << 1) ^ (device >> 63)
 
 
+def _real(seconds) -> np.ndarray:
+    """``seconds`` as a float64 array (strings, complex: malformed)."""
+    try:
+        return np.asarray(seconds, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise SchedulerError(
+            f"seconds must be real numbers, got {seconds!r}") from None
+
+
 def _run_bounds(devices: np.ndarray) -> Optional[List[int]]:
     """``None`` when a wave's devices are all distinct (every wave the
     library itself submits), else ``[0, ..., k]`` cutting the wave before
@@ -167,19 +184,21 @@ class _Wave:
     """The static half of one wave, in the form the array step reads it.
 
     Channel, devices, durations, holds and the *shape* of the per-task
-    dependency lists (``lens[t]`` extra ids for task ``t``, None when no
-    task has any) — plus everything that derives from those alone: the
-    frontier slots, the duplicate-free runs of a wave that repeats a
-    device, the segment bookkeeping of the per-task dependency maximum
-    and the wave's busy total. The dependency *ids* are the dynamic
-    half and travel beside it. A wave submitted once builds this on the
-    way in; a :class:`WaveProgram` builds it when the wave is recorded
-    and never again.
+    dependency lists (``lens[t]`` extra ids for task ``t``, ``seg_ends``
+    their running total; None when no task has any) — plus everything
+    that derives from those alone: the frontier slots, the duplicate-free
+    runs of a wave that repeats a device, the wave's busy total, and for
+    the per-task dependency maximum either ``single`` (one producer per
+    task: nothing to reduce) or the segment bookkeeping of ragged lists.
+    The dependency *ids* are the dynamic half and travel beside it. A
+    wave submitted once builds this on the way in; a
+    :class:`WaveProgram` builds it when the wave is recorded and never
+    again.
     """
 
     __slots__ = ("ch", "devices", "seconds", "k", "lens", "holds", "runs",
-                 "slot", "need", "total", "nz", "seg_starts", "seg_ends",
-                 "seg_of", "positions")
+                 "slot", "need", "total", "single", "nz", "seg_starts",
+                 "seg_ends", "seg_of", "positions")
 
     def __init__(self, ch: int, devices: np.ndarray, seconds: np.ndarray,
                  lens: Optional[np.ndarray], holds: Optional[Sequence]):
@@ -188,6 +207,7 @@ class _Wave:
         k = len(seconds)
         self.ch, self.devices, self.seconds, self.k = ch, devices, seconds, k
         self.lens, self.holds = lens, holds
+        self.seg_ends = None if lens is None else np.cumsum(lens)
         self.runs: Optional[List[tuple]] = None
         bounds = _run_bounds(devices) if k > 1 else None
         if bounds is not None:
@@ -195,7 +215,7 @@ class _Wave:
             # the wave takes the array step run by run, in order: each
             # run with the slice of the flattened extra ids it owns.
             off = ([0] * (k + 1) if lens is None
-                   else [0, *np.cumsum(lens).tolist()])
+                   else [0, *self.seg_ends.tolist()])
             self.runs = [
                 (_Wave(ch, devices[lo:hi], seconds[lo:hi],
                        None if lens is None else lens[lo:hi],
@@ -207,9 +227,9 @@ class _Wave:
         self.slot = _slot(devices)
         self.need = int(self.slot.max()) + 1
         self.total = seconds.sum()
-        if lens is not None:
+        self.single = lens is not None and bool((lens == 1).all())
+        if lens is not None and not self.single:
             self.nz = lens > 0
-            self.seg_ends = np.cumsum(lens)
             self.seg_starts = (self.seg_ends - lens)[self.nz]
             # flat position -> index of the (non-empty) segment it is in
             self.seg_of = np.repeat(np.arange(len(self.seg_starts)),
@@ -233,7 +253,7 @@ def _prepare(channel: str, devices, seconds, common_deps, extra_deps,
     if channel not in CHANNELS:
         raise SchedulerError(f"unknown channel {channel!r}")
     devices = np.asarray(devices)
-    seconds = np.asarray(seconds, dtype=np.float64)
+    seconds = _real(seconds)
     if devices.ndim != 1 or seconds.ndim != 1:
         raise SchedulerError(
             f"a wave's devices and seconds are 1-D, one entry per task: "
@@ -268,12 +288,19 @@ def _prepare(channel: str, devices, seconds, common_deps, extra_deps,
                 f"{len(per_task)} vs {k}"
             )
     holds = None
-    if shared_by_task is not None and any(map(len, shared_by_task)):
-        holds = shared_by_task
+    try:
+        if shared_by_task is not None and any(map(len, shared_by_task)):
+            holds = tuple(map(tuple, shared_by_task))  # the wave's own
         # An infinite hold would park every later holder at inf.
-        if not all(0 <= hold < _INF  # also False for NaN
-                   for task_holds in holds for _key, hold in task_holds):
-            raise SchedulerError("shared holds must be finite and >= 0")
+        well_formed = all(0 <= hold < _INF  # also False for NaN
+                          for task_holds in holds or ()
+                          for _key, hold in task_holds)
+    except (TypeError, ValueError):  # an entry is no list of pairs
+        well_formed = False
+    if not well_formed:
+        raise SchedulerError(
+            f"shared_by_task lists (resource, hold) pairs per task, holds "
+            f"finite and >= 0: got {shared_by_task!r}")
     common = task_ids(common_deps)
     lens = flat = None
     if isinstance(extra_deps, np.ndarray):
@@ -298,7 +325,7 @@ def phase_wave(category: str, per_device_seconds, channel: Optional[str],
     part of :meth:`~repro.hardware.clock.EventTimeline.submit_batch`'s
     keyword surface that :class:`WaveRecorder` shares. The channel
     defaults to the category, the devices to ``0 .. k-1``."""
-    seconds = np.asarray(per_device_seconds, dtype=np.float64)
+    seconds = _real(per_device_seconds)
     if seconds.ndim != 1:
         raise SchedulerError(
             f"a phase's seconds are 1-D, one entry per device: got shape "
@@ -327,7 +354,10 @@ class WaveProgram:
     task ``t`` — so a replay resolves them all in one indexed read.
     ``charges[i]`` is ``(category, bottleneck seconds)`` of wave ``i``,
     what :class:`~repro.hardware.clock.EventTimeline` books to its
-    breakdown. Immutable: replays only read it.
+    breakdown. ``columns`` is what a replay stores without looking at
+    a wave: per task its seconds, device, channel index, wave index and
+    the end of its extras among the program's; then the positions of
+    those extras in ``refs``. Immutable: replays only read it.
     """
 
     num_external: int
@@ -335,6 +365,7 @@ class WaveProgram:
     waves: tuple
     refs: np.ndarray
     charges: tuple
+    columns: Tuple[np.ndarray, ...]
 
     def __repr__(self) -> str:
         return (f"WaveProgram(waves={len(self.waves)}, "
@@ -388,8 +419,6 @@ class WaveRecorder:
         channel, devices, seconds = phase_wave(
             category, per_device_seconds, channel, devices, deps_by_device)
         # The program outlives the call: keep nothing the caller owns.
-        if shared_by_device is not None:
-            shared_by_device = tuple(map(tuple, shared_by_device))
         prepared = _prepare(channel, np.array(devices), seconds.copy(),
                             deps, deps_by_device, shared_by_device)
         if prepared is None:
@@ -410,9 +439,25 @@ class WaveRecorder:
 
     def finish(self) -> WaveProgram:
         """The program recorded so far."""
-        refs = np.concatenate(self._refs) if self._refs else _NO_IDS
+        def joined(parts, dtype=np.int64):
+            # led by an empty array: an empty program has no parts
+            return np.concatenate([np.empty(0, dtype), *parts])
+
+        waves = [wave for wave, *_ in self._waves]
+        sizes = [wave.k for wave in waves]
+        columns = (
+            joined([wave.seconds for wave in waves], np.float64),
+            joined([wave.devices for wave in waves]),
+            np.repeat(joined([[wave.ch] for wave in waves]), sizes),
+            np.repeat(np.arange(len(waves)), sizes),
+            np.cumsum(joined([
+                np.zeros(wave.k, np.int64) if wave.lens is None
+                else wave.lens for wave in waves])),
+            joined([np.arange(mid, hi) for *_, mid, hi in self._waves]),
+        )
         return WaveProgram(len(self.external), self._num_tasks,
-                           tuple(self._waves), refs, tuple(self._charges))
+                           tuple(self._waves), joined(self._refs),
+                           tuple(self._charges), columns)
 
 
 class EventScheduler:
@@ -448,17 +493,17 @@ class EventScheduler:
         # _slot(device) — when the queue frees and which task freed it.
         self._free = [np.zeros(0) for _ in CHANNELS]
         self._last = [np.full(0, -1, dtype=np.int64) for _ in CHANNELS]
-        # Busy-seconds accumulators, maintained at submit time so the
-        # busy queries are O(1) reads instead of full-list scans.
-        self._busy = [np.zeros(0) for _ in CHANNELS]
+        # Busy seconds per channel, one add a wave; per-device busy is
+        # aggregated from the task columns when somebody asks.
         self._busy_channel = np.zeros(len(CHANNELS))
         # Shared resources (spine core) stay dict-keyed: few keys, and
         # their frontier updates are inherently order-dependent.
         self._free_shared: Dict[Hashable, float] = {}
         self._last_shared: Dict[Hashable, int] = {}
         self._barrier_time = 0.0
-        self._max_end = 0.0  # running makespan; keeps barrier() O(1)
-        self._max_id = -1    # argmax-end task id (first max wins)
+        # Makespan watermark: latest end (first max wins) and its task
+        # id over tasks [0, _max_upto); _latest() folds in the rest.
+        self._max_end, self._max_id, self._max_upto = 0.0, -1, 0
         self._task_cache: Dict[int, Task] = {}
         self._tasks_view: List[Task] = []
 
@@ -604,8 +649,30 @@ class EventScheduler:
         self._check_ids(flat)
         self._phases.append((category, group, label, common))
         first = self._n
-        self._schedule(wave, common, flat, len(self._phases) - 1)
+        self._store_static(wave.k, wave.seconds, wave.devices, wave.ch,
+                           len(self._phases) - 1,
+                           0 if flat is None else wave.seg_ends,
+                           _NO_IDS if flat is None else flat)
+        self._schedule(wave, common, flat)
         return np.arange(first, first + wave.k, dtype=np.int64)
+
+    def _store_static(self, k: int, seconds, devices, channels, phases,
+                      extra_ends, extras: np.ndarray) -> None:
+        """Write what is known of the next ``k`` tasks before they are
+        scheduled, one store per column; ``extra_ends`` counts from the
+        first of ``extras``, their flattened extra ids."""
+        n0 = self._n
+        self._reserve(n0 + k)
+        sl = slice(n0, n0 + k)
+        self._seconds[sl] = seconds
+        self._device[sl] = devices
+        self._channel_idx[sl] = channels
+        self._phase_of[sl] = phases
+        self._extra_off[n0 + 1:n0 + k + 1] = self._extra_len + extra_ends
+        grown = self._extra_len + len(extras)
+        self._extra_flat = _grown(self._extra_flat, grown)
+        self._extra_flat[self._extra_len:grown] = extras
+        self._extra_len = grown
 
     def submit_program(self, program: WaveProgram, external_ids=(),
                        group: int = -1, barrier_each: bool = False
@@ -616,7 +683,8 @@ class EventScheduler:
         stands for; they are the only input left to check (integers, in
         range, one per slot) — everything else was validated when the
         waves were recorded. Every dependency reference of the program,
-        program-relative or external, resolves in one indexed read;
+        program-relative or external, resolves in one indexed read, its
+        static columns take one store each;
         then each recorded wave appends its phase record (``group``,
         when given, counts up from the first wave's) and takes the same
         array step as a wave submitted on its own, followed by a barrier
@@ -624,6 +692,11 @@ class EventScheduler:
         record and frontier — is what submitting the recorded waves one
         ``submit_batch`` at a time would have left.
         """
+        if not isinstance(program, WaveProgram):
+            raise SchedulerError(
+                f"program must be a WaveProgram, got {program!r}")
+        if not isinstance(group, (int, np.integer)):
+            raise SchedulerError(f"group must be an integer, got {group!r}")
         external = task_ids(external_ids)
         if len(external) != program.num_external:
             raise SchedulerError(
@@ -637,14 +710,17 @@ class EventScheduler:
             np.arange(first, first + program.num_tasks, dtype=np.int64),
         ))
         resolved = table[program.refs]
-        self._reserve(first + program.num_tasks)
         phases = self._phases
+        seconds, devices, channels, wave_of, extra_ends, positions = \
+            program.columns
+        self._store_static(program.num_tasks, seconds, devices, channels,
+                           wave_of + len(phases), extra_ends,
+                           resolved[positions])
         for wave, category, label, lo, mid, hi in program.waves:
             common = resolved[lo:mid] if mid > lo else None
             phases.append((category, group, label, common))
             self._schedule(wave, common,
-                           resolved[mid:hi] if hi > mid else None,
-                           len(phases) - 1)
+                           resolved[mid:hi] if hi > mid else None)
             if group >= 0:
                 group += 1
             if barrier_each:
@@ -652,18 +728,19 @@ class EventScheduler:
         return table[program.num_external:]
 
     def _schedule(self, wave: _Wave, common: Optional[np.ndarray],
-                  flat: Optional[np.ndarray], phase: int) -> None:
+                  flat: Optional[np.ndarray]) -> None:
         """The one place a start time is computed: the array step.
 
         ``wave`` is the static half (:class:`_Wave`); ``common`` gates
         every task, and task ``t``'s ``wave.lens[t]`` extra dependency
         ids lie consecutively in ``flat`` (None when no task has any).
+        Times the next ``wave.k`` tasks — their static columns are the
+        caller's to write — and advances the frontiers; nothing else.
         """
         if wave.runs is not None:
             for run, lo, hi in wave.runs:
                 self._schedule(run, common,
-                               None if run.lens is None else flat[lo:hi],
-                               phase)
+                               None if run.lens is None else flat[lo:hi])
             return
         k, ch, slot, seconds = wave.k, wave.ch, wave.slot, wave.seconds
         holds = wave.holds
@@ -671,7 +748,6 @@ class EventScheduler:
         if wave.need > len(self._free[ch]):
             self._free[ch] = _grown(self._free[ch], wave.need, 0.0)
             self._last[ch] = _grown(self._last[ch], wave.need, -1)
-            self._busy[ch] = _grown(self._busy[ch], wave.need, 0.0)
         free_arr, last_arr = self._free[ch], self._last[ch]
 
         # Own queue: start at the barrier unless the queue frees later.
@@ -689,20 +765,26 @@ class EventScheduler:
             c_arg = common_ends.argmax()  # first max
             dep_max, dep_id = float(common_ends[c_arg]), int(common[c_arg])
         if flat is not None:
-            nz, seg_starts = wave.nz, wave.seg_starts
-            flat_ends = self._end[flat]
-            seg_max = np.maximum.reduceat(flat_ends, seg_starts)
-            # First index achieving each segment's max (tie → earliest).
-            candidate = np.where(flat_ends == seg_max[wave.seg_of],
-                                 wave.positions, len(flat))
-            seg_first = np.minimum.reduceat(candidate, seg_starts)
-            e_max = np.full(k, _NEG_INF)
-            e_id = np.full(k, -1, dtype=np.int64)
-            e_max[nz] = seg_max
-            e_id[nz] = flat[seg_first]
-            beats = e_max > dep_max  # ties keep the earlier common dep
-            dep_max = np.where(beats, e_max, dep_max)
-            dep_id = np.where(beats, e_id, dep_id)
+            if wave.single:  # one producer each: nothing to reduce
+                e_max, e_id = self._end[flat], flat
+            else:
+                nz, seg_starts = wave.nz, wave.seg_starts
+                flat_ends = self._end[flat]
+                seg_max = np.maximum.reduceat(flat_ends, seg_starts)
+                # First index achieving each segment's max (tie → earliest).
+                candidate = np.where(flat_ends == seg_max[wave.seg_of],
+                                     wave.positions, len(flat))
+                seg_first = np.minimum.reduceat(candidate, seg_starts)
+                e_max = np.full(k, _NEG_INF)
+                e_id = np.full(k, -1, dtype=np.int64)
+                e_max[nz] = seg_max
+                e_id[nz] = flat[seg_first]
+            if common is None:  # -inf gates nothing: no merge to do
+                dep_max, dep_id = e_max, e_id
+            else:
+                beats = e_max > dep_max  # ties keep the earlier common dep
+                dep_max = np.where(beats, e_max, dep_max)
+                dep_id = np.where(beats, e_id, dep_id)
 
         if holds is None:
             gated = dep_max > starts
@@ -739,33 +821,13 @@ class EventScheduler:
         ends = starts + seconds
 
         # ---- store ---------------------------------------------------
-        self._reserve(n0 + k)
         sl = slice(n0, n0 + k)
         self._start[sl] = starts
         self._end[sl] = ends
-        self._seconds[sl] = seconds
-        self._device[sl] = wave.devices
-        self._channel_idx[sl] = ch
         self._blocked[sl] = blocked
-        self._phase_of[sl] = phase
-        if flat is not None:
-            self._extra_flat = _grown(self._extra_flat,
-                                      self._extra_len + len(flat))
-            self._extra_flat[self._extra_len:self._extra_len + len(flat)] = \
-                flat
-            self._extra_off[n0 + 1:n0 + k + 1] = \
-                self._extra_len + wave.seg_ends
-            self._extra_len += len(flat)
-        else:
-            self._extra_off[n0 + 1:n0 + k + 1] = self._extra_len
         free_arr[slot] = ends
         last_arr[slot] = np.arange(n0, n0 + k, dtype=np.int64)
-        self._busy[ch][slot] += seconds
         self._busy_channel[ch] += wave.total
-        b_arg = int(ends.argmax())  # first max within the wave
-        if self._max_id < 0 or ends[b_arg] > self._max_end:
-            self._max_end = float(ends[b_arg])
-            self._max_id = n0 + b_arg
         self._n = n0 + k
 
     def ends_of(self, ids) -> np.ndarray:
@@ -785,13 +847,25 @@ class EventScheduler:
         self._barrier_time = self.makespan
         return self._barrier_time
 
+    def _latest(self) -> int:
+        """Id of the task that ends last (first max; -1 when none),
+        once the tasks since the last call are folded into the watermark."""
+        if self._max_upto < self._n:
+            ends = self._end[self._max_upto:self._n]
+            arg = int(ends.argmax())  # first max
+            if self._max_id < 0 or ends[arg] > self._max_end:
+                self._max_end = float(ends[arg])
+                self._max_id = self._max_upto + arg
+            self._max_upto = self._n
+        return self._max_id
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     @property
     def makespan(self) -> Seconds:
         """End of the latest task (the simulated wall-clock epoch time)."""
-        if self._max_id < 0:
+        if self._latest() < 0:
             return self._barrier_time
         return max(self._barrier_time, self._max_end)
 
@@ -801,22 +875,25 @@ class EventScheduler:
 
         Busy seconds are occupancy, not wall time: tasks on different
         resources overlap, so per-resource busy time lower-bounds any
-        schedule's makespan (tested in ``tests/test_runtime.py``). Reads
-        the per-resource accumulators maintained at submit time — O(1)
-        per resource, never a scan of the task list.
+        schedule's makespan (tested in ``tests/test_runtime.py``).
+        Without a device this reads the per-channel totals kept at
+        submit time; with one it is one pass over the task columns,
+        adding each of the device's queues up in submission order.
         """
         if channel is not None and channel not in CHANNELS:
-            return 0.0
+            raise SchedulerError(f"unknown channel {channel!r}")
+        if not isinstance(device, (int, np.integer, type(None))):
+            raise SchedulerError(
+                f"device must be an integer id, got {device!r}")
         channels = ([_CHANNEL_INDEX[channel]] if channel is not None
                     else range(len(CHANNELS)))
         if device is None:
             return float(sum(self._busy_channel[ch] for ch in channels))
-        total = 0.0
-        index = _slot(device)
-        for ch in channels:
-            if index < len(self._busy[ch]):
-                total += float(self._busy[ch][index])
-        return total
+        mine = self._device[:self._n] == device
+        busy = np.bincount(self._channel_idx[:self._n][mine],
+                           weights=self._seconds[:self._n][mine],
+                           minlength=len(CHANNELS)).tolist()
+        return float(sum(busy[ch] for ch in channels))
 
     def busy_by_channel(self) -> Dict[str, float]:
         """Busy seconds per channel, summed over devices (O(1) reads)."""
@@ -851,12 +928,11 @@ class EventScheduler:
         resource (spine contention). The walk therefore crosses
         resource-contention gaps, not just dependency edges; only barriers
         and time-zero starts terminate it. The chain head is the argmax-
-        end task, tracked incrementally at submit time (first max wins,
-        matching a scan in submission order).
+        end task (first max wins, matching a scan in submission order).
         """
         if self._n == 0:
             return []
-        current = self._max_id
+        current = self._latest()
         chain = [self._task(current)]
         while self._blocked[current] >= 0:
             current = int(self._blocked[current])

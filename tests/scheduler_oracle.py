@@ -9,10 +9,11 @@ applied as a strictly-greater update so ``blocked_by`` names the first
 constraint that reached the maximum. :class:`OracleScheduler` overrides
 only how a wave's times are assigned — the one method every submission
 goes through, ``submit``, ``submit_batch`` and each wave of a replayed
-``submit_program`` alike; validation, the structure-of-arrays storage,
-``validate()`` and every query are the production ones, so a test that
-builds the same task stream on both compares the two rules and nothing
-else.
+``submit_program`` alike; validation, the structure-of-arrays storage
+(the static columns included: the caller of ``_schedule`` writes them,
+and the replay-vs-``submit_batch`` tests check them), ``validate()``
+and every query are the production ones, so a test that builds the same
+task stream on both compares the two rules and nothing else.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.runtime.scheduler import EventScheduler, _grown, _slot
+from repro.runtime.task import CHANNELS
 
 __all__ = ["OracleScheduler", "install_scheduler_oracle", "timeline_state"]
 
@@ -40,6 +42,9 @@ def timeline_state(timeline) -> dict:
         for category, group, label, ids in scheduler._phases]
     state["shared"] = (scheduler._free_shared, scheduler._last_shared)
     state["busy"] = scheduler.busy_by_channel()
+    state["busy_by_device"] = {
+        (channel, device): scheduler.busy_seconds(channel, device)
+        for channel in CHANNELS for device in scheduler.devices()}
     state["breakdown"] = dict(timeline.breakdown.seconds)
     state["group"] = timeline._group
     state["makespan"] = timeline.makespan
@@ -49,7 +54,7 @@ def timeline_state(timeline) -> dict:
 class OracleScheduler(EventScheduler):
     """Schedules every wave — repeated devices included — task by task."""
 
-    def _schedule(self, wave, common, flat, phase):
+    def _schedule(self, wave, common, flat):
         # Reads only what the caller passed in — devices, seconds, holds
         # and the per-task list lengths — none of the derived fields the
         # array step keeps on the wave.
@@ -59,15 +64,13 @@ class OracleScheduler(EventScheduler):
             self._schedule_one(
                 wave.ch, int(wave.devices[t]), float(wave.seconds[t]), common,
                 None if flat is None else flat[off[t]:off[t + 1]],
-                () if wave.holds is None else wave.holds[t], phase,
+                () if wave.holds is None else wave.holds[t],
             )
 
-    def _schedule_one(self, ch, device, seconds, common, extras, shared,
-                      phase):
+    def _schedule_one(self, ch, device, seconds, common, extras, shared):
         index = _slot(device)
         self._free[ch] = _grown(self._free[ch], index + 1, 0.0)
         self._last[ch] = _grown(self._last[ch], index + 1, -1)
-        self._busy[ch] = _grown(self._busy[ch], index + 1, 0.0)
         start = self._barrier_time
         blocked = -1
         if self._free[ch][index] > start:
@@ -86,24 +89,12 @@ class OracleScheduler(EventScheduler):
                     start = self._end[dep]
                     blocked = dep
         task_id = self._n
-        self._reserve(task_id + 1)
         end = start + seconds
         self._start[task_id] = start
         self._end[task_id] = end
-        self._seconds[task_id] = seconds
-        self._device[task_id] = device
-        self._channel_idx[task_id] = ch
         self._blocked[task_id] = blocked
-        self._phase_of[task_id] = phase
-        if extras is not None and len(extras):
-            grown = self._extra_len + len(extras)
-            self._extra_flat = _grown(self._extra_flat, grown)
-            self._extra_flat[self._extra_len:grown] = extras
-            self._extra_len = grown
-        self._extra_off[task_id + 1] = self._extra_len
         self._free[ch][index] = end
         self._last[ch][index] = task_id
-        self._busy[ch][index] += seconds
         self._busy_channel[ch] += seconds
         for key, hold in shared:
             if hold <= 0:
@@ -112,9 +103,6 @@ class OracleScheduler(EventScheduler):
             if hold_end > self._free_shared.get(key, 0.0):
                 self._free_shared[key] = hold_end
                 self._last_shared[key] = task_id
-        if self._max_id < 0 or end > self._max_end:
-            self._max_end = end
-            self._max_id = task_id
         self._n = task_id + 1
 
 

@@ -1,4 +1,4 @@
-"""``tools/profile_step.py`` runs end to end on the smoke-sized planner."""
+"""``tools/profile_step.py`` runs end to end on smoke-sized workloads."""
 
 import os
 import subprocess
@@ -19,3 +19,18 @@ def test_profiles_one_plan_fleet_step():
     assert "(search_placement)" in by_cumulative
     assert "(step)" in by_cumulative
     assert "Ordered by: internal time" in by_self
+
+
+def test_callers_names_who_called_the_matching_functions():
+    done = subprocess.run(
+        [sys.executable, os.path.join("tools", "profile_step.py"),
+         "--workload", "serve_mixed", "--tiny", "--callers", "_schedule"],
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    tables, callers = done.stdout.split("callers of '_schedule' ==")
+    assert "serve_mixed (seed 0): one step, by tottime" in tables
+    assert "was called by..." in callers
+    # a replayed wave reaches the array step from submit_program, an
+    # admission wave from _wave
+    assert "(submit_program)" in callers
+    assert "(_wave)" in callers

@@ -240,6 +240,54 @@ class TestEventScheduler:
         assert scheduler.num_tasks == 1
         assert len(scheduler._phases) == 1
 
+    @pytest.mark.parametrize("call, names", [
+        # used to answer 0.0
+        (lambda s: s.busy_seconds(channel="bogus"), "channel"),
+        # bare TypeErrors from the slot arithmetic
+        (lambda s: s.busy_seconds(device=1.5), "device"),
+        (lambda s: s.busy_seconds(channel="gpu", device="a"), "device"),
+        # AttributeError
+        (lambda s: s.submit_program(None, []), "program"),
+        # accepted: the float landed in the phase records
+        (lambda s: s.submit_program(recorded(1, 1).finish(), [0],
+                                    group=1.5), "group"),
+        # ValueError / bare TypeError from the float64 conversion
+        (lambda s: s.submit_batch("gpu", [0], ["a"]), "seconds"),
+        (lambda s: s.submit_batch("gpu", [0], [1j]), "seconds"),
+        (lambda s: s.submit("gpu", 0, "a"), "seconds"),
+        (lambda s: WaveRecorder().submit_batch("gpu", ["a"]), "seconds"),
+        (lambda s: WaveRecorder().submit_batch("gpu", [1j]), "seconds"),
+        # ValueError (no hold), bare TypeErrors (no number, no list)
+        (lambda s: s.submit("gpu", 0, 1.0, shared=[("k",)]), "shared"),
+        (lambda s: s.submit("gpu", 0, 1.0, shared=[("k", "x")]), "shared"),
+        (lambda s: s.submit_batch("gpu", [0], [1.0],
+                                  shared_by_task=[None]), "shared_by_task"),
+        (lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                  shared_by_task=[[("k", 1.0)], [("k",)]]),
+         "shared_by_task"),
+        (lambda s: WaveRecorder().submit_batch(
+            "gpu", [1.0], shared_by_device=[None]), "shared"),
+        (lambda s: WaveRecorder().submit_batch(
+            "gpu", [1.0], shared_by_device=[[("k", "x")]]), "shared"),
+    ], ids=["busy_channel", "busy_float_device", "busy_str_device",
+            "replay_no_program", "replay_float_group", "batch_str_seconds",
+            "batch_complex_seconds", "submit_str_seconds",
+            "program_str_seconds", "program_complex_seconds",
+            "submit_short_hold", "submit_str_hold", "batch_none_holds",
+            "batch_short_hold", "program_none_holds", "program_str_hold"])
+    def test_malformed_argument_is_a_scheduler_error(self, call, names):
+        """Each used to escape the ``repro.errors`` taxonomy or answer
+        a silently wrong number; each names the argument, and leaves no
+        trace."""
+        scheduler = EventScheduler()
+        scheduler.submit("gpu", 0, 1.0)
+        with pytest.raises(SchedulerError, match=names):
+            call(scheduler)
+        scheduler.validate()
+        assert scheduler.num_tasks == 1
+        assert len(scheduler._phases) == 1
+        assert not scheduler._free_shared
+
     def test_replay_with_the_wrong_number_of_external_ids_rejected(self):
         scheduler = EventScheduler()
         scheduler.submit("gpu", 0, 1.0)
@@ -556,6 +604,20 @@ class TestWavePrograms:
         bound[ids < 0] = external[ids[ids < 0]]  # slot s is id s - E
         return bound
 
+    def _submit_fresh(self, fresh, waves, external=()):
+        """The reference: the program's waves, one ``submit_batch`` at a
+        time, their ids bound by hand."""
+        n = fresh.scheduler.num_tasks
+        for wave in waves:
+            per_device = wave.get("deps_by_device")
+            if isinstance(per_device, list):
+                per_device = [self._bind(e, external, n) for e in per_device]
+            else:  # None, or one producer per device
+                per_device = self._bind(per_device, external, n)
+            fresh.submit_batch(**{
+                **wave, "deps": self._bind(wave.get("deps"), external, n),
+                "deps_by_device": per_device})
+
     def _build_pair(self, seed, scheduler_cls):
         rng = np.random.default_rng(seed)
         barrier_all = bool(rng.random() < 0.25)
@@ -580,16 +642,7 @@ class TestWavePrograms:
                 fresh.barrier()
             ids = replayed.submit_program(program, external)
             assert ids.tolist() == list(range(n, n + program.num_tasks))
-            for wave in waves:
-                per_device = wave["deps_by_device"]
-                if isinstance(per_device, list):
-                    per_device = [self._bind(e, external, n)
-                                  for e in per_device]
-                else:  # None, or one producer per device
-                    per_device = self._bind(per_device, external, n)
-                fresh.submit_batch(**{
-                    **wave, "deps": self._bind(wave["deps"], external, n),
-                    "deps_by_device": per_device})
+            self._submit_fresh(fresh, waves, external)
             # something unrelated lands between two replays
             for timeline in (replayed, fresh):
                 timeline.submit_batch("d2h", [0.125], devices=[1])
@@ -613,6 +666,193 @@ class TestWavePrograms:
         assert [task.task_id for task in a.critical_path()] == \
             [task.task_id for task in b.critical_path()]
         replayed.validate()
+
+    #: name -> (waves, barrier_all): the shapes the random draws reach
+    #: rarely or never, each replayed three times onto a non-empty
+    #: timeline. Ids are program-relative; -1 is the one external slot.
+    SHAPES = {
+        "barrier_each": ([
+            dict(category="h2d", per_device_seconds=[1.0, 2.0],
+                 deps=np.array([-1])),
+            dict(category="gpu", per_device_seconds=[0.5, 0.25],
+                 deps_by_device=np.array([0, 1]))], True),
+        "empty_program": ([], False),
+        "one_empty_wave": ([dict(category="net", per_device_seconds=[])],
+                           False),
+        "repeated_devices": ([
+            dict(category="gpu", per_device_seconds=[1.0, 0.5, 0.25],
+                 devices=[0, 1, 0], deps=np.array([-1])),
+            dict(category="gpu", per_device_seconds=[1.0, 2.0, 0.5, 0.25],
+                 devices=[1, 1, 0, 1],
+                 deps_by_device=[np.array([0, 2]), None, np.array([-1]),
+                                 np.array([1])],
+                 shared_by_device=[[("core", 0.5)], [], [("core", 0.25)],
+                                   []])], False),
+        # 3 x 90 tasks and 3 x 120 extra ids: the task arrays and
+        # _extra_flat (64 slots each at first) double mid-replay
+        "crosses_capacity": ([
+            dict(category="h2d", per_device_seconds=np.arange(30.0) / 8),
+            dict(category="gpu", per_device_seconds=np.arange(30.0) / 16,
+                 deps_by_device=[np.array([t, (t + 7) % 30, -1])
+                                 for t in range(30)]),
+            dict(category="d2h", per_device_seconds=np.ones(30),
+                 deps_by_device=np.arange(30, 60))], False),
+    }
+
+    @pytest.mark.parametrize("scheduler_cls",
+                             [EventScheduler, OracleScheduler])
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_replay_equals_fresh_emission_on_named_shapes(
+            self, name, scheduler_cls):
+        waves, barrier_all = self.SHAPES[name]
+        recorder = WaveRecorder(num_external=1)
+        for wave in waves:
+            recorder.submit_batch(**wave)
+        program = recorder.finish()
+        assert len(program.waves) == sum(
+            len(wave["per_device_seconds"]) > 0 for wave in waves)
+        replayed, fresh = (EventTimeline(barrier_all) for _ in range(2))
+        for timeline in (replayed, fresh):
+            timeline.scheduler = scheduler_cls()
+            timeline.submit_batch("gpu", [0.5, 1.5], devices=[1, 0])
+        capacity = len(replayed.scheduler._start), \
+            len(replayed.scheduler._extra_flat)
+        for external in ([0], [1], [3]):
+            replayed.submit_program(program, external)
+            self._submit_fresh(fresh, waves, np.array(external))
+            for timeline in (replayed, fresh):
+                timeline.add("cpu", 0.125)
+        assert timeline_state(replayed) == timeline_state(fresh)
+        assert [task.deps for task in replayed.scheduler.tasks] == \
+            [task.deps for task in fresh.scheduler.tasks]
+        replayed.validate()
+        grew = (len(replayed.scheduler._start) > capacity[0],
+                len(replayed.scheduler._extra_flat) > capacity[1])
+        assert grew == ((True, True) if name == "crosses_capacity"
+                        else (False, False))
+
+    @pytest.mark.parametrize("scheduler_cls",
+                             [EventScheduler, OracleScheduler])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_makespan_watermark_read_between_submissions(
+            self, seed, scheduler_cls):
+        """``makespan`` / ``critical_path()`` / ``barrier()`` fold the
+        tasks submitted since the last read into a watermark: reading
+        after every submission, or once at the end, or on a timeline
+        that never replayed, names the same task."""
+        rng = np.random.default_rng(seed)
+        waves = self._program_waves(rng, num_external=1)
+        recorder = WaveRecorder(num_external=1)
+        for wave in waves:
+            recorder.submit_batch(**wave)
+        program = recorder.finish()
+        polled, quiet, fresh = (EventTimeline() for _ in range(3))
+        for timeline in (polled, quiet, fresh):
+            timeline.scheduler = scheduler_cls()
+        seen = []
+
+        def read():
+            seen.append((polled.makespan, fresh.makespan))
+            assert seen[-1][0] == seen[-1][1]
+            assert [task.task_id for task in
+                    polled.scheduler.critical_path()] == \
+                [task.task_id for task in fresh.scheduler.critical_path()]
+
+        for step in range(8):
+            host_seconds = float(rng.integers(0, 4)) / 4
+            for timeline in (polled, quiet, fresh):
+                gate = timeline.add("cpu", host_seconds)
+                timeline.submit_batch(
+                    "h2d", [0.5, 0.25 * step], deps=[gate])
+            read()
+            external = [int(rng.integers(polled.scheduler.num_tasks))]
+            polled.submit_program(program, external)
+            quiet.submit_program(program, external)
+            self._submit_fresh(fresh, waves, np.array(external))
+            read()
+            if step % 3 == 2:
+                assert polled.barrier() == fresh.barrier() == quiet.barrier()
+        assert len({makespan for makespan, _ in seen}) > 4
+        assert timeline_state(polled) == timeline_state(fresh) \
+            == timeline_state(quiet)
+        assert [task.task_id for task in quiet.scheduler.critical_path()] \
+            == [task.task_id for task in fresh.scheduler.critical_path()]
+
+    @pytest.mark.parametrize("scheduler_cls",
+                             [EventScheduler, OracleScheduler])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_busy_per_device_is_the_sequential_sum(self, seed,
+                                                   scheduler_cls):
+        """``busy_seconds(channel, device)`` aggregates the task columns
+        on request; the floats are those of adding each task's seconds
+        to its queue's total as it is submitted."""
+        replayed, _ = self._build_pair(seed, scheduler_cls)
+        scheduler = replayed.scheduler
+        expected = {}
+        for task in scheduler.tasks:
+            key = (task.channel, task.device)
+            expected[key] = expected.get(key, 0.0) + task.seconds
+        assert len(expected) > 4
+        for channel in CHANNELS:
+            for device in scheduler.devices():
+                assert scheduler.busy_seconds(channel, device) == \
+                    expected.get((channel, device), 0.0)
+        for device in scheduler.devices():
+            total = 0.0
+            for channel in CHANNELS:
+                total += expected.get((channel, device), 0.0)
+            assert scheduler.busy_seconds(device=device) == total
+        assert scheduler.busy_seconds(channel="gpu", device=12345) == 0.0
+
+    @pytest.mark.parametrize("scheduler_cls",
+                             [EventScheduler, OracleScheduler])
+    def test_replay_writes_each_static_column_once(self, scheduler_cls,
+                                                   monkeypatch):
+        """The work bound: a replay's static columns — seconds, device,
+        channel, phase, extra offsets, extra ids — take one store each
+        however many waves the program has, and a wave of one producer
+        per task fills no ``np.full`` scratch."""
+        class Counting(np.ndarray):
+            def __setitem__(self, key, value):
+                self.writes = getattr(self, "writes", 0) + 1
+                super().__setitem__(key, value)
+
+        recorder = WaveRecorder(num_external=1)
+        ids = recorder.submit_batch("h2d", [1.0, 2.0, 0.5],
+                                    deps=recorder.external)
+        for category in ("gpu", "d2h", "gpu", "net", "d2h"):
+            ids = recorder.submit_batch(
+                category, [0.5, 0.25, 1.0], deps_by_device=ids,
+                devices=[-2, -3, -4] if category == "net" else None)
+        program = recorder.finish()
+        assert len(program.waves) == 6
+        scheduler = scheduler_cls()
+        scheduler.submit("cpu", 0, 1.0)
+        scheduler.submit_program(program, [0])  # frontiers exist now
+        columns = ("_seconds", "_device", "_channel_idx", "_phase_of",
+                   "_extra_off", "_extra_flat")
+        for name in columns:
+            setattr(scheduler, name,
+                    getattr(scheduler, name).view(Counting))
+        fills = []
+        real_full = np.full
+        monkeypatch.setattr(
+            np, "full",
+            lambda *args, **kw: fills.append(args) or real_full(*args, **kw))
+        scheduler.submit_program(program, [1])
+        monkeypatch.undo()
+        assert {name: getattr(scheduler, name).writes
+                for name in columns} == dict.fromkeys(columns, 1)
+        assert not fills
+        reference = scheduler_cls()
+        reference.submit("cpu", 0, 1.0)
+        for external in ([0], [1]):
+            reference.submit_program(program, external)
+        n = reference.num_tasks
+        for name in columns + ("_start", "_end", "_blocked"):
+            np.testing.assert_array_equal(
+                np.asarray(getattr(scheduler, name))[:n],
+                getattr(reference, name)[:n], err_msg=name)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_array_step_replay_equals_oracle_replay(self, seed):

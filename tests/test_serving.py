@@ -464,6 +464,59 @@ class TestWaveProgramServing:
         assert scalar.timeline.busy_view() == \
             pytest.approx(batched.timeline.busy_view(), rel=1e-12)
 
+    #: the perf benchmark's ``serve_mixed`` day at its ``--tiny`` size
+    #: (``benchmarks/perf/workloads.py``: ``_HORIZONS`` and
+    #: ``ServeMixed.tiny_shape``): label -> (arrivals, policy, policy
+    #: arguments, cache budget as a share of the warm set)
+    BENCH_HORIZONS = {
+        "a": ("poisson", "immediate", {}, None),
+        "b": ("bursty", "size", {"batch_size": 8}, None),
+        "c": ("poisson", "deadline", {"batch_timeout": 0.5e-3}, 0.25),
+    }
+
+    @pytest.fixture(scope="class")
+    def bench_trainer(self):
+        seed = 0
+        graph = load_dataset("products_sim", scale=0.25, seed=seed + 42)
+        args = ClusterArgs(seed=seed, arch="gcn", hidden_dim=8, layers=2,
+                           chunks=4, gpus=2, nodes=2)
+        trainer = HongTuTrainer(
+            graph, args.build_model(graph), args.build_platform(),
+            args.build_config(intermediate_policy="hybrid",
+                              overlap="pipeline"))
+        trainer.train_epoch()
+        return trainer
+
+    @pytest.mark.parametrize("oracle", [False, True],
+                             ids=["array_step", "oracle"])
+    @pytest.mark.parametrize("label", sorted(BENCH_HORIZONS))
+    def test_benchmark_horizons_replay_bit_identically(
+            self, bench_trainer, label, oracle, install_scheduler_oracle):
+        """The bit-identity the docs promise, on the path the benchmark
+        runs: the engine ``serving_engine()`` hands out, replaying, and
+        the emitter run per request straight onto the timeline leave the
+        same completions, cache counters and schedule."""
+        if oracle:
+            install_scheduler_oracle()
+        kind, policy, policy_args, share = self.BENCH_HORIZONS[label]
+        warm_bytes = bench_trainer.serving_engine().cache_bytes
+        budget = None if share is None else max(1, int(warm_bytes * share))
+        horizons = []
+        for engine in (
+                bench_trainer.serving_engine(cache_budget_bytes=budget),
+                DirectEngine(bench_trainer, cache_budget_bytes=budget)):
+            arrivals = build_arrivals(kind, 4000.0, 0.03,
+                                      seed="abc".index(label), burst_size=8)
+            horizons.append(engine.serve(
+                arrivals, build_policy(policy, **policy_args), slo=0.5e-3))
+        replayed, direct = horizons
+        assert (type(replayed.timeline.scheduler) is EventScheduler) \
+            == (not oracle)
+        assert replayed.num_requests > 50
+        assert (replayed.cache_evictions > 0) == (label == "c")
+        assert_same_horizon(replayed, direct)
+        replayed.timeline.validate()
+
     def test_rates_version_bump_drops_the_programs(self, graph):
         """A fault applied between two horizons re-prices every second:
         the second horizon must equal a fresh engine's, not replay the

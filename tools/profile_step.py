@@ -15,6 +15,11 @@ Usage::
     python tools/profile_step.py --workload plan_fleet
     python tools/profile_step.py --workload train_cluster --seed 3 --top 40
     python tools/profile_step.py --workload plan_fleet --tiny   # smoke size
+    python tools/profile_step.py --workload serve_mixed --callers full
+
+``--callers PATTERN`` adds who called the functions whose name matches
+the regular expression ``PATTERN``, and how often — which of its callers a
+hot NumPy routine's calls come from.
 
 The measuring process carries the same environment pins as the
 benchmark's child (one BLAS thread, fixed hash seed, no malloc trimming);
@@ -75,6 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--top", type=int, default=25, metavar="K", help="rows per table (default 25)"
     )
+    parser.add_argument(
+        "--callers",
+        metavar="PATTERN",
+        help="also print the callers of functions whose name matches this regex",
+    )
     return parser
 
 
@@ -90,6 +100,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     for order in ("cumulative", "tottime"):
         print(f"== {args.workload} (seed {args.seed}): one step, by {order} ==")
         stats.sort_stats(order).print_stats(args.top)
+    if args.callers:
+        print(f"== {args.workload} (seed {args.seed}): callers of {args.callers!r} ==")
+        stats.print_callers(args.callers)
     return 0
 
 
