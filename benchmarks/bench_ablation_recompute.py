@@ -11,12 +11,12 @@ HongTu falls back to recomputation because caching O(|E|) attention
 intermediates would cost more than recomputing them.
 """
 
-from repro.bench import bench_model, render_table
+from repro.bench import render_table
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.graph import load_dataset
 from repro.hardware import A100_SERVER, MultiGPUPlatform
 
-from benchmarks._common import BENCH_SCALE, emit
+from benchmarks._common import BENCH_SCALE, emit, paper_model
 
 DATASET = "papers_sim"
 CHUNKS = 12
@@ -25,7 +25,7 @@ HIDDEN = 128
 
 def run_policy(arch, policy, comm_mode="baseline"):
     graph = load_dataset(DATASET, scale=BENCH_SCALE)
-    model = bench_model(arch, graph, 3, HIDDEN, seed=1)
+    model = paper_model(arch, graph, 3, HIDDEN, seed=1)
     trainer = HongTuTrainer(
         graph, model, MultiGPUPlatform(A100_SERVER),
         HongTuConfig(num_chunks=CHUNKS, intermediate_policy=policy,

@@ -21,16 +21,12 @@ that justifies the machinery, twice:
 plus the migration volume into the bench-regression harness, with the
 producing config recorded for provenance.
 
-``python benchmarks/bench_faulty_fleet.py`` prints the comparison table
-at full bench scale.
-
 Both fleets are described through :func:`benchmarks._common.fleet_scenario`
 — the same :class:`~repro.scenario.ClusterArgs` path the CLI parses
 ``--fault`` specs into, so the bench exercises the shared scenario API
 end to end.
 """
 
-import argparse
 import math
 
 from repro.bench import format_bytes, format_seconds, render_table
@@ -40,10 +36,6 @@ from repro.graph import load_dataset
 from benchmarks._common import emit, emit_json, fleet_scenario
 
 DATASET = "products_sim"
-#: full-scale run; the elastic win is not monotone in scale (the NIC
-#: penalty folded into the integer placement objective rounds), 0.25 is
-#: a scale where the re-balance visibly pays off
-SCALE = 0.25
 #: smoke scale — small enough for CI, large enough that the straggled
 #: fleet's placement search has real skew to exploit
 SMOKE_SCALE = 0.08
@@ -86,7 +78,7 @@ def _probe_epoch_seconds(scale):
     return trainer.train_epoch().epoch_seconds
 
 
-def run_faulty_fleet(scale=SCALE):
+def run_faulty_fleet(scale):
     """Straggler (elastic vs static) + death (elastic) runs.
 
     All runs share the dataset, model weights and fault timing; the
@@ -160,9 +152,6 @@ def bench_faulty_fleet_smoke(benchmark):
     check_fleet(runs)
 
 
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
 def build_table(runs, title):
     rows = []
     for label in ("elastic", "static", "death"):
@@ -183,26 +172,3 @@ def build_table(runs, title):
         rows, title=title,
     )
 
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Elastic re-balance vs static placement on a "
-                    "fault-injected fleet")
-    parser.add_argument("--scale", type=float, default=SCALE)
-    args = parser.parse_args(argv)
-    runs = run_faulty_fleet(scale=args.scale)
-    emit("faulty_fleet", build_table(
-        runs,
-        title=f"Fault-injected fleet ({DATASET} @ {args.scale}, "
-              f"{NODES} nodes x {GPUS_PER_NODE} GPUs)",
-    ))
-    elastic = runs["elastic"][1][-1].epoch_seconds
-    static = runs["static"][1][-1].epoch_seconds
-    print(f"elastic steady-state epoch is {static / elastic:.3f}x "
-          f"better than riding out the straggler")
-    check_fleet(runs)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -8,12 +8,12 @@ Expected shape (paper): 4x chunks cut memory by 51-65 % while runtime grows
 1.5-2.2x, sublinearly — memory trades against (mostly) communication time.
 """
 
-from repro.bench import bench_model, render_table
+from repro.bench import render_table
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.graph import load_dataset
 from repro.hardware import A100_SERVER, MultiGPUPlatform
 
-from benchmarks._common import BENCH_SCALE, emit
+from benchmarks._common import BENCH_SCALE, emit, paper_model
 
 #: initial chunk counts (paper: IT=8, OPR=32, FDS=32; scaled to stand-ins)
 INITIAL = {"it2004_sim": 4, "papers_sim": 8, "friendster_sim": 8}
@@ -26,7 +26,7 @@ def run_sweep():
     for dataset, initial in INITIAL.items():
         graph = load_dataset(dataset, scale=BENCH_SCALE)
         for multiplier in MULTIPLIERS:
-            model = bench_model("gcn", graph, 3, HIDDEN, seed=1)
+            model = paper_model("gcn", graph, 3, HIDDEN, seed=1)
             platform = MultiGPUPlatform(A100_SERVER)
             trainer = HongTuTrainer(
                 graph, model, platform,

@@ -15,7 +15,7 @@ scale-up-within-one-server — and pipeline overlap strictly beats barrier
 at every node count by hiding part of the halo traffic under compute.
 """
 
-from repro.bench import bench_model, render_table
+from repro.bench import render_table
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.graph import load_dataset
 from repro.hardware import (
@@ -25,7 +25,7 @@ from repro.hardware import (
     MultiGPUPlatform,
 )
 
-from benchmarks._common import BENCH_SCALE, emit
+from benchmarks._common import BENCH_SCALE, emit, paper_model
 
 DATASETS = ["it2004_sim", "papers_sim", "friendster_sim"]
 GPU_COUNTS = [1, 2, 3, 4]
@@ -39,7 +39,7 @@ def run_arch(arch):
     for dataset in DATASETS:
         graph = load_dataset(dataset, scale=BENCH_SCALE)
         for num_gpus in GPU_COUNTS:
-            model = bench_model(arch, graph, 2, HIDDEN, seed=1)
+            model = paper_model(arch, graph, 2, HIDDEN, seed=1)
             platform = MultiGPUPlatform(A100_SERVER, num_gpus=num_gpus)
             trainer = HongTuTrainer(
                 graph, model, platform,
@@ -99,7 +99,7 @@ def run_nodes(dataset="papers_sim", arch="gcn"):
     results = {}
     for nodes in NODE_COUNTS:
         for overlap in ["barrier", "pipeline"]:
-            model = bench_model(arch, graph, 2, HIDDEN, seed=1)
+            model = paper_model(arch, graph, 2, HIDDEN, seed=1)
             platform = (MultiGPUPlatform(A100_SERVER) if nodes == 1
                         else ClusterPlatform(A100_CLUSTER.with_num_nodes(nodes)))
             trainer = HongTuTrainer(

@@ -14,12 +14,12 @@ validation accuracy on reddit, competitive on products.
 
 from repro.autograd import Adam
 from repro.baselines import FullGraphTrainer, MiniBatchTrainer
-from repro.bench import bench_model, render_table
+from repro.bench import render_table
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.graph import load_dataset
 from repro.hardware import A100_SERVER, MultiGPUPlatform
 
-from benchmarks._common import emit
+from benchmarks._common import emit, paper_model
 
 EPOCHS = 40
 CHECK_EVERY = 5
@@ -31,7 +31,7 @@ def train_curves(dataset):
     graph = load_dataset(dataset, scale=SCALE)
 
     def model():
-        return bench_model("gcn", graph, 2, HIDDEN, seed=7)
+        return paper_model("gcn", graph, 2, HIDDEN, seed=7)
 
     reference_model = model()
     reference = FullGraphTrainer(

@@ -21,12 +21,12 @@ reproduces the serialized Fig. 9 accounting, ``pipeline`` prefetches batch
 j+1's host loads under batch j's kernels and must be strictly faster.
 """
 
-from repro.bench import bench_model, render_table
+from repro.bench import render_table
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.graph import load_dataset
 from repro.hardware import A100_SERVER, MultiGPUPlatform
 
-from benchmarks._common import BENCH_SCALE, emit, emit_json
+from benchmarks._common import BENCH_SCALE, emit, emit_json, paper_model
 
 DATASETS = ["it2004_sim", "papers_sim", "friendster_sim"]
 LAYER_COUNTS = [2, 3, 4]
@@ -38,7 +38,7 @@ LADDER = [("Baseline", "baseline"), ("+P2P", "p2p"), ("+RU", "hongtu")]
 def run_cell(dataset, arch, layers, comm_mode, overlap="barrier"):
     graph = load_dataset(dataset, scale=BENCH_SCALE)
     chunks = NUM_CHUNKS[dataset] * (2 if arch == "gat" else 1)
-    model = bench_model(arch, graph, layers, HIDDEN, seed=1)
+    model = paper_model(arch, graph, layers, HIDDEN, seed=1)
     trainer = HongTuTrainer(
         graph, model, MultiGPUPlatform(A100_SERVER),
         HongTuConfig(num_chunks=chunks, comm_mode=comm_mode, seed=0,

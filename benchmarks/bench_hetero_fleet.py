@@ -14,24 +14,16 @@ partitions onto the fast nodes and eats a few extra halo rows to do it.
 the ``friendster_sim`` power-law graph and asserts the capability-aware
 epoch makespan strictly beats the capability-blind one; both makespans
 are archived into the bench-regression harness.
-
-``python benchmarks/bench_hetero_fleet.py`` prints the comparison table
-at full bench scale.
 """
-
-import argparse
-
-import numpy as np
 
 from repro.bench import format_seconds, render_table
 from repro.core import HongTuConfig, HongTuTrainer
-from repro.gnn import build_model
 from repro.graph import load_dataset
 from repro.hardware import A100_CLUSTER, A100_SERVER, V100_SERVER, \
     ClusterPlatform
 from repro.partition import search_placement, two_level_partition
 
-from benchmarks._common import emit, emit_json
+from benchmarks._common import emit, emit_json, paper_model
 
 DATASET = "friendster_sim"
 #: at larger scales METIS evens out per-partition flops and both
@@ -70,7 +62,6 @@ def run_fleet(scale=SCALE):
     graph = load_dataset(DATASET, scale=scale, seed=2)
     num_gpus = NODES * GPUS_PER_NODE
     partition = two_level_partition(graph, num_gpus, NUM_CHUNKS, seed=SEED)
-    dims = [graph.feature_dim, HIDDEN, graph.num_classes]
 
     config = HongTuConfig(num_chunks=NUM_CHUNKS, overlap="pipeline",
                           placement="block", seed=0)
@@ -78,7 +69,7 @@ def run_fleet(scale=SCALE):
     blind = search_placement(partition, NODES)
     blind_platform.set_placement(blind.placement)
     blind_trainer = HongTuTrainer(
-        graph, build_model("gcn", dims, np.random.default_rng(7)),
+        graph, paper_model("gcn", graph, 2, HIDDEN, seed=7),
         blind_platform, config, partition=partition,
     )
     blind_epoch = blind_trainer.train_epoch()
@@ -87,7 +78,7 @@ def run_fleet(scale=SCALE):
     aware_config = HongTuConfig(num_chunks=NUM_CHUNKS, overlap="pipeline",
                                 placement="search", seed=0)
     aware_trainer = HongTuTrainer(
-        graph, build_model("gcn", dims, np.random.default_rng(7)),
+        graph, paper_model("gcn", graph, 2, HIDDEN, seed=7),
         aware_platform, aware_config, partition=partition,
     )
     aware_epoch = aware_trainer.train_epoch()
@@ -143,28 +134,3 @@ def bench_hetero_fleet_smoke(benchmark):
     })
     check_fleet(results)
 
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Capability-aware vs blind placement on a 2:1 "
-                    "mixed-generation fleet")
-    parser.add_argument("--scale", type=float, default=SCALE)
-    args = parser.parse_args(argv)
-    results = run_fleet(scale=args.scale)
-    emit("hetero_fleet", build_table(
-        results,
-        title=f"Heterogeneous fleet ({DATASET} @ {args.scale}, "
-              f"2xA100 + 1xV100 nodes, {GPUS_PER_NODE} GPUs each)",
-    ))
-    blind_seconds = results["blind"][1].epoch_seconds
-    aware_seconds = results["aware"][1].epoch_seconds
-    print(f"capability-aware makespan is "
-          f"{blind_seconds / aware_seconds:.3f}x better")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

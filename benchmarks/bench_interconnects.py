@@ -9,12 +9,12 @@ This bench trains the same GCN workload on the NVLink platform and the
 PCIe-only platform under the four communication modes.
 """
 
-from repro.bench import bench_model, render_table
+from repro.bench import render_table
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.graph import load_dataset
 from repro.hardware import A100_SERVER, PCIE_ONLY_SERVER, MultiGPUPlatform
 
-from benchmarks._common import BENCH_SCALE, emit
+from benchmarks._common import BENCH_SCALE, emit, paper_model
 
 DATASET = "papers_sim"
 CHUNKS = 16
@@ -27,7 +27,7 @@ def run_matrix():
     results = {}
     for spec in (A100_SERVER, PCIE_ONLY_SERVER):
         for mode in MODES:
-            model = bench_model("gcn", graph, 3, HIDDEN, seed=1)
+            model = paper_model("gcn", graph, 3, HIDDEN, seed=1)
             trainer = HongTuTrainer(
                 graph, model, MultiGPUPlatform(spec),
                 HongTuConfig(num_chunks=CHUNKS, comm_mode=mode, seed=0),

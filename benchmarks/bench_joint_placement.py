@@ -26,22 +26,19 @@ was given. The ``smoke`` variant archives simulated metrics via
 ``emit_json`` for the CI bench-regression gate.
 """
 
-import numpy as np
-
 from repro.autograd import SGD
 from repro.core import (
     HongTuConfig,
     HongTuTrainer,
     admits_placement,
 )
-from repro.gnn import build_model
 from repro.graph import load_dataset
 from repro.hardware import A100_CLUSTER, ClusterPlatform, NetworkTopology
 from repro.partition import halo_volumes, permute_partitions, \
     two_level_partition
 from repro.bench import render_table
 
-from benchmarks._common import BENCH_SCALE, emit, emit_json
+from benchmarks._common import BENCH_SCALE, emit, emit_json, paper_model
 from benchmarks.bench_placement import measured_fetch_bytes, skew_perm
 
 DATASET = "it2004_sim"
@@ -61,9 +58,7 @@ def _cluster():
 def train_epoch(graph, partition, policy, max_imbalance=0):
     """One epoch under ``policy``; returns (makespan, trainer)."""
     platform = ClusterPlatform(_cluster(), gpus_per_node=GPUS_PER_NODE)
-    model = build_model("gcn", [graph.feature_dim, HIDDEN,
-                                graph.num_classes],
-                        np.random.default_rng(7))
+    model = paper_model("gcn", graph, 2, HIDDEN, seed=7)
     trainer = HongTuTrainer(
         graph, model, platform,
         HongTuConfig(num_chunks=NUM_CHUNKS, overlap="pipeline",

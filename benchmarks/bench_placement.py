@@ -31,7 +31,6 @@ import numpy as np
 from repro.autograd import SGD
 from repro.comm import DedupCommunicator, build_comm_plan
 from repro.core import HongTuConfig, HongTuTrainer
-from repro.gnn import build_model
 from repro.graph import load_dataset
 from repro.hardware import (
     A100_CLUSTER,
@@ -50,7 +49,7 @@ from repro.partition import (
 )
 from repro.bench import render_table
 
-from benchmarks._common import BENCH_SCALE, emit, emit_json
+from benchmarks._common import BENCH_SCALE, emit, emit_json, paper_model
 
 DATASET = "it2004_sim"  # crawl-ordered web graph: strong METIS locality
 NODES = 2
@@ -90,9 +89,7 @@ def epoch_makespan(graph, partition, placement_policy):
     topology = NetworkTopology("spine", oversubscription=OVERSUBSCRIPTION)
     cluster = A100_CLUSTER.with_num_nodes(NODES).with_topology(topology)
     platform = ClusterPlatform(cluster, gpus_per_node=GPUS_PER_NODE)
-    model = build_model("gcn", [graph.feature_dim, HIDDEN,
-                                graph.num_classes],
-                        np.random.default_rng(7))
+    model = paper_model("gcn", graph, 2, HIDDEN, seed=7)
     trainer = HongTuTrainer(
         graph, model, platform,
         HongTuConfig(num_chunks=NUM_CHUNKS, overlap="pipeline",
@@ -136,9 +133,7 @@ def run_placement(scale=BENCH_SCALE):
     single = load_dataset(DATASET, scale=min(scale, 0.1), seed=5)
 
     def single_epoch(policy):
-        model = build_model("gcn", [single.feature_dim, HIDDEN,
-                                    single.num_classes],
-                            np.random.default_rng(7))
+        model = paper_model("gcn", single, 2, HIDDEN, seed=7)
         trainer = HongTuTrainer(
             single, model, MultiGPUPlatform(A100_SERVER),
             HongTuConfig(num_chunks=NUM_CHUNKS, placement=policy, seed=0),

@@ -14,22 +14,17 @@ same accelerator queues while the memoryless process spreads them out.
 separation and timeline validity, and archives the simulated p50/p99
 (15% gate) into the bench-regression harness.
 
-``python benchmarks/bench_serving.py`` sweeps rates × arrival kinds and
+``bench_serving_sweep`` sweeps rates × arrival kinds at bench scale and
 prints the throughput-vs-latency table.
 """
 
-import argparse
-
-import numpy as np
-
 from repro.bench import format_seconds, render_table
 from repro.core import HongTuConfig, HongTuTrainer
-from repro.gnn import build_model
 from repro.graph import load_dataset
 from repro.hardware import A100_CLUSTER, A100_SERVER, ClusterPlatform
 from repro.serving import ServingEngine, build_arrivals, build_policy
 
-from benchmarks._common import BENCH_SCALE, emit, emit_json
+from benchmarks._common import BENCH_SCALE, emit, emit_json, paper_model
 
 DATASET = "reddit_sim"
 HIDDEN = 32
@@ -38,6 +33,8 @@ NODES = 2
 GPUS_PER_NODE = 2
 DURATION = 0.5
 SEED = 7
+#: offered loads of the throughput-vs-latency sweep (requests/second)
+RATES = [200.0, 1000.0, 5000.0]
 
 
 def build_serving_trainer(scale=BENCH_SCALE):
@@ -46,9 +43,7 @@ def build_serving_trainer(scale=BENCH_SCALE):
     cluster = A100_CLUSTER.with_num_nodes(NODES).with_node(
         A100_SERVER.with_num_gpus(GPUS_PER_NODE))
     platform = ClusterPlatform(cluster)
-    model = build_model(
-        "gcn", [graph.feature_dim, HIDDEN, graph.num_classes],
-        np.random.default_rng(7))
+    model = paper_model("gcn", graph, 2, HIDDEN, seed=7)
     return HongTuTrainer(
         graph, model, platform,
         HongTuConfig(num_chunks=NUM_CHUNKS, overlap="pipeline",
@@ -56,13 +51,11 @@ def build_serving_trainer(scale=BENCH_SCALE):
     )
 
 
-def run_serving(trainer, kind, rate, policy_name="immediate",
-                duration=DURATION, seed=SEED):
-    """One serving horizon on a fresh engine (cold cache each run)."""
+def run_serving(trainer, kind, rate):
+    """One immediate-policy horizon on a fresh engine (cold cache)."""
     engine = ServingEngine(trainer)
-    arrivals = build_arrivals(kind, rate, duration, seed=seed)
-    policy = build_policy(policy_name)
-    return engine.serve(arrivals, policy)
+    arrivals = build_arrivals(kind, rate, DURATION, seed=SEED)
+    return engine.serve(arrivals, build_policy("immediate"))
 
 
 def build_table(results, title):
@@ -118,32 +111,18 @@ def bench_serving_smoke(benchmark):
 
 
 # ----------------------------------------------------------------------
-# CLI: throughput-vs-latency sweep
+# throughput-vs-latency sweep
 # ----------------------------------------------------------------------
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Serving throughput vs latency sweep")
-    parser.add_argument("--rates", type=float, nargs="+",
-                        default=[200.0, 1000.0, 5000.0],
-                        help="offered loads to sweep (requests/second)")
-    parser.add_argument("--batch-policy", default="immediate",
-                        choices=["immediate", "size", "deadline"])
-    parser.add_argument("--scale", type=float, default=BENCH_SCALE)
-    args = parser.parse_args(argv)
+def run_sweep():
+    trainer = build_serving_trainer()
+    return [run_serving(trainer, kind, rate)
+            for rate in RATES for kind in ("poisson", "bursty")]
 
-    trainer = build_serving_trainer(scale=args.scale)
-    results = []
-    for rate in args.rates:
-        for kind in ("poisson", "bursty"):
-            results.append(run_serving(trainer, kind, rate,
-                                       policy_name=args.batch_policy))
+
+def bench_serving_sweep(benchmark):
+    results = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
     emit("serving_sweep", build_table(
         results,
         title=f"Serving sweep ({DATASET}, {NODES}x{GPUS_PER_NODE} GPUs, "
-              f"{args.batch_policy} policy; rates {args.rates})",
+              f"immediate policy; rates {RATES})",
     ))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -12,29 +12,25 @@ demonstration of that property:
   scheduler's array step assigns the times of one-task-at-a-time
   scheduling is a tier-1 test against ``tests/scheduler_oracle.py``, not
   a bench.)
-* ``python benchmarks/bench_simulator_scale.py --nodes 128 --gpus 8``
-  simulates a full 1024-GPU pipelined epoch end-to-end and prints the
-  phase-by-phase wall clock (partition, plan build, epoch); ``--profile``
-  wraps the epoch in cProfile and dumps the top-25 cumulative entries.
+* ``bench_simulator_scale_1024`` simulates a full 1024-GPU pipelined
+  epoch (128 nodes × 8 GPUs) end-to-end and prints the phase-by-phase
+  wall clock (partition and plan build, epoch). Where that time goes is
+  ``repro train --profile``'s and ``tools/profile_step.py``'s to answer.
 
 Raw wall clock is machine-dependent, so nothing here archives or gates
 it: the table is this bench's figure, and host time is gated by the
 calibrated perf bench (``benchmarks/perf/``, root ``BENCHMARK.json``).
 """
 
-import argparse
 import time
-
-import numpy as np
 
 from repro.autograd import SGD
 from repro.bench import render_table
 from repro.core import HongTuConfig, HongTuTrainer
-from repro.gnn import build_model
 from repro.graph import load_dataset
 from repro.hardware import A100_CLUSTER, A100_SERVER, ClusterPlatform
 
-from benchmarks._common import emit, emit_json
+from benchmarks._common import emit, emit_json, paper_model
 
 DATASET = "it2004_sim"
 HIDDEN = 32
@@ -53,9 +49,7 @@ def run_scale_epoch(nodes, gpus_per_node, scale, hidden=HIDDEN,
     cluster = A100_CLUSTER.with_num_nodes(nodes).with_node(
         A100_SERVER.with_num_gpus(gpus_per_node))
     platform = ClusterPlatform(cluster)
-    model = build_model(
-        "gcn", [graph.feature_dim, hidden, graph.num_classes],
-        np.random.default_rng(7))
+    model = paper_model("gcn", graph, 2, hidden, seed=7)
     started = time.perf_counter()
     trainer = HongTuTrainer(
         graph, model, platform,
@@ -112,37 +106,11 @@ def bench_simulator_scale_smoke(benchmark):
 
 
 # ----------------------------------------------------------------------
-# CLI: thousand-GPU demonstration (+ --profile hot-path dump)
+# thousand-GPU demonstration
 # ----------------------------------------------------------------------
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Wall-clock cost of simulating a large-cluster epoch")
-    parser.add_argument("--nodes", type=int, default=128,
-                        help="cluster nodes (default 128)")
-    parser.add_argument("--gpus", type=int, default=8,
-                        help="GPUs per node (default 8)")
-    parser.add_argument("--scale", type=float, default=8.0,
-                        help=f"{DATASET} dataset scale (default 8.0)")
-    parser.add_argument("--profile", action="store_true",
-                        help="wrap the run in cProfile and dump the "
-                             "top-25 cumulative entries")
-    args = parser.parse_args(argv)
-
-    def run():
-        return run_scale_epoch(args.nodes, args.gpus, args.scale)
-
-    if args.profile:
-        import cProfile
-        import pstats
-        profiler = cProfile.Profile()
-        measurement = profiler.runcall(run)
-        stats = pstats.Stats(profiler)
-        stats.sort_stats("cumulative").print_stats(25)
-    else:
-        measurement = run()
+def bench_simulator_scale_1024(benchmark):
+    measurement = benchmark.pedantic(
+        run_scale_epoch, kwargs={"nodes": 128, "gpus_per_node": 8,
+                                 "scale": 8.0},
+        rounds=1, iterations=1)
     emit("simulator_scale", build_table([measurement]))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -14,17 +14,18 @@ without exhausting memory.
 
 from repro.baselines import DistGNNSimulator, FullGraphTrainer, \
     InMemoryMultiGPUTrainer
-from repro.bench import (
-    bench_model,
-    render_table,
-    run_or_oom,
-    speedup_vs,
-)
+from repro.bench import render_table
 from repro.core import HongTuConfig, HongTuTrainer, estimate_for_model
 from repro.graph import load_dataset
 from repro.hardware import A100_SERVER, CPU_NODE, MultiGPUPlatform
 
-from benchmarks._common import BENCH_SCALE, emit
+from benchmarks._common import (
+    BENCH_SCALE,
+    emit,
+    paper_model,
+    run_or_oom,
+    speedup_vs,
+)
 
 DATASETS = ["reddit_sim", "products_sim"]
 LAYER_COUNTS = [2, 4, 8]
@@ -40,17 +41,17 @@ def dataset_capacity(graph) -> int:
     """
     gat4 = estimate_for_model(
         graph.num_vertices, graph.num_edges,
-        bench_model("gat", graph, 4, HIDDEN),
+        paper_model("gat", graph, 4, HIDDEN),
     ).total_bytes
     gat8 = estimate_for_model(
         graph.num_vertices, graph.num_edges,
-        bench_model("gat", graph, 8, HIDDEN),
+        paper_model("gat", graph, 8, HIDDEN),
     ).total_bytes
     return (gat4 + gat8) // 2
 
 
 def run_cell(system, graph, arch, layers, capacity):
-    model = bench_model(arch, graph, layers, HIDDEN, seed=1)
+    model = paper_model(arch, graph, layers, HIDDEN, seed=1)
     spec = A100_SERVER.with_gpu_memory(capacity)
 
     if system == "DistGNN":

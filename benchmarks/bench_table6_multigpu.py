@@ -14,17 +14,18 @@ from repro.baselines import (
     InMemoryMultiGPUTrainer,
     MiniBatchTrainer,
 )
-from repro.bench import (
-    bench_model,
-    capacity_limited_platform,
-    render_table,
-    run_or_oom,
-)
+from repro.bench import render_table
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.graph import load_dataset
 from repro.hardware import A100_SERVER, MultiGPUPlatform
 
-from benchmarks._common import BENCH_SCALE, emit
+from benchmarks._common import (
+    BENCH_SCALE,
+    capacity_limited_platform,
+    emit,
+    paper_model,
+    run_or_oom,
+)
 
 SMALL = ["reddit_sim", "products_sim"]
 LARGE = ["it2004_sim", "papers_sim", "friendster_sim"]
@@ -41,7 +42,7 @@ NUM_CHUNKS = {"reddit_sim": 1, "products_sim": 1, "it2004_sim": 8,
 def run_cell(system, dataset, layers):
     graph = load_dataset(dataset, scale=BENCH_SCALE)
     hidden = HIDDEN_SMALL if dataset in SMALL else HIDDEN_LARGE
-    model = bench_model("gcn", graph, layers, hidden, seed=1)
+    model = paper_model("gcn", graph, layers, hidden, seed=1)
     platform = (MultiGPUPlatform(A100_SERVER) if dataset in SMALL
                 else capacity_limited_platform(
                     graph, model, CAPACITY_FRACTION_LARGE))

@@ -17,18 +17,19 @@ node's.
 import dataclasses
 
 from repro.baselines import DistGNNSimulator
-from repro.bench import (
-    bench_model,
-    capacity_limited_platform,
-    render_table,
-    run_or_oom,
-    speedup_vs,
-)
+from repro.bench import render_table
 from repro.core import HongTuConfig, HongTuTrainer, estimate_for_model
 from repro.graph import load_dataset
 from repro.hardware import A100_CLUSTER, CPU_NODE, ClusterPlatform
 
-from benchmarks._common import BENCH_SCALE, emit
+from benchmarks._common import (
+    BENCH_SCALE,
+    capacity_limited_platform,
+    emit,
+    paper_model,
+    run_or_oom,
+    speedup_vs,
+)
 
 DATASETS = ["it2004_sim", "papers_sim", "friendster_sim"]
 LAYER_COUNTS = [2, 3, 4]
@@ -41,7 +42,7 @@ NODE_MEMORY_FRACTION = 0.30
 
 
 def scaled_cluster(graph):
-    reference_model = bench_model("gcn", graph, 4, HIDDEN, seed=1)
+    reference_model = paper_model("gcn", graph, 4, HIDDEN, seed=1)
     estimate = estimate_for_model(
         graph.num_vertices, graph.num_edges, reference_model
     )
@@ -53,7 +54,7 @@ def scaled_cluster(graph):
 
 def run_pair(dataset, arch, layers):
     graph = load_dataset(dataset, scale=BENCH_SCALE)
-    model = bench_model(arch, graph, layers, HIDDEN, seed=1)
+    model = paper_model(arch, graph, layers, HIDDEN, seed=1)
     cluster = scaled_cluster(graph)
     distgnn = run_or_oom("DistGNN", lambda: DistGNNSimulator(
         graph, model, cluster), epochs=1)
@@ -114,14 +115,14 @@ def bench_table7_distgnn(benchmark):
 # ----------------------------------------------------------------------
 def run_scaleout(dataset="papers_sim", layers=2):
     graph = load_dataset(dataset, scale=BENCH_SCALE)
-    model = bench_model("gcn", graph, layers, HIDDEN, seed=1)
+    model = paper_model("gcn", graph, layers, HIDDEN, seed=1)
     cluster = scaled_cluster(graph)
     distgnn = DistGNNSimulator(graph, model, cluster)
     distgnn_result = distgnn.train_epoch()
 
     rows = {"distgnn": distgnn_result}
     for overlap in ["barrier", "pipeline"]:
-        model = bench_model("gcn", graph, layers, HIDDEN, seed=1)
+        model = paper_model("gcn", graph, layers, HIDDEN, seed=1)
         platform = ClusterPlatform(A100_CLUSTER)
         trainer = HongTuTrainer(
             graph, model, platform,

@@ -10,14 +10,14 @@ co-author locality), while the web graph's low replication leaves less to
 deduplicate in absolute terms.
 """
 
-from repro.bench import bench_model, format_bytes, render_table
+from repro.bench import format_bytes, render_table
 from repro.comm import measure_volumes, reorganize_partition
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.graph import load_dataset
 from repro.hardware import A100_SERVER, MultiGPUPlatform
 from repro.partition import two_level_partition
 
-from benchmarks._common import BENCH_SCALE, emit
+from benchmarks._common import BENCH_SCALE, emit, paper_model
 
 #: chunks per partition, scaled from the paper's 8/32/32 (GCN column)
 CONFIGS = [("it2004_sim", 8), ("papers_sim", 16), ("friendster_sim", 16)]
@@ -67,7 +67,7 @@ def measure_executed_traffic():
     results = {}
     for dataset, chunks in CONFIGS:
         graph = load_dataset(dataset, scale=BENCH_SCALE)
-        model = bench_model("gcn", graph, 2, 128, seed=1)
+        model = paper_model("gcn", graph, 2, 128, seed=1)
         trainer = HongTuTrainer(
             graph, model, MultiGPUPlatform(A100_SERVER),
             HongTuConfig(num_chunks=chunks, seed=0),

@@ -10,12 +10,12 @@ preprocessing adds ~1 % — it runs once, the epochs repeat.
 
 import time
 
-from repro.bench import bench_model, render_table
+from repro.bench import render_table
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.graph import load_dataset
 from repro.hardware import A100_SERVER, MultiGPUPlatform
 
-from benchmarks._common import BENCH_SCALE, emit
+from benchmarks._common import BENCH_SCALE, emit, paper_model
 
 CONFIGS = [("it2004_sim", 8), ("papers_sim", 16), ("friendster_sim", 16)]
 EPOCHS = 100
@@ -26,7 +26,7 @@ def run_config(dataset, chunks):
     graph = load_dataset(dataset, scale=BENCH_SCALE)
 
     def epoch_seconds(comm_mode, reorganize):
-        model = bench_model("gcn", graph, 2, HIDDEN, seed=1)
+        model = paper_model("gcn", graph, 2, HIDDEN, seed=1)
         started = time.perf_counter()
         trainer = HongTuTrainer(
             graph, model, MultiGPUPlatform(A100_SERVER),

@@ -31,7 +31,6 @@ from repro.comm import (
     reorganize_partition,
 )
 from repro.core import HongTuConfig, HongTuTrainer
-from repro.gnn import build_model
 from repro.graph import load_dataset
 from repro.hardware import (
     A100_CLUSTER,
@@ -43,7 +42,7 @@ from repro.hardware import (
 )
 from repro.partition import two_level_partition
 
-from benchmarks._common import BENCH_SCALE, emit, emit_json
+from benchmarks._common import BENCH_SCALE, emit, emit_json, paper_model
 
 DATASET = "reddit_sim"
 NODE_COUNTS = [2, 4]
@@ -69,9 +68,7 @@ def run_sweep(scale=BENCH_SCALE, node_counts=NODE_COUNTS):
                 cluster = A100_CLUSTER.with_num_nodes(nodes) \
                     .with_topology(topology)
                 platform = ClusterPlatform(cluster)
-                model = build_model(
-                    "gcn", [graph.feature_dim, HIDDEN, graph.num_classes],
-                    np.random.default_rng(7))
+                model = paper_model("gcn", graph, 2, HIDDEN, seed=7)
                 trainer = HongTuTrainer(
                     graph, model, platform,
                     HongTuConfig(num_chunks=NUM_CHUNKS, overlap=overlap,

@@ -18,7 +18,6 @@ on the shared event-timeline runtime:
 
 from repro.baselines import DistGNNSimulator
 from repro.bench import (
-    bench_model,
     format_bytes,
     format_seconds,
     render_node_utilization,
@@ -33,6 +32,7 @@ from repro.hardware import (
     ClusterPlatform,
 )
 from repro.partition import halo_volumes, two_level_partition
+from repro.scenario import ClusterArgs
 
 
 def main() -> None:
@@ -65,7 +65,7 @@ def main() -> None:
     # --- 3. DistGNN on the timeline ------------------------------------
     rows = []
     for nodes in (1, 16):
-        model = bench_model("gcn", graph, 2, 128, seed=1)
+        model = ClusterArgs(hidden_dim=128, seed=1).build_model(graph)
         simulator = DistGNNSimulator(graph, model,
                                      CPU_NODE.with_num_nodes(nodes))
         result = simulator.train_epoch()
@@ -79,7 +79,7 @@ def main() -> None:
     # --- 4. HongTu: one server vs a 2-node cluster ---------------------
     last = None
     for nodes, overlap in ((1, "barrier"), (2, "barrier"), (2, "pipeline")):
-        model = bench_model("gcn", graph, 2, 128, seed=1)
+        model = ClusterArgs(hidden_dim=128, seed=1).build_model(graph)
         # One platform class: a server is a one-node cluster, priced
         # bit-identically to MultiGPUPlatform(A100_SERVER).
         platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(nodes))

@@ -14,7 +14,7 @@ Walks through the paper's §5 pipeline on a social-network stand-in:
 
 import time
 
-from repro.bench import bench_model, format_bytes, format_seconds, render_table
+from repro.bench import format_bytes, format_seconds, render_table
 from repro.comm import (
     CommCostModel,
     measure_volumes,
@@ -28,6 +28,7 @@ from repro.hardware import (
     MultiGPUPlatform,
 )
 from repro.partition import two_level_partition
+from repro.scenario import ClusterArgs
 
 
 def main() -> None:
@@ -69,7 +70,7 @@ def main() -> None:
     # --- 4. train one epoch per communication mode ----------------------
     rows = []
     for mode in ["baseline", "p2p", "ru", "hongtu"]:
-        model = bench_model("gcn", graph, 2, 128, seed=1)
+        model = ClusterArgs(hidden_dim=128, seed=1).build_model(graph)
         trainer = HongTuTrainer(
             graph, model, MultiGPUPlatform(A100_SERVER),
             HongTuConfig(num_chunks=12, comm_mode=mode, seed=0),

@@ -18,7 +18,7 @@ Public API quick map::
     repro.faults      # declarative fault schedules for unreliable fleets
     repro.scenario    # unified cluster/fault vocabulary (CLI + benches)
     repro.baselines   # DGL-like, Sancus-like, DistGNN-sim, DistDGL-like
-    repro.bench       # benchmark harness utilities
+    repro.bench       # the tables the CLI and benchmarks print
 
 Quickstart::
 

@@ -1,6 +1,5 @@
-"""Benchmark harness utilities (workloads, execution, reporting)."""
+"""The tables the CLI prints: fixed-width rows, timelines, latency reports."""
 
-from repro.bench.harness import RunOutcome, run_or_oom, speedup_vs
 from repro.bench.reporting import (
     render_table,
     render_timeline,
@@ -8,24 +7,9 @@ from repro.bench.reporting import (
     render_latency_report,
     format_seconds,
     format_bytes,
-    banner,
-)
-from repro.bench.workloads import (
-    SMALL_GRAPHS,
-    LARGE_GRAPHS,
-    ALL_GRAPHS,
-    PAPER_CHUNKS,
-    bench_graph,
-    bench_model,
-    capacity_limited_platform,
-    hidden_dim_for,
 )
 
 __all__ = [
-    "RunOutcome", "run_or_oom", "speedup_vs",
     "render_table", "render_timeline", "render_node_utilization",
-    "render_latency_report", "format_seconds", "format_bytes", "banner",
-    "SMALL_GRAPHS", "LARGE_GRAPHS", "ALL_GRAPHS", "PAPER_CHUNKS",
-    "bench_graph", "bench_model", "capacity_limited_platform",
-    "hidden_dim_for",
+    "render_latency_report", "format_seconds", "format_bytes",
 ]

@@ -1,8 +1,10 @@
-"""ASCII table / series rendering for the benchmark harness.
+"""ASCII table / series rendering for the CLI and the benchmarks.
 
-Every benchmark regenerates one of the paper's tables or figures as plain
-text rows, so results can be eyeballed against the paper and captured in
-EXPERIMENTS.md. Figures are rendered as value series (one row per x-point).
+``repro train`` / ``repro serve`` print their channel, per-node and
+latency tables through this module, and every benchmark regenerates one
+of the paper's tables or figures as plain text rows with
+:func:`render_table`. Figures are rendered as value series (one row per
+x-point).
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import numpy as np
 from repro.runtime.task import CHANNELS, NET_DEVICE_BASE, net_link_nodes
 
 __all__ = ["render_table", "render_timeline", "render_node_utilization",
-           "render_latency_report", "format_seconds", "format_bytes",
-           "banner"]
+           "render_latency_report", "format_seconds", "format_bytes"]
 
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence],
@@ -58,11 +59,6 @@ def format_bytes(nbytes: float) -> str:
             return f"{value:.2f}{unit}"
         value /= 1024
     return f"{value:.2f}TB"
-
-
-def banner(text: str) -> str:
-    bar = "=" * max(len(text), 8)
-    return f"{bar}\n{text}\n{bar}"
 
 
 def render_latency_report(result, title: Optional[str] = None) -> str:

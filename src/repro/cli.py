@@ -142,7 +142,7 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_scenario(args):
-    """(scenario, platform, config_overrides_applied?) for train/serve.
+    """(scenario, platform) for train/serve.
 
     Returns ``(scenario, None)`` plus a printed argparse-style message
     when the flag combination cannot describe a fleet; the command then
@@ -150,10 +150,13 @@ def _build_scenario(args):
     """
     scenario = ClusterArgs.from_namespace(args)
     problem = scenario.usage_error()
-    if problem is not None:
-        print(problem, file=sys.stderr)
-        return scenario, None
-    return scenario, scenario.build_platform()
+    if problem is None:
+        try:
+            return scenario, scenario.build_platform()
+        except ConfigurationError as error:
+            problem = str(error)
+    print(problem, file=sys.stderr)
+    return scenario, None
 
 
 def cmd_train(args) -> int:

@@ -2,11 +2,9 @@
 
 The paper organizes every subgraph chunk in CSR/CSC (§6, "Computation
 engine"). :class:`CSRAdjacency` is the shared building block: a row-indexed
-list of column ids with optional edge values. For a graph we keep two views:
-
-* the **in-CSR** (rows = destinations, columns = in-neighbor sources) that
-  drives forward aggregation, and
-* the **out-CSR** (rows = sources) used by analyses.
+list of column ids with optional edge values. A graph keeps one: its
+**in-CSR** (rows = destinations, columns = in-neighbor sources), the view
+forward aggregation consumes.
 
 Rows are always sorted by column id within a row; this makes equality
 well-defined and binary-search membership cheap.
@@ -21,24 +19,6 @@ import numpy as np
 from repro.errors import GraphFormatError
 
 __all__ = ["CSRAdjacency", "edges_to_csr"]
-
-
-def _lexsort_pairs(primary: np.ndarray, secondary: np.ndarray,
-                   secondary_domain: int) -> np.ndarray:
-    """Stable order of (primary, secondary) pairs — a one-pass np.lexsort.
-
-    Equivalent to ``np.lexsort((secondary, primary))`` but folds both keys
-    into one int64 composite so only a single stable sort runs; on GNN-scale
-    CSRs this is 2-4x faster than either np.lexsort or a per-row Python
-    argsort loop. Falls back to np.lexsort if the composite would overflow.
-    """
-    if len(primary) == 0:
-        return np.empty(0, dtype=np.int64)
-    max_primary = int(primary.max())
-    if (max_primary + 1) * secondary_domain < np.iinfo(np.int64).max:
-        composite = primary * np.int64(secondary_domain) + secondary
-        return np.argsort(composite, kind="stable")
-    return np.lexsort((secondary, primary))
 
 
 class CSRAdjacency:
@@ -96,58 +76,9 @@ class CSRAdjacency:
         """Column ids of row ``i``."""
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
-    def row_values(self, i: int) -> Optional[np.ndarray]:
-        """Edge values of row ``i`` (None if the structure is unweighted)."""
-        if self.values is None:
-            return None
-        return self.values[self.indptr[i]:self.indptr[i + 1]]
-
     def degrees(self) -> np.ndarray:
         """Per-row nonzero counts."""
         return np.diff(self.indptr)
-
-    def row_slice(self, start: int, stop: int) -> "CSRAdjacency":
-        """CSR restricted to rows [start, stop); column domain unchanged."""
-        if not 0 <= start <= stop <= self.num_rows:
-            raise GraphFormatError(
-                f"invalid row slice [{start}, {stop}) for {self.num_rows} rows"
-            )
-        lo, hi = self.indptr[start], self.indptr[stop]
-        indptr = self.indptr[start:stop + 1] - lo
-        values = None if self.values is None else self.values[lo:hi]
-        return CSRAdjacency(indptr, self.indices[lo:hi], self.num_cols, values)
-
-    def transpose(self) -> "CSRAdjacency":
-        """Return the transposed structure (CSC view as a CSR)."""
-        rows = np.repeat(np.arange(self.num_rows, dtype=np.int64), self.degrees())
-        # One sort keyed (new_row=old_col, new_col=old_row) lands every
-        # edge in its transposed row with columns already sorted — no
-        # per-row fixup pass needed.
-        order = _lexsort_pairs(self.indices, rows, self.num_rows)
-        new_indices = rows[order]
-        counts = np.bincount(self.indices, minlength=self.num_cols)
-        new_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        new_values = None if self.values is None else self.values[order]
-        return CSRAdjacency(new_indptr, new_indices, self.num_rows, new_values)
-
-    def _sorted_rows(self) -> "CSRAdjacency":
-        """Return an equivalent CSR with columns sorted within each row."""
-        rows = np.repeat(np.arange(self.num_rows, dtype=np.int64),
-                         self.degrees())
-        order = _lexsort_pairs(rows, self.indices, self.num_cols)
-        indices = self.indices[order]
-        values = None if self.values is None else self.values[order]
-        return CSRAdjacency(self.indptr, indices, self.num_cols, values)
-
-    def to_scipy(self):
-        """Convert to a scipy.sparse.csr_matrix (values default to 1.0)."""
-        from scipy.sparse import csr_matrix
-
-        values = self.values if self.values is not None else np.ones(self.nnz)
-        return csr_matrix(
-            (values, self.indices, self.indptr),
-            shape=(self.num_rows, self.num_cols),
-        )
 
     def nbytes(self) -> int:
         """Topology payload size in bytes."""

@@ -1,8 +1,8 @@
 """The property graph used throughout the reproduction.
 
 A :class:`Graph` is a directed graph with per-vertex features, labels and
-train/val/test masks, exposing both the in-CSR (destination-major, the view
-GNN aggregation consumes) and the out-CSR. ``ScaleProfile`` carries the
+train/val/test masks, stored as its in-CSR (destination-major, the view
+GNN aggregation consumes). ``ScaleProfile`` carries the
 *paper-scale* statistics of the real dataset that a synthetic stand-in
 represents, so the analytic memory model (Table 1) and the monetary/OOM
 analyses can be computed at the sizes the paper reports even though the
@@ -83,7 +83,6 @@ class Graph:
         self.in_csr: CSRAdjacency = edges_to_csr(
             dst, src, self.num_vertices, self.num_vertices
         )
-        self._out_csr: Optional[CSRAdjacency] = None
 
         self.features = None if features is None else np.asarray(features)
         self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)
@@ -129,13 +128,6 @@ class Graph:
             raise GraphFormatError(f"graph {self.name!r} has no labels")
         return int(self.labels.max()) + 1
 
-    @property
-    def out_csr(self) -> CSRAdjacency:
-        """Out-adjacency (row = source), built lazily."""
-        if self._out_csr is None:
-            self._out_csr = self.in_csr.transpose()
-        return self._out_csr
-
     def in_degrees(self) -> np.ndarray:
         return self.in_csr.degrees()
 
@@ -160,16 +152,6 @@ class Graph:
         dst = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.in_degrees())
         src_deg = self.out_degrees().astype(np.float64)
         return 1.0 / np.sqrt((src_deg[src] + 1.0) * (in_deg[dst] + 1.0))
-
-    def subgraph_stats(self) -> Dict[str, float]:
-        """Summary statistics used in reports."""
-        degrees = self.in_degrees()
-        return {
-            "num_vertices": self.num_vertices,
-            "num_edges": self.num_edges,
-            "avg_in_degree": float(degrees.mean()) if len(degrees) else 0.0,
-            "max_in_degree": int(degrees.max()) if len(degrees) else 0,
-        }
 
     def __repr__(self) -> str:
         return (

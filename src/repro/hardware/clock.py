@@ -99,7 +99,6 @@ class EventTimeline:
         self.barrier_all = barrier_all
         self.scheduler = EventScheduler()
         self.breakdown = TimeBreakdown()
-        self._group = 0
 
     # ------------------------------------------------------------------
     # submission
@@ -149,17 +148,16 @@ class EventTimeline:
         iterables of either (``None`` entries are fine); an ``(m,)`` id
         array as ``deps_by_device`` is one producer per device. A wave
         the scheduler rejects raises before this timeline changes too:
-        no group id is spent, nothing is charged.
+        nothing is charged.
         """
         channel, devices, seconds = phase_wave(
             category, per_device_seconds, channel, devices, deps_by_device)
         ids = self.scheduler.submit_batch(
             channel, devices, seconds, common_deps=deps,
-            extra_deps=deps_by_device, category=category, group=self._group,
-            label=label, shared_by_task=shared_by_device,
+            extra_deps=deps_by_device, category=category, label=label,
+            shared_by_task=shared_by_device,
         )
         if len(ids):  # an empty wave is no phase (a rejected one raised)
-            self._group += 1
             self.breakdown.add(category, float(seconds.max()))
             if self.barrier_all:
                 self.scheduler.barrier()
@@ -171,15 +169,13 @@ class EventTimeline:
 
         What :meth:`submit_batch` would leave had the program's waves
         been submitted one by one with ``external_ids`` in place of the
-        recorder's external placeholders: the same tasks, one group id
-        and one bottleneck-seconds breakdown charge per wave, a barrier
-        after each under ``barrier_all``. See
+        recorder's external placeholders: the same tasks, one
+        bottleneck-seconds breakdown charge per wave, a barrier after
+        each under ``barrier_all``. See
         :meth:`~repro.runtime.scheduler.EventScheduler.submit_program`.
         """
         ids = self.scheduler.submit_program(
-            program, external_ids, group=self._group,
-            barrier_each=self.barrier_all)
-        self._group += len(program.waves)
+            program, external_ids, barrier_each=self.barrier_all)
         for category, seconds in program.charges:
             self.breakdown.add(category, seconds)
         return ids
@@ -190,9 +186,8 @@ class EventTimeline:
         """Submit one serial task (and charge it fully to the breakdown)."""
         task = self.scheduler.submit(
             channel or category, device, seconds, deps=deps,
-            category=category, group=self._group, label=label,
+            category=category, label=label,
         )
-        self._group += 1
         self.breakdown.add(category, seconds)
         if self.barrier_all:
             self.scheduler.barrier()

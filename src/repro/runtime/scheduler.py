@@ -483,7 +483,7 @@ class EventScheduler:
         self._blocked = np.full(cap, -1, dtype=np.int64)
         self._phase_of = np.zeros(cap, dtype=np.int64)
         # One record per submit/submit_batch call:
-        # (category, group, label, common dep-id array or None).
+        # (category, label, common dep-id array or None).
         self._phases: List[tuple] = []
         # Per-task extra deps, flattened (offsets are len n+1).
         self._extra_flat = np.zeros(cap, dtype=np.int64)
@@ -527,7 +527,7 @@ class EventScheduler:
         cached = self._task_cache.get(task_id)
         if cached is not None:
             return cached
-        category, group, label, common = self._phases[
+        category, label, common = self._phases[
             int(self._phase_of[task_id])
         ]
         deps: Tuple[int, ...] = ()
@@ -546,7 +546,6 @@ class EventScheduler:
             start=float(self._start[task_id]),
             end=float(self._end[task_id]),
             category=category or channel,
-            group=group,
             label=label,
             deps=deps,
             blocked_by=None if blocked < 0 else blocked,
@@ -588,7 +587,7 @@ class EventScheduler:
 
     def submit(self, channel: str, device: int, seconds: Seconds,
                deps: Iterable[Task] = (), category: str = "",
-               group: int = -1, label: str = "",
+               label: str = "",
                shared: Sequence[Tuple[Hashable, float]] = ()) -> Task:
         """Schedule ``seconds`` of work on ``(device, channel)``.
 
@@ -606,14 +605,14 @@ class EventScheduler:
         ``[0, num_tasks)`` raises :class:`~repro.errors.SchedulerError`.
         """
         ids = self._wave(channel, [device], [seconds], deps, None,
-                         category, group, label, [shared])  # a wave of one
+                         category, label, [shared])  # a wave of one
         return self._task(int(ids[0]))
 
     def submit_batch(self, channel: str, devices: np.ndarray,
                      seconds: np.ndarray,
                      common_deps: Optional[np.ndarray] = None,
                      extra_deps: Optional[Sequence] = None,
-                     category: str = "", group: int = -1, label: str = "",
+                     category: str = "", label: str = "",
                      shared_by_task: Optional[Sequence] = None
                      ) -> np.ndarray:
         """Schedule one parallel wave of tasks; returns their id array.
@@ -633,10 +632,10 @@ class EventScheduler:
         state is touched.
         """
         return self._wave(channel, devices, seconds, common_deps, extra_deps,
-                          category, group, label, shared_by_task)
+                          category, label, shared_by_task)
 
     def _wave(self, channel: str, devices, seconds, common_deps, extra_deps,
-              category: str, group: int, label: str,
+              category: str, label: str,
               shared_by_task: Optional[Sequence]) -> np.ndarray:
         """Validate and normalise one wave, record its phase, schedule it.
         Whatever is rejected is rejected before any state is touched."""
@@ -647,7 +646,7 @@ class EventScheduler:
         wave, common, flat = prepared
         self._check_ids(common)
         self._check_ids(flat)
-        self._phases.append((category, group, label, common))
+        self._phases.append((category, label, common))
         first = self._n
         self._store_static(wave.k, wave.seconds, wave.devices, wave.ch,
                            len(self._phases) - 1,
@@ -675,8 +674,7 @@ class EventScheduler:
         self._extra_len = grown
 
     def submit_program(self, program: WaveProgram, external_ids=(),
-                       group: int = -1, barrier_each: bool = False
-                       ) -> np.ndarray:
+                       barrier_each: bool = False) -> np.ndarray:
         """Replay a recorded :class:`WaveProgram`; returns its task ids.
 
         ``external_ids[s]`` is the task the program's external slot ``s``
@@ -685,18 +683,15 @@ class EventScheduler:
         waves were recorded. Every dependency reference of the program,
         program-relative or external, resolves in one indexed read, its
         static columns take one store each;
-        then each recorded wave appends its phase record (``group``,
-        when given, counts up from the first wave's) and takes the same
-        array step as a wave submitted on its own, followed by a barrier
-        under ``barrier_each``. The result — every task field, phase
+        then each recorded wave appends its phase record and takes the
+        same array step as a wave submitted on its own, followed by a
+        barrier under ``barrier_each``. The result — every task field, phase
         record and frontier — is what submitting the recorded waves one
         ``submit_batch`` at a time would have left.
         """
         if not isinstance(program, WaveProgram):
             raise SchedulerError(
                 f"program must be a WaveProgram, got {program!r}")
-        if not isinstance(group, (int, np.integer)):
-            raise SchedulerError(f"group must be an integer, got {group!r}")
         external = task_ids(external_ids)
         if len(external) != program.num_external:
             raise SchedulerError(
@@ -718,11 +713,9 @@ class EventScheduler:
                            resolved[positions])
         for wave, category, label, lo, mid, hi in program.waves:
             common = resolved[lo:mid] if mid > lo else None
-            phases.append((category, group, label, common))
+            phases.append((category, label, common))
             self._schedule(wave, common,
                            resolved[mid:hi] if hi > mid else None)
-            if group >= 0:
-                group += 1
             if barrier_each:
                 self.barrier()
         return table[program.num_external:]
@@ -998,7 +991,7 @@ class EventScheduler:
         # common dep's end.
         phase_order = np.argsort(self._phase_of[:n], kind="stable")
         sorted_phases = self._phase_of[:n][phase_order]
-        for index, (_cat, _grp, _label, common) in enumerate(self._phases):
+        for index, (_cat, _label, common) in enumerate(self._phases):
             if common is None or len(common) == 0:
                 continue
             lo = int(np.searchsorted(sorted_phases, index, side="left"))

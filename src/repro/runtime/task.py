@@ -132,8 +132,6 @@ class Task:
     end: Seconds
     #: clock category this task's time is reported under (defaults to channel)
     category: str = ""
-    #: phase-group id: tasks submitted together as one parallel phase
-    group: int = -1
     label: str = ""
     #: dependency task ids (for validation / critical-path walks)
     deps: Tuple[int, ...] = field(default_factory=tuple)

@@ -40,6 +40,7 @@ from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence
 
 from repro.core import HongTuConfig
+from repro.errors import ConfigurationError
 from repro.faults import FaultSchedule
 from repro.hardware import (
     A100_CLUSTER,
@@ -155,9 +156,9 @@ def _model_choices() -> List[str]:
 def resolve_node_specs(entries: Sequence[str], nodes: int, gpus: int):
     """``NAME[:COUNT]`` entries → one capability profile per node.
 
-    Exits with an argparse-style message (via ``SystemExit``) on unknown
-    names, malformed counts, or a total that disagrees with ``--nodes``;
-    deeper validation (positive rates etc.) lives in
+    Raises :class:`~repro.errors.ConfigurationError`, naming the flag, on
+    unknown names, malformed counts, or a total that disagrees with
+    ``--nodes``; deeper validation (positive rates etc.) lives in
     :class:`~repro.hardware.spec.ClusterSpec`.
     """
     specs = []
@@ -165,23 +166,23 @@ def resolve_node_specs(entries: Sequence[str], nodes: int, gpus: int):
         name, _, count_text = entry.partition(":")
         name = name.strip().lower()
         if name not in NODE_SPECS:
-            raise SystemExit(
+            raise ConfigurationError(
                 f"--node-spec: unknown profile {name!r}; choose from "
                 f"{', '.join(sorted(NODE_SPECS))}"
             )
         try:
             count = int(count_text) if count_text else 1
         except ValueError:
-            raise SystemExit(
+            raise ConfigurationError(
                 f"--node-spec: count in {entry!r} must be an integer"
             ) from None
         if count < 1:
-            raise SystemExit(
+            raise ConfigurationError(
                 f"--node-spec: count in {entry!r} must be >= 1"
             )
         specs.extend([NODE_SPECS[name].with_num_gpus(gpus)] * count)
     if len(specs) != nodes:
-        raise SystemExit(
+        raise ConfigurationError(
             f"--node-spec entries name {len(specs)} node(s) but "
             f"--nodes={nodes}; make the counts sum to the node count"
         )
@@ -283,7 +284,9 @@ class ClusterArgs:
         A :class:`ClusterPlatform` of ``nodes`` servers (A100 nodes by
         default, ``node_spec`` profiles otherwise) wired with the
         scenario's topology; ``nodes == 1`` is the paper's standalone
-        server, priced bit-identically to ``MultiGPUPlatform``.
+        server, priced bit-identically to ``MultiGPUPlatform``. A fleet
+        the flags cannot describe raises
+        :class:`~repro.errors.ConfigurationError`.
         """
         cluster = A100_CLUSTER.with_num_nodes(self.nodes).with_topology(
             NetworkTopology(kind=self.topology,

@@ -38,15 +38,14 @@ def timeline_state(timeline) -> dict:
     state["extra_off"] = scheduler._extra_off[:n + 1].tolist()
     state["extra_flat"] = scheduler._extra_flat[:scheduler._extra_len].tolist()
     state["phases"] = [
-        (category, group, label, None if ids is None else ids.tolist())
-        for category, group, label, ids in scheduler._phases]
+        (category, label, None if ids is None else ids.tolist())
+        for category, label, ids in scheduler._phases]
     state["shared"] = (scheduler._free_shared, scheduler._last_shared)
     state["busy"] = scheduler.busy_by_channel()
     state["busy_by_device"] = {
         (channel, device): scheduler.busy_seconds(channel, device)
         for channel in CHANNELS for device in scheduler.devices()}
     state["breakdown"] = dict(timeline.breakdown.seconds)
-    state["group"] = timeline._group
     state["makespan"] = timeline.makespan
     return state
 

@@ -1,25 +1,33 @@
-"""Tests for the benchmark harness utilities and reporting."""
+"""Tests for the benchmark helpers, the reporting tables and the bench surface."""
 
-import pytest
+import ast
+import json
+import sys
+from pathlib import Path
 
-# ``bench_model``/``bench_graph`` are aliased on import: the pytest config
-# collects ``bench_*`` callables as benchmark tests.
-from repro.bench import (
+import numpy as np
+
+from repro.bench import format_bytes, format_seconds, render_table
+from repro.core import estimate_for_model
+from repro.errors import DeviceOutOfMemoryError
+from repro.graph import load_dataset
+from repro.hardware import TimeBreakdown
+from repro.scenario import ClusterArgs
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from benchmarks import _common  # noqa: E402
+from benchmarks._common import (  # noqa: E402
     RunOutcome,
-    banner,
     capacity_limited_platform,
-    format_bytes,
-    format_seconds,
-    hidden_dim_for,
-    render_table,
+    paper_model,
     run_or_oom,
     speedup_vs,
 )
-from repro.bench import bench_graph as make_graph
-from repro.bench import bench_model as make_model
-from repro.core import estimate_for_model
-from repro.errors import DeviceOutOfMemoryError
-from repro.hardware import TimeBreakdown
+
+BENCH_FILES = sorted((REPO_ROOT / "benchmarks").glob("bench_*.py"))
 
 
 class FakeResult:
@@ -77,6 +85,24 @@ class TestRunOrOom:
         fast = RunOutcome("fast", epoch_seconds=2.0)
         assert speedup_vs(ref, fast) == "-"
 
+    def test_speedup_against_zero_time(self):
+        ref = RunOutcome("ref", epoch_seconds=10.0)
+        instant = RunOutcome("instant", epoch_seconds=0.0)
+        assert speedup_vs(ref, instant) == "-"
+
+    def test_success_averages_epochs(self):
+        class SlowingTrainer:
+            def __init__(self):
+                self.epochs = 0
+
+            def train_epoch(self):
+                self.epochs += 1
+                return FakeResult(float(self.epochs))
+
+        outcome = run_or_oom("x", SlowingTrainer, epochs=3)
+        assert outcome.epoch_seconds == 2.0
+        assert outcome.label == "x"
+
 
 class TestReporting:
     def test_render_table_alignment(self):
@@ -99,30 +125,97 @@ class TestReporting:
         assert format_bytes(2048) == "2.00KB"
         assert format_bytes(3 * 1024 ** 3) == "3.00GB"
 
-    def test_banner(self):
-        text = banner("hello")
-        assert text.count("=====") == 2
-
 
 class TestWorkloads:
-    def test_bench_graph(self):
-        graph = make_graph("products_sim", scale=0.1)
-        assert graph.name == "products_sim"
-
     def test_bench_model_dims(self):
-        graph = make_graph("products_sim", scale=0.1)
-        model = make_model("gcn", graph, 3, 32)
+        graph = load_dataset("products_sim", scale=0.1)
+        model = paper_model("gcn", graph, 3, 32)
         assert model.dims == [graph.feature_dim, 32, 32, graph.num_classes]
 
-    def test_hidden_dims(self):
-        assert hidden_dim_for("reddit_sim") == 256
-        assert hidden_dim_for("it2004_sim") == 128
-
     def test_capacity_limited_platform(self):
-        graph = make_graph("products_sim", scale=0.1)
-        model = make_model("gcn", graph, 2, 16)
+        graph = load_dataset("products_sim", scale=0.1)
+        model = paper_model("gcn", graph, 2, 16)
         platform = capacity_limited_platform(graph, model, 0.5)
         estimate = estimate_for_model(graph.num_vertices, graph.num_edges,
                                       model)
         assert platform.spec.gpu.memory_bytes == \
             int(estimate.total_bytes * 0.5)
+
+    def test_capacity_limited_platform_gpu_count(self):
+        graph = load_dataset("products_sim", scale=0.1)
+        model = paper_model("gcn", graph, 2, 16)
+        platform = capacity_limited_platform(graph, model, 0.5, num_gpus=2)
+        assert platform.num_gpus == 2
+
+    def test_paper_model_is_the_scenario_model(self):
+        """The F → hidden×(L−1) → C model has one home:
+        ``ClusterArgs.build_model``."""
+        graph = load_dataset("products_sim", scale=0.1)
+        model = paper_model("gat", graph, 3, 16, seed=2)
+        scenario = ClusterArgs(arch="gat", layers=3, hidden_dim=16, seed=2)
+        expected = scenario.build_model(graph)
+        assert model.dims == expected.dims
+        weights, reference = model.state_dict(), expected.state_dict()
+        assert weights.keys() == reference.keys()
+        for name in weights:
+            np.testing.assert_array_equal(weights[name], reference[name])
+
+
+class TestEmit:
+    def test_emit_archives_text(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(_common, "RESULTS_DIR", str(tmp_path))
+        _common.emit("table", "a | b")
+        assert (tmp_path / "table.txt").read_text() == "a | b\n"
+        assert "a | b" in capsys.readouterr().out
+
+    def test_emit_json_payload(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_common, "RESULTS_DIR", str(tmp_path))
+        _common.emit_json("fig", {"makespan": 2, "halo_rows": 3.5},
+                          config={"chunks": 4}, fleet={"nodes": 2})
+        payload = json.loads((tmp_path / "fig.json").read_text())
+        assert payload == {
+            "bench": "fig", "step": _common.CI_STEP,
+            "metrics": {"makespan": 2.0, "halo_rows": 3.5},
+            "config": {"chunks": 4}, "fleet": {"nodes": 2},
+        }
+        assert isinstance(payload["metrics"]["makespan"], float)
+
+
+def _module_level_names(tree):
+    """(name, bound_by_def) for every name a module's top level binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, True
+            continue
+        for child in ast.walk(node):
+            if isinstance(child, ast.alias):
+                yield (child.asname or child.name).split(".")[0], False
+            elif isinstance(child, ast.Name) \
+                    and isinstance(child.ctx, ast.Store):
+                yield child.id, False
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef)):
+                yield child.name, False
+
+
+class TestBenchSurface:
+    """Benches are run with ``-o python_functions='bench_*'``; that
+    pattern may only ever collect a bench."""
+
+    def test_bench_names_are_functions_defined_in_their_module(self):
+        assert BENCH_FILES
+        offenders = []
+        for path in BENCH_FILES:
+            tree = ast.parse(path.read_text(), filename=str(path))
+            offenders.extend(
+                f"{path.name}: {name}"
+                for name, by_def in _module_level_names(tree)
+                if name == "*" or (name.startswith("bench_") and not by_def))
+        assert not offenders, offenders
+
+    def test_bench_files_have_no_command_line(self):
+        """Every bench runs one way, as a pytest function."""
+        offenders = [path.name for path in BENCH_FILES
+                     if "argparse" in path.read_text()
+                     or "__main__" in path.read_text()]
+        assert not offenders, offenders

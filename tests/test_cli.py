@@ -1,12 +1,16 @@
 """Tests for the command-line interface."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core import HongTuConfig
-from repro.scenario import ClusterArgs
+from repro.errors import ConfigurationError
+from repro.graph import load_dataset
+from repro.hardware import NODE_SPECS
+from repro.scenario import ClusterArgs, resolve_node_specs
 
 
 class TestParser:
@@ -146,6 +150,24 @@ class TestSharedClusterArgs:
             node_spec=["a100:2", "v100"],
             fault=["death:node=1,at=3"], seed=7)
 
+    def test_node_specs_resolve_one_profile_per_node(self):
+        specs = resolve_node_specs(["A100:2", " v100"], nodes=3, gpus=2)
+        assert specs == (NODE_SPECS["a100"].with_num_gpus(2),) * 2 \
+            + (NODE_SPECS["v100"].with_num_gpus(2),)
+
+    def test_build_model_dims_and_seed(self):
+        graph = load_dataset("products_sim", scale=0.1)
+        scenario = ClusterArgs(layers=3, hidden_dim=16, seed=4)
+        assert scenario.model_dims(graph) == \
+            [graph.feature_dim, 16, 16, graph.num_classes]
+        first = scenario.build_model(graph).state_dict()
+        again = scenario.build_model(graph).state_dict()
+        other = replace(scenario, seed=5).build_model(graph).state_dict()
+        assert all(np.array_equal(first[name], again[name])
+                   for name in first)
+        assert not all(np.array_equal(first[name], other[name])
+                       for name in first)
+
 
 class TestCommands:
     def test_datasets(self, capsys):
@@ -257,6 +279,25 @@ class TestCommands:
     def test_bad_fault_spec_is_usage_error(self, capsys):
         assert main(["train", "--nodes", "2", "--fault", "gremlin"]) == 2
         assert "bad fault spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entries, message", [
+        (["h100"], "unknown profile 'h100'"),
+        (["a100:two"], "must be an integer"),
+        (["a100:0", "v100:2"], "must be >= 1"),
+        (["a100:3"], "name 3 node(s) but --nodes=2"),
+    ], ids=["unknown_name", "non_integer_count", "count_below_one",
+            "total_not_nodes"])
+    def test_bad_node_spec_is_usage_error(self, capsys, entries, message):
+        """Each used to raise ``SystemExit``: the library call exited the
+        interpreter and the CLI exited 1 instead of 2."""
+        with pytest.raises(ConfigurationError, match="--node-spec") as info:
+            ClusterArgs(nodes=2, node_spec=entries).build_platform()
+        assert message in str(info.value)
+        argv = ["train", "--nodes", "2"]
+        for entry in entries:
+            argv += ["--node-spec", entry]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
     def test_fault_beyond_fleet_is_usage_error(self, capsys):
         assert main(["train", "--nodes", "2",

@@ -29,10 +29,6 @@ class TestGraph:
         np.testing.assert_array_equal(g.in_csr.row(1), [0])
         np.testing.assert_array_equal(g.in_csr.row(0), [])
 
-    def test_out_csr(self):
-        g = Graph(np.array([0, 0]), np.array([1, 2]), 3)
-        np.testing.assert_array_equal(g.out_csr.row(0), [1, 2])
-
     def test_degrees(self):
         g = Graph(np.array([0, 1, 2]), np.array([1, 1, 1]), 3)
         np.testing.assert_array_equal(g.in_degrees(), [0, 3, 0])
@@ -81,11 +77,6 @@ class TestGraph:
         # single edge 0 -> 1: w = 1/sqrt((out_deg(0)+1)(in_deg(1)+1)) = 1/2
         g = Graph(np.array([0]), np.array([1]), 2)
         np.testing.assert_allclose(g.gcn_edge_weights(), [0.5])
-
-    def test_subgraph_stats(self):
-        stats = toy_graph().subgraph_stats()
-        assert stats["num_vertices"] == 8
-        assert stats["num_edges"] == 17
 
 
 class TestGenerators:

@@ -248,9 +248,6 @@ class TestEventScheduler:
         (lambda s: s.busy_seconds(channel="gpu", device="a"), "device"),
         # AttributeError
         (lambda s: s.submit_program(None, []), "program"),
-        # accepted: the float landed in the phase records
-        (lambda s: s.submit_program(recorded(1, 1).finish(), [0],
-                                    group=1.5), "group"),
         # ValueError / bare TypeError from the float64 conversion
         (lambda s: s.submit_batch("gpu", [0], ["a"]), "seconds"),
         (lambda s: s.submit_batch("gpu", [0], [1j]), "seconds"),
@@ -270,7 +267,7 @@ class TestEventScheduler:
         (lambda s: WaveRecorder().submit_batch(
             "gpu", [1.0], shared_by_device=[[("k", "x")]]), "shared"),
     ], ids=["busy_channel", "busy_float_device", "busy_str_device",
-            "replay_no_program", "replay_float_group", "batch_str_seconds",
+            "replay_no_program", "batch_str_seconds",
             "batch_complex_seconds", "submit_str_seconds",
             "program_str_seconds", "program_complex_seconds",
             "submit_short_hold", "submit_str_hold", "batch_none_holds",
@@ -564,7 +561,7 @@ class TestWavePrograms:
     """Replay ≡ fresh emission: a recorded program replayed onto a
     non-empty timeline leaves exactly what submitting the same waves
     through ``submit_batch`` leaves — every task field, phase record,
-    group id, breakdown charge, frontier and query — under the array
+    breakdown charge, frontier and query — under the array
     step and under the one-task-at-a-time oracle alike."""
 
     random_wave = TestVectorizedScheduler._random_wave
@@ -969,8 +966,8 @@ class TestEventTimeline:
     ], ids=["float_deps", "float_per_device", "2d_per_device",
             "unsubmitted", "float_devices", "channel", "inf_hold"])
     def test_rejected_wave_leaves_no_trace_on_the_timeline(self, kwargs):
-        """A wave the scheduler rejects used to burn a group id: the
-        next accepted phase then skipped a number."""
+        """A wave the scheduler rejects leaves no task, no phase record
+        and no breakdown charge behind."""
         timeline = EventTimeline(barrier_all=True)
         timeline.submit_batch("h2d", [1.0, 4.0])
         with pytest.raises(SchedulerError):
@@ -981,9 +978,8 @@ class TestEventTimeline:
         with pytest.raises(SchedulerError):
             timeline.submit_program(program, [2])
         assert timeline.scheduler.num_tasks == 2
+        assert len(timeline.scheduler._phases) == 1
         assert timeline.breakdown.seconds["gpu"] == 0.0
-        ids = timeline.submit_batch("gpu", [1.0, 1.0])
-        assert [timeline.scheduler.tasks[i].group for i in ids] == [1, 1]
 
     def test_busy_view_sums_devices(self):
         timeline = EventTimeline()
