@@ -81,7 +81,7 @@ def measured_fetch_bytes(partition, platform, dim=HIDDEN):
         comm.accumulate_batch_backward(
             j, [out.copy() for out in outputs], grads, clock)
     comm.end_sweep()
-    return comm.net_bytes_by_flow.get("halo_fetch", {})
+    return comm.net_bytes_by_flow(clock).get("halo_fetch", {})
 
 
 def epoch_makespan(graph, partition, placement_policy):

@@ -134,7 +134,7 @@ def measure_halo_bytes(partition, platform, dim=HIDDEN):
         comm.accumulate_batch_backward(
             j, [out.copy() for out in outputs], grads, clock)
     comm.end_sweep()
-    return comm.bytes_moved["net"]
+    return clock.bytes_view()["net"]
 
 
 def run_reorg(scale=BENCH_SCALE, nodes=2):

@@ -80,7 +80,7 @@ def main() -> None:
             exact &= bool(np.array_equal(out, expected))
     comm.end_sweep()
     print(f"\nexecuted plan delivers exact neighbor data: {exact}")
-    loaded_rows = comm.bytes_moved["h2d"] // (1 * 4)
+    loaded_rows = clock.bytes_view()["h2d"] // (1 * 4)
     print(f"host rows actually moved: {loaded_rows} (== V+ru = {volumes.v_ru})")
 
 

@@ -9,8 +9,9 @@ OOMs at 4-8 layers in Table 6, and why its accuracy can trail full-graph
 training (information loss, Fig. 8).
 
 Sampling, training and evaluation are all real; the simulated platform
-charges feature-loading H2D traffic, kernel time and per-batch frontier
-memory, with batches spread across the available GPUs.
+prices feature-loading H2D traffic, kernel time and per-batch frontier
+memory, with batches spread across the available GPUs (its transfers,
+like every baseline's, carry no bytes).
 """
 
 from __future__ import annotations

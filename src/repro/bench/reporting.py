@@ -128,7 +128,7 @@ def render_timeline(timeline, title: Optional[str] = None,
          f"busy/(makespan x devices) ({width} cols)"],
         rows, title=title,
     )
-    saving = max(0.0, serialized - makespan)
+    saving = timeline.overlap_saving()
     footer = (
         f"makespan {format_seconds(makespan)} vs serialized "
         f"{format_seconds(serialized)} "
@@ -157,7 +157,8 @@ def render_node_utilization(timeline, platform,
     swallowed.
     """
     num_nodes = platform.num_nodes
-    device, channel, seconds, used = timeline.scheduler.columns()
+    device, channel, seconds, _nbytes, _phase, used = \
+        timeline.scheduler.columns()
     busy = {}
     devices = {}
     for index, column in enumerate(CHANNELS):

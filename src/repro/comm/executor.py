@@ -3,13 +3,14 @@
 :class:`DedupCommunicator` performs the *actual* data movement of HongTu's
 communication framework on numpy buffers — real values flow through real
 transition buffers with the in-place position indices computed by the
-planner — while charging simulated seconds to an event timeline and
-registering buffer memory with the simulated GPUs' pools.
+planner — while emitting every transfer onto an event timeline, with its
+simulated seconds and the bytes it moves, and registering buffer memory
+with the simulated GPUs' pools.
 
 Forward (Algorithm 2): per batch, each GPU
 
 1. loads 𝒩^cpu_ij rows host→transition-buffer (PCIe, ``h2d``), reusing
-   𝒩^gpu_ij rows in place (charged to ``gpu`` at HBM bandwidth);
+   𝒩^gpu_ij rows in place (a ``gpu`` task at HBM bandwidth);
 2. assembles its chunk input h_{N_ij} by reading every needed row from the
    staging GPU's transition buffer — local reads are intra-GPU (``gpu``),
    remote reads are P2P (``d2d``), interleaved across sources.
@@ -30,8 +31,9 @@ host loads of batch j+1 only wait for the staging buffer to drain (its
 consumers two batches back under double buffering), *not* for batch j's
 kernels — which is what lets the ``pipeline`` overlap policy hide PCIe
 time under compute. The paper's barrier-synchronized accounting (each
-phase charges its per-device max, phases serialize) is the same
-emission on ``EventTimeline(barrier_all=True)``. After each forward
+phase costs its per-device max, phases serialize) is the same
+emission on ``EventTimeline(barrier_all=True)``; every transfer task
+carries the bytes it moves. After each forward
 batch call, :meth:`DedupCommunicator.batch_input_dep_ids` names the tasks
 the trainer hangs its compute tasks off.
 
@@ -112,7 +114,7 @@ with ``np.array_equal``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -123,11 +125,14 @@ from repro.hardware.clock import EventTimeline
 from repro.hardware.platform import MultiGPUPlatform
 from repro.runtime.buffers import TransitionBuffers
 from repro.runtime.scheduler import task_ids
-from repro.runtime.task import SPINE_RESOURCE, net_link
+from repro.runtime.task import SPINE_RESOURCE, net_link, net_link_nodes
 
 __all__ = ["DedupCommunicator", "PlanStatic"]
 
 _NO_IDS = np.empty(0, dtype=np.int64)
+
+#: the halo flows: a ``net`` wave labelled ``halo_fetch[b3]`` is flow 1
+HALO_FLOWS = ("halo_load", "halo_fetch", "halo_push", "halo_flush")
 
 
 def _entry_ids(entry) -> Optional[np.ndarray]:
@@ -158,12 +163,11 @@ def _per_device_ids(deps_by_device, num_gpus: int
 class _HaloSplit:
     """Coalesced cross-node traffic of one phase, precomputed.
 
-    One entry per ``(src_node, dst_node, rail)`` link with traffic, keys
-    sorted (the submission order of the old per-pair loop). ``rows`` are
-    vertex-row counts — bytes follow per call as ``rows * row_bytes``.
+    One entry (a *key*) per ``(src_node, dst_node, rail)`` link with
+    traffic, in that tuple's order. ``rows`` are vertex-row counts —
+    bytes follow per call as ``rows * row_bytes``.
     """
 
-    keys: List[Tuple[int, int, int]]
     rows: np.ndarray
     #: scheduler link device id per key
     devices: np.ndarray
@@ -177,7 +181,7 @@ class _HaloSplit:
     dst_nodes: np.ndarray
 
     def __bool__(self) -> bool:
-        return bool(self.keys)
+        return bool(len(self.rows))
 
 
 @dataclass
@@ -197,6 +201,8 @@ class _BatchStatic:
     local_rows: np.ndarray
     d2d_gpu: np.ndarray
     d2d_rows: np.ndarray
+    #: per GPU, the rows it reads over P2P (``d2d_rows`` summed by reader)
+    d2d_rows_by_gpu: np.ndarray
     fetch_halo: _HaloSplit
     push_halo: _HaloSplit
     flush_rows: np.ndarray
@@ -285,16 +291,14 @@ class PlanStatic:
         pair_key, pair_gpu = key_of[first], gpu[first]
         by_key = np.argsort(pair_key, kind="stable")
         by_gpu = np.lexsort((pair_key, pair_gpu))
-        pair, rail = np.divmod(codes, self.num_rails)
+        pair, rails = np.divmod(codes, self.num_rails)
         src_nodes, dst_nodes = np.divmod(pair, self.num_nodes)
-        keys = list(zip(src_nodes.tolist(), dst_nodes.tolist(),
-                        rail.tolist()))
         return _HaloSplit(
-            keys=keys,
             rows=key_rows,
             devices=np.array(
                 [net_link(src, dst, self.num_nodes, rail, self.num_rails)
-                 for src, dst, rail in keys],
+                 for src, dst, rail in zip(src_nodes.tolist(),
+                                           dst_nodes.tolist(), rails.tolist())],
                 dtype=np.int64,
             ),
             by_reader=_grouped(pair_key[by_gpu], pair_gpu[by_gpu], m),
@@ -410,6 +414,8 @@ class PlanStatic:
             local_rows=rows[local],
             d2d_gpu=reader[d2d],
             d2d_rows=rows[d2d],
+            d2d_rows_by_gpu=np.bincount(reader[d2d], weights=rows[d2d],
+                                        minlength=m).astype(np.int64),
             fetch_halo=self._build_halo(owner_node[halo], reader_node[halo],
                                         reader[halo], rows[halo]),
             push_halo=self._build_halo(reader_node[halo], owner_node[halo],
@@ -458,16 +464,6 @@ class DedupCommunicator:
         self.static = static
         self._buffers: Optional[TransitionBuffers] = None
         self._dim = 0
-        #: bytes moved per category since construction (for reports)
-        self.bytes_moved: Dict[str, int] = {
-            "h2d": 0, "d2h": 0, "d2d": 0, "ru": 0, "net": 0,
-        }
-        #: network bytes per halo flow per directed node pair since
-        #: construction: flow ("halo_load" | "halo_fetch" | "halo_push" |
-        #: "halo_flush") → (src_node, dst_node) → bytes. This is the
-        #: measured side of the halo analyses in ``partition/nodes.py``
-        #: (tested to match ``halo_volumes`` exactly).
-        self.net_bytes_by_flow: Dict[str, Dict[Tuple[int, int], int]] = {}
         # Per-sweep dependency history: batch → the task-id arrays its
         # call submitted (forward files "load"/"reuse"/"assemble",
         # backward "scatter"/"flush"/"cpu").
@@ -541,26 +537,36 @@ class DedupCommunicator:
                           devices=static.local_gpu))
         return d2d_seconds, local_seconds
 
-    def _charge_halo(self, halo: _HaloSplit, row_bytes: int,
-                     flow: str) -> None:
-        """The ledger half of a halo phase: :attr:`bytes_moved` and the
-        per-pair byte detail of ``flow`` (rails merged)."""
-        if not halo:
-            return
-        nbytes = halo.rows * row_bytes
-        self.bytes_moved["net"] += int(nbytes.sum())
-        detail = self.net_bytes_by_flow.setdefault(flow, {})
-        for (src, dst, _rail), count in zip(halo.keys, nbytes.tolist()):
-            detail[(src, dst)] = detail.get((src, dst), 0) + count
+    def net_bytes_by_flow(self, timeline: EventTimeline
+                          ) -> Dict[str, Dict[Tuple[int, int], int]]:
+        """Bytes of ``timeline``'s halo ``net`` tasks: flow (a wave's
+        label stem, one of :data:`HALO_FLOWS`) → ``(src_node, dst_node)``
+        → bytes, rails merged. The measured side of the halo analyses in
+        ``partition/nodes.py`` (tested to match ``halo_volumes``
+        exactly)."""
+        scheduler = timeline.scheduler
+        columns = scheduler.columns()
+        stems = [label.partition("[")[0] for label in scheduler.phase_labels()]
+        out: Dict[str, Dict[Tuple[int, int], int]] = {}
+        halo = np.flatnonzero(np.isin(stems, HALO_FLOWS))
+        tasks = np.flatnonzero(np.isin(columns.phase, halo))
+        for phase, device, nbytes in zip(columns.phase[tasks].tolist(),
+                                         columns.device[tasks].tolist(),
+                                         columns.nbytes[tasks].tolist()):
+            pair = net_link_nodes(device, self.static.num_nodes,
+                                  self.static.num_rails)
+            detail = out.setdefault(stems[phase], {})
+            detail[pair] = detail.get(pair, 0) + nbytes
+        return out
 
     def _emit_halo(self, timeline: EventTimeline, halo: _HaloSplit,
                    row_bytes: int, deps: Optional[np.ndarray] = None,
                    producers_by_key: Optional[Sequence] = None,
                    label: str = "") -> np.ndarray:
-        """The emission half: one coalesced ``net`` task per directed
-        link with traffic.
+        """One coalesced ``net`` task, with its bytes, per directed link
+        with traffic.
 
-        Returns the submitted task ids aligned with ``halo.keys`` (empty
+        Returns the submitted task ids aligned with the halo's keys (empty
         when there is no cross-node traffic, so single-node runs never
         reach the scheduler from here). ``deps`` gate every message;
         ``producers_by_key[k]`` (an id array) adds per-link producers.
@@ -568,7 +574,8 @@ class DedupCommunicator:
         :data:`~repro.runtime.task.SPINE_RESOURCE` for their excess
         core-transit time. ``timeline`` is anything with
         :meth:`~repro.hardware.clock.EventTimeline.submit_batch` — the
-        serving engine passes a wave recorder.
+        serving engine passes a wave recorder. ``label``'s stem names
+        the flow (:data:`HALO_FLOWS`).
         """
         if not halo:
             return _NO_IDS
@@ -580,23 +587,13 @@ class DedupCommunicator:
         if np.any(np.asarray(holds) > 0):
             shared = [
                 [(SPINE_RESOURCE, float(hold))] if hold > 0 else []
-                for hold in np.broadcast_to(holds, (len(halo.keys),))
+                for hold in np.broadcast_to(holds, (len(halo.rows),))
             ]
         return timeline.submit_batch(
             "net", seconds, devices=halo.devices, deps=deps,
             deps_by_device=producers_by_key, shared_by_device=shared,
-            label=label,
+            nbytes=nbytes, label=label,
         )
-
-    def _submit_halo_batch(self, timeline: EventTimeline,
-                           halo: _HaloSplit, row_bytes: int,
-                           deps: Optional[np.ndarray] = None,
-                           producers_by_key: Optional[Sequence] = None,
-                           *, flow: str, label: str = "") -> np.ndarray:
-        """An epoch's halo phase: charge the ledger, emit the tasks."""
-        self._charge_halo(halo, row_bytes, flow)
-        return self._emit_halo(timeline, halo, row_bytes, deps,
-                               producers_by_key, label)
 
     @staticmethod
     def _ids_by_reader(halo: _HaloSplit, ids: np.ndarray,
@@ -633,16 +630,6 @@ class DedupCommunicator:
         """
         return self._segment_seconds(self.static.batch(batch), row_bytes)
 
-    def _serving_halo(self, batch: int, kind: str) -> _HaloSplit:
-        if kind not in ("load", "fetch"):
-            raise CommunicationPlanError(
-                f"unknown serving halo kind {kind!r}; "
-                f"expected 'load' or 'fetch'"
-            )
-        if kind == "load":
-            return self.static.staging_halo(batch)
-        return self.static.batch(batch).fetch_halo
-
     def submit_serving_halo(self, timeline: EventTimeline, batch: int,
                             row_bytes: int, kind: str = "fetch",
                             deps: Optional[np.ndarray] = None,
@@ -657,24 +644,21 @@ class DedupCommunicator:
         the forward halo exchange — reads of transition buffers staged
         on another node. Returns ``(task ids, per-reader-GPU dependency
         arrays)`` — the same contract the epoch path wires compute waves
-        with. Emission only: the serving engine records these tasks once
-        per column shape and replays them, so the bytes are charged
-        separately, per served request, by :meth:`charge_serving_halo`.
-        Single-node platforms return empty ids and never touch
+        with. The tasks carry their bytes (a replay moves them again);
+        label them ``halo_{kind}[...]`` for :meth:`net_bytes_by_flow` to
+        see the flow. Single-node platforms return empty ids and never touch
         ``timeline``.
         """
-        halo = self._serving_halo(batch, kind)
+        if kind not in ("load", "fetch"):
+            raise CommunicationPlanError(
+                f"unknown serving halo kind {kind!r}; "
+                f"expected 'load' or 'fetch'"
+            )
+        halo = (self.static.staging_halo(batch) if kind == "load"
+                else self.static.batch(batch).fetch_halo)
         ids = self._emit_halo(timeline, halo, row_bytes, deps=deps,
                               label=label)
         return ids, self._ids_by_reader(halo, ids, self.plan.num_gpus)
-
-    def charge_serving_halo(self, batch: int, row_bytes: int,
-                            kind: str = "fetch") -> None:
-        """Charge the shared per-flow byte ledger (``halo_load`` /
-        ``halo_fetch``) for one execution of the tasks
-        :meth:`submit_serving_halo` emits."""
-        self._charge_halo(self._serving_halo(batch, kind), row_bytes,
-                          f"halo_{kind}")
 
     # ------------------------------------------------------------------
     # dependency bookkeeping helpers
@@ -742,16 +726,14 @@ class DedupCommunicator:
             stacked[plan.load_slots] = host_values[plan.load_vertices]
         loaded_bytes = static.loaded_rows * row_bytes
         reused_bytes = static.reused_rows * row_bytes
-        self.bytes_moved["h2d"] += int(loaded_bytes.sum())
-        self.bytes_moved["ru"] += int(reused_bytes.sum())
         h2d_seconds = self.platform.h2d_seconds(loaded_bytes,
                                                 devices=gpu_ids)
         reuse_seconds = self.platform.reuse_seconds(
             reused_bytes, devices=gpu_ids)
 
-        halo_load_ids = self._submit_halo_batch(
+        halo_load_ids = self._emit_halo(
             timeline, static.load_halo, row_bytes,
-            flow="halo_load", label=f"halo_load[b{batch}]",
+            label=f"halo_load[b{batch}]",
         )
         conflicts = self._staging_conflicts(batch)
         halo_deps = None
@@ -761,7 +743,8 @@ class DedupCommunicator:
             )
         load_ids = timeline.submit_batch(
             "h2d", h2d_seconds, deps=conflicts,
-            deps_by_device=halo_deps, label=f"load[b{batch}]",
+            deps_by_device=halo_deps, nbytes=loaded_bytes,
+            label=f"load[b{batch}]",
         )
         previous_load = self._batch_tasks(batch - 1, "load")
         previous_reuse = self._batch_tasks(batch - 1, "reuse")
@@ -785,16 +768,16 @@ class DedupCommunicator:
         # stacked buffer: one gather per GPU assembles its whole input.
         outputs = [stacked[plan.source_slots] for plan in plans]
         d2d_seconds, local_seconds = self._segment_seconds(static, row_bytes)
-        self.bytes_moved["d2d"] += int(static.d2d_rows.sum()) * row_bytes
-        self.bytes_moved["ru"] += int(static.local_rows.sum()) * row_bytes
 
         staged = np.concatenate([load_ids, reuse_ids])
         remote_ids = timeline.submit_batch(
-            "d2d", d2d_seconds, deps=staged, label=f"fetch[b{batch}]",
+            "d2d", d2d_seconds, deps=staged,
+            nbytes=static.d2d_rows_by_gpu * row_bytes,
+            label=f"fetch[b{batch}]",
         )
-        halo_fetch_ids = self._submit_halo_batch(
+        halo_fetch_ids = self._emit_halo(
             timeline, static.fetch_halo, row_bytes, deps=staged,
-            flow="halo_fetch", label=f"halo_fetch[b{batch}]",
+            label=f"halo_fetch[b{batch}]",
         )
         net_by_reader = self._ids_by_reader(
             static.fetch_halo, halo_fetch_ids, m
@@ -890,15 +873,14 @@ class DedupCommunicator:
         for plan, grads in zip(plans, neighbor_grads):
             stacked[plan.source_slots] += grads
         d2d_seconds, local_seconds = self._segment_seconds(static, row_bytes)
-        self.bytes_moved["d2d"] += int(static.d2d_rows.sum()) * row_bytes
-        self.bytes_moved["ru"] += int(static.local_rows.sum()) * row_bytes
 
         # Buffers must be drained by the previous batch's flush before
         # this batch's atomic adds land on the same slots.
         prior = self._batch_tasks(batch - 1, "flush")
         scatter_ids = timeline.submit_batch(
-            "d2d", d2d_seconds, deps=prior,
-            deps_by_device=producer_ids, label=f"scatter[b{batch}]",
+            "d2d", d2d_seconds, deps=prior, deps_by_device=producer_ids,
+            nbytes=static.d2d_rows_by_gpu * row_bytes,
+            label=f"scatter[b{batch}]",
         )
         if static.push_halo:
             # A halo push leaves once the kernels of every pushing GPU
@@ -912,10 +894,10 @@ class DedupCommunicator:
                     ] or [_NO_IDS])
                     for gpus in static.push_halo.key_gpus
                 ]
-            halo_push_ids = self._submit_halo_batch(
+            halo_push_ids = self._emit_halo(
                 timeline, static.push_halo, row_bytes,
                 deps=prior, producers_by_key=producers_by_key,
-                flow="halo_push", label=f"halo_push[b{batch}]",
+                label=f"halo_push[b{batch}]",
             )
             scatter_ids = np.concatenate([scatter_ids, halo_push_ids])
         push_local_ids = timeline.submit_batch(
@@ -933,26 +915,25 @@ class DedupCommunicator:
                                    static.flush_slots):
             host_grads[vertices] += stacked[slots]
         flush_bytes = static.flush_rows * row_bytes
-        self.bytes_moved["d2h"] += int(flush_bytes.sum())
         d2h_seconds = self.platform.h2d_seconds(flush_bytes,
                                                 devices=gpu_ids)
         cpu_seconds = self.platform.cpu_accumulate_seconds(
             flush_bytes, node=self.static.gpu_nodes)
 
         flush_ids = timeline.submit_batch(
-            "d2h", d2h_seconds, deps=scatter_ids,
+            "d2h", d2h_seconds, deps=scatter_ids, nbytes=flush_bytes,
             label=f"flush[b{batch}]",
         )
         # Remote-owned gradients ship after leaving the GPU; the
         # accumulate below then also waits for their delivery, so the
         # host ∇h is complete when the batch's cpu tasks end.
-        halo_flush_ids = self._submit_halo_batch(
+        halo_flush_ids = self._emit_halo(
             timeline, static.flush_halo, row_bytes,
             producers_by_key=[
                 flush_ids[gpus]
                 for gpus in static.flush_halo.key_gpus
             ],
-            flow="halo_flush", label=f"halo_flush[b{batch}]",
+            label=f"halo_flush[b{batch}]",
         )
         if len(halo_flush_ids):
             net_by_gpu = self._ids_by_reader(

@@ -13,7 +13,7 @@ A re-balance is a re-plan, not a second planner: it frees the trainer's
 checkpoints, hands the current :class:`~repro.core.planner.FleetPlan`
 back to :func:`~repro.core.planner.plan_fleet` with the faulted fleet's
 values (evacuation seed, dead set, compute+wire capability matrix,
-budgets always on), adopts the result, and charges the moved partitions'
+budgets always on), adopts the result, and ships the moved partitions'
 state bytes as ``net`` tasks at the head of the epoch timeline.
 """
 
@@ -246,6 +246,7 @@ class ElasticController:
                 devices=np.array(
                     [net_link(src, dst, nodes, 0, platform.num_rails)
                      for src, dst in links], dtype=np.int64),
+                nbytes=[flows[link] for link in links],
                 label=f"migrate[{trigger}]",
             )
             timeline.barrier()

@@ -87,10 +87,11 @@ class EpochResult:
     """Outcome of one training epoch — of any trainer in the repo.
 
     The scheduled :class:`~repro.hardware.clock.EventTimeline` *is* the
-    epoch's timing: ``clock`` and ``epoch_seconds`` read through to it.
-    The baselines fill the fields their system has (an all-in-GPU trainer
-    moves no PCIe bytes; the DistGNN cost model computes no loss) and
-    subclass only to add one of their own.
+    epoch's timing and traffic: ``clock``, ``epoch_seconds`` and the
+    ``*_bytes`` counts read through to it. The baselines fill the fields
+    their system has (the DistGNN cost model computes no loss), emit no
+    bytes with their transfers, and subclass only to add one field of
+    their own.
     """
 
     epoch: int
@@ -100,30 +101,43 @@ class EpochResult:
     loss: Optional[float] = None
     peak_gpu_bytes: int = 0
     host_bytes: int = 0
-    #: host→GPU bytes moved this epoch (forward loads + backward reloads)
-    h2d_bytes: int = 0
-    #: inter-GPU bytes moved this epoch
-    d2d_bytes: int = 0
-    #: GPU→host bytes moved this epoch (writebacks + gradient flushes)
-    d2h_bytes: int = 0
-    #: inter-node network bytes moved this epoch (halo + all-reduce;
-    #: zero on a single node)
-    net_bytes: int = 0
-    #: partition-state bytes migrated by an elastic re-balance at this
-    #: epoch's boundary (0 on fault-free epochs; included in net_bytes)
-    migration_bytes: int = 0
     #: the elastic re-balance that preceded this epoch, if one fired
     rebalance: Optional[RebalanceEvent] = None
 
     @property
     def clock(self) -> TimeBreakdown:
-        """Per-category busy seconds of the timeline."""
+        """Per-channel serialized-phase seconds of the timeline."""
         return self.timeline.breakdown
 
     @property
     def epoch_seconds(self) -> float:
         """Simulated wall time: the timeline's makespan."""
         return self.timeline.makespan
+
+    @property
+    def h2d_bytes(self) -> int:
+        """Host→GPU bytes: forward loads + backward reloads."""
+        return self.timeline.bytes_view()["h2d"]
+
+    @property
+    def d2d_bytes(self) -> int:
+        """Inter-GPU bytes the communicators moved."""
+        return self.timeline.bytes_view()["d2d"]
+
+    @property
+    def d2h_bytes(self) -> int:
+        """GPU→host bytes: writebacks + gradient flushes."""
+        return self.timeline.bytes_view()["d2h"]
+
+    @property
+    def net_bytes(self) -> int:
+        """Inter-node bytes: halo, all-reduce and migration."""
+        return self.timeline.bytes_view()["net"]
+
+    @property
+    def migration_bytes(self) -> int:
+        """Bytes of the re-balance before this epoch (in ``net_bytes``)."""
+        return 0 if self.rebalance is None else self.rebalance.migration_bytes
 
     @property
     def pcie_bytes(self) -> int:
@@ -188,7 +202,6 @@ class HongTuTrainer:
         self.optimizer = optimizer or Adam(model.parameters(), lr=0.01)
         self._epoch = 0
         self._pipelined = config.overlap == "pipeline"
-        self._allreduce_net_bytes = 0  # per-epoch, reset by train_epoch
         #: wave arrays are in GPU order; ``devices=_gpu_ids`` prices each
         #: element at its owning node's rates
         self._gpu_ids = np.arange(platform.num_gpus, dtype=np.int64)
@@ -265,10 +278,6 @@ class HongTuTrainer:
         """
         timeline = self._new_timeline()
         rebalance = self._elastic.begin_epoch(timeline)
-        migration_bytes = 0 if rebalance is None else rebalance.migration_bytes
-        comms = (self._comm_values, self._comm_grads)
-        before = [dict(comm.bytes_moved) for comm in comms]
-        self._allreduce_net_bytes = 0
 
         self.model.zero_grad()
         self._forward(timeline)
@@ -279,22 +288,11 @@ class HongTuTrainer:
         self._all_reduce_and_step(timeline)
         self._epoch += 1
 
-        moved = {
-            category: sum(comm.bytes_moved[category] - start[category]
-                          for comm, start in zip(comms, before))
-            for category in ("h2d", "d2h", "d2d", "net")
-        }
         result = EpochResult(
             epoch=self._epoch,
             loss=loss,
             peak_gpu_bytes=self.platform.peak_gpu_memory(),
             host_bytes=self.platform.host_in_use(),
-            h2d_bytes=moved["h2d"],
-            d2d_bytes=moved["d2d"],
-            d2h_bytes=moved["d2h"],
-            net_bytes=(moved["net"] + self._allreduce_net_bytes
-                       + migration_bytes),
-            migration_bytes=migration_bytes,
             rebalance=rebalance,
             timeline=timeline,
         )
@@ -397,7 +395,6 @@ class HongTuTrainer:
                 d2h = costs.writeback_bytes
                 if cache_layer:
                     d2h = d2h + costs.checkpoint_bytes
-                self._comm_values.bytes_moved["d2h"] += int(d2h.sum())
                 compute_ids = timeline.submit_batch(
                     "gpu",
                     platform.gpu_compute_seconds(costs.flops,
@@ -406,7 +403,7 @@ class HongTuTrainer:
                 )
                 timeline.submit_batch(
                     "d2h", platform.h2d_seconds(d2h, devices=self._gpu_ids),
-                    deps_by_device=compute_ids,
+                    deps_by_device=compute_ids, nbytes=d2h,
                     label=f"writeback[l{l}b{j}]",
                 )
             self._comm_values.end_sweep()
@@ -501,12 +498,11 @@ class HongTuTrainer:
                         np.zeros_like(inputs[i])
                 neighbor_grads.append(grads)
 
-        self._comm_grads.bytes_moved["h2d"] += int(costs.load_bytes.sum())
         load_ids = timeline.submit_batch(
             "h2d",
             self.platform.h2d_seconds(costs.load_bytes,
                                       devices=self._gpu_ids),
-            label=f"grad_load[l{l}b{j}]",
+            nbytes=costs.load_bytes, label=f"grad_load[l{l}b{j}]",
         )
         compute_deps = load_ids if input_deps is None else [
             np.concatenate([deps, load_ids[i:i + 1]])
@@ -571,6 +567,8 @@ class HongTuTrainer:
                     / len(members)
                 intra_legs.append((members[0], volume))
         intra_ids = np.empty(0, dtype=np.int64)
+        # The intra legs carry no bytes: d2d_bytes counts the
+        # communicators' P2P traffic only.
         if intra_legs:
             leg_devices = np.array([device for device, _ in intra_legs],
                                    dtype=np.int64)
@@ -597,6 +595,10 @@ class HongTuTrainer:
             # fabric the collective's per-pair leg rides rail 0;
             # spine pricing already folds the core contention into
             # ``seconds``).
+            # 2 (N-1) payloads cross the network (ring and tree alike),
+            # split over the N links to the byte.
+            share, extra = divmod(2 * param_bytes * (len(alive) - 1),
+                                  len(alive))
             num_rails = self.platform.num_rails
             timeline.submit_batch(
                 "net", np.full(len(alive), seconds),
@@ -607,12 +609,9 @@ class HongTuTrainer:
                     dtype=np.int64,
                 ),
                 deps=intra_ids,
+                nbytes=share + (np.arange(len(alive)) < extra),
                 label=f"all_reduce_{self.config.allreduce}",
             )
-            # Total wire volume of an all-reduce (ring and tree
-            # alike): 2 (N-1) payloads cross the network.
-            self._allreduce_net_bytes += \
-                2 * param_bytes * (len(alive) - 1)
         self.optimizer.step()
 
     # ------------------------------------------------------------------

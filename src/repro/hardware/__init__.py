@@ -19,7 +19,7 @@ from repro.hardware.spec import (
     scaled_platform,
 )
 from repro.hardware.memory import MemoryPool, Allocation
-from repro.hardware.clock import TimeBreakdown, EventTimeline, CATEGORIES
+from repro.hardware.clock import TimeBreakdown, EventTimeline
 from repro.hardware.platform import (
     SimulatedGPU,
     MultiGPUPlatform,
@@ -32,6 +32,6 @@ __all__ = [
     "A100_SERVER", "PCIE_ONLY_SERVER", "CPU_NODE", "ECS_CLUSTER",
     "A100_CLUSTER", "V100_SERVER", "NODE_SPECS", "GB", "scaled_platform",
     "MemoryPool", "Allocation",
-    "TimeBreakdown", "EventTimeline", "CATEGORIES",
+    "TimeBreakdown", "EventTimeline",
     "SimulatedGPU", "MultiGPUPlatform", "ClusterPlatform",
 ]

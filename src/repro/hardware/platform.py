@@ -395,7 +395,7 @@ class MultiGPUPlatform:
         """Serialized spine-core occupancy of one ``nbytes`` message.
 
         An oversubscribed core has capacity ``N * bandwidth / F``; the
-        hold charges the *excess* transit time over a non-blocking core,
+        hold is the *excess* transit time over a non-blocking core,
         ``(F - 1) * nbytes / (N * bandwidth)``, serially across all
         messages. ``F == 1`` (or a non-spine topology) holds nothing, so
         those schedules are float-identical to the flat network.

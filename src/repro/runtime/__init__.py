@@ -10,8 +10,8 @@ the epoch time is the resulting critical-path makespan instead of the sum
 of phase maxima.
 
 The :class:`~repro.hardware.clock.EventTimeline` in ``hardware/clock.py``
-is the trainer-facing wrapper that combines a scheduler with the legacy
-:class:`~repro.hardware.clock.TimeBreakdown` category view. A DAG that is
+is the trainer-facing wrapper; its breakdown (Fig. 9), busy and byte views
+all read the scheduler's task columns, the run's one ledger. A DAG that is
 emitted over and over is recorded once into a
 :class:`~repro.runtime.scheduler.WaveProgram` and replayed
 (``submit_program``) — validation and normalisation paid at record time.

@@ -27,18 +27,19 @@ tasks on per-link resources (:func:`~repro.runtime.task.net_link`) to the
 same DAG, so halo traffic competes/overlaps with PCIe and kernels under
 exactly the same rules.
 
-Storage is structure-of-arrays: start/end/seconds/device/channel live in
-growable numpy arrays, resource frontiers in dense per-channel arrays
+Storage is structure-of-arrays: start/end/seconds/bytes/device/channel live
+in growable numpy arrays, resource frontiers in dense per-channel arrays
 indexed by one zig-zag slot per device id (GPUs, the host pseudo-device
 and encoded network links interleave, so none of them hashes), and
 dependency lists in a factored form — one shared *common* array per
 submitted phase plus flattened per-task extras — so a phase whose every
 task waits on the same producers stores those ids once, not once per
 task. Each column is written once, by whoever knows it: the *static*
-ones (seconds, device, channel, phase, dependency lists) by the array
-step's caller — one store per wave, or per replayed program — and
-start/end/``blocked_by`` by the step. Per-device busy seconds and the
-makespan are derived from the columns when somebody asks.
+ones (seconds, bytes, device, channel, phase, dependency lists) by the
+array step's caller — one store per wave, or per replayed program — and
+start/end/``blocked_by`` by the step. They are the run's only ledger:
+busy seconds, the makespan, the Fig. 9 breakdown and the bytes per
+channel are derived from them when somebody asks.
 :class:`~repro.runtime.task.Task` objects are materialized lazily
 (``tasks``, ``critical_path()``, reporting); submission never builds one
 beyond the single ``Task`` :meth:`EventScheduler.submit` returns.
@@ -57,8 +58,8 @@ are exactly what one-task-at-a-time submission assigns — that rule
 lives in ``tests/scheduler_oracle.py``, which the identity tests
 compare this core against on randomized DAGs and whole epochs.
 
-A wave has a static half — channel, devices, durations, holds, how many
-dependencies each task lists — and a dynamic one: which tasks those
+A wave has a static half — channel, devices, durations, bytes, holds,
+how many dependencies each task lists — and a dynamic one: which tasks those
 dependencies are. :class:`_Wave` holds the first, validated, normalised
 and with everything the array step derives from it alone worked out;
 the dependency ids travel beside it. A DAG that is emitted again and
@@ -116,6 +117,10 @@ class TaskColumns(NamedTuple):
     channel: np.ndarray
     #: duration of each task, simulated seconds
     seconds: np.ndarray
+    #: bytes each task moved
+    nbytes: np.ndarray
+    #: index of each task's phase (its wave)
+    phase: np.ndarray
     #: per channel, ``CHANNELS`` order: ascending ids of the devices that
     #: ran at least one task on it
     used: Tuple[np.ndarray, ...]
@@ -183,30 +188,32 @@ def _run_bounds(devices: np.ndarray) -> Optional[List[int]]:
 class _Wave:
     """The static half of one wave, in the form the array step reads it.
 
-    Channel, devices, durations, holds and the *shape* of the per-task
-    dependency lists (``lens[t]`` extra ids for task ``t``, ``seg_ends``
-    their running total; None when no task has any) — plus everything
-    that derives from those alone: the frontier slots, the duplicate-free
-    runs of a wave that repeats a device, the wave's busy total, and for
-    the per-task dependency maximum either ``single`` (one producer per
-    task: nothing to reduce) or the segment bookkeeping of ragged lists.
+    Channel, devices, durations, bytes (None: none), holds and the
+    *shape* of the per-task dependency lists (``lens[t]`` extra ids for
+    task ``t``, ``seg_ends`` their running total; None when no task has
+    any) — plus everything that derives from those alone: the frontier
+    slots, the duplicate-free runs of a wave that repeats a device, the
+    wave's busy total, and for the per-task dependency maximum either
+    ``single`` (one producer per task: nothing to reduce) or the segment
+    bookkeeping of ragged lists.
     The dependency *ids* are the dynamic half and travel beside it. A
     wave submitted once builds this on the way in; a
     :class:`WaveProgram` builds it when the wave is recorded and never
     again.
     """
 
-    __slots__ = ("ch", "devices", "seconds", "k", "lens", "holds", "runs",
-                 "slot", "need", "total", "single", "nz", "seg_starts",
-                 "seg_ends", "seg_of", "positions")
+    __slots__ = ("ch", "devices", "seconds", "nbytes", "k", "lens", "holds",
+                 "runs", "slot", "need", "total", "single", "nz",
+                 "seg_starts", "seg_ends", "seg_of", "positions")
 
     def __init__(self, ch: int, devices: np.ndarray, seconds: np.ndarray,
-                 lens: Optional[np.ndarray], holds: Optional[Sequence]):
+                 lens: Optional[np.ndarray], holds: Optional[Sequence],
+                 nbytes: Optional[np.ndarray] = None):
         if lens is not None and not lens.any():
             lens = None
         k = len(seconds)
         self.ch, self.devices, self.seconds, self.k = ch, devices, seconds, k
-        self.lens, self.holds = lens, holds
+        self.nbytes, self.lens, self.holds = nbytes, lens, holds
         self.seg_ends = None if lens is None else np.cumsum(lens)
         self.runs: Optional[List[tuple]] = None
         bounds = _run_bounds(devices) if k > 1 else None
@@ -237,8 +244,24 @@ class _Wave:
             self.positions = np.arange(len(self.seg_of))
 
 
+def _byte_counts(nbytes, k: int) -> np.ndarray:
+    """``nbytes`` as a fresh ``(k,)`` int64 array: one integer >= 0 per
+    task (a float would be truncated, a NaN is no count)."""
+    try:
+        counts = np.asarray(nbytes)
+        # np.asarray([]) is float64: an empty wave's empty list is fine
+        if counts.shape == (k,) and (counts.dtype.kind in "iu" or not k):
+            counts = counts.astype(np.int64)  # a copy: the caller keeps theirs
+            if not k or counts.min() >= 0:  # negative: also a uint64 wrapped
+                return counts
+    except (TypeError, ValueError):  # ragged
+        pass
+    raise SchedulerError(
+        f"nbytes must list one integer >= 0 per task ({k}), got {nbytes!r}")
+
+
 def _prepare(channel: str, devices, seconds, common_deps, extra_deps,
-             shared_by_task: Optional[Sequence]):
+             shared_by_task: Optional[Sequence], nbytes=None):
     """Validate and normalise one wave: ``(static half, common ids, flat
     extra ids)``, or None for an empty wave.
 
@@ -248,7 +271,7 @@ def _prepare(channel: str, devices, seconds, common_deps, extra_deps,
     the returned ids (a scheduler's tasks, or a program's own).
     ``extra_deps`` is a ``(k,)`` id array (one producer per task) or a
     sequence of per-task entries — each None or anything
-    :func:`task_ids` accepts.
+    :func:`task_ids` accepts; ``nbytes`` the bytes each task moves.
     """
     if channel not in CHANNELS:
         raise SchedulerError(f"unknown channel {channel!r}")
@@ -264,6 +287,8 @@ def _prepare(channel: str, devices, seconds, common_deps, extra_deps,
         raise SchedulerError(
             f"devices/seconds length mismatch: {len(devices)} vs {k}"
         )
+    if nbytes is not None:
+        nbytes = _byte_counts(nbytes, k)
     if k == 0:
         return None
     if devices.dtype.kind not in "iu":  # a float would be truncated
@@ -315,16 +340,17 @@ def _prepare(channel: str, devices, seconds, common_deps, extra_deps,
                 (0 if e is None else len(e) for e in entries),
                 dtype=np.int64, count=k,
             )
-    return (_Wave(_CHANNEL_INDEX[channel], devices, seconds, lens, holds),
+    return (_Wave(_CHANNEL_INDEX[channel], devices, seconds, lens, holds,
+                  nbytes),
             common if len(common) else None, flat)
 
 
-def phase_wave(category: str, per_device_seconds, channel: Optional[str],
-               devices, deps_by_device: Optional[Sequence]):
-    """The ``(channel, devices, seconds)`` of one timeline phase: the
-    part of :meth:`~repro.hardware.clock.EventTimeline.submit_batch`'s
-    keyword surface that :class:`WaveRecorder` shares. The channel
-    defaults to the category, the devices to ``0 .. k-1``."""
+def phase_wave(per_device_seconds, devices,
+               deps_by_device: Optional[Sequence]):
+    """The ``(devices, seconds)`` of one timeline phase: the part of
+    :meth:`~repro.hardware.clock.EventTimeline.submit_batch`'s keyword
+    surface that :class:`WaveRecorder` shares. The devices default to
+    ``0 .. k-1``."""
     seconds = _real(per_device_seconds)
     if seconds.ndim != 1:
         raise SchedulerError(
@@ -337,7 +363,7 @@ def phase_wave(category: str, per_device_seconds, channel: Optional[str],
             f"deps_by_device must list one entry per device: "
             f"{len(deps_by_device)} vs {len(seconds)}"
         )
-    return channel or category, devices, seconds
+    return devices, seconds
 
 
 @dataclass(frozen=True, repr=False, eq=False)  # compared by identity
@@ -346,25 +372,22 @@ class WaveProgram:
     :meth:`EventScheduler.submit_program`.
 
     Built only by :class:`WaveRecorder`. ``waves[i]`` is ``(static half,
-    category, label, lo, mid, hi)``: the wave's common dependencies are
+    label, lo, mid, hi)``: the wave's common dependencies are
     ``refs[lo:mid]`` and its flattened per-task extras ``refs[mid:hi]``.
     ``refs`` holds every dependency reference of the program in one
     array, as indices into the replay's lookup table — ``s`` for
     external slot ``s``, ``num_external + t`` for the program's own
     task ``t`` — so a replay resolves them all in one indexed read.
-    ``charges[i]`` is ``(category, bottleneck seconds)`` of wave ``i``,
-    what :class:`~repro.hardware.clock.EventTimeline` books to its
-    breakdown. ``columns`` is what a replay stores without looking at
-    a wave: per task its seconds, device, channel index, wave index and
-    the end of its extras among the program's; then the positions of
-    those extras in ``refs``. Immutable: replays only read it.
+    ``columns`` is what a replay stores without looking at a wave: per
+    task its seconds, bytes, device, channel index, wave index and the
+    end of its extras among the program's; then the positions of those
+    extras in ``refs``. Immutable: replays only read it.
     """
 
     num_external: int
     num_tasks: int
     waves: tuple
     refs: np.ndarray
-    charges: tuple
     columns: Tuple[np.ndarray, ...]
 
     def __repr__(self) -> str:
@@ -397,7 +420,6 @@ class WaveRecorder:
         self._waves: List[tuple] = []
         self._refs: List[np.ndarray] = []
         self._num_refs = 0
-        self._charges: List[Tuple[str, float]] = []
 
     def _check_ids(self, ids: Optional[np.ndarray]) -> None:
         if ids is not None and not (ids.min() >= -len(self.external)
@@ -410,17 +432,17 @@ class WaveRecorder:
                 f"[{ids.min()}, {ids.max()}]"
             )
 
-    def submit_batch(self, category: str, per_device_seconds, *,
-                     channel: Optional[str] = None, devices=None,
-                     deps=None, deps_by_device: Optional[Sequence] = None,
+    def submit_batch(self, channel: str, per_device_seconds, *,
+                     devices=None, deps=None,
+                     deps_by_device: Optional[Sequence] = None,
                      shared_by_device: Optional[Sequence] = None,
-                     label: str = "") -> np.ndarray:
+                     nbytes=None, label: str = "") -> np.ndarray:
         """Record one wave; returns its program-relative task ids."""
-        channel, devices, seconds = phase_wave(
-            category, per_device_seconds, channel, devices, deps_by_device)
+        devices, seconds = phase_wave(per_device_seconds, devices,
+                                      deps_by_device)
         # The program outlives the call: keep nothing the caller owns.
         prepared = _prepare(channel, np.array(devices), seconds.copy(),
-                            deps, deps_by_device, shared_by_device)
+                            deps, deps_by_device, shared_by_device, nbytes)
         if prepared is None:
             return _NO_IDS
         wave, common, flat = prepared
@@ -431,8 +453,7 @@ class WaveRecorder:
         hi = self._num_refs = mid + (0 if flat is None else len(flat))
         self._refs += [ids + len(self.external) for ids in (common, flat)
                        if ids is not None]
-        self._waves.append((wave, category, label, lo, mid, hi))
-        self._charges.append((category, float(seconds.max())))
+        self._waves.append((wave, label, lo, mid, hi))
         first = self._num_tasks
         self._num_tasks += wave.k
         return np.arange(first, self._num_tasks, dtype=np.int64)
@@ -447,6 +468,8 @@ class WaveRecorder:
         sizes = [wave.k for wave in waves]
         columns = (
             joined([wave.seconds for wave in waves], np.float64),
+            joined([np.zeros(wave.k, np.int64) if wave.nbytes is None
+                    else wave.nbytes for wave in waves]),
             joined([wave.devices for wave in waves]),
             np.repeat(joined([[wave.ch] for wave in waves]), sizes),
             np.repeat(np.arange(len(waves)), sizes),
@@ -456,8 +479,7 @@ class WaveRecorder:
             joined([np.arange(mid, hi) for *_, mid, hi in self._waves]),
         )
         return WaveProgram(len(self.external), self._num_tasks,
-                           tuple(self._waves), joined(self._refs),
-                           tuple(self._charges), columns)
+                           tuple(self._waves), joined(self._refs), columns)
 
 
 class EventScheduler:
@@ -478,12 +500,13 @@ class EventScheduler:
         self._start = np.zeros(cap)
         self._end = np.zeros(cap)
         self._seconds = np.zeros(cap)
+        self._nbytes = np.zeros(cap, dtype=np.int64)
         self._device = np.zeros(cap, dtype=np.int64)
         self._channel_idx = np.zeros(cap, dtype=np.int64)
         self._blocked = np.full(cap, -1, dtype=np.int64)
         self._phase_of = np.zeros(cap, dtype=np.int64)
-        # One record per submit/submit_batch call:
-        # (category, label, common dep-id array or None).
+        # One record per non-empty wave (a phase: a contiguous id
+        # range): (label, common dep-id array or None).
         self._phases: List[tuple] = []
         # Per-task extra deps, flattened (offsets are len n+1).
         self._extra_flat = np.zeros(cap, dtype=np.int64)
@@ -527,9 +550,7 @@ class EventScheduler:
         cached = self._task_cache.get(task_id)
         if cached is not None:
             return cached
-        category, label, common = self._phases[
-            int(self._phase_of[task_id])
-        ]
+        label, common = self._phases[int(self._phase_of[task_id])]
         deps: Tuple[int, ...] = ()
         if common is not None and len(common):
             deps = tuple(common.tolist())
@@ -537,15 +558,13 @@ class EventScheduler:
         if hi > lo:
             deps = deps + tuple(self._extra_flat[lo:hi].tolist())
         blocked = int(self._blocked[task_id])
-        channel = CHANNELS[int(self._channel_idx[task_id])]
         task = Task(
             task_id=task_id,
-            channel=channel,
+            channel=CHANNELS[int(self._channel_idx[task_id])],
             device=int(self._device[task_id]),
             seconds=float(self._seconds[task_id]),
             start=float(self._start[task_id]),
             end=float(self._end[task_id]),
-            category=category or channel,
             label=label,
             deps=deps,
             blocked_by=None if blocked < 0 else blocked,
@@ -565,6 +584,7 @@ class EventScheduler:
         self._start = _grown(self._start, need, 0.0)
         self._end = _grown(self._end, need, 0.0)
         self._seconds = _grown(self._seconds, need, 0.0)
+        self._nbytes = _grown(self._nbytes, need)
         self._device = _grown(self._device, need)
         self._channel_idx = _grown(self._channel_idx, need)
         self._blocked = _grown(self._blocked, need, -1)
@@ -586,8 +606,7 @@ class EventScheduler:
             )
 
     def submit(self, channel: str, device: int, seconds: Seconds,
-               deps: Iterable[Task] = (), category: str = "",
-               label: str = "",
+               deps: Iterable[Task] = (), label: str = "",
                shared: Sequence[Tuple[Hashable, float]] = ()) -> Task:
         """Schedule ``seconds`` of work on ``(device, channel)``.
 
@@ -605,19 +624,20 @@ class EventScheduler:
         ``[0, num_tasks)`` raises :class:`~repro.errors.SchedulerError`.
         """
         ids = self._wave(channel, [device], [seconds], deps, None,
-                         category, label, [shared])  # a wave of one
+                         label, [shared], None)  # a wave of one
         return self._task(int(ids[0]))
 
     def submit_batch(self, channel: str, devices: np.ndarray,
                      seconds: np.ndarray,
                      common_deps: Optional[np.ndarray] = None,
                      extra_deps: Optional[Sequence] = None,
-                     category: str = "", label: str = "",
-                     shared_by_task: Optional[Sequence] = None
-                     ) -> np.ndarray:
+                     label: str = "",
+                     shared_by_task: Optional[Sequence] = None,
+                     nbytes=None) -> np.ndarray:
         """Schedule one parallel wave of tasks; returns their id array.
 
-        ``devices[t]``/``seconds[t]`` describe task ``t``; ``common_deps``
+        ``devices[t]``/``seconds[t]`` describe task ``t``, ``nbytes[t]``
+        the bytes it moves (None: the wave moves none); ``common_deps``
         gate every task of the wave, ``extra_deps[t]`` additionally gate
         task ``t`` — each anything :func:`task_ids` accepts (None for no
         dependency), or ``extra_deps`` as one ``(k,)`` id array, a single
@@ -627,43 +647,46 @@ class EventScheduler:
         occupies. The assigned times are identical to submitting the
         tasks one by one, repeated devices included. Malformed input —
         an unknown channel, 2-D or mis-sized arrays, non-integral
-        devices or ids, non-finite durations or holds, an id out of
-        range — raises :class:`~repro.errors.SchedulerError` before any
-        state is touched.
+        devices, ids or byte counts, non-finite durations or holds,
+        negative byte counts, an id out of range — raises
+        :class:`~repro.errors.SchedulerError` before any state is
+        touched.
         """
         return self._wave(channel, devices, seconds, common_deps, extra_deps,
-                          category, label, shared_by_task)
+                          label, shared_by_task, nbytes)
 
     def _wave(self, channel: str, devices, seconds, common_deps, extra_deps,
-              category: str, label: str,
-              shared_by_task: Optional[Sequence]) -> np.ndarray:
+              label: str, shared_by_task: Optional[Sequence],
+              nbytes) -> np.ndarray:
         """Validate and normalise one wave, record its phase, schedule it.
         Whatever is rejected is rejected before any state is touched."""
         prepared = _prepare(channel, devices, seconds, common_deps,
-                            extra_deps, shared_by_task)
+                            extra_deps, shared_by_task, nbytes)
         if prepared is None:
             return _NO_IDS
         wave, common, flat = prepared
         self._check_ids(common)
         self._check_ids(flat)
-        self._phases.append((category, label, common))
+        self._phases.append((label, common))
         first = self._n
-        self._store_static(wave.k, wave.seconds, wave.devices, wave.ch,
-                           len(self._phases) - 1,
+        self._store_static(wave.k, wave.seconds, wave.nbytes, wave.devices,
+                           wave.ch, len(self._phases) - 1,
                            0 if flat is None else wave.seg_ends,
                            _NO_IDS if flat is None else flat)
         self._schedule(wave, common, flat)
         return np.arange(first, first + wave.k, dtype=np.int64)
 
-    def _store_static(self, k: int, seconds, devices, channels, phases,
-                      extra_ends, extras: np.ndarray) -> None:
+    def _store_static(self, k: int, seconds, nbytes, devices, channels,
+                      phases, extra_ends, extras: np.ndarray) -> None:
         """Write what is known of the next ``k`` tasks before they are
-        scheduled, one store per column; ``extra_ends`` counts from the
-        first of ``extras``, their flattened extra ids."""
+        scheduled, one store per column (``nbytes`` None: 0 each);
+        ``extra_ends`` counts from the first of ``extras``, their flattened
+        extra ids."""
         n0 = self._n
         self._reserve(n0 + k)
         sl = slice(n0, n0 + k)
         self._seconds[sl] = seconds
+        self._nbytes[sl] = 0 if nbytes is None else nbytes
         self._device[sl] = devices
         self._channel_idx[sl] = channels
         self._phase_of[sl] = phases
@@ -706,14 +729,14 @@ class EventScheduler:
         ))
         resolved = table[program.refs]
         phases = self._phases
-        seconds, devices, channels, wave_of, extra_ends, positions = \
-            program.columns
-        self._store_static(program.num_tasks, seconds, devices, channels,
-                           wave_of + len(phases), extra_ends,
+        seconds, nbytes, devices, channels, wave_of, extra_ends, positions \
+            = program.columns
+        self._store_static(program.num_tasks, seconds, nbytes, devices,
+                           channels, wave_of + len(phases), extra_ends,
                            resolved[positions])
-        for wave, category, label, lo, mid, hi in program.waves:
+        for wave, label, lo, mid, hi in program.waves:
             common = resolved[lo:mid] if mid > lo else None
-            phases.append((category, label, common))
+            phases.append((label, common))
             self._schedule(wave, common,
                            resolved[mid:hi] if hi > mid else None)
             if barrier_each:
@@ -893,6 +916,32 @@ class EventScheduler:
         return {channel: float(self._busy_channel[ch])
                 for ch, channel in enumerate(CHANNELS)}
 
+    def breakdown_by_channel(self) -> Dict[str, float]:
+        """Per channel, the longest task of each of its phases, summed:
+        the serialized-phase (Fig. 9) seconds, the same under any overlap.
+        ``np.bincount`` adds the maxima in phase order — the floats of a
+        running sum over the waves as submitted
+        (``tests/scheduler_oracle.py::reference_breakdown``)."""
+        n = self._n
+        # a phase's tasks are a contiguous id range
+        starts = np.searchsorted(self._phase_of[:n],
+                                 np.arange(len(self._phases)))
+        totals = np.bincount(self._channel_idx[starts],
+                             weights=np.maximum.reduceat(self._seconds[:n],
+                                                         starts),
+                             minlength=len(CHANNELS))
+        return dict(zip(CHANNELS, totals.tolist()))
+
+    def bytes_by_channel(self) -> Dict[str, int]:
+        """Bytes moved per channel, summed over tasks (exact integers)."""
+        totals = np.zeros(len(CHANNELS), dtype=np.int64)
+        np.add.at(totals, self._channel_idx[:self._n], self._nbytes[:self._n])
+        return dict(zip(CHANNELS, totals.tolist()))
+
+    def phase_labels(self) -> List[str]:
+        """Every phase's label, in the order ``columns().phase`` counts."""
+        return [label for label, _common in self._phases]
+
     def devices(self) -> List[int]:
         """Sorted ids of every device that received at least one task."""
         return np.unique(self._device[:self._n]).tolist()
@@ -902,7 +951,8 @@ class EventScheduler:
         :class:`~repro.runtime.task.Task` is materialized. A device used
         a channel when its queue frontier there names a task."""
         columns = []
-        for array in (self._device, self._channel_idx, self._seconds):
+        for array in (self._device, self._channel_idx, self._seconds,
+                      self._nbytes, self._phase_of):
             view = array[:self._n]
             view.flags.writeable = False
             columns.append(view)
@@ -991,7 +1041,7 @@ class EventScheduler:
         # common dep's end.
         phase_order = np.argsort(self._phase_of[:n], kind="stable")
         sorted_phases = self._phase_of[:n][phase_order]
-        for index, (_cat, _label, common) in enumerate(self._phases):
+        for index, (_label, common) in enumerate(self._phases):
             if common is None or len(common) == 0:
                 continue
             lo = int(np.searchsorted(sorted_phases, index, side="left"))

@@ -11,8 +11,8 @@ load/compute/writeback step of HongTu's epoch (§4, Fig. 5) becomes one
 task, and barrier-vs-pipelined execution is purely a choice of
 dependencies and barriers over the same task stream.
 
-Channels mirror the cost categories of the reproduction's clock
-(the Fig. 9 components plus the cluster extension's network):
+Channels are also the components the timeline reports time and bytes
+under (the Fig. 9 components plus the cluster extension's network):
 
 * ``gpu`` — the device's compute queue (kernels + intra-GPU copies),
 * ``h2d`` — the host→device PCIe copy engine (the paper's T_hd traffic),
@@ -58,8 +58,8 @@ NET_DEVICE_BASE = -2
 #: node pairs contend once the core saturates
 SPINE_RESOURCE = ("net", "spine")
 
-#: epoch scheduling policies: ``barrier`` serializes phases exactly like the
-#: original TimeBreakdown accounting; ``pipeline`` lets independent channels
+#: epoch scheduling policies: ``barrier`` serializes phases (makespan == the
+#: breakdown total, the sum of per-phase maxima); ``pipeline`` lets channels
 #: overlap (prefetching batch j+1's host loads under batch j's compute).
 OVERLAP_POLICIES = ("barrier", "pipeline")
 
@@ -76,7 +76,7 @@ def net_link(src_node: int, dst_node: int, num_nodes: int,
     links, one per rail; ``num_rails == 1`` (flat/spine) reproduces the
     pre-rail encoding bit for bit. The diagonal ``src == dst`` is never
     used by pair traffic and is reserved for per-node NIC aggregates (the
-    DistGNN baseline charges its bulk-synchronous replica sync there).
+    DistGNN baseline books its bulk-synchronous replica sync there).
 
     The returned id lives at/below :data:`NET_DEVICE_BASE` so it can never
     collide with GPU device ids (``>= 0``) or :data:`HOST_DEVICE` (-1).
@@ -130,8 +130,6 @@ class Task:
     start: Seconds
     #: simulated completion time (``start + seconds``)
     end: Seconds
-    #: clock category this task's time is reported under (defaults to channel)
-    category: str = ""
     label: str = ""
     #: dependency task ids (for validation / critical-path walks)
     deps: Tuple[int, ...] = field(default_factory=tuple)
@@ -145,7 +143,7 @@ class Task:
 
     def __repr__(self) -> str:
         return (
-            f"Task(#{self.task_id} {self.label or self.category or self.channel}"
+            f"Task(#{self.task_id} {self.label or self.channel}"
             f" dev={self.device} {self.channel}"
             f" [{self.start:.6f}, {self.end:.6f}])"
         )

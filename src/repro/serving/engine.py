@@ -18,8 +18,9 @@ partitioned graph. The contract, end to end:
    layer-by-layer task DAG shaped exactly like the trainer's forward
    sweep: host→GPU staging loads, same-node P2P fetches, cross-node
    halo-fetch ``net`` tasks (emitted through the executor's coalescing
-   machinery, charged to the same per-flow byte ledger), intra-GPU
-   gathers, compute kernels, and host writebacks. The DAG of a column
+   machinery; they carry their bytes, so the horizon's timeline is its
+   byte ledger, per flow as in training), intra-GPU gathers, compute
+   kernels, and host writebacks. The DAG of a column
    depends only on which of its layers are warm, so the one emitter
    (:meth:`ServingEngine._emit_column`) runs against a
    :class:`~repro.runtime.scheduler.WaveRecorder` once per ``(column,
@@ -27,9 +28,9 @@ partitioned graph. The contract, end to end:
    :class:`~repro.runtime.scheduler.WaveProgram`
    (:meth:`~repro.hardware.clock.EventTimeline.submit_program`) behind
    its batch's admission task; per request the engine only does the
-   cache bookkeeping and charges the halo bytes. HongTu pays for its
-   schedule once, in preprocessing (§4.1, §5.3); so does this.
-4. **Embedding cache** — serving charges cache *hits* against
+   cache bookkeeping. HongTu pays for its schedule once, in
+   preprocessing (§4.1, §5.3); so does this.
+4. **Embedding cache** — serving books cache *hits* against
    checkpointed activations: a ``(layer, column)`` pair whose aggregate
    checkpoints are host-resident (taken during hybrid-policy training,
    or materialized by a previous cold serve of the same column) skips
@@ -46,7 +47,7 @@ Per-request latency is the completion of its column DAG (max end over
 the final layer's writeback tasks) minus its arrival time; the
 percentile/goodput views live on :class:`~repro.serving.result.ServeResult`.
 
-Determinism: every second charged is a pure function of (plan, platform,
+Determinism: every simulated second is a pure function of (plan, platform,
 config) and every random draw comes from seeded generators, so identical
 ``(seed, config)`` reproduce bit-identical latencies — the same ones the
 one-task-at-a-time scheduler oracle of ``tests/scheduler_oracle.py``
@@ -63,7 +64,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.comm.executor import DedupCommunicator
 from repro.errors import ConfigurationError, ServingError
 from repro.hardware.clock import EventTimeline
 from repro.runtime.scheduler import WaveProgram, WaveRecorder
@@ -141,10 +141,9 @@ class ServingEngine:
         self.cache_budget_bytes = cache_budget_bytes
         #: warm pairs dropped to fit the budget over this engine's life
         self.evictions = 0
-        #: the trainer's plan and chunk shapes, a dedicated communicator
-        #: (serving traffic charges its own byte ledger, never the
-        #: trainer's training counters) and the checkpoint-warmed cache
-        #: are all installed by the first platform sync
+        #: the trainer's plan, chunk shapes and value communicator and
+        #: the checkpoint-warmed cache are all installed by the first
+        #: platform sync
         self.plan = None
         self._sync_platform()
 
@@ -236,28 +235,23 @@ class ServingEngine:
     # emission
     # ------------------------------------------------------------------
     def _touch_column(self, j: int) -> Tuple[bool, ...]:
-        """One request's cache and ledger bookkeeping for column ``j``;
-        returns its warm/cold bits, one per layer.
+        """One request's cache bookkeeping for column ``j``; returns its
+        warm/cold bits, one per layer.
 
         Layer by layer, in the order the forward pass runs: a warm pair
         is a hit and moves to the recent end of the LRU order; a cold
-        pair charges its two halo flows to the byte ledger and becomes
-        warm — the cold pass materializes its activations on the host,
-        so the next serve of the column is a hit, budget permitting. An
-        insert past the budget evicts LRU pairs, possibly a deeper layer
-        of this very column, which is why the bits are read one layer at
-        a time and not up front.
+        pair becomes warm — the cold pass materializes its activations
+        on the host, so the next serve of the column is a hit, budget
+        permitting. An insert past the budget evicts LRU pairs, possibly
+        a deeper layer of this very column, which is why the bits are
+        read one layer at a time and not up front.
         """
         warm = []
-        comm = self.communicator
         for l in range(len(self.model.layers)):
             hit = (l, j) in self._cache
             if hit:
                 self._cache.move_to_end((l, j))
             else:
-                row_bytes = self._layer_costs(l, j).row_bytes
-                comm.charge_serving_halo(j, row_bytes, kind="load")
-                comm.charge_serving_halo(j, row_bytes, kind="fetch")
                 self._cache_insert(l, j)
             warm.append(hit)
         return tuple(warm)
@@ -292,7 +286,7 @@ class ServingEngine:
             else:
                 halo_load_ids, load_by_reader = comm.submit_serving_halo(
                     timeline, j, costs.row_bytes, kind="load", deps=prev,
-                    label=f"serve_halo_load[l{l}c{j}]",
+                    label=f"halo_load[l{l}c{j}]",
                 )
                 load_ids = timeline.submit_batch(
                     "h2d", costs.load_seconds, deps=prev,
@@ -306,7 +300,7 @@ class ServingEngine:
                 )
                 _halo_fetch_ids, net_by_reader = comm.submit_serving_halo(
                     timeline, j, costs.row_bytes, kind="fetch",
-                    deps=load_ids, label=f"serve_halo_fetch[l{l}c{j}]",
+                    deps=load_ids, label=f"halo_fetch[l{l}c{j}]",
                 )
                 gather_ids = timeline.submit_batch(
                     "gpu", costs.gather_seconds, deps_by_device=load_ids,
@@ -360,11 +354,9 @@ class ServingEngine:
         elastic re-balance) applied since then makes them stale. The
         platform bumps ``rates_version`` whenever per-device rates may
         have changed; on a mismatch the profiles are dropped and the
-        communicator rebuilt over the fleet's current
-        :class:`~repro.comm.executor.PlanStatic` — the routing snapshot
-        of the plan under the placement, which a re-plan replaces; the
-        engine shares it rather than re-deriving it, and only the byte
-        ledger is serving's own. A re-balance that changed the
+        engine takes the fleet's current value communicator — over the
+        routing snapshot of the plan under the placement, which a
+        re-plan replaces. A re-balance that changed the
         partition also swaps the trainer's plan — then the embedding
         cache is cleared and re-warmed too, since its (layer, column)
         footprints no longer describe the new chunks. The recorded
@@ -383,9 +375,7 @@ class ServingEngine:
         if plan_changed:
             self.plan = self.trainer.plan
             self.shapes = self.trainer.fleet.shapes
-        self.communicator = DedupCommunicator(
-            self.plan, self.platform, self.config.bytes_per_scalar,
-            static=self.trainer.fleet.comm_values.static)
+        self.communicator = self.trainer.fleet.comm_values
         self._rates_version = version
         if plan_changed:  # footprints are priced off the new profiles
             self.clear_cache()
@@ -415,7 +405,6 @@ class ServingEngine:
         batches = policy.admit(times)
         timeline = EventTimeline(barrier_all=False)
         scheduler = timeline.scheduler
-        net_before = self.communicator.bytes_moved["net"]
         evictions_before = self.evictions
 
         completions = np.zeros(n, dtype=np.float64)
@@ -434,15 +423,15 @@ class ServingEngine:
             admit_clock = max(admit_clock, batch.dispatch_time)
             admit_ids = scheduler.submit_batch(
                 "cpu", host, [dt], common_deps=admit_ids,
-                category="cpu", label=f"admit[{b}]",
+                label=f"admit[{b}]",
             )
             by_column: Dict[int, List[int]] = {}
             for request in batch.requests:
                 by_column.setdefault(int(columns[request]),
                                      []).append(request)
             for j in sorted(by_column):
-                # Per request: the LRU and byte-ledger bookkeeping, then
-                # a replay of the column's recorded DAG.
+                # Per request: the LRU bookkeeping, then a replay of
+                # the column's recorded DAG.
                 warm = self._touch_column(j)
                 hits += warm.count(True)
                 misses += warm.count(False)
@@ -461,7 +450,7 @@ class ServingEngine:
             cache_evictions=self.evictions - evictions_before,
             makespan=timeline.makespan,
             duration=arrivals.duration,
-            net_bytes=self.communicator.bytes_moved["net"] - net_before,
+            net_bytes=timeline.bytes_view()["net"],
             arrival_kind=arrivals.kind,
             policy=policy.describe(),
             slo=slo,

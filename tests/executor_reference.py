@@ -203,7 +203,7 @@ class ReferenceCommunicator(DedupCommunicator):
 # loop-built emission constants
 # ----------------------------------------------------------------------
 #: the ``_HaloSplit`` fields, in declaration order
-HALO_FIELDS = ("keys", "rows", "devices", "by_reader", "key_gpus",
+HALO_FIELDS = ("rows", "devices", "by_reader", "key_gpus",
                "src_nodes", "dst_nodes")
 
 
@@ -252,7 +252,6 @@ class _LoopStatic:
             dtype=np.int64,
         )
         return dict(
-            keys=keys,
             rows=np.array([rows[key] for key in keys], dtype=np.int64),
             devices=devices,
             by_reader=by_reader,

@@ -14,6 +14,11 @@ goes through, ``submit``, ``submit_batch`` and each wave of a replayed
 and the replay-vs-``submit_batch`` tests check them), ``validate()``
 and every query are the production ones, so a test that builds the same
 task stream on both compares the two rules and nothing else.
+
+:func:`reference_breakdown` keeps the Fig. 9 accounting the same way,
+in the form the timeline used to charge it: per wave, as it was
+submitted, its longest task's seconds added to its channel's total —
+the oracle for the scheduler's ``breakdown_by_channel`` view.
 """
 
 from __future__ import annotations
@@ -24,7 +29,23 @@ import pytest
 from repro.runtime.scheduler import EventScheduler, _grown, _slot
 from repro.runtime.task import CHANNELS
 
-__all__ = ["OracleScheduler", "install_scheduler_oracle", "timeline_state"]
+__all__ = ["OracleScheduler", "install_scheduler_oracle",
+           "reference_breakdown", "timeline_state"]
+
+
+def reference_breakdown(scheduler) -> dict:
+    """Per channel, ``float(seconds.max())`` of every wave, added in
+    submission order — a running total charged one wave at a time."""
+    totals = dict.fromkeys(CHANNELS, 0.0)
+    n = scheduler.num_tasks
+    phase_of = scheduler._phase_of[:n]
+    cuts = np.flatnonzero(phase_of[1:] != phase_of[:-1]) + 1
+    for first, seconds in zip([0, *cuts.tolist()],
+                              np.split(scheduler._seconds[:n], cuts)):
+        if len(seconds):
+            channel = CHANNELS[int(scheduler._channel_idx[first])]
+            totals[channel] += float(seconds.max())
+    return totals
 
 
 def timeline_state(timeline) -> dict:
@@ -34,18 +55,20 @@ def timeline_state(timeline) -> dict:
     n = scheduler.num_tasks
     state = {name: getattr(scheduler, name)[:n].tolist()
              for name in ("_start", "_end", "_blocked", "_seconds",
-                          "_device", "_channel_idx", "_phase_of")}
+                          "_nbytes", "_device", "_channel_idx",
+                          "_phase_of")}
     state["extra_off"] = scheduler._extra_off[:n + 1].tolist()
     state["extra_flat"] = scheduler._extra_flat[:scheduler._extra_len].tolist()
     state["phases"] = [
-        (category, label, None if ids is None else ids.tolist())
-        for category, label, ids in scheduler._phases]
+        (label, None if ids is None else ids.tolist())
+        for label, ids in scheduler._phases]
     state["shared"] = (scheduler._free_shared, scheduler._last_shared)
     state["busy"] = scheduler.busy_by_channel()
     state["busy_by_device"] = {
         (channel, device): scheduler.busy_seconds(channel, device)
         for channel in CHANNELS for device in scheduler.devices()}
     state["breakdown"] = dict(timeline.breakdown.seconds)
+    state["bytes"] = timeline.bytes_view()
     state["makespan"] = timeline.makespan
     return state
 

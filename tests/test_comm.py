@@ -187,7 +187,7 @@ class TestVolumes:
             for j in range(plan.num_batches):
                 comm.load_batch_forward(j, host, clock)
             comm.end_sweep()
-            assert comm.bytes_moved["h2d"] == expected_rows * dim * 4
+            assert clock.bytes_view()["h2d"] == expected_rows * dim * 4
 
 
 class TestExecutor:
@@ -240,7 +240,7 @@ class TestExecutor:
         comm.start_sweep(4)
         comm.load_batch_forward(0, host, clock)
         comm.end_sweep()
-        assert clock.seconds["h2d"] > 0
+        assert clock.breakdown.seconds["h2d"] > 0
 
     def test_transition_buffers_registered_in_pools(self, partitioned):
         plan = build_comm_plan(partitioned)

@@ -349,10 +349,7 @@ class TestEmptyScheduleIdentity:
         trainer = make_trainer(graph, faults=faults, placement="block",
                                max_imbalance=0)
         result = trainer.train_epoch()
-        flows = {
-            "values": dict(trainer._comm_values.net_bytes_by_flow),
-            "grads": dict(trainer._comm_grads.net_bytes_by_flow),
-        }
+        flows = trainer._comm_values.net_bytes_by_flow(result.timeline)
         return result, flows
 
     @pytest.mark.parametrize("oracle", [False, True],
@@ -495,10 +492,11 @@ class TestServingAfterFaults:
         arrivals = build_arrivals("poisson", 40.0, 0.2, seed=1)
         policy = build_policy("immediate")
         before = engine.serve(arrivals, policy, slo=0.1)
-        # the engine routes by the fleet's static, not a copy of it
+        # the engine serves through the fleet's value communicator: its
+        # routing static, not a copy of it
         stale = trainer.fleet.comm_values.static
+        assert engine.communicator is trainer.fleet.comm_values
         assert engine.communicator.static is stale
-        assert engine.communicator is not trainer.fleet.comm_values
         # drive the trainer through the death + evacuation, then serve
         # again through the same engine: it must re-sync to the degraded
         # rates and the evacuated placement instead of pricing stale
@@ -508,8 +506,7 @@ class TestServingAfterFaults:
         assert trainer.platform.dead_nodes == frozenset({1})
         after = engine.serve(arrivals, policy, slo=0.1)
         assert engine._rates_version == trainer.platform.rates_version
-        assert engine.communicator.static \
-            is trainer.fleet.comm_values.static
+        assert engine.communicator is trainer.fleet.comm_values
         assert engine.communicator.static is not stale
         assert after.num_requests == before.num_requests
         after.timeline.validate()

@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, DeviceOutOfMemoryError
+from repro.errors import (
+    ConfigurationError,
+    DeviceOutOfMemoryError,
+    SchedulerError,
+)
 from repro.hardware import (
     A100_SERVER,
     CPU_NODE,
     ECS_CLUSTER,
     GB,
+    EventTimeline,
     MemoryPool,
     MultiGPUPlatform,
     PCIE_ONLY_SERVER,
@@ -120,30 +125,51 @@ class TestMemoryPool:
 
 
 class TestTimeBreakdown:
-    def test_add_and_total(self):
-        clock = TimeBreakdown()
-        clock.add("gpu", 1.0)
-        clock.add("h2d", 2.0)
-        assert clock.total == 3.0
+    """The breakdown is a view of the timeline's tasks; what its removed
+    ``add`` used to guard is guarded where a task enters the timeline."""
 
-    def test_unknown_category(self):
-        with pytest.raises(ConfigurationError):
-            TimeBreakdown().add("alien", 1.0)
+    def test_add_and_total(self):
+        timeline = EventTimeline()
+        timeline.add("gpu", 1.0)
+        timeline.add("h2d", 2.0)
+        assert timeline.breakdown.total == 3.0
+        assert timeline.breakdown.seconds["h2d"] == 2.0
+
+    def test_unknown_channel(self):
+        timeline = EventTimeline()
+        with pytest.raises(SchedulerError, match="unknown channel"):
+            timeline.add("alien", 1.0)
+        assert timeline.breakdown == TimeBreakdown()
 
     @pytest.mark.parametrize("seconds", [-1.0, float("nan"), float("inf")])
     def test_negative_time(self, seconds):
-        """The scheduler's rule, 0 <= seconds < inf: NaN used to slip
-        through (``nan < 0`` is False) and poison ``total``."""
-        clock = TimeBreakdown()
-        with pytest.raises(ConfigurationError):
-            clock.add("gpu", seconds)
-        assert clock.total == 0.0
+        """The scheduler's rule, 0 <= seconds < inf: a NaN would poison
+        ``total`` (``nan < 0`` is False)."""
+        timeline = EventTimeline()
+        timeline.add("gpu", 1.0)
+        with pytest.raises(SchedulerError, match="finite"):
+            timeline.add("gpu", seconds)
+        with pytest.raises(SchedulerError, match="finite"):
+            timeline.submit_batch("h2d", [0.5, seconds])
+        assert timeline.breakdown.total == 1.0
+        assert all(0.0 <= value < float("inf")
+                   for value in timeline.breakdown.seconds.values())
 
     def test_as_dict_copy(self):
         clock = TimeBreakdown()
         d = clock.as_dict()
         d["gpu"] = 99.0
         assert clock.seconds["gpu"] == 0.0
+
+    def test_breakdown_is_a_value(self):
+        """Each read is a fresh snapshot: mutating one changes neither
+        the timeline nor a later read."""
+        timeline = EventTimeline()
+        timeline.submit_batch("d2d", [1.0, 3.0])
+        first = timeline.breakdown
+        first.seconds["d2d"] = 99.0
+        assert timeline.breakdown.seconds["d2d"] == 3.0
+        assert timeline.breakdown == timeline.breakdown
 
 
 class TestPlatform:

@@ -65,10 +65,7 @@ def epoch_fingerprint(cluster, overlap):
     """(makespan, per-flow net bytes, critical path) of one epoch."""
     trainer = make_trainer(cluster, overlap=overlap)
     result = trainer.train_epoch()
-    flows = {
-        "values": dict(trainer._comm_values.net_bytes_by_flow),
-        "grads": dict(trainer._comm_grads.net_bytes_by_flow),
-    }
+    flows = trainer._comm_values.net_bytes_by_flow(result.timeline)
     path = [(task.device, task.channel, task.seconds)
             for task in result.timeline.scheduler.critical_path()]
     return result, flows, path

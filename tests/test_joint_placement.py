@@ -250,7 +250,7 @@ class TestNodeViewsOfTheTwoSweeps:
             comm.load_batch_forward(j, host, clock)
         comm.end_sweep()
         expected = view(skewed, NODES, placement)
-        measured = comm.net_bytes_by_flow[flow]
+        measured = comm.net_bytes_by_flow(clock)[flow]
         for s in range(NODES):
             for d in range(NODES):
                 assert measured.get((s, d), 0) == expected[s, d] * dim * 4

@@ -382,7 +382,8 @@ class TestPlatformPlacement:
 
 
 def _sweep(partition, platform, dedup_inter, dim=16):
-    """One forward+backward layer sweep; returns the communicator."""
+    """One forward+backward layer sweep; returns the communicator and
+    the timeline it ran on."""
     plan = build_comm_plan(partition, dedup_inter=dedup_inter,
                            dedup_intra=True)
     comm = DedupCommunicator(plan, platform, 4)
@@ -395,7 +396,7 @@ def _sweep(partition, platform, dedup_inter, dim=16):
         comm.accumulate_batch_backward(
             j, [out.copy() for out in outputs], grads, clock)
     comm.end_sweep()
-    return comm
+    return comm, clock
 
 
 class TestExecutorPlacementContract:
@@ -408,9 +409,9 @@ class TestExecutorPlacementContract:
     def test_fetch_bytes_match_halo_volumes(self, skewed):
         platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(NODES),
                                    placement=self.PLACEMENT)
-        comm = _sweep(skewed, platform, dedup_inter=True)
+        comm, clock = _sweep(skewed, platform, dedup_inter=True)
         expected = halo_volumes(skewed, NODES, self.PLACEMENT)
-        measured = comm.net_bytes_by_flow["halo_fetch"]
+        measured = comm.net_bytes_by_flow(clock)["halo_fetch"]
         row_bytes = 16 * 4
         for s in range(NODES):
             for d in range(NODES):
@@ -419,9 +420,9 @@ class TestExecutorPlacementContract:
     def test_load_bytes_match_halo_load_volumes(self, skewed):
         platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(NODES),
                                    placement=self.PLACEMENT)
-        comm = _sweep(skewed, platform, dedup_inter=False)
+        comm, clock = _sweep(skewed, platform, dedup_inter=False)
         expected = halo_load_volumes(skewed, NODES, self.PLACEMENT)
-        measured = comm.net_bytes_by_flow["halo_load"]
+        measured = comm.net_bytes_by_flow(clock)["halo_load"]
         row_bytes = 16 * 4
         for s in range(NODES):
             for d in range(NODES):
@@ -440,9 +441,11 @@ class TestExecutorPlacementContract:
             skewed,
             ClusterPlatform(A100_CLUSTER, placement=result.placement),
             dedup_inter=True)
-        block_fetch = sum(block.net_bytes_by_flow["halo_fetch"].values())
+        block_fetch = sum(
+            block[0].net_bytes_by_flow(block[1])["halo_fetch"].values())
         searched_fetch = sum(
-            searched.net_bytes_by_flow["halo_fetch"].values())
+            searched[0].net_bytes_by_flow(searched[1])["halo_fetch"]
+            .values())
         assert searched_fetch < block_fetch
 
     def test_rail_routing_under_custom_placement(self, skewed):
@@ -450,14 +453,14 @@ class TestExecutorPlacementContract:
         cluster = A100_CLUSTER.with_num_nodes(NODES) \
             .with_topology(topology)
         platform = ClusterPlatform(cluster, placement=self.PLACEMENT)
-        comm = _sweep(skewed, platform, dedup_inter=True)
+        _comm, clock = _sweep(skewed, platform, dedup_inter=True)
         # same bytes as the flat fabric (routing, not volume, changes)
-        flat = _sweep(
+        _flat, flat_clock = _sweep(
             skewed,
             ClusterPlatform(A100_CLUSTER.with_num_nodes(NODES),
                             placement=self.PLACEMENT),
             dedup_inter=True)
-        assert comm.bytes_moved["net"] == flat.bytes_moved["net"]
+        assert clock.bytes_view()["net"] == flat_clock.bytes_view()["net"]
 
 
 def _make_trainer(graph, platform, placement_policy, overlap="pipeline"):

@@ -141,7 +141,7 @@ class TestCommPlanProperties:
         for j in range(plan.num_batches):
             comm.load_batch_forward(j, host, clock)
         comm.end_sweep()
-        assert comm.bytes_moved["h2d"] == volumes.v_ru * 2 * 4
+        assert clock.bytes_view()["h2d"] == volumes.v_ru * 2 * 4
 
 
 class TestTrainingProperties:

@@ -178,7 +178,7 @@ class TestOneEpochResult:
     def test_every_trainer_returns_it(self, graph, name):
         result = TRAINERS[name](graph).train_epoch()
         assert isinstance(result, EpochResult)
-        assert result.clock is result.timeline.breakdown
+        assert result.clock == result.timeline.breakdown  # a fresh view
         assert result.epoch_seconds == result.timeline.makespan
         assert result.epoch == 1
         # the baselines' classes keep only their extra field

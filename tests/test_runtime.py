@@ -1,7 +1,8 @@
 """Tests for the event-timeline execution engine.
 
 Covers the scheduler invariants (channel exclusivity, dependency ordering,
-barriers), the EventTimeline category view, and the trainer-level contract
+barriers), the EventTimeline's views (breakdown, bytes), and the
+trainer-level contract
 of the overlap policies: ``barrier`` reproduces the serialized phase sum
 exactly, ``pipeline`` never increases the makespan (and strictly reduces it
 on transfer-heavy workloads), and numerics are bit-identical under both.
@@ -26,7 +27,11 @@ from repro.hardware import (
 )
 from repro.runtime import CHANNELS, EventScheduler, TransitionBuffers
 from repro.runtime.scheduler import WaveRecorder
-from scheduler_oracle import OracleScheduler, timeline_state
+from scheduler_oracle import (
+    OracleScheduler,
+    reference_breakdown,
+    timeline_state,
+)
 
 
 def recorded(num_tasks=1, num_external=0):
@@ -266,12 +271,43 @@ class TestEventScheduler:
             "gpu", [1.0], shared_by_device=[None]), "shared"),
         (lambda s: WaveRecorder().submit_batch(
             "gpu", [1.0], shared_by_device=[[("k", "x")]]), "shared"),
+        # byte counts: one integer >= 0 per task, or the column would
+        # hold a truncated float, a wrapped negative or a stray shape
+        (lambda s: s.submit_batch("h2d", [0, 1], [1.0, 1.0],
+                                  nbytes=[8.0, 16.0]), "nbytes"),
+        (lambda s: s.submit_batch("h2d", [0, 1], [1.0, 1.0],
+                                  nbytes=[8, float("nan")]), "nbytes"),
+        (lambda s: s.submit_batch("h2d", [0, 1], [1.0, 1.0],
+                                  nbytes=[8, -16]), "nbytes"),
+        (lambda s: s.submit_batch("h2d", [0, 1], [1.0, 1.0],
+                                  nbytes=["8", "16"]), "nbytes"),
+        (lambda s: s.submit_batch("h2d", [0, 1], [1.0, 1.0],
+                                  nbytes=[[8, 16]]), "nbytes"),
+        (lambda s: s.submit_batch("h2d", [0, 1], [1.0, 1.0],
+                                  nbytes=[8]), "nbytes"),
+        (lambda s: s.submit_batch("h2d", [0, 1], [1.0, 1.0],
+                                  nbytes=[8, [16]]), "nbytes"),
+        (lambda s: s.submit_batch("h2d", [0, 1], [1.0, 1.0],
+                                  nbytes=np.array([8, 2 ** 63],
+                                                  dtype=np.uint64)),
+         "nbytes"),
+        (lambda s: WaveRecorder().submit_batch(
+            "h2d", [1.0, 1.0], nbytes=[8.5, 16]), "nbytes"),
+        (lambda s: WaveRecorder().submit_batch(
+            "h2d", [1.0, 1.0], nbytes=[8, -1]), "nbytes"),
+        (lambda s: WaveRecorder().submit_batch(
+            "h2d", [1.0, 1.0], nbytes=8), "nbytes"),
     ], ids=["busy_channel", "busy_float_device", "busy_str_device",
             "replay_no_program", "batch_str_seconds",
             "batch_complex_seconds", "submit_str_seconds",
             "program_str_seconds", "program_complex_seconds",
             "submit_short_hold", "submit_str_hold", "batch_none_holds",
-            "batch_short_hold", "program_none_holds", "program_str_hold"])
+            "batch_short_hold", "program_none_holds", "program_str_hold",
+            "batch_float_nbytes", "batch_nan_nbytes",
+            "batch_negative_nbytes", "batch_str_nbytes", "batch_2d_nbytes",
+            "batch_short_nbytes", "batch_ragged_nbytes",
+            "batch_wrapping_nbytes", "program_float_nbytes",
+            "program_negative_nbytes", "program_scalar_nbytes"])
     def test_malformed_argument_is_a_scheduler_error(self, call, names):
         """Each used to escape the ``repro.errors`` taxonomy or answer
         a silently wrong number; each names the argument, and leaves no
@@ -284,6 +320,7 @@ class TestEventScheduler:
         assert scheduler.num_tasks == 1
         assert len(scheduler._phases) == 1
         assert not scheduler._free_shared
+        assert sum(scheduler.bytes_by_channel().values()) == 0
 
     def test_replay_with_the_wrong_number_of_external_ids_rejected(self):
         scheduler = EventScheduler()
@@ -445,7 +482,11 @@ class TestVectorizedScheduler:
                     (self.SHARED_KEYS[key], float(rng.integers(0, 5)) / 8.0)
                     for key in keys
                 ])
-        return channel, devices, seconds, common, extras, shared
+        # Transfers move bytes (derived, not drawn: the draws above are
+        # the shapes the coverage tests count); compute moves none.
+        nbytes = (None if channel in ("gpu", "cpu")
+                  else (seconds * 12).astype(np.int64))
+        return channel, devices, seconds, common, extras, shared, nbytes
 
     def _build_pair(self, seed, waves=40):
         rng = np.random.default_rng(seed)
@@ -456,13 +497,13 @@ class TestVectorizedScheduler:
                 fast.barrier()
                 slow.barrier()
             wave = self._random_wave(rng, fast.num_tasks)
-            channel, devices, seconds, common, extras, shared = wave
+            channel, devices, seconds, common, extras, shared, nbytes = wave
             ids_fast = fast.submit_batch(
                 channel, devices, seconds, common_deps=common,
-                extra_deps=extras, shared_by_task=shared)
+                extra_deps=extras, shared_by_task=shared, nbytes=nbytes)
             ids_slow = slow.submit_batch(
                 channel, devices, seconds, common_deps=common,
-                extra_deps=extras, shared_by_task=shared)
+                extra_deps=extras, shared_by_task=shared, nbytes=nbytes)
             assert (ids_fast == ids_slow).all()
         return fast, slow
 
@@ -491,6 +532,21 @@ class TestVectorizedScheduler:
                     slow.busy_seconds(channel, device)
 
     @pytest.mark.parametrize("seed", range(32))
+    def test_breakdown_and_bytes_are_views_of_the_columns(self, seed):
+        """The Fig. 9 breakdown equals the per-wave running sum the
+        timeline used to charge, float for float; the byte totals equal
+        a per-task sum — under the array step and the oracle alike."""
+        fast, slow = self._build_pair(seed)
+        for scheduler in (fast, slow):
+            assert scheduler.breakdown_by_channel() == \
+                reference_breakdown(scheduler)
+            expected = dict.fromkeys(CHANNELS, 0)
+            for task_id, task in enumerate(scheduler.tasks):
+                expected[task.channel] += int(scheduler._nbytes[task_id])
+            assert scheduler.bytes_by_channel() == expected
+        assert sum(fast.bytes_by_channel().values()) > 0
+
+    @pytest.mark.parametrize("seed", range(32))
     def test_critical_path_matches_scalar(self, seed):
         fast, slow = self._build_pair(seed)
         assert [task.task_id for task in fast.critical_path()] == \
@@ -503,7 +559,7 @@ class TestVectorizedScheduler:
         rng = np.random.default_rng(0)
         seen = set()
         for _ in range(400):
-            _ch, devices, _s, _c, _e, shared = self._random_wave(rng, 5)
+            _ch, devices, _s, _c, _e, shared, _b = self._random_wave(rng, 5)
             if shared is None:
                 continue
             if len(np.unique(devices)) < len(devices):
@@ -573,7 +629,7 @@ class TestWavePrograms:
         program-relative (>= 0) or external placeholders (< 0)."""
         waves, recorded_tasks = [], 0
         for index in range(int(rng.integers(2, 7))):
-            channel, devices, seconds, common, extras, shared = \
+            channel, devices, seconds, common, extras, shared, nbytes = \
                 self.random_wave(rng, recorded_tasks + num_external)
             # random_wave drew ids in [0, recorded + external): shift
             # them so the low ones land on the external slots
@@ -586,9 +642,9 @@ class TestWavePrograms:
                     extras = rng.integers(pool, size=len(seconds)) \
                         - num_external
             waves.append(dict(
-                category=channel, per_device_seconds=seconds,
+                channel=channel, per_device_seconds=seconds,
                 devices=devices, deps=common, deps_by_device=extras,
-                shared_by_device=shared, label=f"w{index}"))
+                shared_by_device=shared, nbytes=nbytes, label=f"w{index}"))
             recorded_tasks += len(seconds)
         return waves
 
@@ -653,6 +709,7 @@ class TestWavePrograms:
         ours, theirs = timeline_state(replayed), timeline_state(fresh)
         for key in ours:
             assert ours[key] == theirs[key], key
+        assert ours["breakdown"] == reference_breakdown(replayed.scheduler)
         a, b = replayed.scheduler, fresh.scheduler
         assert [task.deps for task in a.tasks] == \
             [task.deps for task in b.tasks]
@@ -669,17 +726,17 @@ class TestWavePrograms:
     #: timeline. Ids are program-relative; -1 is the one external slot.
     SHAPES = {
         "barrier_each": ([
-            dict(category="h2d", per_device_seconds=[1.0, 2.0],
-                 deps=np.array([-1])),
-            dict(category="gpu", per_device_seconds=[0.5, 0.25],
+            dict(channel="h2d", per_device_seconds=[1.0, 2.0],
+                 deps=np.array([-1]), nbytes=[64, 128]),
+            dict(channel="gpu", per_device_seconds=[0.5, 0.25],
                  deps_by_device=np.array([0, 1]))], True),
         "empty_program": ([], False),
-        "one_empty_wave": ([dict(category="net", per_device_seconds=[])],
+        "one_empty_wave": ([dict(channel="net", per_device_seconds=[])],
                            False),
         "repeated_devices": ([
-            dict(category="gpu", per_device_seconds=[1.0, 0.5, 0.25],
+            dict(channel="gpu", per_device_seconds=[1.0, 0.5, 0.25],
                  devices=[0, 1, 0], deps=np.array([-1])),
-            dict(category="gpu", per_device_seconds=[1.0, 2.0, 0.5, 0.25],
+            dict(channel="gpu", per_device_seconds=[1.0, 2.0, 0.5, 0.25],
                  devices=[1, 1, 0, 1],
                  deps_by_device=[np.array([0, 2]), None, np.array([-1]),
                                  np.array([1])],
@@ -688,12 +745,13 @@ class TestWavePrograms:
         # 3 x 90 tasks and 3 x 120 extra ids: the task arrays and
         # _extra_flat (64 slots each at first) double mid-replay
         "crosses_capacity": ([
-            dict(category="h2d", per_device_seconds=np.arange(30.0) / 8),
-            dict(category="gpu", per_device_seconds=np.arange(30.0) / 16,
+            dict(channel="h2d", per_device_seconds=np.arange(30.0) / 8),
+            dict(channel="gpu", per_device_seconds=np.arange(30.0) / 16,
                  deps_by_device=[np.array([t, (t + 7) % 30, -1])
                                  for t in range(30)]),
-            dict(category="d2h", per_device_seconds=np.ones(30),
-                 deps_by_device=np.arange(30, 60))], False),
+            dict(channel="d2h", per_device_seconds=np.ones(30),
+                 deps_by_device=np.arange(30, 60),
+                 nbytes=np.arange(30) * 8)], False),
     }
 
     @pytest.mark.parametrize("scheduler_cls",
@@ -720,6 +778,8 @@ class TestWavePrograms:
             for timeline in (replayed, fresh):
                 timeline.add("cpu", 0.125)
         assert timeline_state(replayed) == timeline_state(fresh)
+        assert replayed.breakdown.seconds == \
+            reference_breakdown(replayed.scheduler)
         assert [task.deps for task in replayed.scheduler.tasks] == \
             [task.deps for task in fresh.scheduler.tasks]
         replayed.validate()
@@ -772,6 +832,8 @@ class TestWavePrograms:
         assert len({makespan for makespan, _ in seen}) > 4
         assert timeline_state(polled) == timeline_state(fresh) \
             == timeline_state(quiet)
+        assert polled.breakdown.seconds == \
+            reference_breakdown(polled.scheduler)
         assert [task.task_id for task in quiet.scheduler.critical_path()] \
             == [task.task_id for task in fresh.scheduler.critical_path()]
 
@@ -805,8 +867,8 @@ class TestWavePrograms:
                              [EventScheduler, OracleScheduler])
     def test_replay_writes_each_static_column_once(self, scheduler_cls,
                                                    monkeypatch):
-        """The work bound: a replay's static columns — seconds, device,
-        channel, phase, extra offsets, extra ids — take one store each
+        """The work bound: a replay's static columns — seconds, bytes,
+        device, channel, phase, extra offsets, extra ids — take one store each
         however many waves the program has, and a wave of one producer
         per task fills no ``np.full`` scratch."""
         class Counting(np.ndarray):
@@ -816,18 +878,19 @@ class TestWavePrograms:
 
         recorder = WaveRecorder(num_external=1)
         ids = recorder.submit_batch("h2d", [1.0, 2.0, 0.5],
-                                    deps=recorder.external)
-        for category in ("gpu", "d2h", "gpu", "net", "d2h"):
+                                    deps=recorder.external, nbytes=[8, 16, 4])
+        for channel in ("gpu", "d2h", "gpu", "net", "d2h"):
             ids = recorder.submit_batch(
-                category, [0.5, 0.25, 1.0], deps_by_device=ids,
-                devices=[-2, -3, -4] if category == "net" else None)
+                channel, [0.5, 0.25, 1.0], deps_by_device=ids,
+                devices=[-2, -3, -4] if channel == "net" else None,
+                nbytes=None if channel == "gpu" else [1, 2, 3])
         program = recorder.finish()
         assert len(program.waves) == 6
         scheduler = scheduler_cls()
         scheduler.submit("cpu", 0, 1.0)
         scheduler.submit_program(program, [0])  # frontiers exist now
-        columns = ("_seconds", "_device", "_channel_idx", "_phase_of",
-                   "_extra_off", "_extra_flat")
+        columns = ("_seconds", "_nbytes", "_device", "_channel_idx",
+                   "_phase_of", "_extra_off", "_extra_flat")
         for name in columns:
             setattr(scheduler, name,
                     getattr(scheduler, name).view(Counting))
@@ -923,7 +986,7 @@ class TestEventTimeline:
     def test_phase_breakdown_charges_max(self):
         timeline = EventTimeline()
         timeline.submit_phase("d2d", [1.0, 5.0, 2.0])
-        assert timeline.seconds["d2d"] == 5.0
+        assert timeline.breakdown.seconds["d2d"] == 5.0
 
     def test_unfenced_phases_overlap(self):
         timeline = EventTimeline(barrier_all=False)
@@ -961,15 +1024,15 @@ class TestEventTimeline:
         dict(deps_by_device=np.array([[0, 0], [0, 0]])),
         dict(deps=[7]),
         dict(devices=[0.5, 1.5]),
-        dict(channel="warp_drive"),
+        dict(nbytes=[8, -1]),
         dict(shared_by_device=[[("k", float("inf"))], []]),
     ], ids=["float_deps", "float_per_device", "2d_per_device",
-            "unsubmitted", "float_devices", "channel", "inf_hold"])
+            "unsubmitted", "float_devices", "negative_nbytes", "inf_hold"])
     def test_rejected_wave_leaves_no_trace_on_the_timeline(self, kwargs):
         """A wave the scheduler rejects leaves no task, no phase record
-        and no breakdown charge behind."""
+        and nothing in the breakdown or the byte counts behind."""
         timeline = EventTimeline(barrier_all=True)
-        timeline.submit_batch("h2d", [1.0, 4.0])
+        timeline.submit_batch("h2d", [1.0, 4.0], nbytes=[8, 32])
         with pytest.raises(SchedulerError):
             timeline.submit_batch("gpu", [1.0, 1.0], **kwargs)
         with pytest.raises(SchedulerError, match="1-D"):
@@ -980,6 +1043,49 @@ class TestEventTimeline:
         assert timeline.scheduler.num_tasks == 2
         assert len(timeline.scheduler._phases) == 1
         assert timeline.breakdown.seconds["gpu"] == 0.0
+        assert timeline.bytes_view() == {**dict.fromkeys(CHANNELS, 0),
+                                         "h2d": 40}
+
+    @pytest.mark.parametrize("submit", [
+        lambda t: t.submit_batch("alien", [1.0, 2.0]),
+        lambda t: t.submit_phase("alien", [1.0, 2.0]),
+        lambda t: t.add("alien", 1.0),
+        # a recorded wave is judged when it is recorded: the program
+        # that would have carried it is never built, so never replayed
+        lambda t: t.submit_program(
+            WaveRecorder().submit_batch("alien", [1.0])),
+    ], ids=["submit_batch", "submit_phase", "add", "record_then_replay"])
+    def test_unknown_channel_leaves_no_trace(self, submit):
+        """A phase's category used to be separate from its channel: an
+        unknown category raised *after* its tasks were scheduled (two
+        tasks, makespan 2.0, nothing charged), and a replayed program
+        holding such a wave raised after charging the waves before it.
+        The channel is the category now, judged before any state
+        changes."""
+        timeline = EventTimeline(barrier_all=True)
+        timeline.submit_batch("h2d", [0.5, 1.5], nbytes=[4, 12])
+        before = (timeline.scheduler.num_tasks, timeline.makespan,
+                  timeline.breakdown, timeline.bytes_view())
+        with pytest.raises(SchedulerError, match="unknown channel"):
+            submit(timeline)
+        assert (timeline.scheduler.num_tasks, timeline.makespan,
+                timeline.breakdown, timeline.bytes_view()) == before
+        timeline.validate()
+
+    def test_bytes_view_sums_tasks_per_channel(self):
+        timeline = EventTimeline()
+        timeline.submit_batch("h2d", [1.0, 2.0], nbytes=[10, 20])
+        timeline.submit_batch("net", [1.0], devices=[-3], nbytes=[7])
+        timeline.add("gpu", 1.0)  # moves no bytes
+        recorder = WaveRecorder()
+        recorder.submit_batch("d2h", [1.0, 1.0], nbytes=np.array([3, 4]))
+        program = recorder.finish()
+        for _ in range(2):
+            timeline.submit_program(program)
+        assert timeline.bytes_view() == {
+            "gpu": 0, "h2d": 30, "d2h": 14, "d2d": 0, "cpu": 0, "net": 7}
+        assert timeline.scheduler.columns().nbytes.tolist() == \
+            [10, 20, 7, 0, 3, 4, 3, 4]
 
     def test_busy_view_sums_devices(self):
         timeline = EventTimeline()
@@ -1205,10 +1311,7 @@ class TestBatchedEmissionEquivalence:
             optimizer=SGD(model.parameters(), lr=0.02),
         )
         result = trainer.train_epoch()
-        flows = {
-            "values": dict(trainer._comm_values.net_bytes_by_flow),
-            "grads": dict(trainer._comm_grads.net_bytes_by_flow),
-        }
+        flows = trainer._comm_values.net_bytes_by_flow(result.timeline)
         return result, flows
 
     @pytest.mark.parametrize("overlap", ["barrier", "pipeline"])

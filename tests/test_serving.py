@@ -21,6 +21,7 @@ from repro.hardware import (
     A100_CLUSTER,
     A100_SERVER,
     ClusterPlatform,
+    EventTimeline,
     MultiGPUPlatform,
 )
 from repro.runtime.scheduler import EventScheduler
@@ -305,10 +306,17 @@ class TestServingDeterminism:
         scalar.timeline.validate()
 
     def test_cluster_serving_emits_halo_traffic(self, cluster_trainer):
+        """The horizon's timeline is its byte ledger: its halo waves
+        carry every net byte, per flow as in training."""
         result = self._serve(cluster_trainer)
         assert result.net_bytes > 0
-        flows = ServingEngine(cluster_trainer).communicator.net_bytes_by_flow
-        assert flows == {}  # fresh engine: serving never mutates others
+        assert result.net_bytes == result.timeline.bytes_view()["net"]
+        flows = ServingEngine(cluster_trainer).communicator \
+            .net_bytes_by_flow(result.timeline)
+        assert "halo_fetch" in flows
+        assert set(flows) <= {"halo_load", "halo_fetch"}
+        assert sum(sum(detail.values()) for detail in flows.values()) \
+            == result.net_bytes
 
     @pytest.mark.parametrize("comm_mode",
                              ["baseline", "p2p", "ru", "hongtu"])
@@ -334,12 +342,13 @@ class TestServingDeterminism:
             reused_remote += sum(
                 int((owner[plan.transition[plan.reuse_mask]]
                      != node[plan.gpu]).sum()) for plan in plans)
-            before = sum(comm.net_bytes_by_flow.get("halo_load",
-                                                    {}).values())
-            comm.charge_serving_halo(j, row_bytes, kind="load")
-            shipped = sum(comm.net_bytes_by_flow.get(
-                "halo_load", {}).values()) - before
+            timeline = EventTimeline()
+            comm.submit_serving_halo(timeline, j, row_bytes, kind="load",
+                                     label=f"halo_load[c{j}]")
+            shipped = timeline.bytes_view()["net"]
             assert shipped == remote * row_bytes
+            assert shipped == sum(comm.net_bytes_by_flow(timeline).get(
+                "halo_load", {}).values())
             assert int(comm.transition_rows(j).sum()) == sum(
                 len(plan.transition) for plan in plans)
             shipped_total += shipped
@@ -427,10 +436,11 @@ class TestWaveProgramServing:
         assert replayed.cache_hits > 0 and replayed.cache_misses > 0
         assert replayed.net_bytes > 0
         assert_same_horizon(replayed, direct)
-        assert engines[0].communicator.net_bytes_by_flow == \
-            engines[1].communicator.net_bytes_by_flow
-        assert engines[0].communicator.bytes_moved == \
-            engines[1].communicator.bytes_moved
+        flows = [engine.communicator.net_bytes_by_flow(result.timeline)
+                 for engine, result in zip(engines, (replayed, direct))]
+        assert flows[0] == flows[1]
+        assert sum(sum(detail.values()) for detail in flows[0].values()) \
+            == replayed.net_bytes
         assert list(engines[0]._cache.items()) == \
             list(engines[1]._cache.items())
         replayed.timeline.validate()

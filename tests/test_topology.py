@@ -328,19 +328,20 @@ class TestHaloCrossCheck:
         """The halo_volumes docstring contract: the executor's emitted
         forward fetch bytes equal halo_volumes x row_bytes per node
         pair (full dedup: every staged row lives on its owner)."""
-        partition, plan, comm, dim, _host, _clock, _out = \
+        partition, plan, comm, dim, _host, clock, _out = \
             self.setup_sweep(dedup_inter=True)
         comm.end_sweep()
         row_bytes = dim * comm.bytes_per_scalar
         expected = halo_volumes(partition, 2)
-        measured = comm.net_bytes_by_flow["halo_fetch"]
+        flows = comm.net_bytes_by_flow(clock)
+        measured = flows["halo_fetch"]
         for s in range(2):
             for d in range(2):
                 assert measured.get((s, d), 0) == \
                     int(expected[s, d]) * row_bytes
         # Under full dedup no staged row is remotely owned: no load flow.
-        assert "halo_load" not in comm.net_bytes_by_flow
-        assert comm.bytes_moved["net"] == int(expected.sum()) * row_bytes
+        assert "halo_load" not in flows
+        assert clock.bytes_view()["net"] == int(expected.sum()) * row_bytes
 
     def test_load_bytes_match_halo_load_volumes(self):
         """Self-staging modes: the executor's halo_load split equals the
@@ -355,12 +356,13 @@ class TestHaloCrossCheck:
         comm.end_sweep()
         row_bytes = dim * comm.bytes_per_scalar
         expected = halo_load_volumes(partition, 2)
-        measured = comm.net_bytes_by_flow["halo_load"]
+        flows = comm.net_bytes_by_flow(clock)
+        measured = flows["halo_load"]
         for s in range(2):
             for d in range(2):
                 assert measured.get((s, d), 0) == \
                     int(expected[s, d]) * row_bytes
-        flush = comm.net_bytes_by_flow["halo_flush"]
+        flush = flows["halo_flush"]
         assert sum(flush.values()) == sum(measured.values())
 
 
@@ -403,16 +405,17 @@ class TestSingleClockExecutor:
             comm.accumulate_batch_backward(
                 j, [out.copy() for out in outputs], grads, timeline)
         comm.end_sweep()
-        assert {category: float(seconds).hex()
-                for category, seconds in timeline.seconds.items()} \
+        breakdown = timeline.breakdown
+        assert {channel: float(seconds).hex()
+                for channel, seconds in breakdown.seconds.items()} \
             == self.PINNED[(kind, dedup_inter)]
         # barrier_all serializes phases: on flat the makespan is the
-        # category total; spine holds additionally serialize messages
+        # breakdown total; spine holds additionally serialize messages
         # *inside* a phase, which only the timeline can see.
         if kind == "flat":
-            assert timeline.makespan == pytest.approx(timeline.total)
+            assert timeline.makespan == pytest.approx(breakdown.total)
         else:
-            assert timeline.makespan > timeline.total
+            assert timeline.makespan > breakdown.total
         timeline.validate()
 
 
@@ -494,7 +497,7 @@ class TestUtilizationRendering:
         active devices caps every row at 100%."""
         timeline = EventTimeline()
         for device in (-2, -3, -4):
-            timeline.add("net", 1.0, device=device, channel="net")
+            timeline.add("net", 1.0, device=device)
         timeline.add("gpu", 1.0, device=0)
         text = render_timeline(timeline)
         percents = self.rendered_percents(text)
@@ -521,6 +524,10 @@ class TestUtilizationRendering:
 
             class breakdown:  # noqa: N801
                 total = 1.0
+
+            @staticmethod
+            def overlap_saving():
+                return 0.0
 
             @staticmethod
             def busy_view():
@@ -553,7 +560,7 @@ class TestUtilizationRendering:
         # host work and an off-link device on the net channel: the two
         # corners of the node attribution
         timeline.add("cpu", 0.25)
-        timeline.add("net", 0.5, device=1, channel="net")
+        timeline.add("net", 0.5, device=1)
         timeline.scheduler._task_cache.clear()
         timeline.scheduler._tasks_view.clear()
         rendered = (render_timeline(timeline, title="channels", width=24),
@@ -568,11 +575,14 @@ class TestUtilizationRendering:
     def test_columns_are_read_only_views(self):
         timeline = EventTimeline()
         timeline.submit_batch("gpu", [1.0, 2.0], devices=[3, 0])
-        timeline.add("net", 0.5, device=-4, channel="net")
-        device, channel, seconds, used = timeline.scheduler.columns()
+        timeline.add("net", 0.5, device=-4)
+        device, channel, seconds, nbytes, phase, used = \
+            timeline.scheduler.columns()
         assert device.tolist() == [3, 0, -4]
         assert [CHANNELS[c] for c in channel] == ["gpu", "gpu", "net"]
         assert seconds.tolist() == [1.0, 2.0, 0.5]
+        assert nbytes.tolist() == [0, 0, 0]
+        assert phase.tolist() == [0, 0, 1]
         assert [ids.tolist() for ids in used] == \
             [[0, 3], [], [], [], [], [-4]]
         with pytest.raises(ValueError):
