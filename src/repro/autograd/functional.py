@@ -10,7 +10,7 @@ final representations, without building a tape over the whole graph.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "cross_entropy",
     "masked_cross_entropy_value_and_grad",
     "accuracy",
+    "split_accuracies",
 ]
 
 
@@ -92,3 +93,13 @@ def accuracy(logits: np.ndarray, labels: np.ndarray,
         predictions = predictions[rows]
         labels = labels[rows]
     return float((predictions == labels).mean())
+
+
+def split_accuracies(logits: np.ndarray, graph) -> Dict[str, float]:
+    """``{split}_accuracy`` of ``logits`` on each of ``graph``'s train /
+    val / test masks that is present — every trainer's ``evaluate()``."""
+    return {
+        f"{split}_accuracy": accuracy(logits, graph.labels, mask)
+        for split in ("train", "val", "test")
+        if (mask := getattr(graph, f"{split}_mask")) is not None
+    }

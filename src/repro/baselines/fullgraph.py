@@ -22,8 +22,8 @@ import numpy as np
 
 from repro.autograd import Tensor
 from repro.autograd.functional import (
-    accuracy,
     masked_cross_entropy_value_and_grad,
+    split_accuracies,
 )
 from repro.autograd.optim import Adam, Optimizer
 from repro.core.memory_model import estimate_for_model
@@ -115,12 +115,4 @@ class FullGraphTrainer:
 
     def evaluate(self) -> Dict[str, float]:
         h = Tensor(self.graph.features.astype(np.float64))
-        logits = self.model(self.block, h).data
-        metrics: Dict[str, float] = {}
-        for split in ("train", "val", "test"):
-            mask = getattr(self.graph, f"{split}_mask")
-            if mask is not None:
-                metrics[f"{split}_accuracy"] = accuracy(
-                    logits, self.graph.labels, mask
-                )
-        return metrics
+        return split_accuracies(self.model(self.block, h).data, self.graph)

@@ -21,8 +21,8 @@ import numpy as np
 
 from repro.autograd import Tensor
 from repro.autograd.functional import (
-    accuracy,
     masked_cross_entropy_value_and_grad,
+    split_accuracies,
 )
 from repro.autograd.optim import Adam, Optimizer
 from repro.core.memory_model import estimate_for_model
@@ -132,12 +132,4 @@ class InMemoryMultiGPUTrainer:
         return self._logits
 
     def evaluate(self) -> Dict[str, float]:
-        logits = self.logits()
-        metrics: Dict[str, float] = {}
-        for split in ("train", "val", "test"):
-            mask = getattr(self.graph, f"{split}_mask")
-            if mask is not None:
-                metrics[f"{split}_accuracy"] = accuracy(
-                    logits, self.graph.labels, mask
-                )
-        return metrics
+        return split_accuracies(self.logits(), self.graph)

@@ -160,6 +160,9 @@ def _build_scenario(args):
 
 
 def cmd_train(args) -> int:
+    if args.epochs < 1:
+        print(f"--epochs must be >= 1, got {args.epochs}", file=sys.stderr)
+        return 2
     scenario, platform = _build_scenario(args)
     if platform is None:
         return 2
@@ -219,17 +222,17 @@ def cmd_train(args) -> int:
     metrics = trainer.evaluate()
     for name, value in metrics.items():
         print(f"{name}: {value:.4f}")
-    last = trainer.train_epoch()
+    # The tables describe the loop's last epoch, the one logged above.
     print("epoch time breakdown:",
           ", ".join(f"{k}={format_seconds(v)}"
-                    for k, v in last.clock.as_dict().items()))
-    print(render_timeline(last.timeline,
+                    for k, v in result.clock.as_dict().items()))
+    print(render_timeline(result.timeline,
                           title="epoch channel utilization"))
     if args.nodes > 1:
         print(render_node_utilization(
-            last.timeline, platform,
+            result.timeline, platform,
             title="per-node busy seconds "
-                  f"(net = {format_bytes(last.net_bytes)} halo+all-reduce)",
+                  f"(net = {format_bytes(result.net_bytes)} halo+all-reduce)",
         ))
     return 0
 

@@ -124,7 +124,6 @@ from repro.errors import CommunicationPlanError
 from repro.hardware.clock import EventTimeline
 from repro.hardware.platform import MultiGPUPlatform
 from repro.runtime.buffers import TransitionBuffers
-from repro.runtime.scheduler import task_ids
 from repro.runtime.task import SPINE_RESOURCE, net_link, net_link_nodes
 
 __all__ = ["DedupCommunicator", "PlanStatic"]
@@ -133,30 +132,6 @@ _NO_IDS = np.empty(0, dtype=np.int64)
 
 #: the halo flows: a ``net`` wave labelled ``halo_fetch[b3]`` is flow 1
 HALO_FLOWS = ("halo_load", "halo_fetch", "halo_push", "halo_flush")
-
-
-def _entry_ids(entry) -> Optional[np.ndarray]:
-    """Normalize one deps_by_device entry to an id array (or None)."""
-    if entry is None:
-        return None
-    if isinstance(entry, np.ndarray):
-        return entry
-    return task_ids(entry)
-
-
-def _per_device_ids(deps_by_device, num_gpus: int
-                    ) -> Optional[List[Optional[np.ndarray]]]:
-    """Normalize a deps_by_device argument to per-GPU id arrays.
-
-    Accepts None, an ``(m,)`` id array (one producer per GPU — the
-    trainer's compute wave), or a sequence of per-GPU entries (each a
-    Task, an iterable of Tasks/ids, an id array, or None).
-    """
-    if deps_by_device is None:
-        return None
-    if isinstance(deps_by_device, np.ndarray):
-        return [deps_by_device[i:i + 1] for i in range(num_gpus)]
-    return [_entry_ids(entry) for entry in deps_by_device]
 
 
 @dataclass
@@ -607,28 +582,52 @@ class DedupCommunicator:
     # ------------------------------------------------------------------
     # serving surface (request-driven forward passes)
     # ------------------------------------------------------------------
-    def transition_rows(self, batch: int) -> np.ndarray:
-        """Per-GPU staged transition rows of ``batch`` (loaded + reused).
+    def submit_cold_load(self, timeline: EventTimeline, batch: int,
+                         row_bytes: int, deps: Optional[np.ndarray],
+                         tag: str = "") -> List[np.ndarray]:
+        """Emit the staging front of one cold serving column-layer.
 
-        A serving request arrives with no previous column resident, so
-        its staging load covers the *full* transition set — the epoch
-        path's reuse rows are loaded too. Used by the serving engine to
-        price the cold-miss h2d wave.
+        A request finds nothing resident, so every GPU stages ``batch``'s
+        *full* transition set — the rows an epoch would reuse in place
+        are loaded too — at ``row_bytes`` per vertex row, then assembles
+        its input the way :meth:`load_batch_forward` does. Five waves,
+        in this order, each labelled ``{stem}{tag}``: ``halo_load``
+        (:meth:`submit_serving_halo`), ``serve_load`` (``h2d``),
+        ``serve_fetch`` (same-node P2P, ``d2d``), ``halo_fetch`` and
+        ``serve_gather`` (intra-GPU reads, ``gpu``). ``deps`` gate the
+        loads. Emission only: no row moves. Returns, per GPU, the ids
+        its compute waits for. A ``batch`` outside the plan raises
+        :class:`~repro.errors.CommunicationPlanError` before anything is
+        emitted.
         """
         static = self.static.batch(batch)
-        return static.loaded_rows + static.reused_rows
-
-    def assemble_seconds(self, batch: int, row_bytes: int
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-GPU (same-node P2P, intra-GPU gather) assemble seconds.
-
-        The serving-side view of :meth:`_segment_seconds`: how long each
-        GPU spends reading ``batch``'s staged rows over NVLink and from
-        its own buffer, at ``row_bytes`` per vertex row. Cross-node
-        segments are excluded — they are the halo fetch, emitted
-        separately by :meth:`submit_serving_halo`.
-        """
-        return self._segment_seconds(self.static.batch(batch), row_bytes)
+        halo_load_ids, load_by_reader = self.submit_serving_halo(
+            timeline, batch, row_bytes, kind="load", deps=deps,
+            label=f"halo_load{tag}")
+        staged_bytes = (static.loaded_rows + static.reused_rows) * row_bytes
+        load_ids = timeline.submit_batch(
+            "h2d", self.platform.h2d_seconds(staged_bytes,
+                                             devices=self.static.gpu_ids),
+            deps=deps,
+            deps_by_device=load_by_reader if len(halo_load_ids) else None,
+            nbytes=staged_bytes, label=f"serve_load{tag}",
+        )
+        d2d_seconds, gather_seconds = self._segment_seconds(static, row_bytes)
+        fetch_ids = timeline.submit_batch(
+            "d2d", d2d_seconds, deps=load_ids,
+            nbytes=static.d2d_rows_by_gpu * row_bytes,
+            label=f"serve_fetch{tag}",
+        )
+        _halo_fetch_ids, net_by_reader = self.submit_serving_halo(
+            timeline, batch, row_bytes, kind="fetch", deps=load_ids,
+            label=f"halo_fetch{tag}")
+        gather_ids = timeline.submit_batch(
+            "gpu", gather_seconds, deps_by_device=load_ids,
+            label=f"serve_gather{tag}",
+        )
+        return [np.concatenate([fetch_ids[i:i + 1], gather_ids[i:i + 1],
+                                net_by_reader[i]])
+                for i in range(self.plan.num_gpus)]
 
     def submit_serving_halo(self, timeline: EventTimeline, batch: int,
                             row_bytes: int, kind: str = "fetch",
@@ -639,7 +638,7 @@ class DedupCommunicator:
         ``kind`` selects the flow: ``"load"`` ships remotely-owned host
         rows to the staging node before its PCIe load — every staged row,
         the ones an epoch would reuse in place included, as
-        :meth:`transition_rows` prices them (empty under inter-GPU
+        :meth:`submit_cold_load` stages them (empty under inter-GPU
         dedup, where every staged row is owner-local); ``"fetch"`` is
         the forward halo exchange — reads of transition buffers staged
         on another node. Returns ``(task ids, per-reader-GPU dependency
@@ -827,12 +826,13 @@ class DedupCommunicator:
         ``neighbor_grads[i]`` is GPU i's (len(needed_i), dim) gradient of its
         chunk's input rows. Gradients accumulate in transition buffers across
         batches; rows not reused by the next batch are flushed to
-        ``host_grads`` (modified in place). ``deps_by_device`` names the
-        tasks that produced each GPU's gradients (the backward kernels) —
-        an ``(m,)`` id array or per-GPU entries. A ``batch`` outside the
-        plan, a ``host_grads`` that is not this sweep's
-        ``(num_vertices, dim)`` array, or ``neighbor_grads`` that is not
-        one ``(len(needed_i), dim)`` array per GPU raises
+        ``host_grads`` (modified in place). ``deps_by_device`` is None or
+        the ``(m,)`` id array of the tasks that produced each GPU's
+        gradients (the backward kernels, one per GPU). A ``batch``
+        outside the plan, a ``host_grads`` that is not this sweep's
+        ``(num_vertices, dim)`` array, ``neighbor_grads`` that is not
+        one ``(len(needed_i), dim)`` array per GPU, or a
+        ``deps_by_device`` of another form raises
         :class:`~repro.errors.CommunicationPlanError` before anything
         moves or is emitted.
         """
@@ -854,9 +854,15 @@ class DedupCommunicator:
                 f"neighbor_grads[{gpu}] has shape {shapes[gpu]}, which does "
                 f"not match GPU {gpu}'s needed set {expected[gpu]}"
             )
+        if deps_by_device is not None and not (
+                isinstance(deps_by_device, np.ndarray)
+                and deps_by_device.shape == (m,)):
+            raise CommunicationPlanError(
+                f"deps_by_device must be None or an ({m},) id array, one "
+                f"producer per GPU, got {deps_by_device!r}"
+            )
         row_bytes = self._dim * self.bytes_per_scalar
         gpu_ids = self.static.gpu_ids
-        producer_ids = _per_device_ids(deps_by_device, m)
 
         # Zero the slots newly staged this batch (their gradient starts now).
         stacked = buffers.stacked
@@ -878,31 +884,24 @@ class DedupCommunicator:
         # this batch's atomic adds land on the same slots.
         prior = self._batch_tasks(batch - 1, "flush")
         scatter_ids = timeline.submit_batch(
-            "d2d", d2d_seconds, deps=prior, deps_by_device=producer_ids,
+            "d2d", d2d_seconds, deps=prior, deps_by_device=deps_by_device,
             nbytes=static.d2d_rows_by_gpu * row_bytes,
             label=f"scatter[b{batch}]",
         )
         if static.push_halo:
             # A halo push leaves once the kernels of every pushing GPU
             # on the source node have produced their gradients.
-            producers_by_key = None
-            if producer_ids is not None:
-                producers_by_key = [
-                    np.concatenate([
-                        producer_ids[gpu] for gpu in gpus
-                        if producer_ids[gpu] is not None
-                    ] or [_NO_IDS])
-                    for gpus in static.push_halo.key_gpus
-                ]
             halo_push_ids = self._emit_halo(
-                timeline, static.push_halo, row_bytes,
-                deps=prior, producers_by_key=producers_by_key,
+                timeline, static.push_halo, row_bytes, deps=prior,
+                producers_by_key=None if deps_by_device is None else [
+                    deps_by_device[gpus]
+                    for gpus in static.push_halo.key_gpus],
                 label=f"halo_push[b{batch}]",
             )
             scatter_ids = np.concatenate([scatter_ids, halo_push_ids])
         push_local_ids = timeline.submit_batch(
             "gpu", local_seconds, deps=prior,
-            deps_by_device=producer_ids, label=f"push[b{batch}]",
+            deps_by_device=deps_by_device, label=f"push[b{batch}]",
         )
         scatter_ids = np.concatenate([scatter_ids, push_local_ids])
 

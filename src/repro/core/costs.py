@@ -13,11 +13,12 @@ and the elastic controller price a whole wave with one
 ``h2d_seconds(nbytes, devices=gpu_ids)`` call.
 
 Only *shapes* live here. Seconds are never stored: rates move under
-faults, and the serving engine's ``rates_version``-keyed profile cache
-is the one place they are memoised. The layers' own ``*_flops`` /
-``forward_workspace_scalars`` / ``aggregate_dim`` are pure arithmetic
-that accepts the count arrays unchanged; this module is their only
-caller outside ``gnn/`` and the baselines.
+faults, and the serving engine's recorded column programs — dropped on
+a ``rates_version`` bump — are the one place they are memoised. The
+layers' own ``*_flops`` / ``forward_workspace_scalars`` /
+``aggregate_dim`` are pure arithmetic that accepts the count arrays
+unchanged; this module is their only caller outside ``gnn/`` and the
+baselines.
 """
 
 from __future__ import annotations

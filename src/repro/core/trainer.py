@@ -61,8 +61,8 @@ import numpy as np
 
 from repro.autograd import Tensor, no_grad
 from repro.autograd.functional import (
-    accuracy,
     masked_cross_entropy_value_and_grad,
+    split_accuracies,
 )
 from repro.autograd.optim import Adam, Optimizer
 from repro.comm.cost_model import ClusterCostModel
@@ -315,15 +315,7 @@ class HongTuTrainer:
         """
         timeline = self._new_timeline()  # throwaway; evaluation is not timed
         self._forward(timeline, training=False)
-        logits = self._h[-1]
-        metrics: Dict[str, float] = {}
-        for split in ("train", "val", "test"):
-            mask = getattr(self.graph, f"{split}_mask")
-            if mask is not None:
-                metrics[f"{split}_accuracy"] = accuracy(
-                    logits, self.graph.labels, mask
-                )
-        return metrics
+        return split_accuracies(self._h[-1], self.graph)
 
     def checkpointed_columns(self) -> set:
         """(layer, batch) pairs whose aggregate checkpoints are complete.

@@ -55,11 +55,17 @@ def _check_time(name: str, value: float) -> float:
     return value
 
 
-def _check_index(name: str, value: int) -> int:
-    if int(value) != value or int(value) < 0:
+def _check_index(name: str, value: float) -> int:
+    """``value`` as a node index: finite, integral and >= 0 (a parsed
+    spec passes the float it read, so ``1.5`` is refused, not floored)."""
+    try:
+        index = int(value)
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf, text
+        index = -1
+    if index < 0 or index != value:
         raise FaultError(f"{name} must be a non-negative integer, "
                          f"got {value!r}")
-    return int(value)
+    return index
 
 
 @dataclass(frozen=True)
@@ -157,7 +163,10 @@ class NodeDeath:
 
     def __post_init__(self) -> None:
         _check_index("death node", self.node)
-        _check_time("death at", self.at)
+        # An infinite death never fires and has no strict-JSON form.
+        if not math.isfinite(_check_time("death at", self.at)):
+            raise FaultError(f"death at must be a finite time, "
+                             f"got {self.at!r}")
 
     def active_at(self, t: float) -> bool:
         return self.at <= t
@@ -413,7 +422,7 @@ def parse_fault(spec: str) -> Fault:
 
     if kind == "straggler":
         fault = Straggler(
-            node=int(take("node")),
+            node=_check_index("straggler node", take("node")),
             start=take("start", 0.0),
             end=take("end", math.inf),
             compute_factor=take("compute", 1.0),
@@ -421,12 +430,14 @@ def parse_fault(spec: str) -> Fault:
         )
     elif kind == "link":
         fault = LinkDegradation(
-            src=int(take("src")), dst=int(take("dst")),
+            src=_check_index("link src", take("src")),
+            dst=_check_index("link dst", take("dst")),
             factor=take("factor"),
             start=take("start", 0.0), end=take("end", math.inf),
         )
     else:
-        fault = NodeDeath(node=int(take("node")), at=take("at"))
+        fault = NodeDeath(node=_check_index("death node", take("node")),
+                          at=take("at"))
     if fields:
         raise FaultError(
             f"unknown {kind} fault fields {sorted(fields)} in {spec!r}")

@@ -14,7 +14,6 @@ from repro.partition.replication import (
 )
 from repro.partition.nodes import (
     partition_nodes,
-    node_of_partition,
     partition_halo_matrix,
     partition_load_matrix,
     halo_volumes,
@@ -35,7 +34,7 @@ __all__ = [
     "two_level_partition", "range_chunks", "TwoLevelPartition",
     "replication_factor", "replication_factor_sweep",
     "vertex_data_per_subgraph",
-    "partition_nodes", "node_of_partition", "halo_volumes",
+    "partition_nodes", "halo_volumes",
     "halo_load_volumes",
     "PLACEMENT_POLICIES", "PlacementResult", "partition_halo_matrix",
     "partition_load_matrix", "partition_net_weights", "permute_partitions",

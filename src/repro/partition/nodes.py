@@ -37,17 +37,8 @@ import numpy as np
 from repro.errors import PartitionError
 from repro.partition.two_level import TwoLevelPartition
 
-__all__ = ["partition_nodes", "node_of_partition", "partition_halo_matrix",
+__all__ = ["partition_nodes", "partition_halo_matrix",
            "partition_load_matrix", "halo_volumes", "halo_load_volumes"]
-
-
-def node_of_partition(partition_id: int, gpus_per_node: int) -> int:
-    """Node hosting ``partition_id`` under the contiguous-block map."""
-    if gpus_per_node < 1:
-        raise PartitionError(
-            f"gpus_per_node must be >= 1, got {gpus_per_node}"
-        )
-    return partition_id // gpus_per_node
 
 
 def partition_nodes(num_partitions: int, num_nodes: int,

@@ -137,10 +137,6 @@ class Task:
     #: task started at a barrier / at time zero)
     blocked_by: Optional[int] = None
 
-    def overlaps(self, other: "Task", eps: float = 1e-12) -> bool:
-        """True if the two tasks' time intervals intersect."""
-        return self.start < other.end - eps and other.start < self.end - eps
-
     def __repr__(self) -> str:
         return (
             f"Task(#{self.task_id} {self.label or self.channel}"

@@ -16,11 +16,14 @@ partitioned graph. The contract, end to end:
    was admitted (the scheduler enforces it as an ordinary dependency).
 3. **Forward pass** — per admitted batch, per *unique* column, one
    layer-by-layer task DAG shaped exactly like the trainer's forward
-   sweep: host→GPU staging loads, same-node P2P fetches, cross-node
-   halo-fetch ``net`` tasks (emitted through the executor's coalescing
-   machinery; they carry their bytes, so the horizon's timeline is its
-   byte ledger, per flow as in training), intra-GPU gathers, compute
-   kernels, and host writebacks. The DAG of a column
+   sweep. A cold layer's staging front — halo loads, host→GPU staging
+   loads, same-node P2P fetches, cross-node halo fetches and intra-GPU
+   gathers — is the executor's to emit
+   (:meth:`~repro.comm.executor.DedupCommunicator.submit_cold_load`,
+   the machinery that stages the trainer's batches); the engine adds
+   the compute kernels and host writebacks. Every transfer carries its
+   bytes, so the horizon's timeline is its byte ledger, per channel and
+   per halo flow as in training. The DAG of a column
    depends only on which of its layers are warm, so the one emitter
    (:meth:`ServingEngine._emit_column`) runs against a
    :class:`~repro.runtime.scheduler.WaveRecorder` once per ``(column,
@@ -59,7 +62,6 @@ straight onto the ``EventTimeline`` for every request leaves
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -74,28 +76,6 @@ from repro.serving.result import ServeResult
 from repro.units import Bytes, Seconds
 
 __all__ = ["ServingEngine"]
-
-
-@dataclass
-class _ColumnLayerCosts:
-    """Per-GPU second arrays of one (layer, column) forward step."""
-
-    row_bytes: Bytes
-    #: h2d staging of the full transition set (a serving request has no
-    #: previous column resident, so reuse rows are loaded too)
-    load_seconds: np.ndarray
-    #: same-node remote reads of staged rows (NVLink)
-    d2d_seconds: np.ndarray
-    #: intra-GPU gathers of locally staged rows
-    gather_seconds: np.ndarray
-    #: forward kernels per chunk
-    compute_seconds: np.ndarray
-    #: h^{l+1} writeback to the host
-    writeback_seconds: np.ndarray
-    #: host footprint of the pair once warm: the aggregate rows every
-    #: GPU's chunk of the column checkpoints for the layer — the sizing
-    #: the trainer's checkpoint store allocates, summed over the column
-    checkpoint_bytes: Bytes
 
 
 class ServingEngine:
@@ -128,9 +108,9 @@ class ServingEngine:
         self.platform = trainer.platform
         self.model = trainer.model
         self.config = trainer.config
-        self._costs: Dict[Tuple[int, int], _ColumnLayerCosts] = {}
         #: (column, warm bits) -> (recorded forward DAG, program-relative
-        #: ids of its final writebacks); lives and dies with ``_costs``
+        #: ids of its final writebacks) — the one memo of seconds, priced
+        #: at the platform's rates when recorded
         self._programs: Dict[Tuple[int, Tuple[bool, ...]],
                              Tuple[WaveProgram, np.ndarray]] = {}
         self._gpu_ids = np.arange(trainer.plan.num_gpus, dtype=np.int64)
@@ -141,9 +121,9 @@ class ServingEngine:
         self.cache_budget_bytes = cache_budget_bytes
         #: warm pairs dropped to fit the budget over this engine's life
         self.evictions = 0
-        #: the trainer's plan, chunk shapes and value communicator and
-        #: the checkpoint-warmed cache are all installed by the first
-        #: platform sync
+        #: the trainer's plan, chunk shapes, warm-pair footprints and
+        #: value communicator and the checkpoint-warmed cache are all
+        #: installed by the first platform sync
         self.plan = None
         self._sync_platform()
 
@@ -177,17 +157,13 @@ class ServingEngine:
         self._cache.clear()
         self._cache_bytes = 0
 
-    def _pair_bytes(self, l: int, j: int) -> Bytes:
-        """Host footprint of one warm (layer, column) pair."""
-        return self._layer_costs(l, j).checkpoint_bytes
-
     def _cache_insert(self, l: int, j: int) -> None:
         """Warm ``(l, j)``, evicting LRU pairs past the byte budget."""
         key = (l, j)
         if key in self._cache:
             self._cache.move_to_end(key)
             return
-        nbytes = self._pair_bytes(l, j)
+        nbytes = int(self._footprints[l, j])
         budget = self.cache_budget_bytes
         if budget is not None and nbytes > budget:
             return  # larger than the whole cache: never worth evicting for
@@ -199,37 +175,6 @@ class ServingEngine:
             _, dropped = self._cache.popitem(last=False)
             self._cache_bytes -= dropped
             self.evictions += 1
-
-    # ------------------------------------------------------------------
-    # cost profiles
-    # ------------------------------------------------------------------
-    def _layer_costs(self, l: int, j: int) -> _ColumnLayerCosts:
-        cached = self._costs.get((l, j))
-        if cached is not None:
-            return cached
-        bps = self.config.bytes_per_scalar
-        row_bytes = self.model.dims[l] * bps
-        comm = self.communicator
-        platform = self.platform
-        d2d_seconds, gather_seconds = comm.assemble_seconds(j, row_bytes)
-        # The trainer's forward wave for (l, j), priced from the same
-        # table (a serve never checkpoints, so the writeback is h^{l+1}
-        # alone).
-        forward = self.shapes.forward(self.model.layers[l], j, bps)
-        costs = _ColumnLayerCosts(
-            row_bytes=row_bytes,
-            load_seconds=platform.h2d_seconds(
-                comm.transition_rows(j) * row_bytes, devices=self._gpu_ids),
-            d2d_seconds=d2d_seconds,
-            gather_seconds=gather_seconds,
-            compute_seconds=platform.gpu_compute_seconds(
-                forward.flops, devices=self._gpu_ids),
-            writeback_seconds=platform.h2d_seconds(
-                forward.writeback_bytes, devices=self._gpu_ids),
-            checkpoint_bytes=int(forward.checkpoint_bytes.sum()),
-        )
-        self._costs[(l, j)] = costs
-        return costs
 
     # ------------------------------------------------------------------
     # emission
@@ -271,56 +216,38 @@ class ServingEngine:
         Layer ``l``'s tasks chain after layer ``l-1``'s writebacks (its
         input rows are the previous layer's host output) and after the
         admission task. Cold layers (``warm[l]`` false) run the full
-        staging front; warm layers jump straight to compute.
+        staging front, which the communicator emits
+        (:meth:`~repro.comm.executor.DedupCommunicator.submit_cold_load`);
+        warm layers jump straight to compute. The kernels are the
+        trainer's forward wave for ``(l, j)``, priced from the same table
+        (a serve never checkpoints, so the writeback is h^{l+1} alone).
         """
-        m = self.plan.num_gpus
-        comm = self.communicator
+        bps = self.config.bytes_per_scalar
+        platform = self.platform
         prev = admit_ids
         for l, is_warm in enumerate(warm):
-            costs = self._layer_costs(l, j)
+            tag = f"[l{l}c{j}]"
+            forward = self.shapes.forward(self.model.layers[l], j, bps)
+            compute_seconds = platform.gpu_compute_seconds(
+                forward.flops, devices=self._gpu_ids)
             if is_warm:
                 compute_ids = timeline.submit_batch(
-                    "gpu", costs.compute_seconds, deps=prev,
-                    label=f"serve_compute[l{l}c{j}]",
+                    "gpu", compute_seconds, deps=prev,
+                    label=f"serve_compute{tag}",
                 )
             else:
-                halo_load_ids, load_by_reader = comm.submit_serving_halo(
-                    timeline, j, costs.row_bytes, kind="load", deps=prev,
-                    label=f"halo_load[l{l}c{j}]",
-                )
-                load_ids = timeline.submit_batch(
-                    "h2d", costs.load_seconds, deps=prev,
-                    deps_by_device=(load_by_reader if len(halo_load_ids)
-                                    else None),
-                    label=f"serve_load[l{l}c{j}]",
-                )
-                fetch_ids = timeline.submit_batch(
-                    "d2d", costs.d2d_seconds, deps=load_ids,
-                    label=f"serve_fetch[l{l}c{j}]",
-                )
-                _halo_fetch_ids, net_by_reader = comm.submit_serving_halo(
-                    timeline, j, costs.row_bytes, kind="fetch",
-                    deps=load_ids, label=f"halo_fetch[l{l}c{j}]",
-                )
-                gather_ids = timeline.submit_batch(
-                    "gpu", costs.gather_seconds, deps_by_device=load_ids,
-                    label=f"serve_gather[l{l}c{j}]",
-                )
-                compute_deps = [
-                    np.concatenate([fetch_ids[i:i + 1],
-                                    gather_ids[i:i + 1],
-                                    net_by_reader[i]])
-                    for i in range(m)
-                ]
                 compute_ids = timeline.submit_batch(
-                    "gpu", costs.compute_seconds,
-                    deps_by_device=compute_deps,
-                    label=f"serve_compute[l{l}c{j}]",
+                    "gpu", compute_seconds,
+                    deps_by_device=self.communicator.submit_cold_load(
+                        timeline, j, self.model.dims[l] * bps, prev, tag),
+                    label=f"serve_compute{tag}",
                 )
             prev = timeline.submit_batch(
-                "d2h", costs.writeback_seconds,
+                "d2h", platform.h2d_seconds(forward.writeback_bytes,
+                                            devices=self._gpu_ids),
                 deps_by_device=compute_ids,
-                label=f"serve_writeback[l{l}c{j}]",
+                nbytes=forward.writeback_bytes,
+                label=f"serve_writeback{tag}",
             )
         return prev
 
@@ -349,35 +276,40 @@ class ServingEngine:
     def _sync_platform(self) -> None:
         """Track the trainer/platform across faults and re-balances.
 
-        Every cached cost profile stores *seconds*, priced from the
-        platform's rates at profiling time — a fault state (or an
+        Every recorded column program stores *seconds*, priced from the
+        platform's rates at recording time — a fault state (or an
         elastic re-balance) applied since then makes them stale. The
         platform bumps ``rates_version`` whenever per-device rates may
-        have changed; on a mismatch the profiles are dropped and the
+        have changed; on a mismatch the programs are dropped and the
         engine takes the fleet's current value communicator — over the
         routing snapshot of the plan under the placement, which a
         re-plan replaces. A re-balance that changed the
-        partition also swaps the trainer's plan — then the embedding
-        cache is cleared and re-warmed too, since its (layer, column)
-        footprints no longer describe the new chunks. The recorded
-        column programs carry the profiles' seconds (and the
-        communicator's links), so they are dropped exactly where the
-        profiles are. Construction is the first such swap. Fault-free
-        engines never miss again: ``rates_version`` is stable, so this
-        is one integer compare.
+        partition also swaps the trainer's plan — then the warm-pair
+        footprint table is rebuilt from the new chunk shapes and the
+        embedding cache is cleared and re-warmed against it. The table
+        holds shapes, not seconds, so a rate change alone leaves it.
+        Construction is the first such swap. Fault-free engines never
+        miss again: ``rates_version`` is stable, so this is one integer
+        compare.
         """
         plan_changed = self.plan is not self.trainer.plan
         version = self.platform.rates_version
         if not plan_changed and version == self._rates_version:
             return
-        self._costs.clear()
-        self._programs.clear()  # recorded seconds are the profiles'
+        self._programs.clear()
+        self.communicator = self.trainer.fleet.comm_values
+        self._rates_version = version
         if plan_changed:
             self.plan = self.trainer.plan
             self.shapes = self.trainer.fleet.shapes
-        self.communicator = self.trainer.fleet.comm_values
-        self._rates_version = version
-        if plan_changed:  # footprints are priced off the new profiles
+            bps = self.config.bytes_per_scalar
+            #: (L, n) host bytes of each warm (layer, column) pair: the
+            #: aggregate rows every GPU's chunk of the column checkpoints
+            #: for the layer — the trainer's checkpoint store sizing
+            self._footprints = np.array(
+                [[self.shapes.forward(layer, j, bps).checkpoint_bytes.sum()
+                  for j in range(self.plan.num_batches)]
+                 for layer in self.model.layers], dtype=np.int64)
             self.clear_cache()
             self.warm_from_checkpoints()
 

@@ -2,6 +2,9 @@
 
 import ast
 import json
+import os
+import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -219,3 +222,47 @@ class TestBenchSurface:
                      if "argparse" in path.read_text()
                      or "__main__" in path.read_text()]
         assert not offenders, offenders
+
+    @staticmethod
+    def _smoke_step_argv():
+        """The ``bench-regression`` job's smoke command, as the argv that
+        follows ``python -m pytest``."""
+        workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        step = workflow.split("- name: Benchmark smoke", 1)[1]
+        command = step.split("run: >", 1)[1].split("- name:", 1)[0]
+        argv = shlex.split(" ".join(
+            line.strip() for line in command.splitlines()
+            if not line.strip().startswith("#")))
+        assert argv[:4] == ["PYTHONPATH=src", "python", "-m", "pytest"], argv
+        return argv[4:]
+
+    def test_smoke_job_selects_exactly_the_archiving_benches(self):
+        """The CI smoke step's ``-k`` expression collects every bench
+        that archives metrics for the regression gate and nothing else,
+        and every archived name has a baseline entry — a renamed or
+        added bench cannot silently drop out of, or widen, the gate."""
+        archiving = {}
+        for path in BENCH_FILES:
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in tree.body:
+                if not (isinstance(node, ast.FunctionDef)
+                        and node.name.startswith("bench_")):
+                    continue
+                names = [call.args[0].value for call in ast.walk(node)
+                         if isinstance(call, ast.Call)
+                         and getattr(call.func, "id", None) == "emit_json"]
+                if names:
+                    archiving[f"benchmarks/{path.name}::{node.name}"] = names
+        collected = subprocess.run(
+            [sys.executable, "-m", "pytest", *self._smoke_step_argv(),
+             "--co", "-p", "no:cacheprovider"],
+            cwd=REPO_ROOT, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True, check=True).stdout
+        selected = {line for line in collected.splitlines() if "::" in line}
+        assert selected == set(archiving)
+        baseline = json.loads(
+            (REPO_ROOT / "benchmarks" / "results" / "baseline.json")
+            .read_text())
+        archived = [name for names in archiving.values() for name in names]
+        assert sorted(archived) == sorted(set(archived))
+        assert set(archived) <= set(baseline)

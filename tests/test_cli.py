@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core import HongTuConfig
+from repro.core import HongTuConfig, HongTuTrainer
 from repro.errors import ConfigurationError
 from repro.graph import load_dataset
 from repro.hardware import NODE_SPECS
@@ -279,6 +279,37 @@ class TestCommands:
     def test_bad_fault_spec_is_usage_error(self, capsys):
         assert main(["train", "--nodes", "2", "--fault", "gremlin"]) == 2
         assert "bad fault spec" in capsys.readouterr().err
+
+    def test_nan_fault_node_is_usage_error(self, capsys):
+        """It used to end in a ``ValueError`` traceback."""
+        assert main(["train", "--dataset", "products_sim", "--scale", "0.08",
+                     "--nodes", "2", "--gpus", "2",
+                     "--fault", "straggler:node=nan,compute=0.5"]) == 2
+        assert "straggler node must be a non-negative integer" in \
+            capsys.readouterr().err
+
+    def test_train_runs_exactly_the_requested_epochs(self, capsys,
+                                                     monkeypatch):
+        """The breakdown tables used to come from one extra, unreported
+        epoch trained after ``evaluate()``."""
+        calls = []
+        train_epoch = HongTuTrainer.train_epoch
+
+        def counted(trainer):
+            calls.append(trainer)
+            return train_epoch(trainer)
+
+        monkeypatch.setattr(HongTuTrainer, "train_epoch", counted)
+        assert main(["train", "--dataset", "products_sim", "--scale", "0.08",
+                     "--epochs", "2", "--chunks", "2",
+                     "--hidden-dim", "8"]) == 0
+        assert len(calls) == 2
+        assert "epoch time breakdown" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_train_needs_an_epoch(self, capsys, epochs):
+        assert main(["train", "--epochs", epochs]) == 2
+        assert "--epochs must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entries, message", [
         (["h100"], "unknown profile 'h100'"),

@@ -5,7 +5,8 @@ serving engine, planner and elastic controller used to spell out
 themselves, and pricing a whole wave with one ``devices=gpu_ids`` call
 must be ``array_equal`` to the per-GPU scalar calls — on a single
 server, a homogeneous cluster and a mixed-generation fleet. The serving
-engine's forward price for ``(l, j)`` must be the trainer's.
+engine's forward price for ``(l, j)`` must be the trainer's, and a cold
+serve must move the bytes the plan predicts.
 """
 
 import numpy as np
@@ -19,8 +20,10 @@ from repro.hardware import (
     A100_CLUSTER,
     NODE_SPECS,
     ClusterPlatform,
+    EventTimeline,
     MultiGPUPlatform,
 )
+from repro.runtime.task import HOST_DEVICE
 from repro.scenario import ClusterArgs
 
 FLEETS = {
@@ -228,6 +231,15 @@ def test_rate_table_is_the_closed_form_spec_expression(profile, numa_aware,
             spec.gpu.memory_bandwidth)
 
 
+def cold_column(engine, j):
+    """A fresh timeline holding one replayed, all-cold serve of column j."""
+    timeline = EventTimeline()
+    admit = timeline.submit_batch("cpu", [0.0], devices=[HOST_DEVICE])
+    cold = (False,) * len(engine.model.layers)
+    engine._replay_column(timeline, j, cold, admit)
+    return timeline
+
+
 @pytest.mark.parametrize("fleet", sorted(FLEETS))
 def test_serving_forward_price_is_the_trainers(graph, fleet):
     """Serving's compute/writeback seconds for (l, j) equal the trainer's
@@ -235,15 +247,39 @@ def test_serving_forward_price_is_the_trainers(graph, fleet):
     trainer = make_trainer(graph, "gcn", "recompute", fleet)
     timeline = trainer.train_epoch().timeline
     engine = trainer.serving_engine()
-    for l in range(len(trainer.model.layers)):
-        for j in range(trainer.plan.num_batches):
-            costs = engine._layer_costs(l, j)
-            assert np.array_equal(
-                costs.compute_seconds,
-                wave_seconds(timeline, f"compute[l{l}b{j}]"))
-            assert np.array_equal(
-                costs.writeback_seconds,
-                wave_seconds(timeline, f"writeback[l{l}b{j}]"))
+    for j in range(trainer.plan.num_batches):
+        served = cold_column(engine, j)
+        for l in range(len(trainer.model.layers)):
+            for serve, epoch in (("serve_compute", "compute"),
+                                 ("serve_writeback", "writeback")):
+                assert np.array_equal(
+                    wave_seconds(served, f"{serve}[l{l}c{j}]"),
+                    wave_seconds(timeline, f"{epoch}[l{l}b{j}]"))
+
+
+@pytest.mark.parametrize("fleet", sorted(FLEETS))
+def test_cold_serve_moves_the_bytes_the_plan_predicts(graph, fleet):
+    """A cold column stages every GPU's full transition set (h2d), reads
+    the plan's same-node P2P rows (d2d) and writes h^{l+1} back (d2h),
+    layer by layer at that layer's width."""
+    trainer = make_trainer(graph, "gcn", "recompute", fleet)
+    engine = trainer.serving_engine()
+    plan, dims = trainer.plan, trainer.model.dims
+    bps = trainer.config.bytes_per_scalar
+    node = trainer.platform.placement
+    layers = range(len(trainer.model.layers))
+    for j in range(plan.num_batches):
+        reader, source, rows = plan.segments(j)
+        p2p = int(rows[(reader != source)
+                       & (node[reader] == node[source])].sum())
+        staged = sum(len(gpu_plan.transition) for gpu_plan in plan.plans[j])
+        dst = sum(row[j].num_dst for row in trainer.partition.chunks)
+        moved = cold_column(engine, j).bytes_view()
+        assert moved["h2d"] == sum(staged * dims[l] * bps for l in layers)
+        assert moved["d2d"] == sum(p2p * dims[l] * bps for l in layers)
+        assert moved["d2h"] == sum(dst * dims[l + 1] * bps for l in layers)
+        if fleet == "single":
+            assert p2p > 0
 
 
 class TestPlanLevelTables:

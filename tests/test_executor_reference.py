@@ -535,13 +535,30 @@ class TestEntryPointRejections:
         _assert_untouched(comm, timeline)
         assert not host_grads.any()
 
-    def test_serving_surface_rejects_the_same_batches(self, live):
-        comm, *_ = live
-        for batch in (-1, 2):
-            with pytest.raises(CommunicationPlanError, match="batch"):
-                comm.transition_rows(batch)
-            with pytest.raises(CommunicationPlanError, match="batch"):
-                comm.assemble_seconds(batch, 4)
+    @pytest.mark.parametrize("batch", [-1, 2, 0.0, None])
+    def test_cold_load_batch_out_of_plan(self, live, batch):
+        comm, _plan, _host, _grads, timeline = live
+        with pytest.raises(CommunicationPlanError, match="batch"):
+            comm.submit_cold_load(timeline, batch, 4, None)
+        _assert_untouched(comm, timeline)
+
+    @pytest.mark.parametrize("form", ["list", "tasks", "short", "column"])
+    def test_backward_producers_in_one_form(self, live, form):
+        """``deps_by_device`` is the ``(m,)`` id array the trainer passes;
+        per-GPU lists used to be normalised too."""
+        comm, _plan, host, grads, timeline = live
+        producers = timeline.submit_batch("gpu", [1.0, 1.0])
+        bad = {"list": list(producers),
+               "tasks": list(timeline.scheduler.tasks),
+               "short": producers[:1],
+               "column": producers[:, None]}[form]
+        host_grads = np.zeros_like(host)
+        with pytest.raises(CommunicationPlanError, match="deps_by_device"):
+            comm.accumulate_batch_backward(0, grads, host_grads, timeline,
+                                           deps_by_device=bad)
+        assert not comm._buffers.stacked.any()
+        assert timeline.scheduler.num_tasks == 2
+        assert not host_grads.any()
 
     def test_inputs_come_back_in_the_sweep_dtype(self, live):
         """Pinned decision: the rows are read out of the transition

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.autograd import SGD
 from repro.comm.cost_model import ClusterCostModel
@@ -95,6 +96,70 @@ class TestParseFault:
         schedule = FaultSchedule.from_specs(
             ["straggler:node=0,nic=0.5", "death:node=1,at=3"])
         assert len(schedule) == 2
+
+    #: every way a node index enters a fault -> the field its error names
+    INDEX_ENTRIES = {
+        "parse_straggler": ("straggler node", lambda v: parse_fault(
+            f"straggler:node={v},compute=0.5")),
+        "parse_death": ("death node", lambda v: parse_fault(
+            f"death:node={v},at=1")),
+        "parse_link_src": ("link src", lambda v: parse_fault(
+            f"link:src={v},dst=3,factor=0.5")),
+        "parse_link_dst": ("link dst", lambda v: parse_fault(
+            f"link:src=3,dst={v},factor=0.5")),
+        "straggler": ("straggler node",
+                      lambda v: Straggler(node=v, compute_factor=0.5)),
+        "death": ("death node", lambda v: NodeDeath(node=v, at=1.0)),
+        "link": ("link src",
+                 lambda v: LinkDegradation(src=v, dst=3, factor=0.5)),
+        "from_dict": ("death node", lambda v: FaultSchedule.from_dict(
+            {"faults": [{"kind": "death", "node": v, "at": 1.0}]})),
+    }
+
+    @pytest.mark.parametrize("value", [1.5, math.nan, math.inf, -1],
+                             ids=["fraction", "nan", "inf", "negative"])
+    @pytest.mark.parametrize("entry", sorted(INDEX_ENTRIES))
+    def test_node_index_must_be_a_non_negative_integer(self, entry, value):
+        """A fractional node used to be floored (``node=1.5`` struck node
+        1); NaN and inf escaped as ``ValueError`` / ``OverflowError``."""
+        field, build = self.INDEX_ENTRIES[entry]
+        with pytest.raises(FaultError, match=field):
+            build(value)
+
+    def test_integral_floats_parse_to_int_indices(self):
+        fault = parse_fault("link:src=0.0,dst=2,factor=0.5")
+        assert (type(fault.src), type(fault.dst)) == (int, int)
+        assert fault == LinkDegradation(src=0, dst=2, factor=0.5)
+
+    def test_death_time_must_be_finite(self):
+        """An infinite death never fires and serialised as the non-strict
+        ``Infinity`` literal."""
+        with pytest.raises(FaultError, match="death at"):
+            NodeDeath(node=1, at=math.inf)
+        with pytest.raises(FaultError, match="death at"):
+            parse_fault("death:node=1,at=inf")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(max_size=24),
+        st.builds(
+            "{}:{}".format,
+            st.sampled_from(["straggler", "link", "death", " death", "x"]),
+            st.lists(st.builds(
+                "{}={}".format,
+                st.sampled_from(["node", "src", "dst", "at", "start", "end",
+                                 "compute", "nic", "factor", "flux"]),
+                st.one_of(st.sampled_from(["nan", "inf", "-inf", "1e400",
+                                           "1.5", "-1", "0", "1", "2"]),
+                          st.floats().map(repr),
+                          st.text(max_size=3))),
+                max_size=6).map(",".join))))
+    def test_any_spec_parses_or_raises_fault_error(self, spec):
+        try:
+            fault = parse_fault(spec)
+        except FaultError:
+            return
+        assert isinstance(fault, (Straggler, LinkDegradation, NodeDeath))
 
 
 # ----------------------------------------------------------------------

@@ -296,7 +296,7 @@ class TestBoundedServingCache:
         probe.warm_from_checkpoints()
         pairs = list(probe._cache)
         assert len(pairs) >= 3
-        sizes = {pair: probe._pair_bytes(*pair) for pair in pairs}
+        sizes = dict(probe._cache)  # a warm pair's value is its footprint
         # hot + cold fit exactly; newcomer is no bigger than cold, so
         # evicting cold alone makes room and hot must survive
         ordered = sorted(pairs, key=lambda pair: sizes[pair])

@@ -343,14 +343,12 @@ class TestServingDeterminism:
                 int((owner[plan.transition[plan.reuse_mask]]
                      != node[plan.gpu]).sum()) for plan in plans)
             timeline = EventTimeline()
-            comm.submit_serving_halo(timeline, j, row_bytes, kind="load",
-                                     label=f"halo_load[c{j}]")
-            shipped = timeline.bytes_view()["net"]
-            assert shipped == remote * row_bytes
-            assert shipped == sum(comm.net_bytes_by_flow(timeline).get(
+            comm.submit_cold_load(timeline, j, row_bytes, None, f"[c{j}]")
+            shipped = sum(comm.net_bytes_by_flow(timeline).get(
                 "halo_load", {}).values())
-            assert int(comm.transition_rows(j).sum()) == sum(
-                len(plan.transition) for plan in plans)
+            assert shipped == remote * row_bytes
+            assert timeline.bytes_view()["h2d"] == sum(
+                len(plan.transition) for plan in plans) * row_bytes
             shipped_total += shipped
         if comm_mode in ("p2p", "hongtu"):  # staged rows are owner-local
             assert shipped_total == 0
