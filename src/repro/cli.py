@@ -33,7 +33,7 @@ from repro.core import (
     HongTuTrainer,
     estimate_training_memory,
 )
-from repro.errors import ConfigurationError, FaultError
+from repro.errors import ConfigurationError, FaultError, ServingError
 from repro.gnn import MODEL_REGISTRY
 from repro.graph import available_datasets, load_dataset
 from repro.hardware import A100_SERVER, MultiGPUPlatform
@@ -261,27 +261,35 @@ def cmd_serve(args) -> int:
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed + 42)
     dims = scenario.model_dims(graph)
     model = scenario.build_model(graph)
+    budget = args.cache_budget  # "2e9" parses as a float
+    if budget is not None and budget.is_integer():
+        budget = int(budget)  # anything else the engine rejects
     try:
         config = scenario.build_config(intermediate_policy="hybrid",
                                        overlap="pipeline")
         # The trainer checks the fault schedule against the fleet.
         trainer = HongTuTrainer(graph, model, platform, config)
-    except (ConfigurationError, FaultError) as error:
+        # Everything a flag can get wrong is judged before any epoch.
+        engine = trainer.serving_engine(cache_budget_bytes=budget)
+        arrivals = build_arrivals(args.arrival, args.rate, args.duration,
+                                  seed=args.seed, burst_size=args.burst_size)
+        policy = build_policy(args.batch_policy, batch_size=args.batch_size,
+                              batch_timeout=args.batch_timeout)
+    except (ConfigurationError, FaultError, ServingError) as error:
         print(f"bad scenario: {error}", file=sys.stderr)
         return 2
     for _ in range(args.train_epochs):
         trainer.train_epoch()
-    budget = None if args.cache_budget is None else int(args.cache_budget)
-    engine = trainer.serving_engine(cache_budget_bytes=budget)
-    arrivals = build_arrivals(args.arrival, args.rate, args.duration,
-                              seed=args.seed, burst_size=args.burst_size)
-    policy = build_policy(args.batch_policy, batch_size=args.batch_size,
-                          batch_timeout=args.batch_timeout)
+    engine.warm_from_checkpoints()
     wiring = "" if args.nodes == 1 else f", {args.topology} network"
     print(f"serving {args.arch} {dims} on {graph} "
           f"({args.nodes} node(s) x {args.gpus} GPUs x {args.chunks} "
           f"chunks{wiring}; {engine.warm_pairs} warm cache pair(s))")
-    result = engine.serve(arrivals, policy, slo=args.slo)
+    try:
+        result = engine.serve(arrivals, policy, slo=args.slo)
+    except ServingError as error:  # a bad --slo
+        print(f"bad scenario: {error}", file=sys.stderr)
+        return 2
     print(render_latency_report(
         result,
         title=f"{arrivals!r} under {policy.describe()} "

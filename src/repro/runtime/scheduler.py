@@ -53,7 +53,10 @@ start + seconds`` — except the frontier of a *shared* resource, ``F <-
 max(start, F) + hold``, a recurrence over the wave in submission order.
 Only waves that carry a hold run it, as one short loop over Python
 floats; a wave that repeats a device is scheduled as consecutive
-duplicate-free runs. Either way ``start``, ``end`` and ``blocked_by``
+duplicate-free runs — unless all its tasks share one queue and list no
+extras and no holds (a serving horizon's admission clock): such a
+*chain* is the queue's own recurrence, ``start = previous end``, one
+running sum. Either way ``start``, ``end`` and ``blocked_by``
 are exactly what one-task-at-a-time submission assigns — that rule
 lives in ``tests/scheduler_oracle.py``, which the identity tests
 compare this core against on randomized DAGs and whole epochs.
@@ -148,13 +151,25 @@ def task_ids(entries) -> np.ndarray:
     return entries.astype(np.int64, copy=False)
 
 
-def _grown(array: np.ndarray, need: int, fill=0) -> np.ndarray:
-    """``array`` if it already has ``need`` slots, else a doubled copy."""
-    if need <= len(array):
-        return array
-    out = np.full(max(need, 2 * len(array), 8), fill, dtype=array.dtype)
+def _capacity(need: int, have: int) -> int:
+    """Slots to grow ``have`` to when ``need`` are wanted: at least twice
+    as many, rounded up to a power of two — however large the first
+    wave, the doubling ladder stays on powers of two."""
+    return 1 << (max(need, 2 * have, 8) - 1).bit_length()
+
+
+def _resized(array: np.ndarray, size: int, fill=0) -> np.ndarray:
+    """A ``size``-slot copy of ``array``, the new slots ``fill``."""
+    out = np.full(size, fill, dtype=array.dtype)
     out[: len(array)] = array
     return out
+
+
+def _grown(array: np.ndarray, need: int, fill=0) -> np.ndarray:
+    """``array`` if it already has ``need`` slots, else a grown copy."""
+    if need <= len(array):
+        return array
+    return _resized(array, _capacity(need, len(array)), fill)
 
 
 def _slot(device):
@@ -195,7 +210,9 @@ class _Wave:
     slots, the duplicate-free runs of a wave that repeats a device, the
     wave's busy total, and for the per-task dependency maximum either
     ``single`` (one producer per task: nothing to reduce) or the segment
-    bookkeeping of ragged lists.
+    bookkeeping of ragged lists. A wave of two or more tasks on one
+    device, with no extras and no holds, is a ``chain``: one queue,
+    each task starting where the previous one ended.
     The dependency *ids* are the dynamic half and travel beside it. A
     wave submitted once builds this on the way in; a
     :class:`WaveProgram` builds it when the wave is recorded and never
@@ -203,7 +220,7 @@ class _Wave:
     """
 
     __slots__ = ("ch", "devices", "seconds", "nbytes", "k", "lens", "holds",
-                 "runs", "slot", "need", "total", "single", "nz",
+                 "runs", "chain", "slot", "need", "total", "single", "nz",
                  "seg_starts", "seg_ends", "seg_of", "positions")
 
     def __init__(self, ch: int, devices: np.ndarray, seconds: np.ndarray,
@@ -217,7 +234,9 @@ class _Wave:
         self.seg_ends = None if lens is None else np.cumsum(lens)
         self.runs: Optional[List[tuple]] = None
         bounds = _run_bounds(devices) if k > 1 else None
-        if bounds is not None:
+        self.chain = (bounds is not None and lens is None and holds is None
+                      and devices.min() == devices.max())
+        if bounds is not None and not self.chain:
             # A repeated device queues behind its own earlier task, so
             # the wave takes the array step run by run, in order: each
             # run with the slice of the flattened extra ids it owns.
@@ -231,7 +250,8 @@ class _Wave:
                 for lo, hi in zip(bounds, bounds[1:])
             ]
             return
-        self.slot = _slot(devices)
+        # a chain's one queue: the array step times its first task
+        self.slot = _slot(devices[:1] if self.chain else devices)
         self.need = int(self.slot.max()) + 1
         self.total = seconds.sum()
         self.single = lens is not None and bool((lens == 1).all())
@@ -580,16 +600,16 @@ class EventScheduler:
             return
         # The task arrays grow together, so the one compare above
         # answers for all of them (offsets carry one slot more).
-        need = max(need, 2 * len(self._start))
-        self._start = _grown(self._start, need, 0.0)
-        self._end = _grown(self._end, need, 0.0)
-        self._seconds = _grown(self._seconds, need, 0.0)
-        self._nbytes = _grown(self._nbytes, need)
-        self._device = _grown(self._device, need)
-        self._channel_idx = _grown(self._channel_idx, need)
-        self._blocked = _grown(self._blocked, need, -1)
-        self._phase_of = _grown(self._phase_of, need)
-        self._extra_off = _grown(self._extra_off, need + 1)
+        cap = _capacity(need, len(self._start))
+        self._start = _resized(self._start, cap, 0.0)
+        self._end = _resized(self._end, cap, 0.0)
+        self._seconds = _resized(self._seconds, cap, 0.0)
+        self._nbytes = _resized(self._nbytes, cap)
+        self._device = _resized(self._device, cap)
+        self._channel_idx = _resized(self._channel_idx, cap)
+        self._blocked = _resized(self._blocked, cap, -1)
+        self._phase_of = _resized(self._phase_of, cap)
+        self._extra_off = _resized(self._extra_off, cap + 1)
 
     def _check_ids(self, ids: Optional[np.ndarray],
                    what: str = "dependency") -> None:
@@ -834,16 +854,33 @@ class EventScheduler:
                         last_shared[key] = n0 + t
             starts = np.array(start_of)
             blocked = np.array(blocker_of, dtype=np.int64)
-        ends = starts + seconds
+        if wave.chain:
+            # One queue, the rule's other recurrence: task t starts where
+            # task t-1 ended — never before the barrier or a common
+            # dependency, which task 0 (timed above) already waited for
+            # — and is blocked by it unless that end is the barrier. A
+            # running sum adds left to right: the floats of task-by-task
+            # submission, busy seconds included.
+            clock = np.add.accumulate(np.concatenate((starts, seconds)))
+            starts, ends = clock[:-1], clock[1:]
+            blocked = np.concatenate((blocked, np.where(
+                ends[:-1] > self._barrier_time,
+                np.arange(n0, n0 + k - 1, dtype=np.int64), -1)))
+            free_arr[slot] = ends[-1]
+            last_arr[slot] = n0 + k - 1
+            self._busy_channel[ch] = np.add.accumulate(np.concatenate(
+                (self._busy_channel[ch:ch + 1], seconds)))[-1]
+        else:
+            ends = starts + seconds
+            free_arr[slot] = ends
+            last_arr[slot] = np.arange(n0, n0 + k, dtype=np.int64)
+            self._busy_channel[ch] += wave.total
 
         # ---- store ---------------------------------------------------
         sl = slice(n0, n0 + k)
         self._start[sl] = starts
         self._end[sl] = ends
         self._blocked[sl] = blocked
-        free_arr[slot] = ends
-        last_arr[slot] = np.arange(n0, n0 + k, dtype=np.int64)
-        self._busy_channel[ch] += wave.total
         self._n = n0 + k
 
     def ends_of(self, ids) -> np.ndarray:

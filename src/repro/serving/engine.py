@@ -10,10 +10,14 @@ partitioned graph. The contract, end to end:
    graph the query touches.
 2. **Admission** — an :class:`~repro.serving.policies.AdmissionPolicy`
    coalesces requests into dispatched batches. The admission horizon is
-   itself simulated: a chain of host tasks on the timeline's
-   ``("cpu", HOST_DEVICE)`` queue advances the clock to each batch's
-   dispatch instant, so no forward-pass task can start before its batch
-   was admitted (the scheduler enforces it as an ordinary dependency).
+   itself simulated, and all of it is known before the first request is
+   served: one host wave of one task per batch (phase ``admit``), every
+   task on the timeline's ``("cpu", HOST_DEVICE)`` queue, lasting the gap
+   from the previous dispatch instant to its own. The scheduler times a
+   wave on one queue as one recurrence — each task starts where the
+   previous one ended — so batch ``b``'s task ends at its dispatch
+   instant, and no forward-pass task can start before its batch was
+   admitted (the scheduler enforces it as an ordinary dependency).
 3. **Forward pass** — per admitted batch, per *unique* column, one
    layer-by-layer task DAG shaped exactly like the trainer's forward
    sweep. A cold layer's staging front — halo loads, host→GPU staging
@@ -27,11 +31,12 @@ partitioned graph. The contract, end to end:
    depends only on which of its layers are warm, so the one emitter
    (:meth:`ServingEngine._emit_column`) runs against a
    :class:`~repro.runtime.scheduler.WaveRecorder` once per ``(column,
-   warm bits)`` and every request *replays* the recorded
-   :class:`~repro.runtime.scheduler.WaveProgram`
+   warm bits)`` and every ``(batch, column)`` group *replays* the
+   recorded :class:`~repro.runtime.scheduler.WaveProgram`
    (:meth:`~repro.hardware.clock.EventTimeline.submit_program`) behind
-   its batch's admission task; per request the engine only does the
-   cache bookkeeping. HongTu pays for its schedule once, in
+   its batch's admission task; per group the engine only does the cache
+   bookkeeping, and the completions are read off the timeline once,
+   after the last replay. HongTu pays for its schedule once, in
    preprocessing (§4.1, §5.3); so does this.
 4. **Embedding cache** — serving books cache *hits* against
    checkpointed activations: a ``(layer, column)`` pair whose aggregate
@@ -62,7 +67,8 @@ straight onto the ``EventTimeline`` for every request leaves
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from numbers import Integral
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -78,6 +84,12 @@ from repro.units import Bytes, Seconds
 __all__ = ["ServingEngine"]
 
 
+def _is_count(value, minimum: int) -> bool:
+    """``value`` is an integer (not a bool) of at least ``minimum``."""
+    return (isinstance(value, Integral) and not isinstance(value, bool)
+            and value >= minimum)
+
+
 class ServingEngine:
     """Serves request traffic against a trainer's partitioned graph.
 
@@ -91,17 +103,19 @@ class ServingEngine:
     cache_budget_bytes:
         Optional host-byte budget for the embedding cache. ``None``
         (default) keeps every pair ever warmed — the unbudgeted
-        behavior. A positive budget bounds the warm set: inserts past
+        behavior. An integer budget >= 1 bounds the warm set (anything
+        else raises :class:`~repro.errors.ConfigurationError`): inserts past
         the budget evict least-recently-used pairs (counted on
         :attr:`evictions`); a single pair larger than the whole budget
         is never cached.
     """
 
     def __init__(self, trainer, cache_budget_bytes: Optional[Bytes] = None):
-        if cache_budget_bytes is not None and cache_budget_bytes <= 0:
+        if cache_budget_bytes is not None \
+                and not _is_count(cache_budget_bytes, 1):
             raise ConfigurationError(
-                f"cache_budget_bytes must be positive, got "
-                f"{cache_budget_bytes} - pass None for an unbounded "
+                f"cache_budget_bytes must be positive (an integer >= 1), got "
+                f"{cache_budget_bytes!r} - pass None for an unbounded "
                 f"embedding cache"
             )
         self.trainer = trainer
@@ -136,8 +150,11 @@ class ServingEngine:
         A ``(layer, column)`` pair is warm only when *every* GPU's chunk
         of that column has a host-resident checkpoint (a partially
         checkpointed column would still need the staging front for the
-        missing chunks). Returns the number of warm pairs.
+        missing chunks). Returns the number of warm pairs. Epochs trained
+        since the engine was built count: their checkpoints warm it too,
+        against the trainer's current plan.
         """
+        self._sync_platform()
         for pair in sorted(self.trainer.checkpointed_columns()):
             self._cache_insert(*pair)
         return len(self._cache)
@@ -180,8 +197,8 @@ class ServingEngine:
     # emission
     # ------------------------------------------------------------------
     def _touch_column(self, j: int) -> Tuple[bool, ...]:
-        """One request's cache bookkeeping for column ``j``; returns its
-        warm/cold bits, one per layer.
+        """One ``(batch, column)`` group's cache bookkeeping for column
+        ``j``; returns its warm/cold bits, one per layer.
 
         Layer by layer, in the order the forward pass runs: a warm pair
         is a hit and moves to the recent end of the LRU order; a cold
@@ -322,10 +339,16 @@ class ServingEngine:
         """Run one serving horizon; returns the per-request record.
 
         ``column_seed`` seeds the request→column assignment (defaults to
-        the arrival process's seed, so one seed pins the whole run).
+        the arrival process's seed, so one seed pins the whole run); a
+        seed that is no integer >= 0 raises
+        :class:`~repro.errors.ServingError`, as a bad ``slo`` does.
         """
         if not slo > 0:  # NaN included
             raise ServingError(f"slo must be > 0 seconds, got {slo}")
+        if column_seed is not None and not _is_count(column_seed, 0):
+            raise ServingError(
+                f"column_seed must be None or an integer >= 0, got "
+                f"{column_seed!r}")
         self._sync_platform()
         times = arrivals.generate()
         n = len(times)
@@ -336,41 +359,49 @@ class ServingEngine:
                    if n else np.empty(0, dtype=np.int64))
         batches = policy.admit(times)
         timeline = EventTimeline(barrier_all=False)
-        scheduler = timeline.scheduler
         evictions_before = self.evictions
 
-        completions = np.zeros(n, dtype=np.float64)
         batch_sizes = np.array([batch.size for batch in batches],
                                dtype=np.int64)
-        hits = 0
-        misses = 0
-        admit_clock = 0.0
-        admit_ids = None
-        host = np.array([HOST_DEVICE], dtype=np.int64)
-        for b, batch in enumerate(batches):
-            # Advance the host admission clock to the dispatch instant:
-            # chained zero-gap-safe tasks on the host cpu queue, so the
-            # admit task of batch b *ends* exactly at its dispatch time.
-            dt = max(0.0, batch.dispatch_time - admit_clock)
-            admit_clock = max(admit_clock, batch.dispatch_time)
-            admit_ids = scheduler.submit_batch(
-                "cpu", host, [dt], common_deps=admit_ids,
-                label=f"admit[{b}]",
-            )
-            by_column: Dict[int, List[int]] = {}
-            for request in batch.requests:
-                by_column.setdefault(int(columns[request]),
-                                     []).append(request)
-            for j in sorted(by_column):
-                # Per request: the LRU bookkeeping, then a replay of
-                # the column's recorded DAG.
-                warm = self._touch_column(j)
-                hits += warm.count(True)
-                misses += warm.count(False)
-                final_ids = self._replay_column(timeline, j, warm, admit_ids)
-                done = float(scheduler.ends_of(final_ids).max())
-                for request in by_column[j]:
-                    completions[request] = done
+        # The admission clock, one host wave: batch b's task advances
+        # the host cpu queue to its dispatch instant, so it *ends* there
+        # and no forward-pass task of the batch starts earlier.
+        dispatch = np.array([batch.dispatch_time for batch in batches],
+                            dtype=np.float64)
+        clock = np.maximum.accumulate(np.concatenate(([0.0], dispatch)))
+        admit = timeline.scheduler.submit_batch(
+            "cpu", np.full(len(batches), HOST_DEVICE),
+            np.maximum(0.0, dispatch - clock[:-1]), label="admit")
+        # Requests in (batch, column) order: one group per column a
+        # batch touches, in the order the cache and the queues see them.
+        requests = np.array([r for batch in batches for r in batch.requests],
+                            dtype=np.int64)
+        batch_of = np.repeat(np.arange(len(batches)), batch_sizes)
+        order = np.lexsort((columns[requests], batch_of))
+        requests, batch_of = requests[order], batch_of[order]
+        column_of = columns[requests]
+        first = np.ones(len(requests), dtype=bool)
+        first[1:] = ((batch_of[1:] != batch_of[:-1])
+                     | (column_of[1:] != column_of[:-1]))
+        firsts = np.flatnonzero(first)
+        hits = misses = 0
+        finals = []  # per group: the ids of its last layer's writebacks
+        for b, j in zip(batch_of[firsts].tolist(), column_of[firsts].tolist()):
+            # The LRU bookkeeping, then a replay of the column's recorded
+            # DAG behind its batch's admission task.
+            warm = self._touch_column(j)
+            hits += warm.count(True)
+            misses += warm.count(False)
+            finals.append(self._replay_column(timeline, j, warm,
+                                              admit[b:b + 1]))
+        # A request completes when its group's last writeback ends.
+        completions = np.zeros(n, dtype=np.float64)
+        if finals:
+            ends = timeline.scheduler.ends_of(np.concatenate(finals))
+            done = np.maximum.reduceat(
+                ends, np.cumsum([0] + [len(ids) for ids in finals[:-1]]))
+            completions[requests] = np.repeat(
+                done, np.diff(np.append(firsts, len(requests))))
         return ServeResult(
             arrivals=times,
             completions=completions,

@@ -354,6 +354,50 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "p99 latency" in out
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--cache-budget", "nan"], "cache_budget_bytes must be positive"),
+        (["--cache-budget", "inf"], "cache_budget_bytes must be positive"),
+        (["--cache-budget", "0"], "cache_budget_bytes must be positive"),
+        (["--cache-budget", "2.5"], "cache_budget_bytes must be positive"),
+        (["--slo", "nan"], "slo must be > 0"),
+        (["--rate", "-1"], "arrival rate must be finite and > 0"),
+        (["--duration", "nan"], "duration must be finite and >= 0"),
+        (["--batch-policy", "deadline", "--batch-timeout", "nan"],
+         "timeout must be >= 0"),
+        (["--batch-policy", "size", "--batch-size", "0"],
+         "batch_size must be >= 1"),
+        (["--arrival", "bursty", "--burst-size", "0"],
+         "burst_size must be >= 1"),
+    ], ids=["budget_nan", "budget_inf", "budget_zero", "budget_fraction",
+            "slo_nan", "rate_negative", "duration_nan", "timeout_nan",
+            "batch_size_zero", "burst_size_zero"])
+    def test_bad_serve_flag_is_usage_error(self, capsys, monkeypatch, flags,
+                                           message):
+        """Each used to end in a traceback (exit 1): ``int(nan)`` /
+        ``int(inf)`` raised from the budget, the rest were uncaught
+        ``ConfigurationError`` / ``ServingError``. Arrivals, policy and
+        engine are built — and judged — before any training epoch."""
+        epochs = []
+        monkeypatch.setattr(HongTuTrainer, "train_epoch",
+                            lambda trainer: epochs.append(trainer))
+        assert main(["serve", "--dataset", "products_sim", "--scale", "0.08",
+                     "--chunks", "2", "--hidden-dim", "8",
+                     "--train-epochs", "1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "bad scenario" in err and message in err
+        # the slo is the serve call's own argument: judged when it runs
+        assert len(epochs) == (flags[0] == "--slo")
+
+    def test_integral_cache_budget_float_is_bytes(self, capsys):
+        """``--cache-budget 2e9`` is 2 000 000 000 bytes."""
+        assert main(["serve", "--dataset", "products_sim", "--scale", "0.08",
+                     "--rate", "30", "--duration", "0.2", "--chunks", "2",
+                     "--hidden-dim", "8", "--train-epochs", "1",
+                     "--cache-budget", "2e9"]) == 0
+        out = capsys.readouterr().out
+        assert "budget in use" in out
+        assert "0 warm cache pair(s)" not in out
+
     def test_train_joint_placement(self, capsys):
         assert main(["train", "--dataset", "it2004_sim", "--scale", "0.08",
                      "--epochs", "1", "--nodes", "2", "--gpus", "4",

@@ -26,7 +26,8 @@ from repro.hardware import (
     NetworkTopology,
 )
 from repro.runtime import CHANNELS, EventScheduler, TransitionBuffers
-from repro.runtime.scheduler import WaveRecorder
+from repro.runtime.scheduler import WaveRecorder, _prepare
+from repro.runtime.task import HOST_DEVICE
 from scheduler_oracle import (
     OracleScheduler,
     reference_breakdown,
@@ -611,6 +612,124 @@ class TestVectorizedScheduler:
         assert batched.tasks[5].start == batched.tasks[3].end
         assert batched.makespan == single.makespan
         batched.validate()
+
+
+class TestChainWaves:
+    """A wave of several tasks on one device, with no extras and no
+    holds, is timed as one queue recurrence — a running sum from the
+    first task's start — not as one run per task: the same start, end,
+    ``blocked_by`` and busy seconds as the one-task-at-a-time oracle,
+    submitted directly or replayed from a program."""
+
+    SECONDS = {
+        "dyadic": [0.5, 0.25, 1.0, 0.125],
+        # a running sum of these rounds differently from a pairwise one
+        "inexact": [0.1, 0.2, 0.3, 0.7, 1e-17, 0.3],
+        # ends equal to the barrier: no task is blocked by its predecessor
+        "zeros_at_barrier": [0.0, 0.0, 0.5, 0.0, 0.0],
+    }
+    #: (channel, device) of the chain; the gate sits on another queue
+    QUEUES = [("cpu", HOST_DEVICE), ("net", -5)]
+
+    def _scheduler(self, scheduler_cls, queue, frontier, barrier, common,
+                   seconds, replay):
+        """Prefix, then the chain; returns the scheduler."""
+        channel, device = queue
+        scheduler = scheduler_cls()
+        if frontier:  # the chain's queue is busy until 0.75
+            scheduler.submit(channel, device, 0.75)
+        gate = scheduler.submit("gpu", 0, 2.0 if common == "late" else 0.25)
+        if barrier:
+            scheduler.barrier()
+        deps = None if common is None else [gate.task_id]
+        devices = [device] * len(seconds)
+        if replay:
+            recorder = WaveRecorder(num_external=1)
+            recorder.submit_batch(
+                channel, seconds, devices=devices,
+                deps=None if common is None else recorder.external)
+            scheduler.submit_program(recorder.finish(), [gate.task_id])
+        else:
+            scheduler.submit_batch(channel, devices, seconds,
+                                   common_deps=deps)
+        scheduler.submit("gpu", 1, 0.5, deps=[scheduler.num_tasks - 1])
+        return scheduler
+
+    @pytest.mark.parametrize("replay", [False, True],
+                             ids=["submitted", "replayed"])
+    @pytest.mark.parametrize("barrier", [False, True],
+                             ids=["no_barrier", "barrier"])
+    @pytest.mark.parametrize("frontier", [False, True],
+                             ids=["idle_queue", "busy_queue"])
+    @pytest.mark.parametrize("common", [None, "early", "late"])
+    @pytest.mark.parametrize("name", sorted(SECONDS))
+    @pytest.mark.parametrize("queue", QUEUES, ids=["host", "net_link"])
+    def test_chain_equals_oracle(self, queue, name, common, frontier,
+                                 barrier, replay):
+        seconds = self.SECONDS[name]
+        fast, slow = (self._scheduler(cls, queue, frontier, barrier, common,
+                                      seconds, replay)
+                      for cls in (EventScheduler, OracleScheduler))
+        n = fast.num_tasks
+        for column in ("_start", "_end", "_blocked"):
+            assert getattr(fast, column)[:n].tolist() == \
+                getattr(slow, column)[:n].tolist(), column
+        assert fast.busy_by_channel() == slow.busy_by_channel()
+        assert [task.task_id for task in fast.critical_path()] == \
+            [task.task_id for task in slow.critical_path()]
+        fast.validate()
+        blocked = [task.blocked_by for task in fast.tasks[-len(seconds):]]
+        if name == "zeros_at_barrier" and barrier and not frontier:
+            assert blocked[1] is None  # end == barrier: no blocker
+
+    @pytest.mark.parametrize("replay", [False, True],
+                             ids=["submitted", "replayed"])
+    def test_chain_is_one_array_step(self, replay, monkeypatch):
+        """The recurrence replaces the per-task runs: one ``_schedule``
+        call for the whole wave, however many tasks it has."""
+        calls = []
+        step = EventScheduler._schedule
+        monkeypatch.setattr(
+            EventScheduler, "_schedule",
+            lambda self, *args: calls.append(args) or step(self, *args))
+        self._scheduler(EventScheduler, ("cpu", HOST_DEVICE), True, False,
+                        "late", [0.25] * 100, replay)
+        assert len(calls) == 4  # busy queue, gate, the chain, the tail
+
+    def test_what_is_a_chain(self):
+        """Only one device, no extras, no holds: anything else keeps the
+        run-by-run step (tested against the oracle above)."""
+        def wave(devices, extras=None, holds=None):
+            return _prepare("gpu", devices, [1.0] * len(devices), None,
+                            extras, holds)[0]
+
+        assert wave([3, 3, 3]).chain and wave([3, 3, 3]).runs is None
+        assert not wave([3]).chain  # a wave of one
+        assert not wave([3, 1, 3]).chain and wave([3, 1, 3]).runs
+        assert not wave([3, 3], extras=[None, [0]]).chain
+        assert not wave([3, 3], holds=[[("core", 0.5)], []]).chain
+        assert wave([3, 3], holds=[[], []]).chain  # no hold at all
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 300, 4308])
+    def test_capacity_is_the_same_whatever_the_wave_sizes(self, n):
+        """Capacity after ``n`` tasks is a power of two (at least the
+        initial 64), whether they came in one wave, one at a time or
+        in random cuts — a large first wave starts no ladder of its own."""
+        rng = np.random.default_rng(n)
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, 5),
+                                  replace=False)) if n > 1 else []
+        expected = max(64, 1 << (n - 1).bit_length())
+        for sizes in ([n], [1] * n, np.diff([0, *cuts, n]).tolist()):
+            scheduler = EventScheduler()
+            for size in sizes:
+                scheduler.submit_batch("gpu", np.arange(size),
+                                       np.ones(size))
+            assert scheduler.num_tasks == n
+            for column in ("_start", "_end", "_seconds", "_nbytes",
+                           "_device", "_channel_idx", "_blocked",
+                           "_phase_of"):
+                assert len(getattr(scheduler, column)) == expected, column
+            assert len(scheduler._extra_off) == expected + 1
 
 
 class TestWavePrograms:

@@ -10,11 +10,13 @@ NaN-free percentile edge cases.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.core import HongTuConfig, HongTuTrainer
-from repro.errors import ServingError
+from repro.errors import ConfigurationError, ServingError
 from repro.gnn import build_model
 from repro.graph import load_dataset
 from repro.hardware import (
@@ -24,9 +26,12 @@ from repro.hardware import (
     EventTimeline,
     MultiGPUPlatform,
 )
+from repro.runtime import CHANNELS
 from repro.runtime.scheduler import EventScheduler
+from repro.runtime.task import HOST_DEVICE
 from repro.scenario import ClusterArgs
 from scheduler_oracle import timeline_state
+from serving_reference import ReferenceServingEngine
 from repro.serving import (
     ArrivalProcess,
     BurstyArrivals,
@@ -385,6 +390,74 @@ def assert_same_horizon(result, reference, skip=()):
         assert key in skip or ours[key] == theirs[key], key
 
 
+def queue_intervals(timeline) -> dict:
+    """(channel, device) -> that queue's sorted (start, end) pairs."""
+    queues = {}
+    for task in timeline.scheduler.tasks:
+        queues.setdefault((task.channel, task.device), []).append(
+            (task.start, task.end))
+    return {queue: sorted(pairs) for queue, pairs in queues.items()}
+
+
+def assert_matches_reference(result, reference):
+    """``result`` (admission as one wave) against the per-batch loop's
+    horizon: equal in everything but the declared differences, which
+    are pinned here."""
+    for spec in fields(ServeResult):
+        if spec.name == "timeline":
+            continue
+        ours, theirs = (getattr(r, spec.name) for r in (result, reference))
+        if isinstance(ours, np.ndarray):
+            assert ours.dtype == theirs.dtype, spec.name
+            assert ours.tolist() == theirs.tolist(), spec.name
+        else:
+            assert ours == theirs, spec.name
+    new, old = result.timeline, reference.timeline
+    assert queue_intervals(new) == queue_intervals(old)
+    assert new.busy_view() == old.busy_view()
+    assert new.bytes_view() == old.bytes_view()
+    assert [(task.channel, task.device, task.start, task.end)
+            for task in new.scheduler.critical_path()] == \
+        [(task.channel, task.device, task.start, task.end)
+         for task in old.scheduler.critical_path()]
+    new.validate()
+    # Declared: the admission tasks are ids 0 .. B-1, one phase "admit"
+    # listing no dependency (the host queue orders them); the loop gave
+    # each batch its own phase, depending on the previous admission.
+    num_batches = len(result.batch_sizes)
+    admit = np.flatnonzero(
+        old.scheduler.columns().channel == CHANNELS.index("cpu"))
+    assert len(admit) == num_batches
+    ours, theirs = new.scheduler.tasks, old.scheduler.tasks
+    assert [task.device for task in ours[:num_batches]] == \
+        [HOST_DEVICE] * num_batches
+    assert {task.label for task in ours[:num_batches]} <= {"admit"}
+    assert all(task.label != "admit" for task in ours[num_batches:])
+    assert [task.deps for task in ours[:num_batches]] == \
+        [()] * num_batches
+    assert [theirs[a].label for a in admit] == \
+        [f"admit[{b}]" for b in range(num_batches)]
+    assert [theirs[a].deps for a in admit] == \
+        [()] + [(int(a),) for a in admit[:-1]]
+    for task, a in zip(ours[:num_batches], admit):  # same times, blocker
+        twin = theirs[a]
+        assert (task.seconds, task.start, task.end) == \
+            (twin.seconds, twin.start, twin.end)
+        blocker = twin.blocked_by
+        assert task.blocked_by == (
+            None if blocker is None else int(np.searchsorted(admit, blocker)))
+    # Declared: breakdown["cpu"] is the longest admission gap (one
+    # phase), not the gaps' sum; every other channel is unchanged.
+    gaps = [task.seconds for task in ours[:num_batches]]
+    one_wave, per_batch = new.breakdown.as_dict(), old.breakdown.as_dict()
+    assert one_wave.pop("cpu") == max(gaps, default=0.0)
+    total = 0.0
+    for gap in gaps:  # one phase per batch, charged in order
+        total += gap
+    assert per_batch.pop("cpu") == total
+    assert one_wave == per_batch
+
+
 SCENARIOS = {
     "flat": dict(),
     "spine_x2": dict(topology="spine", oversubscription=2.0),
@@ -524,6 +597,73 @@ class TestWaveProgramServing:
         assert (replayed.cache_evictions > 0) == (label == "c")
         assert_same_horizon(replayed, direct)
         replayed.timeline.validate()
+
+    @pytest.mark.parametrize("oracle", [False, True],
+                             ids=["array_step", "oracle"])
+    @pytest.mark.parametrize("label", sorted(BENCH_HORIZONS))
+    def test_benchmark_horizons_equal_the_per_batch_loop(
+            self, bench_trainer, label, oracle, install_scheduler_oracle):
+        """Admission as one wave, completions read once: the horizon the
+        per-batch loop of ``tests/serving_reference.py`` leaves, up to
+        the declared differences."""
+        if oracle:
+            install_scheduler_oracle()
+        kind, policy, policy_args, share = self.BENCH_HORIZONS[label]
+        warm_bytes = bench_trainer.serving_engine().cache_bytes
+        budget = None if share is None else max(1, int(warm_bytes * share))
+        result, reference = (
+            cls(bench_trainer, cache_budget_bytes=budget).serve(
+                build_arrivals(kind, 4000.0, 0.03, seed="abc".index(label),
+                               burst_size=8),
+                build_policy(policy, **policy_args), slo=0.5e-3)
+            for cls in (ServingEngine, ReferenceServingEngine))
+        assert result.num_requests > 50
+        assert (result.cache_evictions > 0) == (label == "c")
+        assert_matches_reference(result, reference)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scenarios_equal_the_per_batch_loop(self, graph, name):
+        trainer = self.make_trainer(graph, **SCENARIOS[name])
+        warm_bytes = ServingEngine(trainer).cache_bytes
+        budget = warm_bytes * 2 // 3 if name == "evicting_budget" else None
+        engines = [cls(trainer, cache_budget_bytes=budget)
+                   for cls in (ServingEngine, ReferenceServingEngine)]
+        for engine in engines:
+            for pair in list(engine._cache)[::2]:
+                engine._cache_bytes -= engine._cache.pop(pair)
+        result, reference = (self.horizon(engine) for engine in engines)
+        assert result.cache_hits > 0 and result.cache_misses > 0
+        assert max(result.batch_sizes) > 1
+        assert_matches_reference(result, reference)
+        assert list(engines[0]._cache.items()) == \
+            list(engines[1]._cache.items())
+
+    def test_one_admission_wave_and_one_read(self, bench_trainer,
+                                             monkeypatch):
+        """The work bound: per horizon one admission ``submit_batch``
+        and one ``ends_of`` (every group's completion in one gather),
+        per ``(batch, column)`` group one ``submit_program``."""
+        calls = {"submit_batch": 0, "submit_program": 0, "ends_of": 0}
+        for name in calls:
+            method = getattr(EventScheduler, name)
+
+            def counted(self, *args, _name=name, _method=method, **kw):
+                calls[_name] += 1
+                return _method(self, *args, **kw)
+
+            monkeypatch.setattr(EventScheduler, name, counted)
+        policy = build_policy("size", batch_size=8)
+        engine = bench_trainer.serving_engine()
+        result = engine.serve(
+            build_arrivals("bursty", 4000.0, 0.03, seed=1, burst_size=8),
+            policy, slo=0.5e-3)
+        groups = {(b, int(result.columns[r]))
+                  for b, batch in enumerate(policy.admit(result.arrivals))
+                  for r in batch.requests}
+        assert len(result.batch_sizes) > 1
+        assert len(groups) > len(result.batch_sizes)  # batches span columns
+        assert calls == {"submit_batch": 1, "submit_program": len(groups),
+                         "ends_of": 1}
 
     def test_rates_version_bump_drops_the_programs(self, graph):
         """A fault applied between two horizons re-prices every second:
@@ -680,3 +820,41 @@ class TestServingEngine:
         engine = ServingEngine(trainer)
         with pytest.raises(ServingError):
             engine.serve(FixedArrivals([0.0]), ImmediatePolicy(), slo=slo)
+
+    @pytest.fixture(scope="class")
+    def trainer(self):
+        return make_trainer()
+
+    @pytest.mark.parametrize("budget", [
+        float("nan"), float("inf"), True, 2.5, 8.0, "10", 0, -3,
+        np.float64(64.0), np.bool_(True)])
+    def test_rejects_a_budget_that_is_no_positive_integer(self, trainer,
+                                                          budget):
+        """``nan`` used to be accepted and act as unbounded; ``inf``,
+        ``True`` and ``2.5`` were accepted too, ``"10"`` raised a stray
+        ``TypeError``."""
+        with pytest.raises(ConfigurationError, match="cache_budget_bytes"):
+            ServingEngine(trainer, cache_budget_bytes=budget)
+
+    @pytest.mark.parametrize("budget", [None, 1, np.int64(4096), 10**12])
+    def test_accepts_none_or_a_positive_integer_budget(self, trainer,
+                                                       budget):
+        engine = ServingEngine(trainer, cache_budget_bytes=budget)
+        assert engine.cache_budget_bytes == budget
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", True, float("nan"),
+                                      np.float64(2.0)])
+    def test_rejects_a_column_seed_that_is_no_integer(self, trainer, seed):
+        """``-1`` used to raise a stray ``ValueError``, ``1.5`` and
+        ``"x"`` a stray ``TypeError``."""
+        with pytest.raises(ServingError, match="column_seed"):
+            ServingEngine(trainer).serve(FixedArrivals([0.0]),
+                                         ImmediatePolicy(), column_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(7)])
+    def test_accepts_an_integer_column_seed(self, trainer, seed):
+        result = ServingEngine(trainer).serve(
+            FixedArrivals([0.0, 0.1]), ImmediatePolicy(), column_seed=seed)
+        expected = np.random.default_rng(int(seed)).integers(
+            trainer.plan.num_batches, size=2)
+        assert result.columns.tolist() == expected.tolist()
