@@ -18,6 +18,10 @@ simulated :class:`~repro.errors.DeviceOutOfMemoryError` into the literal
 ``"OOM"`` cell the paper's tables print, and
 :func:`capacity_limited_platform` shrinks GPU memory so those OOMs appear
 at the paper's relative working-set sizes.
+
+A paper claim is stated once, here, as a function from measurements to
+named verdicts (:func:`table8_claims`); its bench asserts every verdict
+at bench scale and ``tests/test_paper_claims.py`` at a tiny one.
 """
 
 from __future__ import annotations
@@ -25,19 +29,22 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
+from repro.comm import DedupVolumes, measure_volumes, reorganize_partition
 from repro.core.memory_model import estimate_for_model
 from repro.errors import DeviceOutOfMemoryError
+from repro.graph import load_dataset
 from repro.hardware.clock import TimeBreakdown
 from repro.hardware.platform import MultiGPUPlatform
 from repro.hardware.spec import A100_SERVER, PlatformSpec
+from repro.partition import two_level_partition
 from repro.scenario import ClusterArgs
 
 __all__ = ["emit", "emit_json", "fleet_scenario", "paper_model",
            "RunOutcome", "run_or_oom", "speedup_vs",
            "capacity_limited_platform", "RESULTS_DIR", "BENCH_SCALE",
-           "CI_STEP"]
+           "CI_STEP", "TABLE8_CHUNKS", "table8_volumes", "table8_claims"]
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -150,6 +157,44 @@ def capacity_limited_platform(graph, model,
     capacity = max(int(estimate.total_bytes * capacity_fraction), 1)
     spec = base.with_gpu_memory(capacity)
     return MultiGPUPlatform(spec, num_gpus=num_gpus)
+
+
+#: Table 8's graphs → chunks per GPU, scaled from the paper's 8/32/32
+TABLE8_CHUNKS = {"it2004_sim": 8, "papers_sim": 16, "friendster_sim": 16}
+
+
+def table8_volumes(scale: float) -> Dict[str, DedupVolumes]:
+    """Eq. 4 volumes of each Table 8 graph on 4 GPUs after Algorithm 4."""
+    volumes = {}
+    for dataset, chunks in TABLE8_CHUNKS.items():
+        partition = two_level_partition(load_dataset(dataset, scale=scale),
+                                        4, chunks, seed=0)
+        volumes[dataset] = measure_volumes(
+            reorganize_partition(partition).partition)
+    return volumes
+
+
+def table8_claims(volumes: Dict[str, DedupVolumes]) -> Dict[str, bool]:
+    """Table 8's claims over :func:`table8_volumes`, by name.
+
+    Dedup removes the paper's 25-71 % of host-GPU rows (a 20 % floor at
+    stand-in scale), each stage strictly shrinks the volume, and the
+    locality-rich citation graph leans on intra-GPU reuse more than the
+    web graph does, in rows per vertex.
+    """
+    claims = {}
+    for dataset, measured in volumes.items():
+        claims[f"{dataset}: reduction > 0.20"] = \
+            measured.reduction_fraction > 0.20
+        claims[f"{dataset}: v_ori > v_p2p > v_ru"] = \
+            measured.v_ori > measured.v_p2p > measured.v_ru
+
+    def reuse(dataset):
+        return volumes[dataset].intra_gpu_dedup / volumes[dataset].num_vertices
+
+    claims["papers_sim reuses more per vertex than it2004_sim"] = \
+        reuse("papers_sim") > reuse("it2004_sim")
+    return claims
 
 
 def emit_json(name: str, metrics: dict,

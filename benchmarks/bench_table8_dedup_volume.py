@@ -11,16 +11,18 @@ deduplicate in absolute terms.
 """
 
 from repro.bench import format_bytes, render_table
-from repro.comm import measure_volumes, reorganize_partition
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.graph import load_dataset
 from repro.hardware import A100_SERVER, MultiGPUPlatform
-from repro.partition import two_level_partition
 
-from benchmarks._common import BENCH_SCALE, emit, paper_model
-
-#: chunks per partition, scaled from the paper's 8/32/32 (GCN column)
-CONFIGS = [("it2004_sim", 8), ("papers_sim", 16), ("friendster_sim", 16)]
+from benchmarks._common import (
+    BENCH_SCALE,
+    TABLE8_CHUNKS,
+    emit,
+    paper_model,
+    table8_claims,
+    table8_volumes,
+)
 
 PAPER_ROWS = {
     "it2004_sim": "paper: 1.6 | 0.26 (16.2%) | 0.15 (9.2%)",
@@ -29,19 +31,9 @@ PAPER_ROWS = {
 }
 
 
-def measure():
-    results = {}
-    for dataset, chunks in CONFIGS:
-        graph = load_dataset(dataset, scale=BENCH_SCALE)
-        partition = two_level_partition(graph, 4, chunks, seed=0)
-        partition = reorganize_partition(partition).partition
-        results[dataset] = measure_volumes(partition)
-    return results
-
-
 def build_table(results):
     rows = []
-    for dataset, chunks in CONFIGS:
+    for dataset, chunks in TABLE8_CHUNKS.items():
         volumes = results[dataset]
         normalized = volumes.normalized()
         inter_pct = 100 * volumes.inter_gpu_dedup / volumes.v_ori
@@ -65,7 +57,7 @@ def build_table(results):
 def measure_executed_traffic():
     """Per-epoch executed bytes with the H2D/D2H directions split out."""
     results = {}
-    for dataset, chunks in CONFIGS:
+    for dataset, chunks in TABLE8_CHUNKS.items():
         graph = load_dataset(dataset, scale=BENCH_SCALE)
         model = paper_model("gcn", graph, 2, 128, seed=1)
         trainer = HongTuTrainer(
@@ -78,7 +70,7 @@ def measure_executed_traffic():
 
 def build_traffic_table(results):
     rows = []
-    for dataset, chunks in CONFIGS:
+    for dataset, chunks in TABLE8_CHUNKS.items():
         result = results[dataset]
         rows.append([
             dataset, chunks,
@@ -94,26 +86,18 @@ def build_traffic_table(results):
 
 
 def bench_table8_dedup_volume(benchmark):
-    results = benchmark.pedantic(measure, rounds=1, iterations=1)
+    results = benchmark.pedantic(table8_volumes, args=(BENCH_SCALE,),
+                                 rounds=1, iterations=1)
     emit("table8_dedup_volume", build_table(results))
     traffic = measure_executed_traffic()
     emit("table8_executed_traffic", build_traffic_table(traffic))
-    for dataset, _ in CONFIGS:
+    for dataset in TABLE8_CHUNKS:
         # The directional split must be real: both directions carry bytes,
         # and their sum is the pre-split combined figure.
         result = traffic[dataset]
         assert result.h2d_bytes > 0 and result.d2h_bytes > 0
         assert result.pcie_bytes == result.h2d_bytes + result.d2h_bytes
 
-    for dataset, _ in CONFIGS:
-        volumes = results[dataset]
-        # The paper's headline: 25-71 % of host-GPU rows eliminated. Allow a
-        # slightly wider floor at stand-in scale.
-        assert volumes.reduction_fraction > 0.20
-        assert volumes.v_ori > volumes.v_p2p > volumes.v_ru
-    # Locality-rich citation graph leans on intra-GPU reuse more than the
-    # web graph does in absolute normalized volume.
-    assert results["papers_sim"].intra_gpu_dedup / \
-        results["papers_sim"].num_vertices > \
-        results["it2004_sim"].intra_gpu_dedup / \
-        results["it2004_sim"].num_vertices
+    claims = table8_claims(results)
+    assert all(claims.values()), \
+        [name for name, held in claims.items() if not held]

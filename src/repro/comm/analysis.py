@@ -66,28 +66,23 @@ class DedupVolumes:
 
 
 def measure_volumes(partition: TwoLevelPartition) -> DedupVolumes:
-    """Compute the (v_ori, v_p2p, v_ru) triple for ``partition``."""
-    m = partition.num_partitions
-    n = partition.num_chunks
+    """Compute the (v_ori, v_p2p, v_ru) triple for ``partition``.
 
-    v_ori = 0
-    v_p2p = 0
-    v_ru = 0
+    Each batch union U_j is one bool mark per vertex.
+    """
+    v_ori = v_p2p = v_ru = 0
     union_sizes: List[int] = []
-    previous_union: np.ndarray | None = None
-
-    for j in range(n):
-        needed = [partition.chunks[i][j].neighbor_global for i in range(m)]
-        v_ori += sum(len(s) for s in needed)
-        union = np.unique(np.concatenate(needed))
-        v_p2p += len(union)
-        union_sizes.append(len(union))
-        if previous_union is None:
-            v_ru += len(union)
-        else:
-            overlap = np.intersect1d(union, previous_union, assume_unique=True)
-            v_ru += len(union) - len(overlap)
-        previous_union = union
+    previous = np.zeros(partition.graph.num_vertices, dtype=bool)
+    for batch in zip(*partition.chunks):
+        needed = [chunk.neighbor_global for chunk in batch]
+        union = np.zeros_like(previous)
+        union[np.concatenate(needed)] = True
+        size = np.count_nonzero(union)
+        v_ori += sum(len(rows) for rows in needed)
+        v_p2p += size
+        v_ru += size - np.count_nonzero(union & previous)
+        union_sizes.append(size)
+        previous = union
 
     return DedupVolumes(
         v_ori=v_ori, v_p2p=v_p2p, v_ru=v_ru,

@@ -47,8 +47,17 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 from repro.comm.analysis import DedupVolumes
-from repro.comm.cost_model import ClusterCostModel, CommCostModel
-from repro.comm.reorganize import ReorganizationResult, reorganize_partition
+from repro.comm.cost_model import (
+    ALLREDUCE_ALGORITHMS,
+    ClusterCostModel,
+    CommCostModel,
+)
+from repro.comm.reorganize import (
+    ReorganizationResult,
+    _require_count,
+    _require_size,
+    reorganize_partition,
+)
 from repro.partition.placement import PlacementResult, search_placement
 from repro.partition.two_level import TwoLevelPartition
 
@@ -184,16 +193,19 @@ def joint_placement(partition: TwoLevelPartition, num_nodes: int,
     re-balancer's path): every search step refuses the named nodes and
     balances over the survivors, and the reorganization prices the
     evacuating placements it is handed.
+
+    Every scalar is checked before the first search: a malformed one
+    raises :class:`~repro.errors.ConfigurationError` naming it.
     """
-    if num_nodes < 2:
+    # With one node both axes are no-ops.
+    _require_count("num_nodes", num_nodes, 2)
+    _require_size("row_bytes", row_bytes)
+    _require_count("max_iterations", max_iterations, 1)
+    _require_size("allreduce_bytes", allreduce_bytes, allow_zero=True)
+    if allreduce_algorithm not in ALLREDUCE_ALGORITHMS:
         raise ConfigurationError(
-            "joint placement iteration needs a multi-node cluster; "
-            "with one node both axes are no-ops"
-        )
-    if max_iterations < 1:
-        raise ConfigurationError(
-            f"max_iterations must be >= 1, got {max_iterations}"
-        )
+            f"allreduce_algorithm must be one of {ALLREDUCE_ALGORITHMS}, "
+            f"got {allreduce_algorithm!r}")
 
     placement = seed_placement
     current = partition

@@ -26,6 +26,10 @@ whichever layout (original, greedy, net-aware) minimizes the combined
 Eq. 4 + net cost, so the reorganization shrinks network halos, not just
 PCIe traffic.
 
+The greedy phases run on vertex marks (a batch union is a row of one
+``(n, V)`` bool table), never on Python sets, and every tie goes to the
+lowest chunk or batch id.
+
 ``reorganize_partition`` returns a new :class:`TwoLevelPartition` — an
 ordering of the input's chunk objects, never copies: Algorithm 4 moves a
 chunk to another schedule slot, not its content — plus what the guard
@@ -36,8 +40,10 @@ preprocessing overhead is the caller's wall clock around the call
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from numbers import Integral, Real
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,32 +142,29 @@ def reorganize_partition(partition: TwoLevelPartition,
     objective and guard price halo rows against the *actual* assignment
     the executor will route with (``dead_nodes`` admits evacuating
     placements that leave faulted nodes empty).
+
+    A ``row_bytes`` that is not a finite real > 0 or a ``num_nodes`` that
+    is not an integer >= 1 raises ``ConfigurationError`` before any work.
     """
-    if not row_bytes > 0:
-        raise ConfigurationError(
-            f"row_bytes must be > 0 (it prices every guard cost), got "
-            f"{row_bytes}"
-        )
+    _require_size("row_bytes", row_bytes)  # it prices every guard cost
+    _require_count("num_nodes", num_nodes, 1)
     m = partition.num_partitions
     n = partition.num_chunks
-
-    neighbor_sets: List[List[Set[int]]] = [
-        [set(partition.chunks[i][j].neighbor_global.tolist()) for j in range(n)]
-        for i in range(m)
-    ]
+    neighbors = [[chunk.neighbor_global for chunk in row]
+                 for row in partition.chunks]
 
     # Candidate layouts as (grid, batch order): the input, the paper's
     # greedy one and, on a cluster, the net-aware one.
     net_aware = cluster_model is not None and num_nodes > 1
     layouts: List[Tuple[List[List[int]], List[int]]] = [
         ([list(range(n)) for _ in range(m)], list(range(n))),
-        _paper_greedy(neighbor_sets),
+        _paper_greedy(neighbors, partition.graph.num_vertices),
     ]
     if net_aware:
         node_map = partition_nodes(m, num_nodes, placement,
                                    max_imbalance=None, dead_nodes=dead_nodes)
         layouts.append((_reuse_chain_grid(
-            partition, neighbor_sets, node_map,
+            neighbors, node_map, node_map[partition.assignment],
             _remote_row_weight(cost_model, cluster_model, row_bytes),
         ), list(range(n))))
     candidates = [partition] + [_materialize(partition, grid, order)
@@ -181,8 +184,7 @@ def reorganize_partition(partition: TwoLevelPartition,
         # candidate's.
         cross = node_map[:, None] != node_map[None, :]
         fetch = partition_halo_matrix(partition)
-        rows = [int((fetch + 2 * partition_load_matrix(candidate))[cross]
-                    .sum())
+        rows = [int((fetch + 2 * partition_load_matrix(candidate))[cross].sum())
                 for candidate in candidates]
         net_seconds = [cluster_model.halo_volume_seconds(count * row_bytes)
                        for count in rows]
@@ -213,45 +215,60 @@ def reorganize_partition(partition: TwoLevelPartition,
     )
 
 
+def _require_size(name: str, value, allow_zero: bool = False) -> None:
+    """``value`` is a finite real, not a bool, > 0 (>= 0 if ``allow_zero``)."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not 0 <= value < math.inf or (value == 0 and not allow_zero)):
+        raise ConfigurationError(f"{name} must be a finite number "
+                                 f"{'>=' if allow_zero else '>'} 0, got {value!r}")
+
+
+def _require_count(name: str, value, minimum: int) -> None:
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or value < minimum):
+        raise ConfigurationError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _take_best(remaining: List[int], scores: Iterable[float]) -> int:
+    """Pop the lowest ``remaining`` id of top score; ``scores`` follows the
+    ascending ``remaining`` lazily, so a lone candidate is not scored."""
+    at = 0 if len(remaining) == 1 else int(np.argmax(list(scores)))
+    return remaining.pop(at)
+
+
 # ----------------------------------------------------------------------
 # the paper's two greedy phases (net-blind)
 # ----------------------------------------------------------------------
-def _paper_greedy(neighbor_sets: Sequence[Sequence[Set[int]]]
-                  ) -> Tuple[List[List[int]], List[int]]:
+def _paper_greedy(neighbors: Sequence[Sequence[np.ndarray]],
+                  num_vertices: int) -> Tuple[List[List[int]], List[int]]:
     """Phases 1 and 2 of Algorithm 4 exactly as the paper states them."""
-    m = len(neighbor_sets)
-    n = len(neighbor_sets[0])
+    n = len(neighbors[0])
 
     # ---- Phase 1: per-partition chunk-to-batch assignment -----------------
-    # grid[i][j] = original chunk id of partition i assigned to batch j.
-    grid: List[List[int]] = [[j for j in range(n)]]  # partition 0 fixed
-    unions: List[Set[int]] = [set(neighbor_sets[0][j]) for j in range(n)]
-    for i in range(1, m):
-        remaining = set(range(n))
-        row: List[int] = [0] * n
-        for j in range(n):
-            best_k, best_overlap = -1, -1
-            for k in sorted(remaining):
-                overlap = len(neighbor_sets[i][k] & unions[j])
-                if overlap > best_overlap:
-                    best_k, best_overlap = k, overlap
-            row[j] = best_k
-            unions[j] |= neighbor_sets[i][best_k]
-            remaining.discard(best_k)
+    # grid[i][j] = original chunk id of partition i assigned to batch j;
+    # unions[j] marks batch j's running transition union.
+    grid: List[List[int]] = [list(range(n))]  # partition 0 fixed
+    unions = np.zeros((n, num_vertices), dtype=bool)
+    for union, needed in zip(unions, neighbors[0]):
+        union[needed] = True
+    for chunks in neighbors[1:]:
+        remaining = list(range(n))
+        row: List[int] = []
+        for union in unions:
+            k = _take_best(remaining, (np.count_nonzero(union[chunks[c]])
+                                       for c in remaining))
+            union[chunks[k]] = True
+            row.append(k)
         grid.append(row)
 
     # ---- Phase 2: batch ordering ------------------------------------------
     order: List[int] = [0]
-    remaining = set(range(1, n))
+    remaining = list(range(1, n))
     while remaining:
-        previous_union = unions[order[-1]]
-        best_k, best_overlap = -1, -1
-        for k in sorted(remaining):
-            overlap = len(unions[k] & previous_union)
-            if overlap > best_overlap:
-                best_k, best_overlap = k, overlap
-        order.append(best_k)
-        remaining.discard(best_k)
+        previous = unions[order[-1]]
+        order.append(_take_best(remaining, (
+            np.count_nonzero(unions[k] & previous) for k in remaining)))
     return grid, order
 
 
@@ -276,10 +293,9 @@ def _remote_row_weight(cost_model: Optional[CommCostModel],
     return 1.0 + 2.0 * net_row / hd_row
 
 
-def _reuse_chain_grid(partition: TwoLevelPartition,
-                      neighbor_sets: Sequence[Sequence[Set[int]]],
-                      node_map: np.ndarray, weight: float
-                      ) -> List[List[int]]:
+def _reuse_chain_grid(neighbors: Sequence[Sequence[np.ndarray]],
+                      node_map: np.ndarray, vertex_nodes: np.ndarray,
+                      weight: float) -> List[List[int]]:
     """Per-partition greedy reuse chains with net-weighted overlap.
 
     Batch-to-batch reuse is independent across partitions (GPU i reuses
@@ -287,34 +303,21 @@ def _reuse_chain_grid(partition: TwoLevelPartition,
     for every partition, order its chunks so consecutive neighbor sets
     overlap maximally, scoring each shared row 1 and each shared
     *remotely-owned* row ``weight`` (> 1: a reused remote row skips the
-    network, not just PCIe). Batch order is the identity afterwards — the
-    chains already are the schedule.
+    network, not just PCIe; ``vertex_nodes[v]`` is the node owning v).
+    Batch order is the identity afterwards — the chains are the schedule.
     """
-    m = partition.num_partitions
-    n = partition.num_chunks
-    assignment = partition.assignment
-
     grid: List[List[int]] = []
-    for i in range(m):
-        home = node_map[i]
-        remote_sets = [
-            {v for v in neighbor_sets[i][j] if node_map[assignment[v]] != home}
-            for j in range(n)
-        ]
+    for home, chunks in zip(node_map, neighbors):
         row = [0]
-        remaining = set(range(1, n))
+        remaining = list(range(1, len(chunks)))
         while remaining:
-            last = row[-1]
-            best_k, best_score = -1, -1.0
-            for k in sorted(remaining):
-                score = (
-                    len(neighbor_sets[i][last] & neighbor_sets[i][k])
-                    + (weight - 1.0) * len(remote_sets[last] & remote_sets[k])
-                )
-                if score > best_score:
-                    best_k, best_score = k, score
-            row.append(best_k)
-            remaining.discard(best_k)
+            last = chunks[row[-1]]
+            shared = (np.intersect1d(last, chunks[k], assume_unique=True)
+                      for k in remaining)
+            row.append(_take_best(remaining, (
+                len(rows) + (weight - 1.0)
+                * np.count_nonzero(vertex_nodes[rows] != home)
+                for rows in shared)))
         grid.append(row)
     return grid
 

@@ -109,7 +109,7 @@ def partition_nodes(num_partitions: int, num_nodes: int,
     gpus_per_node = num_partitions // num_nodes
     if placement is None:
         return np.repeat(np.arange(num_nodes, dtype=np.int64), gpus_per_node)
-    placement = np.asarray(placement, dtype=np.int64)
+    placement = _node_ids(placement)
     if placement.shape != (num_partitions,):
         raise PartitionError(
             f"placement must assign each of the {num_partitions} partitions "
@@ -171,6 +171,29 @@ def partition_nodes(num_partitions: int, num_nodes: int,
             f"{max_imbalance} each"
         )
     return placement.copy()
+
+
+def _node_ids(placement) -> np.ndarray:
+    """``placement`` as int64 node ids, or raise :class:`PartitionError`.
+
+    A cast would truncate 0.9 to node 0, parse ``"1"`` and read ``True``
+    as node 1, and fail on NaN with a builtin error. Integral floats such
+    as ``1.0`` are node ids, the rule fault schedules apply to theirs.
+    """
+    try:
+        values = np.asarray(placement)
+    except ValueError:  # ragged
+        values = np.array([None])
+    kind = values.dtype.kind
+    integral = kind in "iu" or (kind == "f" and bool(
+        (np.isfinite(values) & (values == np.round(values))).all()))
+    # A bool entry hides in a list's integer dtype.
+    if not integral or not isinstance(placement, np.ndarray) and any(
+            isinstance(value, (bool, np.bool_))
+            for value in np.asarray(placement, dtype=object).ravel()):
+        raise PartitionError(
+            f"placement must hold integer node ids, got {placement!r}")
+    return values.astype(np.int64)
 
 
 # ----------------------------------------------------------------------

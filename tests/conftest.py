@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
+import signal
+
 import numpy as np
 import pytest
 
 from repro.graph.datasets import load_dataset, toy_graph
 from scheduler_oracle import install_scheduler_oracle  # noqa: F401 (fixture)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs past 10 s instead of letting it hang."""
+    def expire(signum, frame):
+        # No traceback: the interrupted frame may carry no line number.
+        pytest.fail("the test ran past its 10 s deadline", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0.0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

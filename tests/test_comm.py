@@ -12,9 +12,16 @@ from repro.comm import (
     measure_volumes,
     reorganize_partition,
 )
+import repro.comm.reorganize as reorganize
+from repro.comm.cost_model import ClusterCostModel
 from repro.errors import CommunicationPlanError, ConfigurationError
 from repro.graph import load_dataset
-from repro.hardware import A100_SERVER, EventTimeline, MultiGPUPlatform
+from repro.hardware import (
+    A100_CLUSTER,
+    A100_SERVER,
+    EventTimeline,
+    MultiGPUPlatform,
+)
 from repro.partition import two_level_partition
 
 MODES = [
@@ -23,6 +30,10 @@ MODES = [
     ("ru", False, True),
     ("hongtu", True, True),
 ]
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a malformed argument reached the greedy phases")
 
 
 @pytest.fixture(scope="module")
@@ -335,14 +346,34 @@ class TestReorganization:
         assert sorted(result.phase2_order) == \
             list(range(partitioned.num_chunks))
 
-    @pytest.mark.parametrize("row_bytes", [0, -4, float("nan")])
-    def test_rejects_unpriceable_row_bytes(self, partitioned, row_bytes):
+    @pytest.mark.parametrize("row_bytes", [0, -4, float("nan"),
+                                           float("inf"), "8", True, None])
+    def test_rejects_unpriceable_row_bytes(self, partitioned, row_bytes,
+                                           deadline, monkeypatch):
         """0 priced every layout at 0.0 and -4 at negative seconds: the
-        guard then compared nothing, or preferred the worst layout."""
+        guard then compared nothing, or preferred the worst layout. inf
+        made the net-aware chain's weight inf/inf = NaN, so no chunk beat
+        the first score and the chain never ended."""
+        monkeypatch.setattr(reorganize, "_paper_greedy", _no_work)
         model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
         with pytest.raises(ConfigurationError, match="row_bytes"):
             reorganize_partition(partitioned, cost_model=model,
-                                 row_bytes=row_bytes)
+                                 row_bytes=row_bytes,
+                                 cluster_model=ClusterCostModel.from_cluster(
+                                     A100_CLUSTER),
+                                 num_nodes=2)
+
+    @pytest.mark.parametrize("num_nodes", [0, -3, float("nan"), True, 2.0,
+                                           "2", None])
+    def test_rejects_non_count_num_nodes(self, partitioned, num_nodes,
+                                         monkeypatch):
+        """0, -3, NaN and True used to run net-blind without a word."""
+        monkeypatch.setattr(reorganize, "_paper_greedy", _no_work)
+        with pytest.raises(ConfigurationError, match="num_nodes"):
+            reorganize_partition(
+                partitioned,
+                cluster_model=ClusterCostModel.from_cluster(A100_CLUSTER),
+                num_nodes=num_nodes)
 
     def test_still_valid_cover(self, partitioned):
         result = reorganize_partition(partitioned)

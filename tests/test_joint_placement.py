@@ -13,6 +13,7 @@ included), and regression tests for this PR's bugfix satellites.
 import numpy as np
 import pytest
 
+import repro.comm.joint as joint_module
 from repro.autograd import SGD
 from repro.comm import (
     ClusterCostModel,
@@ -445,6 +446,34 @@ class TestJointPlacement:
         with pytest.raises(ValueError):
             joint_placement(skewed, NODES, cost_model, cluster_model,
                             max_iterations=0)
+
+    @pytest.mark.parametrize("argument,value", [
+        ("num_nodes", True), ("num_nodes", float("nan")), ("num_nodes", 2.0),
+        # inf hung the net-aware reuse chain (its weight became NaN)
+        ("row_bytes", float("inf")), ("row_bytes", "8"), ("row_bytes", True),
+        ("row_bytes", float("nan")), ("row_bytes", 0),
+        # 2.5 and NaN escaped as a TypeError, True ran one round
+        ("max_iterations", 2.5), ("max_iterations", float("nan")),
+        ("max_iterations", True),
+        # NaN and -1 were priced as zero, inf ended in an AssertionError
+        ("allreduce_bytes", float("nan")), ("allreduce_bytes", -1),
+        ("allreduce_bytes", float("inf")), ("allreduce_bytes", True),
+        ("allreduce_bytes", "1"),
+        # checked only when allreduce_bytes > 0
+        ("allreduce_algorithm", "bogus"), ("allreduce_algorithm", None),
+    ])
+    def test_malformed_scalars_rejected_before_the_first_search(
+            self, skewed, models, argument, value, deadline, monkeypatch):
+        def searched(*args, **kwargs):
+            raise AssertionError("a malformed argument reached the search")
+
+        monkeypatch.setattr(joint_module, "search_placement", searched)
+        cost_model, cluster_model = models
+        arguments = dict(num_nodes=NODES, row_bytes=512)
+        arguments[argument] = value
+        with pytest.raises(ConfigurationError, match=argument):
+            joint_placement(skewed, cost_model=cost_model,
+                            cluster_model=cluster_model, **arguments)
 
 
 def _trainer(graph, platform, partition=None, **config_kwargs):

@@ -94,6 +94,33 @@ class TestPartitionNodesPlacement:
         with pytest.raises(PartitionError):
             partition_nodes(8, 2, np.array([0, 0, 0, 0, 0, 1, 1, 1]))
 
+    @pytest.mark.parametrize("placement", [
+        [0.9, 0.2, 0.4, 0.1, 1.7, 1.1, 1.3, 1.6],  # truncated to the block
+        [0, 0, 0, 0, 1, 1, 1, 1.5],
+        np.array([0, 0, 0, 0, 1, 1, 1, 0.5]),
+        ["0", "0", "0", "0", "1", "1", "1", "1"],
+        [0, 0, 0, 0, 1, 1, 1, float("nan")],
+        [0, 0, 0, 0, 1, 1, 1, float("inf")],
+        [False] * 4 + [True] * 4,
+        [0, 0, 0, 0, 1, 1, True, 1],
+        [[0, 0, 0, 0], [1, 1, 1]],
+    ], ids=["fractions", "one_half", "array_half", "strings", "nan", "inf",
+            "bools", "one_bool", "ragged"])
+    def test_non_integer_node_ids_rejected(self, placement):
+        """A cast used to truncate or parse these into node ids."""
+        with pytest.raises(PartitionError, match="integer node ids"):
+            partition_nodes(8, 2, placement)
+        platform = ClusterPlatform(A100_CLUSTER)
+        with pytest.raises(ConfigurationError, match="integer node ids"):
+            platform.set_placement(placement)
+        assert platform.placement.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+
+    def test_integral_floats_are_node_ids(self):
+        placement = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0]
+        assert partition_nodes(8, 2, placement).tolist() \
+            == [1, 0, 0, 1, 0, 1, 1, 0]
+        assert partition_nodes(8, 2, np.array(placement)).dtype == np.int64
+
 
 class TestHaloMatrices:
     @pytest.mark.parametrize("placement", [
