@@ -27,7 +27,6 @@ timeline makespan, comparable task-for-task with the HongTu columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from repro.hardware.clock import EventTimeline
 from repro.hardware.memory import MemoryPool
 from repro.hardware.spec import CPUClusterSpec
 from repro.partition.metis import metis_partition
-from repro.runtime.task import Task, net_link
+from repro.runtime.task import net_link
 
 __all__ = ["DistGNNSimulator", "DistGNNEpochResult"]
 
@@ -115,7 +114,7 @@ class DistGNNSimulator:
         slowdown = (1.0 / self.cluster.distributed_efficiency
                     if nodes > 1 else 1.0)
 
-        previous_layer: List[Task] = []
+        previous_layer = None  # task ids the next layer waits on
         for l, layer in enumerate(self.model.layers):
             # Forward + backward + recompute ≈ 3x the layer's forward cost,
             # split evenly across nodes (METIS balances vertices/edges).
@@ -124,12 +123,12 @@ class DistGNNSimulator:
                 slowdown * layer_flops
                 / (nodes * self.cluster.compute_flops_per_node)
             )
-            compute_tasks = timeline.submit_phase(
+            compute_ids = timeline.submit_batch(
                 "cpu", [compute_seconds] * nodes,
                 devices=list(range(nodes)),
                 deps=previous_layer, label=f"cpu[l{l}]",
             )
-            previous_layer = compute_tasks
+            previous_layer = compute_ids
             if nodes > 1:
                 row_bytes = layer.in_dim * self.bytes_per_scalar
                 sync_seconds = [
@@ -137,14 +136,13 @@ class DistGNNSimulator:
                     / self.cluster.network_bandwidth
                     for node in range(nodes)
                 ]
-                sync_tasks = timeline.submit_phase(
+                previous_layer = timeline.submit_batch(
                     "net", sync_seconds,
                     devices=[net_link(node, node, nodes)
                              for node in range(nodes)],
-                    deps_by_device=compute_tasks,
+                    deps_by_device=compute_ids,
                     label=f"replica_sync[l{l}]",
                 )
-                previous_layer = sync_tasks
 
         self._epoch += 1
         peak = max(pool.peak for pool in self.node_pools)

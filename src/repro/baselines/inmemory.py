@@ -115,7 +115,7 @@ class InMemoryMultiGPUTrainer:
             volume = 2 * self._remote_rows_per_gpu[i] * row_bytes \
                 * self.comm_overhead
             d2d_seconds.append(self.platform.d2d_seconds(volume))
-        timeline.submit_phase("d2d", d2d_seconds, label="boundary_sync")
+        timeline.submit_batch("d2d", d2d_seconds, label="boundary_sync")
 
         return EpochResult(
             self._epoch, timeline, loss=loss,

@@ -157,12 +157,12 @@ def render_node_utilization(timeline, platform,
     swallowed.
     """
     num_nodes = platform.num_nodes
-    device, channel, seconds, _nbytes, _phase, used = \
-        timeline.scheduler.columns()
+    columns = timeline.scheduler.columns()
+    device, channel, seconds = columns.device, columns.channel, columns.seconds
     busy = {}
     devices = {}
     for index, column in enumerate(CHANNELS):
-        ran = used[index]  # ascending ids of the channel's devices
+        ran = columns.used[index]  # ascending ids of the channel's devices
         if column == "net":
             node = [net_link_nodes(link, num_nodes, platform.num_rails)[0]
                     if link <= NET_DEVICE_BASE else 0

@@ -44,8 +44,7 @@ classifications and halo coalescing are precomputed once, with array ops
 (:class:`PlanStatic`, one per plan + placement, shared by every
 communicator built over the pair), and every (layer, batch) call reduces
 to numpy cost expressions over all GPUs at once plus one ``submit_batch``
-wave per phase. All dependency plumbing is task-id arrays; no
-:class:`~repro.runtime.task.Task` objects are materialized on this path.
+wave per phase. All dependency plumbing is task-id arrays.
 
 Value movement is *one address space*: the m transition buffers are row
 ranges of one stacked array (:class:`~repro.runtime.buffers.TransitionBuffers`)

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.comm.cost_model import ClusterCostModel
+from repro.core.memory_model import vertex_buffer_bytes
 from repro.core.planner import plan_fleet
 from repro.errors import (
     ConfigurationError,
@@ -165,8 +166,8 @@ class ElasticController:
         trainer = self.trainer
         sizes = np.bincount(trainer.partition.assignment,
                             minlength=trainer.platform.num_gpus)
-        rows = 2 * sizes.astype(np.int64) * sum(trainer.model.dims) \
-            * trainer.config.bytes_per_scalar
+        rows = vertex_buffer_bytes(sizes.astype(np.int64), trainer.model.dims,
+                                   trainer.config.bytes_per_scalar)
         return rows + trainer.fleet.shapes.topology_bytes().sum(axis=1)
 
     def _rebalance(self, timeline: EventTimeline,

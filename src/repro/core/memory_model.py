@@ -30,7 +30,7 @@ from repro.errors import ConfigurationError
 from repro.gnn.models import GNNModel, build_model
 
 __all__ = ["MemoryEstimate", "estimate_training_memory", "estimate_for_model",
-           "partition_host_bytes", "placement_host_bytes",
+           "vertex_buffer_bytes", "partition_host_bytes", "placement_host_bytes",
            "node_host_budgets", "admits_placement"]
 
 
@@ -76,9 +76,7 @@ def estimate_for_model(num_vertices: int, num_edges: int, model: GNNModel,
     # common GNN-system layout) + 4-byte normalized weights + offsets.
     topology = num_edges * (4 + 4 + 4) + 2 * (num_vertices + 1) * 8
 
-    # Vertex data: representations and gradients of every layer.
-    dims_sum = sum(model.dims)
-    vertex = 2 * num_vertices * dims_sum * bytes_per_scalar
+    vertex = vertex_buffer_bytes(num_vertices, model.dims, bytes_per_scalar)
 
     # Intermediate data: per-layer forward workspace over the full graph.
     intermediate = intermediate_scalars(model, num_vertices, num_edges) \
@@ -89,6 +87,16 @@ def estimate_for_model(num_vertices: int, num_edges: int, model: GNNModel,
         vertex_data_bytes=int(vertex),
         intermediate_bytes=int(intermediate),
     )
+
+
+def vertex_buffer_bytes(num_vertices, dims: Sequence[int],
+                        bytes_per_scalar: int = 4):
+    """Bytes of the vertex data — h^l and ∇h^l of every layer — of
+    ``num_vertices`` vertices (an int, or an int64 array of per-partition
+    counts): ``2·|V|·Σdims·bytes_per_scalar``. The one sizing formula of
+    the Table 1 estimate, the host ``vertex_data`` reservation, the
+    admission budgets and a migrating partition's state."""
+    return 2 * num_vertices * sum(dims) * bytes_per_scalar
 
 
 # ----------------------------------------------------------------------

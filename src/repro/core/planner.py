@@ -56,7 +56,11 @@ from repro.comm.plan import CommPlan, build_comm_plan
 from repro.comm.reorganize import ReorganizationResult, reorganize_partition
 from repro.core.config import HongTuConfig
 from repro.core.costs import ChunkShapes, checkpoint_dims
-from repro.core.memory_model import node_host_budgets, partition_host_bytes
+from repro.core.memory_model import (
+    node_host_budgets,
+    partition_host_bytes,
+    vertex_buffer_bytes,
+)
 from repro.errors import ConfigurationError
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
@@ -110,18 +114,6 @@ class FleetPlan:
             allocation.free()
         self.host_allocations = []
         self.topology_allocations = []
-
-
-def _vertex_host_bytes(graph: Graph, model: GNNModel,
-                       config: HongTuConfig) -> int:
-    """Host bytes of the per-layer h/∇h vertex buffers.
-
-    The single sizing authority: both the real ``vertex_data``
-    reservation and the admission budgets use exactly this, so the two
-    can never drift apart.
-    """
-    return sum(2 * graph.num_vertices * dim * config.bytes_per_scalar
-               for dim in model.dims)
 
 
 def _admission_inputs(partition: TwoLevelPartition, model: GNNModel,
@@ -223,7 +215,8 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
     """
     nodes = platform.num_nodes
     row_bytes = max(model.dims) * config.bytes_per_scalar
-    vertex_bytes = _vertex_host_bytes(graph, model, config)
+    vertex_bytes = vertex_buffer_bytes(graph.num_vertices, model.dims,
+                                       config.bytes_per_scalar)
     cluster_model = (ClusterCostModel.from_platform(platform)
                      if nodes > 1 else None)
     policy = config.placement if nodes > 1 else "block"

@@ -34,12 +34,12 @@ and nothing is written down twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.runtime.scheduler import EventScheduler, WaveProgram, phase_wave
-from repro.runtime.task import CHANNELS, HOST_DEVICE, Task
+from repro.runtime.task import CHANNELS, HOST_DEVICE
 from repro.units import Seconds
 
 __all__ = ["TimeBreakdown", "EventTimeline"]
@@ -92,32 +92,6 @@ class EventTimeline:
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
-    def submit_phase(self, channel: str,
-                     per_device_seconds: Sequence[Seconds], *,
-                     devices: Optional[Sequence[int]] = None,
-                     deps: Sequence[Task] = (),
-                     deps_by_device: Optional[Sequence] = None,
-                     shared_by_device: Optional[Sequence] = None,
-                     label: str = "") -> List[Task]:
-        """Submit one parallel phase: one task per device.
-
-        ``deps`` apply to every task of the phase; ``deps_by_device[k]``
-        (a Task or an iterable of Tasks) additionally gates device k's task.
-        ``shared_by_device[k]`` is a sequence of ``(resource, hold)``
-        pairs device k's task occupies (topology contention — e.g. the
-        spine core). Returns the submitted tasks in device order: this is
-        :meth:`submit_batch` with the returned ids materialized as
-        :class:`~repro.runtime.task.Task` objects, for callers that
-        chain phases through Tasks (the baselines) rather than id arrays.
-        """
-        ids = self.submit_batch(
-            channel, list(per_device_seconds), devices=devices, deps=deps,
-            deps_by_device=deps_by_device, shared_by_device=shared_by_device,
-            label=label,
-        )
-        tasks = self.scheduler.tasks
-        return [tasks[task_id] for task_id in ids.tolist()]
-
     def submit_batch(self, channel: str,
                      per_device_seconds: Sequence[Seconds], *,
                      devices: Optional[Sequence[int]] = None,
@@ -129,12 +103,12 @@ class EventTimeline:
 
         The whole wave is scheduled in one array step and followed by a
         barrier under ``barrier_all``; ``nbytes[k]`` (None: none) is the
-        bytes device k's task moves. Dependencies are task-id arrays, so
-        no ``Task`` objects are materialized on the hot path. ``deps``
-        and each ``deps_by_device[k]`` entry may be id arrays, Tasks, or
-        iterables of either (``None`` entries are fine); an ``(m,)`` id
-        array as ``deps_by_device`` is one producer per device. A wave
-        the scheduler rejects raises before this timeline changes.
+        bytes device k's task moves. ``deps`` gate every task of the
+        wave and ``deps_by_device[k]`` additionally device k's: each an
+        id, an id array or an iterable of ids (``None`` entries are
+        fine); an ``(m,)`` id array as ``deps_by_device`` is one producer
+        per device. A wave the scheduler rejects raises before this
+        timeline changes.
         """
         devices, seconds = phase_wave(per_device_seconds, devices,
                                       deps_by_device)
@@ -146,6 +120,9 @@ class EventTimeline:
         if len(ids) and self.barrier_all:  # an empty wave is no phase
             self.scheduler.barrier()
         return ids
+
+    #: one parallel phase, one task per device: the same call
+    submit_phase = submit_batch
 
     def submit_program(self, program: WaveProgram,
                        external_ids=()) -> np.ndarray:
@@ -161,14 +138,13 @@ class EventTimeline:
             program, external_ids, barrier_each=self.barrier_all)
 
     def add(self, channel: str, seconds: Seconds, *,
-            device: int = HOST_DEVICE, deps: Sequence[Task] = (),
-            label: str = "") -> Task:
-        """Submit one serial task (a phase of one)."""
-        task = self.scheduler.submit(channel, device, seconds, deps=deps,
-                                     label=label)
+            device: int = HOST_DEVICE, deps=(), label: str = "") -> int:
+        """Submit one serial task (a phase of one); returns its id."""
+        task_id = self.scheduler.submit(channel, device, seconds, deps=deps,
+                                        label=label)
         if self.barrier_all:
             self.scheduler.barrier()
-        return task
+        return task_id
 
     def barrier(self) -> Seconds:
         """Global synchronization point for subsequently submitted tasks."""

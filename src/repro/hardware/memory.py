@@ -37,6 +37,10 @@ class Allocation:
 
     def resize(self, nbytes: Bytes) -> None:
         """Grow/shrink this allocation in place (e.g. a reused buffer)."""
+        if self.freed or nbytes < 0:
+            raise ConfigurationError(
+                f"cannot resize {'a freed' if self.freed else 'an'} "
+                f"{self.tag!r} allocation to {nbytes} bytes")
         delta = nbytes - self.nbytes
         if delta > 0:
             self.pool._reserve_delta(self.tag, delta)

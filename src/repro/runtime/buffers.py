@@ -12,9 +12,10 @@ order (that is what keeps the numerics bit-identical across overlap
 policies), so one copy of every GPU's rows is always sufficient for
 *values* — and the m copies live in **one** backing array, one address
 space: GPU i's buffer is the row range ``[offsets[i], offsets[i+1])`` of
-:attr:`TransitionBuffers.stacked`. A peer read in §6's engine is a load
-from another GPU's buffer at a position fixed in preprocessing; here it is
-a row of the same array at ``offsets[peer] + position``, which is what lets
+:attr:`TransitionBuffers.stacked`, ``offsets`` the plan's
+``buffer_offsets``. A peer read in §6's engine is a load from another
+GPU's buffer at a position fixed in preprocessing; here it is a row of
+the same array at ``offsets[peer] + position``, which is what lets
 the executor assemble a chunk's whole input with one gather over the plan's
 precomputed slot array instead of one read per (reader, source) pair. The
 *simulated* memory is still per GPU: each GPU's pool is charged its own
@@ -44,40 +45,21 @@ class TransitionBuffers:
     element size charged to the simulated GPU pools (4 = float32 on the
     real hardware, independent of the numpy payload dtype).
 
-    :attr:`stacked` is the one ``(sum(buffer_rows), dim)`` backing array,
-    :attr:`offsets` the ``(m + 1,)`` row offsets of the per-GPU ranges
-    (equal to the plan's ``buffer_offsets``); ``buffers[i]`` is a *view* of
-    GPU i's range, so a write through either is seen by both.
+    :attr:`stacked` is the one ``(sum(buffer_rows), dim)`` backing array;
+    GPU i's buffer is its rows from the plan's ``buffer_offsets[i]`` on.
     """
 
     def __init__(self, platform, buffer_rows: Sequence[int], dim: int,
                  dtype, bytes_per_scalar: Bytes, double_buffer: bool = False):
         self.double_buffer = double_buffer
-        self.dim = dim
         copies = 2 if double_buffer else 1
         self._allocations: List = [  # hardware.memory.Allocation handles
             platform.gpus[gpu_index].memory.alloc(
                 "transition_buffer", copies * rows * dim * bytes_per_scalar)
             for gpu_index, rows in enumerate(buffer_rows)
         ]
-        self.offsets = np.concatenate(
-            [[0], np.cumsum(buffer_rows, dtype=np.int64)])
         self.stacked: Optional[np.ndarray] = np.zeros(
-            (int(self.offsets[-1]), dim), dtype=dtype)
-        self.arrays: List[np.ndarray] = [
-            self.stacked[start:end]
-            for start, end in zip(self.offsets[:-1].tolist(),
-                                  self.offsets[1:].tolist())
-        ]
-
-    def parity(self, batch: int) -> int:
-        """Which buffer copy batch ``batch`` stages into (0 when single).
-
-        Under double buffering, batches alternate between the two copies so
-        batch j+1's prefetch never overwrites rows batch j still reads —
-        the dependency relaxation behind ``overlap="pipeline"``.
-        """
-        return batch % 2 if self.double_buffer else 0
+            (int(sum(buffer_rows)), dim), dtype=dtype)
 
     def free(self) -> None:
         """Release the simulated allocations and drop the backing array
@@ -85,11 +67,4 @@ class TransitionBuffers:
         for allocation in self._allocations:
             allocation.free()
         self._allocations = []
-        self.arrays = []
         self.stacked = None
-
-    def __len__(self) -> int:
-        return len(self.arrays)
-
-    def __getitem__(self, gpu_index: int) -> np.ndarray:
-        return self.arrays[gpu_index]

@@ -39,10 +39,9 @@ ones (seconds, bytes, device, channel, phase, dependency lists) by the
 array step's caller — one store per wave, or per replayed program — and
 start/end/``blocked_by`` by the step. They are the run's only ledger:
 busy seconds, the makespan, the Fig. 9 breakdown and the bytes per
-channel are derived from them when somebody asks.
-:class:`~repro.runtime.task.Task` objects are materialized lazily
-(``tasks``, ``critical_path()``, reporting); submission never builds one
-beyond the single ``Task`` :meth:`EventScheduler.submit` returns.
+channel are derived from them when somebody asks. They are also the only
+per-task record: a task is its id, every submit returns ids, and
+:meth:`EventScheduler.columns` hands out read-only views of the rows.
 
 There is one scheduling core: :meth:`EventScheduler.submit_batch` hands a
 whole parallel wave to the array step, :meth:`EventScheduler.submit` a
@@ -86,7 +85,6 @@ from dataclasses import dataclass
 from typing import (
     Dict,
     Hashable,
-    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -97,7 +95,7 @@ from typing import (
 import numpy as np
 
 from repro.errors import SchedulerError
-from repro.runtime.task import CHANNELS, Task
+from repro.runtime.task import CHANNELS
 from repro.units import Seconds
 
 __all__ = ["EventScheduler", "TaskColumns", "WaveProgram", "WaveRecorder",
@@ -124,22 +122,28 @@ class TaskColumns(NamedTuple):
     nbytes: np.ndarray
     #: index of each task's phase (its wave)
     phase: np.ndarray
+    #: simulated start of each task, seconds since time zero
+    start: np.ndarray
+    #: simulated end of each task (``start + seconds``)
+    end: np.ndarray
+    #: id of the task whose end (or shared-resource release) set each
+    #: task's start; -1 where a barrier or time zero did
+    blocked_by: np.ndarray
     #: per channel, ``CHANNELS`` order: ascending ids of the devices that
     #: ran at least one task on it
     used: Tuple[np.ndarray, ...]
 
 
 def task_ids(entries) -> np.ndarray:
-    """Normalize None | ndarray | Task | iterable of (Task | int) to a 1-D
-    int64 id array. A float id is rejected, never truncated onto a
-    neighbouring task; a 2-D array is rejected, never flattened."""
+    """Normalize None | one id | an iterable or array of ids to a 1-D
+    int64 id array. A float or bool id is rejected, never truncated onto
+    a neighbouring task; a 2-D array is rejected, never flattened."""
     if entries is None:
         return _NO_IDS
-    if isinstance(entries, Task):
-        return np.array([entries.task_id], dtype=np.int64)
     if not isinstance(entries, np.ndarray):
-        entries = np.asarray(
-            [e.task_id if isinstance(e, Task) else e for e in entries])
+        entries = np.asarray(entries)
+    if entries.ndim == 0:  # one bare id: what submit returns
+        entries = entries.reshape(1)
     if entries.ndim != 1:
         raise SchedulerError(
             f"task ids must form a 1-D array, got shape {entries.shape}")
@@ -547,50 +551,11 @@ class EventScheduler:
         # Makespan watermark: latest end (first max wins) and its task
         # id over tasks [0, _max_upto); _latest() folds in the rest.
         self._max_end, self._max_id, self._max_upto = 0.0, -1, 0
-        self._task_cache: Dict[int, Task] = {}
-        self._tasks_view: List[Task] = []
 
-    # ------------------------------------------------------------------
-    # lazy Task materialization
-    # ------------------------------------------------------------------
     @property
     def num_tasks(self) -> int:
-        """Tasks submitted so far (no materialization)."""
+        """Tasks submitted so far."""
         return self._n
-
-    @property
-    def tasks(self) -> List[Task]:
-        """All submitted tasks, materialized lazily and cached."""
-        view = self._tasks_view
-        while len(view) < self._n:
-            view.append(self._task(len(view)))
-        return view
-
-    def _task(self, task_id: int) -> Task:
-        cached = self._task_cache.get(task_id)
-        if cached is not None:
-            return cached
-        label, common = self._phases[int(self._phase_of[task_id])]
-        deps: Tuple[int, ...] = ()
-        if common is not None and len(common):
-            deps = tuple(common.tolist())
-        lo, hi = self._extra_off[task_id], self._extra_off[task_id + 1]
-        if hi > lo:
-            deps = deps + tuple(self._extra_flat[lo:hi].tolist())
-        blocked = int(self._blocked[task_id])
-        task = Task(
-            task_id=task_id,
-            channel=CHANNELS[int(self._channel_idx[task_id])],
-            device=int(self._device[task_id]),
-            seconds=float(self._seconds[task_id]),
-            start=float(self._start[task_id]),
-            end=float(self._end[task_id]),
-            label=label,
-            deps=deps,
-            blocked_by=None if blocked < 0 else blocked,
-        )
-        self._task_cache[task_id] = task
-        return task
 
     # ------------------------------------------------------------------
     # submission
@@ -626,8 +591,8 @@ class EventScheduler:
             )
 
     def submit(self, channel: str, device: int, seconds: Seconds,
-               deps: Iterable[Task] = (), label: str = "",
-               shared: Sequence[Tuple[Hashable, float]] = ()) -> Task:
+               deps=(), label: str = "",
+               shared: Sequence[Tuple[Hashable, float]] = ()) -> int:
         """Schedule ``seconds`` of work on ``(device, channel)``.
 
         ``seconds`` is the task's simulated duration (e.g. bytes/bandwidth
@@ -640,12 +605,13 @@ class EventScheduler:
         spine core is held only for the excess transit time). A zero hold
         never advances the resource and so never delays anyone. Must be
         called in a topological order of the dependency DAG (program
-        order suffices). ``deps`` may be Tasks or task ids; an id outside
-        ``[0, num_tasks)`` raises :class:`~repro.errors.SchedulerError`.
+        order suffices). ``deps`` is anything :func:`task_ids` accepts; an
+        id outside ``[0, num_tasks)`` raises
+        :class:`~repro.errors.SchedulerError`. Returns the task's id.
         """
         ids = self._wave(channel, [device], [seconds], deps, None,
                          label, [shared], None)  # a wave of one
-        return self._task(int(ids[0]))
+        return int(ids[0])
 
     def submit_batch(self, channel: str, devices: np.ndarray,
                      seconds: np.ndarray,
@@ -935,7 +901,9 @@ class EventScheduler:
         """
         if channel is not None and channel not in CHANNELS:
             raise SchedulerError(f"unknown channel {channel!r}")
-        if not isinstance(device, (int, np.integer, type(None))):
+        # a bool passes as an int; np.bool_ is no np.integer
+        if isinstance(device, bool) or not isinstance(
+                device, (int, np.integer, type(None))):
             raise SchedulerError(
                 f"device must be an integer id, got {device!r}")
         channels = ([_CHANNEL_INDEX[channel]] if channel is not None
@@ -984,12 +952,13 @@ class EventScheduler:
         return np.unique(self._device[:self._n]).tolist()
 
     def columns(self) -> TaskColumns:
-        """What the reports aggregate, straight off the arrays: no
-        :class:`~repro.runtime.task.Task` is materialized. A device used
-        a channel when its queue frontier there names a task."""
+        """Every task's row, straight off the arrays (read-only views). A
+        device used a channel when its queue frontier there names a
+        task."""
         columns = []
         for array in (self._device, self._channel_idx, self._seconds,
-                      self._nbytes, self._phase_of):
+                      self._nbytes, self._phase_of, self._start, self._end,
+                      self._blocked):
             view = array[:self._n]
             view.flags.writeable = False
             columns.append(view)
@@ -999,8 +968,9 @@ class EventScheduler:
             used.append(np.sort((slot >> 1) ^ -(slot & 1)))  # _slot's inverse
         return TaskColumns(*columns, tuple(used))
 
-    def critical_path(self) -> List[Task]:
-        """Chain of tasks ending at the makespan, following start-time blockers.
+    def critical_path(self) -> np.ndarray:
+        """Ids of the chain of tasks ending at the makespan, first to last,
+        following start-time blockers.
 
         The walk follows ``blocked_by`` links — whichever constraint set
         each task's start: a dependency's end, the previous task on its
@@ -1011,14 +981,19 @@ class EventScheduler:
         end task (first max wins, matching a scan in submission order).
         """
         if self._n == 0:
-            return []
-        current = self._latest()
-        chain = [self._task(current)]
-        while self._blocked[current] >= 0:
-            current = int(self._blocked[current])
-            chain.append(self._task(current))
-        chain.reverse()
-        return chain
+            return _NO_IDS
+        chain = [self._latest()]
+        while self._blocked[chain[-1]] >= 0:
+            chain.append(int(self._blocked[chain[-1]]))
+        return np.array(chain[::-1], dtype=np.int64)
+
+    def _describe(self, task_id: int) -> str:
+        """One task's row as :meth:`validate` names an offender."""
+        label = self._phases[self._phase_of[task_id]][0]
+        return (f"task #{task_id} {label!r} on device "
+                f"{self._device[task_id]} "
+                f"{CHANNELS[self._channel_idx[task_id]]} "
+                f"[{self._start[task_id]:.6f}, {self._end[task_id]:.6f}]")
 
     # ------------------------------------------------------------------
     # invariants
@@ -1035,16 +1010,6 @@ class EventScheduler:
         n = self._n
         if n == 0:
             return
-        # Materialized views must agree with the authoritative arrays —
-        # a mutated Task snapshot is corruption, not a reschedule.
-        for task_id, task in self._task_cache.items():
-            if (task.start != self._start[task_id]
-                    or task.end != self._end[task_id]
-                    or task.seconds != self._seconds[task_id]):
-                raise SchedulerError(
-                    f"materialized task diverged from scheduler state: "
-                    f"{task}"
-                )
         start = self._start[:n]
         end = self._end[:n]
         # Resource exclusivity: group tasks by (device, channel) and check
@@ -1056,11 +1021,9 @@ class EventScheduler:
         bad = same & overlap
         if bad.any():
             at = int(np.flatnonzero(bad)[0])
-            before = self._task(int(order[at]))
-            after = self._task(int(order[at + 1]))
             raise SchedulerError(
-                f"channel overlap on {(before.device, before.channel)}: "
-                f"{before} vs {after}"
+                f"channel overlap: {self._describe(order[at])} vs "
+                f"{self._describe(order[at + 1])}"
             )
         # Per-task extra deps.
         if self._extra_len:
@@ -1071,8 +1034,8 @@ class EventScheduler:
             if bad_deps.any():
                 at = int(np.flatnonzero(bad_deps)[0])
                 raise SchedulerError(
-                    f"dependency violated: {self._task(int(owner[at]))} "
-                    f"starts before {self._task(int(flat[at]))} ends"
+                    f"dependency violated: {self._describe(owner[at])} "
+                    f"starts before {self._describe(flat[at])} ends"
                 )
         # Per-phase common deps: every member must start at/after every
         # common dep's end.
@@ -1090,8 +1053,8 @@ class EventScheduler:
             min_member = int(members[int(np.argmin(start[members]))])
             if start[min_member] < self._end[worst_dep] - eps:
                 raise SchedulerError(
-                    f"dependency violated: {self._task(min_member)} "
-                    f"starts before {self._task(worst_dep)} ends"
+                    f"dependency violated: {self._describe(min_member)} "
+                    f"starts before {self._describe(worst_dep)} ends"
                 )
 
     def __repr__(self) -> str:

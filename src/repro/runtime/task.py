@@ -1,8 +1,9 @@
 """Tasks and channels of the discrete-event execution engine.
 
-A :class:`Task` is one unit of simulated hardware work — a kernel, a PCIe
+A task is one unit of simulated hardware work — a kernel, a PCIe
 transfer, a P2P copy, a network message, or a host-side accumulation —
-bound to a *channel* of one *device*. Channels model the independent
+bound to a *channel* of one *device*; it is one row of the scheduler's
+:class:`~repro.runtime.scheduler.TaskColumns`, named by its integer id. Channels model the independent
 hardware queues of a real GPU server (CUDA streams, copy engines, NICs,
 host threads): two tasks on different channels of the same device may
 overlap in time, while tasks on the same ``(device, channel)`` pair
@@ -34,13 +35,11 @@ oversubscribed core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import ConfigurationError
-from repro.units import Seconds
 
-__all__ = ["Task", "CHANNELS", "HOST_DEVICE", "NET_DEVICE_BASE",
+__all__ = ["CHANNELS", "HOST_DEVICE", "NET_DEVICE_BASE",
            "SPINE_RESOURCE", "OVERLAP_POLICIES",
            "net_link", "net_link_nodes", "net_link_parts"]
 
@@ -110,36 +109,3 @@ def net_link_nodes(device: int, num_nodes: int,
     """Decode a link device id to its directed node pair."""
     src, dst, _rail = net_link_parts(device, num_nodes, num_rails)
     return src, dst
-
-
-@dataclass
-class Task:
-    """One scheduled unit of work on a ``(device, channel)`` resource.
-
-    Produced only by :meth:`~repro.runtime.scheduler.EventScheduler.submit`;
-    ``start``/``end`` are simulated seconds on the epoch clock, ``seconds``
-    the task's own duration (``end - start`` exactly — tasks never preempt).
-    """
-
-    task_id: int
-    channel: str
-    device: int
-    #: duration in simulated seconds (bytes/bandwidth or flops/throughput)
-    seconds: Seconds
-    #: simulated start time, seconds since the epoch's time zero
-    start: Seconds
-    #: simulated completion time (``start + seconds``)
-    end: Seconds
-    label: str = ""
-    #: dependency task ids (for validation / critical-path walks)
-    deps: Tuple[int, ...] = field(default_factory=tuple)
-    #: id of the task that determined this task's start time (or None if the
-    #: task started at a barrier / at time zero)
-    blocked_by: Optional[int] = None
-
-    def __repr__(self) -> str:
-        return (
-            f"Task(#{self.task_id} {self.label or self.channel}"
-            f" dev={self.device} {self.channel}"
-            f" [{self.start:.6f}, {self.end:.6f}])"
-        )

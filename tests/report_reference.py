@@ -1,12 +1,12 @@
-"""The utilization reports, one ``Task`` at a time — the oracle for the
+"""The utilization reports, one task at a time — the oracle for the
 array aggregation in :mod:`repro.bench.reporting`.
 
 ``render_timeline`` and ``render_node_utilization`` read the scheduler's
 columns (:meth:`repro.runtime.scheduler.EventScheduler.columns`) and sum
 with ``np.bincount``. This module keeps the two tables in the form they
-were first written in: walk ``scheduler.tasks``, materializing every
-:class:`~repro.runtime.task.Task`, call ``platform.node_of`` per task and
-add its seconds to its node's cell in submission order. ``np.bincount``
+were first written in: walk the tasks one row at a time
+(:func:`scheduler_oracle.task_rows`), call ``platform.node_of`` per task
+and add its seconds to its node's cell in submission order. ``np.bincount``
 adds its weights in array order too, so the rendered text must be equal
 byte for byte.
 """
@@ -17,6 +17,7 @@ from typing import Optional
 
 from repro.bench.reporting import format_seconds, render_table
 from repro.runtime.task import NET_DEVICE_BASE, net_link_nodes
+from scheduler_oracle import task_rows
 
 __all__ = ["reference_render_timeline",
            "reference_render_node_utilization"]
@@ -27,7 +28,7 @@ def reference_render_timeline(timeline, title: Optional[str] = None,
     makespan = timeline.makespan
     serialized = timeline.breakdown.total
     devices_by_channel: dict = {}
-    for task in timeline.scheduler.tasks:
+    for task in task_rows(timeline.scheduler):
         devices_by_channel.setdefault(task.channel, set()).add(task.device)
     rows = []
     for channel, busy in timeline.busy_view().items():
@@ -63,7 +64,7 @@ def reference_render_node_utilization(timeline, platform,
     busy = [{column: 0.0 for column in columns} for _ in range(num_nodes)]
     devices = [{column: set() for column in columns}
                for _ in range(num_nodes)]
-    for task in timeline.scheduler.tasks:
+    for task in task_rows(timeline.scheduler):
         if task.channel == "net":
             if task.device <= NET_DEVICE_BASE:
                 src, _dst = net_link_nodes(task.device, num_nodes,

@@ -19,9 +19,15 @@ task stream on both compares the two rules and nothing else.
 in the form the timeline used to charge it: per wave, as it was
 submitted, its longest task's seconds added to its channel's total —
 the oracle for the scheduler's ``breakdown_by_channel`` view.
+
+:func:`task_rows` reads the task columns back one task at a time, for
+the per-task oracles (reports, admission, executor emission) that walk
+a timeline task by task rather than aggregate it.
 """
 
 from __future__ import annotations
+
+from typing import List, NamedTuple
 
 import numpy as np
 import pytest
@@ -29,8 +35,9 @@ import pytest
 from repro.runtime.scheduler import EventScheduler, _grown, _slot
 from repro.runtime.task import CHANNELS
 
-__all__ = ["OracleScheduler", "install_scheduler_oracle",
-           "reference_breakdown", "timeline_state"]
+__all__ = ["OracleScheduler", "Row", "install_scheduler_oracle",
+           "reference_breakdown", "scheduler_state", "task_rows",
+           "timeline_state"]
 
 
 def reference_breakdown(scheduler) -> dict:
@@ -48,10 +55,38 @@ def reference_breakdown(scheduler) -> dict:
     return totals
 
 
-def timeline_state(timeline) -> dict:
-    """Everything a timeline recorded, in comparable form: two timelines
-    are the same schedule exactly when these dicts are equal."""
-    scheduler = timeline.scheduler
+class Row(NamedTuple):
+    """One task, read off the scheduler's columns."""
+
+    task_id: int
+    channel: str
+    device: int
+    seconds: float
+    start: float
+    end: float
+    label: str
+    #: the task that set this one's start; -1 for a barrier or time zero
+    blocked_by: int
+
+
+def task_rows(scheduler) -> List[Row]:
+    """Every task's row, in submission order, one task at a time."""
+    columns = scheduler.columns()
+    labels = scheduler.phase_labels()
+    return [
+        Row(task_id, CHANNELS[channel], device, seconds, start, end,
+            labels[phase], blocked_by)
+        for task_id, (channel, device, seconds, start, end, phase, blocked_by)
+        in enumerate(zip(*(column.tolist() for column in (
+            columns.channel, columns.device, columns.seconds, columns.start,
+            columns.end, columns.phase, columns.blocked_by))))
+    ]
+
+
+def scheduler_state(scheduler) -> dict:
+    """Everything a scheduler recorded — every column, the dependency
+    lists (factored, and per task as ``deps``), the phase records, the frontiers of the shared resources and
+    the busy totals — in comparable form."""
     n = scheduler.num_tasks
     state = {name: getattr(scheduler, name)[:n].tolist()
              for name in ("_start", "_end", "_blocked", "_seconds",
@@ -62,11 +97,24 @@ def timeline_state(timeline) -> dict:
     state["phases"] = [
         (label, None if ids is None else ids.tolist())
         for label, ids in scheduler._phases]
+    # per task, what it waited on: its phase's common ids, then its own
+    off, flat = state["extra_off"], state["extra_flat"]
+    state["deps"] = [
+        (common or []) + flat[off[task]:off[task + 1]]
+        for task, (_label, common) in enumerate(
+            state["phases"][phase] for phase in state["_phase_of"])]
     state["shared"] = (scheduler._free_shared, scheduler._last_shared)
     state["busy"] = scheduler.busy_by_channel()
     state["busy_by_device"] = {
         (channel, device): scheduler.busy_seconds(channel, device)
         for channel in CHANNELS for device in scheduler.devices()}
+    return state
+
+
+def timeline_state(timeline) -> dict:
+    """Everything a timeline recorded, in comparable form: two timelines
+    are the same schedule exactly when these dicts are equal."""
+    state = scheduler_state(timeline.scheduler)
     state["breakdown"] = dict(timeline.breakdown.seconds)
     state["bytes"] = timeline.bytes_view()
     state["makespan"] = timeline.makespan

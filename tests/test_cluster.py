@@ -33,6 +33,7 @@ from repro.partition import (
     two_level_partition,
 )
 from repro.runtime import (
+    CHANNELS,
     NET_DEVICE_BASE,
     net_link,
     net_link_nodes,
@@ -322,11 +323,11 @@ class TestClusterTrainer:
         result.timeline.validate()
         assert result.net_bytes > 0
         assert result.clock.seconds["net"] > 0
-        net_tasks = [task for task in result.timeline.scheduler.tasks
-                     if task.channel == "net"]
-        assert net_tasks
+        columns = result.timeline.scheduler.columns()
+        net = columns.channel == CHANNELS.index("net")
+        assert net.any()
         # Network tasks occupy link resources, never GPU devices.
-        assert all(task.device <= NET_DEVICE_BASE for task in net_tasks)
+        assert (columns.device[net] <= NET_DEVICE_BASE).all()
 
     def test_multi_node_pipeline_hides_halo_traffic(self, graph):
         """Acceptance: pipeline strictly beats barrier on a multi-node,
@@ -359,7 +360,7 @@ class TestClusterTrainer:
         trainer = make_trainer(graph, ClusterPlatform(A100_CLUSTER),
                                "barrier", allreduce=allreduce)
         result = trainer.train_epoch()
-        labels = {task.label for task in result.timeline.scheduler.tasks}
+        labels = result.timeline.scheduler.phase_labels()
         assert f"all_reduce_{allreduce}" in labels
 
     def test_single_gpu_per_node_ring_degeneracy(self, graph):
@@ -371,7 +372,7 @@ class TestClusterTrainer:
         trainer = make_trainer(graph, platform, "barrier")
         result = trainer.train_epoch()
         result.timeline.validate()
-        labels = [task.label for task in result.timeline.scheduler.tasks]
+        labels = result.timeline.scheduler.phase_labels()
         assert "all_reduce_ring" in labels
         assert "all_reduce_intra" not in labels
         assert result.net_bytes > 0
@@ -384,8 +385,10 @@ class TestClusterTrainer:
                                "barrier", comm_mode="baseline")
         result = trainer.train_epoch()
         result.timeline.validate()
-        prefixes = {task.label.split("[")[0]
-                    for task in result.timeline.scheduler.tasks
-                    if task.channel == "net"}
+        scheduler = result.timeline.scheduler
+        columns, labels = scheduler.columns(), scheduler.phase_labels()
+        net = columns.channel == CHANNELS.index("net")
+        prefixes = {labels[phase].split("[")[0]
+                    for phase in columns.phase[net].tolist()}
         assert "halo_load" in prefixes
         assert "halo_flush" in prefixes

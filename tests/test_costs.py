@@ -86,19 +86,23 @@ def scalar_backward_recompute(layer, block):
     )
 
 
+def wave_ids(timeline, label):
+    """Ids of the tasks of the waves labelled ``label``, in device order."""
+    columns = timeline.scheduler.columns()
+    phases = [phase for phase, name
+              in enumerate(timeline.scheduler.phase_labels()) if name == label]
+    ids = np.flatnonzero(np.isin(columns.phase, phases))
+    return ids[np.argsort(columns.device[ids], kind="stable")]
+
+
 def wave_seconds(timeline, label):
     """Seconds of the wave labelled ``label``, in device order."""
-    tasks = sorted((task for task in timeline.scheduler.tasks
-                    if task.label == label), key=lambda task: task.device)
-    return np.array([task.seconds for task in tasks])
+    return timeline.scheduler.columns().seconds[wave_ids(timeline, label)]
 
 
 def wave_bytes(timeline, label):
     """Bytes of the wave labelled ``label``, in device order."""
-    tasks = sorted((task for task in timeline.scheduler.tasks
-                    if task.label == label), key=lambda task: task.device)
-    return timeline.scheduler.columns().nbytes[
-        [task.task_id for task in tasks]]
+    return timeline.scheduler.columns().nbytes[wave_ids(timeline, label)]
 
 
 @pytest.mark.parametrize("fleet", sorted(FLEETS))

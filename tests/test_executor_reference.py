@@ -542,14 +542,14 @@ class TestEntryPointRejections:
             comm.submit_cold_load(timeline, batch, 4, None)
         _assert_untouched(comm, timeline)
 
-    @pytest.mark.parametrize("form", ["list", "tasks", "short", "column"])
+    @pytest.mark.parametrize("form", ["list", "per_gpu", "short", "column"])
     def test_backward_producers_in_one_form(self, live, form):
         """``deps_by_device`` is the ``(m,)`` id array the trainer passes;
         per-GPU lists used to be normalised too."""
         comm, _plan, host, grads, timeline = live
         producers = timeline.submit_batch("gpu", [1.0, 1.0])
         bad = {"list": list(producers),
-               "tasks": list(timeline.scheduler.tasks),
+               "per_gpu": [[task] for task in producers.tolist()],
                "short": producers[:1],
                "column": producers[:, None]}[form]
         host_grads = np.zeros_like(host)

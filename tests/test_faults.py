@@ -430,8 +430,8 @@ class TestEmptyScheduleIdentity:
         assert empty.net_bytes == plain.net_bytes
         assert empty.migration_bytes == 0 and plain.migration_bytes == 0
         assert empty_flows == plain_flows
-        assert (empty.timeline.scheduler.critical_path()
-                == plain.timeline.scheduler.critical_path())
+        assert (empty.timeline.scheduler.critical_path().tolist()
+                == plain.timeline.scheduler.critical_path().tolist())
 
     def test_not_yet_triggered_schedule_is_identical(self, graph):
         late = FaultSchedule((Straggler(1, start=1e6, nic_factor=0.5),))

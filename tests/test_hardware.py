@@ -107,6 +107,25 @@ class TestMemoryPool:
         assert pool.by_tag["x"] == 0
         assert pool.in_use == 0
 
+    @pytest.mark.parametrize("free_first, size", [(False, -30), (True, 50),
+                                                  (True, 5)],
+                             ids=["negative", "freed_grow", "freed_shrink"])
+    def test_bad_resize_rejected_before_the_pool_changes(self, free_first,
+                                                         size):
+        """A negative size used to leave ``in_use`` at -30; a freed
+        allocation grown to 50 used to leave 40 bytes no ``free()``
+        returns."""
+        pool = MemoryPool(100, "gpu")
+        a = pool.alloc("x", 10)
+        if free_first:
+            a.free()
+        before = (pool.in_use, pool.peak, dict(pool.by_tag), a.nbytes)
+        with pytest.raises(ConfigurationError, match="resize"):
+            a.resize(size)
+        assert (pool.in_use, pool.peak, pool.by_tag, a.nbytes) == before
+        a.free()
+        assert pool.in_use == 0
+
     def test_by_tag_accounting(self):
         pool = MemoryPool(100, "gpu")
         pool.alloc("weights", 30)

@@ -37,6 +37,7 @@ from repro.hardware import (
     MultiGPUPlatform,
 )
 from repro.serving import ImmediatePolicy, PoissonArrivals
+from scheduler_oracle import task_rows
 
 
 NODES = 3
@@ -66,8 +67,9 @@ def epoch_fingerprint(cluster, overlap):
     trainer = make_trainer(cluster, overlap=overlap)
     result = trainer.train_epoch()
     flows = trainer._comm_values.net_bytes_by_flow(result.timeline)
-    path = [(task.device, task.channel, task.seconds)
-            for task in result.timeline.scheduler.critical_path()]
+    rows = task_rows(result.timeline.scheduler)
+    path = [(rows[i].device, rows[i].channel, rows[i].seconds)
+            for i in result.timeline.scheduler.critical_path().tolist()]
     return result, flows, path
 
 

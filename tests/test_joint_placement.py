@@ -50,6 +50,7 @@ from repro.partition import (
     two_level_partition,
 )
 from repro.runtime import EventScheduler
+from scheduler_oracle import task_rows
 
 NODES = 2
 GPUS = 4
@@ -568,7 +569,7 @@ class TestTrainerJoint:
         trainer = _trainer(graph, platform, partition=skewed,
                            reorganize=False)
         result = trainer.train_epoch()
-        intra = [task for task in result.timeline.scheduler.tasks
+        intra = [task for task in task_rows(result.timeline.scheduler)
                  if task.label == "all_reduce_intra"]
         # only the 7-GPU node has a ring; the 1-GPU node has nothing
         assert len(intra) == 1

@@ -38,7 +38,6 @@ VIOLATIONS = {
     "rpl301_violation": ("RPL301", "src/repro/cost_mod.py"),
     "rpl401_violation": ("RPL401", "src/repro/core/trainer.py"),
     "rpl402_violation": ("RPL402", "src/repro/gnn/layers.py"),
-    "rpl403_violation": ("RPL403", "src/repro/bench/reporting.py"),
 }
 
 CLEAN = {
@@ -49,7 +48,6 @@ CLEAN = {
     "rpl301_clean": "src/repro/cost_mod.py",
     "rpl401_clean": "src/repro/core/trainer.py",
     "rpl402_clean": "src/repro/gnn/layers.py",
-    "rpl403_clean": "src/repro/hardware/clock.py",
 }
 
 
@@ -116,42 +114,6 @@ class TestScatterScope:
         path = FIXTURES / "rpl402_violation.py"
         codes = [d.code for d in lint_file(path, display, checkers())]
         assert codes == (["RPL402", "RPL402"] if fires else [])
-
-
-class TestTaskMaterializationScope:
-    """RPL403 covers the simulator outside the scheduler's own module,
-    and exempts exactly ``EventTimeline.submit_phase``."""
-
-    @pytest.mark.parametrize("display, fires", [
-        ("src/repro/bench/reporting.py", True),
-        ("src/repro/serving/engine.py", True),
-        ("src/repro/hardware/clock.py", True),
-        ("src/repro/runtime/scheduler.py", False),
-        # tests and benches may materialize what they like
-        ("tests/test_runtime.py", False),
-        ("benchmarks/bench_serving.py", False),
-    ])
-    def test_scope(self, display, fires):
-        path = FIXTURES / "rpl403_violation.py"
-        codes = [d.code for d in lint_file(path, display, checkers())]
-        assert codes == (["RPL403"] * 3 if fires else [])
-
-    def test_only_submit_phase_of_the_timeline_is_exempt(self, tmp_path):
-        snippet = tmp_path / "mod.py"
-        snippet.write_text(
-            "class EventTimeline:\n"
-            "    def submit_phase(self):\n"
-            "        return self.scheduler.tasks\n"
-            "    def report(self):\n"
-            "        return self.scheduler.tasks\n"
-            "class Other:\n"
-            "    def submit_phase(self):\n"
-            "        return self.scheduler.tasks\n"
-        )
-        diagnostics = lint_file(snippet, "src/repro/hardware/clock.py",
-                                checkers())
-        assert [(d.code, d.line) for d in diagnostics] == \
-            [("RPL403", 5), ("RPL403", 8)]
 
 
 class TestSuppression:

@@ -26,13 +26,31 @@ from repro.hardware import (
     NetworkTopology,
 )
 from repro.runtime import CHANNELS, EventScheduler, TransitionBuffers
-from repro.runtime.scheduler import WaveRecorder, _prepare
+from repro.runtime.scheduler import (
+    TaskColumns,
+    WaveRecorder,
+    _prepare,
+    task_ids,
+)
 from repro.runtime.task import HOST_DEVICE
 from scheduler_oracle import (
     OracleScheduler,
     reference_breakdown,
+    scheduler_state,
+    task_rows,
     timeline_state,
 )
+
+
+def walk_blockers(scheduler):
+    """The critical path by its definition: from the first task to end
+    last, follow ``blocked_by`` back to a barrier or time zero."""
+    columns = scheduler.columns()
+    ends = columns.end.tolist()
+    chain = [ends.index(max(ends))] if ends else []
+    while chain and columns.blocked_by[chain[-1]] >= 0:
+        chain.append(int(columns.blocked_by[chain[-1]]))
+    return chain[::-1]
 
 
 def recorded(num_tasks=1, num_external=0):
@@ -47,36 +65,47 @@ class TestEventScheduler:
         scheduler = EventScheduler()
         first = scheduler.submit("h2d", 0, 1.0)
         second = scheduler.submit("h2d", 0, 2.0)
-        assert first.start == 0.0 and first.end == 1.0
-        assert second.start == 1.0 and second.end == 3.0
+        assert (first, second) == (0, 1)
+        columns = scheduler.columns()
+        assert columns.start.tolist() == [0.0, 1.0]
+        assert columns.end.tolist() == [1.0, 3.0]
 
     def test_different_channels_overlap(self):
         scheduler = EventScheduler()
         scheduler.submit("h2d", 0, 1.0)
         kernel = scheduler.submit("gpu", 0, 1.0)
-        assert kernel.start == 0.0
+        assert scheduler.columns().start[kernel] == 0.0
         assert scheduler.makespan == 1.0
 
     def test_different_devices_overlap(self):
         scheduler = EventScheduler()
         scheduler.submit("gpu", 0, 2.0)
         other = scheduler.submit("gpu", 1, 1.0)
-        assert other.start == 0.0
+        assert scheduler.columns().start[other] == 0.0
         assert scheduler.makespan == 2.0
 
-    def test_dependency_defers_start(self):
+    @pytest.mark.parametrize("deps", [
+        lambda load: load, lambda load: [load], lambda load: (load,),
+        lambda load: np.array([load]), lambda load: np.int64(load),
+    ], ids=["bare_id", "list", "tuple", "array", "numpy_scalar"])
+    def test_dependency_defers_start(self, deps):
+        """``deps`` takes what ``submit`` returns as it is, or wrapped."""
         scheduler = EventScheduler()
+        scheduler.submit("gpu", 1, 9.0)
         load = scheduler.submit("h2d", 0, 1.5)
-        kernel = scheduler.submit("gpu", 0, 1.0, deps=[load])
-        assert kernel.start == 1.5
-        assert kernel.blocked_by == load.task_id
+        kernel = scheduler.submit("gpu", 0, 1.0, deps=deps(load))
+        assert isinstance(load, int) and isinstance(kernel, int)
+        columns = scheduler.columns()
+        assert columns.start[kernel] == 1.5
+        assert columns.blocked_by[kernel] == load
 
     def test_barrier_fences_later_tasks(self):
         scheduler = EventScheduler()
         scheduler.submit("h2d", 0, 2.0)
         scheduler.barrier()
         late = scheduler.submit("gpu", 1, 1.0)
-        assert late.start == 2.0
+        assert scheduler.columns().start[late] == 2.0
+        assert scheduler.columns().blocked_by[late] == -1
 
     def test_unknown_channel_rejected(self):
         with pytest.raises(SchedulerError):
@@ -201,9 +230,17 @@ class TestEventScheduler:
                                            deps_by_device=[[0.5]]),
         lambda s: s.submit_program(recorded(1, 1).finish(), [0.5]),
         lambda s: s.ends_of(np.array([0.5])),
+        # a bare id is one id, but a bool or a float is no id at all
+        lambda s: s.submit("gpu", 0, 1.0, deps=True),
+        lambda s: s.submit("gpu", 0, 1.0, deps=np.bool_(True)),
+        lambda s: s.submit("gpu", 0, 1.0, deps=1.0),
+        lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                 common_deps=np.float64(1.0)),
+        lambda s: s.ends_of(False),
     ], ids=["submit_list", "submit_array", "batch_common", "batch_extra",
             "batch_extra_array", "program_common", "program_per_device",
-            "replay_external", "ends_of"])
+            "replay_external", "ends_of", "bare_bool", "bare_numpy_bool",
+            "bare_float", "bare_numpy_float", "ends_of_bare_bool"])
     def test_non_integral_dependency_rejected(self, submit):
         scheduler = EventScheduler()
         scheduler.submit("gpu", 0, 1.0)
@@ -323,6 +360,38 @@ class TestEventScheduler:
         assert not scheduler._free_shared
         assert sum(scheduler.bytes_by_channel().values()) == 0
 
+    @pytest.mark.parametrize("device", [True, False, np.bool_(True)],
+                             ids=["true", "false", "numpy_bool"])
+    def test_busy_seconds_rejects_a_bool_device(self, device):
+        """``True`` passed the integer check and answered device 1's
+        busy seconds."""
+        scheduler = EventScheduler()
+        scheduler.submit("gpu", 1, 2.0)
+        with pytest.raises(SchedulerError, match="device"):
+            scheduler.busy_seconds("gpu", device)
+        assert scheduler.busy_seconds("gpu", 1) == 2.0
+
+    @pytest.mark.parametrize("entries, expected", [
+        (3, [3]), (np.int64(3), [3]), (np.uint8(3), [3]), (np.array(3), [3]),
+        ([3, 1], [3, 1]), ((3,), [3]), (np.array([3, 1]), [3, 1]),
+        ((), []), (None, []),
+    ], ids=["int", "int64", "uint8", "zero_d_array", "list", "tuple",
+            "array", "empty", "none"])
+    def test_task_ids_accepts_a_bare_integer(self, entries, expected):
+        ids = task_ids(entries)
+        assert ids.dtype == np.int64 and ids.ndim == 1
+        assert ids.tolist() == expected
+
+    @pytest.mark.parametrize("entries, names", [
+        (True, "integers"), (np.bool_(False), "integers"), ([True], "integers"),
+        (1.0, "integers"), (np.float64(1.0), "integers"),
+        (np.array([[1]]), "1-D"),
+    ], ids=["bool", "numpy_bool", "bool_list", "float", "numpy_float",
+            "two_d"])
+    def test_task_ids_rejects_bools_floats_and_2d(self, entries, names):
+        with pytest.raises(SchedulerError, match=names):
+            task_ids(entries)
+
     def test_replay_with_the_wrong_number_of_external_ids_rejected(self):
         scheduler = EventScheduler()
         scheduler.submit("gpu", 0, 1.0)
@@ -354,25 +423,46 @@ class TestEventScheduler:
     def test_validate_passes_for_scheduler_output(self):
         scheduler = EventScheduler()
         load = scheduler.submit("h2d", 0, 1.0)
-        scheduler.submit("gpu", 0, 2.0, deps=[load])
+        scheduler.submit("gpu", 0, 2.0, deps=load)
         scheduler.submit("h2d", 0, 1.0)
         scheduler.validate()
 
-    def test_validate_catches_corruption(self):
+    def test_validate_names_overlapping_tasks_from_the_columns(self):
         scheduler = EventScheduler()
-        first = scheduler.submit("gpu", 0, 2.0)
-        second = scheduler.submit("gpu", 0, 2.0)
-        second.start = first.start  # force an overlap
-        with pytest.raises(SchedulerError):
+        scheduler.submit("gpu", 0, 2.0, label="first")
+        second = scheduler.submit("gpu", 0, 2.0, label="second")
+        scheduler._start[second] = 0.5  # corrupt the column: an overlap
+        with pytest.raises(SchedulerError, match=(
+                r"channel overlap: task #0 'first' on device 0 gpu "
+                r"\[0\.000000, 2\.000000\] vs task #1 'second' on "
+                r"device 0 gpu \[0\.500000, 4\.000000\]")):
+            scheduler.validate()
+
+    @pytest.mark.parametrize("common", [False, True],
+                             ids=["extra_dep", "common_dep"])
+    def test_validate_names_violated_dependency_from_the_columns(self,
+                                                                 common):
+        scheduler = EventScheduler()
+        load = scheduler.submit("h2d", 3, 2.0, label="load")
+        kernels = scheduler.submit_batch(
+            "gpu", [3, 4], [1.0, 1.0], label="kernel",
+            common_deps=[load] if common else None,
+            extra_deps=None if common else np.array([load, load]))
+        scheduler._start[kernels[0]] = 1.0  # starts before its load ends
+        with pytest.raises(SchedulerError, match=(
+                r"dependency violated: task #1 'kernel' on device 3 gpu "
+                r"\[1\.000000, 3\.000000\] starts before task #0 'load' "
+                r"on device 3 h2d \[0\.000000, 2\.000000\] ends")):
             scheduler.validate()
 
     def test_critical_path_follows_blockers(self):
         scheduler = EventScheduler()
         load = scheduler.submit("h2d", 0, 3.0)
-        kernel = scheduler.submit("gpu", 0, 1.0, deps=[load])
+        kernel = scheduler.submit("gpu", 0, 1.0, deps=load)
         chain = scheduler.critical_path()
-        assert [task.task_id for task in chain] == \
-            [load.task_id, kernel.task_id]
+        assert chain.dtype == np.int64
+        assert chain.tolist() == [load, kernel]
+        assert EventScheduler().critical_path().tolist() == []
 
     def test_scheduler_errors_catchable_as_repro_errors(self):
         """The runtime layer reports through the repro.errors hierarchy
@@ -388,11 +478,10 @@ class TestEventScheduler:
         first = scheduler.submit("h2d", 0, 2.0)
         second = scheduler.submit("h2d", 0, 1.5)   # queued behind first
         kernel = scheduler.submit("gpu", 0, 1.0, deps=[second])
-        assert second.start == first.end
-        assert second.blocked_by == first.task_id
-        chain = scheduler.critical_path()
-        assert [task.task_id for task in chain] == \
-            [first.task_id, second.task_id, kernel.task_id]
+        columns = scheduler.columns()
+        assert columns.start[second] == columns.end[first]
+        assert columns.blocked_by[second] == first
+        assert scheduler.critical_path().tolist() == [first, second, kernel]
 
     def test_critical_path_crosses_deliberately_contended_channel(self):
         """Regression for the contention-blind walk: the longest chain on
@@ -401,9 +490,7 @@ class TestEventScheduler:
         scheduler = EventScheduler()
         tasks = [scheduler.submit("net", -2, 1.0) for _ in range(4)]
         assert scheduler.makespan == pytest.approx(4.0)
-        chain = scheduler.critical_path()
-        assert [task.task_id for task in chain] == \
-            [task.task_id for task in tasks]
+        assert scheduler.critical_path().tolist() == tasks
 
     def test_shared_resource_serializes_disjoint_devices(self):
         """Two tasks on different devices that both hold a shared
@@ -412,13 +499,14 @@ class TestEventScheduler:
         spine = ("net", "spine")
         a = scheduler.submit("net", -2, 1.0, shared=[(spine, 0.5)])
         b = scheduler.submit("net", -3, 1.0, shared=[(spine, 0.5)])
-        assert a.start == 0.0
-        assert b.start == pytest.approx(0.5)   # waits for a's hold
-        assert b.blocked_by == a.task_id
+        columns = scheduler.columns()
+        assert columns.start[a] == 0.0
+        assert columns.start[b] == pytest.approx(0.5)   # waits for a's hold
+        assert columns.blocked_by[b] == a
         free = EventScheduler()
-        a2 = free.submit("net", -2, 1.0, shared=[(spine, 0.0)])
-        b2 = free.submit("net", -3, 1.0, shared=[(spine, 0.0)])
-        assert a2.start == b2.start == 0.0
+        free.submit("net", -2, 1.0, shared=[(spine, 0.0)])
+        free.submit("net", -3, 1.0, shared=[(spine, 0.0)])
+        assert free.columns().start.tolist() == [0.0, 0.0]
 
     def test_removing_dependency_never_slows(self):
         """The monotonicity argument behind pipeline <= barrier."""
@@ -428,7 +516,7 @@ class TestEventScheduler:
         previous = None
         for (channel, device), seconds in durations:
             previous = chained.submit(channel, device, seconds,
-                                      deps=[previous] if previous else [])
+                                      deps=previous)
         free = EventScheduler()
         for (channel, device), seconds in durations:
             free.submit(channel, device, seconds)
@@ -512,13 +600,12 @@ class TestVectorizedScheduler:
     def test_batch_times_match_scalar_on_random_dags(self, seed):
         fast, slow = self._build_pair(seed)
         assert fast.num_tasks == slow.num_tasks
-        for batched, scalar in zip(fast.tasks, slow.tasks):
-            assert batched.start == scalar.start      # bit-identical
-            assert batched.end == scalar.end
-            assert batched.blocked_by == scalar.blocked_by
-            assert batched.deps == scalar.deps
-            assert batched.channel == scalar.channel
-            assert batched.device == scalar.device
+        ours, theirs = fast.columns(), slow.columns()
+        for name in TaskColumns._fields[:-1]:  # bit-identical, every row
+            np.testing.assert_array_equal(
+                getattr(ours, name), getattr(theirs, name), err_msg=name)
+        assert list(map(list, ours.used)) == list(map(list, theirs.used))
+        assert scheduler_state(fast)["deps"] == scheduler_state(slow)["deps"]
         assert fast.makespan == slow.makespan
 
     @pytest.mark.parametrize("seed", range(32))
@@ -542,16 +629,16 @@ class TestVectorizedScheduler:
             assert scheduler.breakdown_by_channel() == \
                 reference_breakdown(scheduler)
             expected = dict.fromkeys(CHANNELS, 0)
-            for task_id, task in enumerate(scheduler.tasks):
-                expected[task.channel] += int(scheduler._nbytes[task_id])
+            for row in task_rows(scheduler):
+                expected[row.channel] += int(scheduler._nbytes[row.task_id])
             assert scheduler.bytes_by_channel() == expected
         assert sum(fast.bytes_by_channel().values()) > 0
 
     @pytest.mark.parametrize("seed", range(32))
     def test_critical_path_matches_scalar(self, seed):
         fast, slow = self._build_pair(seed)
-        assert [task.task_id for task in fast.critical_path()] == \
-            [task.task_id for task in slow.critical_path()]
+        assert fast.critical_path().tolist() == slow.critical_path().tolist()
+        assert fast.critical_path().tolist() == walk_blockers(fast)
 
     def test_random_dags_cover_the_hard_waves(self):
         """The draws above do reach holds on repeated devices, two-key
@@ -601,15 +688,13 @@ class TestVectorizedScheduler:
         for device, duration, extra in zip(devices, seconds, extras):
             deps = common.tolist() + ([] if extra is None else extra.tolist())
             single.submit("gpu", device, duration, deps=deps, label="wave")
-        for wave_task, lone_task in zip(batched.tasks, single.tasks):
-            assert wave_task.start == lone_task.start
-            assert wave_task.end == lone_task.end
-            assert wave_task.blocked_by == lone_task.blocked_by
-            assert wave_task.deps == lone_task.deps
-            assert wave_task.label == lone_task.label
+        assert task_rows(batched) == task_rows(single)
+        assert scheduler_state(batched)["deps"] == \
+            scheduler_state(single)["deps"]
         # The second d0 task queued behind the first, inside the wave.
-        assert batched.tasks[5].blocked_by == 3
-        assert batched.tasks[5].start == batched.tasks[3].end
+        columns = batched.columns()
+        assert columns.blocked_by[5] == 3
+        assert columns.start[5] == columns.end[3]
         assert batched.makespan == single.makespan
         batched.validate()
 
@@ -641,14 +726,14 @@ class TestChainWaves:
         gate = scheduler.submit("gpu", 0, 2.0 if common == "late" else 0.25)
         if barrier:
             scheduler.barrier()
-        deps = None if common is None else [gate.task_id]
+        deps = None if common is None else gate
         devices = [device] * len(seconds)
         if replay:
             recorder = WaveRecorder(num_external=1)
             recorder.submit_batch(
                 channel, seconds, devices=devices,
                 deps=None if common is None else recorder.external)
-            scheduler.submit_program(recorder.finish(), [gate.task_id])
+            scheduler.submit_program(recorder.finish(), gate)
         else:
             scheduler.submit_batch(channel, devices, seconds,
                                    common_deps=deps)
@@ -675,12 +760,11 @@ class TestChainWaves:
             assert getattr(fast, column)[:n].tolist() == \
                 getattr(slow, column)[:n].tolist(), column
         assert fast.busy_by_channel() == slow.busy_by_channel()
-        assert [task.task_id for task in fast.critical_path()] == \
-            [task.task_id for task in slow.critical_path()]
+        assert fast.critical_path().tolist() == slow.critical_path().tolist()
         fast.validate()
-        blocked = [task.blocked_by for task in fast.tasks[-len(seconds):]]
+        blocked = fast.columns().blocked_by[-len(seconds):]
         if name == "zeros_at_barrier" and barrier and not frontier:
-            assert blocked[1] is None  # end == barrier: no blocker
+            assert blocked[1] == -1  # end == barrier: no blocker
 
     @pytest.mark.parametrize("replay", [False, True],
                              ids=["submitted", "replayed"])
@@ -830,14 +914,11 @@ class TestWavePrograms:
             assert ours[key] == theirs[key], key
         assert ours["breakdown"] == reference_breakdown(replayed.scheduler)
         a, b = replayed.scheduler, fresh.scheduler
-        assert [task.deps for task in a.tasks] == \
-            [task.deps for task in b.tasks]
         for channel in CHANNELS:
             for device in a.devices():
                 assert a.busy_seconds(channel, device) == \
                     b.busy_seconds(channel, device)
-        assert [task.task_id for task in a.critical_path()] == \
-            [task.task_id for task in b.critical_path()]
+        assert a.critical_path().tolist() == b.critical_path().tolist()
         replayed.validate()
 
     #: name -> (waves, barrier_all): the shapes the random draws reach
@@ -899,8 +980,6 @@ class TestWavePrograms:
         assert timeline_state(replayed) == timeline_state(fresh)
         assert replayed.breakdown.seconds == \
             reference_breakdown(replayed.scheduler)
-        assert [task.deps for task in replayed.scheduler.tasks] == \
-            [task.deps for task in fresh.scheduler.tasks]
         replayed.validate()
         grew = (len(replayed.scheduler._start) > capacity[0],
                 len(replayed.scheduler._extra_flat) > capacity[1])
@@ -930,9 +1009,8 @@ class TestWavePrograms:
         def read():
             seen.append((polled.makespan, fresh.makespan))
             assert seen[-1][0] == seen[-1][1]
-            assert [task.task_id for task in
-                    polled.scheduler.critical_path()] == \
-                [task.task_id for task in fresh.scheduler.critical_path()]
+            assert polled.scheduler.critical_path().tolist() == \
+                fresh.scheduler.critical_path().tolist()
 
         for step in range(8):
             host_seconds = float(rng.integers(0, 4)) / 4
@@ -953,8 +1031,8 @@ class TestWavePrograms:
             == timeline_state(quiet)
         assert polled.breakdown.seconds == \
             reference_breakdown(polled.scheduler)
-        assert [task.task_id for task in quiet.scheduler.critical_path()] \
-            == [task.task_id for task in fresh.scheduler.critical_path()]
+        assert quiet.scheduler.critical_path().tolist() == \
+            fresh.scheduler.critical_path().tolist()
 
     @pytest.mark.parametrize("scheduler_cls",
                              [EventScheduler, OracleScheduler])
@@ -967,9 +1045,9 @@ class TestWavePrograms:
         replayed, _ = self._build_pair(seed, scheduler_cls)
         scheduler = replayed.scheduler
         expected = {}
-        for task in scheduler.tasks:
-            key = (task.channel, task.device)
-            expected[key] = expected.get(key, 0.0) + task.seconds
+        for row in task_rows(scheduler):
+            key = (row.channel, row.device)
+            expected[key] = expected.get(key, 0.0) + row.seconds
         assert len(expected) > 4
         for channel in CHANNELS:
             for device in scheduler.devices():
@@ -1037,11 +1115,23 @@ class TestWavePrograms:
     def test_array_step_replay_equals_oracle_replay(self, seed):
         fast, _ = self._build_pair(seed, EventScheduler)
         slow, _ = self._build_pair(seed, OracleScheduler)
-        n = fast.scheduler.num_tasks
-        for name in ("_start", "_end", "_blocked"):
+        ours, theirs = fast.scheduler.columns(), slow.scheduler.columns()
+        for name in ("start", "end", "blocked_by"):
             np.testing.assert_array_equal(
-                getattr(fast.scheduler, name)[:n],
-                getattr(slow.scheduler, name)[:n], err_msg=name)
+                getattr(ours, name), getattr(theirs, name), err_msg=name)
+
+    @pytest.mark.parametrize("scheduler_cls",
+                             [EventScheduler, OracleScheduler])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_critical_path_is_the_walk_over_blocked_by(self, seed,
+                                                       scheduler_cls):
+        replayed, fresh = self._build_pair(seed, scheduler_cls)
+        for timeline in (replayed, fresh):
+            chain = timeline.scheduler.critical_path()
+            assert chain.dtype == np.int64
+            assert chain.tolist() == walk_blockers(timeline.scheduler)
+            assert timeline.scheduler.columns().end[chain[-1]] == \
+                timeline.makespan
 
     def test_random_programs_cover_the_hard_shapes(self):
         """The draws reach external slots, repeated devices, holds, the
@@ -1084,7 +1174,7 @@ class TestWavePrograms:
         for _ in range(2):
             timeline = EventTimeline()
             gate = timeline.add("cpu", 0.5)
-            ids = timeline.submit_program(program, [gate.task_id])
+            ids = timeline.submit_program(program, gate)
             assert timeline.scheduler.ends_of(ids).tolist() == \
                 [1.5, 2.5, 4.5, 3.5]
             assert timeline.breakdown.seconds["gpu"] == 3.0
@@ -1120,9 +1210,27 @@ class TestEventTimeline:
         loads = timeline.submit_phase("h2d", [1.0, 4.0])
         kernels = timeline.submit_phase("gpu", [1.0, 1.0],
                                         deps_by_device=loads)
-        assert kernels[0].start == 1.0
-        assert kernels[1].start == 4.0
+        assert kernels.dtype == np.int64
+        assert timeline.scheduler.columns().start[kernels].tolist() == \
+            [1.0, 4.0]
         timeline.validate()
+
+    def test_every_submit_returns_ids(self):
+        timeline = EventTimeline()
+        first = timeline.add("cpu", 0.5)
+        phase = timeline.submit_phase("h2d", [1.0, 2.0], deps=first)
+        wave = timeline.submit_batch("gpu", [1.0, 1.0], deps_by_device=phase)
+        recorder = WaveRecorder(num_external=1)
+        recorder.submit_batch("d2h", [0.5], deps=recorder.external)
+        replayed = timeline.submit_program(recorder.finish(), wave[1])
+        last = timeline.scheduler.submit("cpu", HOST_DEVICE, 0.25,
+                                         deps=replayed)
+        assert (type(first), type(last)) == (int, int)
+        for ids in (phase, wave, replayed):
+            assert ids.dtype == np.int64
+        assert [first, *phase, *wave, *replayed, last] == list(range(7))
+        assert timeline.scheduler.critical_path().tolist() == \
+            [0, 2, 4, 5, 6]
 
     @pytest.mark.parametrize("deps", [np.array([0]), [None, None, None]],
                              ids=["short_id_array", "long_list"])
@@ -1213,57 +1321,32 @@ class TestEventTimeline:
 
 
 class TestTransitionBuffers:
-    def test_double_buffer_charges_twice_the_memory(self):
-        single_platform = MultiGPUPlatform(A100_SERVER, num_gpus=2)
-        double_platform = MultiGPUPlatform(A100_SERVER, num_gpus=2)
-        rows = [10, 20]
-        single = TransitionBuffers(single_platform, rows, 8, np.float64, 4)
-        double = TransitionBuffers(double_platform, rows, 8, np.float64, 4,
-                                   double_buffer=True)
-        for gpu in range(2):
-            assert double_platform.gpus[gpu].memory.in_use == \
-                2 * single_platform.gpus[gpu].memory.in_use
-        assert single.parity(3) == 0
-        assert double.parity(3) == 1
-        single.free()
-        double.free()
-        assert all(gpu.memory.in_use == 0 for gpu in double_platform.gpus)
-
-    def test_per_gpu_buffers_are_views_of_one_backing_array(self):
-        platform = MultiGPUPlatform(A100_SERVER, num_gpus=3)
-        rows = [3, 0, 5]
-        buffers = TransitionBuffers(platform, rows, 4, np.float32, 4)
-        assert buffers.offsets.tolist() == [0, 3, 3, 8]
-        assert buffers.stacked.shape == (8, 4)
-        assert buffers.stacked.dtype == np.float32
-        assert len(buffers) == 3
-        for gpu, count in enumerate(rows):
-            assert buffers[gpu].shape == (count, 4)
-            assert buffers[gpu].base is buffers.stacked
-        # a write through either side is seen by the other
-        buffers[2][1] = 7.0
-        assert buffers.stacked[buffers.offsets[2] + 1].tolist() == [7.0] * 4
-        buffers.stacked[0] = -1.0
-        assert buffers[0][0].tolist() == [-1.0] * 4
-        buffers.free()
-        assert buffers.stacked is None and len(buffers) == 0
-
     @pytest.mark.parametrize("double_buffer", [False, True])
-    def test_simulated_memory_is_still_charged_per_gpu(self, double_buffer):
+    def test_simulated_memory_is_charged_per_gpu(self, double_buffer):
         """One numpy array, m simulated allocations: each GPU's pool is
         charged its own rows (twice under double buffering), so the
-        simulated peak is the largest single buffer, not the stack."""
+        simulated peak is the largest single buffer, not the stack; and
+        ``free()`` releases every charge and the array."""
         platform = MultiGPUPlatform(A100_SERVER, num_gpus=3)
         rows, dim, bps = [3, 0, 5], 4, 4
-        buffers = TransitionBuffers(platform, rows, dim, np.float64, bps,
+        buffers = TransitionBuffers(platform, rows, dim, np.float32, bps,
                                     double_buffer=double_buffer)
+        assert buffers.double_buffer == double_buffer
+        assert buffers.stacked.shape == (8, dim)
+        assert buffers.stacked.dtype == np.float32
         copies = 2 if double_buffer else 1
         assert [gpu.memory.in_use for gpu in platform.gpus] == \
             [copies * count * dim * bps for count in rows]
+        assert [gpu.memory.by_tag["transition_buffer"]
+                for gpu in platform.gpus] == \
+            [copies * count * dim * bps for count in rows]
         assert platform.peak_gpu_memory() == copies * 5 * dim * bps
         buffers.free()
+        assert buffers.stacked is None
         assert all(gpu.memory.in_use == 0 for gpu in platform.gpus)
         assert platform.peak_gpu_memory() == copies * 5 * dim * bps
+        buffers.free()  # a second free is a no-op
+        assert all(gpu.memory.in_use == 0 for gpu in platform.gpus)
 
 
 @pytest.fixture(scope="module")
@@ -1327,11 +1410,9 @@ class TestOverlapPolicies:
         result = make_trainer(graph, overlap).train_epoch()
         timeline = result.timeline
         timeline.validate()
-        assert set(task.channel for task in timeline.scheduler.tasks) \
-            <= set(CHANNELS)
-        assert timeline.makespan >= max(
-            task.end for task in timeline.scheduler.tasks
-        ) - 1e-15
+        columns = timeline.scheduler.columns()
+        assert set(columns.channel.tolist()) <= set(range(len(CHANNELS)))
+        assert timeline.makespan >= columns.end.max() - 1e-15
 
     @pytest.mark.parametrize("policy", ["hybrid", "recompute"])
     def test_numerics_bit_identical_across_policies(self, graph, policy):
@@ -1452,10 +1533,11 @@ class TestBatchedEmissionEquivalence:
         assert batched_flows == scalar_flows
         assert batched.timeline.scheduler.num_tasks == \
             scalar.timeline.scheduler.num_tasks
-        assert [(task.start, task.end, task.blocked_by)
-                for task in batched.timeline.scheduler.tasks] == \
-            [(task.start, task.end, task.blocked_by)
-             for task in scalar.timeline.scheduler.tasks]
+        ours = batched.timeline.scheduler.columns()
+        theirs = scalar.timeline.scheduler.columns()
+        for name in ("start", "end", "blocked_by"):
+            np.testing.assert_array_equal(
+                getattr(ours, name), getattr(theirs, name), err_msg=name)
         assert bool(batched.timeline.scheduler._free_shared) == \
             (topology.kind == "spine")
         batched.timeline.validate()

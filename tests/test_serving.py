@@ -30,7 +30,7 @@ from repro.runtime import CHANNELS
 from repro.runtime.scheduler import EventScheduler
 from repro.runtime.task import HOST_DEVICE
 from repro.scenario import ClusterArgs
-from scheduler_oracle import timeline_state
+from scheduler_oracle import scheduler_state, task_rows, timeline_state
 from serving_reference import ReferenceServingEngine
 from repro.serving import (
     ArrivalProcess,
@@ -393,7 +393,7 @@ def assert_same_horizon(result, reference, skip=()):
 def queue_intervals(timeline) -> dict:
     """(channel, device) -> that queue's sorted (start, end) pairs."""
     queues = {}
-    for task in timeline.scheduler.tasks:
+    for task in task_rows(timeline.scheduler):
         queues.setdefault((task.channel, task.device), []).append(
             (task.start, task.end))
     return {queue: sorted(pairs) for queue, pairs in queues.items()}
@@ -416,10 +416,13 @@ def assert_matches_reference(result, reference):
     assert queue_intervals(new) == queue_intervals(old)
     assert new.busy_view() == old.busy_view()
     assert new.bytes_view() == old.bytes_view()
-    assert [(task.channel, task.device, task.start, task.end)
-            for task in new.scheduler.critical_path()] == \
-        [(task.channel, task.device, task.start, task.end)
-         for task in old.scheduler.critical_path()]
+    ours, theirs = task_rows(new.scheduler), task_rows(old.scheduler)
+
+    def critical(rows, timeline):
+        return [(rows[i].channel, rows[i].device, rows[i].start, rows[i].end)
+                for i in timeline.scheduler.critical_path().tolist()]
+
+    assert critical(ours, new) == critical(theirs, old)
     new.validate()
     # Declared: the admission tasks are ids 0 .. B-1, one phase "admit"
     # listing no dependency (the host queue orders them); the loop gave
@@ -428,24 +431,24 @@ def assert_matches_reference(result, reference):
     admit = np.flatnonzero(
         old.scheduler.columns().channel == CHANNELS.index("cpu"))
     assert len(admit) == num_batches
-    ours, theirs = new.scheduler.tasks, old.scheduler.tasks
+    our_deps = scheduler_state(new.scheduler)["deps"]
+    their_deps = scheduler_state(old.scheduler)["deps"]
     assert [task.device for task in ours[:num_batches]] == \
         [HOST_DEVICE] * num_batches
     assert {task.label for task in ours[:num_batches]} <= {"admit"}
     assert all(task.label != "admit" for task in ours[num_batches:])
-    assert [task.deps for task in ours[:num_batches]] == \
-        [()] * num_batches
+    assert our_deps[:num_batches] == [[]] * num_batches
     assert [theirs[a].label for a in admit] == \
         [f"admit[{b}]" for b in range(num_batches)]
-    assert [theirs[a].deps for a in admit] == \
-        [()] + [(int(a),) for a in admit[:-1]]
+    assert [their_deps[a] for a in admit] == \
+        [[]] + [[int(a)] for a in admit[:-1]]
     for task, a in zip(ours[:num_batches], admit):  # same times, blocker
         twin = theirs[a]
         assert (task.seconds, task.start, task.end) == \
             (twin.seconds, twin.start, twin.end)
         blocker = twin.blocked_by
         assert task.blocked_by == (
-            None if blocker is None else int(np.searchsorted(admit, blocker)))
+            -1 if blocker < 0 else int(np.searchsorted(admit, blocker)))
     # Declared: breakdown["cpu"] is the longest admission gap (one
     # phase), not the gaps' sum; every other channel is unchanged.
     gaps = [task.seconds for task in ours[:num_batches]]

@@ -57,6 +57,7 @@ from report_reference import (
     reference_render_node_utilization,
     reference_render_timeline,
 )
+from scheduler_oracle import task_rows
 
 
 def cluster_platform(kind="flat", oversubscription=1.0, num_rails=0,
@@ -219,8 +220,10 @@ class TestTopologyTrainer:
         result = make_trainer(
             graph, cluster_platform("spine", oversubscription=16.0),
             "pipeline").train_epoch()
-        chain = result.timeline.scheduler.critical_path()
-        assert any(task.channel == "net" for task in chain)
+        scheduler = result.timeline.scheduler
+        chain = scheduler.critical_path()
+        assert (scheduler.columns().channel[chain]
+                == CHANNELS.index("net")).any()
 
     def test_rail_traffic_spreads_over_rails(self, graph):
         platform = cluster_platform("rail")
@@ -228,7 +231,7 @@ class TestTopologyTrainer:
         result.timeline.validate()
         rails_used = {
             net_link_parts(task.device, 2, platform.num_rails)[2]
-            for task in result.timeline.scheduler.tasks
+            for task in task_rows(result.timeline.scheduler)
             if task.channel == "net" and task.device <= NET_DEVICE_BASE
         }
         assert len(rails_used) > 1
@@ -237,7 +240,7 @@ class TestTopologyTrainer:
                             "pipeline").train_epoch()
         assert {
             net_link_parts(task.device, 2, 1)[2]
-            for task in flat.timeline.scheduler.tasks
+            for task in task_rows(flat.timeline.scheduler)
             if task.channel == "net" and task.device <= NET_DEVICE_BASE
         } == {0}
 
@@ -248,7 +251,7 @@ class TestTopologyTrainer:
         platform = cluster_platform("rail", nodes=4, gpus_per_node=2)
         result = make_trainer(graph, platform, "barrier").train_epoch()
         result.timeline.validate()
-        ring = [task for task in result.timeline.scheduler.tasks
+        ring = [task for task in task_rows(result.timeline.scheduler)
                 if task.label == "all_reduce_ring"]
         assert len(ring) == 4
         decoded = {
@@ -292,13 +295,12 @@ class TestTopologyTrainer:
         result = make_trainer(
             graph, cluster_platform("spine", oversubscription=16.0),
             "barrier").train_epoch()
-        scheduler = result.timeline.scheduler
-        by_id = {task.task_id: task for task in scheduler.tasks}
+        rows = task_rows(result.timeline.scheduler)
         crossings = [
-            task for task in scheduler.tasks
-            if task.channel == "net" and task.blocked_by is not None
-            and by_id[task.blocked_by].channel == "net"
-            and by_id[task.blocked_by].device != task.device
+            task for task in rows
+            if task.channel == "net" and task.blocked_by >= 0
+            and rows[task.blocked_by].channel == "net"
+            and rows[task.blocked_by].device != task.device
         ]
         assert crossings, "no cross-link spine contention recorded"
         assert SPINE_RESOURCE == ("net", "spine")
@@ -552,43 +554,43 @@ class TestUtilizationRendering:
     @pytest.mark.parametrize("kind", ["single", "flat", "spine", "rail",
                                       "hetero"])
     def test_array_reports_equal_the_per_task_loops(self, graph, kind):
-        """The tables aggregate the scheduler's columns; the per-``Task``
+        """The tables aggregate the scheduler's columns; the per-task
         loops they replaced (``report_reference``) must render the same
-        bytes — and the array path must materialize no ``Task``."""
+        bytes."""
         platform = self.report_platform(kind)
         timeline = make_trainer(graph, platform).train_epoch().timeline
         # host work and an off-link device on the net channel: the two
         # corners of the node attribution
         timeline.add("cpu", 0.25)
         timeline.add("net", 0.5, device=1)
-        timeline.scheduler._task_cache.clear()
-        timeline.scheduler._tasks_view.clear()
         rendered = (render_timeline(timeline, title="channels", width=24),
                     render_node_utilization(timeline, platform, title="n"))
-        assert len(timeline.scheduler._task_cache) == 0
         assert rendered == (
             reference_render_timeline(timeline, title="channels", width=24),
             reference_render_node_utilization(timeline, platform, title="n"))
-        assert len(timeline.scheduler._task_cache) == \
-            timeline.scheduler.num_tasks  # the reference did materialize
 
     def test_columns_are_read_only_views(self):
         timeline = EventTimeline()
-        timeline.submit_batch("gpu", [1.0, 2.0], devices=[3, 0])
-        timeline.add("net", 0.5, device=-4)
-        device, channel, seconds, nbytes, phase, used = \
-            timeline.scheduler.columns()
-        assert device.tolist() == [3, 0, -4]
-        assert [CHANNELS[c] for c in channel] == ["gpu", "gpu", "net"]
-        assert seconds.tolist() == [1.0, 2.0, 0.5]
-        assert nbytes.tolist() == [0, 0, 0]
-        assert phase.tolist() == [0, 0, 1]
-        assert [ids.tolist() for ids in used] == \
+        gpus = timeline.submit_batch("gpu", [1.0, 2.0], devices=[3, 0])
+        timeline.add("net", 0.5, device=-4, deps=gpus)
+        columns = timeline.scheduler.columns()
+        assert columns.device.tolist() == [3, 0, -4]
+        assert [CHANNELS[c] for c in columns.channel] == \
+            ["gpu", "gpu", "net"]
+        assert columns.seconds.tolist() == [1.0, 2.0, 0.5]
+        assert columns.nbytes.tolist() == [0, 0, 0]
+        assert columns.phase.tolist() == [0, 0, 1]
+        assert columns.start.tolist() == [0.0, 0.0, 2.0]
+        assert columns.end.tolist() == [1.0, 2.0, 2.5]
+        assert columns.blocked_by.tolist() == [-1, -1, 1]
+        assert [ids.tolist() for ids in columns.used] == \
             [[0, 3], [], [], [], [], [-4]]
-        with pytest.raises(ValueError):
-            seconds[0] = 9.0
+        for column in columns[:-1]:  # every per-task column
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 9
         timeline.add("gpu", 1.0, device=3)  # the scheduler still writes
         assert timeline.scheduler.columns().seconds.tolist()[-1] == 1.0
+        assert timeline.scheduler.columns().start.tolist()[-1] == 1.0
 
     def test_node_utilization_decodes_rail_links(self, graph):
         platform = cluster_platform("rail")

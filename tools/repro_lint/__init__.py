@@ -1,6 +1,6 @@
 """repro-lint: AST-based invariant checkers for the HongTu reproduction.
 
-Six checkers statically enforce contracts the test suite can only probe
+Five checkers statically enforce contracts the test suite can only probe
 dynamically (see ``docs/ARCHITECTURE.md`` — "Static invariants &
 enforcement" — for the mapping to the runtime contracts):
 
@@ -10,9 +10,8 @@ enforcement" — for the mapping to the runtime contracts):
   (:mod:`tools.repro_lint.taxonomy`);
 * ``RPL301`` — seconds-vs-bytes cost dimensions
   (:mod:`tools.repro_lint.dimensions`);
-* ``RPL401``/``RPL402``/``RPL403`` — hot-path python loops in the
-  vectorized core, ``ufunc.at`` scatters in the training-step numerics,
-  and whole-timeline ``Task`` materialization through ``scheduler.tasks``
+* ``RPL401``/``RPL402`` — hot-path python loops in the vectorized core
+  and ``ufunc.at`` scatters in the training-step numerics
   (:mod:`tools.repro_lint.hotloop`).
 
 Run ``python -m tools.repro_lint src/ benchmarks/ tools/`` from the repo
@@ -34,11 +33,7 @@ from tools.repro_lint.base import (
 )
 from tools.repro_lint.determinism import DeterminismChecker
 from tools.repro_lint.dimensions import DimensionChecker
-from tools.repro_lint.hotloop import (
-    HotLoopChecker,
-    ScatterChecker,
-    TaskMaterializationChecker,
-)
+from tools.repro_lint.hotloop import HotLoopChecker, ScatterChecker
 from tools.repro_lint.taxonomy import TaxonomyChecker
 
 __all__ = ["Diagnostic", "SourceFile", "Checker", "build_checkers",
@@ -46,7 +41,7 @@ __all__ = ["Diagnostic", "SourceFile", "Checker", "build_checkers",
 
 #: every diagnostic code the suite can emit
 ALL_CODES = ("RPL101", "RPL102", "RPL103", "RPL201", "RPL301", "RPL401",
-             "RPL402", "RPL403")
+             "RPL402")
 
 
 def build_checkers(root: Optional[Path] = None) -> List[Checker]:
@@ -59,7 +54,6 @@ def build_checkers(root: Optional[Path] = None) -> List[Checker]:
         DimensionChecker(),
         HotLoopChecker(),
         ScatterChecker(),
-        TaskMaterializationChecker(),
     ]
 
 

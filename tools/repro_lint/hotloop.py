@@ -1,4 +1,4 @@
-"""RPL401/RPL402/RPL403 — hot-path lints for the array-backed simulator core.
+"""RPL401/RPL402 — hot-path lints for the array-backed simulator core.
 
 The vectorization pass (PR 6) rebuilt the scheduler on
 structure-of-arrays state and turned per-(layer, batch, gpu) task
@@ -32,29 +32,19 @@ to. Any ``np.<ufunc>.at`` call under ``src/repro/gnn/``,
 ``src/repro/autograd/``, ``src/repro/partition/`` or in
 ``src/repro/core/trainer.py`` is flagged; there is no escape hatch
 beyond the generic ``ignore[RPL402]``.
-
-``RPL403`` guards the structure-of-arrays scheduler from the reading
-side. ``EventScheduler.tasks`` builds one ``Task`` dataclass per
-submitted task the first time it is read — half a million objects for
-one serving day, 2.5 s of a report that then summed three columns. Any
-read of ``<...scheduler>.tasks`` under ``src/repro/`` is flagged outside
-``runtime/scheduler.py`` itself and ``EventTimeline.submit_phase`` (the
-one caller whose contract *is* ``Task`` objects); reports and serving
-paths aggregate ``scheduler.columns()`` or index the id arrays.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from tools.repro_lint.base import Checker, Diagnostic, SourceFile
 
 __all__ = [
     "HotLoopChecker",
     "ScatterChecker",
-    "TaskMaterializationChecker",
     "HOT_FILES",
     "SCATTER_FREE",
 ]
@@ -147,52 +137,4 @@ class ScatterChecker(Checker):
                     f"`+=` over duplicate-free rows",
                 )
             )
-        return diagnostics
-
-
-def _is_scheduler(node: ast.AST) -> bool:
-    """``scheduler``, ``timeline.scheduler``, ``self._scheduler``, ..."""
-    if isinstance(node, ast.Name):
-        return node.id.endswith("scheduler")
-    return isinstance(node, ast.Attribute) and node.attr.endswith("scheduler")
-
-
-class TaskMaterializationChecker(Checker):
-    codes = ("RPL403",)
-
-    #: the scheduler's own module, and the one method that hands out
-    #: ``Task`` objects by contract
-    SCHEDULER = "src/repro/runtime/scheduler.py"
-    EXEMPT = ("EventTimeline", "submit_phase")
-
-    def applies_to(self, source: SourceFile) -> bool:
-        return source.in_simulator() and not source.normalized.endswith(self.SCHEDULER)
-
-    def check(self, source: SourceFile) -> List[Diagnostic]:
-        diagnostics: List[Diagnostic] = []
-
-        def visit(node: ast.AST, scope: Tuple[str, ...]) -> None:
-            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-                scope = (*scope, node.name)
-            if scope[-2:] == self.EXEMPT:
-                return
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr == "tasks"
-                and _is_scheduler(node.value)
-            ):
-                diagnostics.append(
-                    self.diagnostic(
-                        source,
-                        node,
-                        "RPL403",
-                        f"`{ast.unparse(node)}` materializes one Task per submitted task; "
-                        f"aggregate `scheduler.columns()` (or index the id arrays) on a "
-                        f"reporting or serving path",
-                    )
-                )
-            for child in ast.iter_child_nodes(node):
-                visit(child, scope)
-
-        visit(source.tree, ())
         return diagnostics
