@@ -197,6 +197,28 @@ def table8_claims(volumes: Dict[str, DedupVolumes]) -> Dict[str, bool]:
     return claims
 
 
+def fig9_claims(baseline, p2p, full) -> Dict[str, bool]:
+    """Fig. 9's claims over one ladder's epoch results, by name.
+
+    ``baseline``, ``p2p`` and ``full`` are the Baseline, +P2P and +RU
+    rungs of one (graph, model, layers) cell. The ladder is monotone and
+    the full stack wins by at least 1.15x; H2D shrinks along it, and D2D
+    traffic appears with +P2P.
+    """
+    def h2d(result):
+        return result.clock.seconds["h2d"]
+
+    return {
+        "+P2P <= Baseline": p2p.epoch_seconds <= baseline.epoch_seconds,
+        "+RU <= +P2P": full.epoch_seconds <= p2p.epoch_seconds,
+        "Baseline > 1.15 x +RU":
+            baseline.epoch_seconds > 1.15 * full.epoch_seconds,
+        "H2D: +P2P < Baseline": h2d(p2p) < h2d(baseline),
+        "H2D: +RU <= +P2P": h2d(full) <= h2d(p2p),
+        "D2D appears with +P2P": p2p.clock.seconds["d2d"] > 0,
+    }
+
+
 def emit_json(name: str, metrics: dict,
               config=None, fleet: dict = None) -> None:
     """Archive simulated metrics as results/<name>.json for CI.

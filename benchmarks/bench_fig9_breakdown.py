@@ -26,7 +26,13 @@ from repro.core import HongTuConfig, HongTuTrainer
 from repro.graph import load_dataset
 from repro.hardware import A100_SERVER, MultiGPUPlatform
 
-from benchmarks._common import BENCH_SCALE, emit, emit_json, paper_model
+from benchmarks._common import (
+    BENCH_SCALE,
+    emit,
+    emit_json,
+    fig9_claims,
+    paper_model,
+)
 
 DATASETS = ["it2004_sim", "papers_sim", "friendster_sim"]
 LAYER_COUNTS = [2, 3, 4]
@@ -35,8 +41,9 @@ NUM_CHUNKS = {"it2004_sim": 8, "papers_sim": 16, "friendster_sim": 16}
 LADDER = [("Baseline", "baseline"), ("+P2P", "p2p"), ("+RU", "hongtu")]
 
 
-def run_cell(dataset, arch, layers, comm_mode, overlap="barrier"):
-    graph = load_dataset(dataset, scale=BENCH_SCALE)
+def run_cell(dataset, arch, layers, comm_mode, overlap="barrier",
+             scale=BENCH_SCALE):
+    graph = load_dataset(dataset, scale=scale)
     chunks = NUM_CHUNKS[dataset] * (2 if arch == "gat" else 1)
     model = paper_model(arch, graph, layers, HIDDEN, seed=1)
     trainer = HongTuTrainer(
@@ -74,19 +81,15 @@ def build_tables(arch):
 
 
 def _check_shapes(results):
-    for dataset in DATASETS:
-        for layers in LAYER_COUNTS:
-            baseline = results[(dataset, layers, "Baseline")]
-            p2p = results[(dataset, layers, "+P2P")]
-            full = results[(dataset, layers, "+RU")]
-            # Ladder is monotone and the full stack wins by >= 1.15x.
-            assert p2p.epoch_seconds <= baseline.epoch_seconds
-            assert full.epoch_seconds <= p2p.epoch_seconds
-            assert baseline.epoch_seconds > 1.15 * full.epoch_seconds
-            # H2D shrinks along the ladder; D2D appears with +P2P.
-            assert p2p.clock.seconds["h2d"] < baseline.clock.seconds["h2d"]
-            assert full.clock.seconds["h2d"] <= p2p.clock.seconds["h2d"]
-            assert p2p.clock.seconds["d2d"] > 0
+    failed = [
+        f"{dataset} L{layers}: {name}"
+        for dataset in DATASETS for layers in LAYER_COUNTS
+        for name, held in fig9_claims(
+            *(results[(dataset, layers, label)] for label, _ in LADDER)
+        ).items()
+        if not held
+    ]
+    assert not failed, failed
 
 
 def bench_fig9_gcn(benchmark):

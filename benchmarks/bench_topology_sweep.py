@@ -24,7 +24,6 @@ import numpy as np
 from repro.autograd import SGD
 from repro.bench import render_table
 from repro.comm import (
-    ClusterCostModel,
     CommCostModel,
     DedupCommunicator,
     build_comm_plan,
@@ -142,12 +141,10 @@ def run_reorg(scale=BENCH_SCALE, nodes=2):
     partition = two_level_partition(graph, 4 * nodes, NUM_CHUNKS, seed=0)
     platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(nodes))
     cost_model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
-    cluster_model = ClusterCostModel.from_cluster(platform.cluster)
     row_bytes = HIDDEN * 4
     blind = reorganize_partition(partition, cost_model, row_bytes)
     aware = reorganize_partition(partition, cost_model, row_bytes,
-                                 cluster_model=cluster_model,
-                                 num_nodes=nodes)
+                                 platform=platform)
     return {
         "original": measure_halo_bytes(partition, platform),
         "net-blind greedy": measure_halo_bytes(blind.partition, platform),

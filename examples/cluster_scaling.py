@@ -8,7 +8,7 @@ This walkthrough runs that comparison — and the scale-out axis beyond it —
 on the shared event-timeline runtime:
 
 1. price the inter-node collectives (ring vs tree all-reduce, halo
-   exchange) with the ClusterCostModel, a view of the platform's rates;
+   exchange) from the platform's rate table;
 2. inspect the halo a 2-node partition must exchange per layer sweep;
 3. run DistGNN on 1 and 16 CPU nodes as a per-layer BSP task DAG;
 4. run HongTu on one 4-GPU server and on a 2x4-GPU cluster, barrier vs
@@ -23,7 +23,6 @@ from repro.bench import (
     render_node_utilization,
     render_table,
 )
-from repro.comm import ClusterCostModel
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.graph import load_dataset
 from repro.hardware import (
@@ -39,19 +38,20 @@ def main() -> None:
     graph = load_dataset("papers_sim", scale=0.25, seed=0)
     print(f"graph: {graph}")
 
-    # --- 1. collective cost models ------------------------------------
-    # The model is a live view of a platform's network (it stores no
-    # rate of its own); from_cluster builds a fresh fault-free platform.
-    cost = ClusterCostModel.from_cluster(A100_CLUSTER)
+    # --- 1. collective costs ------------------------------------------
+    # The platform prices its own network from one rate table: the
+    # predicted collectives and the simulated net tasks read the same
+    # link rates.
+    fleet = ClusterPlatform(A100_CLUSTER)
     payload = 4 * 1024 * 1024  # a 4 MB gradient payload
+    message = fleet.cluster.network_latency + payload / fleet.link_rate()
     print("\ninter-node collectives on "
           f"{A100_CLUSTER.name} ({format_bytes(payload)} payload):")
     print(f"  ring all-reduce : "
-          f"{format_seconds(cost.ring_allreduce_seconds(payload))}")
+          f"{format_seconds(fleet.allreduce_seconds(payload, 'ring'))}")
     print(f"  tree all-reduce : "
-          f"{format_seconds(cost.tree_allreduce_seconds(payload))}")
-    print(f"  halo message    : "
-          f"{format_seconds(cost.halo_exchange_seconds(payload))}")
+          f"{format_seconds(fleet.allreduce_seconds(payload, 'tree'))}")
+    print(f"  halo message    : {format_seconds(message)}")
 
     # --- 2. halo analysis of a 2-node partition ------------------------
     partition = two_level_partition(graph, 8, 8, seed=0)

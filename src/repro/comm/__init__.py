@@ -4,7 +4,6 @@ from repro.comm.plan import BatchGpuPlan, CommPlan, build_comm_plan
 from repro.comm.analysis import DedupVolumes, measure_volumes
 from repro.comm.cost_model import (
     ALLREDUCE_ALGORITHMS,
-    ClusterCostModel,
     CommCostModel,
     communication_cost,
 )
@@ -15,7 +14,7 @@ from repro.comm.executor import DedupCommunicator
 __all__ = [
     "BatchGpuPlan", "CommPlan", "build_comm_plan",
     "DedupVolumes", "measure_volumes",
-    "CommCostModel", "ClusterCostModel", "communication_cost",
+    "CommCostModel", "communication_cost",
     "ALLREDUCE_ALGORITHMS",
     "reorganize_partition", "ReorganizationResult",
     "joint_placement", "JointResult", "JointIteration",

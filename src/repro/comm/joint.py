@@ -44,20 +44,15 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-
 from repro.comm.analysis import DedupVolumes
-from repro.comm.cost_model import (
-    ALLREDUCE_ALGORITHMS,
-    ClusterCostModel,
-    CommCostModel,
-)
+from repro.comm.cost_model import CommCostModel
 from repro.comm.reorganize import (
     ReorganizationResult,
-    _require_count,
     _require_size,
     reorganize_partition,
 )
+from repro.errors import ConfigurationError, require_count
+from repro.hardware.platform import ALLREDUCE_ALGORITHMS, MultiGPUPlatform
 from repro.partition.placement import PlacementResult, search_placement
 from repro.partition.two_level import TwoLevelPartition
 
@@ -130,7 +125,7 @@ class JointResult:
 
 def _combined_cost(volumes: DedupVolumes, net_rows: int,
                    cost_model: CommCostModel,
-                   cluster_model: ClusterCostModel, row_bytes: int,
+                   platform: MultiGPUPlatform, row_bytes: int,
                    allreduce_bytes: float, allreduce_algorithm: str,
                    compute_rows_placed: int = 0) -> float:
     """Eq. 4 + cluster net term + (constant) collective legs, seconds.
@@ -144,19 +139,19 @@ def _combined_cost(volumes: DedupVolumes, net_rows: int,
     guard measured them.
     """
     eq4 = cost_model.cost_seconds(volumes, row_bytes)
-    net = cluster_model.placement_seconds(
+    net = platform.placement_seconds(
         net_rows, row_bytes, allreduce_bytes=allreduce_bytes,
         algorithm=allreduce_algorithm,
     )
     if compute_rows_placed:
         net += (compute_rows_placed * row_bytes
-                / cluster_model.collective_bandwidth)
+                / platform.collective_bandwidth)
     return eq4 + net
 
 
-def joint_placement(partition: TwoLevelPartition, num_nodes: int,
+def joint_placement(partition: TwoLevelPartition,
+                    platform: MultiGPUPlatform,
                     cost_model: CommCostModel,
-                    cluster_model: ClusterCostModel,
                     row_bytes: int = 4 * 128,
                     allreduce_bytes: float = 0.0,
                     allreduce_algorithm: str = "ring",
@@ -165,8 +160,7 @@ def joint_placement(partition: TwoLevelPartition, num_nodes: int,
                     max_imbalance: int = 0,
                     node_budgets: Optional[Sequence[Optional[float]]] = None,
                     partition_host_bytes: Optional[np.ndarray] = None,
-                    compute_rows: Optional[np.ndarray] = None,
-                    dead_nodes=frozenset()
+                    compute_rows: Optional[np.ndarray] = None
                     ) -> JointResult:
     """Alternate placement search and schedule reorganization to a
     fixed point of the combined predicted cost.
@@ -182,31 +176,37 @@ def joint_placement(partition: TwoLevelPartition, num_nodes: int,
     exactly the single-pass ``placement="search"`` pipeline, so
     ``cost_joint <= cost_single_pass`` always holds.
 
-    ``compute_rows`` (an ``(m, num_nodes)`` row-equivalent compute
+    ``platform`` supplies the node count, the dead nodes and the network
+    prices; it must have at least two nodes (with one, both axes are
+    no-ops). ``compute_rows`` (an ``(m, num_nodes)`` row-equivalent compute
     matrix, see :func:`~repro.partition.placement.search_placement`)
     makes every search step capability-aware on a heterogeneous fleet;
     the convergence cost then includes the placed compute term at the
     same congested rate, and identical per-node rates leave the loop
     bit-identical to the homogeneous one.
 
-    ``dead_nodes`` runs the whole loop in evacuation mode (the elastic
-    re-balancer's path): every search step refuses the named nodes and
+    A platform with dead nodes runs the whole loop in evacuation mode
+    (the elastic re-balancer's path): every search step refuses them and
     balances over the survivors, and the reorganization prices the
     evacuating placements it is handed.
 
     Every scalar is checked before the first search: a malformed one
     raises :class:`~repro.errors.ConfigurationError` naming it.
     """
-    # With one node both axes are no-ops.
-    _require_count("num_nodes", num_nodes, 2)
+    if not (isinstance(platform, MultiGPUPlatform)
+            and platform.num_nodes > 1):
+        raise ConfigurationError(
+            f"platform must be a MultiGPUPlatform of at least 2 nodes, "
+            f"got {platform!r}")
     _require_size("row_bytes", row_bytes)
-    _require_count("max_iterations", max_iterations, 1)
+    require_count("max_iterations", max_iterations, 1)
     _require_size("allreduce_bytes", allreduce_bytes, allow_zero=True)
     if allreduce_algorithm not in ALLREDUCE_ALGORITHMS:
         raise ConfigurationError(
             f"allreduce_algorithm must be one of {ALLREDUCE_ALGORITHMS}, "
             f"got {allreduce_algorithm!r}")
 
+    num_nodes = platform.num_nodes
     placement = seed_placement
     current = partition
     iterations: List[JointIteration] = []
@@ -228,7 +228,7 @@ def joint_placement(partition: TwoLevelPartition, num_nodes: int,
             node_budgets=node_budgets,
             partition_host_bytes=partition_host_bytes,
             compute_rows=compute_rows,
-            dead_nodes=dead_nodes,
+            dead_nodes=platform.dead_nodes,
         )
         placement = placed.placement
         total_swaps += placed.swaps
@@ -236,9 +236,8 @@ def joint_placement(partition: TwoLevelPartition, num_nodes: int,
         total_refinements += placed.refinement_passes
 
         reorganized = reorganize_partition(
-            current, cost_model, row_bytes, cluster_model=cluster_model,
-            num_nodes=num_nodes, placement=placement,
-            dead_nodes=dead_nodes,
+            current, cost_model, row_bytes, platform=platform,
+            placement=placement,
         )
         current = reorganized.partition
         if index == 1:
@@ -246,14 +245,14 @@ def joint_placement(partition: TwoLevelPartition, num_nodes: int,
             rows_initial = placed.rows_block
             cost_initial = _combined_cost(
                 reorganized.volumes_before, placed.rows_block, cost_model,
-                cluster_model, row_bytes, allreduce_bytes,
+                platform, row_bytes, allreduce_bytes,
                 allreduce_algorithm,
                 compute_rows_placed=placed.compute_rows_block or 0,
             )
 
         net_rows = reorganized.net_rows_after
         cost = _combined_cost(
-            reorganized.volumes_after, net_rows, cost_model, cluster_model,
+            reorganized.volumes_after, net_rows, cost_model, platform,
             row_bytes, allreduce_bytes, allreduce_algorithm,
             compute_rows_placed=placed.compute_rows_search or 0,
         )

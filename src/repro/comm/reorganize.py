@@ -42,14 +42,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.analysis import DedupVolumes, measure_volumes
-from repro.comm.cost_model import ClusterCostModel, CommCostModel
+from repro.comm.cost_model import CommCostModel
 from repro.errors import ConfigurationError
+from repro.hardware.platform import MultiGPUPlatform
 from repro.partition.nodes import (
     partition_halo_matrix,
     partition_load_matrix,
@@ -64,8 +65,8 @@ __all__ = ["reorganize_partition", "ReorganizationResult"]
 class ReorganizationResult:
     """Reorganized partition + provenance.
 
-    When the reorganization ran net-aware (a ``cluster_model`` and
-    ``num_nodes > 1`` were supplied), ``net_rows_before``/``net_rows_after``
+    When the reorganization ran net-aware (a ``platform`` of more than
+    one node was supplied), ``net_rows_before``/``net_rows_after``
     hold the *predicted* cross-node halo rows per epoch-layer of the input
     and adopted layouts (forward fetches plus staging loads and their
     mirrored gradient flushes, from :func:`~repro.partition.halo_volumes`
@@ -113,10 +114,8 @@ class ReorganizationResult:
 def reorganize_partition(partition: TwoLevelPartition,
                          cost_model: Optional[CommCostModel] = None,
                          row_bytes: int = 4 * 128,
-                         cluster_model: Optional[ClusterCostModel] = None,
-                         num_nodes: int = 1,
-                         placement: Optional[np.ndarray] = None,
-                         dead_nodes=frozenset()
+                         platform: Optional[MultiGPUPlatform] = None,
+                         placement: Optional[np.ndarray] = None
                          ) -> ReorganizationResult:
     """Run Algorithm 4 on ``partition``.
 
@@ -128,26 +127,30 @@ def reorganize_partition(partition: TwoLevelPartition,
     phases, and the cost model is exactly the guard the paper's design calls
     for.
 
-    When ``cluster_model`` is given and ``num_nodes > 1``, the objective
-    gains the **net term**: cross-node halo rows priced at
-    ``cluster_model`` network seconds join the guard, and an additional
-    net-aware candidate layout (per-partition reuse chains with
-    remotely-owned rows weighted up) competes with the paper's greedy
-    layout. With one node (or no cluster model) the behavior — including
-    every float — is identical to the pre-topology implementation.
+    When ``platform`` has more than one node, the objective gains the
+    **net term**: cross-node halo rows priced at the platform's
+    :meth:`~repro.hardware.platform.MultiGPUPlatform.halo_volume_seconds`
+    join the guard, and an additional net-aware candidate layout
+    (per-partition reuse chains with remotely-owned rows weighted up)
+    competes with the paper's greedy layout. With one node (or no
+    platform) the behavior — including every float — is identical to the
+    pre-topology implementation.
 
     ``placement`` overrides the contiguous-block partition→node map for
     the net term (see :func:`repro.partition.partition_nodes`): when the
     placement search has moved partitions between nodes, the net-aware
     objective and guard price halo rows against the *actual* assignment
-    the executor will route with (``dead_nodes`` admits evacuating
-    placements that leave faulted nodes empty).
+    the executor will route with (the platform's dead nodes admit
+    evacuating placements that leave them empty).
 
-    A ``row_bytes`` that is not a finite real > 0 or a ``num_nodes`` that
-    is not an integer >= 1 raises ``ConfigurationError`` before any work.
+    A ``row_bytes`` that is not a finite real > 0 or a ``platform`` that
+    is not a :class:`~repro.hardware.platform.MultiGPUPlatform` raises
+    ``ConfigurationError`` before any work.
     """
     _require_size("row_bytes", row_bytes)  # it prices every guard cost
-    _require_count("num_nodes", num_nodes, 1)
+    if platform is not None and not isinstance(platform, MultiGPUPlatform):
+        raise ConfigurationError(
+            f"platform must be a MultiGPUPlatform or None, got {platform!r}")
     m = partition.num_partitions
     n = partition.num_chunks
     neighbors = [[chunk.neighbor_global for chunk in row]
@@ -155,17 +158,18 @@ def reorganize_partition(partition: TwoLevelPartition,
 
     # Candidate layouts as (grid, batch order): the input, the paper's
     # greedy one and, on a cluster, the net-aware one.
-    net_aware = cluster_model is not None and num_nodes > 1
+    net_aware = platform is not None and platform.num_nodes > 1
     layouts: List[Tuple[List[List[int]], List[int]]] = [
         ([list(range(n)) for _ in range(m)], list(range(n))),
         _paper_greedy(neighbors, partition.graph.num_vertices),
     ]
     if net_aware:
-        node_map = partition_nodes(m, num_nodes, placement,
-                                   max_imbalance=None, dead_nodes=dead_nodes)
+        node_map = partition_nodes(m, platform.num_nodes, placement,
+                                   max_imbalance=None,
+                                   dead_nodes=platform.dead_nodes)
         layouts.append((_reuse_chain_grid(
             neighbors, node_map, node_map[partition.assignment],
-            _remote_row_weight(cost_model, cluster_model, row_bytes),
+            _remote_row_weight(cost_model, platform, row_bytes),
         ), list(range(n))))
     candidates = [partition] + [_materialize(partition, grid, order)
                                 for grid, order in layouts[1:]]
@@ -186,7 +190,7 @@ def reorganize_partition(partition: TwoLevelPartition,
         fetch = partition_halo_matrix(partition)
         rows = [int((fetch + 2 * partition_load_matrix(candidate))[cross].sum())
                 for candidate in candidates]
-        net_seconds = [cluster_model.halo_volume_seconds(count * row_bytes)
+        net_seconds = [platform.halo_volume_seconds(count * row_bytes)
                        for count in rows]
     if net_aware or cost_model is not None:
         costs = list(net_seconds) if net_aware else [0.0] * len(candidates)
@@ -221,13 +225,6 @@ def _require_size(name: str, value, allow_zero: bool = False) -> None:
             or not 0 <= value < math.inf or (value == 0 and not allow_zero)):
         raise ConfigurationError(f"{name} must be a finite number "
                                  f"{'>=' if allow_zero else '>'} 0, got {value!r}")
-
-
-def _require_count(name: str, value, minimum: int) -> None:
-    if (isinstance(value, bool) or not isinstance(value, Integral)
-            or value < minimum):
-        raise ConfigurationError(
-            f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _take_best(remaining: List[int], scores: Iterable[float]) -> int:
@@ -276,7 +273,7 @@ def _paper_greedy(neighbors: Sequence[Sequence[np.ndarray]],
 # the net-aware candidate (cluster extension)
 # ----------------------------------------------------------------------
 def _remote_row_weight(cost_model: Optional[CommCostModel],
-                       cluster_model: ClusterCostModel,
+                       platform: MultiGPUPlatform,
                        row_bytes: int) -> float:
     """How much more a remotely-owned row is worth reusing than a local one.
 
@@ -286,7 +283,7 @@ def _remote_row_weight(cost_model: Optional[CommCostModel],
     Without an Eq. 4 model to price PCIe the ratio defaults to the A100
     ballpark (network ≈ PCIe seconds per row, weight 3).
     """
-    net_row = cluster_model.halo_volume_seconds(row_bytes)
+    net_row = platform.halo_volume_seconds(row_bytes)
     if cost_model is None or net_row == 0.0:
         return 3.0
     hd_row = row_bytes / cost_model.t_hd

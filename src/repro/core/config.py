@@ -7,9 +7,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.comm.cost_model import ALLREDUCE_ALGORITHMS
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_count
 from repro.faults.schedule import FaultSchedule
+from repro.hardware.platform import ALLREDUCE_ALGORITHMS
 from repro.partition.placement import PLACEMENT_POLICIES
 from repro.runtime import OVERLAP_POLICIES
 
@@ -123,10 +123,15 @@ class HongTuConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_chunks < 1:
-            raise ConfigurationError(
-                f"num_chunks must be >= 1, got {self.num_chunks}"
-            )
+        # Counts and flags are checked by type: NaN, 2.5 or True would
+        # otherwise surface later as a stray error (or a wrong run).
+        require_count("num_chunks", self.num_chunks, 1)
+        require_count("max_imbalance", self.max_imbalance, 0)
+        require_count("bytes_per_scalar", self.bytes_per_scalar, 1)
+        for flag in ("reorganize", "elastic"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ConfigurationError(
+                    f"{flag} must be a bool, got {getattr(self, flag)!r}")
         if self.comm_mode not in COMM_MODES:
             raise ConfigurationError(
                 f"comm_mode must be one of {COMM_MODES}, got {self.comm_mode!r}"
@@ -156,17 +161,11 @@ class HongTuConfig:
                 "placement 'joint' iterates the placement search against "
                 "the schedule reorganization; it requires reorganize=True"
             )
-        if self.max_imbalance < 0:
-            raise ConfigurationError(
-                f"max_imbalance must be >= 0, got {self.max_imbalance}"
-            )
         if self.max_imbalance > 0 and self.placement == "block":
             raise ConfigurationError(
                 "max_imbalance > 0 relaxes the placement search's balance; "
                 "it requires placement 'search' or 'joint'"
             )
-        if self.bytes_per_scalar <= 0:
-            raise ConfigurationError("bytes_per_scalar must be positive")
         if self.faults is not None \
                 and not isinstance(self.faults, FaultSchedule):
             raise ConfigurationError(

@@ -11,10 +11,11 @@ for the next boundary.
 
 A re-balance is a re-plan, not a second planner: it frees the trainer's
 checkpoints, hands the current :class:`~repro.core.planner.FleetPlan`
-back to :func:`~repro.core.planner.plan_fleet` with the faulted fleet's
-values (evacuation seed, dead set, compute+wire capability matrix,
-budgets always on), adopts the result, and ships the moved partitions'
-state bytes as ``net`` tasks at the head of the epoch timeline.
+back to :func:`~repro.core.planner.plan_fleet` with an evacuation seed
+(the planner reads the dead set off the platform and, because it is a
+re-plan, turns budgets and the wire term on), adopts the result, and
+ships the moved partitions' state bytes as ``net`` tasks at the head of
+the epoch timeline.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.comm.cost_model import ClusterCostModel
 from repro.core.memory_model import vertex_buffer_bytes
 from repro.core.planner import plan_fleet
 from repro.errors import (
@@ -196,7 +196,6 @@ class ElasticController:
                 trainer.graph, trainer.model, platform, trainer.config,
                 seed_placement=evacuation_seed(
                     old_placement, platform.alive_nodes, dead),
-                dead_nodes=dead, wire_term=True, admit_always=True,
                 previous=trainer.fleet,
             )
         except PartitionError as error:
@@ -218,7 +217,7 @@ class ElasticController:
         new_placement = fleet.placement
 
         # Migration traffic: moved partitions' state bytes, coalesced
-        # per directed link, priced by the degraded cost model. A dead
+        # per directed link, priced at the degraded link rates. A dead
         # source cannot send — its partitions re-materialize from the
         # lowest-id survivor's shard (same-node landings ship nothing).
         moved = np.flatnonzero(old_placement != new_placement)
@@ -236,18 +235,18 @@ class ElasticController:
                         + int(state_bytes[p])
         migration_seconds = 0.0
         if flows:
-            cluster_model = ClusterCostModel.from_platform(platform)
             links = sorted(flows)
-            seconds = np.array([
-                cluster_model.halo_exchange_seconds(flows[link], *link)
-                for link in links
-            ], dtype=np.float64)
+            src, dst = np.array(links, dtype=np.int64).T
+            nbytes = np.array([flows[link] for link in links],
+                              dtype=np.int64)
+            seconds = (platform.cluster.network_latency
+                       + nbytes / platform.link_rate(src, dst))
             timeline.submit_batch(
                 "net", seconds,
                 devices=np.array(
-                    [net_link(src, dst, nodes, 0, platform.num_rails)
-                     for src, dst in links], dtype=np.int64),
-                nbytes=[flows[link] for link in links],
+                    [net_link(*link, nodes, 0, platform.num_rails)
+                     for link in links], dtype=np.int64),
+                nbytes=nbytes,
                 label=f"migrate[{trigger}]",
             )
             timeline.barrier()

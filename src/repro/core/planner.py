@@ -37,9 +37,10 @@ Trainer construction runs every stage. An elastic re-balance passes the
 against the faulted platform: reservations are released first (so budgets
 see true headroom), the schedule is not reorganized again outside the
 joint loop, and the plan and shapes are rebuilt only when the partition
-changed. The two callers differ in nothing but the values they pass: the
-seed placement, the dead-node set, whether the capability matrix carries
-the wire term, and whether admission budgets always apply.
+changed. The two callers differ in nothing but the seed placement and
+``previous``: the dead nodes are the platform's, and a re-plan always
+plans with admission budgets and a capability matrix that carries the
+wire term.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.comm.cost_model import ClusterCostModel, CommCostModel
+from repro.comm.cost_model import CommCostModel
 from repro.comm.executor import DedupCommunicator, PlanStatic
 from repro.comm.joint import joint_placement
 from repro.comm.plan import CommPlan, build_comm_plan
@@ -138,8 +139,7 @@ def _admission_inputs(partition: TwoLevelPartition, model: GNNModel,
 
 def _capability_matrix(partition: TwoLevelPartition, shapes: ChunkShapes,
                        model: GNNModel, platform: MultiGPUPlatform,
-                       cluster_model: ClusterCostModel, row_bytes: int,
-                       wire_term: bool) -> np.ndarray:
+                       row_bytes: int, replan: bool) -> np.ndarray:
     """``(m, num_nodes)`` row-equivalent placement-cost matrix.
 
     Entry ``[p, n]`` is the kernel seconds of running partition p's
@@ -150,24 +150,24 @@ def _capability_matrix(partition: TwoLevelPartition, shapes: ChunkShapes,
     gains from this term are exactly zero and the search stays
     bit-identical to the rows-only objective.
 
-    ``wire_term`` adds the re-balance's NIC cost: partition p's halo rows
-    all ride its home node's NIC, so placing p on node n additionally
-    costs p's total exchanged rows times the *excess* per-row wire
-    seconds of n's NIC over the fastest one. The total is a
-    linear-in-placement surrogate (it prices every halo row as
-    cross-node, an upper bound — co-located pairs ride NVLink for free),
-    which is exactly the shape the search's per-``(partition, node)``
-    capability hook supports. On uniform effective NICs the wire term is
-    identically zero.
+    A ``replan`` adds the re-balance's NIC cost, the wire term:
+    partition p's halo rows all ride its home node's NIC, so placing p
+    on node n additionally costs p's total exchanged rows times the
+    *excess* per-row wire seconds of n's NIC over the fastest one. The
+    total is a linear-in-placement surrogate (it prices every halo row
+    as cross-node, an upper bound — co-located pairs ride NVLink for
+    free), which is exactly the shape the search's
+    per-``(partition, node)`` capability hook supports. On uniform
+    effective NICs the wire term is identically zero.
     """
     flops = shapes.partition_flops(model).astype(np.float64)
     # Per-node *effective* rates: the platform folds any active fault
     # state's compute factors in, so an elastic re-balance weighs a
     # straggling node exactly as slow as its kernels now run.
     seconds = flops[:, None] / platform.node_compute_rates()[None, :]
-    row_seconds = row_bytes / cluster_model.collective_bandwidth
+    row_seconds = row_bytes / platform.collective_bandwidth
     rows = np.rint(seconds / row_seconds).astype(np.int64)
-    if not wire_term:
+    if not replan:
         return rows
     nic = platform.node_nic_rates()
     if nic.max() > nic.min():
@@ -202,25 +202,24 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
                config: HongTuConfig, *,
                partition: Optional[TwoLevelPartition] = None,
                seed_placement: Optional[np.ndarray] = None,
-               dead_nodes=frozenset(), wire_term: bool = False,
-               admit_always: bool = False,
                previous: Optional[FleetPlan] = None) -> FleetPlan:
     """Run the planning pipeline (module docstring) and return its result.
 
     The defaults are construction's: partition from scratch, seed from
-    the platform's active placement, nobody dead, compute-only capability
-    on heterogeneous fleets, budgets only for uneven or heterogeneous
+    the platform's active placement, compute-only capability on
+    heterogeneous fleets, budgets only for uneven or heterogeneous
     placements. A re-plan hands in ``previous`` (released here, its
-    partition carried over) and the faulted fleet's values.
+    partition carried over) and the faulted fleet's seed; it always
+    plans with budgets and with the wire term. Dead nodes are the
+    platform's.
     """
     nodes = platform.num_nodes
+    replan = previous is not None
     row_bytes = max(model.dims) * config.bytes_per_scalar
     vertex_bytes = vertex_buffer_bytes(graph.num_vertices, model.dims,
                                        config.bytes_per_scalar)
-    cluster_model = (ClusterCostModel.from_platform(platform)
-                     if nodes > 1 else None)
     policy = config.placement if nodes > 1 else "block"
-    if previous is not None:
+    if replan:
         # Budgets must not double-count reservations about to be
         # re-homed, and GPU pools must be empty before a
         # cross-generation capacity swap. A re-plan exists to move
@@ -241,17 +240,17 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
 
     hetero = platform.heterogeneous
     node_budgets = per_partition_bytes = compute_rows = None
-    if nodes > 1 and (admit_always or hetero or config.max_imbalance > 0):
+    if nodes > 1 and (replan or hetero or config.max_imbalance > 0):
         node_budgets, per_partition_bytes = _admission_inputs(
             partition, model, platform, config, vertex_bytes)
-    if nodes > 1 and (wire_term or hetero):
+    if nodes > 1 and (replan or hetero):
         compute_rows = _capability_matrix(
             partition,
-            previous.shapes if previous else ChunkShapes.of(partition),
-            model, platform, cluster_model, row_bytes, wire_term)
+            previous.shapes if replan else ChunkShapes.of(partition),
+            model, platform, row_bytes, replan)
 
     placement, placement_result = seed_placement, None
-    reorganization = None if previous is None else previous.reorganization
+    reorganization = previous.reorganization if replan else None
     if policy != "block":
         # Search the placement from its seed — refined, never regressed.
         # Under "joint" the search alternates with schedule
@@ -262,13 +261,13 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
             max_imbalance=config.max_imbalance,
             node_budgets=node_budgets,
             partition_host_bytes=per_partition_bytes,
-            compute_rows=compute_rows, dead_nodes=dead_nodes,
+            compute_rows=compute_rows,
         )
         if policy == "joint":
             joint = joint_placement(
-                partition, nodes,
+                partition, platform,
                 cost_model=CommCostModel.from_platform(platform),
-                cluster_model=cluster_model, row_bytes=row_bytes,
+                row_bytes=row_bytes,
                 allreduce_bytes=model.parameter_nbytes(),
                 allreduce_algorithm=config.allreduce, **search_args,
             )
@@ -276,22 +275,22 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
             placement_result = joint.placement_result
             reorganization = joint.reorganization
         else:
-            placement_result = search_placement(partition, nodes,
-                                                **search_args)
+            placement_result = search_placement(
+                partition, nodes, dead_nodes=platform.dead_nodes,
+                **search_args)
         placement = placement_result.placement
         platform.set_placement(placement, max_imbalance=config.max_imbalance)
-    if previous is None and config.reorganize and policy != "joint":
+    if not replan and config.reorganize and policy != "joint":
         # On a cluster the objective gains the net term: cross-node halo
         # rows priced at network seconds (Algorithm 4 extension), counted
         # against the active placement.
         reorganization = reorganize_partition(
             partition, CommCostModel.from_platform(platform), row_bytes,
-            cluster_model=cluster_model, num_nodes=nodes,
-            placement=placement,
+            platform=platform, placement=placement,
         )
         partition = reorganization.partition
 
-    if previous is not None and partition is previous.partition:
+    if replan and partition is previous.partition:
         comm_plan, shapes = previous.comm_plan, previous.shapes
     else:
         dedup_inter, dedup_intra = config.dedup_flags

@@ -65,7 +65,6 @@ from repro.autograd.functional import (
     split_accuracies,
 )
 from repro.autograd.optim import Adam, Optimizer
-from repro.comm.cost_model import ClusterCostModel
 from repro.core.config import HongTuConfig
 from repro.core.elastic import ElasticController
 from repro.core.planner import FleetPlan, plan_fleet
@@ -205,8 +204,6 @@ class HongTuTrainer:
         #: wave arrays are in GPU order; ``devices=_gpu_ids`` prices each
         #: element at its owning node's rates
         self._gpu_ids = np.arange(platform.num_gpus, dtype=np.int64)
-        #: a live view of the platform's network — never stale
-        self._cluster_cost = ClusterCostModel.from_platform(platform)
         self._elastic = ElasticController(self)
 
         self.adopt(plan_fleet(graph, model, platform, config,
@@ -579,7 +576,7 @@ class HongTuTrainer:
         # over the survivors.
         alive = self.platform.alive_nodes
         if len(alive) > 1:
-            seconds = self._cluster_cost.allreduce_seconds(
+            seconds = self.platform.allreduce_seconds(
                 param_bytes, algorithm=self.config.allreduce
             )
             # Encode ring links with the platform's rail fan-out so

@@ -9,6 +9,8 @@ paper reports for systems that cannot hold their working set.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 
 class ReproError(Exception):
     """Base class for all errors raised by :mod:`repro`."""
@@ -74,3 +76,12 @@ class FaultError(ReproError):
     cannot re-admit the partitions of a degraded fleet under the surviving
     nodes' host budgets.
     """
+
+
+def require_count(name: str, value: object, minimum: int,
+                  error: type[ReproError] = ConfigurationError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer
+    >= ``minimum`` (a bool is not a count)."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or value < minimum):
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")

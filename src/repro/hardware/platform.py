@@ -26,6 +26,15 @@ divide by the same float, so a homogeneous fleet, a one-node cluster and
 a standalone server price bit-identically (``tests/test_cluster.py``,
 ``tests/test_costs.py``).
 
+The same rates price the scale-out extension's *predicted* network
+costs — the placement search's and Algorithm 4's net term
+(:meth:`MultiGPUPlatform.halo_volume_seconds`,
+:meth:`~MultiGPUPlatform.placement_seconds`) and the epoch-end gradient
+all-reduce (:meth:`~MultiGPUPlatform.allreduce_seconds`) — so a
+prediction and the simulated ``net_seconds`` cannot drift apart. The
+paper stops at one server; §7.1's DistGNN cluster is the reference
+point.
+
 The NUMA model follows §7.6: with NUMA-aware vertex-data placement (possible
 when each socket's GPUs only read their socket's DRAM) H2D runs at full PCIe
 bandwidth; when the working set spans sockets (the paper hit this with ≤ 2
@@ -40,7 +49,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, FaultError, PartitionError
+from repro.errors import (
+    ConfigurationError,
+    FaultError,
+    PartitionError,
+    require_count,
+)
 from repro.faults.schedule import FaultState
 from repro.hardware.memory import MemoryPool
 from repro.hardware.spec import (
@@ -49,9 +63,21 @@ from repro.hardware.spec import (
     PlatformSpec,
     validate_node_spec,
 )
-from repro.units import ByteRate, Bytes, BytesLike, FlopsLike, SecondsLike
+from repro.units import (
+    ByteRate,
+    Bytes,
+    BytesLike,
+    FlopsLike,
+    Seconds,
+    SecondsLike,
+)
 
-__all__ = ["SimulatedGPU", "MultiGPUPlatform", "ClusterPlatform"]
+__all__ = ["SimulatedGPU", "MultiGPUPlatform", "ClusterPlatform",
+           "ALLREDUCE_ALGORITHMS"]
+
+#: inter-node all-reduce schedules: bandwidth-optimal ``ring`` (2(N-1)
+#: steps of B/N) vs latency-optimal ``tree`` (2⌈log2 N⌉ steps of B)
+ALLREDUCE_ALGORITHMS = ("ring", "tree")
 
 #: rate-table entries gathered per GPU (by owning node) vs kept per node
 _GPU_RATES = ("h2d", "d2d", "ru", "compute")
@@ -92,6 +118,8 @@ class MultiGPUPlatform:
 
     def __init__(self, spec: PlatformSpec, num_gpus: Optional[int] = None,
                  numa_aware: Optional[bool] = None):
+        if num_gpus is not None:
+            require_count("num_gpus", num_gpus, 1)
         # No network to price: infinitely fast, zero latency, never read
         # (every collective returns 0.0 for one participant).
         self._build(ClusterSpec(spec.name, 1, spec, math.inf, 0.0),
@@ -129,7 +157,6 @@ class MultiGPUPlatform:
         if numa_aware is None:
             numa_aware = per_node > node_spec.num_sockets
         self.numa_aware = numa_aware
-        self.max_imbalance = max_imbalance
         # ClusterSpec validated ``node_specs``; the base profile — every
         # node of a homogeneous fleet, a wrapped standalone server, and
         # the reference rates — is validated here, once.
@@ -141,7 +168,7 @@ class MultiGPUPlatform:
             kind: np.array([profile[kind] for profile in profiles])
             for kind in self._reference
         }
-        self.set_placement(placement)
+        self.set_placement(placement, max_imbalance)
         self.reset_memory()
 
     @property
@@ -171,6 +198,7 @@ class MultiGPUPlatform:
         from repro.partition.nodes import partition_nodes
 
         if max_imbalance is not None:
+            require_count("max_imbalance", max_imbalance, 0)
             self.max_imbalance = max_imbalance
         nodes = self.num_nodes
         try:
@@ -368,7 +396,7 @@ class MultiGPUPlatform:
         node pays its wire speed in both directions — times the link's
         degradation factor; the cluster-wide rate without endpoints. The
         one link formula: simulated (:meth:`net_seconds`) and predicted
-        (``ClusterCostModel``) prices both read it.
+        (:attr:`collective_bandwidth`, elastic migration) prices read it.
         """
         if src is None or dst is None:
             return self.cluster.network_bandwidth
@@ -405,6 +433,91 @@ class MultiGPUPlatform:
             return 0.0
         return ((topology.oversubscription - 1.0) * nbytes
                 / (self.num_nodes * self.cluster.network_bandwidth))
+
+    # -- predicted network costs (seconds) --------------------------------
+    # Each is the *per-node busy time* of a collective: with non-blocking
+    # links and equal payloads every node's NIC is busy that long, so the
+    # trainer submits one ``net`` task per participating link with it.
+    @property
+    def collective_bandwidth(self) -> ByteRate:
+        """Per-flow byte rate when every node's uplink is busy at once.
+
+        A synchronous collective is paced by its *slowest member's* NIC —
+        every ring/tree step waits for the slow node's leg — so the
+        per-flow rate is the fleet minimum over the surviving members; a
+        degraded link between two survivors paces it the same way (link
+        factors are <= 1 with a unit diagonal, so the members' sub-matrix
+        minimum is the worst surviving link). A ``spine`` core caps each
+        flow at ``bandwidth / oversubscription``; a ``rail`` fabric shards
+        the payload over parallel rails that reproduce the flat aggregate
+        rate, so rail collectives price like flat ones.
+        """
+        members = self.alive_nodes
+        bandwidth = float(
+            self._by_node["nic"][members].min()
+            * self._link_factor[np.ix_(members, members)].min())
+        if self.topology.kind == "spine":
+            return bandwidth / self.topology.oversubscription
+        return bandwidth
+
+    def allreduce_seconds(self, nbytes: BytesLike,
+                          algorithm: str = "ring") -> Seconds:
+        """All-reduce of an ``nbytes`` payload over the surviving nodes.
+
+        ``ring`` is bandwidth-optimal: 2(N−1) steps of B/N bytes per link,
+        2(N−1)(α + B/(N·β)); two nodes reduce to one exchange round trip.
+        ``tree`` (reduce + broadcast) is latency-optimal: 2⌈log2 N⌉ steps
+        of the full payload, 2⌈log2 N⌉(α + B/β). One participant has
+        nothing to synchronize and costs 0.0; after a death the
+        collective closes over the survivors.
+        """
+        if algorithm not in ALLREDUCE_ALGORITHMS:
+            raise ConfigurationError(
+                f"algorithm must be one of {ALLREDUCE_ALGORITHMS}, "
+                f"got {algorithm!r}"
+            )
+        alive = len(self.alive_nodes)
+        if alive == 1:
+            return 0.0
+        latency = self.cluster.network_latency
+        if algorithm == "ring":
+            steps = 2 * (alive - 1)
+            return steps * (latency
+                            + nbytes / alive / self.collective_bandwidth)
+        depth = math.ceil(math.log2(alive))
+        return 2 * depth * (latency + nbytes / self.collective_bandwidth)
+
+    def halo_volume_seconds(self, nbytes: BytesLike) -> Seconds:
+        """Bulk halo traffic at the congested collective rate.
+
+        Algorithm 4's net term: halo messages coalesce per node pair per
+        batch, so one more row costs only its bandwidth term, at the
+        collective rate since halo phases keep many links busy at once.
+        With one surviving node there is no network and the cost is 0.0,
+        whatever the payload.
+        """
+        if len(self.alive_nodes) == 1:
+            return 0.0
+        return nbytes / self.collective_bandwidth
+
+    def placement_seconds(self, net_rows: int, row_bytes: Bytes,
+                          allreduce_bytes: BytesLike = 0.0,
+                          algorithm: str = "ring") -> Seconds:
+        """Network seconds of a partition→node placement's epoch-layer.
+
+        ``net_rows`` cross-node halo rows (forward fetches plus staging
+        loads and their mirrored gradient flushes) at
+        :meth:`halo_volume_seconds`, plus the collective legs of an
+        ``allreduce_bytes`` gradient synchronization. The collective term
+        depends only on the node count, so it never changes which
+        placement wins; a zero-byte synchronization adds nothing (no
+        collective task is emitted for it). One node prices 0.0.
+        """
+        seconds = self.halo_volume_seconds(net_rows * row_bytes)
+        if allreduce_bytes > 0:
+            seconds += self.allreduce_seconds(allreduce_bytes,
+                                              algorithm=algorithm)
+        return seconds
 
     # -- node topology ------------------------------------------------------
     @property
@@ -526,5 +639,8 @@ class ClusterPlatform(MultiGPUPlatform):
                  gpus_per_node: Optional[int] = None,
                  numa_aware: Optional[bool] = None,
                  placement=None, max_imbalance: int = 0):
+        if gpus_per_node is not None:
+            require_count("gpus_per_node", gpus_per_node, 1)
+        require_count("max_imbalance", max_imbalance, 0)
         self._build(cluster, gpus_per_node, numa_aware, placement,
                     max_imbalance)

@@ -40,13 +40,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from functools import partial
+from numbers import Real
 from typing import Dict, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.errors import PartitionError
+from repro.errors import PartitionError, require_count
 from repro.graph.graph import Graph
 
 __all__ = ["metis_partition", "edge_cut", "partition_balance"]
@@ -70,11 +71,7 @@ class _Level:
         return len(self.vertex_weight)
 
 
-def _require_count(name: str, value, minimum: int) -> None:
-    if (isinstance(value, bool) or not isinstance(value, Integral)
-            or value < minimum):
-        raise PartitionError(
-            f"{name} must be an integer >= {minimum}, got {value!r}")
+_require_count = partial(require_count, error=PartitionError)
 
 
 def metis_partition(graph: Graph, num_parts: int, seed: int = 0,

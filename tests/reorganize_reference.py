@@ -25,13 +25,14 @@ from typing import List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.comm.analysis import DedupVolumes
-from repro.comm.cost_model import ClusterCostModel, CommCostModel
+from repro.comm.cost_model import CommCostModel
 from repro.comm.reorganize import (
     ReorganizationResult,
     _materialize,
     _remote_row_weight,
 )
 from repro.errors import ConfigurationError
+from repro.hardware.platform import MultiGPUPlatform
 from repro.partition.nodes import (
     partition_halo_matrix,
     partition_load_matrix,
@@ -76,10 +77,8 @@ def reference_measure_volumes(partition: TwoLevelPartition) -> DedupVolumes:
 def reference_reorganize_partition(partition: TwoLevelPartition,
                                    cost_model: Optional[CommCostModel] = None,
                                    row_bytes: int = 4 * 128,
-                                   cluster_model: Optional[ClusterCostModel] = None,
-                                   num_nodes: int = 1,
-                                   placement: Optional[np.ndarray] = None,
-                                   dead_nodes=frozenset()
+                                   platform: Optional[MultiGPUPlatform] = None,
+                                   placement: Optional[np.ndarray] = None
                                    ) -> ReorganizationResult:
     """Run Algorithm 4 on ``partition`` (see the shipped docstring)."""
     if not row_bytes > 0:
@@ -97,17 +96,18 @@ def reference_reorganize_partition(partition: TwoLevelPartition,
 
     # Candidate layouts as (grid, batch order): the input, the paper's
     # greedy one and, on a cluster, the net-aware one.
-    net_aware = cluster_model is not None and num_nodes > 1
+    net_aware = platform is not None and platform.num_nodes > 1
     layouts: List[Tuple[List[List[int]], List[int]]] = [
         ([list(range(n)) for _ in range(m)], list(range(n))),
         _paper_greedy(neighbor_sets),
     ]
     if net_aware:
-        node_map = partition_nodes(m, num_nodes, placement,
-                                   max_imbalance=None, dead_nodes=dead_nodes)
+        node_map = partition_nodes(m, platform.num_nodes, placement,
+                                   max_imbalance=None,
+                                   dead_nodes=platform.dead_nodes)
         layouts.append((_reuse_chain_grid(
             partition, neighbor_sets, node_map,
-            _remote_row_weight(cost_model, cluster_model, row_bytes),
+            _remote_row_weight(cost_model, platform, row_bytes),
         ), list(range(n))))
     candidates = [partition] + [_materialize(partition, grid, order)
                                 for grid, order in layouts[1:]]
@@ -129,7 +129,7 @@ def reference_reorganize_partition(partition: TwoLevelPartition,
         rows = [int((fetch + 2 * partition_load_matrix(candidate))[cross]
                     .sum())
                 for candidate in candidates]
-        net_seconds = [cluster_model.halo_volume_seconds(count * row_bytes)
+        net_seconds = [platform.halo_volume_seconds(count * row_bytes)
                        for count in rows]
     if net_aware or cost_model is not None:
         costs = list(net_seconds) if net_aware else [0.0] * len(candidates)

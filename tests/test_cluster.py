@@ -1,7 +1,7 @@
 """Tests for the multi-node cluster extension.
 
-Covers the collective cost models (ring/tree all-reduce, halo exchange)
-including their degenerate cases, the partition→node mapping and halo
+Covers the platform's collective prices (ring/tree all-reduce, the halo
+net term) including their degenerate cases, the partition→node mapping and halo
 analysis, the ClusterPlatform capacity/cost contract, and the trainer-level
 scale-out contract: ``nodes=1`` reproduces the single-node epoch seconds to
 float precision under both overlap policies, and multi-node pipeline
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.autograd import SGD
-from repro.comm import ClusterCostModel
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.errors import ConfigurationError, PartitionError
 from repro.faults import FaultState
@@ -41,53 +40,56 @@ from repro.runtime import (
 )
 
 
-class TestClusterCostModel:
+class TestCollectivePricing:
     def make(self, nodes, bandwidth=1e9, latency=1e-6):
-        return ClusterCostModel.from_cluster(
+        return ClusterPlatform(
             ClusterSpec("toy", nodes, A100_SERVER, bandwidth, latency))
 
     def test_single_node_collectives_are_free(self):
         """nodes=1: nothing to synchronize, every collective costs 0."""
-        model = self.make(1)
-        assert model.ring_allreduce_seconds(1 << 30) == 0.0
-        assert model.tree_allreduce_seconds(1 << 30) == 0.0
-        assert model.allreduce_seconds(1 << 30, "ring") == 0.0
-        assert model.allreduce_seconds(1 << 30, "tree") == 0.0
+        platform = self.make(1)
+        assert platform.allreduce_seconds(1 << 30, "ring") == 0.0
+        assert platform.allreduce_seconds(1 << 30, "tree") == 0.0
+        assert platform.halo_volume_seconds(1 << 30) == 0.0
+        assert MultiGPUPlatform(A100_SERVER).allreduce_seconds(1 << 30) == 0.0
 
     def test_ring_two_node_degeneracy(self):
         """N=2 ring = one exchange round trip: 2 steps of B/2 each."""
-        model = self.make(2, bandwidth=100.0, latency=0.5)
-        assert model.ring_allreduce_seconds(200.0) == \
+        platform = self.make(2, bandwidth=100.0, latency=0.5)
+        assert platform.allreduce_seconds(200.0, "ring") == \
             pytest.approx(2 * (0.5 + 100.0 / 100.0))
 
     def test_ring_formula(self):
-        model = self.make(4, bandwidth=10.0, latency=0.0)
+        platform = self.make(4, bandwidth=10.0, latency=0.0)
         # 2(N-1) steps of B/N bytes: 6 * (100/4)/10 = 15.
-        assert model.ring_allreduce_seconds(100.0) == pytest.approx(15.0)
+        assert platform.allreduce_seconds(100.0, "ring") == \
+            pytest.approx(15.0)
 
     def test_tree_formula(self):
-        model = self.make(4, bandwidth=10.0, latency=0.0)
+        platform = self.make(4, bandwidth=10.0, latency=0.0)
         # 2*ceil(log2 4) steps of full B: 4 * 100/10 = 40.
-        assert model.tree_allreduce_seconds(100.0) == pytest.approx(40.0)
+        assert platform.allreduce_seconds(100.0, "tree") == \
+            pytest.approx(40.0)
 
     def test_tree_beats_ring_on_latency_bound_payloads(self):
         """The crossover the two schedules exist for: with many nodes and
         a tiny payload, the ring's 2(N-1) latencies lose to the tree's
         2 log2 N; with a big payload the ring's B/N steps win."""
-        model = self.make(16, bandwidth=1e9, latency=1e-3)
-        assert model.tree_allreduce_seconds(8) < \
-            model.ring_allreduce_seconds(8)
-        assert model.ring_allreduce_seconds(1 << 32) < \
-            model.tree_allreduce_seconds(1 << 32)
+        platform = self.make(16, bandwidth=1e9, latency=1e-3)
+        assert platform.allreduce_seconds(8, "tree") < \
+            platform.allreduce_seconds(8, "ring")
+        assert platform.allreduce_seconds(1 << 32, "ring") < \
+            platform.allreduce_seconds(1 << 32, "tree")
 
     def test_zero_byte_ring_costs_only_latency(self):
-        model = self.make(4, bandwidth=10.0, latency=0.25)
-        assert model.ring_allreduce_seconds(0.0) == pytest.approx(6 * 0.25)
+        platform = self.make(4, bandwidth=10.0, latency=0.25)
+        assert platform.allreduce_seconds(0.0) == pytest.approx(6 * 0.25)
 
-    def test_halo_exchange_message_cost(self):
-        model = self.make(2, bandwidth=50.0, latency=0.125)
-        assert model.halo_exchange_seconds(100.0) == \
-            pytest.approx(0.125 + 2.0)
+    def test_halo_volume_is_bandwidth_only(self):
+        """The net term amortizes message latency away: bytes over the
+        collective rate, nothing else."""
+        platform = self.make(2, bandwidth=50.0, latency=0.125)
+        assert platform.halo_volume_seconds(100.0) == 2.0
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -99,12 +101,13 @@ class TestClusterCostModel:
         with pytest.raises(ConfigurationError):
             self.make(2).allreduce_seconds(8, algorithm="carrier_pigeon")
 
-    def test_from_cluster(self):
-        model = ClusterCostModel.from_cluster(A100_CLUSTER)
-        assert model.num_alive == A100_CLUSTER.num_nodes
-        assert model.link_bandwidth() == A100_CLUSTER.network_bandwidth
-        assert model.link_bandwidth(0, 1) == A100_CLUSTER.network_bandwidth
-        assert model.latency == A100_CLUSTER.network_latency
+    def test_fresh_cluster_platform_prices_the_spec(self):
+        platform = ClusterPlatform(A100_CLUSTER)
+        assert len(platform.alive_nodes) == A100_CLUSTER.num_nodes
+        assert platform.link_rate() == A100_CLUSTER.network_bandwidth
+        assert platform.link_rate(0, 1) == A100_CLUSTER.network_bandwidth
+        assert platform.collective_bandwidth \
+            == A100_CLUSTER.network_bandwidth
 
 
 class TestNetLinks:

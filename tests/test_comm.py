@@ -13,12 +13,12 @@ from repro.comm import (
     reorganize_partition,
 )
 import repro.comm.reorganize as reorganize
-from repro.comm.cost_model import ClusterCostModel
 from repro.errors import CommunicationPlanError, ConfigurationError
 from repro.graph import load_dataset
 from repro.hardware import (
     A100_CLUSTER,
     A100_SERVER,
+    ClusterPlatform,
     EventTimeline,
     MultiGPUPlatform,
 )
@@ -359,21 +359,18 @@ class TestReorganization:
         with pytest.raises(ConfigurationError, match="row_bytes"):
             reorganize_partition(partitioned, cost_model=model,
                                  row_bytes=row_bytes,
-                                 cluster_model=ClusterCostModel.from_cluster(
-                                     A100_CLUSTER),
-                                 num_nodes=2)
+                                 platform=ClusterPlatform(A100_CLUSTER))
 
-    @pytest.mark.parametrize("num_nodes", [0, -3, float("nan"), True, 2.0,
-                                           "2", None])
-    def test_rejects_non_count_num_nodes(self, partitioned, num_nodes,
-                                         monkeypatch):
-        """0, -3, NaN and True used to run net-blind without a word."""
+    @pytest.mark.parametrize("platform", [
+        0, 2, float("nan"), True, "2", A100_CLUSTER, A100_SERVER,
+    ])
+    def test_rejects_what_is_not_a_platform(self, partitioned, platform,
+                                            monkeypatch):
+        """A node count or a spec is no fleet: it names no dead nodes and
+        prices no network, so it is refused before any work."""
         monkeypatch.setattr(reorganize, "_paper_greedy", _no_work)
-        with pytest.raises(ConfigurationError, match="num_nodes"):
-            reorganize_partition(
-                partitioned,
-                cluster_model=ClusterCostModel.from_cluster(A100_CLUSTER),
-                num_nodes=num_nodes)
+        with pytest.raises(ConfigurationError, match="platform"):
+            reorganize_partition(partitioned, platform=platform)
 
     def test_still_valid_cover(self, partitioned):
         result = reorganize_partition(partitioned)

@@ -58,6 +58,39 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             HongTuConfig(bytes_per_scalar=0)
 
+    # Each used to fail later, elsewhere, or not at all: 2.5 and NaN
+    # chunks raised a TypeError from partitioning and True trained one
+    # chunk; 2.5 bytes surfaced mid-epoch as a SchedulerError and NaN as
+    # a row_bytes error from Algorithm 4; a 1.5 or NaN imbalance reached
+    # the placement search; "no" ran the reorganization.
+    MALFORMED = [
+        ("num_chunks", 2.5), ("num_chunks", float("nan")),
+        ("num_chunks", True), ("num_chunks", "4"),
+        ("bytes_per_scalar", 2.5), ("bytes_per_scalar", float("nan")),
+        ("bytes_per_scalar", True), ("bytes_per_scalar", -4),
+        ("max_imbalance", 1.5), ("max_imbalance", float("nan")),
+        ("max_imbalance", True), ("max_imbalance", -1),
+        ("reorganize", "no"), ("reorganize", 0), ("reorganize", None),
+        ("elastic", 0), ("elastic", "yes"), ("elastic", 1.0),
+    ]
+
+    @pytest.mark.parametrize("via", ["init", "from_dict"])
+    @pytest.mark.parametrize("field,value", MALFORMED)
+    def test_malformed_field_is_named(self, field, value, via):
+        valid = dict(placement="search")  # max_imbalance > 0 needs it
+        with pytest.raises(ConfigurationError, match=field):
+            if via == "init":
+                HongTuConfig(**valid, **{field: value})
+            else:
+                HongTuConfig.from_dict(
+                    dict(HongTuConfig(**valid).to_dict(), **{field: value}))
+
+    def test_integer_likes_still_accepted(self):
+        config = HongTuConfig(num_chunks=np.int64(3), max_imbalance=2,
+                              placement="search", bytes_per_scalar=2,
+                              reorganize=False, elastic=False)
+        assert HongTuConfig.from_dict(config.to_dict()) == config
+
 
 class TestTrainerLifecycle:
     def test_requires_features(self):

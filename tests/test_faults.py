@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autograd import SGD
-from repro.comm.cost_model import ClusterCostModel
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.errors import ConfigurationError, FaultError
 from repro.faults import (
@@ -35,6 +34,7 @@ from repro.hardware import (
     ClusterPlatform,
     MultiGPUPlatform,
 )
+from repro.runtime import net_link_nodes
 
 
 @pytest.fixture(scope="module")
@@ -345,65 +345,67 @@ class TestCostModelFaults:
         platform = ClusterPlatform(cluster, gpus_per_node=2)
         platform.apply_fault_state(FaultState(nic=((1, 0.25),)))
         platform.apply_fault_state(FaultState())
-        restored = ClusterCostModel.from_platform(platform)
-        fresh = ClusterCostModel.from_cluster(cluster)
-        assert restored.collective_bandwidth == fresh.collective_bandwidth
-        assert restored.link_bandwidth(0, 1) == fresh.link_bandwidth(0, 1)
-        assert (restored.allreduce_seconds(1 << 20)
+        fresh = ClusterPlatform(cluster, gpus_per_node=2)
+        assert platform.collective_bandwidth == fresh.collective_bandwidth
+        assert platform.link_rate(0, 1) == fresh.link_rate(0, 1)
+        assert (platform.allreduce_seconds(1 << 20)
                 == fresh.allreduce_seconds(1 << 20))
 
     def test_degraded_nic_slows_collectives(self):
         platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(3),
                                    gpus_per_node=2)
-        model = ClusterCostModel.from_platform(platform)
         nbytes = 1 << 20
-        healthy = model.allreduce_seconds(nbytes)
+        healthy = platform.allreduce_seconds(nbytes)
         platform.apply_fault_state(FaultState(nic=((1, 0.25),)))
-        assert model.allreduce_seconds(nbytes) > healthy
+        assert platform.allreduce_seconds(nbytes) > healthy
 
-    def test_model_is_a_live_view_never_a_stale_copy(self):
-        """A model obtained *before* a fault state prices exactly like
-        one obtained after — and again once an inactive state restores
-        the faultless rates (it used to be a frozen copy)."""
+    def test_prices_follow_the_fault_state(self):
+        """Every predicted price reads the live rate table: a fault state
+        reprices it, and an inactive state restores the faultless
+        prices exactly."""
         platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(4),
                                    gpus_per_node=2)
 
-        def prices(model):
-            return ([model.link_bandwidth(s, d)
+        def prices(platform):
+            return ([float(platform.link_rate(s, d))
                      for s in range(4) for d in range(4) if s != d],
-                    model.collective_bandwidth, model.num_alive,
-                    model.allreduce_seconds(1 << 20, "ring"),
-                    model.allreduce_seconds(1 << 20, "tree"))
+                    platform.collective_bandwidth,
+                    len(platform.alive_nodes),
+                    platform.allreduce_seconds(1 << 20, "ring"),
+                    platform.allreduce_seconds(1 << 20, "tree"),
+                    platform.halo_volume_seconds(1 << 20))
 
-        before = ClusterCostModel.from_platform(platform)
-        healthy = prices(before)
+        healthy = prices(platform)
         platform.apply_fault_state(FaultState(
             nic=((1, 0.25),), links=((0, 2, 0.5),), dead=frozenset({3})))
-        after = ClusterCostModel.from_platform(platform)
-        assert prices(before) == prices(after) != healthy
-        assert before.num_alive == 3
-        assert before.link_bandwidth(0, 2) == \
+        assert prices(platform) != healthy
+        assert len(platform.alive_nodes) == 3
+        assert platform.link_rate(0, 2) == \
             A100_CLUSTER.network_bandwidth * 0.5
-        assert before.link_bandwidth(0, 1) == \
+        assert platform.link_rate(0, 1) == \
             A100_CLUSTER.network_bandwidth * 0.25
 
         # deaths are permanent, so the way back is shown on a second
         # fleet that only degrades
         platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(4),
                                    gpus_per_node=2)
-        model = ClusterCostModel.from_platform(platform)
         platform.apply_fault_state(FaultState(
             nic=((1, 0.25),), links=((0, 2, 0.5),)))
-        assert prices(model) != healthy
+        assert prices(platform) != healthy
         platform.apply_fault_state(FaultState())
-        assert prices(model) == healthy
+        assert prices(platform) == healthy
 
     def test_dead_nodes_leave_the_ring(self):
         platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(4),
                                    gpus_per_node=2)
+        healthy = platform.allreduce_seconds(1 << 20)
         platform.apply_fault_state(FaultState(dead=frozenset({3})))
-        model = ClusterCostModel.from_platform(platform)
-        assert model.num_alive == 3
+        assert platform.alive_nodes == [0, 1, 2]
+        # three members: 4 steps of B/3 instead of 6 steps of B/4
+        assert platform.allreduce_seconds(1 << 20) == 4 * (
+            A100_CLUSTER.network_latency
+            + (1 << 20) / 3 / platform.collective_bandwidth)
+        assert platform.allreduce_seconds(1 << 20) != healthy
 
 
 # ----------------------------------------------------------------------
@@ -464,6 +466,23 @@ class TestElasticRebalance:
         # the epoch that migrated reports it
         rebalanced = [r for r in results if r.rebalance is not None]
         assert rebalanced and rebalanced[0].migration_bytes > 0
+        # each migrated link is one message at its degraded link rate,
+        # priced here link by link
+        scheduler = rebalanced[0].timeline.scheduler
+        columns = scheduler.columns()
+        labels = scheduler.phase_labels()
+        migrate = np.flatnonzero([labels[phase] == "migrate[makespan]"
+                                  for phase in columns.phase.tolist()])
+        platform = trainer.platform
+        for k in migrate.tolist():
+            src, dst = net_link_nodes(int(columns.device[k]),
+                                      platform.num_nodes, platform.num_rails)
+            assert columns.seconds[k] == (
+                platform.cluster.network_latency
+                + int(columns.nbytes[k]) / float(platform.link_rate(src, dst)))
+        assert int(columns.nbytes[migrate].sum()) == event.migration_bytes
+        assert float(np.sum(columns.seconds[migrate])) \
+            == event.migration_seconds > 0
 
     def test_static_fleet_never_rebalances(self, graph):
         epoch0 = self._epoch0(graph)

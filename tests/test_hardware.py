@@ -8,9 +8,12 @@ from repro.errors import (
     DeviceOutOfMemoryError,
     SchedulerError,
 )
+import repro.hardware.platform as platform_module
 from repro.hardware import (
+    A100_CLUSTER,
     A100_SERVER,
     CPU_NODE,
+    ClusterPlatform,
     ECS_CLUSTER,
     GB,
     EventTimeline,
@@ -250,6 +253,51 @@ class TestPlatform:
         platform = MultiGPUPlatform(A100_SERVER)
         platform.gpus[2].memory.alloc("x", 12345)
         assert platform.peak_gpu_memory() == 12345
+
+
+class TestPlatformShape:
+    """A malformed fleet shape fails as a ConfigurationError naming the
+    knob before any memory pool exists: 1.5 GPUs per node and 2.0 GPUs
+    used to raise a TypeError, True built one GPU per node, and a 1.5
+    or NaN imbalance was stored."""
+
+    @pytest.fixture()
+    def no_pools(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(platform_module, "MemoryPool", built)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, float("nan"), "2",
+                                       0])
+    def test_gpus_per_node(self, no_pools, value):
+        with pytest.raises(ConfigurationError, match="gpus_per_node"):
+            ClusterPlatform(A100_CLUSTER, gpus_per_node=value)
+
+    @pytest.mark.parametrize("value", [2.0, True, float("nan"), "2", 0])
+    def test_num_gpus(self, no_pools, value):
+        with pytest.raises(ConfigurationError, match="num_gpus"):
+            MultiGPUPlatform(A100_SERVER, num_gpus=value)
+
+    @pytest.mark.parametrize("value", [1.5, True, float("nan"), -1, None])
+    def test_cluster_max_imbalance(self, no_pools, value):
+        with pytest.raises(ConfigurationError, match="max_imbalance"):
+            ClusterPlatform(A100_CLUSTER, max_imbalance=value)
+
+    @pytest.mark.parametrize("value", [1.5, True, float("nan"), -1, "1"])
+    def test_set_placement_max_imbalance(self, value):
+        platform = ClusterPlatform(A100_CLUSTER)
+        with pytest.raises(ConfigurationError, match="max_imbalance"):
+            platform.set_placement(None, max_imbalance=value)
+        assert platform.max_imbalance == 0
+        assert platform.placement.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+
+    def test_integer_likes_still_accepted(self):
+        platform = ClusterPlatform(A100_CLUSTER, gpus_per_node=np.int64(2),
+                                   max_imbalance=np.int64(1))
+        assert platform.num_gpus == 4 and platform.max_imbalance == 1
+        assert MultiGPUPlatform(A100_SERVER, num_gpus=np.int64(3)).num_gpus \
+            == 3
 
 
 class TestSpecs:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm import ClusterCostModel
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.errors import ConfigurationError
 from repro.gnn import build_model
@@ -102,15 +101,17 @@ class TestIdenticalProfilesDegeneracy:
 
     def test_identical_specs_cost_model_identical(self):
         node = A100_SERVER.with_num_gpus(GPUS_PER_NODE)
-        base = ClusterCostModel.from_cluster(make_cluster())
-        same = ClusterCostModel.from_cluster(make_cluster((node,) * NODES))
-        assert same.platform.heterogeneous
+        base = ClusterPlatform(make_cluster())
+        same = ClusterPlatform(make_cluster((node,) * NODES))
+        assert same.heterogeneous
         assert same.collective_bandwidth == base.collective_bandwidth
         for src in range(NODES):
             for dst in range(NODES):
-                assert same.link_bandwidth(src, dst) == base.link_bandwidth()
-        assert same.halo_exchange_seconds(1 << 20, src=0, dst=2) == \
-            base.halo_exchange_seconds(1 << 20)
+                assert same.link_rate(src, dst) == base.link_rate()
+        assert same.allreduce_seconds(1 << 20, "tree") == \
+            base.allreduce_seconds(1 << 20, "tree")
+        assert same.halo_volume_seconds(1 << 20) == \
+            base.halo_volume_seconds(1 << 20)
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +223,13 @@ class TestMixedFleet:
         assert slow == pytest.approx(fast * ratio)
 
     def test_collectives_run_at_slowest_member(self):
-        model = ClusterCostModel.from_cluster(self.make_mixed())
-        nic = model.platform.node_nic_rates()
-        assert model.collective_bandwidth == pytest.approx(nic.min())
+        platform = ClusterPlatform(self.make_mixed())
+        nic = platform.node_nic_rates()
+        assert platform.collective_bandwidth == pytest.approx(nic.min())
         # per-link: an A100<->V100 exchange prices at the V100's NIC
-        assert model.link_bandwidth(0, 2) == \
+        assert platform.link_rate(0, 2) == \
             pytest.approx(min(nic[0], nic[2]))
-        assert model.link_bandwidth(0, 1) >= model.link_bandwidth(0, 2)
+        assert platform.link_rate(0, 1) >= platform.link_rate(0, 2)
 
     def test_mixed_epoch_slower_than_all_fast(self):
         """Replacing one node with a slower profile cannot speed the

@@ -16,7 +16,6 @@ import pytest
 import repro.comm.joint as joint_module
 from repro.autograd import SGD
 from repro.comm import (
-    ClusterCostModel,
     CommCostModel,
     joint_placement,
     reorganize_partition,
@@ -375,18 +374,18 @@ class TestJointPlacement:
     @pytest.fixture(scope="class")
     def models(self):
         return (CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER)),
-                ClusterCostModel.from_cluster(A100_CLUSTER))
+                ClusterPlatform(A100_CLUSTER))
 
     def test_never_worse_than_single_pass(self, skewed, models):
-        cost_model, cluster_model = models
-        joint = joint_placement(skewed, NODES, cost_model, cluster_model,
+        cost_model, platform = models
+        joint = joint_placement(skewed, platform, cost_model,
                                 row_bytes=512)
         assert joint.cost_joint <= joint.cost_single_pass
         assert joint.iterations[0].cost == joint.cost_single_pass
 
     def test_cost_is_non_increasing_across_iterations(self, skewed, models):
-        cost_model, cluster_model = models
-        joint = joint_placement(skewed, NODES, cost_model, cluster_model,
+        cost_model, platform = models
+        joint = joint_placement(skewed, platform, cost_model,
                                 row_bytes=512, max_iterations=6)
         costs = [it.cost for it in joint.iterations]
         # every transition but the last strictly improved (the loop only
@@ -396,10 +395,10 @@ class TestJointPlacement:
         assert min(costs) == joint.cost_joint
 
     def test_deterministic(self, skewed, models):
-        cost_model, cluster_model = models
-        first = joint_placement(skewed, NODES, cost_model, cluster_model,
+        cost_model, platform = models
+        first = joint_placement(skewed, platform, cost_model,
                                 row_bytes=512)
-        second = joint_placement(skewed, NODES, cost_model, cluster_model,
+        second = joint_placement(skewed, platform, cost_model,
                                  row_bytes=512)
         assert first.placement_result.placement.tolist() \
             == second.placement_result.placement.tolist()
@@ -407,27 +406,27 @@ class TestJointPlacement:
         assert len(first.iterations) == len(second.iterations)
 
     def test_adopted_rows_match_prediction(self, skewed, models):
-        cost_model, cluster_model = models
-        joint = joint_placement(skewed, NODES, cost_model, cluster_model,
+        cost_model, platform = models
+        joint = joint_placement(skewed, platform, cost_model,
                                 row_bytes=512)
         placed = joint.placement_result
         assert placement_net_rows(joint.partition, NODES,
                                   placed.placement) == placed.rows_search
 
     def test_iteration_cap_respected(self, skewed, models):
-        cost_model, cluster_model = models
-        joint = joint_placement(skewed, NODES, cost_model, cluster_model,
+        cost_model, platform = models
+        joint = joint_placement(skewed, platform, cost_model,
                                 row_bytes=512, max_iterations=1)
         assert len(joint.iterations) == 1
         assert joint.placement_result.converged_after == 1
 
     def test_uneven_joint_respects_budgets(self, skewed, models):
-        cost_model, cluster_model = models
+        cost_model, platform = models
         sizes = np.bincount(skewed.assignment, minlength=M)
         per_partition = partition_host_bytes(sizes, [16], 4)
         budgets = [int(per_partition.sum()), int(per_partition.sum())]
         joint = joint_placement(
-            skewed, NODES, cost_model, cluster_model, row_bytes=512,
+            skewed, platform, cost_model, row_bytes=512,
             max_imbalance=2, node_budgets=budgets,
             partition_host_bytes=per_partition,
         )
@@ -438,18 +437,20 @@ class TestJointPlacement:
         assert (np.abs(counts - GPUS) <= 2).all()
 
     def test_single_node_rejected(self, skewed, models):
-        cost_model, cluster_model = models
+        cost_model, platform = models
         with pytest.raises(ValueError):
-            joint_placement(skewed, 1, cost_model, cluster_model)
+            joint_placement(skewed, MultiGPUPlatform(A100_SERVER), cost_model)
 
     def test_zero_iterations_rejected(self, skewed, models):
-        cost_model, cluster_model = models
+        cost_model, platform = models
         with pytest.raises(ValueError):
-            joint_placement(skewed, NODES, cost_model, cluster_model,
+            joint_placement(skewed, platform, cost_model,
                             max_iterations=0)
 
     @pytest.mark.parametrize("argument,value", [
-        ("num_nodes", True), ("num_nodes", float("nan")), ("num_nodes", 2.0),
+        # one node has nothing to iterate; a spec or count is no platform
+        ("platform", MultiGPUPlatform(A100_SERVER)), ("platform", NODES),
+        ("platform", A100_CLUSTER),
         # inf hung the net-aware reuse chain (its weight became NaN)
         ("row_bytes", float("inf")), ("row_bytes", "8"), ("row_bytes", True),
         ("row_bytes", float("nan")), ("row_bytes", 0),
@@ -469,12 +470,11 @@ class TestJointPlacement:
             raise AssertionError("a malformed argument reached the search")
 
         monkeypatch.setattr(joint_module, "search_placement", searched)
-        cost_model, cluster_model = models
-        arguments = dict(num_nodes=NODES, row_bytes=512)
+        cost_model, platform = models
+        arguments = dict(platform=platform, row_bytes=512)
         arguments[argument] = value
         with pytest.raises(ConfigurationError, match=argument):
-            joint_placement(skewed, cost_model=cost_model,
-                            cluster_model=cluster_model, **arguments)
+            joint_placement(skewed, cost_model=cost_model, **arguments)
 
 
 def _trainer(graph, platform, partition=None, **config_kwargs):
@@ -606,12 +606,11 @@ class TestLayoutsShareChunks:
 
     @pytest.mark.parametrize("net_aware", [False, True])
     def test_reorganize_partition(self, built, net_aware):
-        cluster_model = ClusterCostModel.from_platform(
-            ClusterPlatform(A100_CLUSTER.with_num_nodes(NODES)))
+        platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(NODES))
         blocks = {id(chunk): chunk.block for chunk in built.all_chunks()}
         result = reorganize_partition(
-            built, cluster_model=cluster_model if net_aware else None,
-            num_nodes=NODES if net_aware else 1)
+            built, platform=platform if net_aware else None)
+        assert result.net_aware == net_aware
         assert result.partition is not built
         self._assert_same_chunks(result.partition, built)
         for chunk in result.partition.all_chunks():
@@ -657,11 +656,11 @@ class TestBugfixRegressions:
                    for gpu in platform.gpus)
 
     def test_single_node_placement_pricing_is_zero(self):
-        model = ClusterCostModel.from_cluster(
+        platform = ClusterPlatform(
             ClusterSpec("toy", 1, A100_SERVER, 100.0, 0.0))
-        assert model.halo_volume_seconds(1 << 20) == 0.0
-        assert model.placement_seconds(12345, 512,
-                                       allreduce_bytes=1 << 20) == 0.0
+        assert platform.halo_volume_seconds(1 << 20) == 0.0
+        assert platform.placement_seconds(12345, 512,
+                                          allreduce_bytes=1 << 20) == 0.0
 
     def test_single_node_search_is_skipped(self, graph):
         """With one node the search is skipped entirely: no placement

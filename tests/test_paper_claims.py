@@ -11,10 +11,18 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
+import pytest  # noqa: E402
+
 from benchmarks._common import (  # noqa: E402
     TABLE8_CHUNKS,
+    fig9_claims,
     table8_claims,
     table8_volumes,
+)
+from benchmarks.bench_fig9_breakdown import (  # noqa: E402
+    DATASETS,
+    LADDER,
+    run_cell,
 )
 
 #: Table 8 at ~1 200 vertices over 4 GPUs with 8-16 chunks each (about
@@ -29,5 +37,20 @@ def test_table8_dedup_volume_claims():
     assert min(TABLE8_CHUNKS.values()) >= 8
     claims = table8_claims(table8_volumes(TABLE8_SCALE))
     assert len(claims) == 2 * len(TABLE8_CHUNKS) + 1
+    failed = [name for name, held in claims.items() if not held]
+    assert not failed, failed
+
+
+#: Fig. 9's ladder for GCN at 2 layers on ~800 vertices per graph over 4
+#: GPUs (about 0.6 s per graph). All six claims hold on all three graphs.
+FIG9_SCALE = 0.1
+
+
+@pytest.mark.parametrize("dataset", DATASETS)
+def test_fig9_ladder_claims(dataset):
+    ladder = [run_cell(dataset, "gcn", 2, mode, scale=FIG9_SCALE)
+              for _label, mode in LADDER]
+    claims = fig9_claims(*ladder)
+    assert len(claims) == 6
     failed = [name for name, held in claims.items() if not held]
     assert not failed, failed

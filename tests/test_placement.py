@@ -17,7 +17,6 @@ import pytest
 
 from repro.autograd import SGD
 from repro.comm import DedupCommunicator, build_comm_plan
-from repro.comm.cost_model import ClusterCostModel
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.errors import ConfigurationError, PartitionError
 from repro.gnn import build_model
@@ -261,13 +260,13 @@ class TestSearchPlacement:
         """The collective legs add the same seconds to any row count, so
         a search that counts rows and prices nothing picks the placement
         a priced one would."""
-        model = ClusterCostModel.from_cluster(A100_CLUSTER)
+        platform = ClusterPlatform(A100_CLUSTER)
         placed = search_placement(skewed, NODES)
-        legs = model.allreduce_seconds(float(1 << 20))
+        legs = platform.allreduce_seconds(float(1 << 20))
         for rows in (placed.rows_block, placed.rows_search):
-            assert model.placement_seconds(
+            assert platform.placement_seconds(
                 rows, 512, allreduce_bytes=1 << 20
-            ) == pytest.approx(model.placement_seconds(rows, 512) + legs)
+            ) == pytest.approx(platform.placement_seconds(rows, 512) + legs)
 
 
 class TestSearchArguments:

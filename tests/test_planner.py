@@ -94,7 +94,7 @@ class TestRebalanceIsAReplan:
         assert event.trigger == "death"
 
         # An identically faulted twin, re-planned by hand with the same
-        # seed placement and dead set.
+        # seed placement; the planner reads the dead set off the platform.
         twin = HongTuTrainer(graph, *build(graph, scenario))
         assert tuple(twin.placement.tolist()) == event.placement_before
         twin.platform.apply_fault_state(trainer.platform.fault_state)
@@ -104,7 +104,6 @@ class TestRebalanceIsAReplan:
             graph, twin.model, twin.platform, twin.config,
             seed_placement=evacuation_seed(
                 twin.placement, twin.platform.alive_nodes, dead),
-            dead_nodes=dead, wire_term=True, admit_always=True,
             previous=twin.fleet,
         )
         assert tuple(fleet.placement.tolist()) == event.placement_after

@@ -22,7 +22,8 @@ import reorganize_reference as reference
 import repro.comm.analysis as analysis
 import repro.comm.reorganize as shipped
 from repro.comm import measure_volumes, reorganize_partition
-from repro.comm.cost_model import ClusterCostModel, CommCostModel
+from repro.comm.cost_model import CommCostModel
+from repro.faults import FaultState
 from repro.graph import Graph, load_dataset
 from repro.partition import partition_nodes, two_level_partition
 from repro.scenario import ClusterArgs
@@ -51,13 +52,13 @@ def make_placement(kind, nodes):
 
 
 @functools.lru_cache(maxsize=None)
-def models(nodes, gpus=GPUS):
-    """The platform's Eq. 4 and cluster cost models."""
+def models(nodes, gpus=GPUS, dead=frozenset()):
+    """The platform's Eq. 4 model and the platform, ``dead`` nodes dead."""
     platform = ClusterArgs(nodes=nodes, gpus=gpus,
                            topology="rail" if nodes > 1 else "flat"
                            ).build_platform()
-    return (CommCostModel.from_platform(platform),
-            ClusterCostModel.from_platform(platform))
+    platform.apply_fault_state(FaultState(dead=dead))
+    return CommCostModel.from_platform(platform), platform
 
 
 def assert_same_reorganization(partition, **kwargs):
@@ -98,25 +99,24 @@ class TestSameDecisions:
     @pytest.mark.parametrize("chunks,nodes,placement", GRID)
     def test_grid(self, partitions, chunks, nodes, placement, priced):
         partition = partitions[nodes, chunks]
-        cost_model, cluster_model = models(nodes)
         placed, dead = make_placement(placement, nodes)
+        cost_model, platform = models(nodes, dead=dead)
         assert measure_volumes(partition) \
             == reference.reference_measure_volumes(partition)
         assert_same_reorganization(
             partition, cost_model=cost_model if priced else None,
-            row_bytes=128, cluster_model=cluster_model, num_nodes=nodes,
-            placement=placed, dead_nodes=dead)
+            row_bytes=128, platform=platform, placement=placed)
 
     def test_the_grid_adopts_every_kind_of_layout(self, partitions):
         """Guards the grid above against comparing only kept inputs."""
         adopted = set()
         for chunks, nodes, placement in GRID:
             partition = partitions[nodes, chunks]
-            cost_model, cluster_model = models(nodes)
             placed, dead = make_placement(placement, nodes)
+            cost_model, platform = models(nodes, dead=dead)
             result = reorganize_partition(
-                partition, cost_model, 128, cluster_model=cluster_model,
-                num_nodes=nodes, placement=placed, dead_nodes=dead)
+                partition, cost_model, 128, platform=platform,
+                placement=placed)
             greedy = shipped._paper_greedy(
                 [[chunk.neighbor_global for chunk in row]
                  for row in partition.chunks],
@@ -139,11 +139,10 @@ class TestSameDecisions:
         partition = two_level_partition(
             graph, m, 4, assignment=np.arange(num_vertices) % m,
             gcn_weights=False)
-        cost_model, cluster_model = models(nodes)
+        cost_model, platform = models(nodes)
         for priced in (None, cost_model):
             got = assert_same_reorganization(
-                partition, cost_model=priced, cluster_model=cluster_model,
-                num_nodes=nodes)
+                partition, cost_model=priced, platform=platform)
             if priced is None:  # the unguarded greedy: all ties, ids kept
                 assert got.phase1_assignments == [[0, 1, 2, 3]] * m
                 assert got.phase2_order == [0, 1, 2, 3]
@@ -172,11 +171,10 @@ class TestRandomPartitions:
     @given(random_partitions())
     def test_same_result_on_any_partition(self, drawn):
         nodes, gpus, partition, placement, priced = drawn
-        cost_model, cluster_model = models(nodes, gpus)
+        cost_model, platform = models(nodes, gpus)
         assert_same_reorganization(
             partition, cost_model=cost_model if priced else None,
-            row_bytes=64, cluster_model=cluster_model, num_nodes=nodes,
-            placement=placement)
+            row_bytes=64, platform=platform, placement=placement)
 
 
 class TestWorkBound:

@@ -23,7 +23,6 @@ from repro.baselines import (
     MiniBatchTrainer,
 )
 from repro.comm import CommCostModel, reorganize_partition
-from repro.comm.cost_model import ClusterCostModel
 from repro.comm.joint import joint_placement
 from repro.core import EpochResult, HongTuTrainer
 from repro.faults import FaultSchedule, NodeDeath
@@ -83,7 +82,7 @@ class TestDeterminism:
 
     def test_search_placement_prices_nothing(self):
         parameters = inspect.signature(search_placement).parameters
-        assert not {"cluster_model", "row_bytes", "allreduce_bytes",
+        assert not {"platform", "row_bytes", "allreduce_bytes",
                     "allreduce_algorithm"} & set(parameters)
 
 
@@ -110,12 +109,11 @@ class TestSweepCounts:
     def priced(self, graph):
         platform = JOINT.build_platform()
         partition = two_level_partition(graph, platform.num_gpus, 4, seed=0)
-        return (partition, CommCostModel.from_platform(platform),
-                ClusterCostModel.from_platform(platform))
+        return partition, CommCostModel.from_platform(platform), platform
 
     def test_one_guard_sweeps_layout_invariants_once(self, priced,
                                                      monkeypatch):
-        partition, cost_model, cluster_model = priced
+        partition, cost_model, platform = priced
         fetch = count_calls(monkeypatch, reorganize_module,
                             "partition_halo_matrix")
         node_maps = count_calls(monkeypatch, reorganize_module,
@@ -123,19 +121,18 @@ class TestSweepCounts:
         loads = count_calls(monkeypatch, reorganize_module,
                             "partition_load_matrix")
         result = reorganize_partition(
-            partition, cost_model, 32, cluster_model=cluster_model,
-            num_nodes=self.NODES)
+            partition, cost_model, 32, platform=platform)
         assert result.net_aware
         assert len(fetch) == 1 and len(node_maps) == 1
         assert len(loads) == 3  # the schedule-dependent half: per candidate
 
     def test_joint_prices_the_volumes_the_guard_measured(self, priced,
                                                          monkeypatch):
-        partition, cost_model, cluster_model = priced
+        partition, cost_model, platform = priced
         measured = count_calls(monkeypatch, reorganize_module,
                                "measure_volumes")
-        joint = joint_placement(partition, self.NODES, cost_model,
-                                cluster_model, row_bytes=32)
+        joint = joint_placement(partition, platform, cost_model,
+                                row_bytes=32)
         # input, greedy and net-aware layout of each round's guard
         assert len(measured) == 3 * len(joint.iterations)
         assert not hasattr(joint_module, "measure_volumes")

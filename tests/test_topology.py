@@ -19,7 +19,6 @@ import pytest
 from repro.autograd import SGD
 from repro.bench.reporting import render_node_utilization, render_timeline
 from repro.comm import (
-    ClusterCostModel,
     CommCostModel,
     DedupCommunicator,
     build_comm_plan,
@@ -146,36 +145,35 @@ class TestTopologyPlatform:
         assert platform.num_rails == 1
 
 
-class TestClusterCostModelTopology:
+class TestCollectivePricingTopology:
     @staticmethod
     def make(latency, topology=FLAT_TOPOLOGY):
-        return ClusterCostModel.from_cluster(ClusterSpec(
+        return ClusterPlatform(ClusterSpec(
             "toy", 4, A100_SERVER, 100.0, latency, topology=topology))
 
     def test_spine_scales_collective_bandwidth(self):
         flat = self.make(0.0)
         spine = self.make(0.0, NetworkTopology("spine", oversubscription=2.0))
         assert spine.collective_bandwidth == 50.0
-        assert spine.ring_allreduce_seconds(400.0) == \
-            pytest.approx(2 * flat.ring_allreduce_seconds(400.0))
-        assert spine.tree_allreduce_seconds(400.0) == \
-            pytest.approx(2 * flat.tree_allreduce_seconds(400.0))
+        for algorithm in ("ring", "tree"):
+            assert spine.allreduce_seconds(400.0, algorithm) == \
+                pytest.approx(2 * flat.allreduce_seconds(400.0, algorithm))
 
     def test_rail_prices_like_flat(self):
         """Rails shard the payload over parallel links at 1/rails rate
         each — the aggregate reproduces the flat collective exactly."""
         flat = self.make(1e-3)
         rail = self.make(1e-3, NetworkTopology("rail"))
-        assert rail.ring_allreduce_seconds(4000.0) == \
-            flat.ring_allreduce_seconds(4000.0)
+        assert rail.allreduce_seconds(4000.0, "ring") == \
+            flat.allreduce_seconds(4000.0, "ring")
 
-    def test_from_cluster_carries_topology(self):
+    def test_platform_prices_its_topology(self):
         spec = A100_CLUSTER.with_topology(
             NetworkTopology("spine", oversubscription=2.0)
         )
-        model = ClusterCostModel.from_cluster(spec)
-        assert model.topology.kind == "spine"
-        assert model.collective_bandwidth == \
+        platform = ClusterPlatform(spec)
+        assert platform.topology.kind == "spine"
+        assert platform.collective_bandwidth == \
             spec.network_bandwidth / 2.0
 
 
@@ -426,12 +424,10 @@ class TestNetAwareReorganization:
         graph = load_dataset(dataset, scale=scale, seed=3)
         partition = two_level_partition(graph, num_gpus, chunks, seed=0)
         cost_model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
-        cluster_model = ClusterCostModel.from_cluster(
-            A100_CLUSTER.with_num_nodes(nodes))
+        platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(nodes))
         blind = reorganize_partition(partition, cost_model, 512)
         aware = reorganize_partition(partition, cost_model, 512,
-                                     cluster_model=cluster_model,
-                                     num_nodes=nodes)
+                                     platform=platform)
         return partition, blind, aware
 
     @staticmethod
@@ -466,8 +462,33 @@ class TestNetAwareReorganization:
         assert aware.net_seconds_after <= aware.net_seconds_before
         assert aware.cost_after <= aware.cost_before
 
+    def test_the_platform_is_the_whole_fleet_description(self):
+        """Node count, dead nodes and prices come from one platform, so a
+        fleet cannot be net-aware yet priced as one node. A 4×2 platform
+        prices its cross-node rows above zero and adopts the layout a
+        4-node description adopted when the three were separate
+        arguments; a one-node platform is simply net-blind."""
+        graph = load_dataset("reddit_sim", scale=0.1, seed=0)
+        partition = two_level_partition(graph, 8, 4, seed=0)
+        platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(4),
+                                   gpus_per_node=2)
+        cost_model = CommCostModel.from_platform(platform)
+        aware = reorganize_partition(partition, cost_model, 512,
+                                     platform=platform)
+        assert aware.net_aware and not aware.kept_original
+        assert (aware.net_rows_before, aware.net_rows_after) == (7059, 6999)
+        assert aware.net_seconds_after == 0.00030339847911487925 > 0.0
+        assert aware.phase1_assignments == [
+            [0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2], [0, 1, 3, 2],
+            [0, 3, 2, 1], [0, 1, 2, 3], [0, 1, 3, 2], [0, 1, 3, 2]]
+        assert aware.phase2_order == [0, 1, 2, 3]
+        server = ClusterPlatform(A100_CLUSTER.with_num_nodes(1))
+        blind = reorganize_partition(partition, cost_model, 512,
+                                     platform=server)
+        assert not blind.net_aware and blind.net_rows_before is None
+
     def test_single_node_path_unchanged(self):
-        """Without a cluster model the result carries no net fields and
+        """Without a platform the result carries no net fields and
         the adopted layout matches the original two-phase greedy."""
         graph = load_dataset("reddit_sim", scale=0.1, seed=0)
         partition = two_level_partition(graph, 4, 3, seed=0)
