@@ -12,12 +12,7 @@ never adopts a layout worse than its input.
 import numpy as np
 
 from repro.bench import render_table
-from repro.comm import (
-    CommCostModel,
-    communication_cost,
-    measure_volumes,
-    reorganize_partition,
-)
+from repro.comm import measure_volumes, reorganize_partition
 from repro.graph import load_dataset
 from repro.hardware import A100_SERVER, MultiGPUPlatform
 from repro.partition import two_level_partition
@@ -39,16 +34,15 @@ def shuffled_partition(dataset):
 
 
 def run_ablation():
-    model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
+    server = MultiGPUPlatform(A100_SERVER)
     results = {}
     for dataset in DATASETS:
         partition = shuffled_partition(dataset)
         before_volumes = measure_volumes(partition)
-        before_cost = communication_cost(partition, ROW_BYTES, model)
-        outcome = reorganize_partition(partition, cost_model=model,
-                                       row_bytes=ROW_BYTES)
+        before_cost = server.dedup_seconds(before_volumes, ROW_BYTES)
+        outcome = reorganize_partition(partition, server, ROW_BYTES)
         after_volumes = measure_volumes(outcome.partition)
-        after_cost = communication_cost(outcome.partition, ROW_BYTES, model)
+        after_cost = server.dedup_seconds(after_volumes, ROW_BYTES)
         results[dataset] = {
             "before_vru": before_volumes.v_ru,
             "after_vru": after_volumes.v_ru,

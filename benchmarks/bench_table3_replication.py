@@ -12,7 +12,7 @@ from repro.bench import render_table
 from repro.graph import load_dataset
 from repro.partition import replication_factor_sweep
 
-from benchmarks._common import BENCH_SCALE, emit
+from benchmarks._common import BENCH_SCALE, emit, table3_claims
 
 PARTITION_COUNTS = [2, 4, 8, 16, 32, 64]
 DATASETS = ["it2004_sim", "papers_sim", "friendster_sim"]
@@ -20,10 +20,10 @@ PAPER_KEYS = {"it2004_sim": "it-2004", "papers_sim": "ogbn-paper",
               "friendster_sim": "friendster"}
 
 
-def run_sweep():
+def run_sweep(scale=BENCH_SCALE):
     results = {}
     for dataset in DATASETS:
-        graph = load_dataset(dataset, scale=BENCH_SCALE)
+        graph = load_dataset(dataset, scale=scale)
         results[dataset] = replication_factor_sweep(
             graph, PARTITION_COUNTS, seed=0
         )
@@ -52,10 +52,6 @@ def build_table(results) -> str:
 def bench_table3_replication(benchmark):
     results = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
     emit("table3_replication", build_table(results))
-    for dataset in DATASETS:
-        sweep = results[dataset]
-        values = [sweep[count] for count in PARTITION_COUNTS]
-        # Monotone growth with partition count.
-        assert all(b >= a for a, b in zip(values, values[1:]))
-    # Social graph replicates more than the web graph at high counts.
-    assert results["friendster_sim"][64] > results["it2004_sim"][64]
+    failed = [name for name, held in table3_claims(results).items()
+              if not held]
+    assert not failed, failed

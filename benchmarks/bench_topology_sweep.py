@@ -24,7 +24,6 @@ import numpy as np
 from repro.autograd import SGD
 from repro.bench import render_table
 from repro.comm import (
-    CommCostModel,
     DedupCommunicator,
     build_comm_plan,
     reorganize_partition,
@@ -140,11 +139,10 @@ def run_reorg(scale=BENCH_SCALE, nodes=2):
     graph = load_dataset(DATASET, scale=scale, seed=3)
     partition = two_level_partition(graph, 4 * nodes, NUM_CHUNKS, seed=0)
     platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(nodes))
-    cost_model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
     row_bytes = HIDDEN * 4
-    blind = reorganize_partition(partition, cost_model, row_bytes)
-    aware = reorganize_partition(partition, cost_model, row_bytes,
-                                 platform=platform)
+    blind = reorganize_partition(partition, MultiGPUPlatform(A100_SERVER),
+                                 row_bytes)
+    aware = reorganize_partition(partition, platform, row_bytes)
     return {
         "original": measure_halo_bytes(partition, platform),
         "net-blind greedy": measure_halo_bytes(blind.partition, platform),

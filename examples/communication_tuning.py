@@ -15,11 +15,7 @@ Walks through the paper's §5 pipeline on a social-network stand-in:
 import time
 
 from repro.bench import format_bytes, format_seconds, render_table
-from repro.comm import (
-    CommCostModel,
-    measure_volumes,
-    reorganize_partition,
-)
+from repro.comm import measure_volumes, reorganize_partition
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.graph import load_dataset
 from repro.hardware import (
@@ -50,17 +46,15 @@ def main() -> None:
     row_bytes = 128 * 4
     for spec in (A100_SERVER, PCIE_ONLY_SERVER):
         platform = MultiGPUPlatform(spec, numa_aware=True)
-        model = CommCostModel.from_platform(platform)
-        dedup = model.cost_seconds(volumes, row_bytes)
-        vanilla = model.vanilla_cost_seconds(volumes, row_bytes)
+        dedup = platform.dedup_seconds(volumes, row_bytes)
+        vanilla = platform.h2d_seconds(volumes.v_ori * row_bytes)
         print(f"\n{spec.name}: Eq.4 cost {format_seconds(dedup)} vs vanilla "
               f"{format_seconds(vanilla)}  ({vanilla / dedup:.2f}x)")
 
     # --- 3. cost-guided reorganization ---------------------------------
-    cost_model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
     started = time.perf_counter()
-    outcome = reorganize_partition(partition, cost_model=cost_model,
-                                   row_bytes=row_bytes)
+    outcome = reorganize_partition(partition, MultiGPUPlatform(A100_SERVER),
+                                   row_bytes)
     preprocessing = time.perf_counter() - started
     print(f"\nAlgorithm 4: cost {format_seconds(outcome.cost_before)} -> "
           f"{format_seconds(outcome.cost_after)} "

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.memory_model import estimate_for_model
 from repro.core.trainer import EpochResult
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_count
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
 from repro.hardware.clock import EventTimeline
@@ -56,6 +56,7 @@ class DistGNNSimulator:
     def __init__(self, graph: Graph, model: GNNModel,
                  cluster: CPUClusterSpec, bytes_per_scalar: int = 4,
                  seed: int = 0):
+        require_count("bytes_per_scalar", bytes_per_scalar, 1)
         if model.dims[0] != graph.feature_dim:
             raise ConfigurationError(
                 f"model input dim {model.dims[0]} != feature dim "

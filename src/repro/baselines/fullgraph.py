@@ -28,7 +28,7 @@ from repro.autograd.functional import (
 from repro.autograd.optim import Adam, Optimizer
 from repro.core.memory_model import estimate_for_model
 from repro.core.trainer import EpochResult
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_count
 from repro.gnn.block import Block
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
@@ -55,6 +55,7 @@ class FullGraphTrainer:
                  bytes_per_scalar: int = 4):
         if graph.features is None or graph.labels is None:
             raise ConfigurationError("training requires features and labels")
+        require_count("bytes_per_scalar", bytes_per_scalar, 1)
         if model.dims[0] != graph.feature_dim:
             raise ConfigurationError(
                 f"model input dim {model.dims[0]} != feature dim "

@@ -15,6 +15,8 @@ runs).
 
 from __future__ import annotations
 
+import math
+from numbers import Real
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -27,7 +29,7 @@ from repro.autograd.functional import (
 from repro.autograd.optim import Adam, Optimizer
 from repro.core.memory_model import estimate_for_model
 from repro.core.trainer import EpochResult
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_count
 from repro.gnn.block import Block
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
@@ -48,6 +50,12 @@ class InMemoryMultiGPUTrainer:
                  comm_overhead: float = 1.0):
         if graph.features is None or graph.labels is None:
             raise ConfigurationError("training requires features and labels")
+        require_count("bytes_per_scalar", bytes_per_scalar, 1)
+        if (isinstance(comm_overhead, bool)
+                or not isinstance(comm_overhead, Real)
+                or not 1.0 <= comm_overhead < math.inf):
+            raise ConfigurationError(f"comm_overhead must be a finite number "
+                                     f">= 1.0, got {comm_overhead!r}")
         self.graph = graph
         self.model = model
         self.platform = platform

@@ -28,7 +28,7 @@ from repro.autograd.functional import (
 )
 from repro.autograd.optim import Adam, Optimizer
 from repro.core.trainer import EpochResult
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_count
 from repro.gnn.block import Block
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
@@ -123,6 +123,9 @@ class MiniBatchTrainer:
             raise ConfigurationError("training requires features and labels")
         if graph.train_mask is None:
             raise ConfigurationError("mini-batch training requires a train mask")
+        for name, count in (("fanout", fanout), ("batch_size", batch_size),
+                            ("bytes_per_scalar", bytes_per_scalar)):
+            require_count(name, count, 1)
         self.graph = graph
         self.model = model
         self.platform = platform

@@ -28,7 +28,7 @@ from repro.bench.reporting import (
     render_table,
     render_timeline,
 )
-from repro.comm import CommCostModel, measure_volumes
+from repro.comm import measure_volumes
 from repro.core import (
     HongTuTrainer,
     estimate_training_memory,
@@ -308,19 +308,24 @@ def cmd_serve(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    for flag, value in (("--gpus", args.gpus), ("--chunks", args.chunks),
+                        ("--row-bytes", args.row_bytes)):
+        if value < 1:
+            print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed + 42)
     partition = two_level_partition(graph, args.gpus, args.chunks,
                                     seed=args.seed)
     volumes = measure_volumes(partition)
     normalized = volumes.normalized()
-    model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
+    platform = MultiGPUPlatform(A100_SERVER)
     rows = [
         ["vanilla (V_ori)", f"{normalized['v_ori']:.2f}",
-         format_seconds(model.vanilla_cost_seconds(volumes, args.row_bytes))],
+         format_seconds(platform.h2d_seconds(volumes.v_ori * args.row_bytes))],
         ["inter-GPU dedup", f"-{normalized['inter_gpu_dedup']:.2f}", ""],
         ["intra-GPU reuse", f"-{normalized['intra_gpu_dedup']:.2f}", ""],
         ["deduplicated (V+ru)", f"{normalized['v_ru']:.2f}",
-         format_seconds(model.cost_seconds(volumes, args.row_bytes))],
+         format_seconds(platform.dedup_seconds(volumes, args.row_bytes))],
     ]
     print(render_table(
         ["component", "rows / |V|", "Eq.4 cost per layer sweep"],

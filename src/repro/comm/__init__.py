@@ -2,11 +2,7 @@
 
 from repro.comm.plan import BatchGpuPlan, CommPlan, build_comm_plan
 from repro.comm.analysis import DedupVolumes, measure_volumes
-from repro.comm.cost_model import (
-    ALLREDUCE_ALGORITHMS,
-    CommCostModel,
-    communication_cost,
-)
+from repro.hardware.platform import ALLREDUCE_ALGORITHMS
 from repro.comm.reorganize import reorganize_partition, ReorganizationResult
 from repro.comm.joint import joint_placement, JointResult, JointIteration
 from repro.comm.executor import DedupCommunicator
@@ -14,7 +10,6 @@ from repro.comm.executor import DedupCommunicator
 __all__ = [
     "BatchGpuPlan", "CommPlan", "build_comm_plan",
     "DedupVolumes", "measure_volumes",
-    "CommCostModel", "communication_cost",
     "ALLREDUCE_ALGORITHMS",
     "reorganize_partition", "ReorganizationResult",
     "joint_placement", "JointResult", "JointIteration",

@@ -45,7 +45,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.comm.analysis import DedupVolumes
-from repro.comm.cost_model import CommCostModel
 from repro.comm.reorganize import (
     ReorganizationResult,
     _require_size,
@@ -124,7 +123,6 @@ class JointResult:
 
 
 def _combined_cost(volumes: DedupVolumes, net_rows: int,
-                   cost_model: CommCostModel,
                    platform: MultiGPUPlatform, row_bytes: int,
                    allreduce_bytes: float, allreduce_algorithm: str,
                    compute_rows_placed: int = 0) -> float:
@@ -138,7 +136,7 @@ def _combined_cost(volumes: DedupVolumes, net_rows: int,
     ``volumes`` are the layout's Eq. 4 volumes as the reorganization
     guard measured them.
     """
-    eq4 = cost_model.cost_seconds(volumes, row_bytes)
+    eq4 = platform.dedup_seconds(volumes, row_bytes)
     net = platform.placement_seconds(
         net_rows, row_bytes, allreduce_bytes=allreduce_bytes,
         algorithm=allreduce_algorithm,
@@ -151,7 +149,6 @@ def _combined_cost(volumes: DedupVolumes, net_rows: int,
 
 def joint_placement(partition: TwoLevelPartition,
                     platform: MultiGPUPlatform,
-                    cost_model: CommCostModel,
                     row_bytes: int = 4 * 128,
                     allreduce_bytes: float = 0.0,
                     allreduce_algorithm: str = "ring",
@@ -176,10 +173,11 @@ def joint_placement(partition: TwoLevelPartition,
     exactly the single-pass ``placement="search"`` pipeline, so
     ``cost_joint <= cost_single_pass`` always holds.
 
-    ``platform`` supplies the node count, the dead nodes and the network
-    prices; it must have at least two nodes (with one, both axes are
-    no-ops). ``compute_rows`` (an ``(m, num_nodes)`` row-equivalent compute
-    matrix, see :func:`~repro.partition.placement.search_placement`)
+    ``platform`` supplies the node count, the dead nodes and every price
+    (Eq. 4 and the network); it must have at least two nodes (with one,
+    both axes are no-ops). ``compute_rows`` (an ``(m, num_nodes)``
+    row-equivalent compute matrix, see
+    :func:`~repro.partition.placement.search_placement`)
     makes every search step capability-aware on a heterogeneous fleet;
     the convergence cost then includes the placed compute term at the
     same congested rate, and identical per-node rates leave the loop
@@ -235,16 +233,14 @@ def joint_placement(partition: TwoLevelPartition,
         total_moves += placed.moves
         total_refinements += placed.refinement_passes
 
-        reorganized = reorganize_partition(
-            current, cost_model, row_bytes, platform=platform,
-            placement=placement,
-        )
+        reorganized = reorganize_partition(current, platform, row_bytes,
+                                           placement=placement)
         current = reorganized.partition
         if index == 1:
             # The caller's layout under the seed placement.
             rows_initial = placed.rows_block
             cost_initial = _combined_cost(
-                reorganized.volumes_before, placed.rows_block, cost_model,
+                reorganized.volumes_before, placed.rows_block,
                 platform, row_bytes, allreduce_bytes,
                 allreduce_algorithm,
                 compute_rows_placed=placed.compute_rows_block or 0,
@@ -252,7 +248,7 @@ def joint_placement(partition: TwoLevelPartition,
 
         net_rows = reorganized.net_rows_after
         cost = _combined_cost(
-            reorganized.volumes_after, net_rows, cost_model, platform,
+            reorganized.volumes_after, net_rows, platform,
             row_bytes, allreduce_bytes, allreduce_algorithm,
             compute_rows_placed=placed.compute_rows_search or 0,
         )

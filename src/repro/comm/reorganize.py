@@ -13,11 +13,13 @@ greedy heuristic:
   so consecutive batches' transition unions overlap maximally.
 
 On a cluster the paper's Eq. 4 objective is blind to the dominant cost —
-cross-node halo bytes — so ``reorganize_partition`` optionally extends it
-with a **net term** (the scale-out extension of Algorithm 4): cross-node
-halo rows are priced at network seconds via the halo analyses of
-:mod:`repro.partition.nodes`, and a *net-aware* candidate layout is grown
-alongside the paper's greedy one. The net-aware heuristic exploits the
+cross-node halo bytes — so on a multi-node platform
+``reorganize_partition`` extends it with a **net term** (the scale-out
+extension of Algorithm 4): cross-node halo rows are priced at network
+seconds via the halo analyses of :mod:`repro.partition.nodes`, and a
+*net-aware* candidate layout is grown alongside the paper's greedy one.
+Every price — Eq. 4, the net term and the partition→node map it reads —
+is the one platform's. The net-aware heuristic exploits the
 fact that batch-to-batch reuse decomposes per partition: each partition's
 chunks are chained greedily so consecutive neighbor sets overlap
 maximally, with remotely-owned rows weighted up by how much more a
@@ -48,7 +50,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.analysis import DedupVolumes, measure_volumes
-from repro.comm.cost_model import CommCostModel
 from repro.errors import ConfigurationError
 from repro.hardware.platform import MultiGPUPlatform
 from repro.partition.nodes import (
@@ -65,8 +66,8 @@ __all__ = ["reorganize_partition", "ReorganizationResult"]
 class ReorganizationResult:
     """Reorganized partition + provenance.
 
-    When the reorganization ran net-aware (a ``platform`` of more than
-    one node was supplied), ``net_rows_before``/``net_rows_after``
+    When the reorganization ran net-aware (on a ``platform`` of more
+    than one node), ``net_rows_before``/``net_rows_after``
     hold the *predicted* cross-node halo rows per epoch-layer of the input
     and adopted layouts (forward fetches plus staging loads and their
     mirrored gradient flushes, from :func:`~repro.partition.halo_volumes`
@@ -84,8 +85,8 @@ class ReorganizationResult:
     phase1_assignments: List[List[int]]
     #: phase2_order[j] = pre-phase-2 batch id scheduled at slot j
     phase2_order: List[int]
-    #: guard costs of the input and the adopted layout: Eq. 4 alone, plus
-    #: the net term when net-aware
+    #: guard costs of the input and the adopted layout: Eq. 4, plus the
+    #: net term when net-aware
     cost_before: Optional[float] = None
     cost_after: Optional[float] = None
     #: True if every candidate layout was rejected by the cost model
@@ -99,7 +100,7 @@ class ReorganizationResult:
     net_seconds_before: Optional[float] = None
     net_seconds_after: Optional[float] = None
     #: Eq. 4 volumes of the input and the adopted layout (Table 8's
-    #: triple; ``None`` when no ``cost_model`` priced the guard)
+    #: triple)
     volumes_before: Optional[DedupVolumes] = None
     volumes_after: Optional[DedupVolumes] = None
 
@@ -112,74 +113,79 @@ class ReorganizationResult:
 
 
 def reorganize_partition(partition: TwoLevelPartition,
-                         cost_model: Optional[CommCostModel] = None,
+                         platform: MultiGPUPlatform,
                          row_bytes: int = 4 * 128,
-                         platform: Optional[MultiGPUPlatform] = None,
                          placement: Optional[np.ndarray] = None
                          ) -> ReorganizationResult:
-    """Run Algorithm 4 on ``partition``.
+    """Run Algorithm 4 on ``partition``, priced by ``platform``.
 
-    When ``cost_model`` is given, the result is *cost-model guided*: a
-    greedy layout is adopted only if it lowers the Eq. 4 communication cost
-    (computed with ``row_bytes`` bytes per vertex row); otherwise the input
-    layout is kept. Graphs whose initial range order already has strong
-    locality (e.g. crawl-ordered web graphs) can be hurt by the greedy
-    phases, and the cost model is exactly the guard the paper's design calls
-    for.
+    The result is *cost-model guided*: a greedy layout is adopted only if
+    it lowers the Eq. 4 communication cost
+    (:meth:`~repro.hardware.platform.MultiGPUPlatform.dedup_seconds`,
+    ``row_bytes`` bytes per vertex row); otherwise the input layout is
+    kept. Graphs whose initial range order already has strong locality
+    (e.g. crawl-ordered web graphs) can be hurt by the greedy phases, and
+    the cost model is exactly the guard the paper's design calls for.
 
     When ``platform`` has more than one node, the objective gains the
     **net term**: cross-node halo rows priced at the platform's
     :meth:`~repro.hardware.platform.MultiGPUPlatform.halo_volume_seconds`
     join the guard, and an additional net-aware candidate layout
     (per-partition reuse chains with remotely-owned rows weighted up)
-    competes with the paper's greedy layout. With one node (or no
-    platform) the behavior — including every float — is identical to the
-    pre-topology implementation.
+    competes with the paper's greedy layout. With one node the guard is
+    Eq. 4 alone.
 
-    ``placement`` overrides the contiguous-block partition→node map for
-    the net term (see :func:`repro.partition.partition_nodes`): when the
-    placement search has moved partitions between nodes, the net-aware
-    objective and guard price halo rows against the *actual* assignment
-    the executor will route with (the platform's dead nodes admit
-    evacuating placements that leave them empty).
+    The net term prices halo rows against the platform's installed
+    partition→node map (:attr:`~MultiGPUPlatform.placement`) — the one
+    the executor routes with — unless ``placement`` names another one:
+    the joint loop prices a candidate before installing it (the
+    platform's dead nodes admit evacuating placements that leave them
+    empty).
 
-    A ``row_bytes`` that is not a finite real > 0 or a ``platform`` that
-    is not a :class:`~repro.hardware.platform.MultiGPUPlatform` raises
+    A ``platform`` that is not a
+    :class:`~repro.hardware.platform.MultiGPUPlatform`, a ``row_bytes``
+    that is not a finite real > 0, or — on a multi-node platform — a
+    partition count other than ``platform.num_gpus`` raises
     ``ConfigurationError`` before any work.
     """
-    _require_size("row_bytes", row_bytes)  # it prices every guard cost
-    if platform is not None and not isinstance(platform, MultiGPUPlatform):
+    if not isinstance(platform, MultiGPUPlatform):
         raise ConfigurationError(
-            f"platform must be a MultiGPUPlatform or None, got {platform!r}")
+            f"platform must be a MultiGPUPlatform, got {platform!r}")
+    _require_size("row_bytes", row_bytes)  # it prices every guard cost
     m = partition.num_partitions
     n = partition.num_chunks
+    net_aware = platform.num_nodes > 1
+    if net_aware and m != platform.num_gpus:
+        raise ConfigurationError(
+            f"partition has {m} partitions, platform exposes "
+            f"{platform.num_gpus} GPUs")
     neighbors = [[chunk.neighbor_global for chunk in row]
                  for row in partition.chunks]
 
     # Candidate layouts as (grid, batch order): the input, the paper's
     # greedy one and, on a cluster, the net-aware one.
-    net_aware = platform is not None and platform.num_nodes > 1
     layouts: List[Tuple[List[List[int]], List[int]]] = [
         ([list(range(n)) for _ in range(m)], list(range(n))),
         _paper_greedy(neighbors, partition.graph.num_vertices),
     ]
     if net_aware:
-        node_map = partition_nodes(m, platform.num_nodes, placement,
-                                   max_imbalance=None,
-                                   dead_nodes=platform.dead_nodes)
+        node_map = partition_nodes(
+            m, platform.num_nodes,
+            platform.placement if placement is None else placement,
+            max_imbalance=None, dead_nodes=platform.dead_nodes)
         layouts.append((_reuse_chain_grid(
             neighbors, node_map, node_map[partition.assignment],
-            _remote_row_weight(cost_model, platform, row_bytes),
+            _remote_row_weight(platform, row_bytes),
         ), list(range(n))))
     candidates = [partition] + [_materialize(partition, grid, order)
                                 for grid, order in layouts[1:]]
 
-    # The guard: adopt the cheapest candidate under the net term (when
-    # net-aware) plus Eq. 4 (when priceable); the input wins ties (first
-    # minimum). With nothing to price, the greedy layout is adopted
-    # unguarded.
-    rows = net_seconds = volumes = costs = None
-    best = 1
+    # The guard: adopt the cheapest candidate under Eq. 4 plus, when
+    # net-aware, the net term; the input wins ties (first minimum).
+    volumes = [measure_volumes(candidate) for candidate in candidates]
+    costs = [platform.dedup_seconds(measured, row_bytes)
+             for measured in volumes]
+    rows = net_seconds = None
     if net_aware:
         # The net term is the cross-node entries of W = F + 2·L
         # (``partition_net_weights``). Reordering a partition's chunks
@@ -192,30 +198,22 @@ def reorganize_partition(partition: TwoLevelPartition,
                 for candidate in candidates]
         net_seconds = [platform.halo_volume_seconds(count * row_bytes)
                        for count in rows]
-    if net_aware or cost_model is not None:
-        costs = list(net_seconds) if net_aware else [0.0] * len(candidates)
-        if cost_model is not None:
-            volumes = [measure_volumes(candidate)
-                       for candidate in candidates]
-            for k, measured in enumerate(volumes):
-                costs[k] += cost_model.cost_seconds(measured, row_bytes)
-        best = min(range(len(costs)), key=costs.__getitem__)
+        costs = [net + eq4 for net, eq4 in zip(net_seconds, costs)]
+    best = min(range(len(costs)), key=costs.__getitem__)
 
     def before_after(values):
         return (None, None) if values is None else (values[0], values[best])
 
-    cost_before, cost_after = before_after(costs)
     net_rows_before, net_rows_after = before_after(rows)
     net_seconds_before, net_seconds_after = before_after(net_seconds)
-    volumes_before, volumes_after = before_after(volumes)
     return ReorganizationResult(
         candidates[best], *layouts[best],
-        cost_before, cost_after, kept_original=best == 0,
+        costs[0], costs[best], kept_original=best == 0,
         net_aware=net_aware,
         net_rows_before=net_rows_before, net_rows_after=net_rows_after,
         net_seconds_before=net_seconds_before,
         net_seconds_after=net_seconds_after,
-        volumes_before=volumes_before, volumes_after=volumes_after,
+        volumes_before=volumes[0], volumes_after=volumes[best],
     )
 
 
@@ -272,22 +270,20 @@ def _paper_greedy(neighbors: Sequence[Sequence[np.ndarray]],
 # ----------------------------------------------------------------------
 # the net-aware candidate (cluster extension)
 # ----------------------------------------------------------------------
-def _remote_row_weight(cost_model: Optional[CommCostModel],
-                       platform: MultiGPUPlatform,
-                       row_bytes: int) -> float:
+def _remote_row_weight(platform: MultiGPUPlatform, row_bytes: int) -> float:
     """How much more a remotely-owned row is worth reusing than a local one.
 
     Reusing any staged row saves its PCIe load; reusing a remotely-owned
     row additionally saves a network load *and* the mirrored gradient
     flush, so its weight is ``1 + 2·(net row seconds / PCIe row seconds)``.
-    Without an Eq. 4 model to price PCIe the ratio defaults to the A100
-    ballpark (network ≈ PCIe seconds per row, weight 3).
+    With one surviving node the network prices nothing and the ratio
+    defaults to the A100 ballpark (network ≈ PCIe seconds per row,
+    weight 3).
     """
     net_row = platform.halo_volume_seconds(row_bytes)
-    if cost_model is None or net_row == 0.0:
+    if net_row == 0.0:
         return 3.0
-    hd_row = row_bytes / cost_model.t_hd
-    return 1.0 + 2.0 * net_row / hd_row
+    return 1.0 + 2.0 * net_row / platform.h2d_seconds(row_bytes)
 
 
 def _reuse_chain_grid(neighbors: Sequence[Sequence[np.ndarray]],

@@ -50,7 +50,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.comm.cost_model import CommCostModel
 from repro.comm.executor import DedupCommunicator, PlanStatic
 from repro.comm.joint import joint_placement
 from repro.comm.plan import CommPlan, build_comm_plan
@@ -265,9 +264,7 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
         )
         if policy == "joint":
             joint = joint_placement(
-                partition, platform,
-                cost_model=CommCostModel.from_platform(platform),
-                row_bytes=row_bytes,
+                partition, platform, row_bytes=row_bytes,
                 allreduce_bytes=model.parameter_nbytes(),
                 allreduce_algorithm=config.allreduce, **search_args,
             )
@@ -284,10 +281,8 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
         # On a cluster the objective gains the net term: cross-node halo
         # rows priced at network seconds (Algorithm 4 extension), counted
         # against the active placement.
-        reorganization = reorganize_partition(
-            partition, CommCostModel.from_platform(platform), row_bytes,
-            platform=platform, placement=placement,
-        )
+        reorganization = reorganize_partition(partition, platform, row_bytes,
+                                              placement=placement)
         partition = reorganization.partition
 
     if replan and partition is previous.partition:

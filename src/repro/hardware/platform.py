@@ -597,11 +597,18 @@ class MultiGPUPlatform:
         """Bytes currently allocated across all node host pools."""
         return sum(pool.in_use for pool in self.hosts)
 
-    # -- throughput triple for the Eq. 4 cost model --------------------------
-    def throughputs(self) -> tuple:
-        """(T_hd, T_dd, T_ru) in bytes/second, NUMA-adjusted."""
-        t_hd = 1.0 / self.h2d_seconds(1.0)
-        return (t_hd, self.spec.nvlink_bandwidth, self.spec.gpu.memory_bandwidth)
+    # -- Eq. 4 (paper §5.3) -----------------------------------------------
+    def dedup_seconds(self, volumes, row_bytes: Bytes) -> Seconds:
+        """Eq. 4 of one epoch-layer sweep at the reference profile:
+        ``V⁺ru/T_hd + (V_ori − V⁺p2p)/T_dd + (V⁺p2p − V⁺ru)/T_ru``.
+
+        ``volumes`` is a :class:`~repro.comm.DedupVolumes` (vertex rows,
+        ``row_bytes`` each); T_hd is the NUMA-adjusted PCIe rate. The
+        no-dedup baseline is ``h2d_seconds(volumes.v_ori * row_bytes)``.
+        """
+        return (self.h2d_seconds(volumes.v_ru * row_bytes)
+                + self.d2d_seconds(volumes.inter_gpu_dedup * row_bytes)
+                + self.reuse_seconds(volumes.intra_gpu_dedup * row_bytes))
 
     # -- memory management -----------------------------------------------
     def reset_memory(self) -> None:

@@ -8,7 +8,8 @@ sets and keep the first strictly better candidate of an ascending scan,
 each reuse chain builds a set of remotely-owned rows per chunk, and
 :func:`reference_measure_volumes` asks ``np.unique`` for every batch
 union. :func:`reference_reorganize_partition` is the shipped guard around
-them, also verbatim.
+them, verbatim but for its prices: Eq. 4 and the net term are the
+platform's, and ``placement=None`` reads the platform's installed map.
 
 ``repro.comm.reorganize_partition`` and ``measure_volumes`` must return
 the same values for every input: every overlap is an integer row count
@@ -25,7 +26,6 @@ from typing import List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.comm.analysis import DedupVolumes
-from repro.comm.cost_model import CommCostModel
 from repro.comm.reorganize import (
     ReorganizationResult,
     _materialize,
@@ -75,9 +75,8 @@ def reference_measure_volumes(partition: TwoLevelPartition) -> DedupVolumes:
 
 
 def reference_reorganize_partition(partition: TwoLevelPartition,
-                                   cost_model: Optional[CommCostModel] = None,
+                                   platform: MultiGPUPlatform,
                                    row_bytes: int = 4 * 128,
-                                   platform: Optional[MultiGPUPlatform] = None,
                                    placement: Optional[np.ndarray] = None
                                    ) -> ReorganizationResult:
     """Run Algorithm 4 on ``partition`` (see the shipped docstring)."""
@@ -96,28 +95,26 @@ def reference_reorganize_partition(partition: TwoLevelPartition,
 
     # Candidate layouts as (grid, batch order): the input, the paper's
     # greedy one and, on a cluster, the net-aware one.
-    net_aware = platform is not None and platform.num_nodes > 1
+    net_aware = platform.num_nodes > 1
     layouts: List[Tuple[List[List[int]], List[int]]] = [
         ([list(range(n)) for _ in range(m)], list(range(n))),
         _paper_greedy(neighbor_sets),
     ]
     if net_aware:
-        node_map = partition_nodes(m, platform.num_nodes, placement,
-                                   max_imbalance=None,
-                                   dead_nodes=platform.dead_nodes)
+        node_map = partition_nodes(
+            m, platform.num_nodes,
+            platform.placement if placement is None else placement,
+            max_imbalance=None, dead_nodes=platform.dead_nodes)
         layouts.append((_reuse_chain_grid(
             partition, neighbor_sets, node_map,
-            _remote_row_weight(cost_model, platform, row_bytes),
+            _remote_row_weight(platform, row_bytes),
         ), list(range(n))))
     candidates = [partition] + [_materialize(partition, grid, order)
                                 for grid, order in layouts[1:]]
 
     # The guard: adopt the cheapest candidate under the net term (when
-    # net-aware) plus Eq. 4 (when priceable); the input wins ties (first
-    # minimum). With nothing to price, the greedy layout is adopted
-    # unguarded.
-    rows = net_seconds = volumes = costs = None
-    best = 1
+    # net-aware) plus Eq. 4; the input wins ties (first minimum).
+    rows = net_seconds = None
     if net_aware:
         # The net term is the cross-node entries of W = F + 2·L
         # (``partition_net_weights``). Reordering a partition's chunks
@@ -131,14 +128,12 @@ def reference_reorganize_partition(partition: TwoLevelPartition,
                 for candidate in candidates]
         net_seconds = [platform.halo_volume_seconds(count * row_bytes)
                        for count in rows]
-    if net_aware or cost_model is not None:
-        costs = list(net_seconds) if net_aware else [0.0] * len(candidates)
-        if cost_model is not None:
-            volumes = [reference_measure_volumes(candidate)
-                       for candidate in candidates]
-            for k, measured in enumerate(volumes):
-                costs[k] += cost_model.cost_seconds(measured, row_bytes)
-        best = min(range(len(costs)), key=costs.__getitem__)
+    costs = list(net_seconds) if net_aware else [0.0] * len(candidates)
+    volumes = [reference_measure_volumes(candidate)
+               for candidate in candidates]
+    for k, measured in enumerate(volumes):
+        costs[k] += platform.dedup_seconds(measured, row_bytes)
+    best = min(range(len(costs)), key=costs.__getitem__)
 
     def before_after(values):
         return (None, None) if values is None else (values[0], values[best])

@@ -311,6 +311,16 @@ class TestCommands:
         assert main(["train", "--epochs", epochs]) == 2
         assert "--epochs must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--gpus", "--chunks", "--row-bytes"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_analyze_needs_priceable_counts(self, capsys, flag, value):
+        """--row-bytes 0 printed 0.0us and -5 negative seconds; --gpus 0
+        and --chunks 0 ended in a PartitionError traceback."""
+        assert main(["analyze", "--scale", "0.1", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} must be >= 1, got {value}" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("entries, message", [
         (["h100"], "unknown profile 'h100'"),
         (["a100:two"], "must be an integer"),

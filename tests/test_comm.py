@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.comm import (
-    CommCostModel,
     DedupCommunicator,
     ReorganizationResult,
     build_comm_plan,
-    communication_cost,
     measure_volumes,
     reorganize_partition,
 )
@@ -297,54 +295,69 @@ class TestExecutor:
 class TestCostModel:
     def test_eq4_arithmetic(self, partitioned):
         volumes = measure_volumes(partitioned)
-        model = CommCostModel(t_hd=100.0, t_dd=1000.0, t_ru=10000.0)
+        platform = MultiGPUPlatform(A100_SERVER, numa_aware=True)
         row_bytes = 8
         expected = (
-            volumes.v_ru * row_bytes / 100.0
-            + volumes.inter_gpu_dedup * row_bytes / 1000.0
-            + volumes.intra_gpu_dedup * row_bytes / 10000.0
+            volumes.v_ru * row_bytes / A100_SERVER.pcie_bandwidth
+            + volumes.inter_gpu_dedup * row_bytes
+            / A100_SERVER.nvlink_bandwidth
+            + volumes.intra_gpu_dedup * row_bytes
+            / A100_SERVER.gpu.memory_bandwidth
         )
-        assert np.isclose(model.cost_seconds(volumes, row_bytes), expected)
+        assert platform.dedup_seconds(volumes, row_bytes) == expected
 
     def test_dedup_beats_vanilla_with_fast_interconnect(self, partitioned):
         volumes = measure_volumes(partitioned)
-        model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
-        assert model.cost_seconds(volumes, 512) < \
-            model.vanilla_cost_seconds(volumes, 512)
-
-    def test_invalid_throughputs(self):
-        with pytest.raises(ConfigurationError):
-            CommCostModel(t_hd=0.0, t_dd=1.0, t_ru=1.0)
-
-    def test_convenience_wrapper(self, partitioned):
-        model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
-        assert communication_cost(partitioned, 512, model) > 0
+        platform = MultiGPUPlatform(A100_SERVER)
+        assert platform.dedup_seconds(volumes, 512) < \
+            platform.h2d_seconds(volumes.v_ori * 512)
 
 
 class TestReorganization:
-    def test_chunks_stay_in_partition(self, partitioned):
-        result = reorganize_partition(partitioned)
-        for i, row in enumerate(result.partition.chunks):
+    """Algorithm 4 on the paper's server. On ``partitioned`` the Eq. 4
+    guard keeps the input; on ``shuffled`` it adopts the greedy layout,
+    so the layout checks run there."""
+
+    @pytest.fixture(scope="class")
+    def server(self):
+        return MultiGPUPlatform(A100_SERVER)
+
+    @pytest.fixture(scope="class")
+    def shuffled(self):
+        """A chunk order shuffled to destroy locality."""
+        graph = load_dataset("papers_sim", scale=0.15, seed=2)
+        partition = two_level_partition(graph, 4, 8, seed=0)
+        rng = np.random.default_rng(3)
+        for i, row in enumerate(partition.chunks):
+            partition.chunks[i] = [row[k] for k in rng.permutation(len(row))]
+        return partition
+
+    @pytest.fixture(scope="class")
+    def adopted(self, shuffled, server):
+        result = reorganize_partition(shuffled, server)
+        assert not result.kept_original
+        return result
+
+    def test_chunks_stay_in_partition(self, shuffled, adopted):
+        for i, row in enumerate(adopted.partition.chunks):
             for chunk in row:
                 assert any(chunk is original
-                           for original in partitioned.chunks[i])
-                assert (partitioned.assignment[chunk.dst_global] == i).all()
+                           for original in shuffled.chunks[i])
+                assert (shuffled.assignment[chunk.dst_global] == i).all()
 
-    def test_every_chunk_used_once(self, partitioned):
-        result = reorganize_partition(partitioned)
+    def test_every_chunk_used_once(self, shuffled, adopted):
         original = {
             i: {tuple(chunk.dst_global.tolist())
-                for chunk in partitioned.chunks[i]}
-            for i in range(partitioned.num_partitions)
+                for chunk in shuffled.chunks[i]}
+            for i in range(shuffled.num_partitions)
         }
-        for i, row in enumerate(result.partition.chunks):
+        for i, row in enumerate(adopted.partition.chunks):
             reorganized = {tuple(chunk.dst_global.tolist()) for chunk in row}
             assert reorganized == original[i]
 
-    def test_phase2_is_permutation(self, partitioned):
-        result = reorganize_partition(partitioned)
-        assert sorted(result.phase2_order) == \
-            list(range(partitioned.num_chunks))
+    def test_phase2_is_permutation(self, shuffled, adopted):
+        assert sorted(adopted.phase2_order) == \
+            list(range(shuffled.num_chunks))
 
     @pytest.mark.parametrize("row_bytes", [0, -4, float("nan"),
                                            float("inf"), "8", True, None])
@@ -355,64 +368,68 @@ class TestReorganization:
         made the net-aware chain's weight inf/inf = NaN, so no chunk beat
         the first score and the chain never ended."""
         monkeypatch.setattr(reorganize, "_paper_greedy", _no_work)
-        model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
         with pytest.raises(ConfigurationError, match="row_bytes"):
-            reorganize_partition(partitioned, cost_model=model,
-                                 row_bytes=row_bytes,
-                                 platform=ClusterPlatform(A100_CLUSTER))
+            reorganize_partition(
+                partitioned, ClusterPlatform(A100_CLUSTER, gpus_per_node=2),
+                row_bytes=row_bytes)
 
     @pytest.mark.parametrize("platform", [
-        0, 2, float("nan"), True, "2", A100_CLUSTER, A100_SERVER,
+        None, 0, 2, float("nan"), True, "2", A100_CLUSTER, A100_SERVER,
     ])
     def test_rejects_what_is_not_a_platform(self, partitioned, platform,
                                             monkeypatch):
         """A node count or a spec is no fleet: it names no dead nodes and
-        prices no network, so it is refused before any work."""
+        prices nothing, so it is refused before any work."""
         monkeypatch.setattr(reorganize, "_paper_greedy", _no_work)
         with pytest.raises(ConfigurationError, match="platform"):
-            reorganize_partition(partitioned, platform=platform)
+            reorganize_partition(partitioned, platform)
 
-    def test_still_valid_cover(self, partitioned):
-        result = reorganize_partition(partitioned)
-        result.partition.validate()
+    def test_rejects_a_partition_the_fleet_does_not_host(self, partitioned,
+                                                         monkeypatch):
+        """The net term reads one node per partition from the platform: a
+        4-way partition on 8 GPUs has no such map."""
+        monkeypatch.setattr(reorganize, "_paper_greedy", _no_work)
+        with pytest.raises(ConfigurationError, match="platform"):
+            reorganize_partition(partitioned, ClusterPlatform(A100_CLUSTER))
 
-    def test_cost_guided_never_worse(self, partitioned):
-        model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
-        result = reorganize_partition(partitioned, cost_model=model,
-                                      row_bytes=512)
-        final_cost = communication_cost(result.partition, 512, model)
-        original_cost = communication_cost(partitioned, 512, model)
-        assert final_cost <= original_cost + 1e-12
-        assert result.cost_before is not None
-        assert result.cost_after is not None
+    def test_still_valid_cover(self, adopted):
+        adopted.partition.validate()
+
+    def test_cost_guided_never_worse(self, partitioned, shuffled, server):
+        for partition in (partitioned, shuffled):
+            result = reorganize_partition(partition, server, row_bytes=512)
+            final_cost = server.dedup_seconds(
+                measure_volumes(result.partition), 512)
+            original_cost = server.dedup_seconds(
+                measure_volumes(partition), 512)
+            assert final_cost <= original_cost + 1e-12
+            assert (result.cost_before, result.cost_after) \
+                == (original_cost, final_cost)
 
     @pytest.mark.parametrize("dataset", ["papers_sim", "it2004_sim"])
-    def test_kept_original_reports_the_kept_layout(self, dataset):
+    def test_kept_original_reports_the_kept_layout(self, dataset, server):
         """When the Eq. 4 guard keeps the input, the provenance is the
         input's — the identity layout and its cost — not the rejected
         greedy candidate's."""
         graph = load_dataset(dataset, scale=0.15, seed=2)
         partition = two_level_partition(graph, 4, 8, seed=0)
-        model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
-        result = reorganize_partition(partition, cost_model=model,
-                                      row_bytes=512)
+        result = reorganize_partition(partition, server, row_bytes=512)
         assert result.kept_original
         assert result.partition is partition
         assert result.phase1_assignments == [list(range(8))] * 4
         assert result.phase2_order == list(range(8))
         assert result.cost_after == result.cost_before
 
-    @pytest.mark.parametrize("guarded", [False, True])
-    def test_provenance_rebuilds_the_adopted_layout(self, partitioned,
-                                                    guarded):
-        model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
-        result = reorganize_partition(
-            partitioned, cost_model=model if guarded else None)
-        assert (result.cost_after is not None) == guarded
+    @pytest.mark.parametrize("layout", ["partitioned", "shuffled"])
+    def test_provenance_rebuilds_the_adopted_layout(self, request, layout,
+                                                    server):
+        partition = request.getfixturevalue(layout)
+        result = reorganize_partition(partition, server)
+        assert result.kept_original == (layout == "partitioned")
         for i, row in enumerate(result.partition.chunks):
             for slot, chunk in enumerate(row):
                 batch = result.phase2_order[slot]
-                assert chunk is partitioned.chunks[i][
+                assert chunk is partition.chunks[i][
                     result.phase1_assignments[i][batch]]
 
     def test_result_keeps_its_construction_and_attributes(self, partitioned):
@@ -439,16 +456,9 @@ class TestReorganization:
         assert full.volumes_before is before and full.volumes_after is after
         assert full.predicted_net_rows_saved == 5
 
-    def test_reorganization_helps_shuffled_schedule(self):
+    def test_reorganization_helps_shuffled_schedule(self, shuffled,
+                                                    adopted):
         """On a randomly shuffled chunk order, Algorithm 4 must recover
         locality and reduce host traffic."""
-        graph = load_dataset("papers_sim", scale=0.15, seed=2)
-        partition = two_level_partition(graph, 4, 8, seed=0)
-        # Shuffle each partition's chunk order to destroy locality.
-        rng = np.random.default_rng(3)
-        for i, row in enumerate(partition.chunks):
-            partition.chunks[i] = [row[k] for k in rng.permutation(len(row))]
-        before = measure_volumes(partition)
-        result = reorganize_partition(partition)
-        after = measure_volumes(result.partition)
-        assert after.v_ru <= before.v_ru
+        assert measure_volumes(adopted.partition).v_ru \
+            < measure_volumes(shuffled).v_ru

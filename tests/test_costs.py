@@ -12,6 +12,7 @@ serve must move the bytes the plan predicts.
 import numpy as np
 import pytest
 
+from repro.comm import DedupVolumes
 from repro.core import HongTuTrainer, estimate_for_model
 from repro.core.costs import BackwardCosts, ChunkShapes, checkpoint_dims
 from repro.gnn import MODEL_REGISTRY
@@ -230,9 +231,12 @@ def test_rate_table_is_the_closed_form_spec_expression(profile, numa_aware,
             assert [method(a, int(i)) for a, i
                     in zip(amounts.tolist(), ids)] == closed_form
             assert [method(a) for a in amounts.tolist()] == closed_form
-        assert platform.throughputs() == (
-            1.0 / (1.0 / h2d), spec.nvlink_bandwidth,
-            spec.gpu.memory_bandwidth)
+        # Eq. 4 reads the same reference rates
+        volumes = DedupVolumes(v_ori=9173, v_p2p=4099, v_ru=1031,
+                               num_vertices=9173, batch_union_sizes=[])
+        assert platform.dedup_seconds(volumes, 520) == (
+            1031 * 520 / h2d + 5074 * 520 / spec.nvlink_bandwidth
+            + 3068 * 520 / spec.gpu.memory_bandwidth)
 
 
 def cold_column(engine, j):

@@ -54,10 +54,33 @@ def test_checker_catches_broken_link(tmp_path):
 def test_checker_ignores_external_links_and_code_fences(tmp_path):
     ok = tmp_path / "ok.md"
     ok.write_text(
+        "# Section\n"
         "[web](https://example.com) [frag](#section)\n"
         "```bash\necho [not](a/link.md)\n```\n"
     )
     assert check_docs.check_links(ok) == []
+
+
+def test_checker_catches_broken_fragment(tmp_path):
+    """A fragment must name a heading of its target under GitHub's slug
+    rule; a heading inside a fenced block is a comment, not an anchor."""
+    (tmp_path / "target.md").write_text(
+        "# Eq. 4: the `dedup` price → T_hd\n"
+        "## Twice\n## Twice\n"
+        "```bash\n# Fenced heading\n```\n"
+    )
+    ok = tmp_path / "ok.md"
+    ok.write_text("[a](target.md#eq-4-the-dedup-price--t_hd) "
+                  "[b](target.md#twice-1) [c](#ok)\n# OK\n")
+    assert check_docs.check_links(ok) == []
+    bad = tmp_path / "bad.md"
+    bad.write_text("[a](target.md#fenced-heading) [b](target.md#twice-2)\n"
+                   "[c](#missing) [d](target.md#eq-4)\n")
+    failures = check_docs.check_links(bad)
+    assert [failure.split("-> ")[1] for failure in failures] == [
+        "target.md#fenced-heading", "target.md#twice-2", "#missing",
+        "target.md#eq-4"]
+    assert all("broken fragment" in failure for failure in failures)
 
 
 def test_checker_flags_empty_pycon_block(tmp_path):

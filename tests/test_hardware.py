@@ -233,10 +233,12 @@ class TestPlatform:
         platform = MultiGPUPlatform(PCIE_ONLY_SERVER, numa_aware=True)
         assert np.isclose(platform.d2d_seconds(GB), platform.h2d_seconds(GB))
 
-    def test_throughputs_triple(self):
+    def test_eq4_rates_ordered(self):
+        """T_hd < T_dd < T_ru: PCIe is the slowest path, HBM reuse the
+        fastest."""
         platform = MultiGPUPlatform(A100_SERVER)
-        t_hd, t_dd, t_ru = platform.throughputs()
-        assert t_hd < t_dd < t_ru
+        assert platform.h2d_seconds(GB) > platform.d2d_seconds(GB) \
+            > platform.reuse_seconds(GB)
 
     def test_compute_seconds(self):
         platform = MultiGPUPlatform(A100_SERVER)

@@ -99,7 +99,7 @@ class TestIdenticalProfilesDegeneracy:
         assert same_flows == base_flows
         assert same_path == base_path
 
-    def test_identical_specs_cost_model_identical(self):
+    def test_identical_specs_price_identically(self):
         node = A100_SERVER.with_num_gpus(GPUS_PER_NODE)
         base = ClusterPlatform(make_cluster())
         same = ClusterPlatform(make_cluster((node,) * NODES))

@@ -22,7 +22,6 @@ import reorganize_reference as reference
 import repro.comm.analysis as analysis
 import repro.comm.reorganize as shipped
 from repro.comm import measure_volumes, reorganize_partition
-from repro.comm.cost_model import CommCostModel
 from repro.faults import FaultState
 from repro.graph import Graph, load_dataset
 from repro.partition import partition_nodes, two_level_partition
@@ -51,19 +50,23 @@ def make_placement(kind, nodes):
     return block, frozenset({1})
 
 
-@functools.lru_cache(maxsize=None)
-def models(nodes, gpus=GPUS, dead=frozenset()):
-    """The platform's Eq. 4 model and the platform, ``dead`` nodes dead."""
+def build_platform(nodes, gpus=GPUS, dead=frozenset()):
+    """A fresh ``nodes`` × ``gpus`` platform with ``dead`` nodes dead."""
     platform = ClusterArgs(nodes=nodes, gpus=gpus,
                            topology="rail" if nodes > 1 else "flat"
                            ).build_platform()
     platform.apply_fault_state(FaultState(dead=dead))
-    return CommCostModel.from_platform(platform), platform
+    return platform
 
 
-def assert_same_reorganization(partition, **kwargs):
-    got = reorganize_partition(partition, **kwargs)
-    want = reference.reference_reorganize_partition(partition, **kwargs)
+#: Shared platforms for the tests that install no placement.
+platform_of = functools.lru_cache(maxsize=None)(build_platform)
+
+
+def assert_same_reorganization(partition, platform, **kwargs):
+    got = reorganize_partition(partition, platform, **kwargs)
+    want = reference.reference_reorganize_partition(partition, platform,
+                                                    **kwargs)
     for field in dataclasses.fields(got):
         if field.name != "partition":
             assert getattr(got, field.name) == getattr(want, field.name), \
@@ -94,18 +97,24 @@ GRID = [(chunks, nodes, placement)
 
 
 class TestSameDecisions:
-    @pytest.mark.parametrize("priced", [False, True],
-                             ids=["unguarded", "eq4"])
+    @pytest.mark.parametrize("installed", [False, True],
+                             ids=["eq4", "eq4-installed"])
     @pytest.mark.parametrize("chunks,nodes,placement", GRID)
-    def test_grid(self, partitions, chunks, nodes, placement, priced):
+    def test_grid(self, partitions, chunks, nodes, placement, installed):
+        """Both guards take the same placement: passed as ``placement=``,
+        or installed on the platform and read by default."""
         partition = partitions[nodes, chunks]
         placed, dead = make_placement(placement, nodes)
-        cost_model, platform = models(nodes, dead=dead)
         assert measure_volumes(partition) \
             == reference.reference_measure_volumes(partition)
-        assert_same_reorganization(
-            partition, cost_model=cost_model if priced else None,
-            row_bytes=128, platform=platform, placement=placed)
+        if installed:
+            platform = build_platform(nodes, dead=dead)
+            platform.set_placement(placed, max_imbalance=nodes * GPUS)
+            assert_same_reorganization(partition, platform, row_bytes=128)
+        else:
+            assert_same_reorganization(
+                partition, platform_of(nodes, dead=dead), row_bytes=128,
+                placement=placed)
 
     def test_the_grid_adopts_every_kind_of_layout(self, partitions):
         """Guards the grid above against comparing only kept inputs."""
@@ -113,9 +122,8 @@ class TestSameDecisions:
         for chunks, nodes, placement in GRID:
             partition = partitions[nodes, chunks]
             placed, dead = make_placement(placement, nodes)
-            cost_model, platform = models(nodes, dead=dead)
             result = reorganize_partition(
-                partition, cost_model, 128, platform=platform,
+                partition, platform_of(nodes, dead=dead), 128,
                 placement=placed)
             greedy = shipped._paper_greedy(
                 [[chunk.neighbor_global for chunk in row]
@@ -139,13 +147,12 @@ class TestSameDecisions:
         partition = two_level_partition(
             graph, m, 4, assignment=np.arange(num_vertices) % m,
             gcn_weights=False)
-        cost_model, platform = models(nodes)
-        for priced in (None, cost_model):
-            got = assert_same_reorganization(
-                partition, cost_model=priced, platform=platform)
-            if priced is None:  # the unguarded greedy: all ties, ids kept
-                assert got.phase1_assignments == [[0, 1, 2, 3]] * m
-                assert got.phase2_order == [0, 1, 2, 3]
+        assert_same_reorganization(partition, platform_of(nodes))
+        # The greedy phases themselves: all ties, ids kept.
+        assert shipped._paper_greedy(
+            [[chunk.neighbor_global for chunk in row]
+             for row in partition.chunks], num_vertices) \
+            == ([[0, 1, 2, 3]] * m, [0, 1, 2, 3])
 
 
 @st.composite
@@ -163,18 +170,16 @@ def random_partitions(draw):
         graph, m, chunks, assignment=rng.integers(0, m, num_vertices),
         gcn_weights=False)
     placement = rng.permutation(partition_nodes(m, nodes))
-    return nodes, gpus, partition, placement, draw(st.booleans())
+    return nodes, gpus, partition, placement
 
 
 class TestRandomPartitions:
     @settings(max_examples=60, deadline=None)
     @given(random_partitions())
     def test_same_result_on_any_partition(self, drawn):
-        nodes, gpus, partition, placement, priced = drawn
-        cost_model, platform = models(nodes, gpus)
-        assert_same_reorganization(
-            partition, cost_model=cost_model if priced else None,
-            row_bytes=64, platform=platform, placement=placement)
+        nodes, gpus, partition, placement = drawn
+        assert_same_reorganization(partition, platform_of(nodes, gpus),
+                                   row_bytes=64, placement=placement)
 
 
 class TestWorkBound:

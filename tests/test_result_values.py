@@ -22,7 +22,7 @@ from repro.baselines import (
     InMemoryMultiGPUTrainer,
     MiniBatchTrainer,
 )
-from repro.comm import CommCostModel, reorganize_partition
+from repro.comm import reorganize_partition
 from repro.comm.joint import joint_placement
 from repro.core import EpochResult, HongTuTrainer
 from repro.faults import FaultSchedule, NodeDeath
@@ -109,30 +109,28 @@ class TestSweepCounts:
     def priced(self, graph):
         platform = JOINT.build_platform()
         partition = two_level_partition(graph, platform.num_gpus, 4, seed=0)
-        return partition, CommCostModel.from_platform(platform), platform
+        return partition, platform
 
     def test_one_guard_sweeps_layout_invariants_once(self, priced,
                                                      monkeypatch):
-        partition, cost_model, platform = priced
+        partition, platform = priced
         fetch = count_calls(monkeypatch, reorganize_module,
                             "partition_halo_matrix")
         node_maps = count_calls(monkeypatch, reorganize_module,
                                 "partition_nodes")
         loads = count_calls(monkeypatch, reorganize_module,
                             "partition_load_matrix")
-        result = reorganize_partition(
-            partition, cost_model, 32, platform=platform)
+        result = reorganize_partition(partition, platform, 32)
         assert result.net_aware
         assert len(fetch) == 1 and len(node_maps) == 1
         assert len(loads) == 3  # the schedule-dependent half: per candidate
 
     def test_joint_prices_the_volumes_the_guard_measured(self, priced,
                                                          monkeypatch):
-        partition, cost_model, platform = priced
+        partition, platform = priced
         measured = count_calls(monkeypatch, reorganize_module,
                                "measure_volumes")
-        joint = joint_placement(partition, platform, cost_model,
-                                row_bytes=32)
+        joint = joint_placement(partition, platform, row_bytes=32)
         # input, greedy and net-aware layout of each round's guard
         assert len(measured) == 3 * len(joint.iterations)
         assert not hasattr(joint_module, "measure_volumes")
@@ -141,7 +139,7 @@ class TestSweepCounts:
         assert adopted.volumes_after is not None
         assert adopted.cost_after == pytest.approx(
             adopted.net_seconds_after
-            + cost_model.cost_seconds(adopted.volumes_after, 32))
+            + platform.dedup_seconds(adopted.volumes_after, 32))
         assert joint.cost_single_pass == joint.iterations[0].cost
         assert joint.cost_joint == joint.placement_result.cost_search
 

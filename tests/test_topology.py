@@ -19,7 +19,6 @@ import pytest
 from repro.autograd import SGD
 from repro.bench.reporting import render_node_utilization, render_timeline
 from repro.comm import (
-    CommCostModel,
     DedupCommunicator,
     build_comm_plan,
     reorganize_partition,
@@ -42,6 +41,7 @@ from repro.hardware import (
 from repro.partition import (
     halo_load_volumes,
     halo_volumes,
+    partition_nodes,
     two_level_partition,
 )
 from repro.runtime import (
@@ -423,11 +423,11 @@ class TestNetAwareReorganization:
     def reorganize_pair(self, dataset, scale, chunks, num_gpus=8, nodes=2):
         graph = load_dataset(dataset, scale=scale, seed=3)
         partition = two_level_partition(graph, num_gpus, chunks, seed=0)
-        cost_model = CommCostModel.from_platform(MultiGPUPlatform(A100_SERVER))
-        platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(nodes))
-        blind = reorganize_partition(partition, cost_model, 512)
-        aware = reorganize_partition(partition, cost_model, 512,
-                                     platform=platform)
+        blind = reorganize_partition(partition, MultiGPUPlatform(A100_SERVER),
+                                     512)
+        aware = reorganize_partition(
+            partition, ClusterPlatform(A100_CLUSTER.with_num_nodes(nodes)),
+            512)
         return partition, blind, aware
 
     @staticmethod
@@ -472,9 +472,7 @@ class TestNetAwareReorganization:
         partition = two_level_partition(graph, 8, 4, seed=0)
         platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(4),
                                    gpus_per_node=2)
-        cost_model = CommCostModel.from_platform(platform)
-        aware = reorganize_partition(partition, cost_model, 512,
-                                     platform=platform)
+        aware = reorganize_partition(partition, platform, 512)
         assert aware.net_aware and not aware.kept_original
         assert (aware.net_rows_before, aware.net_rows_after) == (7059, 6999)
         assert aware.net_seconds_after == 0.00030339847911487925 > 0.0
@@ -483,16 +481,48 @@ class TestNetAwareReorganization:
             [0, 3, 2, 1], [0, 1, 2, 3], [0, 1, 3, 2], [0, 1, 3, 2]]
         assert aware.phase2_order == [0, 1, 2, 3]
         server = ClusterPlatform(A100_CLUSTER.with_num_nodes(1))
-        blind = reorganize_partition(partition, cost_model, 512,
-                                     platform=server)
+        blind = reorganize_partition(partition, server, 512)
         assert not blind.net_aware and blind.net_rows_before is None
 
+    def test_eq4_is_the_platforms_own(self):
+        """Eq. 4 reads the fleet it guards. At 2 GPUs per node the PCIe
+        rate is the NUMA blend (T_hd = 21.6 GB/s), and the guard keeps
+        the input; the 4-GPU server's T_hd of 27.9 GB/s, which callers
+        used to pair with this fleet, adopted a 2 133-row layout."""
+        graph = load_dataset("it2004_sim", scale=0.1, seed=3)
+        partition = two_level_partition(graph, 4, 4, seed=0)
+        platform = ClusterArgs(nodes=2, gpus=2).build_platform()
+        result = reorganize_partition(partition, platform, 512)
+        assert result.kept_original and result.partition is partition
+        assert (result.net_rows_before, result.net_rows_after) \
+            == (2145, 2145)
+        assert result.cost_before == result.cost_after \
+            == 0.00011968516665843357
+
+    def test_prices_the_installed_placement_by_default(self):
+        """The net term reads the platform's installed partition→node
+        map, not the block map (7 202 → 7 116 rows)."""
+        graph = load_dataset("reddit_sim", scale=0.1, seed=3)
+        partition = two_level_partition(graph, 8, 4, seed=0)
+        installed = [2, 0, 0, 2, 1, 3, 1, 3]
+        platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(4),
+                                   gpus_per_node=2, placement=installed)
+        result = reorganize_partition(partition, platform, 512)
+        assert (result.net_rows_before, result.net_rows_after) \
+            == (7159, 7045)
+        explicit = reorganize_partition(partition, platform, 512,
+                                        placement=installed)
+        assert (result.phase1_assignments, result.cost_after) \
+            == (explicit.phase1_assignments, explicit.cost_after)
+        block = reorganize_partition(partition, platform, 512,
+                                     placement=partition_nodes(8, 4))
+        assert (block.net_rows_before, block.net_rows_after) == (7202, 7116)
+
     def test_single_node_path_unchanged(self):
-        """Without a platform the result carries no net fields and
-        the adopted layout matches the original two-phase greedy."""
+        """On one node the result carries no net fields."""
         graph = load_dataset("reddit_sim", scale=0.1, seed=0)
         partition = two_level_partition(graph, 4, 3, seed=0)
-        result = reorganize_partition(partition)
+        result = reorganize_partition(partition, MultiGPUPlatform(A100_SERVER))
         assert not result.net_aware
         assert result.net_rows_before is None
         assert result.predicted_net_rows_saved is None

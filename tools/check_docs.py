@@ -11,9 +11,11 @@ Two checks over every tracked markdown file (repo root + docs/):
    ``bash`` blocks are not executed — only blocks that opt in by using
    the interpreter-session dialect.
 2. **Intra-repo links** — every relative markdown link target
-   (``[text](path)``, optionally with a ``#fragment``) must exist on
-   disk. External (``http``/``https``/``mailto``) and pure-fragment
-   links are skipped.
+   (``[text](path)``) must exist on disk, and a ``#fragment`` on a
+   markdown target (``path.md#fragment``, or ``#fragment`` for the file
+   itself) must name one of its headings under GitHub's slug rule.
+   Headings inside fenced code blocks do not count. External
+   (``http``/``https``/``mailto``) links are skipped.
 
 Exit status 0 when everything passes; 1 with a per-failure report
 otherwise. CI runs this as the ``docs`` job.
@@ -33,6 +35,7 @@ MARKDOWN_GLOBS = ["*.md", "docs/*.md"]
 
 _FENCE = re.compile(r"^```(\w*)\s*$")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_HEADING = re.compile(r"^#{1,6}\s+(.*?)(?:\s+#+)?\s*$")
 
 
 def _rel(path: Path) -> str:
@@ -97,11 +100,8 @@ def run_doctests(path: Path) -> list[str]:
     return failures
 
 
-def check_links(path: Path) -> list[str]:
-    """Verify every relative link target of ``path`` exists."""
-    failures: list[str] = []
-    text = path.read_text()
-    # Strip fenced code blocks so shell snippets can't look like links.
+def prose_lines(text: str) -> list[str]:
+    """The lines of ``text`` outside fenced code blocks."""
     stripped: list[str] = []
     in_fence = False
     for line in text.splitlines():
@@ -110,16 +110,50 @@ def check_links(path: Path) -> list[str]:
             continue
         if not in_fence:
             stripped.append(line)
-    for line in stripped:
+    return stripped
+
+
+def github_slug(heading: str) -> str:
+    """GitHub's anchor for a heading: link syntax and backticks dropped,
+    lower-cased, every character but letters, digits, ``_``, ``-`` and
+    spaces removed, each space a ``-``."""
+    text = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", heading).replace("`", "")
+    return re.sub(r"[^\w\- ]", "", text.strip().lower()).replace(" ", "-")
+
+
+def anchors(path: Path) -> set[str]:
+    """Fragments ``path``'s headings answer to; a repeated slug gets
+    ``-1``, ``-2``... as on GitHub."""
+    seen: dict[str, int] = {}
+    found: set[str] = set()
+    for line in prose_lines(path.read_text()):
+        match = _HEADING.match(line)
+        if match is None:
+            continue
+        slug = github_slug(match.group(1))
+        repeats = seen.get(slug, 0)
+        found.add(f"{slug}-{repeats}" if repeats else slug)
+        seen[slug] = repeats + 1
+    return found
+
+
+def check_links(path: Path) -> list[str]:
+    """Verify every relative link target of ``path`` exists, and every
+    fragment on a markdown target names one of its headings."""
+    failures: list[str] = []
+    # Fenced code blocks are skipped so shell snippets can't look like links.
+    for line in prose_lines(path.read_text()):
         for target in _LINK.findall(line):
-            if target.startswith(("http://", "https://", "mailto:", "#")):
+            if target.startswith(("http://", "https://", "mailto:")):
                 continue
-            relative = target.split("#", 1)[0]
-            if not relative:
-                continue
-            resolved = (path.parent / relative).resolve()
+            relative, _, fragment = target.partition("#")
+            resolved = (path.parent / relative).resolve() if relative \
+                else path
             if not resolved.exists():
                 failures.append(f"{_rel(path)}: broken link -> {target}")
+            elif (fragment and resolved.suffix == ".md"
+                  and fragment not in anchors(resolved)):
+                failures.append(f"{_rel(path)}: broken fragment -> {target}")
     return failures
 
 
