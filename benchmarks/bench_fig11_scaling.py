@@ -25,7 +25,13 @@ from repro.hardware import (
     MultiGPUPlatform,
 )
 
-from benchmarks._common import BENCH_SCALE, emit, paper_model
+from benchmarks._common import (
+    BENCH_SCALE,
+    emit,
+    fig11_claims,
+    fig11_nodes_claims,
+    paper_model,
+)
 
 DATASETS = ["it2004_sim", "papers_sim", "friendster_sim"]
 GPU_COUNTS = [1, 2, 3, 4]
@@ -34,10 +40,10 @@ HIDDEN = 128
 NUM_CHUNKS = {"it2004_sim": 8, "papers_sim": 16, "friendster_sim": 16}
 
 
-def run_arch(arch):
+def run_arch(arch, scale=BENCH_SCALE):
     results = {}
     for dataset in DATASETS:
-        graph = load_dataset(dataset, scale=BENCH_SCALE)
+        graph = load_dataset(dataset, scale=scale)
         for num_gpus in GPU_COUNTS:
             model = paper_model(arch, graph, 2, HIDDEN, seed=1)
             platform = MultiGPUPlatform(A100_SERVER, num_gpus=num_gpus)
@@ -64,38 +70,30 @@ def build_table(arch, results):
     )
 
 
-def _check(results):
-    for dataset in DATASETS:
-        base = results[(dataset, 1)]
-        speedups = {g: base / results[(dataset, g)] for g in GPU_COUNTS}
-        # More GPUs never slower; 4 GPUs deliver a clear (>2x) speedup.
-        assert speedups[2] >= 1.0
-        assert speedups[4] > speedups[2] >= speedups[1]
-        assert speedups[4] > 2.0
-        # NUMA effect: the 2->4 step gains more than the 1->2 step
-        # (<=2 GPUs pay remote-socket host access, §7.6).
-        assert speedups[4] / speedups[2] > speedups[2] / speedups[1] * 0.9
+def _check(claims):
+    failed = [name for name, held in claims.items() if not held]
+    assert not failed, failed
 
 
 def bench_fig11_scaling_gcn(benchmark):
     results = benchmark.pedantic(run_arch, args=("gcn",), rounds=1,
                                  iterations=1)
     emit("fig11_scaling_gcn", build_table("gcn", results))
-    _check(results)
+    _check(fig11_claims(results))
 
 
 def bench_fig11_scaling_gat(benchmark):
     results = benchmark.pedantic(run_arch, args=("gat",), rounds=1,
                                  iterations=1)
     emit("fig11_scaling_gat", build_table("gat", results))
-    _check(results)
+    _check(fig11_claims(results))
 
 
 # ----------------------------------------------------------------------
 # scale-out companion: N nodes x 4 GPUs on the simulated cluster
 # ----------------------------------------------------------------------
-def run_nodes(dataset="papers_sim", arch="gcn"):
-    graph = load_dataset(dataset, scale=BENCH_SCALE)
+def run_nodes(dataset="papers_sim", arch="gcn", scale=BENCH_SCALE):
+    graph = load_dataset(dataset, scale=scale)
     results = {}
     for nodes in NODE_COUNTS:
         for overlap in ["barrier", "pipeline"]:
@@ -135,14 +133,4 @@ def build_nodes_table(dataset, results):
 def bench_fig11_scaling_nodes(benchmark):
     results = benchmark.pedantic(run_nodes, rounds=1, iterations=1)
     emit("fig11_scaling_nodes", build_nodes_table("papers_sim", results))
-    for nodes in NODE_COUNTS:
-        barrier, net = results[(nodes, "barrier")]
-        pipeline, _ = results[(nodes, "pipeline")]
-        # Pipeline never loses; on multi-node it strictly hides halo
-        # traffic under compute (the transfer-bound regime).
-        assert pipeline <= barrier
-        if nodes > 1:
-            assert pipeline < barrier
-            assert net > 0.0
-        else:
-            assert net == 0.0
+    _check(fig11_nodes_claims(results))

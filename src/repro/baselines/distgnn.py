@@ -139,8 +139,8 @@ class DistGNNSimulator:
                 ]
                 previous_layer = timeline.submit_batch(
                     "net", sync_seconds,
-                    devices=[net_link(node, node, nodes)
-                             for node in range(nodes)],
+                    devices=net_link(np.arange(nodes), np.arange(nodes),
+                                     nodes),
                     deps_by_device=compute_ids,
                     label=f"replica_sync[l{l}]",
                 )

@@ -44,15 +44,20 @@ classifications and halo coalescing are precomputed once, with array ops
 (:class:`PlanStatic`, one per plan + placement, shared by every
 communicator built over the pair), and every (layer, batch) call reduces
 to numpy cost expressions over all GPUs at once plus one ``submit_batch``
-wave per phase. All dependency plumbing is task-id arrays.
+wave per phase. All dependency plumbing is task-id arrays: a wave's
+per-GPU (or per-link) lists travel as one
+:class:`~repro.runtime.scheduler.DepLists`, built with array ops from the
+halo splits' CSR index arrays.
 
 Value movement is *one address space*: the m transition buffers are row
 ranges of one stacked array (:class:`~repro.runtime.buffers.TransitionBuffers`)
 and the plan stores, per (batch, GPU), the stacked-buffer slot of every
 needed and every loaded row. So — as in §6's engine, where a GPU assembles
 h_{N_ij} with one gather over its own and its peers' buffers at positions
-fixed in preprocessing — each phase is one indexed op per GPU, in GPU
-order: ``stacked[load_slots] = host[load_vertices]``,
+fixed in preprocessing — the load is one indexed store for the whole
+wave (``stacked[zero_slots] = host[load_vertices]``: the staged slots are
+distinct, so the order of the writes is immaterial), and every other
+phase is one indexed op per GPU, in GPU order:
 ``inputs = stacked[source_slots]``, ``stacked[source_slots] += grads``,
 then the flush. The slots are the only routing the plan stores; the
 per-segment seconds classification reads the (reader, source, rows)
@@ -123,11 +128,14 @@ from repro.errors import CommunicationPlanError
 from repro.hardware.clock import EventTimeline
 from repro.hardware.platform import MultiGPUPlatform
 from repro.runtime.buffers import TransitionBuffers
+from repro.runtime.scheduler import DepLists
 from repro.runtime.task import SPINE_RESOURCE, net_link, net_link_nodes
 
 __all__ = ["DedupCommunicator", "PlanStatic"]
 
 _NO_IDS = np.empty(0, dtype=np.int64)
+#: no task's inputs: before a sweep's first forward batch
+_NO_INPUTS = DepLists(_NO_IDS, _NO_IDS)
 
 #: the halo flows: a ``net`` wave labelled ``halo_fetch[b3]`` is flow 1
 HALO_FLOWS = ("halo_load", "halo_fetch", "halo_push", "halo_flush")
@@ -139,16 +147,21 @@ class _HaloSplit:
 
     One entry (a *key*) per ``(src_node, dst_node, rail)`` link with
     traffic, in that tuple's order. ``rows`` are vertex-row counts —
-    bytes follow per call as ``rows * row_bytes``.
+    bytes follow per call as ``rows * row_bytes``. The two incidences
+    are CSR pairs: GPU ``g``'s keys are the ``reader_counts[g]`` entries
+    of ``reader_keys`` after those of GPUs ``0 .. g-1``, and likewise
+    per key for ``key_gpus``.
     """
 
     rows: np.ndarray
     #: scheduler link device id per key
     devices: np.ndarray
     #: per reader GPU, the key indices feeding it (deduped, key order)
-    by_reader: List[List[int]]
+    reader_keys: np.ndarray
+    reader_counts: np.ndarray
     #: per key, the contributing GPUs (deduped, contribution order)
-    key_gpus: List[List[int]]
+    key_gpus: np.ndarray
+    key_counts: np.ndarray
     #: per key, the link endpoints (node ids) — heterogeneous fleets
     #: price each message at the slower endpoint's NIC rate
     src_nodes: np.ndarray
@@ -167,8 +180,9 @@ class _BatchStatic:
     #: per GPU, ``len(needed)`` — the row count of its input and gradient
     needed_rows: np.ndarray
     #: stacked-buffer slots newly staged this batch, all GPUs (their
-    #: gradient starts at zero)
+    #: gradient starts at zero), and the host vertices loaded into them
     zero_slots: np.ndarray
+    load_vertices: np.ndarray
     load_halo: _HaloSplit
     #: flattened fetch segments, (plan, segment) order, split by class
     local_gpu: np.ndarray
@@ -184,14 +198,6 @@ class _BatchStatic:
     flush_vertices: List[np.ndarray]
     flush_slots: List[np.ndarray]
     flush_halo: _HaloSplit
-
-
-def _grouped(values: np.ndarray, groups: np.ndarray,
-             num_groups: int) -> List[List[int]]:
-    """``values`` as one list per group id; ``groups`` is ascending."""
-    bounds = np.searchsorted(groups, np.arange(num_groups + 1)).tolist()
-    flat = values.tolist()
-    return [flat[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 class PlanStatic:
@@ -269,15 +275,12 @@ class PlanStatic:
         src_nodes, dst_nodes = np.divmod(pair, self.num_nodes)
         return _HaloSplit(
             rows=key_rows,
-            devices=np.array(
-                [net_link(src, dst, self.num_nodes, rail, self.num_rails)
-                 for src, dst, rail in zip(src_nodes.tolist(),
-                                           dst_nodes.tolist(), rails.tolist())],
-                dtype=np.int64,
-            ),
-            by_reader=_grouped(pair_key[by_gpu], pair_gpu[by_gpu], m),
-            key_gpus=_grouped(pair_gpu[by_key], pair_key[by_key],
-                              len(codes)),
+            devices=net_link(src_nodes, dst_nodes, self.num_nodes, rails,
+                             self.num_rails),
+            reader_keys=pair_key[by_gpu],
+            reader_counts=np.bincount(pair_gpu, minlength=m),
+            key_gpus=pair_gpu[by_key],
+            key_counts=np.bincount(pair_key, minlength=len(codes)),
             src_nodes=src_nodes,
             dst_nodes=dst_nodes,
         )
@@ -382,6 +385,8 @@ class PlanStatic:
                                  dtype=np.int64),
             needed_rows=needed_rows,
             zero_slots=np.concatenate([plan.load_slots for plan in plans]),
+            load_vertices=np.concatenate(
+                [plan.load_vertices for plan in plans]),
             load_halo=self._vertex_halo(
                 [plan.load_vertices for plan in plans], toward_owner=False),
             local_gpu=reader[local],
@@ -444,7 +449,7 @@ class DedupCommunicator:
         self._history: List[Dict[str, np.ndarray]] = []
         # Per-gpu input task ids of the latest forward batch (net tasks
         # have link device ids, so a device filter cannot recover them).
-        self._last_inputs_by_gpu: List[np.ndarray] = []
+        self._last_inputs_by_gpu = _NO_INPUTS
 
     # ------------------------------------------------------------------
     # sweep lifecycle
@@ -465,7 +470,7 @@ class DedupCommunicator:
             self.bytes_per_scalar, double_buffer=double_buffer,
         )
         self._history = []
-        self._last_inputs_by_gpu = []
+        self._last_inputs_by_gpu = _NO_INPUTS
 
     def end_sweep(self) -> None:
         """Free the transition buffers."""
@@ -473,7 +478,7 @@ class DedupCommunicator:
             self._buffers.free()
         self._buffers = None
         self._history = []
-        self._last_inputs_by_gpu = []
+        self._last_inputs_by_gpu = _NO_INPUTS
 
     def _require_sweep(self) -> TransitionBuffers:
         if self._buffers is None:
@@ -535,7 +540,7 @@ class DedupCommunicator:
 
     def _emit_halo(self, timeline: EventTimeline, halo: _HaloSplit,
                    row_bytes: int, deps: Optional[np.ndarray] = None,
-                   producers_by_key: Optional[Sequence] = None,
+                   producers_by_key: Optional[DepLists] = None,
                    label: str = "") -> np.ndarray:
         """One coalesced ``net`` task, with its bytes, per directed link
         with traffic.
@@ -543,7 +548,8 @@ class DedupCommunicator:
         Returns the submitted task ids aligned with the halo's keys (empty
         when there is no cross-node traffic, so single-node runs never
         reach the scheduler from here). ``deps`` gate every message;
-        ``producers_by_key[k]`` (an id array) adds per-link producers.
+        ``producers_by_key`` adds per-link producers, key ``k``'s
+        ``k``-th entry.
         Spine messages additionally hold the shared
         :data:`~repro.runtime.task.SPINE_RESOURCE` for their excess
         core-transit time. ``timeline`` is anything with
@@ -570,20 +576,22 @@ class DedupCommunicator:
         )
 
     @staticmethod
-    def _ids_by_reader(halo: _HaloSplit, ids: np.ndarray,
-                       num_gpus: int) -> List[np.ndarray]:
-        """Invert key → task id into per-reader-GPU dependency arrays."""
-        return [
-            ids[halo.by_reader[gpu]] if halo.by_reader[gpu] else _NO_IDS
-            for gpu in range(num_gpus)
-        ]
+    def _ids_by_reader(halo: _HaloSplit, ids: np.ndarray) -> DepLists:
+        """Invert key → task id into per-reader-GPU dependency lists."""
+        return DepLists(ids[halo.reader_keys], halo.reader_counts)
+
+    @staticmethod
+    def _ids_by_key(halo: _HaloSplit, ids: np.ndarray) -> DepLists:
+        """Per key, the tasks of its contributing GPUs (``ids`` one per
+        GPU)."""
+        return DepLists(ids[halo.key_gpus], halo.key_counts)
 
     # ------------------------------------------------------------------
     # serving surface (request-driven forward passes)
     # ------------------------------------------------------------------
     def submit_cold_load(self, timeline: EventTimeline, batch: int,
                          row_bytes: int, deps: Optional[np.ndarray],
-                         tag: str = "") -> List[np.ndarray]:
+                         tag: str = "") -> DepLists:
         """Emit the staging front of one cold serving column-layer.
 
         A request finds nothing resident, so every GPU stages ``batch``'s
@@ -595,7 +603,8 @@ class DedupCommunicator:
         ``serve_fetch`` (same-node P2P, ``d2d``), ``halo_fetch`` and
         ``serve_gather`` (intra-GPU reads, ``gpu``). ``deps`` gate the
         loads. Emission only: no row moves. Returns, per GPU, the ids
-        its compute waits for. A ``batch`` outside the plan raises
+        its compute waits for (one :class:`DepLists`). A ``batch``
+        outside the plan raises
         :class:`~repro.errors.CommunicationPlanError` before anything is
         emitted.
         """
@@ -624,14 +633,13 @@ class DedupCommunicator:
             "gpu", gather_seconds, deps_by_device=load_ids,
             label=f"serve_gather{tag}",
         )
-        return [np.concatenate([fetch_ids[i:i + 1], gather_ids[i:i + 1],
-                                net_by_reader[i]])
-                for i in range(self.plan.num_gpus)]
+        return DepLists.join(self.plan.num_gpus, fetch_ids, gather_ids,
+                             net_by_reader)
 
     def submit_serving_halo(self, timeline: EventTimeline, batch: int,
                             row_bytes: int, kind: str = "fetch",
                             deps: Optional[np.ndarray] = None,
-                            label: str = "") -> Tuple[np.ndarray, List[np.ndarray]]:
+                            label: str = "") -> Tuple[np.ndarray, DepLists]:
         """Emit ``batch``'s coalesced cross-node halo tasks for serving.
 
         ``kind`` selects the flow: ``"load"`` ships remotely-owned host
@@ -641,8 +649,8 @@ class DedupCommunicator:
         dedup, where every staged row is owner-local); ``"fetch"`` is
         the forward halo exchange — reads of transition buffers staged
         on another node. Returns ``(task ids, per-reader-GPU dependency
-        arrays)`` — the same contract the epoch path wires compute waves
-        with. The tasks carry their bytes (a replay moves them again);
+        lists)`` — the same :class:`DepLists` the epoch path wires compute
+        waves with. The tasks carry their bytes (a replay moves them again);
         label them ``halo_{kind}[...]`` for :meth:`net_bytes_by_flow` to
         see the flow. Single-node platforms return empty ids and never touch
         ``timeline``.
@@ -656,7 +664,7 @@ class DedupCommunicator:
                 else self.static.batch(batch).fetch_halo)
         ids = self._emit_halo(timeline, halo, row_bytes, deps=deps,
                               label=label)
-        return ids, self._ids_by_reader(halo, ids, self.plan.num_gpus)
+        return ids, self._ids_by_reader(halo, ids)
 
     # ------------------------------------------------------------------
     # dependency bookkeeping helpers
@@ -719,9 +727,7 @@ class DedupCommunicator:
         # they can cross this node's PCIe (empty under dedup_inter: every
         # staged row is owner-local).
         stacked = buffers.stacked
-        # repro-lint: allow-loop — per-GPU numpy value movement (numerics, not timing); one indexed op per GPU
-        for plan in plans:
-            stacked[plan.load_slots] = host_values[plan.load_vertices]
+        stacked[static.zero_slots] = host_values[static.load_vertices]
         loaded_bytes = static.loaded_rows * row_bytes
         reused_bytes = static.reused_rows * row_bytes
         h2d_seconds = self.platform.h2d_seconds(loaded_bytes,
@@ -734,28 +740,20 @@ class DedupCommunicator:
             label=f"halo_load[b{batch}]",
         )
         conflicts = self._staging_conflicts(batch)
-        halo_deps = None
-        if len(halo_load_ids):
-            halo_deps = self._ids_by_reader(
-                static.load_halo, halo_load_ids, m
-            )
         load_ids = timeline.submit_batch(
             "h2d", h2d_seconds, deps=conflicts,
-            deps_by_device=halo_deps, nbytes=loaded_bytes,
-            label=f"load[b{batch}]",
+            deps_by_device=self._ids_by_reader(static.load_halo,
+                                               halo_load_ids)
+            if len(halo_load_ids) else None,
+            nbytes=loaded_bytes, label=f"load[b{batch}]",
         )
-        previous_load = self._batch_tasks(batch - 1, "load")
-        previous_reuse = self._batch_tasks(batch - 1, "reuse")
-        previous_sources = [
-            np.concatenate([previous_load[i:i + 1],
-                            previous_reuse[i:i + 1]])
-            for i in range(m)
-        ]
         # Reuse copies write this batch's staging slots too, so they
         # carry the same buffer-drain conflicts as the loads.
         reuse_ids = timeline.submit_batch(
             "gpu", reuse_seconds, deps=conflicts,
-            deps_by_device=previous_sources,
+            deps_by_device=DepLists.join(
+                m, self._batch_tasks(batch - 1, "load"),
+                self._batch_tasks(batch - 1, "reuse")),
             label=f"reuse[b{batch}]",
         )
 
@@ -777,40 +775,33 @@ class DedupCommunicator:
             timeline, static.fetch_halo, row_bytes, deps=staged,
             label=f"halo_fetch[b{batch}]",
         )
-        net_by_reader = self._ids_by_reader(
-            static.fetch_halo, halo_fetch_ids, m
-        )
-        local_sources = [
-            np.concatenate([load_ids[i:i + 1], reuse_ids[i:i + 1]])
-            for i in range(m)
-        ]
         local_ids = timeline.submit_batch(
-            "gpu", local_seconds, deps_by_device=local_sources,
+            "gpu", local_seconds,
+            deps_by_device=DepLists.join(m, load_ids, reuse_ids),
             label=f"gather[b{batch}]",
         )
         assemble_ids = np.concatenate(
             [remote_ids, halo_fetch_ids, local_ids]
         )
-        self._last_inputs_by_gpu = [
-            np.concatenate([remote_ids[i:i + 1], local_ids[i:i + 1],
-                            net_by_reader[i]])
-            for i in range(m)
-        ]
+        self._last_inputs_by_gpu = DepLists.join(
+            m, remote_ids, local_ids,
+            self._ids_by_reader(static.fetch_halo, halo_fetch_ids))
         self._record_batch(batch, {
             "load": load_ids, "reuse": reuse_ids,
             "assemble": assemble_ids,
         })
         return outputs
 
-    def batch_input_dep_ids(self) -> List[np.ndarray]:
-        """Per-GPU id arrays of the latest batch's input-producing tasks.
+    def batch_input_dep_ids(self) -> DepLists:
+        """Per GPU, the latest batch's input-producing tasks.
 
         Includes the halo-exchange network tasks feeding each GPU, which
         a plain device filter over the assemble phase could not find
         (their device ids name network links, not GPUs). Suitable as a
-        ``deps_by_device`` argument directly.
+        ``deps_by_device`` argument directly; no entry at all before
+        the sweep's first forward batch.
         """
-        return list(self._last_inputs_by_gpu)
+        return self._last_inputs_by_gpu
 
     # ------------------------------------------------------------------
     # backward: Algorithm 3
@@ -826,12 +817,12 @@ class DedupCommunicator:
         chunk's input rows. Gradients accumulate in transition buffers across
         batches; rows not reused by the next batch are flushed to
         ``host_grads`` (modified in place). ``deps_by_device`` is None or
-        the ``(m,)`` id array of the tasks that produced each GPU's
-        gradients (the backward kernels, one per GPU). A ``batch``
-        outside the plan, a ``host_grads`` that is not this sweep's
-        ``(num_vertices, dim)`` array, ``neighbor_grads`` that is not
-        one ``(len(needed_i), dim)`` array per GPU, or a
-        ``deps_by_device`` of another form raises
+        the ``(m,)`` integer id array of the already-submitted tasks that
+        produced each GPU's gradients (the backward kernels, one per
+        GPU). A ``batch`` outside the plan, a ``host_grads`` that is not
+        this sweep's ``(num_vertices, dim)`` array, ``neighbor_grads``
+        that is not one ``(len(needed_i), dim)`` array per GPU, or a
+        ``deps_by_device`` of another form, dtype or range raises
         :class:`~repro.errors.CommunicationPlanError` before anything
         moves or is emitted.
         """
@@ -855,10 +846,14 @@ class DedupCommunicator:
             )
         if deps_by_device is not None and not (
                 isinstance(deps_by_device, np.ndarray)
-                and deps_by_device.shape == (m,)):
+                and deps_by_device.shape == (m,)
+                and deps_by_device.dtype.kind in "iu"
+                and deps_by_device.min() >= 0
+                and deps_by_device.max() < timeline.scheduler.num_tasks):
             raise CommunicationPlanError(
-                f"deps_by_device must be None or an ({m},) id array, one "
-                f"producer per GPU, got {deps_by_device!r}"
+                f"deps_by_device must be None or an ({m},) array of "
+                f"submitted task ids, one producer per GPU, got "
+                f"{deps_by_device!r}"
             )
         row_bytes = self._dim * self.bytes_per_scalar
         gpu_ids = self.static.gpu_ids
@@ -892,9 +887,8 @@ class DedupCommunicator:
             # on the source node have produced their gradients.
             halo_push_ids = self._emit_halo(
                 timeline, static.push_halo, row_bytes, deps=prior,
-                producers_by_key=None if deps_by_device is None else [
-                    deps_by_device[gpus]
-                    for gpus in static.push_halo.key_gpus],
+                producers_by_key=None if deps_by_device is None
+                else self._ids_by_key(static.push_halo, deps_by_device),
                 label=f"halo_push[b{batch}]",
             )
             scatter_ids = np.concatenate([scatter_ids, halo_push_ids])
@@ -927,24 +921,15 @@ class DedupCommunicator:
         # host ∇h is complete when the batch's cpu tasks end.
         halo_flush_ids = self._emit_halo(
             timeline, static.flush_halo, row_bytes,
-            producers_by_key=[
-                flush_ids[gpus]
-                for gpus in static.flush_halo.key_gpus
-            ],
+            producers_by_key=self._ids_by_key(static.flush_halo, flush_ids),
             label=f"halo_flush[b{batch}]",
         )
-        if len(halo_flush_ids):
-            net_by_gpu = self._ids_by_reader(
-                static.flush_halo, halo_flush_ids, m
-            )
-            cpu_deps = [
-                np.concatenate([flush_ids[i:i + 1], net_by_gpu[i]])
-                for i in range(m)
-            ]
-        else:
-            cpu_deps = [flush_ids[i:i + 1] for i in range(m)]
         cpu_ids = timeline.submit_batch(
-            "cpu", cpu_seconds, deps_by_device=cpu_deps,
+            "cpu", cpu_seconds,
+            deps_by_device=DepLists.join(
+                m, flush_ids,
+                self._ids_by_reader(static.flush_halo, halo_flush_ids))
+            if len(halo_flush_ids) else flush_ids,
             label=f"accumulate[b{batch}]",
         )
         self._record_batch(batch, {

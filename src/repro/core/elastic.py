@@ -243,9 +243,7 @@ class ElasticController:
                        + nbytes / platform.link_rate(src, dst))
             timeline.submit_batch(
                 "net", seconds,
-                devices=np.array(
-                    [net_link(*link, nodes, 0, platform.num_rails)
-                     for link in links], dtype=np.int64),
+                devices=net_link(src, dst, nodes, 0, platform.num_rails),
                 nbytes=nbytes,
                 label=f"migrate[{trigger}]",
             )

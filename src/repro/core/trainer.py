@@ -76,6 +76,7 @@ from repro.hardware.clock import EventTimeline, TimeBreakdown
 from repro.hardware.memory import Allocation
 from repro.hardware.platform import MultiGPUPlatform
 from repro.partition.two_level import TwoLevelPartition
+from repro.runtime.scheduler import DepLists
 from repro.runtime.task import net_link
 
 __all__ = ["HongTuTrainer", "EpochResult"]
@@ -493,10 +494,8 @@ class HongTuTrainer:
                                       devices=self._gpu_ids),
             nbytes=costs.load_bytes, label=f"grad_load[l{l}b{j}]",
         )
-        compute_deps = load_ids if input_deps is None else [
-            np.concatenate([deps, load_ids[i:i + 1]])
-            for i, deps in enumerate(input_deps)
-        ]
+        compute_deps = load_ids if input_deps is None else DepLists.join(
+            self.plan.num_gpus, input_deps, load_ids)
         compute_ids = timeline.submit_batch(
             "gpu",
             self.platform.gpu_compute_seconds(costs.flops,
@@ -591,12 +590,8 @@ class HongTuTrainer:
             num_rails = self.platform.num_rails
             timeline.submit_batch(
                 "net", np.full(len(alive), seconds),
-                devices=np.array(
-                    [net_link(node, alive[(k + 1) % len(alive)],
-                              nodes, 0, num_rails)
-                     for k, node in enumerate(alive)],
-                    dtype=np.int64,
-                ),
+                devices=net_link(np.array(alive), np.roll(alive, -1),
+                                 nodes, 0, num_rails),
                 deps=intra_ids,
                 nbytes=share + (np.arange(len(alive)) < extra),
                 label=f"all_reduce_{self.config.allreduce}",

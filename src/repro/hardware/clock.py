@@ -107,8 +107,9 @@ class EventTimeline:
         wave and ``deps_by_device[k]`` additionally device k's: each an
         id, an id array or an iterable of ids (``None`` entries are
         fine); an ``(m,)`` id array as ``deps_by_device`` is one producer
-        per device. A wave the scheduler rejects raises before this
-        timeline changes.
+        per device, and a :class:`~repro.runtime.scheduler.DepLists` is
+        every device's list in one flat array. A wave the scheduler
+        rejects raises before this timeline changes.
         """
         devices, seconds = phase_wave(per_device_seconds, devices,
                                       deps_by_device)

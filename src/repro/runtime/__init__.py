@@ -29,13 +29,18 @@ from repro.runtime.task import (
     net_link_nodes,
     net_link_parts,
 )
-from repro.runtime.scheduler import EventScheduler, WaveProgram, WaveRecorder
+from repro.runtime.scheduler import (
+    DepLists,
+    EventScheduler,
+    WaveProgram,
+    WaveRecorder,
+)
 from repro.runtime.buffers import TransitionBuffers
 
 __all__ = [
     "CHANNELS", "HOST_DEVICE", "NET_DEVICE_BASE", "SPINE_RESOURCE",
     "OVERLAP_POLICIES",
-    "EventScheduler", "WaveProgram", "WaveRecorder",
+    "DepLists", "EventScheduler", "WaveProgram", "WaveRecorder",
     "TransitionBuffers",
     "net_link", "net_link_nodes", "net_link_parts",
 ]

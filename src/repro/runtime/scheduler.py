@@ -81,6 +81,7 @@ except the external ids; the schedule it leaves is the one
 
 from __future__ import annotations
 
+from collections.abc import Sequence as _Sequence
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -98,8 +99,8 @@ from repro.errors import SchedulerError
 from repro.runtime.task import CHANNELS
 from repro.units import Seconds
 
-__all__ = ["EventScheduler", "TaskColumns", "WaveProgram", "WaveRecorder",
-           "phase_wave", "task_ids"]
+__all__ = ["DepLists", "EventScheduler", "TaskColumns", "WaveProgram",
+           "WaveRecorder", "phase_wave", "task_ids"]
 
 _CHANNEL_INDEX = {channel: index for index, channel in enumerate(CHANNELS)}
 
@@ -155,6 +156,98 @@ def task_ids(entries) -> np.ndarray:
     return entries.astype(np.int64, copy=False)
 
 
+class DepLists:
+    """Per-task dependency lists as one flat id array and a count per task
+    — the CSR ``ptr`` layout: task ``t``'s entry is
+    ``ids[sum(counts[:t]):sum(counts[:t + 1])]``, in order.
+
+    The form a wave's per-task dependencies take without one Python object
+    per task: emitters build it with array ops (:meth:`join`), and any
+    sequence of per-task entries converts through :meth:`of`. Built
+    unchecked; a scheduler or recorder validates it on submission.
+    """
+
+    __slots__ = ("ids", "counts")
+
+    def __init__(self, ids, counts):
+        self.ids, self.counts = ids, counts
+
+    def __len__(self) -> int:
+        """One entry per task."""
+        return len(self.counts)
+
+    def __repr__(self) -> str:
+        return f"DepLists(ids={self.ids!r}, counts={self.counts!r})"
+
+    @classmethod
+    def of(cls, entries: Sequence) -> "DepLists":
+        """A sequence of per-task entries — each None or anything
+        :func:`task_ids` accepts — in the flat form. An unordered or
+        one-shot container (a set, a dict, a generator) is rejected: its
+        iteration order is not the tasks' order."""
+        _require_ordered("per-task dependency lists", entries)
+        entries = [None if e is None else task_ids(e) for e in entries]
+        present = [e for e in entries if e is not None and len(e)]
+        return cls(np.concatenate(present) if present else _NO_IDS,
+                   np.fromiter((0 if e is None else len(e) for e in entries),
+                               dtype=np.int64, count=len(entries)))
+
+    @classmethod
+    def join(cls, k: int, *parts) -> "DepLists":
+        """Per task, the parts' entries one after another, in argument
+        order. Each part is a ``(k,)`` array (one id per task), an empty
+        array (nothing) or a :class:`DepLists` of ``k`` entries."""
+        ids, owners, counts = [], [], np.zeros(k, dtype=np.int64)
+        tasks = np.arange(k)
+        for part in parts:
+            if len(part) not in (0, k):
+                raise SchedulerError(
+                    f"a joined part lists one entry per task ({k}), "
+                    f"got {len(part)}")
+            if isinstance(part, DepLists):
+                if len(part.ids):
+                    ids.append(part.ids)
+                    owners.append(np.repeat(tasks, part.counts))
+                    counts += part.counts
+            elif len(part):
+                ids.append(part)
+                owners.append(tasks)
+                counts += 1
+        if not ids:
+            return cls(_NO_IDS, counts)
+        # each part lists its ids in task order; a stable sort by task
+        # keeps, within a task, the parts in argument order
+        order = np.argsort(np.concatenate(owners), kind="stable")
+        return cls(np.concatenate(ids)[order], counts)
+
+
+def _require_ordered(name: str, per_task) -> None:
+    """A per-task container must be an ordered, re-readable sequence: a
+    set or a dict would be read in its own order (a dict by its keys),
+    a generator not at all."""
+    if not isinstance(per_task, (np.ndarray, DepLists, _Sequence)):
+        raise SchedulerError(
+            f"{name} must be an ordered sequence with one entry per task, "
+            f"got a {type(per_task).__name__}")
+
+
+def _dep_lists(deps: DepLists, k: int) -> Tuple[Optional[np.ndarray],
+                                                Optional[np.ndarray]]:
+    """``(flat ids, counts)`` of ``k`` validated per-task lists, both None
+    when no task lists any; the counts are a fresh array."""
+    ids = task_ids(deps.ids)
+    counts = np.asarray(deps.counts)
+    if not (counts.shape == (k,) and counts.dtype.kind in "iu"
+            and counts.min() >= 0 and counts.max() <= len(ids)
+            and counts.sum() == len(ids)):
+        raise SchedulerError(
+            f"per-task dependency counts must be {k} integers >= 0 "
+            f"summing to the {len(ids)} listed ids, got {deps.counts!r}")
+    if not len(ids):
+        return None, None
+    return ids, counts.astype(np.int64)
+
+
 def _capacity(need: int, have: int) -> int:
     """Slots to grow ``have`` to when ``need`` are wanted: at least twice
     as many, rounded up to a power of two — however large the first
@@ -184,12 +277,14 @@ def _slot(device):
 
 
 def _real(seconds) -> np.ndarray:
-    """``seconds`` as a float64 array (strings, complex: malformed)."""
+    """``seconds`` as a float64 array (strings, complex, bools:
+    malformed — a bool would run as 1 s or 0 s)."""
     try:
-        return np.asarray(seconds, dtype=np.float64)
+        if np.asarray(seconds).dtype.kind != "b":
+            return np.asarray(seconds, dtype=np.float64)
     except (TypeError, ValueError):
-        raise SchedulerError(
-            f"seconds must be real numbers, got {seconds!r}") from None
+        pass
+    raise SchedulerError(f"seconds must be real numbers, got {seconds!r}")
 
 
 def _run_bounds(devices: np.ndarray) -> Optional[List[int]]:
@@ -256,6 +351,10 @@ class _Wave:
             return
         # a chain's one queue: the array step times its first task
         self.slot = _slot(devices[:1] if self.chain else devices)
+        if self.slot.min() < 0:  # the zig-zag slot wrapped around
+            raise SchedulerError(
+                f"device ids must lie in [-2**62, 2**62), got a wave "
+                f"spanning [{devices.min()}, {devices.max()}]")
         self.need = int(self.slot.max()) + 1
         self.total = seconds.sum()
         self.single = lens is not None and bool((lens == 1).all())
@@ -293,9 +392,10 @@ def _prepare(channel: str, devices, seconds, common_deps, extra_deps,
     judged here, and raises :class:`~repro.errors.SchedulerError` before
     any state is touched; what is left to the caller is the *range* of
     the returned ids (a scheduler's tasks, or a program's own).
-    ``extra_deps`` is a ``(k,)`` id array (one producer per task) or a
-    sequence of per-task entries — each None or anything
-    :func:`task_ids` accepts; ``nbytes`` the bytes each task moves.
+    ``extra_deps`` is a ``(k,)`` id array (one producer per task), a
+    :class:`DepLists`, or a sequence of per-task entries — each None or
+    anything :func:`task_ids` accepts — that :meth:`DepLists.of`
+    flattens; ``nbytes`` the bytes each task moves.
     """
     if channel not in CHANNELS:
         raise SchedulerError(f"unknown channel {channel!r}")
@@ -319,6 +419,10 @@ def _prepare(channel: str, devices, seconds, common_deps, extra_deps,
         raise SchedulerError(
             f"device ids must be integers, got dtype {devices.dtype}"
         )
+    if devices.dtype.kind == "u" and devices.max() >= 1 << 62:
+        # would wrap negative as int64 (the zig-zag slot catches the rest)
+        raise SchedulerError(
+            f"device ids must lie in [-2**62, 2**62), got {devices.max()}")
     devices = devices.astype(np.int64, copy=False)
     # min/max propagate NaN and NaN fails both comparisons, so the
     # sign check's two reductions also catch non-finite durations —
@@ -331,7 +435,10 @@ def _prepare(channel: str, devices, seconds, common_deps, extra_deps,
         )
     for name, per_task in (("extra_deps", extra_deps),
                            ("shared_by_task", shared_by_task)):
-        if per_task is not None and len(per_task) != k:
+        if per_task is None:
+            continue
+        _require_ordered(name, per_task)
+        if len(per_task) != k:
             raise SchedulerError(
                 f"{name} must list one entry per task: "
                 f"{len(per_task)} vs {k}"
@@ -352,18 +459,13 @@ def _prepare(channel: str, devices, seconds, common_deps, extra_deps,
             f"finite and >= 0: got {shared_by_task!r}")
     common = task_ids(common_deps)
     lens = flat = None
-    if isinstance(extra_deps, np.ndarray):
+    if isinstance(extra_deps, np.ndarray):  # one producer per task
         flat = task_ids(extra_deps)
         lens = np.ones(k, dtype=np.int64)
     elif extra_deps is not None:
-        entries = [None if e is None else task_ids(e) for e in extra_deps]
-        present = [e for e in entries if e is not None and len(e)]
-        if present:
-            flat = np.concatenate(present)
-            lens = np.fromiter(
-                (0 if e is None else len(e) for e in entries),
-                dtype=np.int64, count=k,
-            )
+        flat, lens = _dep_lists(
+            extra_deps if isinstance(extra_deps, DepLists)
+            else DepLists.of(extra_deps), k)
     return (_Wave(_CHANNEL_INDEX[channel], devices, seconds, lens, holds,
                   nbytes),
             common if len(common) else None, flat)
@@ -382,7 +484,10 @@ def phase_wave(per_device_seconds, devices,
             f"{seconds.shape}")
     if devices is None:
         devices = np.arange(len(seconds), dtype=np.int64)
-    if deps_by_device is not None and len(deps_by_device) != len(seconds):
+    if deps_by_device is None:
+        return devices, seconds
+    _require_ordered("deps_by_device", deps_by_device)
+    if len(deps_by_device) != len(seconds):
         raise SchedulerError(
             f"deps_by_device must list one entry per device: "
             f"{len(deps_by_device)} vs {len(seconds)}"
@@ -435,9 +540,12 @@ class WaveRecorder:
     """
 
     def __init__(self, num_external: int = 0):
-        if num_external < 0:
+        # a bool passes as an int; np.bool_ is no np.integer
+        if isinstance(num_external, bool) or not isinstance(
+                num_external, (int, np.integer)) or num_external < 0:
             raise SchedulerError(
-                f"num_external must be >= 0, got {num_external}")
+                f"num_external must be an integer >= 0, got "
+                f"{num_external!r}")
         #: placeholder ids of the external slots, slot order
         self.external = np.arange(-num_external, 0, dtype=np.int64)
         self._num_tasks = 0
@@ -627,14 +735,17 @@ class EventScheduler:
         gate every task of the wave, ``extra_deps[t]`` additionally gate
         task ``t`` — each anything :func:`task_ids` accepts (None for no
         dependency), or ``extra_deps`` as one ``(k,)`` id array, a single
-        producer per task. Dependency ids must reference previously
+        producer per task, or as a :class:`DepLists`, every task's list in
+        one flat array. Dependency ids must reference previously
         submitted tasks — a wave's tasks are mutually independent.
         ``shared_by_task[t]`` lists ``(resource, hold)`` pairs task ``t``
         occupies. The assigned times are identical to submitting the
         tasks one by one, repeated devices included. Malformed input —
-        an unknown channel, 2-D or mis-sized arrays, non-integral
-        devices, ids or byte counts, non-finite durations or holds,
-        negative byte counts, an id out of range — raises
+        an unknown channel, 2-D or mis-sized arrays, an unordered or
+        one-shot per-task container, non-integral devices, ids or byte
+        counts, a device id beyond ``±2**62``, bool or non-finite
+        durations or holds, negative byte counts, malformed
+        :class:`DepLists` counts, an id out of range — raises
         :class:`~repro.errors.SchedulerError` before any state is
         touched.
         """

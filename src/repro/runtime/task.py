@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 __all__ = ["CHANNELS", "HOST_DEVICE", "NET_DEVICE_BASE",
@@ -63,9 +65,11 @@ SPINE_RESOURCE = ("net", "spine")
 OVERLAP_POLICIES = ("barrier", "pipeline")
 
 
-def net_link(src_node: int, dst_node: int, num_nodes: int,
-             rail: int = 0, num_rails: int = 1) -> int:
-    """Scheduler device id of the directed ``src_node → dst_node`` link.
+def net_link(src_node, dst_node, num_nodes: int, rail=0,
+             num_rails: int = 1):
+    """Scheduler device id of the directed ``src_node → dst_node`` link
+    (an ``int``), or of every link at once when the nodes and rails are
+    arrays (broadcast together; an int64 array).
 
     Network tasks serialize per *link*, not per node: a full-duplex fabric
     carries ``src→dst`` and ``dst→src`` concurrently, and distinct node
@@ -80,17 +84,22 @@ def net_link(src_node: int, dst_node: int, num_nodes: int,
     The returned id lives at/below :data:`NET_DEVICE_BASE` so it can never
     collide with GPU device ids (``>= 0``) or :data:`HOST_DEVICE` (-1).
     """
-    if not (0 <= src_node < num_nodes and 0 <= dst_node < num_nodes):
+    src, dst, lane = np.broadcast_arrays(src_node, dst_node, rail)
+    inside = (0 <= src) & (src < num_nodes) & (0 <= dst) & (dst < num_nodes)
+    if not inside.all():
+        at = np.argmin(inside)  # the first pair outside, flat index
         raise ConfigurationError(
-            f"node pair ({src_node}, {dst_node}) outside cluster of "
-            f"{num_nodes} nodes"
+            f"node pair ({src.flat[at]}, {dst.flat[at]}) outside cluster "
+            f"of {num_nodes} nodes"
         )
-    if not (0 <= rail < num_rails):
+    on_fabric = (0 <= lane) & (lane < num_rails)
+    if not on_fabric.all():
         raise ConfigurationError(
-            f"rail {rail} outside fabric of {num_rails} rail(s)"
+            f"rail {lane.flat[np.argmin(on_fabric)]} outside fabric of "
+            f"{num_rails} rail(s)"
         )
-    return NET_DEVICE_BASE - ((src_node * num_nodes + dst_node) * num_rails
-                              + rail)
+    link = NET_DEVICE_BASE - ((src * num_nodes + dst) * num_rails + lane)
+    return int(link) if link.ndim == 0 else link.astype(np.int64, copy=False)
 
 
 def net_link_parts(device: int, num_nodes: int,

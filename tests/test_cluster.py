@@ -140,6 +140,29 @@ class TestNetLinks:
                     assert net_link_parts(device, 3, 4) == (s, d, rail)
                     assert net_link_nodes(device, 3, 4) == (s, d)
 
+    def test_array_encoding_matches_scalar(self):
+        """Arrays encode every link at once: the scalar ids, as int64."""
+        src, dst, rail = (grid.ravel() for grid in np.meshgrid(
+            np.arange(3), np.arange(3), np.arange(4), indexing="ij"))
+        links = net_link(src, dst, 3, rail, 4)
+        assert links.dtype == np.int64
+        assert links.tolist() == [
+            net_link(s, d, 3, r, 4)
+            for s, d, r in zip(src.tolist(), dst.tolist(), rail.tolist())]
+        assert type(net_link(1, 2, 3)) is int
+        assert net_link(np.arange(3), np.arange(3), 3).tolist() == \
+            [net_link(node, node, 3) for node in range(3)]
+
+    @pytest.mark.parametrize("args, names", [
+        ((np.array([0, 2]), np.array([1, 0]), 2), r"node pair \(2, 0\)"),
+        ((np.array([0, 1]), np.array([1, -1]), 2), r"node pair \(1, -1\)"),
+        ((np.array([0, 1]), np.array([1, 0]), 2, np.array([0, 2]), 2),
+         "rail 2"),
+    ], ids=["src", "dst", "rail"])
+    def test_array_out_of_range_rejected(self, args, names):
+        with pytest.raises(ConfigurationError, match=names):
+            net_link(*args)
+
     def test_single_rail_encoding_matches_flat(self):
         """num_rails=1 must reproduce the pre-rail link ids bit for bit
         (the flat-default equivalence guarantee)."""

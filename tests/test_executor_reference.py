@@ -344,6 +344,25 @@ STATIC_PLATFORMS = {
 }
 
 
+#: oracle list-of-lists field -> the CSR ``(values, counts)`` pair of
+#: ``_HaloSplit`` that holds it
+CSR_FIELDS = {"by_reader": ("reader_keys", "reader_counts"),
+              "key_gpus": ("key_gpus", "key_counts")}
+
+
+def _halo_field(halo, field):
+    """``halo``'s ``field`` in the oracle's form: a CSR incidence as one
+    list per GPU (or per key)."""
+    if field not in CSR_FIELDS:
+        return getattr(halo, field)
+    values, counts = (getattr(halo, name) for name in CSR_FIELDS[field])
+    assert values.dtype == counts.dtype == np.int64, field
+    assert counts.sum() == len(values), field
+    return [part.tolist()
+            for part in np.split(values, np.cumsum(counts)[:-1])
+            if len(counts)]
+
+
 def _assert_same(name, new, old):
     if isinstance(old, np.ndarray):
         assert isinstance(new, np.ndarray), name
@@ -374,7 +393,7 @@ class TestStaticEqualsLoopBuilt:
                          "flush_halo"):
                 for field in HALO_FIELDS:
                     _assert_same(f"{halo}.{field}",
-                                 getattr(getattr(new, halo), field),
+                                 _halo_field(getattr(new, halo), field),
                                  old[halo][field])
             assert len(new.flush_vertices) == len(new.flush_slots) == gpus
             for i in range(gpus):
@@ -387,6 +406,8 @@ class TestStaticEqualsLoopBuilt:
             assert np.array_equal(new.zero_slots, np.concatenate(
                 [offsets[p.gpu] + p.positions[~p.reuse_mask]
                  for p in plan.plans[j]]))
+            assert np.array_equal(new.load_vertices, np.concatenate(
+                [p.transition[~p.reuse_mask] for p in plan.plans[j]]))
 
     def test_cross_node_fixtures_have_halo_traffic(self, graph):
         """The comparison above is not vacuous: the multi-node fixtures
@@ -542,21 +563,31 @@ class TestEntryPointRejections:
             comm.submit_cold_load(timeline, batch, 4, None)
         _assert_untouched(comm, timeline)
 
-    @pytest.mark.parametrize("form", ["list", "per_gpu", "short", "column"])
+    @pytest.mark.parametrize("form", ["list", "per_gpu", "short", "column",
+                                      "float", "bool", "unsubmitted",
+                                      "negative"])
     def test_backward_producers_in_one_form(self, live, form):
-        """``deps_by_device`` is the ``(m,)`` id array the trainer passes;
-        per-GPU lists used to be normalised too."""
+        """``deps_by_device`` is the ``(m,)`` array of submitted task ids
+        the trainer passes; per-GPU lists used to be normalised too, and
+        float, bool or out-of-range ids used to pass the shape check, so
+        the gradients were zeroed and scattered before the scheduler
+        refused the wave."""
         comm, _plan, host, grads, timeline = live
         producers = timeline.submit_batch("gpu", [1.0, 1.0])
         bad = {"list": list(producers),
                "per_gpu": [[task] for task in producers.tolist()],
                "short": producers[:1],
-               "column": producers[:, None]}[form]
+               "column": producers[:, None],
+               "float": producers.astype(np.float64),
+               "bool": np.array([True, False]),
+               "unsubmitted": producers + 1,
+               "negative": producers - 1}[form]
         host_grads = np.zeros_like(host)
         with pytest.raises(CommunicationPlanError, match="deps_by_device"):
             comm.accumulate_batch_backward(0, grads, host_grads, timeline,
                                            deps_by_device=bad)
         assert not comm._buffers.stacked.any()
+        assert comm._history == []
         assert timeline.scheduler.num_tasks == 2
         assert not host_grads.any()
 

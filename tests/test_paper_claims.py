@@ -16,6 +16,8 @@ import pytest  # noqa: E402
 from benchmarks._common import (  # noqa: E402
     TABLE8_CHUNKS,
     fig9_claims,
+    fig11_claims,
+    fig11_nodes_claims,
     table3_claims,
     table8_claims,
     table8_volumes,
@@ -24,6 +26,12 @@ from benchmarks.bench_fig9_breakdown import (  # noqa: E402
     DATASETS,
     LADDER,
     run_cell,
+)
+from benchmarks.bench_fig11_scaling import (  # noqa: E402
+    DATASETS as FIG11_DATASETS,
+    NODE_COUNTS,
+    run_arch,
+    run_nodes,
 )
 from benchmarks.bench_table3_replication import (  # noqa: E402
     DATASETS as TABLE3_DATASETS,
@@ -74,5 +82,25 @@ def test_fig9_ladder_claims(dataset):
               for _label, mode in LADDER]
     claims = fig9_claims(*ladder)
     assert len(claims) == 6
+    failed = [name for name, held in claims.items() if not held]
+    assert not failed, failed
+
+
+#: Fig. 11 for GCN on ~800 vertices per graph: 1-4 GPUs of one server
+#: (about 0.55 s), then papers_sim on 1, 2 and 4 four-GPU nodes under
+#: both overlap policies (about 0.6 s). Every claim holds.
+FIG11_SCALE = 0.1
+
+
+def test_fig11_scaling_claims():
+    claims = fig11_claims(run_arch("gcn", scale=FIG11_SCALE))
+    assert len(claims) == 4 * len(FIG11_DATASETS)
+    failed = [name for name, held in claims.items() if not held]
+    assert not failed, failed
+
+
+def test_fig11_scale_out_claims():
+    claims = fig11_nodes_claims(run_nodes(scale=FIG11_SCALE))
+    assert len(claims) == 2 * len(NODE_COUNTS)
     failed = [name for name, held in claims.items() if not held]
     assert not failed, failed

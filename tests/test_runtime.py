@@ -10,6 +10,7 @@ on transfer-heavy workloads), and numerics are bit-identical under both.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.autograd import SGD
 from repro.baselines import FullGraphTrainer
@@ -27,6 +28,7 @@ from repro.hardware import (
 )
 from repro.runtime import CHANNELS, EventScheduler, TransitionBuffers
 from repro.runtime.scheduler import (
+    DepLists,
     TaskColumns,
     WaveRecorder,
     _prepare,
@@ -1318,6 +1320,222 @@ class TestEventTimeline:
         timeline = EventTimeline()
         timeline.submit_phase("gpu", [1.0, 2.0, 3.0])
         assert timeline.busy_view()["gpu"] == 6.0
+
+
+def _on_timeline(scheduler):
+    """An ``EventTimeline`` over ``scheduler`` (its keyword surface)."""
+    timeline = EventTimeline()
+    timeline.scheduler = scheduler
+    return timeline
+
+
+def _lists(draw, k, pool):
+    """``k`` per-task entries: None, or 0-3 ids below ``pool``."""
+    return draw(st.lists(
+        st.none() | st.lists(st.integers(0, pool - 1), max_size=3),
+        min_size=k, max_size=k))
+
+
+def _expected(entries):
+    """Per task, its ids as a list (None: none)."""
+    return [[] if entry is None else list(entry) for entry in entries]
+
+
+def _entries(deps):
+    """A :class:`DepLists` back as one id list per task."""
+    bounds = np.cumsum(np.concatenate(([0], deps.counts))).tolist()
+    return [deps.ids[lo:hi].tolist()
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+class TestDepLists:
+    """The flat per-task form: :meth:`DepLists.of` and :meth:`DepLists.join`
+    are per-entry concatenation, a wave submitted in it leaves the
+    columns the list form leaves, and every malformed scheduler input
+    fails inside :class:`SchedulerError` before any state changes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_of_is_per_entry_concatenation(self, data):
+        k = data.draw(st.integers(1, 6))
+        entries = _lists(data.draw, k, 10)
+        deps = DepLists.of(entries)
+        assert deps.ids.dtype == deps.counts.dtype == np.int64
+        assert len(deps) == k
+        assert _entries(deps) == _expected(entries)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_join_concatenates_per_task_in_argument_order(self, data):
+        k = data.draw(st.integers(1, 6))
+        parts, expected = [], [[] for _ in range(k)]
+        for _ in range(data.draw(st.integers(0, 4))):
+            form = data.draw(st.sampled_from(["one_each", "empty", "lists"]))
+            if form == "one_each":
+                part = np.array(data.draw(st.lists(
+                    st.integers(0, 9), min_size=k, max_size=k)),
+                    dtype=np.int64)
+                entries = [[task] for task in part.tolist()]
+            elif form == "empty":
+                part, entries = np.empty(0, dtype=np.int64), [[]] * k
+            else:
+                entries = _lists(data.draw, k, 10)
+                part = DepLists.of(entries)
+                entries = _expected(entries)
+            parts.append(part)
+            for task in range(k):
+                expected[task] += entries[task]
+        joined = DepLists.join(k, *parts)
+        assert joined.counts.dtype == np.int64
+        assert _entries(joined) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_wave_as_dep_lists_leaves_the_list_columns(self, data):
+        """Same starts, ends, blockers and stored extras in their order,
+        whichever form carries the lists — repeated devices and holds
+        included."""
+        k = data.draw(st.integers(1, 6))
+        entries = _lists(data.draw, k, 5)
+        devices = data.draw(st.lists(st.integers(0, 3), min_size=k,
+                                     max_size=k))
+        seconds = data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.5]),
+                                     min_size=k, max_size=k))
+        holds = data.draw(st.none() | st.lists(
+            st.sampled_from([[], [("core", 0.5)]]), min_size=k, max_size=k))
+        states = []
+        for form in (entries, DepLists.of(entries),
+                     DepLists.join(k, DepLists.of(entries))):
+            scheduler = EventScheduler()
+            scheduler.submit_batch("h2d", [0, 1, 2, 3, 4],
+                                   [3.0, 1.0, 2.0, 0.5, 2.0])
+            scheduler.submit_batch("gpu", devices, seconds, extra_deps=form,
+                                   shared_by_task=holds)
+            states.append(scheduler_state(scheduler))
+        assert states[0] == states[1] == states[2]
+
+    def test_recorded_dep_lists_outlive_the_caller(self):
+        """A recorder keeps nothing the caller owns: the counts are
+        copied on the way in."""
+        recorder = recorded(2)
+        deps = DepLists(np.array([0, 1, 1]), np.array([2, 1]))
+        recorder.submit_batch("d2h", [1.0, 1.0], deps_by_device=deps)
+        deps.counts[:] = [0, 3]
+        timeline = EventTimeline()
+        timeline.submit_program(recorder.finish())
+        assert timeline.scheduler.columns().start.tolist() == \
+            [0.0, 0.0, 1.0, 1.0]
+        assert timeline.scheduler._extra_off[:5].tolist() == [0, 0, 0, 2, 3]
+
+    @pytest.mark.parametrize("submit, names", [
+        # a builtin TypeError from len()
+        (lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                  extra_deps=(e for e in ([0], [1]))),
+         "ordered"),
+        # iterated as {1, 3}: stored reordered
+        (lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                  extra_deps={3, 1}), "ordered"),
+        # scheduled on its keys: blocked_by read [0, 1]
+        (lambda s: s.submit_batch("gpu", [5, 6], [1.0, 1.0],
+                                  extra_deps={0: [3], 1: [2]}), "ordered"),
+        (lambda s: s.submit_batch("net", [-2, -3], [1.0, 1.0],
+                                  shared_by_task=iter([[], []])), "ordered"),
+        (lambda s: _on_timeline(s).submit_batch(
+            "gpu", [1.0, 1.0], deps_by_device=(e for e in ([0], [1]))),
+         "ordered"),
+        (lambda s: WaveRecorder(1).submit_batch(
+            "gpu", [1.0, 1.0], deps_by_device={-1, -1}), "ordered"),
+        (lambda s: DepLists.of(e for e in ([0], [1])), "ordered"),
+        # ran as 1 s and 0 s
+        (lambda s: s.submit_batch("gpu", [0, 1], np.array([True, False])),
+         "seconds"),
+        (lambda s: s.submit("gpu", 0, True), "seconds"),
+        (lambda s: _on_timeline(s).submit_batch("gpu", [False]), "seconds"),
+        (lambda s: WaveRecorder().submit_batch("gpu", [np.True_]),
+         "seconds"),
+        # an IndexError: the zig-zag slot overflowed
+        (lambda s: s.submit_batch("gpu", [2**62], [1.0]), "2\\*\\*62"),
+        (lambda s: s.submit("gpu", -(2**62) - 1, 1.0), "2\\*\\*62"),
+        (lambda s: s.submit_batch("gpu", [0, 2**63 - 1, 0], [1.0] * 3),
+         "2\\*\\*62"),
+        # wrapped to device -2**63 (or to link -3) and was scheduled
+        (lambda s: s.submit_batch("gpu", np.array([2**63], np.uint64),
+                                  [1.0]), "2\\*\\*62"),
+        (lambda s: s.submit_batch("net", np.array([2**64 - 3], np.uint64),
+                                  [1.0]), "2\\*\\*62"),
+        (lambda s: WaveRecorder().submit_batch("gpu", [1.0],
+                                               devices=[2**62]),
+         "2\\*\\*62"),
+        # placeholders [-1, 0]: 0 aliased the program's first task
+        (lambda s: WaveRecorder(1.5), "num_external"),
+        (lambda s: WaveRecorder(True), "num_external"),
+        # a bare TypeError
+        (lambda s: WaveRecorder(None), "num_external"),
+        (lambda s: WaveRecorder(-1), "num_external"),
+        (lambda s: WaveRecorder("2"), "num_external"),
+        # malformed flat lists
+        (lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                  extra_deps=DepLists(np.array([0, 1]),
+                                                      np.array([1.0, 1.0]))),
+         "counts"),
+        (lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                  extra_deps=DepLists(np.array([0, 1]),
+                                                      np.array([True, True]))),
+         "counts"),
+        (lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                  extra_deps=DepLists(np.array([0, 1]),
+                                                      np.array([[1], [1]]))),
+         "counts"),
+        (lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                  extra_deps=DepLists(np.array([0, 1]),
+                                                      np.array([-1, 3]))),
+         "counts"),
+        (lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                  extra_deps=DepLists(np.array([0, 1]),
+                                                      np.array([1, 0]))),
+         "counts"),
+        # wraps to a sum of 0 over no ids
+        (lambda s: s.submit_batch("gpu", [0, 1, 2, 3], [1.0] * 4,
+                                  extra_deps=DepLists(
+                                      np.empty(0, np.int64),
+                                      np.full(4, 2**62))), "counts"),
+        (lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                  extra_deps=DepLists(np.array([0.5, 1.0]),
+                                                      np.array([1, 1]))),
+         "integers"),
+        (lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                  extra_deps=DepLists(np.array([[0, 1]]),
+                                                      np.array([1, 1]))),
+         "1-D"),
+        (lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                  extra_deps=DepLists(np.array([0, 9]),
+                                                      np.array([1, 1]))),
+         "unsubmitted"),
+        (lambda s: _on_timeline(s).submit_batch(
+            "gpu", [1.0, 1.0, 1.0], deps_by_device=DepLists(
+                np.array([0, 1]), np.array([1, 1]))), "one entry per device"),
+        (lambda s: recorded(1).submit_batch(
+            "gpu", [1.0, 1.0], deps_by_device=DepLists(
+                np.array([0, 1]), np.array([1, 1]))), "unsubmitted"),
+    ], ids=["generator", "set", "dict", "holds_iterator",
+            "timeline_generator", "program_set", "of_generator",
+            "bool_seconds", "bool_submit", "timeline_bool", "program_bool",
+            "device_2**62", "device_below_-2**62", "device_int64_max",
+            "device_uint64_2**63", "device_uint64_wraps_to_link",
+            "program_device", "external_float", "external_bool",
+            "external_none", "external_negative", "external_str",
+            "counts_float", "counts_bool", "counts_2d", "counts_negative",
+            "counts_sum", "counts_overflow", "ids_float", "ids_2d",
+            "ids_unsubmitted", "timeline_mis_sized", "program_unrecorded"])
+    def test_malformed_input_fails_inside_the_taxonomy(self, submit, names):
+        scheduler = EventScheduler()
+        scheduler.submit_batch("gpu", [0, 1], [1.0, 2.0])
+        with pytest.raises(SchedulerError, match=names):
+            submit(scheduler)
+        scheduler.validate()
+        assert scheduler.num_tasks == 2
+        assert len(scheduler._phases) == 1
+        assert scheduler.makespan == 2.0
 
 
 class TestTransitionBuffers:
