@@ -71,7 +71,7 @@ def measured_fetch_bytes(partition, platform, dim=HIDDEN):
     """Executor-measured cross-node halo-fetch bytes of one full-dedup
     forward+backward sweep (the F term of the search objective)."""
     plan = build_comm_plan(partition, dedup_inter=True, dedup_intra=True)
-    comm = DedupCommunicator(plan, platform, 4)
+    comm = DedupCommunicator(plan, platform)
     host = np.zeros((partition.graph.num_vertices, dim))
     grads = np.zeros_like(host)
     clock = EventTimeline(barrier_all=True)

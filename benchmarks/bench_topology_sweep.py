@@ -122,7 +122,7 @@ def measure_halo_bytes(partition, platform, dim=HIDDEN):
     under self-staging (the Baseline/+RU ladder rung, where staging
     reuse controls the network)."""
     plan = build_comm_plan(partition, dedup_inter=False, dedup_intra=True)
-    comm = DedupCommunicator(plan, platform, 4)
+    comm = DedupCommunicator(plan, platform)
     host = np.zeros((partition.graph.num_vertices, dim))
     grads = np.zeros_like(host)
     clock = EventTimeline(barrier_all=True)

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.memory_model import estimate_for_model
 from repro.core.trainer import EpochResult
-from repro.errors import ConfigurationError, require_count
+from repro.errors import ConfigurationError
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
 from repro.hardware.clock import EventTimeline
@@ -40,6 +40,7 @@ from repro.hardware.memory import MemoryPool
 from repro.hardware.spec import CPUClusterSpec
 from repro.partition.metis import metis_partition
 from repro.runtime.task import net_link
+from repro.units import SCALAR_BYTES
 
 __all__ = ["DistGNNSimulator", "DistGNNEpochResult"]
 
@@ -54,9 +55,7 @@ class DistGNNSimulator:
     """Cost/capacity model of DistGNN on a CPU cluster."""
 
     def __init__(self, graph: Graph, model: GNNModel,
-                 cluster: CPUClusterSpec, bytes_per_scalar: int = 4,
-                 seed: int = 0):
-        require_count("bytes_per_scalar", bytes_per_scalar, 1)
+                 cluster: CPUClusterSpec, seed: int = 0):
         if model.dims[0] != graph.feature_dim:
             raise ConfigurationError(
                 f"model input dim {model.dims[0]} != feature dim "
@@ -65,7 +64,6 @@ class DistGNNSimulator:
         self.graph = graph
         self.model = model
         self.cluster = cluster
-        self.bytes_per_scalar = bytes_per_scalar
         self._epoch = 0
 
         nodes = cluster.num_nodes
@@ -75,7 +73,7 @@ class DistGNNSimulator:
         )
 
         estimate = estimate_for_model(
-            graph.num_vertices, graph.num_edges, model, bytes_per_scalar
+            graph.num_vertices, graph.num_edges, model
         )
         src, dst = graph.edge_arrays()
         remote_mask = self.assignment[src] != self.assignment[dst]
@@ -89,7 +87,7 @@ class DistGNNSimulator:
             self._remote_rows.append(remote_rows)
             # Replicas carry every layer's representation + gradient, and
             # DistGNN keeps dedicated send/receive buffers of the same size.
-            replica_bytes = 3 * remote_rows * dims_sum * bytes_per_scalar
+            replica_bytes = 3 * remote_rows * dims_sum * SCALAR_BYTES
             resident = estimate.total_bytes // nodes + replica_bytes
             pool = MemoryPool(cluster.memory_per_node, name=f"node{node}")
             pool.alloc("resident_working_set", resident)  # may raise OOM
@@ -131,7 +129,7 @@ class DistGNNSimulator:
             )
             previous_layer = compute_ids
             if nodes > 1:
-                row_bytes = layer.in_dim * self.bytes_per_scalar
+                row_bytes = layer.in_dim * SCALAR_BYTES
                 sync_seconds = [
                     slowdown * 2 * self._remote_rows[node] * row_bytes
                     / self.cluster.network_bandwidth

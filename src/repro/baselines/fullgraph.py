@@ -28,7 +28,7 @@ from repro.autograd.functional import (
 from repro.autograd.optim import Adam, Optimizer
 from repro.core.memory_model import estimate_for_model
 from repro.core.trainer import EpochResult
-from repro.errors import ConfigurationError, require_count
+from repro.errors import ConfigurationError
 from repro.gnn.block import Block
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
@@ -51,11 +51,9 @@ class FullGraphTrainer:
 
     def __init__(self, graph: Graph, model: GNNModel,
                  platform: Optional[MultiGPUPlatform] = None,
-                 optimizer: Optional[Optimizer] = None,
-                 bytes_per_scalar: int = 4):
+                 optimizer: Optional[Optimizer] = None):
         if graph.features is None or graph.labels is None:
             raise ConfigurationError("training requires features and labels")
-        require_count("bytes_per_scalar", bytes_per_scalar, 1)
         if model.dims[0] != graph.feature_dim:
             raise ConfigurationError(
                 f"model input dim {model.dims[0]} != feature dim "
@@ -65,14 +63,13 @@ class FullGraphTrainer:
         self.model = model
         self.platform = platform
         self.optimizer = optimizer or Adam(model.parameters(), lr=0.01)
-        self.bytes_per_scalar = bytes_per_scalar
         self.block = Block.from_graph(graph)
         self._epoch = 0
         self._logits: Optional[np.ndarray] = None
 
         if platform is not None:
             estimate = estimate_for_model(
-                graph.num_vertices, graph.num_edges, model, bytes_per_scalar
+                graph.num_vertices, graph.num_edges, model
             )
             # The full working set lives on one device for the whole run.
             platform.gpus[0].memory.alloc("full_graph_working_set",

@@ -29,13 +29,14 @@ from repro.autograd.functional import (
 from repro.autograd.optim import Adam, Optimizer
 from repro.core.memory_model import estimate_for_model
 from repro.core.trainer import EpochResult
-from repro.errors import ConfigurationError, require_count
+from repro.errors import ConfigurationError
 from repro.gnn.block import Block
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
 from repro.hardware.clock import EventTimeline
 from repro.hardware.platform import MultiGPUPlatform
 from repro.partition.metis import metis_partition
+from repro.units import SCALAR_BYTES
 
 __all__ = ["InMemoryMultiGPUTrainer"]
 
@@ -46,11 +47,9 @@ class InMemoryMultiGPUTrainer:
     def __init__(self, graph: Graph, model: GNNModel,
                  platform: MultiGPUPlatform,
                  optimizer: Optional[Optimizer] = None,
-                 bytes_per_scalar: int = 4, seed: int = 0,
-                 comm_overhead: float = 1.0):
+                 seed: int = 0, comm_overhead: float = 1.0):
         if graph.features is None or graph.labels is None:
             raise ConfigurationError("training requires features and labels")
-        require_count("bytes_per_scalar", bytes_per_scalar, 1)
         if (isinstance(comm_overhead, bool)
                 or not isinstance(comm_overhead, Real)
                 or not 1.0 <= comm_overhead < math.inf):
@@ -60,7 +59,6 @@ class InMemoryMultiGPUTrainer:
         self.model = model
         self.platform = platform
         self.optimizer = optimizer or Adam(model.parameters(), lr=0.01)
-        self.bytes_per_scalar = bytes_per_scalar
         # Multiplier on inter-GPU volume: 1.0 models point-to-point remote
         # reads (HongTu-IM); >1 models broadcast-style synchronization
         # (Sancus-like systems replicate boundary data to all peers).
@@ -75,7 +73,7 @@ class InMemoryMultiGPUTrainer:
         # Per-GPU resident set: an even share of vertex+intermediate data
         # plus buffers for the remote-neighbor replicas this partition reads.
         estimate = estimate_for_model(
-            graph.num_vertices, graph.num_edges, model, bytes_per_scalar
+            graph.num_vertices, graph.num_edges, model
         )
         src, dst = graph.edge_arrays()
         remote_mask = self.assignment[src] != self.assignment[dst]
@@ -86,7 +84,7 @@ class InMemoryMultiGPUTrainer:
             remote_rows = len(np.unique(src[into_i]))
             self._remote_rows_per_gpu.append(remote_rows)
             resident = estimate.total_bytes // m \
-                + remote_rows * hidden * bytes_per_scalar
+                + remote_rows * hidden * SCALAR_BYTES
             platform.gpus[i].memory.alloc("resident_working_set", resident)
 
     # ------------------------------------------------------------------
@@ -117,7 +115,7 @@ class InMemoryMultiGPUTrainer:
         d2d_seconds = []
         for i in range(m):
             row_bytes = sum(
-                layer.in_dim * self.bytes_per_scalar
+                layer.in_dim * SCALAR_BYTES
                 for layer in self.model.layers
             )
             volume = 2 * self._remote_rows_per_gpu[i] * row_bytes \

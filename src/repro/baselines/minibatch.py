@@ -34,6 +34,7 @@ from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
 from repro.hardware.clock import EventTimeline
 from repro.hardware.platform import MultiGPUPlatform
+from repro.units import SCALAR_BYTES
 
 __all__ = ["NeighborSampler", "MiniBatchTrainer", "MiniBatchEpochResult"]
 
@@ -117,21 +118,18 @@ class MiniBatchTrainer:
     def __init__(self, graph: Graph, model: GNNModel,
                  platform: MultiGPUPlatform,
                  fanout: int = 10, batch_size: int = 1024,
-                 optimizer: Optional[Optimizer] = None,
-                 bytes_per_scalar: int = 4, seed: int = 0):
+                 optimizer: Optional[Optimizer] = None, seed: int = 0):
         if graph.features is None or graph.labels is None:
             raise ConfigurationError("training requires features and labels")
         if graph.train_mask is None:
             raise ConfigurationError("mini-batch training requires a train mask")
-        for name, count in (("fanout", fanout), ("batch_size", batch_size),
-                            ("bytes_per_scalar", bytes_per_scalar)):
-            require_count(name, count, 1)
+        require_count("fanout", fanout, 1)
+        require_count("batch_size", batch_size, 1)
         self.graph = graph
         self.model = model
         self.platform = platform
         self.batch_size = batch_size
         self.optimizer = optimizer or Adam(model.parameters(), lr=0.01)
-        self.bytes_per_scalar = bytes_per_scalar
         self.sampler = NeighborSampler(
             graph, [fanout] * model.num_layers, seed=seed
         )
@@ -146,7 +144,6 @@ class MiniBatchTrainer:
         losses: List[float] = []
         frontier_total = 0
         num_gpus = self.platform.num_gpus
-        bps = self.bytes_per_scalar
         dims = self.model.dims
 
         for batch_start in range(0, len(order), self.batch_size):
@@ -161,7 +158,7 @@ class MiniBatchTrainer:
             resident = sum(
                 block.num_src * dims[l] + block.num_dst * dims[l + 1]
                 for l, block in enumerate(blocks)
-            ) * 3 * bps  # activations + gradients + workspace
+            ) * 3 * SCALAR_BYTES  # activations + gradients + workspace
             with gpu.memory.scoped("minibatch_frontier", resident):
                 self.model.zero_grad()
                 h = Tensor(
@@ -179,7 +176,7 @@ class MiniBatchTrainer:
                 losses.append(loss)
 
             # Costs: feature H2D + sampling CPU + kernels.
-            feature_bytes = blocks[0].num_src * dims[0] * bps
+            feature_bytes = blocks[0].num_src * dims[0] * SCALAR_BYTES
             timeline.add("h2d",
                          self.platform.h2d_seconds(feature_bytes) / num_gpus,
                          device=gpu_index, label="features")

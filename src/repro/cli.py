@@ -339,15 +339,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_memory(args) -> int:
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed + 42)
-    dims = ([graph.feature_dim] + [args.hidden_dim] * (args.layers - 1)
-            + [graph.num_classes])
+    dims = ClusterArgs.from_namespace(args).model_dims(graph)
     standin = estimate_training_memory(
         graph.num_vertices, graph.num_edges, dims, arch=args.arch
     )
     profile = graph.scale_profile
-    paper_dims = ([profile.feature_dim]
-                  + [args.hidden_dim] * (args.layers - 1)
-                  + [profile.num_labels])
+    paper_dims = [profile.feature_dim, *dims[1:-1], profile.num_labels]
     paper = estimate_training_memory(
         profile.num_vertices, profile.num_edges, paper_dims, arch=args.arch
     )
@@ -400,7 +397,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "memory": cmd_memory,
         "datasets": cmd_datasets,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ConfigurationError as error:  # e.g. --scale nan, --layers 0
+        print(f"bad scenario: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -130,6 +130,7 @@ from repro.hardware.platform import MultiGPUPlatform
 from repro.runtime.buffers import TransitionBuffers
 from repro.runtime.scheduler import DepLists
 from repro.runtime.task import SPINE_RESOURCE, net_link, net_link_nodes
+from repro.units import SCALAR_BYTES
 
 __all__ = ["DedupCommunicator", "PlanStatic"]
 
@@ -416,9 +417,6 @@ class DedupCommunicator:
     platform:
         Simulated hardware (memory pools + cost model). Must expose at least
         as many GPUs as the plan has partitions.
-    bytes_per_scalar:
-        Logical element size for volume/memory accounting (4 = float32 on
-        the real hardware; the numpy payloads may be wider).
     static:
         The :class:`PlanStatic` of ``(plan, platform placement)`` to share
         with other communicators over the same pair; built here when
@@ -426,7 +424,6 @@ class DedupCommunicator:
     """
 
     def __init__(self, plan: CommPlan, platform: MultiGPUPlatform,
-                 bytes_per_scalar: int = 4,
                  static: Optional[PlanStatic] = None):
         if static is None:
             static = PlanStatic(plan, platform)
@@ -435,7 +432,6 @@ class DedupCommunicator:
                 "static was built for a different plan or platform")
         self.plan = plan
         self.platform = platform
-        self.bytes_per_scalar = bytes_per_scalar
         #: routing snapshot + per-batch emission constants (row counts,
         #: segment classes, halo coalescing) — plan and placement are
         #: fixed for the communicator's lifetime, so each batch's are
@@ -467,7 +463,7 @@ class DedupCommunicator:
         self._dim = dim
         self._buffers = TransitionBuffers(
             self.platform, self.plan.buffer_rows, dim, dtype,
-            self.bytes_per_scalar, double_buffer=double_buffer,
+            double_buffer=double_buffer,
         )
         self._history = []
         self._last_inputs_by_gpu = _NO_INPUTS
@@ -719,7 +715,7 @@ class DedupCommunicator:
         self._require_host("host_values", host_values)
         plans = self.plan.plans[batch]
         m = len(plans)
-        row_bytes = self._dim * self.bytes_per_scalar
+        row_bytes = self._dim * SCALAR_BYTES
         gpu_ids = self.static.gpu_ids
 
         # Phase 1: host -> transition buffers (reuse in place first). Rows
@@ -855,7 +851,7 @@ class DedupCommunicator:
                 f"submitted task ids, one producer per GPU, got "
                 f"{deps_by_device!r}"
             )
-        row_bytes = self._dim * self.bytes_per_scalar
+        row_bytes = self._dim * SCALAR_BYTES
         gpu_ids = self.static.gpu_ids
 
         # Zero the slots newly staged this batch (their gradient starts now).

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError, require_count
 from repro.faults.schedule import FaultSchedule
 from repro.hardware.platform import ALLREDUCE_ALGORITHMS
@@ -98,11 +96,6 @@ class HongTuConfig:
         pending when an epoch's observed makespan exceeds
         ``rebalance_trigger ×`` the faultless baseline makespan. Must be
         > 1; node deaths re-balance unconditionally.
-    bytes_per_scalar:
-        Logical element width for communication/memory accounting (4 =
-        float32 on the real hardware; numerics may run in float64).
-    dtype:
-        Numpy dtype of the actual computation.
     seed:
         Seed for partitioning.
     """
@@ -118,8 +111,6 @@ class HongTuConfig:
     faults: Optional[FaultSchedule] = None
     elastic: bool = True
     rebalance_trigger: float = 1.05
-    bytes_per_scalar: int = 4
-    dtype: type = np.float64
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -127,7 +118,6 @@ class HongTuConfig:
         # otherwise surface later as a stray error (or a wrong run).
         require_count("num_chunks", self.num_chunks, 1)
         require_count("max_imbalance", self.max_imbalance, 0)
-        require_count("bytes_per_scalar", self.bytes_per_scalar, 1)
         for flag in ("reorganize", "elastic"):
             if not isinstance(getattr(self, flag), bool):
                 raise ConfigurationError(
@@ -195,17 +185,15 @@ class HongTuConfig:
     def to_dict(self) -> dict:
         """JSON-serializable dict reproducing this config exactly.
 
-        ``dtype`` becomes its numpy name, ``faults`` its declarative
-        schedule dict (``None`` stays ``None``); everything else is a
-        plain scalar. :meth:`from_dict` inverts this losslessly:
+        ``faults`` becomes its declarative schedule dict (``None`` stays
+        ``None``); everything else is a plain scalar. :meth:`from_dict`
+        inverts this losslessly:
         ``HongTuConfig.from_dict(config.to_dict()) == config``.
         """
         data = {}
         for spec in fields(self):
             value = getattr(self, spec.name)
-            if spec.name == "dtype":
-                value = np.dtype(value).name
-            elif spec.name == "faults" and value is not None:
+            if spec.name == "faults" and value is not None:
                 value = value.to_dict()
             data[spec.name] = value
         return data
@@ -221,13 +209,6 @@ class HongTuConfig:
                 f"subset of {sorted(known)}"
             )
         kwargs = dict(data)
-        if "dtype" in kwargs:
-            try:
-                kwargs["dtype"] = np.dtype(kwargs["dtype"]).type
-            except TypeError as error:
-                raise ConfigurationError(
-                    f"bad dtype {kwargs['dtype']!r}: {error}"
-                ) from error
         if kwargs.get("faults") is not None \
                 and not isinstance(kwargs["faults"], FaultSchedule):
             kwargs["faults"] = FaultSchedule.from_dict(kwargs["faults"])

@@ -28,6 +28,8 @@ from typing import List, NamedTuple
 
 import numpy as np
 
+from repro.units import SCALAR_BYTES
+
 __all__ = ["ChunkShapes", "ForwardCosts", "BackwardCosts",
            "checkpoint_dims", "intermediate_scalars"]
 
@@ -76,20 +78,19 @@ class ChunkShapes:
         an ``(m,)`` array in GPU order."""
         return self.num_src[:, j], self.num_dst[:, j], self.num_edges[:, j]
 
-    def forward(self, layer, j: int, bytes_per_scalar: int) -> ForwardCosts:
+    def forward(self, layer, j: int) -> ForwardCosts:
         """Forward pass of ``layer`` over batch column ``j``."""
         src, dst, edges = self.column(j)
         return ForwardCosts(
             flops=layer.forward_flops(src, dst, edges),
-            writeback_bytes=dst * layer.out_dim * bytes_per_scalar,
-            checkpoint_bytes=dst * layer.aggregate_dim() * bytes_per_scalar,
-            workspace_bytes=bytes_per_scalar * (
+            writeback_bytes=dst * layer.out_dim * SCALAR_BYTES,
+            checkpoint_bytes=dst * layer.aggregate_dim() * SCALAR_BYTES,
+            workspace_bytes=SCALAR_BYTES * (
                 src * layer.in_dim
                 + layer.forward_workspace_scalars(src, dst, edges)),
         )
 
-    def backward_cached(self, layer, j: int,
-                        bytes_per_scalar: int) -> BackwardCosts:
+    def backward_cached(self, layer, j: int) -> BackwardCosts:
         """Hybrid backward: reload the cached aggregate, ∇h^{l+1} and (for
         self-reading updates) the destinations' own rows; recompute UPDATE
         under a tape (3×) and run the closed-form aggregate adjoint."""
@@ -98,22 +99,21 @@ class ChunkShapes:
         loaded_scalars = row_scalars + (layer.in_dim
                                         if layer.update_uses_self else 0)
         return BackwardCosts(
-            load_bytes=dst * loaded_scalars * bytes_per_scalar,
+            load_bytes=dst * loaded_scalars * SCALAR_BYTES,
             flops=(3 * layer.update_flops(dst)
                    + layer.aggregate_flops(src, dst, edges)),
-            workspace_bytes=(bytes_per_scalar * 3 * dst
+            workspace_bytes=(SCALAR_BYTES * 3 * dst
                              * (row_scalars + layer.in_dim)),
         )
 
-    def backward_recompute(self, layer, j: int,
-                           bytes_per_scalar: int) -> BackwardCosts:
+    def backward_recompute(self, layer, j: int) -> BackwardCosts:
         """Recompute backward: reload ∇h^{l+1} only (the inputs re-gather
         through the communicator) and recompute the full layer (3×)."""
         src, dst, edges = self.column(j)
         return BackwardCosts(
-            load_bytes=dst * layer.out_dim * bytes_per_scalar,
+            load_bytes=dst * layer.out_dim * SCALAR_BYTES,
             flops=3 * layer.forward_flops(src, dst, edges),
-            workspace_bytes=bytes_per_scalar * (
+            workspace_bytes=SCALAR_BYTES * (
                 src * layer.in_dim
                 + 3 * layer.forward_workspace_scalars(src, dst, edges)),
         )

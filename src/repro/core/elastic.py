@@ -166,8 +166,7 @@ class ElasticController:
         trainer = self.trainer
         sizes = np.bincount(trainer.partition.assignment,
                             minlength=trainer.platform.num_gpus)
-        rows = vertex_buffer_bytes(sizes.astype(np.int64), trainer.model.dims,
-                                   trainer.config.bytes_per_scalar)
+        rows = vertex_buffer_bytes(sizes.astype(np.int64), trainer.model.dims)
         return rows + trainer.fleet.shapes.topology_bytes().sum(axis=1)
 
     def _rebalance(self, timeline: EventTimeline,

@@ -26,8 +26,8 @@ import numpy as np
 
 from repro.core.costs import intermediate_scalars
 from repro.errors import ConfigurationError
-
 from repro.gnn.models import GNNModel, build_model
+from repro.units import SCALAR_BYTES
 
 __all__ = ["MemoryEstimate", "estimate_training_memory", "estimate_for_model",
            "vertex_buffer_bytes", "partition_host_bytes", "placement_host_bytes",
@@ -58,29 +58,29 @@ class MemoryEstimate:
 
 
 def estimate_training_memory(num_vertices: int, num_edges: int,
-                             dims: Sequence[int], arch: str = "gcn",
-                             bytes_per_scalar: int = 4) -> MemoryEstimate:
+                             dims: Sequence[int],
+                             arch: str = "gcn") -> MemoryEstimate:
     """Estimate full-graph training memory for an architecture + dims.
 
     ``dims = [input_dim, hidden..., output_dim]`` follows the paper's model
     configs (e.g. Table 1's ``256-128-128-64``).
     """
     model = build_model(arch, dims, np.random.default_rng(0))
-    return estimate_for_model(num_vertices, num_edges, model, bytes_per_scalar)
+    return estimate_for_model(num_vertices, num_edges, model)
 
 
-def estimate_for_model(num_vertices: int, num_edges: int, model: GNNModel,
-                       bytes_per_scalar: int = 4) -> MemoryEstimate:
+def estimate_for_model(num_vertices: int, num_edges: int,
+                       model: GNNModel) -> MemoryEstimate:
     """Estimate training memory for a concrete model instance."""
     # Topology: 4-byte column ids + 4-byte dst ids (CSR+COO hybrid, the
     # common GNN-system layout) + 4-byte normalized weights + offsets.
     topology = num_edges * (4 + 4 + 4) + 2 * (num_vertices + 1) * 8
 
-    vertex = vertex_buffer_bytes(num_vertices, model.dims, bytes_per_scalar)
+    vertex = vertex_buffer_bytes(num_vertices, model.dims)
 
     # Intermediate data: per-layer forward workspace over the full graph.
     intermediate = intermediate_scalars(model, num_vertices, num_edges) \
-        * bytes_per_scalar
+        * SCALAR_BYTES
 
     return MemoryEstimate(
         topology_bytes=int(topology),
@@ -89,29 +89,27 @@ def estimate_for_model(num_vertices: int, num_edges: int, model: GNNModel,
     )
 
 
-def vertex_buffer_bytes(num_vertices, dims: Sequence[int],
-                        bytes_per_scalar: int = 4):
+def vertex_buffer_bytes(num_vertices, dims: Sequence[int]):
     """Bytes of the vertex data — h^l and ∇h^l of every layer — of
     ``num_vertices`` vertices (an int, or an int64 array of per-partition
-    counts): ``2·|V|·Σdims·bytes_per_scalar``. The one sizing formula of
+    counts): ``2·|V|·Σdims·SCALAR_BYTES``. The one sizing formula of
     the Table 1 estimate, the host ``vertex_data`` reservation, the
     admission budgets and a migrating partition's state."""
-    return 2 * num_vertices * sum(dims) * bytes_per_scalar
+    return 2 * num_vertices * sum(dims) * SCALAR_BYTES
 
 
 # ----------------------------------------------------------------------
 # per-node host-memory admission (uneven partition→node placements)
 # ----------------------------------------------------------------------
 def partition_host_bytes(partition_sizes: Sequence[int],
-                         aggregate_dims: Sequence[int],
-                         bytes_per_scalar: int = 4) -> np.ndarray:
+                         aggregate_dims: Sequence[int]) -> np.ndarray:
     """Host bytes each partition pins on its node's host pool.
 
     Under the hybrid recompute policy a partition's cacheable layers
     checkpoint their AGGREGATE outputs to the host of the node the
     partition is placed on — one row per destination vertex per cacheable
     layer, so partition i pins ``|V_i| * sum(aggregate_dims) *
-    bytes_per_scalar`` bytes wherever it lands (each destination appears
+    SCALAR_BYTES`` bytes wherever it lands (each destination appears
     in exactly one chunk). This is the placement-*dependent* share of the
     host working set; the per-layer h/∇h vertex buffers shard evenly
     across node hosts regardless of placement.
@@ -120,7 +118,7 @@ def partition_host_bytes(partition_sizes: Sequence[int],
     if (sizes < 0).any():
         raise ConfigurationError("partition sizes must be >= 0")
     scalars = int(sum(aggregate_dims))
-    return sizes * scalars * int(bytes_per_scalar)
+    return sizes * scalars * SCALAR_BYTES
 
 
 def placement_host_bytes(placement: Sequence[int],

@@ -72,6 +72,7 @@ from repro.partition.placement import (
     search_placement,
 )
 from repro.partition.two_level import TwoLevelPartition, two_level_partition
+from repro.units import SCALAR_BYTES
 
 __all__ = ["FleetPlan", "plan_fleet"]
 
@@ -131,8 +132,7 @@ def _admission_inputs(partition: TwoLevelPartition, model: GNNModel,
     budgets = node_host_budgets(platform, vertex_bytes)
     sizes = np.bincount(partition.assignment, minlength=platform.num_gpus)
     per_partition = partition_host_bytes(
-        sizes, checkpoint_dims(model, config.intermediate_policy),
-        config.bytes_per_scalar)
+        sizes, checkpoint_dims(model, config.intermediate_policy))
     return budgets, per_partition
 
 
@@ -214,9 +214,8 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
     """
     nodes = platform.num_nodes
     replan = previous is not None
-    row_bytes = max(model.dims) * config.bytes_per_scalar
-    vertex_bytes = vertex_buffer_bytes(graph.num_vertices, model.dims,
-                                       config.bytes_per_scalar)
+    row_bytes = max(model.dims) * SCALAR_BYTES
+    vertex_bytes = vertex_buffer_bytes(graph.num_vertices, model.dims)
     policy = config.placement if nodes > 1 else "block"
     if replan:
         # Budgets must not double-count reservations about to be
@@ -296,8 +295,7 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
     # constants depend on (plan, placement) only, both final here.
     static = PlanStatic(comm_plan, platform)
     comm_values, comm_grads = (
-        DedupCommunicator(comm_plan, platform, config.bytes_per_scalar,
-                          static=static)
+        DedupCommunicator(comm_plan, platform, static=static)
         for _ in range(2))
     host_allocations, topology_allocations = _reserve(
         vertex_bytes, shapes, platform)

@@ -78,6 +78,7 @@ from repro.hardware.platform import MultiGPUPlatform
 from repro.partition.two_level import TwoLevelPartition
 from repro.runtime.scheduler import DepLists
 from repro.runtime.task import net_link
+from repro.units import SCALAR_BYTES
 
 __all__ = ["HongTuTrainer", "EpochResult"]
 
@@ -155,6 +156,9 @@ class HongTuTrainer:
         training).
     model:
         The GNN stack; ``model.dims[0]`` must equal the feature width.
+        Its parameters must share one floating dtype, which the numerics
+        run in; transfers and reservations are priced at
+        :data:`~repro.units.SCALAR_BYTES` per scalar whatever it is.
     platform:
         Simulated multi-GPU platform; its GPU count is the paper's ``m``.
     config:
@@ -180,6 +184,12 @@ class HongTuTrainer:
                 f"model input dim {model.dims[0]} != feature dim "
                 f"{graph.feature_dim}"
             )
+        found = sorted({p.data.dtype.name for p in model.parameters()})
+        if len(found) != 1 or np.dtype(found[0]).kind != "f":
+            raise ConfigurationError(
+                f"the trainer computes in its model's dtype, so the model's "
+                f"parameters must share one floating dtype; found {found}"
+            )
         if config.faults is not None:
             # The fleet-level fault rules live here, where the platform
             # (and so the fleet's shape) is known.
@@ -199,6 +209,9 @@ class HongTuTrainer:
         self.model = model
         self.platform = platform
         self.config = config
+        #: the numerics dtype: host vertex data, transition buffers and
+        #: gradients all run in the model's own parameter dtype
+        self.dtype = np.dtype(found[0])
         self.optimizer = optimizer or Adam(model.parameters(), lr=0.01)
         self._epoch = 0
         self._pipelined = config.overlap == "pipeline"
@@ -213,7 +226,7 @@ class HongTuTrainer:
         # ---- host-resident vertex data (h^l and ∇h^l for every layer) -----
         dims = model.dims
         n = graph.num_vertices
-        dtype = config.dtype
+        dtype = self.dtype
         self._h: List[np.ndarray] = [
             np.zeros((n, dim), dtype=dtype) for dim in dims
         ]
@@ -350,13 +363,12 @@ class HongTuTrainer:
     # ------------------------------------------------------------------
     def _forward(self, timeline: EventTimeline, training: bool = True) -> None:
         hybrid = self.config.intermediate_policy == "hybrid"
-        bps = self.config.bytes_per_scalar
         platform = self.platform
 
         # repro-lint: allow-loop — wave granularity: one batched emission per (layer, batch)
         for l, layer in enumerate(self.model.layers):
             self._comm_values.start_sweep(self.model.dims[l],
-                                          dtype=self.config.dtype,
+                                          dtype=self.dtype,
                                           double_buffer=self._pipelined)
             cache_layer = training and hybrid and layer.cacheable_aggregate
             # repro-lint: allow-loop — wave granularity: one batched emission per (layer, batch)
@@ -365,7 +377,7 @@ class HongTuTrainer:
                     j, self._h[l], timeline
                 )
                 input_deps = self._comm_values.batch_input_dep_ids()
-                costs = self.fleet.shapes.forward(layer, j, bps)
+                costs = self.fleet.shapes.forward(layer, j)
                 workspace = costs.workspace_bytes.tolist()
                 # repro-lint: allow-loop — per-GPU numerics + workspace reservation over python chunk objects; emission below is batched
                 for i in range(self.plan.num_gpus):
@@ -409,9 +421,9 @@ class HongTuTrainer:
         loss, seed = masked_cross_entropy_value_and_grad(
             self._h[-1], self.graph.labels, self.graph.train_mask
         )
-        self._grad_h[-1][:] = seed.astype(self.config.dtype)
+        self._grad_h[-1][:] = seed.astype(self.dtype)
         logits_bytes = self._h[-1].shape[0] * self._h[-1].shape[1] \
-            * self.config.bytes_per_scalar
+            * SCALAR_BYTES
         # The downstream task runs on node 0's host (the loss is a single
         # global reduction; on one node the argument is a no-op).
         timeline.add("cpu",
@@ -434,10 +446,10 @@ class HongTuTrainer:
             # for flush j-1 regardless); only the staging/value buffers
             # alternate parity under the pipeline policy.
             self._comm_grads.start_sweep(self.model.dims[l],
-                                         dtype=self.config.dtype)
+                                         dtype=self.dtype)
             if not use_cache:
                 self._comm_values.start_sweep(self.model.dims[l],
-                                              dtype=self.config.dtype,
+                                              dtype=self.dtype,
                                               double_buffer=self._pipelined)
             # repro-lint: allow-loop — wave granularity: one batched emission per (layer, batch)
             for j in range(self.plan.num_batches):
@@ -460,12 +472,12 @@ class HongTuTrainer:
         the host through the deduplicated backward communication.
         """
         layer = self.model.layers[l]
-        shapes, bps = self.fleet.shapes, self.config.bytes_per_scalar
+        shapes = self.fleet.shapes
         inputs = input_deps = None
         if use_cache:
-            costs = shapes.backward_cached(layer, j, bps)
+            costs = shapes.backward_cached(layer, j)
         else:
-            costs = shapes.backward_recompute(layer, j, bps)
+            costs = shapes.backward_recompute(layer, j)
             inputs = self._comm_values.load_batch_forward(j, self._h[l],
                                                           timeline)
             input_deps = self._comm_values.batch_input_dep_ids()
@@ -475,8 +487,7 @@ class HongTuTrainer:
         # repro-lint: allow-loop — per-GPU numerics + workspace reservation over python chunk objects; emission below is batched
         for i in range(self.plan.num_gpus):
             chunk = self.partition.chunks[i][j]
-            grad_out = self._grad_h[l + 1][chunk.dst_global] \
-                .astype(self.config.dtype)
+            grad_out = self._grad_h[l + 1][chunk.dst_global]
             with self.platform.gpus[i].memory.scoped("backward_workspace",
                                                      workspace[i]):
                 if use_cache:
@@ -521,7 +532,7 @@ class HongTuTrainer:
             h_dst_data = self._h[l][chunk.dst_global]
         else:
             h_dst_data = np.zeros((block.num_dst, layer.in_dim),
-                                  dtype=self.config.dtype)
+                                  dtype=self.dtype)
         agg_t = Tensor(agg_data, requires_grad=True)
         h_dst_t = Tensor(h_dst_data, requires_grad=True)
         layer.update(block, agg_t, h_dst_t).backward(grad_out)
@@ -604,7 +615,7 @@ class HongTuTrainer:
     def _store_checkpoint(self, l: int, i: int, j: int,
                           data: np.ndarray) -> None:
         key = (l, i, j)
-        nbytes = data.shape[0] * data.shape[1] * self.config.bytes_per_scalar
+        nbytes = data.shape[0] * data.shape[1] * SCALAR_BYTES
         allocation = self._checkpoint_allocations.get(key)
         if allocation is None:
             # Checkpoints live on the host of the GPU that wrote them

@@ -16,11 +16,13 @@ All stand-ins are deterministic given (name, scale, seed).
 from __future__ import annotations
 
 import functools
+import math
+from numbers import Real
 from typing import Dict, List
 
 import numpy as np
 
-from repro.errors import GraphFormatError
+from repro.errors import ConfigurationError, GraphFormatError
 from repro.graph.generators import (
     gaussian_features,
     locality_web_graph,
@@ -93,7 +95,8 @@ def load_dataset(name: str, scale: float = 1.0, seed: int = 42) -> Graph:
         One of :func:`available_datasets` (``*_sim`` stand-in names).
     scale:
         Multiplier on the stand-in's default vertex count (edges scale
-        proportionally). 1.0 for benchmarks; smaller in unit tests.
+        proportionally); a finite number > 0. 1.0 for benchmarks;
+        smaller in unit tests.
     seed:
         Seed for all randomness (topology, features, labels, splits).
     """
@@ -101,6 +104,10 @@ def load_dataset(name: str, scale: float = 1.0, seed: int = 42) -> Graph:
         raise GraphFormatError(
             f"unknown dataset {name!r}; available: {available_datasets()}"
         )
+    if (isinstance(scale, bool) or not isinstance(scale, Real)
+            or not 0 < scale < math.inf):  # NaN fails both comparisons
+        raise ConfigurationError(
+            f"scale must be a finite number > 0, got {scale!r}")
     profile = PAPER_PROFILES[_STAND_IN_ALIASES[name]]
     builder = _BUILDERS[name]
     graph = builder(scale, seed)

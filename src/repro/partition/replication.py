@@ -17,6 +17,7 @@ from typing import Dict, Iterable
 
 from repro.graph.graph import Graph
 from repro.partition.two_level import TwoLevelPartition, two_level_partition
+from repro.units import SCALAR_BYTES
 
 __all__ = [
     "replication_factor",
@@ -63,12 +64,11 @@ def replication_factor_sweep(graph: Graph, partition_counts: Iterable[int],
 
 
 def vertex_data_per_subgraph(num_vertices: int, alpha: float,
-                             num_subgraphs: int, feature_dim: int,
-                             bytes_per_scalar: int = 4) -> float:
+                             num_subgraphs: int, feature_dim: int) -> float:
     """Average vertex-data bytes a single subgraph needs on the GPU.
 
     Implements the paper's formula (§4.3): ``(1 + α_{m·n}) |V| / (m·n)``
     vertex rows of ``feature_dim`` scalars each.
     """
     rows = (1.0 + alpha) * num_vertices / num_subgraphs
-    return rows * feature_dim * bytes_per_scalar
+    return rows * feature_dim * SCALAR_BYTES

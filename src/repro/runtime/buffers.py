@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.units import Bytes
+from repro.units import SCALAR_BYTES
 
 __all__ = ["TransitionBuffers"]
 
@@ -41,21 +41,21 @@ class TransitionBuffers:
     One instance backs one layer sweep (§6's transition data buffer, or the
     transition *gradient* buffer during backward). ``buffer_rows[i]`` is
     GPU i's capacity in vertex rows (the planner's in-place slot count),
-    ``dim`` the row width in scalars, and ``bytes_per_scalar`` the logical
-    element size charged to the simulated GPU pools (4 = float32 on the
-    real hardware, independent of the numpy payload dtype).
+    and ``dim`` the row width in scalars; each row is charged to the
+    simulated GPU pools at :data:`~repro.units.SCALAR_BYTES` per scalar,
+    independent of the numpy payload ``dtype``.
 
     :attr:`stacked` is the one ``(sum(buffer_rows), dim)`` backing array;
     GPU i's buffer is its rows from the plan's ``buffer_offsets[i]`` on.
     """
 
     def __init__(self, platform, buffer_rows: Sequence[int], dim: int,
-                 dtype, bytes_per_scalar: Bytes, double_buffer: bool = False):
+                 dtype, double_buffer: bool = False):
         self.double_buffer = double_buffer
         copies = 2 if double_buffer else 1
         self._allocations: List = [  # hardware.memory.Allocation handles
             platform.gpus[gpu_index].memory.alloc(
-                "transition_buffer", copies * rows * dim * bytes_per_scalar)
+                "transition_buffer", copies * rows * dim * SCALAR_BYTES)
             for gpu_index, rows in enumerate(buffer_rows)
         ]
         self.stacked: Optional[np.ndarray] = np.zeros(

@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence
 
 from repro.core import HongTuConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_count
 from repro.faults import FaultSchedule
 from repro.hardware import (
     A100_CLUSTER,
@@ -264,7 +264,13 @@ class ClusterArgs:
         return FaultSchedule.from_specs(self.fault)
 
     def model_dims(self, graph) -> List[int]:
-        """Layer dimensions of the scenario's GNN on ``graph``."""
+        """Layer dimensions of the scenario's GNN on ``graph``.
+
+        Raises :class:`~repro.errors.ConfigurationError` naming the field
+        unless ``layers`` and ``hidden_dim`` are both >= 1.
+        """
+        require_count("layers", self.layers, 1)
+        require_count("hidden_dim", self.hidden_dim, 1)
         return ([graph.feature_dim]
                 + [self.hidden_dim] * (self.layers - 1)
                 + [graph.num_classes])

@@ -79,7 +79,7 @@ from repro.runtime.task import HOST_DEVICE
 from repro.serving.arrivals import ArrivalProcess
 from repro.serving.policies import AdmissionPolicy
 from repro.serving.result import ServeResult
-from repro.units import Bytes, Seconds
+from repro.units import SCALAR_BYTES, Bytes, Seconds
 
 __all__ = ["ServingEngine"]
 
@@ -121,7 +121,6 @@ class ServingEngine:
         self.trainer = trainer
         self.platform = trainer.platform
         self.model = trainer.model
-        self.config = trainer.config
         #: (column, warm bits) -> (recorded forward DAG, program-relative
         #: ids of its final writebacks) — the one memo of seconds, priced
         #: at the platform's rates when recorded
@@ -239,12 +238,11 @@ class ServingEngine:
         trainer's forward wave for ``(l, j)``, priced from the same table
         (a serve never checkpoints, so the writeback is h^{l+1} alone).
         """
-        bps = self.config.bytes_per_scalar
         platform = self.platform
         prev = admit_ids
         for l, is_warm in enumerate(warm):
             tag = f"[l{l}c{j}]"
-            forward = self.shapes.forward(self.model.layers[l], j, bps)
+            forward = self.shapes.forward(self.model.layers[l], j)
             compute_seconds = platform.gpu_compute_seconds(
                 forward.flops, devices=self._gpu_ids)
             if is_warm:
@@ -256,7 +254,8 @@ class ServingEngine:
                 compute_ids = timeline.submit_batch(
                     "gpu", compute_seconds,
                     deps_by_device=self.communicator.submit_cold_load(
-                        timeline, j, self.model.dims[l] * bps, prev, tag),
+                        timeline, j, self.model.dims[l] * SCALAR_BYTES, prev,
+                        tag),
                     label=f"serve_compute{tag}",
                 )
             prev = timeline.submit_batch(
@@ -319,12 +318,11 @@ class ServingEngine:
         if plan_changed:
             self.plan = self.trainer.plan
             self.shapes = self.trainer.fleet.shapes
-            bps = self.config.bytes_per_scalar
             #: (L, n) host bytes of each warm (layer, column) pair: the
             #: aggregate rows every GPU's chunk of the column checkpoints
             #: for the layer — the trainer's checkpoint store sizing
             self._footprints = np.array(
-                [[self.shapes.forward(layer, j, bps).checkpoint_bytes.sum()
+                [[self.shapes.forward(layer, j).checkpoint_bytes.sum()
                   for j in range(self.plan.num_batches)]
                  for layer in self.model.layers], dtype=np.int64)
             self.clear_cache()

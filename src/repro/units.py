@@ -30,7 +30,7 @@ import numpy as np
 
 __all__ = [
     "Seconds", "Bytes", "Flops", "ByteRate", "FlopRate",
-    "SecondsLike", "BytesLike", "FlopsLike",
+    "SecondsLike", "BytesLike", "FlopsLike", "SCALAR_BYTES",
 ]
 
 #: simulated seconds (wall time never appears in simulated results)
@@ -38,6 +38,12 @@ Seconds = float
 
 #: a payload / capacity size in bytes
 Bytes = int
+
+#: the modeled width of one vertex-data scalar: float32, the paper's
+#: element (Table 1's vertex data is 2·|V|·Σdims·4 B). Every simulated
+#: transfer and reservation prices rows at this width, whatever dtype
+#: the numerics run in.
+SCALAR_BYTES: Bytes = 4
 
 #: floating-point operations of one kernel
 Flops = float

@@ -252,15 +252,6 @@ class TestMiniBatchTrainer:
         assert "val_accuracy" in metrics
 
 
-def _build(system, graph, **kwargs):
-    model = make_model(graph)
-    if system is DistGNNSimulator:
-        return system(graph, model, CPU_NODE, **kwargs)
-    if system is FullGraphTrainer:
-        return system(graph, model, **kwargs)
-    return system(graph, model, MultiGPUPlatform(A100_SERVER), **kwargs)
-
-
 @pytest.mark.parametrize("system,field,value", [
     # -1 trained nothing and returned loss 0.0 in 0 s; 0 raised from
     # range(), 2.5 a TypeError; True trained with a batch of 1
@@ -272,12 +263,8 @@ def _build(system, graph, **kwargs):
     # SchedulerError; below 1.0 is outside the documented range
     *[(InMemoryMultiGPUTrainer, "comm_overhead", value)
       for value in (float("nan"), -1.0, 0.5, float("inf"), True, "1")],
-    # 0 priced zero bytes; DistGNN also took 2.5
-    *[(system, "bytes_per_scalar", value)
-      for system in (InMemoryMultiGPUTrainer, DistGNNSimulator,
-                     FullGraphTrainer, MiniBatchTrainer)
-      for value in (0, -4, 2.5, True)],
 ])
 def test_counts_are_validated_at_construction(graph, system, field, value):
     with pytest.raises(ConfigurationError, match=field):
-        _build(system, graph, **{field: value})
+        system(graph, make_model(graph), MultiGPUPlatform(A100_SERVER),
+               **{field: value})

@@ -9,9 +9,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.bench import format_bytes, format_seconds, render_table
-from repro.core import estimate_for_model
+from repro.core import HongTuConfig, estimate_for_model
 from repro.errors import DeviceOutOfMemoryError
 from repro.graph import load_dataset
 from repro.hardware import TimeBreakdown
@@ -182,6 +183,18 @@ class TestEmit:
             "config": {"chunks": 4}, "fleet": {"nodes": 2},
         }
         assert isinstance(payload["metrics"]["makespan"], float)
+
+    @pytest.mark.parametrize("path", [
+        pytest.param(path, id=path.name)
+        for path in sorted(Path(_common.RESULTS_DIR).glob("*.json"))
+        if "config" in json.loads(path.read_text())
+    ])
+    def test_archived_config_reruns_from_its_dict(self, path):
+        """``emit_json``'s promise: an archived result re-runs from
+        ``HongTuConfig.from_dict(payload["config"])``, so a config field
+        that is renamed or removed must not strand an archive."""
+        config = json.loads(path.read_text())["config"]
+        assert HongTuConfig.from_dict(config).to_dict() == config
 
 
 def _module_level_names(tree):

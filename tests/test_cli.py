@@ -169,6 +169,18 @@ class TestSharedClusterArgs:
                        for name in first)
 
 
+#: dataset and model flags a command takes but no value of which the
+#: library accepts; each ended in a traceback (exit 1) or, for
+#: --scale 0/-1 and --layers 0/-2, ran on a silently substituted value
+BAD_FLAGS = [
+    *[(["--scale", value], "scale must be a finite number > 0")
+      for value in ("nan", "inf", "0", "-1")],
+    *[(["--layers", value], "layers must be an integer >= 1")
+      for value in ("0", "-2")],
+    (["--hidden-dim", "0"], "hidden_dim must be an integer >= 1"),
+]
+
+
 class TestCommands:
     def test_datasets(self, capsys):
         assert main(["datasets"]) == 0
@@ -320,6 +332,22 @@ class TestCommands:
         captured = capsys.readouterr()
         assert f"{flag} must be >= 1, got {value}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("verb, flags, message", [
+        pytest.param(verb, flags, message, id=f"{verb}{'='.join(flags)}")
+        for verb in ("train", "serve", "analyze", "memory")
+        for flags, message in BAD_FLAGS
+        # analyze partitions the graph only: it has no model flags
+        if verb != "analyze" or flags[0] == "--scale"
+    ])
+    def test_bad_dataset_or_model_flag_is_usage_error(self, capsys, verb,
+                                                      flags, message):
+        assert main([verb, "--scale", "0.1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad scenario: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("entries, message", [
         (["h100"], "unknown profile 'h100'"),

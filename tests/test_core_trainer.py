@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.comm import DedupCommunicator
 from repro.core import (
     HongTuConfig,
     HongTuTrainer,
     estimate_training_memory,
 )
 from repro.errors import ConfigurationError, DeviceOutOfMemoryError
-from repro.gnn import build_model
+from repro.gnn import GCNLayer, GNNModel, build_model
 from repro.graph import load_dataset, PAPER_PROFILES
 from repro.hardware import A100_SERVER, GB, MultiGPUPlatform
 
@@ -54,20 +55,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             HongTuConfig(num_chunks=0)
 
-    def test_invalid_bytes(self):
-        with pytest.raises(ConfigurationError):
-            HongTuConfig(bytes_per_scalar=0)
-
     # Each used to fail later, elsewhere, or not at all: 2.5 and NaN
     # chunks raised a TypeError from partitioning and True trained one
-    # chunk; 2.5 bytes surfaced mid-epoch as a SchedulerError and NaN as
-    # a row_bytes error from Algorithm 4; a 1.5 or NaN imbalance reached
-    # the placement search; "no" ran the reorganization.
+    # chunk; a 1.5 or NaN imbalance reached the placement search; "no"
+    # ran the reorganization.
     MALFORMED = [
         ("num_chunks", 2.5), ("num_chunks", float("nan")),
         ("num_chunks", True), ("num_chunks", "4"),
-        ("bytes_per_scalar", 2.5), ("bytes_per_scalar", float("nan")),
-        ("bytes_per_scalar", True), ("bytes_per_scalar", -4),
         ("max_imbalance", 1.5), ("max_imbalance", float("nan")),
         ("max_imbalance", True), ("max_imbalance", -1),
         ("reorganize", "no"), ("reorganize", 0), ("reorganize", None),
@@ -87,9 +81,73 @@ class TestConfig:
 
     def test_integer_likes_still_accepted(self):
         config = HongTuConfig(num_chunks=np.int64(3), max_imbalance=2,
-                              placement="search", bytes_per_scalar=2,
+                              placement="search",
                               reorganize=False, elastic=False)
         assert HongTuConfig.from_dict(config.to_dict()) == config
+
+
+class TestModelDtype:
+    """The trainer computes in its model's one floating dtype."""
+
+    @staticmethod
+    def model(graph, dtype=np.float64):
+        return build_model("gcn", [graph.feature_dim, 16, graph.num_classes],
+                           np.random.default_rng(0), dtype=dtype)
+
+    def test_mixed_layers_are_refused(self, graph):
+        rng = np.random.default_rng(0)
+        model = GNNModel([
+            GCNLayer(graph.feature_dim, 16, rng, dtype=np.float32),
+            GCNLayer(16, graph.num_classes, rng, activation=None),
+        ])
+        with pytest.raises(ConfigurationError,
+                           match=r"\['float32', 'float64'\]"):
+            HongTuTrainer(graph, model, MultiGPUPlatform(A100_SERVER),
+                          HongTuConfig())
+
+    def test_integer_parameters_are_refused(self, graph):
+        model = self.model(graph)
+        for parameter in model.parameters():
+            parameter.data = parameter.data.astype(np.int64)
+        with pytest.raises(ConfigurationError, match=r"\['int64'\]"):
+            HongTuTrainer(graph, model, MultiGPUPlatform(A100_SERVER),
+                          HongTuConfig())
+
+    def test_parameterless_model_is_refused(self, graph):
+        model = self.model(graph)
+        model.parameters = list
+        with pytest.raises(ConfigurationError, match=r"found \[\]"):
+            HongTuTrainer(graph, model, MultiGPUPlatform(A100_SERVER),
+                          HongTuConfig())
+
+    #: 3 epochs of the float32 GCN below, as the former
+    #: ``HongTuConfig(dtype=np.float32)`` computed them over the same model
+    FLOAT32_LOSSES = [2.977287993235232, 2.9112399043941863,
+                      2.4541037096319704]
+
+    @pytest.mark.parametrize("policy", ["hybrid", "recompute"])
+    def test_float32_model_trains_in_float32(self, monkeypatch, policy):
+        graph = load_dataset("reddit_sim", scale=0.1, seed=1)
+        swept = []
+        start_sweep = DedupCommunicator.start_sweep
+
+        def spy(comm, dim, dtype=np.float64, double_buffer=False):
+            start_sweep(comm, dim, dtype, double_buffer)
+            swept.append(comm._buffers.stacked.dtype)
+
+        monkeypatch.setattr(DedupCommunicator, "start_sweep", spy)
+        trainer = HongTuTrainer(
+            graph, self.model(graph, np.float32),
+            MultiGPUPlatform(A100_SERVER),
+            HongTuConfig(overlap="pipeline", intermediate_policy=policy))
+        assert trainer.dtype == np.float32
+        losses = [trainer.train_epoch().loss for _ in range(3)]
+        assert losses == self.FLOAT32_LOSSES
+        assert {array.dtype for array in trainer._h + trainer._grad_h} == \
+            {np.dtype(np.float32)}
+        assert swept and set(swept) == {np.dtype(np.float32)}
+        assert all(p.data.dtype == np.float32
+                   for p in trainer.model.parameters())
 
 
 class TestTrainerLifecycle:

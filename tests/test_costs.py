@@ -32,6 +32,7 @@ FLEETS = {
     "homogeneous": dict(nodes=2, gpus=2),
     "v100+a100": dict(nodes=2, gpus=2, node_spec=["v100", "a100"]),
 }
+#: float32, the width every row is priced at (``SCALAR_BYTES``)
 BPS = 4
 
 
@@ -126,8 +127,8 @@ class TestTableAgainstScalarFormulas:
             for j in range(n):
                 blocks = [partition.chunks[i][j].block for i in range(m)]
                 for table, scalar in (
-                        (shapes.forward(layer, j, BPS), scalar_forward),
-                        (table_backward(layer, j, BPS), scalar_backward)):
+                        (shapes.forward(layer, j), scalar_forward),
+                        (table_backward(layer, j), scalar_backward)):
                     expected = [scalar(layer, block) for block in blocks]
                     for field, values in table._asdict().items():
                         assert values.dtype == np.int64
@@ -161,11 +162,11 @@ class TestTableAgainstScalarFormulas:
         for l, layer in enumerate(trainer.model.layers):
             cached = policy == "hybrid" and layer.cacheable_aggregate
             for j in range(trainer.plan.num_batches):
-                forward = shapes.forward(layer, j, BPS)
+                forward = shapes.forward(layer, j)
                 d2h = forward.writeback_bytes + (
                     forward.checkpoint_bytes if cached else 0)
                 backward = (shapes.backward_cached if cached
-                            else shapes.backward_recompute)(layer, j, BPS)
+                            else shapes.backward_recompute)(layer, j)
                 for label, seconds in (
                         (f"compute[l{l}b{j}]", platform.gpu_compute_seconds(
                             forward.flops, devices=gpu_ids)),
@@ -273,7 +274,6 @@ def test_cold_serve_moves_the_bytes_the_plan_predicts(graph, fleet):
     trainer = make_trainer(graph, "gcn", "recompute", fleet)
     engine = trainer.serving_engine()
     plan, dims = trainer.plan, trainer.model.dims
-    bps = trainer.config.bytes_per_scalar
     node = trainer.platform.placement
     layers = range(len(trainer.model.layers))
     for j in range(plan.num_batches):
@@ -283,9 +283,9 @@ def test_cold_serve_moves_the_bytes_the_plan_predicts(graph, fleet):
         staged = sum(len(gpu_plan.transition) for gpu_plan in plan.plans[j])
         dst = sum(row[j].num_dst for row in trainer.partition.chunks)
         moved = cold_column(engine, j).bytes_view()
-        assert moved["h2d"] == sum(staged * dims[l] * bps for l in layers)
-        assert moved["d2d"] == sum(p2p * dims[l] * bps for l in layers)
-        assert moved["d2h"] == sum(dst * dims[l + 1] * bps for l in layers)
+        assert moved["h2d"] == sum(staged * dims[l] * BPS for l in layers)
+        assert moved["d2d"] == sum(p2p * dims[l] * BPS for l in layers)
+        assert moved["d2h"] == sum(dst * dims[l + 1] * BPS for l in layers)
         if fleet == "single":
             assert p2p > 0
 
@@ -319,7 +319,7 @@ class TestPlanLevelTables:
         trainer = make_trainer(graph, "gat", "hybrid", "single")
         shapes, model = trainer.fleet.shapes, trainer.model
         expected = sum(
-            shapes.forward(layer, j, BPS).flops
+            shapes.forward(layer, j).flops
             for layer in model.layers
             for j in range(trainer.plan.num_batches))
         assert np.array_equal(shapes.partition_flops(model), expected)
@@ -333,6 +333,6 @@ class TestPlanLevelTables:
             layer.aggregate_dim() for layer in model.layers
             if layer.cacheable_aggregate]
         v, e = graph.num_vertices, graph.num_edges
-        assert estimate_for_model(v, e, model, BPS).intermediate_bytes == \
+        assert estimate_for_model(v, e, model).intermediate_bytes == \
             BPS * sum(layer.forward_workspace_scalars(v, v, e)
                       for layer in model.layers)

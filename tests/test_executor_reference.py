@@ -287,11 +287,11 @@ class TestMoverEqualsReference:
 def _train(graph, partition, platform, comm_mode, overlap, dtype):
     """(trainer, its 2-epoch loss sequence)."""
     model = build_model("gcn", [graph.feature_dim, 8, graph.num_classes],
-                        np.random.default_rng(11))
+                        np.random.default_rng(11), dtype=dtype)
     trainer = HongTuTrainer(
         graph, model, platform,
         HongTuConfig(num_chunks=CHUNKS, comm_mode=comm_mode, overlap=overlap,
-                     intermediate_policy="recompute", dtype=dtype, seed=2),
+                     intermediate_policy="recompute", seed=2),
         partition=partition)
     return trainer, [trainer.train_epoch().loss for _ in range(2)]
 

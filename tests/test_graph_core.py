@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import GraphFormatError
+from repro.errors import ConfigurationError, GraphFormatError
 from repro.graph import (
     Graph,
     available_datasets,
@@ -173,6 +173,16 @@ class TestDatasets:
     def test_unknown_name(self):
         with pytest.raises(GraphFormatError):
             load_dataset("imaginary")
+
+    # NaN raised a builtin ValueError and inf an OverflowError from the
+    # builders' int(); 0 and -1 silently built the 64-vertex floor.
+    @pytest.mark.parametrize("name", available_datasets())
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"),
+                                       -float("inf"), 0, 0.0, -1, True,
+                                       "0.1", None])
+    def test_bad_scale_is_named(self, name, scale):
+        with pytest.raises(ConfigurationError, match="scale"):
+            load_dataset(name, scale=scale)
 
     def test_caching_returns_same_object(self):
         a = load_dataset("reddit_sim", scale=0.05)

@@ -242,7 +242,7 @@ class TestNodeViewsOfTheTwoSweeps:
                                    placement=placement, max_imbalance=2)
         plan = build_comm_plan(skewed, dedup_inter=dedup_inter,
                                dedup_intra=True)
-        comm = DedupCommunicator(plan, platform, 4)
+        comm = DedupCommunicator(plan, platform)
         dim = 16
         host = np.zeros((skewed.graph.num_vertices, dim))
         clock = EventTimeline(barrier_all=True)
@@ -260,12 +260,11 @@ class TestNodeViewsOfTheTwoSweeps:
 class TestMemoryModelAdmission:
     def test_partition_host_bytes_formula(self):
         sizes = [100, 50, 25]
-        out = partition_host_bytes(sizes, aggregate_dims=[16, 8],
-                                   bytes_per_scalar=4)
+        out = partition_host_bytes(sizes, aggregate_dims=[16, 8])
         assert out.tolist() == [100 * 24 * 4, 50 * 24 * 4, 25 * 24 * 4]
 
     def test_no_cacheable_layers_pin_nothing(self):
-        assert partition_host_bytes([10, 20], [], 4).tolist() == [0, 0]
+        assert partition_host_bytes([10, 20], []).tolist() == [0, 0]
 
     def test_placement_host_bytes_aggregates_by_node(self):
         placement = [0, 1, 0, 1]
@@ -305,7 +304,7 @@ class TestUnevenSearch:
     def test_unlimited_budget_matches_no_budget(self, skewed):
         free = search_placement(skewed, NODES, max_imbalance=2)
         sizes = np.bincount(skewed.assignment, minlength=M)
-        per_partition = partition_host_bytes(sizes, [16], 4)
+        per_partition = partition_host_bytes(sizes, [16])
         budgeted = search_placement(
             skewed, NODES, max_imbalance=2,
             node_budgets=[None, None],
@@ -315,7 +314,7 @@ class TestUnevenSearch:
 
     def test_budgets_are_never_violated(self, skewed):
         sizes = np.bincount(skewed.assignment, minlength=M)
-        per_partition = partition_host_bytes(sizes, [16], 4)
+        per_partition = partition_host_bytes(sizes, [16])
         seed_loads = placement_host_bytes(partition_nodes(M, NODES),
                                           per_partition, NODES)
         total = int(per_partition.sum())
@@ -412,7 +411,7 @@ class TestJointPlacement:
 
     def test_uneven_joint_respects_budgets(self, skewed, platform):
         sizes = np.bincount(skewed.assignment, minlength=M)
-        per_partition = partition_host_bytes(sizes, [16], 4)
+        per_partition = partition_host_bytes(sizes, [16])
         budgets = [int(per_partition.sum()), int(per_partition.sum())]
         joint = joint_placement(
             skewed, platform, row_bytes=512,

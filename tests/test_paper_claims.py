@@ -14,10 +14,12 @@ if str(REPO_ROOT) not in sys.path:
 import pytest  # noqa: E402
 
 from benchmarks._common import (  # noqa: E402
+    TABLE1_PAPER_GB,
     TABLE8_CHUNKS,
     fig9_claims,
     fig11_claims,
     fig11_nodes_claims,
+    table1_claims,
     table3_claims,
     table8_claims,
     table8_volumes,
@@ -33,11 +35,26 @@ from benchmarks.bench_fig11_scaling import (  # noqa: E402
     run_arch,
     run_nodes,
 )
+from benchmarks.bench_table1_memory import table1_estimates  # noqa: E402
 from benchmarks.bench_table3_replication import (  # noqa: E402
     DATASETS as TABLE3_DATASETS,
     PARTITION_COUNTS,
     run_sweep,
 )
+
+
+def test_table1_memory_claims():
+    """Closed-form at the paper's own sizes (about 3 ms), so no scale-down:
+    nine components within 20 %, three totals over 2 x 80 GB, ogbn-paper
+    over 4 x 80 GB, its vertex data to the digit (which pins
+    ``SCALAR_BYTES`` to the paper's float32 rows) and three orderings."""
+    estimates = table1_estimates()
+    assert sorted(estimates) == sorted(TABLE1_PAPER_GB)
+    claims = table1_claims(estimates)
+    assert len(claims) == 4 * len(TABLE1_PAPER_GB) + 5
+    failed = [name for name, held in claims.items() if not held]
+    assert not failed, failed
+
 
 #: Table 3's sweep over 2..64 partitions of ~800 vertices per graph (about
 #: 0.5 s). Both claims hold on all three graphs.

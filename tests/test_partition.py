@@ -210,7 +210,7 @@ class TestReplication:
         # (1 + alpha) * |V| / (m*n) rows of dim * 4 bytes
         volume = vertex_data_per_subgraph(
             num_vertices=1000, alpha=1.5, num_subgraphs=10,
-            feature_dim=8, bytes_per_scalar=4,
+            feature_dim=8,
         )
         assert volume == (2.5 * 1000 / 10) * 8 * 4
 

@@ -412,7 +412,7 @@ def _sweep(partition, platform, dedup_inter, dim=16):
     the timeline it ran on."""
     plan = build_comm_plan(partition, dedup_inter=dedup_inter,
                            dedup_intra=True)
-    comm = DedupCommunicator(plan, platform, 4)
+    comm = DedupCommunicator(plan, platform)
     host = np.zeros((partition.graph.num_vertices, dim))
     grads = np.zeros_like(host)
     clock = EventTimeline(barrier_all=True)

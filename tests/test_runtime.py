@@ -1547,7 +1547,7 @@ class TestTransitionBuffers:
         ``free()`` releases every charge and the array."""
         platform = MultiGPUPlatform(A100_SERVER, num_gpus=3)
         rows, dim, bps = [3, 0, 5], 4, 4
-        buffers = TransitionBuffers(platform, rows, dim, np.float32, bps,
+        buffers = TransitionBuffers(platform, rows, dim, np.float32,
                                     double_buffer=double_buffer)
         assert buffers.double_buffer == double_buffer
         assert buffers.stacked.shape == (8, dim)

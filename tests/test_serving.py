@@ -45,6 +45,7 @@ from repro.serving import (
     build_policy,
     latency_percentile,
 )
+from repro.units import SCALAR_BYTES
 
 
 def make_trainer(num_gpus=2, num_chunks=2, nodes=1, scale=0.12,
@@ -743,12 +744,11 @@ class TestAnalyticLatency:
         # GPU, so latency must equal it to float identity).
         j = int(result.columns[0])
         platform = trainer.platform
-        bps = trainer.config.bytes_per_scalar
         plan = trainer.plan.plans[j][0]
         block = trainer.partition.chunks[0][j].block
         expected = 0.0
         for l, layer in enumerate(trainer.model.layers):
-            row_bytes = trainer.model.dims[l] * bps
+            row_bytes = trainer.model.dims[l] * SCALAR_BYTES
             expected += platform.h2d_seconds(
                 (plan.num_loaded + plan.num_reused) * row_bytes
             )
@@ -760,7 +760,7 @@ class TestAnalyticLatency:
                 block.num_src, block.num_dst, block.num_edges
             ))
             expected += platform.h2d_seconds(
-                block.num_dst * layer.out_dim * bps
+                block.num_dst * layer.out_dim * SCALAR_BYTES
             )
         assert result.latencies[0] == expected
         result.timeline.validate()

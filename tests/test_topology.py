@@ -52,6 +52,7 @@ from repro.runtime import (
     net_link_parts,
 )
 from repro.scenario import ClusterArgs
+from repro.units import SCALAR_BYTES
 from report_reference import (
     reference_render_node_utilization,
     reference_render_timeline,
@@ -270,10 +271,13 @@ class TestTopologyTrainer:
 
     def test_fleet_shape_is_not_a_config_field(self):
         """The platform alone states nodes/topology/oversubscription: the
-        config neither accepts nor round-trips them."""
-        assert len(dataclasses.fields(HongTuConfig)) == 14
+        config neither accepts nor round-trips them. Nor the element
+        widths: rows are priced at ``SCALAR_BYTES`` and the numerics run
+        in the model's dtype."""
+        assert len(dataclasses.fields(HongTuConfig)) == 12
         for key, value in (("nodes", 2), ("topology", "spine"),
-                           ("oversubscription", 2.0)):
+                           ("oversubscription", 2.0),
+                           ("bytes_per_scalar", 4), ("dtype", "float64")):
             with pytest.raises(ConfigurationError, match="unknown config"):
                 HongTuConfig.from_dict({key: value})
             with pytest.raises(TypeError):
@@ -313,7 +317,7 @@ class TestHaloCrossCheck:
         platform = ClusterPlatform(A100_CLUSTER.with_num_nodes(2))
         plan = build_comm_plan(partition, dedup_inter=dedup_inter,
                                dedup_intra=True)
-        comm = DedupCommunicator(plan, platform, 4)
+        comm = DedupCommunicator(plan, platform)
         dim = 16
         host = np.random.default_rng(0).standard_normal(
             (graph.num_vertices, dim))
@@ -331,7 +335,7 @@ class TestHaloCrossCheck:
         partition, plan, comm, dim, _host, clock, _out = \
             self.setup_sweep(dedup_inter=True)
         comm.end_sweep()
-        row_bytes = dim * comm.bytes_per_scalar
+        row_bytes = dim * SCALAR_BYTES
         expected = halo_volumes(partition, 2)
         flows = comm.net_bytes_by_flow(clock)
         measured = flows["halo_fetch"]
@@ -354,7 +358,7 @@ class TestHaloCrossCheck:
             comm.accumulate_batch_backward(
                 j, [out.copy() for out in outputs[j]], grads, clock)
         comm.end_sweep()
-        row_bytes = dim * comm.bytes_per_scalar
+        row_bytes = dim * SCALAR_BYTES
         expected = halo_load_volumes(partition, 2)
         flows = comm.net_bytes_by_flow(clock)
         measured = flows["halo_load"]
@@ -394,7 +398,7 @@ class TestSingleClockExecutor:
             kind, oversubscription=4.0 if kind == "spine" else 1.0)
         plan = build_comm_plan(partition, dedup_inter=dedup_inter,
                                dedup_intra=True)
-        comm = DedupCommunicator(plan, platform, 4)
+        comm = DedupCommunicator(plan, platform)
         host = np.random.default_rng(0).standard_normal(
             (graph.num_vertices, 16))
         grads = np.zeros_like(host)
