@@ -61,6 +61,8 @@ class FullGraphTrainer:
             )
         self.graph = graph
         self.model = model
+        #: the numerics dtype: the model's own parameter dtype
+        self.dtype = model.dtype
         self.platform = platform
         self.optimizer = optimizer or Adam(model.parameters(), lr=0.01)
         self.block = Block.from_graph(graph)
@@ -80,7 +82,7 @@ class FullGraphTrainer:
         timeline = EventTimeline(barrier_all=True)
         self.model.zero_grad()
 
-        h = Tensor(self.graph.features.astype(np.float64))
+        h = Tensor(self.graph.features.astype(self.dtype))
         out = self.model(self.block, h)
         loss, seed = masked_cross_entropy_value_and_grad(
             out.data, self.graph.labels, self.graph.train_mask
@@ -107,10 +109,10 @@ class FullGraphTrainer:
 
     def logits(self) -> np.ndarray:
         if self._logits is None:
-            h = Tensor(self.graph.features.astype(np.float64))
+            h = Tensor(self.graph.features.astype(self.dtype))
             self._logits = self.model(self.block, h).data
         return self._logits
 
     def evaluate(self) -> Dict[str, float]:
-        h = Tensor(self.graph.features.astype(np.float64))
+        h = Tensor(self.graph.features.astype(self.dtype))
         return split_accuracies(self.model(self.block, h).data, self.graph)

@@ -57,6 +57,8 @@ class InMemoryMultiGPUTrainer:
                                      f">= 1.0, got {comm_overhead!r}")
         self.graph = graph
         self.model = model
+        #: the numerics dtype: the model's own parameter dtype
+        self.dtype = model.dtype
         self.platform = platform
         self.optimizer = optimizer or Adam(model.parameters(), lr=0.01)
         # Multiplier on inter-GPU volume: 1.0 models point-to-point remote
@@ -92,7 +94,7 @@ class InMemoryMultiGPUTrainer:
         timeline = EventTimeline(barrier_all=True)
         self.model.zero_grad()
 
-        h = Tensor(self.graph.features.astype(np.float64))
+        h = Tensor(self.graph.features.astype(self.dtype))
         out = self.model(self.block, h)
         loss, seed = masked_cross_entropy_value_and_grad(
             out.data, self.graph.labels, self.graph.train_mask
@@ -133,7 +135,7 @@ class InMemoryMultiGPUTrainer:
 
     def logits(self) -> np.ndarray:
         if self._logits is None:
-            h = Tensor(self.graph.features.astype(np.float64))
+            h = Tensor(self.graph.features.astype(self.dtype))
             self._logits = self.model(self.block, h).data
         return self._logits
 

@@ -127,6 +127,8 @@ class MiniBatchTrainer:
         require_count("batch_size", batch_size, 1)
         self.graph = graph
         self.model = model
+        #: the numerics dtype: the model's own parameter dtype
+        self.dtype = model.dtype
         self.platform = platform
         self.batch_size = batch_size
         self.optimizer = optimizer or Adam(model.parameters(), lr=0.01)
@@ -162,7 +164,7 @@ class MiniBatchTrainer:
             with gpu.memory.scoped("minibatch_frontier", resident):
                 self.model.zero_grad()
                 h = Tensor(
-                    self.graph.features[blocks[0].src_global].astype(np.float64)
+                    self.graph.features[blocks[0].src_global].astype(self.dtype)
                 )
                 for layer, block in zip(self.model.layers, blocks):
                     h = layer(block, h)
@@ -207,5 +209,5 @@ class MiniBatchTrainer:
     def evaluate(self) -> Dict[str, float]:
         """Full-graph inference accuracy (standard mini-batch evaluation)."""
         block = Block.from_graph(self.graph)
-        h = Tensor(self.graph.features.astype(np.float64))
+        h = Tensor(self.graph.features.astype(self.dtype))
         return split_accuracies(self.model(block, h).data, self.graph)

@@ -18,6 +18,9 @@ from repro.runtime.task import CHANNELS, NET_DEVICE_BASE, net_link_nodes
 __all__ = ["render_table", "render_timeline", "render_node_utilization",
            "render_latency_report", "format_seconds", "format_bytes"]
 
+#: columns of :func:`render_timeline`'s utilization bar at 100%
+_BAR_WIDTH = 40
+
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence],
                  title: Optional[str] = None) -> str:
@@ -90,14 +93,13 @@ def render_latency_report(result, title: Optional[str] = None) -> str:
     return render_table(["metric", "value"], rows, title=title)
 
 
-def render_timeline(timeline, title: Optional[str] = None,
-                    width: int = 40) -> str:
+def render_timeline(timeline, title: Optional[str] = None) -> str:
     """Channel-utilization summary of an EventTimeline.
 
     One row per hardware channel: busy seconds (summed over the channel's
     devices), the devices that carried them, their mean utilization, and a
-    coarse utilization bar — a quick visual answer to "what does
-    pipelining hide?".
+    coarse utilization bar :data:`_BAR_WIDTH` columns at 100% — a quick
+    visual answer to "what does pipelining hide?".
 
     Utilization normalizes by ``makespan × active-device-count``: a
     channel's busy seconds are summed over every device that used it (a
@@ -120,12 +122,12 @@ def render_timeline(timeline, title: Optional[str] = None,
         utilization = busy / capacity if capacity > 0 else 0.0
         overflow = utilization > 1.0
         utilization = min(utilization, 1.0)
-        bar = "#" * max(1, round(utilization * width))
+        bar = "#" * max(1, round(utilization * _BAR_WIDTH))
         rows.append([channel, format_seconds(busy), num_devices,
                      f"{utilization:.0%}" + ("!" if overflow else ""), bar])
     table = render_table(
         ["channel", "busy", "devices", "utilization",
-         f"busy/(makespan x devices) ({width} cols)"],
+         f"busy/(makespan x devices) ({_BAR_WIDTH} cols)"],
         rows, title=title,
     )
     saving = timeline.overlap_saving()

@@ -30,6 +30,8 @@ from repro.bench.reporting import (
 )
 from repro.comm import measure_volumes
 from repro.core import (
+    INTERMEDIATE_POLICIES,
+    OVERLAP_POLICIES,
     HongTuTrainer,
     estimate_training_memory,
 )
@@ -62,9 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_cluster_args(train)
     train.add_argument("--epochs", type=int, default=10)
     train.add_argument("--policy", default="hybrid",
-                       choices=["hybrid", "recompute"])
+                       choices=list(INTERMEDIATE_POLICIES))
     train.add_argument("--overlap", default="barrier",
-                       choices=["barrier", "pipeline"],
+                       choices=list(OVERLAP_POLICIES),
                        help="epoch scheduling: barrier-synchronized phases "
                             "(the paper's Algorithms 1-3) or pipelined "
                             "transfer/compute overlap")

@@ -440,8 +440,8 @@ class DedupCommunicator:
         self._buffers: Optional[TransitionBuffers] = None
         self._dim = 0
         # Per-sweep dependency history: batch → the task-id arrays its
-        # call submitted (forward files "load"/"reuse"/"assemble",
-        # backward "scatter"/"flush"/"cpu").
+        # call submitted that a later batch waits on (forward files
+        # "load"/"reuse"/"assemble", backward "flush").
         self._history: List[Dict[str, np.ndarray]] = []
         # Per-gpu input task ids of the latest forward batch (net tasks
         # have link device ids, so a device filter cannot recover them).
@@ -920,7 +920,7 @@ class DedupCommunicator:
             producers_by_key=self._ids_by_key(static.flush_halo, flush_ids),
             label=f"halo_flush[b{batch}]",
         )
-        cpu_ids = timeline.submit_batch(
+        timeline.submit_batch(
             "cpu", cpu_seconds,
             deps_by_device=DepLists.join(
                 m, flush_ids,
@@ -928,7 +928,4 @@ class DedupCommunicator:
             if len(halo_flush_ids) else flush_ids,
             label=f"accumulate[b{batch}]",
         )
-        self._record_batch(batch, {
-            "scatter": scatter_ids, "flush": flush_ids,
-            "cpu": cpu_ids,
-        })
+        self._record_batch(batch, {"flush": flush_ids})

@@ -156,7 +156,8 @@ class HongTuTrainer:
         training).
     model:
         The GNN stack; ``model.dims[0]`` must equal the feature width.
-        Its parameters must share one floating dtype, which the numerics
+        Its parameters must share one floating dtype
+        (:attr:`~repro.gnn.models.GNNModel.dtype`), which the numerics
         run in; transfers and reservations are priced at
         :data:`~repro.units.SCALAR_BYTES` per scalar whatever it is.
     platform:
@@ -184,12 +185,9 @@ class HongTuTrainer:
                 f"model input dim {model.dims[0]} != feature dim "
                 f"{graph.feature_dim}"
             )
-        found = sorted({p.data.dtype.name for p in model.parameters()})
-        if len(found) != 1 or np.dtype(found[0]).kind != "f":
-            raise ConfigurationError(
-                f"the trainer computes in its model's dtype, so the model's "
-                f"parameters must share one floating dtype; found {found}"
-            )
+        #: the numerics dtype: host vertex data, transition buffers and
+        #: gradients all run in the model's own parameter dtype
+        self.dtype = model.dtype
         if config.faults is not None:
             # The fleet-level fault rules live here, where the platform
             # (and so the fleet's shape) is known.
@@ -209,9 +207,6 @@ class HongTuTrainer:
         self.model = model
         self.platform = platform
         self.config = config
-        #: the numerics dtype: host vertex data, transition buffers and
-        #: gradients all run in the model's own parameter dtype
-        self.dtype = np.dtype(found[0])
         self.optimizer = optimizer or Adam(model.parameters(), lr=0.01)
         self._epoch = 0
         self._pipelined = config.overlap == "pipeline"

@@ -52,6 +52,20 @@ class GNNModel(Module):
         return len(self.layers)
 
     @property
+    def dtype(self) -> np.dtype:
+        """The one floating dtype of the model's parameters — the dtype
+        every trainer computes in. Parameters of mixed, non-floating or
+        no dtype raise :class:`~repro.errors.ConfigurationError` naming
+        the dtypes found."""
+        found = sorted({p.data.dtype.name for p in self.parameters()})
+        if len(found) != 1 or np.dtype(found[0]).kind != "f":
+            raise ConfigurationError(
+                f"a trainer computes in its model's dtype, so the model's "
+                f"parameters must share one floating dtype; found {found}"
+            )
+        return np.dtype(found[0])
+
+    @property
     def dims(self) -> List[int]:
         """[input_dim, hidden..., output_dim]."""
         return [self.layers[0].in_dim] + [layer.out_dim for layer in self.layers]

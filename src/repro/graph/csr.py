@@ -2,7 +2,7 @@
 
 The paper organizes every subgraph chunk in CSR/CSC (§6, "Computation
 engine"). :class:`CSRAdjacency` is the shared building block: a row-indexed
-list of column ids with optional edge values. A graph keeps one: its
+list of column ids. A graph keeps one: its
 **in-CSR** (rows = destinations, columns = in-neighbor sources), the view
 forward aggregation consumes.
 
@@ -11,8 +11,6 @@ well-defined and binary-search membership cheap.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -28,17 +26,15 @@ class CSRAdjacency:
     ----------
     indptr:  (num_rows + 1,) int64, monotonically non-decreasing offsets.
     indices: (nnz,) int64 column ids, each < num_cols.
-    values:  optional (nnz,) float edge values (e.g. normalized GCN weights).
     num_cols: column-id domain size.
     """
 
-    __slots__ = ("indptr", "indices", "values", "num_cols")
+    __slots__ = ("indptr", "indices", "num_cols")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
-                 num_cols: int, values: Optional[np.ndarray] = None):
+                 num_cols: int):
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.values = None if values is None else np.ascontiguousarray(values)
         self.num_cols = int(num_cols)
         self._validate()
 
@@ -60,8 +56,6 @@ class CSRAdjacency:
                 f"column ids must be in [0, {self.num_cols}), got "
                 f"[{self.indices.min()}, {self.indices.max()}]"
             )
-        if self.values is not None and len(self.values) != len(self.indices):
-            raise GraphFormatError("values length must equal nnz")
 
     # ------------------------------------------------------------------
     @property
@@ -82,39 +76,28 @@ class CSRAdjacency:
 
     def nbytes(self) -> int:
         """Topology payload size in bytes."""
-        total = self.indptr.nbytes + self.indices.nbytes
-        if self.values is not None:
-            total += self.values.nbytes
-        return int(total)
+        return int(self.indptr.nbytes + self.indices.nbytes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CSRAdjacency):
             return NotImplemented
-        same_structure = (
-            self.num_cols == other.num_cols
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-        )
-        if not same_structure:
-            return False
-        if (self.values is None) != (other.values is None):
-            return False
-        return self.values is None or np.allclose(self.values, other.values)
+        return (self.num_cols == other.num_cols
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
 
     def __repr__(self) -> str:
         return (
             f"CSRAdjacency(rows={self.num_rows}, cols={self.num_cols}, "
-            f"nnz={self.nnz}, weighted={self.values is not None})"
+            f"nnz={self.nnz})"
         )
 
 
 def edges_to_csr(rows: np.ndarray, cols: np.ndarray, num_rows: int,
-                 num_cols: int, values: Optional[np.ndarray] = None,
-                 dedup: bool = True) -> CSRAdjacency:
+                 num_cols: int) -> CSRAdjacency:
     """Build a CSR from parallel (row, col) edge arrays.
 
-    Edges are sorted by (row, col); with ``dedup`` duplicate (row, col) pairs
-    are merged (values summed, or dropped to a single unweighted edge).
+    Edges are sorted by (row, col) and duplicate (row, col) pairs merged
+    into one edge.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -128,18 +111,10 @@ def edges_to_csr(rows: np.ndarray, cols: np.ndarray, num_rows: int,
 
     order = np.lexsort((cols, rows))
     rows, cols = rows[order], cols[order]
-    if values is not None:
-        values = np.asarray(values)[order]
-
-    if dedup and len(rows):
+    if len(rows):
         keep = np.concatenate(([True], (np.diff(rows) != 0) | (np.diff(cols) != 0)))
-        if values is not None:
-            group_ids = np.cumsum(keep) - 1
-            merged = np.zeros(int(keep.sum()), dtype=values.dtype)
-            np.add.at(merged, group_ids, values)
-            values = merged
         rows, cols = rows[keep], cols[keep]
 
     counts = np.bincount(rows, minlength=num_rows)
     indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    return CSRAdjacency(indptr, cols, num_cols, values)
+    return CSRAdjacency(indptr, cols, num_cols)

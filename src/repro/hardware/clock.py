@@ -139,9 +139,10 @@ class EventTimeline:
             program, external_ids, barrier_each=self.barrier_all)
 
     def add(self, channel: str, seconds: Seconds, *,
-            device: int = HOST_DEVICE, deps=(), label: str = "") -> int:
-        """Submit one serial task (a phase of one); returns its id."""
-        task_id = self.scheduler.submit(channel, device, seconds, deps=deps,
+            device: int = HOST_DEVICE, label: str = "") -> int:
+        """Submit one serial task (a phase of one, no dependencies);
+        returns its id."""
+        task_id = self.scheduler.submit(channel, device, seconds,
                                         label=label)
         if self.barrier_all:
             self.scheduler.barrier()

@@ -26,23 +26,12 @@ __all__ = [
 ]
 
 
-def replication_factor(partition: TwoLevelPartition,
-                       include_destinations: bool = False) -> float:
-    """α for a concrete 2-level partition.
-
-    Parameters
-    ----------
-    include_destinations:
-        When True, count the full loaded set (sources ∪ destinations) rather
-        than the paper's source-only N_ij. The paper's per-subgraph vertex
-        data volume is then ``(1 + α)|V|/(m·n)`` with the source-only α.
-    """
-    total = 0
-    for chunk in partition.all_chunks():
-        if include_destinations:
-            total += chunk.num_neighbors
-        else:
-            total += len(chunk.source_only_neighbors())
+def replication_factor(partition: TwoLevelPartition) -> float:
+    """α for a concrete 2-level partition: the paper's source-only
+    ``N_ij`` summed over chunks, per vertex. The per-subgraph vertex data
+    volume is then ``(1 + α)|V|/(m·n)``."""
+    total = sum(len(chunk.source_only_neighbors())
+                for chunk in partition.all_chunks())
     return total / partition.graph.num_vertices
 
 

@@ -51,14 +51,15 @@ devices everything is order-free — queue frontier, dependency maximum
 start + seconds`` — except the frontier of a *shared* resource, ``F <-
 max(start, F) + hold``, a recurrence over the wave in submission order.
 Only waves that carry a hold run it, as one short loop over Python
-floats; a wave that repeats a device is scheduled as consecutive
-duplicate-free runs — unless all its tasks share one queue and list no
-extras and no holds (a serving horizon's admission clock): such a
-*chain* is the queue's own recurrence, ``start = previous end``, one
-running sum. Either way ``start``, ``end`` and ``blocked_by``
-are exactly what one-task-at-a-time submission assigns — that rule
-lives in ``tests/scheduler_oracle.py``, which the identity tests
-compare this core against on randomized DAGs and whole epochs.
+floats. A wave's devices are distinct — Algorithms 1-3 issue one task
+per GPU per phase — or the wave is a *chain*: all its tasks on one
+queue, no per-task extras, no holds (a serving horizon's admission
+clock), whose recurrence ``start = previous end`` is one running sum.
+Any other wave is rejected before any state changes. Either way
+``start``, ``end`` and ``blocked_by`` are exactly what one-task-at-a-time
+submission assigns — that rule lives in ``tests/scheduler_oracle.py``,
+which the identity tests compare this core against on randomized DAGs
+and whole epochs.
 
 A wave has a static half — channel, devices, durations, bytes, holds,
 how many dependencies each task lists — and a dynamic one: which tasks those
@@ -107,6 +108,9 @@ _CHANNEL_INDEX = {channel: index for index, channel in enumerate(CHANNELS)}
 _INF = float("inf")
 _NEG_INF = -_INF
 _NO_IDS = np.empty(0, dtype=np.int64)
+#: seconds of float slack :meth:`EventScheduler.validate` allows an
+#: overlap or an early start
+_VALIDATE_EPS = 1e-9
 
 
 class TaskColumns(NamedTuple):
@@ -287,18 +291,6 @@ def _real(seconds) -> np.ndarray:
     raise SchedulerError(f"seconds must be real numbers, got {seconds!r}")
 
 
-def _run_bounds(devices: np.ndarray) -> Optional[List[int]]:
-    """``None`` when a wave's devices are all distinct (every wave the
-    library itself submits), else ``[0, ..., k]`` cutting the wave before
-    each repeated occurrence — no run between two cuts repeats a device."""
-    ordered = np.sort(devices)
-    if not (ordered[1:] == ordered[:-1]).any():
-        return None
-    repeated = np.ones(len(devices), dtype=bool)
-    repeated[np.unique(devices, return_index=True)[1]] = False
-    return [0, *np.flatnonzero(repeated).tolist(), len(devices)]
-
-
 class _Wave:
     """The static half of one wave, in the form the array step reads it.
 
@@ -306,12 +298,14 @@ class _Wave:
     *shape* of the per-task dependency lists (``lens[t]`` extra ids for
     task ``t``, ``seg_ends`` their running total; None when no task has
     any) — plus everything that derives from those alone: the frontier
-    slots, the duplicate-free runs of a wave that repeats a device, the
-    wave's busy total, and for the per-task dependency maximum either
-    ``single`` (one producer per task: nothing to reduce) or the segment
-    bookkeeping of ragged lists. A wave of two or more tasks on one
-    device, with no extras and no holds, is a ``chain``: one queue,
-    each task starting where the previous one ended.
+    slots, the wave's busy total, and for the per-task dependency
+    maximum either ``single`` (one producer per task: nothing to reduce)
+    or the segment bookkeeping of ragged lists. A wave's devices are
+    distinct, or it is a ``chain``: two or more tasks on one device,
+    with no extras and no holds — one queue, each task starting where
+    the previous one ended. Any other wave that repeats a device raises
+    :class:`~repro.errors.SchedulerError` here, before it reaches a
+    scheduler or a recorder.
     The dependency *ids* are the dynamic half and travel beside it. A
     wave submitted once builds this on the way in; a
     :class:`WaveProgram` builds it when the wave is recorded and never
@@ -319,7 +313,7 @@ class _Wave:
     """
 
     __slots__ = ("ch", "devices", "seconds", "nbytes", "k", "lens", "holds",
-                 "runs", "chain", "slot", "need", "total", "single", "nz",
+                 "chain", "slot", "need", "total", "single", "nz",
                  "seg_starts", "seg_ends", "seg_of", "positions")
 
     def __init__(self, ch: int, devices: np.ndarray, seconds: np.ndarray,
@@ -331,24 +325,15 @@ class _Wave:
         self.ch, self.devices, self.seconds, self.k = ch, devices, seconds, k
         self.nbytes, self.lens, self.holds = nbytes, lens, holds
         self.seg_ends = None if lens is None else np.cumsum(lens)
-        self.runs: Optional[List[tuple]] = None
-        bounds = _run_bounds(devices) if k > 1 else None
-        self.chain = (bounds is not None and lens is None and holds is None
-                      and devices.min() == devices.max())
-        if bounds is not None and not self.chain:
-            # A repeated device queues behind its own earlier task, so
-            # the wave takes the array step run by run, in order: each
-            # run with the slice of the flattened extra ids it owns.
-            off = ([0] * (k + 1) if lens is None
-                   else [0, *self.seg_ends.tolist()])
-            self.runs = [
-                (_Wave(ch, devices[lo:hi], seconds[lo:hi],
-                       None if lens is None else lens[lo:hi],
-                       None if holds is None else holds[lo:hi]),
-                 off[lo], off[hi])
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-            return
+        ordered = np.sort(devices) if k > 1 else devices
+        repeats = k > 1 and bool((ordered[1:] == ordered[:-1]).any())
+        self.chain = (repeats and lens is None and holds is None
+                      and ordered[0] == ordered[-1])
+        if repeats and not self.chain:
+            raise SchedulerError(
+                "a wave's devices must be distinct, or the wave a chain: "
+                "every task on one device, no per-task dependencies, no "
+                f"shared holds; got devices {devices.tolist()}")
         # a chain's one queue: the array step times its first task
         self.slot = _slot(devices[:1] if self.chain else devices)
         if self.slot.min() < 0:  # the zig-zag slot wrapped around
@@ -699,26 +684,20 @@ class EventScheduler:
             )
 
     def submit(self, channel: str, device: int, seconds: Seconds,
-               deps=(), label: str = "",
-               shared: Sequence[Tuple[Hashable, float]] = ()) -> int:
+               deps=(), label: str = "") -> int:
         """Schedule ``seconds`` of work on ``(device, channel)``.
 
         ``seconds`` is the task's simulated duration (e.g. bytes/bandwidth
         for a transfer, flops/throughput for a kernel); the assigned
         ``start`` is the earliest time permitted by the resource queue,
-        ``deps``, the latest barrier, and every ``shared`` resource.
-        ``shared`` entries are ``(resource_key, hold_seconds)`` pairs: the
-        task occupies each listed resource from its start for
-        ``hold_seconds`` (which may be shorter than the task itself — a
-        spine core is held only for the excess transit time). A zero hold
-        never advances the resource and so never delays anyone. Must be
-        called in a topological order of the dependency DAG (program
-        order suffices). ``deps`` is anything :func:`task_ids` accepts; an
-        id outside ``[0, num_tasks)`` raises
-        :class:`~repro.errors.SchedulerError`. Returns the task's id.
+        ``deps`` and the latest barrier. Must be called in a topological
+        order of the dependency DAG (program order suffices). ``deps`` is
+        anything :func:`task_ids` accepts; an id outside ``[0,
+        num_tasks)`` raises :class:`~repro.errors.SchedulerError`.
+        Returns the task's id.
         """
         ids = self._wave(channel, [device], [seconds], deps, None,
-                         label, [shared], None)  # a wave of one
+                         label, None, None)  # a wave of one
         return int(ids[0])
 
     def submit_batch(self, channel: str, devices: np.ndarray,
@@ -739,9 +718,13 @@ class EventScheduler:
         one flat array. Dependency ids must reference previously
         submitted tasks — a wave's tasks are mutually independent.
         ``shared_by_task[t]`` lists ``(resource, hold)`` pairs task ``t``
-        occupies. The assigned times are identical to submitting the
-        tasks one by one, repeated devices included. Malformed input —
-        an unknown channel, 2-D or mis-sized arrays, an unordered or
+        occupies from its start for ``hold`` seconds (which may be shorter
+        than the task itself — a spine core is held only for the excess
+        transit time); a zero hold never delays anyone. The devices are
+        distinct, or the wave is a chain (one device, no ``extra_deps``,
+        no holds). The assigned times are identical to submitting the
+        tasks one by one. Malformed input — a device repeated outside a
+        chain, an unknown channel, 2-D or mis-sized arrays, an unordered or
         one-shot per-task container, non-integral devices, ids or byte
         counts, a device id beyond ``±2**62``, bool or non-finite
         durations or holds, negative byte counts, malformed
@@ -850,11 +833,6 @@ class EventScheduler:
         Times the next ``wave.k`` tasks — their static columns are the
         caller's to write — and advances the frontiers; nothing else.
         """
-        if wave.runs is not None:
-            for run, lo, hi in wave.runs:
-                self._schedule(run, common,
-                               None if run.lens is None else flat[lo:hi])
-            return
         k, ch, slot, seconds = wave.k, wave.ch, wave.slot, wave.seconds
         holds = wave.holds
         n0 = self._n
@@ -999,33 +977,19 @@ class EventScheduler:
             return self._barrier_time
         return max(self._barrier_time, self._max_end)
 
-    def busy_seconds(self, channel: Optional[str] = None,
-                     device: Optional[int] = None) -> Seconds:
-        """Total task seconds matching the channel/device filters.
+    def busy_seconds(self, channel: Optional[str] = None) -> Seconds:
+        """Total task seconds on ``channel`` (None: on every channel).
 
         Busy seconds are occupancy, not wall time: tasks on different
         resources overlap, so per-resource busy time lower-bounds any
-        schedule's makespan (tested in ``tests/test_runtime.py``).
-        Without a device this reads the per-channel totals kept at
-        submit time; with one it is one pass over the task columns,
-        adding each of the device's queues up in submission order.
+        schedule's makespan (tested in ``tests/test_runtime.py``). Reads
+        the per-channel totals kept at submit time.
         """
         if channel is not None and channel not in CHANNELS:
             raise SchedulerError(f"unknown channel {channel!r}")
-        # a bool passes as an int; np.bool_ is no np.integer
-        if isinstance(device, bool) or not isinstance(
-                device, (int, np.integer, type(None))):
-            raise SchedulerError(
-                f"device must be an integer id, got {device!r}")
         channels = ([_CHANNEL_INDEX[channel]] if channel is not None
                     else range(len(CHANNELS)))
-        if device is None:
-            return float(sum(self._busy_channel[ch] for ch in channels))
-        mine = self._device[:self._n] == device
-        busy = np.bincount(self._channel_idx[:self._n][mine],
-                           weights=self._seconds[:self._n][mine],
-                           minlength=len(CHANNELS)).tolist()
-        return float(sum(busy[ch] for ch in channels))
+        return float(sum(self._busy_channel[ch] for ch in channels))
 
     def busy_by_channel(self) -> Dict[str, float]:
         """Busy seconds per channel, summed over devices (O(1) reads)."""
@@ -1057,10 +1021,6 @@ class EventScheduler:
     def phase_labels(self) -> List[str]:
         """Every phase's label, in the order ``columns().phase`` counts."""
         return [label for label, _common in self._phases]
-
-    def devices(self) -> List[int]:
-        """Sorted ids of every device that received at least one task."""
-        return np.unique(self._device[:self._n]).tolist()
 
     def columns(self) -> TaskColumns:
         """Every task's row, straight off the arrays (read-only views). A
@@ -1109,15 +1069,17 @@ class EventScheduler:
     # ------------------------------------------------------------------
     # invariants
     # ------------------------------------------------------------------
-    def validate(self, eps: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Check channel exclusivity and dependency ordering; raise on bugs.
 
         Runs as array expressions over the state: resource exclusivity via
         a single lexsort over (resource, start, end), per-task extra deps
         via one flattened comparison, and per-phase common deps as
         ``min(member starts) >= max(dep ends) - eps`` (equivalent to the
-        per-task check, since common deps gate every member).
+        per-task check, since common deps gate every member), ``eps`` the
+        float slack :data:`_VALIDATE_EPS`.
         """
+        eps = _VALIDATE_EPS
         n = self._n
         if n == 0:
             return

@@ -39,13 +39,19 @@ import argparse
 from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence
 
-from repro.core import HongTuConfig
+from repro.core import (
+    ALLREDUCE_ALGORITHMS,
+    COMM_MODES,
+    PLACEMENT_POLICIES,
+    HongTuConfig,
+)
 from repro.errors import ConfigurationError, require_count
 from repro.faults import FaultSchedule
 from repro.hardware import (
     A100_CLUSTER,
     NODE_SPECS,
     ClusterPlatform,
+    TOPOLOGY_KINDS,
     NetworkTopology,
 )
 
@@ -73,7 +79,7 @@ def add_cluster_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gpus", type=int, default=defaults.gpus,
                         help="GPUs per node")
     parser.add_argument("--comm-mode", default=defaults.comm_mode,
-                        choices=["baseline", "p2p", "ru", "hongtu"])
+                        choices=list(COMM_MODES))
     parser.add_argument("--nodes", type=int, default=defaults.nodes,
                         help="simulated cluster nodes; > 1 runs --gpus "
                              "GPUs on each node of an A100 cluster with "
@@ -89,11 +95,11 @@ def add_cluster_args(parser: argparse.ArgumentParser) -> None:
                              "Counts must sum to --nodes. Default: "
                              "--nodes identical A100 servers")
     parser.add_argument("--allreduce", default=defaults.allreduce,
-                        choices=["ring", "tree"],
+                        choices=list(ALLREDUCE_ALGORITHMS),
                         help="inter-node gradient all-reduce schedule "
                              "(only with --nodes > 1)")
     parser.add_argument("--topology", default=defaults.topology,
-                        choices=["flat", "spine", "rail"],
+                        choices=list(TOPOLOGY_KINDS),
                         help="cluster network topology (only with "
                              "--nodes > 1): flat = ideal non-blocking "
                              "switch (default, identical to the "
@@ -107,7 +113,7 @@ def add_cluster_args(parser: argparse.ArgumentParser) -> None:
                              "(1 = non-blocking, behaves exactly like "
                              "flat; only with --topology spine)")
     parser.add_argument("--placement", default=defaults.placement,
-                        choices=["block", "search", "joint"],
+                        choices=list(PLACEMENT_POLICIES),
                         help="partition->node assignment (only with "
                              "--nodes > 1): block = contiguous default "
                              "(partition p on node p // gpus), search = "

@@ -84,12 +84,6 @@ from repro.units import SCALAR_BYTES, Bytes, Seconds
 __all__ = ["ServingEngine"]
 
 
-def _is_count(value, minimum: int) -> bool:
-    """``value`` is an integer (not a bool) of at least ``minimum``."""
-    return (isinstance(value, Integral) and not isinstance(value, bool)
-            and value >= minimum)
-
-
 class ServingEngine:
     """Serves request traffic against a trainer's partitioned graph.
 
@@ -111,8 +105,10 @@ class ServingEngine:
     """
 
     def __init__(self, trainer, cache_budget_bytes: Optional[Bytes] = None):
-        if cache_budget_bytes is not None \
-                and not _is_count(cache_budget_bytes, 1):
+        if cache_budget_bytes is not None and (
+                isinstance(cache_budget_bytes, bool)
+                or not isinstance(cache_budget_bytes, Integral)
+                or cache_budget_bytes < 1):
             raise ConfigurationError(
                 f"cache_budget_bytes must be positive (an integer >= 1), got "
                 f"{cache_budget_bytes!r} - pass None for an unbounded "
@@ -332,27 +328,19 @@ class ServingEngine:
     # the serving loop
     # ------------------------------------------------------------------
     def serve(self, arrivals: ArrivalProcess, policy: AdmissionPolicy,
-              slo: Seconds = 0.1,
-              column_seed: Optional[int] = None) -> ServeResult:
+              slo: Seconds = 0.1) -> ServeResult:
         """Run one serving horizon; returns the per-request record.
 
-        ``column_seed`` seeds the request→column assignment (defaults to
-        the arrival process's seed, so one seed pins the whole run); a
-        seed that is no integer >= 0 raises
-        :class:`~repro.errors.ServingError`, as a bad ``slo`` does.
+        The arrival process's seed also seeds the request→column
+        assignment, so one seed pins the whole run. An ``slo`` that is
+        not > 0 raises :class:`~repro.errors.ServingError`.
         """
         if not slo > 0:  # NaN included
             raise ServingError(f"slo must be > 0 seconds, got {slo}")
-        if column_seed is not None and not _is_count(column_seed, 0):
-            raise ServingError(
-                f"column_seed must be None or an integer >= 0, got "
-                f"{column_seed!r}")
         self._sync_platform()
         times = arrivals.generate()
         n = len(times)
-        rng = np.random.default_rng(
-            arrivals.seed if column_seed is None else column_seed
-        )
+        rng = np.random.default_rng(arrivals.seed)
         columns = (rng.integers(self.plan.num_batches, size=n)
                    if n else np.empty(0, dtype=np.int64))
         batches = policy.admit(times)

@@ -23,8 +23,9 @@ __all__ = ["reference_render_timeline",
            "reference_render_node_utilization"]
 
 
-def reference_render_timeline(timeline, title: Optional[str] = None,
-                              width: int = 40) -> str:
+def reference_render_timeline(timeline,
+                              title: Optional[str] = None) -> str:
+    width = 40
     makespan = timeline.makespan
     serialized = timeline.breakdown.total
     devices_by_channel: dict = {}

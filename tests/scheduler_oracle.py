@@ -105,9 +105,6 @@ def scheduler_state(scheduler) -> dict:
             state["phases"][phase] for phase in state["_phase_of"])]
     state["shared"] = (scheduler._free_shared, scheduler._last_shared)
     state["busy"] = scheduler.busy_by_channel()
-    state["busy_by_device"] = {
-        (channel, device): scheduler.busy_seconds(channel, device)
-        for channel in CHANNELS for device in scheduler.devices()}
     return state
 
 

@@ -21,7 +21,7 @@ sum. Everything but the loop is the shipped engine's.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -41,21 +41,16 @@ class ReferenceServingEngine(ServingEngine):
     """The shipped engine, serving with the per-batch loop."""
 
     def serve(self, arrivals: ArrivalProcess, policy: AdmissionPolicy,
-              slo: Seconds = 0.1,
-              column_seed: Optional[int] = None) -> ServeResult:
-        """Run one serving horizon; returns the per-request record.
-
-        ``column_seed`` seeds the request→column assignment (defaults to
-        the arrival process's seed, so one seed pins the whole run).
+              slo: Seconds = 0.1) -> ServeResult:
+        """Run one serving horizon; returns the per-request record. The
+        arrival process's seed also seeds the request→column assignment.
         """
         if not slo > 0:  # NaN included
             raise ServingError(f"slo must be > 0 seconds, got {slo}")
         self._sync_platform()
         times = arrivals.generate()
         n = len(times)
-        rng = np.random.default_rng(
-            arrivals.seed if column_seed is None else column_seed
-        )
+        rng = np.random.default_rng(arrivals.seed)
         columns = (rng.integers(self.plan.num_batches, size=n)
                    if n else np.empty(0, dtype=np.int64))
         batches = policy.admit(times)

@@ -13,7 +13,8 @@ from repro.baselines import (
 )
 from repro.core.memory_model import estimate_for_model
 from repro.errors import ConfigurationError, DeviceOutOfMemoryError
-from repro.gnn import build_model
+from repro.gnn import GNNModel, build_model
+from repro.gnn.layers import GCNLayer
 from repro.graph import load_dataset
 from repro.hardware import (
     A100_SERVER,
@@ -268,3 +269,54 @@ def test_counts_are_validated_at_construction(graph, system, field, value):
     with pytest.raises(ConfigurationError, match=field):
         system(graph, make_model(graph), MultiGPUPlatform(A100_SERVER),
                **{field: value})
+
+
+def _baseline(system, graph, model):
+    if system is FullGraphTrainer:
+        return FullGraphTrainer(graph, model)
+    if system is MiniBatchTrainer:
+        return MiniBatchTrainer(graph, model, MultiGPUPlatform(A100_SERVER),
+                                fanout=5, batch_size=256)
+    return system(graph, model, MultiGPUPlatform(A100_SERVER))
+
+
+@pytest.mark.parametrize("system", [FullGraphTrainer, InMemoryMultiGPUTrainer,
+                                    MiniBatchTrainer])
+class TestModelDtype:
+    """Every baseline computes in its model's one floating dtype, as
+    :class:`~repro.core.HongTuTrainer` does: a float32 model's logits are
+    float32 — the features used to be cast to float64 instead."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_logits_are_in_the_model_dtype(self, graph, system, dtype):
+        model = build_model(
+            "gcn", [graph.feature_dim, 16, graph.num_classes],
+            np.random.default_rng(0), dtype=dtype)
+        trainer = _baseline(system, graph, model)
+        assert trainer.dtype == dtype
+        outputs = []
+        forward = model.layers[-1].forward
+
+        def recording(*args):
+            outputs.append(forward(*args))
+            return outputs[-1]
+
+        model.layers[-1].forward = recording
+        trainer.train_epoch()
+        trainer.evaluate()
+        assert outputs and {out.data.dtype for out in outputs} == \
+            {np.dtype(dtype)}
+        if system is not MiniBatchTrainer:
+            assert trainer.logits().dtype == dtype
+        assert {p.data.dtype for p in model.parameters()} == \
+            {np.dtype(dtype)}
+
+    def test_mixed_dtypes_are_refused(self, graph, system):
+        rng = np.random.default_rng(0)
+        model = GNNModel([
+            GCNLayer(graph.feature_dim, 16, rng, dtype=np.float32),
+            GCNLayer(16, graph.num_classes, rng, activation=None),
+        ])
+        with pytest.raises(ConfigurationError,
+                           match=r"\['float32', 'float64'\]"):
+            _baseline(system, graph, model)

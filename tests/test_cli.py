@@ -6,11 +6,52 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core import HongTuConfig, HongTuTrainer
+from repro.core import (
+    ALLREDUCE_ALGORITHMS,
+    COMM_MODES,
+    INTERMEDIATE_POLICIES,
+    OVERLAP_POLICIES,
+    PLACEMENT_POLICIES,
+    HongTuConfig,
+    HongTuTrainer,
+)
 from repro.errors import ConfigurationError
 from repro.graph import load_dataset
-from repro.hardware import NODE_SPECS
+from repro.hardware import NODE_SPECS, TOPOLOGY_KINDS
 from repro.scenario import ClusterArgs, resolve_node_specs
+
+
+def _subparser(command):
+    parser = build_parser()
+    (commands,) = [action for action in parser._actions
+                   if action.dest == "command"]
+    return commands.choices[command]
+
+
+class TestFlagChoices:
+    """Each choice flag reads its tuple from the config, so the CLI's
+    vocabulary cannot drift from what the config accepts; the help text
+    renders the same brace list it always did."""
+
+    @pytest.mark.parametrize("command, flag, choices, rendered", [
+        *[(command, "--comm-mode", COMM_MODES, "{baseline,p2p,ru,hongtu}")
+          for command in ("train", "serve")],
+        *[(command, "--allreduce", ALLREDUCE_ALGORITHMS, "{ring,tree}")
+          for command in ("train", "serve")],
+        *[(command, "--topology", TOPOLOGY_KINDS, "{flat,spine,rail}")
+          for command in ("train", "serve")],
+        *[(command, "--placement", PLACEMENT_POLICIES,
+           "{block,search,joint}") for command in ("train", "serve")],
+        ("train", "--policy", INTERMEDIATE_POLICIES, "{hybrid,recompute}"),
+        ("train", "--overlap", OVERLAP_POLICIES, "{barrier,pipeline}"),
+    ])
+    def test_choices_are_the_config_tuple(self, command, flag, choices,
+                                          rendered):
+        parser = _subparser(command)
+        (action,) = [action for action in parser._actions
+                     if flag in action.option_strings]
+        assert action.choices == list(choices)
+        assert f"{flag} {rendered}" in parser.format_help()
 
 
 class TestParser:

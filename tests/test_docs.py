@@ -1,9 +1,9 @@
 """Tier-1 guard for the documentation: the CI docs job must pass here too.
 
 Runs tools/check_docs.py's checks in-process: every pycon block in the
-repo's markdown doctests green, every intra-repo link resolves — and the
-checker itself detects planted failures (so a broken checker cannot
-silently bless broken docs).
+repo's markdown doctests green, every intra-repo link and code
+cross-reference resolves — and the checker itself detects planted
+failures (so a broken checker cannot silently bless broken docs).
 """
 
 import importlib.util
@@ -24,6 +24,56 @@ def test_repo_docs_pass():
         failures.extend(check_docs.run_doctests(path))
         failures.extend(check_docs.check_links(path))
     assert not failures, "\n".join(failures)
+
+
+def test_repo_cross_references_resolve():
+    """Every ``repro.`` role target in src/, README and the architecture
+    doc imports; every ``path.py::Name`` in the docs names a definition."""
+    failures = []
+    for path in check_docs.xref_files():
+        failures.extend(check_docs.check_xrefs(path))
+    for name in check_docs.NODE_DOCS:
+        failures.extend(check_docs.check_node_ids(check_docs.REPO_ROOT / name))
+    assert not failures, "\n".join(failures)
+    assert len(check_docs.xref_files()) > 50
+
+
+def test_checker_catches_stale_role_target(tmp_path):
+    """A renamed or deleted name behind a fully qualified role fails;
+    the module itself, its attributes and methods resolve."""
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        ":mod:`repro.runtime` :class:`~repro.runtime.EventScheduler` "
+        ":meth:`repro.runtime.scheduler.EventScheduler.submit_batch`\n"
+        ":meth:`~repro.runtime.scheduler.EventScheduler.devices` "
+        ":class:`~repro.comm.cost_model.ClusterCostModel`\n")
+    failures = check_docs.check_xrefs(doc)
+    assert [failure.split("-> ")[1] for failure in failures] == [
+        "repro.comm.cost_model.ClusterCostModel",
+        "repro.runtime.scheduler.EventScheduler.devices"]
+    assert all("unresolved reference" in failure for failure in failures)
+
+
+def test_checker_catches_stale_node_id(tmp_path):
+    """``path.py::Name`` must name a file under the root whose top level
+    defines Name as a class or function, each further member inside it."""
+    (tmp_path / "mod.py").write_text(
+        "LIMIT = 3\n"
+        "class Suite:\n    PINNED = 1\n    def test_a(self):\n"
+        "        pass\n"
+        "def helper():\n    pass\n")
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "`mod.py::Suite` `mod.py::Suite::test_a` `mod.py::Suite::PINNED` "
+        "`mod.py::helper`\n"
+        "`mod.py::Gone` `mod.py::LIMIT` `mod.py::Suite::test_b` "
+        "`gone.py::Suite`\n"
+        "```bash\npytest `mod.py::Fenced`\n```\n")
+    failures = check_docs.check_node_ids(doc, root=tmp_path)
+    assert [failure.split("-> ")[1] for failure in failures] == [
+        "mod.py::Gone", "mod.py::LIMIT", "mod.py::Suite::test_b",
+        "gone.py::Suite"]
+    assert "no such file" in failures[-1]
 
 
 def test_repo_has_doctested_blocks():

@@ -39,10 +39,14 @@ class TestValidation:
         with pytest.raises(GraphFormatError):
             CSRAdjacency(np.array([0, 1]), np.array([-1]), 3)
 
-    def test_values_length(self):
-        with pytest.raises(GraphFormatError):
+    def test_edge_values_are_no_setting(self):
+        """A CSR is topology only: no edge-value column."""
+        with pytest.raises(TypeError):
             CSRAdjacency(np.array([0, 1]), np.array([0]), 2,
-                         values=np.array([1.0, 2.0]))
+                         values=np.array([1.0]))
+        for keyword in (dict(values=np.array([1.0])), dict(dedup=False)):
+            with pytest.raises(TypeError):
+                edges_to_csr(np.array([0]), np.array([1]), 1, 2, **keyword)
 
 
 class TestAccessors:
@@ -58,11 +62,9 @@ class TestAccessors:
     def test_nbytes_positive(self):
         assert simple_csr().nbytes() > 0
 
-    def test_nbytes_counts_values(self):
+    def test_nbytes_is_the_two_arrays(self):
         csr = simple_csr()
-        weighted = CSRAdjacency(csr.indptr, csr.indices, csr.num_cols,
-                                values=np.ones(csr.nnz))
-        assert weighted.nbytes() == csr.nbytes() + weighted.values.nbytes
+        assert csr.nbytes() == csr.indptr.nbytes + csr.indices.nbytes
 
     def test_equality(self):
         assert simple_csr() == simple_csr()
@@ -77,12 +79,6 @@ class TestAccessors:
         assert simple_csr() != "csr"
         assert simple_csr().__eq__(object()) is NotImplemented
 
-    def test_inequality_values(self):
-        a = CSRAdjacency(np.array([0, 1]), np.array([0]), 1,
-                         values=np.array([1.0]))
-        b = CSRAdjacency(np.array([0, 1]), np.array([0]), 1)
-        assert a != b
-
     def test_repr(self):
         assert "nnz=3" in repr(simple_csr())
 
@@ -96,16 +92,6 @@ class TestEdgesToCsr:
     def test_dedup_merges(self):
         csr = edges_to_csr(np.array([0, 0]), np.array([1, 1]), 1, 2)
         assert csr.nnz == 1
-
-    def test_dedup_sums_values(self):
-        csr = edges_to_csr(np.array([0, 0]), np.array([1, 1]), 1, 2,
-                           values=np.array([2.0, 3.0]))
-        assert csr.values[0] == 5.0
-
-    def test_no_dedup(self):
-        csr = edges_to_csr(np.array([0, 0]), np.array([1, 1]), 1, 2,
-                           dedup=False)
-        assert csr.nnz == 2
 
     def test_out_of_range_rows(self):
         with pytest.raises(GraphFormatError):
@@ -165,32 +151,15 @@ class TestProperties:
                   for col in csr.row(row_index)}
         assert stored == set(zip(rows.tolist(), cols.tolist()))
 
-    @given(random_edge_lists())
-    @settings(max_examples=50, deadline=None)
-    def test_weighted_dedup_conserves_each_edge_total(self, data):
-        n, rows, cols = data
-        values = np.arange(1.0, len(rows) + 1.0)
-        csr = edges_to_csr(rows, cols, n, n, values=values)
-        expected = {}
-        for row, col, value in zip(rows.tolist(), cols.tolist(), values):
-            expected[(row, col)] = expected.get((row, col), 0.0) + value
-        for row_index in range(csr.num_rows):
-            lo, hi = csr.indptr[row_index], csr.indptr[row_index + 1]
-            for col, value in zip(csr.indices[lo:hi], csr.values[lo:hi]):
-                assert value == expected[(row_index, int(col))]
 
 
 def _sorted_rows_reference(csr):
     """A per-row Python loop that sorts each row's columns (test oracle)."""
     indices = csr.indices.copy()
-    values = None if csr.values is None else csr.values.copy()
     for i in range(csr.num_rows):
         lo, hi = csr.indptr[i], csr.indptr[i + 1]
-        order = np.argsort(indices[lo:hi], kind="stable")
-        indices[lo:hi] = indices[lo:hi][order]
-        if values is not None:
-            values[lo:hi] = values[lo:hi][order]
-    return CSRAdjacency(csr.indptr, indices, csr.num_cols, values)
+        indices[lo:hi] = np.sort(indices[lo:hi])
+    return CSRAdjacency(csr.indptr, indices, csr.num_cols)
 
 
 def _edge_lists(csr):
@@ -202,7 +171,7 @@ class TestVectorizedSorting:
     """``edges_to_csr``'s one ``np.lexsort`` on preprocessing-sized input."""
 
     def _build_unsorted(self, seed=0):
-        """(sorted reference, within-row-shuffled weighted copy) of the
+        """(sorted reference, within-row-shuffled copy) of the
         reddit_sim in-CSR — realistic preprocessing input."""
         from repro.graph import load_dataset
 
@@ -210,38 +179,35 @@ class TestVectorizedSorting:
         csr = graph.in_csr
         rng = np.random.default_rng(seed)
         indices = csr.indices.copy()
-        values = rng.standard_normal(csr.nnz)
         for i in range(csr.num_rows):
             lo, hi = csr.indptr[i], csr.indptr[i + 1]
             perm = rng.permutation(hi - lo)
             indices[lo:hi] = indices[lo:hi][perm]
-        shuffled = CSRAdjacency(csr.indptr, indices, csr.num_cols, values)
+        shuffled = CSRAdjacency(csr.indptr, indices, csr.num_cols)
         return csr, shuffled
 
     def test_sorted_rows_matches_reference(self):
         sorted_csr, shuffled = self._build_unsorted()
         rows, cols = _edge_lists(shuffled)
         lexsorted = edges_to_csr(rows, cols, shuffled.num_rows,
-                                 shuffled.num_cols, values=shuffled.values)
+                                 shuffled.num_cols)
         reference = _sorted_rows_reference(shuffled)
         np.testing.assert_array_equal(lexsorted.indptr, reference.indptr)
         np.testing.assert_array_equal(lexsorted.indices, reference.indices)
-        np.testing.assert_allclose(lexsorted.values, reference.values)
         np.testing.assert_array_equal(lexsorted.indices, sorted_csr.indices)
 
-    def test_transpose_round_trip_weighted(self):
+    def test_transpose_round_trip(self):
         """Building from swapped edge lists twice (the way a graph's
         in-CSR transposes its ``src -> dst`` edges) returns the sorted
-        original, each weight still on its edge."""
+        original."""
         _, shuffled = self._build_unsorted(seed=1)
         rows, cols = _edge_lists(shuffled)
         transposed = edges_to_csr(cols, rows, shuffled.num_cols,
-                                  shuffled.num_rows, values=shuffled.values)
+                                  shuffled.num_rows)
         t_rows, t_cols = _edge_lists(transposed)
         back = edges_to_csr(t_cols, t_rows, shuffled.num_rows,
-                            shuffled.num_cols, values=transposed.values)
+                            shuffled.num_cols)
         expected = _sorted_rows_reference(shuffled)
         np.testing.assert_array_equal(back.indptr, expected.indptr)
         np.testing.assert_array_equal(back.indices, expected.indices)
-        np.testing.assert_allclose(back.values, expected.values)
 

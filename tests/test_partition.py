@@ -201,10 +201,16 @@ class TestReplication:
         sweep = replication_factor_sweep(medium_graph, [2, 8, 32], seed=0)
         assert sweep[2] < sweep[8] < sweep[32]
 
-    def test_include_destinations_is_larger(self, medium_graph):
+    def test_alpha_counts_source_only_neighbors(self, medium_graph):
+        """α sums each chunk's source-only neighbors (the paper's N_ij),
+        never its destinations."""
         partition = two_level_partition(medium_graph, 4, 2, seed=0)
-        assert replication_factor(partition, include_destinations=True) > \
-            replication_factor(partition)
+        expected = sum(len(chunk.source_only_neighbors())
+                       for chunk in partition.all_chunks())
+        assert replication_factor(partition) == \
+            expected / medium_graph.num_vertices
+        with pytest.raises(TypeError):
+            replication_factor(partition, include_destinations=True)
 
     def test_vertex_data_formula(self):
         # (1 + alpha) * |V| / (m*n) rows of dim * 4 bytes

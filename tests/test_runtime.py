@@ -122,7 +122,8 @@ class TestEventScheduler:
         lambda s, bad: s.submit_batch("gpu", [1, 1], [2.0, bad]),
         # holds: an inf one used to park the next holder at inf, a NaN
         # was dropped and a negative one ignored, all without a word
-        lambda s, bad: s.submit("net", -2, 1.0, shared=[("k", bad)]),
+        lambda s, bad: s.submit_batch("net", [-2], [1.0],
+                                      shared_by_task=[[("k", bad)]]),
         lambda s, bad: s.submit_batch(
             "net", [-2, -3], [1.0, 1.0],
             shared_by_task=[[("k", 0.5)], [("j", 0.0), ("k", bad)]]),
@@ -132,7 +133,7 @@ class TestEventScheduler:
             "net", [1.0, 1.0], devices=[-2, -3],
             shared_by_device=[[("k", 0.5)], [("j", 0.0), ("k", bad)]]),
     ], ids=["submit", "batch_first", "batch_last", "batch_repeated_device",
-            "submit_hold", "batch_hold", "program", "program_hold"])
+            "batch_one_hold", "batch_hold", "program", "program_hold"])
     def test_non_finite_or_negative_duration_rejected(self, submit, bad):
         """A NaN used to be accepted, poison every dependant's end time
         and then be *ignored* by the makespan — a silently wrong number.
@@ -184,7 +185,7 @@ class TestEventScheduler:
         lambda s: s.submit("gpu", 0, 1.0, deps=[-1]),
         # past the allocated capacity: used to be a bare IndexError
         lambda s: s.submit("gpu", 0, 1.0, deps=[10_000]),
-        lambda s: s.submit_batch("gpu", [0, 0], [1.0, 1.0],
+        lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
                                  extra_deps=[np.array([3]), None]),
         lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
                                  common_deps=np.array([-1])),
@@ -201,7 +202,7 @@ class TestEventScheduler:
         lambda s: s.ends_of([1]),
         lambda s: s.ends_of([-1]),
     ], ids=["unsubmitted", "negative", "beyond_capacity",
-            "batch_repeated_device", "batch_common", "program_unrecorded",
+            "batch_extra", "batch_common", "program_unrecorded",
             "program_no_such_slot", "program_per_device",
             "replay_unsubmitted", "replay_negative", "ends_of_unsubmitted",
             "ends_of_negative"])
@@ -288,9 +289,6 @@ class TestEventScheduler:
     @pytest.mark.parametrize("call, names", [
         # used to answer 0.0
         (lambda s: s.busy_seconds(channel="bogus"), "channel"),
-        # bare TypeErrors from the slot arithmetic
-        (lambda s: s.busy_seconds(device=1.5), "device"),
-        (lambda s: s.busy_seconds(channel="gpu", device="a"), "device"),
         # AttributeError
         (lambda s: s.submit_program(None, []), "program"),
         # ValueError / bare TypeError from the float64 conversion
@@ -300,8 +298,8 @@ class TestEventScheduler:
         (lambda s: WaveRecorder().submit_batch("gpu", ["a"]), "seconds"),
         (lambda s: WaveRecorder().submit_batch("gpu", [1j]), "seconds"),
         # ValueError (no hold), bare TypeErrors (no number, no list)
-        (lambda s: s.submit("gpu", 0, 1.0, shared=[("k",)]), "shared"),
-        (lambda s: s.submit("gpu", 0, 1.0, shared=[("k", "x")]), "shared"),
+        (lambda s: s.submit_batch("gpu", [0], [1.0],
+                                  shared_by_task=[[("k", "x")]]), "shared"),
         (lambda s: s.submit_batch("gpu", [0], [1.0],
                                   shared_by_task=[None]), "shared_by_task"),
         (lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
@@ -337,11 +335,11 @@ class TestEventScheduler:
             "h2d", [1.0, 1.0], nbytes=[8, -1]), "nbytes"),
         (lambda s: WaveRecorder().submit_batch(
             "h2d", [1.0, 1.0], nbytes=8), "nbytes"),
-    ], ids=["busy_channel", "busy_float_device", "busy_str_device",
+    ], ids=["busy_channel",
             "replay_no_program", "batch_str_seconds",
             "batch_complex_seconds", "submit_str_seconds",
             "program_str_seconds", "program_complex_seconds",
-            "submit_short_hold", "submit_str_hold", "batch_none_holds",
+            "batch_str_hold", "batch_none_holds",
             "batch_short_hold", "program_none_holds", "program_str_hold",
             "batch_float_nbytes", "batch_nan_nbytes",
             "batch_negative_nbytes", "batch_str_nbytes", "batch_2d_nbytes",
@@ -361,17 +359,6 @@ class TestEventScheduler:
         assert len(scheduler._phases) == 1
         assert not scheduler._free_shared
         assert sum(scheduler.bytes_by_channel().values()) == 0
-
-    @pytest.mark.parametrize("device", [True, False, np.bool_(True)],
-                             ids=["true", "false", "numpy_bool"])
-    def test_busy_seconds_rejects_a_bool_device(self, device):
-        """``True`` passed the integer check and answered device 1's
-        busy seconds."""
-        scheduler = EventScheduler()
-        scheduler.submit("gpu", 1, 2.0)
-        with pytest.raises(SchedulerError, match="device"):
-            scheduler.busy_seconds("gpu", device)
-        assert scheduler.busy_seconds("gpu", 1) == 2.0
 
     @pytest.mark.parametrize("entries, expected", [
         (3, [3]), (np.int64(3), [3]), (np.uint8(3), [3]), (np.array(3), [3]),
@@ -419,7 +406,7 @@ class TestEventScheduler:
         scheduler.submit("gpu", 1, 2.0)
         scheduler.submit("h2d", 0, 4.0)
         assert scheduler.busy_seconds(channel="gpu") == 3.0
-        assert scheduler.busy_seconds(channel="gpu", device=1) == 2.0
+        assert scheduler.busy_seconds() == 7.0
         assert scheduler.busy_by_channel()["h2d"] == 4.0
 
     def test_validate_passes_for_scheduler_output(self):
@@ -499,15 +486,15 @@ class TestEventScheduler:
         resource (the spine core) queue on it; zero holds never queue."""
         scheduler = EventScheduler()
         spine = ("net", "spine")
-        a = scheduler.submit("net", -2, 1.0, shared=[(spine, 0.5)])
-        b = scheduler.submit("net", -3, 1.0, shared=[(spine, 0.5)])
+        a, b = scheduler.submit_batch("net", [-2, -3], [1.0, 1.0],
+                                      shared_by_task=[[(spine, 0.5)]] * 2)
         columns = scheduler.columns()
         assert columns.start[a] == 0.0
         assert columns.start[b] == pytest.approx(0.5)   # waits for a's hold
         assert columns.blocked_by[b] == a
         free = EventScheduler()
-        free.submit("net", -2, 1.0, shared=[(spine, 0.0)])
-        free.submit("net", -3, 1.0, shared=[(spine, 0.0)])
+        free.submit_batch("net", [-2, -3], [1.0, 1.0],
+                          shared_by_task=[[(spine, 0.0)]] * 2)
         assert free.columns().start.tolist() == [0.0, 0.0]
 
     def test_removing_dependency_never_slows(self):
@@ -538,9 +525,10 @@ class TestVectorizedScheduler:
     def _random_wave(self, rng, num_submitted):
         channel = self.CHANNEL_NAMES[rng.integers(len(self.CHANNEL_NAMES))]
         k = int(rng.integers(1, 7))
-        # Repeated devices (the 0.2 branch): the wave is scheduled as
-        # its duplicate-free runs — still one submit_batch call.
-        devices = (rng.integers(0, 3, size=k) if rng.random() < 0.2
+        # A chain (the 0.2 branch): every task on one device, no extras,
+        # no holds — the one shape a wave may repeat a device in.
+        chain = rng.random() < 0.2
+        devices = (np.full(k, rng.integers(0, 3)) if chain
                    else rng.choice(16, size=k, replace=False))
         devices = devices.astype(np.int64)
         if channel == "net":
@@ -552,7 +540,7 @@ class TestVectorizedScheduler:
                 num_submitted, size=min(3, num_submitted), replace=False
             ).astype(np.int64)
         extras = None
-        if num_submitted and rng.random() < 0.5:
+        if not chain and num_submitted and rng.random() < 0.5:
             extras = []
             for _ in range(k):
                 count = int(rng.integers(0, 3))
@@ -561,11 +549,9 @@ class TestVectorizedScheduler:
                                     replace=False).astype(np.int64)
                 extras.append(picked if len(picked) else None)
         shared = None
-        if rng.random() < 0.3:
+        if not chain and rng.random() < 0.3:
             # Shared-resource holds (the spine contract): 0-2 per task
-            # over two keys, in either order, zero holds included —
-            # drawn independently of the repeated-device branch, so
-            # some waves carry both.
+            # over two keys, in either order, zero holds included.
             shared = []
             for _ in range(k):
                 keys = rng.permutation(2)[:int(rng.integers(0, 3))]
@@ -617,9 +603,6 @@ class TestVectorizedScheduler:
         for channel in self.CHANNEL_NAMES:
             assert fast.busy_seconds(channel=channel) == \
                 slow.busy_seconds(channel=channel)
-            for device in fast.devices():
-                assert fast.busy_seconds(channel, device) == \
-                    slow.busy_seconds(channel, device)
 
     @pytest.mark.parametrize("seed", range(32))
     def test_breakdown_and_bytes_are_views_of_the_columns(self, seed):
@@ -643,62 +626,36 @@ class TestVectorizedScheduler:
         assert fast.critical_path().tolist() == walk_blockers(fast)
 
     def test_random_dags_cover_the_hard_waves(self):
-        """The draws above do reach holds on repeated devices, two-key
-        holds and zero holds (or the identity test proves less than it
-        says)."""
+        """The draws above do reach chains behind a common dependency,
+        ragged per-task lists, two-key holds and zero holds (or the
+        identity test proves less than it says)."""
         rng = np.random.default_rng(0)
         seen = set()
         for _ in range(400):
-            _ch, devices, _s, _c, _e, shared, _b = self._random_wave(rng, 5)
+            _ch, devices, _s, common, extras, shared, _b = \
+                self._random_wave(rng, 5)
+            if len(devices) > 1 and len(np.unique(devices)) == 1 \
+                    and common is not None:
+                seen.add("gated chain")
+            if extras is not None and \
+                    len({0 if e is None else len(e) for e in extras}) > 1:
+                seen.add("ragged")
             if shared is None:
                 continue
-            if len(np.unique(devices)) < len(devices):
-                seen.add("repeated+holds")
             if any(len(holds) == 2 for holds in shared):
                 seen.add("two keys")
             if any(hold == 0.0 for holds in shared for _k, hold in holds):
                 seen.add("zero hold")
             if any(len(holds) == 0 for holds in shared):
                 seen.add("no hold")
-        assert seen == {"repeated+holds", "two keys", "zero hold", "no hold"}
+        assert seen == {"gated chain", "ragged", "two keys", "zero hold",
+                        "no hold"}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_validate_passes_on_array_backed_state(self, seed):
         fast, slow = self._build_pair(seed)
         fast.validate()
         slow.validate()
-
-    def test_repeated_devices_equal_single_submits(self):
-        """A wave [d0, d1, d0, d2, d1] is scheduled as duplicate-free
-        runs ([d0 d1] [d0 d2] [d1]): same times as five single submits,
-        contiguous ids, one phase record."""
-        batched, single = EventScheduler(), EventScheduler()
-        for scheduler in (batched, single):
-            scheduler.submit("h2d", 0, 3.0)       # task 0
-            scheduler.submit("h2d", 1, 1.0)       # task 1
-            scheduler.submit("gpu", 1, 0.5)       # task 2: d1 is busy
-        devices = [0, 1, 0, 2, 1]
-        seconds = [1.0, 2.0, 0.25, 4.0, 0.5]
-        common = np.array([1])
-        extras = [np.array([0]), None, None, np.array([0, 2]), np.array([2])]
-        phases_before = len(batched._phases)
-        ids = batched.submit_batch("gpu", devices, seconds,
-                                   common_deps=common, extra_deps=extras,
-                                   label="wave")
-        assert ids.tolist() == [3, 4, 5, 6, 7]
-        assert len(batched._phases) == phases_before + 1
-        for device, duration, extra in zip(devices, seconds, extras):
-            deps = common.tolist() + ([] if extra is None else extra.tolist())
-            single.submit("gpu", device, duration, deps=deps, label="wave")
-        assert task_rows(batched) == task_rows(single)
-        assert scheduler_state(batched)["deps"] == \
-            scheduler_state(single)["deps"]
-        # The second d0 task queued behind the first, inside the wave.
-        columns = batched.columns()
-        assert columns.blocked_by[5] == 3
-        assert columns.start[5] == columns.end[3]
-        assert batched.makespan == single.makespan
-        batched.validate()
 
 
 class TestChainWaves:
@@ -783,17 +740,20 @@ class TestChainWaves:
         assert len(calls) == 4  # busy queue, gate, the chain, the tail
 
     def test_what_is_a_chain(self):
-        """Only one device, no extras, no holds: anything else keeps the
-        run-by-run step (tested against the oracle above)."""
+        """Only one device, no extras, no holds: any other wave that
+        repeats a device is refused (``TestWaveRule``)."""
         def wave(devices, extras=None, holds=None):
             return _prepare("gpu", devices, [1.0] * len(devices), None,
                             extras, holds)[0]
 
-        assert wave([3, 3, 3]).chain and wave([3, 3, 3]).runs is None
+        assert wave([3, 3, 3]).chain
         assert not wave([3]).chain  # a wave of one
-        assert not wave([3, 1, 3]).chain and wave([3, 1, 3]).runs
-        assert not wave([3, 3], extras=[None, [0]]).chain
-        assert not wave([3, 3], holds=[[("core", 0.5)], []]).chain
+        assert not wave([3, 1, 2]).chain
+        for refused in (lambda: wave([3, 1, 3]),
+                        lambda: wave([3, 3], extras=[None, [0]]),
+                        lambda: wave([3, 3], holds=[[("core", 0.5)], []])):
+            with pytest.raises(SchedulerError, match="distinct"):
+                refused()
         assert wave([3, 3], holds=[[], []]).chain  # no hold at all
 
     @pytest.mark.parametrize("n", [1, 64, 65, 300, 4308])
@@ -816,6 +776,117 @@ class TestChainWaves:
                            "_phase_of"):
                 assert len(getattr(scheduler, column)) == expected, column
             assert len(scheduler._extra_off) == expected + 1
+
+
+def _program_state(recorder):
+    """What a recorder holds, in comparable form."""
+    program = recorder.finish()
+    return (program.num_external, program.num_tasks,
+            [(wave.devices.tolist(), label, lo, mid, hi)
+             for wave, label, lo, mid, hi in program.waves],
+            program.refs.tolist(),
+            [column.tolist() for column in program.columns])
+
+
+class TestWaveRule:
+    """A wave's devices are distinct, or the wave is a chain (one
+    device, no per-task extras, no holds); any other wave is refused by
+    every entry point before it changes anything."""
+
+    #: (devices, extra dependencies, holds) of waves that repeat a
+    #: device outside a chain
+    REFUSED = {
+        "two_devices": ([0, 1, 0], None, None),
+        "chain_with_extras": ([2, 2], [[0], None], None),
+        "chain_with_holds": ([2, 2], None, [[("core", 0.5)], []]),
+        "one_producer_each": ([1, 1, 3], np.array([0, 0, 0]), None),
+        "net_links": ([-2, -3, -2], None, None),
+    }
+
+    @staticmethod
+    def _prefix(target):
+        target.submit_batch("h2d", [1.0, 2.0])
+
+    @pytest.mark.parametrize("name", sorted(REFUSED))
+    def test_scheduler_refuses(self, name):
+        devices, extras, holds = self.REFUSED[name]
+        scheduler = EventScheduler()
+        scheduler.submit_batch("h2d", [0, 1], [1.0, 2.0])
+        scheduler.barrier()
+        before = scheduler_state(scheduler)
+        with pytest.raises(SchedulerError, match="distinct"):
+            scheduler.submit_batch("gpu", devices, [1.0] * len(devices),
+                                   common_deps=[0], extra_deps=extras,
+                                   shared_by_task=holds)
+        assert scheduler_state(scheduler) == before
+        assert scheduler.makespan == 2.0
+        scheduler.validate()
+
+    @pytest.mark.parametrize("barrier_all", [False, True],
+                             ids=["pipeline", "barrier_all"])
+    @pytest.mark.parametrize("name", sorted(REFUSED))
+    def test_timeline_refuses(self, name, barrier_all):
+        devices, extras, holds = self.REFUSED[name]
+        timeline = EventTimeline(barrier_all)
+        self._prefix(timeline)
+        before = timeline_state(timeline)
+        with pytest.raises(SchedulerError, match="distinct"):
+            timeline.submit_batch("gpu", [1.0] * len(devices),
+                                  devices=devices, deps=[0],
+                                  deps_by_device=extras,
+                                  shared_by_device=holds)
+        assert timeline_state(timeline) == before
+        timeline.validate()
+
+    @pytest.mark.parametrize("name", sorted(REFUSED))
+    def test_recorder_refuses(self, name):
+        devices, extras, holds = self.REFUSED[name]
+        recorder = WaveRecorder(num_external=1)
+        self._prefix(recorder)
+        before = _program_state(recorder)
+        with pytest.raises(SchedulerError, match="distinct"):
+            recorder.submit_batch("gpu", [1.0] * len(devices),
+                                  devices=devices, deps=recorder.external,
+                                  deps_by_device=extras,
+                                  shared_by_device=holds)
+        assert _program_state(recorder) == before
+        assert recorder.submit_batch("gpu", [1.0]).tolist() == [2]
+
+    @pytest.mark.parametrize("devices", [[4, 4, 4], [0, 1, 2], [5]],
+                             ids=["chain", "distinct", "one"])
+    def test_accepted_waves(self, devices):
+        """A chain, distinct devices and a wave of one pass all three."""
+        k = len(devices)
+        scheduler = EventScheduler()
+        assert scheduler.submit_batch("gpu", devices, [1.0] * k).tolist() \
+            == list(range(k))
+        timeline = EventTimeline()
+        assert len(timeline.submit_batch("gpu", [1.0] * k,
+                                         devices=devices)) == k
+        assert len(WaveRecorder().submit_batch("gpu", [1.0] * k,
+                                               devices=devices)) == k
+        assert scheduler.makespan == timeline.makespan == \
+            (float(k) if len(set(devices)) == 1 else 1.0)
+
+
+class TestRemovedSettings:
+    """Values no simulator caller ever set keep their one value: passing
+    one is a ``TypeError``, like any unknown keyword."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: EventScheduler().submit("net", -2, 1.0,
+                                        shared=[("core", 0.5)]),
+        lambda: EventScheduler().busy_seconds("gpu", device=0),
+        lambda: EventScheduler().validate(eps=1e-6),
+        lambda: EventTimeline().add("cpu", 1.0, deps=()),
+    ], ids=["submit_shared", "busy_seconds_device", "validate_eps",
+            "timeline_add_deps"])
+    def test_removed_keyword_is_a_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_scheduler_has_no_device_list(self):
+        assert not hasattr(EventScheduler(), "devices")
 
 
 class TestWavePrograms:
@@ -915,12 +986,8 @@ class TestWavePrograms:
         for key in ours:
             assert ours[key] == theirs[key], key
         assert ours["breakdown"] == reference_breakdown(replayed.scheduler)
-        a, b = replayed.scheduler, fresh.scheduler
-        for channel in CHANNELS:
-            for device in a.devices():
-                assert a.busy_seconds(channel, device) == \
-                    b.busy_seconds(channel, device)
-        assert a.critical_path().tolist() == b.critical_path().tolist()
+        assert replayed.scheduler.critical_path().tolist() == \
+            fresh.scheduler.critical_path().tolist()
         replayed.validate()
 
     #: name -> (waves, barrier_all): the shapes the random draws reach
@@ -935,11 +1002,11 @@ class TestWavePrograms:
         "empty_program": ([], False),
         "one_empty_wave": ([dict(channel="net", per_device_seconds=[])],
                            False),
-        "repeated_devices": ([
+        "chain": ([
             dict(channel="gpu", per_device_seconds=[1.0, 0.5, 0.25],
-                 devices=[0, 1, 0], deps=np.array([-1])),
+                 devices=[0, 0, 0], deps=np.array([-1])),
             dict(channel="gpu", per_device_seconds=[1.0, 2.0, 0.5, 0.25],
-                 devices=[1, 1, 0, 1],
+                 devices=[1, 2, 0, 3],
                  deps_by_device=[np.array([0, 2]), None, np.array([-1]),
                                  np.array([1])],
                  shared_by_device=[[("core", 0.5)], [], [("core", 0.25)],
@@ -1038,32 +1105,6 @@ class TestWavePrograms:
 
     @pytest.mark.parametrize("scheduler_cls",
                              [EventScheduler, OracleScheduler])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_busy_per_device_is_the_sequential_sum(self, seed,
-                                                   scheduler_cls):
-        """``busy_seconds(channel, device)`` aggregates the task columns
-        on request; the floats are those of adding each task's seconds
-        to its queue's total as it is submitted."""
-        replayed, _ = self._build_pair(seed, scheduler_cls)
-        scheduler = replayed.scheduler
-        expected = {}
-        for row in task_rows(scheduler):
-            key = (row.channel, row.device)
-            expected[key] = expected.get(key, 0.0) + row.seconds
-        assert len(expected) > 4
-        for channel in CHANNELS:
-            for device in scheduler.devices():
-                assert scheduler.busy_seconds(channel, device) == \
-                    expected.get((channel, device), 0.0)
-        for device in scheduler.devices():
-            total = 0.0
-            for channel in CHANNELS:
-                total += expected.get((channel, device), 0.0)
-            assert scheduler.busy_seconds(device=device) == total
-        assert scheduler.busy_seconds(channel="gpu", device=12345) == 0.0
-
-    @pytest.mark.parametrize("scheduler_cls",
-                             [EventScheduler, OracleScheduler])
     def test_replay_writes_each_static_column_once(self, scheduler_cls,
                                                    monkeypatch):
         """The work bound: a replay's static columns — seconds, bytes,
@@ -1136,7 +1177,7 @@ class TestWavePrograms:
                 timeline.makespan
 
     def test_random_programs_cover_the_hard_shapes(self):
-        """The draws reach external slots, repeated devices, holds, the
+        """The draws reach external slots, chains, holds, the
         one-producer-each form and ragged per-task lists."""
         seen = set()
         for seed in range(24):
@@ -1147,7 +1188,7 @@ class TestWavePrograms:
             for wave in self._program_waves(rng, num_external):
                 devices = wave["devices"]
                 if len(np.unique(devices)) < len(devices):
-                    seen.add("repeated")
+                    seen.add("chain")
                 if wave["shared_by_device"] is not None:
                     seen.add("holds")
                 if isinstance(wave["deps_by_device"], np.ndarray):
@@ -1158,7 +1199,7 @@ class TestWavePrograms:
                     if isinstance(ids, np.ndarray) and (ids < 0).any():
                         seen.add("names a slot")
         assert seen == {"external=0", "external=1", "external=2",
-                        "repeated", "holds", "one each", "ragged",
+                        "chain", "holds", "one each", "ragged",
                         "names a slot"}
 
     def test_program_is_reusable_across_timelines(self):
@@ -1393,12 +1434,11 @@ class TestDepLists:
     @given(st.data())
     def test_wave_as_dep_lists_leaves_the_list_columns(self, data):
         """Same starts, ends, blockers and stored extras in their order,
-        whichever form carries the lists — repeated devices and holds
-        included."""
+        whichever form carries the lists — holds included."""
         k = data.draw(st.integers(1, 6))
         entries = _lists(data.draw, k, 5)
-        devices = data.draw(st.lists(st.integers(0, 3), min_size=k,
-                                     max_size=k))
+        devices = data.draw(st.lists(st.integers(0, 7), min_size=k,
+                                     max_size=k, unique=True))
         seconds = data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.5]),
                                      min_size=k, max_size=k))
         holds = data.draw(st.none() | st.lists(
@@ -1456,7 +1496,7 @@ class TestDepLists:
         # an IndexError: the zig-zag slot overflowed
         (lambda s: s.submit_batch("gpu", [2**62], [1.0]), "2\\*\\*62"),
         (lambda s: s.submit("gpu", -(2**62) - 1, 1.0), "2\\*\\*62"),
-        (lambda s: s.submit_batch("gpu", [0, 2**63 - 1, 0], [1.0] * 3),
+        (lambda s: s.submit_batch("gpu", [0, 2**63 - 1, 1], [1.0] * 3),
          "2\\*\\*62"),
         # wrapped to device -2**63 (or to link -3) and was scheduled
         (lambda s: s.submit_batch("gpu", np.array([2**63], np.uint64),
@@ -1681,11 +1721,10 @@ class TestOverlapPolicies:
     def test_makespan_not_below_bottleneck_channel(self, graph):
         """Per-(device, channel) busy time lower-bounds any valid schedule."""
         result = make_trainer(graph, "pipeline").train_epoch()
-        scheduler = result.timeline.scheduler
-        bottleneck = max(
-            scheduler.busy_seconds(channel=channel, device=device)
-            for channel in CHANNELS for device in scheduler.devices()
-        )
+        columns = result.timeline.scheduler.columns()
+        _, queue = np.unique(columns.device * len(CHANNELS) + columns.channel,
+                             return_inverse=True)
+        bottleneck = np.bincount(queue, weights=columns.seconds).max()
         assert result.epoch_seconds >= bottleneck - 1e-15
 
 

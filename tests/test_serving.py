@@ -774,8 +774,7 @@ class TestServingEngine:
         trainer = make_trainer()
         engine = ServingEngine(trainer)
         cold = engine.serve(FixedArrivals([0.0]), ImmediatePolicy())
-        warm = engine.serve(FixedArrivals([0.0]), ImmediatePolicy(),
-                            column_seed=0)
+        warm = engine.serve(FixedArrivals([0.0]), ImmediatePolicy())
         # Same seed maps the request to the same column; the second
         # serve finds every layer warm and skips the staging front.
         assert cold.columns[0] == warm.columns[0]
@@ -845,19 +844,16 @@ class TestServingEngine:
         engine = ServingEngine(trainer, cache_budget_bytes=budget)
         assert engine.cache_budget_bytes == budget
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "x", True, float("nan"),
-                                      np.float64(2.0)])
-    def test_rejects_a_column_seed_that_is_no_integer(self, trainer, seed):
-        """``-1`` used to raise a stray ``ValueError``, ``1.5`` and
-        ``"x"`` a stray ``TypeError``."""
-        with pytest.raises(ServingError, match="column_seed"):
+    def test_column_seed_is_no_setting(self, trainer):
+        """The columns draw from the arrival process's seed, always."""
+        with pytest.raises(TypeError):
             ServingEngine(trainer).serve(FixedArrivals([0.0]),
-                                         ImmediatePolicy(), column_seed=seed)
+                                         ImmediatePolicy(), column_seed=0)
 
     @pytest.mark.parametrize("seed", [0, 7, np.int64(7)])
-    def test_accepts_an_integer_column_seed(self, trainer, seed):
+    def test_columns_draw_from_the_arrival_seed(self, trainer, seed):
         result = ServingEngine(trainer).serve(
-            FixedArrivals([0.0, 0.1]), ImmediatePolicy(), column_seed=seed)
+            FixedArrivals([0.0, 0.1], seed=seed), ImmediatePolicy())
         expected = np.random.default_rng(int(seed)).integers(
             trainer.plan.num_batches, size=2)
         assert result.columns.tolist() == expected.tolist()

@@ -618,16 +618,24 @@ class TestUtilizationRendering:
         # corners of the node attribution
         timeline.add("cpu", 0.25)
         timeline.add("net", 0.5, device=1)
-        rendered = (render_timeline(timeline, title="channels", width=24),
+        rendered = (render_timeline(timeline, title="channels"),
                     render_node_utilization(timeline, platform, title="n"))
         assert rendered == (
-            reference_render_timeline(timeline, title="channels", width=24),
+            reference_render_timeline(timeline, title="channels"),
             reference_render_node_utilization(timeline, platform, title="n"))
+
+    def test_bar_width_is_no_setting(self):
+        """The bar is 40 columns at 100%, always."""
+        timeline = EventTimeline()
+        timeline.add("gpu", 1.0, device=0)
+        assert "#" * 40 in render_timeline(timeline)
+        with pytest.raises(TypeError):
+            render_timeline(timeline, width=24)
 
     def test_columns_are_read_only_views(self):
         timeline = EventTimeline()
         gpus = timeline.submit_batch("gpu", [1.0, 2.0], devices=[3, 0])
-        timeline.add("net", 0.5, device=-4, deps=gpus)
+        timeline.submit_batch("net", [0.5], devices=[-4], deps=gpus)
         columns = timeline.scheduler.columns()
         assert columns.device.tolist() == [3, 0, -4]
         assert [CHANNELS[c] for c in columns.channel] == \

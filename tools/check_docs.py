@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Documentation checks: doctest the markdown code blocks, verify links.
+"""Documentation checks: doctest the markdown code blocks, verify links
+and cross-references.
 
 Run with:  PYTHONPATH=src python tools/check_docs.py
 
@@ -17,13 +18,27 @@ Two checks over every tracked markdown file (repo root + docs/):
    Headings inside fenced code blocks do not count. External
    (``http``/``https``/``mailto``) links are skipped.
 
+And a third over the references that name code:
+
+3. **Cross-references** — every fully qualified Sphinx role target
+   (``:class:`~repro.…```, ``:meth:`repro.…``` …) in a ``src/``
+   docstring, ``README.md`` or ``docs/ARCHITECTURE.md`` must import and
+   resolve, attribute by attribute from its longest importable module
+   (so an attribute only an instance holds does not); and every
+   ```path.py::Name``` in those two documents or ``ROADMAP.md`` must
+   name a file of the repository (relative to its root) whose top level
+   defines ``Name`` as a class or function, each further ``::Member``
+   defined in the class before it.
+
 Exit status 0 when everything passes; 1 with a per-failure report
 otherwise. CI runs this as the ``docs`` job.
 """
 
 from __future__ import annotations
 
+import ast
 import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -36,6 +51,15 @@ MARKDOWN_GLOBS = ["*.md", "docs/*.md"]
 _FENCE = re.compile(r"^```(\w*)\s*$")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*?)(?:\s+#+)?\s*$")
+_XREF = re.compile(r":\w+:`~?(repro(?:\.\w+)+)`")
+_NODE = re.compile(r"`([\w./-]+\.py)((?:::\w+)+)`")
+
+#: files whose fully qualified role targets must resolve
+XREF_GLOBS = ["src/**/*.py", "README.md", "docs/ARCHITECTURE.md"]
+#: documents whose ``path.py::Name`` references must resolve
+NODE_DOCS = ["README.md", "docs/ARCHITECTURE.md", "ROADMAP.md"]
+#: the statements a ``path.py::Name`` may name at a file's top level
+_DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _rel(path: Path) -> str:
@@ -46,11 +70,15 @@ def _rel(path: Path) -> str:
         return str(path)
 
 
-def markdown_files() -> list[Path]:
+def _globbed(patterns: list[str]) -> list[Path]:
     files: list[Path] = []
-    for pattern in MARKDOWN_GLOBS:
+    for pattern in patterns:
         files.extend(sorted(REPO_ROOT.glob(pattern)))
     return files
+
+
+def markdown_files() -> list[Path]:
+    return _globbed(MARKDOWN_GLOBS)
 
 
 def extract_pycon_blocks(text: str) -> list[tuple[int, str]]:
@@ -157,6 +185,77 @@ def check_links(path: Path) -> list[str]:
     return failures
 
 
+def resolve_xref(dotted: str) -> bool:
+    """``dotted`` names a module, or an attribute path from the longest
+    importable module prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for part in parts[cut:]:
+            if not hasattr(target, part):
+                return False
+            target = getattr(target, part)
+        return True
+    return False
+
+
+def check_xrefs(path: Path) -> list[str]:
+    """Every fully qualified ``repro.`` role target in ``path`` must
+    resolve."""
+    return [
+        f"{_rel(path)}: unresolved reference -> {dotted}"
+        for dotted in sorted(set(_XREF.findall(path.read_text())))
+        if not resolve_xref(dotted)
+    ]
+
+
+def _defined(body: list[ast.stmt], name: str) -> ast.stmt | None:
+    """The statement of ``body`` that defines ``name``: a class or a
+    function, or an assignment; None if none does."""
+    for node in body:
+        if isinstance(node, _DEFINITIONS) and node.name == name:
+            return node
+        targets: list[ast.expr]
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(target, ast.Name) and target.id == name for target in targets):
+            return node
+    return None
+
+
+def check_node_ids(path: Path, root: Path = REPO_ROOT) -> list[str]:
+    """Every ``path.py::Name[::Member…]`` in ``path`` must name a file
+    under ``root`` whose top level defines ``Name`` as a class or a
+    function, and each member the class before it."""
+    failures: list[str] = []
+    for line in prose_lines(path.read_text()):
+        for file, names in _NODE.findall(line):
+            reference = f"{file}{names}"
+            source = root / file
+            if not source.is_file():
+                failures.append(f"{_rel(path)}: no such file -> {reference}")
+                continue
+            body = ast.parse(source.read_text()).body
+            for depth, name in enumerate(names.split("::")[1:]):
+                node = _defined(body, name)
+                if node is None or (depth == 0 and not isinstance(node, _DEFINITIONS)):
+                    failures.append(f"{_rel(path)}: undefined name -> {reference}")
+                    break
+                body = getattr(node, "body", [])
+    return failures
+
+
+def xref_files() -> list[Path]:
+    return _globbed(XREF_GLOBS)
+
+
 def main() -> int:
     files = markdown_files()
     if not files:
@@ -169,6 +268,11 @@ def main() -> int:
         doctested += len(extract_pycon_blocks(path.read_text()))
         failures.extend(block_failures)
         failures.extend(check_links(path))
+    xrefs = xref_files()
+    for path in xrefs:
+        failures.extend(check_xrefs(path))
+    for name in NODE_DOCS:
+        failures.extend(check_node_ids(REPO_ROOT / name))
     if failures:
         print(f"FAILED ({len(failures)} problem(s)):")
         for failure in failures:
@@ -176,7 +280,8 @@ def main() -> int:
         return 1
     print(
         f"docs OK: {len(files)} markdown file(s), "
-        f"{doctested} pycon block(s) doctested, links verified"
+        f"{doctested} pycon block(s) doctested, links verified, "
+        f"cross-references of {len(xrefs)} file(s) resolved"
     )
     return 0
 
