@@ -46,7 +46,8 @@ __all__ = ["emit", "emit_json", "fleet_scenario", "paper_model",
            "capacity_limited_platform", "RESULTS_DIR", "BENCH_SCALE",
            "CI_STEP", "TABLE8_CHUNKS", "table8_volumes", "table8_claims",
            "TABLE1_PAPER_GB", "table1_claims", "table3_claims",
-           "fig9_claims", "fig11_claims", "fig11_nodes_claims"]
+           "fig8_claims", "fig9_claims", "fig11_claims",
+           "fig11_nodes_claims"]
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -265,6 +266,32 @@ def table3_claims(results: Dict[str, Dict[int, float]]) -> Dict[str, bool]:
     claims["friendster_sim replicates more than it2004_sim at 64"] = \
         results["friendster_sim"][64] > results["it2004_sim"][64]
     return claims
+
+
+def fig8_claims(curves: Dict[str, list],
+                num_classes: int) -> Dict[str, bool]:
+    """Fig. 8's claims over validation-accuracy curves, by name.
+
+    ``curves[system]`` is the ``evaluate()`` dict of ``"DGL-FG"``,
+    ``"HongTu-FG"`` and ``"DGL-MB"`` at each checkpoint of one graph
+    with ``num_classes`` labels. HongTu-FG equals DGL-FG at every
+    checkpoint (the same full-graph training), both paradigms learn past
+    3x chance, and their final accuracies land within 0.15 of each other.
+    """
+    full, hongtu, mini = (curves[system] for system in
+                          ("DGL-FG", "HongTu-FG", "DGL-MB"))
+    final_full = full[-1]["val_accuracy"]
+    final_mini = mini[-1]["val_accuracy"]
+    chance = 1.0 / num_classes
+    return {
+        "HongTu-FG == DGL-FG at every checkpoint":
+            len(full) == len(hongtu) and all(
+                abs(ref["val_accuracy"] - ours["val_accuracy"]) < 1e-9
+                for ref, ours in zip(full, hongtu)),
+        "both paradigms > 3 x chance":
+            min(final_full, final_mini) > 3 * chance,
+        "|final FG - final MB| < 0.15": abs(final_full - final_mini) < 0.15,
+    }
 
 
 def fig9_claims(baseline, p2p, full) -> Dict[str, bool]:

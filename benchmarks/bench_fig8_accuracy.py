@@ -19,7 +19,7 @@ from repro.core import HongTuConfig, HongTuTrainer
 from repro.graph import load_dataset
 from repro.hardware import A100_SERVER, MultiGPUPlatform
 
-from benchmarks._common import emit, paper_model
+from benchmarks._common import emit, fig8_claims, paper_model
 
 EPOCHS = 40
 CHECK_EVERY = 5
@@ -27,8 +27,8 @@ SCALE = 0.25  # accuracy runs train for many epochs; keep graphs modest
 HIDDEN = 64
 
 
-def train_curves(dataset):
-    graph = load_dataset(dataset, scale=SCALE)
+def train_curves(dataset, scale=SCALE, epochs=EPOCHS):
+    graph = load_dataset(dataset, scale=scale)
 
     def model():
         return paper_model("gcn", graph, 2, HIDDEN, seed=7)
@@ -52,7 +52,7 @@ def train_curves(dataset):
     )
 
     curves = {"DGL-FG": [], "HongTu-FG": [], "DGL-MB": []}
-    for epoch in range(1, EPOCHS + 1):
+    for epoch in range(1, epochs + 1):
         reference.train_epoch()
         hongtu.train_epoch()
         minibatch.train_epoch()
@@ -94,22 +94,11 @@ def _final(curve):
 
 def _run_and_check(dataset):
     curves = train_curves(dataset)
-    table = build_table(dataset, curves)
-
-    # HongTu-FG must coincide with DGL-FG at every checkpoint.
-    for ref, ht in zip(curves["DGL-FG"], curves["HongTu-FG"]):
-        assert abs(ref["val_accuracy"] - ht["val_accuracy"]) < 1e-9
-
-    final_fg = curves["DGL-FG"][-1]["val_accuracy"]
-    final_mb = curves["DGL-MB"][-1]["val_accuracy"]
-    graph = load_dataset(dataset, scale=SCALE)
-    random_guess = 1.0 / graph.num_classes
-    # Both paradigms learn far beyond chance...
-    assert final_fg > 3 * random_guess
-    assert final_mb > 3 * random_guess
-    # ...and land within a few points of each other (Fig. 8's story).
-    assert abs(final_fg - final_mb) < 0.15
-    return table
+    classes = load_dataset(dataset, scale=SCALE).num_classes
+    failed = [name for name, held in fig8_claims(curves, classes).items()
+              if not held]
+    assert not failed, failed
+    return build_table(dataset, curves)
 
 
 def bench_fig8_reddit(benchmark):

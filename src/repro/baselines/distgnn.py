@@ -39,6 +39,7 @@ from repro.hardware.clock import EventTimeline
 from repro.hardware.memory import MemoryPool
 from repro.hardware.spec import CPUClusterSpec
 from repro.partition.metis import metis_partition
+from repro.partition.replication import remote_replica_rows
 from repro.runtime.task import net_link
 from repro.units import SCALAR_BYTES
 
@@ -67,30 +68,21 @@ class DistGNNSimulator:
         self._epoch = 0
 
         nodes = cluster.num_nodes
-        self.assignment = (
-            metis_partition(graph, nodes, seed=seed) if nodes > 1
-            else np.zeros(graph.num_vertices, dtype=np.int64)
-        )
+        self.assignment = metis_partition(graph, nodes, seed=seed)
 
         estimate = estimate_for_model(
             graph.num_vertices, graph.num_edges, model
         )
-        src, dst = graph.edge_arrays()
-        remote_mask = self.assignment[src] != self.assignment[dst]
-        dims_sum = sum(model.dims)
-
+        self._remote_rows = remote_replica_rows(graph, self.assignment,
+                                                nodes)
+        # Replicas carry every layer's representation + gradient, and
+        # DistGNN keeps dedicated send/receive buffers of the same size.
+        replica_bytes = 3 * self._remote_rows * sum(model.dims) * SCALAR_BYTES
+        resident = estimate.total_bytes // nodes + replica_bytes
         self.node_pools = []
-        self._remote_rows = []
-        for node in range(nodes):
-            into_node = remote_mask & (self.assignment[dst] == node)
-            remote_rows = len(np.unique(src[into_node]))
-            self._remote_rows.append(remote_rows)
-            # Replicas carry every layer's representation + gradient, and
-            # DistGNN keeps dedicated send/receive buffers of the same size.
-            replica_bytes = 3 * remote_rows * dims_sum * SCALAR_BYTES
-            resident = estimate.total_bytes // nodes + replica_bytes
+        for node, nbytes in enumerate(resident.tolist()):
             pool = MemoryPool(cluster.memory_per_node, name=f"node{node}")
-            pool.alloc("resident_working_set", resident)  # may raise OOM
+            pool.alloc("resident_working_set", nbytes)  # may raise OOM
             self.node_pools.append(pool)
 
     # ------------------------------------------------------------------
@@ -130,11 +122,8 @@ class DistGNNSimulator:
             previous_layer = compute_ids
             if nodes > 1:
                 row_bytes = layer.in_dim * SCALAR_BYTES
-                sync_seconds = [
-                    slowdown * 2 * self._remote_rows[node] * row_bytes
-                    / self.cluster.network_bandwidth
-                    for node in range(nodes)
-                ]
+                sync_seconds = (slowdown * 2 * self._remote_rows * row_bytes
+                                / self.cluster.network_bandwidth)
                 previous_layer = timeline.submit_batch(
                     "net", sync_seconds,
                     devices=net_link(np.arange(nodes), np.arange(nodes),

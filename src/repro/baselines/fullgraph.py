@@ -1,12 +1,14 @@
 """Single-device monolithic full-graph trainer (the DGL-like reference).
 
 Runs the entire graph as one block with a full autograd tape — the memory-
-hungry textbook method that Table 1 shows cannot scale. It serves three
+hungry textbook method that Table 1 shows cannot scale. It serves four
 roles in the reproduction:
 
 * the numerical reference: HongTu must produce identical parameters;
 * the DGL comparison row of Table 5 (single-GPU full-graph system);
-* the accuracy reference of Fig. 8 (``DGL-FG`` curve).
+* the accuracy reference of Fig. 8 (``DGL-FG`` curve);
+* the epoch of :class:`~repro.baselines.inmemory.InMemoryMultiGPUTrainer`
+  (HongTu-IM), which reserves and prices it across every GPU instead.
 
 Timing/memory are charged against one simulated GPU; if the full working
 set (vertex + intermediate data) exceeds its capacity, the trainer raises
@@ -26,9 +28,8 @@ from repro.autograd.functional import (
     split_accuracies,
 )
 from repro.autograd.optim import Adam, Optimizer
-from repro.core.memory_model import estimate_for_model
-from repro.core.trainer import EpochResult
-from repro.errors import ConfigurationError
+from repro.core.memory_model import MemoryEstimate, estimate_for_model
+from repro.core.trainer import EpochResult, require_trainable
 from repro.gnn.block import Block
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
@@ -47,18 +48,15 @@ class FullGraphTrainer:
         Optional; when given, the working set is allocated on GPU 0 (raising
         OOM when it does not fit) and epochs are timed. When omitted the
         trainer is a pure numerical reference.
+
+    A subclass that places or prices the same epoch differently overrides
+    :meth:`_reserve` and :meth:`_price`; the numerics are :meth:`_step`'s.
     """
 
     def __init__(self, graph: Graph, model: GNNModel,
                  platform: Optional[MultiGPUPlatform] = None,
                  optimizer: Optional[Optimizer] = None):
-        if graph.features is None or graph.labels is None:
-            raise ConfigurationError("training requires features and labels")
-        if model.dims[0] != graph.feature_dim:
-            raise ConfigurationError(
-                f"model input dim {model.dims[0]} != feature dim "
-                f"{graph.feature_dim}"
-            )
+        require_trainable(graph, model)
         self.graph = graph
         self.model = model
         #: the numerics dtype: the model's own parameter dtype
@@ -70,49 +68,61 @@ class FullGraphTrainer:
         self._logits: Optional[np.ndarray] = None
 
         if platform is not None:
-            estimate = estimate_for_model(
+            self._reserve(estimate_for_model(
                 graph.num_vertices, graph.num_edges, model
-            )
-            # The full working set lives on one device for the whole run.
-            platform.gpus[0].memory.alloc("full_graph_working_set",
-                                          estimate.total_bytes)
+            ))
+
+    def _reserve(self, estimate: MemoryEstimate) -> None:
+        """Allocate the working set: all of it on GPU 0 for the whole run."""
+        self.platform.gpus[0].memory.alloc("full_graph_working_set",
+                                           estimate.total_bytes)
+
+    def _price(self, timeline: EventTimeline, flops: float) -> None:
+        """Charge one epoch of the model's forward ``flops`` (forward,
+        backward and recompute are 3x that) to GPU 0."""
+        timeline.add("gpu", self.platform.gpu_compute_seconds(3 * flops),
+                     device=0, label="monolithic_epoch")
 
     # ------------------------------------------------------------------
-    def train_epoch(self) -> EpochResult:
-        timeline = EventTimeline(barrier_all=True)
-        self.model.zero_grad()
+    def _forward(self) -> Tensor:
+        return self.model(self.block,
+                          Tensor(self.graph.features.astype(self.dtype)))
 
-        h = Tensor(self.graph.features.astype(self.dtype))
-        out = self.model(self.block, h)
+    def _step(self) -> float:
+        """One full-graph forward, loss, backward and optimizer step;
+        returns the loss."""
+        self.model.zero_grad()
+        out = self._forward()
         loss, seed = masked_cross_entropy_value_and_grad(
             out.data, self.graph.labels, self.graph.train_mask
         )
         out.backward(seed)
         self._logits = out.data
-
-        if self.platform is not None:
-            flops = self.model.forward_flops(
-                self.block.num_src, self.block.num_dst, self.block.num_edges
-            )
-            timeline.add("gpu", self.platform.gpu_compute_seconds(3 * flops),
-                         device=0, label="monolithic_epoch")
-
         self.optimizer.step()
         self._epoch += 1
-        peak = (self.platform.gpus[0].memory.peak
-                if self.platform is not None else 0)
+        return loss
+
+    def train_epoch(self) -> EpochResult:
+        timeline = EventTimeline(barrier_all=True)
+        loss = self._step()
+        if self.platform is None:
+            return EpochResult(self._epoch, timeline, loss=loss,
+                               peak_gpu_bytes=0)
+        block = self.block
+        self._price(timeline, self.model.forward_flops(
+            block.num_src, block.num_dst, block.num_edges))
         return EpochResult(self._epoch, timeline, loss=loss,
-                           peak_gpu_bytes=peak)
+                           peak_gpu_bytes=self.platform.peak_gpu_memory())
 
     def train(self, num_epochs: int) -> List[EpochResult]:
         return [self.train_epoch() for _ in range(num_epochs)]
 
     def logits(self) -> np.ndarray:
+        """Final-layer representations from the last forward pass."""
         if self._logits is None:
-            h = Tensor(self.graph.features.astype(self.dtype))
-            self._logits = self.model(self.block, h).data
+            self._logits = self._forward().data
         return self._logits
 
     def evaluate(self) -> Dict[str, float]:
-        h = Tensor(self.graph.features.astype(self.dtype))
-        return split_accuracies(self.model(self.block, h).data, self.graph)
+        """Accuracy on each available mask at the current parameters."""
+        return split_accuracies(self._forward().data, self.graph)

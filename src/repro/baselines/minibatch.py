@@ -27,7 +27,7 @@ from repro.autograd.functional import (
     split_accuracies,
 )
 from repro.autograd.optim import Adam, Optimizer
-from repro.core.trainer import EpochResult
+from repro.core.trainer import EpochResult, require_trainable
 from repro.errors import ConfigurationError, require_count
 from repro.gnn.block import Block
 from repro.gnn.models import GNNModel
@@ -119,8 +119,7 @@ class MiniBatchTrainer:
                  platform: MultiGPUPlatform,
                  fanout: int = 10, batch_size: int = 1024,
                  optimizer: Optional[Optimizer] = None, seed: int = 0):
-        if graph.features is None or graph.labels is None:
-            raise ConfigurationError("training requires features and labels")
+        require_trainable(graph, model)
         if graph.train_mask is None:
             raise ConfigurationError("mini-batch training requires a train mask")
         require_count("fanout", fanout, 1)

@@ -80,7 +80,20 @@ from repro.runtime.scheduler import DepLists
 from repro.runtime.task import net_link
 from repro.units import SCALAR_BYTES
 
-__all__ = ["HongTuTrainer", "EpochResult"]
+__all__ = ["HongTuTrainer", "EpochResult", "require_trainable"]
+
+
+def require_trainable(graph: Graph, model: GNNModel) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` unless ``graph``
+    carries features and labels and ``model`` reads its feature width:
+    the one construction check of HongTu's and every baseline trainer."""
+    if graph.features is None or graph.labels is None:
+        raise ConfigurationError("training requires features and labels")
+    if model.dims[0] != graph.feature_dim:
+        raise ConfigurationError(
+            f"model input dim {model.dims[0]} != feature dim "
+            f"{graph.feature_dim}"
+        )
 
 
 @dataclass
@@ -178,13 +191,7 @@ class HongTuTrainer:
                  platform: MultiGPUPlatform, config: HongTuConfig,
                  optimizer: Optional[Optimizer] = None,
                  partition: Optional[TwoLevelPartition] = None):
-        if graph.features is None or graph.labels is None:
-            raise ConfigurationError("training requires features and labels")
-        if model.dims[0] != graph.feature_dim:
-            raise ConfigurationError(
-                f"model input dim {model.dims[0]} != feature dim "
-                f"{graph.feature_dim}"
-            )
+        require_trainable(graph, model)
         #: the numerics dtype: host vertex data, transition buffers and
         #: gradients all run in the model's own parameter dtype
         self.dtype = model.dtype

@@ -8,6 +8,7 @@ from repro.partition.two_level import (
     TwoLevelPartition,
 )
 from repro.partition.replication import (
+    remote_replica_rows,
     replication_factor,
     replication_factor_sweep,
     vertex_data_per_subgraph,
@@ -32,7 +33,7 @@ __all__ = [
     "metis_partition", "edge_cut", "partition_balance",
     "SubgraphChunk",
     "two_level_partition", "range_chunks", "TwoLevelPartition",
-    "replication_factor", "replication_factor_sweep",
+    "remote_replica_rows", "replication_factor", "replication_factor_sweep",
     "vertex_data_per_subgraph",
     "partition_nodes", "halo_volumes",
     "halo_load_volumes",

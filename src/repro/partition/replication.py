@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
+import numpy as np
 
 from repro.graph.graph import Graph
 from repro.partition.two_level import TwoLevelPartition, two_level_partition
 from repro.units import SCALAR_BYTES
 
 __all__ = [
+    "remote_replica_rows",
     "replication_factor",
     "replication_factor_sweep",
     "vertex_data_per_subgraph",
@@ -33,6 +35,23 @@ def replication_factor(partition: TwoLevelPartition) -> float:
     total = sum(len(chunk.source_only_neighbors())
                 for chunk in partition.all_chunks())
     return total / partition.graph.num_vertices
+
+
+def remote_replica_rows(graph: Graph, assignment: np.ndarray,
+                        num_parts: int) -> np.ndarray:
+    """Per part, the unique remote vertices it reads: ``(num_parts,)``
+    int64 counts of the distinct sources of edges into the part whose
+    source lives in another part.
+
+    These are the replicas a vertex-partitioned full-graph system keeps
+    and synchronizes (one METIS part per GPU or per CPU node).
+    """
+    src, dst = graph.edge_arrays()
+    into = assignment[dst]
+    remote = assignment[src] != into
+    # one key per (reading part, remote source) pair; unique pairs counted
+    keys = np.unique(into[remote] * graph.num_vertices + src[remote])
+    return np.bincount(keys // graph.num_vertices, minlength=num_parts)
 
 
 def replication_factor_sweep(graph: Graph, partition_counts: Iterable[int],

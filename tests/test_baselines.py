@@ -11,6 +11,7 @@ from repro.baselines import (
     MiniBatchTrainer,
     NeighborSampler,
 )
+from repro.core import HongTuConfig, HongTuTrainer
 from repro.core.memory_model import estimate_for_model
 from repro.errors import ConfigurationError, DeviceOutOfMemoryError
 from repro.gnn import GNNModel, build_model
@@ -21,6 +22,8 @@ from repro.hardware import (
     CPU_NODE,
     MultiGPUPlatform,
 )
+from repro.partition import remote_replica_rows
+from repro.units import SCALAR_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +60,6 @@ class TestFullGraphTrainer:
         assert result.epoch_seconds > 0
         assert result.peak_gpu_bytes > 0
 
-    def test_requires_matching_dims(self, graph):
-        model = build_model("gcn", [3, 2], np.random.default_rng(0))
-        with pytest.raises(ConfigurationError):
-            FullGraphTrainer(graph, model)
-
 
 class TestInMemoryTrainer:
     def test_oom_on_big_graph_small_gpus(self):
@@ -94,6 +92,42 @@ class TestInMemoryTrainer:
             graph, make_model(graph), MultiGPUPlatform(A100_SERVER)
         )
         assert trainer.train_epoch().clock.seconds["d2d"] > 0
+
+    @pytest.mark.parametrize("comm_overhead", [1.0, 1.3])
+    def test_boundary_sync_is_the_closed_form(self, graph, comm_overhead):
+        """GPU i syncs 2 · rows_i · Σ in_dim · SCALAR_BYTES ·
+        comm_overhead bytes over NVLink, rows_i its remote replicas."""
+        model = make_model(graph, layers=3)
+        trainer = InMemoryMultiGPUTrainer(
+            graph, model, MultiGPUPlatform(A100_SERVER), seed=2,
+            comm_overhead=comm_overhead)
+        timeline = trainer.train_epoch().timeline
+        scheduler = timeline.scheduler
+        columns = scheduler.columns()
+        sync = [phase for phase, label
+                in enumerate(scheduler.phase_labels())
+                if label == "boundary_sync"]
+        tasks = np.flatnonzero(np.isin(columns.phase, sync))
+        assert columns.device[tasks].tolist() == [0, 1, 2, 3]
+        rows = remote_replica_rows(graph, trainer.assignment, 4)
+        assert rows.min() > 0
+        in_dims = sum(layer.in_dim for layer in model.layers)
+        np.testing.assert_allclose(
+            columns.seconds[tasks],
+            2 * rows * in_dims * SCALAR_BYTES * comm_overhead
+            / A100_SERVER.nvlink_bandwidth,
+            rtol=1e-14, atol=0.0)
+
+    def test_evaluates_at_the_current_parameters(self, graph):
+        """The monolithic epoch's evaluation, not the logits of the last
+        forward pass (which ran before the optimizer step)."""
+        reference = FullGraphTrainer(graph, make_model(graph, seed=5))
+        inmemory = InMemoryMultiGPUTrainer(
+            graph, make_model(graph, seed=5), MultiGPUPlatform(A100_SERVER))
+        for _ in range(3):
+            reference.train_epoch()
+            inmemory.train_epoch()
+        assert inmemory.evaluate() == reference.evaluate()
 
 
 class TestDistGNN:
@@ -269,6 +303,20 @@ def test_counts_are_validated_at_construction(graph, system, field, value):
     with pytest.raises(ConfigurationError, match=field):
         system(graph, make_model(graph), MultiGPUPlatform(A100_SERVER),
                **{field: value})
+
+
+@pytest.mark.parametrize("system", [HongTuTrainer, FullGraphTrainer,
+                                    InMemoryMultiGPUTrainer,
+                                    MiniBatchTrainer])
+def test_requires_matching_dims(graph, system):
+    """A model that does not read the feature width is refused at
+    construction — the in-memory and mini-batch trainers used to fail in
+    their first epoch with numpy's matmul ``ValueError``."""
+    model = build_model("gcn", [3, 2], np.random.default_rng(0))
+    platform = MultiGPUPlatform(A100_SERVER)
+    args = (HongTuConfig(num_chunks=2),) if system is HongTuTrainer else ()
+    with pytest.raises(ConfigurationError, match="input dim 3"):
+        system(graph, model, platform, *args)
 
 
 def _baseline(system, graph, model):

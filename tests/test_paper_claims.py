@@ -16,6 +16,7 @@ import pytest  # noqa: E402
 from benchmarks._common import (  # noqa: E402
     TABLE1_PAPER_GB,
     TABLE8_CHUNKS,
+    fig8_claims,
     fig9_claims,
     fig11_claims,
     fig11_nodes_claims,
@@ -24,6 +25,7 @@ from benchmarks._common import (  # noqa: E402
     table8_claims,
     table8_volumes,
 )
+from benchmarks.bench_fig8_accuracy import train_curves  # noqa: E402
 from benchmarks.bench_fig9_breakdown import (  # noqa: E402
     DATASETS,
     LADDER,
@@ -41,6 +43,7 @@ from benchmarks.bench_table3_replication import (  # noqa: E402
     PARTITION_COUNTS,
     run_sweep,
 )
+from repro.graph import load_dataset  # noqa: E402
 
 
 def test_table1_memory_claims():
@@ -84,6 +87,26 @@ def test_table8_dedup_volume_claims():
     assert min(TABLE8_CHUNKS.values()) >= 8
     claims = table8_claims(table8_volumes(TABLE8_SCALE))
     assert len(claims) == 2 * len(TABLE8_CHUNKS) + 1
+    failed = [name for name, held in claims.items() if not held]
+    assert not failed, failed
+
+
+#: Fig. 8's curves on products_sim at 400 vertices over 20 epochs, a
+#: checkpoint every 5 (about 1.2 s). All three claims hold. reddit_sim is
+#: left out: at the same scale its 230 vertices are dense enough that the
+#: mini-batch sampler's per-vertex walk takes about 3 s, twice this
+#: budget.
+FIG8_SCALE = 0.1
+FIG8_EPOCHS = 20
+
+
+def test_fig8_accuracy_claims():
+    curves = train_curves("products_sim", scale=FIG8_SCALE,
+                          epochs=FIG8_EPOCHS)
+    assert all(len(curve) == 4 for curve in curves.values())
+    classes = load_dataset("products_sim", scale=FIG8_SCALE).num_classes
+    claims = fig8_claims(curves, classes)
+    assert len(claims) == 3
     failed = [name for name, held in claims.items() if not held]
     assert not failed, failed
 

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import PartitionError
-from repro.graph import load_dataset, toy_graph
+from repro.graph import Graph, load_dataset, toy_graph
 from repro.partition import (
     edge_cut,
     metis_partition,
     partition_balance,
     range_chunks,
+    remote_replica_rows,
     replication_factor,
     replication_factor_sweep,
     two_level_partition,
@@ -212,6 +213,30 @@ class TestReplication:
         with pytest.raises(TypeError):
             replication_factor(partition, include_destinations=True)
 
+    @pytest.mark.parametrize("dataset", ["toy", "reddit_sim", "papers_sim"])
+    @pytest.mark.parametrize("num_parts", [1, 2, 4, 7])
+    def test_remote_rows_are_the_per_edge_walk(self, dataset, num_parts):
+        graph = (toy_graph() if dataset == "toy"
+                 else load_dataset(dataset, scale=0.1, seed=2))
+        assignment = metis_partition(graph, num_parts, seed=1)
+        rows = remote_replica_rows(graph, assignment, num_parts)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == walked_remote_rows(graph, assignment,
+                                                   num_parts)
+        if num_parts == 1:
+            assert rows.tolist() == [0]
+
+    def test_remote_rows_of_hand_drawn_parts(self):
+        """Part 0 reads vertex 2 over two edges (one replica), part 1
+        reads vertex 1, part 2 has only a local in-edge and part 3 no
+        vertices at all."""
+        src, dst = np.array([0, 1, 2, 2, 3]), np.array([1, 2, 0, 1, 4])
+        graph = Graph(src, dst, 5)
+        assignment = np.array([0, 0, 1, 2, 2])
+        rows = remote_replica_rows(graph, assignment, 4)
+        assert rows.tolist() == [1, 1, 0, 0]
+        assert rows.tolist() == walked_remote_rows(graph, assignment, 4)
+
     def test_vertex_data_formula(self):
         # (1 + alpha) * |V| / (m*n) rows of dim * 4 bytes
         volume = vertex_data_per_subgraph(
@@ -226,3 +251,14 @@ class TestReplication:
         web_alpha = replication_factor_sweep(web, [16], seed=0)[16]
         social_alpha = replication_factor_sweep(social, [16], seed=0)[16]
         assert social_alpha > web_alpha
+
+
+def walked_remote_rows(graph, assignment, num_parts):
+    """Per part, the distinct sources of its in-edges that live in
+    another part, found one edge at a time."""
+    remote = [set() for _ in range(num_parts)]
+    src, dst = graph.edge_arrays()
+    for u, v in zip(src.tolist(), dst.tolist()):
+        if assignment[u] != assignment[v]:
+            remote[assignment[v]].add(u)
+    return [len(sources) for sources in remote]
