@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "kaiming_uniform", "zeros", "uniform"]
+__all__ = ["xavier_uniform", "zeros"]
 
 
 def xavier_uniform(shape: tuple, rng: np.random.Generator, gain: float = 1.0,
@@ -21,28 +21,6 @@ def xavier_uniform(shape: tuple, rng: np.random.Generator, gain: float = 1.0,
     fan_in, fan_out = _fans(shape)
     bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def xavier_normal(shape: tuple, rng: np.random.Generator, gain: float = 1.0,
-                  dtype=np.float64) -> np.ndarray:
-    """Glorot/Xavier normal: N(0, gain^2 * 2/(fan_in+fan_out))."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return (rng.standard_normal(shape) * std).astype(dtype)
-
-
-def kaiming_uniform(shape: tuple, rng: np.random.Generator,
-                    dtype=np.float64) -> np.ndarray:
-    """He uniform for ReLU fan-in: U(-sqrt(6/fan_in), sqrt(6/fan_in))."""
-    fan_in, _ = _fans(shape)
-    bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def uniform(shape: tuple, rng: np.random.Generator, low: float = -0.1,
-            high: float = 0.1, dtype=np.float64) -> np.ndarray:
-    """Plain uniform initialization."""
-    return rng.uniform(low, high, size=shape).astype(dtype)
 
 
 def zeros(shape: tuple, dtype=np.float64) -> np.ndarray:

@@ -4,7 +4,7 @@ A :class:`Parameter` is just a Tensor with ``requires_grad=True`` and a
 stable name. A :class:`Module` collects parameters from its attributes and
 sub-modules, providing ``parameters()`` / ``named_parameters()`` /
 ``state_dict()`` traversal — enough for optimizers, parameter all-reduce
-across simulated GPUs, and checkpointing.
+across simulated GPUs, and comparing trained weights.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
-
-from repro.errors import AutogradError
 
 from repro.autograd.tensor import Tensor
 
@@ -29,9 +27,6 @@ class Parameter(Tensor):
 
 class Module:
     """Base class for neural-network building blocks."""
-
-    def __init__(self) -> None:
-        self.training = True
 
     # -- traversal ------------------------------------------------------
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
@@ -53,28 +48,6 @@ class Module:
         """All trainable parameters, in deterministic traversal order."""
         return [p for _, p in self.named_parameters()]
 
-    def modules(self) -> Iterator["Module"]:
-        """Yield this module and every sub-module."""
-        yield self
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                yield from value.modules()
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield from item.modules()
-
-    # -- train/eval mode --------------------------------------------------
-    def train(self) -> "Module":
-        for module in self.modules():
-            module.training = True
-        return self
-
-    def eval(self) -> "Module":
-        for module in self.modules():
-            module.training = False
-        return self
-
     # -- state management -------------------------------------------------
     def zero_grad(self) -> None:
         for param in self.parameters():
@@ -83,28 +56,6 @@ class Module:
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copy of every parameter array keyed by dotted name."""
         return {name: param.data.copy() for name, param in self.named_parameters()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameter arrays produced by :meth:`state_dict`."""
-        own = dict(self.named_parameters())
-        missing = set(own) - set(state)
-        unexpected = set(state) - set(own)
-        if missing or unexpected:
-            raise AutogradError(
-                f"state dict mismatch: missing={sorted(missing)}, "
-                f"unexpected={sorted(unexpected)}"
-            )
-        for name, param in own.items():
-            if param.data.shape != state[name].shape:
-                raise AutogradError(
-                    f"shape mismatch for {name}: "
-                    f"{param.data.shape} vs {state[name].shape}"
-                )
-            param.data = state[name].copy()
-
-    def num_parameters(self) -> int:
-        """Total scalar parameter count."""
-        return sum(p.size for p in self.parameters())
 
     def parameter_nbytes(self) -> int:
         """Total parameter payload in bytes (for the memory model)."""
@@ -146,7 +97,3 @@ class Linear(Module):
         if self.bias is not None:
             out = ops.add(out, self.bias)
         return out
-
-    def flops(self, num_rows: int) -> int:
-        """Multiply-accumulate count for ``num_rows`` input rows (fwd only)."""
-        return 2 * num_rows * self.in_features * self.out_features

@@ -1,15 +1,17 @@
 """Differentiable operations for the autograd engine.
 
 Each op computes a numpy result eagerly and registers a vector-Jacobian
-product (VJP) closure on the output tensor. The op set covers the needs of
-GNN training:
+product (VJP) closure on the output tensor. The op set is what the GNN
+layers, the examples and the loss call:
 
-* dense ops — ``matmul``, elementwise arithmetic, activations, reductions;
+* dense ops — ``add``, ``sub``, ``mul``, ``matmul``, ``reshape``,
+  ``concat``; activations ``relu``, ``leaky_relu``, ``elu``,
+  ``sigmoid``, ``tanh``; ``sum_`` and ``log_softmax`` for
+  :func:`repro.autograd.functional.cross_entropy`;
 * irregular ops — ``spmm`` (a linear AGGREGATE as one sparse product),
   ``gather_rows`` (neighbor lookup), ``scatter_add_rows`` (gradient
-  accumulation along out-edges), ``segment_sum`` and ``segment_softmax``
-  (per-destination edge reductions used by GAT);
-* utility ops — ``concat``, ``dropout``, ``reshape``, ``transpose``.
+  accumulation along out-edges) and ``segment_softmax``
+  (GAT's per-destination edge softmax).
 
 Broadcasting follows numpy semantics; :func:`_unbroadcast` reduces an output
 adjoint back to an input's shape.
@@ -27,12 +29,10 @@ from repro.autograd.tensor import Tensor
 from repro.errors import AutogradError
 
 __all__ = [
-    "add", "sub", "mul", "div", "neg", "pow_", "matmul",
-    "relu", "leaky_relu", "sigmoid", "tanh", "exp", "log",
-    "sum_", "mean", "reshape", "transpose", "concat",
-    "spmm", "gather_rows", "scatter_add_rows", "segment_sum",
-    "segment_softmax",
-    "dropout", "slice_rows", "softmax", "log_softmax", "elu",
+    "add", "sub", "mul", "matmul", "reshape", "concat",
+    "relu", "leaky_relu", "elu", "sigmoid", "tanh",
+    "sum_", "log_softmax",
+    "spmm", "gather_rows", "scatter_add_rows", "segment_softmax",
 ]
 
 
@@ -87,39 +87,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor.from_op(out_data, (a, b), backward, name="mul")
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = Tensor.as_tensor(a), Tensor.as_tensor(b)
-    out_data = a.data / b.data
-
-    def backward(grad: np.ndarray) -> None:
-        a.accumulate_grad(_unbroadcast(grad / b.data, a.shape))
-        b.accumulate_grad(
-            _unbroadcast(-grad * a.data / (b.data * b.data), b.shape)
-        )
-
-    return Tensor.from_op(out_data, (a, b), backward, name="div")
-
-
-def neg(a: Tensor) -> Tensor:
-    a = Tensor.as_tensor(a)
-
-    def backward(grad: np.ndarray) -> None:
-        a.accumulate_grad(-grad)
-
-    return Tensor.from_op(-a.data, (a,), backward, name="neg")
-
-
-def pow_(a: Tensor, exponent: float) -> Tensor:
-    """Elementwise power with a constant (non-differentiated) exponent."""
-    a = Tensor.as_tensor(a)
-    out_data = a.data ** exponent
-
-    def backward(grad: np.ndarray) -> None:
-        a.accumulate_grad(grad * exponent * a.data ** (exponent - 1))
-
-    return Tensor.from_op(out_data, (a,), backward, name="pow")
-
-
 # ----------------------------------------------------------------------
 # linear algebra
 # ----------------------------------------------------------------------
@@ -138,15 +105,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         b.accumulate_grad(a.data.T @ grad)
 
     return Tensor.from_op(out_data, (a, b), backward, name="matmul")
-
-
-def transpose(a: Tensor) -> Tensor:
-    a = Tensor.as_tensor(a)
-
-    def backward(grad: np.ndarray) -> None:
-        a.accumulate_grad(grad.T)
-
-    return Tensor.from_op(a.data.T, (a,), backward, name="transpose")
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -216,27 +174,8 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor.from_op(out_data, (a,), backward, name="tanh")
 
 
-def exp(a: Tensor) -> Tensor:
-    a = Tensor.as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(grad: np.ndarray) -> None:
-        a.accumulate_grad(grad * out_data)
-
-    return Tensor.from_op(out_data, (a,), backward, name="exp")
-
-
-def log(a: Tensor) -> Tensor:
-    a = Tensor.as_tensor(a)
-
-    def backward(grad: np.ndarray) -> None:
-        a.accumulate_grad(grad / a.data)
-
-    return Tensor.from_op(np.log(a.data), (a,), backward, name="log")
-
-
 # ----------------------------------------------------------------------
-# reductions
+# reductions (the loss)
 # ----------------------------------------------------------------------
 
 def sum_(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
@@ -250,33 +189,6 @@ def sum_(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tenso
         a.accumulate_grad(np.broadcast_to(g, a.shape).astype(a.dtype))
 
     return Tensor.from_op(out_data, (a,), backward, name="sum")
-
-
-def mean(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
-    a = Tensor.as_tensor(a)
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.shape[axis]
-
-    def backward(grad: np.ndarray) -> None:
-        g = grad / count
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a.accumulate_grad(np.broadcast_to(g, a.shape).astype(a.dtype))
-
-    return Tensor.from_op(out_data, (a,), backward, name="mean")
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = Tensor.as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(grad: np.ndarray) -> None:
-        dot = (grad * out_data).sum(axis=axis, keepdims=True)
-        a.accumulate_grad(out_data * (grad - dot))
-
-    return Tensor.from_op(out_data, (a,), backward, name="softmax")
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -309,19 +221,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
             tensor.accumulate_grad(grad[tuple(index)])
 
     return Tensor.from_op(out_data, tensors, backward, name="concat")
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Differentiable row slice ``a[start:stop]``."""
-    a = Tensor.as_tensor(a)
-    out_data = a.data[start:stop]
-
-    def backward(grad: np.ndarray) -> None:
-        full = np.zeros_like(a.data)
-        full[start:stop] = grad
-        a.accumulate_grad(full)
-
-    return Tensor.from_op(out_data, (a,), backward, name="slice_rows")
 
 
 # ----------------------------------------------------------------------
@@ -421,11 +320,6 @@ def scatter_add_rows(a: Tensor, index: np.ndarray, num_rows: int) -> Tensor:
     return Tensor.from_op(out_data, (a,), backward, name="scatter_add_rows")
 
 
-def segment_sum(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of ``a`` grouped by ``segments`` (alias of scatter-add)."""
-    return scatter_add_rows(a, segments, num_segments)
-
-
 def segment_softmax(scores: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
     """Numerically-stable softmax over variable-length segments.
 
@@ -462,45 +356,3 @@ def segment_softmax(scores: Tensor, segments: np.ndarray, num_segments: int) -> 
         scores.accumulate_grad(out_data * (grad - seg_dot[segments]))
 
     return Tensor.from_op(out_data, (scores,), backward, name="segment_softmax")
-
-
-# ----------------------------------------------------------------------
-# regularization
-# ----------------------------------------------------------------------
-
-def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when not training or p == 0."""
-    a = Tensor.as_tensor(a)
-    if not training or p <= 0.0:
-        return a
-    if not 0.0 <= p < 1.0:
-        raise AutogradError(f"dropout probability must be in [0, 1), got {p}")
-    keep = 1.0 - p
-    mask = (rng.random(a.shape) < keep).astype(a.dtype) / keep
-
-    def backward(grad: np.ndarray) -> None:
-        a.accumulate_grad(grad * mask)
-
-    return Tensor.from_op(a.data * mask, (a,), backward, name="dropout")
-
-
-# ----------------------------------------------------------------------
-# operator binding
-# ----------------------------------------------------------------------
-
-def _bind_operators() -> None:
-    """Attach arithmetic dunders to Tensor (kept here to avoid import cycle)."""
-    Tensor.__add__ = lambda self, other: add(self, other)
-    Tensor.__radd__ = lambda self, other: add(other, self)
-    Tensor.__sub__ = lambda self, other: sub(self, other)
-    Tensor.__rsub__ = lambda self, other: sub(other, self)
-    Tensor.__mul__ = lambda self, other: mul(self, other)
-    Tensor.__rmul__ = lambda self, other: mul(other, self)
-    Tensor.__truediv__ = lambda self, other: div(self, other)
-    Tensor.__rtruediv__ = lambda self, other: div(other, self)
-    Tensor.__neg__ = lambda self: neg(self)
-    Tensor.__pow__ = lambda self, exponent: pow_(self, exponent)
-    Tensor.__matmul__ = lambda self, other: matmul(self, other)
-
-
-_bind_operators()

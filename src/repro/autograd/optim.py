@@ -1,4 +1,4 @@
-"""Optimizers: SGD (with momentum / weight decay) and Adam.
+"""Optimizers: plain SGD and Adam.
 
 Full-graph GNN training uses *global* gradient descent — one optimizer step
 per epoch over gradients accumulated from every chunk (paper §2.3). The
@@ -22,67 +22,34 @@ __all__ = ["Optimizer", "SGD", "Adam"]
 class Optimizer:
     """Base optimizer holding a parameter list."""
 
-    def __init__(self, params: Iterable[Parameter]):
+    def __init__(self, params: Iterable[Parameter], lr: float):
         self.params: List[Parameter] = list(params)
         if not self.params:
             raise ConfigurationError("optimizer received no parameters")
-
-    def zero_grad(self) -> None:
-        for param in self.params:
-            param.zero_grad()
+        if lr <= 0:
+            raise ConfigurationError(f"learning rate must be positive, got {lr}")
+        self.lr = lr
 
     def step(self) -> None:
         raise NotImplementedError
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(params)
-        if lr <= 0:
-            raise ConfigurationError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
+    """Plain gradient descent: ``w -= lr * grad``."""
 
     def step(self) -> None:
         for param in self.params:
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                vel = self._velocity.get(id(param))
-                if vel is None:
-                    vel = np.zeros_like(param.data)
-                vel = self.momentum * vel + grad
-                self._velocity[id(param)] = vel
-                grad = vel
-            param.data = param.data - self.lr * grad
+            if param.grad is not None:
+                param.data = param.data - self.lr * param.grad
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction."""
+    """Adam (Kingma & Ba) with bias correction, β = (0.9, 0.999), ε = 1e-8."""
 
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        super().__init__(params)
-        if lr <= 0:
-            raise ConfigurationError(f"learning rate must be positive, got {lr}")
-        beta1, beta2 = betas
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigurationError(f"betas must be in [0, 1), got {betas}")
-        self.lr = lr
-        self.beta1, self.beta2 = beta1, beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3):
+        super().__init__(params, lr)
         self._step_count = 0
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
@@ -95,8 +62,6 @@ class Adam(Optimizer):
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
             m = self._m.get(id(param))
             v = self._v.get(id(param))
             if m is None:

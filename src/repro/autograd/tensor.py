@@ -17,6 +17,8 @@ Design notes
   memory-saving first forward pass (intermediate data are *not* retained) and
   rebuilds the tape only during backward-pass recomputation, which is the
   recomputation strategy of Chen et al. [5] that the paper adopts.
+* No operator overloads: every layer and loss calls
+  :mod:`repro.autograd.ops` by name.
 * dtype defaults to float64 so gradient-equivalence tests can use tight
   tolerances; training code may choose float32 to mirror GPU arithmetic.
 """
@@ -140,25 +142,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Return a new leaf tensor sharing this tensor's data."""
-        return Tensor(self.data)
-
-    def astype(self, dtype) -> "Tensor":
-        """Return a non-differentiable cast of this tensor."""
-        return Tensor(self.data.astype(dtype))
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -227,16 +210,7 @@ class Tensor:
                     stack.append((parent, False))
         return reversed(order)
 
-    # ------------------------------------------------------------------
-    # operator sugar (implemented in ops.py, bound at import time)
-    # ------------------------------------------------------------------
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         label = f", name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag}{label})"
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    # Arithmetic dunders are attached by repro.autograd.ops to avoid a
-    # circular import; see _bind_operators() there.

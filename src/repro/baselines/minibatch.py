@@ -43,8 +43,9 @@ class NeighborSampler:
     """Layered fanout-bounded in-neighbor sampler (DGL-style blocks)."""
 
     def __init__(self, graph: Graph, fanouts: Sequence[int], seed: int = 0):
-        if any(f < 1 for f in fanouts):
-            raise ConfigurationError(f"fanouts must be >= 1, got {fanouts}")
+        for layer, fanout in enumerate(fanouts):
+            require_count(f"fanouts[{layer}]", fanout, 1)
+        require_count("seed", seed, 0)
         self.graph = graph
         self.fanouts = list(fanouts)
         self.rng = np.random.default_rng(seed)

@@ -18,10 +18,6 @@ from repro.core.memory_model import (
     admits_placement,
 )
 from repro.core.trainer import HongTuTrainer, EpochResult
-from repro.core.serialization import (
-    save_training_state,
-    load_training_state,
-)
 
 __all__ = [
     "HongTuConfig", "ALLREDUCE_ALGORITHMS", "COMM_MODES",
@@ -29,5 +25,4 @@ __all__ = [
     "MemoryEstimate", "estimate_training_memory", "estimate_for_model",
     "partition_host_bytes", "placement_host_bytes", "admits_placement",
     "HongTuTrainer", "EpochResult",
-    "save_training_state", "load_training_state",
 ]

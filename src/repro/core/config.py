@@ -97,7 +97,7 @@ class HongTuConfig:
         ``rebalance_trigger ×`` the faultless baseline makespan. Must be
         > 1; node deaths re-balance unconditionally.
     seed:
-        Seed for partitioning.
+        Seed for partitioning; an integer >= 0.
     """
 
     num_chunks: int = 4
@@ -118,6 +118,7 @@ class HongTuConfig:
         # otherwise surface later as a stray error (or a wrong run).
         require_count("num_chunks", self.num_chunks, 1)
         require_count("max_imbalance", self.max_imbalance, 0)
+        require_count("seed", self.seed, 0)
         for flag in ("reorganize", "elastic"):
             if not isinstance(getattr(self, flag), bool):
                 raise ConfigurationError(

@@ -238,7 +238,7 @@ class HongTuTrainer:
         self._h[0][:] = graph.features.astype(dtype)
         # Host-side checkpoint store for cached AGGREGATE outputs. The
         # host allocation behind each (layer, gpu, batch) slot is created
-        # once and resized/reused across epochs.
+        # once and reused across epochs.
         self._checkpoints: Dict[tuple, np.ndarray] = {}
         self._checkpoint_allocations: Dict[tuple, Allocation] = {}
 
@@ -618,16 +618,14 @@ class HongTuTrainer:
                           data: np.ndarray) -> None:
         key = (l, i, j)
         nbytes = data.shape[0] * data.shape[1] * SCALAR_BYTES
-        allocation = self._checkpoint_allocations.get(key)
-        if allocation is None:
+        if key not in self._checkpoint_allocations:
             # Checkpoints live on the host of the GPU that wrote them
-            # (node 0's pool on a single-node platform).
+            # (node 0's pool on a single-node platform). A slot's size
+            # is fixed by its chunk, and a re-plan frees every slot.
             pool = self.platform.host_pool(self.platform.node_of(i))
             self._checkpoint_allocations[key] = pool.alloc(
                 "aggregate_cache", nbytes
             )
-        elif allocation.nbytes != nbytes:
-            allocation.resize(nbytes)
         self._checkpoints[key] = data.copy()
 
     def _take_checkpoint(self, l: int, i: int, j: int) -> np.ndarray:

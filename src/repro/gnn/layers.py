@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from repro.autograd import Linear, Module, Parameter, Tensor, init, ops
-from repro.errors import ConfigurationError
+from repro.errors import require_count
 from repro.gnn.block import Block
 
 __all__ = [
@@ -50,11 +50,8 @@ class GNNLayer(Module):
     update_uses_self: bool = False
 
     def __init__(self, in_dim: int, out_dim: int):
-        super().__init__()
-        if in_dim <= 0 or out_dim <= 0:
-            raise ConfigurationError(
-                f"layer dims must be positive, got {in_dim}->{out_dim}"
-            )
+        require_count("in_dim", in_dim, 1)
+        require_count("out_dim", out_dim, 1)
         self.in_dim = in_dim
         self.out_dim = out_dim
 
@@ -196,21 +193,20 @@ class GraphSAGELayer(GNNLayer):
 
 
 class GINLayer(GNNLayer):
-    """Graph isomorphism network: h' = MLP((1+ε) h_v + Σ_u h_u)."""
+    """Graph isomorphism network: h' = MLP((1+ε) h_v + Σ_u h_u).
+
+    The two-layer MLP is ``out_dim`` wide throughout."""
 
     cacheable_aggregate = True
     update_uses_self = True
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 activation: Optional[str] = "relu",
-                 hidden_dim: Optional[int] = None, dtype=np.float64):
+                 activation: Optional[str] = "relu", dtype=np.float64):
         super().__init__(in_dim, out_dim)
-        hidden = hidden_dim or out_dim
-        self.mlp1 = Linear(in_dim, hidden, rng, dtype=dtype)
-        self.mlp2 = Linear(hidden, out_dim, rng, dtype=dtype)
+        self.mlp1 = Linear(in_dim, out_dim, rng, dtype=dtype)
+        self.mlp2 = Linear(out_dim, out_dim, rng, dtype=dtype)
         self.epsilon = Parameter(np.zeros(1, dtype=dtype), name="epsilon")
         self.activation = activation
-        self._hidden = hidden
 
     def aggregate(self, block: Block, h: Tensor) -> Tensor:
         return ops.spmm(block.operator(h.dtype, weighted=False), h,
@@ -231,8 +227,8 @@ class GINLayer(GNNLayer):
         return 2 * num_edges * self.in_dim
 
     def update_flops(self, num_dst: int) -> int:
-        return 2 * num_dst * (self.in_dim * self._hidden
-                              + self._hidden * self.out_dim)
+        return 2 * num_dst * (self.in_dim * self.out_dim
+                              + self.out_dim * self.out_dim)
 
 
 class CommNetLayer(GNNLayer):
@@ -268,77 +264,57 @@ class CommNetLayer(GNNLayer):
 
 
 class GATLayer(GNNLayer):
-    """Graph attention (Eq. 3) with optional multi-head concat.
+    """Graph attention (Eq. 3), one head.
 
-    The per-edge attention path — LeakyReLU(aᵀ[W h_v ‖ W h_u]) followed by a
-    neighbor-oriented softmax — creates O(|E|)-sized parameterized
-    intermediates, so the aggregate is *not* cacheable: HongTu recomputes the
-    whole layer in the backward pass from the (re-gathered) input (Fig. 4 b).
-    It is also the workload that requires full-neighbor chunks: the softmax
-    normalizes over a destination's entire in-neighbor set.
+    The per-edge attention path — LeakyReLU(0.2) of aᵀ[W h_v ‖ W h_u]
+    followed by a neighbor-oriented softmax — creates O(|E|)-sized
+    parameterized intermediates, so the aggregate is *not* cacheable:
+    HongTu recomputes the whole layer in the backward pass from the
+    (re-gathered) input (Fig. 4 b). It is also the workload that requires
+    full-neighbor chunks: the softmax normalizes over a destination's
+    entire in-neighbor set.
     """
 
     cacheable_aggregate = False
     update_uses_self = False
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 num_heads: int = 1, activation: Optional[str] = "elu",
-                 negative_slope: float = 0.2, dtype=np.float64):
+                 activation: Optional[str] = "elu", dtype=np.float64):
         super().__init__(in_dim, out_dim)
-        if out_dim % num_heads != 0:
-            raise ConfigurationError(
-                f"out_dim {out_dim} not divisible by num_heads {num_heads}"
-            )
-        self.num_heads = num_heads
-        self.head_dim = out_dim // num_heads
-        self.negative_slope = negative_slope
         self.activation = activation
         self.weight = Parameter(
             init.xavier_uniform((in_dim, out_dim), rng, dtype=dtype),
             name="weight",
         )
-        # Attention vector a = [a_dst ; a_src], stored per half per head.
+        # Attention vector a = [a_dst ; a_src], one (1, out_dim) row each.
         self.attn_dst = Parameter(
-            init.xavier_uniform((self.num_heads, self.head_dim), rng, dtype=dtype),
+            init.xavier_uniform((1, out_dim), rng, dtype=dtype),
             name="attn_dst",
         )
         self.attn_src = Parameter(
-            init.xavier_uniform((self.num_heads, self.head_dim), rng, dtype=dtype),
+            init.xavier_uniform((1, out_dim), rng, dtype=dtype),
             name="attn_src",
         )
 
     def aggregate(self, block: Block, h: Tensor) -> Tensor:
         """Attention-weighted neighbor sum; returns (num_dst, out_dim)."""
-        wh = ops.matmul(h, self.weight)  # (num_src, heads*head_dim)
-        head_outputs = []
-        for head in range(self.num_heads):
-            lo, hi = head * self.head_dim, (head + 1) * self.head_dim
-            wh_head = _column_slice(wh, lo, hi)
-            a_dst = ops.reshape(_row_select(self.attn_dst, head),
-                                (self.head_dim, 1))
-            a_src = ops.reshape(_row_select(self.attn_src, head),
-                                (self.head_dim, 1))
-            score_dst = ops.matmul(wh_head, a_dst)  # (num_src, 1)
-            score_src = ops.matmul(wh_head, a_src)  # (num_src, 1)
-            edge_score = ops.add(
-                ops.gather_rows(score_dst, block.dst_pos[block.edge_dst]),
-                ops.gather_rows(score_src, block.edge_src),
-            )
-            edge_score = ops.leaky_relu(edge_score, self.negative_slope)
-            alpha = ops.segment_softmax(
-                ops.reshape(edge_score, (block.num_edges,)),
-                block.edge_dst, block.num_dst,
-            )
-            messages = ops.mul(
-                ops.gather_rows(wh_head, block.edge_src),
-                ops.reshape(alpha, (block.num_edges, 1)),
-            )
-            head_outputs.append(
-                ops.scatter_add_rows(messages, block.edge_dst, block.num_dst)
-            )
-        if self.num_heads == 1:
-            return head_outputs[0]
-        return ops.concat(head_outputs, axis=1)
+        wh = ops.matmul(h, self.weight)  # (num_src, out_dim)
+        column = (self.out_dim, 1)
+        score_dst = ops.matmul(wh, ops.reshape(self.attn_dst, column))
+        score_src = ops.matmul(wh, ops.reshape(self.attn_src, column))
+        edge_score = ops.add(
+            ops.gather_rows(score_dst, block.dst_pos[block.edge_dst]),
+            ops.gather_rows(score_src, block.edge_src),
+        )
+        alpha = ops.segment_softmax(
+            ops.reshape(ops.leaky_relu(edge_score), (block.num_edges,)),
+            block.edge_dst, block.num_dst,
+        )
+        messages = ops.mul(
+            ops.gather_rows(wh, block.edge_src),
+            ops.reshape(alpha, (block.num_edges, 1)),
+        )
+        return ops.scatter_add_rows(messages, block.edge_dst, block.num_dst)
 
     def update(self, block: Block, agg: Tensor, h_dst: Tensor) -> Tensor:
         if self.activation == "elu":
@@ -349,8 +325,8 @@ class GATLayer(GNNLayer):
 
     def aggregate_flops(self, num_src: int, num_dst: int, num_edges: int) -> int:
         projection = 2 * num_src * self.in_dim * self.out_dim
-        scores = 4 * num_src * self.out_dim + 2 * num_edges * self.num_heads
-        softmax = 6 * num_edges * self.num_heads
+        scores = 4 * num_src * self.out_dim + 2 * num_edges
+        softmax = 6 * num_edges
         weighted_sum = 3 * num_edges * self.out_dim
         return projection + scores + softmax + weighted_sum
 
@@ -365,30 +341,6 @@ class GATLayer(GNNLayer):
         # Wh projection + per-edge scores and attention coefficients +
         # per-edge weighted messages + output.
         return (num_src * self.out_dim
-                + 3 * num_edges * self.num_heads
+                + 3 * num_edges
                 + num_edges * self.out_dim
                 + num_dst * self.out_dim)
-
-
-def _column_slice(t: Tensor, lo: int, hi: int) -> Tensor:
-    """Differentiable column slice t[:, lo:hi]."""
-    out_data = t.data[:, lo:hi]
-
-    def backward(grad: np.ndarray) -> None:
-        full = np.zeros_like(t.data)
-        full[:, lo:hi] = grad
-        t.accumulate_grad(full)
-
-    return Tensor.from_op(out_data, (t,), backward, name="column_slice")
-
-
-def _row_select(t: Tensor, row: int) -> Tensor:
-    """Differentiable single-row selection t[row]."""
-    out_data = t.data[row]
-
-    def backward(grad: np.ndarray) -> None:
-        full = np.zeros_like(t.data)
-        full[row] = grad
-        t.accumulate_grad(full)
-
-    return Tensor.from_op(out_data, (t,), backward, name="row_select")

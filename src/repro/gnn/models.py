@@ -83,10 +83,6 @@ class GNNModel(Module):
             for layer in self.layers
         )
 
-    def uses_edge_nn(self) -> bool:
-        """True if any layer has non-cacheable (edge-NN) aggregation."""
-        return any(not layer.cacheable_aggregate for layer in self.layers)
-
     def __repr__(self) -> str:
         return f"GNNModel(arch={self.arch!r}, dims={self.dims})"
 
@@ -102,7 +98,7 @@ MODEL_REGISTRY = {
 
 
 def build_model(arch: str, dims: Sequence[int], rng: np.random.Generator,
-                dtype=np.float64, gat_heads: int = 1) -> GNNModel:
+                dtype=np.float64) -> GNNModel:
     """Build a model of ``len(dims) - 1`` layers of architecture ``arch``.
 
     The final layer emits raw logits (no activation), as usual for node
@@ -120,10 +116,9 @@ def build_model(arch: str, dims: Sequence[int], rng: np.random.Generator,
     layers: List[GNNLayer] = []
     for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
         is_last = i == len(dims) - 2
-        kwargs = {"activation": None if is_last else _default_activation(arch)}
-        if arch == "gat":
-            kwargs["num_heads"] = 1 if is_last else gat_heads
-        layers.append(layer_cls(d_in, d_out, rng, dtype=dtype, **kwargs))
+        activation = None if is_last else _default_activation(arch)
+        layers.append(layer_cls(d_in, d_out, rng, activation=activation,
+                                dtype=dtype))
     return GNNModel(layers, arch=arch)
 
 

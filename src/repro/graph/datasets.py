@@ -22,7 +22,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.errors import ConfigurationError, GraphFormatError
+from repro.errors import ConfigurationError, GraphFormatError, require_count
 from repro.graph.generators import (
     gaussian_features,
     locality_web_graph,
@@ -98,7 +98,8 @@ def load_dataset(name: str, scale: float = 1.0, seed: int = 42) -> Graph:
         proportionally); a finite number > 0. 1.0 for benchmarks;
         smaller in unit tests.
     seed:
-        Seed for all randomness (topology, features, labels, splits).
+        Seed for all randomness (topology, features, labels, splits); an
+        integer >= 0.
     """
     if name not in _STAND_IN_ALIASES:
         raise GraphFormatError(
@@ -108,6 +109,7 @@ def load_dataset(name: str, scale: float = 1.0, seed: int = 42) -> Graph:
             or not 0 < scale < math.inf):  # NaN fails both comparisons
         raise ConfigurationError(
             f"scale must be a finite number > 0, got {scale!r}")
+    require_count("seed", seed, 0)
     profile = PAPER_PROFILES[_STAND_IN_ALIASES[name]]
     builder = _BUILDERS[name]
     graph = builder(scale, seed)

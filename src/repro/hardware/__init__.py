@@ -16,7 +16,6 @@ from repro.hardware.spec import (
     V100_SERVER,
     NODE_SPECS,
     GB,
-    scaled_platform,
 )
 from repro.hardware.memory import MemoryPool, Allocation
 from repro.hardware.clock import TimeBreakdown, EventTimeline
@@ -30,7 +29,7 @@ __all__ = [
     "GPUSpec", "PlatformSpec", "CPUClusterSpec", "ClusterSpec",
     "NetworkTopology", "TOPOLOGY_KINDS", "FLAT_TOPOLOGY",
     "A100_SERVER", "PCIE_ONLY_SERVER", "CPU_NODE", "ECS_CLUSTER",
-    "A100_CLUSTER", "V100_SERVER", "NODE_SPECS", "GB", "scaled_platform",
+    "A100_CLUSTER", "V100_SERVER", "NODE_SPECS", "GB",
     "MemoryPool", "Allocation",
     "TimeBreakdown", "EventTimeline",
     "SimulatedGPU", "MultiGPUPlatform", "ClusterPlatform",

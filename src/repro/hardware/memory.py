@@ -35,21 +35,6 @@ class Allocation:
             self.pool._release(self)
             self.freed = True
 
-    def resize(self, nbytes: Bytes) -> None:
-        """Grow/shrink this allocation in place (e.g. a reused buffer)."""
-        if self.freed or nbytes < 0:
-            raise ConfigurationError(
-                f"cannot resize {'a freed' if self.freed else 'an'} "
-                f"{self.tag!r} allocation to {nbytes} bytes")
-        delta = nbytes - self.nbytes
-        if delta > 0:
-            self.pool._reserve_delta(self.tag, delta)
-        else:
-            self.pool.in_use += delta
-            self.pool.by_tag[self.tag] = \
-                self.pool.by_tag.get(self.tag, 0) + delta
-        self.nbytes = nbytes
-
 
 class MemoryPool:
     """Tracks allocations against a fixed capacity.
@@ -98,21 +83,6 @@ class MemoryPool:
             yield allocation
         finally:
             allocation.free()
-
-    # -- introspection ------------------------------------------------------
-    def available(self) -> Optional[Bytes]:
-        """Remaining bytes, or None when unlimited."""
-        if self.capacity is None:
-            return None
-        return self.capacity - self.in_use
-
-    def reset_peak(self) -> None:
-        self.peak = self.in_use
-
-    def utilization(self) -> Optional[float]:
-        if self.capacity is None or self.capacity == 0:
-            return None
-        return self.in_use / self.capacity
 
     def __repr__(self) -> str:
         cap = "unlimited" if self.capacity is None else f"{self.capacity}B"

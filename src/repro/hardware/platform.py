@@ -363,10 +363,6 @@ class MultiGPUPlatform:
         """Per-node effective NIC byte rates (fault factors applied)."""
         return self._by_node["nic"].copy()
 
-    def link_factors(self) -> np.ndarray:
-        """(N, N) directed-link rate factors (all 1.0 when undegraded)."""
-        return self._link_factor.copy()
-
     # -- transfer costs (seconds) -----------------------------------------
     # ``devices``: global GPU id(s), scalar or array, aligned elementwise
     # with ``nbytes``/``flops``; each element prices at its node's rates.
@@ -530,10 +526,6 @@ class MultiGPUPlatform:
         """Server count (1 for a standalone server)."""
         return self.cluster.num_nodes
 
-    @property
-    def gpus_per_node(self) -> int:
-        return self._gpus_per_node
-
     def node_of(self, device: int) -> int:
         """Node of a global GPU id; pseudo-devices (< 0) map to node 0."""
         if device < 0:
@@ -565,11 +557,6 @@ class MultiGPUPlatform:
         return self.topology.resolved_rails(self._gpus_per_node)
 
     # -- host memory, node-aware -------------------------------------------
-    @property
-    def host(self) -> MemoryPool:
-        """Node 0's host pool (*the* host pool of a standalone server)."""
-        return self.hosts[0]
-
     def host_pool(self, node: int = 0) -> MemoryPool:
         """The host memory pool of ``node``."""
         return self.hosts[self._check_node(node)]

@@ -33,8 +33,7 @@ __all__ = ["GPUSpec", "PlatformSpec", "CPUClusterSpec", "ClusterSpec",
            "NetworkTopology", "TOPOLOGY_KINDS", "FLAT_TOPOLOGY",
            "validate_node_spec",
            "A100_SERVER", "PCIE_ONLY_SERVER", "CPU_NODE", "ECS_CLUSTER",
-           "A100_CLUSTER", "V100_SERVER", "NODE_SPECS", "GB",
-           "scaled_platform"]
+           "A100_CLUSTER", "V100_SERVER", "NODE_SPECS", "GB"]
 
 GB = 1024 ** 3
 
@@ -291,12 +290,6 @@ class ClusterSpec:
             return self.node_specs
         return (self.node,) * self.num_nodes
 
-    def node_spec(self, node: int) -> PlatformSpec:
-        """The capability profile of node ``node``."""
-        if self.node_specs is not None:
-            return self.node_specs[node]
-        return self.node
-
     def with_num_nodes(self, num_nodes: int) -> "ClusterSpec":
         """Copy of this spec with a different node count.
 
@@ -420,13 +413,3 @@ A100_CLUSTER = ClusterSpec(
     network_latency=5e-6,        # RDMA-class per-message latency
 )
 
-
-def scaled_platform(base: PlatformSpec, memory_scale: float) -> PlatformSpec:
-    """Scale per-GPU memory by ``memory_scale``, keeping rates unchanged.
-
-    The stand-in graphs are orders of magnitude smaller than the paper's, so
-    benchmarks shrink GPU capacity proportionally; OOM outcomes then emerge
-    at the same *relative* working-set sizes as in the paper (Tables 5-7).
-    """
-    new_memory = max(int(base.gpu.memory_bytes * memory_scale), 1)
-    return base.with_gpu_memory(new_memory)

@@ -48,10 +48,6 @@ class TwoLevelPartition:
     def all_chunks(self) -> List[SubgraphChunk]:
         return [chunk for row in self.chunks for chunk in row]
 
-    def batch(self, j: int) -> List[SubgraphChunk]:
-        """The j-th batch: every partition's chunk in schedule slot j."""
-        return [row[j] for row in self.chunks]
-
     def validate(self) -> None:
         """Check the chunk grid is a disjoint cover of V and E."""
         n = self.graph.num_vertices

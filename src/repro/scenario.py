@@ -223,6 +223,10 @@ class ClusterArgs:
     rebalance_trigger: float = 1.05
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # The seed feeds the model's weights before any config exists.
+        require_count("seed", self.seed, 0)
+
     @classmethod
     def from_namespace(cls, args: argparse.Namespace) -> "ClusterArgs":
         """Lift a parsed namespace into the dataclass.

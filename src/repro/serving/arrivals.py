@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from repro.errors import ServingError
+from repro.errors import ServingError, require_count
 from repro.units import Seconds
 
 __all__ = ["ArrivalProcess", "PoissonArrivals", "BurstyArrivals",
@@ -52,6 +52,7 @@ class ArrivalProcess:
         if not 0 <= duration < math.inf:
             raise ServingError(
                 f"duration must be finite and >= 0, got {duration}")
+        require_count("seed", seed, 0, ServingError)
         self.rate = float(rate)
         self.duration = float(duration)
         self.seed = int(seed)
@@ -59,11 +60,6 @@ class ArrivalProcess:
     def generate(self) -> np.ndarray:
         """Sorted arrival timestamps in ``[0, duration)`` (float64)."""
         raise NotImplementedError
-
-    @property
-    def offered_load(self) -> float:
-        """Expected requests per second (equal across process kinds)."""
-        return self.rate
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(rate={self.rate}, "

@@ -120,20 +120,3 @@ class ServeResult:
         if total == 0:
             return 0.0
         return self.cache_hits / total
-
-    def summary(self) -> dict:
-        """Flat metrics dict (all finite floats) for JSON emission."""
-        return {
-            "num_requests": self.num_requests,
-            "p50_seconds": self.p50,
-            "p95_seconds": self.p95,
-            "p99_seconds": self.p99,
-            "mean_latency_seconds": self.mean_latency,
-            "throughput_rps": self.throughput,
-            "goodput_rps": self.goodput,
-            "makespan_seconds": self.makespan,
-            "mean_batch_size": self.mean_batch_size,
-            "cache_hit_rate": self.cache_hit_rate,
-            "cache_evictions": self.cache_evictions,
-            "net_bytes": self.net_bytes,
-        }

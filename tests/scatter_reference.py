@@ -9,6 +9,10 @@ the messages row by row with ``np.add.at`` — forward onto destinations,
 adjoint back onto sources. Both walk the edges in array order, which is
 also the order the CSR/CSC kernels add in, so for float64 the two agree
 to the last bit and the tests compare with ``assert_array_equal``.
+
+GAT's aggregate is not linear; :func:`reference_gat_aggregate` writes it
+out one destination at a time (Eq. 3) as the oracle of the vectorized
+per-edge path. It sums in a different order, so it agrees to rounding.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from repro.gnn.block import Block
 
 __all__ = ["REFERENCE_AGGREGATES", "block_zoo", "reference_aggregate",
-           "reference_aggregate_backward"]
+           "reference_aggregate_backward", "reference_gat_aggregate"]
 
 #: layer class name -> (uses the block's edge weights, divides by in-degree)
 REFERENCE_AGGREGATES = {
@@ -58,6 +62,30 @@ def reference_aggregate_backward(block: Block, grad_agg: np.ndarray,
     np.add.at(grad_h, block.edge_src, grad_messages)
     return grad_h
 
+
+
+def reference_gat_aggregate(block: Block, h: np.ndarray, weight: np.ndarray,
+                            attn_dst: np.ndarray,
+                            attn_src: np.ndarray) -> np.ndarray:
+    """GAT's AGGREGATE for each destination on its own.
+
+    For destination ``d`` (input row ``dst_pos[d]``) and its in-edges
+    ``u -> d``: score ``a_dst·Wh_d + a_src·Wh_u``, LeakyReLU(0.2), a
+    softmax over exactly those edges, then the alpha-weighted sum of
+    ``Wh_u``. A destination without in-edges aggregates to zero.
+    """
+    wh = h @ weight
+    out = np.zeros((block.num_dst, weight.shape[1]), dtype=h.dtype)
+    for d in range(block.num_dst):
+        sources = block.edge_src[block.edge_dst == d]
+        if not len(sources):
+            continue
+        score = wh[block.dst_pos[d]] @ attn_dst.ravel() \
+            + wh[sources] @ attn_src.ravel()
+        score = np.where(score > 0, score, 0.2 * score)
+        alpha = np.exp(score - score.max())
+        out[d] = (alpha / alpha.sum()) @ wh[sources]
+    return out
 
 def block_zoo(graph) -> dict:
     """Blocks covering every shape the operator must get right."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Linear, Module, Parameter, SGD, Adam, Tensor, init, ops
-from repro.errors import AutogradError, ConfigurationError
+from repro.errors import ConfigurationError
 
 
 class TwoLayer(Module):
@@ -38,61 +38,17 @@ class TestModuleTraversal:
         assert "layers.1.bias" in names
         assert "scale" in names
 
-    def test_num_parameters(self, rng):
-        model = TwoLayer(rng)
-        assert model.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2
-
     def test_parameter_nbytes(self, rng):
         model = TwoLayer(rng)
-        assert model.parameter_nbytes() == model.num_parameters() * 8
-
-    def test_modules_iterates_children(self, rng):
-        model = TwoLayer(rng)
-        assert len(list(model.modules())) == 3
-
-    def test_train_eval_propagates(self, rng):
-        model = TwoLayer(rng)
-        model.eval()
-        assert not model.first.training
-        model.train()
-        assert model.second.training
+        assert model.parameter_nbytes() == (4 * 8 + 8 + 8 * 2 + 2) * 8
 
 
 class TestStateDict:
-    def test_roundtrip(self, rng):
-        model = TwoLayer(rng)
-        state = model.state_dict()
-        other = TwoLayer(np.random.default_rng(99))
-        other.load_state_dict(state)
-        for key, value in other.state_dict().items():
-            np.testing.assert_array_equal(value, state[key])
-
     def test_state_dict_copies(self, rng):
         model = TwoLayer(rng)
         state = model.state_dict()
         state["first.weight"][:] = 0.0
         assert not np.all(model.first.weight.data == 0.0)
-
-    def test_missing_key_raises(self, rng):
-        model = TwoLayer(rng)
-        state = model.state_dict()
-        del state["first.bias"]
-        with pytest.raises(AutogradError):
-            model.load_state_dict(state)
-
-    def test_unexpected_key_raises(self, rng):
-        model = TwoLayer(rng)
-        state = model.state_dict()
-        state["bogus"] = np.zeros(1)
-        with pytest.raises(AutogradError):
-            model.load_state_dict(state)
-
-    def test_shape_mismatch_raises(self, rng):
-        model = TwoLayer(rng)
-        state = model.state_dict()
-        state["first.weight"] = np.zeros((2, 2))
-        with pytest.raises(AutogradError):
-            model.load_state_dict(state)
 
     def test_zero_grad(self, rng):
         model = TwoLayer(rng)
@@ -120,10 +76,6 @@ class TestLinear:
         out = layer(Tensor(np.array([[2.0, 3.0]])))
         np.testing.assert_allclose(out.data, [[3.0, 2.0]])
 
-    def test_flops(self, rng):
-        layer = Linear(3, 5, rng)
-        assert layer.flops(10) == 2 * 10 * 3 * 5
-
 
 class TestInit:
     def test_xavier_uniform_bound(self, rng):
@@ -131,20 +83,8 @@ class TestInit:
         bound = np.sqrt(6.0 / 200)
         assert np.all(np.abs(w) <= bound)
 
-    def test_xavier_normal_std(self, rng):
-        w = init.xavier_normal((200, 200), rng)
-        assert abs(w.std() - np.sqrt(2.0 / 400)) < 1e-3
-
-    def test_kaiming_bound(self, rng):
-        w = init.kaiming_uniform((50, 60), rng)
-        assert np.all(np.abs(w) <= np.sqrt(6.0 / 50))
-
     def test_zeros(self):
         assert np.all(init.zeros((3, 3)) == 0.0)
-
-    def test_uniform_range(self, rng):
-        w = init.uniform((100,), rng, low=-0.5, high=0.5)
-        assert w.min() >= -0.5 and w.max() <= 0.5
 
     def test_determinism(self):
         a = init.xavier_uniform((4, 4), np.random.default_rng(5))
@@ -168,24 +108,11 @@ class TestSGD:
             optimizer.step()
         np.testing.assert_allclose(w.data, np.full(4, 3.0), atol=1e-6)
 
-    def test_momentum_accelerates(self):
-        w_plain = Parameter(np.zeros(1))
-        w_momentum = Parameter(np.zeros(1))
-        plain = SGD([w_plain], lr=0.01)
-        momentum = SGD([w_momentum], lr=0.01, momentum=0.9)
-        for _ in range(20):
-            for w, opt in ((w_plain, plain), (w_momentum, momentum)):
-                w.zero_grad()
-                quadratic_loss(w).backward()
-                opt.step()
-        assert abs(w_momentum.data[0] - 3.0) < abs(w_plain.data[0] - 3.0)
-
-    def test_weight_decay_shrinks(self):
-        w = Parameter(np.ones(1) * 10.0)
-        optimizer = SGD([w], lr=0.1, weight_decay=1.0)
-        w.grad = np.zeros(1)
-        optimizer.step()
-        assert w.data[0] < 10.0
+    def test_step_is_w_minus_lr_grad(self):
+        w = Parameter(np.array([10.0, -2.0]))
+        w.grad = np.array([4.0, 1.0])
+        SGD([w], lr=0.25).step()
+        np.testing.assert_array_equal(w.data, [9.0, -2.25])
 
     def test_skips_parameters_without_grad(self):
         w = Parameter(np.ones(2))
@@ -195,10 +122,6 @@ class TestSGD:
     def test_invalid_lr(self):
         with pytest.raises(ConfigurationError):
             SGD([Parameter(np.ones(1))], lr=0.0)
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ConfigurationError):
-            SGD([Parameter(np.ones(1))], lr=0.1, momentum=1.0)
 
     def test_empty_params(self):
         with pytest.raises(ConfigurationError):
@@ -223,20 +146,24 @@ class TestAdam:
         optimizer.step()
         assert abs(abs(w.data[0]) - 0.1) < 1e-6
 
-    def test_invalid_betas(self):
+    def test_invalid_lr(self):
         with pytest.raises(ConfigurationError):
-            Adam([Parameter(np.ones(1))], betas=(1.0, 0.999))
+            Adam([Parameter(np.ones(1))], lr=-0.1)
 
-    def test_weight_decay(self):
-        w = Parameter(np.ones(1) * 5.0)
-        optimizer = Adam([w], lr=0.1, weight_decay=1.0)
-        w.grad = np.zeros(1)
-        optimizer.step()
-        assert w.data[0] < 5.0
 
-    def test_zero_grad_helper(self):
-        w = Parameter(np.ones(1))
-        w.grad = np.ones(1)
-        optimizer = Adam([w])
-        optimizer.zero_grad()
-        assert w.grad is None
+class TestRemovedSettings:
+    """Optimizer hyper-parameters no caller set keep their one value
+    (plain SGD; Adam's β = (0.9, 0.999), ε = 1e-8): passing one is a
+    ``TypeError``, like any unknown keyword."""
+
+    @pytest.mark.parametrize("cls, kwargs", [
+        (SGD, {"momentum": 0.9}),
+        (SGD, {"weight_decay": 1e-4}),
+        (Adam, {"betas": (0.9, 0.99)}),
+        (Adam, {"eps": 1e-6}),
+        (Adam, {"weight_decay": 1e-4}),
+    ], ids=["sgd_momentum", "sgd_weight_decay", "adam_betas", "adam_eps",
+            "adam_weight_decay"])
+    def test_removed_keyword_is_a_type_error(self, cls, kwargs):
+        with pytest.raises(TypeError):
+            cls([Parameter(np.ones(1))], lr=0.1, **kwargs)

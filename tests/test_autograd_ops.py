@@ -1,5 +1,8 @@
 """Gradient checks and behavior tests for every autograd op."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -31,6 +34,11 @@ def check_gradients(op_fn, *arrays, seed_shape=None, atol=1e-6):
 RNG = np.random.default_rng(7)
 
 
+def _softmax(x, axis):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 class TestElementwiseGradients:
     def test_add(self):
         check_gradients(ops.add, RNG.standard_normal((3, 4)),
@@ -56,18 +64,6 @@ class TestElementwiseGradients:
         check_gradients(ops.mul, RNG.standard_normal((4, 3)),
                         RNG.standard_normal((4, 1)))
 
-    def test_div(self):
-        denominator = RNG.standard_normal((3, 3)) + 3.0
-        check_gradients(ops.div, RNG.standard_normal((3, 3)), denominator)
-
-    def test_neg(self):
-        check_gradients(ops.neg, RNG.standard_normal((2, 2)))
-
-    def test_pow(self):
-        base = np.abs(RNG.standard_normal((3, 2))) + 0.5
-        check_gradients(lambda a: ops.pow_(a, 3.0), base)
-
-
 class TestLinearAlgebraGradients:
     def test_matmul(self):
         check_gradients(ops.matmul, RNG.standard_normal((4, 3)),
@@ -76,9 +72,6 @@ class TestLinearAlgebraGradients:
     def test_matmul_rejects_1d(self):
         with pytest.raises(AutogradError):
             ops.matmul(Tensor(np.ones(3)), Tensor(np.ones(3)))
-
-    def test_transpose(self):
-        check_gradients(ops.transpose, RNG.standard_normal((3, 5)))
 
     def test_reshape(self):
         check_gradients(lambda a: ops.reshape(a, (2, 6)),
@@ -110,13 +103,6 @@ class TestActivationGradients:
     def test_tanh(self):
         check_gradients(ops.tanh, RNG.standard_normal((3, 3)))
 
-    def test_exp(self):
-        check_gradients(ops.exp, RNG.standard_normal((3, 3)) * 0.5)
-
-    def test_log(self):
-        check_gradients(ops.log, np.abs(RNG.standard_normal((3, 3))) + 0.5)
-
-
 class TestReductionGradients:
     def test_sum_all(self):
         check_gradients(ops.sum_, RNG.standard_normal((3, 4)))
@@ -129,30 +115,15 @@ class TestReductionGradients:
         check_gradients(lambda a: ops.sum_(a, axis=1, keepdims=True),
                         RNG.standard_normal((3, 4)))
 
-    def test_mean_all(self):
-        check_gradients(ops.mean, RNG.standard_normal((3, 4)))
-
-    def test_mean_axis(self):
-        check_gradients(lambda a: ops.mean(a, axis=1),
-                        RNG.standard_normal((3, 4)))
-
-    def test_softmax(self):
-        check_gradients(lambda a: ops.softmax(a, axis=-1),
-                        RNG.standard_normal((4, 5)))
-
-    def test_softmax_rows_sum_to_one(self):
-        out = ops.softmax(Tensor(RNG.standard_normal((4, 6))), axis=-1)
-        np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(4))
-
     def test_log_softmax(self):
         check_gradients(lambda a: ops.log_softmax(a, axis=-1),
                         RNG.standard_normal((4, 5)))
 
     def test_log_softmax_matches_log_of_softmax(self):
-        x = Tensor(RNG.standard_normal((3, 4)))
+        x = RNG.standard_normal((3, 4))
         np.testing.assert_allclose(
-            ops.log_softmax(x).data, np.log(ops.softmax(x).data), atol=1e-12
-        )
+            ops.log_softmax(Tensor(x)).data, np.log(_softmax(x, axis=-1)),
+            atol=1e-12)
 
 
 class TestShapeOps:
@@ -169,11 +140,6 @@ class TestShapeOps:
     def test_concat_three_way(self):
         parts = [RNG.standard_normal((2, k)) for k in (1, 2, 3)]
         check_gradients(lambda a, b, c: ops.concat([a, b, c], axis=1), *parts)
-
-    def test_slice_rows(self):
-        check_gradients(lambda a: ops.slice_rows(a, 1, 3),
-                        RNG.standard_normal((5, 3)))
-
 
 class TestGraphOps:
     def test_gather_rows(self):
@@ -197,11 +163,6 @@ class TestGraphOps:
         x = Tensor(np.array([[1.0], [2.0], [3.0]]))
         out = ops.scatter_add_rows(x, np.array([1, 1, 0]), 2)
         np.testing.assert_allclose(out.data, [[3.0], [3.0]])
-
-    def test_segment_sum_alias(self):
-        x = Tensor(np.ones((4, 2)))
-        out = ops.segment_sum(x, np.array([0, 0, 1, 1]), 2)
-        np.testing.assert_allclose(out.data, 2 * np.ones((2, 2)))
 
     def test_segment_softmax_1d_gradcheck(self):
         segments = np.array([0, 0, 1, 1, 1, 2])
@@ -248,8 +209,7 @@ class TestGraphOps:
         for segment in np.unique(segments):
             rows = segments == segment
             np.testing.assert_allclose(
-                out[rows], ops.softmax(Tensor(scores[rows]), axis=0).data,
-                atol=1e-15)
+                out[rows], _softmax(scores[rows], axis=0), atol=1e-15)
 
     def test_segment_softmax_of_no_edges(self):
         out = ops.segment_softmax(Tensor(np.empty((0, 2))),
@@ -290,35 +250,16 @@ class TestGraphOps:
             ops.spmm(matrix, Tensor(np.ones((3, 4))), adjoint=matrix)
 
 
-class TestDropout:
-    def test_identity_when_not_training(self):
-        x = Tensor(np.ones((4, 4)))
-        out = ops.dropout(x, 0.5, training=False,
-                          rng=np.random.default_rng(0))
-        assert out is x
 
-    def test_identity_when_p_zero(self):
-        x = Tensor(np.ones((4, 4)))
-        out = ops.dropout(x, 0.0, training=True,
-                          rng=np.random.default_rng(0))
-        assert out is x
-
-    def test_scaling_preserves_expectation(self):
-        x = Tensor(np.ones((200, 200)))
-        out = ops.dropout(x, 0.5, training=True,
-                          rng=np.random.default_rng(0))
-        assert abs(out.data.mean() - 1.0) < 0.05
-
-    def test_invalid_probability(self):
-        with pytest.raises(AutogradError):
-            ops.dropout(Tensor(np.ones(3)), 1.0, training=True,
-                        rng=np.random.default_rng(0))
-
-    def test_gradient_respects_mask(self):
-        x = Tensor(np.ones((10, 10)), requires_grad=True)
-        out = ops.dropout(x, 0.5, training=True,
-                          rng=np.random.default_rng(0))
-        out.backward(np.ones((10, 10)))
-        dropped = out.data == 0.0
-        assert np.all(x.grad[dropped] == 0.0)
-        assert np.all(x.grad[~dropped] == 2.0)
+def test_every_op_has_a_caller():
+    """``ops`` holds only what a layer, the loss or an example calls."""
+    root = Path(__file__).resolve().parents[1]
+    callers = [*sorted((root / "src" / "repro" / "gnn").glob("*.py")),
+               root / "src" / "repro" / "autograd" / "functional.py",
+               root / "src" / "repro" / "autograd" / "module.py",
+               *sorted((root / "examples").glob("*.py"))]
+    called = set()
+    for path in callers:
+        called |= set(re.findall(r"\bops\.(\w+)\(", path.read_text()))
+    assert set(ops.__all__) == called & set(ops.__all__)
+    assert not called - set(ops.__all__)

@@ -208,9 +208,18 @@ class TestNeighborSampler:
         three_layer = NeighborSampler(graph, [10, 10, 10], seed=0).sample(seeds)
         assert three_layer[0].num_src > one_layer[0].num_src
 
-    def test_invalid_fanout(self, graph):
-        with pytest.raises(ConfigurationError):
-            NeighborSampler(graph, [0])
+    @pytest.mark.parametrize("fanouts", [[0], [2.5], [3, True],
+                                         [float("nan")]])
+    def test_invalid_fanout(self, graph, fanouts):
+        """2.5 used to reach numpy as a ``TypeError``; NaN and ``True``
+        were accepted."""
+        with pytest.raises(ConfigurationError, match="fanouts"):
+            NeighborSampler(graph, fanouts)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_invalid_seed(self, graph, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            NeighborSampler(graph, [2], seed=seed)
 
     @given(st.integers(1, 6), st.integers(1, 3))
     @settings(max_examples=20, deadline=None)

@@ -219,6 +219,8 @@ BAD_FLAGS = [
     *[(["--layers", value], "layers must be an integer >= 1")
       for value in ("0", "-2")],
     (["--hidden-dim", "0"], "hidden_dim must be an integer >= 1"),
+    # numpy's "expected non-negative integer" used to exit 1
+    (["--seed", "-1"], "seed must be an integer >= 0"),
 ]
 
 
@@ -389,6 +391,13 @@ class TestCommands:
         assert captured.err.startswith("bad scenario: ")
         assert message in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_scenario_seed_must_be_a_count(self, seed):
+        """The seed feeds the model's weights before any config exists,
+        so the scenario checks it itself."""
+        with pytest.raises(ConfigurationError, match="seed"):
+            ClusterArgs(seed=seed)
 
     @pytest.mark.parametrize("entries, message", [
         (["h100"], "unknown profile 'h100'"),

@@ -66,6 +66,8 @@ class TestConfig:
         ("max_imbalance", True), ("max_imbalance", -1),
         ("reorganize", "no"), ("reorganize", 0), ("reorganize", None),
         ("elastic", 0), ("elastic", "yes"), ("elastic", 1.0),
+        # -1 used to be accepted and fail in partitioning; 2.5 too
+        ("seed", -1), ("seed", 2.5), ("seed", True),
     ]
 
     @pytest.mark.parametrize("via", ["init", "from_dict"])
@@ -233,11 +235,11 @@ class TestTrainerLifecycle:
         checkpoint aggregates (nor charge host memory for them)."""
         trainer = make_trainer(graph, num_chunks=2,
                                intermediate_policy="hybrid")
-        host_before = trainer.platform.host.in_use
+        host_before = trainer.platform.host_pool(0).in_use
         trainer.evaluate()
         assert not trainer._checkpoints
-        assert trainer.platform.host.in_use == host_before
-        assert trainer.platform.host.by_tag.get("aggregate_cache", 0) == 0
+        assert trainer.platform.host_pool(0).in_use == host_before
+        assert trainer.platform.host_pool(0).by_tag.get("aggregate_cache", 0) == 0
 
     def test_evaluate_writes_no_checkpoint_d2h(self, graph):
         """Eval writeback volume is outputs only — no aggregate copies."""
@@ -260,11 +262,11 @@ class TestTrainerLifecycle:
         trainer = make_trainer(graph, num_chunks=2,
                                intermediate_policy="hybrid")
         trainer.train_epoch()
-        cache_after_first = trainer.platform.host.by_tag["aggregate_cache"]
+        cache_after_first = trainer.platform.host_pool(0).by_tag["aggregate_cache"]
         assert cache_after_first > 0
         for _ in range(3):
             trainer.train_epoch()
-        assert trainer.platform.host.by_tag["aggregate_cache"] == \
+        assert trainer.platform.host_pool(0).by_tag["aggregate_cache"] == \
             cache_after_first
         assert trainer._checkpoint_bytes == cache_after_first
 
@@ -272,9 +274,9 @@ class TestTrainerLifecycle:
         trainer = make_trainer(graph, num_chunks=2,
                                intermediate_policy="hybrid")
         trainer.train_epoch()
-        assert trainer.platform.host.by_tag["aggregate_cache"] > 0
+        assert trainer.platform.host_pool(0).by_tag["aggregate_cache"] > 0
         trainer.free_checkpoints()
-        assert trainer.platform.host.by_tag["aggregate_cache"] == 0
+        assert trainer.platform.host_pool(0).by_tag["aggregate_cache"] == 0
         assert not trainer._checkpoints
         with pytest.raises(ConfigurationError):
             trainer._take_checkpoint(0, 0, 0)
@@ -297,7 +299,7 @@ class TestMemoryBehavior:
 
     def test_host_holds_vertex_data(self, graph):
         trainer = make_trainer(graph)
-        assert trainer.platform.host.in_use > 0
+        assert trainer.platform.host_pool(0).in_use > 0
 
 
 class TestCommunicationBehavior:

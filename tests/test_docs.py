@@ -93,6 +93,27 @@ def test_checker_catches_failing_doctest(tmp_path):
     assert "failed" in failures[0]
 
 
+def test_repo_docstring_examples_pass():
+    """Every ``>>>`` example in a ``src/repro`` docstring runs and
+    passes, and there are some to run."""
+    files = check_docs.docstring_files()
+    failures = [failure for path in files
+                for failure in check_docs.run_docstring_doctests(path)]
+    assert failures == []
+    names = {test.name for path in files
+             for test in check_docs.docstring_doctests(path)}
+    assert {"repro.scenario", "repro.faults.schedule.FaultSchedule",
+            "repro.faults.schedule.parse_fault"} <= names
+
+
+def test_checker_catches_failing_docstring_example(tmp_path):
+    bad = tmp_path / "bad_module.py"
+    bad.write_text('def f():\n    """\n    >>> 1 + 1\n    3\n    """\n')
+    failures = check_docs.run_docstring_doctests(bad)
+    assert len(failures) == 1
+    assert "bad_module.f" in failures[0] and "failed" in failures[0]
+
+
 def test_checker_catches_broken_link(tmp_path):
     bad = tmp_path / "bad.md"
     bad.write_text("see [missing](does/not/exist.md)\n")

@@ -24,6 +24,7 @@ from scatter_reference import (
     block_zoo,
     reference_aggregate,
     reference_aggregate_backward,
+    reference_gat_aggregate,
 )
 from tests.conftest import numeric_gradient
 
@@ -192,9 +193,19 @@ class TestLayerCommon:
         layer = layer_cls(8, 8, rng)
         assert layer.forward_workspace_scalars(100, 50, 400) > 0
 
-    def test_invalid_dims(self, layer_cls, rng):
-        with pytest.raises(ConfigurationError):
-            layer_cls(0, 4, rng)
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, float("nan")])
+    def test_invalid_dims(self, layer_cls, bad, rng):
+        """A width must be an integer >= 1: 2.5 used to reach numpy as a
+        ``TypeError``, NaN and ``True`` were accepted."""
+        with pytest.raises(ConfigurationError, match="in_dim"):
+            layer_cls(bad, 4, rng)
+        with pytest.raises(ConfigurationError, match="out_dim"):
+            layer_cls(4, bad, rng)
+
+    def test_numpy_integer_dims(self, layer_cls, rng):
+        layer = layer_cls(np.int64(4), np.int64(6), rng)
+        assert layer(toy_block(), Tensor(rng.standard_normal((8, 4)))) \
+            .shape == (8, 6)
 
 
 @pytest.mark.parametrize("layer_cls", CACHEABLE_LAYERS)
@@ -315,28 +326,23 @@ class TestGAT:
             GATLayer(4, 4, rng).aggregate_backward(toy_block(),
                                                    np.zeros((8, 4)))
 
-    def test_multi_head_shapes(self, rng):
-        layer = GATLayer(4, 8, rng, num_heads=2)
-        out = layer(toy_block(), Tensor(rng.standard_normal((8, 4))))
-        assert out.shape == (8, 8)
+    @pytest.mark.parametrize("name", ZOO_NAMES)
+    def test_aggregate_matches_dense_reference(self, name, zoo, rng):
+        """The per-edge vectorized path against Eq. 3 written out one
+        destination at a time (``tests/scatter_reference.py``)."""
+        block = zoo[name]
+        layer = GATLayer(5, 4, rng)
+        h = rng.standard_normal((block.num_src, 5))
+        np.testing.assert_allclose(
+            layer.aggregate(block, Tensor(h)).data,
+            reference_gat_aggregate(block, h, layer.weight.data,
+                                    layer.attn_dst.data,
+                                    layer.attn_src.data),
+            rtol=1e-12, atol=1e-12)
 
-    def test_multi_head_gradcheck(self, rng):
-        layer = GATLayer(3, 4, rng, num_heads=2)
-        block = toy_block()
-        x = rng.standard_normal((8, 3))
-        seed = rng.standard_normal((8, 4))
-        x_t = Tensor(x, requires_grad=True)
-        layer(block, x_t).backward(seed)
-
-        def scalar():
-            return float((layer(block, Tensor(x)).data * seed).sum())
-
-        numeric = numeric_gradient(scalar, x)
-        np.testing.assert_allclose(x_t.grad, numeric, atol=1e-5)
-
-    def test_heads_must_divide(self, rng):
-        with pytest.raises(ConfigurationError):
-            GATLayer(4, 6, rng, num_heads=4)
+    def test_attention_parameters_are_one_row(self, rng):
+        layer = GATLayer(4, 6, rng)
+        assert layer.attn_dst.shape == layer.attn_src.shape == (1, 6)
 
     def test_attention_is_convex_combination(self, rng):
         """With identical inputs everywhere, GAT output = W h (softmax
@@ -395,10 +401,6 @@ class TestModels:
         with pytest.raises(ConfigurationError):
             GNNModel([])
 
-    def test_uses_edge_nn(self, rng):
-        assert build_model("gat", [4, 4, 2], rng).uses_edge_nn()
-        assert not build_model("gcn", [4, 4, 2], rng).uses_edge_nn()
-
     def test_forward_runs_stack(self, rng):
         model = build_model("graphsage", [4, 8, 3], rng)
         out = model(toy_block(), Tensor(rng.standard_normal((8, 4))))
@@ -410,3 +412,20 @@ class TestModels:
         assert total == sum(
             layer.forward_flops(8, 8, 17) for layer in model.layers
         )
+
+
+class TestRemovedSettings:
+    """Layer and model settings no caller set keep their one value (one
+    GAT head, LeakyReLU slope 0.2, a GIN MLP ``out_dim`` wide): passing
+    one is a ``TypeError``, like any unknown keyword."""
+
+    @pytest.mark.parametrize("call", [
+        lambda rng: GATLayer(4, 8, rng, num_heads=2),
+        lambda rng: GATLayer(4, 8, rng, negative_slope=0.1),
+        lambda rng: GINLayer(4, 8, rng, hidden_dim=16),
+        lambda rng: build_model("gat", [4, 8, 2], rng, gat_heads=2),
+    ], ids=["gat_num_heads", "gat_negative_slope", "gin_hidden_dim",
+            "build_model_gat_heads"])
+    def test_removed_keyword_is_a_type_error(self, call, rng):
+        with pytest.raises(TypeError):
+            call(rng)

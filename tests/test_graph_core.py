@@ -184,6 +184,12 @@ class TestDatasets:
         with pytest.raises(ConfigurationError, match="scale"):
             load_dataset(name, scale=scale)
 
+    # -1 raised numpy's ValueError from default_rng, 2.5 a TypeError
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, float("nan"), "1"])
+    def test_bad_seed_is_named(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            load_dataset("reddit_sim", scale=0.05, seed=seed)
+
     def test_caching_returns_same_object(self):
         a = load_dataset("reddit_sim", scale=0.05)
         b = load_dataset("reddit_sim", scale=0.05)

@@ -118,13 +118,6 @@ class TestTwoLevel:
         assert partition.num_chunks == 5
         assert len(partition.all_chunks()) == 15
 
-    def test_batch_accessor(self, medium_graph):
-        partition = two_level_partition(medium_graph, 4, 3, seed=0)
-        batch = partition.batch(1)
-        assert len(batch) == 4
-        assert all(chunk is partition.chunks[i][1]
-                   for i, chunk in enumerate(batch))
-
     def test_neighbor_set_includes_destinations(self, medium_graph):
         partition = two_level_partition(medium_graph, 2, 2, seed=0)
         for chunk in partition.all_chunks():

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Documentation checks: doctest the markdown code blocks, verify links
-and cross-references.
+"""Documentation checks: doctest the markdown code blocks and the
+``src/`` docstring examples, verify links and cross-references.
 
 Run with:  PYTHONPATH=src python tools/check_docs.py
 
@@ -10,7 +10,8 @@ Two checks over every tracked markdown file (repo root + docs/):
    doctest session and pass when executed (the ``python -m doctest``
    semantics, applied per block via :mod:`doctest`). Plain ``python`` /
    ``bash`` blocks are not executed — only blocks that opt in by using
-   the interpreter-session dialect.
+   the interpreter-session dialect. Every ``>>>`` example in a
+   docstring of a ``src/repro`` module must pass too.
 2. **Intra-repo links** — every relative markdown link target
    (``[text](path)``) must exist on disk, and a ``#fragment`` on a
    markdown target (``path.md#fragment``, or ``#fragment`` for the file
@@ -39,6 +40,7 @@ from __future__ import annotations
 import ast
 import doctest
 import importlib
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -54,6 +56,8 @@ _HEADING = re.compile(r"^#{1,6}\s+(.*?)(?:\s+#+)?\s*$")
 _XREF = re.compile(r":\w+:`~?(repro(?:\.\w+)+)`")
 _NODE = re.compile(r"`([\w./-]+\.py)((?:::\w+)+)`")
 
+#: Python sources whose docstring examples are doctested
+DOCSTRING_GLOBS = ["src/repro/**/*.py"]
 #: files whose fully qualified role targets must resolve
 XREF_GLOBS = ["src/**/*.py", "README.md", "docs/ARCHITECTURE.md"]
 #: documents whose ``path.py::Name`` references must resolve
@@ -126,6 +130,47 @@ def run_doctests(path: Path) -> list[str]:
                 f"example(s) failed (run with python -m doctest for detail)"
             )
     return failures
+
+
+def _module_of(path: Path):
+    """The imported module of ``path``: by its dotted name under
+    ``src/``, else loaded from the file itself."""
+    try:
+        parts = path.resolve().relative_to(REPO_ROOT / "src") \
+            .with_suffix("").parts
+    except ValueError:
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    if parts[-1] == "__init__":
+        parts = parts[:-1]
+    return importlib.import_module(".".join(parts))
+
+
+def docstring_doctests(path: Path) -> list[doctest.DocTest]:
+    """The docstrings with ``>>>`` examples defined in ``path``'s module."""
+    return [test for test in doctest.DocTestFinder().find(_module_of(path))
+            if test.examples]
+
+
+def run_docstring_doctests(path: Path) -> list[str]:
+    """Run the ``>>>`` examples of every docstring defined in the module
+    of ``path``; return failure descriptions."""
+    failures: list[str] = []
+    runner = doctest.DocTestRunner(verbose=False, optionflags=doctest.ELLIPSIS)
+    for test in docstring_doctests(path):
+        result = runner.run(test)
+        if result.failed:
+            failures.append(
+                f"{_rel(path)}: {test.name}: {result.failed}/"
+                f"{result.attempted} docstring example(s) failed"
+            )
+    return failures
+
+
+def docstring_files() -> list[Path]:
+    return _globbed(DOCSTRING_GLOBS)
 
 
 def prose_lines(text: str) -> list[str]:
@@ -268,6 +313,9 @@ def main() -> int:
         doctested += len(extract_pycon_blocks(path.read_text()))
         failures.extend(block_failures)
         failures.extend(check_links(path))
+    sources = docstring_files()
+    for path in sources:
+        failures.extend(run_docstring_doctests(path))
     xrefs = xref_files()
     for path in xrefs:
         failures.extend(check_xrefs(path))
@@ -280,7 +328,8 @@ def main() -> int:
         return 1
     print(
         f"docs OK: {len(files)} markdown file(s), "
-        f"{doctested} pycon block(s) doctested, links verified, "
+        f"{doctested} pycon block(s) and the docstrings of "
+        f"{len(sources)} module(s) doctested, links verified, "
         f"cross-references of {len(xrefs)} file(s) resolved"
     )
     return 0
