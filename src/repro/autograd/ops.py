@@ -14,7 +14,11 @@ layers, the examples and the loss call:
   (GAT's per-destination edge softmax).
 
 Broadcasting follows numpy semantics; :func:`_unbroadcast` reduces an output
-adjoint back to an input's shape.
+adjoint back to an input's shape. A multi-parent op computes a parent's VJP
+only when that parent ``requires_grad`` (PyTorch's ``needs_input_grad``): a
+constant operand — the input features of layer 0 — costs no adjoint
+product. A single-parent op of a constant gets no backward at all
+(:meth:`Tensor.from_op`).
 """
 
 from __future__ import annotations
@@ -59,8 +63,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward(grad: np.ndarray) -> None:
-        a.accumulate_grad(_unbroadcast(grad, a.shape))
-        b.accumulate_grad(_unbroadcast(grad, b.shape))
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(grad, a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(grad, b.shape))
 
     return Tensor.from_op(out_data, (a, b), backward, name="add")
 
@@ -70,8 +76,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
     def backward(grad: np.ndarray) -> None:
-        a.accumulate_grad(_unbroadcast(grad, a.shape))
-        b.accumulate_grad(_unbroadcast(-grad, b.shape))
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(grad, a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(-grad, b.shape))
 
     return Tensor.from_op(out_data, (a, b), backward, name="sub")
 
@@ -81,8 +89,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def backward(grad: np.ndarray) -> None:
-        a.accumulate_grad(_unbroadcast(grad * b.data, a.shape))
-        b.accumulate_grad(_unbroadcast(grad * a.data, b.shape))
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(grad * b.data, a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(grad * a.data, b.shape))
 
     return Tensor.from_op(out_data, (a, b), backward, name="mul")
 
@@ -101,8 +111,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(grad: np.ndarray) -> None:
-        a.accumulate_grad(grad @ b.data.T)
-        b.accumulate_grad(a.data.T @ grad)
+        if a.requires_grad:
+            a.accumulate_grad(grad @ b.data.T)
+        if b.requires_grad:
+            b.accumulate_grad(a.data.T @ grad)
 
     return Tensor.from_op(out_data, (a, b), backward, name="matmul")
 
@@ -216,6 +228,8 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+            if not tensor.requires_grad:
+                continue
             index = [slice(None)] * grad.ndim
             index[axis] = slice(start, stop)
             tensor.accumulate_grad(grad[tuple(index)])

@@ -9,6 +9,8 @@ there (and for all-reducing across simulated GPUs) beforehand.
 
 from __future__ import annotations
 
+import math
+from numbers import Real
 from typing import Dict, Iterable, List
 
 import numpy as np
@@ -26,8 +28,10 @@ class Optimizer:
         self.params: List[Parameter] = list(params)
         if not self.params:
             raise ConfigurationError("optimizer received no parameters")
-        if lr <= 0:
-            raise ConfigurationError(f"learning rate must be positive, got {lr}")
+        if (isinstance(lr, bool) or not isinstance(lr, Real)
+                or not 0 < lr < math.inf):  # NaN fails both comparisons
+            raise ConfigurationError(
+                f"learning rate must be a finite number > 0, got {lr!r}")
         self.lr = lr
 
     def step(self) -> None:

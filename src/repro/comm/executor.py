@@ -802,6 +802,23 @@ class DedupCommunicator:
     # ------------------------------------------------------------------
     # backward: Algorithm 3
     # ------------------------------------------------------------------
+    def _require_producers(self, deps_by_device,
+                           timeline: EventTimeline) -> None:
+        """``deps_by_device`` must be None or one submitted task id per
+        GPU."""
+        m = self.plan.num_gpus
+        if deps_by_device is not None and not (
+                isinstance(deps_by_device, np.ndarray)
+                and deps_by_device.shape == (m,)
+                and deps_by_device.dtype.kind in "iu"
+                and deps_by_device.min() >= 0
+                and deps_by_device.max() < timeline.scheduler.num_tasks):
+            raise CommunicationPlanError(
+                f"deps_by_device must be None or an ({m},) array of "
+                f"submitted task ids, one producer per GPU, got "
+                f"{deps_by_device!r}"
+            )
+
     def accumulate_batch_backward(self, batch: int,
                                   neighbor_grads: List[np.ndarray],
                                   host_grads: np.ndarray,
@@ -812,15 +829,16 @@ class DedupCommunicator:
         ``neighbor_grads[i]`` is GPU i's (len(needed_i), dim) gradient of its
         chunk's input rows. Gradients accumulate in transition buffers across
         batches; rows not reused by the next batch are flushed to
-        ``host_grads`` (modified in place). ``deps_by_device`` is None or
-        the ``(m,)`` integer id array of the already-submitted tasks that
-        produced each GPU's gradients (the backward kernels, one per
-        GPU). A ``batch`` outside the plan, a ``host_grads`` that is not
-        this sweep's ``(num_vertices, dim)`` array, ``neighbor_grads``
-        that is not one ``(len(needed_i), dim)`` array per GPU, or a
-        ``deps_by_device`` of another form, dtype or range raises
-        :class:`~repro.errors.CommunicationPlanError` before anything
-        moves or is emitted.
+        ``host_grads`` (modified in place). The rows move first, then the
+        batch's traffic is emitted as by :meth:`submit_batch_backward`.
+        ``deps_by_device`` is None or the ``(m,)`` integer id array of the
+        already-submitted tasks that produced each GPU's gradients (the
+        backward kernels, one per GPU). A ``batch`` outside the plan, a
+        ``host_grads`` that is not this sweep's ``(num_vertices, dim)``
+        array, ``neighbor_grads`` that is not one ``(len(needed_i), dim)``
+        array per GPU, or a ``deps_by_device`` of another form, dtype or
+        range raises :class:`~repro.errors.CommunicationPlanError` before
+        anything moves or is emitted.
         """
         buffers = self._require_sweep()
         static = self.static.batch(batch)
@@ -840,36 +858,59 @@ class DedupCommunicator:
                 f"neighbor_grads[{gpu}] has shape {shapes[gpu]}, which does "
                 f"not match GPU {gpu}'s needed set {expected[gpu]}"
             )
-        if deps_by_device is not None and not (
-                isinstance(deps_by_device, np.ndarray)
-                and deps_by_device.shape == (m,)
-                and deps_by_device.dtype.kind in "iu"
-                and deps_by_device.min() >= 0
-                and deps_by_device.max() < timeline.scheduler.num_tasks):
-            raise CommunicationPlanError(
-                f"deps_by_device must be None or an ({m},) array of "
-                f"submitted task ids, one producer per GPU, got "
-                f"{deps_by_device!r}"
-            )
-        row_bytes = self._dim * SCALAR_BYTES
-        gpu_ids = self.static.gpu_ids
+        self._require_producers(deps_by_device, timeline)
 
         # Zero the slots newly staged this batch (their gradient starts now).
         stacked = buffers.stacked
         stacked[static.zero_slots] = 0.0
-
         # Phase 1: scatter gradients into owners' buffers (atomicAdd_system).
-        # Pushes into a buffer staged on another node cross the network
-        # (the backward direction of the halo exchange). One GPU's needed
-        # rows never name a buffer slot twice (build_comm_plan checks), so
-        # its indexed += accumulates every row, and GPU order is the
-        # addition order of a slot several readers share; so does the
-        # flush below over each GPU's distinct vertices.
+        # One GPU's needed rows never name a buffer slot twice
+        # (build_comm_plan checks), so its indexed += accumulates every
+        # row, and GPU order is the addition order of a slot several
+        # readers share; so does the flush below over each GPU's distinct
+        # vertices.
         # repro-lint: allow-loop — per-GPU numpy scatter (numerics, not timing); one indexed op per GPU
         for plan, grads in zip(plans, neighbor_grads):
             stacked[plan.source_slots] += grads
-        d2d_seconds, local_seconds = self._segment_seconds(static, row_bytes)
+        # Phase 2: flush gradients not reused by the next batch.
+        # repro-lint: allow-loop — per-GPU numpy flush-add (numerics, not timing); one indexed op per GPU
+        for vertices, slots in zip(static.flush_vertices,
+                                   static.flush_slots):
+            host_grads[vertices] += stacked[slots]
+        self._emit_backward(batch, static, timeline, deps_by_device)
 
+    def submit_batch_backward(self, batch: int, timeline: EventTimeline,
+                              deps_by_device=None) -> None:
+        """Emit ``batch``'s backward traffic; no row moves.
+
+        The waves, labels, bytes and dependencies of Algorithm 3 for one
+        batch: the scatter of every GPU's neighbor gradients into the
+        owners' transition buffers (``scatter``, ``halo_push``, ``push``),
+        then the flush of the rows the next batch does not reuse
+        (``flush``, ``halo_flush``, ``accumulate``). A caller whose
+        gradients nothing reads (layer 0's: the input features are
+        constants) calls this alone; :meth:`accumulate_batch_backward`
+        emits the same after moving the rows. ``deps_by_device`` is as
+        there. A ``batch`` outside the plan, no active sweep, or a
+        malformed ``deps_by_device`` raises
+        :class:`~repro.errors.CommunicationPlanError` before anything is
+        emitted.
+        """
+        self._require_sweep()
+        static = self.static.batch(batch)
+        self._require_producers(deps_by_device, timeline)
+        self._emit_backward(batch, static, timeline, deps_by_device)
+
+    def _emit_backward(self, batch: int, static: _BatchStatic,
+                       timeline: EventTimeline, deps_by_device) -> None:
+        """Emit ``batch``'s backward waves; the callers checked the
+        arguments (``static`` is the batch's static plan)."""
+        m = self.plan.num_gpus
+        row_bytes = self._dim * SCALAR_BYTES
+
+        # Scatter. Pushes into a buffer staged on another node cross the
+        # network (the backward direction of the halo exchange).
+        d2d_seconds, local_seconds = self._segment_seconds(static, row_bytes)
         # Buffers must be drained by the previous batch's flush before
         # this batch's atomic adds land on the same slots.
         prior = self._batch_tasks(batch - 1, "flush")
@@ -894,17 +935,12 @@ class DedupCommunicator:
         )
         scatter_ids = np.concatenate([scatter_ids, push_local_ids])
 
-        # Phase 2: flush gradients not reused by the next batch. Gradients
-        # of remotely-owned vertices must additionally cross the network to
-        # reach the owner node's ∇h buffer (empty under dedup_inter, where
-        # every staged vertex is owner-local).
-        # repro-lint: allow-loop — per-GPU numpy flush-add (numerics, not timing); one indexed op per GPU
-        for vertices, slots in zip(static.flush_vertices,
-                                   static.flush_slots):
-            host_grads[vertices] += stacked[slots]
+        # Flush. Gradients of remotely-owned vertices must additionally
+        # cross the network to reach the owner node's ∇h buffer (empty
+        # under dedup_inter, where every staged vertex is owner-local).
         flush_bytes = static.flush_rows * row_bytes
         d2h_seconds = self.platform.h2d_seconds(flush_bytes,
-                                                devices=gpu_ids)
+                                                devices=self.static.gpu_ids)
         cpu_seconds = self.platform.cpu_accumulate_seconds(
             flush_bytes, node=self.static.gpu_nodes)
 

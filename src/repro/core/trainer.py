@@ -20,8 +20,11 @@ Execution structure per epoch (paper Algorithm 1):
    a fresh tape, and propagate neighbor gradients through the closed-form
    aggregate adjoint. Non-cacheable layers re-gather their input neighbor
    set (a second deduplicated forward load) and recompute the full layer.
-   Neighbor gradients return to the host ∇h^l buffer through the
-   deduplicated backward communication.
+   For l ≥ 1, ∇h^l returns to the host buffer through the deduplicated
+   backward communication. Layer 0's inputs are the constant features,
+   whose gradient nothing reads: its tape takes them as constants, no
+   aggregate adjoint runs, and it emits its gradient traffic (every task,
+   byte and dependency) but moves no rows and keeps no ∇h⁰ buffer.
 4. **Parameter update**: gradients all-reduce across GPUs (parameters are
    replicated; the volume is tiny) and a global optimizer step.
 
@@ -225,16 +228,18 @@ class HongTuTrainer:
         self.adopt(plan_fleet(graph, model, platform, config,
                               partition=partition))
 
-        # ---- host-resident vertex data (h^l and ∇h^l for every layer) -----
+        # ---- host-resident vertex data: h^l for every layer, ∇h^l for
+        # l ≥ 1 (nothing reads the gradient of the input features) -------
         dims = model.dims
         n = graph.num_vertices
         dtype = self.dtype
         self._h: List[np.ndarray] = [
             np.zeros((n, dim), dtype=dtype) for dim in dims
         ]
-        self._grad_h: List[np.ndarray] = [
-            np.zeros((n, dim), dtype=dtype) for dim in dims
-        ]
+        self._grad_h: Dict[int, np.ndarray] = {
+            l: np.zeros((n, dims[l]), dtype=dtype)
+            for l in range(1, len(dims))
+        }
         self._h[0][:] = graph.features.astype(dtype)
         # Host-side checkpoint store for cached AGGREGATE outputs. The
         # host allocation behind each (layer, gpu, batch) slot is created
@@ -418,12 +423,12 @@ class HongTuTrainer:
     # downstream task (Algorithm 1, lines 10-11)
     # ------------------------------------------------------------------
     def _seed_output_gradient(self, timeline: EventTimeline) -> float:
-        for grad in self._grad_h:
+        for grad in self._grad_h.values():
             grad[:] = 0.0
         loss, seed = masked_cross_entropy_value_and_grad(
             self._h[-1], self.graph.labels, self.graph.train_mask
         )
-        self._grad_h[-1][:] = seed.astype(self.dtype)
+        self._grad_h[len(self.model.layers)][:] = seed.astype(self.dtype)
         logits_bytes = self._h[-1].shape[0] * self._h[-1].shape[1] \
             * SCALAR_BYTES
         # The downstream task runs on node 0's host (the loss is a single
@@ -471,7 +476,9 @@ class HongTuTrainer:
         inputs and recomputes it whole. Each GPU's kernel waits for its
         own ∇h^{l+1} load and, on the recompute path, for the tasks that
         re-gathered its inputs; the neighbor gradients then return to
-        the host through the deduplicated backward communication.
+        the host through the deduplicated backward communication. At
+        layer 0 the kernels compute parameter gradients only, and the
+        communication is emitted without moving a row.
         """
         layer = self.model.layers[l]
         shapes = self.fleet.shapes
@@ -484,6 +491,9 @@ class HongTuTrainer:
                                                           timeline)
             input_deps = self._comm_values.batch_input_dep_ids()
         workspace = costs.workspace_bytes.tolist()
+        # ∇h⁰ is the gradient of the constant features: nothing reads it
+        needs_input_grad = l > 0
+        # per GPU, its input rows' gradient (empty at layer 0)
         neighbor_grads: List[np.ndarray] = []
 
         # repro-lint: allow-loop — per-GPU numerics + workspace reservation over python chunk objects; emission below is batched
@@ -493,13 +503,16 @@ class HongTuTrainer:
             with self.platform.gpus[i].memory.scoped("backward_workspace",
                                                      workspace[i]):
                 if use_cache:
-                    grads = self._cached_chunk_grads(l, i, j, grad_out)
+                    grads = self._cached_chunk_grads(l, i, j, grad_out,
+                                                     needs_input_grad)
                 else:
-                    h_t = Tensor(inputs[i], requires_grad=True)
+                    h_t = Tensor(inputs[i], requires_grad=needs_input_grad)
                     layer.forward(chunk.block, h_t).backward(grad_out)
-                    grads = h_t.grad if h_t.grad is not None else \
-                        np.zeros_like(inputs[i])
-                neighbor_grads.append(grads)
+                    grads = h_t.grad
+                    if grads is None and needs_input_grad:
+                        grads = np.zeros_like(inputs[i])
+                if needs_input_grad:
+                    neighbor_grads.append(grads)
 
         load_ids = timeline.submit_batch(
             "h2d",
@@ -516,30 +529,37 @@ class HongTuTrainer:
             deps_by_device=compute_deps,
             label=f"grad_compute[l{l}b{j}]",
         )
-        self._comm_grads.accumulate_batch_backward(
-            j, neighbor_grads, self._grad_h[l], timeline,
-            deps_by_device=compute_ids,
-        )
+        if needs_input_grad:
+            self._comm_grads.accumulate_batch_backward(
+                j, neighbor_grads, self._grad_h[l], timeline,
+                deps_by_device=compute_ids,
+            )
+        else:
+            self._comm_grads.submit_batch_backward(
+                j, timeline, deps_by_device=compute_ids)
 
     def _cached_chunk_grads(self, l: int, i: int, j: int,
-                            grad_out: np.ndarray) -> np.ndarray:
+                            grad_out: np.ndarray,
+                            needs_input_grad: bool) -> Optional[np.ndarray]:
         """Neighbor gradients of chunk (i, j) from its cached aggregate:
         UPDATE re-runs under a fresh tape, AGGREGATE's adjoint is closed
-        form."""
+        form. Without ``needs_input_grad`` the tape takes the aggregate
+        and ``h_dst`` as constants and only the parameter gradients are
+        computed: the result is ``None``."""
         layer = self.model.layers[l]
         chunk = self.partition.chunks[i][j]
         block = chunk.block
-        agg_data = self._take_checkpoint(l, i, j)
-        if layer.update_uses_self:
-            h_dst_data = self._h[l][chunk.dst_global]
-        else:
-            h_dst_data = np.zeros((block.num_dst, layer.in_dim),
-                                  dtype=self.dtype)
-        agg_t = Tensor(agg_data, requires_grad=True)
-        h_dst_t = Tensor(h_dst_data, requires_grad=True)
+        agg_t = Tensor(self._take_checkpoint(l, i, j),
+                       requires_grad=needs_input_grad)
+        # An UPDATE that ignores h_dst gets a placeholder, as in the forward.
+        h_dst_t = (Tensor(self._h[l][chunk.dst_global],
+                          requires_grad=needs_input_grad)
+                   if layer.update_uses_self else agg_t)
         layer.update(block, agg_t, h_dst_t).backward(grad_out)
+        if not needs_input_grad:
+            return None
         grad_agg = agg_t.grad if agg_t.grad is not None else \
-            np.zeros_like(agg_data)
+            np.zeros_like(agg_t.data)
         grads = layer.aggregate_backward(block, grad_agg)
         if layer.update_uses_self and h_dst_t.grad is not None:
             grads[block.dst_pos] += h_dst_t.grad  # dst_pos is duplicate-free

@@ -32,7 +32,9 @@ Invariants (property-tested in ``tests/test_serving.py``):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -134,8 +136,10 @@ class DeadlineBatchingPolicy(AdmissionPolicy):
     name = "deadline"
 
     def __init__(self, timeout: Seconds):
-        if not timeout >= 0:  # NaN included
-            raise ServingError(f"timeout must be >= 0, got {timeout}")
+        if (isinstance(timeout, bool) or not isinstance(timeout, Real)
+                or not 0 <= timeout < math.inf):  # NaN fails both
+            raise ServingError(
+                f"timeout must be >= 0 and finite, got {timeout!r}")
         self.timeout = float(timeout)
 
     def admit(self, arrivals: np.ndarray) -> list:

@@ -151,6 +151,21 @@ class TestAdam:
             Adam([Parameter(np.ones(1))], lr=-0.1)
 
 
+@pytest.mark.parametrize("cls", [SGD, Adam])
+@pytest.mark.parametrize("lr", [0.0, -0.1, float("nan"), float("inf"),
+                                -float("inf"), True, "0.1", None])
+def test_learning_rate_must_be_a_finite_positive_number(cls, lr):
+    """NaN and inf used to pass the ``lr <= 0`` check and train to NaN."""
+    with pytest.raises(ConfigurationError, match="finite number > 0"):
+        cls([Parameter(np.ones(1))], lr=lr)
+
+
+@pytest.mark.parametrize("cls", [SGD, Adam])
+@pytest.mark.parametrize("lr", [1e-300, 0.5, 2, np.float32(0.1)])
+def test_learning_rate_accepts_finite_positive_numbers(cls, lr):
+    assert cls([Parameter(np.ones(1))], lr=lr).lr == lr
+
+
 class TestRemovedSettings:
     """Optimizer hyper-parameters no caller set keep their one value
     (plain SGD; Adam's β = (0.9, 0.999), ε = 1e-8): passing one is a

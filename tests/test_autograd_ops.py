@@ -64,6 +64,55 @@ class TestElementwiseGradients:
         check_gradients(ops.mul, RNG.standard_normal((4, 3)),
                         RNG.standard_normal((4, 1)))
 
+def _concat_pair(a, b):
+    return ops.concat([a, b], axis=1)
+
+
+#: multi-parent op → (op, a, b, closed-form VJPs (∇a, ∇b) of the seed g)
+_PAIR_A, _PAIR_B = RNG.standard_normal((3, 4)), RNG.standard_normal((3, 4))
+_PAIR_M = RNG.standard_normal((4, 2))
+MULTI_PARENT_OPS = {
+    "add": (ops.add, _PAIR_A, _PAIR_B, lambda g, a, b: (g, g)),
+    "sub": (ops.sub, _PAIR_A, _PAIR_B, lambda g, a, b: (g, -g)),
+    "mul": (ops.mul, _PAIR_A, _PAIR_B, lambda g, a, b: (g * b, g * a)),
+    "matmul": (ops.matmul, _PAIR_A, _PAIR_M,
+               lambda g, a, b: (g @ b.T, a.T @ g)),
+    "concat": (_concat_pair, _PAIR_A, _PAIR_B,
+               lambda g, a, b: (g[:, :4], g[:, 4:])),
+}
+
+
+class TestConstantOperands:
+    """A multi-parent op computes a parent's VJP only when that parent
+    requires grad (the input features of layer 0 are such a constant)."""
+
+    @pytest.mark.parametrize("constant", [0, 1], ids=["a_constant",
+                                                      "b_constant"])
+    @pytest.mark.parametrize("name", sorted(MULTI_PARENT_OPS))
+    def test_only_the_variable_operand_gets_its_vjp(self, monkeypatch, name,
+                                                    constant):
+        op, a, b, closed_form = MULTI_PARENT_OPS[name]
+        tensors = [Tensor(x, requires_grad=k != constant)
+                   for k, x in enumerate((a, b))]
+        out = op(*tensors)
+        seed = np.random.default_rng(1).standard_normal(out.shape)
+        receivers = []
+        accumulate = Tensor.accumulate_grad
+
+        def spy(tensor, grad):
+            receivers.append(tensor)
+            accumulate(tensor, grad)
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", spy)
+        out.backward(seed)
+        variable = 1 - constant
+        assert tensors[constant].grad is None
+        # the constant's adjoint product is never formed, let alone added
+        assert not any(t is tensors[constant] for t in receivers)
+        np.testing.assert_array_equal(tensors[variable].grad,
+                                      closed_form(seed, a, b)[variable])
+
+
 class TestLinearAlgebraGradients:
     def test_matmul(self):
         check_gradients(ops.matmul, RNG.standard_normal((4, 3)),

@@ -418,6 +418,20 @@ class TestCommands:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0"])
+    def test_bad_learning_rate_is_usage_error(self, capsys, monkeypatch, lr):
+        """NaN and inf passed the ``lr <= 0`` check: training ran to
+        ``loss=nan`` and exited 0."""
+        epochs = []
+        monkeypatch.setattr(HongTuTrainer, "train_epoch",
+                            lambda trainer: epochs.append(trainer))
+        assert main(["train", "--scale", "0.05", "--lr", lr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad scenario: ")
+        assert "learning rate must be a finite number > 0" in captured.err
+        assert epochs == []
+
     def test_fault_beyond_fleet_is_usage_error(self, capsys):
         assert main(["train", "--nodes", "2",
                      "--fault", "death:node=7,at=1"]) == 2
@@ -452,13 +466,16 @@ class TestCommands:
         (["--duration", "nan"], "duration must be finite and >= 0"),
         (["--batch-policy", "deadline", "--batch-timeout", "nan"],
          "timeout must be >= 0"),
+        # the admission wave used to raise SchedulerError (exit 1)
+        (["--batch-policy", "deadline", "--batch-timeout", "inf"],
+         "timeout must be >= 0 and finite"),
         (["--batch-policy", "size", "--batch-size", "0"],
          "batch_size must be >= 1"),
         (["--arrival", "bursty", "--burst-size", "0"],
          "burst_size must be >= 1"),
     ], ids=["budget_nan", "budget_inf", "budget_zero", "budget_fraction",
             "slo_nan", "rate_negative", "duration_nan", "timeout_nan",
-            "batch_size_zero", "burst_size_zero"])
+            "timeout_inf", "batch_size_zero", "burst_size_zero"])
     def test_bad_serve_flag_is_usage_error(self, capsys, monkeypatch, flags,
                                            message):
         """Each used to end in a traceback (exit 1): ``int(nan)`` /

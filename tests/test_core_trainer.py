@@ -145,8 +145,11 @@ class TestModelDtype:
         assert trainer.dtype == np.float32
         losses = [trainer.train_epoch().loss for _ in range(3)]
         assert losses == self.FLOAT32_LOSSES
-        assert {array.dtype for array in trainer._h + trainer._grad_h} == \
+        host_arrays = trainer._h + list(trainer._grad_h.values())
+        assert {array.dtype for array in host_arrays} == \
             {np.dtype(np.float32)}
+        # ∇h⁰ is never read, so it is never allocated
+        assert sorted(trainer._grad_h) == list(range(1, len(trainer._h)))
         assert swept and set(swept) == {np.dtype(np.float32)}
         assert all(p.data.dtype == np.float32
                    for p in trainer.model.parameters())

@@ -492,6 +492,21 @@ def _assert_untouched(comm, timeline):
     assert timeline.scheduler.num_tasks == 0
 
 
+_BAD_PRODUCER_FORMS = ["list", "per_gpu", "short", "column", "float", "bool",
+                       "unsubmitted", "negative"]
+
+
+def _bad_producers(producers, form):
+    return {"list": list(producers),
+            "per_gpu": [[task] for task in producers.tolist()],
+            "short": producers[:1],
+            "column": producers[:, None],
+            "float": producers.astype(np.float64),
+            "bool": np.array([True, False]),
+            "unsubmitted": producers + 1,
+            "negative": producers - 1}[form]
+
+
 class TestEntryPointRejections:
     @pytest.mark.parametrize("batch", [-1, 2, 0.0, None])
     def test_forward_batch_out_of_plan(self, live, batch):
@@ -563,9 +578,7 @@ class TestEntryPointRejections:
             comm.submit_cold_load(timeline, batch, 4, None)
         _assert_untouched(comm, timeline)
 
-    @pytest.mark.parametrize("form", ["list", "per_gpu", "short", "column",
-                                      "float", "bool", "unsubmitted",
-                                      "negative"])
+    @pytest.mark.parametrize("form", _BAD_PRODUCER_FORMS)
     def test_backward_producers_in_one_form(self, live, form):
         """``deps_by_device`` is the ``(m,)`` array of submitted task ids
         the trainer passes; per-GPU lists used to be normalised too, and
@@ -574,14 +587,7 @@ class TestEntryPointRejections:
         refused the wave."""
         comm, _plan, host, grads, timeline = live
         producers = timeline.submit_batch("gpu", [1.0, 1.0])
-        bad = {"list": list(producers),
-               "per_gpu": [[task] for task in producers.tolist()],
-               "short": producers[:1],
-               "column": producers[:, None],
-               "float": producers.astype(np.float64),
-               "bool": np.array([True, False]),
-               "unsubmitted": producers + 1,
-               "negative": producers - 1}[form]
+        bad = _bad_producers(producers, form)
         host_grads = np.zeros_like(host)
         with pytest.raises(CommunicationPlanError, match="deps_by_device"):
             comm.accumulate_batch_backward(0, grads, host_grads, timeline,
@@ -602,3 +608,67 @@ class TestEntryPointRejections:
             assert out.dtype == np.float64
             assert np.array_equal(
                 out, single[gpu_plan.needed].astype(np.float64))
+
+
+class TestSubmitBatchBackward:
+    """The emission half of the backward: what layer 0 runs, whose
+    gradients nothing reads."""
+
+    @pytest.mark.parametrize("batch", [-1, 2, 0.0, None])
+    def test_batch_out_of_plan(self, live, batch):
+        comm, _plan, _host, _grads, timeline = live
+        with pytest.raises(CommunicationPlanError, match="batch"):
+            comm.submit_batch_backward(batch, timeline)
+        _assert_untouched(comm, timeline)
+
+    def test_no_active_sweep(self, live):
+        comm, _plan, _host, _grads, timeline = live
+        comm.end_sweep()
+        with pytest.raises(CommunicationPlanError, match="no active sweep"):
+            comm.submit_batch_backward(0, timeline)
+        assert comm._history == []
+        assert timeline.scheduler.num_tasks == 0
+
+    @pytest.mark.parametrize("form", _BAD_PRODUCER_FORMS)
+    def test_producers_in_one_form(self, live, form):
+        comm, _plan, _host, _grads, timeline = live
+        producers = timeline.submit_batch("gpu", [1.0, 1.0])
+        with pytest.raises(CommunicationPlanError, match="deps_by_device"):
+            comm.submit_batch_backward(
+                0, timeline, deps_by_device=_bad_producers(producers, form))
+        assert comm._history == []
+        assert timeline.scheduler.num_tasks == 2
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_emits_what_accumulate_emits_and_moves_nothing(self, live,
+                                                           pipelined):
+        """Same waves, labels, bytes, dependencies and times as the full
+        call; the transition buffers and the host stay as they were."""
+        comm, plan, host, _grads, _timeline = live
+        mover = DedupCommunicator(plan, comm.platform, static=comm.static)
+        mover.start_sweep(DIM)
+        timelines = [EventTimeline(barrier_all=not pipelined)
+                     for _ in range(2)]
+        host_grads = np.zeros_like(host)
+        for batch in range(plan.num_batches):
+            both = []
+            for timeline in timelines:
+                both.append(timeline.submit_batch("gpu", [1.0, 2.0]))
+            batch_grads = [np.full((len(gpu_plan.needed), DIM), batch + 1.0)
+                           for gpu_plan in plan.plans[batch]]
+            mover.accumulate_batch_backward(batch, batch_grads, host_grads,
+                                            timelines[0],
+                                            deps_by_device=both[0])
+            comm.submit_batch_backward(batch, timelines[1],
+                                       deps_by_device=both[1])
+        mover.end_sweep()
+        assert host_grads.any()
+        assert not comm._buffers.stacked.any()
+        expected, actual = (timeline.scheduler for timeline in timelines)
+        assert actual.phase_labels() == expected.phase_labels()
+        for name, column in expected.columns()._asdict().items():
+            if name == "used":
+                continue
+            np.testing.assert_array_equal(
+                getattr(actual.columns(), name), column, err_msg=name)
+

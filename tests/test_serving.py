@@ -230,6 +230,13 @@ class TestPolicyInvariants:
         with pytest.raises(ServingError):
             build_policy("deadline", batch_timeout=timeout)
 
+    @pytest.mark.parametrize("timeout", [float("inf"), True, "0.1"])
+    def test_deadline_timeout_must_be_a_finite_number(self, timeout):
+        """An infinite window used to reach the scheduler, which raised
+        ``SchedulerError`` on the admission wave's infinite duration."""
+        with pytest.raises(ServingError, match=">= 0 and finite"):
+            DeadlineBatchingPolicy(timeout)
+
 
 # ---------------------------------------------------------------------------
 # percentile edge cases (the NaN-free fix)

@@ -1,0 +1,107 @@
+"""The trainer's backward before layer 0 stopped computing ∇h⁰ — its oracle.
+
+:class:`~repro.core.trainer.HongTuTrainer` takes layer 0's inputs (the
+input features) as constants: its backward computes parameter gradients
+only, runs no aggregate adjoint, and emits the layer's gradient traffic
+without moving a row. :class:`GradInputTrainer` keeps the form the
+backward was written in, verbatim from the commit before that change:
+every layer's tape takes its inputs as variables, the hybrid path runs
+the closed-form aggregate adjoint, and every layer's neighbor gradients
+flow through :meth:`~repro.comm.executor.DedupCommunicator.accumulate_batch_backward`
+into a host ∇h buffer — ∇h⁰ included.
+
+Nothing reads ∇h⁰, so the two must agree on everything else to the last
+bit: losses, timelines, byte ledgers, peak memory and final parameters.
+"""
+
+from __future__ import annotations
+
+from typing import List
+
+import numpy as np
+
+from repro.autograd import Tensor
+from repro.core import HongTuTrainer
+from repro.hardware.clock import EventTimeline
+from repro.runtime.scheduler import DepLists
+
+__all__ = ["GradInputTrainer"]
+
+
+class GradInputTrainer(HongTuTrainer):
+    """HongTu's trainer with a ∇h⁰ buffer that layer 0's backward fills."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # zeroed with the others at every epoch's loss
+        self._grad_h[0] = np.zeros_like(self._h[0])
+
+    def _backward_batch(self, l: int, j: int, timeline: EventTimeline,
+                        use_cache: bool) -> None:
+        layer = self.model.layers[l]
+        shapes = self.fleet.shapes
+        inputs = input_deps = None
+        if use_cache:
+            costs = shapes.backward_cached(layer, j)
+        else:
+            costs = shapes.backward_recompute(layer, j)
+            inputs = self._comm_values.load_batch_forward(j, self._h[l],
+                                                          timeline)
+            input_deps = self._comm_values.batch_input_dep_ids()
+        workspace = costs.workspace_bytes.tolist()
+        neighbor_grads: List[np.ndarray] = []
+
+        for i in range(self.plan.num_gpus):
+            chunk = self.partition.chunks[i][j]
+            grad_out = self._grad_h[l + 1][chunk.dst_global]
+            with self.platform.gpus[i].memory.scoped("backward_workspace",
+                                                     workspace[i]):
+                if use_cache:
+                    grads = self._cached_chunk_grads(l, i, j, grad_out)
+                else:
+                    h_t = Tensor(inputs[i], requires_grad=True)
+                    layer.forward(chunk.block, h_t).backward(grad_out)
+                    grads = h_t.grad if h_t.grad is not None else \
+                        np.zeros_like(inputs[i])
+                neighbor_grads.append(grads)
+
+        load_ids = timeline.submit_batch(
+            "h2d",
+            self.platform.h2d_seconds(costs.load_bytes,
+                                      devices=self._gpu_ids),
+            nbytes=costs.load_bytes, label=f"grad_load[l{l}b{j}]",
+        )
+        compute_deps = load_ids if input_deps is None else DepLists.join(
+            self.plan.num_gpus, input_deps, load_ids)
+        compute_ids = timeline.submit_batch(
+            "gpu",
+            self.platform.gpu_compute_seconds(costs.flops,
+                                              devices=self._gpu_ids),
+            deps_by_device=compute_deps,
+            label=f"grad_compute[l{l}b{j}]",
+        )
+        self._comm_grads.accumulate_batch_backward(
+            j, neighbor_grads, self._grad_h[l], timeline,
+            deps_by_device=compute_ids,
+        )
+
+    def _cached_chunk_grads(self, l: int, i: int, j: int,
+                            grad_out: np.ndarray) -> np.ndarray:
+        layer = self.model.layers[l]
+        chunk = self.partition.chunks[i][j]
+        block = chunk.block
+        agg_data = self._take_checkpoint(l, i, j)
+        if layer.update_uses_self:
+            h_dst_data = self._h[l][chunk.dst_global]
+        else:
+            h_dst_data = np.zeros((block.num_dst, layer.in_dim),
+                                  dtype=self.dtype)
+        agg_t = Tensor(agg_data, requires_grad=True)
+        h_dst_t = Tensor(h_dst_data, requires_grad=True)
+        layer.update(block, agg_t, h_dst_t).backward(grad_out)
+        grad_agg = agg_t.grad if agg_t.grad is not None else \
+            np.zeros_like(agg_data)
+        grads = layer.aggregate_backward(block, grad_agg)
+        if layer.update_uses_self and h_dst_t.grad is not None:
+            grads[block.dst_pos] += h_dst_t.grad  # dst_pos is duplicate-free
+        return grads
