@@ -11,7 +11,9 @@ computes, per GPU ``i``:
   𝒩^cpu_ij = 𝒩_ij \\ 𝒩_i,j-1 is loaded from the host;
 * ``positions``   — write positions inside a single per-GPU transition
   buffer, assigned so duplicated vertices of adjacent batches keep their
-  slot ("in-place transition data management", §6);
+  slot ("in-place transition data management", §6). The rule runs on
+  arrays for all m GPUs of a batch at once: the last batch's staged rows
+  with their slots, and every GPU's free slots as one sorted array;
 * ``slots``       — the routing for assembling h_{N_ij}, stored once, as
   flat addresses. The m transition buffers are one address space (GPU i's
   buffer is the row range ``[buffer_offsets[i], buffer_offsets[i+1])`` of
@@ -26,6 +28,11 @@ computes, per GPU ``i``:
   a slot's buffer names its source, so :meth:`CommPlan.segments` derives
   the (reader, source, rows) triples of a batch from the slots.
 
+A batch is staged in one pass: its union is a row of vertex marks, one
+stable sort by owner cuts it into the m transition sets, and the reuse
+split reads the previous union's marks (each vertex has one owner, so a
+vertex the previous union held was staged on the same GPU).
+
 Disabling inter-GPU dedup (``dedup_inter=False``) degenerates the transition
 set to the GPU's own needed set (every GPU loads everything it needs — the
 vanilla DeepSpeed-style baseline); disabling intra-GPU dedup
@@ -36,7 +43,7 @@ the paper's Baseline / +P2P / +RU / full-HongTu ladder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -183,55 +190,75 @@ class CommPlan:
 def build_comm_plan(partition: TwoLevelPartition,
                     dedup_inter: bool = True,
                     dedup_intra: bool = True) -> CommPlan:
-    """Construct the deduplicated communication plan for ``partition``."""
+    """Construct the deduplicated communication plan for ``partition``.
+
+    Each batch is staged in one pass over all m GPUs: its staged rows
+    are one array ordered by (GPU, vertex), and each GPU's transition
+    set, positions and reuse mask are slices of it.
+    """
     m = partition.num_partitions
-    n = partition.num_chunks
+    num_vertices = partition.graph.num_vertices
     assignment = partition.assignment
+    # A vertex no GPU of the plan owns is staged nowhere (``_route``
+    # refuses a plan that needs one).
+    stray = (assignment < 0) | (assignment >= m)
+    if not stray.any():
+        stray = None
 
     plans: List[List[BatchGpuPlan]] = []
-    # Per-GPU in-place buffer state: vertex -> position, plus a free list.
-    position_of: List[Dict[int, int]] = [dict() for _ in range(m)]
-    free_slots: List[List[int]] = [[] for _ in range(m)]
-    next_slot = [0] * m
-    previous_transition: List[Optional[np.ndarray]] = [None] * m
-
-    for j in range(n):
-        needed_sets = [partition.chunks[i][j].neighbor_global for i in range(m)]
-
+    buffers = _Buffers(m, num_vertices)
+    seen = None  # what the last batch staged, to test reuse against
+    for j, chunks in enumerate(zip(*partition.chunks)):
+        needed_sets = [chunk.neighbor_global for chunk in chunks]
+        reuse_now = dedup_intra and j > 0
         if dedup_inter:
-            union = np.unique(np.concatenate(needed_sets))
+            # The batch union as vertex marks. Each vertex is staged once,
+            # on its owner, and reused there when the last union held it
+            # (it had the same owner then).
+            marks = np.zeros(num_vertices, dtype=bool)
+            marks[np.concatenate(needed_sets)] = True
+            if stray is not None:
+                marks[stray] = False
+            union = np.flatnonzero(marks)
             owners = assignment[union]
-            transitions = [union[owners == i] for i in range(m)]
+            order = np.argsort(owners, kind="stable")
+            staged, gpus = union[order], owners[order]
+            counts = np.bincount(owners, minlength=m)
+            if reuse_now:
+                reuse, kept = seen[staged], marks[buffers.vertices]
+            seen = marks
         else:
-            transitions = [needed.copy() for needed in needed_sets]
+            # Every GPU stages its own needed set; (GPU, vertex) codes
+            # keep one GPU's rows apart from another's.
+            counts = np.array([len(needed) for needed in needed_sets],
+                              dtype=np.int64)
+            staged = np.concatenate(needed_sets)
+            gpus = np.repeat(np.arange(m, dtype=np.int64), counts)
+            codes = gpus * num_vertices + staged
+            if reuse_now:
+                reuse = np.isin(codes, seen, assume_unique=True)
+                kept = np.isin(seen, codes, assume_unique=True)
+            seen = codes
+        if not reuse_now:
+            reuse = np.zeros(len(staged), dtype=bool)
+            kept = np.zeros(len(buffers.vertices), dtype=bool)
+        positions = buffers.assign(staged, gpus, reuse, kept)
 
-        batch_plans: List[BatchGpuPlan] = []
-        for i in range(m):
-            transition = transitions[i]
-            previous = previous_transition[i]
-            reuse_mask = (np.isin(transition, previous, assume_unique=True)
-                          if dedup_intra and previous is not None
-                          else np.zeros(len(transition), dtype=bool))
-
-            positions = _assign_positions(
-                transition, reuse_mask, position_of[i], free_slots[i],
-                next_slot, i,
-            )
-            plan = BatchGpuPlan(
-                gpu=i, batch=j,
-                needed=needed_sets[i],
-                transition=transition,
-                positions=positions,
-                reuse_mask=reuse_mask,
-            )
+        cuts = np.cumsum(counts)[:-1]
+        batch_plans = [
+            BatchGpuPlan(gpu=i, batch=j, needed=needed,
+                         transition=transition, positions=slots,
+                         reuse_mask=mask)
+            for i, needed, transition, slots, mask in zip(
+                range(m), needed_sets, np.split(staged, cuts),
+                np.split(positions, cuts), np.split(reuse, cuts))
+        ]
+        for plan in batch_plans:
             _require_distinct(plan)
-            batch_plans.append(plan)
-            previous_transition[i] = transition
-
         plans.append(batch_plans)
 
-    comm_plan = CommPlan(partition, plans, list(next_slot), dedup_inter,
-                         dedup_intra)
+    comm_plan = CommPlan(partition, plans, buffers.next_slot.tolist(),
+                         dedup_inter, dedup_intra)
     _route(comm_plan)
     return comm_plan
 
@@ -300,32 +327,59 @@ def _require_distinct(plan: BatchGpuPlan) -> None:
         )
 
 
-def _assign_positions(transition: np.ndarray, reuse_mask: np.ndarray,
-                      position_of: Dict[int, int], free_slots: List[int],
-                      next_slot: List[int], gpu: int) -> np.ndarray:
-    """In-place slot assignment for one GPU's batch transition set.
+class _Buffers:
+    """Every GPU's in-place transition buffer, batch after batch (Fig. 7 a).
 
-    Reused vertices keep their slot; retired vertices free theirs; new
-    vertices fill freed slots before extending the buffer. This reproduces
-    the paper's preprocessing that makes duplicated vertices of
-    adjacently-scheduled subgraphs share write positions (Fig. 7 a).
+    The slot rule: reused vertices keep their slot, retired vertices free
+    theirs, and new vertices, in transition order, take their GPU's
+    smallest free slots before extending its buffer. This reproduces the
+    paper's preprocessing that makes duplicated vertices of
+    adjacently-scheduled subgraphs share write positions. The state is
+    the last batch's staged rows with their slots, ordered by (GPU,
+    vertex), the free slots as sorted ``gpu * num_vertices + slot``
+    codes (a buffer never outgrows ``num_vertices`` rows), and each
+    buffer's size.
     """
-    keep = set(transition[reuse_mask].tolist())
-    retired = [v for v in position_of if v not in keep]
-    for vertex in retired:
-        free_slots.append(position_of.pop(vertex))
-    free_slots.sort(reverse=True)  # deterministic reuse order
 
-    positions = np.empty(len(transition), dtype=np.int64)
-    for index, vertex in enumerate(transition.tolist()):
-        if reuse_mask[index]:
-            positions[index] = position_of[vertex]
-            continue
-        if free_slots:
-            slot = free_slots.pop()
-        else:
-            slot = next_slot[gpu]
-            next_slot[gpu] += 1
-        position_of[vertex] = slot
-        positions[index] = slot
-    return positions
+    def __init__(self, num_gpus: int, num_vertices: int):
+        self.base = max(num_vertices, 1)
+        self.vertices = np.zeros(0, dtype=np.int64)
+        self.gpus = np.zeros(0, dtype=np.int64)
+        self.positions = np.zeros(0, dtype=np.int64)
+        self.free = np.zeros(0, dtype=np.int64)
+        self.next_slot = np.zeros(num_gpus, dtype=np.int64)
+
+    def assign(self, vertices: np.ndarray, gpus: np.ndarray,
+               reuse_mask: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        """Positions of one batch's staged rows (ordered by GPU, vertex).
+
+        ``reuse_mask`` marks the rows reused in place and ``kept`` the
+        last batch's rows they are: the same (GPU, vertex) pairs in the
+        same order, so the reused rows read their slots off ``kept``.
+        """
+        m, base = len(self.next_slot), self.base
+        positions = np.empty(len(vertices), dtype=np.int64)
+        positions[reuse_mask] = self.positions[kept]
+        retired = ~kept
+        free = np.sort(np.concatenate([
+            self.free, self.gpus[retired] * base + self.positions[retired]]))
+        free_gpus = free // base
+        have = np.bincount(free_gpus, minlength=m)
+        have_from = np.cumsum(have) - have
+
+        new = np.flatnonzero(~reuse_mask)
+        new_gpus = gpus[new]
+        wanted = np.bincount(new_gpus, minlength=m)
+        rank = np.arange(len(new)) - (np.cumsum(wanted) - wanted)[new_gpus]
+        spare = have[new_gpus]
+        from_free = rank < spare
+        positions[new[from_free]] = free[
+            have_from[new_gpus[from_free]] + rank[from_free]] % base
+        grow = ~from_free
+        positions[new[grow]] = (self.next_slot[new_gpus[grow]]
+                                + rank[grow] - spare[grow])
+        self.next_slot += np.maximum(wanted - have, 0)
+        self.free = free[np.arange(len(free)) - have_from[free_gpus]
+                         >= wanted[free_gpus]]
+        self.vertices, self.gpus, self.positions = vertices, gpus, positions
+        return positions

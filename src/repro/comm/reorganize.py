@@ -52,11 +52,7 @@ import numpy as np
 from repro.comm.analysis import DedupVolumes, measure_volumes
 from repro.errors import ConfigurationError
 from repro.hardware.platform import MultiGPUPlatform
-from repro.partition.nodes import (
-    partition_halo_matrix,
-    partition_load_matrix,
-    partition_nodes,
-)
+from repro.partition.nodes import LayoutSweeps, partition_nodes
 from repro.partition.two_level import TwoLevelPartition
 
 __all__ = ["reorganize_partition", "ReorganizationResult"]
@@ -115,7 +111,8 @@ class ReorganizationResult:
 def reorganize_partition(partition: TwoLevelPartition,
                          platform: MultiGPUPlatform,
                          row_bytes: int = 4 * 128,
-                         placement: Optional[np.ndarray] = None
+                         placement: Optional[np.ndarray] = None,
+                         sweeps: Optional[LayoutSweeps] = None
                          ) -> ReorganizationResult:
     """Run Algorithm 4 on ``partition``, priced by ``platform``.
 
@@ -142,6 +139,13 @@ def reorganize_partition(partition: TwoLevelPartition,
     platform's dead nodes admit evacuating placements that leave them
     empty).
 
+    ``sweeps`` holds what the calling planner already measured of
+    ``partition``'s layouts (:class:`~repro.partition.nodes.LayoutSweeps`):
+    every candidate's load matrix and Eq. 4 volumes, and the paper's
+    greedy layout of each input, are computed once per call of the
+    planner, not once per reorganization. By default the reorganization
+    builds its own.
+
     A ``platform`` that is not a
     :class:`~repro.hardware.platform.MultiGPUPlatform`, a ``row_bytes``
     that is not a finite real > 0, or — on a multi-node platform — a
@@ -159,6 +163,8 @@ def reorganize_partition(partition: TwoLevelPartition,
         raise ConfigurationError(
             f"partition has {m} partitions, platform exposes "
             f"{platform.num_gpus} GPUs")
+    if sweeps is None:
+        sweeps = LayoutSweeps(partition)
     neighbors = [[chunk.neighbor_global for chunk in row]
                  for row in partition.chunks]
 
@@ -166,7 +172,8 @@ def reorganize_partition(partition: TwoLevelPartition,
     # greedy one and, on a cluster, the net-aware one.
     layouts: List[Tuple[List[List[int]], List[int]]] = [
         ([list(range(n)) for _ in range(m)], list(range(n))),
-        _paper_greedy(neighbors, partition.graph.num_vertices),
+        sweeps.memo(partition, "greedy", lambda layout: _paper_greedy(
+            neighbors, layout.graph.num_vertices)),
     ]
     if net_aware:
         node_map = partition_nodes(
@@ -182,7 +189,8 @@ def reorganize_partition(partition: TwoLevelPartition,
 
     # The guard: adopt the cheapest candidate under Eq. 4 plus, when
     # net-aware, the net term; the input wins ties (first minimum).
-    volumes = [measure_volumes(candidate) for candidate in candidates]
+    volumes = [sweeps.memo(candidate, "volumes", measure_volumes)
+               for candidate in candidates]
     costs = [platform.dedup_seconds(measured, row_bytes)
              for measured in volumes]
     rows = net_seconds = None
@@ -193,8 +201,8 @@ def reorganize_partition(partition: TwoLevelPartition,
         # where it lives: F and the node map are the guard's, not the
         # candidate's.
         cross = node_map[:, None] != node_map[None, :]
-        fetch = partition_halo_matrix(partition)
-        rows = [int((fetch + 2 * partition_load_matrix(candidate))[cross].sum())
+        fetch = sweeps.fetch()
+        rows = [int((fetch + 2 * sweeps.load(candidate))[cross].sum())
                 for candidate in candidates]
         net_seconds = [platform.halo_volume_seconds(count * row_bytes)
                        for count in rows]

@@ -66,6 +66,7 @@ from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
 from repro.hardware.memory import Allocation
 from repro.hardware.platform import MultiGPUPlatform
+from repro.partition.nodes import LayoutSweeps
 from repro.partition.placement import (
     PlacementResult,
     partition_net_weights,
@@ -249,6 +250,8 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
 
     placement, placement_result = seed_placement, None
     reorganization = previous.reorganization if replan else None
+    # The search and the reorganization price the same layouts.
+    sweeps = LayoutSweeps(partition)
     if policy != "block":
         # Search the placement from its seed — refined, never regressed.
         # Under "joint" the search alternates with schedule
@@ -273,7 +276,7 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
         else:
             placement_result = search_placement(
                 partition, nodes, dead_nodes=platform.dead_nodes,
-                **search_args)
+                sweeps=sweeps, **search_args)
         placement = placement_result.placement
         platform.set_placement(placement, max_imbalance=config.max_imbalance)
     if not replan and config.reorganize and policy != "joint":
@@ -281,7 +284,8 @@ def plan_fleet(graph: Graph, model: GNNModel, platform: MultiGPUPlatform,
         # rows priced at network seconds (Algorithm 4 extension), counted
         # against the active placement.
         reorganization = reorganize_partition(partition, platform, row_bytes,
-                                              placement=placement)
+                                              placement=placement,
+                                              sweeps=sweeps)
         partition = reorganization.partition
 
     if replan and partition is previous.partition:

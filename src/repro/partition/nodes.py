@@ -19,7 +19,9 @@ granularity: :func:`partition_halo_matrix` (fetch rows) and
 :func:`partition_load_matrix` (freshly staged rows). The node-level
 :func:`halo_volumes` / :func:`halo_load_volumes` are those matrices
 aggregated under a partition→node map, so the placement search's
-objective and the node analyses cannot count different rows.
+objective and the node analyses cannot count different rows. A
+planning call that prices several chunk layouts of one partition runs
+each sweep once per layout through one :class:`LayoutSweeps`.
 
 The contiguous-block map is only the *default*: every analysis here takes
 an optional explicit ``placement`` array (partition p → node
@@ -30,7 +32,7 @@ reproduces the block map bit for bit.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +40,8 @@ from repro.errors import PartitionError
 from repro.partition.two_level import TwoLevelPartition
 
 __all__ = ["partition_nodes", "partition_halo_matrix",
-           "partition_load_matrix", "halo_volumes", "halo_load_volumes"]
+           "partition_load_matrix", "LayoutSweeps", "halo_volumes",
+           "halo_load_volumes"]
 
 
 def partition_nodes(num_partitions: int, num_nodes: int,
@@ -242,6 +245,54 @@ def partition_load_matrix(partition: TwoLevelPartition) -> np.ndarray:
             seen[needed] = stamp
         fresh_rows.append(fresh)
     return _pair_counts(partition, fresh_rows)
+
+
+class LayoutSweeps:
+    """The two sweeps of one partition's chunk layouts, each run once.
+
+    A planning call prices several *layouts* of one partition — the same
+    chunk objects in other grid positions, as
+    :func:`repro.comm.reorganize_partition` produces them. The fetch
+    matrix F only depends on the chunk set and the assignment, so all of
+    them share one (:meth:`fetch`); the load matrix (:meth:`load`) and
+    whatever else a caller derives from a layout (:meth:`memo`) is kept
+    per distinct layout. Two layouts are the same when they hold the same
+    chunk objects in the same positions; every entry keeps its layout
+    alive, so no chunk id is reused while the holder lives.
+
+    A holder lives for one planning call: the joint loop builds one and
+    hands it to every search and reorganization it runs, and a caller
+    that passes none gets a fresh one.
+    """
+
+    def __init__(self, partition: TwoLevelPartition):
+        #: the call's input; every layout reorders its chunks
+        self.partition = partition
+        self._fetch: Optional[np.ndarray] = None
+        self._layouts: Dict[Tuple[int, ...], dict] = {}
+
+    def fetch(self) -> np.ndarray:
+        """:func:`partition_halo_matrix` of every layout of the call."""
+        if self._fetch is None:
+            self._fetch = partition_halo_matrix(self.partition)
+        return self._fetch
+
+    def load(self, layout: TwoLevelPartition) -> np.ndarray:
+        """:func:`partition_load_matrix` of ``layout``."""
+        return self.memo(layout, "load", partition_load_matrix)
+
+    def memo(self, layout: TwoLevelPartition, what: str,
+             compute: Callable[[TwoLevelPartition], Any]) -> Any:
+        """``compute(layout)``, run once per distinct layout and ``what``."""
+        if layout.assignment is not self.partition.assignment:
+            raise PartitionError(
+                "sweeps price layouts of one partition; this one has "
+                "another vertex assignment")
+        key = tuple(id(chunk) for row in layout.chunks for chunk in row)
+        entry = self._layouts.setdefault(key, {"layout": layout})
+        if what not in entry:
+            entry[what] = compute(layout)
+        return entry[what]
 
 
 def _pair_counts(partition: TwoLevelPartition,

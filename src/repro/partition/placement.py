@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from numbers import Real
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,6 +86,7 @@ import numpy as np
 from repro.errors import PartitionError
 from repro.partition.metis import _require_count
 from repro.partition.nodes import (
+    LayoutSweeps,
     partition_halo_matrix,
     partition_load_matrix,
     partition_nodes,
@@ -259,6 +261,7 @@ class _Search:
         self.counts = np.bincount(placement, minlength=num_nodes)
         # Byte admission: per-node budgets (inf = unlimited) beside the
         # placement-pinned loads; None when the search is unconstrained.
+        # A swap shifts at most ``spread`` bytes between its two nodes.
         self.host_bytes = self.limits = self.loads = None
         if node_budgets is not None:
             self.host_bytes = host_bytes
@@ -266,14 +269,16 @@ class _Search:
                                     for budget in node_budgets])
             self.loads = np.bincount(placement, weights=host_bytes,
                                      minlength=num_nodes).astype(np.int64)
+            self.spread = int(host_bytes.max() - host_bytes.min())
         self.free = np.ones(m, dtype=bool)
+        self.everyone = np.arange(m)
         self.table = np.empty((m, m), dtype=np.int64)
-        self._refresh(np.arange(m))
+        self._refresh(self.everyone)
 
     def _refresh(self, rows: np.ndarray) -> None:
         """Recompute the table rows (and, mirrored, columns) of ``rows``."""
-        placement, exchange = self.placement, self.exchange
-        everyone = np.arange(len(placement))
+        placement, exchange, everyone = (self.placement, self.exchange,
+                                         self.everyone)
         homes = placement[rows]
         internal = exchange[everyone, placement]
         # exchange[rows][:, placement][i, b] = E_a(node of b) for a = rows[i]
@@ -290,12 +295,21 @@ class _Search:
                    & self.free[rows, None] & self.free[None, :])
         if self.loads is not None:
             headroom = self.limits - self.loads
-            delta = self.host_bytes[None, :] - self.host_bytes[rows, None]
-            offered &= ((delta <= headroom[homes][:, None])
-                        & (-delta <= headroom[placement][None, :]))
+            # No swap shifts more than ``spread`` bytes, so while every
+            # node has that much headroom each one is admissible (a NaN
+            # fails the comparison and takes the per-entry test).
+            if not headroom.min() >= self.spread:
+                offered &= self._byte_admissible(rows, homes, headroom)
         block[~offered] = _SENTINEL
         self.table[rows] = block
         self.table[:, rows] = block.T
+
+    def _byte_admissible(self, rows: np.ndarray, homes: np.ndarray,
+                         headroom: np.ndarray) -> np.ndarray:
+        """Swaps of ``rows`` that keep both nodes inside their budgets."""
+        delta = self.host_bytes[None, :] - self.host_bytes[rows, None]
+        return ((delta <= headroom[homes][:, None])
+                & (-delta <= headroom[self.placement][None, :]))
 
     def _shift(self, p: int, source: int, node: int) -> None:
         """Re-home p from ``source`` to ``node`` in exchange and loads."""
@@ -339,8 +353,7 @@ class _Search:
         ``A[p, home(p)] − A[p, X]``: moving onto a faster node is worth
         the rows the repricing saves.
         """
-        placement = self.placement
-        everyone = np.arange(len(placement))
+        placement, everyone = self.placement, self.everyone
         gains = self.exchange - self.exchange[everyone, placement][:, None]
         if self.compute is not None:
             gains += (self.compute[everyone, placement][:, None]
@@ -379,6 +392,32 @@ def _sizes(name: str, values, shape: Tuple[int, ...]) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
+def _require_budgets(node_budgets, num_nodes: int) -> None:
+    """One budget per node, each ``None`` or a real >= 0 — or raise.
+
+    ``inf`` is a budget (unlimited); a string, a bool, NaN or a negative
+    number is not, and would otherwise escape the admission test as a
+    ``TypeError`` or be read as a budget nothing fits.
+    """
+    try:
+        count = len(node_budgets)
+    except TypeError:
+        raise PartitionError(
+            f"node_budgets must be a sequence, got {node_budgets!r}") from None
+    if count != num_nodes:
+        raise PartitionError(
+            f"node_budgets must give one budget per node, got "
+            f"{count} for {num_nodes} nodes"
+        )
+    for budget in node_budgets:
+        if budget is not None and (
+                isinstance(budget, bool) or not isinstance(budget, Real)
+                or not budget >= 0):
+            raise PartitionError(
+                f"node_budgets must hold None or real numbers >= 0, got "
+                f"{budget!r}")
+
+
 def search_placement(partition: TwoLevelPartition, num_nodes: int,
                      max_refinements: int = 4,
                      seed_placement: Optional[np.ndarray] = None,
@@ -386,7 +425,8 @@ def search_placement(partition: TwoLevelPartition, num_nodes: int,
                      node_budgets: Optional[Sequence[Optional[float]]] = None,
                      partition_host_bytes: Optional[np.ndarray] = None,
                      compute_rows: Optional[np.ndarray] = None,
-                     dead_nodes=frozenset()
+                     dead_nodes=frozenset(),
+                     sweeps: Optional[LayoutSweeps] = None
                      ) -> PlacementResult:
     """Search partition→node assignments minimizing cross-node halo rows.
 
@@ -433,6 +473,12 @@ def search_placement(partition: TwoLevelPartition, num_nodes: int,
     the count bounds bracket the alive-relative floor/ceiling of
     ``m / alive ± max_imbalance`` — the survivors necessarily run
     overloaded, so exact ``m/N`` balance is unreachable by definition.
+
+    ``sweeps`` is the calling planner's
+    :class:`~repro.partition.nodes.LayoutSweeps` of ``partition``'s
+    layouts, so a loop that searches several layouts runs the fetch
+    sweep once and each load sweep once per layout; by default the
+    search builds its own.
     """
     m = partition.num_partitions
     _require_count("num_nodes", num_nodes, 1)
@@ -447,11 +493,7 @@ def search_placement(partition: TwoLevelPartition, num_nodes: int,
         host_bytes = _sizes("partition_host_bytes", partition_host_bytes,
                             (m,))
     if node_budgets is not None:
-        if len(node_budgets) != num_nodes:
-            raise PartitionError(
-                f"node_budgets must give one budget per node, got "
-                f"{len(node_budgets)} for {num_nodes} nodes"
-            )
+        _require_budgets(node_budgets, num_nodes)
         # The memory model is the admission authority: a seed it cannot
         # admit is an error, not a silent starting point. (Deferred
         # import — repro.core pulls this module in via the trainer.)
@@ -463,7 +505,10 @@ def search_placement(partition: TwoLevelPartition, num_nodes: int,
     compute = None
     if compute_rows is not None:
         compute = _sizes("compute_rows", compute_rows, (m, num_nodes))
-    weights = partition_net_weights(partition)
+    if sweeps is None:
+        sweeps = LayoutSweeps(partition)
+    # partition_net_weights, from sweeps the caller's other steps share
+    weights = sweeps.fetch() + 2 * sweeps.load(partition)
     weights_sym = weights + weights.T
     rows_block = _cross_rows(weights, block)
 

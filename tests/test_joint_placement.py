@@ -284,6 +284,26 @@ class TestMemoryModelAdmission:
         with pytest.raises(ValueError):
             placement_host_bytes([0, 1], [10], 2)
 
+    # A string escaped as a TypeError from admits_placement; NaN and True
+    # were reported as a seed that does not fit.
+    @pytest.mark.parametrize("budget", ["1e9", float("nan"), -1, True])
+    def test_malformed_budget_rejected_by_name(self, skewed, budget):
+        per_partition = np.ones(M, dtype=np.int64)
+        with pytest.raises(PartitionError, match="node_budgets"):
+            search_placement(skewed, NODES, max_imbalance=1,
+                             node_budgets=[budget] * NODES,
+                             partition_host_bytes=per_partition)
+
+    def test_infinite_and_numpy_budgets_are_budgets(self, skewed):
+        per_partition = np.ones(M, dtype=np.int64)
+        free = search_placement(skewed, NODES, max_imbalance=1)
+        for budgets in ([float("inf")] * NODES, [np.int64(M)] * NODES,
+                        [np.float64(M), None]):
+            bounded = search_placement(skewed, NODES, max_imbalance=1,
+                                       node_budgets=budgets,
+                                       partition_host_bytes=per_partition)
+            assert np.array_equal(bounded.placement, free.placement)
+
 
 class TestUnevenSearch:
     def test_uneven_search_never_worse_than_seed(self, skewed):

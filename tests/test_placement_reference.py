@@ -66,6 +66,8 @@ def search_arguments(partition, nodes, imbalance, budgets, two_speed, dead):
         limits = (loads + np.median(sizes)).tolist()
         if budgets == "one_unlimited":
             limits[1] = None
+        if budgets == "loose":  # a node could host every partition twice
+            limits = [2 * int(sizes.sum())] * nodes
         kwargs.update(node_budgets=limits, partition_host_bytes=sizes)
     if two_speed:
         # odd nodes run three times faster
@@ -88,19 +90,29 @@ def assert_same_result(got, want):
 class TestSameDecisions:
     @pytest.mark.parametrize("dead", [None, 2])
     @pytest.mark.parametrize("two_speed", [False, True])
-    @pytest.mark.parametrize("budgets", ["none", "tight", "one_unlimited"])
+    @pytest.mark.parametrize("budgets", ["none", "tight", "one_unlimited",
+                                         "loose"])
     @pytest.mark.parametrize("imbalance", [0, 1, 2])
     @pytest.mark.parametrize("layout", ["metis", "round_robin"])
     @pytest.mark.parametrize("grid", GRIDS)
     def test_grid(self, layouts, grid, layout, imbalance, budgets, two_speed,
-                  dead):
+                  dead, monkeypatch):
         m, nodes = grid
         partition = layouts[m, nodes, layout]
         kwargs = search_arguments(partition, nodes, imbalance, budgets,
                                   two_speed, dead)
         want = reference.reference_search_placement(partition, nodes, **kwargs)
+        tested = []
+        admissible = _Search._byte_admissible
+        monkeypatch.setattr(_Search, "_byte_admissible", lambda *args: (
+            tested.append(True), admissible(*args))[1])
         got = search_placement(partition, nodes, **kwargs)
         assert_same_result(got, want)
+        # Both branches of the swap table's byte test run: a tight node
+        # (one_unlimited keeps all but one) has less headroom than two
+        # partitions differ by, so swaps are tested entry by entry; a
+        # loose budget never binds, and the test is skipped.
+        assert bool(tested) == (budgets in ("tight", "one_unlimited"))
 
     def test_the_grid_exercises_every_kind_of_step(self, layouts):
         """Guards the grid above against comparing two no-op searches."""
