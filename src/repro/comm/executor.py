@@ -52,21 +52,24 @@ halo splits' CSR index arrays.
 Value movement is *one address space*: the m transition buffers are row
 ranges of one stacked array (:class:`~repro.runtime.buffers.TransitionBuffers`)
 and the plan stores, per (batch, GPU), the stacked-buffer slot of every
-needed and every loaded row. So — as in §6's engine, where a GPU assembles
-h_{N_ij} with one gather over its own and its peers' buffers at positions
-fixed in preprocessing — the load is one indexed store for the whole
+needed and every loaded row. The load is one indexed store for the whole
 wave (``stacked[zero_slots] = host[load_vertices]``: the staged slots are
-distinct, so the order of the writes is immaterial), and every other
-phase is one indexed op per GPU, in GPU order:
-``inputs = stacked[source_slots]``, ``stacked[source_slots] += grads``,
+distinct, so the order of the writes is immaterial), and
+:meth:`DedupCommunicator.stage_batch_forward` hands the caller the
+stacked buffer itself: GPU i's input h_{N_ij} is
+``stacked[source_slots]``, and a caller that reads it through the slots
+copies no input at all. The trainer's linear AGGREGATE is one such
+product per batch (:meth:`repro.gnn.block.Block.in_slots`), which is
+§6's engine with its gather fused into the SpMM;
+:meth:`DedupCommunicator.load_batch_forward` gathers one copy per GPU for
+the callers that need them (GAT and GGNN's tape). The backward is one
+indexed op per GPU, in GPU order: ``stacked[source_slots] += grads``,
 then the flush. The slots are the only routing the plan stores; the
 per-segment seconds classification reads the (reader, source, rows)
 triples :meth:`~repro.comm.plan.CommPlan.segments` derives from them, once
-per batch. The ops stay per GPU rather than one
-flat op over all GPUs on purpose: a flat gather materializes one block the
-size of every GPU's input together, which raised the process's peak RSS by
-a quarter on the 256-GPU workload, while m blocks of one GPU's input each
-are freed and reused as the trainer consumes them.
+per batch. The scatter stays per GPU: a slot that several GPUs read is
+named once per reader, and one flat indexed ``+=`` over all of them would
+keep only one reader's row.
 
 On a :class:`~repro.hardware.platform.ClusterPlatform` the same plan spans
 several nodes and three kinds of traffic additionally cross the network,
@@ -702,19 +705,39 @@ class DedupCommunicator:
                            timeline: EventTimeline) -> List[np.ndarray]:
         """Assemble h_{N_ij} for every GPU of ``batch`` from host memory.
 
-        Returns one (len(needed_i), dim) array per GPU, ordered like each
-        plan's ``needed`` set, in the *sweep's* dtype (the rows are read
-        out of the transition buffers; a ``host_values`` of another dtype
-        is cast on its way in). A ``batch`` outside the plan or a
-        ``host_values`` that is not this sweep's ``(num_vertices, dim)``
-        array raises :class:`~repro.errors.CommunicationPlanError` before
-        anything moves or is emitted.
+        :meth:`stage_batch_forward`, then one gather per GPU out of the
+        stacked buffer. Returns one (len(needed_i), dim) array per GPU,
+        ordered like each plan's ``needed`` set, in the *sweep's* dtype
+        (the rows are read out of the transition buffers). Raises as
+        :meth:`stage_batch_forward` does.
+        """
+        stacked = self.stage_batch_forward(batch, host_values, timeline)
+        return [stacked[plan.source_slots] for plan in self.plan.plans[batch]]
+
+    def stage_batch_forward(self, batch: int, host_values: np.ndarray,
+                            timeline: EventTimeline) -> np.ndarray:
+        """Stage ``batch``'s rows from host memory and emit its forward
+        traffic; return the stacked transition buffer.
+
+        Every GPU's input h_{N_ij} is then ``stacked[source_slots]`` of its
+        plan, but nothing gathers it here: a caller that reads the rows
+        through the slots (:meth:`repro.gnn.block.Block.in_slots`) needs no
+        per-GPU copy. The waves are all of Algorithm 2's — loads, reuse
+        copies, P2P and halo fetches, intra-GPU gathers — so the timeline
+        is :meth:`load_batch_forward`'s, and :meth:`batch_input_dep_ids`
+        names the tasks each GPU's compute waits for. The returned array is
+        the sweep's own buffer, in the sweep's dtype (a ``host_values`` of
+        another dtype is cast on its way in): valid until the next staging
+        call or :meth:`end_sweep`, and not to be written. A ``batch``
+        outside the plan or a ``host_values`` that is not this sweep's
+        ``(num_vertices, dim)`` array raises
+        :class:`~repro.errors.CommunicationPlanError` before anything
+        moves or is emitted.
         """
         buffers = self._require_sweep()
         static = self.static.batch(batch)
         self._require_host("host_values", host_values)
-        plans = self.plan.plans[batch]
-        m = len(plans)
+        m = self.plan.num_gpus
         row_bytes = self._dim * SCALAR_BYTES
         gpu_ids = self.static.gpu_ids
 
@@ -757,8 +780,7 @@ class DedupCommunicator:
         # Same-node remote reads ride NVLink (d2d); reads from a buffer
         # staged on another node are the halo exchange and ride a network
         # link instead. Whatever carries a row, it is one slot of the
-        # stacked buffer: one gather per GPU assembles its whole input.
-        outputs = [stacked[plan.source_slots] for plan in plans]
+        # stacked buffer, which is where the caller reads it.
         d2d_seconds, local_seconds = self._segment_seconds(static, row_bytes)
 
         staged = np.concatenate([load_ids, reuse_ids])
@@ -786,7 +808,7 @@ class DedupCommunicator:
             "load": load_ids, "reuse": reuse_ids,
             "assemble": assemble_ids,
         })
-        return outputs
+        return stacked
 
     def batch_input_dep_ids(self) -> DepLists:
         """Per GPU, the latest batch's input-producing tasks.

@@ -10,16 +10,22 @@ Execution structure per epoch (paper Algorithm 1):
 
 1. **Forward**, layer by layer; within a layer, batch by batch; within a
    batch, the m chunks run concurrently on the m GPUs. Neighbor
-   representations arrive through the deduplicated communication framework;
-   outputs are copied back to the host vertex buffer h^{l+1}; for cacheable
+   representations are staged through the deduplicated communication
+   framework. A cacheable layer's AGGREGATE reads them where they are
+   staged — one product per batch over the stacked transition buffer —
+   and its UPDATE runs per chunk on row views of that product; the other
+   layers (GAT, GGNN) gather each GPU's input and run per chunk. Outputs
+   are copied back to the host vertex buffer h^{l+1}; for cacheable
    layers under the ``hybrid`` policy the AGGREGATE output is checkpointed
    to host memory; all other intermediates are dropped (``no_grad``).
 2. **Downstream task** on the host: masked cross-entropy on h^L seeds ∇h^L.
-3. **Backward**, last layer to first. Cacheable layers reload the cached
-   aggregate and the destinations' own rows, recompute only the UPDATE under
-   a fresh tape, and propagate neighbor gradients through the closed-form
-   aggregate adjoint. Non-cacheable layers re-gather their input neighbor
-   set (a second deduplicated forward load) and recompute the full layer.
+3. **Backward**, last layer to first. Cacheable layers take their
+   aggregate — the host checkpoint under ``hybrid``, a product over a
+   second staging under ``recompute`` — and the destinations' own rows,
+   recompute only the UPDATE under a fresh tape, and propagate neighbor
+   gradients through the closed-form aggregate adjoint. Non-cacheable
+   layers re-gather their input neighbor set (a second deduplicated
+   forward load) and recompute the full layer under the tape.
    For l ≥ 1, ∇h^l returns to the host buffer through the deduplicated
    backward communication. Layer 0's inputs are the constant features,
    whose gradient nothing reads: its tape takes them as constants, no
@@ -73,6 +79,7 @@ from repro.core.elastic import ElasticController
 from repro.core.planner import FleetPlan, plan_fleet
 from repro.errors import ConfigurationError, FaultError
 from repro.faults.schedule import RebalanceEvent
+from repro.gnn.block import Block
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
 from repro.hardware.clock import EventTimeline, TimeBreakdown
@@ -264,6 +271,10 @@ class HongTuTrainer:
         self.reorganization = fleet.reorganization
         self._comm_values = fleet.comm_values
         self._comm_grads = fleet.comm_grads
+        #: batch → its chunks as one block over the stacked transition
+        #: buffer (:meth:`_batch_block`); the partition outlives this plan
+        #: (a planner may share it), so the blocks live here, not on it
+        self._batch_blocks: Dict[int, Block] = {}
 
     @property
     def fleet_seconds(self) -> float:
@@ -380,23 +391,35 @@ class HongTuTrainer:
             cache_layer = training and hybrid and layer.cacheable_aggregate
             # repro-lint: allow-loop — wave granularity: one batched emission per (layer, batch)
             for j in range(self.plan.num_batches):
-                inputs = self._comm_values.load_batch_forward(
-                    j, self._h[l], timeline
-                )
+                if layer.cacheable_aggregate:
+                    aggregate = self._aggregate_batch(l, j, timeline)
+                else:
+                    inputs = self._comm_values.load_batch_forward(
+                        j, self._h[l], timeline
+                    )
                 input_deps = self._comm_values.batch_input_dep_ids()
                 costs = self.fleet.shapes.forward(layer, j)
                 workspace = costs.workspace_bytes.tolist()
+                stop = 0
                 # repro-lint: allow-loop — per-GPU numerics + workspace reservation over python chunk objects; emission below is batched
                 for i in range(self.plan.num_gpus):
                     chunk = self.partition.chunks[i][j]
                     block = chunk.block
+                    start, stop = stop, stop + block.num_dst
                     with platform.gpus[i].memory.scoped("forward_workspace",
                                                         workspace[i]):
                         with no_grad():
-                            h_in = Tensor(inputs[i])
-                            agg = layer.aggregate(block, h_in)
-                            h_dst = (Tensor(inputs[i][block.dst_pos])
-                                     if layer.update_uses_self else h_in)
+                            if layer.cacheable_aggregate:
+                                # UPDATE stays per chunk, on row views; an
+                                # UPDATE that ignores h_dst gets a placeholder
+                                agg = Tensor(aggregate[start:stop])
+                                h_dst = (Tensor(self._h[l][chunk.dst_global])
+                                         if layer.update_uses_self else agg)
+                            else:
+                                h_in = Tensor(inputs[i])
+                                agg = layer.aggregate(block, h_in)
+                                h_dst = (Tensor(inputs[i][block.dst_pos])
+                                         if layer.update_uses_self else h_in)
                             out = layer.update(block, agg, h_dst)
                         if cache_layer:
                             self._store_checkpoint(l, i, j, agg.data)
@@ -471,24 +494,28 @@ class HongTuTrainer:
                         use_cache: bool) -> None:
         """One backward batch: gradient load → kernels → accumulate.
 
-        The hybrid path (``use_cache``) recomputes only UPDATE from the
-        cached aggregate; the recompute path re-gathers the layer's
-        inputs and recomputes it whole. Each GPU's kernel waits for its
-        own ∇h^{l+1} load and, on the recompute path, for the tasks that
-        re-gathered its inputs; the neighbor gradients then return to
-        the host through the deduplicated backward communication. At
+        A cacheable layer recomputes only UPDATE, from the cached
+        aggregate (``use_cache``) or from one re-staged product over the
+        batch; a non-cacheable layer re-gathers its inputs and recomputes
+        it whole. Each GPU's kernel waits for its own ∇h^{l+1} load and,
+        without the cache, for the tasks that re-staged its inputs; the
+        neighbor gradients then return to the host through the
+        deduplicated backward communication. At
         layer 0 the kernels compute parameter gradients only, and the
         communication is emitted without moving a row.
         """
         layer = self.model.layers[l]
         shapes = self.fleet.shapes
-        inputs = input_deps = None
+        inputs = input_deps = aggregate = None
         if use_cache:
             costs = shapes.backward_cached(layer, j)
         else:
             costs = shapes.backward_recompute(layer, j)
-            inputs = self._comm_values.load_batch_forward(j, self._h[l],
-                                                          timeline)
+            if layer.cacheable_aggregate:
+                aggregate = self._aggregate_batch(l, j, timeline)
+            else:
+                inputs = self._comm_values.load_batch_forward(
+                    j, self._h[l], timeline)
             input_deps = self._comm_values.batch_input_dep_ids()
         workspace = costs.workspace_bytes.tolist()
         # ∇h⁰ is the gradient of the constant features: nothing reads it
@@ -496,14 +523,18 @@ class HongTuTrainer:
         # per GPU, its input rows' gradient (empty at layer 0)
         neighbor_grads: List[np.ndarray] = []
 
+        stop = 0
         # repro-lint: allow-loop — per-GPU numerics + workspace reservation over python chunk objects; emission below is batched
         for i in range(self.plan.num_gpus):
             chunk = self.partition.chunks[i][j]
             grad_out = self._grad_h[l + 1][chunk.dst_global]
+            start, stop = stop, stop + chunk.num_dst
             with self.platform.gpus[i].memory.scoped("backward_workspace",
                                                      workspace[i]):
-                if use_cache:
-                    grads = self._cached_chunk_grads(l, i, j, grad_out,
+                if layer.cacheable_aggregate:
+                    agg = (self._take_checkpoint(l, i, j) if use_cache
+                           else aggregate[start:stop])
+                    grads = self._cached_chunk_grads(l, i, j, agg, grad_out,
                                                      needs_input_grad)
                 else:
                     h_t = Tensor(inputs[i], requires_grad=needs_input_grad)
@@ -538,19 +569,46 @@ class HongTuTrainer:
             self._comm_grads.submit_batch_backward(
                 j, timeline, deps_by_device=compute_ids)
 
-    def _cached_chunk_grads(self, l: int, i: int, j: int,
+    def _aggregate_batch(self, l: int, j: int,
+                         timeline: EventTimeline) -> np.ndarray:
+        """Stage batch ``j`` of layer ``l`` (a cacheable layer) and compute
+        every chunk's AGGREGATE as one product over the stacked buffer.
+
+        Chunk (i, j)'s aggregate is its row range of the result, the
+        chunks in GPU order. No GPU's input is gathered, and the rows
+        equal the per-chunk products to the bit
+        (:meth:`~repro.gnn.block.Block.in_slots`).
+        """
+        stacked = self._comm_values.stage_batch_forward(j, self._h[l],
+                                                        timeline)
+        with no_grad():
+            return self.model.layers[l].aggregate(self._batch_block(j),
+                                                  Tensor(stacked)).data
+
+    def _batch_block(self, j: int) -> Block:
+        """Batch ``j``'s chunks as one block over the stacked transition
+        buffer, built on first use after each :meth:`adopt`."""
+        block = self._batch_blocks.get(j)
+        if block is None:
+            block = self._batch_blocks[j] = Block.in_slots(
+                [chunks[j].block for chunks in self.partition.chunks],
+                [plan.source_slots for plan in self.plan.plans[j]],
+                int(self.plan.buffer_offsets[-1]))
+        return block
+
+    def _cached_chunk_grads(self, l: int, i: int, j: int, agg: np.ndarray,
                             grad_out: np.ndarray,
                             needs_input_grad: bool) -> Optional[np.ndarray]:
-        """Neighbor gradients of chunk (i, j) from its cached aggregate:
-        UPDATE re-runs under a fresh tape, AGGREGATE's adjoint is closed
-        form. Without ``needs_input_grad`` the tape takes the aggregate
-        and ``h_dst`` as constants and only the parameter gradients are
-        computed: the result is ``None``."""
+        """Neighbor gradients of chunk (i, j) from its aggregate ``agg``
+        (the hybrid policy's checkpoint, or the recompute policy's fresh
+        product): UPDATE re-runs under a fresh tape, AGGREGATE's adjoint is
+        closed form. Without ``needs_input_grad`` the tape takes the
+        aggregate and ``h_dst`` as constants and only the parameter
+        gradients are computed: the result is ``None``."""
         layer = self.model.layers[l]
         chunk = self.partition.chunks[i][j]
         block = chunk.block
-        agg_t = Tensor(self._take_checkpoint(l, i, j),
-                       requires_grad=needs_input_grad)
+        agg_t = Tensor(agg, requires_grad=needs_input_grad)
         # An UPDATE that ignores h_dst gets a placeholder, as in the forward.
         h_dst_t = (Tensor(self._h[l][chunk.dst_global],
                           requires_grad=needs_input_grad)

@@ -7,8 +7,11 @@ rows, and edges in local coordinates. The same layer code therefore runs
 unchanged in three settings:
 
 * monolithic full-graph training (one block covering the whole graph),
-* HongTu chunked training (one block per subgraph chunk, neighbor rows
-  gathered through the deduplicated communication framework),
+* HongTu chunked training (one block per subgraph chunk over the rows
+  the deduplicated communication framework stages; a batch's chunks
+  together are one block over the stacked transition buffer,
+  :meth:`Block.in_slots`, so a linear AGGREGATE reads the staged rows
+  without gathering any chunk's input),
 * mini-batch training (one block per sampled layer frontier).
 
 This mirrors the paper's "subgraph chunks are abstracted as blocks in the
@@ -18,15 +21,26 @@ computation engine" (§6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.errors import GraphFormatError
+from repro.errors import GraphFormatError, require_count
 from repro.graph.graph import Graph
 
 __all__ = ["Block"]
+
+
+def _index_array(name: str, values) -> np.ndarray:
+    """``values`` as an int64 array; :class:`GraphFormatError` unless it
+    is 1-D and of an integer dtype (a bool is not an index)."""
+    array = np.asarray(values)
+    if array.ndim != 1 or array.dtype.kind not in "iu":
+        raise GraphFormatError(
+            f"{name} must be a 1-D integer array, got dtype {array.dtype} "
+            f"and shape {array.shape}")
+    return array.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -73,9 +87,11 @@ class Block:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.edge_src = np.asarray(self.edge_src, dtype=np.int64)
-        self.edge_dst = np.asarray(self.edge_dst, dtype=np.int64)
-        self.dst_pos = np.asarray(self.dst_pos, dtype=np.int64)
+        self.edge_src = _index_array("edge_src", self.edge_src)
+        self.edge_dst = _index_array("edge_dst", self.edge_dst)
+        self.dst_pos = _index_array("dst_pos", self.dst_pos)
+        require_count("num_src", self.num_src, 0, GraphFormatError)
+        require_count("num_dst", self.num_dst, 0, GraphFormatError)
         if len(self.edge_src) != len(self.edge_dst):
             raise GraphFormatError("edge_src and edge_dst must be parallel")
         if len(self.edge_src):
@@ -120,6 +136,58 @@ class Block:
             dst_global=identity,
         )
 
+    @staticmethod
+    def in_slots(blocks: Sequence["Block"], slot_maps: Sequence[np.ndarray],
+                 num_rows: int) -> "Block":
+        """``blocks`` as one block over a shared ``num_rows``-row input.
+
+        ``slot_maps[k][r]`` is the input row holding source row ``r`` of
+        ``blocks[k]``, so the result's sources are ``slot_maps[k][edge_src]``
+        and its ``dst_pos`` is ``slot_maps[k][dst_pos]``; destinations are
+        the blocks' own, concatenated in order. Over the stacked transition
+        buffer (``slot_maps`` the plan's ``source_slots``), ``A @ stacked``
+        is every chunk's aggregate without gathering any chunk's input:
+        row ``v`` holds block ``k``'s entries of ``v`` in edge order, so
+        each output row adds exactly what block ``k``'s own product adds,
+        in the same order. Each slot map must be a 1-D integer array with
+        one entry per source row of its block, each in ``[0, num_rows)``;
+        :class:`GraphFormatError` otherwise, as for any malformed block.
+        """
+        if not blocks or len(blocks) != len(slot_maps):
+            raise GraphFormatError(
+                f"in_slots needs one slot map per block and at least one "
+                f"block, got {len(blocks)} blocks and {len(slot_maps)} maps")
+        require_count("num_rows", num_rows, 0, GraphFormatError)
+        maps = [_index_array("slot map", slots) for slots in slot_maps]
+        for block, slots in zip(blocks, maps):
+            if len(slots) != block.num_src:
+                raise GraphFormatError(
+                    f"a slot map needs one entry per source row "
+                    f"({block.num_src}), got {len(slots)}")
+            if len(slots) and (slots.min() < 0 or slots.max() >= num_rows):
+                raise GraphFormatError(
+                    f"slot map entries must lie in [0, {num_rows})")
+        weights = [block.edge_weight for block in blocks]
+        if any(weight is None for weight in weights):
+            if any(weight is not None for weight in weights):
+                raise GraphFormatError(
+                    "in_slots needs every block weighted or none")
+            edge_weight = None
+        else:
+            edge_weight = np.concatenate(weights)
+        dst_offsets = np.cumsum([0] + [block.num_dst for block in blocks])
+        return Block(
+            edge_src=np.concatenate([slots[block.edge_src]
+                                     for block, slots in zip(blocks, maps)]),
+            edge_dst=np.concatenate([block.edge_dst + offset for block, offset
+                                     in zip(blocks, dst_offsets.tolist())]),
+            num_dst=int(dst_offsets[-1]),
+            num_src=num_rows,
+            dst_pos=np.concatenate([slots[block.dst_pos]
+                                    for block, slots in zip(blocks, maps)]),
+            edge_weight=edge_weight,
+        )
+
     def in_degrees(self) -> np.ndarray:
         """Per-destination in-degree within this block (cached, read-only)."""
         if self._in_degrees is None:
@@ -139,7 +207,9 @@ class Block:
         scatter would. Entries are ``edge_weight`` (ones when the block has
         none or ``weighted`` is False) in ``dtype``, so the product keeps
         its operand's dtype. Built once per (dtype, weighted) and cached:
-        chunks cache their block, so an operator lives as long as the plan.
+        chunks cache their block, so an operator lives as long as the plan
+        (a trainer's :meth:`in_slots` batch blocks, until it adopts
+        another plan).
         """
         return self._operator_pair(dtype, weighted)[0]
 

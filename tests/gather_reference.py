@@ -1,0 +1,165 @@
+"""The trainer before AGGREGATE read the staged buffer — its oracle.
+
+:class:`~repro.core.trainer.HongTuTrainer` computes a cacheable layer's
+AGGREGATE (GCN, GraphSAGE, GIN, CommNet) as one product per (layer,
+batch) over the stacked transition buffer, through a block whose
+sources are buffer slots (:meth:`~repro.gnn.block.Block.in_slots`); no
+GPU's input is gathered. Its recompute backward of those layers is the
+hybrid path fed the recomputed aggregate. :class:`GatherTrainer` keeps
+the form the epoch was written in, verbatim from the commit before that
+change: every layer gathers each GPU's input with
+:meth:`~repro.comm.executor.DedupCommunicator.load_batch_forward`, runs
+its aggregate per chunk, and the recompute backward re-runs the whole
+layer under the tape.
+
+CSR products build each output row from its own entries in order, so the
+two must agree to the last bit: losses, timelines, host h and ∇h, final
+parameters and accuracies.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional
+
+import numpy as np
+
+from repro.autograd import Tensor, no_grad
+from repro.core import HongTuTrainer
+from repro.hardware.clock import EventTimeline
+from repro.runtime.scheduler import DepLists
+
+__all__ = ["GatherTrainer"]
+
+
+class GatherTrainer(HongTuTrainer):
+    """HongTu's trainer with the per-GPU input gather and per-chunk
+    aggregate of every layer."""
+
+    def _forward(self, timeline: EventTimeline, training: bool = True) -> None:
+        hybrid = self.config.intermediate_policy == "hybrid"
+        platform = self.platform
+
+        for l, layer in enumerate(self.model.layers):
+            self._comm_values.start_sweep(self.model.dims[l],
+                                          dtype=self.dtype,
+                                          double_buffer=self._pipelined)
+            cache_layer = training and hybrid and layer.cacheable_aggregate
+            for j in range(self.plan.num_batches):
+                inputs = self._comm_values.load_batch_forward(
+                    j, self._h[l], timeline
+                )
+                input_deps = self._comm_values.batch_input_dep_ids()
+                costs = self.fleet.shapes.forward(layer, j)
+                workspace = costs.workspace_bytes.tolist()
+                for i in range(self.plan.num_gpus):
+                    chunk = self.partition.chunks[i][j]
+                    block = chunk.block
+                    with platform.gpus[i].memory.scoped("forward_workspace",
+                                                        workspace[i]):
+                        with no_grad():
+                            h_in = Tensor(inputs[i])
+                            agg = layer.aggregate(block, h_in)
+                            h_dst = (Tensor(inputs[i][block.dst_pos])
+                                     if layer.update_uses_self else h_in)
+                            out = layer.update(block, agg, h_dst)
+                        if cache_layer:
+                            self._store_checkpoint(l, i, j, agg.data)
+                        self._h[l + 1][chunk.dst_global] = out.data
+                d2h = costs.writeback_bytes
+                if cache_layer:
+                    d2h = d2h + costs.checkpoint_bytes
+                compute_ids = timeline.submit_batch(
+                    "gpu",
+                    platform.gpu_compute_seconds(costs.flops,
+                                                 devices=self._gpu_ids),
+                    deps_by_device=input_deps, label=f"compute[l{l}b{j}]",
+                )
+                timeline.submit_batch(
+                    "d2h", platform.h2d_seconds(d2h, devices=self._gpu_ids),
+                    deps_by_device=compute_ids, nbytes=d2h,
+                    label=f"writeback[l{l}b{j}]",
+                )
+            self._comm_values.end_sweep()
+            # Layer l+1's loads read the h^{l+1} rows written back above.
+            timeline.barrier()
+
+    def _backward_batch(self, l: int, j: int, timeline: EventTimeline,
+                        use_cache: bool) -> None:
+        layer = self.model.layers[l]
+        shapes = self.fleet.shapes
+        inputs = input_deps = None
+        if use_cache:
+            costs = shapes.backward_cached(layer, j)
+        else:
+            costs = shapes.backward_recompute(layer, j)
+            inputs = self._comm_values.load_batch_forward(j, self._h[l],
+                                                          timeline)
+            input_deps = self._comm_values.batch_input_dep_ids()
+        workspace = costs.workspace_bytes.tolist()
+        # ∇h⁰ is the gradient of the constant features: nothing reads it
+        needs_input_grad = l > 0
+        # per GPU, its input rows' gradient (empty at layer 0)
+        neighbor_grads: List[np.ndarray] = []
+
+        for i in range(self.plan.num_gpus):
+            chunk = self.partition.chunks[i][j]
+            grad_out = self._grad_h[l + 1][chunk.dst_global]
+            with self.platform.gpus[i].memory.scoped("backward_workspace",
+                                                     workspace[i]):
+                if use_cache:
+                    grads = self._cached_chunk_grads(l, i, j, grad_out,
+                                                     needs_input_grad)
+                else:
+                    h_t = Tensor(inputs[i], requires_grad=needs_input_grad)
+                    layer.forward(chunk.block, h_t).backward(grad_out)
+                    grads = h_t.grad
+                    if grads is None and needs_input_grad:
+                        grads = np.zeros_like(inputs[i])
+                if needs_input_grad:
+                    neighbor_grads.append(grads)
+
+        load_ids = timeline.submit_batch(
+            "h2d",
+            self.platform.h2d_seconds(costs.load_bytes,
+                                      devices=self._gpu_ids),
+            nbytes=costs.load_bytes, label=f"grad_load[l{l}b{j}]",
+        )
+        compute_deps = load_ids if input_deps is None else DepLists.join(
+            self.plan.num_gpus, input_deps, load_ids)
+        compute_ids = timeline.submit_batch(
+            "gpu",
+            self.platform.gpu_compute_seconds(costs.flops,
+                                              devices=self._gpu_ids),
+            deps_by_device=compute_deps,
+            label=f"grad_compute[l{l}b{j}]",
+        )
+        if needs_input_grad:
+            self._comm_grads.accumulate_batch_backward(
+                j, neighbor_grads, self._grad_h[l], timeline,
+                deps_by_device=compute_ids,
+            )
+        else:
+            self._comm_grads.submit_batch_backward(
+                j, timeline, deps_by_device=compute_ids)
+
+    def _cached_chunk_grads(self, l: int, i: int, j: int,
+                            grad_out: np.ndarray,
+                            needs_input_grad: bool) -> Optional[np.ndarray]:
+        layer = self.model.layers[l]
+        chunk = self.partition.chunks[i][j]
+        block = chunk.block
+        agg_t = Tensor(self._take_checkpoint(l, i, j),
+                       requires_grad=needs_input_grad)
+        # An UPDATE that ignores h_dst gets a placeholder, as in the forward.
+        h_dst_t = (Tensor(self._h[l][chunk.dst_global],
+                          requires_grad=needs_input_grad)
+                   if layer.update_uses_self else agg_t)
+        layer.update(block, agg_t, h_dst_t).backward(grad_out)
+        if not needs_input_grad:
+            return None
+        grad_agg = agg_t.grad if agg_t.grad is not None else \
+            np.zeros_like(agg_t.data)
+        grads = layer.aggregate_backward(block, grad_agg)
+        if layer.update_uses_self and h_dst_t.grad is not None:
+            grads[block.dst_pos] += h_dst_t.grad  # dst_pos is duplicate-free
+        return grads

@@ -508,11 +508,13 @@ def _bad_producers(producers, form):
 
 
 class TestEntryPointRejections:
+    @pytest.mark.parametrize("method", ["load_batch_forward",
+                                        "stage_batch_forward"])
     @pytest.mark.parametrize("batch", [-1, 2, 0.0, None])
-    def test_forward_batch_out_of_plan(self, live, batch):
+    def test_forward_batch_out_of_plan(self, live, batch, method):
         comm, _plan, host, _grads, timeline = live
         with pytest.raises(CommunicationPlanError, match="batch"):
-            comm.load_batch_forward(batch, host, timeline)
+            getattr(comm, method)(batch, host, timeline)
         _assert_untouched(comm, timeline)
 
     @pytest.mark.parametrize("batch", [-1, 2, 0.0, None])
@@ -525,15 +527,17 @@ class TestEntryPointRejections:
         _assert_untouched(comm, timeline)
         assert not host_grads.any()
 
+    @pytest.mark.parametrize("method", ["load_batch_forward",
+                                        "stage_batch_forward"])
     @pytest.mark.parametrize("shape", ["wide", "narrow", "short", "flat"])
-    def test_forward_host_values_shape(self, live, shape):
+    def test_forward_host_values_shape(self, live, shape, method):
         comm, _plan, host, _grads, timeline = live
         bad = {"wide": np.zeros((len(host), DIM + 1)),
                "narrow": host[:, :DIM - 1],
                "short": host[:-1],
                "flat": host.reshape(-1)}[shape]
         with pytest.raises(CommunicationPlanError, match="host_values"):
-            comm.load_batch_forward(0, bad, timeline)
+            getattr(comm, method)(0, bad, timeline)
         _assert_untouched(comm, timeline)
 
     @pytest.mark.parametrize("shape", ["wide", "narrow", "short"])
@@ -596,6 +600,28 @@ class TestEntryPointRejections:
         assert comm._history == []
         assert timeline.scheduler.num_tasks == 2
         assert not host_grads.any()
+
+    def test_staging_returns_the_sweeps_buffer_and_gathers_nothing(
+            self, live):
+        """``stage_batch_forward`` emits what ``load_batch_forward`` emits
+        and hands back the stacked buffer itself; every GPU's input is
+        its slots' rows of it."""
+        comm, plan, host, _grads, timeline = live
+        stacked = comm.stage_batch_forward(0, host, timeline)
+        assert stacked is comm._buffers.stacked
+        for gpu_plan in plan.plans[0]:
+            assert np.array_equal(stacked[gpu_plan.source_slots],
+                                  host[gpu_plan.needed])
+        other = EventTimeline(barrier_all=True)
+        comm.end_sweep()
+        comm.start_sweep(DIM)
+        comm.load_batch_forward(0, host, other)
+        assert timeline.scheduler.phase_labels() == \
+            other.scheduler.phase_labels()
+        for name, column in other.scheduler.columns()._asdict().items():
+            if name != "used":
+                assert np.array_equal(
+                    getattr(timeline.scheduler.columns(), name), column), name
 
     def test_inputs_come_back_in_the_sweep_dtype(self, live):
         """Pinned decision: the rows are read out of the transition

@@ -87,6 +87,35 @@ class TestBlock:
         with pytest.raises(GraphFormatError):
             Block(num_dst=2, num_src=3, **arrays)
 
+    @pytest.mark.parametrize("value", [
+        [0.7, 1.9],                   # would truncate to [0, 1]
+        [True, False],                # a bool is not an index
+        [[0, 1]],                     # not 1-D
+        0,                            # not 1-D
+    ])
+    @pytest.mark.parametrize("field", ["edge_src", "edge_dst", "dst_pos"])
+    def test_non_integer_or_non_1d_ids_rejected(self, field, value):
+        arrays = dict(edge_src=[0, 1], edge_dst=[0, 1], dst_pos=[0, 1])
+        arrays[field] = value
+        with pytest.raises(GraphFormatError, match=field):
+            Block(num_dst=2, num_src=2, **arrays)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, -1, True, None, "2"])
+    @pytest.mark.parametrize("field", ["num_src", "num_dst"])
+    def test_non_count_sizes_rejected(self, field, value):
+        sizes = dict(num_src=2, num_dst=2)
+        sizes[field] = value
+        with pytest.raises(GraphFormatError, match=field):
+            Block(edge_src=[0, 1], edge_dst=[0, 1], dst_pos=[0, 1], **sizes)
+
+    def test_numpy_integer_ids_and_sizes_accepted(self):
+        block = Block(edge_src=np.array([0, 1], dtype=np.uint8),
+                      edge_dst=np.array([0, 1], dtype=np.int32),
+                      num_dst=np.int64(2), num_src=np.int32(2),
+                      dst_pos=np.array([1, 0], dtype=np.int16))
+        for name in ("edge_src", "edge_dst", "dst_pos"):
+            assert getattr(block, name).dtype == np.int64
+
     def test_operator_is_the_block_as_a_matrix(self):
         block = toy_block()
         for weighted in (True, False):
@@ -124,6 +153,91 @@ class TestBlock:
         block = Block.from_graph(toy_graph(), gcn_weights=False)
         assert block.operator(np.float64) is \
             block.operator(np.float64, weighted=False)
+
+
+class TestInSlots:
+    """``Block.in_slots``: several blocks as one over a shared row space."""
+
+    NUM_ROWS = 11
+
+    @pytest.fixture
+    def parts(self):
+        zoo = block_zoo(toy_graph())
+        blocks = [zoo["chunk_weighted"], zoo["multi_edge"], zoo["zero_edges"]]
+        # rows 2 and 4 feed the first two blocks; row 10 feeds none
+        maps = [np.arange(7), np.array([2, 4, 7]), np.array([8, 9, 5])]
+        return blocks, maps
+
+    def test_product_is_each_blocks_product_bit_for_bit(self, parts):
+        blocks, maps = parts
+        merged = Block.in_slots(blocks, maps, self.NUM_ROWS)
+        assert (merged.num_src, merged.num_dst) == (self.NUM_ROWS, 9)
+        np.testing.assert_array_equal(
+            merged.dst_pos,
+            np.concatenate([m[b.dst_pos] for b, m in zip(blocks, maps)]))
+        np.testing.assert_array_equal(
+            merged.in_degrees(),
+            np.concatenate([b.in_degrees() for b in blocks]))
+        stacked = np.random.default_rng(3).standard_normal(
+            (self.NUM_ROWS, 5))
+        for weighted in (True, False):
+            expected = np.concatenate([
+                b.operator(np.float64, weighted) @ stacked[m]
+                for b, m in zip(blocks, maps)])
+            assert np.array_equal(
+                merged.operator(np.float64, weighted) @ stacked, expected)
+
+    @pytest.mark.parametrize("layer_cls", CACHEABLE_LAYERS)
+    def test_cacheable_aggregate_is_each_chunks_aggregate(self, parts,
+                                                          layer_cls):
+        blocks, maps = parts
+        merged = Block.in_slots(blocks, maps, self.NUM_ROWS)
+        layer = layer_cls(5, 3, np.random.default_rng(0))
+        stacked = np.random.default_rng(4).standard_normal(
+            (self.NUM_ROWS, 5))
+        expected = np.concatenate([
+            layer.aggregate(b, Tensor(stacked[m])).data
+            for b, m in zip(blocks, maps)])
+        assert np.array_equal(layer.aggregate(merged, Tensor(stacked)).data,
+                              expected)
+
+    @pytest.mark.parametrize("case", [
+        "float", "bool", "2-D", "short", "negative", "past_end"])
+    def test_malformed_slot_map_rejected(self, parts, case):
+        blocks, maps = parts
+        maps[1] = {"float": np.array([2.0, 4.0, 7.0]),
+                   "bool": np.array([True, False, True]),
+                   "2-D": np.array([[2, 4, 7]]),
+                   "short": np.array([2, 4]),
+                   "negative": np.array([2, -1, 7]),
+                   "past_end": np.array([2, 4, self.NUM_ROWS])}[case]
+        with pytest.raises(GraphFormatError, match="slot map"):
+            Block.in_slots(blocks, maps, self.NUM_ROWS)
+
+    @pytest.mark.parametrize("num_rows", [11.0, -1, True])
+    def test_non_count_num_rows_rejected(self, parts, num_rows):
+        with pytest.raises(GraphFormatError, match="num_rows"):
+            Block.in_slots(*parts, num_rows)
+
+    def test_block_and_map_counts_must_match(self, parts):
+        blocks, maps = parts
+        for args in ((blocks, maps[:2]), ([], [])):
+            with pytest.raises(GraphFormatError, match="one slot map"):
+                Block.in_slots(*args, self.NUM_ROWS)
+
+    def test_weights_all_or_none(self, parts):
+        blocks, maps = parts
+        zoo = block_zoo(toy_graph())
+        Block.in_slots([zoo["chunk_unweighted"]], maps[:1], self.NUM_ROWS)
+        with pytest.raises(GraphFormatError, match="weighted"):
+            Block.in_slots([zoo["chunk_unweighted"]] + blocks[1:], maps,
+                           self.NUM_ROWS)
+
+    def test_destinations_sharing_a_row_rejected(self, parts):
+        blocks, maps = parts
+        maps[1] = np.array([2, 4, 0])  # row 0 is a destination of block 0
+        with pytest.raises(GraphFormatError, match="dst_pos"):
+            Block.in_slots(blocks, maps, self.NUM_ROWS)
 
 
 @pytest.mark.parametrize("layer_cls", ALL_LAYERS)

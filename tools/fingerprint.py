@@ -5,10 +5,13 @@ optimisation that skips dead work — must produce the same epochs as its
 parent, bit for bit. This runs a fixed small grid and prints one digest
 per value, so the parent/change comparison is one ``diff``:
 
-* every architecture × intermediate policy × overlap policy × {1, 2}
-  nodes, two epochs each: every :class:`~repro.core.trainer.EpochResult`
-  field, every timeline column (and the phase labels), the final
-  parameters and the accuracies of ``evaluate()``;
+* the architectures GCN, GraphSAGE, GIN, CommNet and GAT × intermediate
+  policy × overlap policy × {1, 2} nodes, two epochs each: every
+  :class:`~repro.core.trainer.EpochResult` field, every timeline column
+  (and the phase labels), the final parameters and the accuracies of
+  ``evaluate()``. The four cacheable layers each take the slot-space
+  AGGREGATE in their own way; GGNN is left out because GAT already
+  covers the other path, the per-GPU gather and the full tape;
 * the four ``benchmarks/perf`` workloads at their ``--tiny`` sizes: two
   steps, then the step's signature and counts, the timelines of the last
   step and the trainer's final parameters.
@@ -41,7 +44,7 @@ for _entry in (ROOT, ROOT / "src"):
     if str(_entry) not in sys.path:
         sys.path.insert(0, str(_entry))
 
-ARCHS = ("gcn", "graphsage", "gin", "gat")
+ARCHS = ("gcn", "graphsage", "gin", "commnet", "gat")
 POLICIES = ("hybrid", "recompute")
 OVERLAPS = ("barrier", "pipeline")
 NODES = (1, 2)
