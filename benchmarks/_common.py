@@ -376,8 +376,7 @@ def emit_json(name: str, metrics: dict,
     ``config`` records provenance: the producing
     :class:`~repro.core.HongTuConfig` (or any object with ``to_dict``,
     or a plain dict) is archived under ``"config"`` so a regressed
-    number can be re-run from the artifact alone via
-    ``HongTuConfig.from_dict``. The fleet's shape is the platform's to
+    number names the settings that produced it. The fleet's shape is the platform's to
     state, not the config's, so ``fleet`` archives the scenario's
     ``nodes`` / ``topology`` / ``oversubscription`` beside it.
     """

@@ -5,13 +5,12 @@ Public surface::
     from repro.autograd import Tensor, no_grad, ops
     from repro.autograd import Module, Linear, Parameter
     from repro.autograd import SGD, Adam
-    from repro.autograd.functional import cross_entropy, accuracy
+    from repro.autograd.functional import accuracy
 
-``ops`` holds exactly what the layers, the examples and the loss call:
-``add``, ``sub``, ``mul``, ``matmul``, ``reshape``, ``concat``,
-``relu``, ``leaky_relu``, ``elu``, ``sigmoid``, ``tanh``, ``sum_``,
-``log_softmax``, ``spmm``, ``gather_rows``, ``scatter_add_rows`` and
-``segment_softmax``.
+``ops`` holds exactly what the layers and the examples call: ``add``,
+``sub``, ``mul``, ``matmul``, ``reshape``, ``concat``, ``relu``,
+``leaky_relu``, ``elu``, ``sigmoid``, ``tanh``, ``spmm``,
+``gather_rows``, ``scatter_add_rows`` and ``segment_softmax``.
 """
 
 from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled

@@ -2,9 +2,8 @@
 
 The paper's downstream task takes the final-layer representations ``h^L``,
 computes a loss against ground-truth labels on the training mask, and seeds
-the backward pass with ``∇h^L`` (Algorithm 1, lines 10-11). These helpers
-support both the fused path (loss directly on a Tensor) and the split path
-the HongTu trainer needs: compute ``∇h^L`` as a raw array from host-resident
+the backward pass with ``∇h^L`` (Algorithm 1, lines 10-11). Every trainer
+takes the split path: ``∇h^L`` is a raw array computed from host-resident
 final representations, without building a tape over the whole graph.
 """
 
@@ -14,41 +13,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import ops
-from repro.autograd.tensor import Tensor
-
 __all__ = [
-    "cross_entropy",
     "masked_cross_entropy_value_and_grad",
     "accuracy",
     "split_accuracies",
 ]
-
-
-def cross_entropy(logits: Tensor, labels: np.ndarray,
-                  mask: Optional[np.ndarray] = None) -> Tensor:
-    """Mean cross-entropy over (optionally masked) rows, differentiable.
-
-    Parameters
-    ----------
-    logits: (N, C) unnormalized scores.
-    labels: (N,) integer class ids.
-    mask:   optional boolean (N,) selecting the rows contributing to the loss.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    if mask is not None:
-        rows = np.flatnonzero(np.asarray(mask))
-        picked = ops.gather_rows(logits, rows)
-        picked_labels = labels[rows]
-    else:
-        picked = logits
-        picked_labels = labels
-    log_probs = ops.log_softmax(picked, axis=-1)
-    n = picked.shape[0]
-    onehot = np.zeros(picked.shape, dtype=log_probs.dtype)
-    onehot[np.arange(n), picked_labels] = 1.0
-    picked_ll = ops.sum_(ops.mul(log_probs, Tensor(onehot)))
-    return ops.mul(picked_ll, Tensor(np.asarray(-1.0 / max(n, 1))))
 
 
 def masked_cross_entropy_value_and_grad(

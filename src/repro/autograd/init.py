@@ -15,11 +15,11 @@ import numpy as np
 __all__ = ["xavier_uniform", "zeros"]
 
 
-def xavier_uniform(shape: tuple, rng: np.random.Generator, gain: float = 1.0,
+def xavier_uniform(shape: tuple, rng: np.random.Generator,
                    dtype=np.float64) -> np.ndarray:
-    """Glorot/Xavier uniform: U(-a, a) with a = gain * sqrt(6/(fan_in+fan_out))."""
+    """Glorot/Xavier uniform: U(-a, a) with a = sqrt(6/(fan_in+fan_out))."""
     fan_in, fan_out = _fans(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
+    bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 

@@ -2,12 +2,11 @@
 
 Each op computes a numpy result eagerly and registers a vector-Jacobian
 product (VJP) closure on the output tensor. The op set is what the GNN
-layers, the examples and the loss call:
+layers and the examples call:
 
 * dense ops — ``add``, ``sub``, ``mul``, ``matmul``, ``reshape``,
   ``concat``; activations ``relu``, ``leaky_relu``, ``elu``,
-  ``sigmoid``, ``tanh``; ``sum_`` and ``log_softmax`` for
-  :func:`repro.autograd.functional.cross_entropy`;
+  ``sigmoid``, ``tanh``;
 * irregular ops — ``spmm`` (a linear AGGREGATE as one sparse product),
   ``gather_rows`` (neighbor lookup), ``scatter_add_rows`` (gradient
   accumulation along out-edges) and ``segment_softmax``
@@ -35,9 +34,11 @@ from repro.errors import AutogradError
 __all__ = [
     "add", "sub", "mul", "matmul", "reshape", "concat",
     "relu", "leaky_relu", "elu", "sigmoid", "tanh",
-    "sum_", "log_softmax",
     "spmm", "gather_rows", "scatter_add_rows", "segment_softmax",
 ]
+
+#: slope of :func:`leaky_relu` below zero
+LEAKY_SLOPE = 0.2
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -143,10 +144,11 @@ def relu(a: Tensor) -> Tensor:
     return Tensor.from_op(a.data * mask, (a,), backward, name="relu")
 
 
-def leaky_relu(a: Tensor, negative_slope: float = 0.2) -> Tensor:
+def leaky_relu(a: Tensor) -> Tensor:
+    """LeakyReLU with slope :data:`LEAKY_SLOPE` below zero (GAT's)."""
     a = Tensor.as_tensor(a)
     mask = a.data > 0
-    scale = np.where(mask, 1.0, negative_slope)
+    scale = np.where(mask, 1.0, LEAKY_SLOPE)
 
     def backward(grad: np.ndarray) -> None:
         a.accumulate_grad(grad * scale)
@@ -154,14 +156,15 @@ def leaky_relu(a: Tensor, negative_slope: float = 0.2) -> Tensor:
     return Tensor.from_op(a.data * scale, (a,), backward, name="leaky_relu")
 
 
-def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
+def elu(a: Tensor) -> Tensor:
+    """ELU with alpha 1: ``exp(x) - 1`` below zero."""
     a = Tensor.as_tensor(a)
     mask = a.data > 0
-    exp_part = alpha * (np.exp(np.minimum(a.data, 0.0)) - 1.0)
+    exp_part = np.exp(np.minimum(a.data, 0.0)) - 1.0
     out_data = np.where(mask, a.data, exp_part)
 
     def backward(grad: np.ndarray) -> None:
-        a.accumulate_grad(grad * np.where(mask, 1.0, exp_part + alpha))
+        a.accumulate_grad(grad * np.where(mask, 1.0, exp_part + 1.0))
 
     return Tensor.from_op(out_data, (a,), backward, name="elu")
 
@@ -184,36 +187,6 @@ def tanh(a: Tensor) -> Tensor:
         a.accumulate_grad(grad * (1.0 - out_data * out_data))
 
     return Tensor.from_op(out_data, (a,), backward, name="tanh")
-
-
-# ----------------------------------------------------------------------
-# reductions (the loss)
-# ----------------------------------------------------------------------
-
-def sum_(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
-    a = Tensor.as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(grad: np.ndarray) -> None:
-        g = grad
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a.accumulate_grad(np.broadcast_to(g, a.shape).astype(a.dtype))
-
-    return Tensor.from_op(out_data, (a,), backward, name="sum")
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = Tensor.as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - logsumexp
-    soft = np.exp(out_data)
-
-    def backward(grad: np.ndarray) -> None:
-        a.accumulate_grad(grad - soft * grad.sum(axis=axis, keepdims=True))
-
-    return Tensor.from_op(out_data, (a,), backward, name="log_softmax")
 
 
 # ----------------------------------------------------------------------

@@ -139,7 +139,3 @@ class DistGNNSimulator:
 
     def train(self, num_epochs: int) -> list:
         return [self.train_epoch() for _ in range(num_epochs)]
-
-    def hourly_cost_usd(self) -> float:
-        """Cluster rental price per hour (the monetary comparison of §7.2)."""
-        return self.cluster.num_nodes * self.cluster.usd_per_node_hour

@@ -35,7 +35,12 @@ from repro.core import (
     HongTuTrainer,
     estimate_training_memory,
 )
-from repro.errors import ConfigurationError, FaultError, ServingError
+from repro.errors import (
+    ConfigurationError,
+    FaultError,
+    PartitionError,
+    ServingError,
+)
 from repro.gnn import MODEL_REGISTRY
 from repro.graph import available_datasets, load_dataset
 from repro.hardware import A100_SERVER, MultiGPUPlatform
@@ -257,6 +262,10 @@ def _profiled_epoch(trainer):
 
 
 def cmd_serve(args) -> int:
+    if args.train_epochs < 0:
+        print(f"--train-epochs must be >= 0, got {args.train_epochs}",
+              file=sys.stderr)
+        return 2
     scenario, platform = _build_scenario(args)
     if platform is None:
         return 2
@@ -316,8 +325,12 @@ def cmd_analyze(args) -> int:
             print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
             return 2
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed + 42)
-    partition = two_level_partition(graph, args.gpus, args.chunks,
-                                    seed=args.seed)
+    try:
+        partition = two_level_partition(graph, args.gpus, args.chunks,
+                                        seed=args.seed)
+    except PartitionError as error:  # e.g. --seed -1
+        print(f"bad scenario: {error}", file=sys.stderr)
+        return 2
     volumes = measure_volumes(partition)
     normalized = volumes.normalized()
     platform = MultiGPUPlatform(A100_SERVER)

@@ -180,16 +180,11 @@ class HongTuConfig:
             "hongtu": (True, True),
         }[self.comm_mode]
 
-    # ------------------------------------------------------------------
-    # dict round-tripping (config provenance for benches / CI artifacts)
-    # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-serializable dict reproducing this config exactly.
+        """JSON-serializable dict of this config, for bench provenance.
 
         ``faults`` becomes its declarative schedule dict (``None`` stays
-        ``None``); everything else is a plain scalar. :meth:`from_dict`
-        inverts this losslessly:
-        ``HongTuConfig.from_dict(config.to_dict()) == config``.
+        ``None``); everything else is a plain scalar.
         """
         data = {}
         for spec in fields(self):
@@ -198,19 +193,3 @@ class HongTuConfig:
                 value = value.to_dict()
             data[spec.name] = value
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HongTuConfig":
-        """Rebuild a config from :meth:`to_dict` output (validated)."""
-        known = {spec.name for spec in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown config field(s) {sorted(unknown)}; expected a "
-                f"subset of {sorted(known)}"
-            )
-        kwargs = dict(data)
-        if kwargs.get("faults") is not None \
-                and not isinstance(kwargs["faults"], FaultSchedule):
-            kwargs["faults"] = FaultSchedule.from_dict(kwargs["faults"])
-        return cls(**kwargs)

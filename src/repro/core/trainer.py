@@ -722,9 +722,3 @@ class HongTuTrainer:
             allocation.free()
         self._checkpoint_allocations.clear()
         self._checkpoints.clear()
-
-    @property
-    def _checkpoint_bytes(self) -> int:
-        """Host bytes currently reserved for aggregate checkpoints."""
-        return sum(allocation.nbytes
-                   for allocation in self._checkpoint_allocations.values())

@@ -105,7 +105,7 @@ class Straggler:
     def to_dict(self) -> dict:
         # An open-ended window serializes as None: strict JSON has no
         # Infinity literal, and the artifacts must stay loadable by any
-        # parser. from_dict maps it back.
+        # parser.
         return {"kind": "straggler", "node": self.node,
                 "start": self.start,
                 "end": self.end if math.isfinite(self.end) else None,
@@ -219,9 +219,6 @@ class FaultState:
     def compute_factors(self) -> Dict[int, float]:
         return dict(self.compute)
 
-    def link_factors(self) -> Dict[Tuple[int, int], float]:
-        return {(src, dst): factor for src, dst, factor in self.links}
-
     def max_node(self) -> int:
         """Largest node index referenced, or -1 when inactive."""
         nodes = [node for node, _ in self.compute]
@@ -263,10 +260,6 @@ class FaultSchedule:
 
     def __len__(self) -> int:
         return len(self.faults)
-
-    @staticmethod
-    def empty() -> "FaultSchedule":
-        return FaultSchedule(())
 
     @staticmethod
     def from_specs(specs: Iterable[str]) -> "FaultSchedule":
@@ -330,24 +323,6 @@ class FaultSchedule:
 
     def to_dict(self) -> dict:
         return {"faults": [fault.to_dict() for fault in self.faults]}
-
-    @staticmethod
-    def from_dict(data: dict) -> "FaultSchedule":
-        faults = []
-        for entry in data.get("faults", ()):
-            entry = dict(entry)
-            kind = entry.pop("kind", None)
-            if entry.get("end", ...) is None:  # open-ended window
-                entry["end"] = math.inf
-            cls = _FAULT_KINDS.get(kind)
-            if cls is None:
-                raise FaultError(f"unknown fault kind {kind!r} "
-                                 f"(expected one of {sorted(_FAULT_KINDS)})")
-            try:
-                faults.append(cls(**entry))
-            except TypeError as exc:
-                raise FaultError(f"bad {kind} fault fields: {exc}") from exc
-        return FaultSchedule(tuple(faults))
 
 
 @dataclass(frozen=True)

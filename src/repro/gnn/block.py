@@ -117,13 +117,13 @@ class Block:
         return len(self.edge_src)
 
     @staticmethod
-    def from_graph(graph: Graph, gcn_weights: bool = True) -> "Block":
-        """Monolithic block covering the whole graph (one 'chunk')."""
+    def from_graph(graph: Graph) -> "Block":
+        """Monolithic block covering the whole graph (one 'chunk'), with
+        the graph's GCN edge weights."""
         n = graph.num_vertices
         degrees = graph.in_degrees()
         edge_dst = np.repeat(np.arange(n, dtype=np.int64), degrees)
         edge_src = graph.in_csr.indices
-        weights = graph.gcn_edge_weights() if gcn_weights else None
         identity = np.arange(n, dtype=np.int64)
         return Block(
             edge_src=edge_src,
@@ -131,7 +131,7 @@ class Block:
             num_dst=n,
             num_src=n,
             dst_pos=identity,
-            edge_weight=weights,
+            edge_weight=graph.gcn_edge_weights(),
             src_global=identity,
             dst_global=identity,
         )

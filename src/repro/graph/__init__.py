@@ -15,13 +15,6 @@ from repro.graph.datasets import (
     toy_graph,
     PAPER_PROFILES,
 )
-from repro.graph.analysis import (
-    DegreeStats,
-    degree_stats,
-    locality_fraction,
-    label_homophily,
-    structural_report,
-)
 
 __all__ = [
     "CSRAdjacency", "edges_to_csr",
@@ -29,6 +22,4 @@ __all__ = [
     "rmat", "locality_web_graph", "planted_partition",
     "gaussian_features", "random_split_masks",
     "load_dataset", "available_datasets", "toy_graph", "PAPER_PROFILES",
-    "DegreeStats", "degree_stats", "locality_fraction", "label_homophily",
-    "structural_report",
 ]

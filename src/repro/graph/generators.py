@@ -32,21 +32,24 @@ __all__ = [
 ]
 
 
-def rmat(num_vertices: int, num_edges: int, seed: int,
-         a: float = 0.57, b: float = 0.19, c: float = 0.19,
-         ) -> Tuple[np.ndarray, np.ndarray]:
+#: R-MAT quadrant probabilities (a, b, c; d = 1 - a - b - c): the
+#: heavy-tailed degree skew of social networks
+RMAT_PROBABILITIES = (0.57, 0.19, 0.19)
+#: exponent of the Zipf out-degrees of :func:`locality_web_graph`
+WEB_DEGREE_POWER = 2.1
+
+
+def rmat(num_vertices: int, num_edges: int,
+         seed: int) -> Tuple[np.ndarray, np.ndarray]:
     """R-MAT edge generator (Chakrabarti et al.).
 
     Recursively descends a 2x2 partition of the adjacency matrix with
-    probabilities (a, b, c, d=1-a-b-c); the default parameters reproduce the
-    heavy-tailed degree skew of social networks.
+    the quadrant probabilities :data:`RMAT_PROBABILITIES`.
 
     Returns parallel (src, dst) arrays of length ``num_edges`` (self-loops
     removed, so slightly fewer edges may be returned).
     """
-    d = 1.0 - a - b - c
-    if d < 0:
-        raise GraphFormatError(f"rmat probabilities exceed 1: a+b+c={a + b + c}")
+    a, b, c = RMAT_PROBABILITIES
     rng = np.random.default_rng(seed)
     scale = int(np.ceil(np.log2(max(num_vertices, 2))))
 
@@ -68,11 +71,11 @@ def rmat(num_vertices: int, num_edges: int, seed: int,
 
 
 def locality_web_graph(num_vertices: int, num_edges: int, seed: int,
-                       locality: float = 0.85, window: int = 64,
-                       power: float = 2.1) -> Tuple[np.ndarray, np.ndarray]:
+                       locality: float = 0.85,
+                       window: int = 64) -> Tuple[np.ndarray, np.ndarray]:
     """Web-crawl-like graph: power-law out-degree + id-locality.
 
-    Each source vertex draws a Zipf(power) out-degree; a ``locality``
+    Each source vertex draws a Zipf(:data:`WEB_DEGREE_POWER`) out-degree; a ``locality``
     fraction of its edges land within ``±window`` ids (pages on the same
     host, as produced by crawl ordering), the rest are uniform. This mirrors
     it-2004's structure, in which Table 3 shows very low neighbor
@@ -80,7 +83,7 @@ def locality_web_graph(num_vertices: int, num_edges: int, seed: int,
     most neighborhoods.
     """
     rng = np.random.default_rng(seed)
-    raw = rng.zipf(power, size=num_vertices).astype(np.float64)
+    raw = rng.zipf(WEB_DEGREE_POWER, size=num_vertices).astype(np.float64)
     out_deg = np.minimum(raw, num_vertices / 4)
     out_deg = np.maximum(
         1, np.round(out_deg * num_edges / out_deg.sum())

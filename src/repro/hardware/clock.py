@@ -103,12 +103,12 @@ class EventTimeline:
 
         The whole wave is scheduled in one array step and followed by a
         barrier under ``barrier_all``; ``nbytes[k]`` (None: none) is the
-        bytes device k's task moves. ``deps`` gate every task of the
-        wave and ``deps_by_device[k]`` additionally device k's: each an
-        id, an id array or an iterable of ids (``None`` entries are
-        fine); an ``(m,)`` id array as ``deps_by_device`` is one producer
-        per device, and a :class:`~repro.runtime.scheduler.DepLists` is
-        every device's list in one flat array. A wave the scheduler
+        bytes device k's task moves. ``deps`` (an id, an id array or an
+        iterable of ids) gate every task of the wave, and
+        ``deps_by_device`` additionally gates each device's task: an
+        ``(m,)`` id array is one producer per device, and a
+        :class:`~repro.runtime.scheduler.DepLists` is every device's list
+        in one flat array. A wave the scheduler
         rejects raises before this timeline changes.
         """
         devices, seconds = phase_wave(per_device_seconds, devices,

@@ -1,6 +1,6 @@
 """Graph partitioning: METIS-like level 1, range-chunk level 2, analyses."""
 
-from repro.partition.metis import metis_partition, edge_cut, partition_balance
+from repro.partition.metis import metis_partition, edge_cut
 from repro.partition.subgraph import SubgraphChunk
 from repro.partition.two_level import (
     two_level_partition,
@@ -30,7 +30,7 @@ from repro.partition.placement import (
 )
 
 __all__ = [
-    "metis_partition", "edge_cut", "partition_balance",
+    "metis_partition", "edge_cut",
     "SubgraphChunk",
     "two_level_partition", "range_chunks", "TwoLevelPartition",
     "remote_replica_rows", "replication_factor", "replication_factor_sweep",

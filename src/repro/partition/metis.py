@@ -38,10 +38,8 @@ bit).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
-from numbers import Real
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -50,7 +48,7 @@ import scipy.sparse as sp
 from repro.errors import PartitionError, require_count
 from repro.graph.graph import Graph
 
-__all__ = ["metis_partition", "edge_cut", "partition_balance"]
+__all__ = ["metis_partition", "edge_cut"]
 
 
 @dataclass
@@ -73,30 +71,20 @@ class _Level:
 
 _require_count = partial(require_count, error=PartitionError)
 
+#: each part's vertex weight may exceed the perfect average by this
+#: fraction (METIS' load imbalance tolerance)
+BALANCE_SLACK = 0.05
+#: boundary-refinement sweeps per uncoarsening level
+REFINEMENT_PASSES = 4
 
-def metis_partition(graph: Graph, num_parts: int, seed: int = 0,
-                    balance_slack: float = 0.05,
-                    refinement_passes: int = 4) -> np.ndarray:
+
+def metis_partition(graph: Graph, num_parts: int, seed: int = 0) -> np.ndarray:
     """Partition ``graph`` into ``num_parts`` balanced, low-cut parts.
 
     Returns a (num_vertices,) int array of part ids in [0, num_parts).
-
-    Parameters
-    ----------
-    balance_slack:
-        Each part's vertex weight may exceed the perfect average by this
-        fraction (METIS' load imbalance tolerance, default 5 %).
-    refinement_passes:
-        Boundary-refinement sweeps per uncoarsening level.
     """
     _require_count("num_parts", num_parts, 1)
     _require_count("seed", seed, 0)
-    _require_count("refinement_passes", refinement_passes, 0)
-    if (not isinstance(balance_slack, Real)
-            or not math.isfinite(balance_slack) or balance_slack < 0):
-        raise PartitionError(
-            f"balance_slack must be a finite number >= 0, "
-            f"got {balance_slack!r}")
     if num_parts == 1:
         return np.zeros(graph.num_vertices, dtype=np.int64)
     if num_parts > graph.num_vertices:
@@ -124,7 +112,7 @@ def metis_partition(graph: Graph, num_parts: int, seed: int = 0,
         if level_index < len(levels) - 1:
             assignment = assignment[level.coarse_map]
         assignment = _refine(level, assignment, num_parts,
-                             balance_slack, refinement_passes)
+                             BALANCE_SLACK, REFINEMENT_PASSES)
     return assignment
 
 
@@ -401,13 +389,3 @@ def edge_cut(graph: Graph, assignment: np.ndarray) -> int:
             f"({graph.num_vertices}), got shape {assignment.shape}")
     src, dst = graph.edge_arrays()
     return int((assignment[src] != assignment[dst]).sum())
-
-
-def partition_balance(assignment: np.ndarray, num_parts: int) -> float:
-    """max part size / ideal part size (1.0 = perfectly balanced)."""
-    _require_count("num_parts", num_parts, 1)
-    if len(assignment) == 0:
-        raise PartitionError("balance of an empty assignment is undefined")
-    counts = np.bincount(assignment, minlength=num_parts)
-    ideal = len(assignment) / num_parts
-    return float(counts.max() / ideal)

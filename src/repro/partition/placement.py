@@ -102,6 +102,8 @@ __all__ = ["PlacementResult", "search_placement", "partition_net_weights",
 #: ``joint`` placement↔schedule iteration of
 #: :func:`repro.comm.joint.joint_placement`
 PLACEMENT_POLICIES = ("block", "search", "joint")
+#: Kernighan-Lin passes a search runs at most after its greedy phase
+MAX_REFINEMENTS = 4
 
 _SENTINEL = np.iinfo(np.int64).min
 
@@ -179,20 +181,6 @@ class PlacementResult:
     def rows_saved(self) -> int:
         """Cross-node halo rows removed per epoch-layer vs the block map."""
         return self.rows_block - self.rows_search
-
-    @property
-    def objective_block(self) -> int:
-        """Seed objective: net rows plus any row-equivalent compute."""
-        return self.rows_block + (self.compute_rows_block or 0)
-
-    @property
-    def objective_search(self) -> int:
-        """Searched objective (never worse than :attr:`objective_block`)."""
-        return self.rows_search + (self.compute_rows_search or 0)
-
-    @property
-    def improved(self) -> bool:
-        return self.objective_search < self.objective_block
 
     @property
     def node_counts(self) -> List[int]:
@@ -419,7 +407,6 @@ def _require_budgets(node_budgets, num_nodes: int) -> None:
 
 
 def search_placement(partition: TwoLevelPartition, num_nodes: int,
-                     max_refinements: int = 4,
                      seed_placement: Optional[np.ndarray] = None,
                      max_imbalance: int = 0,
                      node_budgets: Optional[Sequence[Optional[float]]] = None,
@@ -434,7 +421,7 @@ def search_placement(partition: TwoLevelPartition, num_nodes: int,
     pass a platform's active assignment to refine it instead of
     restarting from scratch), improves it with greedy pairwise swaps and
     — when ``max_imbalance > 0`` — single-partition moves, then runs up
-    to ``max_refinements`` Kernighan-Lin passes
+    to :data:`MAX_REFINEMENTS` Kernighan-Lin passes
     (swap-lock-revert-to-best-prefix) to escape local minima; see the
     module docstring for the objective and the gain formulas. The result
     is never worse than the seed: ``rows_block`` reports the *seed*
@@ -463,7 +450,8 @@ def search_placement(partition: TwoLevelPartition, num_nodes: int,
     traffic. Identical per-node rates make every gain contribution
     exactly zero — the homogeneous search is bit-identical with or
     without the matrix. The never-worse guarantee then covers the
-    *combined* objective (``objective_search <= objective_block``);
+    *combined* objective (``rows_search + compute_rows_search <=
+    rows_block + compute_rows_block``);
     ``rows_search`` alone may exceed ``rows_block`` when trading halo
     rows for faster kernels wins.
 
@@ -482,7 +470,6 @@ def search_placement(partition: TwoLevelPartition, num_nodes: int,
     """
     m = partition.num_partitions
     _require_count("num_nodes", num_nodes, 1)
-    _require_count("max_refinements", max_refinements, 0)
     _require_count("max_imbalance", max_imbalance, 0)
     dead_nodes = frozenset(dead_nodes)
     block = partition_nodes(m, num_nodes, seed_placement,
@@ -523,7 +510,7 @@ def search_placement(partition: TwoLevelPartition, num_nodes: int,
         applied = _greedy_improve(state, allow_moves)
         swaps += applied[0]
         moves += applied[1]
-        for _ in range(max_refinements):
+        for _ in range(MAX_REFINEMENTS):
             refinements += 1
             kept = _refinement_pass(state)
             if kept == 0:

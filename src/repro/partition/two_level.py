@@ -74,16 +74,13 @@ class TwoLevelPartition:
 
 def two_level_partition(graph: Graph, num_partitions: int, num_chunks: int,
                         seed: int = 0,
-                        assignment: Optional[np.ndarray] = None,
-                        gcn_weights: bool = True) -> TwoLevelPartition:
-    """Partition ``graph`` into ``num_partitions × num_chunks`` chunks.
+                        assignment: Optional[np.ndarray] = None
+                        ) -> TwoLevelPartition:
+    """Partition ``graph`` into ``num_partitions × num_chunks`` chunks,
+    each carrying its edges' globally-normalized GCN weights.
 
-    Parameters
-    ----------
-    assignment:
-        Optional precomputed level-1 partition (overrides METIS).
-    gcn_weights:
-        Attach globally-normalized GCN edge weights to each chunk.
+    ``assignment`` is an optional precomputed level-1 partition that
+    overrides METIS.
     """
     if num_partitions < 1 or num_chunks < 1:
         raise PartitionError(
@@ -111,7 +108,7 @@ def two_level_partition(graph: Graph, num_partitions: int, num_chunks: int,
                 f"{assignment.min()}..{assignment.max()}")
         assignment = assignment.astype(np.int64, copy=False)
 
-    weights = graph.gcn_edge_weights() if gcn_weights else None
+    weights = graph.gcn_edge_weights()
     in_csr = graph.in_csr
     degrees = graph.in_degrees()
 
@@ -130,12 +127,11 @@ def two_level_partition(graph: Graph, num_partitions: int, num_chunks: int,
             edge_dst = np.repeat(
                 np.arange(len(dst_global), dtype=np.int64), deg
             )
-            edge_weight = None if weights is None else weights[positions]
             row.append(SubgraphChunk(
                 dst_global=dst_global,
                 edge_src_global=edge_src,
                 edge_dst_local=edge_dst,
-                edge_weight=edge_weight,
+                edge_weight=weights[positions],
             ))
         rows.append(row)
     return TwoLevelPartition(graph, rows, assignment)

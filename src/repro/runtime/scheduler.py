@@ -166,8 +166,7 @@ class DepLists:
     ``ids[sum(counts[:t]):sum(counts[:t + 1])]``, in order.
 
     The form a wave's per-task dependencies take without one Python object
-    per task: emitters build it with array ops (:meth:`join`), and any
-    sequence of per-task entries converts through :meth:`of`. Built
+    per task: emitters build it with array ops (:meth:`join`). Built
     unchecked; a scheduler or recorder validates it on submission.
     """
 
@@ -182,19 +181,6 @@ class DepLists:
 
     def __repr__(self) -> str:
         return f"DepLists(ids={self.ids!r}, counts={self.counts!r})"
-
-    @classmethod
-    def of(cls, entries: Sequence) -> "DepLists":
-        """A sequence of per-task entries — each None or anything
-        :func:`task_ids` accepts — in the flat form. An unordered or
-        one-shot container (a set, a dict, a generator) is rejected: its
-        iteration order is not the tasks' order."""
-        _require_ordered("per-task dependency lists", entries)
-        entries = [None if e is None else task_ids(e) for e in entries]
-        present = [e for e in entries if e is not None and len(e)]
-        return cls(np.concatenate(present) if present else _NO_IDS,
-                   np.fromiter((0 if e is None else len(e) for e in entries),
-                               dtype=np.int64, count=len(entries)))
 
     @classmethod
     def join(cls, k: int, *parts) -> "DepLists":
@@ -377,10 +363,8 @@ def _prepare(channel: str, devices, seconds, common_deps, extra_deps,
     judged here, and raises :class:`~repro.errors.SchedulerError` before
     any state is touched; what is left to the caller is the *range* of
     the returned ids (a scheduler's tasks, or a program's own).
-    ``extra_deps`` is a ``(k,)`` id array (one producer per task), a
-    :class:`DepLists`, or a sequence of per-task entries — each None or
-    anything :func:`task_ids` accepts — that :meth:`DepLists.of`
-    flattens; ``nbytes`` the bytes each task moves.
+    ``extra_deps`` is a ``(k,)`` id array (one producer per task) or a
+    :class:`DepLists`; ``nbytes`` the bytes each task moves.
     """
     if channel not in CHANNELS:
         raise SchedulerError(f"unknown channel {channel!r}")
@@ -428,6 +412,11 @@ def _prepare(channel: str, devices, seconds, common_deps, extra_deps,
                 f"{name} must list one entry per task: "
                 f"{len(per_task)} vs {k}"
             )
+    if not (extra_deps is None
+            or isinstance(extra_deps, (np.ndarray, DepLists))):
+        raise SchedulerError(
+            f"extra_deps must be a (k,) id array (one producer per task) "
+            f"or a DepLists, got a {type(extra_deps).__name__}")
     holds = None
     try:
         if shared_by_task is not None and any(map(len, shared_by_task)):
@@ -448,9 +437,7 @@ def _prepare(channel: str, devices, seconds, common_deps, extra_deps,
         flat = task_ids(extra_deps)
         lens = np.ones(k, dtype=np.int64)
     elif extra_deps is not None:
-        flat, lens = _dep_lists(
-            extra_deps if isinstance(extra_deps, DepLists)
-            else DepLists.of(extra_deps), k)
+        flat, lens = _dep_lists(extra_deps, k)
     return (_Wave(_CHANNEL_INDEX[channel], devices, seconds, lens, holds,
                   nbytes),
             common if len(common) else None, flat)
@@ -711,11 +698,11 @@ class EventScheduler:
 
         ``devices[t]``/``seconds[t]`` describe task ``t``, ``nbytes[t]``
         the bytes it moves (None: the wave moves none); ``common_deps``
-        gate every task of the wave, ``extra_deps[t]`` additionally gate
-        task ``t`` — each anything :func:`task_ids` accepts (None for no
-        dependency), or ``extra_deps`` as one ``(k,)`` id array, a single
-        producer per task, or as a :class:`DepLists`, every task's list in
-        one flat array. Dependency ids must reference previously
+        (anything :func:`task_ids` accepts, None for no dependency) gate
+        every task of the wave, and ``extra_deps`` additionally gates each
+        task: one ``(k,)`` id array, a single producer per task, or a
+        :class:`DepLists`, every task's list in one flat array. Any other
+        ``extra_deps`` is rejected. Dependency ids must reference previously
         submitted tasks — a wave's tasks are mutually independent.
         ``shared_by_task[t]`` lists ``(resource, hold)`` pairs task ``t``
         occupies from its start for ``hold`` seconds (which may be shorter

@@ -17,6 +17,8 @@ per-edge path. It sums in a different order, so it agrees to rounding.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.gnn.block import Block
@@ -96,7 +98,8 @@ def block_zoo(graph) -> dict:
                  num_src=7, dst_pos=np.array([3, 0, 6, 1]))
     return {
         "from_graph": Block.from_graph(graph),
-        "from_graph_unweighted": Block.from_graph(graph, gcn_weights=False),
+        "from_graph_unweighted": replace(Block.from_graph(graph),
+                                         edge_weight=None),
         # num_src > num_dst, destination 2 has no in-edge
         "chunk_weighted": Block(edge_weight=rng.random(8), **chunk),
         "chunk_unweighted": Block(**chunk),

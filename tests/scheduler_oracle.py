@@ -32,12 +32,24 @@ from typing import List, NamedTuple
 import numpy as np
 import pytest
 
-from repro.runtime.scheduler import EventScheduler, _grown, _slot
+from repro.runtime.scheduler import DepLists, EventScheduler, _grown, _slot
 from repro.runtime.task import CHANNELS
 
-__all__ = ["OracleScheduler", "Row", "install_scheduler_oracle",
+__all__ = ["OracleScheduler", "Row", "dep_lists", "install_scheduler_oracle",
            "reference_breakdown", "scheduler_state", "task_rows",
            "timeline_state"]
+
+
+def dep_lists(entries) -> DepLists:
+    """Per-task dependency entries — each None, one id or a sequence of
+    ids — in the flat :class:`DepLists` form the scheduler takes. The ids
+    keep their dtype, so a float id still reaches the scheduler's check."""
+    arrays = [np.empty(0, dtype=np.int64) if entry is None
+              else np.atleast_1d(np.asarray(entry)) for entry in entries]
+    present = [array for array in arrays if len(array)]
+    return DepLists(
+        np.concatenate(present) if present else np.empty(0, dtype=np.int64),
+        np.array([len(array) for array in arrays], dtype=np.int64))
 
 
 def reference_breakdown(scheduler) -> dict:

@@ -5,11 +5,11 @@ import numpy as np
 from repro.autograd import Tensor
 from repro.autograd.functional import (
     accuracy,
-    cross_entropy,
     masked_cross_entropy_value_and_grad,
 )
 
 from tests.conftest import numeric_gradient
+from tests.loss_reference import cross_entropy
 
 
 class TestCrossEntropyTensor:

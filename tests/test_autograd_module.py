@@ -6,6 +6,8 @@ import pytest
 from repro.autograd import Linear, Module, Parameter, SGD, Adam, Tensor, init, ops
 from repro.errors import ConfigurationError
 
+from tests.loss_reference import sum_
+
 
 class TwoLayer(Module):
     def __init__(self, rng):
@@ -83,6 +85,13 @@ class TestInit:
         bound = np.sqrt(6.0 / 200)
         assert np.all(np.abs(w) <= bound)
 
+    def test_xavier_uniform_gain_is_one(self, rng):
+        """The draws fill the whole gain-1 interval, not a narrower one."""
+        w = init.xavier_uniform((60, 40), rng)
+        bound = np.sqrt(6.0 / 100)
+        assert np.abs(w).max() > 0.99 * bound
+        assert np.var(w) == pytest.approx(bound ** 2 / 3, rel=0.1)
+
     def test_zeros(self):
         assert np.all(init.zeros((3, 3)) == 0.0)
 
@@ -95,7 +104,7 @@ class TestInit:
 def quadratic_loss(param):
     # f(w) = sum((w - 3)^2); minimum at w == 3.
     diff = ops.sub(param, Tensor(np.full_like(param.data, 3.0)))
-    return ops.sum_(ops.mul(diff, diff))
+    return sum_(ops.mul(diff, diff))
 
 
 class TestSGD:

@@ -11,6 +11,7 @@ from repro.autograd import Tensor, ops
 from repro.errors import AutogradError
 
 from tests.conftest import numeric_gradient
+from tests.loss_reference import log_softmax, sum_
 
 
 def check_gradients(op_fn, *arrays, seed_shape=None, atol=1e-6):
@@ -136,15 +137,22 @@ class TestActivationGradients:
         assert np.allclose(out.data, [0.0, 2.0])
 
     def test_leaky_relu(self):
-        check_gradients(lambda a: ops.leaky_relu(a, 0.2),
+        check_gradients(ops.leaky_relu,
                         RNG.standard_normal((4, 4)) + 0.1)
 
     def test_leaky_relu_slope(self):
-        out = ops.leaky_relu(Tensor(np.array([-10.0])), 0.1)
-        assert np.isclose(out.data[0], -1.0)
+        out = ops.leaky_relu(Tensor(np.array([-10.0])))
+        assert np.isclose(out.data[0], -10.0 * ops.LEAKY_SLOPE)
+        assert ops.LEAKY_SLOPE == 0.2
 
     def test_elu(self):
         check_gradients(ops.elu, RNG.standard_normal((3, 3)) + 0.1)
+
+    def test_elu_alpha_is_one(self):
+        x = np.array([-3.0, -0.5, 0.0, 2.0])
+        np.testing.assert_allclose(ops.elu(Tensor(x)).data,
+                                   np.where(x > 0, x, np.expm1(x)),
+                                   rtol=1e-12, atol=0)
 
     def test_sigmoid(self):
         check_gradients(ops.sigmoid, RNG.standard_normal((3, 3)))
@@ -153,25 +161,27 @@ class TestActivationGradients:
         check_gradients(ops.tanh, RNG.standard_normal((3, 3)))
 
 class TestReductionGradients:
+    """The loss reference's two reductions (``tests/loss_reference.py``)."""
+
     def test_sum_all(self):
-        check_gradients(ops.sum_, RNG.standard_normal((3, 4)))
+        check_gradients(sum_, RNG.standard_normal((3, 4)))
 
     def test_sum_axis0(self):
-        check_gradients(lambda a: ops.sum_(a, axis=0),
+        check_gradients(lambda a: sum_(a, axis=0),
                         RNG.standard_normal((3, 4)))
 
     def test_sum_axis1_keepdims(self):
-        check_gradients(lambda a: ops.sum_(a, axis=1, keepdims=True),
+        check_gradients(lambda a: sum_(a, axis=1, keepdims=True),
                         RNG.standard_normal((3, 4)))
 
     def test_log_softmax(self):
-        check_gradients(lambda a: ops.log_softmax(a, axis=-1),
+        check_gradients(lambda a: log_softmax(a, axis=-1),
                         RNG.standard_normal((4, 5)))
 
     def test_log_softmax_matches_log_of_softmax(self):
         x = RNG.standard_normal((3, 4))
         np.testing.assert_allclose(
-            ops.log_softmax(Tensor(x)).data, np.log(_softmax(x, axis=-1)),
+            log_softmax(Tensor(x)).data, np.log(_softmax(x, axis=-1)),
             atol=1e-12)
 
 

@@ -175,11 +175,6 @@ class TestDistGNN:
         with pytest.raises(DeviceOutOfMemoryError):
             DistGNNSimulator(graph, model, tiny_cluster)
 
-    def test_hourly_cost(self, graph):
-        cluster = DistGNNSimulator(graph, make_model(graph),
-                                   CPU_NODE.with_num_nodes(16))
-        assert np.isclose(cluster.hourly_cost_usd(), 16 * 5.24)
-
 
 class TestNeighborSampler:
     def test_block_count_matches_fanouts(self, graph):

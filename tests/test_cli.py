@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 from dataclasses import fields, replace
 
 import numpy as np
@@ -170,12 +171,14 @@ class TestSharedClusterArgs:
         assert config.elastic is False
         assert config.rebalance_trigger == 1.5
 
-    def test_scenario_config_round_trips_through_dict(self):
+    def test_scenario_config_records_its_faults(self):
         scenario = ClusterArgs(
             nodes=3, gpus=2, placement="search", max_imbalance=1,
             fault=["straggler:node=2,compute=0.5", "death:node=1,at=9"])
         config = scenario.build_config(overlap="pipeline")
-        assert HongTuConfig.from_dict(config.to_dict()) == config
+        data = json.loads(json.dumps(config.to_dict(), allow_nan=False))
+        assert data["faults"] == config.faults.to_dict()
+        assert data["overlap"] == "pipeline" and data["max_imbalance"] == 1
 
     def test_namespace_round_trip_through_parser(self):
         argv = ["train", "--nodes", "3", "--gpus", "2",
@@ -366,6 +369,29 @@ class TestCommands:
         assert main(["train", "--epochs", epochs]) == 2
         assert "--epochs must be >= 1" in capsys.readouterr().err
 
+    def test_serve_rejects_negative_train_epochs(self, capsys, monkeypatch):
+        """``range(-1)`` is empty: serve trained nothing and exited 0."""
+        epochs = []
+        monkeypatch.setattr(HongTuTrainer, "train_epoch",
+                            lambda trainer: epochs.append(trainer))
+        assert main(["serve", "--scale", "0.05", "--train-epochs", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--train-epochs must be >= 0, got -1" in captured.err
+        assert epochs == []
+
+    def test_analyze_reports_an_unsplittable_graph(self, capsys):
+        """Any partition error of ``analyze`` is a bad scenario, not a
+        traceback: here more GPUs than the stand-in has vertices."""
+        graph = load_dataset("reddit_sim", scale=0.01, seed=42)
+        gpus = str(graph.num_vertices + 1)
+        assert main(["analyze", "--scale", "0.01", "--gpus", gpus]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"bad scenario: cannot split "
+                                f"{graph.num_vertices} vertices into "
+                                f"{gpus} parts\n")
+
     @pytest.mark.parametrize("flag", ["--gpus", "--chunks", "--row-bytes"])
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_analyze_needs_priceable_counts(self, capsys, flag, value):
@@ -381,7 +407,7 @@ class TestCommands:
         for verb in ("train", "serve", "analyze", "memory")
         for flags, message in BAD_FLAGS
         # analyze partitions the graph only: it has no model flags
-        if verb != "analyze" or flags[0] == "--scale"
+        if verb != "analyze" or flags[0] in ("--scale", "--seed")
     ])
     def test_bad_dataset_or_model_flag_is_usage_error(self, capsys, verb,
                                                       flags, message):

@@ -206,8 +206,7 @@ class TestPartitionNodes:
         graph = Graph(src, dst, 2 * half, name="two_rings")
         assignment = np.repeat([0, 1, 2, 3], half // 2).astype(np.int64)
         partition = two_level_partition(graph, 4, 2,
-                                        assignment=assignment,
-                                        gcn_weights=False)
+                                        assignment=assignment)
         # Partitions {0,1} cover ring A, {2,3} ring B; with 2 GPUs per
         # node the node boundary coincides with the component boundary.
         halo = halo_volumes(partition, 2)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import quick_trainer
 from repro.comm import DedupCommunicator
 from repro.core import (
     HongTuConfig,
@@ -70,22 +71,17 @@ class TestConfig:
         ("seed", -1), ("seed", 2.5), ("seed", True),
     ]
 
-    @pytest.mark.parametrize("via", ["init", "from_dict"])
     @pytest.mark.parametrize("field,value", MALFORMED)
-    def test_malformed_field_is_named(self, field, value, via):
+    def test_malformed_field_is_named(self, field, value):
         valid = dict(placement="search")  # max_imbalance > 0 needs it
         with pytest.raises(ConfigurationError, match=field):
-            if via == "init":
-                HongTuConfig(**valid, **{field: value})
-            else:
-                HongTuConfig.from_dict(
-                    dict(HongTuConfig(**valid).to_dict(), **{field: value}))
+            HongTuConfig(**valid, **{field: value})
 
     def test_integer_likes_still_accepted(self):
         config = HongTuConfig(num_chunks=np.int64(3), max_imbalance=2,
                               placement="search",
                               reorganize=False, elastic=False)
-        assert HongTuConfig.from_dict(config.to_dict()) == config
+        assert HongTuConfig(**config.to_dict()) == config
 
 
 class TestModelDtype:
@@ -156,6 +152,22 @@ class TestModelDtype:
 
 
 class TestTrainerLifecycle:
+    def test_quick_trainer_runs_the_readme_quickstart(self):
+        """``README.md``'s quickstart at a small scale: a GCN of the
+        stand-in's widths on one A100 server, four chunks per GPU."""
+        trainer = quick_trainer("reddit_sim", arch="gcn", scale=0.05)
+        assert trainer.config == HongTuConfig(num_chunks=4, seed=0)
+        assert trainer.model.dims == [trainer.graph.feature_dim, 64,
+                                      trainer.graph.num_classes]
+        losses = [trainer.train_epoch().loss for _ in range(2)]
+        assert np.isfinite(losses).all()
+        accuracies = trainer.evaluate()
+        assert accuracies and all(0.0 <= a <= 1.0
+                                  for a in accuracies.values())
+        # a value of (dataset, arch, scale, seed): a second one repeats it
+        again = quick_trainer("reddit_sim", arch="gcn", scale=0.05)
+        assert [again.train_epoch().loss for _ in range(2)] == losses
+
     def test_requires_features(self):
         from repro.graph import Graph
         bare = Graph(np.array([0]), np.array([1]), 2)
@@ -271,7 +283,9 @@ class TestTrainerLifecycle:
             trainer.train_epoch()
         assert trainer.platform.host_pool(0).by_tag["aggregate_cache"] == \
             cache_after_first
-        assert trainer._checkpoint_bytes == cache_after_first
+        assert sum(allocation.nbytes for allocation
+                   in trainer._checkpoint_allocations.values()) == \
+            cache_after_first
 
     def test_free_checkpoints_releases_host_memory(self, graph):
         trainer = make_trainer(graph, num_chunks=2,

@@ -112,8 +112,6 @@ class TestParseFault:
         "death": ("death node", lambda v: NodeDeath(node=v, at=1.0)),
         "link": ("link src",
                  lambda v: LinkDegradation(src=v, dst=3, factor=0.5)),
-        "from_dict": ("death node", lambda v: FaultSchedule.from_dict(
-            {"faults": [{"kind": "death", "node": v, "at": 1.0}]})),
     }
 
     @pytest.mark.parametrize("value", [1.5, math.nan, math.inf, -1],
@@ -167,7 +165,7 @@ class TestParseFault:
 # ----------------------------------------------------------------------
 class TestFaultSchedule:
     def test_empty_schedule_is_falsy_and_inactive(self):
-        schedule = FaultSchedule.empty()
+        schedule = FaultSchedule(())
         assert not schedule
         assert schedule.state_at(0.0).inactive
         assert schedule.state_at(1e9).inactive
@@ -206,19 +204,25 @@ class TestFaultSchedule:
         with pytest.raises(FaultError, match="not a fault"):
             FaultSchedule(("node 1 dies",))
 
-    def test_dict_round_trip(self):
+    def test_dict_lists_every_fault(self):
         schedule = FaultSchedule((
             Straggler(1, start=2.0, compute_factor=0.5),
             LinkDegradation(0, 2, factor=0.25, end=7.0),
             NodeDeath(2, at=5.0),))
-        assert FaultSchedule.from_dict(schedule.to_dict()) == schedule
+        assert schedule.to_dict() == {"faults": [
+            {"kind": "straggler", "node": 1, "start": 2.0, "end": None,
+             "compute_factor": 0.5, "nic_factor": 1.0},
+            {"kind": "link", "src": 0, "dst": 2, "factor": 0.25,
+             "start": 0.0, "end": 7.0},
+            {"kind": "death", "node": 2, "at": 5.0},
+        ]}
 
     def test_dict_is_strict_json(self):
         # Open-ended windows (end=inf) must not leak the non-standard
         # Infinity literal into archived artifacts.
         schedule = FaultSchedule((Straggler(0, nic_factor=0.5),))
         text = json.dumps(schedule.to_dict(), allow_nan=False)
-        assert FaultSchedule.from_dict(json.loads(text)) == schedule
+        assert json.loads(text)["faults"][0]["end"] is None
 
     def test_state_canonical_equality(self):
         # Factor-1.0 entries are dropped, so equality is structural.
@@ -257,19 +261,21 @@ class TestConfigFaults:
         with pytest.raises(ConfigurationError, match="rebalance_trigger"):
             HongTuConfig(rebalance_trigger=trigger)
 
-    def test_dict_round_trip_with_schedule(self):
+    def test_dict_with_schedule_is_strict_json(self):
         config = HongTuConfig(
             placement="search", max_imbalance=1,
             faults=FaultSchedule((Straggler(2, compute_factor=0.5),
                                   NodeDeath(1, at=4.0))))
-        clone = HongTuConfig.from_dict(config.to_dict())
-        assert clone == config
-        # and the dict itself is strict-JSON-serializable (provenance)
-        json.dumps(config.to_dict(), allow_nan=False)
+        text = json.dumps(config.to_dict(), allow_nan=False)  # provenance
+        assert json.loads(text)["faults"] == config.faults.to_dict()
 
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ConfigurationError, match="unknown config"):
-            HongTuConfig.from_dict({"warp_speed": 9})
+    def test_archived_dict_is_not_a_config(self):
+        """``to_dict`` is one-way provenance: handed back whole, its fault
+        schedule is a plain dict, and the config names that field."""
+        config = HongTuConfig(faults=FaultSchedule((NodeDeath(1, at=4.0),)))
+        with pytest.raises(ConfigurationError,
+                           match="faults must be a FaultSchedule"):
+            HongTuConfig(**config.to_dict())
 
 
 # ----------------------------------------------------------------------
@@ -426,7 +432,7 @@ class TestEmptyScheduleIdentity:
         if oracle:
             install_scheduler_oracle()
         plain, plain_flows = self._epoch(graph, None)
-        empty, empty_flows = self._epoch(graph, FaultSchedule.empty())
+        empty, empty_flows = self._epoch(graph, FaultSchedule(()))
         assert empty.epoch_seconds == plain.epoch_seconds
         assert empty.loss == plain.loss
         assert empty.net_bytes == plain.net_bytes

@@ -1,9 +1,11 @@
 """Tests for blocks, GNN layers (incl. gradient checks), and models."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, ops
+from repro.autograd import Tensor, init, ops
 from repro.errors import ConfigurationError, GraphFormatError
 from repro.gnn import (
     Block,
@@ -150,7 +152,7 @@ class TestBlock:
         assert len(block._operators) == 2  # one entry per (dtype, weighted)
 
     def test_unweighted_block_has_one_operator(self):
-        block = Block.from_graph(toy_graph(), gcn_weights=False)
+        block = replace(Block.from_graph(toy_graph()), edge_weight=None)
         assert block.operator(np.float64) is \
             block.operator(np.float64, weighted=False)
 
@@ -529,17 +531,23 @@ class TestModels:
 
 
 class TestRemovedSettings:
-    """Layer and model settings no caller set keep their one value (one
-    GAT head, LeakyReLU slope 0.2, a GIN MLP ``out_dim`` wide): passing
-    one is a ``TypeError``, like any unknown keyword."""
+    """Layer, op and model settings no caller set keep their one value
+    (one GAT head, LeakyReLU slope 0.2, ELU alpha 1, Xavier gain 1, a
+    GIN MLP ``out_dim`` wide, GCN edge weights on every whole-graph
+    block): passing one is a ``TypeError``, like any unknown keyword."""
 
     @pytest.mark.parametrize("call", [
         lambda rng: GATLayer(4, 8, rng, num_heads=2),
         lambda rng: GATLayer(4, 8, rng, negative_slope=0.1),
         lambda rng: GINLayer(4, 8, rng, hidden_dim=16),
         lambda rng: build_model("gat", [4, 8, 2], rng, gat_heads=2),
+        lambda rng: ops.leaky_relu(Tensor(np.ones(2)), 0.1),
+        lambda rng: ops.elu(Tensor(np.ones(2)), alpha=2.0),
+        lambda rng: init.xavier_uniform((2, 2), rng, gain=2.0),
+        lambda rng: Block.from_graph(toy_graph(), gcn_weights=False),
     ], ids=["gat_num_heads", "gat_negative_slope", "gin_hidden_dim",
-            "build_model_gat_heads"])
+            "build_model_gat_heads", "leaky_relu_negative_slope",
+            "elu_alpha", "xavier_uniform_gain", "block_gcn_weights"])
     def test_removed_keyword_is_a_type_error(self, call, rng):
         with pytest.raises(TypeError):
             call(rng)

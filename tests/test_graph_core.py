@@ -99,9 +99,17 @@ class TestGenerators:
         degrees = np.bincount(src, minlength=512)
         assert degrees.max() > 4 * max(degrees.mean(), 1)
 
-    def test_rmat_invalid_probs(self):
-        with pytest.raises(GraphFormatError):
-            rmat(16, 10, seed=0, a=0.5, b=0.3, c=0.3)
+    @pytest.mark.parametrize("call", [
+        lambda: rmat(16, 10, seed=0, a=0.5),
+        lambda: rmat(16, 10, seed=0, b=0.3),
+        lambda: rmat(16, 10, seed=0, c=0.3),
+        lambda: locality_web_graph(16, 10, seed=0, power=3.0),
+    ], ids=["rmat_a", "rmat_b", "rmat_c", "web_degree_power"])
+    def test_removed_generator_settings_are_type_errors(self, call):
+        """The generators run at their one setting each (``RMAT_PROBABILITIES``,
+        ``WEB_DEGREE_POWER``); passing one is a ``TypeError``."""
+        with pytest.raises(TypeError):
+            call()
 
     def test_locality_web_graph_is_local(self):
         src, dst = locality_web_graph(1024, 8000, seed=0,

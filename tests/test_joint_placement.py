@@ -396,25 +396,25 @@ class TestJointPlacement:
 
     def test_never_worse_than_single_pass(self, skewed, platform):
         joint = joint_placement(skewed, platform, row_bytes=512)
-        assert joint.cost_joint <= joint.cost_single_pass
-        assert joint.iterations[0].cost == joint.cost_single_pass
+        assert joint.placement_result.cost_search \
+            <= joint.iterations[0].cost
 
     def test_cost_is_non_increasing_across_iterations(self, skewed, platform):
-        joint = joint_placement(skewed, platform, row_bytes=512,
-                                max_iterations=6)
+        joint = joint_placement(skewed, platform, row_bytes=512)
         costs = [it.cost for it in joint.iterations]
         # every transition but the last strictly improved (the loop only
         # continues past a round that beat its predecessor); the final
         # recorded round is the fixed point (or the cap)
         assert all(a > b for a, b in zip(costs[:-2], costs[1:-1]))
-        assert min(costs) == joint.cost_joint
+        assert min(costs) == joint.placement_result.cost_search
 
     def test_deterministic(self, skewed, platform):
         first = joint_placement(skewed, platform, row_bytes=512)
         second = joint_placement(skewed, platform, row_bytes=512)
         assert first.placement_result.placement.tolist() \
             == second.placement_result.placement.tolist()
-        assert first.cost_joint == second.cost_joint
+        assert first.placement_result.cost_search \
+            == second.placement_result.cost_search
         assert len(first.iterations) == len(second.iterations)
 
     def test_adopted_rows_match_prediction(self, skewed, platform):
@@ -423,11 +423,23 @@ class TestJointPlacement:
         assert placement_net_rows(joint.partition, NODES,
                                   placed.placement) == placed.rows_search
 
-    def test_iteration_cap_respected(self, skewed, platform):
-        joint = joint_placement(skewed, platform, row_bytes=512,
-                                max_iterations=1)
+    def test_iteration_cap_respected(self, skewed, platform, monkeypatch):
+        monkeypatch.setattr(joint_module, "MAX_ITERATIONS", 1)
+        joint = joint_placement(skewed, platform, row_bytes=512)
         assert len(joint.iterations) == 1
         assert joint.placement_result.converged_after == 1
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_capped_run_is_a_prefix_of_the_full_run(self, skewed, platform,
+                                                    cap, monkeypatch):
+        """``MAX_ITERATIONS`` only cuts the loop short: a capped run
+        records the full run's first rounds and adopts the best of them."""
+        full = joint_placement(skewed, platform, row_bytes=512)
+        monkeypatch.setattr(joint_module, "MAX_ITERATIONS", cap)
+        capped = joint_placement(skewed, platform, row_bytes=512)
+        want = [it.cost for it in full.iterations[:cap]]
+        assert [it.cost for it in capped.iterations] == want
+        assert capped.placement_result.cost_search == min(want)
 
     def test_uneven_joint_respects_budgets(self, skewed, platform):
         sizes = np.bincount(skewed.assignment, minlength=M)
@@ -448,10 +460,6 @@ class TestJointPlacement:
         with pytest.raises(ValueError):
             joint_placement(skewed, MultiGPUPlatform(A100_SERVER))
 
-    def test_zero_iterations_rejected(self, skewed, platform):
-        with pytest.raises(ValueError):
-            joint_placement(skewed, platform, max_iterations=0)
-
     @pytest.mark.parametrize("argument,value", [
         # one node has nothing to iterate; a spec or count is no platform
         ("platform", MultiGPUPlatform(A100_SERVER)), ("platform", NODES),
@@ -459,9 +467,6 @@ class TestJointPlacement:
         # inf hung the net-aware reuse chain (its weight became NaN)
         ("row_bytes", float("inf")), ("row_bytes", "8"), ("row_bytes", True),
         ("row_bytes", float("nan")), ("row_bytes", 0),
-        # 2.5 and NaN escaped as a TypeError, True ran one round
-        ("max_iterations", 2.5), ("max_iterations", float("nan")),
-        ("max_iterations", True),
         # NaN and -1 were priced as zero, inf ended in an AssertionError
         ("allreduce_bytes", float("nan")), ("allreduce_bytes", -1),
         ("allreduce_bytes", float("inf")), ("allreduce_bytes", True),

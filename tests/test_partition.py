@@ -4,20 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.comm import joint_placement
 from repro.errors import PartitionError
 from repro.graph import Graph, load_dataset, toy_graph
 from repro.partition import (
     edge_cut,
     metis_partition,
-    partition_balance,
     range_chunks,
     remote_replica_rows,
     replication_factor,
     replication_factor_sweep,
+    search_placement,
     two_level_partition,
     vertex_data_per_subgraph,
     SubgraphChunk,
 )
+from repro.hardware import A100_CLUSTER, ClusterPlatform
 
 
 class TestMetis:
@@ -41,9 +43,9 @@ class TestMetis:
             metis_partition(medium_graph, 0)
 
     def test_balance_within_slack(self, medium_graph):
-        assignment = metis_partition(medium_graph, 4, seed=0,
-                                     balance_slack=0.05)
-        assert partition_balance(assignment, 4) <= 1.10
+        assignment = metis_partition(medium_graph, 4, seed=0)
+        largest = np.bincount(assignment, minlength=4).max()
+        assert largest / (len(assignment) / 4) <= 1.10
 
     def test_beats_random_cut(self, medium_graph):
         assignment = metis_partition(medium_graph, 4, seed=0)
@@ -255,3 +257,26 @@ def walked_remote_rows(graph, assignment, num_parts):
         if assignment[u] != assignment[v]:
             remote[assignment[v]].add(u)
     return [len(sources) for sources in remote]
+
+
+class TestRemovedSettings:
+    """Partitioning and placement settings no caller set are constants
+    (``BALANCE_SLACK``, ``REFINEMENT_PASSES``, ``MAX_REFINEMENTS``,
+    ``MAX_ITERATIONS``; GCN edge weights on every chunk): passing one is
+    a ``TypeError``, like any unknown keyword."""
+
+    @pytest.mark.parametrize("call", [
+        lambda g: metis_partition(g, 2, balance_slack=0.1),
+        lambda g: metis_partition(g, 2, refinement_passes=1),
+        lambda g: two_level_partition(g, 2, 2, gcn_weights=False),
+        lambda g: search_placement(two_level_partition(g, 4, 2), 2,
+                                   max_refinements=1),
+        lambda g: joint_placement(two_level_partition(g, 4, 2),
+                                  ClusterPlatform(A100_CLUSTER),
+                                  max_iterations=1),
+    ], ids=["metis_balance_slack", "metis_refinement_passes",
+            "two_level_gcn_weights", "search_max_refinements",
+            "joint_max_iterations"])
+    def test_removed_keyword_is_a_type_error(self, call):
+        with pytest.raises(TypeError):
+            call(toy_graph())

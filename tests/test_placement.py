@@ -220,7 +220,6 @@ class TestSearchPlacement:
 
     def test_strict_improvement_on_skewed_ordering(self, skewed):
         result = search_placement(skewed, NODES)
-        assert result.improved
         assert result.rows_search < result.rows_block
         assert result.swaps > 0
         # the reported rows are the real objective values
@@ -312,11 +311,6 @@ class TestSearchArguments:
             search_placement(partition, NODES,
                              compute_rows=np.ones((M, NODES + 1)))
 
-    @pytest.mark.parametrize("value", [-1, 2.5, 2.0, None, "4"])
-    def test_max_refinements(self, partition, value):
-        with pytest.raises(PartitionError, match="max_refinements"):
-            search_placement(partition, NODES, max_refinements=value)
-
     @pytest.mark.parametrize("value", [-1, 0.5, 1.0, None])
     def test_max_imbalance(self, partition, value):
         with pytest.raises(PartitionError, match="max_imbalance"):
@@ -329,7 +323,6 @@ class TestSearchArguments:
 
     def test_numpy_integers_are_integers(self, partition):
         result = search_placement(partition, np.int64(NODES),
-                                  max_refinements=np.int32(1),
                                   max_imbalance=np.int64(0))
         assert result.num_nodes == NODES
 
@@ -460,7 +453,7 @@ class TestExecutorPlacementContract:
         placement's measured fetch traffic must strictly beat block's
         on the skewed ordering."""
         result = search_placement(skewed, NODES)
-        assert result.improved
+        assert result.rows_search < result.rows_block
         block = _sweep(
             skewed, ClusterPlatform(A100_CLUSTER), dedup_inter=True)
         searched = _sweep(

@@ -128,11 +128,12 @@ class TestSameDecisions:
         assert not np.array_equal(fast.placement, free.placement)
 
     @pytest.mark.parametrize("max_refinements", [0, 1, 7])
-    def test_refinement_cap(self, layouts, max_refinements):
+    def test_refinement_cap(self, layouts, max_refinements, monkeypatch):
+        monkeypatch.setattr(shipped, "MAX_REFINEMENTS", max_refinements)
         partition = layouts[64, 8, "round_robin"]
         want = reference.reference_search_placement(
             partition, 8, max_refinements=max_refinements)
-        got = search_placement(partition, 8, max_refinements=max_refinements)
+        got = search_placement(partition, 8)
         assert_same_result(got, want)
         assert got.refinement_passes <= max_refinements
 

@@ -145,8 +145,7 @@ class TestSameDecisions:
         graph = Graph(src, dst, num_vertices, name="hubs")
         m = nodes * GPUS
         partition = two_level_partition(
-            graph, m, 4, assignment=np.arange(num_vertices) % m,
-            gcn_weights=False)
+            graph, m, 4, assignment=np.arange(num_vertices) % m)
         assert_same_reorganization(partition, platform_of(nodes))
         # The greedy phases themselves: all ties, ids kept.
         assert shipped._paper_greedy(
@@ -167,8 +166,7 @@ def random_partitions(draw):
     graph = Graph(rng.integers(0, num_vertices, num_edges),
                   rng.integers(0, num_vertices, num_edges), num_vertices)
     partition = two_level_partition(
-        graph, m, chunks, assignment=rng.integers(0, m, num_vertices),
-        gcn_weights=False)
+        graph, m, chunks, assignment=rng.integers(0, m, num_vertices))
     placement = rng.permutation(partition_nodes(m, nodes))
     return nodes, gpus, partition, placement
 

@@ -37,6 +37,7 @@ from repro.runtime.scheduler import (
 from repro.runtime.task import HOST_DEVICE
 from scheduler_oracle import (
     OracleScheduler,
+    dep_lists,
     reference_breakdown,
     scheduler_state,
     task_rows,
@@ -186,7 +187,7 @@ class TestEventScheduler:
         # past the allocated capacity: used to be a bare IndexError
         lambda s: s.submit("gpu", 0, 1.0, deps=[10_000]),
         lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
-                                 extra_deps=[np.array([3]), None]),
+                                 extra_deps=dep_lists([np.array([3]), None])),
         lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
                                  common_deps=np.array([-1])),
         # a recorded wave may name the program's earlier tasks and its
@@ -224,13 +225,13 @@ class TestEventScheduler:
         lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
                                  common_deps=np.array([1.9])),
         lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
-                                 extra_deps=[None, np.array([0.5])]),
+                                 extra_deps=dep_lists([None, np.array([0.5])])),
         lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
                                  extra_deps=np.array([0.5, 1.0])),
         lambda s: recorded(2).submit_batch("gpu", [1.0],
                                            deps=np.array([1.9])),
         lambda s: recorded(2).submit_batch("gpu", [1.0],
-                                           deps_by_device=[[0.5]]),
+                                           deps_by_device=dep_lists([[0.5]])),
         lambda s: s.submit_program(recorded(1, 1).finish(), [0.5]),
         lambda s: s.ends_of(np.array([0.5])),
         # a bare id is one id, but a bool or a float is no id at all
@@ -264,7 +265,7 @@ class TestEventScheduler:
         lambda s: s.submit_batch("gpu", [0, 1], [1.0, 2.0],
                                  extra_deps=np.array([[0, 0], [0, 0]])),
         lambda s: s.submit_batch("gpu", [0, 1], [1.0, 2.0],
-                                 extra_deps=[None, np.array([[0, 0]])]),
+                                 extra_deps=dep_lists([None, np.array([[0, 0]])])),
         lambda s: s.submit_batch("gpu", [0, 1], [1.0, 2.0],
                                  common_deps=np.array([[0]])),
         lambda s: WaveRecorder().submit_batch("gpu", [[1.0, 2.0]]),
@@ -575,6 +576,7 @@ class TestVectorizedScheduler:
                 slow.barrier()
             wave = self._random_wave(rng, fast.num_tasks)
             channel, devices, seconds, common, extras, shared, nbytes = wave
+            extras = None if extras is None else dep_lists(extras)
             ids_fast = fast.submit_batch(
                 channel, devices, seconds, common_deps=common,
                 extra_deps=extras, shared_by_task=shared, nbytes=nbytes)
@@ -750,7 +752,7 @@ class TestChainWaves:
         assert not wave([3]).chain  # a wave of one
         assert not wave([3, 1, 2]).chain
         for refused in (lambda: wave([3, 1, 3]),
-                        lambda: wave([3, 3], extras=[None, [0]]),
+                        lambda: wave([3, 3], extras=dep_lists([None, [0]])),
                         lambda: wave([3, 3], holds=[[("core", 0.5)], []])):
             with pytest.raises(SchedulerError, match="distinct"):
                 refused()
@@ -797,7 +799,7 @@ class TestWaveRule:
     #: device outside a chain
     REFUSED = {
         "two_devices": ([0, 1, 0], None, None),
-        "chain_with_extras": ([2, 2], [[0], None], None),
+        "chain_with_extras": ([2, 2], dep_lists([[0], None]), None),
         "chain_with_holds": ([2, 2], None, [[("core", 0.5)], []]),
         "one_producer_each": ([1, 1, 3], np.array([0, 0, 0]), None),
         "net_links": ([-2, -3, -2], None, None),
@@ -911,8 +913,8 @@ class TestWavePrograms:
             # them so the low ones land on the external slots
             common = None if common is None else common - num_external
             if extras is not None:
-                extras = [None if e is None else e - num_external
-                          for e in extras]
+                extras = dep_lists([None if e is None else e - num_external
+                                    for e in extras])
                 if rng.random() < 0.3:  # the (k,) one-producer-each form
                     pool = recorded_tasks + num_external
                     extras = rng.integers(pool, size=len(seconds)) \
@@ -939,8 +941,9 @@ class TestWavePrograms:
         n = fresh.scheduler.num_tasks
         for wave in waves:
             per_device = wave.get("deps_by_device")
-            if isinstance(per_device, list):
-                per_device = [self._bind(e, external, n) for e in per_device]
+            if isinstance(per_device, DepLists):
+                per_device = DepLists(self._bind(per_device.ids, external, n),
+                                      per_device.counts)
             else:  # None, or one producer per device
                 per_device = self._bind(per_device, external, n)
             fresh.submit_batch(**{
@@ -1007,8 +1010,8 @@ class TestWavePrograms:
                  devices=[0, 0, 0], deps=np.array([-1])),
             dict(channel="gpu", per_device_seconds=[1.0, 2.0, 0.5, 0.25],
                  devices=[1, 2, 0, 3],
-                 deps_by_device=[np.array([0, 2]), None, np.array([-1]),
-                                 np.array([1])],
+                 deps_by_device=dep_lists([np.array([0, 2]), None,
+                                           np.array([-1]), np.array([1])]),
                  shared_by_device=[[("core", 0.5)], [], [("core", 0.25)],
                                    []])], False),
         # 3 x 90 tasks and 3 x 120 extra ids: the task arrays and
@@ -1016,8 +1019,8 @@ class TestWavePrograms:
         "crosses_capacity": ([
             dict(channel="h2d", per_device_seconds=np.arange(30.0) / 8),
             dict(channel="gpu", per_device_seconds=np.arange(30.0) / 16,
-                 deps_by_device=[np.array([t, (t + 7) % 30, -1])
-                                 for t in range(30)]),
+                 deps_by_device=dep_lists([np.array([t, (t + 7) % 30, -1])
+                                           for t in range(30)])),
             dict(channel="d2h", per_device_seconds=np.ones(30),
                  deps_by_device=np.arange(30, 60),
                  nbytes=np.arange(30) * 8)], False),
@@ -1191,11 +1194,13 @@ class TestWavePrograms:
                     seen.add("chain")
                 if wave["shared_by_device"] is not None:
                     seen.add("holds")
-                if isinstance(wave["deps_by_device"], np.ndarray):
-                    seen.add("one each")
-                elif wave["deps_by_device"] is not None:
+                per_device = wave["deps_by_device"]
+                if isinstance(per_device, DepLists):
                     seen.add("ragged")
-                for ids in (wave["deps"], wave["deps_by_device"]):
+                    per_device = per_device.ids
+                elif per_device is not None:
+                    seen.add("one each")
+                for ids in (wave["deps"], per_device):
                     if isinstance(ids, np.ndarray) and (ids < 0).any():
                         seen.add("names a slot")
         assert seen == {"external=0", "external=1", "external=2",
@@ -1290,7 +1295,7 @@ class TestEventTimeline:
 
     @pytest.mark.parametrize("kwargs", [
         dict(deps=np.array([1.9])),
-        dict(deps_by_device=[None, [0.5]]),
+        dict(deps_by_device=dep_lists([None, [0.5]])),
         dict(deps_by_device=np.array([[0, 0], [0, 0]])),
         dict(deps=[7]),
         dict(devices=[0.5, 1.5]),
@@ -1390,20 +1395,10 @@ def _entries(deps):
 
 
 class TestDepLists:
-    """The flat per-task form: :meth:`DepLists.of` and :meth:`DepLists.join`
-    are per-entry concatenation, a wave submitted in it leaves the
-    columns the list form leaves, and every malformed scheduler input
-    fails inside :class:`SchedulerError` before any state changes."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_of_is_per_entry_concatenation(self, data):
-        k = data.draw(st.integers(1, 6))
-        entries = _lists(data.draw, k, 10)
-        deps = DepLists.of(entries)
-        assert deps.ids.dtype == deps.counts.dtype == np.int64
-        assert len(deps) == k
-        assert _entries(deps) == _expected(entries)
+    """The flat per-task form: :meth:`DepLists.join` is per-entry
+    concatenation, a wave submitted in a joined form leaves the columns
+    its parts leave, and every malformed scheduler input fails inside
+    :class:`SchedulerError` before any state changes."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -1421,7 +1416,7 @@ class TestDepLists:
                 part, entries = np.empty(0, dtype=np.int64), [[]] * k
             else:
                 entries = _lists(data.draw, k, 10)
-                part = DepLists.of(entries)
+                part = dep_lists(entries)
                 entries = _expected(entries)
             parts.append(part)
             for task in range(k):
@@ -1432,9 +1427,10 @@ class TestDepLists:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_wave_as_dep_lists_leaves_the_list_columns(self, data):
+    def test_joined_dep_lists_leave_the_same_columns(self, data):
         """Same starts, ends, blockers and stored extras in their order,
-        whichever form carries the lists — holds included."""
+        whether the lists come as they are or through :meth:`DepLists.join`
+        — holds included."""
         k = data.draw(st.integers(1, 6))
         entries = _lists(data.draw, k, 5)
         devices = data.draw(st.lists(st.integers(0, 7), min_size=k,
@@ -1444,15 +1440,15 @@ class TestDepLists:
         holds = data.draw(st.none() | st.lists(
             st.sampled_from([[], [("core", 0.5)]]), min_size=k, max_size=k))
         states = []
-        for form in (entries, DepLists.of(entries),
-                     DepLists.join(k, DepLists.of(entries))):
+        for form in (dep_lists(entries),
+                     DepLists.join(k, dep_lists(entries))):
             scheduler = EventScheduler()
             scheduler.submit_batch("h2d", [0, 1, 2, 3, 4],
                                    [3.0, 1.0, 2.0, 0.5, 2.0])
             scheduler.submit_batch("gpu", devices, seconds, extra_deps=form,
                                    shared_by_task=holds)
             states.append(scheduler_state(scheduler))
-        assert states[0] == states[1] == states[2]
+        assert states[0] == states[1]
 
     def test_recorded_dep_lists_outlive_the_caller(self):
         """A recorder keeps nothing the caller owns: the counts are
@@ -1485,7 +1481,16 @@ class TestDepLists:
          "ordered"),
         (lambda s: WaveRecorder(1).submit_batch(
             "gpu", [1.0, 1.0], deps_by_device={-1, -1}), "ordered"),
-        (lambda s: DepLists.of(e for e in ([0], [1])), "ordered"),
+        # a plain list of per-task lists: ``.ids`` raised AttributeError
+        (lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                  extra_deps=[[0], [1]]), "DepLists"),
+        (lambda s: s.submit_batch("gpu", [0, 1], [1.0, 1.0],
+                                  extra_deps=[np.array([0]), None]),
+         "DepLists"),
+        (lambda s: _on_timeline(s).submit_batch(
+            "gpu", [1.0, 1.0], deps_by_device=[[0], None]), "DepLists"),
+        (lambda s: WaveRecorder(1).submit_batch(
+            "gpu", [1.0, 1.0], deps_by_device=[[-1], [-1]]), "DepLists"),
         # ran as 1 s and 0 s
         (lambda s: s.submit_batch("gpu", [0, 1], np.array([True, False])),
          "seconds"),
@@ -1558,7 +1563,9 @@ class TestDepLists:
             "gpu", [1.0, 1.0], deps_by_device=DepLists(
                 np.array([0, 1]), np.array([1, 1]))), "unsubmitted"),
     ], ids=["generator", "set", "dict", "holds_iterator",
-            "timeline_generator", "program_set", "of_generator",
+            "timeline_generator", "program_set", "plain_list",
+            "list_of_arrays",
+            "timeline_plain_list", "program_plain_list",
             "bool_seconds", "bool_submit", "timeline_bool", "program_bool",
             "device_2**62", "device_below_-2**62", "device_int64_max",
             "device_uint64_2**63", "device_uint64_wraps_to_link",
