@@ -147,8 +147,8 @@ def relu(a: Tensor) -> Tensor:
 def leaky_relu(a: Tensor) -> Tensor:
     """LeakyReLU with slope :data:`LEAKY_SLOPE` below zero (GAT's)."""
     a = Tensor.as_tensor(a)
-    mask = a.data > 0
-    scale = np.where(mask, 1.0, LEAKY_SLOPE)
+    # the scale in the input's own dtype: a float32 input stays float32
+    scale = np.where(a.data > 0, 1.0, LEAKY_SLOPE).astype(a.data.dtype)
 
     def backward(grad: np.ndarray) -> None:
         a.accumulate_grad(grad * scale)

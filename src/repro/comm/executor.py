@@ -1,11 +1,13 @@
 """Executable deduplicated communication (Algorithms 2 and 3).
 
-:class:`DedupCommunicator` performs the *actual* data movement of HongTu's
-communication framework on numpy buffers — real values flow through real
-transition buffers with the in-place position indices computed by the
-planner — while emitting every transfer onto an event timeline, with its
-simulated seconds and the bytes it moves, and registering buffer memory
-with the simulated GPUs' pools.
+:class:`DedupCommunicator` prices HongTu's communication framework and
+performs the part of it whose order can change a float. Every transfer of
+Algorithms 2 and 3 is emitted onto an event timeline, with its simulated
+seconds and the bytes it moves, and the transition buffers are registered
+with the simulated GPUs' memory pools; of the rows themselves only the
+gradients move — summed into transition gradient buffers by several
+readers, then flushed into the host ∇h — because a value a GPU reads out
+of a transition buffer is the host row staged there, unchanged.
 
 Forward (Algorithm 2): per batch, each GPU
 
@@ -49,27 +51,26 @@ per-GPU (or per-link) lists travel as one
 :class:`~repro.runtime.scheduler.DepLists`, built with array ops from the
 halo splits' CSR index arrays.
 
-Value movement is *one address space*: the m transition buffers are row
-ranges of one stacked array (:class:`~repro.runtime.buffers.TransitionBuffers`)
-and the plan stores, per (batch, GPU), the stacked-buffer slot of every
-needed and every loaded row. The load is one indexed store for the whole
-wave (``stacked[zero_slots] = host[load_vertices]``: the staged slots are
-distinct, so the order of the writes is immaterial), and
-:meth:`DedupCommunicator.stage_batch_forward` hands the caller the
-stacked buffer itself: GPU i's input h_{N_ij} is
-``stacked[source_slots]``, and a caller that reads it through the slots
-copies no input at all. The trainer's linear AGGREGATE is one such
-product per batch (:meth:`repro.gnn.block.Block.in_slots`), which is
-§6's engine with its gather fused into the SpMM;
-:meth:`DedupCommunicator.load_batch_forward` gathers one copy per GPU for
-the callers that need them (GAT and GGNN's tape). The backward is one
-indexed op per GPU, in GPU order: ``stacked[source_slots] += grads``,
-then the flush. The slots are the only routing the plan stores; the
-per-segment seconds classification reads the (reader, source, rows)
-triples :meth:`~repro.comm.plan.CommPlan.segments` derives from them, once
-per batch. The scatter stays per GPU: a slot that several GPUs read is
-named once per reader, and one flat indexed ``+=`` over all of them would
-keep only one reader's row.
+Row movement is *gradients only, in one address space*. A forward batch
+copies nothing: :meth:`DedupCommunicator.submit_batch_forward` emits its
+loads, reuse copies and fetches, and a reader takes the staged rows from
+where they came from — GPU i's input h_{N_ij} is ``h[needed_i]`` of the
+host's h^l, which is what the buffer slots would hold. The trainer's
+linear AGGREGATE is one product per batch over h^l
+(:meth:`repro.gnn.block.Block.in_slots`), §6's engine with its gather
+fused into the SpMM; :meth:`DedupCommunicator.load_batch_forward` returns
+one copy per GPU for the callers that need them (GAT and GGNN's tape).
+The backward accumulates into the m transition gradient buffers as row
+ranges of one stacked array
+(:class:`~repro.runtime.buffers.TransitionBuffers`), at the slots the plan
+stores per (batch, GPU): each GPU's rows add in place at its needed rows'
+slots, then every flushed slot adds into its vertex's host row — two
+prepared :class:`~repro.runtime.buffers.OrderedAdd` reductions per batch,
+one compiled call per GPU for the scatter and one for the flush. The slots
+are the only routing the plan stores; the per-segment seconds
+classification reads the (reader, source, rows) triples
+:meth:`~repro.comm.plan.CommPlan.segments` derives from them, once per
+batch.
 
 On a :class:`~repro.hardware.platform.ClusterPlatform` the same plan spans
 several nodes and three kinds of traffic additionally cross the network,
@@ -109,14 +110,16 @@ so an arbitrary partition→node assignment routes correctly with no
 changes here.
 
 The framework is numerically exact regardless of the timeline's overlap
-policy: data moves eagerly in program order, so summing atomic pushes and host accumulation
-reproduces the monolithic scatter-add gradient bit-for-bit (up to float
-addition order). That order is fixed too: within one GPU the needed rows
-name distinct slots, so its indexed ``+=`` adds each gradient row exactly
-once, and a slot shared by several readers accumulates them in reader-GPU
-order — the order of the per-segment walk this replaced
-(``tests/executor_reference.py`` keeps that walk as the oracle, compared
-with ``np.array_equal``).
+policy: rows move eagerly in program order, so summing atomic pushes and
+host accumulation reproduces the monolithic scatter-add gradient
+bit-for-bit (up to float addition order). That order is fixed too:
+within one GPU the needed rows name distinct slots, so each gradient row
+is added exactly once, GPUs add in GPU order, so a slot shared by several
+readers accumulates them in reader-GPU order, and a host row flushed from
+several GPUs' buffers (without inter-GPU dedup) takes them in GPU order —
+the order of the per-segment walk the stacked buffer replaced
+(``tests/executor_reference.py`` keeps that walk, and the per-GPU indexed
+``+=`` after it, as the oracles, compared with ``np.array_equal``).
 """
 
 from __future__ import annotations
@@ -130,7 +133,7 @@ from repro.comm.plan import CommPlan
 from repro.errors import CommunicationPlanError
 from repro.hardware.clock import EventTimeline
 from repro.hardware.platform import MultiGPUPlatform
-from repro.runtime.buffers import TransitionBuffers
+from repro.runtime.buffers import OrderedAdd, TransitionBuffers
 from repro.runtime.scheduler import DepLists
 from repro.runtime.task import SPINE_RESOURCE, net_link, net_link_nodes
 from repro.units import SCALAR_BYTES
@@ -184,9 +187,8 @@ class _BatchStatic:
     #: per GPU, ``len(needed)`` — the row count of its input and gradient
     needed_rows: np.ndarray
     #: stacked-buffer slots newly staged this batch, all GPUs (their
-    #: gradient starts at zero), and the host vertices loaded into them
+    #: gradient starts at zero)
     zero_slots: np.ndarray
-    load_vertices: np.ndarray
     load_halo: _HaloSplit
     #: flattened fetch segments, (plan, segment) order, split by class
     local_gpu: np.ndarray
@@ -197,10 +199,14 @@ class _BatchStatic:
     d2d_rows_by_gpu: np.ndarray
     fetch_halo: _HaloSplit
     push_halo: _HaloSplit
+    #: the scatter: part i adds GPU i's gradient rows into their
+    #: stacked-buffer slots (its plan's ``source_slots``)
+    scatter: OrderedAdd
     flush_rows: np.ndarray
-    #: per GPU, the flushed vertices and their stacked-buffer slots
-    flush_vertices: List[np.ndarray]
-    flush_slots: List[np.ndarray]
+    #: the flush: every flushed slot of the stacked buffer adds into its
+    #: vertex's host row, in slot order — GPU order, a GPU's slots being
+    #: its buffer's row range
+    flush: OrderedAdd
     flush_halo: _HaloSplit
 
 
@@ -379,9 +385,12 @@ class PlanStatic:
                  for plan in following])
             flush = ~np.isin(slots, kept, assume_unique=True)
         flush_rows = np.bincount(staged_gpu[flush], minlength=m)
-        cuts = np.cumsum(flush_rows)[:-1]
-        flush_vertices = np.split(
-            np.concatenate([plan.transition for plan in plans])[flush], cuts)
+        staged = np.concatenate([plan.transition for plan in plans])
+        # A batch's staged slots are distinct, so slot order is one order
+        # of the flushed rows, and it is GPU order.
+        flushed = np.zeros(offsets[-1], dtype=np.int64)
+        flushed[slots[flush]] = 1
+        by_slot = np.argsort(slots[flush])
         return _BatchStatic(
             loaded_rows=np.array([plan.num_loaded for plan in plans],
                                  dtype=np.int64),
@@ -389,8 +398,6 @@ class PlanStatic:
                                  dtype=np.int64),
             needed_rows=needed_rows,
             zero_slots=np.concatenate([plan.load_slots for plan in plans]),
-            load_vertices=np.concatenate(
-                [plan.load_vertices for plan in plans]),
             load_halo=self._vertex_halo(
                 [plan.load_vertices for plan in plans], toward_owner=False),
             local_gpu=reader[local],
@@ -403,10 +410,15 @@ class PlanStatic:
                                         reader[halo], rows[halo]),
             push_halo=self._build_halo(reader_node[halo], owner_node[halo],
                                        reader[halo], rows[halo]),
+            scatter=OrderedAdd([plan.source_slots for plan in plans],
+                               offsets[-1]),
             flush_rows=flush_rows,
-            flush_vertices=flush_vertices,
-            flush_slots=np.split(slots[flush], cuts),
-            flush_halo=self._vertex_halo(flush_vertices, toward_owner=True),
+            flush=OrderedAdd([staged[flush][by_slot]],
+                             len(self.plan.partition.assignment),
+                             counts=[flushed]),
+            flush_halo=self._vertex_halo(
+                np.split(staged[flush], np.cumsum(flush_rows)[:-1]),
+                toward_owner=True),
         )
 
 
@@ -703,40 +715,44 @@ class DedupCommunicator:
     # ------------------------------------------------------------------
     def load_batch_forward(self, batch: int, host_values: np.ndarray,
                            timeline: EventTimeline) -> List[np.ndarray]:
-        """Assemble h_{N_ij} for every GPU of ``batch`` from host memory.
+        """Emit ``batch``'s forward traffic and return every GPU's input.
 
-        :meth:`stage_batch_forward`, then one gather per GPU out of the
-        stacked buffer. Returns one (len(needed_i), dim) array per GPU,
-        ordered like each plan's ``needed`` set, in the *sweep's* dtype
-        (the rows are read out of the transition buffers). Raises as
-        :meth:`stage_batch_forward` does.
+        :meth:`submit_batch_forward`, then h_{N_ij} for every GPU: the
+        rows of ``host_values`` at its plan's ``needed`` set, in that
+        order, in the *sweep's* dtype. A row a GPU reads out of a
+        transition buffer is the host row staged there, so they are read
+        from the host. A ``batch`` outside the plan, no active sweep, or a
+        ``host_values`` that is not this sweep's ``(num_vertices, dim)``
+        array raises :class:`~repro.errors.CommunicationPlanError` before
+        anything is emitted.
         """
-        stacked = self.stage_batch_forward(batch, host_values, timeline)
-        return [stacked[plan.source_slots] for plan in self.plan.plans[batch]]
-
-    def stage_batch_forward(self, batch: int, host_values: np.ndarray,
-                            timeline: EventTimeline) -> np.ndarray:
-        """Stage ``batch``'s rows from host memory and emit its forward
-        traffic; return the stacked transition buffer.
-
-        Every GPU's input h_{N_ij} is then ``stacked[source_slots]`` of its
-        plan, but nothing gathers it here: a caller that reads the rows
-        through the slots (:meth:`repro.gnn.block.Block.in_slots`) needs no
-        per-GPU copy. The waves are all of Algorithm 2's — loads, reuse
-        copies, P2P and halo fetches, intra-GPU gathers — so the timeline
-        is :meth:`load_batch_forward`'s, and :meth:`batch_input_dep_ids`
-        names the tasks each GPU's compute waits for. The returned array is
-        the sweep's own buffer, in the sweep's dtype (a ``host_values`` of
-        another dtype is cast on its way in): valid until the next staging
-        call or :meth:`end_sweep`, and not to be written. A ``batch``
-        outside the plan or a ``host_values`` that is not this sweep's
-        ``(num_vertices, dim)`` array raises
-        :class:`~repro.errors.CommunicationPlanError` before anything
-        moves or is emitted.
-        """
-        buffers = self._require_sweep()
-        static = self.static.batch(batch)
+        dtype = self._require_sweep().dtype
+        self.static.batch(batch)
         self._require_host("host_values", host_values)
+        self.submit_batch_forward(batch, timeline)
+        return [host_values[plan.needed].astype(dtype, copy=False)
+                for plan in self.plan.plans[batch]]
+
+    def submit_batch_forward(self, batch: int,
+                             timeline: EventTimeline) -> None:
+        """Emit ``batch``'s forward traffic; no row moves.
+
+        The waves, labels, bytes and dependencies of Algorithm 2 for one
+        batch: host loads (``halo_load``, ``load``) and in-place reuse
+        copies (``reuse``), then the assembly of every GPU's input — P2P
+        and halo fetches (``fetch``, ``halo_fetch``) and intra-GPU reads
+        (``gather``). :meth:`batch_input_dep_ids` then names the tasks
+        each GPU's compute waits for. The mirror of
+        :meth:`submit_batch_backward`: a caller that reads the staged rows
+        where they come from — h^l on the host, the trainer's AGGREGATE
+        through :meth:`repro.gnn.block.Block.in_slots` — needs nothing
+        more; :meth:`load_batch_forward` adds the per-GPU inputs. A
+        ``batch`` outside the plan or no active sweep raises
+        :class:`~repro.errors.CommunicationPlanError` before anything is
+        emitted.
+        """
+        self._require_sweep()
+        static = self.static.batch(batch)
         m = self.plan.num_gpus
         row_bytes = self._dim * SCALAR_BYTES
         gpu_ids = self.static.gpu_ids
@@ -745,8 +761,6 @@ class DedupCommunicator:
         # owned by a remote node's partitions must cross the network before
         # they can cross this node's PCIe (empty under dedup_inter: every
         # staged row is owner-local).
-        stacked = buffers.stacked
-        stacked[static.zero_slots] = host_values[static.load_vertices]
         loaded_bytes = static.loaded_rows * row_bytes
         reused_bytes = static.reused_rows * row_bytes
         h2d_seconds = self.platform.h2d_seconds(loaded_bytes,
@@ -779,8 +793,7 @@ class DedupCommunicator:
         # Phase 2: assemble local inputs from (possibly remote) buffers.
         # Same-node remote reads ride NVLink (d2d); reads from a buffer
         # staged on another node are the halo exchange and ride a network
-        # link instead. Whatever carries a row, it is one slot of the
-        # stacked buffer, which is where the caller reads it.
+        # link instead.
         d2d_seconds, local_seconds = self._segment_seconds(static, row_bytes)
 
         staged = np.concatenate([load_ids, reuse_ids])
@@ -808,7 +821,6 @@ class DedupCommunicator:
             "load": load_ids, "reuse": reuse_ids,
             "assemble": assemble_ids,
         })
-        return stacked
 
     def batch_input_dep_ids(self) -> DepLists:
         """Per GPU, the latest batch's input-producing tasks.
@@ -857,10 +869,17 @@ class DedupCommunicator:
         already-submitted tasks that produced each GPU's gradients (the
         backward kernels, one per GPU). A ``batch`` outside the plan, a
         ``host_grads`` that is not this sweep's ``(num_vertices, dim)``
-        array, ``neighbor_grads`` that is not one ``(len(needed_i), dim)``
-        array per GPU, or a ``deps_by_device`` of another form, dtype or
-        range raises :class:`~repro.errors.CommunicationPlanError` before
+        array — C-contiguous, float32 or float64, at least as wide as the
+        sweep's dtype — ``neighbor_grads`` that is not one
+        ``(len(needed_i), dim)`` array per GPU of a dtype the sweep's holds
+        exactly, or a ``deps_by_device`` of another form, dtype or range
+        raises :class:`~repro.errors.CommunicationPlanError` before
         anything moves or is emitted.
+
+        The rows add in place: each GPU's into the stacked gradient buffer,
+        GPUs in order, then the flushed slots into ``host_grads``, each
+        host row taking its slots in GPU order (:class:`OrderedAdd`) — the
+        additions, and their order, of one indexed ``+=`` per GPU.
         """
         buffers = self._require_sweep()
         static = self.static.batch(batch)
@@ -872,7 +891,8 @@ class DedupCommunicator:
                 f"neighbor_grads must hold one gradient array per GPU "
                 f"({m}), got {len(neighbor_grads)}"
             )
-        shapes = [np.shape(grads) for grads in neighbor_grads]
+        neighbor_grads = [np.asarray(grads) for grads in neighbor_grads]
+        shapes = [grads.shape for grads in neighbor_grads]
         expected = [(rows, self._dim) for rows in static.needed_rows.tolist()]
         if shapes != expected:
             gpu = next(i for i in range(m) if shapes[i] != expected[i])
@@ -880,25 +900,41 @@ class DedupCommunicator:
                 f"neighbor_grads[{gpu}] has shape {shapes[gpu]}, which does "
                 f"not match GPU {gpu}'s needed set {expected[gpu]}"
             )
+        # The adds are exact only into a dtype at least as wide (a float
+        # += casts nothing else exactly), and land in host_grads itself.
+        dtype = buffers.dtype
+        narrowing = [i for i, grads in enumerate(neighbor_grads)
+                     if not np.can_cast(grads.dtype, dtype, "safe")]
+        if narrowing:
+            raise CommunicationPlanError(
+                f"neighbor_grads[{narrowing[0]}] is "
+                f"{neighbor_grads[narrowing[0]].dtype}, which this sweep's "
+                f"{dtype} buffers cannot hold exactly"
+            )
+        if not (host_grads.flags.c_contiguous
+                and host_grads.dtype in (np.float32, np.float64)
+                and np.can_cast(dtype, host_grads.dtype, "safe")):
+            raise CommunicationPlanError(
+                f"host_grads must be a C-contiguous float array that holds "
+                f"this sweep's {dtype} exactly, got a "
+                f"{'' if host_grads.flags.c_contiguous else 'strided '}"
+                f"{host_grads.dtype} array"
+            )
         self._require_producers(deps_by_device, timeline)
 
         # Zero the slots newly staged this batch (their gradient starts now).
         stacked = buffers.stacked
         stacked[static.zero_slots] = 0.0
-        # Phase 1: scatter gradients into owners' buffers (atomicAdd_system).
-        # One GPU's needed rows never name a buffer slot twice
-        # (build_comm_plan checks), so its indexed += accumulates every
-        # row, and GPU order is the addition order of a slot several
-        # readers share; so does the flush below over each GPU's distinct
-        # vertices.
-        # repro-lint: allow-loop — per-GPU numpy scatter (numerics, not timing); one indexed op per GPU
-        for plan, grads in zip(plans, neighbor_grads):
-            stacked[plan.source_slots] += grads
-        # Phase 2: flush gradients not reused by the next batch.
-        # repro-lint: allow-loop — per-GPU numpy flush-add (numerics, not timing); one indexed op per GPU
-        for vertices, slots in zip(static.flush_vertices,
-                                   static.flush_slots):
-            host_grads[vertices] += stacked[slots]
+        # Phase 1: scatter gradients into owners' buffers (atomicAdd_system),
+        # each GPU's rows added in place by one compiled call, GPUs in
+        # order: GPU order is the addition order of a slot several readers
+        # share. One GPU's needed rows never name a slot twice
+        # (build_comm_plan checks).
+        for gpu, grads in enumerate(neighbor_grads):
+            static.scatter(stacked, grads, gpu)
+        # Phase 2: flush gradients not reused by the next batch: host row
+        # v takes its flushed slots in GPU order.
+        static.flush(host_grads, stacked)
         self._emit_backward(batch, static, timeline, deps_by_device)
 
     def submit_batch_backward(self, batch: int, timeline: EventTimeline,

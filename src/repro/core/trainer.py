@@ -11,20 +11,21 @@ Execution structure per epoch (paper Algorithm 1):
 1. **Forward**, layer by layer; within a layer, batch by batch; within a
    batch, the m chunks run concurrently on the m GPUs. Neighbor
    representations are staged through the deduplicated communication
-   framework. A cacheable layer's AGGREGATE reads them where they are
-   staged — one product per batch over the stacked transition buffer —
-   and its UPDATE runs per chunk on row views of that product; the other
-   layers (GAT, GGNN) gather each GPU's input and run per chunk. Outputs
-   are copied back to the host vertex buffer h^{l+1}; for cacheable
-   layers under the ``hybrid`` policy the AGGREGATE output is checkpointed
-   to host memory; all other intermediates are dropped (``no_grad``).
+   framework, which emits every transfer; a staged row is the host row
+   it came from, so the numerics read h^l on the host. A cacheable
+   layer's AGGREGATE is one product per batch over h^l, and its UPDATE
+   runs per chunk on row views of that product; the other layers (GAT,
+   GGNN) take each GPU's input rows and run per chunk. Outputs are copied
+   back to the host vertex buffer h^{l+1}; for cacheable layers under the
+   ``hybrid`` policy the AGGREGATE output is checkpointed to host memory;
+   all other intermediates are dropped (``no_grad``).
 2. **Downstream task** on the host: masked cross-entropy on h^L seeds ∇h^L.
 3. **Backward**, last layer to first. Cacheable layers take their
    aggregate — the host checkpoint under ``hybrid``, a product over a
    second staging under ``recompute`` — and the destinations' own rows,
    recompute only the UPDATE under a fresh tape, and propagate neighbor
    gradients through the closed-form aggregate adjoint. Non-cacheable
-   layers re-gather their input neighbor set (a second deduplicated
+   layers re-stage their input neighbor set (a second deduplicated
    forward load) and recompute the full layer under the tape.
    For l ≥ 1, ∇h^l returns to the host buffer through the deduplicated
    backward communication. Layer 0's inputs are the constant features,
@@ -45,7 +46,9 @@ buffers are double-buffered to make that safe), and the epoch time is the
 critical-path makespan. Layer sweeps are separated by barriers in both
 modes — layer l+1 reads rows that layer l writes back. The simulated numpy
 work itself always runs eagerly in program order, so the choice of overlap
-policy cannot change any number the model computes.
+policy cannot change any number the model computes. Every GPU's workspace
+of a (layer, batch) is reserved in its own pool before the batch's chunks
+run and released after them, so each pool's peak is that of its chunk.
 
 On a :class:`~repro.hardware.platform.ClusterPlatform` the same epoch
 spans N nodes: cross-node neighbor traffic becomes halo-exchange ``net``
@@ -63,8 +66,9 @@ re-decided through :mod:`repro.core.elastic`.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -271,9 +275,9 @@ class HongTuTrainer:
         self.reorganization = fleet.reorganization
         self._comm_values = fleet.comm_values
         self._comm_grads = fleet.comm_grads
-        #: batch → its chunks as one block over the stacked transition
-        #: buffer (:meth:`_batch_block`); the partition outlives this plan
-        #: (a planner may share it), so the blocks live here, not on it
+        #: batch → its chunks as one block over the host's h^l
+        #: (:meth:`_batch_block`); the partition outlives this plan (a
+        #: planner may share it), so the blocks live here, not on it
         self._batch_blocks: Dict[int, Block] = {}
 
     @property
@@ -399,15 +403,14 @@ class HongTuTrainer:
                     )
                 input_deps = self._comm_values.batch_input_dep_ids()
                 costs = self.fleet.shapes.forward(layer, j)
-                workspace = costs.workspace_bytes.tolist()
                 stop = 0
-                # repro-lint: allow-loop — per-GPU numerics + workspace reservation over python chunk objects; emission below is batched
-                for i in range(self.plan.num_gpus):
-                    chunk = self.partition.chunks[i][j]
-                    block = chunk.block
-                    start, stop = stop, stop + block.num_dst
-                    with platform.gpus[i].memory.scoped("forward_workspace",
-                                                        workspace[i]):
+                with self._workspaces("forward_workspace",
+                                      costs.workspace_bytes):
+                    # repro-lint: allow-loop — per-GPU numerics over python chunk objects; emission below is batched
+                    for i in range(self.plan.num_gpus):
+                        chunk = self.partition.chunks[i][j]
+                        block = chunk.block
+                        start, stop = stop, stop + block.num_dst
                         with no_grad():
                             if layer.cacheable_aggregate:
                                 # UPDATE stays per chunk, on row views; an
@@ -517,20 +520,18 @@ class HongTuTrainer:
                 inputs = self._comm_values.load_batch_forward(
                     j, self._h[l], timeline)
             input_deps = self._comm_values.batch_input_dep_ids()
-        workspace = costs.workspace_bytes.tolist()
         # ∇h⁰ is the gradient of the constant features: nothing reads it
         needs_input_grad = l > 0
         # per GPU, its input rows' gradient (empty at layer 0)
         neighbor_grads: List[np.ndarray] = []
 
         stop = 0
-        # repro-lint: allow-loop — per-GPU numerics + workspace reservation over python chunk objects; emission below is batched
-        for i in range(self.plan.num_gpus):
-            chunk = self.partition.chunks[i][j]
-            grad_out = self._grad_h[l + 1][chunk.dst_global]
-            start, stop = stop, stop + chunk.num_dst
-            with self.platform.gpus[i].memory.scoped("backward_workspace",
-                                                     workspace[i]):
+        with self._workspaces("backward_workspace", costs.workspace_bytes):
+            # repro-lint: allow-loop — per-GPU numerics over python chunk objects; emission below is batched
+            for i in range(self.plan.num_gpus):
+                chunk = self.partition.chunks[i][j]
+                grad_out = self._grad_h[l + 1][chunk.dst_global]
+                start, stop = stop, stop + chunk.num_dst
                 if layer.cacheable_aggregate:
                     agg = (self._take_checkpoint(l, i, j) if use_cache
                            else aggregate[start:stop])
@@ -569,31 +570,50 @@ class HongTuTrainer:
             self._comm_grads.submit_batch_backward(
                 j, timeline, deps_by_device=compute_ids)
 
+    @contextlib.contextmanager
+    def _workspaces(self, tag: str, nbytes: np.ndarray) -> Iterator[None]:
+        """Reserve every GPU's workspace of one (layer, batch), in GPU
+        order, for the body; release them all on the way out.
+
+        Each GPU's pool holds only its own reservation, so its peak and
+        the :class:`~repro.errors.DeviceOutOfMemoryError` of the first
+        GPU that cannot fit are those of reserving per chunk; the ones
+        already reserved are released before the error propagates.
+        """
+        allocations = []
+        try:
+            for gpu, size in zip(self.platform.gpus, nbytes.tolist()):
+                allocations.append(gpu.memory.alloc(tag, size))
+            yield
+        finally:
+            for allocation in allocations:
+                allocation.free()
+
     def _aggregate_batch(self, l: int, j: int,
                          timeline: EventTimeline) -> np.ndarray:
-        """Stage batch ``j`` of layer ``l`` (a cacheable layer) and compute
-        every chunk's AGGREGATE as one product over the stacked buffer.
+        """Emit the staging of batch ``j`` of layer ``l`` (a cacheable
+        layer) and compute every chunk's AGGREGATE as one product over the
+        host's h^l.
 
         Chunk (i, j)'s aggregate is its row range of the result, the
-        chunks in GPU order. No GPU's input is gathered, and the rows
-        equal the per-chunk products to the bit
-        (:meth:`~repro.gnn.block.Block.in_slots`).
+        chunks in GPU order. A transition buffer holds the host rows it
+        stages, so no row is copied, and the rows equal the per-chunk
+        products to the bit (:meth:`~repro.gnn.block.Block.in_slots`).
         """
-        stacked = self._comm_values.stage_batch_forward(j, self._h[l],
-                                                        timeline)
+        self._comm_values.submit_batch_forward(j, timeline)
         with no_grad():
             return self.model.layers[l].aggregate(self._batch_block(j),
-                                                  Tensor(stacked)).data
+                                                  Tensor(self._h[l])).data
 
     def _batch_block(self, j: int) -> Block:
-        """Batch ``j``'s chunks as one block over the stacked transition
-        buffer, built on first use after each :meth:`adopt`."""
+        """Batch ``j``'s chunks as one block over the host's h^l, built
+        on first use after each :meth:`adopt`."""
         block = self._batch_blocks.get(j)
         if block is None:
+            blocks = [chunks[j].block for chunks in self.partition.chunks]
             block = self._batch_blocks[j] = Block.in_slots(
-                [chunks[j].block for chunks in self.partition.chunks],
-                [plan.source_slots for plan in self.plan.plans[j]],
-                int(self.plan.buffer_offsets[-1]))
+                blocks, [chunk.src_global for chunk in blocks],
+                self.graph.num_vertices)
         return block
 
     def _cached_chunk_grads(self, l: int, i: int, j: int, agg: np.ndarray,

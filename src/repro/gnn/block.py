@@ -9,8 +9,8 @@ unchanged in three settings:
 * monolithic full-graph training (one block covering the whole graph),
 * HongTu chunked training (one block per subgraph chunk over the rows
   the deduplicated communication framework stages; a batch's chunks
-  together are one block over the stacked transition buffer,
-  :meth:`Block.in_slots`, so a linear AGGREGATE reads the staged rows
+  together are one block over the host's vertex rows,
+  :meth:`Block.in_slots`, so a linear AGGREGATE reads the rows in place
   without gathering any chunk's input),
 * mini-batch training (one block per sampled layer frontier).
 
@@ -144,12 +144,12 @@ class Block:
         ``slot_maps[k][r]`` is the input row holding source row ``r`` of
         ``blocks[k]``, so the result's sources are ``slot_maps[k][edge_src]``
         and its ``dst_pos`` is ``slot_maps[k][dst_pos]``; destinations are
-        the blocks' own, concatenated in order. Over the stacked transition
-        buffer (``slot_maps`` the plan's ``source_slots``), ``A @ stacked``
-        is every chunk's aggregate without gathering any chunk's input:
-        row ``v`` holds block ``k``'s entries of ``v`` in edge order, so
-        each output row adds exactly what block ``k``'s own product adds,
-        in the same order. Each slot map must be a 1-D integer array with
+        the blocks' own, concatenated in order. Over the host's h^l
+        (``slot_maps`` the chunks' ``src_global``, ``num_rows`` the vertex
+        count), ``A @ h`` is every chunk's aggregate without gathering any
+        chunk's input: row ``v`` holds block ``k``'s entries of ``v`` in
+        edge order, so each output row adds exactly what block ``k``'s own
+        product adds, in the same order. Each slot map must be a 1-D integer array with
         one entry per source row of its block, each in ``[0, num_rows)``;
         :class:`GraphFormatError` otherwise, as for any malformed block.
         """

@@ -1,29 +1,39 @@
-"""The executor before the stacked transition buffer — the oracle for it.
+"""The executors before rows stopped moving — the oracles for it.
 
-:class:`~repro.comm.executor.DedupCommunicator` moves a batch's rows with
-one indexed op per GPU over one stacked buffer, at slots the plan fixed in
-preprocessing, and builds its per-batch emission constants
-(``_BatchStatic`` / ``_HaloSplit``) with array ops. This module keeps both
-in the form they were *written* in, verbatim from the commit before that
-change: one ``(rows, dim)`` array per GPU, a Python walk of each plan's
-fetch segments with one fancy-indexed read or ``+=`` per (reader GPU,
-source GPU) pair, and dict-coalesced halo splits built contribution by
-contribution.
+:class:`~repro.comm.executor.DedupCommunicator` moves only gradients: a
+forward batch copies no row (a reader takes the host rows a transition
+buffer would hold), and the backward adds each GPU's gradient rows in
+place into one stacked buffer, then flushes every flushed slot into its
+host row, through compiled ordered adds. It also builds its per-batch
+emission constants (``_BatchStatic`` / ``_HaloSplit``) with array ops.
+This module keeps two earlier forms of the mover, each as it was written
+at the commit before it was replaced:
 
-The plan no longer stores fetch segments — its routing is the slot arrays
-— so the per-segment builder lives here too
+* :class:`StackedMover` — the stacked buffer with every row moving: one
+  indexed store stages a batch's loads, each GPU's input is a gather out
+  of the buffer at its slots, and the backward is one indexed ``+=`` per
+  GPU for the scatter and another per GPU for the flush;
+* :class:`ReferenceMover` — before the stacked buffer: one
+  ``(rows, dim)`` array per GPU, a Python walk of each plan's fetch
+  segments with one fancy-indexed read or ``+=`` per (reader GPU, source
+  GPU) pair.
+
+It keeps the dict-coalesced halo splits built contribution by
+contribution too. The plan no longer stores fetch segments — its routing
+is the slot arrays — so the per-segment builder lives here as well
 (:func:`reference_fetch_segments`, the planner's "Fetch segments" block
 from the same commit). It reads a plan's vertex sets and buffer
-positions and never a slot array: the oracle shares no routing with the
+positions and never a slot array: that oracle shares no routing with the
 executor it checks.
 
-Per buffer slot the ``+=`` order is reader-GPU order in both forms, and
-every other op is a copy, so the two agree to the last bit and the tests
-compare with ``np.array_equal`` — never ``allclose``.
+Per buffer slot and per host row the ``+=`` order is GPU order in every
+form, and every other op is a copy, so they agree to the last bit and the
+tests compare with ``np.array_equal`` — never ``allclose``.
 
-:class:`ReferenceCommunicator` is the drop-in: the real communicator's
-emission (timeline tasks, byte ledgers) with the old mover's *values*, so
-a trainer built on it trains on reference numbers end to end.
+:class:`ReferenceCommunicator` and :class:`StackedCommunicator` are the
+drop-ins: the real communicator's emission (timeline tasks, byte
+ledgers) with an old mover's *values*, so a trainer built on one trains
+on reference numbers end to end.
 """
 
 from __future__ import annotations
@@ -37,8 +47,8 @@ from repro.errors import CommunicationPlanError
 from repro.runtime.task import net_link
 
 __all__ = ["ReferenceMover", "ReferenceCommunicator", "ReferenceSegment",
-           "reference_fetch_segments", "reference_flush_split",
-           "reference_batch_static", "HALO_FIELDS"]
+           "StackedMover", "StackedCommunicator", "reference_fetch_segments",
+           "reference_flush_split", "reference_batch_static", "HALO_FIELDS"]
 
 
 class ReferenceSegment(NamedTuple):
@@ -172,6 +182,41 @@ class ReferenceMover:
             host_grads[vertices] += buffers[plan.gpu][positions]
 
 
+class StackedMover:
+    """One stacked buffer, every row moving: an indexed store per wave, a
+    gather per GPU, and per GPU an indexed ``+=`` scatter and flush."""
+
+    def __init__(self, comm_plan, dim: int, dtype) -> None:
+        self.plan = comm_plan
+        offsets = comm_plan.buffer_offsets
+        self.stacked = np.zeros((int(offsets[-1]), dim), dtype=dtype)
+        self._flush = []
+        for batch in range(comm_plan.num_batches):
+            vertices, positions = reference_flush_split(comm_plan, batch)
+            self._flush.append([
+                (flushed, offsets[gpu] + where) for gpu, (flushed, where)
+                in enumerate(zip(vertices, positions))])
+
+    def load_batch_forward(self, batch: int,
+                           host_values: np.ndarray) -> List[np.ndarray]:
+        plans = self.plan.plans[batch]
+        self.stacked[np.concatenate([plan.load_slots for plan in plans])] = \
+            host_values[np.concatenate([plan.load_vertices
+                                        for plan in plans])]
+        return [self.stacked[plan.source_slots] for plan in plans]
+
+    def accumulate_batch_backward(self, batch: int,
+                                  neighbor_grads: List[np.ndarray],
+                                  host_grads: np.ndarray) -> None:
+        plans = self.plan.plans[batch]
+        stacked = self.stacked
+        stacked[np.concatenate([plan.load_slots for plan in plans])] = 0.0
+        for plan, grads in zip(plans, neighbor_grads):
+            stacked[plan.source_slots] += grads
+        for vertices, slots in self._flush[batch]:
+            host_grads[vertices] += stacked[slots]
+
+
 class ReferenceCommunicator(DedupCommunicator):
     """The real emission, the old mover's values.
 
@@ -181,9 +226,12 @@ class ReferenceCommunicator(DedupCommunicator):
     from the same starting rows.
     """
 
+    #: the mover whose values this communicator hands out
+    mover = ReferenceMover
+
     def start_sweep(self, dim, dtype=np.float64, double_buffer=False):
         super().start_sweep(dim, dtype, double_buffer)
-        self._mover = ReferenceMover(self.plan, dim, dtype)
+        self._mover = self.mover(self.plan, dim, dtype)
 
     def load_batch_forward(self, batch, host_values, timeline):
         super().load_batch_forward(batch, host_values, timeline)
@@ -197,6 +245,12 @@ class ReferenceCommunicator(DedupCommunicator):
         super().accumulate_batch_backward(batch, neighbor_grads, host_grads,
                                           timeline, deps_by_device)
         host_grads[:] = reference
+
+
+class StackedCommunicator(ReferenceCommunicator):
+    """The real emission, the stacked mover's values."""
+
+    mover = StackedMover
 
 
 # ----------------------------------------------------------------------

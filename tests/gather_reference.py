@@ -1,20 +1,26 @@
-"""The trainer before AGGREGATE read the staged buffer — its oracle.
+"""The trainer's earlier AGGREGATE forms — its oracles.
 
 :class:`~repro.core.trainer.HongTuTrainer` computes a cacheable layer's
 AGGREGATE (GCN, GraphSAGE, GIN, CommNet) as one product per (layer,
-batch) over the stacked transition buffer, through a block whose
-sources are buffer slots (:meth:`~repro.gnn.block.Block.in_slots`); no
-GPU's input is gathered. Its recompute backward of those layers is the
-hybrid path fed the recomputed aggregate. :class:`GatherTrainer` keeps
-the form the epoch was written in, verbatim from the commit before that
-change: every layer gathers each GPU's input with
-:meth:`~repro.comm.executor.DedupCommunicator.load_batch_forward`, runs
-its aggregate per chunk, and the recompute backward re-runs the whole
-layer under the tape.
+batch) over the host's h^l, through a block whose sources are vertex ids
+(:meth:`~repro.gnn.block.Block.in_slots` over the chunks' ``src_global``);
+no row is staged or gathered. Its recompute backward of those layers is
+the hybrid path fed the recomputed aggregate. Two earlier forms are kept
+here, each as it was written at the commit before it was replaced:
 
-CSR products build each output row from its own entries in order, so the
-two must agree to the last bit: losses, timelines, host h and ∇h, final
-parameters and accuracies.
+* :class:`SlotTrainer` — the slot-space AGGREGATE: each batch's rows are
+  staged into one stacked transition buffer (the loads copied in, reused
+  rows left in place) and the product runs over that buffer, through a
+  block whose sources are buffer slots (the plan's ``source_slots``);
+* :class:`GatherTrainer` — before that: every layer gathers each GPU's
+  input with
+  :meth:`~repro.comm.executor.DedupCommunicator.load_batch_forward`, runs
+  its aggregate per chunk, and the recompute backward re-runs the whole
+  layer under the tape; it reserves each chunk's workspace on its own.
+
+CSR products build each output row from its own entries in order, and a
+staged row is the host row it copies, so all three must agree to the last
+bit: losses, timelines, host h and ∇h, final parameters and accuracies.
 """
 
 from __future__ import annotations
@@ -25,10 +31,42 @@ import numpy as np
 
 from repro.autograd import Tensor, no_grad
 from repro.core import HongTuTrainer
+from repro.core.planner import FleetPlan
+from repro.gnn.block import Block
 from repro.hardware.clock import EventTimeline
 from repro.runtime.scheduler import DepLists
 
-__all__ = ["GatherTrainer"]
+__all__ = ["GatherTrainer", "SlotTrainer"]
+
+
+class SlotTrainer(HongTuTrainer):
+    """HongTu's trainer with the slot-space AGGREGATE over a staged
+    stacked buffer."""
+
+    def adopt(self, fleet: FleetPlan) -> None:
+        super().adopt(fleet)
+        #: batch → its chunks as one block over the stacked buffer
+        self._slot_blocks = {}
+
+    def _aggregate_batch(self, l: int, j: int,
+                         timeline: EventTimeline) -> np.ndarray:
+        self._comm_values.submit_batch_forward(j, timeline)
+        plans = self.plan.plans[j]
+        if j == 0:  # every sweep starts at batch 0, on a fresh buffer
+            self._stacked = np.zeros(
+                (int(self.plan.buffer_offsets[-1]), self.model.dims[l]),
+                dtype=self.dtype)
+        self._stacked[np.concatenate([p.load_slots for p in plans])] = \
+            self._h[l][np.concatenate([p.load_vertices for p in plans])]
+        block = self._slot_blocks.get(j)
+        if block is None:
+            block = self._slot_blocks[j] = Block.in_slots(
+                [chunks[j].block for chunks in self.partition.chunks],
+                [plan.source_slots for plan in plans],
+                int(self.plan.buffer_offsets[-1]))
+        with no_grad():
+            return self.model.layers[l].aggregate(
+                block, Tensor(self._stacked)).data
 
 
 class GatherTrainer(HongTuTrainer):

@@ -145,6 +145,18 @@ class TestActivationGradients:
         assert np.isclose(out.data[0], -10.0 * ops.LEAKY_SLOPE)
         assert ops.LEAKY_SLOPE == 0.2
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_keeps_the_input_dtype(self, dtype):
+        x = Tensor(np.array([-10.0, 0.0, 3.0], dtype=dtype),
+                   requires_grad=True)
+        out = ops.leaky_relu(x)
+        assert out.data.dtype == dtype
+        assert out.data.tolist() == [dtype(-10.0) * dtype(ops.LEAKY_SLOPE),
+                                     0.0, 3.0]
+        out.backward(np.ones(3, dtype=dtype))
+        assert x.grad.dtype == dtype
+        assert x.grad.tolist() == [dtype(ops.LEAKY_SLOPE), dtype(0.2), 1.0]
+
     def test_elu(self):
         check_gradients(ops.elu, RNG.standard_normal((3, 3)) + 0.1)
 

@@ -131,7 +131,7 @@ class TestModelDtype:
 
         def spy(comm, dim, dtype=np.float64, double_buffer=False):
             start_sweep(comm, dim, dtype, double_buffer)
-            swept.append(comm._buffers.stacked.dtype)
+            swept.append(comm._buffers.dtype)
 
         monkeypatch.setattr(DedupCommunicator, "start_sweep", spy)
         trainer = HongTuTrainer(

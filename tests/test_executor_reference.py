@@ -1,9 +1,10 @@
-"""The stacked-buffer executor against the per-segment one it replaced.
+"""The executor against the movers it replaced.
 
-``tests/executor_reference.py`` keeps the old mover and the loop-built
-emission constants verbatim; everything here compares with
-``np.array_equal`` — the two forms do the same float operations in the
-same order, so a tolerance would only hide a reordering.
+``tests/executor_reference.py`` keeps the stacked-buffer mover (every row
+moving, one indexed op per GPU), the per-segment mover before it, and
+the loop-built emission constants; everything here compares with
+``np.array_equal`` — the forms do the same float operations in the same
+order, so a tolerance would only hide a reordering.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ from executor_reference import (
     HALO_FIELDS,
     ReferenceCommunicator,
     ReferenceMover,
+    StackedCommunicator,
+    StackedMover,
     reference_batch_static,
     reference_fetch_segments,
+    reference_flush_split,
 )
 from repro.comm import DedupCommunicator, build_comm_plan
 from repro.comm.executor import PlanStatic
@@ -281,6 +285,63 @@ class TestMoverEqualsReference:
         assert np.array_equal(host_grads, expected)
 
 
+class TestEveryBatchEqualsStackedMover:
+    """Batch by batch, the inputs, the whole gradient buffer and the host
+    ∇h equal the stacked mover's: its staged-buffer gather and its per-GPU
+    indexed ``+=`` scatter and flush."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("overlap", sorted(OVERLAPS))
+    @pytest.mark.parametrize("platform", ["one_node", "flat"])
+    @pytest.mark.parametrize("inter", [False, True])
+    @pytest.mark.parametrize("which", ["metis", "empty_gpu"])
+    def test_inputs_gradient_buffer_and_host_grads(self, partitions, which,
+                                                   inter, platform, overlap,
+                                                   dtype):
+        plan = build_comm_plan(partitions[which], dedup_inter=inter)
+        comm = DedupCommunicator(plan, PLATFORMS[platform]())
+        assert comm.platform.num_nodes == (2 if platform == "flat" else 1)
+        n = len(plan.partition.assignment)
+        rng = np.random.default_rng(5)
+        host = rng.standard_normal((n, DIM)).astype(dtype)
+        timeline = EventTimeline(barrier_all=overlap == "barrier")
+        comm.start_sweep(DIM, dtype=dtype, double_buffer=OVERLAPS[overlap])
+        mover = StackedMover(plan, DIM, dtype)
+        for j in range(plan.num_batches):
+            inputs = comm.load_batch_forward(j, host, timeline)
+            for new, old in zip(inputs, mover.load_batch_forward(j, host),
+                                strict=True):
+                assert new.dtype == old.dtype == dtype
+                assert np.array_equal(new, old)
+        # a value sweep charges its buffers and holds no rows
+        assert comm._buffers._stacked is None
+        comm.end_sweep()
+
+        host_grads = rng.standard_normal((n, DIM)).astype(dtype)
+        expected = host_grads.copy()
+        mover = StackedMover(plan, DIM, dtype)
+        comm.start_sweep(DIM, dtype=dtype)
+        for j in range(plan.num_batches):
+            grads = [rng.standard_normal((len(gpu_plan.needed), DIM))
+                     .astype(dtype) for gpu_plan in plan.plans[j]]
+            comm.accumulate_batch_backward(j, grads, host_grads, timeline)
+            mover.accumulate_batch_backward(j, grads, expected)
+            assert np.array_equal(comm._buffers.stacked, mover.stacked), j
+            assert np.array_equal(host_grads, expected), j
+        comm.end_sweep()
+        timeline.validate()
+
+    def test_without_inter_dedup_a_host_row_takes_several_gpus(self,
+                                                               partitions):
+        """The check above is not vacuous: without inter-GPU dedup a
+        vertex is staged, and flushed, by several GPUs in one batch, so
+        the flush's GPU order decides its host row's additions."""
+        plan = build_comm_plan(partitions["metis"], dedup_inter=False)
+        vertices, _ = reference_flush_split(plan, plan.num_batches - 1)
+        counts = np.bincount(np.concatenate(vertices))
+        assert counts.max() >= 2
+
+
 # ----------------------------------------------------------------------
 # end to end: 2-epoch loss sequences on reference values
 # ----------------------------------------------------------------------
@@ -317,6 +378,51 @@ class TestTrainingOnReferenceValues:
             assert trainer.placement.tolist() == [0, 0, 0, 1]
         assert np.array_equal(new, old)
         assert new[1] < new[0]
+
+
+def _train_arch(graph, partition, platform, arch, comm_mode, overlap):
+    """(trainer, its 2-epoch results) of a 2-layer ``arch`` model."""
+    model = build_model(arch, [graph.feature_dim, 8, graph.num_classes],
+                        np.random.default_rng(11))
+    trainer = HongTuTrainer(
+        graph, model, platform,
+        HongTuConfig(num_chunks=CHUNKS, comm_mode=comm_mode, overlap=overlap,
+                     intermediate_policy="recompute", seed=2),
+        partition=partition)
+    return trainer, [trainer.train_epoch() for _ in range(2)]
+
+
+class TestTrainingOnStackedValues:
+    """GAT and GGNN take their inputs from ``load_batch_forward``'s host
+    rows, GCN its aggregate from a product over h^l; all three push their
+    gradients through the ordered adds. Each trains, end to end, exactly
+    as on the stacked mover's staged rows and per-GPU ``+=``."""
+
+    @pytest.mark.parametrize("overlap", sorted(OVERLAPS))
+    @pytest.mark.parametrize("platform", ["one_node", "flat"])
+    @pytest.mark.parametrize("comm_mode", ["ru", "hongtu"])
+    @pytest.mark.parametrize("arch", ["gcn", "gat", "ggnn"])
+    def test_epochs_host_arrays_and_parameters_bit_equal(
+            self, monkeypatch, graph, partitions, arch, comm_mode, platform,
+            overlap):
+        args = (graph, partitions["metis"])
+        trainer, new = _train_arch(*args, PLATFORMS[platform](), arch,
+                                   comm_mode, overlap)
+        monkeypatch.setattr("repro.core.planner.DedupCommunicator",
+                            StackedCommunicator)
+        oracle, old = _train_arch(*args, PLATFORMS[platform](), arch,
+                                  comm_mode, overlap)
+        assert type(oracle.fleet.comm_values) is StackedCommunicator
+        assert [r.loss for r in new] == [r.loss for r in old]
+        assert [r.epoch_seconds for r in new] == \
+            [r.epoch_seconds for r in old]
+        for ours, theirs in zip(trainer._h, oracle._h, strict=True):
+            assert np.array_equal(ours, theirs)
+        for l, grad in oracle._grad_h.items():
+            assert np.array_equal(trainer._grad_h[l], grad), l
+        for ours, theirs in zip(trainer.model.parameters(),
+                                oracle.model.parameters(), strict=True):
+            assert np.array_equal(ours.data, theirs.data)
 
 
 # ----------------------------------------------------------------------
@@ -395,19 +501,31 @@ class TestStaticEqualsLoopBuilt:
                     _assert_same(f"{halo}.{field}",
                                  _halo_field(getattr(new, halo), field),
                                  old[halo][field])
-            assert len(new.flush_vertices) == len(new.flush_slots) == gpus
-            for i in range(gpus):
-                _assert_same("flush_vertices", new.flush_vertices[i],
-                             old["flush_vertices"][i])
-                _assert_same("flush_slots", new.flush_slots[i],
-                             offsets[i] + old["flush_positions"][i])
+            # the flush: one entry per flushed slot, in slot order, adding
+            # into the oracle's vertex of that slot
+            slots = np.concatenate([offsets[i] + positions for i, positions
+                                    in enumerate(old["flush_positions"])])
+            vertices = np.concatenate(old["flush_vertices"])
+            by_slot = np.argsort(slots)
+            flush = new.flush
+            assert flush.num_rows == graph.num_vertices
+            assert len(flush.parts) == 1
+            assert flush.num_values() == offsets[-1]
+            _assert_same("flush rows", flush.parts[0], vertices[by_slot])
+            _assert_same("flush slots", np.repeat(
+                np.arange(offsets[-1]), np.diff(flush._indptr[0])),
+                slots[by_slot])
+            # the scatter: GPU i's needed rows at their slots, held as the
+            # plan stores them
             assert new.needed_rows.tolist() == \
                 [len(gpu_plan.needed) for gpu_plan in plan.plans[j]]
+            assert new.scatter.num_rows == offsets[-1]
+            assert len(new.scatter.parts) == gpus
+            for gpu_plan, rows in zip(plan.plans[j], new.scatter.parts):
+                assert rows is gpu_plan.source_slots
             assert np.array_equal(new.zero_slots, np.concatenate(
                 [offsets[p.gpu] + p.positions[~p.reuse_mask]
                  for p in plan.plans[j]]))
-            assert np.array_equal(new.load_vertices, np.concatenate(
-                [p.transition[~p.reuse_mask] for p in plan.plans[j]]))
 
     def test_cross_node_fixtures_have_halo_traffic(self, graph):
         """The comparison above is not vacuous: the multi-node fixtures
@@ -487,7 +605,7 @@ def live(partitions):
 
 
 def _assert_untouched(comm, timeline):
-    assert not comm._buffers.stacked.any()
+    assert comm._buffers._stacked is None  # no row has moved
     assert comm._history == []
     assert timeline.scheduler.num_tasks == 0
 
@@ -509,13 +627,26 @@ def _bad_producers(producers, form):
 
 class TestEntryPointRejections:
     @pytest.mark.parametrize("method", ["load_batch_forward",
-                                        "stage_batch_forward"])
+                                        "submit_batch_forward"])
     @pytest.mark.parametrize("batch", [-1, 2, 0.0, None])
     def test_forward_batch_out_of_plan(self, live, batch, method):
         comm, _plan, host, _grads, timeline = live
+        args = (host, timeline) if method == "load_batch_forward" \
+            else (timeline,)
         with pytest.raises(CommunicationPlanError, match="batch"):
-            getattr(comm, method)(batch, host, timeline)
+            getattr(comm, method)(batch, *args)
         _assert_untouched(comm, timeline)
+
+    @pytest.mark.parametrize("method", ["load_batch_forward",
+                                        "submit_batch_forward"])
+    def test_forward_no_active_sweep(self, live, method):
+        comm, _plan, host, _grads, timeline = live
+        comm.end_sweep()
+        args = (host, timeline) if method == "load_batch_forward" \
+            else (timeline,)
+        with pytest.raises(CommunicationPlanError, match="no active sweep"):
+            getattr(comm, method)(0, *args)
+        assert timeline.scheduler.num_tasks == 0
 
     @pytest.mark.parametrize("batch", [-1, 2, 0.0, None])
     def test_backward_batch_out_of_plan(self, live, batch):
@@ -527,17 +658,15 @@ class TestEntryPointRejections:
         _assert_untouched(comm, timeline)
         assert not host_grads.any()
 
-    @pytest.mark.parametrize("method", ["load_batch_forward",
-                                        "stage_batch_forward"])
     @pytest.mark.parametrize("shape", ["wide", "narrow", "short", "flat"])
-    def test_forward_host_values_shape(self, live, shape, method):
+    def test_forward_host_values_shape(self, live, shape):
         comm, _plan, host, _grads, timeline = live
         bad = {"wide": np.zeros((len(host), DIM + 1)),
                "narrow": host[:, :DIM - 1],
                "short": host[:-1],
                "flat": host.reshape(-1)}[shape]
         with pytest.raises(CommunicationPlanError, match="host_values"):
-            getattr(comm, method)(0, bad, timeline)
+            comm.load_batch_forward(0, bad, timeline)
         _assert_untouched(comm, timeline)
 
     @pytest.mark.parametrize("shape", ["wide", "narrow", "short"])
@@ -596,32 +725,73 @@ class TestEntryPointRejections:
         with pytest.raises(CommunicationPlanError, match="deps_by_device"):
             comm.accumulate_batch_backward(0, grads, host_grads, timeline,
                                            deps_by_device=bad)
-        assert not comm._buffers.stacked.any()
+        assert comm._buffers._stacked is None
         assert comm._history == []
         assert timeline.scheduler.num_tasks == 2
         assert not host_grads.any()
 
-    def test_staging_returns_the_sweeps_buffer_and_gathers_nothing(
+    def test_submitting_emits_what_loading_emits_and_moves_nothing(
             self, live):
-        """``stage_batch_forward`` emits what ``load_batch_forward`` emits
-        and hands back the stacked buffer itself; every GPU's input is
-        its slots' rows of it."""
+        """``submit_batch_forward`` emits what ``load_batch_forward``
+        emits, returns nothing and allocates no buffer array; the loaded
+        inputs are the host rows of every GPU's needed set."""
         comm, plan, host, _grads, timeline = live
-        stacked = comm.stage_batch_forward(0, host, timeline)
-        assert stacked is comm._buffers.stacked
-        for gpu_plan in plan.plans[0]:
-            assert np.array_equal(stacked[gpu_plan.source_slots],
-                                  host[gpu_plan.needed])
+        assert comm.submit_batch_forward(0, timeline) is None
+        assert comm._buffers._stacked is None
         other = EventTimeline(barrier_all=True)
         comm.end_sweep()
         comm.start_sweep(DIM)
-        comm.load_batch_forward(0, host, other)
+        inputs = comm.load_batch_forward(0, host, other)
+        assert comm._buffers._stacked is None
+        for gpu_plan, rows in zip(plan.plans[0], inputs, strict=True):
+            assert np.array_equal(rows, host[gpu_plan.needed])
         assert timeline.scheduler.phase_labels() == \
             other.scheduler.phase_labels()
         for name, column in other.scheduler.columns()._asdict().items():
             if name != "used":
                 assert np.array_equal(
                     getattr(timeline.scheduler.columns(), name), column), name
+
+    @pytest.mark.parametrize("case", ["narrow_grads", "narrow_host",
+                                      "strided_host", "half_host"])
+    def test_backward_dtypes_the_adds_cannot_keep_exact(self, live, case):
+        """The adds are exact only into a float at least as wide, and
+        only in place: a float64 gradient into a float32 sweep, a host
+        ∇h narrower than the sweep or not contiguous is refused before
+        anything moves."""
+        comm, plan, host, grads, timeline = live
+        host_grads = np.zeros_like(host)
+        if case == "narrow_grads":
+            comm.end_sweep()
+            comm.start_sweep(DIM, dtype=np.float32)
+            host_grads = host_grads.astype(np.float32)
+            match = r"neighbor_grads\[0\] is float64"
+        else:
+            host_grads = {
+                "narrow_host": host_grads.astype(np.float32),
+                "strided_host": np.zeros((len(host), 2 * DIM))[:, ::2],
+                "half_host": host_grads.astype(np.float16)}[case]
+            match = "host_grads must be a C-contiguous float array"
+        with pytest.raises(CommunicationPlanError, match=match):
+            comm.accumulate_batch_backward(0, grads, host_grads, timeline)
+        _assert_untouched(comm, timeline)
+        assert not host_grads.any()
+
+    def test_backward_widens_float32_gradients_as_add_did(self, live):
+        """A float32 gradient into a float64 sweep adds as float64, as the
+        indexed ``+=`` it replaced did: exactly the widened values."""
+        comm, plan, host, _grads, timeline = live
+        rng = np.random.default_rng(2)
+        grads = [rng.standard_normal((len(gpu_plan.needed), DIM))
+                 .astype(np.float32) for gpu_plan in plan.plans[0]]
+        host_grads = np.zeros_like(host)
+        expected = np.zeros_like(host)
+        mover = StackedMover(plan, DIM, np.float64)
+        comm.accumulate_batch_backward(0, grads, host_grads, timeline)
+        mover.accumulate_batch_backward(0, grads, expected)
+        assert comm._buffers.stacked.dtype == np.float64
+        assert np.array_equal(comm._buffers.stacked, mover.stacked)
+        assert np.array_equal(host_grads, expected)
 
     def test_inputs_come_back_in_the_sweep_dtype(self, live):
         """Pinned decision: the rows are read out of the transition
@@ -689,7 +859,7 @@ class TestSubmitBatchBackward:
                                        deps_by_device=both[1])
         mover.end_sweep()
         assert host_grads.any()
-        assert not comm._buffers.stacked.any()
+        assert comm._buffers._stacked is None  # layer 0's sweep holds no rows
         expected, actual = (timeline.scheduler for timeline in timelines)
         assert actual.phase_labels() == expected.phase_labels()
         for name, column in expected.columns()._asdict().items():

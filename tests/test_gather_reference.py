@@ -1,11 +1,15 @@
-"""A cacheable layer's AGGREGATE reads the staged buffer, bit for bit.
+"""A cacheable layer's AGGREGATE reads h^l in place, bit for bit.
 
+:class:`gather_reference.SlotTrainer` stages every batch into a stacked
+transition buffer and runs the product over it;
 :class:`gather_reference.GatherTrainer` keeps the per-GPU input gather,
-the per-chunk aggregate and the recompute tape; the trainer runs one
-slot-space product per (layer, batch) instead. Both must agree to the
-last bit over arch × policy × overlap × {1, 2} nodes, and spies pin the
-structure: a cacheable model never gathers, each batch block is built
-once per adopted plan, and GAT still gathers.
+the per-chunk aggregate, the recompute tape and the per-chunk workspace
+reservation. The trainer runs one product per (layer, batch) over the
+host's h^l instead. All must agree to the last bit over arch × policy ×
+overlap × {1, 2} nodes, and spies pin the structure: a cacheable model
+only emits its staging, each batch block is built once per adopted plan,
+and GAT still loads its inputs. A GPU whose workspace does not fit fails
+the batch reservation exactly as it failed the per-chunk one.
 """
 
 from __future__ import annotations
@@ -15,13 +19,14 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.comm import DedupCommunicator
 from repro.core import HongTuTrainer
+from repro.errors import DeviceOutOfMemoryError
 from repro.gnn.block import Block
 from repro.graph import load_dataset
 from repro.partition import two_level_partition
 from repro.scenario import ClusterArgs
-from gather_reference import GatherTrainer
+from repro.units import SCALAR_BYTES
+from gather_reference import GatherTrainer, SlotTrainer
 
 CACHEABLE = ("gcn", "graphsage", "gin", "commnet")
 GRID = list(itertools.product(CACHEABLE + ("gat",), ("hybrid", "recompute"),
@@ -90,7 +95,7 @@ def test_matches_the_gather_oracle(monkeypatch, graph, partitions, arch,
     oracle = _trainer(GatherTrainer, graph, partitions, arch, policy,
                       overlap, nodes)
     staging, blocks = [], []
-    for name in ("load_batch_forward", "stage_batch_forward"):
+    for name in ("load_batch_forward", "submit_batch_forward"):
         _count_calls(monkeypatch, trainer._comm_values, name, staging)
     _count_calls(monkeypatch, Block, "in_slots", blocks)
     for _ in range(EPOCHS):
@@ -111,14 +116,37 @@ def test_matches_the_gather_oracle(monkeypatch, graph, partitions, arch,
     restages = policy == "recompute" or arch == "gat"
     stages = (EPOCHS * (2 if restages else 1) + 1) * LAYERS * batches
     if arch == "gat":
-        # GAT's input goes through the per-GPU gather, which stages first
-        assert staging == ["load_batch_forward", "stage_batch_forward"] \
+        # GAT loads each GPU's input rows, which emits the staging first
+        assert staging == ["load_batch_forward", "submit_batch_forward"] \
             * stages
         assert blocks == []
     else:
-        # a cacheable model never gathers, and builds each batch block once
-        assert staging == ["stage_batch_forward"] * stages
+        # a cacheable model never loads, and builds each batch block once
+        assert staging == ["submit_batch_forward"] * stages
         assert blocks == ["in_slots"] * batches
+
+
+@pytest.mark.parametrize(
+    "arch, policy, overlap, nodes",
+    [case for case in GRID if case[0] != "gat"],
+    ids=["-".join(map(str, case)) for case in GRID if case[0] != "gat"])
+def test_matches_the_slot_space_oracle(graph, partitions, arch, policy,
+                                       overlap, nodes):
+    """The product over h^l equals the product over the staged buffer."""
+    trainer = _trainer(HongTuTrainer, graph, partitions, arch, policy,
+                       overlap, nodes)
+    oracle = _trainer(SlotTrainer, graph, partitions, arch, policy,
+                      overlap, nodes)
+    for _ in range(EPOCHS):
+        _assert_same_epoch(trainer.train_epoch(), oracle.train_epoch())
+    for ours, theirs in zip(trainer._h, oracle._h, strict=True):
+        assert np.array_equal(ours, theirs)
+    for l, grad in oracle._grad_h.items():
+        assert np.array_equal(trainer._grad_h[l], grad), l
+    for ours, theirs in zip(trainer.model.parameters(),
+                            oracle.model.parameters(), strict=True):
+        assert np.array_equal(ours.data, theirs.data)
+    assert trainer.evaluate() == oracle.evaluate()
 
 
 def test_batch_blocks_are_built_once_per_adopted_plan(monkeypatch, graph,
@@ -131,6 +159,9 @@ def test_batch_blocks_are_built_once_per_adopted_plan(monkeypatch, graph,
     batches = trainer.plan.num_batches
     assert len(calls) == batches
     blocks = dict(trainer._batch_blocks)
+    # the blocks read h^l: their sources are the graph's vertices
+    assert {block.num_src for block in blocks.values()} == \
+        {graph.num_vertices}
     trainer.adopt(trainer.fleet)
     assert trainer._batch_blocks == {}
     trainer.train_epoch()
@@ -140,3 +171,60 @@ def test_batch_blocks_are_built_once_per_adopted_plan(monkeypatch, graph,
     # the partition holds no batch block: another plan over it builds its own
     _trainer(HongTuTrainer, graph, partitions, "graphsage").train_epoch()
     assert len(calls) == 3 * batches
+
+
+# ----------------------------------------------------------------------
+# workspace reservation: once per (layer, batch), per-GPU pools
+# ----------------------------------------------------------------------
+def _gpu1_short_of_its_first_workspace(cls, graph, partitions):
+    """A trainer whose GPU 1 cannot fit its first forward workspace while
+    GPU 0 fits everything."""
+    trainer = _trainer(cls, graph, partitions, "gcn", nodes=1)
+    costs = trainer.fleet.shapes.forward(trainer.model.layers[0], 0)
+    # the pipeline's layer-0 sweep holds two buffers of feature rows
+    buffers = trainer.platform.gpus[1].memory.in_use + 2 * \
+        trainer.plan.buffer_rows[1] * graph.feature_dim * SCALAR_BYTES
+    trainer.platform.gpus[1].memory.capacity = \
+        buffers + int(costs.workspace_bytes[1]) - 1
+    return trainer, costs.workspace_bytes
+
+
+def test_a_gpu_short_of_workspace_fails_as_per_chunk(graph, partitions):
+    """The batch reservation raises the per-chunk path's error, with the
+    same arguments, on the same GPU."""
+    errors = []
+    for cls in (HongTuTrainer, GatherTrainer):
+        trainer, workspace = _gpu1_short_of_its_first_workspace(
+            cls, graph, partitions)
+        assert workspace[1] > 0
+        with pytest.raises(DeviceOutOfMemoryError) as caught:
+            trainer.train_epoch()
+        errors.append(caught.value)
+    ours, theirs = errors
+    assert ours.args == theirs.args
+    assert (ours.device, ours.requested, ours.in_use, ours.capacity) == \
+        (theirs.device, theirs.requested, theirs.in_use, theirs.capacity)
+    # the workspace is what fails, not the transition buffers before it
+    assert (ours.device, ours.requested) == ("gpu1", workspace[1])
+
+
+def test_a_failed_reservation_releases_every_pool(graph, partitions):
+    """GPU 0's reservation is released when GPU 1's fails: every pool's
+    ``in_use`` is where it was, and a fitting batch releases all of its
+    own on the way out too."""
+    trainer, workspace = _gpu1_short_of_its_first_workspace(
+        HongTuTrainer, graph, partitions)
+    pools = [gpu.memory for gpu in trainer.platform.gpus]
+    pools[1].capacity = pools[1].in_use + int(workspace[1]) - 1
+    before = [pool.in_use for pool in pools]
+    with pytest.raises(DeviceOutOfMemoryError) as caught:
+        with trainer._workspaces("forward_workspace", workspace):
+            raise AssertionError("the body must not run")
+    assert caught.value.device == "gpu1"
+    assert caught.value.requested == workspace[1]
+    assert [pool.in_use for pool in pools] == before
+    pools[1].capacity = None
+    with trainer._workspaces("forward_workspace", workspace):
+        assert [pool.in_use for pool in pools] == \
+            [used + int(size) for used, size in zip(before, workspace)]
+    assert [pool.in_use for pool in pools] == before

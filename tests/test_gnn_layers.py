@@ -456,6 +456,23 @@ class TestGAT:
                                     layer.attn_src.data),
             rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("name", ZOO_NAMES)
+    def test_float32_in_float32_out(self, name, zoo, rng):
+        """The attention scores keep the model's dtype: a float32 GAT's
+        forward output and its input and parameter gradients are float32
+        (its LeakyReLU used to build a float64 scale, which lifted every
+        score, softmax and output after it to float64)."""
+        block = zoo[name]
+        layer = GATLayer(5, 4, rng, dtype=np.float32)
+        h_t = Tensor(rng.standard_normal((block.num_src, 5))
+                     .astype(np.float32), requires_grad=True)
+        out = layer(block, h_t)
+        assert out.data.dtype == np.float32
+        out.backward(np.ones_like(out.data))
+        assert h_t.grad.dtype == np.float32
+        assert {p.grad.dtype for p in layer.parameters()} == \
+            {np.dtype(np.float32)}
+
     def test_attention_parameters_are_one_row(self, rng):
         layer = GATLayer(4, 6, rng)
         assert layer.attn_dst.shape == layer.attn_src.shape == (1, 6)

@@ -153,7 +153,7 @@ class TestRealTree:
     #: ratchet: pinned exactly, so removing an escape forces the pin
     #: down with it and raising it is a visible edit here — a new
     #: hot-path loop or wall-clock read needs a design, not an escape.
-    SUPPRESSIONS = 9
+    SUPPRESSIONS = 7
 
     def test_suppression_count_only_goes_down(self):
         count = sum(
