@@ -31,11 +31,16 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.comm import DedupVolumes, measure_volumes, reorganize_partition
+from repro.comm import (
+    DedupCommunicator,
+    DedupVolumes,
+    measure_volumes,
+    reorganize_partition,
+)
 from repro.core.memory_model import MemoryEstimate, estimate_for_model
 from repro.errors import DeviceOutOfMemoryError
 from repro.graph import load_dataset
-from repro.hardware.clock import TimeBreakdown
+from repro.hardware.clock import EventTimeline, TimeBreakdown
 from repro.hardware.platform import MultiGPUPlatform
 from repro.hardware.spec import A100_SERVER, GB, PlatformSpec
 from repro.partition import two_level_partition
@@ -43,11 +48,12 @@ from repro.scenario import ClusterArgs
 
 __all__ = ["emit", "emit_json", "fleet_scenario", "paper_model",
            "RunOutcome", "run_or_oom", "speedup_vs",
-           "capacity_limited_platform", "RESULTS_DIR", "BENCH_SCALE",
+           "capacity_limited_platform", "sweep_timeline", "RESULTS_DIR",
+           "BENCH_SCALE",
            "CI_STEP", "TABLE8_CHUNKS", "table8_volumes", "table8_claims",
            "TABLE1_PAPER_GB", "table1_claims", "table3_claims",
            "fig8_claims", "fig9_claims", "fig11_claims",
-           "fig11_nodes_claims"]
+           "fig11_nodes_claims", "ablation_recompute_claims"]
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -159,6 +165,24 @@ def capacity_limited_platform(graph, model,
     capacity = max(int(estimate.total_bytes * capacity_fraction), 1)
     spec = base.with_gpu_memory(capacity)
     return MultiGPUPlatform(spec, num_gpus=num_gpus)
+
+
+def sweep_timeline(comm: DedupCommunicator, dim: int) -> EventTimeline:
+    """The traffic of one forward and one backward sweep of every batch
+    of ``comm``'s plan, at row width ``dim``, on a barrier timeline.
+
+    The executor emits each batch's waves, bytes and dependencies
+    without moving a row (``submit_batch_forward``,
+    ``submit_batch_backward``), so the timeline is the sweep's byte
+    ledger: read ``bytes_view()`` or ``comm.net_bytes_by_flow`` off it.
+    """
+    timeline = EventTimeline(barrier_all=True)
+    comm.start_sweep(dim)
+    for j in range(comm.plan.num_batches):
+        comm.submit_batch_forward(j, timeline)
+        comm.submit_batch_backward(j, timeline)
+    comm.end_sweep()
+    return timeline
 
 
 #: Table 1's memory of 3-layer full-graph GCN training, in GB per
@@ -357,6 +381,40 @@ def fig11_nodes_claims(results: Dict[tuple, tuple]) -> Dict[str, bool]:
             claims[f"{nodes} nodes: pipeline < barrier"] = pipeline < barrier
             claims[f"{nodes} nodes: net traffic"] = net > 0.0
     return claims
+
+
+def ablation_recompute_claims(results: Dict[tuple, object]
+                              ) -> Dict[str, bool]:
+    """The recompute ablation's claims (§4.2), by name.
+
+    ``results[(arch, policy)]`` is one epoch's
+    :class:`~repro.core.trainer.EpochResult` for ``arch`` in GCN and GAT
+    under the ``hybrid`` and ``recompute`` policies. On GCN the hybrid
+    policy's cached aggregate saves the backward's re-staging and
+    re-aggregation: fewer H2D bytes, GPU seconds and epoch seconds, while
+    its D2H (writebacks plus checkpoints) is at least recompute's. GAT's
+    aggregate is not cacheable, so both policies recompute and every
+    number is equal.
+    """
+    hybrid, recompute = results[("gcn", "hybrid")], \
+        results[("gcn", "recompute")]
+    gat_hybrid, gat_recompute = results[("gat", "hybrid")], \
+        results[("gat", "recompute")]
+    return {
+        "gcn: hybrid H2D < recompute":
+            hybrid.h2d_bytes < recompute.h2d_bytes,
+        "gcn: hybrid GPU s < recompute":
+            hybrid.clock.seconds["gpu"] < recompute.clock.seconds["gpu"],
+        "gcn: hybrid epoch < recompute":
+            hybrid.epoch_seconds < recompute.epoch_seconds,
+        "gcn: hybrid D2H >= recompute":
+            hybrid.d2h_bytes >= recompute.d2h_bytes,
+        "gat: H2D equal": gat_hybrid.h2d_bytes == gat_recompute.h2d_bytes,
+        "gat: D2H equal": gat_hybrid.d2h_bytes == gat_recompute.d2h_bytes,
+        "gat: epoch equal":
+            abs(gat_hybrid.epoch_seconds - gat_recompute.epoch_seconds)
+            < 1e-12,
+    }
 
 
 def emit_json(name: str, metrics: dict,

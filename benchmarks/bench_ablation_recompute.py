@@ -16,29 +16,36 @@ from repro.core import HongTuConfig, HongTuTrainer
 from repro.graph import load_dataset
 from repro.hardware import A100_SERVER, MultiGPUPlatform
 
-from benchmarks._common import BENCH_SCALE, emit, paper_model
+from benchmarks._common import (
+    BENCH_SCALE,
+    ablation_recompute_claims,
+    emit,
+    paper_model,
+)
 
 DATASET = "papers_sim"
 CHUNKS = 12
 HIDDEN = 128
 
 
-def run_policy(arch, policy, comm_mode="baseline"):
-    graph = load_dataset(DATASET, scale=BENCH_SCALE)
-    model = paper_model(arch, graph, 3, HIDDEN, seed=1)
+def run_policy(arch, policy, scale=BENCH_SCALE, hidden=HIDDEN,
+               chunks=CHUNKS, comm_mode="baseline"):
+    graph = load_dataset(DATASET, scale=scale)
+    model = paper_model(arch, graph, 3, hidden, seed=1)
     trainer = HongTuTrainer(
         graph, model, MultiGPUPlatform(A100_SERVER),
-        HongTuConfig(num_chunks=CHUNKS, intermediate_policy=policy,
+        HongTuConfig(num_chunks=chunks, intermediate_policy=policy,
                      comm_mode=comm_mode, seed=0),
     )
     return trainer.train_epoch()
 
 
-def run_all():
+def run_all(scale=BENCH_SCALE, hidden=HIDDEN, chunks=CHUNKS):
     results = {}
     for arch in ["gcn", "gat"]:
         for policy in ["hybrid", "recompute"]:
-            results[(arch, policy)] = run_policy(arch, policy)
+            results[(arch, policy)] = run_policy(arch, policy, scale, hidden,
+                                                 chunks)
     return results
 
 
@@ -63,23 +70,6 @@ def build_table(results):
 def bench_ablation_recompute(benchmark):
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
     emit("ablation_recompute", build_table(results))
-
-    gcn_hybrid = results[("gcn", "hybrid")]
-    gcn_recompute = results[("gcn", "recompute")]
-    # Caching saves both traffic and kernels for the cacheable model.
-    assert gcn_hybrid.h2d_bytes < gcn_recompute.h2d_bytes
-    assert gcn_hybrid.clock.seconds["gpu"] < \
-        gcn_recompute.clock.seconds["gpu"]
-    assert gcn_hybrid.epoch_seconds < gcn_recompute.epoch_seconds
-
-    # Hybrid writes checkpoints back to the host, but its D2H stays within
-    # the writeback volume both policies already pay.
-    assert gcn_hybrid.d2h_bytes >= gcn_recompute.d2h_bytes
-
-    # GAT falls back to recomputation either way: identical numbers.
-    gat_hybrid = results[("gat", "hybrid")]
-    gat_recompute = results[("gat", "recompute")]
-    assert gat_hybrid.h2d_bytes == gat_recompute.h2d_bytes
-    assert gat_hybrid.d2h_bytes == gat_recompute.d2h_bytes
-    assert abs(gat_hybrid.epoch_seconds
-               - gat_recompute.epoch_seconds) < 1e-12
+    failed = [name for name, held in
+              ablation_recompute_claims(results).items() if not held]
+    assert not failed, failed

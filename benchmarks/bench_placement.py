@@ -36,7 +36,6 @@ from repro.hardware import (
     A100_CLUSTER,
     A100_SERVER,
     ClusterPlatform,
-    EventTimeline,
     MultiGPUPlatform,
     NetworkTopology,
 )
@@ -49,7 +48,13 @@ from repro.partition import (
 )
 from repro.bench import render_table
 
-from benchmarks._common import BENCH_SCALE, emit, emit_json, paper_model
+from benchmarks._common import (
+    BENCH_SCALE,
+    emit,
+    emit_json,
+    paper_model,
+    sweep_timeline,
+)
 
 DATASET = "it2004_sim"  # crawl-ordered web graph: strong METIS locality
 NODES = 2
@@ -72,16 +77,8 @@ def measured_fetch_bytes(partition, platform, dim=HIDDEN):
     forward+backward sweep (the F term of the search objective)."""
     plan = build_comm_plan(partition, dedup_inter=True, dedup_intra=True)
     comm = DedupCommunicator(plan, platform)
-    host = np.zeros((partition.graph.num_vertices, dim))
-    grads = np.zeros_like(host)
-    clock = EventTimeline(barrier_all=True)
-    comm.start_sweep(dim)
-    for j in range(plan.num_batches):
-        outputs = comm.load_batch_forward(j, host, clock)
-        comm.accumulate_batch_backward(
-            j, [out.copy() for out in outputs], grads, clock)
-    comm.end_sweep()
-    return comm.net_bytes_by_flow(clock).get("halo_fetch", {})
+    return comm.net_bytes_by_flow(sweep_timeline(comm, dim)).get(
+        "halo_fetch", {})
 
 
 def epoch_makespan(graph, partition, placement_policy):

@@ -19,8 +19,6 @@ The ``smoke`` variants run a tiny graph so CI can exercise all three
 topologies in seconds.
 """
 
-import numpy as np
-
 from repro.autograd import SGD
 from repro.bench import render_table
 from repro.comm import (
@@ -34,13 +32,18 @@ from repro.hardware import (
     A100_CLUSTER,
     A100_SERVER,
     ClusterPlatform,
-    EventTimeline,
     MultiGPUPlatform,
     NetworkTopology,
 )
 from repro.partition import two_level_partition
 
-from benchmarks._common import BENCH_SCALE, emit, emit_json, paper_model
+from benchmarks._common import (
+    BENCH_SCALE,
+    emit,
+    emit_json,
+    paper_model,
+    sweep_timeline,
+)
 
 DATASET = "reddit_sim"
 NODE_COUNTS = [2, 4]
@@ -123,16 +126,7 @@ def measure_halo_bytes(partition, platform, dim=HIDDEN):
     reuse controls the network)."""
     plan = build_comm_plan(partition, dedup_inter=False, dedup_intra=True)
     comm = DedupCommunicator(plan, platform)
-    host = np.zeros((partition.graph.num_vertices, dim))
-    grads = np.zeros_like(host)
-    clock = EventTimeline(barrier_all=True)
-    comm.start_sweep(dim)
-    for j in range(plan.num_batches):
-        outputs = comm.load_batch_forward(j, host, clock)
-        comm.accumulate_batch_backward(
-            j, [out.copy() for out in outputs], grads, clock)
-    comm.end_sweep()
-    return clock.bytes_view()["net"]
+    return sweep_timeline(comm, dim).bytes_view()["net"]
 
 
 def run_reorg(scale=BENCH_SCALE, nodes=2):

@@ -136,6 +136,3 @@ class DistGNNSimulator:
         peak = max(pool.peak for pool in self.node_pools)
         return DistGNNEpochResult(self._epoch, timeline,
                                   peak_node_bytes=peak)
-
-    def train(self, num_epochs: int) -> list:
-        return [self.train_epoch() for _ in range(num_epochs)]

@@ -18,7 +18,7 @@ Table 5.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -113,9 +113,6 @@ class FullGraphTrainer:
             block.num_src, block.num_dst, block.num_edges))
         return EpochResult(self._epoch, timeline, loss=loss,
                            peak_gpu_bytes=self.platform.peak_gpu_memory())
-
-    def train(self, num_epochs: int) -> List[EpochResult]:
-        return [self.train_epoch() for _ in range(num_epochs)]
 
     def logits(self) -> np.ndarray:
         """Final-layer representations from the last forward pass."""

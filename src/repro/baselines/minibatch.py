@@ -203,9 +203,6 @@ class MiniBatchTrainer:
             frontier_vertices=frontier_total,
         )
 
-    def train(self, num_epochs: int) -> List[MiniBatchEpochResult]:
-        return [self.train_epoch() for _ in range(num_epochs)]
-
     def evaluate(self) -> Dict[str, float]:
         """Full-graph inference accuracy (standard mini-batch evaluation)."""
         block = Block.from_graph(self.graph)

@@ -16,13 +16,14 @@ Execution structure per epoch (paper Algorithm 1):
    layer's AGGREGATE is one product per batch over h^l, and its UPDATE
    runs per chunk on row views of that product; the other layers (GAT,
    GGNN) take each GPU's input rows and run per chunk. Outputs are copied
-   back to the host vertex buffer h^{l+1}; for cacheable layers under the
-   ``hybrid`` policy the AGGREGATE output is checkpointed to host memory;
-   all other intermediates are dropped (``no_grad``).
+   back to the host vertex buffer h^{l+1}; under the ``hybrid`` policy a
+   cacheable layer's batch product is kept, read-only, as the (layer,
+   batch) checkpoint in host memory; all other intermediates are dropped
+   (``no_grad``).
 2. **Downstream task** on the host: masked cross-entropy on h^L seeds ∇h^L.
-3. **Backward**, last layer to first. Cacheable layers take their
-   aggregate — the host checkpoint under ``hybrid``, a product over a
-   second staging under ``recompute`` — and the destinations' own rows,
+3. **Backward**, last layer to first. Cacheable layers take their batch
+   aggregate — the host checkpoint under ``hybrid``, the forward's
+   staging again under ``recompute`` — and the destinations' own rows,
    recompute only the UPDATE under a fresh tape, and propagate neighbor
    gradients through the closed-form aggregate adjoint. Non-cacheable
    layers re-stage their input neighbor set (a second deduplicated
@@ -81,13 +82,17 @@ from repro.autograd.optim import Adam, Optimizer
 from repro.core.config import HongTuConfig
 from repro.core.elastic import ElasticController
 from repro.core.planner import FleetPlan, plan_fleet
-from repro.errors import ConfigurationError, FaultError
+from repro.errors import (
+    ConfigurationError,
+    DeviceOutOfMemoryError,
+    FaultError,
+)
 from repro.faults.schedule import RebalanceEvent
 from repro.gnn.block import Block
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
 from repro.hardware.clock import EventTimeline, TimeBreakdown
-from repro.hardware.memory import Allocation
+from repro.hardware.memory import Allocation, MemoryPool
 from repro.hardware.platform import MultiGPUPlatform
 from repro.partition.two_level import TwoLevelPartition
 from repro.runtime.scheduler import DepLists
@@ -161,11 +166,6 @@ class EpochResult:
     def net_bytes(self) -> int:
         """Inter-node bytes: halo, all-reduce and migration."""
         return self.timeline.bytes_view()["net"]
-
-    @property
-    def migration_bytes(self) -> int:
-        """Bytes of the re-balance before this epoch (in ``net_bytes``)."""
-        return 0 if self.rebalance is None else self.rebalance.migration_bytes
 
     @property
     def pcie_bytes(self) -> int:
@@ -252,11 +252,9 @@ class HongTuTrainer:
             for l in range(1, len(dims))
         }
         self._h[0][:] = graph.features.astype(dtype)
-        # Host-side checkpoint store for cached AGGREGATE outputs. The
-        # host allocation behind each (layer, gpu, batch) slot is created
-        # once and reused across epochs.
-        self._checkpoints: Dict[tuple, np.ndarray] = {}
-        self._checkpoint_allocations: Dict[tuple, Allocation] = {}
+        # The hybrid policy's host checkpoints: (layer, batch) → its
+        # AGGREGATE product and the per-GPU host slots behind it.
+        self._checkpoints: Dict[tuple, tuple] = {}
 
     def adopt(self, fleet: FleetPlan) -> None:
         """Install a planner result as this trainer's planning state.
@@ -351,21 +349,13 @@ class HongTuTrainer:
         return split_accuracies(self._h[-1], self.graph)
 
     def checkpointed_columns(self) -> set:
-        """(layer, batch) pairs whose aggregate checkpoints are complete.
+        """(layer, batch) pairs whose aggregate checkpoint is host-resident.
 
-        A pair counts only when *every* GPU's chunk of that batch column
-        has a host-resident checkpoint — the serving engine's embedding
-        cache treats exactly these pairs as warm (a partial column still
-        needs the staging front for its missing chunks). Empty until a
-        training epoch has run under the hybrid policy.
+        The serving engine's embedding cache treats exactly these pairs as
+        warm. Empty until a training epoch has run under the hybrid
+        policy.
         """
-        m = self.plan.num_gpus
-        return {
-            (l, j)
-            for l in range(len(self.model.layers))
-            for j in range(self.plan.num_batches)
-            if all((l, i, j) in self._checkpoints for i in range(m))
-        }
+        return set(self._checkpoints)
 
     def serving_engine(self, cache_budget_bytes: Optional[int] = None):
         """A :class:`~repro.serving.engine.ServingEngine` over this trainer.
@@ -395,12 +385,7 @@ class HongTuTrainer:
             cache_layer = training and hybrid and layer.cacheable_aggregate
             # repro-lint: allow-loop — wave granularity: one batched emission per (layer, batch)
             for j in range(self.plan.num_batches):
-                if layer.cacheable_aggregate:
-                    aggregate = self._aggregate_batch(l, j, timeline)
-                else:
-                    inputs = self._comm_values.load_batch_forward(
-                        j, self._h[l], timeline
-                    )
+                staged = self._stage_batch(l, j, timeline)
                 input_deps = self._comm_values.batch_input_dep_ids()
                 costs = self.fleet.shapes.forward(layer, j)
                 stop = 0
@@ -409,26 +394,23 @@ class HongTuTrainer:
                     # repro-lint: allow-loop — per-GPU numerics over python chunk objects; emission below is batched
                     for i in range(self.plan.num_gpus):
                         chunk = self.partition.chunks[i][j]
-                        block = chunk.block
-                        start, stop = stop, stop + block.num_dst
+                        start, stop = stop, stop + chunk.num_dst
                         with no_grad():
-                            if layer.cacheable_aggregate:
-                                # UPDATE stays per chunk, on row views; an
-                                # UPDATE that ignores h_dst gets a placeholder
-                                agg = Tensor(aggregate[start:stop])
-                                h_dst = (Tensor(self._h[l][chunk.dst_global])
-                                         if layer.update_uses_self else agg)
-                            else:
-                                h_in = Tensor(inputs[i])
-                                agg = layer.aggregate(block, h_in)
-                                h_dst = (Tensor(inputs[i][block.dst_pos])
-                                         if layer.update_uses_self else h_in)
-                            out = layer.update(block, agg, h_dst)
-                        if cache_layer:
-                            self._store_checkpoint(l, i, j, agg.data)
+                            # UPDATE stays per chunk, on row views of the
+                            # batch product; one that ignores h_dst gets a
+                            # placeholder
+                            agg = (Tensor(staged[start:stop])
+                                   if layer.cacheable_aggregate else
+                                   layer.aggregate(chunk.block,
+                                                   Tensor(staged[i])))
+                            h_dst = (Tensor(self._h[l][chunk.dst_global])
+                                     if layer.update_uses_self else agg)
+                            out = layer.update(chunk.block, agg, h_dst)
                         self._h[l + 1][chunk.dst_global] = out.data
                 d2h = costs.writeback_bytes
                 if cache_layer:
+                    self._store_checkpoint(l, j, staged,
+                                           costs.checkpoint_bytes)
                     d2h = d2h + costs.checkpoint_bytes
                 compute_ids = timeline.submit_batch(
                     "gpu",
@@ -497,28 +479,25 @@ class HongTuTrainer:
                         use_cache: bool) -> None:
         """One backward batch: gradient load → kernels → accumulate.
 
-        A cacheable layer recomputes only UPDATE, from the cached
-        aggregate (``use_cache``) or from one re-staged product over the
-        batch; a non-cacheable layer re-gathers its inputs and recomputes
-        it whole. Each GPU's kernel waits for its own ∇h^{l+1} load and,
-        without the cache, for the tasks that re-staged its inputs; the
-        neighbor gradients then return to the host through the
-        deduplicated backward communication. At
-        layer 0 the kernels compute parameter gradients only, and the
-        communication is emitted without moving a row.
+        A cacheable layer recomputes only UPDATE, from the cached batch
+        aggregate (``use_cache``) or the forward's staging again
+        (:meth:`_stage_batch`); a non-cacheable layer re-stages its inputs
+        and recomputes it whole. Each GPU's kernel waits for its own
+        ∇h^{l+1} load and, without the cache, for the tasks that re-staged
+        its inputs; the neighbor gradients then return to the host through
+        the deduplicated backward communication. At layer 0 the kernels
+        compute parameter gradients only, and the communication is emitted
+        without moving a row.
         """
         layer = self.model.layers[l]
         shapes = self.fleet.shapes
-        inputs = input_deps = aggregate = None
+        input_deps = None
         if use_cache:
             costs = shapes.backward_cached(layer, j)
+            staged = self._take_checkpoint(l, j)
         else:
             costs = shapes.backward_recompute(layer, j)
-            if layer.cacheable_aggregate:
-                aggregate = self._aggregate_batch(l, j, timeline)
-            else:
-                inputs = self._comm_values.load_batch_forward(
-                    j, self._h[l], timeline)
+            staged = self._stage_batch(l, j, timeline)
             input_deps = self._comm_values.batch_input_dep_ids()
         # ∇h⁰ is the gradient of the constant features: nothing reads it
         needs_input_grad = l > 0
@@ -533,16 +512,15 @@ class HongTuTrainer:
                 grad_out = self._grad_h[l + 1][chunk.dst_global]
                 start, stop = stop, stop + chunk.num_dst
                 if layer.cacheable_aggregate:
-                    agg = (self._take_checkpoint(l, i, j) if use_cache
-                           else aggregate[start:stop])
-                    grads = self._cached_chunk_grads(l, i, j, agg, grad_out,
-                                                     needs_input_grad)
+                    grads = self._cached_chunk_grads(
+                        l, i, j, staged[start:stop], grad_out,
+                        needs_input_grad)
                 else:
-                    h_t = Tensor(inputs[i], requires_grad=needs_input_grad)
+                    h_t = Tensor(staged[i], requires_grad=needs_input_grad)
                     layer.forward(chunk.block, h_t).backward(grad_out)
                     grads = h_t.grad
                     if grads is None and needs_input_grad:
-                        grads = np.zeros_like(inputs[i])
+                        grads = np.zeros_like(staged[i])
                 if needs_input_grad:
                     neighbor_grads.append(grads)
 
@@ -572,38 +550,53 @@ class HongTuTrainer:
 
     @contextlib.contextmanager
     def _workspaces(self, tag: str, nbytes: np.ndarray) -> Iterator[None]:
-        """Reserve every GPU's workspace of one (layer, batch), in GPU
-        order, for the body; release them all on the way out.
-
-        Each GPU's pool holds only its own reservation, so its peak and
-        the :class:`~repro.errors.DeviceOutOfMemoryError` of the first
-        GPU that cannot fit are those of reserving per chunk; the ones
-        already reserved are released before the error propagates.
-        """
-        allocations = []
+        """Hold every GPU's workspace of one (layer, batch)
+        (:meth:`_reserve`) for the body."""
+        allocations = self._reserve(
+            [gpu.memory for gpu in self.platform.gpus], tag, nbytes)
         try:
-            for gpu, size in zip(self.platform.gpus, nbytes.tolist()):
-                allocations.append(gpu.memory.alloc(tag, size))
             yield
         finally:
             for allocation in allocations:
                 allocation.free()
 
-    def _aggregate_batch(self, l: int, j: int,
-                         timeline: EventTimeline) -> np.ndarray:
-        """Emit the staging of batch ``j`` of layer ``l`` (a cacheable
-        layer) and compute every chunk's AGGREGATE as one product over the
-        host's h^l.
+    @staticmethod
+    def _reserve(pools: List[MemoryPool], tag: str,
+                 nbytes: np.ndarray) -> List[Allocation]:
+        """Reserve ``nbytes[i]`` in ``pools[i]``, in order, all or nothing:
+        each pool sees what reserving per chunk would, so the first
+        :class:`~repro.errors.DeviceOutOfMemoryError` is that path's,
+        raised once the reservations already made are released."""
+        allocations = []
+        try:
+            for pool, size in zip(pools, nbytes.tolist()):
+                allocations.append(pool.alloc(tag, size))
+        except DeviceOutOfMemoryError:
+            for allocation in allocations:
+                allocation.free()
+            raise
+        return allocations
 
-        Chunk (i, j)'s aggregate is its row range of the result, the
-        chunks in GPU order. A transition buffer holds the host rows it
-        stages, so no row is copied, and the rows equal the per-chunk
-        products to the bit (:meth:`~repro.gnn.block.Block.in_slots`).
+    def _stage_batch(self, l: int, j: int, timeline: EventTimeline):
+        """Emit the staging of batch ``j`` of layer ``l`` and return what
+        its chunks read, for the forward and the recompute backward alike.
+
+        GAT and GGNN read each GPU's input rows
+        (:meth:`~repro.comm.executor.DedupCommunicator.load_batch_forward`).
+        A cacheable layer reads every chunk's AGGREGATE as one product over
+        the host's h^l, chunk (i, j)'s being its row range, chunks in GPU
+        order. A transition buffer holds the host rows it stages, so no
+        row is copied, and the rows equal the per-chunk products to the
+        bit (:meth:`~repro.gnn.block.Block.in_slots`).
         """
+        layer = self.model.layers[l]
+        if not layer.cacheable_aggregate:
+            return self._comm_values.load_batch_forward(j, self._h[l],
+                                                        timeline)
         self._comm_values.submit_batch_forward(j, timeline)
         with no_grad():
-            return self.model.layers[l].aggregate(self._batch_block(j),
-                                                  Tensor(self._h[l])).data
+            return layer.aggregate(self._batch_block(j),
+                                   Tensor(self._h[l])).data
 
     def _batch_block(self, j: int) -> Block:
         """Batch ``j``'s chunks as one block over the host's h^l, built
@@ -712,33 +705,34 @@ class HongTuTrainer:
     # ------------------------------------------------------------------
     # checkpoint store
     # ------------------------------------------------------------------
-    def _store_checkpoint(self, l: int, i: int, j: int,
-                          data: np.ndarray) -> None:
-        key = (l, i, j)
-        nbytes = data.shape[0] * data.shape[1] * SCALAR_BYTES
-        if key not in self._checkpoint_allocations:
-            # Checkpoints live on the host of the GPU that wrote them
-            # (node 0's pool on a single-node platform). A slot's size
-            # is fixed by its chunk, and a re-plan frees every slot.
-            pool = self.platform.host_pool(self.platform.node_of(i))
-            self._checkpoint_allocations[key] = pool.alloc(
-                "aggregate_cache", nbytes
-            )
-        self._checkpoints[key] = data.copy()
+    def _store_checkpoint(self, l: int, j: int, aggregate: np.ndarray,
+                          nbytes: np.ndarray) -> None:
+        """Keep layer ``l``'s AGGREGATE product of batch ``j``, read-only.
 
-    def _take_checkpoint(self, l: int, i: int, j: int) -> np.ndarray:
-        key = (l, i, j)
-        if key not in self._checkpoints:
+        GPU i's ``nbytes[i]`` rows take a slot on its node's host pool,
+        reserved on the first store (:meth:`_reserve`) and reused by
+        later epochs: a slot's size is fixed by its chunk, and a re-plan
+        frees every slot.
+        """
+        aggregate.flags.writeable = False
+        entry = self._checkpoints.get((l, j))
+        slots = entry[1] if entry else self._reserve(
+            [self.platform.host_pool(self.platform.node_of(i))
+             for i in range(len(nbytes))], "aggregate_cache", nbytes)
+        self._checkpoints[(l, j)] = aggregate, slots
+
+    def _take_checkpoint(self, l: int, j: int) -> np.ndarray:
+        entry = self._checkpoints.get((l, j))
+        if entry is None:
             raise ConfigurationError(
-                f"missing aggregate checkpoint for layer {l}, gpu {i}, "
-                f"batch {j} — was the forward pass run with the hybrid "
-                f"policy?"
+                f"missing aggregate checkpoint for layer {l}, batch {j} — "
+                f"was the forward pass run with the hybrid policy?"
             )
-        return self._checkpoints[key]
+        return entry[0]
 
     def free_checkpoints(self) -> None:
         """Release all cached aggregates and their host allocations."""
-        for allocation in self._checkpoint_allocations.values():
-            allocation.free()
-        self._checkpoint_allocations.clear()
+        for _, allocations in self._checkpoints.values():
+            for allocation in allocations:
+                allocation.free()
         self._checkpoints.clear()

@@ -40,7 +40,7 @@ partitioned graph. The contract, end to end:
    preprocessing (§4.1, §5.3); so does this.
 4. **Embedding cache** — serving books cache *hits* against
    checkpointed activations: a ``(layer, column)`` pair whose aggregate
-   checkpoints are host-resident (taken during hybrid-policy training,
+   checkpoint is host-resident (taken during hybrid-policy training,
    or materialized by a previous cold serve of the same column) skips
    the entire data-movement front — cold miss = halo fetch + staging
    load, warm hit = free — and only the compute + writeback chain runs.
@@ -142,12 +142,12 @@ class ServingEngine:
     def warm_from_checkpoints(self) -> int:
         """Pre-warm the cache from the trainer's aggregate checkpoints.
 
-        A ``(layer, column)`` pair is warm only when *every* GPU's chunk
-        of that column has a host-resident checkpoint (a partially
-        checkpointed column would still need the staging front for the
-        missing chunks). Returns the number of warm pairs. Epochs trained
-        since the engine was built count: their checkpoints warm it too,
-        against the trainer's current plan.
+        The trainer checkpoints a ``(layer, column)`` pair whole — every
+        GPU's chunk of the column or none — so each pair it lists
+        (:meth:`~repro.core.trainer.HongTuTrainer.checkpointed_columns`)
+        is warm. Returns the number of warm pairs. Epochs trained since
+        the engine was built count: their checkpoints warm it too, against
+        the trainer's current plan.
         """
         self._sync_platform()
         for pair in sorted(self.trainer.checkpointed_columns()):
@@ -315,8 +315,7 @@ class ServingEngine:
             self.plan = self.trainer.plan
             self.shapes = self.trainer.fleet.shapes
             #: (L, n) host bytes of each warm (layer, column) pair: the
-            #: aggregate rows every GPU's chunk of the column checkpoints
-            #: for the layer — the trainer's checkpoint store sizing
+            #: trainer's (layer, batch) checkpoint, its GPUs' slots summed
             self._footprints = np.array(
                 [[self.shapes.forward(layer, j).checkpoint_bytes.sum()
                   for j in range(self.plan.num_batches)]

@@ -16,7 +16,9 @@ here, each as it was written at the commit before it was replaced:
   input with
   :meth:`~repro.comm.executor.DedupCommunicator.load_batch_forward`, runs
   its aggregate per chunk, and the recompute backward re-runs the whole
-  layer under the tape; it reserves each chunk's workspace on its own.
+  layer under the tape; it reserves each chunk's workspace on its own,
+  and the hybrid policy copies each chunk's aggregate into a checkpoint
+  of its own (:class:`ChunkCheckpoints`).
 
 CSR products build each output row from its own entries in order, and a
 staged row is the host row it copies, so all three must agree to the last
@@ -32,11 +34,13 @@ import numpy as np
 from repro.autograd import Tensor, no_grad
 from repro.core import HongTuTrainer
 from repro.core.planner import FleetPlan
+from repro.errors import ConfigurationError
 from repro.gnn.block import Block
 from repro.hardware.clock import EventTimeline
 from repro.runtime.scheduler import DepLists
+from repro.units import SCALAR_BYTES
 
-__all__ = ["GatherTrainer", "SlotTrainer"]
+__all__ = ["ChunkCheckpoints", "GatherTrainer", "SlotTrainer"]
 
 
 class SlotTrainer(HongTuTrainer):
@@ -48,8 +52,9 @@ class SlotTrainer(HongTuTrainer):
         #: batch → its chunks as one block over the stacked buffer
         self._slot_blocks = {}
 
-    def _aggregate_batch(self, l: int, j: int,
-                         timeline: EventTimeline) -> np.ndarray:
+    def _stage_batch(self, l: int, j: int, timeline: EventTimeline):
+        if not self.model.layers[l].cacheable_aggregate:
+            return super()._stage_batch(l, j, timeline)
         self._comm_values.submit_batch_forward(j, timeline)
         plans = self.plan.plans[j]
         if j == 0:  # every sweep starts at batch 0, on a fresh buffer
@@ -69,9 +74,60 @@ class SlotTrainer(HongTuTrainer):
                 block, Tensor(self._stacked)).data
 
 
-class GatherTrainer(HongTuTrainer):
+class ChunkCheckpoints:
+    """The hybrid policy's checkpoint store as it was before the trainer
+    kept one product per (layer, batch): each chunk's aggregate is copied
+    into a checkpoint keyed ``(layer, gpu, batch)``, its host slot sized
+    from the array's shape, and a column counts as checkpointed only when
+    every GPU's chunk of it is."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._checkpoint_allocations = {}
+
+    def checkpointed_columns(self) -> set:
+        m = self.plan.num_gpus
+        return {
+            (l, j)
+            for l in range(len(self.model.layers))
+            for j in range(self.plan.num_batches)
+            if all((l, i, j) in self._checkpoints for i in range(m))
+        }
+
+    def _store_checkpoint(self, l: int, i: int, j: int,
+                          data: np.ndarray) -> None:
+        key = (l, i, j)
+        nbytes = data.shape[0] * data.shape[1] * SCALAR_BYTES
+        if key not in self._checkpoint_allocations:
+            # Checkpoints live on the host of the GPU that wrote them
+            # (node 0's pool on a single-node platform). A slot's size
+            # is fixed by its chunk, and a re-plan frees every slot.
+            pool = self.platform.host_pool(self.platform.node_of(i))
+            self._checkpoint_allocations[key] = pool.alloc(
+                "aggregate_cache", nbytes
+            )
+        self._checkpoints[key] = data.copy()
+
+    def _take_checkpoint(self, l: int, i: int, j: int) -> np.ndarray:
+        key = (l, i, j)
+        if key not in self._checkpoints:
+            raise ConfigurationError(
+                f"missing aggregate checkpoint for layer {l}, gpu {i}, "
+                f"batch {j} — was the forward pass run with the hybrid "
+                f"policy?"
+            )
+        return self._checkpoints[key]
+
+    def free_checkpoints(self) -> None:
+        for allocation in self._checkpoint_allocations.values():
+            allocation.free()
+        self._checkpoint_allocations.clear()
+        self._checkpoints.clear()
+
+
+class GatherTrainer(ChunkCheckpoints, HongTuTrainer):
     """HongTu's trainer with the per-GPU input gather and per-chunk
-    aggregate of every layer."""
+    aggregate of every layer, and a checkpoint per chunk."""
 
     def _forward(self, timeline: EventTimeline, training: bool = True) -> None:
         hybrid = self.config.intermediate_policy == "hybrid"

@@ -222,7 +222,7 @@ class TestTrainerLifecycle:
     def test_missing_checkpoint_raises(self, graph):
         trainer = make_trainer(graph)
         with pytest.raises(ConfigurationError):
-            trainer._take_checkpoint(0, 0, 0)
+            trainer._take_checkpoint(0, 0)
 
     def test_gat_runs_with_recompute_only(self, graph):
         trainer = make_trainer(graph, arch="gat",
@@ -236,8 +236,9 @@ class TestTrainerLifecycle:
         trainer = make_trainer(graph, arch="gcn", num_chunks=2,
                                intermediate_policy="hybrid")
         trainer.train_epoch()
-        # One checkpoint per (layer, gpu, chunk).
-        assert len(trainer._checkpoints) == 2 * 4 * 2
+        # One checkpoint per (layer, batch): the batch's AGGREGATE product.
+        assert len(trainer._checkpoints) == 2 * 2
+        assert trainer.checkpointed_columns() == set(trainer._checkpoints)
 
     def test_pure_recompute_stores_nothing(self, graph):
         trainer = make_trainer(graph, num_chunks=2,
@@ -283,9 +284,9 @@ class TestTrainerLifecycle:
             trainer.train_epoch()
         assert trainer.platform.host_pool(0).by_tag["aggregate_cache"] == \
             cache_after_first
-        assert sum(allocation.nbytes for allocation
-                   in trainer._checkpoint_allocations.values()) == \
-            cache_after_first
+        assert sum(allocation.nbytes
+                   for _, allocations in trainer._checkpoints.values()
+                   for allocation in allocations) == cache_after_first
 
     def test_free_checkpoints_releases_host_memory(self, graph):
         trainer = make_trainer(graph, num_chunks=2,
@@ -296,7 +297,7 @@ class TestTrainerLifecycle:
         assert trainer.platform.host_pool(0).by_tag["aggregate_cache"] == 0
         assert not trainer._checkpoints
         with pytest.raises(ConfigurationError):
-            trainer._take_checkpoint(0, 0, 0)
+            trainer._take_checkpoint(0, 0)
 
 
 class TestMemoryBehavior:

@@ -436,7 +436,7 @@ class TestEmptyScheduleIdentity:
         assert empty.epoch_seconds == plain.epoch_seconds
         assert empty.loss == plain.loss
         assert empty.net_bytes == plain.net_bytes
-        assert empty.migration_bytes == 0 and plain.migration_bytes == 0
+        assert empty.rebalance is None and plain.rebalance is None
         assert empty_flows == plain_flows
         assert (empty.timeline.scheduler.critical_path().tolist()
                 == plain.timeline.scheduler.critical_path().tolist())
@@ -471,7 +471,7 @@ class TestElasticRebalance:
         assert event.moved_partitions
         # the epoch that migrated reports it
         rebalanced = [r for r in results if r.rebalance is not None]
-        assert rebalanced and rebalanced[0].migration_bytes > 0
+        assert rebalanced and rebalanced[0].rebalance.migration_bytes > 0
         # each migrated link is one message at its degraded link rate,
         # priced here link by link
         scheduler = rebalanced[0].timeline.scheduler

@@ -8,8 +8,10 @@ reservation. The trainer runs one product per (layer, batch) over the
 host's h^l instead. All must agree to the last bit over arch × policy ×
 overlap × {1, 2} nodes, and spies pin the structure: a cacheable model
 only emits its staging, each batch block is built once per adopted plan,
-and GAT still loads its inputs. A GPU whose workspace does not fit fails
-the batch reservation exactly as it failed the per-chunk one.
+and GAT and GGNN still load their inputs. A GPU whose workspace does not
+fit fails the batch reservation exactly as it failed the per-chunk one,
+and a host pool that cannot hold a (layer, batch) checkpoint fails as the
+per-chunk checkpoint store failed at its first chunk.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from repro.units import SCALAR_BYTES
 from gather_reference import GatherTrainer, SlotTrainer
 
 CACHEABLE = ("gcn", "graphsage", "gin", "commnet")
-GRID = list(itertools.product(CACHEABLE + ("gat",), ("hybrid", "recompute"),
+GRID = list(itertools.product(CACHEABLE + ("gat", "ggnn"),
+                              ("hybrid", "recompute"),
                               ("barrier", "pipeline"), (1, 2)))
 EPOCHS = 2
 LAYERS = 2
@@ -109,14 +112,23 @@ def test_matches_the_gather_oracle(monkeypatch, graph, partitions, arch,
                             oracle.model.parameters()):
         assert np.array_equal(ours.data, theirs.data)
     assert trainer.evaluate() == oracle.evaluate()
+    # one checkpoint per (layer, batch) warms the same pairs as a full
+    # column of per-chunk ones, and frees the same host bytes
+    assert trainer.checkpointed_columns() == oracle.checkpointed_columns()
+    for ours in (trainer, oracle):
+        ours.free_checkpoints()
+    assert [pool.in_use for pool in trainer.platform.hosts] == \
+        [pool.in_use for pool in oracle.platform.hosts]
 
     batches = trainer.plan.num_batches
     # per epoch, the forward stages every (layer, batch) and the backward
     # stages it again unless the aggregate is cached; evaluate() once more
-    restages = policy == "recompute" or arch == "gat"
+    cacheable = arch in CACHEABLE
+    restages = policy == "recompute" or not cacheable
     stages = (EPOCHS * (2 if restages else 1) + 1) * LAYERS * batches
-    if arch == "gat":
-        # GAT loads each GPU's input rows, which emits the staging first
+    if not cacheable:
+        # GAT and GGNN load each GPU's input rows, which emits the staging
+        # first
         assert staging == ["load_batch_forward", "submit_batch_forward"] \
             * stages
         assert blocks == []
@@ -128,8 +140,8 @@ def test_matches_the_gather_oracle(monkeypatch, graph, partitions, arch,
 
 @pytest.mark.parametrize(
     "arch, policy, overlap, nodes",
-    [case for case in GRID if case[0] != "gat"],
-    ids=["-".join(map(str, case)) for case in GRID if case[0] != "gat"])
+    [case for case in GRID if case[0] in CACHEABLE],
+    ids=["-".join(map(str, case)) for case in GRID if case[0] in CACHEABLE])
 def test_matches_the_slot_space_oracle(graph, partitions, arch, policy,
                                        overlap, nodes):
     """The product over h^l equals the product over the staged buffer."""
@@ -228,3 +240,48 @@ def test_a_failed_reservation_releases_every_pool(graph, partitions):
         assert [pool.in_use for pool in pools] == \
             [used + int(size) for used, size in zip(before, workspace)]
     assert [pool.in_use for pool in pools] == before
+
+
+# ----------------------------------------------------------------------
+# checkpoint reservation: once per (layer, batch), all or nothing
+# ----------------------------------------------------------------------
+def _host_short_of_the_first_checkpoint(cls, graph, partitions):
+    """A one-node trainer whose host pool fits GPU 0's slot of the first
+    (layer, batch) checkpoint but not GPU 1's."""
+    trainer = _trainer(cls, graph, partitions, "gcn", nodes=1)
+    costs = trainer.fleet.shapes.forward(trainer.model.layers[0], 0)
+    pool = trainer.platform.host_pool(0)
+    pool.capacity = pool.in_use + int(costs.checkpoint_bytes.sum()) - 1
+    return trainer, costs.checkpoint_bytes
+
+
+def test_a_host_short_of_a_checkpoint_fails_as_per_chunk(graph, partitions):
+    """The batch checkpoint raises the per-chunk store's error at its first
+    failing chunk, and leaves no entry and no reserved byte for the pair."""
+    errors, trainers = [], []
+    for cls in (HongTuTrainer, GatherTrainer):
+        trainer, checkpoint = _host_short_of_the_first_checkpoint(
+            cls, graph, partitions)
+        assert checkpoint.min() > 0
+        before = trainer.platform.host_pool(0).in_use
+        with pytest.raises(DeviceOutOfMemoryError) as caught:
+            trainer.train_epoch()
+        errors.append(caught.value)
+        trainers.append(trainer)
+    ours, theirs = errors
+    assert ours.args == theirs.args
+    assert (ours.device, ours.requested, ours.in_use, ours.capacity) == \
+        (theirs.device, theirs.requested, theirs.in_use, theirs.capacity)
+    # GPU 1's slot is what fails, with GPU 0's reserved
+    assert (ours.requested, ours.in_use) == \
+        (checkpoint[1], before + checkpoint[0])
+    trainer, oracle = trainers
+    # the per-chunk store kept GPU 0's chunk, a column it did not count;
+    # the batch store keeps nothing
+    assert list(oracle._checkpoints) == [(0, 0, 0)]
+    assert oracle.checkpointed_columns() == set()
+    assert trainer._checkpoints == {}
+    assert trainer.checkpointed_columns() == set()
+    pool = trainer.platform.host_pool(0)
+    assert pool.in_use == before
+    assert pool.by_tag["aggregate_cache"] == 0

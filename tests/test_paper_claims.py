@@ -16,6 +16,7 @@ import pytest  # noqa: E402
 from benchmarks._common import (  # noqa: E402
     TABLE1_PAPER_GB,
     TABLE8_CHUNKS,
+    ablation_recompute_claims,
     fig8_claims,
     fig9_claims,
     fig11_claims,
@@ -24,6 +25,9 @@ from benchmarks._common import (  # noqa: E402
     table3_claims,
     table8_claims,
     table8_volumes,
+)
+from benchmarks.bench_ablation_recompute import (  # noqa: E402
+    run_all as run_ablation_recompute,
 )
 from benchmarks.bench_fig8_accuracy import train_curves  # noqa: E402
 from benchmarks.bench_fig9_breakdown import (  # noqa: E402
@@ -142,5 +146,20 @@ def test_fig11_scaling_claims():
 def test_fig11_scale_out_claims():
     claims = fig11_nodes_claims(run_nodes(scale=FIG11_SCALE))
     assert len(claims) == 2 * len(NODE_COUNTS)
+    failed = [name for name, held in claims.items() if not held]
+    assert not failed, failed
+
+
+#: The recompute ablation on papers_sim at ~400 vertices, hidden width 16
+#: and 4 chunks per GPU, GCN and GAT under both policies (about 0.35 s).
+#: Every claim holds. It runs the hybrid policy's checkpoint path end to
+#: end: on GCN the checkpoint is what saves the backward's staging.
+ABLATION_SCALE = 0.05
+
+
+def test_ablation_recompute_claims():
+    claims = ablation_recompute_claims(run_ablation_recompute(
+        scale=ABLATION_SCALE, hidden=16, chunks=4))
+    assert len(claims) == 7
     failed = [name for name, held in claims.items() if not held]
     assert not failed, failed

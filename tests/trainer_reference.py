@@ -12,6 +12,9 @@ into a host ∇h buffer — ∇h⁰ included.
 
 Nothing reads ∇h⁰, so the two must agree on everything else to the last
 bit: losses, timelines, byte ledgers, peak memory and final parameters.
+The one edit since: a chunk's cached aggregate is its row range of the
+trainer's (layer, batch) checkpoint (:meth:`GradInputTrainer._chunk_checkpoint`),
+where it used to be a checkpoint of its own.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ class GradInputTrainer(HongTuTrainer):
         layer = self.model.layers[l]
         chunk = self.partition.chunks[i][j]
         block = chunk.block
-        agg_data = self._take_checkpoint(l, i, j)
+        agg_data = self._chunk_checkpoint(l, i, j)
         if layer.update_uses_self:
             h_dst_data = self._h[l][chunk.dst_global]
         else:
@@ -105,3 +108,10 @@ class GradInputTrainer(HongTuTrainer):
         if layer.update_uses_self and h_dst_t.grad is not None:
             grads[block.dst_pos] += h_dst_t.grad  # dst_pos is duplicate-free
         return grads
+
+    def _chunk_checkpoint(self, l: int, i: int, j: int) -> np.ndarray:
+        """Chunk (i, j)'s rows of the (layer, batch) checkpoint: the chunks
+        of a batch stack in GPU order."""
+        rows = np.cumsum([0] + [chunks[j].num_dst
+                                for chunks in self.partition.chunks])
+        return self._take_checkpoint(l, j)[rows[i]:rows[i + 1]]
