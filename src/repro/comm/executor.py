@@ -35,9 +35,9 @@ kernels — which is what lets the ``pipeline`` overlap policy hide PCIe
 time under compute. The paper's barrier-synchronized accounting (each
 phase costs its per-device max, phases serialize) is the same
 emission on ``EventTimeline(barrier_all=True)``; every transfer task
-carries the bytes it moves. After each forward
-batch call, :meth:`DedupCommunicator.batch_input_dep_ids` names the tasks
-the trainer hangs its compute tasks off.
+carries the bytes it moves. Each forward batch call returns, per GPU,
+the tasks that produce its input — what the caller hangs its compute
+tasks off.
 
 Emission is *batched*: which rows each GPU loads, reuses, fetches and
 flushes — and how the traffic splits across node pairs — is fixed by the
@@ -58,8 +58,9 @@ where they came from — GPU i's input h_{N_ij} is ``h[needed_i]`` of the
 host's h^l, which is what the buffer slots would hold. The trainer's
 linear AGGREGATE is one product per batch over h^l
 (:meth:`repro.gnn.block.Block.in_slots`), §6's engine with its gather
-fused into the SpMM; :meth:`DedupCommunicator.load_batch_forward` returns
-one copy per GPU for the callers that need them (GAT and GGNN's tape).
+fused into the SpMM, and GAT and GGNN read a chunk's input rows of h^l
+when the chunk runs; :meth:`DedupCommunicator.load_batch_forward` returns
+one copy per GPU for the callers that want them all at once.
 The backward accumulates into the m transition gradient buffers as row
 ranges of one stacked array
 (:class:`~repro.runtime.buffers.TransitionBuffers`), at the slots the plan
@@ -141,8 +142,6 @@ from repro.units import SCALAR_BYTES
 __all__ = ["DedupCommunicator", "PlanStatic"]
 
 _NO_IDS = np.empty(0, dtype=np.int64)
-#: no task's inputs: before a sweep's first forward batch
-_NO_INPUTS = DepLists(_NO_IDS, _NO_IDS)
 
 #: the halo flows: a ``net`` wave labelled ``halo_fetch[b3]`` is flow 1
 HALO_FLOWS = ("halo_load", "halo_fetch", "halo_push", "halo_flush")
@@ -458,9 +457,6 @@ class DedupCommunicator:
         # call submitted that a later batch waits on (forward files
         # "load"/"reuse"/"assemble", backward "flush").
         self._history: List[Dict[str, np.ndarray]] = []
-        # Per-gpu input task ids of the latest forward batch (net tasks
-        # have link device ids, so a device filter cannot recover them).
-        self._last_inputs_by_gpu = _NO_INPUTS
 
     # ------------------------------------------------------------------
     # sweep lifecycle
@@ -481,7 +477,6 @@ class DedupCommunicator:
             double_buffer=double_buffer,
         )
         self._history = []
-        self._last_inputs_by_gpu = _NO_INPUTS
 
     def end_sweep(self) -> None:
         """Free the transition buffers."""
@@ -489,7 +484,6 @@ class DedupCommunicator:
             self._buffers.free()
         self._buffers = None
         self._history = []
-        self._last_inputs_by_gpu = _NO_INPUTS
 
     def _require_sweep(self) -> TransitionBuffers:
         if self._buffers is None:
@@ -608,7 +602,7 @@ class DedupCommunicator:
         A request finds nothing resident, so every GPU stages ``batch``'s
         *full* transition set — the rows an epoch would reuse in place
         are loaded too — at ``row_bytes`` per vertex row, then assembles
-        its input the way :meth:`load_batch_forward` does. Five waves,
+        its input the way :meth:`submit_batch_forward` does. Five waves,
         in this order, each labelled ``{stem}{tag}``: ``halo_load``
         (:meth:`submit_serving_halo`), ``serve_load`` (``h2d``),
         ``serve_fetch`` (same-node P2P, ``d2d``), ``halo_fetch`` and
@@ -734,20 +728,22 @@ class DedupCommunicator:
                 for plan in self.plan.plans[batch]]
 
     def submit_batch_forward(self, batch: int,
-                             timeline: EventTimeline) -> None:
+                             timeline: EventTimeline) -> DepLists:
         """Emit ``batch``'s forward traffic; no row moves.
 
         The waves, labels, bytes and dependencies of Algorithm 2 for one
         batch: host loads (``halo_load``, ``load``) and in-place reuse
         copies (``reuse``), then the assembly of every GPU's input — P2P
         and halo fetches (``fetch``, ``halo_fetch``) and intra-GPU reads
-        (``gather``). :meth:`batch_input_dep_ids` then names the tasks
-        each GPU's compute waits for. The mirror of
+        (``gather``). Returns, per GPU, the ids its compute waits for
+        (one :class:`DepLists`, as :meth:`submit_cold_load` does): its
+        ``fetch`` and ``gather`` tasks and the ``halo_fetch`` messages it
+        reads, which a device filter could not find (their device ids
+        name network links, not GPUs). The mirror of
         :meth:`submit_batch_backward`: a caller that reads the staged rows
-        where they come from — h^l on the host, the trainer's AGGREGATE
-        through :meth:`repro.gnn.block.Block.in_slots` — needs nothing
-        more; :meth:`load_batch_forward` adds the per-GPU inputs. A
-        ``batch`` outside the plan or no active sweep raises
+        where they come from — h^l on the host — needs nothing more;
+        :meth:`load_batch_forward` adds the per-GPU inputs. A ``batch``
+        outside the plan or no active sweep raises
         :class:`~repro.errors.CommunicationPlanError` before anything is
         emitted.
         """
@@ -814,24 +810,13 @@ class DedupCommunicator:
         assemble_ids = np.concatenate(
             [remote_ids, halo_fetch_ids, local_ids]
         )
-        self._last_inputs_by_gpu = DepLists.join(
-            m, remote_ids, local_ids,
-            self._ids_by_reader(static.fetch_halo, halo_fetch_ids))
         self._record_batch(batch, {
             "load": load_ids, "reuse": reuse_ids,
             "assemble": assemble_ids,
         })
-
-    def batch_input_dep_ids(self) -> DepLists:
-        """Per GPU, the latest batch's input-producing tasks.
-
-        Includes the halo-exchange network tasks feeding each GPU, which
-        a plain device filter over the assemble phase could not find
-        (their device ids name network links, not GPUs). Suitable as a
-        ``deps_by_device`` argument directly; no entry at all before
-        the sweep's first forward batch.
-        """
-        return self._last_inputs_by_gpu
+        return DepLists.join(
+            m, remote_ids, local_ids,
+            self._ids_by_reader(static.fetch_halo, halo_fetch_ids))
 
     # ------------------------------------------------------------------
     # backward: Algorithm 3

@@ -11,11 +11,12 @@ Execution structure per epoch (paper Algorithm 1):
 1. **Forward**, layer by layer; within a layer, batch by batch; within a
    batch, the m chunks run concurrently on the m GPUs. Neighbor
    representations are staged through the deduplicated communication
-   framework, which emits every transfer; a staged row is the host row
-   it came from, so the numerics read h^l on the host. A cacheable
-   layer's AGGREGATE is one product per batch over h^l, and its UPDATE
-   runs per chunk on row views of that product; the other layers (GAT,
-   GGNN) take each GPU's input rows and run per chunk. Outputs are copied
+   framework, which emits every transfer and returns what each GPU's
+   compute waits on; a staged row is the host row it came from, so the
+   numerics read h^l on the host. A cacheable layer's AGGREGATE is one
+   product per batch over h^l, and its UPDATE runs per chunk on row
+   views of that product; the other layers (GAT, GGNN) run whole per
+   chunk on its input rows of h^l. Outputs are copied
    back to the host vertex buffer h^{l+1}; under the ``hybrid`` policy a
    cacheable layer's batch product is kept, read-only, as the (layer,
    batch) checkpoint in host memory; all other intermediates are dropped
@@ -27,7 +28,9 @@ Execution structure per epoch (paper Algorithm 1):
    recompute only the UPDATE under a fresh tape, and propagate neighbor
    gradients through the closed-form aggregate adjoint. Non-cacheable
    layers re-stage their input neighbor set (a second deduplicated
-   forward load) and recompute the full layer under the tape.
+   forward load) and recompute the full layer under the tape. The
+   forward and the backward build a chunk's layer with one function,
+   each backward chunk under a tape of its own.
    For l ≥ 1, ∇h^l returns to the host buffer through the deduplicated
    backward communication. Layer 0's inputs are the constant features,
    whose gradient nothing reads: its tape takes them as constants, no
@@ -69,7 +72,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -279,11 +282,6 @@ class HongTuTrainer:
         self._batch_blocks: Dict[int, Block] = {}
 
     @property
-    def fleet_seconds(self) -> float:
-        """Simulated wall clock across epochs (the fault schedule's axis)."""
-        return self._elastic.fleet_seconds
-
-    @property
     def rebalances(self) -> List[RebalanceEvent]:
         """Provenance of every elastic re-balance this trainer performed."""
         return self._elastic.rebalances
@@ -299,7 +297,8 @@ class HongTuTrainer:
 
         On a fault-injected fleet (``config.faults``) the epoch boundary
         is where faults become visible: the schedule is sampled at the
-        accumulated :attr:`fleet_seconds`, the platform's rates are
+        simulated seconds of the epochs so far (the elastic controller's
+        ``fleet_seconds``), the platform's rates are
         perturbed accordingly, a node death (or a pending
         makespan-trigger detection from the previous epoch) runs the
         elastic re-balance — whose migration traffic is charged as
@@ -385,31 +384,21 @@ class HongTuTrainer:
             cache_layer = training and hybrid and layer.cacheable_aggregate
             # repro-lint: allow-loop — wave granularity: one batched emission per (layer, batch)
             for j in range(self.plan.num_batches):
-                staged = self._stage_batch(l, j, timeline)
-                input_deps = self._comm_values.batch_input_dep_ids()
+                input_deps, aggregate = self._stage_batch(l, j, timeline)
                 costs = self.fleet.shapes.forward(layer, j)
                 stop = 0
                 with self._workspaces("forward_workspace",
-                                      costs.workspace_bytes):
+                                      costs.workspace_bytes), no_grad():
                     # repro-lint: allow-loop — per-GPU numerics over python chunk objects; emission below is batched
                     for i in range(self.plan.num_gpus):
                         chunk = self.partition.chunks[i][j]
                         start, stop = stop, stop + chunk.num_dst
-                        with no_grad():
-                            # UPDATE stays per chunk, on row views of the
-                            # batch product; one that ignores h_dst gets a
-                            # placeholder
-                            agg = (Tensor(staged[start:stop])
-                                   if layer.cacheable_aggregate else
-                                   layer.aggregate(chunk.block,
-                                                   Tensor(staged[i])))
-                            h_dst = (Tensor(self._h[l][chunk.dst_global])
-                                     if layer.update_uses_self else agg)
-                            out = layer.update(chunk.block, agg, h_dst)
-                        self._h[l + 1][chunk.dst_global] = out.data
+                        self._h[l + 1][chunk.dst_global] = self._chunk_pass(
+                            l, i, j, None if aggregate is None
+                            else aggregate[start:stop], None)
                 d2h = costs.writeback_bytes
                 if cache_layer:
-                    self._store_checkpoint(l, j, staged,
+                    self._store_checkpoint(l, j, aggregate,
                                            costs.checkpoint_bytes)
                     d2h = d2h + costs.checkpoint_bytes
                 compute_ids = timeline.submit_batch(
@@ -494,13 +483,10 @@ class HongTuTrainer:
         input_deps = None
         if use_cache:
             costs = shapes.backward_cached(layer, j)
-            staged = self._take_checkpoint(l, j)
+            aggregate = self._take_checkpoint(l, j)
         else:
             costs = shapes.backward_recompute(layer, j)
-            staged = self._stage_batch(l, j, timeline)
-            input_deps = self._comm_values.batch_input_dep_ids()
-        # ∇h⁰ is the gradient of the constant features: nothing reads it
-        needs_input_grad = l > 0
+            input_deps, aggregate = self._stage_batch(l, j, timeline)
         # per GPU, its input rows' gradient (empty at layer 0)
         neighbor_grads: List[np.ndarray] = []
 
@@ -509,19 +495,12 @@ class HongTuTrainer:
             # repro-lint: allow-loop — per-GPU numerics over python chunk objects; emission below is batched
             for i in range(self.plan.num_gpus):
                 chunk = self.partition.chunks[i][j]
-                grad_out = self._grad_h[l + 1][chunk.dst_global]
                 start, stop = stop, stop + chunk.num_dst
-                if layer.cacheable_aggregate:
-                    grads = self._cached_chunk_grads(
-                        l, i, j, staged[start:stop], grad_out,
-                        needs_input_grad)
-                else:
-                    h_t = Tensor(staged[i], requires_grad=needs_input_grad)
-                    layer.forward(chunk.block, h_t).backward(grad_out)
-                    grads = h_t.grad
-                    if grads is None and needs_input_grad:
-                        grads = np.zeros_like(staged[i])
-                if needs_input_grad:
+                grads = self._chunk_pass(
+                    l, i, j,
+                    None if aggregate is None else aggregate[start:stop],
+                    self._grad_h[l + 1][chunk.dst_global])
+                if grads is not None:
                     neighbor_grads.append(grads)
 
         load_ids = timeline.submit_batch(
@@ -539,7 +518,8 @@ class HongTuTrainer:
             deps_by_device=compute_deps,
             label=f"grad_compute[l{l}b{j}]",
         )
-        if needs_input_grad:
+        # ∇h⁰ is the gradient of the constant features: nothing reads it
+        if l > 0:
             self._comm_grads.accumulate_batch_backward(
                 j, neighbor_grads, self._grad_h[l], timeline,
                 deps_by_device=compute_ids,
@@ -577,26 +557,28 @@ class HongTuTrainer:
             raise
         return allocations
 
-    def _stage_batch(self, l: int, j: int, timeline: EventTimeline):
-        """Emit the staging of batch ``j`` of layer ``l`` and return what
-        its chunks read, for the forward and the recompute backward alike.
+    def _stage_batch(self, l: int, j: int, timeline: EventTimeline
+                     ) -> Tuple[DepLists, Optional[np.ndarray]]:
+        """Emit the staging of batch ``j`` of layer ``l``, for the forward
+        and the recompute backward alike: per GPU, the tasks its compute
+        waits for
+        (:meth:`~repro.comm.executor.DedupCommunicator.submit_batch_forward`),
+        and a cacheable layer's batch AGGREGATE (``None`` for GAT and
+        GGNN, whose chunks read their input rows of h^l when they run).
 
-        GAT and GGNN read each GPU's input rows
-        (:meth:`~repro.comm.executor.DedupCommunicator.load_batch_forward`).
-        A cacheable layer reads every chunk's AGGREGATE as one product over
-        the host's h^l, chunk (i, j)'s being its row range, chunks in GPU
-        order. A transition buffer holds the host rows it stages, so no
-        row is copied, and the rows equal the per-chunk products to the
-        bit (:meth:`~repro.gnn.block.Block.in_slots`).
+        The AGGREGATE is one product over the host's h^l, chunk (i, j)'s
+        being its row range, chunks in GPU order. A transition buffer
+        holds the host rows it stages, so no row is copied, and the rows
+        equal the per-chunk products to the bit
+        (:meth:`~repro.gnn.block.Block.in_slots`).
         """
+        input_deps = self._comm_values.submit_batch_forward(j, timeline)
         layer = self.model.layers[l]
         if not layer.cacheable_aggregate:
-            return self._comm_values.load_batch_forward(j, self._h[l],
-                                                        timeline)
-        self._comm_values.submit_batch_forward(j, timeline)
+            return input_deps, None
         with no_grad():
-            return layer.aggregate(self._batch_block(j),
-                                   Tensor(self._h[l])).data
+            return input_deps, layer.aggregate(self._batch_block(j),
+                                               Tensor(self._h[l])).data
 
     def _batch_block(self, j: int) -> Block:
         """Batch ``j``'s chunks as one block over the host's h^l, built
@@ -609,31 +591,50 @@ class HongTuTrainer:
                 self.graph.num_vertices)
         return block
 
-    def _cached_chunk_grads(self, l: int, i: int, j: int, agg: np.ndarray,
-                            grad_out: np.ndarray,
-                            needs_input_grad: bool) -> Optional[np.ndarray]:
-        """Neighbor gradients of chunk (i, j) from its aggregate ``agg``
-        (the hybrid policy's checkpoint, or the recompute policy's fresh
-        product): UPDATE re-runs under a fresh tape, AGGREGATE's adjoint is
-        closed form. Without ``needs_input_grad`` the tape takes the
-        aggregate and ``h_dst`` as constants and only the parameter
-        gradients are computed: the result is ``None``."""
+    def _chunk_pass(self, l: int, i: int, j: int,
+                    aggregate: Optional[np.ndarray],
+                    grad_out: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """Layer ``l`` over chunk (i, j), in the forward and the backward.
+
+        A cacheable layer runs UPDATE on ``aggregate``, the chunk's rows
+        of the batch AGGREGATE; an UPDATE that ignores h_dst gets the
+        aggregate as a placeholder. The other layers run whole on the
+        chunk's input rows of h^l. Without ``grad_out`` (the forward, under
+        ``no_grad``) the result is the chunk's output rows. With it, the
+        pass runs under a tape of its own, back-propagates ``grad_out`` and
+        returns the gradient of the chunk's input rows — a cacheable
+        layer's through the closed-form AGGREGATE adjoint. At layer 0 the
+        tape takes its inputs as constants and computes the parameter
+        gradients only: the result is ``None``.
+        """
         layer = self.model.layers[l]
         chunk = self.partition.chunks[i][j]
         block = chunk.block
-        agg_t = Tensor(agg, requires_grad=needs_input_grad)
-        # An UPDATE that ignores h_dst gets a placeholder, as in the forward.
-        h_dst_t = (Tensor(self._h[l][chunk.dst_global],
-                          requires_grad=needs_input_grad)
-                   if layer.update_uses_self else agg_t)
-        layer.update(block, agg_t, h_dst_t).backward(grad_out)
+        needs_input_grad = grad_out is not None and l > 0
+        if aggregate is None:
+            x = Tensor(self._h[l][block.src_global],
+                       requires_grad=needs_input_grad)
+            out = layer.forward(block, x)
+        else:
+            x = Tensor(aggregate, requires_grad=needs_input_grad)
+            h_dst = (Tensor(self._h[l][chunk.dst_global],
+                            requires_grad=needs_input_grad)
+                     if layer.update_uses_self else x)
+            out = layer.update(block, x, h_dst)
+        if grad_out is None:
+            return out.data
+        out.backward(grad_out)
+        # the tape holds every intermediate's rows and gradient: free it
+        # before the adjoint allocates the neighbor gradient
+        del out
         if not needs_input_grad:
             return None
-        grad_agg = agg_t.grad if agg_t.grad is not None else \
-            np.zeros_like(agg_t.data)
-        grads = layer.aggregate_backward(block, grad_agg)
-        if layer.update_uses_self and h_dst_t.grad is not None:
-            grads[block.dst_pos] += h_dst_t.grad  # dst_pos is duplicate-free
+        grads = x.grad if x.grad is not None else np.zeros_like(x.data)
+        if aggregate is None:
+            return grads
+        grads = layer.aggregate_backward(block, grads)
+        if layer.update_uses_self and h_dst.grad is not None:
+            grads[block.dst_pos] += h_dst.grad  # dst_pos is duplicate-free
         return grads
 
     # ------------------------------------------------------------------

@@ -241,19 +241,14 @@ class ServingEngine:
             forward = self.shapes.forward(self.model.layers[l], j)
             compute_seconds = platform.gpu_compute_seconds(
                 forward.flops, devices=self._gpu_ids)
-            if is_warm:
-                compute_ids = timeline.submit_batch(
-                    "gpu", compute_seconds, deps=prev,
-                    label=f"serve_compute{tag}",
-                )
-            else:
-                compute_ids = timeline.submit_batch(
-                    "gpu", compute_seconds,
-                    deps_by_device=self.communicator.submit_cold_load(
-                        timeline, j, self.model.dims[l] * SCALAR_BYTES, prev,
-                        tag),
-                    label=f"serve_compute{tag}",
-                )
+            # a warm layer's compute waits for the layer below, a cold
+            # one's for its staging front, which waits for that layer
+            staged = None if is_warm else self.communicator.submit_cold_load(
+                timeline, j, self.model.dims[l] * SCALAR_BYTES, prev, tag)
+            compute_ids = timeline.submit_batch(
+                "gpu", compute_seconds, deps=prev if is_warm else None,
+                deps_by_device=staged, label=f"serve_compute{tag}",
+            )
             prev = timeline.submit_batch(
                 "d2h", platform.h2d_seconds(forward.writeback_bytes,
                                             devices=self._gpu_ids),

@@ -6,15 +6,19 @@ batch) over the host's h^l, through a block whose sources are vertex ids
 (:meth:`~repro.gnn.block.Block.in_slots` over the chunks' ``src_global``);
 no row is staged or gathered. Its recompute backward of those layers is
 the hybrid path fed the recomputed aggregate. Two earlier forms are kept
-here, each as it was written at the commit before it was replaced:
+here, each as it was written at the commit before it was replaced, apart
+from one edit since: the staging call returns each GPU's input
+dependencies, so they come from
+:meth:`~repro.comm.executor.DedupCommunicator.submit_batch_forward` and
+the inputs are the host rows of every GPU's needed set, which is what
+:meth:`~repro.comm.executor.DedupCommunicator.load_batch_forward` returns:
 
 * :class:`SlotTrainer` — the slot-space AGGREGATE: each batch's rows are
   staged into one stacked transition buffer (the loads copied in, reused
   rows left in place) and the product runs over that buffer, through a
   block whose sources are buffer slots (the plan's ``source_slots``);
 * :class:`GatherTrainer` — before that: every layer gathers each GPU's
-  input with
-  :meth:`~repro.comm.executor.DedupCommunicator.load_batch_forward`, runs
+  input before its chunks run, runs
   its aggregate per chunk, and the recompute backward re-runs the whole
   layer under the tape; it reserves each chunk's workspace on its own,
   and the hybrid policy copies each chunk's aggregate into a checkpoint
@@ -55,7 +59,7 @@ class SlotTrainer(HongTuTrainer):
     def _stage_batch(self, l: int, j: int, timeline: EventTimeline):
         if not self.model.layers[l].cacheable_aggregate:
             return super()._stage_batch(l, j, timeline)
-        self._comm_values.submit_batch_forward(j, timeline)
+        input_deps = self._comm_values.submit_batch_forward(j, timeline)
         plans = self.plan.plans[j]
         if j == 0:  # every sweep starts at batch 0, on a fresh buffer
             self._stacked = np.zeros(
@@ -70,7 +74,7 @@ class SlotTrainer(HongTuTrainer):
                 [plan.source_slots for plan in plans],
                 int(self.plan.buffer_offsets[-1]))
         with no_grad():
-            return self.model.layers[l].aggregate(
+            return input_deps, self.model.layers[l].aggregate(
                 block, Tensor(self._stacked)).data
 
 
@@ -139,10 +143,10 @@ class GatherTrainer(ChunkCheckpoints, HongTuTrainer):
                                           double_buffer=self._pipelined)
             cache_layer = training and hybrid and layer.cacheable_aggregate
             for j in range(self.plan.num_batches):
-                inputs = self._comm_values.load_batch_forward(
-                    j, self._h[l], timeline
-                )
-                input_deps = self._comm_values.batch_input_dep_ids()
+                input_deps = self._comm_values.submit_batch_forward(
+                    j, timeline)
+                inputs = [self._h[l][plan.needed]
+                          for plan in self.plan.plans[j]]
                 costs = self.fleet.shapes.forward(layer, j)
                 workspace = costs.workspace_bytes.tolist()
                 for i in range(self.plan.num_gpus):
@@ -186,9 +190,8 @@ class GatherTrainer(ChunkCheckpoints, HongTuTrainer):
             costs = shapes.backward_cached(layer, j)
         else:
             costs = shapes.backward_recompute(layer, j)
-            inputs = self._comm_values.load_batch_forward(j, self._h[l],
-                                                          timeline)
-            input_deps = self._comm_values.batch_input_dep_ids()
+            input_deps = self._comm_values.submit_batch_forward(j, timeline)
+            inputs = [self._h[l][plan.needed] for plan in self.plan.plans[j]]
         workspace = costs.workspace_bytes.tolist()
         # ∇h⁰ is the gradient of the constant features: nothing reads it
         needs_input_grad = l > 0

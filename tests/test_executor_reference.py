@@ -393,10 +393,10 @@ def _train_arch(graph, partition, platform, arch, comm_mode, overlap):
 
 
 class TestTrainingOnStackedValues:
-    """GAT and GGNN take their inputs from ``load_batch_forward``'s host
-    rows, GCN its aggregate from a product over h^l; all three push their
-    gradients through the ordered adds. Each trains, end to end, exactly
-    as on the stacked mover's staged rows and per-GPU ``+=``."""
+    """GAT and GGNN read their chunks' input rows of h^l, GCN its
+    aggregate from a product over h^l; all three push their gradients
+    through the ordered adds. Each trains, end to end, exactly as on the
+    stacked mover's per-GPU ``+=``."""
 
     @pytest.mark.parametrize("overlap", sorted(OVERLAPS))
     @pytest.mark.parametrize("platform", ["one_node", "flat"])
@@ -586,6 +586,72 @@ class TestSharedStatic:
 
 
 # ----------------------------------------------------------------------
+# what a forward batch's readers wait on
+# ----------------------------------------------------------------------
+def _per_gpu(deps):
+    """A :class:`DepLists` as one id list per GPU."""
+    return [ids.tolist()
+            for ids in np.split(deps.ids, np.cumsum(deps.counts)[:-1])]
+
+
+def _tasks_feeding_each_gpu(timeline, plan, platform, batch):
+    """Per GPU, from the scheduled waves: its own ``fetch`` and ``gather``
+    tasks, then, in submission order, the ``halo_fetch`` messages on its
+    rail from every other node it reads a staged row from."""
+    scheduler = timeline.scheduler
+    columns = scheduler.columns()
+    labels = scheduler.phase_labels()
+
+    def wave(stem):
+        phases = [p for p, label in enumerate(labels)
+                  if label == f"{stem}[b{batch}]"]
+        return np.flatnonzero(np.isin(columns.phase, phases))
+
+    node = platform.placement
+    reader, source, _rows = plan.segments(batch)
+    expected = []
+    for gpu in range(plan.num_gpus):
+        feeds = [task for stem in ("fetch", "gather") for task in wave(stem)
+                 if columns.device[task] == gpu]
+        remote = {node[s] for s in source[reader == gpu]} - {node[gpu]}
+        rail = platform.local_rank(gpu) % platform.num_rails
+        feeds += [task for task in wave("halo_fetch")
+                  if net_link_parts(int(columns.device[task]),
+                                    platform.num_nodes, platform.num_rails)
+                  in {(src, node[gpu], rail) for src in remote}]
+        expected.append([int(task) for task in feeds])
+    return expected
+
+
+class TestForwardInputDeps:
+    """``submit_batch_forward`` returns, per GPU, the tasks its compute
+    waits for — the contract ``submit_cold_load`` has."""
+
+    @pytest.mark.parametrize("platform", ["flat", "rail", "uneven"])
+    @pytest.mark.parametrize("overlap", sorted(OVERLAPS))
+    def test_each_gpu_waits_for_exactly_the_tasks_that_feed_it(
+            self, partitions, platform, overlap):
+        """On two nodes, for every batch of a sweep (batch 0 and the
+        later ones, whose staging waits on earlier batches' tasks), the
+        returned lists name exactly each GPU's ``fetch``, ``gather`` and
+        ``halo_fetch`` tasks."""
+        platform = PLATFORMS[platform]()
+        plan = build_comm_plan(partitions["metis"])
+        comm = DedupCommunicator(plan, platform)
+        comm.start_sweep(DIM, double_buffer=OVERLAPS[overlap])
+        timeline = EventTimeline(barrier_all=overlap == "barrier")
+        halo_deps = 0
+        for batch in range(plan.num_batches):
+            deps = comm.submit_batch_forward(batch, timeline)
+            expected = _tasks_feeding_each_gpu(timeline, plan, platform,
+                                               batch)
+            assert _per_gpu(deps) == expected, batch
+            halo_deps += sum(len(feeds) - 2 for feeds in expected)
+        comm.end_sweep()
+        assert plan.num_batches > 1 and halo_deps > 0  # not vacuous
+
+
+# ----------------------------------------------------------------------
 # entry points fail inside the taxonomy, before touching state
 # ----------------------------------------------------------------------
 @pytest.fixture
@@ -733,10 +799,14 @@ class TestEntryPointRejections:
     def test_submitting_emits_what_loading_emits_and_moves_nothing(
             self, live):
         """``submit_batch_forward`` emits what ``load_batch_forward``
-        emits, returns nothing and allocates no buffer array; the loaded
+        emits and allocates no buffer array, and returns each GPU's
+        ``fetch`` and ``gather`` tasks (one node: no halo); the loaded
         inputs are the host rows of every GPU's needed set."""
         comm, plan, host, _grads, timeline = live
-        assert comm.submit_batch_forward(0, timeline) is None
+        deps = comm.submit_batch_forward(0, timeline)
+        assert _per_gpu(deps) == _tasks_feeding_each_gpu(
+            timeline, plan, comm.platform, 0)
+        assert deps.counts.tolist() == [2, 2]
         assert comm._buffers._stacked is None
         other = EventTimeline(barrier_all=True)
         comm.end_sweep()

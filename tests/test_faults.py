@@ -564,7 +564,7 @@ class TestElasticRebalance:
     def test_fleet_clock_advances_by_makespans(self, graph):
         trainer = make_trainer(graph)
         seconds = [trainer.train_epoch().epoch_seconds for _ in range(3)]
-        assert trainer.fleet_seconds == pytest.approx(sum(seconds))
+        assert trainer._elastic.fleet_seconds == pytest.approx(sum(seconds))
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,9 @@ transition buffer and runs the product over it;
 the per-chunk aggregate, the recompute tape and the per-chunk workspace
 reservation. The trainer runs one product per (layer, batch) over the
 host's h^l instead. All must agree to the last bit over arch × policy ×
-overlap × {1, 2} nodes, and spies pin the structure: a cacheable model
-only emits its staging, each batch block is built once per adopted plan,
-and GAT and GGNN still load their inputs. A GPU whose workspace does not
+overlap × {1, 2} nodes, and spies pin the structure: every model only
+emits its staging, GAT and GGNN included, and a cacheable model builds
+each batch block once per adopted plan. A GPU whose workspace does not
 fit fails the batch reservation exactly as it failed the per-chunk one,
 and a host pool that cannot hold a (layer, batch) checkpoint fails as the
 per-chunk checkpoint store failed at its first chunk.
@@ -126,16 +126,11 @@ def test_matches_the_gather_oracle(monkeypatch, graph, partitions, arch,
     cacheable = arch in CACHEABLE
     restages = policy == "recompute" or not cacheable
     stages = (EPOCHS * (2 if restages else 1) + 1) * LAYERS * batches
-    if not cacheable:
-        # GAT and GGNN load each GPU's input rows, which emits the staging
-        # first
-        assert staging == ["load_batch_forward", "submit_batch_forward"] \
-            * stages
-        assert blocks == []
-    else:
-        # a cacheable model never loads, and builds each batch block once
-        assert staging == ["submit_batch_forward"] * stages
-        assert blocks == ["in_slots"] * batches
+    # no model loads a copy of its inputs: GAT and GGNN chunks read theirs
+    # from h^l when they run
+    assert staging == ["submit_batch_forward"] * stages
+    # a cacheable model builds each batch block once
+    assert blocks == (["in_slots"] * batches if cacheable else [])
 
 
 @pytest.mark.parametrize(

@@ -75,7 +75,7 @@ def test_callers_run_every_example_and_bench_function():
     assert len(benches) == len(set(benches)) == 34
     assert all(module.startswith("bench_") and function.startswith("bench_")
                for module, function in benches)
-    assert len(callers) == len(set(map(tuple, callers))) == 73
+    assert len(callers) == len(set(map(tuple, callers))) == 74
 
 
 def test_cli_callers_parse():

@@ -12,9 +12,13 @@ into a host ∇h buffer — ∇h⁰ included.
 
 Nothing reads ∇h⁰, so the two must agree on everything else to the last
 bit: losses, timelines, byte ledgers, peak memory and final parameters.
-The one edit since: a chunk's cached aggregate is its row range of the
+Two edits since: a chunk's cached aggregate is its row range of the
 trainer's (layer, batch) checkpoint (:meth:`GradInputTrainer._chunk_checkpoint`),
-where it used to be a checkpoint of its own.
+where it used to be a checkpoint of its own; and the staging call returns
+each GPU's input dependencies, so they come from
+:meth:`~repro.comm.executor.DedupCommunicator.submit_batch_forward` and
+the inputs are the host rows of every GPU's needed set, which is what
+:meth:`~repro.comm.executor.DedupCommunicator.load_batch_forward` returns.
 """
 
 from __future__ import annotations
@@ -48,9 +52,8 @@ class GradInputTrainer(HongTuTrainer):
             costs = shapes.backward_cached(layer, j)
         else:
             costs = shapes.backward_recompute(layer, j)
-            inputs = self._comm_values.load_batch_forward(j, self._h[l],
-                                                          timeline)
-            input_deps = self._comm_values.batch_input_dep_ids()
+            input_deps = self._comm_values.submit_batch_forward(j, timeline)
+            inputs = [self._h[l][plan.needed] for plan in self.plan.plans[j]]
         workspace = costs.workspace_bytes.tolist()
         neighbor_grads: List[np.ndarray] = []
 

@@ -9,9 +9,9 @@ per value, so the parent/change comparison is one ``diff``:
   policy × overlap policy × {1, 2} nodes, two epochs each: every
   :class:`~repro.core.trainer.EpochResult` field, every timeline column
   (and the phase labels), the final parameters and the accuracies of
-  ``evaluate()``. The four cacheable layers each take the slot-space
+  ``evaluate()``. The four cacheable layers each take the batch
   AGGREGATE in their own way; GGNN is left out because GAT already
-  covers the other path, the per-GPU gather and the full tape;
+  covers the other path, a chunk's input rows and the full tape;
 * the four ``benchmarks/perf`` workloads at their ``--tiny`` sizes: two
   steps, then the step's signature and counts, the timelines of the last
   step and the trainer's final parameters.

@@ -8,7 +8,8 @@ callers (``CALLERS``) are the six examples; the README's CLI runs, with
 every ``--arch``, the three fault kinds and ``--profile``; the four
 ``benchmarks/perf`` workloads at ``--tiny``, traced and untraced, run as
 the measuring child that ``run.py`` starts; every ``bench_*`` function;
-and ``tools/fingerprint.py`` and ``tools/profile_step.py``.
+and ``tools/fingerprint.py``, ``tools/profile_step.py`` and
+``tools/check_docs.py``, whose doctests are callers too.
 
 The bench functions run outside pytest, with a stand-in ``benchmark``
 fixture that calls its target once (plainly or through ``pedantic``):
@@ -148,6 +149,7 @@ def _callers() -> List[List[str]]:
             runs.append([python, run_py, "--child", child])
         runs.append([python, str(ROOT / "tools" / "profile_step.py"), "--workload", name, "--tiny"])
     runs.append([python, str(ROOT / "tools" / "fingerprint.py")])
+    runs.append([python, str(ROOT / "tools" / "check_docs.py")])
     runner = BENCH_RUNNER % {"root": str(ROOT), "src": str(ROOT / "src")}
     for path in sorted((ROOT / "benchmarks").glob("bench_*.py")):
         for node in ast.parse(path.read_text()).body:
