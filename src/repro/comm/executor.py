@@ -37,7 +37,10 @@ phase costs its per-device max, phases serialize) is the same
 emission on ``EventTimeline(barrier_all=True)``; every transfer task
 carries the bytes it moves. Each forward batch call returns, per GPU,
 the tasks that produce its input — what the caller hangs its compute
-tasks off.
+tasks off. Every emitting call takes a
+:class:`~repro.runtime.scheduler.WaveRecorder` in the timeline's place
+as well: the trainer records a layer sweep once and replays it in later
+epochs, and the serving engine records a cold column's staging front.
 
 Emission is *batched*: which rows each GPU loads, reuses, fetches and
 flushes — and how the traffic splits across node pairs — is fixed by the
@@ -823,15 +826,17 @@ class DedupCommunicator:
     # ------------------------------------------------------------------
     def _require_producers(self, deps_by_device,
                            timeline: EventTimeline) -> None:
-        """``deps_by_device`` must be None or one submitted task id per
-        GPU."""
+        """``deps_by_device`` must be None or one task id per GPU, each
+        naming a task already on ``timeline`` (an
+        :class:`~repro.hardware.clock.EventTimeline` or a
+        :class:`~repro.runtime.scheduler.WaveRecorder`)."""
         m = self.plan.num_gpus
         if deps_by_device is not None and not (
                 isinstance(deps_by_device, np.ndarray)
                 and deps_by_device.shape == (m,)
                 and deps_by_device.dtype.kind in "iu"
                 and deps_by_device.min() >= 0
-                and deps_by_device.max() < timeline.scheduler.num_tasks):
+                and deps_by_device.max() < timeline.num_tasks):
             raise CommunicationPlanError(
                 f"deps_by_device must be None or an ({m},) array of "
                 f"submitted task ids, one producer per GPU, got "
@@ -840,26 +845,21 @@ class DedupCommunicator:
 
     def accumulate_batch_backward(self, batch: int,
                                   neighbor_grads: List[np.ndarray],
-                                  host_grads: np.ndarray,
-                                  timeline: EventTimeline,
-                                  deps_by_device=None) -> None:
+                                  host_grads: np.ndarray) -> None:
         """Push per-GPU neighbor gradients back toward the host ∇h buffer.
 
         ``neighbor_grads[i]`` is GPU i's (len(needed_i), dim) gradient of its
         chunk's input rows. Gradients accumulate in transition buffers across
         batches; rows not reused by the next batch are flushed to
-        ``host_grads`` (modified in place). The rows move first, then the
-        batch's traffic is emitted as by :meth:`submit_batch_backward`.
-        ``deps_by_device`` is None or the ``(m,)`` integer id array of the
-        already-submitted tasks that produced each GPU's gradients (the
-        backward kernels, one per GPU). A ``batch`` outside the plan, a
+        ``host_grads`` (modified in place). Rows only: the batch's traffic
+        is :meth:`submit_batch_backward`'s, which a caller that times the
+        sweep calls beside this one. A ``batch`` outside the plan, a
         ``host_grads`` that is not this sweep's ``(num_vertices, dim)``
         array — C-contiguous, float32 or float64, at least as wide as the
-        sweep's dtype — ``neighbor_grads`` that is not one
+        sweep's dtype — or ``neighbor_grads`` that is not one
         ``(len(needed_i), dim)`` array per GPU of a dtype the sweep's holds
-        exactly, or a ``deps_by_device`` of another form, dtype or range
-        raises :class:`~repro.errors.CommunicationPlanError` before
-        anything moves or is emitted.
+        exactly raises :class:`~repro.errors.CommunicationPlanError`
+        before anything moves.
 
         The rows add in place: each GPU's into the stacked gradient buffer,
         GPUs in order, then the flushed slots into ``host_grads``, each
@@ -905,7 +905,6 @@ class DedupCommunicator:
                 f"{'' if host_grads.flags.c_contiguous else 'strided '}"
                 f"{host_grads.dtype} array"
             )
-        self._require_producers(deps_by_device, timeline)
 
         # Zero the slots newly staged this batch (their gradient starts now).
         stacked = buffers.stacked
@@ -920,7 +919,6 @@ class DedupCommunicator:
         # Phase 2: flush gradients not reused by the next batch: host row
         # v takes its flushed slots in GPU order.
         static.flush(host_grads, stacked)
-        self._emit_backward(batch, static, timeline, deps_by_device)
 
     def submit_batch_backward(self, batch: int, timeline: EventTimeline,
                               deps_by_device=None) -> None:
@@ -930,24 +928,23 @@ class DedupCommunicator:
         batch: the scatter of every GPU's neighbor gradients into the
         owners' transition buffers (``scatter``, ``halo_push``, ``push``),
         then the flush of the rows the next batch does not reuse
-        (``flush``, ``halo_flush``, ``accumulate``). A caller whose
-        gradients nothing reads (layer 0's: the input features are
-        constants) calls this alone; :meth:`accumulate_batch_backward`
-        emits the same after moving the rows. ``deps_by_device`` is as
-        there. A ``batch`` outside the plan, no active sweep, or a
-        malformed ``deps_by_device`` raises
-        :class:`~repro.errors.CommunicationPlanError` before anything is
-        emitted.
+        (``flush``, ``halo_flush``, ``accumulate``). The mirror of
+        :meth:`submit_batch_forward`: every layer's backward emits
+        through this one call, and the rows, where something reads them
+        (not at layer 0: the input features are constants), move by
+        :meth:`accumulate_batch_backward`. ``timeline`` is an
+        :class:`~repro.hardware.clock.EventTimeline` or a
+        :class:`~repro.runtime.scheduler.WaveRecorder`.
+        ``deps_by_device`` is None or the ``(m,)`` integer id array of
+        the tasks on ``timeline`` that produced each GPU's gradients (the
+        backward kernels, one per GPU). A ``batch`` outside the plan, no
+        active sweep, or a ``deps_by_device`` of another form, dtype or
+        range raises :class:`~repro.errors.CommunicationPlanError` before
+        anything is emitted.
         """
         self._require_sweep()
         static = self.static.batch(batch)
         self._require_producers(deps_by_device, timeline)
-        self._emit_backward(batch, static, timeline, deps_by_device)
-
-    def _emit_backward(self, batch: int, static: _BatchStatic,
-                       timeline: EventTimeline, deps_by_device) -> None:
-        """Emit ``batch``'s backward waves; the callers checked the
-        arguments (``static`` is the batch's static plan)."""
         m = self.plan.num_gpus
         row_bytes = self._dim * SCALAR_BYTES
 

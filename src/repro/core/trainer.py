@@ -48,11 +48,23 @@ float precision. Under ``overlap="pipeline"``, batch j+1's host loads
 prefetch under batch j's kernels inside every layer sweep (transition
 buffers are double-buffered to make that safe), and the epoch time is the
 critical-path makespan. Layer sweeps are separated by barriers in both
-modes — layer l+1 reads rows that layer l writes back. The simulated numpy
-work itself always runs eagerly in program order, so the choice of overlap
-policy cannot change any number the model computes. Every GPU's workspace
-of a (layer, batch) is reserved in its own pool before the batch's chunks
-run and released after them, so each pool's peak is that of its chunk.
+modes — layer l+1 reads rows that layer l writes back — and no task of a
+sweep waits on one outside it. So under a fixed plan and rate table a
+sweep's waves are the same every epoch, and each is priced once: the
+first epoch under an adopted plan and the platform's ``rates_version``
+emits its sweeps onto its timeline, the second records each into a
+:class:`~repro.runtime.scheduler.WaveProgram` keyed ``("forward" |
+"backward", layer)`` and replays it, and later epochs only replay
+(:meth:`~repro.hardware.clock.EventTimeline.submit_program`, bit for bit
+what emission schedules). :meth:`HongTuTrainer.adopt` and any move of
+``rates_version`` — a fault's rate change, a placement, a re-balance —
+drop the programs. The loss task and the all-reduce are emitted every
+epoch. The numpy work itself always runs eagerly in program order, so
+neither the overlap policy nor a replay can change any number the model
+computes. Every GPU's workspace of a (layer, batch) is reserved in its
+own pool before the batch's chunks run and released after them, so each
+pool's peak is that of its chunk; reservations follow the numerics,
+whatever the sweep emits onto.
 
 On a :class:`~repro.hardware.platform.ClusterPlatform` the same epoch
 spans N nodes: cross-node neighbor traffic becomes halo-exchange ``net``
@@ -72,7 +84,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -98,11 +110,15 @@ from repro.hardware.clock import EventTimeline, TimeBreakdown
 from repro.hardware.memory import Allocation, MemoryPool
 from repro.hardware.platform import MultiGPUPlatform
 from repro.partition.two_level import TwoLevelPartition
-from repro.runtime.scheduler import DepLists
+from repro.runtime.scheduler import DepLists, WaveProgram, WaveRecorder
 from repro.runtime.task import net_link
 from repro.units import SCALAR_BYTES
 
 __all__ = ["HongTuTrainer", "EpochResult", "require_trainable"]
+
+#: where a layer sweep's waves go: the epoch's timeline, a recorder, or
+#: nowhere (``None``: the sweep replays, or nothing is timed)
+Sink = Optional[Union[EventTimeline, WaveRecorder]]
 
 
 def require_trainable(graph: Graph, model: GNNModel) -> None:
@@ -264,7 +280,8 @@ class HongTuTrainer:
 
         Called once at construction and by the elastic controller after
         every re-balance; the public planning attributes below are views
-        of the adopted :class:`~repro.core.planner.FleetPlan`.
+        of the adopted :class:`~repro.core.planner.FleetPlan`. The sweep
+        programs recorded under the previous plan are dropped.
         """
         #: the adopted plan itself (what a re-balance hands back to the
         #: planner as ``previous``)
@@ -280,6 +297,11 @@ class HongTuTrainer:
         #: (:meth:`_batch_block`); the partition outlives this plan (a
         #: planner may share it), so the blocks live here, not on it
         self._batch_blocks: Dict[int, Block] = {}
+        #: layer sweep → its recorded waves (:meth:`_sweep_sink`), priced
+        #: for this plan at rate table ``_programs_version``; ``None``
+        #: until an epoch has emitted under both
+        self._programs: Optional[Dict[tuple, WaveProgram]] = None
+        self._programs_version: Optional[int] = None
 
     @property
     def rebalances(self) -> List[RebalanceEvent]:
@@ -308,6 +330,7 @@ class HongTuTrainer:
         """
         timeline = self._new_timeline()
         rebalance = self._elastic.begin_epoch(timeline)
+        self._sync_programs()
 
         self.model.zero_grad()
         self._forward(timeline)
@@ -340,11 +363,12 @@ class HongTuTrainer:
     def evaluate(self) -> Dict[str, float]:
         """Inference forward + accuracy on each available mask.
 
+        Evaluation is not timed: the forward runs its numerics and its
+        workspace reservations and emits, records and replays nothing.
         No backward pass follows, so no aggregate checkpoints are stored
-        (and no host memory or D2H writeback volume is charged for them).
+        (and no host memory is charged for them).
         """
-        timeline = self._new_timeline()  # throwaway; evaluation is not timed
-        self._forward(timeline, training=False)
+        self._forward(None, training=False)
         return split_accuracies(self._h[-1], self.graph)
 
     def checkpointed_columns(self) -> set:
@@ -370,21 +394,65 @@ class HongTuTrainer:
         return ServingEngine(self, cache_budget_bytes=cache_budget_bytes)
 
     # ------------------------------------------------------------------
+    # sweep programs: emit once, record once, then replay
+    # ------------------------------------------------------------------
+    def _sync_programs(self) -> None:
+        """Drop the sweep programs if the rate table moved since they
+        were priced (a fault state or a placement bumps the platform's
+        ``rates_version``), and start recording on the second epoch
+        under one plan and rate table: the first emits directly, as a
+        trainer that runs one epoch should."""
+        version = self.platform.rates_version
+        if version != self._programs_version:
+            self._programs, self._programs_version = None, version
+        elif self._programs is None:
+            self._programs = {}
+
+    def _sweep_sink(self, timeline: Optional[EventTimeline],
+                    key: tuple) -> Sink:
+        """Where layer sweep ``key`` — ``("forward" | "backward", l)`` —
+        emits its waves this epoch: onto ``timeline`` itself on the
+        first epoch under the plan and rate table, into a fresh
+        :class:`~repro.runtime.scheduler.WaveRecorder` on the second,
+        and nowhere (``None``) once the sweep is recorded or when
+        nothing is timed (no ``timeline``: :meth:`evaluate`)."""
+        if timeline is None or self._programs is None:
+            return timeline
+        return None if key in self._programs else WaveRecorder()
+
+    def _close_sweep(self, timeline: Optional[EventTimeline], key: tuple,
+                     sink: Sink) -> None:
+        """End layer sweep ``key`` on ``timeline``: keep what ``sink``
+        recorded, replay the sweep's program unless it emitted directly,
+        then the barrier between layer sweeps — a sweep's waves name no
+        task outside it, so its program has no external slot."""
+        if timeline is None:
+            return
+        if sink is not timeline:
+            if sink is not None:
+                self._programs[key] = sink.finish()
+            timeline.submit_program(self._programs[key])
+        timeline.barrier()
+
+    # ------------------------------------------------------------------
     # forward pass (Algorithm 1, lines 4-9)
     # ------------------------------------------------------------------
-    def _forward(self, timeline: EventTimeline, training: bool = True) -> None:
+    def _forward(self, timeline: Optional[EventTimeline],
+                 training: bool = True) -> None:
         hybrid = self.config.intermediate_policy == "hybrid"
         platform = self.platform
 
-        # repro-lint: allow-loop — wave granularity: one batched emission per (layer, batch)
+        # repro-lint: allow-loop — one layer sweep: numerics per (layer, batch), emission batched
         for l, layer in enumerate(self.model.layers):
+            key = ("forward", l)
+            sink = self._sweep_sink(timeline, key)
             self._comm_values.start_sweep(self.model.dims[l],
                                           dtype=self.dtype,
                                           double_buffer=self._pipelined)
             cache_layer = training and hybrid and layer.cacheable_aggregate
-            # repro-lint: allow-loop — wave granularity: one batched emission per (layer, batch)
+            # repro-lint: allow-loop — one layer sweep: numerics per (layer, batch), emission batched
             for j in range(self.plan.num_batches):
-                input_deps, aggregate = self._stage_batch(l, j, timeline)
+                input_deps, aggregate = self._stage_batch(l, j, sink)
                 costs = self.fleet.shapes.forward(layer, j)
                 stop = 0
                 with self._workspaces("forward_workspace",
@@ -401,20 +469,22 @@ class HongTuTrainer:
                     self._store_checkpoint(l, j, aggregate,
                                            costs.checkpoint_bytes)
                     d2h = d2h + costs.checkpoint_bytes
-                compute_ids = timeline.submit_batch(
+                if sink is None:
+                    continue
+                compute_ids = sink.submit_batch(
                     "gpu",
                     platform.gpu_compute_seconds(costs.flops,
                                                  devices=self._gpu_ids),
                     deps_by_device=input_deps, label=f"compute[l{l}b{j}]",
                 )
-                timeline.submit_batch(
+                sink.submit_batch(
                     "d2h", platform.h2d_seconds(d2h, devices=self._gpu_ids),
                     deps_by_device=compute_ids, nbytes=d2h,
                     label=f"writeback[l{l}b{j}]",
                 )
             self._comm_values.end_sweep()
             # Layer l+1's loads read the h^{l+1} rows written back above.
-            timeline.barrier()
+            self._close_sweep(timeline, key, sink)
 
     # ------------------------------------------------------------------
     # downstream task (Algorithm 1, lines 10-11)
@@ -441,9 +511,11 @@ class HongTuTrainer:
     # ------------------------------------------------------------------
     def _backward(self, timeline: EventTimeline) -> None:
         hybrid = self.config.intermediate_policy == "hybrid"
-        # repro-lint: allow-loop — wave granularity: one batched emission per (layer, batch)
+        # repro-lint: allow-loop — one layer sweep: numerics per (layer, batch), emission batched
         for l in range(len(self.model.layers) - 1, -1, -1):
             layer = self.model.layers[l]
+            key = ("backward", l)
+            sink = self._sweep_sink(timeline, key)
             use_cache = hybrid and layer.cacheable_aggregate
             # Gradient buffers accumulate in place across batches, so
             # double buffering cannot apply to them (scatter j must wait
@@ -455,16 +527,16 @@ class HongTuTrainer:
                 self._comm_values.start_sweep(self.model.dims[l],
                                               dtype=self.dtype,
                                               double_buffer=self._pipelined)
-            # repro-lint: allow-loop — wave granularity: one batched emission per (layer, batch)
+            # repro-lint: allow-loop — one layer sweep: numerics per (layer, batch), emission batched
             for j in range(self.plan.num_batches):
-                self._backward_batch(l, j, timeline, use_cache)
+                self._backward_batch(l, j, sink, use_cache)
             if not use_cache:
                 self._comm_values.end_sweep()
             self._comm_grads.end_sweep()
             # Layer l-1's backward reads the ∇h^l rows accumulated above.
-            timeline.barrier()
+            self._close_sweep(timeline, key, sink)
 
-    def _backward_batch(self, l: int, j: int, timeline: EventTimeline,
+    def _backward_batch(self, l: int, j: int, sink: Sink,
                         use_cache: bool) -> None:
         """One backward batch: gradient load → kernels → accumulate.
 
@@ -474,9 +546,9 @@ class HongTuTrainer:
         and recomputes it whole. Each GPU's kernel waits for its own
         ∇h^{l+1} load and, without the cache, for the tasks that re-staged
         its inputs; the neighbor gradients then return to the host through
-        the deduplicated backward communication. At layer 0 the kernels
-        compute parameter gradients only, and the communication is emitted
-        without moving a row.
+        the deduplicated backward communication: the rows move, and the
+        traffic is emitted onto ``sink`` unless it is ``None``. At layer 0
+        the kernels compute parameter gradients only, and no row moves.
         """
         layer = self.model.layers[l]
         shapes = self.fleet.shapes
@@ -486,7 +558,7 @@ class HongTuTrainer:
             aggregate = self._take_checkpoint(l, j)
         else:
             costs = shapes.backward_recompute(layer, j)
-            input_deps, aggregate = self._stage_batch(l, j, timeline)
+            input_deps, aggregate = self._stage_batch(l, j, sink)
         # per GPU, its input rows' gradient (empty at layer 0)
         neighbor_grads: List[np.ndarray] = []
 
@@ -502,8 +574,14 @@ class HongTuTrainer:
                     self._grad_h[l + 1][chunk.dst_global])
                 if grads is not None:
                     neighbor_grads.append(grads)
+        # ∇h⁰ is the gradient of the constant features: nothing reads it
+        if l > 0:
+            self._comm_grads.accumulate_batch_backward(
+                j, neighbor_grads, self._grad_h[l])
+        if sink is None:
+            return
 
-        load_ids = timeline.submit_batch(
+        load_ids = sink.submit_batch(
             "h2d",
             self.platform.h2d_seconds(costs.load_bytes,
                                       devices=self._gpu_ids),
@@ -511,22 +589,15 @@ class HongTuTrainer:
         )
         compute_deps = load_ids if input_deps is None else DepLists.join(
             self.plan.num_gpus, input_deps, load_ids)
-        compute_ids = timeline.submit_batch(
+        compute_ids = sink.submit_batch(
             "gpu",
             self.platform.gpu_compute_seconds(costs.flops,
                                               devices=self._gpu_ids),
             deps_by_device=compute_deps,
             label=f"grad_compute[l{l}b{j}]",
         )
-        # ∇h⁰ is the gradient of the constant features: nothing reads it
-        if l > 0:
-            self._comm_grads.accumulate_batch_backward(
-                j, neighbor_grads, self._grad_h[l], timeline,
-                deps_by_device=compute_ids,
-            )
-        else:
-            self._comm_grads.submit_batch_backward(
-                j, timeline, deps_by_device=compute_ids)
+        self._comm_grads.submit_batch_backward(j, sink,
+                                               deps_by_device=compute_ids)
 
     @contextlib.contextmanager
     def _workspaces(self, tag: str, nbytes: np.ndarray) -> Iterator[None]:
@@ -557,14 +628,15 @@ class HongTuTrainer:
             raise
         return allocations
 
-    def _stage_batch(self, l: int, j: int, timeline: EventTimeline
-                     ) -> Tuple[DepLists, Optional[np.ndarray]]:
-        """Emit the staging of batch ``j`` of layer ``l``, for the forward
-        and the recompute backward alike: per GPU, the tasks its compute
-        waits for
-        (:meth:`~repro.comm.executor.DedupCommunicator.submit_batch_forward`),
-        and a cacheable layer's batch AGGREGATE (``None`` for GAT and
-        GGNN, whose chunks read their input rows of h^l when they run).
+    def _stage_batch(self, l: int, j: int, sink: Sink
+                     ) -> Tuple[Optional[DepLists], Optional[np.ndarray]]:
+        """Emit the staging of batch ``j`` of layer ``l`` onto ``sink``,
+        for the forward and the recompute backward alike: per GPU, the
+        tasks its compute waits for
+        (:meth:`~repro.comm.executor.DedupCommunicator.submit_batch_forward`;
+        ``None`` when ``sink`` is), and a cacheable layer's batch
+        AGGREGATE (``None`` for GAT and GGNN, whose chunks read their
+        input rows of h^l when they run).
 
         The AGGREGATE is one product over the host's h^l, chunk (i, j)'s
         being its row range, chunks in GPU order. A transition buffer
@@ -572,7 +644,8 @@ class HongTuTrainer:
         equal the per-chunk products to the bit
         (:meth:`~repro.gnn.block.Block.in_slots`).
         """
-        input_deps = self._comm_values.submit_batch_forward(j, timeline)
+        input_deps = None if sink is None else \
+            self._comm_values.submit_batch_forward(j, sink)
         layer = self.model.layers[l]
         if not layer.cacheable_aggregate:
             return input_deps, None

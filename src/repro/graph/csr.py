@@ -6,8 +6,9 @@ list of column ids. A graph keeps one: its
 **in-CSR** (rows = destinations, columns = in-neighbor sources), the view
 forward aggregation consumes.
 
-Rows are always sorted by column id within a row; this makes equality
-well-defined and binary-search membership cheap.
+Rows are always sorted by column id within a row; this makes the arrays
+canonical — one edge set has one ``(indptr, indices)`` — and
+binary-search membership cheap.
 """
 
 from __future__ import annotations
@@ -73,17 +74,6 @@ class CSRAdjacency:
     def degrees(self) -> np.ndarray:
         """Per-row nonzero counts."""
         return np.diff(self.indptr)
-
-    def nbytes(self) -> int:
-        """Topology payload size in bytes."""
-        return int(self.indptr.nbytes + self.indices.nbytes)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CSRAdjacency):
-            return NotImplemented
-        return (self.num_cols == other.num_cols
-                and np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.indices, other.indices))
 
     def __repr__(self) -> str:
         return (

@@ -125,6 +125,11 @@ class EventTimeline:
     #: one parallel phase, one task per device: the same call
     submit_phase = submit_batch
 
+    @property
+    def num_tasks(self) -> int:
+        """Tasks submitted so far (ids ``0 .. num_tasks - 1``)."""
+        return self.scheduler.num_tasks
+
     def submit_program(self, program: WaveProgram,
                        external_ids=()) -> np.ndarray:
         """Replay a recorded program; returns its task ids.

@@ -525,6 +525,12 @@ class WaveRecorder:
         self._refs: List[np.ndarray] = []
         self._num_refs = 0
 
+    @property
+    def num_tasks(self) -> int:
+        """Tasks recorded so far (program-relative ids ``0 ..
+        num_tasks - 1``)."""
+        return self._num_tasks
+
     def _check_ids(self, ids: Optional[np.ndarray]) -> None:
         if ids is not None and not (ids.min() >= -len(self.external)
                                     and ids.max() < self._num_tasks):

@@ -221,7 +221,7 @@ class ReferenceCommunicator(DedupCommunicator):
     """The real emission, the old mover's values.
 
     Forward returns the reference mover's inputs (the real call still runs,
-    for its tasks and ledgers); backward lets the real call emit, then
+    for its tasks and ledgers); backward lets the real call run, then
     overwrites ``host_grads`` with what the reference mover accumulates
     from the same starting rows.
     """
@@ -237,13 +237,11 @@ class ReferenceCommunicator(DedupCommunicator):
         super().load_batch_forward(batch, host_values, timeline)
         return self._mover.load_batch_forward(batch, host_values)
 
-    def accumulate_batch_backward(self, batch, neighbor_grads, host_grads,
-                                  timeline, deps_by_device=None):
+    def accumulate_batch_backward(self, batch, neighbor_grads, host_grads):
         reference = host_grads.copy()
         self._mover.accumulate_batch_backward(batch, neighbor_grads,
                                               reference)
-        super().accumulate_batch_backward(batch, neighbor_grads, host_grads,
-                                          timeline, deps_by_device)
+        super().accumulate_batch_backward(batch, neighbor_grads, host_grads)
         host_grads[:] = reference
 
 

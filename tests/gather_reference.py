@@ -7,11 +7,16 @@ batch) over the host's h^l, through a block whose sources are vertex ids
 no row is staged or gathered. Its recompute backward of those layers is
 the hybrid path fed the recomputed aggregate. Two earlier forms are kept
 here, each as it was written at the commit before it was replaced, apart
-from one edit since: the staging call returns each GPU's input
+from three edits since: the staging call returns each GPU's input
 dependencies, so they come from
 :meth:`~repro.comm.executor.DedupCommunicator.submit_batch_forward` and
 the inputs are the host rows of every GPU's needed set, which is what
-:meth:`~repro.comm.executor.DedupCommunicator.load_batch_forward` returns:
+:meth:`~repro.comm.executor.DedupCommunicator.load_batch_forward` returns;
+``accumulate_batch_backward`` moves rows only, so every layer's gradient
+traffic is emitted by
+:meth:`~repro.comm.executor.DedupCommunicator.submit_batch_backward`; and
+both emit every epoch (:class:`trainer_reference.EmitsEveryEpoch`), so
+the trainer's replayed epochs are compared with emitted ones:
 
 * :class:`SlotTrainer` — the slot-space AGGREGATE: each batch's rows are
   staged into one stacked transition buffer (the loads copied in, reused
@@ -43,11 +48,12 @@ from repro.gnn.block import Block
 from repro.hardware.clock import EventTimeline
 from repro.runtime.scheduler import DepLists
 from repro.units import SCALAR_BYTES
+from trainer_reference import EmitsEveryEpoch
 
 __all__ = ["ChunkCheckpoints", "GatherTrainer", "SlotTrainer"]
 
 
-class SlotTrainer(HongTuTrainer):
+class SlotTrainer(EmitsEveryEpoch, HongTuTrainer):
     """HongTu's trainer with the slot-space AGGREGATE over a staged
     stacked buffer."""
 
@@ -129,7 +135,7 @@ class ChunkCheckpoints:
         self._checkpoints.clear()
 
 
-class GatherTrainer(ChunkCheckpoints, HongTuTrainer):
+class GatherTrainer(EmitsEveryEpoch, ChunkCheckpoints, HongTuTrainer):
     """HongTu's trainer with the per-GPU input gather and per-chunk
     aggregate of every layer, and a checkpoint per chunk."""
 
@@ -232,12 +238,9 @@ class GatherTrainer(ChunkCheckpoints, HongTuTrainer):
         )
         if needs_input_grad:
             self._comm_grads.accumulate_batch_backward(
-                j, neighbor_grads, self._grad_h[l], timeline,
-                deps_by_device=compute_ids,
-            )
-        else:
-            self._comm_grads.submit_batch_backward(
-                j, timeline, deps_by_device=compute_ids)
+                j, neighbor_grads, self._grad_h[l])
+        self._comm_grads.submit_batch_backward(
+            j, timeline, deps_by_device=compute_ids)
 
     def _cached_chunk_grads(self, l: int, i: int, j: int,
                             grad_out: np.ndarray,

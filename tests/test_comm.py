@@ -236,7 +236,8 @@ class TestExecutor:
                 g = rng.standard_normal((len(needed), 3))
                 np.add.at(expected, needed, g)
                 grads.append(g)
-            comm.accumulate_batch_backward(j, grads, host_grads, clock)
+            comm.accumulate_batch_backward(j, grads, host_grads)
+            comm.submit_batch_backward(j, clock)
         comm.end_sweep()
         np.testing.assert_allclose(host_grads, expected, atol=1e-12)
 
@@ -280,9 +281,7 @@ class TestExecutor:
         grads = [np.zeros((1, 1))] * plan.num_gpus
         with pytest.raises(CommunicationPlanError):
             comm.accumulate_batch_backward(
-                0, grads, np.zeros((partitioned.graph.num_vertices, 4)),
-                EventTimeline(barrier_all=True),
-            )
+                0, grads, np.zeros((partitioned.graph.num_vertices, 4)))
         comm.end_sweep()
 
     def test_platform_too_small(self, partitioned):

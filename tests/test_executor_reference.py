@@ -42,6 +42,7 @@ from repro.partition import (
     metis_partition,
     two_level_partition,
 )
+from repro.runtime.scheduler import WaveRecorder
 from repro.runtime.task import net_link_parts
 
 GPUS = 4
@@ -244,7 +245,8 @@ def _sweep_pair(plan, platform, dtype, double_buffer, seed=0):
     reference = ReferenceMover(plan, DIM, dtype)
     comm.start_sweep(DIM, dtype=dtype)
     for j in range(plan.num_batches):
-        comm.accumulate_batch_backward(j, grads[j], host_grads, timeline)
+        comm.accumulate_batch_backward(j, grads[j], host_grads)
+        comm.submit_batch_backward(j, timeline)
         reference.accumulate_batch_backward(j, grads[j], expected)
     comm.end_sweep()
     timeline.validate()
@@ -324,7 +326,8 @@ class TestEveryBatchEqualsStackedMover:
         for j in range(plan.num_batches):
             grads = [rng.standard_normal((len(gpu_plan.needed), DIM))
                      .astype(dtype) for gpu_plan in plan.plans[j]]
-            comm.accumulate_batch_backward(j, grads, host_grads, timeline)
+            comm.accumulate_batch_backward(j, grads, host_grads)
+            comm.submit_batch_backward(j, timeline)
             mover.accumulate_batch_backward(j, grads, expected)
             assert np.array_equal(comm._buffers.stacked, mover.stacked), j
             assert np.array_equal(host_grads, expected), j
@@ -719,8 +722,7 @@ class TestEntryPointRejections:
         comm, _plan, host, grads, timeline = live
         host_grads = np.zeros_like(host)
         with pytest.raises(CommunicationPlanError, match="batch"):
-            comm.accumulate_batch_backward(batch, grads, host_grads,
-                                           timeline)
+            comm.accumulate_batch_backward(batch, grads, host_grads)
         _assert_untouched(comm, timeline)
         assert not host_grads.any()
 
@@ -742,7 +744,7 @@ class TestEntryPointRejections:
                "narrow": np.zeros((len(host), DIM - 1)),
                "short": np.zeros((len(host) - 1, DIM))}[shape]
         with pytest.raises(CommunicationPlanError, match="host_grads"):
-            comm.accumulate_batch_backward(0, grads, bad, timeline)
+            comm.accumulate_batch_backward(0, grads, bad)
         _assert_untouched(comm, timeline)
         assert not bad.any()
 
@@ -752,11 +754,9 @@ class TestEntryPointRejections:
         comm, _plan, host, grads, timeline = live
         host_grads = np.zeros_like(host)
         with pytest.raises(CommunicationPlanError, match="neighbor_grads"):
-            comm.accumulate_batch_backward(0, grads[:1], host_grads,
-                                           timeline)
+            comm.accumulate_batch_backward(0, grads[:1], host_grads)
         with pytest.raises(CommunicationPlanError, match="neighbor_grads"):
-            comm.accumulate_batch_backward(0, grads + grads[:1], host_grads,
-                                           timeline)
+            comm.accumulate_batch_backward(0, grads + grads[:1], host_grads)
         _assert_untouched(comm, timeline)
         assert not host_grads.any()
 
@@ -766,7 +766,7 @@ class TestEntryPointRejections:
         bad = [grads[0], grads[1][:-1]]
         with pytest.raises(CommunicationPlanError,
                            match=r"neighbor_grads\[1\]"):
-            comm.accumulate_batch_backward(0, bad, host_grads, timeline)
+            comm.accumulate_batch_backward(0, bad, host_grads)
         _assert_untouched(comm, timeline)
         assert not host_grads.any()
 
@@ -779,22 +779,21 @@ class TestEntryPointRejections:
 
     @pytest.mark.parametrize("form", _BAD_PRODUCER_FORMS)
     def test_backward_producers_in_one_form(self, live, form):
-        """``deps_by_device`` is the ``(m,)`` array of submitted task ids
-        the trainer passes; per-GPU lists used to be normalised too, and
-        float, bool or out-of-range ids used to pass the shape check, so
-        the gradients were zeroed and scattered before the scheduler
-        refused the wave."""
-        comm, _plan, host, grads, timeline = live
-        producers = timeline.submit_batch("gpu", [1.0, 1.0])
-        bad = _bad_producers(producers, form)
-        host_grads = np.zeros_like(host)
+        """``deps_by_device`` is the ``(m,)`` array of task ids the
+        trainer passes, on a wave recorder as on a timeline: ids are
+        checked against the tasks recorded so far. Per-GPU lists used to
+        be normalised too, and float, bool or out-of-range ids used to
+        pass the shape check."""
+        comm, _plan, _host, _grads, _timeline = live
+        recorder = WaveRecorder()
+        producers = recorder.submit_batch("gpu", [1.0, 1.0])
         with pytest.raises(CommunicationPlanError, match="deps_by_device"):
-            comm.accumulate_batch_backward(0, grads, host_grads, timeline,
-                                           deps_by_device=bad)
-        assert comm._buffers._stacked is None
+            comm.submit_batch_backward(
+                0, recorder, deps_by_device=_bad_producers(producers, form))
         assert comm._history == []
-        assert timeline.scheduler.num_tasks == 2
-        assert not host_grads.any()
+        assert recorder.num_tasks == 2
+        comm.submit_batch_backward(0, recorder, deps_by_device=producers)
+        assert recorder.num_tasks > 2
 
     def test_submitting_emits_what_loading_emits_and_moves_nothing(
             self, live):
@@ -843,7 +842,7 @@ class TestEntryPointRejections:
                 "half_host": host_grads.astype(np.float16)}[case]
             match = "host_grads must be a C-contiguous float array"
         with pytest.raises(CommunicationPlanError, match=match):
-            comm.accumulate_batch_backward(0, grads, host_grads, timeline)
+            comm.accumulate_batch_backward(0, grads, host_grads)
         _assert_untouched(comm, timeline)
         assert not host_grads.any()
 
@@ -857,7 +856,7 @@ class TestEntryPointRejections:
         host_grads = np.zeros_like(host)
         expected = np.zeros_like(host)
         mover = StackedMover(plan, DIM, np.float64)
-        comm.accumulate_batch_backward(0, grads, host_grads, timeline)
+        comm.accumulate_batch_backward(0, grads, host_grads)
         mover.accumulate_batch_backward(0, grads, expected)
         assert comm._buffers.stacked.dtype == np.float64
         assert np.array_equal(comm._buffers.stacked, mover.stacked)
@@ -877,8 +876,8 @@ class TestEntryPointRejections:
 
 
 class TestSubmitBatchBackward:
-    """The emission half of the backward: what layer 0 runs, whose
-    gradients nothing reads."""
+    """The emission half of the backward, every layer's: layer 0, whose
+    gradients nothing reads, runs it without moving a row."""
 
     @pytest.mark.parametrize("batch", [-1, 2, 0.0, None])
     def test_batch_out_of_plan(self, live, batch):
@@ -908,8 +907,9 @@ class TestSubmitBatchBackward:
     @pytest.mark.parametrize("pipelined", [False, True])
     def test_emits_what_accumulate_emits_and_moves_nothing(self, live,
                                                            pipelined):
-        """Same waves, labels, bytes, dependencies and times as the full
-        call; the transition buffers and the host stay as they were."""
+        """Same waves, labels, bytes, dependencies and times whether the
+        rows moved before it or not; without a move the transition
+        buffers and the host stay as they were."""
         comm, plan, host, _grads, _timeline = live
         mover = DedupCommunicator(plan, comm.platform, static=comm.static)
         mover.start_sweep(DIM)
@@ -922,9 +922,9 @@ class TestSubmitBatchBackward:
                 both.append(timeline.submit_batch("gpu", [1.0, 2.0]))
             batch_grads = [np.full((len(gpu_plan.needed), DIM), batch + 1.0)
                            for gpu_plan in plan.plans[batch]]
-            mover.accumulate_batch_backward(batch, batch_grads, host_grads,
-                                            timelines[0],
-                                            deps_by_device=both[0])
+            mover.accumulate_batch_backward(batch, batch_grads, host_grads)
+            mover.submit_batch_backward(batch, timelines[0],
+                                        deps_by_device=both[0])
             comm.submit_batch_backward(batch, timelines[1],
                                        deps_by_device=both[1])
         mover.end_sweep()

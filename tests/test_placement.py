@@ -413,7 +413,8 @@ def _sweep(partition, platform, dedup_inter, dim=16):
     for j in range(plan.num_batches):
         outputs = comm.load_batch_forward(j, host, clock)
         comm.accumulate_batch_backward(
-            j, [out.copy() for out in outputs], grads, clock)
+            j, [out.copy() for out in outputs], grads)
+        comm.submit_batch_backward(j, clock)
     comm.end_sweep()
     return comm, clock
 

@@ -117,8 +117,8 @@ class TestCommPlanProperties:
                 g = rng.standard_normal((len(needed), 3))
                 np.add.at(grads_expected, needed, g)
                 batch_grads.append(g)
-            comm.accumulate_batch_backward(j, batch_grads, grads_actual,
-                                           clock)
+            comm.accumulate_batch_backward(j, batch_grads, grads_actual)
+            comm.submit_batch_backward(j, clock)
         comm.end_sweep()
         np.testing.assert_allclose(grads_actual, grads_expected, atol=1e-10)
 

@@ -355,7 +355,8 @@ class TestHaloCrossCheck:
         grads = np.zeros_like(host)
         for j in range(plan.num_batches):
             comm.accumulate_batch_backward(
-                j, [out.copy() for out in outputs[j]], grads, clock)
+                j, [out.copy() for out in outputs[j]], grads)
+            comm.submit_batch_backward(j, clock)
         comm.end_sweep()
         row_bytes = dim * SCALAR_BYTES
         expected = halo_load_volumes(partition, 2)
@@ -406,7 +407,8 @@ class TestSingleClockExecutor:
         for j in range(plan.num_batches):
             outputs = comm.load_batch_forward(j, host, timeline)
             comm.accumulate_batch_backward(
-                j, [out.copy() for out in outputs], grads, timeline)
+                j, [out.copy() for out in outputs], grads)
+            comm.submit_batch_backward(j, timeline)
         comm.end_sweep()
         breakdown = timeline.breakdown
         assert {channel: float(seconds).hex()

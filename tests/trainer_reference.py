@@ -1,5 +1,14 @@
-"""The trainer's backward before layer 0 stopped computing ∇h⁰ — its oracle.
+"""Two earlier forms of the trainer — its oracles.
 
+:class:`EmittingTrainer` is the trainer before a steady epoch replayed
+its recorded sweeps: every epoch emits every layer sweep onto its own
+timeline, and ``evaluate()`` prices its forward on a throwaway one
+(:class:`EmitsEveryEpoch`; the other trainer oracles of ``tests/`` mix it
+in, so each still emits as it was written). Replaying a recorded sweep
+schedules what emitting it does, so the two must agree to the last bit.
+
+:class:`GradInputTrainer` is the trainer's backward before layer 0
+stopped computing ∇h⁰.
 :class:`~repro.core.trainer.HongTuTrainer` takes layer 0's inputs (the
 input features) as constants: its backward computes parameter gradients
 only, runs no aggregate adjoint, and emits the layer's gradient traffic
@@ -12,30 +21,53 @@ into a host ∇h buffer — ∇h⁰ included.
 
 Nothing reads ∇h⁰, so the two must agree on everything else to the last
 bit: losses, timelines, byte ledgers, peak memory and final parameters.
-Two edits since: a chunk's cached aggregate is its row range of the
+Three edits since: a chunk's cached aggregate is its row range of the
 trainer's (layer, batch) checkpoint (:meth:`GradInputTrainer._chunk_checkpoint`),
-where it used to be a checkpoint of its own; and the staging call returns
+where it used to be a checkpoint of its own; the staging call returns
 each GPU's input dependencies, so they come from
 :meth:`~repro.comm.executor.DedupCommunicator.submit_batch_forward` and
 the inputs are the host rows of every GPU's needed set, which is what
-:meth:`~repro.comm.executor.DedupCommunicator.load_batch_forward` returns.
+:meth:`~repro.comm.executor.DedupCommunicator.load_batch_forward` returns;
+and ``accumulate_batch_backward`` moves rows only, so the gradient
+traffic is emitted by
+:meth:`~repro.comm.executor.DedupCommunicator.submit_batch_backward`
+beside it.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
 from repro.autograd import Tensor
+from repro.autograd.functional import split_accuracies
 from repro.core import HongTuTrainer
 from repro.hardware.clock import EventTimeline
 from repro.runtime.scheduler import DepLists
 
-__all__ = ["GradInputTrainer"]
+__all__ = ["EmitsEveryEpoch", "EmittingTrainer", "GradInputTrainer"]
 
 
-class GradInputTrainer(HongTuTrainer):
+class EmitsEveryEpoch:
+    """Mix-in: every layer sweep of every epoch emits onto the epoch's
+    timeline, and ``evaluate()`` emits its forward onto a throwaway
+    timeline — nothing is recorded or replayed."""
+
+    def _sweep_sink(self, timeline, key):
+        return timeline
+
+    def evaluate(self) -> Dict[str, float]:
+        timeline = self._new_timeline()  # throwaway; evaluation is not timed
+        self._forward(timeline, training=False)
+        return split_accuracies(self._h[-1], self.graph)
+
+
+class EmittingTrainer(EmitsEveryEpoch, HongTuTrainer):
+    """HongTu's trainer emitting every sweep of every epoch."""
+
+
+class GradInputTrainer(EmitsEveryEpoch, HongTuTrainer):
     """HongTu's trainer with a ∇h⁰ buffer that layer 0's backward fills."""
 
     def __init__(self, *args, **kwargs):
@@ -87,9 +119,9 @@ class GradInputTrainer(HongTuTrainer):
             label=f"grad_compute[l{l}b{j}]",
         )
         self._comm_grads.accumulate_batch_backward(
-            j, neighbor_grads, self._grad_h[l], timeline,
-            deps_by_device=compute_ids,
-        )
+            j, neighbor_grads, self._grad_h[l])
+        self._comm_grads.submit_batch_backward(j, timeline,
+                                               deps_by_device=compute_ids)
 
     def _cached_chunk_grads(self, l: int, i: int, j: int,
                             grad_out: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ parent, bit for bit. This runs a fixed small grid and prints one digest
 per value, so the parent/change comparison is one ``diff``:
 
 * the architectures GCN, GraphSAGE, GIN, CommNet and GAT × intermediate
-  policy × overlap policy × {1, 2} nodes, two epochs each: every
+  policy × overlap policy × {1, 2} nodes, three epochs each — the first
+  emits its layer sweeps, the second records and replays them, the
+  third only replays (``HongTuTrainer``'s sweep programs): every
   :class:`~repro.core.trainer.EpochResult` field, every timeline column
   (and the phase labels), the final parameters and the accuracies of
   ``evaluate()``. The four cacheable layers each take the batch
@@ -48,7 +50,7 @@ ARCHS = ("gcn", "graphsage", "gin", "commnet", "gat")
 POLICIES = ("hybrid", "recompute")
 OVERLAPS = ("barrier", "pipeline")
 NODES = (1, 2)
-EPOCHS = 2
+EPOCHS = 3
 #: the grid's graph: 409 vertices, 32 features at seed 0
 DATASET, SCALE = "friendster_sim", 0.05
 #: the timeline's per-task columns (``TaskColumns`` minus ``used``)
@@ -97,7 +99,7 @@ def parameter_digests(model: Any) -> Dict[str, str]:
 
 
 def grid(seed: int) -> Dict[str, Dict[str, str]]:
-    """Digests of every grid configuration's two epochs."""
+    """Digests of every grid configuration's ``EPOCHS`` epochs."""
     import repro.graph
     from repro.core import HongTuTrainer
     from repro.partition import two_level_partition
