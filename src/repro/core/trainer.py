@@ -50,11 +50,11 @@ buffers are double-buffered to make that safe), and the epoch time is the
 critical-path makespan. Layer sweeps are separated by barriers in both
 modes — layer l+1 reads rows that layer l writes back — and no task of a
 sweep waits on one outside it. So under a fixed plan and rate table a
-sweep's waves are the same every epoch, and each is priced once: the
-first epoch under an adopted plan and the platform's ``rates_version``
-emits its sweeps onto its timeline, the second records each into a
-:class:`~repro.runtime.scheduler.WaveProgram` keyed ``("forward" |
-"backward", layer)`` and replays it, and later epochs only replay
+sweep's waves are the same every epoch, and each is priced once: a sweep
+is recorded into a :class:`~repro.runtime.scheduler.WaveProgram` keyed
+``("forward" | "backward", layer)`` the first time an epoch runs it
+under the adopted plan and the platform's ``rates_version``, and every
+epoch, that one included, replays it
 (:meth:`~repro.hardware.clock.EventTimeline.submit_program`, bit for bit
 what emission schedules). :meth:`HongTuTrainer.adopt` and any move of
 ``rates_version`` — a fault's rate change, a placement, a re-balance —
@@ -64,7 +64,7 @@ neither the overlap policy nor a replay can change any number the model
 computes. Every GPU's workspace of a (layer, batch) is reserved in its
 own pool before the batch's chunks run and released after them, so each
 pool's peak is that of its chunk; reservations follow the numerics,
-whatever the sweep emits onto.
+whether the sweep records or replays.
 
 On a :class:`~repro.hardware.platform.ClusterPlatform` the same epoch
 spans N nodes: cross-node neighbor traffic becomes halo-exchange ``net``
@@ -84,7 +84,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -97,17 +97,13 @@ from repro.autograd.optim import Adam, Optimizer
 from repro.core.config import HongTuConfig
 from repro.core.elastic import ElasticController
 from repro.core.planner import FleetPlan, plan_fleet
-from repro.errors import (
-    ConfigurationError,
-    DeviceOutOfMemoryError,
-    FaultError,
-)
+from repro.errors import ConfigurationError, FaultError
 from repro.faults.schedule import RebalanceEvent
 from repro.gnn.block import Block
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
 from repro.hardware.clock import EventTimeline, TimeBreakdown
-from repro.hardware.memory import Allocation, MemoryPool
+from repro.hardware.memory import reserve_all
 from repro.hardware.platform import MultiGPUPlatform
 from repro.partition.two_level import TwoLevelPartition
 from repro.runtime.scheduler import DepLists, WaveProgram, WaveRecorder
@@ -116,9 +112,9 @@ from repro.units import SCALAR_BYTES
 
 __all__ = ["HongTuTrainer", "EpochResult", "require_trainable"]
 
-#: where a layer sweep's waves go: the epoch's timeline, a recorder, or
-#: nowhere (``None``: the sweep replays, or nothing is timed)
-Sink = Optional[Union[EventTimeline, WaveRecorder]]
+#: where a layer sweep's waves go: a recorder, or nowhere (``None``: the
+#: sweep is recorded already, or nothing is timed)
+Sink = Optional[WaveRecorder]
 
 
 def require_trainable(graph: Graph, model: GNNModel) -> None:
@@ -298,9 +294,8 @@ class HongTuTrainer:
         #: planner may share it), so the blocks live here, not on it
         self._batch_blocks: Dict[int, Block] = {}
         #: layer sweep → its recorded waves (:meth:`_sweep_sink`), priced
-        #: for this plan at rate table ``_programs_version``; ``None``
-        #: until an epoch has emitted under both
-        self._programs: Optional[Dict[tuple, WaveProgram]] = None
+        #: for this plan at rate table ``_programs_version``
+        self._programs: Dict[tuple, WaveProgram] = {}
         self._programs_version: Optional[int] = None
 
     @property
@@ -311,9 +306,6 @@ class HongTuTrainer:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def _new_timeline(self) -> EventTimeline:
-        return EventTimeline(barrier_all=not self._pipelined)
-
     def train_epoch(self) -> EpochResult:
         """One full-graph epoch: forward, loss, backward, update.
 
@@ -328,15 +320,16 @@ class HongTuTrainer:
         then does the epoch execute. With no schedule (or an inactive
         one) every code path below is byte-for-byte the fault-free one.
         """
-        timeline = self._new_timeline()
+        timeline = EventTimeline(barrier_all=not self._pipelined)
         rebalance = self._elastic.begin_epoch(timeline)
         self._sync_programs()
 
         self.model.zero_grad()
-        self._forward(timeline)
-        loss = self._seed_output_gradient(timeline)
-        timeline.barrier()
-        self._backward(timeline)
+        with self._ending_sweeps():
+            self._forward(timeline)
+            loss = self._seed_output_gradient(timeline)
+            timeline.barrier()
+            self._backward(timeline)
         timeline.barrier()
         self._all_reduce_and_step(timeline)
         self._epoch += 1
@@ -368,8 +361,20 @@ class HongTuTrainer:
         No backward pass follows, so no aggregate checkpoints are stored
         (and no host memory is charged for them).
         """
-        self._forward(None, training=False)
+        with self._ending_sweeps():
+            self._forward(None, training=False)
         return split_accuracies(self._h[-1], self.graph)
+
+    @contextlib.contextmanager
+    def _ending_sweeps(self) -> Iterator[None]:
+        """End both communicators' sweeps if the body raises (a buffer or
+        workspace that does not fit), so the next epoch can start its own."""
+        try:
+            yield
+        except BaseException:
+            self._comm_values.end_sweep()
+            self._comm_grads.end_sweep()
+            raise
 
     def checkpointed_columns(self) -> set:
         """(layer, batch) pairs whose aggregate checkpoint is host-resident.
@@ -394,44 +399,36 @@ class HongTuTrainer:
         return ServingEngine(self, cache_budget_bytes=cache_budget_bytes)
 
     # ------------------------------------------------------------------
-    # sweep programs: emit once, record once, then replay
+    # sweep programs: record on first use, then replay
     # ------------------------------------------------------------------
     def _sync_programs(self) -> None:
         """Drop the sweep programs if the rate table moved since they
         were priced (a fault state or a placement bumps the platform's
-        ``rates_version``), and start recording on the second epoch
-        under one plan and rate table: the first emits directly, as a
-        trainer that runs one epoch should."""
+        ``rates_version``)."""
         version = self.platform.rates_version
         if version != self._programs_version:
-            self._programs, self._programs_version = None, version
-        elif self._programs is None:
-            self._programs = {}
+            self._programs, self._programs_version = {}, version
 
     def _sweep_sink(self, timeline: Optional[EventTimeline],
                     key: tuple) -> Sink:
         """Where layer sweep ``key`` — ``("forward" | "backward", l)`` —
-        emits its waves this epoch: onto ``timeline`` itself on the
-        first epoch under the plan and rate table, into a fresh
-        :class:`~repro.runtime.scheduler.WaveRecorder` on the second,
-        and nowhere (``None``) once the sweep is recorded or when
-        nothing is timed (no ``timeline``: :meth:`evaluate`)."""
-        if timeline is None or self._programs is None:
-            return timeline
-        return None if key in self._programs else WaveRecorder()
+        emits its waves: a fresh recorder on its first run under the plan
+        and rate table, else nowhere (``None``: it is recorded, or
+        nothing is timed, as in :meth:`evaluate`)."""
+        if timeline is None or key in self._programs:
+            return None
+        return WaveRecorder()
 
     def _close_sweep(self, timeline: Optional[EventTimeline], key: tuple,
                      sink: Sink) -> None:
         """End layer sweep ``key`` on ``timeline``: keep what ``sink``
-        recorded, replay the sweep's program unless it emitted directly,
-        then the barrier between layer sweeps — a sweep's waves name no
-        task outside it, so its program has no external slot."""
+        recorded, replay the sweep's program (it names no task outside
+        the sweep: no external slot), then the barrier between sweeps."""
         if timeline is None:
             return
-        if sink is not timeline:
-            if sink is not None:
-                self._programs[key] = sink.finish()
-            timeline.submit_program(self._programs[key])
+        if sink is not None:
+            self._programs[key] = sink.finish()
+        timeline.submit_program(self._programs[key])
         timeline.barrier()
 
     # ------------------------------------------------------------------
@@ -547,7 +544,7 @@ class HongTuTrainer:
         ∇h^{l+1} load and, without the cache, for the tasks that re-staged
         its inputs; the neighbor gradients then return to the host through
         the deduplicated backward communication: the rows move, and the
-        traffic is emitted onto ``sink`` unless it is ``None``. At layer 0
+        traffic is recorded into ``sink`` unless it is ``None``. At layer 0
         the kernels compute parameter gradients only, and no row moves.
         """
         layer = self.model.layers[l]
@@ -602,31 +599,14 @@ class HongTuTrainer:
     @contextlib.contextmanager
     def _workspaces(self, tag: str, nbytes: np.ndarray) -> Iterator[None]:
         """Hold every GPU's workspace of one (layer, batch)
-        (:meth:`_reserve`) for the body."""
-        allocations = self._reserve(
-            [gpu.memory for gpu in self.platform.gpus], tag, nbytes)
+        (:func:`~repro.hardware.memory.reserve_all`) for the body."""
+        allocations = reserve_all(
+            [gpu.memory for gpu in self.platform.gpus], tag, nbytes.tolist())
         try:
             yield
         finally:
             for allocation in allocations:
                 allocation.free()
-
-    @staticmethod
-    def _reserve(pools: List[MemoryPool], tag: str,
-                 nbytes: np.ndarray) -> List[Allocation]:
-        """Reserve ``nbytes[i]`` in ``pools[i]``, in order, all or nothing:
-        each pool sees what reserving per chunk would, so the first
-        :class:`~repro.errors.DeviceOutOfMemoryError` is that path's,
-        raised once the reservations already made are released."""
-        allocations = []
-        try:
-            for pool, size in zip(pools, nbytes.tolist()):
-                allocations.append(pool.alloc(tag, size))
-        except DeviceOutOfMemoryError:
-            for allocation in allocations:
-                allocation.free()
-            raise
-        return allocations
 
     def _stage_batch(self, l: int, j: int, sink: Sink
                      ) -> Tuple[Optional[DepLists], Optional[np.ndarray]]:
@@ -784,15 +764,17 @@ class HongTuTrainer:
         """Keep layer ``l``'s AGGREGATE product of batch ``j``, read-only.
 
         GPU i's ``nbytes[i]`` rows take a slot on its node's host pool,
-        reserved on the first store (:meth:`_reserve`) and reused by
-        later epochs: a slot's size is fixed by its chunk, and a re-plan
-        frees every slot.
+        reserved on the first store
+        (:func:`~repro.hardware.memory.reserve_all`) and reused by later
+        epochs: a slot's size is fixed by its chunk, and a re-plan frees
+        every slot.
         """
         aggregate.flags.writeable = False
         entry = self._checkpoints.get((l, j))
-        slots = entry[1] if entry else self._reserve(
+        slots = entry[1] if entry else reserve_all(
             [self.platform.host_pool(self.platform.node_of(i))
-             for i in range(len(nbytes))], "aggregate_cache", nbytes)
+             for i in range(len(nbytes))],
+            "aggregate_cache", nbytes.tolist())
         self._checkpoints[(l, j)] = aggregate, slots
 
     def _take_checkpoint(self, l: int, j: int) -> np.ndarray:

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import ConfigurationError, DeviceOutOfMemoryError
 from repro.units import Bytes
 
-__all__ = ["Allocation", "MemoryPool"]
+__all__ = ["Allocation", "MemoryPool", "reserve_all"]
 
 
 @dataclass
@@ -90,3 +90,19 @@ class MemoryPool:
             f"MemoryPool(name={self.name!r}, in_use={self.in_use}B, "
             f"peak={self.peak}B, capacity={cap})"
         )
+
+
+def reserve_all(pools: Iterable[MemoryPool], tag: str,
+                nbytes: Iterable[Bytes]) -> List[Allocation]:
+    """Reserve ``nbytes[i]`` in ``pools[i]``, in order, all or nothing:
+    the first :class:`~repro.errors.DeviceOutOfMemoryError` is raised
+    once the reservations already made are released."""
+    allocations = []
+    try:
+        for pool, size in zip(pools, nbytes):
+            allocations.append(pool.alloc(tag, size))
+    except DeviceOutOfMemoryError:
+        for allocation in allocations:
+            allocation.free()
+        raise
+    return allocations

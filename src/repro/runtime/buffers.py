@@ -33,6 +33,7 @@ import numpy as np
 from scipy.sparse import _sparsetools
 
 from repro.errors import CommunicationPlanError
+from repro.hardware.memory import Allocation, reserve_all
 from repro.units import SCALAR_BYTES
 
 __all__ = ["OrderedAdd", "TransitionBuffers"]
@@ -153,7 +154,8 @@ class TransitionBuffers:
     GPU i's capacity in vertex rows (the planner's in-place slot count),
     and ``dim`` the row width in scalars; each row is charged to the
     simulated GPU pools at :data:`~repro.units.SCALAR_BYTES` per scalar,
-    independent of the numpy payload ``dtype``, when the sweep starts.
+    independent of the numpy payload ``dtype``, all or nothing when the
+    sweep starts.
 
     :attr:`stacked` is the one ``(sum(buffer_rows), dim)`` backing array;
     GPU i's buffer is its rows from the plan's ``buffer_offsets[i]`` on.
@@ -165,11 +167,9 @@ class TransitionBuffers:
         #: the numpy payload dtype of the rows
         self.dtype = np.dtype(dtype)
         copies = 2 if double_buffer else 1
-        self._allocations: List = [  # hardware.memory.Allocation handles
-            platform.gpus[gpu_index].memory.alloc(
-                "transition_buffer", copies * rows * dim * SCALAR_BYTES)
-            for gpu_index, rows in enumerate(buffer_rows)
-        ]
+        self._allocations: List[Allocation] = reserve_all(
+            [gpu.memory for gpu in platform.gpus], "transition_buffer",
+            [copies * rows * dim * SCALAR_BYTES for rows in buffer_rows])
         self._shape: Optional[tuple] = (int(sum(buffer_rows)), dim)
         self._stacked: Optional[np.ndarray] = None
 

@@ -316,6 +316,32 @@ class TestMemoryBehavior:
             peaks[chunks] = trainer.platform.peak_gpu_memory()
         assert peaks[16] < peaks[4] < peaks[1]
 
+    @pytest.mark.parametrize("slack", [70_000, 1],
+                             ids=["workspace", "transition-buffer"])
+    def test_oom_inside_a_sweep_leaves_the_trainer_usable(self, slack):
+        """GPU 1 fits its transition buffer but not the forward workspace
+        (``workspace``), or not even the buffer, after GPU 0 reserved
+        its own (``transition-buffer``). Either way the raise leaves no
+        sweep active and no byte reserved, and once the capacity is
+        restored the trainer trains and evaluates again."""
+        graph = load_dataset("reddit_sim", scale=0.05, seed=0)
+        platform = MultiGPUPlatform(A100_SERVER)
+        assert platform.num_gpus == 4
+        trainer = make_trainer(graph, arch="gat", platform=platform)
+        pools = [gpu.memory for gpu in platform.gpus]
+        in_use = [pool.in_use for pool in pools]
+        capacity = pools[1].capacity
+        pools[1].capacity = pools[1].in_use + slack
+        with pytest.raises(DeviceOutOfMemoryError) as error:
+            trainer.train_epoch()
+        assert error.value.device == "gpu1"
+        assert [pool.by_tag.get("transition_buffer", 0)
+                for pool in pools] == [0] * 4
+        assert [pool.in_use for pool in pools] == in_use
+        pools[1].capacity = capacity
+        assert np.isfinite(trainer.train_epoch().loss)
+        assert "train_accuracy" in trainer.evaluate()
+
     def test_host_holds_vertex_data(self, graph):
         trainer = make_trainer(graph)
         assert trainer.platform.host_pool(0).in_use > 0

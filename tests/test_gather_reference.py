@@ -121,12 +121,12 @@ def test_matches_the_gather_oracle(monkeypatch, graph, partitions, arch,
         [pool.in_use for pool in oracle.platform.hosts]
 
     batches = trainer.plan.num_batches
-    # per epoch, the forward stages every (layer, batch) and the backward
-    # stages it again unless the aggregate is cached (EPOCHS = 2: the
-    # first epoch emits, the second records); evaluate() stages nothing
+    # the first epoch records every sweep: its forward stages every
+    # (layer, batch) and its backward stages it again unless the aggregate
+    # is cached; the second epoch replays and evaluate() stages nothing
     cacheable = arch in CACHEABLE
     restages = policy == "recompute" or not cacheable
-    stages = EPOCHS * (2 if restages else 1) * LAYERS * batches
+    stages = (2 if restages else 1) * LAYERS * batches
     # no model loads a copy of its inputs: GAT and GGNN chunks read theirs
     # from h^l when they run
     assert staging == ["submit_batch_forward"] * stages

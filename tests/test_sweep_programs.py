@@ -1,17 +1,17 @@
-"""A steady epoch replays the layer sweeps it recorded, bit for bit.
+"""An epoch replays the layer sweeps it recorded, bit for bit.
 
 Under one adopted plan and rate table an epoch's layer sweeps are the
 same DAG every epoch, so :class:`~repro.core.trainer.HongTuTrainer`
-emits them onto the first epoch's timeline, records them on the second
-and only replays them after that.
+records each sweep the first time an epoch runs it and replays it from
+then on, that first epoch included.
 :class:`trainer_reference.EmittingTrainer` emits every sweep of every
-epoch. The two must agree on every epoch — every
+epoch onto its timeline. The two must agree on every epoch — every
 :class:`~repro.core.trainer.EpochResult` field, every task column and
 every phase label — on the perf benchmark's training workloads, over
 the cacheable and attention layers × both policies × both overlaps, under
 a fault schedule whose rates move mid-run and across an elastic
-re-balance. A spy pins the lifecycle: which epochs emit, which replay,
-and what drops the recording.
+re-balance. Spies pin the lifecycle: which epochs record, which only
+replay, and what drops the recording.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.gnn import build_model
 from repro.graph import load_dataset
 from repro.hardware import A100_CLUSTER, ClusterPlatform
 from repro.partition import two_level_partition
+from repro.runtime import WaveRecorder
 from repro.scenario import ClusterArgs
 from trainer_reference import EmittingTrainer
 
@@ -40,7 +41,7 @@ if REPO_ROOT not in sys.path:
 
 from benchmarks.perf import workloads as perf_workloads  # noqa: E402
 
-#: epochs per run: one emits, one records, two only replay
+#: epochs per run: one records and replays, three only replay
 EPOCHS = 4
 LAYERS = 2
 GRID = list(itertools.product(("gcn", "gat", "gin", "graphsage"),
@@ -78,6 +79,39 @@ def assert_same_run(trainer, oracle, epochs=EPOCHS):
     assert trainer.evaluate() == oracle.evaluate()
 
 
+def all_sweeps(layers):
+    """Every layer sweep's key, sorted."""
+    return sorted(itertools.product(("backward", "forward"),
+                                    range(layers)))
+
+
+@pytest.fixture
+def recordings(monkeypatch):
+    """Every sweep recorded, in order: a spy on ``WaveRecorder.finish``
+    (the oracles emit every epoch and record nothing)."""
+    calls = []
+    finish = WaveRecorder.finish
+
+    def spy(self):
+        calls.append(self)
+        return finish(self)
+
+    monkeypatch.setattr(WaveRecorder, "finish", spy)
+    return calls
+
+
+def recorded_per_epoch(trainer, oracle, recordings, epochs):
+    """Run both ``epochs`` times, checking each pair of epochs; per
+    epoch, the number of sweeps the trainer recorded and its result."""
+    runs = []
+    for _ in range(epochs):
+        recordings.clear()
+        result = trainer.train_epoch()
+        assert_same_epoch(result, oracle.train_epoch())
+        runs.append((len(recordings), result))
+    return runs
+
+
 @pytest.fixture(scope="module")
 def graph():
     return load_dataset("friendster_sim", scale=0.05, seed=3)
@@ -105,9 +139,17 @@ def test_replay_equals_emission_over_the_grid(graph, partition, arch,
                                      overlap)
                        for cls in (HongTuTrainer, EmittingTrainer))
     assert_same_run(trainer, oracle)
-    # the last two epochs replayed every sweep
-    assert sorted(trainer._programs) == sorted(
-        itertools.product(("backward", "forward"), range(LAYERS)))
+    assert sorted(trainer._programs) == all_sweeps(LAYERS)
+
+
+def test_evaluate_before_training_records_nothing(graph, partition,
+                                                  recordings):
+    trainer, oracle = (_grid_trainer(cls, graph, partition, "gcn",
+                                     "hybrid", "pipeline")
+                       for cls in (HongTuTrainer, EmittingTrainer))
+    assert trainer.evaluate() == oracle.evaluate()
+    assert trainer._programs == {}
+    assert recordings == []
 
 
 @pytest.mark.parametrize("name", ["train_numerics", "train_cluster",
@@ -115,7 +157,8 @@ def test_replay_equals_emission_over_the_grid(graph, partition, arch,
 def test_replay_equals_emission_on_the_perf_workloads(monkeypatch, name):
     """Each training workload at its ``--tiny`` size, from one seed: the
     workload builds the trainer (its first step for ``plan_fleet``), and
-    the rest of the epochs run on it."""
+    the rest of the epochs run on it. ``plan_fleet``'s trainer runs one
+    epoch, which records every sweep."""
     workload = perf_workloads.WORKLOADS[name]
     runs = []
     for cls in (HongTuTrainer, EmittingTrainer):
@@ -128,6 +171,10 @@ def test_replay_equals_emission_on_the_perf_workloads(monkeypatch, name):
     trainer, oracle = (state.trainer for state in runs)
     if runs[0].last is not None:
         assert_same_epoch(runs[0].last, runs[1].last)
+    if name == "plan_fleet":
+        assert trainer._epoch == 1
+        assert sorted(trainer._programs) == \
+            all_sweeps(len(trainer.model.layers))
     assert_same_run(trainer, oracle, EPOCHS - trainer._epoch)
 
 
@@ -155,52 +202,49 @@ def epoch_seconds(fault_graph):
 
 
 def test_replay_equals_emission_while_rates_move(fault_graph,
-                                                 epoch_seconds):
+                                                 epoch_seconds,
+                                                 recordings):
     """A straggler strikes after three epochs and recovers four later, on
     a static fleet: the rate table moves twice, and each move drops the
-    recording — the next epoch emits, the one after records, and the
-    rest replay under the new rates."""
+    recording — the next epoch records, and the rest replay under the
+    new rates."""
     faults = FaultSchedule((Straggler(1, start=2.5 * epoch_seconds,
                                       end=7.5 * epoch_seconds,
                                       compute_factor=0.5, nic_factor=0.5),))
     trainer, oracle = (_fault_trainer(cls, fault_graph, faults, False)
                        for cls in (HongTuTrainer, EmittingTrainer))
-    emitted = []
-    for _ in range(10):
-        assert_same_epoch(trainer.train_epoch(), oracle.train_epoch())
-        emitted.append(trainer._programs is None)
-    assert emitted == [True, False, False, True, False, False, False,
-                       True, False, False]
+    sweeps = 2 * len(trainer.model.layers)
+    runs = recorded_per_epoch(trainer, oracle, recordings, 10)
+    assert [count for count, _ in runs] == \
+        [sweeps, 0, 0, sweeps, 0, 0, 0, sweeps, 0, 0]
     assert trainer.platform.fault_state is None  # recovered
 
 
 def test_replay_equals_emission_across_a_rebalance(fault_graph,
-                                                   epoch_seconds):
+                                                   epoch_seconds,
+                                                   recordings):
     """A node dies after three epochs: the re-balance adopts a new plan
-    and placement, which drops the recording, and the epochs after it
-    emit, record and replay again."""
+    and placement, which drops the recording, and the epoch after it
+    records again."""
     faults = FaultSchedule((NodeDeath(1, at=2.5 * epoch_seconds),))
     trainer, oracle = (_fault_trainer(cls, fault_graph, faults, True)
                        for cls in (HongTuTrainer, EmittingTrainer))
-    emitted = []
-    for _ in range(7):
-        result = trainer.train_epoch()
-        assert_same_epoch(result, oracle.train_epoch())
-        emitted.append((trainer._programs is None, result.rebalance))
-    assert [first for first, _ in emitted] == \
-        [True, False, False, True, False, False, False]
-    assert [event is not None for _, event in emitted] == \
+    sweeps = 2 * len(trainer.model.layers)
+    runs = recorded_per_epoch(trainer, oracle, recordings, 7)
+    assert [count for count, _ in runs] == [sweeps, 0, 0, sweeps, 0, 0, 0]
+    assert [result.rebalance is not None for _, result in runs] == \
         [False, False, False, True, False, False, False]
-    assert emitted[3][1].trigger == "death"
+    assert runs[3][1].rebalance.trigger == "death"
 
 
 def test_programs_are_kept_per_plan_and_rate_table(monkeypatch, graph,
                                                    partition):
-    """``submit_batch_forward`` runs in the first two epochs under a plan
-    and rate table (emit, then record) and not in the third; a rate
-    change and :meth:`~repro.core.trainer.HongTuTrainer.adopt` start
-    over; ``evaluate()`` emits nothing. Every epoch still equals an
-    emitting trainer's."""
+    """``submit_batch_forward`` runs in the first epoch under a plan and
+    rate table, which records, and not in the ones after it, which only
+    replay; after a rate change or
+    :meth:`~repro.core.trainer.HongTuTrainer.adopt` the first epoch
+    records again; ``evaluate()`` emits nothing. Every epoch still equals
+    an emitting trainer's."""
     calls = []
     submit = DedupCommunicator.submit_batch_forward
 
@@ -220,7 +264,7 @@ def test_programs_are_kept_per_plan_and_rate_table(monkeypatch, graph,
         assert_same_epoch(trainer.train_epoch(), oracle.train_epoch())
         return sum(comm is trainer.fleet.comm_values for comm in calls)
 
-    assert [epoch() for _ in range(4)] == [staged, staged, 0, 0]
+    assert [epoch() for _ in range(4)] == [staged, 0, 0, 0]
     programs = trainer._programs
     assert all(program.num_external == 0 for program in programs.values())
     calls.clear()
@@ -233,9 +277,11 @@ def test_programs_are_kept_per_plan_and_rate_table(monkeypatch, graph,
     for ours in (trainer, oracle):
         ours.platform.apply_fault_state(FaultState(compute=((1, 0.5),)))
     assert trainer.platform.rates_version > version
-    assert [epoch() for _ in range(3)] == [staged, staged, 0]
+    assert [epoch() for _ in range(3)] == [staged, 0, 0]
     assert trainer._programs is not programs
+    assert sorted(trainer._programs) == all_sweeps(LAYERS)
 
     trainer.adopt(trainer.fleet)
-    assert trainer._programs is None
-    assert [epoch() for _ in range(3)] == [staged, staged, 0]
+    assert trainer._programs == {}
+    assert [epoch() for _ in range(3)] == [staged, 0, 0]
+    assert sorted(trainer._programs) == all_sweeps(LAYERS)

@@ -52,13 +52,19 @@ __all__ = ["EmitsEveryEpoch", "EmittingTrainer", "GradInputTrainer"]
 class EmitsEveryEpoch:
     """Mix-in: every layer sweep of every epoch emits onto the epoch's
     timeline, and ``evaluate()`` emits its forward onto a throwaway
-    timeline — nothing is recorded or replayed."""
+    timeline — nothing is recorded or replayed, so a sweep ends with the
+    barrier between layer sweeps alone."""
 
     def _sweep_sink(self, timeline, key):
         return timeline
 
+    def _close_sweep(self, timeline, key, sink):
+        if timeline is not None:
+            timeline.barrier()
+
     def evaluate(self) -> Dict[str, float]:
-        timeline = self._new_timeline()  # throwaway; evaluation is not timed
+        # throwaway; evaluation is not timed
+        timeline = EventTimeline(barrier_all=not self._pipelined)
         self._forward(timeline, training=False)
         return split_accuracies(self._h[-1], self.graph)
 

@@ -1,10 +1,10 @@
 """Host seconds of a training workload's epochs, epoch by epoch.
 
 ``benchmarks/perf/run.py`` times steps after an untimed warm-up, so it
-sees steady epochs only. A trainer's first epochs cost more: the first
-under a plan and rate table emits its layer sweeps onto its timeline,
-the second records them and replays them, and later ones only replay
-(``HongTuTrainer``'s sweep programs). This builds a ``benchmarks/perf``
+sees steady epochs only. A trainer's first epoch costs more: the first
+under a plan and rate table records its layer sweeps and replays them,
+and later ones only replay (``HongTuTrainer``'s sweep programs). This
+builds a ``benchmarks/perf``
 training workload's trainer, times each of its first ``--epochs``
 epochs, repeats that on ``--repeats`` fresh trainers, and prints per
 epoch the median, fastest and slowest seconds.
@@ -62,7 +62,7 @@ def epoch_times(name: str, seed: int, tiny: bool, epochs: int,
 
 
 def _kind(epoch: int) -> str:
-    return {1: "emits", 2: "records + replays"}.get(epoch, "replays")
+    return "records + replays" if epoch == 1 else "replays"
 
 
 def build_parser() -> argparse.ArgumentParser:

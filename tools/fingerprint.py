@@ -7,8 +7,10 @@ per value, so the parent/change comparison is one ``diff``:
 
 * the architectures GCN, GraphSAGE, GIN, CommNet and GAT × intermediate
   policy × overlap policy × {1, 2} nodes, three epochs each — the first
-  emits its layer sweeps, the second records and replays them, the
-  third only replays (``HongTuTrainer``'s sweep programs): every
+  records its layer sweeps and replays them, the later two only replay
+  (``HongTuTrainer``'s sweep programs; the count stays three so the
+  digests compare with earlier commits, whose second epoch recorded):
+  every
   :class:`~repro.core.trainer.EpochResult` field, every timeline column
   (and the phase labels), the final parameters and the accuracies of
   ``evaluate()``. The four cacheable layers each take the batch
