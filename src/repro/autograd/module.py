@@ -9,7 +9,7 @@ across simulated GPUs, and comparing trained weights.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,10 +70,12 @@ class Module:
 
 
 class Linear(Module):
-    """Affine transform ``x @ W + b``.
+    """Affine transform ``x @ W + b``, optionally followed by a ReLU.
 
     Weight shape is (in_features, out_features) so the forward is a plain
     right-multiplication, matching the paper's ``a × W`` notation (§2.3).
+    The map and its activation are one tape node
+    (:func:`repro.autograd.ops.linear`).
     """
 
     def __init__(self, in_features: int, out_features: int,
@@ -90,10 +92,7 @@ class Linear(Module):
         )
         self.bias = Parameter(zeros((out_features,), dtype=dtype), name="bias") if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, activation: Optional[str] = None) -> Tensor:
         from repro.autograd import ops
 
-        out = ops.matmul(x, self.weight)
-        if self.bias is not None:
-            out = ops.add(out, self.bias)
-        return out
+        return ops.linear(x, self.weight, self.bias, activation)

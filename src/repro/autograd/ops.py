@@ -4,7 +4,8 @@ Each op computes a numpy result eagerly and registers a vector-Jacobian
 product (VJP) closure on the output tensor. The op set is what the GNN
 layers and the examples call:
 
-* dense ops — ``add``, ``sub``, ``mul``, ``matmul``, ``reshape``,
+* dense ops — ``add``, ``sub``, ``mul``, ``matmul``, ``linear`` (an
+  affine map and an optional ReLU as one node), ``reshape``,
   ``concat``; activations ``relu``, ``leaky_relu``, ``elu``,
   ``sigmoid``, ``tanh``;
 * irregular ops — ``spmm`` (a linear AGGREGATE as one sparse product),
@@ -32,7 +33,7 @@ from repro.autograd.tensor import Tensor
 from repro.errors import AutogradError
 
 __all__ = [
-    "add", "sub", "mul", "matmul", "reshape", "concat",
+    "add", "sub", "mul", "matmul", "linear", "reshape", "concat",
     "relu", "leaky_relu", "elu", "sigmoid", "tanh",
     "spmm", "gather_rows", "scatter_add_rows", "segment_softmax",
 ]
@@ -118,6 +119,53 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(a.data.T @ grad)
 
     return Tensor.from_op(out_data, (a, b), backward, name="matmul")
+
+
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
+           activation: Optional[str] = None) -> Tensor:
+    """``act(x @ weight + bias)`` as one tape node (PyTorch's ``addmm``).
+
+    ``activation`` is None or ``"relu"``. The result and the gradients
+    are those of ``relu(add(matmul(x, weight), bias))`` to the bit: the
+    bias add and the mask act in place on the fresh product, and the VJP
+    runs the three ops' expressions in their order, with one closure and
+    none of their intermediate tensors on the tape. ``bias`` has
+    ``weight``'s dtype (as :class:`~repro.autograd.module.Linear` makes
+    it), so adding it in place never narrows it.
+    """
+    x = Tensor.as_tensor(x)
+    if x.ndim != 2 or weight.ndim != 2:
+        raise AutogradError(
+            f"linear expects 2-D operands, got {x.shape} @ {weight.shape}"
+        )
+    if bias is not None and (bias.shape != weight.shape[1:]
+                             or bias.dtype != weight.dtype):
+        raise AutogradError(
+            f"linear bias must be {weight.shape[1:]} {weight.dtype}, got "
+            f"{bias.shape} {bias.dtype}"
+        )
+    if activation not in (None, "relu"):
+        raise AutogradError(f"linear has no activation {activation!r}")
+    out_data = x.data @ weight.data
+    if bias is not None:
+        out_data += bias.data
+    mask = None
+    if activation == "relu":
+        mask = out_data > 0
+        out_data *= mask
+
+    def backward(grad: np.ndarray) -> None:
+        if mask is not None:
+            grad = grad * mask
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(grad.sum(axis=0))
+        if x.requires_grad:
+            x.accumulate_grad(grad @ weight.data.T)
+        if weight.requires_grad:
+            weight.accumulate_grad(x.data.T @ grad)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor.from_op(out_data, parents, backward, name="linear")
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:

@@ -61,10 +61,10 @@ from repro.core.memory_model import (
     partition_host_bytes,
     vertex_buffer_bytes,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DeviceOutOfMemoryError
 from repro.gnn.models import GNNModel
 from repro.graph.graph import Graph
-from repro.hardware.memory import Allocation
+from repro.hardware.memory import Allocation, reserve_all
 from repro.hardware.platform import MultiGPUPlatform
 from repro.partition.nodes import LayoutSweeps
 from repro.partition.placement import (
@@ -182,19 +182,27 @@ def _capability_matrix(partition: TwoLevelPartition, shapes: ChunkShapes,
 
 def _reserve(vertex_bytes: int, shapes: ChunkShapes,
              platform: MultiGPUPlatform):
-    """Reserve vertex-data host shards and per-chunk GPU topology.
+    """Reserve vertex-data host shards and per-chunk GPU topology, all or
+    nothing.
 
     Vertex data shards across node hosts (one share per node; a
     single-node platform yields exactly one full-size share); each
-    chunk's topology stays resident on its GPU for the whole run.
+    chunk's topology stays resident on its GPU for the whole run. A
+    :class:`~repro.errors.DeviceOutOfMemoryError` leaves no byte of
+    either charged.
     """
-    host = [pool.alloc("vertex_data", share)
-            for pool, share in platform.split_host_bytes(vertex_bytes)]
-    topology = [
-        platform.gpus[i].memory.alloc("topology", nbytes)
-        for i, row in enumerate(shapes.topology_bytes().tolist())
-        for nbytes in row
-    ]
+    host_pools, shares = zip(*platform.split_host_bytes(vertex_bytes))
+    host = reserve_all(host_pools, "vertex_data", shares)
+    rows = shapes.topology_bytes().tolist()
+    gpu_pools = [gpu.memory for gpu, row in zip(platform.gpus, rows)
+                 for _ in row]
+    try:
+        topology = reserve_all(gpu_pools, "topology",
+                               [nbytes for row in rows for nbytes in row])
+    except DeviceOutOfMemoryError:
+        for allocation in host:
+            allocation.free()
+        raise
     return host, topology
 
 

@@ -146,10 +146,7 @@ class GCNLayer(GNNLayer):
         return ops.spmm(block.operator(h.dtype), h, block.adjoint(h.dtype))
 
     def update(self, block: Block, agg: Tensor, h_dst: Tensor) -> Tensor:
-        out = self.linear(agg)
-        if self.activation == "relu":
-            out = ops.relu(out)
-        return out
+        return self.linear(agg, self.activation)
 
     def aggregate_backward(self, block: Block, grad_agg: np.ndarray) -> np.ndarray:
         return block.adjoint(grad_agg.dtype) @ grad_agg
@@ -177,10 +174,7 @@ class GraphSAGELayer(GNNLayer):
         return _mean_aggregate(block, h)
 
     def update(self, block: Block, agg: Tensor, h_dst: Tensor) -> Tensor:
-        out = self.linear(ops.concat([h_dst, agg], axis=1))
-        if self.activation == "relu":
-            out = ops.relu(out)
-        return out
+        return self.linear(ops.concat([h_dst, agg], axis=1), self.activation)
 
     def aggregate_backward(self, block: Block, grad_agg: np.ndarray) -> np.ndarray:
         return _mean_aggregate_backward(block, grad_agg)
@@ -215,10 +209,7 @@ class GINLayer(GNNLayer):
     def update(self, block: Block, agg: Tensor, h_dst: Tensor) -> Tensor:
         one_plus_eps = ops.add(self.epsilon, Tensor(np.ones(1)))
         combined = ops.add(ops.mul(h_dst, one_plus_eps), agg)
-        out = self.mlp2(ops.relu(self.mlp1(combined)))
-        if self.activation == "relu":
-            out = ops.relu(out)
-        return out
+        return self.mlp2(self.mlp1(combined, "relu"), self.activation)
 
     def aggregate_backward(self, block: Block, grad_agg: np.ndarray) -> np.ndarray:
         return block.adjoint(grad_agg.dtype, weighted=False) @ grad_agg

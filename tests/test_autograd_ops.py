@@ -9,6 +9,8 @@ from scipy import sparse
 
 from repro.autograd import Tensor, ops
 from repro.errors import AutogradError
+from repro.gnn import Block, GCNLayer
+from repro.graph import toy_graph
 
 from tests.conftest import numeric_gradient
 from tests.loss_reference import log_softmax, sum_
@@ -69,15 +71,28 @@ def _concat_pair(a, b):
     return ops.concat([a, b], axis=1)
 
 
+def _relu_masked(g, a, b):
+    """The seed through the ReLU of ``a @ b + _PAIR_BIAS``."""
+    return g * (a @ b + _PAIR_BIAS > 0)
+
+
 #: multi-parent op → (op, a, b, closed-form VJPs (∇a, ∇b) of the seed g)
 _PAIR_A, _PAIR_B = RNG.standard_normal((3, 4)), RNG.standard_normal((3, 4))
 _PAIR_M = RNG.standard_normal((4, 2))
+_PAIR_BIAS = RNG.standard_normal(2)
 MULTI_PARENT_OPS = {
     "add": (ops.add, _PAIR_A, _PAIR_B, lambda g, a, b: (g, g)),
     "sub": (ops.sub, _PAIR_A, _PAIR_B, lambda g, a, b: (g, -g)),
     "mul": (ops.mul, _PAIR_A, _PAIR_B, lambda g, a, b: (g * b, g * a)),
     "matmul": (ops.matmul, _PAIR_A, _PAIR_M,
                lambda g, a, b: (g @ b.T, a.T @ g)),
+    "linear": (ops.linear, _PAIR_A, _PAIR_M,
+               lambda g, a, b: (g @ b.T, a.T @ g)),
+    "linear+bias+relu": (
+        lambda a, b: ops.linear(a, b, Tensor(_PAIR_BIAS), "relu"),
+        _PAIR_A, _PAIR_M,
+        lambda g, a, b: (_relu_masked(g, a, b) @ b.T,
+                         a.T @ _relu_masked(g, a, b))),
     "concat": (_concat_pair, _PAIR_A, _PAIR_B,
                lambda g, a, b: (g[:, :4], g[:, 4:])),
 }
@@ -126,6 +141,68 @@ class TestLinearAlgebraGradients:
     def test_reshape(self):
         check_gradients(lambda a: ops.reshape(a, (2, 6)),
                         RNG.standard_normal((3, 4)))
+
+
+def _linear_by_three_ops(x, weight, bias, activation):
+    """What :func:`ops.linear` replaces: one node per product, add, mask."""
+    out = ops.matmul(x, weight)
+    if bias is not None:
+        out = ops.add(out, bias)
+    return ops.relu(out) if activation == "relu" else out
+
+
+class TestLinear:
+    """``ops.linear`` is one tape node with the three-op tape's floats."""
+
+    @pytest.mark.parametrize("activation", [None, "relu"])
+    @pytest.mark.parametrize("with_bias", [True, False],
+                             ids=["bias", "no_bias"])
+    @pytest.mark.parametrize("rows", [0, 1, 67])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_three_op_composition_to_the_bit(
+            self, dtype, rows, with_bias, activation):
+        rng = np.random.default_rng(rows)
+        arrays = [rng.standard_normal((rows, 32)).astype(dtype),
+                  rng.standard_normal((32, 16)).astype(dtype),
+                  rng.standard_normal(16).astype(dtype)]
+        seed = rng.standard_normal((rows, 16)).astype(dtype)
+        results = []
+        for op in (ops.linear, _linear_by_three_ops):
+            x, weight, bias = (Tensor(a, requires_grad=True) for a in arrays)
+            out = op(x, weight, bias if with_bias else None, activation)
+            out.backward(seed)
+            results.append((out.data, x.grad, weight.grad,
+                            bias.grad if with_bias else None))
+        fused, composed = results
+        assert fused[0].dtype == dtype
+        for got, want in zip(fused, composed):
+            np.testing.assert_array_equal(got, want)
+
+    def test_gradients(self):
+        check_gradients(lambda x, w, b: ops.linear(x, w, b, "relu"),
+                        RNG.standard_normal((5, 3)),
+                        RNG.standard_normal((3, 4)),
+                        RNG.standard_normal(4))
+
+    @pytest.mark.parametrize("bias, activation, match", [
+        (np.ones(3), None, "bias"),
+        (np.ones(2, dtype=np.float32), None, "bias"),
+        (None, "elu", "activation"),
+    ])
+    def test_rejects(self, bias, activation, match):
+        bias = None if bias is None else Tensor(bias)
+        with pytest.raises(AutogradError, match=match):
+            ops.linear(Tensor(np.ones((4, 3))), Tensor(np.ones((3, 2))),
+                       bias, activation)
+
+    def test_a_gcn_update_is_one_node_above_its_inputs(self):
+        layer = GCNLayer(3, 2, np.random.default_rng(0))
+        x = Tensor(RNG.standard_normal((8, 3)), requires_grad=True)
+        out = layer.update(Block.from_graph(toy_graph()), x, x)
+        tape = list(out._topological_order())
+        assert list(map(id, tape)) == list(map(id, (
+            out, x, layer.linear.weight, layer.linear.bias)))
+        assert out.name == "linear"
 
 
 class TestActivationGradients:

@@ -23,7 +23,7 @@ def test_fingerprint_is_deterministic_seeded_and_fast():
     assert elapsed < 5.0, f"fingerprint took {elapsed:.2f} s"
     first = json.loads(done.stdout)
     assert sorted(first) == ["grid", "workloads"]
-    assert len(first["grid"]) == 40  # 5 archs × 2 policies × 2 overlaps × 2 fleets
+    assert len(first["grid"]) == 48  # 6 archs × 2 policies × 2 overlaps × 2 fleets
     assert sorted(first["workloads"]) == ["plan_fleet", "serve_mixed",
                                           "train_cluster", "train_numerics"]
 

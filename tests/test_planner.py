@@ -14,11 +14,14 @@ import numpy as np
 import pytest
 
 from repro.comm import measure_volumes
-from repro.core import HongTuTrainer
+from repro.core import HongTuConfig, HongTuTrainer
 from repro.core.elastic import evacuation_seed
 from repro.core.planner import plan_fleet
+from repro.errors import DeviceOutOfMemoryError
 from repro.faults import FaultSchedule, NodeDeath
+from repro.gnn import build_model
 from repro.graph import load_dataset
+from repro.hardware import A100_SERVER, MultiGPUPlatform
 from repro.scenario import ClusterArgs
 
 
@@ -136,3 +139,31 @@ class TestRebalanceIsAReplan:
         assert placement.tolist() == [0, 0, 1, 1, 2, 2]  # input untouched
         assert evacuation_seed(placement, [0, 1, 2], frozenset()).tolist() \
             == placement.tolist()
+
+
+class TestReservations:
+    def test_an_oom_while_planning_leaves_nothing_reserved(self):
+        """GPU 1 is one byte short of its topology: GPU 0's topology and
+        the host's vertex data are reserved before it raises, and the
+        raise frees them."""
+        graph = load_dataset("reddit_sim", scale=0.05, seed=0)
+
+        def trainer(platform):
+            model = build_model(
+                "gat", [graph.feature_dim, 16, graph.num_classes],
+                np.random.default_rng(0))
+            return HongTuTrainer(graph, model, platform, HongTuConfig())
+
+        reference = trainer(MultiGPUPlatform(A100_SERVER))
+        assert reference.platform.num_gpus == 4
+        topology = reference.platform.gpus[1].memory.by_tag["topology"]
+        platform = MultiGPUPlatform(A100_SERVER)
+        platform.gpus[1].memory.capacity = topology - 1
+        with pytest.raises(DeviceOutOfMemoryError) as error:
+            trainer(platform)
+        assert error.value.device == "gpu1"
+        pools = [gpu.memory for gpu in platform.gpus] + [
+            platform.host_pool(node) for node in range(platform.num_nodes)]
+        for pool in pools:
+            assert pool.by_tag.get("vertex_data", 0) == 0, pool.name
+            assert pool.by_tag.get("topology", 0) == 0, pool.name

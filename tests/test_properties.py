@@ -12,7 +12,7 @@ from repro.autograd import SGD
 from repro.baselines import FullGraphTrainer
 from repro.comm import DedupCommunicator, build_comm_plan, measure_volumes
 from repro.core import HongTuConfig, HongTuTrainer
-from repro.gnn import build_model
+from repro.gnn import MODEL_REGISTRY, build_model
 from repro.graph import Graph
 from repro.hardware import A100_SERVER, EventTimeline, MultiGPUPlatform
 
@@ -145,13 +145,14 @@ class TestCommPlanProperties:
 
 
 class TestTrainingProperties:
-    @given(random_graphs(), st.integers(min_value=1, max_value=4))
+    @given(random_graphs(), st.integers(min_value=1, max_value=4),
+           st.sampled_from(sorted(MODEL_REGISTRY)))
     @settings(max_examples=8, deadline=None)
     def test_chunked_equals_monolithic_on_random_graphs(self, graph,
-                                                        n_chunks):
+                                                        n_chunks, arch):
         dims = [graph.feature_dim, 6, graph.num_classes]
-        reference_model = build_model("gcn", dims, np.random.default_rng(3))
-        chunked_model = build_model("gcn", dims, np.random.default_rng(3))
+        reference_model = build_model(arch, dims, np.random.default_rng(3))
+        chunked_model = build_model(arch, dims, np.random.default_rng(3))
 
         reference = FullGraphTrainer(
             graph, reference_model,

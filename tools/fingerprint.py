@@ -5,17 +5,17 @@ optimisation that skips dead work — must produce the same epochs as its
 parent, bit for bit. This runs a fixed small grid and prints one digest
 per value, so the parent/change comparison is one ``diff``:
 
-* the architectures GCN, GraphSAGE, GIN, CommNet and GAT × intermediate
-  policy × overlap policy × {1, 2} nodes, three epochs each — the first
-  records its layer sweeps and replays them, the later two only replay
-  (``HongTuTrainer``'s sweep programs; the count stays three so the
-  digests compare with earlier commits, whose second epoch recorded):
-  every
-  :class:`~repro.core.trainer.EpochResult` field, every timeline column
-  (and the phase labels), the final parameters and the accuracies of
-  ``evaluate()``. The four cacheable layers each take the batch
-  AGGREGATE in their own way; GGNN is left out because GAT already
-  covers the other path, a chunk's input rows and the full tape;
+* the architectures GCN, GraphSAGE, GIN, CommNet, GAT and GGNN ×
+  intermediate policy × overlap policy × {1, 2} nodes, three epochs
+  each — the first records its layer sweeps and replays them, the later
+  two only replay (``HongTuTrainer``'s sweep programs; the count stays
+  three so the digests compare with earlier commits, whose second epoch
+  recorded): every :class:`~repro.core.trainer.EpochResult` field,
+  every timeline column (and the phase labels), the final parameters
+  and the accuracies of ``evaluate()``. The four cacheable layers each
+  take the batch AGGREGATE in their own way; GAT and GGNN take the
+  other path, a chunk's input rows and the full tape (GGNN's through
+  five ``Linear`` nodes, GAT's through none);
 * the four ``benchmarks/perf`` workloads at their ``--tiny`` sizes: two
   steps, then the step's signature and counts, the timelines of the last
   step and the trainer's final parameters.
@@ -48,7 +48,7 @@ for _entry in (ROOT, ROOT / "src"):
     if str(_entry) not in sys.path:
         sys.path.insert(0, str(_entry))
 
-ARCHS = ("gcn", "graphsage", "gin", "commnet", "gat")
+ARCHS = ("gcn", "graphsage", "gin", "commnet", "gat", "ggnn")
 POLICIES = ("hybrid", "recompute")
 OVERLAPS = ("barrier", "pipeline")
 NODES = (1, 2)
